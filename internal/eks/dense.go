@@ -1,36 +1,12 @@
 package eks
 
-import (
-	"sort"
-	"sync"
-)
+import "slices"
 
-// denseIndex is a frozen, allocation-lean view of the graph: concepts are
-// renumbered into the dense range [0, n) in ascending ConceptID order, and
-// both adjacency directions are flattened into CSR-style offset/target
-// slices. Traversals run over int32 node indices with epoch-stamped
-// visited/distance arrays drawn from a sync.Pool, so the online hot path
-// (candidate BFS, subsumer-distance Dijkstra) neither allocates per query
-// nor clears O(n) state between queries.
-//
-// The index is built lazily on first use after the graph stops mutating
-// (Freeze builds it eagerly) and is dropped by any structural mutation.
-// Once built it is immutable and safe for concurrent use.
-type denseIndex struct {
-	ids []ConceptID         // dense node -> ConceptID, ascending
-	idx map[ConceptID]int32 // ConceptID -> dense node
-
-	// CSR adjacency: node i's up edges are upTo[upOff[i]:upOff[i+1]] with
-	// semantic distances upDist[...]; native edges precede shortcut edges
-	// within a node's range so native-only scans can stop early at
-	// upNativeEnd[i] (and likewise downward).
-	upOff, downOff             []int32
-	upTo, downTo               []int32
-	upDist, downDist           []int32
-	upNativeEnd, downNativeEnd []int32
-
-	scratch sync.Pool // *denseScratch
-}
+// The traversal kernels of the frozen view. They run over int32 node indices
+// with epoch-stamped visited/distance arrays drawn from the view's
+// sync.Pool, so the online hot path (candidate BFS, subsumer-distance
+// Dijkstra) neither allocates per query nor clears O(n) state between
+// queries.
 
 // denseScratch is the reusable per-traversal state. stamp[i] == epoch marks
 // node i as visited by the current traversal; bumping the epoch invalidates
@@ -64,128 +40,19 @@ func (s *denseScratch) next() {
 	s.heap = s.heap[:0]
 }
 
-// denseIdx returns the built index, building it under the mutex when
-// missing. Concurrent readers share one index; any mutation drops it.
-func (g *Graph) denseIdx() *denseIndex {
-	if d := g.dense.Load(); d != nil {
-		return d
-	}
-	g.denseMu.Lock()
-	defer g.denseMu.Unlock()
-	if d := g.dense.Load(); d != nil {
-		return d
-	}
-	var d *denseIndex
-	if g.flat != nil {
-		d = g.flat.denseIndex()
-	} else {
-		d = buildDenseIndex(g)
-	}
-	g.dense.Store(d)
-	return d
-}
-
-// invalidateDense drops the frozen view after a structural mutation.
-func (g *Graph) invalidateDense() { g.dense.Store(nil) }
-
-// Freeze eagerly builds the dense traversal index. Calling it is optional —
-// the index is built lazily on first use — but building it at a known point
-// (e.g. right after offline customization) keeps first-query latency flat.
-func (g *Graph) Freeze() { g.denseIdx() }
-
-func buildDenseIndex(g *Graph) *denseIndex {
-	n := len(g.concepts)
-	d := &denseIndex{
-		ids:           g.ConceptIDs(),
-		idx:           make(map[ConceptID]int32, n),
-		upOff:         make([]int32, n+1),
-		downOff:       make([]int32, n+1),
-		upNativeEnd:   make([]int32, n),
-		downNativeEnd: make([]int32, n),
-	}
-	for i, id := range d.ids {
-		d.idx[id] = int32(i)
-	}
-	upCount, downCount := 0, 0
-	for i, id := range d.ids {
-		d.upOff[i+1] = d.upOff[i] + int32(len(g.up[id]))
-		d.downOff[i+1] = d.downOff[i] + int32(len(g.down[id]))
-		upCount += len(g.up[id])
-		downCount += len(g.down[id])
-	}
-	d.upTo = make([]int32, upCount)
-	d.upDist = make([]int32, upCount)
-	d.downTo = make([]int32, downCount)
-	d.downDist = make([]int32, downCount)
-	fill := func(i int, edges []Edge, off []int32, to, dist []int32, other func(Edge) ConceptID) int32 {
-		pos := off[i]
-		for _, e := range edges { // native edges first
-			if !e.Shortcut {
-				to[pos] = d.idx[other(e)]
-				dist[pos] = int32(e.Dist)
-				pos++
-			}
-		}
-		nativeEnd := pos
-		for _, e := range edges {
-			if e.Shortcut {
-				to[pos] = d.idx[other(e)]
-				dist[pos] = int32(e.Dist)
-				pos++
-			}
-		}
-		return nativeEnd
-	}
-	for i, id := range d.ids {
-		d.upNativeEnd[i] = fill(i, g.up[id], d.upOff, d.upTo, d.upDist, func(e Edge) ConceptID { return e.To })
-		d.downNativeEnd[i] = fill(i, g.down[id], d.downOff, d.downTo, d.downDist, func(e Edge) ConceptID { return e.From })
-	}
-	d.scratch.New = func() any {
-		return &denseScratch{
-			stamp: make([]uint32, n),
-			dist:  make([]int32, n),
-		}
-	}
-	return d
-}
-
-// lookup maps a ConceptID to its dense node index. Map-built indexes use
-// the hash; flat-mapped indexes carry no map and binary-search the
-// ascending ID slice instead, so opening a flat bundle never materializes
-// a per-concept map.
-func (d *denseIndex) lookup(id ConceptID) (int32, bool) {
-	if d.idx != nil {
-		i, ok := d.idx[id]
-		return i, ok
-	}
-	lo, hi := 0, len(d.ids)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if d.ids[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(d.ids) && d.ids[lo] == id {
-		return int32(lo), true
-	}
-	return 0, false
-}
-
-func (d *denseIndex) getScratch() *denseScratch {
-	s := d.scratch.Get().(*denseScratch)
+func (v *frozen) getScratch() *denseScratch {
+	s := v.scratch.Get().(*denseScratch)
 	s.next()
 	return s
 }
 
-func (d *denseIndex) putScratch(s *denseScratch) { d.scratch.Put(s) }
+func (v *frozen) putScratch(s *denseScratch) { v.scratch.Put(s) }
 
 // bfsWithin visits every node within radius hops of src (excluding src),
 // treating every edge — native or shortcut, either direction — as one hop,
 // appending the reached nodes to s.touched and recording hop counts in
 // s.dist. This is the candidate-gathering metric of Algorithm 2.
-func (d *denseIndex) bfsWithin(src int32, radius int, s *denseScratch) {
+func (v *frozen) bfsWithin(src int32, radius int, s *denseScratch) {
 	s.stamp[src] = s.epoch
 	s.dist[src] = 0
 	s.queue = append(s.queue, src)
@@ -205,10 +72,10 @@ func (d *denseIndex) bfsWithin(src int32, radius int, s *denseScratch) {
 				s.touched = append(s.touched, nb)
 			}
 		}
-		for _, nb := range d.upTo[d.upOff[cur]:d.upOff[cur+1]] {
+		for _, nb := range v.UpTo[v.UpOff[cur]:v.UpOff[cur+1]] {
 			visit(nb)
 		}
-		for _, nb := range d.downTo[d.downOff[cur]:d.downOff[cur+1]] {
+		for _, nb := range v.DownTo[v.DownOff[cur]:v.DownOff[cur+1]] {
 			visit(nb)
 		}
 	}
@@ -218,25 +85,20 @@ func (d *denseIndex) bfsWithin(src int32, radius int, s *denseScratch) {
 // every subsumer of src (src itself at 0), following native and shortcut
 // edges upward with their attached distances. Reached nodes (including src)
 // land in s.touched with distances in s.dist.
-func (d *denseIndex) dijkstraUp(src int32, s *denseScratch) {
+func (v *frozen) dijkstraUp(src int32, s *denseScratch) {
 	s.stamp[src] = s.epoch
 	s.dist[src] = 0
 	s.touched = append(s.touched, src)
 	s.heap = append(s.heap, heapNode{dist: 0, node: src})
 	for len(s.heap) > 0 {
-		top := s.heap[0]
-		last := len(s.heap) - 1
-		s.heap[0] = s.heap[last]
-		s.heap = s.heap[:last]
-		if len(s.heap) > 0 {
-			siftDown(s.heap)
-		}
+		var top heapNode
+		top, s.heap = popHeap(s.heap)
 		if top.dist > s.dist[top.node] {
 			continue // stale entry
 		}
-		for k := d.upOff[top.node]; k < d.upOff[top.node+1]; k++ {
-			nb := d.upTo[k]
-			nd := top.dist + d.upDist[k]
+		for k := v.UpOff[top.node]; k < v.UpOff[top.node+1]; k++ {
+			nb := v.UpTo[k]
+			nd := top.dist + v.UpDist[k]
 			if s.stamp[nb] != s.epoch {
 				s.stamp[nb] = s.epoch
 				s.dist[nb] = nd
@@ -250,6 +112,16 @@ func (d *denseIndex) dijkstraUp(src int32, s *denseScratch) {
 			}
 		}
 	}
+}
+
+// popHeap removes the minimum entry.
+func popHeap(h []heapNode) (heapNode, []heapNode) {
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	siftDown(h)
+	return top, h
 }
 
 func siftUp(h []heapNode) {
@@ -285,15 +157,15 @@ func siftDown(h []heapNode) {
 
 // countDescendants walks native down edges from src and counts the distinct
 // nodes reached, excluding src.
-func (d *denseIndex) countDescendants(src int32, s *denseScratch) int {
+func (v *frozen) countDescendants(src int32, s *denseScratch) int {
 	s.stamp[src] = s.epoch
 	s.queue = append(s.queue, src)
 	count := 0
 	for len(s.queue) > 0 {
 		cur := s.queue[len(s.queue)-1]
 		s.queue = s.queue[:len(s.queue)-1]
-		for k := d.downOff[cur]; k < d.downNativeEnd[cur]; k++ {
-			nb := d.downTo[k]
+		for k := v.DownOff[cur]; k < v.DownNativeEnd[cur]; k++ {
+			nb := v.DownTo[k]
 			if s.stamp[nb] != s.epoch {
 				s.stamp[nb] = s.epoch
 				s.queue = append(s.queue, nb)
@@ -323,24 +195,24 @@ func (v SubsumerVec) At(i int) (ConceptID, int) { return v.ids[i], int(v.dist[i]
 // SubsumerVec computes the subsumer-distance vector of id. ok is false for
 // an unknown concept.
 func (g *Graph) SubsumerVec(id ConceptID) (SubsumerVec, bool) {
-	d := g.denseIdx()
-	src, ok := d.lookup(id)
+	v := g.view()
+	src, ok := v.node(id)
 	if !ok {
 		return SubsumerVec{}, false
 	}
-	s := d.getScratch()
-	d.dijkstraUp(src, s)
-	sort.Slice(s.touched, func(i, j int) bool { return s.touched[i] < s.touched[j] })
-	v := SubsumerVec{
+	s := v.getScratch()
+	v.dijkstraUp(src, s)
+	slices.Sort(s.touched)
+	vec := SubsumerVec{
 		ids:  make([]ConceptID, len(s.touched)),
 		dist: make([]int32, len(s.touched)),
 	}
 	for i, node := range s.touched {
-		v.ids[i] = d.ids[node]
-		v.dist[i] = s.dist[node]
+		vec.ids[i] = v.IDs[node]
+		vec.dist[i] = s.dist[node]
 	}
-	d.putScratch(s)
-	return v, true
+	v.putScratch(s)
+	return vec, true
 }
 
 // CommonSubsumers merge-joins two subsumer vectors, calling visit for every

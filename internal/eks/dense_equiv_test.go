@@ -1,6 +1,6 @@
 package eks_test
 
-// Equivalence tests: the dense CSR kernel must return exactly the same
+// Equivalence tests: the frozen view's kernels must return exactly the same
 // neighbor sets, subsumer distances, and descendant counts as the retained
 // legacy map-based traversals — on the paper-figure fixtures and on seeded
 // synthetic worlds up to ~10^4 concepts.
@@ -8,6 +8,7 @@ package eks_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -98,10 +99,11 @@ func neighborKey(nbs []eks.Neighbor) map[eks.ConceptID]int {
 // its legacy counterpart for the given source concepts.
 func checkGraphEquivalence(t *testing.T, g *eks.Graph, ids []eks.ConceptID, radii []int) {
 	t.Helper()
+	legacy := eks.NewLegacyOracle(g)
 	for _, id := range ids {
 		for _, r := range radii {
 			got := g.NeighborsWithinHops(id, r)
-			want := g.LegacyNeighborsWithinHops(id, r)
+			want := legacy.NeighborsWithinHops(id, r)
 			if len(got) != len(want) || !reflect.DeepEqual(neighborKey(got), neighborKey(want)) {
 				t.Fatalf("NeighborsWithinHops(%d, %d): dense %v != legacy %v", id, r, got, want)
 			}
@@ -116,7 +118,7 @@ func checkGraphEquivalence(t *testing.T, g *eks.Graph, ids []eks.ConceptID, radi
 		}
 
 		gotUp := g.SubsumerDistances(id)
-		wantUp := g.LegacyUpDistances(id)
+		wantUp := legacy.UpDistances(id)
 		if !reflect.DeepEqual(gotUp, wantUp) {
 			t.Fatalf("SubsumerDistances(%d): dense %v != legacy %v", id, gotUp, wantUp)
 		}
@@ -150,7 +152,7 @@ func checkGraphEquivalence(t *testing.T, g *eks.Graph, ids []eks.ConceptID, radi
 		a, b := ids[i], ids[i+1]
 		va, _ := g.SubsumerVec(a)
 		vb, _ := g.SubsumerVec(b)
-		ma, mb := g.LegacyUpDistances(a), g.LegacyUpDistances(b)
+		ma, mb := legacy.UpDistances(a), legacy.UpDistances(b)
 		visited := map[eks.ConceptID][2]int{}
 		eks.CommonSubsumers(va, vb, func(c eks.ConceptID, da, db int) {
 			visited[c] = [2]int{da, db}
@@ -239,9 +241,9 @@ func TestDenseEquivalenceLargeSynthWorld(t *testing.T) {
 	checkGraphEquivalence(t, g, sample, []int{1, 3})
 }
 
-// TestDenseInvalidationOnMutation guards the cache-invalidation path: a
-// graph mutation after the dense index was built must be reflected in
-// subsequent queries.
+// TestDenseInvalidationOnMutation guards the invalidation path: a concept,
+// edge or synonym added after the frozen view was built must be reflected in
+// subsequent reads.
 func TestDenseInvalidationOnMutation(t *testing.T) {
 	g := figure5Chain(t)
 	g.Freeze()
@@ -258,14 +260,30 @@ func TestDenseInvalidationOnMutation(t *testing.T) {
 		t.Fatalf("radius-1 neighbors changed: %d -> %d", before, len(after))
 	}
 	// …but radius-2 must now see it.
-	found := false
-	for _, nb := range g.NeighborsWithinHops(5, 2) {
-		if nb.ID == 6 {
-			found = true
-		}
+	radius2 := g.NeighborsWithinHops(5, 2)
+	if !slices.Contains(radius2, eks.Neighbor{ID: 6, Hops: 2}) {
+		t.Fatal("frozen view not invalidated: new concept invisible at radius 2")
 	}
-	if !found {
-		t.Fatal("dense index not invalidated: new concept invisible at radius 2")
+	if c, ok := g.Concept(6); !ok || c.Name != "ckd stage 1 variant" {
+		t.Fatalf("Concept(6) after Freeze = %+v, %v", c, ok)
+	}
+	if got := g.LookupName("CKD stage 1 variant"); !reflect.DeepEqual(got, []eks.ConceptID{6}) {
+		t.Fatalf("LookupName of the new concept = %v", got)
+	}
+
+	g.Freeze()
+	g.AddSynonym(6, "Early CKD, variant")
+	if got := g.LookupName("early ckd variant"); !reflect.DeepEqual(got, []eks.ConceptID{6}) {
+		t.Fatalf("LookupName of a synonym added after Freeze = %v", got)
+	}
+	if _, ok := slices.BinarySearch(g.NameKeys(), "early ckd variant"); !ok {
+		t.Fatalf("NameKeys misses the synonym added after Freeze: %v", g.NameKeys())
+	}
+	if c, _ := g.Concept(6); !reflect.DeepEqual(c.Synonyms, []string{"Early CKD, variant"}) {
+		t.Fatalf("Concept(6).Synonyms = %v", c.Synonyms)
+	}
+	if got := g.NeighborsWithinHops(5, 2); !reflect.DeepEqual(got, radius2) {
+		t.Fatalf("radius-2 neighbors changed with a synonym: %v -> %v", radius2, got)
 	}
 	checkGraphEquivalence(t, g, g.ConceptIDs(), []int{1, 2, 3})
 }

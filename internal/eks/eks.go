@@ -13,11 +13,16 @@
 //     pre-customization path length for shortcut edges); this is the metric
 //     used by the similarity measure, so that adding shortcut edges never
 //     changes similarity scores.
+//
+// A Graph has one read representation, the frozen view (frozen.go): columns
+// laid out exactly as FlatGraphData. The mutators only append to a small
+// builder state; the first read after a mutation builds the view from it,
+// and NewFlatGraph adopts stored columns as the view of a read-only graph.
 package eks
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -46,30 +51,47 @@ type Edge struct {
 	Shortcut bool
 }
 
-// Graph is a mutable external knowledge source. The zero value is not
-// usable; call New.
+// Graph is an external knowledge source. The zero value is not usable; call
+// New, or NewFlatGraph for a read-only graph over stored columns.
 type Graph struct {
-	concepts map[ConceptID]*Concept
-	// up[c] holds edges c ⊑ parent (native and shortcut);
-	// down[c] holds the reverse adjacency.
-	up, down map[ConceptID][]Edge
-	root     ConceptID
-	hasRoot  bool
-	nameIdx  map[string][]ConceptID
+	// Builder state: what the mutators check against and append to, in
+	// insertion order. Empty on a read-only graph.
+	concepts []Concept
+	slot     map[ConceptID]int32 // id -> index into concepts
+	edges    []builderEdge
+	edgeSet  map[uint64]struct{} // from<<32|to slots: the duplicate-edge check
+	names    []nameEntry         // every indexed surface form
+	readOnly bool
 
-	// flat, when set, backs the graph with read-only flat-bundle sections
-	// (usually a memory mapping) instead of the maps above; see
-	// NewFlatGraph. Mutating methods fail on a flat graph.
-	flat *flatGraph
+	// n, root and hasRoot answer Len and Root without the view, so a loader
+	// may poll them between mutations for free.
+	n       int
+	root    ConceptID
+	hasRoot bool
 
-	// dense is the frozen CSR traversal index, built lazily on first use
-	// and dropped by structural mutations. denseMu serializes the build.
-	denseMu sync.Mutex
-	dense   atomic.Pointer[denseIndex]
+	// built is the frozen read representation: constructed under mu by the
+	// first read after a mutation (or eagerly by Freeze), dropped by every
+	// mutation, adopted once and for all by NewFlatGraph. builds counts the
+	// constructions.
+	mu     sync.Mutex
+	built  atomic.Pointer[frozen]
+	builds int
 }
 
-// errFlatMutate is returned by every mutating method on a flat-backed graph.
-var errFlatMutate = fmt.Errorf("eks: graph is a read-only flat snapshot view")
+// builderEdge is an edge between two concept slots.
+type builderEdge struct {
+	from, to int32
+	dist     int32
+	shortcut bool
+}
+
+// nameEntry indexes one normalized surface form for a concept.
+type nameEntry struct {
+	key string
+	id  ConceptID
+}
+
+var errReadOnly = fmt.Errorf("eks: graph is a read-only flat snapshot view")
 
 // New returns an empty graph.
 func New() *Graph {
@@ -77,78 +99,84 @@ func New() *Graph {
 }
 
 // NewSized returns an empty graph with capacity hints for n concepts, so
-// bulk loads (persist restore, generators) avoid rehashing while they
+// bulk loads (persist restore, generators) avoid regrowing while they
 // insert.
 func NewSized(n int) *Graph {
 	return &Graph{
-		concepts: make(map[ConceptID]*Concept, n),
-		up:       make(map[ConceptID][]Edge, n),
-		down:     make(map[ConceptID][]Edge, n),
-		nameIdx:  make(map[string][]ConceptID, n),
+		concepts: make([]Concept, 0, n),
+		slot:     make(map[ConceptID]int32, n),
+		edges:    make([]builderEdge, 0, n),
+		edgeSet:  make(map[uint64]struct{}, n),
+		names:    make([]nameEntry, 0, n),
 	}
+}
+
+// writable is the gate every mutator passes: a graph adopted from flat
+// columns has no builder state to mutate.
+func (g *Graph) writable() error {
+	if g.readOnly {
+		return errReadOnly
+	}
+	return nil
 }
 
 // AddConcept inserts a concept. It returns an error if the ID is already
 // present or the name is empty.
 func (g *Graph) AddConcept(c Concept) error {
-	if g.flat != nil {
-		return errFlatMutate
+	if err := g.writable(); err != nil {
+		return err
 	}
 	if c.Name == "" {
 		return fmt.Errorf("eks: concept %d has empty name", c.ID)
 	}
-	if _, ok := g.concepts[c.ID]; ok {
+	if _, ok := g.slot[c.ID]; ok {
 		return fmt.Errorf("eks: duplicate concept id %d", c.ID)
 	}
-	cc := c
-	g.concepts[c.ID] = &cc
-	g.invalidateDense()
+	g.slot[c.ID] = int32(len(g.concepts))
+	g.concepts = append(g.concepts, c)
+	g.n++
 	g.indexName(c.Name, c.ID)
 	for _, s := range c.Synonyms {
 		g.indexName(s, c.ID)
 	}
+	g.built.Store(nil)
 	return nil
 }
 
+// indexName records a surface form for the name index; the view build
+// groups the entries by key and drops repeats.
 func (g *Graph) indexName(name string, id ConceptID) {
-	key := stringutil.Normalize(name)
-	if key == "" {
-		return
+	if key := stringutil.Normalize(name); key != "" {
+		g.names = append(g.names, nameEntry{key: key, id: id})
 	}
-	for _, existing := range g.nameIdx[key] {
-		if existing == id {
-			return
-		}
-	}
-	g.nameIdx[key] = append(g.nameIdx[key], id)
 }
 
 // AddSynonym attaches an additional surface form to an existing concept and
 // indexes it for LookupName. Unknown concepts and blank synonyms are
-// ignored.
+// ignored, as is every call on a read-only graph.
 func (g *Graph) AddSynonym(id ConceptID, synonym string) {
-	if g.flat != nil {
+	i, ok := g.slot[id]
+	if g.writable() != nil || !ok || stringutil.Normalize(synonym) == "" {
 		return
 	}
-	c, ok := g.concepts[id]
-	if !ok || stringutil.Normalize(synonym) == "" {
-		return
-	}
+	c := &g.concepts[i]
 	c.Synonyms = append(c.Synonyms, synonym)
 	g.indexName(synonym, id)
+	g.built.Store(nil)
 }
 
 // SetRoot declares the top concept (owl:Thing). Validate checks that every
 // concept is a descendant of the root.
 func (g *Graph) SetRoot(id ConceptID) error {
-	if g.flat != nil {
-		return errFlatMutate
+	if err := g.writable(); err != nil {
+		return err
 	}
-	if _, ok := g.concepts[id]; !ok {
+	if _, ok := g.slot[id]; !ok {
 		return fmt.Errorf("eks: root %d not a concept", id)
 	}
 	g.root = id
 	g.hasRoot = true
+	g.built.Store(nil)
 	return nil
 }
 
@@ -170,347 +198,130 @@ func (g *Graph) AddShortcutEdge(child, parent ConceptID, dist int) error {
 }
 
 func (g *Graph) addEdge(e Edge) error {
-	if g.flat != nil {
-		return errFlatMutate
+	if err := g.writable(); err != nil {
+		return err
 	}
 	if e.From == e.To {
 		return fmt.Errorf("eks: self edge on %d", e.From)
 	}
-	if _, ok := g.concepts[e.From]; !ok {
+	from, ok := g.slot[e.From]
+	if !ok {
 		return fmt.Errorf("eks: edge source %d not a concept", e.From)
 	}
-	if _, ok := g.concepts[e.To]; !ok {
+	to, ok := g.slot[e.To]
+	if !ok {
 		return fmt.Errorf("eks: edge target %d not a concept", e.To)
 	}
-	for _, ex := range g.up[e.From] {
-		if ex.To == e.To {
-			return fmt.Errorf("eks: duplicate edge %d->%d", e.From, e.To)
-		}
+	key := uint64(from)<<32 | uint64(to)
+	if _, dup := g.edgeSet[key]; dup {
+		return fmt.Errorf("eks: duplicate edge %d->%d", e.From, e.To)
 	}
-	g.up[e.From] = append(g.up[e.From], e)
-	g.down[e.To] = append(g.down[e.To], e)
-	g.invalidateDense()
+	g.edgeSet[key] = struct{}{}
+	g.edges = append(g.edges, builderEdge{from: from, to: to, dist: int32(e.Dist), shortcut: e.Shortcut})
+	g.built.Store(nil)
 	return nil
 }
 
-// Concept returns the concept with the given ID.
+// Concept returns the concept with the given ID. Its Synonyms alias the
+// graph's storage and must not be modified.
 func (g *Graph) Concept(id ConceptID) (Concept, bool) {
-	if g.flat != nil {
-		return g.flat.concept(id)
-	}
-	c, ok := g.concepts[id]
+	v := g.view()
+	i, ok := v.node(id)
 	if !ok {
 		return Concept{}, false
 	}
-	return *c, true
+	c := Concept{ID: id, Name: v.Names[i]}
+	if lo, hi := v.SynOff[i], v.SynOff[i+1]; lo < hi {
+		c.Synonyms = v.Syns[lo:hi:hi]
+	}
+	return c, true
 }
 
 // Len returns the number of concepts.
-func (g *Graph) Len() int {
-	if g.flat != nil {
-		return len(g.flat.ids)
-	}
-	return len(g.concepts)
-}
+func (g *Graph) Len() int { return g.n }
 
 // EdgeCount returns the number of edges, counting shortcuts.
-func (g *Graph) EdgeCount() int {
-	if g.flat != nil {
-		return g.flat.edgeCount()
-	}
-	n := 0
-	for _, es := range g.up {
-		n += len(es)
-	}
-	return n
-}
+func (g *Graph) EdgeCount() int { return len(g.view().UpTo) }
 
 // ShortcutCount returns the number of shortcut edges.
 func (g *Graph) ShortcutCount() int {
-	if g.flat != nil {
-		return g.flat.shortcutCount()
-	}
+	v := g.view()
 	n := 0
-	for _, es := range g.up {
-		for _, e := range es {
-			if e.Shortcut {
-				n++
-			}
-		}
+	for i, end := range v.UpNativeEnd {
+		n += int(v.UpOff[i+1] - end)
 	}
 	return n
 }
 
 // ConceptIDs returns all concept IDs in ascending order.
-func (g *Graph) ConceptIDs() []ConceptID {
-	if g.flat != nil {
-		ids := make([]ConceptID, len(g.flat.ids))
-		copy(ids, g.flat.ids)
-		return ids
-	}
-	ids := make([]ConceptID, 0, len(g.concepts))
-	for id := range g.concepts {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
+func (g *Graph) ConceptIDs() []ConceptID { return slices.Clone(g.view().IDs) }
 
 // LookupName returns the concepts whose preferred name or any synonym
 // normalizes to the same form as name, in ascending ID order.
 func (g *Graph) LookupName(name string) []ConceptID {
-	if g.flat != nil {
-		return g.flat.lookupName(name)
-	}
-	ids := g.nameIdx[stringutil.Normalize(name)]
-	out := make([]ConceptID, len(ids))
-	copy(out, ids)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := g.IDsForNameKey(stringutil.Normalize(name))
+	slices.Sort(out)
 	return out
 }
 
-// NameKeys returns every normalized name key in the index. The order is
-// unspecified. It is intended for matchers that scan the lexicon.
-func (g *Graph) NameKeys() []string {
-	if g.flat != nil {
-		keys := make([]string, len(g.flat.nameKeys))
-		copy(keys, g.flat.nameKeys)
-		return keys
-	}
-	keys := make([]string, 0, len(g.nameIdx))
-	for k := range g.nameIdx {
-		keys = append(keys, k)
-	}
-	return keys
-}
+// NameKeys returns every normalized name key in the index, in ascending
+// order. It is intended for matchers that scan the lexicon.
+func (g *Graph) NameKeys() []string { return slices.Clone(g.view().NameKeys) }
 
 // IDsForNameKey returns the concept IDs indexed under an already-normalized
-// key, or nil.
+// key, in the order they were indexed; empty when the key is unknown.
 func (g *Graph) IDsForNameKey(key string) []ConceptID {
-	if g.flat != nil {
-		return g.flat.idsForNameKey(key)
+	v := g.view()
+	i, ok := slices.BinarySearch(v.NameKeys, key)
+	if !ok {
+		return []ConceptID{}
 	}
-	ids := g.nameIdx[key]
-	out := make([]ConceptID, len(ids))
-	copy(out, ids)
-	return out
+	return slices.Clone(v.KeyIDs[v.KeyOff[i]:v.KeyOff[i+1]])
 }
 
 // Parents returns the native (non-shortcut) direct parents of id.
-func (g *Graph) Parents(id ConceptID) []ConceptID {
-	if g.flat != nil {
-		return g.flat.nativeNeighbors(id, true)
-	}
-	var out []ConceptID
-	for _, e := range g.up[id] {
-		if !e.Shortcut {
-			out = append(out, e.To)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (g *Graph) Parents(id ConceptID) []ConceptID { return g.view().nativeNeighbors(id, true) }
 
 // Children returns the native (non-shortcut) direct children of id.
-func (g *Graph) Children(id ConceptID) []ConceptID {
-	if g.flat != nil {
-		return g.flat.nativeNeighbors(id, false)
-	}
-	var out []ConceptID
-	for _, e := range g.down[id] {
-		if !e.Shortcut {
-			out = append(out, e.From)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (g *Graph) Children(id ConceptID) []ConceptID { return g.view().nativeNeighbors(id, false) }
 
 // UpEdges returns all edges (native and shortcut) from id toward its
-// generalizations.
-func (g *Graph) UpEdges(id ConceptID) []Edge {
-	if g.flat != nil {
-		return g.flat.edges(id, true)
-	}
-	es := g.up[id]
-	out := make([]Edge, len(es))
-	copy(out, es)
-	return out
-}
+// generalizations, native edges first.
+func (g *Graph) UpEdges(id ConceptID) []Edge { return g.view().edges(id, true) }
 
 // DownEdges returns all edges (native and shortcut) from id toward its
-// specializations.
-func (g *Graph) DownEdges(id ConceptID) []Edge {
-	if g.flat != nil {
-		return g.flat.edges(id, false)
-	}
-	es := g.down[id]
-	out := make([]Edge, len(es))
-	copy(out, es)
-	return out
-}
+// specializations, native edges first.
+func (g *Graph) DownEdges(id ConceptID) []Edge { return g.view().edges(id, false) }
 
 // Ancestors returns the set of all concepts reachable from id by following
 // native subsumption edges upward, excluding id itself.
-func (g *Graph) Ancestors(id ConceptID) map[ConceptID]bool {
-	if g.flat != nil {
-		return g.flat.reachNative(id, true)
-	}
-	out := make(map[ConceptID]bool)
-	stack := []ConceptID{id}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.up[cur] {
-			if e.Shortcut {
-				continue
-			}
-			if !out[e.To] {
-				out[e.To] = true
-				stack = append(stack, e.To)
-			}
-		}
-	}
-	return out
-}
+func (g *Graph) Ancestors(id ConceptID) map[ConceptID]bool { return g.view().reachNative(id, true) }
 
 // Descendants returns the set of all concepts reachable from id by
 // following native subsumption edges downward, excluding id itself.
 func (g *Graph) Descendants(id ConceptID) map[ConceptID]bool {
-	if g.flat != nil {
-		return g.flat.reachNative(id, false)
-	}
-	out := make(map[ConceptID]bool)
-	stack := []ConceptID{id}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.down[cur] {
-			if e.Shortcut {
-				continue
-			}
-			if !out[e.From] {
-				out[e.From] = true
-				stack = append(stack, e.From)
-			}
-		}
-	}
-	return out
+	return g.view().reachNative(id, false)
 }
 
 // DescendantCount returns |Descendants(id)|. Used by the intrinsic
-// (corpus-free) information-content measure. It runs on the dense traversal
-// index, so counting does not materialize the descendant set.
+// (corpus-free) information-content measure; counting does not materialize
+// the descendant set.
 func (g *Graph) DescendantCount(id ConceptID) int {
-	d := g.denseIdx()
-	src, ok := d.lookup(id)
+	v := g.view()
+	src, ok := v.node(id)
 	if !ok {
 		return 0
 	}
-	s := d.getScratch()
-	n := d.countDescendants(src, s)
-	d.putScratch(s)
+	s := v.getScratch()
+	n := v.countDescendants(src, s)
+	v.putScratch(s)
 	return n
 }
 
 // TopologicalOrder returns every concept with children before parents
 // (Algorithm 1, line 12), considering native edges only. It returns an
 // error if the native subsumption graph has a cycle.
-func (g *Graph) TopologicalOrder() ([]ConceptID, error) {
-	if g.flat != nil {
-		return g.flat.topologicalOrder()
-	}
-	// Kahn's algorithm over the child→parent direction: indegree counts
-	// native down-edges (children not yet emitted). Always popping the
-	// smallest ready ID keeps the order deterministic; a binary min-heap
-	// makes each pop O(log V) where the previous sorted-queue merge was
-	// O(V) per step.
-	indeg := make(map[ConceptID]int, len(g.concepts))
-	heap := make(idHeap, 0, len(g.concepts))
-	for id := range g.concepts {
-		n := 0
-		for _, e := range g.down[id] {
-			if !e.Shortcut {
-				n++
-			}
-		}
-		indeg[id] = n
-		if n == 0 {
-			heap = append(heap, id)
-		}
-	}
-	heap.init()
-	order := make([]ConceptID, 0, len(g.concepts))
-	for len(heap) > 0 {
-		id := heap.pop()
-		order = append(order, id)
-		for _, e := range g.up[id] {
-			if e.Shortcut {
-				continue
-			}
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
-				heap.push(e.To)
-			}
-		}
-	}
-	if len(order) != len(g.concepts) {
-		return nil, fmt.Errorf("eks: subsumption graph has a cycle (%d of %d concepts ordered)", len(order), len(g.concepts))
-	}
-	return order, nil
-}
-
-// idHeap is a binary min-heap of concept IDs, inlined to avoid the
-// interface indirection of container/heap on this hot path.
-type idHeap []ConceptID
-
-func (h idHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
-func (h *idHeap) push(v ConceptID) {
-	*h = append(*h, v)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if (*h)[parent] <= (*h)[i] {
-			break
-		}
-		(*h)[parent], (*h)[i] = (*h)[i], (*h)[parent]
-		i = parent
-	}
-}
-
-func (h *idHeap) pop() ConceptID {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	(*h).down(0)
-	return top
-}
-
-func (h idHeap) down(i int) {
-	n := len(h)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		smallest := left
-		if right := left + 1; right < n && h[right] < h[left] {
-			smallest = right
-		}
-		if h[i] <= h[smallest] {
-			return
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
-	}
-}
+func (g *Graph) TopologicalOrder() ([]ConceptID, error) { return g.view().topologicalOrder() }
 
 // Validate checks structural invariants: the graph is a DAG over native
 // edges, a root is set, and every concept other than the root reaches the
@@ -519,41 +330,5 @@ func (g *Graph) Validate() error {
 	if !g.hasRoot {
 		return fmt.Errorf("eks: no root set")
 	}
-	if g.flat != nil {
-		return g.flat.validate(g.root)
-	}
-	if _, err := g.TopologicalOrder(); err != nil {
-		return err
-	}
-	// Upward reachability of the root is equivalent to downward
-	// reachability from it: one BFS over native down-edges replaces the
-	// per-concept ancestor walk.
-	reached := make(map[ConceptID]bool, len(g.concepts))
-	reached[g.root] = true
-	stack := []ConceptID{g.root}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.down[cur] {
-			if e.Shortcut {
-				continue
-			}
-			if !reached[e.From] {
-				reached[e.From] = true
-				stack = append(stack, e.From)
-			}
-		}
-	}
-	if len(reached) != len(g.concepts) {
-		// Report the smallest unreached ID so the error is deterministic.
-		var worst ConceptID
-		for id := range g.concepts {
-			if !reached[id] && (worst == 0 || id < worst) {
-				worst = id
-			}
-		}
-		c := g.concepts[worst]
-		return fmt.Errorf("eks: concept %d (%q) does not reach root", worst, c.Name)
-	}
-	return nil
+	return g.view().validate(g.root)
 }

@@ -2,6 +2,7 @@ package eks
 
 import (
 	"container/heap"
+	"slices"
 	"sort"
 )
 
@@ -16,24 +17,23 @@ type Neighbor struct {
 // hop distance from `from` is at most radius, treating every edge — native
 // or shortcut, in either direction — as one hop. This is the candidate
 // gathering step of Algorithm 2 (line 2). Results are ordered by increasing
-// hop count, then by ID. The traversal runs on the dense index: the only
-// allocation is the result slice.
+// hop count, then by ID. The only allocation is the result slice.
 func (g *Graph) NeighborsWithinHops(from ConceptID, radius int) []Neighbor {
 	if radius < 0 {
 		return nil
 	}
-	d := g.denseIdx()
-	src, ok := d.lookup(from)
+	v := g.view()
+	src, ok := v.node(from)
 	if !ok {
 		return nil
 	}
-	s := d.getScratch()
-	d.bfsWithin(src, radius, s)
+	s := v.getScratch()
+	v.bfsWithin(src, radius, s)
 	out := make([]Neighbor, len(s.touched))
 	for i, node := range s.touched {
-		out[i] = Neighbor{ID: d.ids[node], Hops: int(s.dist[node])}
+		out[i] = Neighbor{ID: v.IDs[node], Hops: int(s.dist[node])}
 	}
-	d.putScratch(s)
+	v.putScratch(s)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Hops != out[j].Hops {
 			return out[i].Hops < out[j].Hops
@@ -41,71 +41,6 @@ func (g *Graph) NeighborsWithinHops(from ConceptID, radius int) []Neighbor {
 		return out[i].ID < out[j].ID
 	})
 	return out
-}
-
-// legacyNeighborsWithinHops is the original map-based BFS, retained as the
-// reference implementation for the dense-kernel equivalence tests.
-func (g *Graph) legacyNeighborsWithinHops(from ConceptID, radius int) []Neighbor {
-	if _, ok := g.concepts[from]; !ok || radius < 0 {
-		return nil
-	}
-	dist := map[ConceptID]int{from: 0}
-	frontier := []ConceptID{from}
-	var out []Neighbor
-	for hops := 1; hops <= radius && len(frontier) > 0; hops++ {
-		var next []ConceptID
-		for _, cur := range frontier {
-			for _, e := range g.up[cur] {
-				if _, seen := dist[e.To]; !seen {
-					dist[e.To] = hops
-					next = append(next, e.To)
-					out = append(out, Neighbor{ID: e.To, Hops: hops})
-				}
-			}
-			for _, e := range g.down[cur] {
-				if _, seen := dist[e.From]; !seen {
-					dist[e.From] = hops
-					next = append(next, e.From)
-					out = append(out, Neighbor{ID: e.From, Hops: hops})
-				}
-			}
-		}
-		frontier = next
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Hops != out[j].Hops {
-			return out[i].Hops < out[j].Hops
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
-
-// has reports whether id is a concept under either backing.
-func (g *Graph) has(id ConceptID) bool {
-	if g.flat != nil {
-		_, ok := g.flat.node(id)
-		return ok
-	}
-	_, ok := g.concepts[id]
-	return ok
-}
-
-// upEdgesRef returns id's upward edges without copying on the map backing;
-// the flat backing synthesizes the slice from its CSR sections.
-func (g *Graph) upEdgesRef(id ConceptID) []Edge {
-	if g.flat != nil {
-		return g.flat.edges(id, true)
-	}
-	return g.up[id]
-}
-
-// downEdgesRef is the downward counterpart of upEdgesRef.
-func (g *Graph) downEdgesRef(id ConceptID) []Edge {
-	if g.flat != nil {
-		return g.flat.edges(id, false)
-	}
-	return g.down[id]
 }
 
 // Step is one original subsumption hop along a path between two concepts.
@@ -137,10 +72,11 @@ func (p Path) Generalizations() int {
 	return n
 }
 
-// pqItem is a priority-queue entry for Dijkstra over the semantic metric.
+// pqItem is a priority-queue entry for the path-reconstructing Dijkstra over
+// the semantic metric. Ties on distance pop the smaller node first.
 type pqItem struct {
-	id   ConceptID
-	dist int
+	node int32
+	dist int32
 }
 
 type pq []pqItem
@@ -150,7 +86,7 @@ func (q pq) Less(i, j int) bool {
 	if q[i].dist != q[j].dist {
 		return q[i].dist < q[j].dist
 	}
-	return q[i].id < q[j].id
+	return q[i].node < q[j].node
 }
 func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
 func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
@@ -162,6 +98,53 @@ func (q *pq) Pop() interface{} {
 	return it
 }
 
+// hop is the edge a shortest-path search entered a node by.
+type hop struct {
+	prev int32 // predecessor node
+	dist int32 // original hops the edge stands for
+	gen  bool  // traversed child→parent
+}
+
+// shortestHops runs Dijkstra over the semantic metric from src until dst is
+// settled, following up edges and, when down is set, down edges too. It
+// returns each reached node's entering hop; ok is false when dst is
+// unreachable. Among equal-length paths the smaller predecessor node — dense
+// node order is ConceptID order — wins, making the result deterministic.
+func (v *frozen) shortestHops(src, dst int32, down bool) (prev map[int32]hop, ok bool) {
+	distTo := map[int32]int32{src: 0}
+	prev = map[int32]hop{}
+	h := &pq{{node: src}}
+	for h.Len() > 0 {
+		it := heap.Pop(h).(pqItem)
+		if it.dist > distTo[it.node] {
+			continue
+		}
+		if it.node == dst {
+			break
+		}
+		relax := func(nb, w int32, gen bool) {
+			nd := it.dist + w
+			old, seen := distTo[nb]
+			if !seen || nd < old || (nd == old && it.node < prev[nb].prev) {
+				distTo[nb] = nd
+				prev[nb] = hop{prev: it.node, dist: w, gen: gen}
+				heap.Push(h, pqItem{node: nb, dist: nd})
+			}
+		}
+		for k := v.UpOff[it.node]; k < v.UpOff[it.node+1]; k++ {
+			relax(v.UpTo[k], v.UpDist[k], true)
+		}
+		if !down {
+			continue
+		}
+		for k := v.DownOff[it.node]; k < v.DownOff[it.node+1]; k++ {
+			relax(v.DownTo[k], v.DownDist[k], false)
+		}
+	}
+	_, ok = distTo[dst]
+	return prev, ok
+}
+
 // ShortestSemanticPath returns a minimum-semantic-distance path from `from`
 // to `to`, expanding shortcut edges into their attached number of hops. The
 // boolean result is false when the concepts are disconnected or unknown.
@@ -169,61 +152,24 @@ func (q *pq) Pop() interface{} {
 // Among equal-length paths the one that is lexicographically smallest by
 // (predecessor ID) is returned, making the result deterministic.
 func (g *Graph) ShortestSemanticPath(from, to ConceptID) (Path, bool) {
-	if !g.has(from) || !g.has(to) {
+	v := g.view()
+	src, okFrom := v.node(from)
+	dst, okTo := v.node(to)
+	if !okFrom || !okTo {
 		return Path{}, false
 	}
-	if from == to {
-		return Path{}, true
-	}
-	type prevEdge struct {
-		prev ConceptID
-		gen  bool // direction of the hops contributed by this edge
-		dist int  // hops contributed
-	}
-	distTo := map[ConceptID]int{from: 0}
-	prev := map[ConceptID]prevEdge{}
-	h := &pq{{id: from, dist: 0}}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(pqItem)
-		if it.dist > distTo[it.id] {
-			continue
-		}
-		if it.id == to {
-			break
-		}
-		relax := func(nb ConceptID, gen bool, w int) {
-			nd := it.dist + w
-			old, seen := distTo[nb]
-			if !seen || nd < old || (nd == old && it.id < prev[nb].prev) {
-				distTo[nb] = nd
-				prev[nb] = prevEdge{prev: it.id, gen: gen, dist: w}
-				heap.Push(h, pqItem{id: nb, dist: nd})
-			}
-		}
-		for _, e := range g.upEdgesRef(it.id) {
-			relax(e.To, true, e.Dist)
-		}
-		for _, e := range g.downEdgesRef(it.id) {
-			relax(e.From, false, e.Dist)
-		}
-	}
-	if _, ok := distTo[to]; !ok {
+	prev, ok := v.shortestHops(src, dst, true)
+	if !ok {
 		return Path{}, false
 	}
 	// Reconstruct, expanding each edge into its attached number of hops.
-	var rev []Step
-	cur := to
-	for cur != from {
-		pe := prev[cur]
-		for i := 0; i < pe.dist; i++ {
-			rev = append(rev, Step{Generalization: pe.gen})
+	var steps []Step
+	for cur := dst; cur != src; cur = prev[cur].prev {
+		for i := int32(0); i < prev[cur].dist; i++ {
+			steps = append(steps, Step{Generalization: prev[cur].gen})
 		}
-		cur = pe.prev
 	}
-	steps := make([]Step, len(rev))
-	for i := range rev {
-		steps[i] = rev[len(rev)-1-i]
-	}
+	slices.Reverse(steps)
 	return Path{Steps: steps}, true
 }
 
@@ -246,53 +192,23 @@ type PathEdge struct {
 //
 // Among equal-length paths the one that is lexicographically smallest by
 // predecessor ID is returned, the same tie-break ShortestSemanticPath uses,
-// making the result deterministic across backings and runs.
+// making the result deterministic across runs.
 func (g *Graph) UpPathTo(from, to ConceptID) ([]PathEdge, bool) {
-	if !g.has(from) || !g.has(to) {
+	v := g.view()
+	src, okFrom := v.node(from)
+	dst, okTo := v.node(to)
+	if !okFrom || !okTo {
 		return nil, false
 	}
-	if from == to {
-		return nil, true
-	}
-	type prevEdge struct {
-		prev ConceptID
-		dist int
-	}
-	distTo := map[ConceptID]int{from: 0}
-	prev := map[ConceptID]prevEdge{}
-	h := &pq{{id: from, dist: 0}}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(pqItem)
-		if it.dist > distTo[it.id] {
-			continue
-		}
-		if it.id == to {
-			break
-		}
-		for _, e := range g.upEdgesRef(it.id) {
-			nd := it.dist + e.Dist
-			old, seen := distTo[e.To]
-			if !seen || nd < old || (nd == old && it.id < prev[e.To].prev) {
-				distTo[e.To] = nd
-				prev[e.To] = prevEdge{prev: it.id, dist: e.Dist}
-				heap.Push(h, pqItem{id: e.To, dist: nd})
-			}
-		}
-	}
-	if _, ok := distTo[to]; !ok {
+	prev, ok := v.shortestHops(src, dst, false)
+	if !ok {
 		return nil, false
 	}
-	var rev []PathEdge
-	cur := to
-	for cur != from {
-		pe := prev[cur]
-		rev = append(rev, PathEdge{From: pe.prev, To: cur, Dist: pe.dist})
-		cur = pe.prev
+	var out []PathEdge
+	for cur := dst; cur != src; cur = prev[cur].prev {
+		out = append(out, PathEdge{From: v.IDs[prev[cur].prev], To: v.IDs[cur], Dist: int(prev[cur].dist)})
 	}
-	out := make([]PathEdge, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
-	}
+	slices.Reverse(out)
 	return out, true
 }
 
@@ -352,45 +268,20 @@ func (g *Graph) LCS(a, b ConceptID) (LCSResult, bool) {
 
 // upDistances returns the minimal upward semantic distance from id to every
 // subsumer of id (including id itself at distance 0), following native and
-// shortcut edges upward only. The Dijkstra runs on the dense index; only
-// the result map is allocated.
+// shortcut edges upward only. Only the result map is allocated.
 func (g *Graph) upDistances(id ConceptID) map[ConceptID]int {
-	d := g.denseIdx()
-	src, ok := d.lookup(id)
+	v := g.view()
+	src, ok := v.node(id)
 	if !ok {
 		return nil
 	}
-	s := d.getScratch()
-	d.dijkstraUp(src, s)
+	s := v.getScratch()
+	v.dijkstraUp(src, s)
 	dist := make(map[ConceptID]int, len(s.touched))
 	for _, node := range s.touched {
-		dist[d.ids[node]] = int(s.dist[node])
+		dist[v.IDs[node]] = int(s.dist[node])
 	}
-	d.putScratch(s)
-	return dist
-}
-
-// legacyUpDistances is the original map-and-heap Dijkstra, retained as the
-// reference implementation for the dense-kernel equivalence tests.
-func (g *Graph) legacyUpDistances(id ConceptID) map[ConceptID]int {
-	if _, ok := g.concepts[id]; !ok {
-		return nil
-	}
-	dist := map[ConceptID]int{id: 0}
-	h := &pq{{id: id, dist: 0}}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(pqItem)
-		if it.dist > dist[it.id] {
-			continue
-		}
-		for _, e := range g.up[it.id] {
-			nd := it.dist + e.Dist
-			if old, seen := dist[e.To]; !seen || nd < old {
-				dist[e.To] = nd
-				heap.Push(h, pqItem{id: e.To, dist: nd})
-			}
-		}
-	}
+	v.putScratch(s)
 	return dist
 }
 
@@ -420,12 +311,10 @@ func (g *Graph) UpDistances(id ConceptID) map[ConceptID]int {
 // HasEdge reports whether any edge (native or shortcut) runs from child to
 // parent.
 func (g *Graph) HasEdge(child, parent ConceptID) bool {
-	for _, e := range g.upEdgesRef(child) {
-		if e.To == parent {
-			return true
-		}
-	}
-	return false
+	v := g.view()
+	c, okChild := v.node(child)
+	p, okParent := v.node(parent)
+	return okChild && okParent && slices.Contains(v.UpTo[v.UpOff[c]:v.UpOff[c+1]], p)
 }
 
 // DepthFromRoot returns the minimal semantic distance from the root down to

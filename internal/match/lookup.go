@@ -47,9 +47,7 @@ func NewLookupService(g *eks.Graph) *LookupService {
 		popularity: map[eks.ConceptID]float64{},
 		MinScore:   0.5,
 	}
-	keys := g.NameKeys()
-	sort.Strings(keys)
-	for _, key := range keys {
+	for _, key := range g.NameKeys() {
 		ids := g.IDsForNameKey(key)
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		s.keyIDs[key] = ids

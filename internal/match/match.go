@@ -10,8 +10,6 @@
 package match
 
 import (
-	"sort"
-
 	"medrelax/internal/eks"
 	"medrelax/internal/embedding"
 	"medrelax/internal/stringutil"
@@ -76,9 +74,7 @@ func NewEdit(g *eks.Graph, threshold int) *Edit {
 	if threshold <= 0 {
 		threshold = DefaultEditThreshold
 	}
-	keys := g.NameKeys()
-	sort.Strings(keys)
-	return &Edit{graph: g, threshold: threshold, keys: keys}
+	return &Edit{graph: g, threshold: threshold, keys: g.NameKeys()}
 }
 
 // Name implements Mapper.
@@ -148,7 +144,6 @@ func NewEmbedding(g *eks.Graph, enc *embedding.SIFEncoder, threshold float64) *E
 		threshold: threshold,
 	}
 	keys := g.NameKeys()
-	sort.Strings(keys)
 	// Probe the encoder's dimension with the first non-zero encoding.
 	dim := 0
 	encoded := make(map[string]embedding.Vector, len(keys))

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"reflect"
+	"sync"
 	"testing"
 
 	"medrelax/internal/core"
@@ -17,37 +18,52 @@ import (
 // restored stores.
 var accelRelax = core.RelaxOptions{Radius: 3, DynamicRadius: true, MaxRadius: 8}
 
-// buildAccelIngestion is buildIngestion with both offline accelerations
-// enabled, covering the v3 bundle sections.
-func buildAccelIngestion(t testing.TB) *core.Ingestion {
-	t.Helper()
-	ing := buildIngestion(t)
-	sim := core.NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
-	ing.Materialized = core.MaterializeTopK(ing, sim, core.MaterializeOptions{
-		Enabled: true, Relax: accelRelax, HeadFraction: 1,
-	})
-	ing.Candidates = core.BuildCandidateIndex(ing, sim, core.CandidateIndexOptions{
-		Enabled: true, Radius: 8,
-	})
-	return ing
+// accelFixture builds an acceleration-carrying ingestion once per process.
+// Every test that asks for one only reads it — saves it, restores the bytes,
+// compares answers against it — so they share it instead of each rebuilding
+// the same world; a test that needs to mutate an ingestion calls
+// buildIngestion for a private one.
+type accelFixture struct {
+	mat core.MaterializeOptions
+	idx core.CandidateIndexOptions
+
+	once sync.Once
+	ing  *core.Ingestion
 }
 
-// buildSmallAccelIngestion carries both accelerations but keeps them tiny
-// (small materialized head, tight candidate radius and posting cap) so
-// fuzz seeds built from it stay well under the fuzzer's shared-memory cap
-// even in the fixed-width flat encoding.
-func buildSmallAccelIngestion(t testing.TB) *core.Ingestion {
+func (f *accelFixture) get(t testing.TB) *core.Ingestion {
 	t.Helper()
-	ing := buildIngestion(t)
-	sim := core.NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
-	ing.Materialized = core.MaterializeTopK(ing, sim, core.MaterializeOptions{
-		Enabled: true, Relax: accelRelax, HeadFraction: 0.02,
+	f.once.Do(func() {
+		ing := buildIngestion(t)
+		sim := core.NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
+		ing.Materialized = core.MaterializeTopK(ing, sim, f.mat)
+		ing.Candidates = core.BuildCandidateIndex(ing, sim, f.idx)
+		f.ing = ing
 	})
-	ing.Candidates = core.BuildCandidateIndex(ing, sim, core.CandidateIndexOptions{
-		Enabled: true, Radius: 2, MaxPostings: 8,
-	})
-	return ing
+	if f.ing == nil {
+		t.Fatal("the shared acceleration fixture failed to build in an earlier test")
+	}
+	return f.ing
 }
+
+// fullAccelFixture is buildIngestion with both offline accelerations enabled,
+// covering the v3 bundle sections.
+var fullAccelFixture = accelFixture{
+	mat: core.MaterializeOptions{Enabled: true, Relax: accelRelax, HeadFraction: 1},
+	idx: core.CandidateIndexOptions{Enabled: true, Radius: 8},
+}
+
+// smallAccelFixture carries both accelerations but keeps them tiny (small
+// materialized head, tight candidate radius and posting cap) so fuzz seeds
+// built from it stay well under the fuzzer's shared-memory cap even in the
+// fixed-width flat encoding.
+var smallAccelFixture = accelFixture{
+	mat: core.MaterializeOptions{Enabled: true, Relax: accelRelax, HeadFraction: 0.02},
+	idx: core.CandidateIndexOptions{Enabled: true, Radius: 2, MaxPostings: 8},
+}
+
+func buildAccelIngestion(t testing.TB) *core.Ingestion      { return fullAccelFixture.get(t) }
+func buildSmallAccelIngestion(t testing.TB) *core.Ingestion { return smallAccelFixture.get(t) }
 
 // assertAccelServes attaches the restored stores to a fresh relaxer and
 // checks a relaxation spot-sample against the pure-live answers.

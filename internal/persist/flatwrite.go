@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sort"
 
 	"medrelax/internal/core"
@@ -178,6 +179,10 @@ func encodeFlat(ing *core.Ingestion) ([]byte, error) {
 	fw.add(secMeta, meta.encode())
 	sort.Slice(fw.sections, func(i, j int) bool { return fw.sections[i].kind < fw.sections[j].kind })
 
+	// A flat-mapped ingestion's strings alias its mapping, which a finalizer
+	// unmaps once the ingestion is unreachable; the string table above was
+	// still reading them after the last use of ing.
+	runtime.KeepAlive(ing)
 	return assembleFlat(fw.sections), nil
 }
 
@@ -214,9 +219,8 @@ func assembleFlat(sections []flatSection) []byte {
 	return out
 }
 
-// flatGraphSections lays the graph out in the dense-index CSR form: per
-// node, native edges first (insertion order preserved), then shortcuts,
-// with the absolute boundary recorded per node.
+// flatGraphSections emits the graph's frozen view column by column: the
+// layout eks.FlatGraphData names is the layout of the file.
 func flatGraphSections(fw *flatWriter, meta *flatMeta, g *eks.Graph) error {
 	root, ok := g.Root()
 	if !ok {
@@ -224,73 +228,22 @@ func flatGraphSections(fw *flatWriter, meta *flatMeta, g *eks.Graph) error {
 	}
 	meta.eksRoot = root
 
-	ids := g.ConceptIDs()
-	n := len(ids)
-	idx := make(map[eks.ConceptID]int32, n)
-	for i, id := range ids {
-		idx[id] = int32(i)
-	}
-
-	names := make([]string, n)
-	synOff := make([]int32, n+1)
-	var syns []string
-	upOff := make([]int32, n+1)
-	downOff := make([]int32, n+1)
-	var upTo, upDist, upNEnd, downTo, downDist, downNEnd []int32
-	upNEnd = make([]int32, n)
-	downNEnd = make([]int32, n)
-
-	fill := func(edges []eks.Edge, to, dist []int32, other func(eks.Edge) eks.ConceptID) ([]int32, []int32, int32) {
-		for _, e := range edges {
-			if !e.Shortcut {
-				to = append(to, idx[other(e)])
-				dist = append(dist, int32(e.Dist))
-			}
-		}
-		nativeEnd := int32(len(to))
-		for _, e := range edges {
-			if e.Shortcut {
-				to = append(to, idx[other(e)])
-				dist = append(dist, int32(e.Dist))
-			}
-		}
-		return to, dist, nativeEnd
-	}
-	for i, id := range ids {
-		c, _ := g.Concept(id)
-		names[i] = c.Name
-		syns = append(syns, c.Synonyms...)
-		synOff[i+1] = int32(len(syns))
-		upTo, upDist, upNEnd[i] = fill(g.UpEdges(id), upTo, upDist, func(e eks.Edge) eks.ConceptID { return e.To })
-		upOff[i+1] = int32(len(upTo))
-		downTo, downDist, downNEnd[i] = fill(g.DownEdges(id), downTo, downDist, func(e eks.Edge) eks.ConceptID { return e.From })
-		downOff[i+1] = int32(len(downTo))
-	}
-
-	keys := g.NameKeys()
-	sort.Strings(keys)
-	keyOff := make([]int32, len(keys)+1)
-	var keyIDs []eks.ConceptID
-	for i, k := range keys {
-		keyIDs = append(keyIDs, g.IDsForNameKey(k)...)
-		keyOff[i+1] = int32(len(keyIDs))
-	}
-
-	fw.add(secGraphIDs, leConceptIDs(ids))
-	fw.add(secGraphNames, fw.leRefs(names))
-	fw.add(secGraphSynOff, leInt32s(synOff))
-	fw.add(secGraphSyns, fw.leRefs(syns))
-	fw.add(secGraphUpOff, leInt32s(upOff))
-	fw.add(secGraphUpTo, leInt32s(upTo))
-	fw.add(secGraphUpDist, leInt32s(upDist))
-	fw.add(secGraphUpNEnd, leInt32s(upNEnd))
-	fw.add(secGraphDownOff, leInt32s(downOff))
-	fw.add(secGraphDownTo, leInt32s(downTo))
-	fw.add(secGraphDownDist, leInt32s(downDist))
-	fw.add(secGraphDownNEnd, leInt32s(downNEnd))
-	fw.add(secGraphNameKeys, fw.leRefs(keys))
-	fw.add(secGraphKeyOff, leInt32s(keyOff))
-	fw.add(secGraphKeyIDs, leConceptIDs(keyIDs))
+	d := g.FlatData()
+	fw.add(secGraphIDs, leConceptIDs(d.IDs))
+	fw.add(secGraphNames, fw.leRefs(d.Names))
+	fw.add(secGraphSynOff, leInt32s(d.SynOff))
+	fw.add(secGraphSyns, fw.leRefs(d.Syns))
+	fw.add(secGraphUpOff, leInt32s(d.UpOff))
+	fw.add(secGraphUpTo, leInt32s(d.UpTo))
+	fw.add(secGraphUpDist, leInt32s(d.UpDist))
+	fw.add(secGraphUpNEnd, leInt32s(d.UpNativeEnd))
+	fw.add(secGraphDownOff, leInt32s(d.DownOff))
+	fw.add(secGraphDownTo, leInt32s(d.DownTo))
+	fw.add(secGraphDownDist, leInt32s(d.DownDist))
+	fw.add(secGraphDownNEnd, leInt32s(d.DownNativeEnd))
+	fw.add(secGraphNameKeys, fw.leRefs(d.NameKeys))
+	fw.add(secGraphKeyOff, leInt32s(d.KeyOff))
+	fw.add(secGraphKeyIDs, leConceptIDs(d.KeyIDs))
 	return nil
 }
 
