@@ -295,7 +295,7 @@ func BenchmarkAblationMapper(b *testing.B) {
 				f1 = qrF1(b, sys)
 			}
 			b.ReportMetric(f1, "F1")
-			b.ReportMetric(float64(len(sys.Ingestion.Flagged)), "flagged")
+			b.ReportMetric(float64(sys.Ingestion.FlaggedCount()), "flagged")
 		})
 	}
 }
@@ -303,8 +303,9 @@ func BenchmarkAblationMapper(b *testing.B) {
 // scoreRelaxer evaluates one relaxer configuration as a Table 2 style F1.
 func scoreRelaxer(sys *System, relaxer *core.Relaxer, queries []eval.Query) float64 {
 	var ps, rs []float64
+	flagged := sys.FlaggedSet()
 	for _, q := range queries {
-		relevant := sys.Oracle.RelevantSet(q.Concept, q.Ctx, sys.Ingestion.Flagged)
+		relevant := sys.Oracle.RelevantSet(q.Concept, q.Ctx, flagged)
 		results, err := relaxer.RelaxTerm(q.Term, q.Ctx, 0)
 		if err != nil {
 			ps = append(ps, 0)
@@ -330,7 +331,7 @@ func scoreRelaxer(sys *System, relaxer *core.Relaxer, queries []eval.Query) floa
 func BenchmarkEKSNeighborSearch(b *testing.B) {
 	sys := sharedSystem(b)
 	var ids []eks.ConceptID
-	for id := range sys.Ingestion.Flagged {
+	for _, id := range sys.Ingestion.FlaggedIDs() {
 		ids = append(ids, id)
 		if len(ids) == 64 {
 			break
@@ -347,7 +348,7 @@ func BenchmarkSimilarity(b *testing.B) {
 	sys := sharedSystem(b)
 	sim := core.NewSimilarity(sys.Ingestion.Graph, sys.Ingestion.Frequencies, sys.Ingestion.Ontology)
 	var a, c eks.ConceptID
-	for id := range sys.Ingestion.Flagged {
+	for _, id := range sys.Ingestion.FlaggedIDs() {
 		if a == 0 {
 			a = id
 		} else if c == 0 {

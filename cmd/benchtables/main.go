@@ -126,8 +126,9 @@ func printTable2CI(sys *medrelax.System) {
 	queries := eval.SelectQueries(sys.Med, sys.Oracle, 100)
 	perMethod := map[string][]float64{}
 	var order []string
+	flagged := sys.FlaggedSet()
 	for _, m := range sys.Methods {
-		perMethod[m.Name()] = eval.PerQueryF1(m, queries, sys.Oracle, sys.Ingestion.Flagged, 10)
+		perMethod[m.Name()] = eval.PerQueryF1(m, queries, sys.Oracle, flagged, 10)
 		order = append(order, m.Name())
 	}
 	rows := [][]string{}

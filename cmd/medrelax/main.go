@@ -235,7 +235,7 @@ func writeDOT(sys *medrelax.System, term, path string, radius int) error {
 	if err != nil {
 		return err
 	}
-	err = sys.World.Graph.WriteDOT(f, ids[0], radius, sys.Ingestion.Flagged)
+	err = sys.World.Graph.WriteDOT(f, ids[0], radius, sys.FlaggedSet())
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -80,7 +80,7 @@ func trim(xs []string, n int) []string {
 // but absent from the KB, whose neighbourhood has KB data.
 func findUncovered(sys *medrelax.System) string {
 	for _, cid := range sys.World.Findings {
-		if sys.Ingestion.Flagged[cid] {
+		if sys.Ingestion.IsFlagged(cid) {
 			continue
 		}
 		if _, err := sys.Relax(nameOf(sys, cid), medrelax.ContextIndication, 1); err == nil {

@@ -100,7 +100,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("ingestion: %d contexts, %d mappings, %d flagged concepts, %d shortcut edges\n\n",
-		len(ing.Contexts), len(ing.Mappings), len(ing.Flagged), ing.ShortcutsAdded)
+		len(ing.Contexts), ing.MappingCount(), ing.FlaggedCount(), ing.ShortcutsAdded)
 
 	// 6. Online phase: Algorithm 2 — "what drugs treat pertussis" has no
 	// direct KB answer; relaxation reaches bronchitis (the paper's

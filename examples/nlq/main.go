@@ -89,7 +89,7 @@ func figure9Pair(sys *medrelax.System) (drug, unknown string) {
 				caused := sys.Med.Gold[findID]
 				// An unflagged neighbour of the caused finding.
 				for _, nb := range sys.World.Graph.NeighborsWithinHops(caused, 2) {
-					if sys.Ingestion.Flagged[nb.ID] || sys.World.Attrs[nb.ID].Kind != synthkb.KindFinding {
+					if sys.Ingestion.IsFlagged(nb.ID) || sys.World.Attrs[nb.ID].Kind != synthkb.KindFinding {
 						continue
 					}
 					c, _ := sys.World.Graph.Concept(nb.ID)

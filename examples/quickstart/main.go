@@ -21,7 +21,7 @@ func main() {
 		sys.World.Graph.Len(), sys.World.Graph.EdgeCount(), sys.Ingestion.ShortcutsAdded)
 	fmt.Printf("MED knowledge base: %d instances over %d ontology concepts / %d relationships\n",
 		sys.Med.Store.Len(), sys.Med.Ontology.ConceptCount(), sys.Med.Ontology.RelationshipCount())
-	fmt.Printf("flagged external concepts (have KB data): %d\n\n", len(sys.Ingestion.Flagged))
+	fmt.Printf("flagged external concepts (have KB data): %d\n\n", sys.Ingestion.FlaggedCount())
 
 	// The paper's running example: "pyelectasia" has no direct drug
 	// information; relaxation finds related conditions that do.

@@ -1,0 +1,423 @@
+package core
+
+// Tests of the one frozen layout of the offline-phase products: a value
+// assembled by its build function and the same columns adopted by its
+// OpenFlat*/NewFlat* constructor must be indistinguishable to every exported
+// read, adoption must be a fixed point, and hostile columns must be rejected
+// before any read can index with them.
+
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+
+	"medrelax/internal/medkb"
+	"medrelax/internal/synthkb"
+)
+
+// generatedIngestion runs Algorithm 1 over a seeded synthkb + medkb world.
+// variant ingests the world's variant vocabulary instead of its primary
+// graph — the shape of a mounted second source.
+func generatedIngestion(t *testing.T, seed int64, perPair, drugs int, variant bool, opts IngestOptions) *Ingestion {
+	t.Helper()
+	w, err := synthkb.Generate(synthkb.Config{Seed: seed, ConditionsPerPair: perPair})
+	if err != nil {
+		t.Fatal(err)
+	}
+	med, err := medkb.Generate(w, medkb.Config{Seed: seed + 1, Drugs: drugs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	corp := medkb.BuildCorpus(w, med, medkb.CorpusConfig{Seed: seed + 2})
+	g := w.Graph
+	if variant {
+		if g, err = synthkb.GenerateVariant(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ing, err := Ingest(med.Ontology, med.Store, g, corp, exactMapper{g}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ing.MappingCount() == 0 {
+		t.Fatal("no instance mapped; the fixture exercises nothing")
+	}
+	return ing
+}
+
+// flatWorlds are the ingestions the differential tests sweep: several seeds
+// and sizes, tf-idf (non-integer) frequencies, a second-source-shaped one,
+// and one with both accelerations. The tests only read them, so they are
+// built once.
+func flatWorlds(t *testing.T) map[string]*Ingestion {
+	t.Helper()
+	flatWorldsOnce.Do(func() {
+		relax := RelaxOptions{Radius: 3, DynamicRadius: true, MaxRadius: 6}
+		flatWorldsBuilt = map[string]*Ingestion{
+			"paper-figure": ingestWorld(t, IngestOptions{}),
+			"seed11":       generatedIngestion(t, 11, 2, 20, false, IngestOptions{}),
+			"seed23-tfidf": generatedIngestion(t, 23, 3, 35, false, IngestOptions{Frequency: FrequencyOptions{UseTFIDF: true}}),
+			"variant":      generatedIngestion(t, 11, 2, 20, true, IngestOptions{}),
+			"accelerated": generatedIngestion(t, 31, 2, 25, false, IngestOptions{
+				Materialize:    MaterializeOptions{Enabled: true, Relax: relax, HeadFraction: 0.5, HeadMax: 48, MaxPerQuery: 40},
+				CandidateIndex: CandidateIndexOptions{Enabled: true, Radius: 4, MaxPostings: 400},
+			}),
+		}
+	})
+	if flatWorldsBuilt == nil {
+		t.Fatal("the shared worlds failed to build in an earlier test")
+	}
+	return flatWorldsBuilt
+}
+
+var (
+	flatWorldsOnce  sync.Once
+	flatWorldsBuilt map[string]*Ingestion
+)
+
+func mustEqual(t *testing.T, what string, built, adopted any) {
+	t.Helper()
+	if !reflect.DeepEqual(built, adopted) {
+		t.Fatalf("%s differs:\n built:   %v\n adopted: %v", what, built, adopted)
+	}
+}
+
+func adoptIngestion(t *testing.T, ing *Ingestion) *Ingestion {
+	t.Helper()
+	adopted, err := NewFlatIngestion(ing.Contexts, ing.Graph, ing.Store, ing.Ontology, ing.Frequencies, ing.ShortcutsAdded, ing.FlatMappings())
+	if err != nil {
+		t.Fatalf("NewFlatIngestion(ing.FlatMappings()): %v", err)
+	}
+	return adopted
+}
+
+func assertSameMappings(t *testing.T, want, got *Ingestion) {
+	t.Helper()
+	mustEqual(t, "FlatMappings", want.FlatMappings(), got.FlatMappings())
+	mustEqual(t, "MappingCount", want.MappingCount(), got.MappingCount())
+	mustEqual(t, "FlaggedCount", want.FlaggedCount(), got.FlaggedCount())
+	mustEqual(t, "FlaggedIDs", want.FlaggedIDs(), got.FlaggedIDs())
+	wi, wc := want.MappingPairs()
+	gi, gc := got.MappingPairs()
+	mustEqual(t, "MappingPairs", [2]any{wi, wc}, [2]any{gi, gc})
+	ids := want.Graph.ConceptIDs()
+	for _, id := range append(ids, ids[len(ids)-1]+1) {
+		mustEqual(t, "IsFlagged", want.IsFlagged(id), got.IsFlagged(id))
+		mustEqual(t, "InstancesForConcept", want.InstancesForConcept(id), got.InstancesForConcept(id))
+	}
+	mustEqual(t, "InstanceResults", want.InstanceResults(ids), got.InstanceResults(ids))
+}
+
+func TestAdoptedMappingsMatchBuilt(t *testing.T) {
+	for name, ing := range flatWorlds(t) {
+		t.Run(name, func(t *testing.T) {
+			adopted := adoptIngestion(t, ing)
+			assertSameMappings(t, ing, adopted)
+			assertSameMappings(t, adopted, adoptIngestion(t, adopted))
+			// The pairs alone rebuild the same columns.
+			insts, cons := ing.MappingPairs()
+			mustEqual(t, "MappingsFromPairs", ing.FlatMappings(), MappingsFromPairs(insts, cons))
+		})
+	}
+}
+
+func assertSameFrequencies(t *testing.T, ing *Ingestion, want, got *FrequencyTable) {
+	t.Helper()
+	mustEqual(t, "FlatData", want.FlatData(), got.FlatData())
+	mustEqual(t, "Labels", want.Labels(), got.Labels())
+	mustEqual(t, "Snapshot", want.Snapshot(), got.Snapshot())
+	ids := ing.Graph.ConceptIDs()
+	ids = append(ids, ids[len(ids)-1]+1)
+	labels := append(slices.Clone(want.FlatData().Labels), "No-such-Label")
+	for _, id := range ids {
+		mustEqual(t, "RawAggregate", want.RawAggregate(id), got.RawAggregate(id))
+		for _, label := range labels {
+			mustEqual(t, "Raw", want.Raw(id, label), got.Raw(id, label))
+		}
+		for _, ctx := range queryContexts(ing) {
+			mustEqual(t, "NormalizedForContext", want.NormalizedForContext(id, ctx, ing.Ontology), got.NormalizedForContext(id, ctx, ing.Ontology))
+			mustEqual(t, "IC", want.IC(id, ctx, ing.Ontology), got.IC(id, ctx, ing.Ontology))
+		}
+	}
+}
+
+func TestAdoptedFrequencyTableMatchesBuilt(t *testing.T) {
+	for name, ing := range flatWorlds(t) {
+		t.Run(name, func(t *testing.T) {
+			adopted, err := OpenFlatFrequencyTable(ing.Frequencies.FlatData())
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameFrequencies(t, ing, ing.Frequencies, adopted)
+			again, err := OpenFlatFrequencyTable(adopted.FlatData())
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameFrequencies(t, ing, adopted, again)
+			restored, err := RestoreFrequencyTable(ing.Frequencies.Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameFrequencies(t, ing, ing.Frequencies, restored)
+		})
+	}
+}
+
+// assertSameServing sweeps a sample of concepts, the context-free query and
+// two contexts, and a spread of k values through two relaxers that differ
+// only in the accelerations attached.
+func assertSameServing(t *testing.T, ing *Ingestion, want, got *Relaxer) {
+	t.Helper()
+	ids := ing.Graph.ConceptIDs()
+	step := max(1, len(ids)/40)
+	for i := 0; i < len(ids); i += step {
+		for _, qctx := range queryContexts(ing)[:3] {
+			for _, k := range []int{0, 1, 3, 10} {
+				mustEqual(t, fmt.Sprintf("RelaxConcept(%d, %v, %d)", ids[i], qctx, k),
+					want.RelaxConcept(ids[i], qctx, k), got.RelaxConcept(ids[i], qctx, k))
+			}
+		}
+	}
+}
+
+func TestAdoptedAccelerationsMatchBuilt(t *testing.T) {
+	ing := flatWorlds(t)["accelerated"]
+	relax := ing.Materialized.Options()
+	relaxer := func(m *Materialized, x *CandidateIndex) *Relaxer {
+		r := NewRelaxer(ing, NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology), exactMapper{ing.Graph}, relax)
+		if m != nil && !r.SetMaterialized(m) {
+			t.Fatal("materialized store refused")
+		}
+		if x != nil && !r.SetCandidateIndex(x) {
+			t.Fatal("candidate index refused")
+		}
+		return r
+	}
+
+	t.Run("materialized", func(t *testing.T) {
+		m := ing.Materialized
+		adopted, err := OpenFlatMaterialized(m.FlatData())
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := RestoreMaterialized(m.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, other := range []*Materialized{adopted, restored} {
+			mustEqual(t, "FlatData", m.FlatData(), other.FlatData())
+			mustEqual(t, "Options", m.Options(), other.Options())
+			mustEqual(t, "Entries", m.Entries(), other.Entries())
+			mustEqual(t, "Concepts", m.Concepts(), other.Concepts())
+			mustEqual(t, "Snapshot", m.Snapshot(), other.Snapshot())
+		}
+		if m.Entries() == 0 || m.Concepts() == 0 || m.Entries() != m.Concepts()*(len(ing.Contexts)+1) {
+			t.Fatalf("%d entries over %d concepts and %d contexts", m.Entries(), m.Concepts(), len(ing.Contexts))
+		}
+		again, err := OpenFlatMaterialized(adopted.FlatData())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustEqual(t, "FlatData of a re-adopted store", adopted.FlatData(), again.FlatData())
+		assertSameServing(t, ing, relaxer(m, nil), relaxer(adopted, nil))
+		assertSameServing(t, ing, relaxer(nil, nil), relaxer(adopted, nil))
+	})
+
+	t.Run("candidate index", func(t *testing.T) {
+		x := ing.Candidates
+		adopted, err := OpenFlatCandidateIndex(x.FlatData())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustEqual(t, "FlatData", x.FlatData(), adopted.FlatData())
+		mustEqual(t, "Skipped", x.Skipped(), adopted.Skipped())
+		restored, err := RestoreCandidateIndex(x.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A snapshot does not carry the skipped count; everything else does.
+		rd := restored.FlatData()
+		rd.Skipped = x.Skipped()
+		mustEqual(t, "FlatData of a restored index", x.FlatData(), rd)
+		for _, other := range []*CandidateIndex{adopted, restored} {
+			mustEqual(t, "Radius", x.Radius(), other.Radius())
+			mustEqual(t, "Concepts", x.Concepts(), other.Concepts())
+			mustEqual(t, "Postings", x.Postings(), other.Postings())
+			mustEqual(t, "Snapshot", x.Snapshot(), other.Snapshot())
+		}
+		if x.Postings() == 0 || x.Skipped() == 0 {
+			t.Fatalf("%d postings, %d skipped hubs; the fixture exercises nothing", x.Postings(), x.Skipped())
+		}
+		again, err := OpenFlatCandidateIndex(adopted.FlatData())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustEqual(t, "FlatData of a re-adopted index", adopted.FlatData(), again.FlatData())
+		assertSameServing(t, ing, relaxer(nil, x), relaxer(nil, adopted))
+		assertSameServing(t, ing, relaxer(nil, nil), relaxer(nil, adopted))
+	})
+}
+
+// hostileCase corrupts one column of a valid layout.
+type hostileCase[D any] struct {
+	name   string
+	mutate func(d *D)
+	want   string
+}
+
+func runHostile[D any](t *testing.T, base func() D, open func(D) error, cases []hostileCase[D]) {
+	t.Helper()
+	if err := open(base()); err != nil {
+		t.Fatalf("pristine columns rejected: %v", err)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := base()
+			tc.mutate(&d)
+			err := open(d)
+			if err == nil {
+				t.Fatal("hostile columns adopted")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+func TestNewFlatIngestionRejectsHostileColumns(t *testing.T) {
+	ing := ingestWorld(t, IngestOptions{})
+	base := func() FlatMappingsData {
+		d := ing.FlatMappings()
+		return FlatMappingsData{
+			Instances: slices.Clone(d.Instances), Concepts: slices.Clone(d.Concepts),
+			Flagged: slices.Clone(d.Flagged), InstOff: slices.Clone(d.InstOff), InstPool: slices.Clone(d.InstPool),
+		}
+	}
+	open := func(d FlatMappingsData) error {
+		_, err := NewFlatIngestion(ing.Contexts, ing.Graph, ing.Store, ing.Ontology, ing.Frequencies, 0, d)
+		return err
+	}
+	runHostile(t, base, open, []hostileCase[FlatMappingsData]{
+		{"pair columns disagree", func(d *FlatMappingsData) { d.Concepts = d.Concepts[1:] }, "instances"},
+		{"instances not ascending", func(d *FlatMappingsData) { d.Instances[1] = d.Instances[0] }, "not strictly ascending"},
+		{"unknown instance", func(d *FlatMappingsData) { d.Instances[len(d.Instances)-1] = 1 << 40 }, "unknown instance"},
+		{"offsets short", func(d *FlatMappingsData) { d.InstOff = d.InstOff[:len(d.InstOff)-1] }, "offsets have length"},
+		{"offsets decrease", func(d *FlatMappingsData) { d.InstOff[1] = d.InstOff[2] + 1 }, "offsets decrease"},
+		{"offsets past the pool", func(d *FlatMappingsData) { d.InstOff[len(d.InstOff)-1]++ }, "do not span"},
+		{"pool larger than the pairs", func(d *FlatMappingsData) {
+			d.InstPool = append(d.InstPool, d.InstPool[0])
+			d.InstOff[len(d.InstOff)-1]++
+		}, "pool instances"},
+		{"flagged not ascending", func(d *FlatMappingsData) { d.Flagged[1] = d.Flagged[0] }, "flagged set not strictly ascending"},
+		{"unknown concept", func(d *FlatMappingsData) { d.Flagged[len(d.Flagged)-1] = 1 << 40 }, "unknown concept"},
+		{"flagged concept without instances", func(d *FlatMappingsData) { d.InstOff[1] = 0 }, "has no instances"},
+		{"span disagrees with the pairs", func(d *FlatMappingsData) { d.InstPool[0], d.InstPool[1] = d.InstPool[1], d.InstPool[0] }, "disagrees with mapping pairs"},
+		{"flagged set misses a mapped concept", func(d *FlatMappingsData) { d.Concepts[0] = d.Concepts[1] }, "disagrees with mapping pairs"},
+	})
+}
+
+func TestOpenFlatFrequencyTableRejectsHostileColumns(t *testing.T) {
+	ing := ingestWorld(t, IngestOptions{})
+	base := func() FlatFrequencyData {
+		d := ing.Frequencies.FlatData()
+		d.Labels, d.Off, d.IDs, d.Vals = slices.Clone(d.Labels), slices.Clone(d.Off), slices.Clone(d.IDs), slices.Clone(d.Vals)
+		d.AggIDs, d.AggVals = slices.Clone(d.AggIDs), slices.Clone(d.AggVals)
+		return d
+	}
+	open := func(d FlatFrequencyData) error {
+		_, err := OpenFlatFrequencyTable(d)
+		return err
+	}
+	runHostile(t, base, open, []hostileCase[FlatFrequencyData]{
+		{"value column short", func(d *FlatFrequencyData) { d.Vals = d.Vals[1:] }, "ids"},
+		{"aggregate column short", func(d *FlatFrequencyData) { d.AggVals = d.AggVals[1:] }, "aggregate"},
+		{"labels not ascending", func(d *FlatFrequencyData) { d.Labels[1] = d.Labels[0] }, "labels not strictly ascending"},
+		{"offsets short", func(d *FlatFrequencyData) { d.Off = d.Off[:len(d.Off)-1] }, "offsets have length"},
+		{"offsets decrease", func(d *FlatFrequencyData) { d.Off[1] = d.Off[2] + 1 }, "offsets decrease"},
+		{"offsets past the pool", func(d *FlatFrequencyData) { d.Off[len(d.Off)-1]++ }, "do not span"},
+		{"span ids not ascending", func(d *FlatFrequencyData) { d.IDs[1] = d.IDs[0] }, "ids not strictly ascending"},
+		{"aggregate ids not ascending", func(d *FlatFrequencyData) { d.AggIDs[1] = d.AggIDs[0] }, "aggregate ids not strictly ascending"},
+	})
+}
+
+func TestOpenFlatAccelerationsRejectHostileColumns(t *testing.T) {
+	ing, _, _ := accelWorld(t,
+		RelaxOptions{Radius: 3, DynamicRadius: true, MaxRadius: 8},
+		MaterializeOptions{HeadFraction: 1},
+		CandidateIndexOptions{Radius: 8})
+
+	t.Run("materialized", func(t *testing.T) {
+		base := func() FlatMaterializedData {
+			d := ing.Materialized.FlatData()
+			d.Concepts, d.Ctxs, d.Complete = slices.Clone(d.Concepts), slices.Clone(d.Ctxs), slices.Clone(d.Complete)
+			d.CountOff, d.Counts = slices.Clone(d.CountOff), slices.Clone(d.Counts)
+			d.CandOff, d.Cands = slices.Clone(d.CandOff), slices.Clone(d.Cands)
+			return d
+		}
+		if d := base(); d.CandOff[1] < 2 {
+			t.Fatal("fixture too small to corrupt meaningfully")
+		}
+		open := func(d FlatMaterializedData) error {
+			_, err := OpenFlatMaterialized(d)
+			return err
+		}
+		runHostile(t, base, open, []hostileCase[FlatMaterializedData]{
+			{"non-normalized options", func(d *FlatMaterializedData) { d.Relax.MaxRadius = 0 }, "non-normalized"},
+			{"entry columns disagree", func(d *FlatMaterializedData) { d.Ctxs = d.Ctxs[1:] }, "contexts"},
+			{"entries not ascending", func(d *FlatMaterializedData) { d.Concepts[1], d.Ctxs[1] = d.Concepts[0], d.Ctxs[0] }, "entries not strictly ascending"},
+			{"count offsets short", func(d *FlatMaterializedData) { d.CountOff = d.CountOff[1:] }, "counts offsets have length"},
+			{"wrong radius-count span", func(d *FlatMaterializedData) { d.CountOff[1]-- }, "radius counts"},
+			{"candidate offsets decrease", func(d *FlatMaterializedData) { d.CandOff[1] = d.CandOff[2] + 1 }, "candidates offsets decrease"},
+			{"candidate offsets past the pool", func(d *FlatMaterializedData) { d.CandOff[len(d.CandOff)-1]++ }, "do not span"},
+			{"hops beyond the max radius", func(d *FlatMaterializedData) { d.Cands[0].Hops = 99 }, "exceeds max radius"},
+			{"negative hops", func(d *FlatMaterializedData) { d.Cands[0].Hops = -1 }, "exceeds max radius"},
+			{"out-of-order ranking", func(d *FlatMaterializedData) { d.Cands[0], d.Cands[1] = d.Cands[1], d.Cands[0] }, "not in ranking order"},
+		})
+	})
+
+	t.Run("candidate index", func(t *testing.T) {
+		base := func() FlatCandidateIndexData {
+			d := ing.Candidates.FlatData()
+			d.Concepts, d.Off, d.Posts, d.LCS = slices.Clone(d.Concepts), slices.Clone(d.Off), slices.Clone(d.Posts), slices.Clone(d.LCS)
+			return d
+		}
+		// rich is a posting with an LCS set, inside a list of two or more.
+		rich := -1
+		d := base()
+		for ci := range d.Concepts {
+			if lo, hi := int(d.Off[ci]), int(d.Off[ci+1]); hi-lo >= 2 && d.Posts[lo].LCSHi > d.Posts[lo].LCSLo {
+				rich = lo
+				break
+			}
+		}
+		if rich < 0 {
+			t.Fatal("fixture has no posting list to corrupt meaningfully")
+		}
+		open := func(d FlatCandidateIndexData) error {
+			_, err := OpenFlatCandidateIndex(d)
+			return err
+		}
+		runHostile(t, base, open, []hostileCase[FlatCandidateIndexData]{
+			{"zero radius", func(d *FlatCandidateIndexData) { d.Radius = 0 }, "radius 0"},
+			{"negative skipped count", func(d *FlatCandidateIndexData) { d.Skipped = -1 }, "skipped count"},
+			{"concepts not ascending", func(d *FlatCandidateIndexData) { d.Concepts[1] = d.Concepts[0] }, "concepts not strictly ascending"},
+			{"offsets short", func(d *FlatCandidateIndexData) { d.Off = d.Off[1:] }, "offsets have length"},
+			{"offsets past the pool", func(d *FlatCandidateIndexData) { d.Off[len(d.Off)-1]++ }, "do not span"},
+			{"hops out of range", func(d *FlatCandidateIndexData) { d.Posts[rich].Hops = int32(d.Radius) + 1 }, "outside [1,"},
+			{"hop order violated", func(d *FlatCandidateIndexData) {
+				d.Posts[rich].Hops, d.Posts[rich+1].Hops = int32(d.Radius), 1
+			}, "not hop-sorted"},
+			{"negative geometry", func(d *FlatCandidateIndexData) { d.Posts[rich].Gen = -1 }, "negative meet geometry"},
+			{"LCS span outside the pool", func(d *FlatCandidateIndexData) { d.Posts[rich].LCSHi = int32(len(d.LCS)) + 1 }, "outside pool"},
+			{"LCS span inverted", func(d *FlatCandidateIndexData) { d.Posts[rich].LCSLo = d.Posts[rich].LCSHi + 1 }, "outside pool"},
+			{"LCS set not ascending", func(d *FlatCandidateIndexData) {
+				d.Posts[rich].LCSLo, d.Posts[rich].LCSHi = 0, 2
+				d.LCS[1] = d.LCS[0]
+			}, "LCS set not strictly ascending"},
+		})
+	})
+}

@@ -1,20 +1,20 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"medrelax/internal/eks"
 	"medrelax/internal/kb"
 	"medrelax/internal/ontology"
 )
 
-// This file holds the read-only flat (v4 bundle) backings for the core
-// offline-phase products: the instance-concept mappings, the frequency
-// table, the materialized top-k store, and the candidate index. Each backing
-// serves the same accessors as its map-built counterpart from sorted slices
-// that usually alias a memory mapping, so a snapshot can be queried without
-// materializing per-record structs on the heap.
+// This file holds what the offline-phase products share — each has one read
+// representation whose columns are its exported Flat*Data struct, assembled
+// by its build function or adopted from flat (v4) bundle sections after the
+// same validator — and the instance-concept mappings of an Ingestion.
 
 // SnapshotBacking describes (and, through liveness, pins) the memory a
 // flat-mapped ingestion reads from. The persistence layer implements it for
@@ -67,113 +67,104 @@ func checkCSR32(what string, rows int, off []int32, poolLen int) error {
 	return nil
 }
 
-// ---------------------------------------------------------------------------
-// Instance-concept mappings
-
-// flatMappings backs Ingestion's Mappings/InstancesFor/Flagged maps with
-// sorted parallel slices: the mapping pairs in ascending instance order, the
-// flagged concept set in ascending order, and a CSR index from each flagged
-// concept to its instances.
-type flatMappings struct {
-	instIDs  []kb.InstanceID // ascending; every mapped instance
-	concepts []eks.ConceptID // parallel to instIDs
-	flagged  []eks.ConceptID // ascending, distinct
-	instOff  []int32         // len(flagged)+1, CSR into instPool
-	instPool []kb.InstanceID // ascending within each span
+// toInt32 narrows a snapshot's int into a column's int32, saturating so an
+// out-of-range value stays out of range for the validator that follows.
+func toInt32(v int) int32 {
+	return int32(min(max(v, math.MinInt32), math.MaxInt32))
 }
 
-// FlatMappingsData carries the decoded mapping sections into
-// NewFlatIngestion. Slices may alias a memory mapping; they are never
-// mutated.
+// lookupIn binary-searches one ascending id span for a concept's value.
+func lookupIn(ids []eks.ConceptID, vals []float64, id eks.ConceptID) float64 {
+	if i, ok := slices.BinarySearch(ids, id); ok {
+		return vals[i]
+	}
+	return 0
+}
+
+// FlatMappingsData is the column layout of an ingestion's mappings M and
+// flagged set FEC, which is also the layout of the mapping sections of a
+// flat (v4) bundle: the (instance, concept) pairs in ascending instance
+// order, the flagged concepts in ascending order, and a CSR index from each
+// flagged concept to its instances. Slices handed to NewFlatIngestion may
+// alias a memory mapping; they are never mutated.
 type FlatMappingsData struct {
-	Instances []kb.InstanceID // ascending
+	Instances []kb.InstanceID // ascending; every mapped instance
 	Concepts  []eks.ConceptID // parallel: Instances[i] maps to Concepts[i]
 	Flagged   []eks.ConceptID // ascending, distinct mapped concepts
-	InstOff   []int32         // len(Flagged)+1
+	InstOff   []int32         // len(Flagged)+1, CSR into InstPool
 	InstPool  []kb.InstanceID // ascending within each flagged concept's span
 }
 
-// flaggedPos returns the position of id in the flagged set, or -1.
-func (f *flatMappings) flaggedPos(id eks.ConceptID) int {
-	lo, hi := 0, len(f.flagged)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if f.flagged[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
+// MappingsFromPairs derives the flagged set and its instance index from
+// (instance, concept) pairs in ascending instance order — the form Ingest's
+// mapping stage produces and the v1/v2 bundles store.
+func MappingsFromPairs(instances []kb.InstanceID, concepts []eks.ConceptID) FlatMappingsData {
+	d := FlatMappingsData{Instances: instances, Concepts: concepts, InstOff: []int32{0}}
+	if len(instances) != len(concepts) {
+		return d // NewFlatIngestion reports the mismatch
+	}
+	order := make([]int32, len(concepts))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(concepts[a], concepts[b]), cmp.Compare(a, b))
+	})
+	d.InstPool = make([]kb.InstanceID, len(order))
+	for p, i := range order {
+		if k := len(d.Flagged); k == 0 || d.Flagged[k-1] != concepts[i] {
+			d.Flagged = append(d.Flagged, concepts[i])
+			d.InstOff = append(d.InstOff, d.InstOff[k])
 		}
+		d.InstPool[p] = instances[i]
+		d.InstOff[len(d.Flagged)]++
 	}
-	if lo < len(f.flagged) && f.flagged[lo] == id {
-		return lo
-	}
-	return -1
+	return d
 }
 
-// conceptForInstance returns the mapped concept of an instance, if any.
-func (f *flatMappings) conceptForInstance(iid kb.InstanceID) (eks.ConceptID, bool) {
-	lo, hi := 0, len(f.instIDs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if f.instIDs[mid] < iid {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(f.instIDs) && f.instIDs[lo] == iid {
-		return f.concepts[lo], true
-	}
-	return 0, false
-}
-
-// NewFlatIngestion assembles a read-only Ingestion over flat mapping
-// sections and already-opened components. It re-validates what Ingest
-// guarantees by construction: mapping pairs sorted by instance, a flagged
-// set that is exactly the distinct mapped concepts, per-concept instance
-// spans that agree with the pairs, and endpoints that exist in the store and
-// graph. The caller attaches Materialized/Candidates/Backing afterwards.
+// NewFlatIngestion assembles an Ingestion over mapping columns and
+// already-built components — the one place the mapping invariants are
+// checked, whether the columns come from MappingsFromPairs or from mapped
+// bundle sections: pairs sorted by instance, a flagged set that is exactly
+// the distinct mapped concepts, per-concept instance spans that agree with
+// the pairs, and endpoints that exist in the store and graph. The caller
+// attaches Materialized/Candidates/Backing afterwards.
 func NewFlatIngestion(contexts []ontology.Context, g *eks.Graph, store *kb.Store, o *ontology.Ontology, ft *FrequencyTable, shortcutsAdded int, d FlatMappingsData) (*Ingestion, error) {
 	n := len(d.Instances)
 	if len(d.Concepts) != n {
-		return nil, fmt.Errorf("core: flat mappings: %d instances, %d concepts", n, len(d.Concepts))
+		return nil, fmt.Errorf("core: mappings: %d instances, %d concepts", n, len(d.Concepts))
 	}
 	for i := 0; i < n; i++ {
 		if i > 0 && d.Instances[i] <= d.Instances[i-1] {
-			return nil, fmt.Errorf("core: flat mappings not strictly ascending at %d", i)
+			return nil, fmt.Errorf("core: mappings not strictly ascending at %d", i)
 		}
 		if _, ok := store.Instance(d.Instances[i]); !ok {
-			return nil, fmt.Errorf("core: flat mapping references unknown instance %d", d.Instances[i])
+			return nil, fmt.Errorf("core: mapping references unknown instance %d", d.Instances[i])
 		}
 	}
 	if err := checkCSR32("mapping", len(d.Flagged), d.InstOff, len(d.InstPool)); err != nil {
 		return nil, err
 	}
 	if len(d.InstPool) != n {
-		return nil, fmt.Errorf("core: flat mappings: %d pool instances, %d pairs", len(d.InstPool), n)
-	}
-	f := &flatMappings{
-		instIDs: d.Instances, concepts: d.Concepts,
-		flagged: d.Flagged, instOff: d.InstOff, instPool: d.InstPool,
+		return nil, fmt.Errorf("core: mappings: %d pool instances, %d pairs", len(d.InstPool), n)
 	}
 	for i, cid := range d.Flagged {
 		if i > 0 && cid <= d.Flagged[i-1] {
-			return nil, fmt.Errorf("core: flat flagged set not strictly ascending at %d", i)
+			return nil, fmt.Errorf("core: flagged set not strictly ascending at %d", i)
 		}
 		if _, ok := g.Concept(cid); !ok {
-			return nil, fmt.Errorf("core: flat flagged concept %d not in graph", cid)
+			return nil, fmt.Errorf("core: mapping references unknown concept %d", cid)
 		}
 		span := d.InstPool[d.InstOff[i]:d.InstOff[i+1]]
 		if len(span) == 0 {
-			return nil, fmt.Errorf("core: flat flagged concept %d has no instances", cid)
+			return nil, fmt.Errorf("core: flagged concept %d has no instances", cid)
 		}
 		for j, iid := range span {
 			if j > 0 && iid <= span[j-1] {
-				return nil, fmt.Errorf("core: flat instances of concept %d not strictly ascending", cid)
+				return nil, fmt.Errorf("core: instances of concept %d not strictly ascending", cid)
 			}
-			got, ok := f.conceptForInstance(iid)
-			if !ok || got != cid {
-				return nil, fmt.Errorf("core: flat instance span of concept %d disagrees with mapping pairs at instance %d", cid, iid)
+			if p, ok := slices.BinarySearch(d.Instances, iid); !ok || d.Concepts[p] != cid {
+				return nil, fmt.Errorf("core: instance span of concept %d disagrees with mapping pairs at instance %d", cid, iid)
 			}
 		}
 	}
@@ -184,456 +175,45 @@ func NewFlatIngestion(contexts []ontology.Context, g *eks.Graph, store *kb.Store
 		Store:          store,
 		Ontology:       o,
 		ShortcutsAdded: shortcutsAdded,
-		flatMap:        f,
+		maps:           d,
 	}, nil
 }
 
-// IsFlagged reports whether id is in the FEC set under either backing.
+// IsFlagged reports whether id is in the FEC set: external concepts with at
+// least one corresponding KB instance. Only flagged concepts are returned by
+// the online phase.
 func (ing *Ingestion) IsFlagged(id eks.ConceptID) bool {
-	if ing.flatMap != nil {
-		return ing.flatMap.flaggedPos(id) >= 0
-	}
-	return ing.Flagged[id]
+	_, ok := slices.BinarySearch(ing.maps.Flagged, id)
+	return ok
 }
 
 // FlaggedCount returns the size of the FEC set.
-func (ing *Ingestion) FlaggedCount() int {
-	if ing.flatMap != nil {
-		return len(ing.flatMap.flagged)
-	}
-	return len(ing.Flagged)
-}
+func (ing *Ingestion) FlaggedCount() int { return len(ing.maps.Flagged) }
 
 // FlaggedIDs returns the FEC set as a fresh ascending slice.
-func (ing *Ingestion) FlaggedIDs() []eks.ConceptID {
-	if ing.flatMap != nil {
-		out := make([]eks.ConceptID, len(ing.flatMap.flagged))
-		copy(out, ing.flatMap.flagged)
-		return out
-	}
-	out := make([]eks.ConceptID, 0, len(ing.Flagged))
-	for id := range ing.Flagged {
-		out = append(out, id)
-	}
-	sortConceptIDs(out)
-	return out
-}
+func (ing *Ingestion) FlaggedIDs() []eks.ConceptID { return slices.Clone(ing.maps.Flagged) }
 
 // InstancesForConcept returns the KB instances mapped to a concept,
 // ascending. The slice is a view shared with the ingestion — callers must
-// not mutate it (the same contract InstancesFor map access had).
+// not mutate it.
 func (ing *Ingestion) InstancesForConcept(id eks.ConceptID) []kb.InstanceID {
-	if ing.flatMap != nil {
-		i := ing.flatMap.flaggedPos(id)
-		if i < 0 {
-			return nil
-		}
-		return ing.flatMap.instPool[ing.flatMap.instOff[i]:ing.flatMap.instOff[i+1]]
+	i, ok := slices.BinarySearch(ing.maps.Flagged, id)
+	if !ok {
+		return nil
 	}
-	return ing.InstancesFor[id]
+	return ing.maps.InstPool[ing.maps.InstOff[i]:ing.maps.InstOff[i+1]]
 }
 
-// MappingCount returns how many instances are mapped to a concept.
-func (ing *Ingestion) MappingCount() int {
-	if ing.flatMap != nil {
-		return len(ing.flatMap.instIDs)
-	}
-	return len(ing.Mappings)
-}
+// MappingCount returns how many instances are mapped to a concept
+// (instances the mapper could not place are absent).
+func (ing *Ingestion) MappingCount() int { return len(ing.maps.Instances) }
 
 // MappingPairs returns every instance-concept mapping as parallel slices in
 // ascending instance order.
 func (ing *Ingestion) MappingPairs() ([]kb.InstanceID, []eks.ConceptID) {
-	if ing.flatMap != nil {
-		inst := make([]kb.InstanceID, len(ing.flatMap.instIDs))
-		copy(inst, ing.flatMap.instIDs)
-		con := make([]eks.ConceptID, len(ing.flatMap.concepts))
-		copy(con, ing.flatMap.concepts)
-		return inst, con
-	}
-	inst := make([]kb.InstanceID, 0, len(ing.Mappings))
-	for iid := range ing.Mappings {
-		inst = append(inst, iid)
-	}
-	sort.Slice(inst, func(i, j int) bool { return inst[i] < inst[j] })
-	con := make([]eks.ConceptID, len(inst))
-	for i, iid := range inst {
-		con[i] = ing.Mappings[iid]
-	}
-	return inst, con
+	return slices.Clone(ing.maps.Instances), slices.Clone(ing.maps.Concepts)
 }
 
-// ---------------------------------------------------------------------------
-// Frequency table
-
-// flatFrequency backs a FrequencyTable with per-label CSR spans of sorted
-// (concept, value) pairs plus the precomputed aggregate. Per-label root
-// frequencies and parsed context labels are derived once at open time so
-// NormalizedForContext stays allocation-free.
-type flatFrequency struct {
-	labels []string // ascending
-	off    []int32  // len(labels)+1, CSR into ids/vals
-	ids    []eks.ConceptID
-	vals   []float64
-
-	aggIDs  []eks.ConceptID // ascending
-	aggVals []float64
-
-	ctxs    []ontology.Context // parsed label contexts
-	ctxOK   []bool             // whether the label parsed as a context
-	rootF   []float64          // per-label root frequency
-	aggRoot float64
-}
-
-// FlatFrequencyData carries the decoded frequency sections into
-// OpenFlatFrequencyTable. The aggregate columns must hold the same
-// label-order float accumulation RestoreFrequencyTable computes, so flat and
-// heap tables produce bit-identical normalized frequencies.
-type FlatFrequencyData struct {
-	Root      eks.ConceptID
-	Smoothing float64
-	Labels    []string        // ascending
-	Off       []int32         // len(Labels)+1
-	IDs       []eks.ConceptID // ascending within each label span
-	Vals      []float64
-	AggIDs    []eks.ConceptID // ascending
-	AggVals   []float64
-}
-
-// lookupIn binary-searches one sorted id span for a concept's value.
-func lookupIn(ids []eks.ConceptID, vals []float64, id eks.ConceptID) float64 {
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ids[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(ids) && ids[lo] == id {
-		return vals[lo]
-	}
-	return 0
-}
-
-func (f *flatFrequency) span(li int) ([]eks.ConceptID, []float64) {
-	return f.ids[f.off[li]:f.off[li+1]], f.vals[f.off[li]:f.off[li+1]]
-}
-
-func (f *flatFrequency) labelPos(label string) int {
-	lo, hi := 0, len(f.labels)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if f.labels[mid] < label {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(f.labels) && f.labels[lo] == label {
-		return lo
-	}
-	return -1
-}
-
-func (f *flatFrequency) raw(id eks.ConceptID, label string) float64 {
-	li := f.labelPos(label)
-	if li < 0 {
-		return 0
-	}
-	ids, vals := f.span(li)
-	return lookupIn(ids, vals, id)
-}
-
-func (f *flatFrequency) rawAggregate(id eks.ConceptID) float64 {
-	return lookupIn(f.aggIDs, f.aggVals, id)
-}
-
-// normalizedForContext mirrors FrequencyTable.NormalizedForContext over the
-// flat spans. Labels iterate in ascending order; the map-backed version
-// iterates in map order, which is sound for the same reason there: per-label
-// contributions are summed with +=, and every label either matches or not
-// independent of iteration order.
-func (f *flatFrequency) normalizedForContext(t *FrequencyTable, id eks.ConceptID, ctx *ontology.Context, o *ontology.Ontology) float64 {
-	if ctx == nil || o == nil {
-		return t.normalized(f.rawAggregate(id), f.aggRoot)
-	}
-	sum, rootF := 0.0, 0.0
-	matched := false
-	for li := range f.labels {
-		if !f.ctxOK[li] {
-			continue
-		}
-		lc := &f.ctxs[li]
-		if lc.Relationship != ctx.Relationship {
-			continue
-		}
-		if !o.IsSubConceptOf(lc.Domain, ctx.Domain) || !o.IsSubConceptOf(lc.Range, ctx.Range) {
-			continue
-		}
-		matched = true
-		ids, vals := f.span(li)
-		sum += lookupIn(ids, vals, id)
-		rootF += f.rootF[li]
-	}
-	if !matched {
-		return t.normalized(f.rawAggregate(id), f.aggRoot)
-	}
-	return t.normalized(sum, rootF)
-}
-
-func (f *flatFrequency) snapshot(root eks.ConceptID, smoothing float64) FrequencySnapshot {
-	snap := FrequencySnapshot{Root: root, Smooth: smoothing}
-	for li, label := range f.labels {
-		ids, vals := f.span(li)
-		ls := FrequencyLabelSnapshot{
-			Label:  label,
-			IDs:    append([]eks.ConceptID(nil), ids...),
-			Values: append([]float64(nil), vals...),
-		}
-		snap.Labels = append(snap.Labels, ls)
-	}
-	return snap
-}
-
-// OpenFlatFrequencyTable wraps flat frequency sections in a read-only
-// *FrequencyTable. It validates sorted labels and spans, then precomputes
-// the per-label root frequencies and parsed contexts. The stored aggregate
-// is trusted structurally (sorted, well-shaped) — its values are protected
-// by the bundle checksum and pinned to the heap accumulation by the
-// conversion round-trip tests.
-func OpenFlatFrequencyTable(d FlatFrequencyData) (*FrequencyTable, error) {
-	if len(d.IDs) != len(d.Vals) {
-		return nil, fmt.Errorf("core: flat frequency: %d ids, %d values", len(d.IDs), len(d.Vals))
-	}
-	if len(d.AggIDs) != len(d.AggVals) {
-		return nil, fmt.Errorf("core: flat frequency aggregate: %d ids, %d values", len(d.AggIDs), len(d.AggVals))
-	}
-	if err := checkCSR32("frequency", len(d.Labels), d.Off, len(d.IDs)); err != nil {
-		return nil, err
-	}
-	for i := 1; i < len(d.Labels); i++ {
-		if d.Labels[i] <= d.Labels[i-1] {
-			return nil, fmt.Errorf("core: flat frequency labels not strictly ascending at %d", i)
-		}
-	}
-	for li := range d.Labels {
-		ids := d.IDs[d.Off[li]:d.Off[li+1]]
-		for i := 1; i < len(ids); i++ {
-			if ids[i] <= ids[i-1] {
-				return nil, fmt.Errorf("core: flat frequency label %q ids not strictly ascending", d.Labels[li])
-			}
-		}
-	}
-	for i := 1; i < len(d.AggIDs); i++ {
-		if d.AggIDs[i] <= d.AggIDs[i-1] {
-			return nil, fmt.Errorf("core: flat frequency aggregate ids not strictly ascending at %d", i)
-		}
-	}
-	f := &flatFrequency{
-		labels: d.Labels, off: d.Off, ids: d.IDs, vals: d.Vals,
-		aggIDs: d.AggIDs, aggVals: d.AggVals,
-	}
-	f.ctxs = make([]ontology.Context, len(d.Labels))
-	f.ctxOK = make([]bool, len(d.Labels))
-	f.rootF = make([]float64, len(d.Labels))
-	for li, label := range d.Labels {
-		if lc, err := ontology.ParseContext(label); err == nil {
-			f.ctxs[li], f.ctxOK[li] = lc, true
-		}
-		ids, vals := f.span(li)
-		f.rootF[li] = lookupIn(ids, vals, d.Root)
-	}
-	f.aggRoot = f.rawAggregate(d.Root)
-	t := &FrequencyTable{rootID: d.Root, smoothing: d.Smoothing, flat: f}
-	if t.smoothing <= 0 {
-		t.smoothing = FrequencyOptions{}.withDefaults().Smoothing
-	}
-	return t, nil
-}
-
-// ---------------------------------------------------------------------------
-// Materialized top-k store
-
-// flatMaterialized backs a Materialized store with entries sorted by
-// (concept, context key): per-entry scalar columns plus CSR spans into the
-// shared counts and candidate pools.
-type flatMaterialized struct {
-	concepts []eks.ConceptID // per entry, sorted by (concept, ctx)
-	ctxs     []string        // parallel context keys
-	complete []int32         // 1 = complete entry
-	cntOff   []int32         // len+1, CSR into counts
-	counts   []int32
-	candOff  []int32 // len+1, CSR into cands
-	cands    []MatCand
-}
-
-// FlatMaterializedData carries the decoded materialized sections into
-// OpenFlatMaterialized.
-type FlatMaterializedData struct {
-	Relax    RelaxOptions
-	Concepts []eks.ConceptID // sorted by (concept, ctx), dup concepts allowed
-	Ctxs     []string
-	Complete []int32
-	CountOff []int32
-	Counts   []int32
-	CandOff  []int32
-	Cands    []MatCand
-}
-
-// get binary-searches the sorted (concept, ctx) entries and returns a value
-// view whose slices alias the pools.
-func (f *flatMaterialized) get(concept eks.ConceptID, ctx string) (matEntry, bool) {
-	i := sort.Search(len(f.concepts), func(i int) bool {
-		if f.concepts[i] != concept {
-			return f.concepts[i] > concept
-		}
-		return f.ctxs[i] >= ctx
-	})
-	if i >= len(f.concepts) || f.concepts[i] != concept || f.ctxs[i] != ctx {
-		return matEntry{}, false
-	}
-	return matEntry{
-		complete: f.complete[i] != 0,
-		counts:   f.counts[f.cntOff[i]:f.cntOff[i+1]],
-		cands:    f.cands[f.candOff[i]:f.candOff[i+1]],
-	}, true
-}
-
-func (f *flatMaterialized) distinctConcepts() int {
-	n := 0
-	for i := range f.concepts {
-		if i == 0 || f.concepts[i] != f.concepts[i-1] {
-			n++
-		}
-	}
-	return n
-}
-
-// OpenFlatMaterialized wraps flat materialized sections in a read-only
-// *Materialized, enforcing the same invariants RestoreMaterialized does:
-// normalized options, the per-entry radius-count span, strictly ascending
-// (concept, context) keys, in-range hop distances, and final ranking order.
-func OpenFlatMaterialized(d FlatMaterializedData) (*Materialized, error) {
-	opts := d.Relax.withDefaults()
-	if d.Relax != opts {
-		return nil, fmt.Errorf("core: materialized store has non-normalized relax options %+v", d.Relax)
-	}
-	wantCounts := opts.MaxRadius - opts.Radius + 1
-	if !opts.DynamicRadius {
-		wantCounts = 1
-	}
-	n := len(d.Concepts)
-	if len(d.Ctxs) != n || len(d.Complete) != n {
-		return nil, fmt.Errorf("core: flat materialized: %d concepts, %d contexts, %d flags", n, len(d.Ctxs), len(d.Complete))
-	}
-	if err := checkCSR32("materialized counts", n, d.CountOff, len(d.Counts)); err != nil {
-		return nil, err
-	}
-	if err := checkCSR32("materialized candidates", n, d.CandOff, len(d.Cands)); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			if d.Concepts[i] < d.Concepts[i-1] ||
-				(d.Concepts[i] == d.Concepts[i-1] && d.Ctxs[i] <= d.Ctxs[i-1]) {
-				return nil, fmt.Errorf("core: flat materialized entries not strictly ascending at %d", i)
-			}
-		}
-		if int(d.CountOff[i+1]-d.CountOff[i]) != wantCounts {
-			return nil, fmt.Errorf("core: materialized entry (%d, %q) has %d radius counts, want %d",
-				d.Concepts[i], d.Ctxs[i], d.CountOff[i+1]-d.CountOff[i], wantCounts)
-		}
-		cands := d.Cands[d.CandOff[i]:d.CandOff[i+1]]
-		for j := range cands {
-			c := &cands[j]
-			if c.Hops < 0 || int(c.Hops) > opts.MaxRadius {
-				return nil, fmt.Errorf("core: materialized candidate %d of (%d, %q) at %d hops exceeds max radius %d",
-					c.Concept, d.Concepts[i], d.Ctxs[i], c.Hops, opts.MaxRadius)
-			}
-			if j > 0 {
-				prev := &cands[j-1]
-				if c.Score > prev.Score || (c.Score == prev.Score && c.Concept <= prev.Concept) {
-					return nil, fmt.Errorf("core: materialized entry (%d, %q) not in ranking order at %d", d.Concepts[i], d.Ctxs[i], j)
-				}
-			}
-		}
-	}
-	return &Materialized{
-		opts: opts,
-		flat: &flatMaterialized{
-			concepts: d.Concepts, ctxs: d.Ctxs, complete: d.Complete,
-			cntOff: d.CountOff, counts: d.Counts,
-			candOff: d.CandOff, cands: d.Cands,
-		},
-	}, nil
-}
-
-// ---------------------------------------------------------------------------
-// Candidate index
-
-// FlatCandidateIndexData carries the decoded candidate-index sections into
-// OpenFlatCandidateIndex.
-type FlatCandidateIndexData struct {
-	Radius   int
-	Skipped  int
-	Concepts []eks.ConceptID // ascending, indexed concepts
-	Off      []int32         // len(Concepts)+1, CSR into Posts
-	Posts    []Posting
-	LCS      []eks.ConceptID
-}
-
-// OpenFlatCandidateIndex wraps flat candidate-index sections in a read-only
-// *CandidateIndex, enforcing the same invariants RestoreCandidateIndex does:
-// hop-major posting order within the radius, non-negative geometry, and
-// strictly ascending LCS spans.
-func OpenFlatCandidateIndex(d FlatCandidateIndexData) (*CandidateIndex, error) {
-	if d.Radius < 1 {
-		return nil, fmt.Errorf("core: candidate index radius %d < 1", d.Radius)
-	}
-	if d.Skipped < 0 {
-		return nil, fmt.Errorf("core: candidate index skipped count %d < 0", d.Skipped)
-	}
-	if err := checkCSR32("candidate index", len(d.Concepts), d.Off, len(d.Posts)); err != nil {
-		return nil, err
-	}
-	for i := 1; i < len(d.Concepts); i++ {
-		if d.Concepts[i] <= d.Concepts[i-1] {
-			return nil, fmt.Errorf("core: flat candidate index concepts not strictly ascending at %d", i)
-		}
-	}
-	for ci, q := range d.Concepts {
-		posts := d.Posts[d.Off[ci]:d.Off[ci+1]]
-		prevHops := int32(0)
-		for i := range posts {
-			p := &posts[i]
-			if p.Hops < 1 || int(p.Hops) > d.Radius {
-				return nil, fmt.Errorf("core: posting %d->%d hops %d outside [1,%d]", q, p.Concept, p.Hops, d.Radius)
-			}
-			if p.Hops < prevHops {
-				return nil, fmt.Errorf("core: concept %d posting list not hop-sorted", q)
-			}
-			prevHops = p.Hops
-			if p.Gen < 0 || p.Spec < 0 {
-				return nil, fmt.Errorf("core: posting %d->%d has negative meet geometry", q, p.Concept)
-			}
-			if p.LCSLo < 0 || p.LCSLo > p.LCSHi || int(p.LCSHi) > len(d.LCS) {
-				return nil, fmt.Errorf("core: posting %d->%d has LCS span [%d,%d) outside pool of %d", q, p.Concept, p.LCSLo, p.LCSHi, len(d.LCS))
-			}
-			for j := p.LCSLo + 1; j < p.LCSHi; j++ {
-				if d.LCS[j] <= d.LCS[j-1] {
-					return nil, fmt.Errorf("core: posting %d->%d LCS set not strictly ascending", q, p.Concept)
-				}
-			}
-		}
-	}
-	return &CandidateIndex{
-		radius:  d.Radius,
-		skipped: d.Skipped,
-		flatIDs: d.Concepts,
-		flatOff: d.Off,
-		posts:   d.Posts,
-		lcs:     d.LCS,
-	}, nil
-}
+// FlatMappings returns the mapping columns, the form a flat bundle stores.
+// The slices alias the ingestion and must not be modified.
+func (ing *Ingestion) FlatMappings() FlatMappingsData { return ing.maps }

@@ -17,6 +17,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
@@ -56,24 +57,39 @@ func (o FrequencyOptions) withDefaults() FrequencyOptions {
 	return o
 }
 
+// FlatFrequencyData is the column layout of a frequency table, which is
+// also the layout of the frequency sections of a flat (v4) bundle: per-label
+// CSR spans of ascending (concept, value) pairs plus the aggregate over all
+// labels. The aggregate holds, per concept, the float sum of its per-label
+// values accumulated in ascending label order, so every table over the same
+// spans produces bit-identical normalized frequencies. Slices handed to
+// OpenFlatFrequencyTable may alias a memory mapping; they are never mutated.
+type FlatFrequencyData struct {
+	Root      eks.ConceptID
+	Smoothing float64
+	Labels    []string        // ascending
+	Off       []int32         // len(Labels)+1
+	IDs       []eks.ConceptID // ascending within each label span
+	Vals      []float64
+	AggIDs    []eks.ConceptID // ascending
+	AggVals   []float64
+}
+
 // FrequencyTable holds, for every external concept, its propagated
 // frequency per context label (Equation 2: direct mentions plus the
 // frequencies of its direct descendants), plus an aggregate over all
-// labels used when no contextual information is available.
+// labels used when no contextual information is available. Its one read
+// representation is the FlatFrequencyData columns, whether assembled by
+// buildFromDirect or adopted from a bundle, plus what
+// OpenFlatFrequencyTable derives from them once so NormalizedForContext
+// neither parses nor allocates.
 type FrequencyTable struct {
-	// raw[label][id] is the propagated (un-normalized) frequency of the
-	// concept under the given corpus context label.
-	raw map[string]map[eks.ConceptID]float64
-	// aggregate[id] is the propagated frequency summed over all labels,
-	// including unlabeled (general) text.
-	aggregate map[eks.ConceptID]float64
-	rootID    eks.ConceptID
-	smoothing float64
+	d FlatFrequencyData
 
-	// flat, when set, backs the table with sorted flat-bundle sections
-	// (usually a memory mapping) instead of the maps above; see
-	// OpenFlatFrequencyTable.
-	flat *flatFrequency
+	ctxs    []ontology.Context // parsed label contexts
+	ctxOK   []bool             // whether the label parsed as a context
+	rootF   []float64          // per-label root frequency
+	aggRoot float64
 }
 
 // BuildFrequencyTable computes per-context concept frequencies for every
@@ -158,46 +174,78 @@ func BuildFrequencyTableFromDirectCounts(g *eks.Graph, direct map[string]map[eks
 
 // buildFromDirect propagates direct counts bottom-up per label (Equation 2)
 // and assembles the table. Labels are independent — each propagation walks
-// the same topological order over its own map — so they distribute across
-// workers, with results landing in a slice indexed by label position.
+// the same topological order into its own value column — so they distribute
+// across workers. Every label's span covers every concept of g.
 func buildFromDirect(g *eks.Graph, order []eks.ConceptID, root eks.ConceptID, direct map[string]map[eks.ConceptID]float64, opts FrequencyOptions) *FrequencyTable {
-	t := &FrequencyTable{
-		raw:       map[string]map[eks.ConceptID]float64{},
-		aggregate: map[eks.ConceptID]float64{},
-		rootID:    root,
-		smoothing: opts.Smoothing,
-	}
 	labels := make([]string, 0, len(direct))
 	for label := range direct {
 		labels = append(labels, label)
 	}
 	slices.Sort(labels)
-	propagated := make([]map[eks.ConceptID]float64, len(labels))
+	ids := g.ConceptIDs()
+	n := len(ids)
+	d := FlatFrequencyData{
+		Root:      root,
+		Smoothing: opts.Smoothing,
+		Labels:    labels,
+		Off:       make([]int32, len(labels)+1),
+		IDs:       make([]eks.ConceptID, len(labels)*n),
+		Vals:      make([]float64, len(labels)*n),
+	}
+	// Children as positions in ids, resolved once for all labels.
+	childOff := make([]int32, n+1)
+	var children []int32
+	for i, id := range ids {
+		for _, child := range g.Children(id) {
+			c, _ := slices.BinarySearch(ids, child)
+			children = append(children, int32(c))
+		}
+		childOff[i+1] = int32(len(children))
+	}
+	topo := make([]int32, n)
+	for i, id := range order {
+		p, _ := slices.BinarySearch(ids, id)
+		topo[i] = int32(p)
+	}
 	parallelChunks(len(labels), resolveParallelism(opts.Parallelism), func(lo, hi int) {
 		for li := lo; li < hi; li++ {
 			dm := direct[labels[li]]
-			freqs := make(map[eks.ConceptID]float64, g.Len())
-			for _, id := range order { // children before parents
-				f := dm[id]
-				for _, child := range g.Children(id) {
-					f += freqs[child]
+			copy(d.IDs[li*n:], ids)
+			vals := d.Vals[li*n : (li+1)*n]
+			for _, p := range topo { // children before parents
+				f := dm[ids[p]]
+				for _, c := range children[childOff[p]:childOff[p+1]] {
+					f += vals[c]
 				}
-				freqs[id] = f
+				vals[p] = f
 			}
-			propagated[li] = freqs
 		}
 	})
-	for li, label := range labels {
-		t.raw[label] = propagated[li]
+	for li := range labels {
+		d.Off[li+1] = int32((li + 1) * n)
 	}
-	// Aggregate in sorted label order so the float sums are reproducible
-	// run to run (map iteration order is not).
-	for _, label := range labels {
-		for id, f := range t.raw[label] {
-			t.aggregate[id] += f
-		}
+	d.AggIDs, d.AggVals = aggregateLabels(d.IDs, d.Vals)
+	return newFrequencyTable(d)
+}
+
+// aggregateLabels sums every concept's per-label values in column order —
+// ascending label order — so the float sums are reproducible run to run and
+// equal for every table over the same spans.
+func aggregateLabels(ids []eks.ConceptID, vals []float64) ([]eks.ConceptID, []float64) {
+	agg := make(map[eks.ConceptID]float64)
+	for i, id := range ids {
+		agg[id] += vals[i]
 	}
-	return t
+	aggIDs := make([]eks.ConceptID, 0, len(agg))
+	for id := range agg {
+		aggIDs = append(aggIDs, id)
+	}
+	slices.Sort(aggIDs)
+	aggVals := make([]float64, len(aggIDs))
+	for i, id := range aggIDs {
+		aggVals[i] = agg[id]
+	}
+	return aggIDs, aggVals
 }
 
 func lookupStats(stats map[string]corpus.TermStats, name string) (corpus.TermStats, bool) {
@@ -208,36 +256,36 @@ func lookupStats(stats map[string]corpus.TermStats, name string) (corpus.TermSta
 	return st, ok
 }
 
+// span returns one label's ascending (concept, value) columns.
+func (t *FrequencyTable) span(li int) ([]eks.ConceptID, []float64) {
+	lo, hi := t.d.Off[li], t.d.Off[li+1]
+	return t.d.IDs[lo:hi], t.d.Vals[lo:hi]
+}
+
 // Raw returns the propagated (un-normalized) frequency of a concept under a
 // single corpus context label, 0 when never mentioned.
 func (t *FrequencyTable) Raw(id eks.ConceptID, label string) float64 {
-	if t.flat != nil {
-		return t.flat.raw(id, label)
+	li, ok := slices.BinarySearch(t.d.Labels, label)
+	if !ok {
+		return 0
 	}
-	return t.raw[label][id]
+	ids, vals := t.span(li)
+	return lookupIn(ids, vals, id)
 }
 
 // RawAggregate returns the propagated frequency summed over all labels.
 func (t *FrequencyTable) RawAggregate(id eks.ConceptID) float64 {
-	if t.flat != nil {
-		return t.flat.rawAggregate(id)
-	}
-	return t.aggregate[id]
+	return lookupIn(t.d.AggIDs, t.d.AggVals, id)
 }
 
 // Labels returns the number of distinct context labels with any counts.
-func (t *FrequencyTable) Labels() int {
-	if t.flat != nil {
-		return len(t.flat.labels)
-	}
-	return len(t.raw)
-}
+func (t *FrequencyTable) Labels() int { return len(t.d.Labels) }
 
 // normalized maps a raw frequency to the smoothed probability of the
 // concept under the root's total for the same slice of the table; the root
 // always normalizes to 1 (Section 5.1).
 func (t *FrequencyTable) normalized(f, rootF float64) float64 {
-	return (f + t.smoothing) / (rootF + t.smoothing)
+	return (f + t.d.Smoothing) / (rootF + t.d.Smoothing)
 }
 
 // NormalizedForContext returns the normalized frequency of the concept for
@@ -245,24 +293,23 @@ func (t *FrequencyTable) normalized(f, rootF float64) float64 {
 // whose context is subsumed by ctx under the domain ontology o (same
 // relationship name, domain and range being subconcepts). This realizes the
 // paper's Example 3: a query in context Drug-cause-Risk aggregates the
-// frequencies of all three Risk subconcept contexts.
+// frequencies of all three Risk subconcept contexts. Matching labels are
+// summed in ascending label order, so the float sum is the same on every
+// call and for every table over the same spans.
 //
 // A nil ctx — no contextual information available — aggregates every label,
 // which is the paper's stated fallback and the behaviour of QR-no-context.
 func (t *FrequencyTable) NormalizedForContext(id eks.ConceptID, ctx *ontology.Context, o *ontology.Ontology) float64 {
-	if t.flat != nil {
-		return t.flat.normalizedForContext(t, id, ctx, o)
-	}
 	if ctx == nil || o == nil {
-		return t.normalized(t.aggregate[id], t.aggregate[t.rootID])
+		return t.normalized(t.RawAggregate(id), t.aggRoot)
 	}
 	f, rootF := 0.0, 0.0
 	matched := false
-	for label, freqs := range t.raw {
-		lc, err := ontology.ParseContext(label)
-		if err != nil {
+	for li := range t.ctxs {
+		if !t.ctxOK[li] {
 			continue
 		}
+		lc := &t.ctxs[li]
 		if lc.Relationship != ctx.Relationship {
 			continue
 		}
@@ -270,16 +317,79 @@ func (t *FrequencyTable) NormalizedForContext(id eks.ConceptID, ctx *ontology.Co
 			continue
 		}
 		matched = true
-		f += freqs[id]
-		rootF += freqs[t.rootID]
+		ids, vals := t.span(li)
+		f += lookupIn(ids, vals, id)
+		rootF += t.rootF[li]
 	}
 	if !matched {
 		// No corpus evidence for this context at all: fall back to the
 		// aggregate so IC stays informative rather than uniformly maximal.
-		return t.normalized(t.aggregate[id], t.aggregate[t.rootID])
+		return t.normalized(t.RawAggregate(id), t.aggRoot)
 	}
 	return t.normalized(f, rootF)
 }
+
+// OpenFlatFrequencyTable adopts frequency columns as a *FrequencyTable. It
+// validates sorted labels and spans, then derives the per-label root
+// frequencies and parsed contexts. The aggregate is trusted structurally
+// (sorted, well-shaped) — in a bundle its values are protected by the
+// checksum and pinned to the label-order accumulation by the conversion
+// round-trip tests.
+func OpenFlatFrequencyTable(d FlatFrequencyData) (*FrequencyTable, error) {
+	if len(d.IDs) != len(d.Vals) {
+		return nil, fmt.Errorf("core: frequency table: %d ids, %d values", len(d.IDs), len(d.Vals))
+	}
+	if len(d.AggIDs) != len(d.AggVals) {
+		return nil, fmt.Errorf("core: frequency aggregate: %d ids, %d values", len(d.AggIDs), len(d.AggVals))
+	}
+	if err := checkCSR32("frequency", len(d.Labels), d.Off, len(d.IDs)); err != nil {
+		return nil, err
+	}
+	for i := 1; i < len(d.Labels); i++ {
+		if d.Labels[i] <= d.Labels[i-1] {
+			return nil, fmt.Errorf("core: frequency labels not strictly ascending at %d", i)
+		}
+	}
+	for li := range d.Labels {
+		ids := d.IDs[d.Off[li]:d.Off[li+1]]
+		for i := 1; i < len(ids); i++ {
+			if ids[i] <= ids[i-1] {
+				return nil, fmt.Errorf("core: frequency label %q ids not strictly ascending", d.Labels[li])
+			}
+		}
+	}
+	for i := 1; i < len(d.AggIDs); i++ {
+		if d.AggIDs[i] <= d.AggIDs[i-1] {
+			return nil, fmt.Errorf("core: frequency aggregate ids not strictly ascending at %d", i)
+		}
+	}
+	return newFrequencyTable(d), nil
+}
+
+// newFrequencyTable derives, once, what NormalizedForContext reads besides
+// the columns: the parsed label contexts and the root's frequencies.
+func newFrequencyTable(d FlatFrequencyData) *FrequencyTable {
+	d.Smoothing = FrequencyOptions{Smoothing: d.Smoothing}.withDefaults().Smoothing
+	t := &FrequencyTable{
+		d:     d,
+		ctxs:  make([]ontology.Context, len(d.Labels)),
+		ctxOK: make([]bool, len(d.Labels)),
+		rootF: make([]float64, len(d.Labels)),
+	}
+	for li, label := range d.Labels {
+		if lc, err := ontology.ParseContext(label); err == nil {
+			t.ctxs[li], t.ctxOK[li] = lc, true
+		}
+		ids, vals := t.span(li)
+		t.rootF[li] = lookupIn(ids, vals, d.Root)
+	}
+	t.aggRoot = t.RawAggregate(d.Root)
+	return t
+}
+
+// FlatData returns the table's columns, the form a flat bundle stores. The
+// slices alias the table and must not be modified.
+func (t *FrequencyTable) FlatData() FlatFrequencyData { return t.d }
 
 // FrequencySnapshot is the serializable state of a FrequencyTable, used by
 // the persistence layer to save and restore the offline phase.
@@ -301,58 +411,34 @@ type FrequencyLabelSnapshot struct {
 // Snapshot exports the table's state deterministically (labels and IDs
 // sorted).
 func (t *FrequencyTable) Snapshot() FrequencySnapshot {
-	if t.flat != nil {
-		return t.flat.snapshot(t.rootID, t.smoothing)
-	}
-	snap := FrequencySnapshot{Root: t.rootID, Smooth: t.smoothing}
-	var labels []string
-	for l := range t.raw {
-		labels = append(labels, l)
-	}
-	sortStrings(labels)
-	for _, l := range labels {
-		freqs := t.raw[l]
-		var ids []eks.ConceptID
-		for id := range freqs {
-			ids = append(ids, id)
-		}
-		sortConceptIDs(ids)
-		ls := FrequencyLabelSnapshot{Label: l, IDs: ids, Values: make([]float64, len(ids))}
-		for i, id := range ids {
-			ls.Values[i] = freqs[id]
-		}
-		snap.Labels = append(snap.Labels, ls)
+	snap := FrequencySnapshot{Root: t.d.Root, Smooth: t.d.Smoothing}
+	for li, label := range t.d.Labels {
+		ids, vals := t.span(li)
+		snap.Labels = append(snap.Labels, FrequencyLabelSnapshot{
+			Label:  label,
+			IDs:    slices.Clone(ids),
+			Values: slices.Clone(vals),
+		})
 	}
 	return snap
 }
 
-// RestoreFrequencyTable rebuilds a table from a snapshot.
+// RestoreFrequencyTable rebuilds a table from a snapshot: the snapshot's
+// spans become columns, the aggregate is re-accumulated, and
+// OpenFlatFrequencyTable validates the result.
 func RestoreFrequencyTable(snap FrequencySnapshot) (*FrequencyTable, error) {
-	t := &FrequencyTable{
-		raw:       map[string]map[eks.ConceptID]float64{},
-		aggregate: map[eks.ConceptID]float64{},
-		rootID:    snap.Root,
-		smoothing: snap.Smooth,
-	}
-	if t.smoothing <= 0 {
-		t.smoothing = FrequencyOptions{}.withDefaults().Smoothing
-	}
+	d := FlatFrequencyData{Root: snap.Root, Smoothing: snap.Smooth, Off: []int32{0}}
 	for _, ls := range snap.Labels {
 		if len(ls.IDs) != len(ls.Values) {
 			return nil, errSnapshotShape
 		}
-		m := make(map[eks.ConceptID]float64, len(ls.IDs))
-		for i, id := range ls.IDs {
-			m[id] = ls.Values[i]
-			t.aggregate[id] += ls.Values[i]
-		}
-		t.raw[ls.Label] = m
+		d.Labels = append(d.Labels, ls.Label)
+		d.IDs = append(d.IDs, ls.IDs...)
+		d.Vals = append(d.Vals, ls.Values...)
+		d.Off = append(d.Off, int32(len(d.IDs)))
 	}
-	return t, nil
-}
-
-func sortStrings(xs []string) {
-	slices.Sort(xs)
+	d.AggIDs, d.AggVals = aggregateLabels(d.IDs, d.Vals)
+	return OpenFlatFrequencyTable(d)
 }
 
 // IC returns the information content of the concept under the query

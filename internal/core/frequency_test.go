@@ -186,3 +186,60 @@ func TestLabelsCount(t *testing.T) {
 		t.Errorf("Labels = %d, want 3", got)
 	}
 }
+
+// TestNormalizedForContextSumsLabelAscending pins the float sum of a
+// context that matches several labels: with non-integer frequencies the
+// order of the additions shows in the last bits, so the sum runs in
+// ascending label order on every call and on every table over the same
+// spans.
+func TestNormalizedForContextSumsLabelAscending(t *testing.T) {
+	o := testOntology(t)
+	if err := o.AddRelationship(ontology.Relationship{Name: "cause", Domain: "Drug", Range: "Finding"}); err != nil {
+		t.Fatal(err)
+	}
+	g := testEKS(t)
+	root, _ := g.Root()
+	const fever = eks.ConceptID(7)
+	// Four labels subsumed by Drug-cause-Risk, listed out of order.
+	direct := map[string]map[eks.ConceptID]float64{
+		"Drug-cause-Risk":             {fever: 0.6},
+		"Drug-cause-ContraIndication": {fever: 0.3},
+		"Drug-cause-AdverseEffect":    {fever: 0.1},
+		"Drug-cause-BlackBoxWarning":  {fever: 0.2},
+		"Drug-cause-Finding":          {fever: 5},
+	}
+	ft, err := BuildFrequencyTableFromDirectCounts(g, direct, FrequencyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &ontology.Context{Domain: "Drug", Relationship: "cause", Range: "Risk"}
+
+	labels := []string{"Drug-cause-AdverseEffect", "Drug-cause-BlackBoxWarning", "Drug-cause-ContraIndication", "Drug-cause-Risk"}
+	f, rootF, descending := 0.0, 0.0, 0.0
+	for i, label := range labels {
+		f += ft.Raw(fever, label)
+		rootF += ft.Raw(root, label)
+		descending += ft.Raw(fever, labels[len(labels)-1-i])
+	}
+	if f == descending {
+		t.Fatalf("the fixture's sum %v does not depend on the order of its additions", f)
+	}
+	smoothing := ft.FlatData().Smoothing
+	want := (f + smoothing) / (rootF + smoothing)
+
+	adopted, err := OpenFlatFrequencyTable(ft.FlatData())
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreFrequencyTable(ft.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		for name, table := range map[string]*FrequencyTable{"built": ft, "adopted": adopted, "restored": restored} {
+			if got := table.NormalizedForContext(fever, ctx, o); got != want {
+				t.Fatalf("call %d on the %s table: %v, want the label-ascending sum %v", i, name, got, want)
+			}
+		}
+	}
+}

@@ -45,16 +45,6 @@ type Ingestion struct {
 	// Contexts is the set of possible query contexts, derived from the
 	// domain ontology's relationships.
 	Contexts []ontology.Context
-	// Mappings maps each KB instance to its external concept (instances the
-	// mapper could not place are absent).
-	Mappings map[kb.InstanceID]eks.ConceptID
-	// InstancesFor is the reverse of Mappings: external concept to the KB
-	// instances mapped onto it.
-	InstancesFor map[eks.ConceptID][]kb.InstanceID
-	// Flagged is the FEC set: external concepts with at least one
-	// corresponding KB instance. Only flagged concepts are returned by the
-	// online phase.
-	Flagged map[eks.ConceptID]bool
 	// Frequencies is the per-context frequency table.
 	Frequencies *FrequencyTable
 	// Graph is the customized external knowledge source (shortcut edges
@@ -79,11 +69,10 @@ type Ingestion struct {
 	// classic single-source deployment, whose behaviour is unchanged.
 	Sources []NamedSource
 
-	// flatMap, when set, backs Mappings/InstancesFor/Flagged with flat-bundle
-	// sections instead of the maps (which stay nil); use the accessor methods
-	// IsFlagged, FlaggedCount, FlaggedIDs, InstancesForConcept, MappingCount,
-	// and MappingPairs to stay backing-agnostic. See NewFlatIngestion.
-	flatMap *flatMappings
+	// maps holds the instance-concept mappings M and the flagged set FEC as
+	// columns; read them through IsFlagged, FlaggedCount, FlaggedIDs,
+	// InstancesForConcept, MappingCount and MappingPairs.
+	maps FlatMappingsData
 }
 
 // Close releases resources the ingestion's backing pins — for a
@@ -119,21 +108,11 @@ func Ingest(o *ontology.Ontology, store *kb.Store, g *eks.Graph, corp *corpus.Co
 	}
 	workers := resolveParallelism(opts.Parallelism)
 
-	ing := &Ingestion{
-		Contexts:     o.Contexts(), // Algorithm 1, lines 1–4
-		Mappings:     make(map[kb.InstanceID]eks.ConceptID),
-		InstancesFor: make(map[eks.ConceptID][]kb.InstanceID),
-		Flagged:      make(map[eks.ConceptID]bool),
-		Graph:        g,
-		Store:        store,
-		Ontology:     o,
-	}
-
 	// Mappings (lines 5–11): map every instance, flag mapped concepts.
 	// Each Map call is independent and O(vocab) for the approximate
 	// matchers, so this is the dominant stage; workers fill a results slice
-	// indexed by instance position and the maps are assembled in instance
-	// order, which is ascending ID order (AllInstances sorts).
+	// indexed by instance position, and the mapped pairs are collected in
+	// instance order, which is ascending ID order (AllInstances sorts).
 	instances := store.AllInstances()
 	mapped := make([]eks.ConceptID, len(instances))
 	ok := make([]bool, len(instances))
@@ -142,17 +121,18 @@ func Ingest(o *ontology.Ontology, store *kb.Store, g *eks.Graph, corp *corpus.Co
 			mapped[i], ok[i] = mapper.Map(instances[i].Name)
 		}
 	})
+	var pairInst []kb.InstanceID
+	var pairCon []eks.ConceptID
 	for i, inst := range instances {
-		if !ok[i] {
-			continue
+		if ok[i] {
+			pairInst = append(pairInst, inst.ID)
+			pairCon = append(pairCon, mapped[i])
 		}
-		id := mapped[i]
-		ing.Mappings[inst.ID] = id
-		ing.InstancesFor[id] = append(ing.InstancesFor[id], inst.ID)
-		ing.Flagged[id] = true
 	}
-	for _, ids := range ing.InstancesFor {
-		slices.Sort(ids)
+	// Algorithm 1, lines 1–4: the contexts come from the ontology.
+	ing, err := NewFlatIngestion(o.Contexts(), g, store, o, nil, 0, MappingsFromPairs(pairInst, pairCon))
+	if err != nil {
+		return nil, err
 	}
 
 	// Concept frequency (lines 12–18).
@@ -178,7 +158,7 @@ func Ingest(o *ontology.Ontology, store *kb.Store, g *eks.Graph, corp *corpus.Co
 		if err != nil {
 			return nil, err
 		}
-		planned := planShortcuts(g, order, ing.Flagged, opts.ShortcutMaxDist, workers)
+		planned := planShortcuts(g, order, ing.IsFlagged, opts.ShortcutMaxDist, workers)
 		for _, e := range planned {
 			if err := g.AddShortcutEdge(e.from, e.to, e.dist); err != nil {
 				return nil, fmt.Errorf("core: customization: %w", err)
@@ -228,12 +208,12 @@ type plannedEdge struct {
 // the distance cap with a flagged endpoint and no existing edge. The
 // per-concept computation (a semantic-metric Dijkstra on the dense index)
 // runs across workers; results merge into (from, to) order.
-func planShortcuts(g *eks.Graph, order []eks.ConceptID, flagged map[eks.ConceptID]bool, maxDist, workers int) []plannedEdge {
+func planShortcuts(g *eks.Graph, order []eks.ConceptID, flagged func(eks.ConceptID) bool, maxDist, workers int) []plannedEdge {
 	plans := make([][]plannedEdge, len(order))
 	parallelChunks(len(order), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			a := order[i]
-			aFlagged := flagged[a]
+			aFlagged := flagged(a)
 			var out []plannedEdge
 			for b, dist := range g.UpDistances(a) {
 				if dist < 2 {
@@ -242,7 +222,7 @@ func planShortcuts(g *eks.Graph, order []eks.ConceptID, flagged map[eks.ConceptI
 				if maxDist > 0 && dist > maxDist {
 					continue
 				}
-				if !aFlagged && !flagged[b] {
+				if !aFlagged && !flagged(b) {
 					continue
 				}
 				if g.HasEdge(a, b) {

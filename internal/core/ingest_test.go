@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+	"slices"
 	"testing"
 
 	"medrelax/internal/eks"
@@ -31,28 +33,24 @@ func TestIngestMappingsAndFEC(t *testing.T) {
 	// (4), fever (7), bronchitis (10). Drugs and indications have no EKS
 	// counterpart under the exact mapper.
 	wantMap := map[kb.InstanceID]eks.ConceptID{130: 5, 131: 4, 132: 7, 133: 10}
-	if len(ing.Mappings) != len(wantMap) {
-		t.Fatalf("mappings = %v", ing.Mappings)
+	insts, cons := ing.MappingPairs()
+	got := map[kb.InstanceID]eks.ConceptID{}
+	for i, iid := range insts {
+		got[iid] = cons[i]
+	}
+	if !maps.Equal(got, wantMap) || ing.MappingCount() != len(wantMap) {
+		t.Fatalf("mappings = %v, want %v", got, wantMap)
 	}
 	for iid, cid := range wantMap {
-		if ing.Mappings[iid] != cid {
-			t.Errorf("Mappings[%d] = %d, want %d", iid, ing.Mappings[iid], cid)
-		}
-		if !ing.Flagged[cid] {
+		if !ing.IsFlagged(cid) {
 			t.Errorf("concept %d not flagged", cid)
 		}
-		found := false
-		for _, x := range ing.InstancesFor[cid] {
-			if x == iid {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("InstancesFor[%d] missing %d", cid, iid)
+		if !slices.Contains(ing.InstancesForConcept(cid), iid) {
+			t.Errorf("InstancesForConcept(%d) missing %d", cid, iid)
 		}
 	}
-	if len(ing.Flagged) != 4 {
-		t.Errorf("FEC = %v, want 4 concepts", ing.Flagged)
+	if ing.FlaggedCount() != 4 {
+		t.Errorf("FEC = %v, want 4 concepts", ing.FlaggedIDs())
 	}
 }
 

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -25,20 +27,30 @@ import (
 // Entries are valid only under the RelaxOptions they were built with;
 // SetMaterialized refuses a store whose options differ from the relaxer's.
 type Materialized struct {
-	opts    RelaxOptions
-	entries map[matKey]*matEntry
-
-	// flat, when set, backs the store with sorted flat-bundle sections
-	// (usually a memory mapping) instead of the entries map; see
-	// OpenFlatMaterialized.
-	flat *flatMaterialized
+	d FlatMaterializedData
+	// concepts is the number of distinct query concepts, counted once when
+	// the store is assembled.
+	concepts int
 }
 
-type matKey struct {
-	concept eks.ConceptID
-	ctx     string
+// FlatMaterializedData is the column layout of a Materialized store, which
+// is also the layout of the materialized sections of a flat (v4) bundle:
+// entries sorted by (concept, context key) as per-entry scalar columns plus
+// CSR spans into the shared counts and candidate pools. Slices handed to
+// OpenFlatMaterialized may alias a memory mapping; they are never mutated.
+type FlatMaterializedData struct {
+	Relax    RelaxOptions
+	Concepts []eks.ConceptID // per entry, sorted by (concept, ctx)
+	Ctxs     []string        // parallel context keys
+	Complete []int32         // 1 = complete entry
+	CountOff []int32         // len+1, CSR into Counts
+	Counts   []int32
+	CandOff  []int32 // len+1, CSR into Cands
+	Cands    []MatCand
 }
 
+// matEntry is a value view of one entry; its slices alias the store's pools
+// and must not be mutated.
 type matEntry struct {
 	// complete is true when the full candidate set fit under MaxPerQuery;
 	// an incomplete entry can only serve queries whose k is satisfied
@@ -51,12 +63,8 @@ type matEntry struct {
 	counts []int32
 	// cands is the candidate set at the maximum radius, sorted by
 	// (score descending, concept ascending) — the final ranking order.
-	cands []matCand
+	cands []MatCand
 }
-
-// matCand aliases the exported fixed-layout record so map-built and
-// flat-mapped stores share one candidate representation.
-type matCand = MatCand
 
 // MaterializeOptions tunes the offline top-k materialization.
 type MaterializeOptions struct {
@@ -133,14 +141,18 @@ func MaterializeTopK(ing *Ingestion, sim *Similarity, opts MaterializeOptions) *
 	ropts := opts.Relax
 	head := headConcepts(ing, opts)
 
+	// Entries are stored in (concept, context key) order, so the contexts
+	// are put in key order once; one listed twice is materialized once. The
+	// context-free query has the empty key and sorts first.
 	ctxs := make([]*ontology.Context, 0, len(opts.Contexts)+1)
 	ctxs = append(ctxs, nil)
 	for i := range opts.Contexts {
 		ctxs = append(ctxs, &opts.Contexts[i])
 	}
+	slices.SortFunc(ctxs, func(a, b *ontology.Context) int { return cmp.Compare(ctxKey(a), ctxKey(b)) })
+	ctxs = slices.CompactFunc(ctxs, func(a, b *ontology.Context) bool { return ctxKey(a) == ctxKey(b) })
 
-	m := &Materialized{opts: ropts, entries: make(map[matKey]*matEntry, len(head)*len(ctxs))}
-	built := make([]map[string]*matEntry, len(head))
+	built := make([][]matEntry, len(head)) // per head concept, parallel to ctxs
 
 	workers := resolveParallelism(opts.Workers)
 	if workers > len(head) {
@@ -167,18 +179,42 @@ func MaterializeTopK(ing *Ingestion, sim *Similarity, opts MaterializeOptions) *
 	}
 	close(next)
 	wg.Wait()
-	for i, q := range head {
-		for ctx, e := range built[i] {
-			m.entries[matKey{concept: q, ctx: ctx}] = e
+
+	// Assemble the columns in (concept, context key) order.
+	byConcept := make([]int, len(head))
+	for i := range byConcept {
+		byConcept[i] = i
+	}
+	slices.SortFunc(byConcept, func(a, b int) int { return cmp.Compare(head[a], head[b]) })
+	d := FlatMaterializedData{Relax: ropts, CountOff: []int32{0}, CandOff: []int32{0}}
+	for _, i := range byConcept {
+		for j, e := range built[i] {
+			d.appendEntry(head[i], ctxKey(ctxs[j]), e)
 		}
 	}
-	return m
+	return newMaterialized(d)
+}
+
+// appendEntry adds one entry to the columns; callers append in (concept,
+// context key) order.
+func (d *FlatMaterializedData) appendEntry(concept eks.ConceptID, ctx string, e matEntry) {
+	d.Concepts = append(d.Concepts, concept)
+	d.Ctxs = append(d.Ctxs, ctx)
+	complete := int32(0)
+	if e.complete {
+		complete = 1
+	}
+	d.Complete = append(d.Complete, complete)
+	d.Counts = append(d.Counts, e.counts...)
+	d.CountOff = append(d.CountOff, int32(len(d.Counts)))
+	d.Cands = append(d.Cands, e.cands...)
+	d.CandOff = append(d.CandOff, int32(len(d.Cands)))
 }
 
 // materializeConcept builds one head concept's entries for every context:
 // the full candidate set at the maximum radius, per-radius instance counts,
 // and the per-context scored rankings.
-func materializeConcept(r *Relaxer, q eks.ConceptID, ctxs []*ontology.Context, opts MaterializeOptions, sc *relaxScratch) map[string]*matEntry {
+func materializeConcept(r *Relaxer, q eks.ConceptID, ctxs []*ontology.Context, opts MaterializeOptions, sc *relaxScratch) []matEntry {
 	ropts := opts.Relax
 	maxR := ropts.MaxRadius
 	if !ropts.DynamicRadius {
@@ -202,11 +238,11 @@ func materializeConcept(r *Relaxer, q eks.ConceptID, ctxs []*ontology.Context, o
 		counts[radius-ropts.Radius] = int32(len(instSeen))
 	}
 
-	out := make(map[string]*matEntry, len(ctxs))
+	out := make([]matEntry, 0, len(ctxs))
 	for _, ctx := range ctxs {
-		e := &matEntry{complete: true, counts: counts, cands: make([]matCand, 0, len(cands))}
+		e := matEntry{complete: true, counts: counts, cands: make([]MatCand, 0, len(cands))}
 		for _, nb := range cands {
-			e.cands = append(e.cands, matCand{
+			e.cands = append(e.cands, MatCand{
 				Concept: nb.ID,
 				Score:   r.sim.Sim(q, nb.ID, ctx),
 				Hops:    int32(nb.Hops),
@@ -222,7 +258,7 @@ func materializeConcept(r *Relaxer, q eks.ConceptID, ctxs []*ontology.Context, o
 			e.cands = e.cands[:opts.MaxPerQuery]
 			e.complete = false
 		}
-		out[ctxKey(ctx)] = e
+		out = append(out, e)
 	}
 	return out
 }
@@ -287,40 +323,104 @@ func (r *Relaxer) materializedServe(ctx context.Context, q eks.ConceptID, qctx *
 	return out, true, nil
 }
 
-// get returns one entry as a value view under either backing; the slices of
-// the returned entry are shared with the store and must not be mutated.
+// get binary-searches the sorted (concept, ctx) entries and returns a value
+// view whose slices alias the pools.
 func (m *Materialized) get(concept eks.ConceptID, ctx string) (matEntry, bool) {
-	if m.flat != nil {
-		return m.flat.get(concept, ctx)
-	}
-	e, ok := m.entries[matKey{concept: concept, ctx: ctx}]
-	if !ok {
+	d := &m.d
+	i := sort.Search(len(d.Concepts), func(i int) bool {
+		if d.Concepts[i] != concept {
+			return d.Concepts[i] > concept
+		}
+		return d.Ctxs[i] >= ctx
+	})
+	if i >= len(d.Concepts) || d.Concepts[i] != concept || d.Ctxs[i] != ctx {
 		return matEntry{}, false
 	}
-	return *e, true
+	return m.entry(i), true
+}
+
+func (m *Materialized) entry(i int) matEntry {
+	d := &m.d
+	return matEntry{
+		complete: d.Complete[i] != 0,
+		counts:   d.Counts[d.CountOff[i]:d.CountOff[i+1]],
+		cands:    d.Cands[d.CandOff[i]:d.CandOff[i+1]],
+	}
 }
 
 // Options reports the RelaxOptions the store was built under.
-func (m *Materialized) Options() RelaxOptions { return m.opts }
+func (m *Materialized) Options() RelaxOptions { return m.d.Relax }
 
 // Entries reports the number of (concept, context) entries.
-func (m *Materialized) Entries() int {
-	if m.flat != nil {
-		return len(m.flat.concepts)
-	}
-	return len(m.entries)
-}
+func (m *Materialized) Entries() int { return len(m.d.Concepts) }
 
 // Concepts reports the number of distinct materialized query concepts.
-func (m *Materialized) Concepts() int {
-	if m.flat != nil {
-		return m.flat.distinctConcepts()
+func (m *Materialized) Concepts() int { return m.concepts }
+
+// FlatData returns the store's columns, the form a flat bundle stores. The
+// slices alias the store and must not be modified.
+func (m *Materialized) FlatData() FlatMaterializedData { return m.d }
+
+// OpenFlatMaterialized adopts materialized columns as a *Materialized,
+// enforcing the invariants serving relies on: normalized options, the
+// per-entry radius-count span, strictly ascending (concept, context) keys,
+// in-range hop distances, and final ranking order.
+func OpenFlatMaterialized(d FlatMaterializedData) (*Materialized, error) {
+	opts := d.Relax.withDefaults()
+	if d.Relax != opts {
+		return nil, fmt.Errorf("core: materialized store has non-normalized relax options %+v", d.Relax)
 	}
-	seen := map[eks.ConceptID]bool{}
-	for k := range m.entries {
-		seen[k.concept] = true
+	wantCounts := opts.MaxRadius - opts.Radius + 1
+	if !opts.DynamicRadius {
+		wantCounts = 1
 	}
-	return len(seen)
+	n := len(d.Concepts)
+	if len(d.Ctxs) != n || len(d.Complete) != n {
+		return nil, fmt.Errorf("core: materialized store: %d concepts, %d contexts, %d flags", n, len(d.Ctxs), len(d.Complete))
+	}
+	if err := checkCSR32("materialized counts", n, d.CountOff, len(d.Counts)); err != nil {
+		return nil, err
+	}
+	if err := checkCSR32("materialized candidates", n, d.CandOff, len(d.Cands)); err != nil {
+		return nil, err
+	}
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			if d.Concepts[i] < d.Concepts[i-1] ||
+				(d.Concepts[i] == d.Concepts[i-1] && d.Ctxs[i] <= d.Ctxs[i-1]) {
+				return nil, fmt.Errorf("core: materialized entries not strictly ascending at %d", i)
+			}
+		}
+		if int(d.CountOff[i+1]-d.CountOff[i]) != wantCounts {
+			return nil, fmt.Errorf("core: materialized entry (%d, %q) has %d radius counts, want %d",
+				d.Concepts[i], d.Ctxs[i], d.CountOff[i+1]-d.CountOff[i], wantCounts)
+		}
+		cands := d.Cands[d.CandOff[i]:d.CandOff[i+1]]
+		for j := range cands {
+			c := &cands[j]
+			if c.Hops < 0 || int(c.Hops) > opts.MaxRadius {
+				return nil, fmt.Errorf("core: materialized candidate %d of (%d, %q) at %d hops exceeds max radius %d",
+					c.Concept, d.Concepts[i], d.Ctxs[i], c.Hops, opts.MaxRadius)
+			}
+			if j > 0 {
+				prev := &cands[j-1]
+				if c.Score > prev.Score || (c.Score == prev.Score && c.Concept <= prev.Concept) {
+					return nil, fmt.Errorf("core: materialized entry (%d, %q) not in ranking order at %d", d.Concepts[i], d.Ctxs[i], j)
+				}
+			}
+		}
+	}
+	return newMaterialized(d), nil
+}
+
+func newMaterialized(d FlatMaterializedData) *Materialized {
+	m := &Materialized{d: d}
+	for i, c := range d.Concepts {
+		if i == 0 || c != d.Concepts[i-1] {
+			m.concepts++
+		}
+	}
+	return m
 }
 
 // MaterializedSnapshot is the serializable form of a Materialized store.
@@ -345,32 +445,15 @@ type MaterializedCandidate struct {
 	Hops    int           `json:"hops"`
 }
 
-// Snapshot extracts the serializable form, entries sorted by (concept,
-// context) so bundle bytes are deterministic.
+// Snapshot extracts the serializable form; entries are stored sorted by
+// (concept, context), so bundle bytes are deterministic.
 func (m *Materialized) Snapshot() *MaterializedSnapshot {
-	keys := make([]matKey, 0, m.Entries())
-	if m.flat != nil {
-		// Flat entries are stored in (concept, ctx) order already.
-		for i := range m.flat.concepts {
-			keys = append(keys, matKey{concept: m.flat.concepts[i], ctx: m.flat.ctxs[i]})
-		}
-	} else {
-		for k := range m.entries {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].concept != keys[j].concept {
-				return keys[i].concept < keys[j].concept
-			}
-			return keys[i].ctx < keys[j].ctx
-		})
-	}
-	snap := &MaterializedSnapshot{Relax: m.opts, Entries: make([]MaterializedEntrySnapshot, 0, len(keys))}
-	for _, k := range keys {
-		e, _ := m.get(k.concept, k.ctx)
+	snap := &MaterializedSnapshot{Relax: m.d.Relax, Entries: make([]MaterializedEntrySnapshot, 0, m.Entries())}
+	for i, concept := range m.d.Concepts {
+		e := m.entry(i)
 		es := MaterializedEntrySnapshot{
-			Concept:  k.concept,
-			Ctx:      k.ctx,
+			Concept:  concept,
+			Ctx:      m.d.Ctxs[i],
 			Complete: e.complete,
 			Counts:   append([]int32(nil), e.counts...),
 			Cands:    make([]MaterializedCandidate, 0, len(e.cands)),
@@ -383,41 +466,16 @@ func (m *Materialized) Snapshot() *MaterializedSnapshot {
 	return snap
 }
 
-// RestoreMaterialized rebuilds a store from its snapshot, validating the
-// invariants serving relies on: counts span the dynamic radius range,
-// candidates are in final ranking order within the max radius.
+// RestoreMaterialized rebuilds a store from its snapshot: the entries become
+// columns in snapshot order and OpenFlatMaterialized validates the result.
 func RestoreMaterialized(snap *MaterializedSnapshot) (*Materialized, error) {
-	opts := snap.Relax.withDefaults()
-	if snap.Relax != opts {
-		return nil, fmt.Errorf("core: materialized store has non-normalized relax options %+v", snap.Relax)
-	}
-	wantCounts := opts.MaxRadius - opts.Radius + 1
-	if !opts.DynamicRadius {
-		wantCounts = 1
-	}
-	m := &Materialized{opts: opts, entries: make(map[matKey]*matEntry, len(snap.Entries))}
+	d := FlatMaterializedData{Relax: snap.Relax, CountOff: []int32{0}, CandOff: []int32{0}}
 	for _, es := range snap.Entries {
-		k := matKey{concept: es.Concept, ctx: es.Ctx}
-		if _, dup := m.entries[k]; dup {
-			return nil, fmt.Errorf("core: materialized entry (%d, %q) appears twice", es.Concept, es.Ctx)
-		}
-		if len(es.Counts) != wantCounts {
-			return nil, fmt.Errorf("core: materialized entry (%d, %q) has %d radius counts, want %d", es.Concept, es.Ctx, len(es.Counts), wantCounts)
-		}
-		e := &matEntry{complete: es.Complete, counts: append([]int32(nil), es.Counts...), cands: make([]matCand, 0, len(es.Cands))}
+		e := matEntry{complete: es.Complete, counts: es.Counts, cands: make([]MatCand, len(es.Cands))}
 		for i, c := range es.Cands {
-			if c.Hops < 0 || c.Hops > opts.MaxRadius {
-				return nil, fmt.Errorf("core: materialized candidate %d of (%d, %q) at %d hops exceeds max radius %d", c.Concept, es.Concept, es.Ctx, c.Hops, opts.MaxRadius)
-			}
-			if i > 0 {
-				prev := es.Cands[i-1]
-				if c.Score > prev.Score || (c.Score == prev.Score && c.Concept <= prev.Concept) {
-					return nil, fmt.Errorf("core: materialized entry (%d, %q) not in ranking order at %d", es.Concept, es.Ctx, i)
-				}
-			}
-			e.cands = append(e.cands, matCand{Concept: c.Concept, Score: c.Score, Hops: int32(c.Hops)})
+			e.cands[i] = MatCand{Concept: c.Concept, Score: c.Score, Hops: toInt32(c.Hops)}
 		}
-		m.entries[k] = e
+		d.appendEntry(es.Concept, es.Ctx, e)
 	}
-	return m, nil
+	return OpenFlatMaterialized(d)
 }

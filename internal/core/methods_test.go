@@ -59,7 +59,7 @@ func TestEmbeddingMethod(t *testing.T) {
 	}
 	// Only flagged concepts are returned, and never the query itself.
 	for _, cid := range got {
-		if !ing.Flagged[cid] {
+		if !ing.IsFlagged(cid) {
 			t.Errorf("unflagged concept %d returned", cid)
 		}
 		c, _ := ing.Graph.Concept(cid)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -29,28 +30,25 @@ import (
 // radius-r candidate set be cut out of the list with one binary search, so
 // dynamic-radius growth never re-gathers.
 type CandidateIndex struct {
-	radius int
-	lists  map[eks.ConceptID]postingSpan
-	posts  []idxPosting
-	lcs    []eks.ConceptID
-	// skipped counts concepts left out because their neighborhood exceeded
-	// MaxPostings; queries anchored there fall back to the live traversal.
-	skipped int
-
-	// flatIDs/flatOff, when set, replace lists: the indexed concepts in
-	// ascending order with CSR spans into posts (usually aliasing a memory
-	// mapping); see OpenFlatCandidateIndex.
-	flatIDs []eks.ConceptID
-	flatOff []int32
+	d FlatCandidateIndexData
 }
 
-// postingSpan is one concept's slice of the shared posting pool.
-type postingSpan struct{ lo, hi int32 }
-
-// idxPosting aliases the exported fixed-layout record so map-built and
-// flat-mapped indexes share one posting representation; an empty LCS span
-// means no common subsumer, score 0.
-type idxPosting = Posting
+// FlatCandidateIndexData is the column layout of a CandidateIndex, which is
+// also the layout of the candidate-index sections of a flat (v4) bundle: the
+// indexed concepts in ascending order with CSR spans into the posting pool,
+// and the LCS pool the postings' spans point into, packed in posting order.
+// Slices handed to OpenFlatCandidateIndex may alias a memory mapping; they
+// are never mutated.
+type FlatCandidateIndexData struct {
+	Radius int
+	// Skipped counts concepts left out because their neighborhood exceeded
+	// MaxPostings; queries anchored there fall back to the live traversal.
+	Skipped  int
+	Concepts []eks.ConceptID // ascending, indexed concepts
+	Off      []int32         // len(Concepts)+1, CSR into Posts
+	Posts    []Posting
+	LCS      []eks.ConceptID
+}
 
 // CandidateIndexOptions tunes the offline build.
 type CandidateIndexOptions struct {
@@ -82,10 +80,11 @@ func (o CandidateIndexOptions) withDefaults() CandidateIndexOptions {
 	return o
 }
 
-// builtList is one worker's output for a concept before pool assembly.
+// builtList is one worker's output for a concept before pool assembly; its
+// postings' LCS spans are relative to its own lcs.
 type builtList struct {
 	indexed bool
-	posts   []idxPosting
+	posts   []Posting
 	lcs     []eks.ConceptID
 }
 
@@ -123,24 +122,32 @@ func BuildCandidateIndex(ing *Ingestion, sim *Similarity, opts CandidateIndexOpt
 	close(next)
 	wg.Wait()
 
-	idx := &CandidateIndex{radius: opts.Radius, lists: make(map[eks.ConceptID]postingSpan, len(ids))}
-	for i, q := range ids {
-		b := &built[i]
-		if !b.indexed {
-			idx.skipped++
+	d := FlatCandidateIndexData{Radius: opts.Radius, Off: []int32{0}}
+	for i, q := range ids { // ascending
+		if !built[i].indexed {
+			d.Skipped++
 			continue
 		}
-		lo := int32(len(idx.posts))
-		lcsBase := int32(len(idx.lcs))
-		for _, p := range b.posts {
-			p.LCSLo += lcsBase
-			p.LCSHi += lcsBase
-			idx.posts = append(idx.posts, p)
-		}
-		idx.lcs = append(idx.lcs, b.lcs...)
-		idx.lists[q] = postingSpan{lo: lo, hi: int32(len(idx.posts))}
+		d.appendList(q, built[i].posts, built[i].lcs)
 	}
-	return idx
+	return &CandidateIndex{d: d}
+}
+
+// appendList adds one concept's posting list to the pools, rebasing the
+// postings' LCS spans from lcs onto the shared pool; callers append in
+// ascending concept order.
+func (d *FlatCandidateIndexData) appendList(q eks.ConceptID, posts []Posting, lcs []eks.ConceptID) {
+	base := int32(len(d.LCS))
+	for _, p := range posts {
+		if p.LCSHi > p.LCSLo {
+			p.LCSLo += base
+			p.LCSHi += base
+		}
+		d.Posts = append(d.Posts, p)
+	}
+	d.LCS = append(d.LCS, lcs...)
+	d.Concepts = append(d.Concepts, q)
+	d.Off = append(d.Off, int32(len(d.Posts)))
 }
 
 // buildPostings computes one concept's posting list: flagged neighbors
@@ -157,10 +164,10 @@ func buildPostings(ing *Ingestion, sim *Similarity, q eks.ConceptID, opts Candid
 	if opts.MaxPostings > 0 && len(flagged) > opts.MaxPostings {
 		return builtList{}
 	}
-	out := builtList{indexed: true, posts: make([]idxPosting, 0, len(flagged))}
+	out := builtList{indexed: true, posts: make([]Posting, 0, len(flagged))}
 	partials := make([]float64, 0, len(flagged))
 	for _, nb := range flagged {
-		p := idxPosting{Concept: nb.ID, Hops: int32(nb.Hops)}
+		p := Posting{Concept: nb.ID, Hops: int32(nb.Hops)}
 		partial := 0.0
 		if lcs, _, gen, spec, ok := sim.canonicalMeet(q, nb.ID, scratch); ok {
 			p.Gen, p.Spec = int32(gen), int32(spec)
@@ -186,34 +193,38 @@ func buildPostings(ing *Ingestion, sim *Similarity, q eks.ConceptID, opts Candid
 		}
 		return pa.Concept < pb.Concept
 	})
-	sorted := make([]idxPosting, len(out.posts))
+	// Pack the LCS pool in posting order — the order a bundle stores it in —
+	// with an empty set as the span [0,0).
+	sorted := make([]Posting, len(out.posts))
+	lcs := make([]eks.ConceptID, 0, len(out.lcs))
 	for i, j := range order {
-		sorted[i] = out.posts[j]
+		p := out.posts[j]
+		set := out.lcs[p.LCSLo:p.LCSHi]
+		p.LCSLo, p.LCSHi = 0, 0
+		if len(set) > 0 {
+			p.LCSLo = int32(len(lcs))
+			lcs = append(lcs, set...)
+			p.LCSHi = int32(len(lcs))
+		}
+		sorted[i] = p
 	}
-	out.posts = sorted
+	out.posts, out.lcs = sorted, lcs
 	return out
 }
 
 // lookup returns q's posting list; ok is false when q was not indexed
 // (skipped hub or unknown concept) and the caller must traverse live.
-func (x *CandidateIndex) lookup(q eks.ConceptID) ([]idxPosting, bool) {
-	if x.flatIDs != nil {
-		i := sort.Search(len(x.flatIDs), func(i int) bool { return x.flatIDs[i] >= q })
-		if i >= len(x.flatIDs) || x.flatIDs[i] != q {
-			return nil, false
-		}
-		return x.posts[x.flatOff[i]:x.flatOff[i+1]], true
-	}
-	s, ok := x.lists[q]
+func (x *CandidateIndex) lookup(q eks.ConceptID) ([]Posting, bool) {
+	i, ok := slices.BinarySearch(x.d.Concepts, q)
 	if !ok {
 		return nil, false
 	}
-	return x.posts[s.lo:s.hi], true
+	return x.d.Posts[x.d.Off[i]:x.d.Off[i+1]], true
 }
 
 // hopCut returns the end of the prefix of posts with hops <= radius; posts
 // are hop-major sorted so the radius-r candidate set is posts[:cut].
-func hopCut(posts []idxPosting, radius int) int {
+func hopCut(posts []Posting, radius int) int {
 	return sort.Search(len(posts), func(i int) bool { return int(posts[i].Hops) > radius })
 }
 
@@ -223,7 +234,7 @@ func hopCut(posts []idxPosting, radius int) int {
 // radius) and the caller runs the live traversal.
 func (r *Relaxer) indexedCandidates(ctx context.Context, q eks.ConceptID, qctx *ontology.Context, target int, sc *relaxScratch) ([]Result, bool, error) {
 	idx := r.cidx
-	if r.opts.Radius > idx.radius {
+	if r.opts.Radius > idx.d.Radius {
 		return nil, false, nil
 	}
 	posts, found := idx.lookup(q)
@@ -240,7 +251,7 @@ func (r *Relaxer) indexedCandidates(ctx context.Context, q eks.ConceptID, qctx *
 		if !r.opts.DynamicRadius || radius >= r.opts.MaxRadius || r.postingInstanceCount(posts[:cut], q, sc) >= target {
 			break
 		}
-		if radius+1 > idx.radius {
+		if radius+1 > idx.d.Radius {
 			// The next growth round would look past the indexed horizon;
 			// only the live traversal can see further.
 			return nil, false, nil
@@ -265,7 +276,7 @@ func (r *Relaxer) indexedCandidates(ctx context.Context, q eks.ConceptID, qctx *
 		p := &posts[i]
 		score := 0.0
 		if p.LCSHi > p.LCSLo {
-			ic := r.sim.simICFromLCS(q, p.Concept, idx.lcs[p.LCSLo:p.LCSHi], qctx)
+			ic := r.sim.simICFromLCS(q, p.Concept, idx.d.LCS[p.LCSLo:p.LCSHi], qctx)
 			if r.sim.UsePathWeight {
 				score = r.pw[p.Gen][p.Spec] * ic
 			} else {
@@ -285,7 +296,7 @@ func (r *Relaxer) indexedCandidates(ctx context.Context, q eks.ConceptID, qctx *
 
 // postingInstanceCount mirrors instanceCount over a posting prefix,
 // including the self instances flaggedWithin would have contributed.
-func (r *Relaxer) postingInstanceCount(posts []idxPosting, q eks.ConceptID, sc *relaxScratch) int {
+func (r *Relaxer) postingInstanceCount(posts []Posting, q eks.ConceptID, sc *relaxScratch) int {
 	seen := sc.resetSeen()
 	if r.opts.IncludeSelf && r.ing.IsFlagged(q) {
 		for _, iid := range r.ing.InstancesForConcept(q) {
@@ -301,30 +312,29 @@ func (r *Relaxer) postingInstanceCount(posts []idxPosting, q eks.ConceptID, sc *
 }
 
 // Radius reports the hop radius the index was built with.
-func (x *CandidateIndex) Radius() int { return x.radius }
+func (x *CandidateIndex) Radius() int { return x.d.Radius }
 
 // Concepts reports how many concepts have a posting list.
-func (x *CandidateIndex) Concepts() int {
-	if x.flatIDs != nil {
-		return len(x.flatIDs)
-	}
-	return len(x.lists)
-}
+func (x *CandidateIndex) Concepts() int { return len(x.d.Concepts) }
 
 // Postings reports the total posting count across all lists.
-func (x *CandidateIndex) Postings() int { return len(x.posts) }
+func (x *CandidateIndex) Postings() int { return len(x.d.Posts) }
 
 // Skipped reports how many concepts were left unindexed by MaxPostings.
-func (x *CandidateIndex) Skipped() int { return x.skipped }
+func (x *CandidateIndex) Skipped() int { return x.d.Skipped }
+
+// FlatData returns the index's columns, the form a flat bundle stores. The
+// slices alias the index and must not be modified.
+func (x *CandidateIndex) FlatData() FlatCandidateIndexData { return x.d }
 
 // maxGeometry scans the pool for the largest gen/spec hop counts, sizing
 // the path-weight table SetCandidateIndex precomputes.
 func (x *CandidateIndex) maxGeometry() (maxGen, maxSpec int) {
-	for i := range x.posts {
-		if g := int(x.posts[i].Gen); g > maxGen {
+	for i := range x.d.Posts {
+		if g := int(x.d.Posts[i].Gen); g > maxGen {
 			maxGen = g
 		}
-		if s := int(x.posts[i].Spec); s > maxSpec {
+		if s := int(x.d.Posts[i].Spec); s > maxSpec {
 			maxSpec = s
 		}
 	}
@@ -368,28 +378,18 @@ type PostingSnapshot struct {
 	LCS     []eks.ConceptID `json:"lcs,omitempty"`
 }
 
-// Snapshot extracts the serializable form, lists in ascending concept
-// order so bundle bytes are deterministic.
+// Snapshot extracts the serializable form; lists are stored in ascending
+// concept order, so bundle bytes are deterministic.
 func (x *CandidateIndex) Snapshot() *CandidateIndexSnapshot {
-	snap := &CandidateIndexSnapshot{Radius: x.radius, Lists: make([]CandidateListSnapshot, 0, x.Concepts())}
-	var ids []eks.ConceptID
-	if x.flatIDs != nil {
-		ids = x.flatIDs // stored ascending already
-	} else {
-		ids = make([]eks.ConceptID, 0, len(x.lists))
-		for id := range x.lists {
-			ids = append(ids, id)
-		}
-		sortConceptIDs(ids)
-	}
-	for _, id := range ids {
-		posts, _ := x.lookup(id)
+	snap := &CandidateIndexSnapshot{Radius: x.d.Radius, Lists: make([]CandidateListSnapshot, 0, x.Concepts())}
+	for i, id := range x.d.Concepts {
+		posts := x.d.Posts[x.d.Off[i]:x.d.Off[i+1]]
 		ls := CandidateListSnapshot{Concept: id, Postings: make([]PostingSnapshot, 0, len(posts))}
 		for i := range posts {
 			p := &posts[i]
 			ps := PostingSnapshot{Concept: p.Concept, Hops: int(p.Hops), Gen: int(p.Gen), Spec: int(p.Spec)}
 			if p.LCSHi > p.LCSLo {
-				ps.LCS = append(ps.LCS, x.lcs[p.LCSLo:p.LCSHi]...)
+				ps.LCS = append(ps.LCS, x.d.LCS[p.LCSLo:p.LCSHi]...)
 			}
 			ls.Postings = append(ls.Postings, ps)
 		}
@@ -398,45 +398,70 @@ func (x *CandidateIndex) Snapshot() *CandidateIndexSnapshot {
 	return snap
 }
 
-// RestoreCandidateIndex rebuilds an index from its snapshot, validating
-// the structural invariants the online phase relies on (hop-major posting
-// order within the radius, ascending LCS sets, non-negative geometry).
+// RestoreCandidateIndex rebuilds an index from its snapshot: the lists
+// become columns in snapshot order and OpenFlatCandidateIndex validates the
+// result.
 func RestoreCandidateIndex(snap *CandidateIndexSnapshot) (*CandidateIndex, error) {
-	if snap.Radius < 1 {
-		return nil, fmt.Errorf("core: candidate index radius %d < 1", snap.Radius)
-	}
-	x := &CandidateIndex{radius: snap.Radius, lists: make(map[eks.ConceptID]postingSpan, len(snap.Lists))}
+	d := FlatCandidateIndexData{Radius: snap.Radius, Off: []int32{0}}
 	for _, ls := range snap.Lists {
-		if _, dup := x.lists[ls.Concept]; dup {
-			return nil, fmt.Errorf("core: candidate index lists concept %d twice", ls.Concept)
-		}
-		lo := int32(len(x.posts))
-		prevHops := 0
-		for _, ps := range ls.Postings {
-			if ps.Hops < 1 || ps.Hops > snap.Radius {
-				return nil, fmt.Errorf("core: posting %d->%d hops %d outside [1,%d]", ls.Concept, ps.Concept, ps.Hops, snap.Radius)
-			}
-			if ps.Hops < prevHops {
-				return nil, fmt.Errorf("core: concept %d posting list not hop-sorted", ls.Concept)
-			}
-			prevHops = ps.Hops
-			if ps.Gen < 0 || ps.Spec < 0 {
-				return nil, fmt.Errorf("core: posting %d->%d has negative meet geometry", ls.Concept, ps.Concept)
-			}
-			p := idxPosting{Concept: ps.Concept, Hops: int32(ps.Hops), Gen: int32(ps.Gen), Spec: int32(ps.Spec)}
+		posts := make([]Posting, len(ls.Postings))
+		var lcs []eks.ConceptID
+		for i, ps := range ls.Postings {
+			posts[i] = Posting{Concept: ps.Concept, Hops: toInt32(ps.Hops), Gen: toInt32(ps.Gen), Spec: toInt32(ps.Spec)}
 			if len(ps.LCS) > 0 {
-				for i := 1; i < len(ps.LCS); i++ {
-					if ps.LCS[i] <= ps.LCS[i-1] {
-						return nil, fmt.Errorf("core: posting %d->%d LCS set not strictly ascending", ls.Concept, ps.Concept)
-					}
-				}
-				p.LCSLo = int32(len(x.lcs))
-				x.lcs = append(x.lcs, ps.LCS...)
-				p.LCSHi = int32(len(x.lcs))
+				posts[i].LCSLo = int32(len(lcs))
+				lcs = append(lcs, ps.LCS...)
+				posts[i].LCSHi = int32(len(lcs))
 			}
-			x.posts = append(x.posts, p)
 		}
-		x.lists[ls.Concept] = postingSpan{lo: lo, hi: int32(len(x.posts))}
+		d.appendList(ls.Concept, posts, lcs)
 	}
-	return x, nil
+	return OpenFlatCandidateIndex(d)
+}
+
+// OpenFlatCandidateIndex adopts candidate-index columns as a
+// *CandidateIndex, enforcing the structural invariants the online phase
+// relies on: ascending concepts, hop-major posting order within the radius,
+// non-negative geometry, and strictly ascending LCS spans inside the pool.
+func OpenFlatCandidateIndex(d FlatCandidateIndexData) (*CandidateIndex, error) {
+	if d.Radius < 1 {
+		return nil, fmt.Errorf("core: candidate index radius %d < 1", d.Radius)
+	}
+	if d.Skipped < 0 {
+		return nil, fmt.Errorf("core: candidate index skipped count %d < 0", d.Skipped)
+	}
+	if err := checkCSR32("candidate index", len(d.Concepts), d.Off, len(d.Posts)); err != nil {
+		return nil, err
+	}
+	for i := 1; i < len(d.Concepts); i++ {
+		if d.Concepts[i] <= d.Concepts[i-1] {
+			return nil, fmt.Errorf("core: candidate index concepts not strictly ascending at %d", i)
+		}
+	}
+	for ci, q := range d.Concepts {
+		posts := d.Posts[d.Off[ci]:d.Off[ci+1]]
+		prevHops := int32(0)
+		for i := range posts {
+			p := &posts[i]
+			if p.Hops < 1 || int(p.Hops) > d.Radius {
+				return nil, fmt.Errorf("core: posting %d->%d hops %d outside [1,%d]", q, p.Concept, p.Hops, d.Radius)
+			}
+			if p.Hops < prevHops {
+				return nil, fmt.Errorf("core: concept %d posting list not hop-sorted", q)
+			}
+			prevHops = p.Hops
+			if p.Gen < 0 || p.Spec < 0 {
+				return nil, fmt.Errorf("core: posting %d->%d has negative meet geometry", q, p.Concept)
+			}
+			if p.LCSLo < 0 || p.LCSLo > p.LCSHi || int(p.LCSHi) > len(d.LCS) {
+				return nil, fmt.Errorf("core: posting %d->%d has LCS span [%d,%d) outside pool of %d", q, p.Concept, p.LCSLo, p.LCSHi, len(d.LCS))
+			}
+			for j := p.LCSLo + 1; j < p.LCSHi; j++ {
+				if d.LCS[j] <= d.LCS[j-1] {
+					return nil, fmt.Errorf("core: posting %d->%d LCS set not strictly ascending", q, p.Concept)
+				}
+			}
+		}
+	}
+	return &CandidateIndex{d: d}, nil
 }

@@ -22,8 +22,8 @@ func precomputeWorld(t *testing.T) (*Ingestion, *Similarity, *PrecomputedSimilar
 
 func TestPrecomputeCoverage(t *testing.T) {
 	ing, _, store := precomputeWorld(t)
-	if store.Queries() != len(ing.Flagged) {
-		t.Errorf("precomputed %d queries, want %d flagged", store.Queries(), len(ing.Flagged))
+	if store.Queries() != ing.FlaggedCount() {
+		t.Errorf("precomputed %d queries, want %d flagged", store.Queries(), ing.FlaggedCount())
 	}
 	// One entry per (query, context) including the context-free slot.
 	if store.Entries() != 3*store.Queries() {
@@ -35,7 +35,7 @@ func TestPrecomputeMatchesLive(t *testing.T) {
 	ing, sim, store := precomputeWorld(t)
 	live := NewRelaxer(ing, sim, exactMapper{ing.Graph}, RelaxOptions{Radius: 4})
 	ctx := &ontology.Context{Domain: "Indication", Relationship: "hasFinding", Range: "Finding"}
-	for q := range ing.Flagged {
+	for _, q := range ing.FlaggedIDs() {
 		cached, ok := store.Lookup(q, ctx)
 		if !ok {
 			t.Fatalf("no cache entry for %d", q)
@@ -70,7 +70,7 @@ func TestPrecomputeMaxPerQuery(t *testing.T) {
 	ing := ingestWorld(t, IngestOptions{})
 	sim := NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
 	store := Precompute(ing, sim, PrecomputeOptions{Radius: 6, MaxPerQuery: 1})
-	for q := range ing.Flagged {
+	for _, q := range ing.FlaggedIDs() {
 		ranked, ok := store.Lookup(q, nil)
 		if !ok {
 			t.Fatalf("no entry for %d", q)

@@ -130,7 +130,7 @@ type Relaxer struct {
 // false) a store built under different RelaxOptions, whose entries would
 // not reproduce this relaxer's answers.
 func (r *Relaxer) SetMaterialized(m *Materialized) bool {
-	if m == nil || m.opts != r.opts {
+	if m == nil || m.Options() != r.opts {
 		return false
 	}
 	r.mat = m
@@ -141,7 +141,7 @@ func (r *Relaxer) SetMaterialized(m *Materialized) bool {
 // (returning false) an index whose radius cannot cover the base search
 // radius.
 func (r *Relaxer) SetCandidateIndex(idx *CandidateIndex) bool {
-	if idx == nil || idx.radius < r.opts.Radius {
+	if idx == nil || idx.Radius() < r.opts.Radius {
 		return false
 	}
 	r.cidx = idx

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"math"
-	"slices"
 	"sync"
 
 	"medrelax/internal/eks"
@@ -262,10 +261,6 @@ func canonicalPathWeight(w PathWeights, gen, spec int) float64 {
 		weight *= math.Pow(w.Specialization, float64(d-(i+1)))
 	}
 	return weight
-}
-
-func sortConceptIDs(ids []eks.ConceptID) {
-	slices.Sort(ids)
 }
 
 // IntrinsicIC is the corpus-free information content of Seco, Veale & Hayes

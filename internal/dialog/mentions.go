@@ -1,7 +1,6 @@
 package dialog
 
 import (
-	"sort"
 	"strings"
 
 	"medrelax/internal/kb"
@@ -85,9 +84,7 @@ func (e *MentionExtractor) Extract(text string) []Mention {
 			continue
 		}
 		m := Mention{Text: match}
-		ids := e.store.LookupName(match)
-		m.Instances = append(m.Instances, ids...)
-		sort.Slice(m.Instances, func(a, b int) bool { return m.Instances[a] < m.Instances[b] })
+		m.Instances = append(m.Instances, e.store.LookupName(match)...) // ascending
 		out = append(out, m)
 		i += n
 	}

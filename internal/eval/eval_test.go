@@ -359,7 +359,7 @@ func TestEvaluateMappersAndMethodsRunners(t *testing.T) {
 
 	// Table 2 runner over one method.
 	m := core.NewQR(ing, mapper, core.RelaxOptions{Radius: 3, DynamicRadius: true})
-	rows := EvaluateMethods([]core.Method{m}, queries, o, ing.Flagged, 10)
+	rows := EvaluateMethods([]core.Method{m}, queries, o, flaggedSet(ing), 10)
 	if len(rows) != 1 || rows[0].Method != "QR" {
 		t.Fatalf("rows = %+v", rows)
 	}
@@ -368,7 +368,7 @@ func TestEvaluateMappersAndMethodsRunners(t *testing.T) {
 	}
 
 	// Per-query values agree with the macro average direction.
-	perQ := PerQueryF1(m, queries, o, ing.Flagged, 10)
+	perQ := PerQueryF1(m, queries, o, flaggedSet(ing), 10)
 	if len(perQ) != len(queries) {
 		t.Fatalf("per-query values = %d", len(perQ))
 	}

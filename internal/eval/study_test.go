@@ -6,6 +6,7 @@ import (
 
 	"medrelax/internal/core"
 	"medrelax/internal/dialog"
+	"medrelax/internal/eks"
 	"medrelax/internal/match"
 	"medrelax/internal/medkb"
 	"medrelax/internal/nlq"
@@ -40,9 +41,18 @@ func buildStudyEnv(t *testing.T) (StudyEnvironment, *core.Ingestion, *core.Relax
 		WithQR:    newConv(true),
 		WithoutQR: newConv(false),
 		Oracle:    o,
-		Flagged:   ing.Flagged,
+		Flagged:   flaggedSet(ing),
 	}
 	return env, ing, relaxer
+}
+
+// flaggedSet is the ingestion's FEC set in the map form the harness takes.
+func flaggedSet(ing *core.Ingestion) map[eks.ConceptID]bool {
+	set := map[eks.ConceptID]bool{}
+	for _, id := range ing.FlaggedIDs() {
+		set[id] = true
+	}
+	return set
 }
 
 func TestRunUserStudySmall(t *testing.T) {
@@ -67,7 +77,7 @@ func TestRunUserStudySmall(t *testing.T) {
 
 func TestNLQWorkloadGeneration(t *testing.T) {
 	env, ing, _ := buildStudyEnv(t)
-	qs := GenerateNLQWorkload(env.Oracle, ing.Flagged, NLQConfig{Seed: 5, Questions: 60})
+	qs := GenerateNLQWorkload(env.Oracle, env.Flagged, NLQConfig{Seed: 5, Questions: 60})
 	if len(qs) != 60 {
 		t.Fatalf("questions = %d", len(qs))
 	}
@@ -88,7 +98,7 @@ func TestNLQWorkloadGeneration(t *testing.T) {
 	}
 	// Unknown-concept questions target unflagged concepts.
 	for _, q := range qs {
-		if q.Kind == "unknown-concept" && ing.Flagged[q.Target] {
+		if q.Kind == "unknown-concept" && ing.IsFlagged(q.Target) {
 			t.Fatalf("unknown-concept question targets flagged %d", q.Target)
 		}
 	}
@@ -99,7 +109,7 @@ func TestRunNLQExperimentSmall(t *testing.T) {
 	med := env.Oracle.Med
 	withQR := nlq.NewSystem(med.Ontology, med.Store, relaxer, ing)
 	withoutQR := nlq.NewSystem(med.Ontology, med.Store, nil, nil)
-	res := RunNLQExperiment(env.Oracle, ing.Flagged, withQR, withoutQR, NLQConfig{Seed: 5, Questions: 60})
+	res := RunNLQExperiment(env.Oracle, env.Flagged, withQR, withoutQR, NLQConfig{Seed: 5, Questions: 60})
 	if res.WithQR.Total != 60 {
 		t.Fatalf("total = %d", res.WithQR.Total)
 	}

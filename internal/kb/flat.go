@@ -1,66 +1,155 @@
 package kb
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"medrelax/internal/ontology"
-	"medrelax/internal/stringutil"
 )
 
-// flatStore is a read-only store backing built from the flat (v4) bundle
-// sections. Instances live in parallel ascending-ID slices, the lexicon and
-// by-concept indexes are sorted-key CSR spans, and assertions are three
-// parallel columns sorted by (subject, relationship, object) with a stored
-// permutation providing the by-object order — so the whole ABox is served
-// by binary search over slices that usually alias a memory mapping.
-type flatStore struct {
-	ids      []InstanceID // ascending
-	concepts []string     // one per instance
-	names    []string     // one per instance
-
-	lexKeys []string // sorted normalized names
-	lexOff  []int32  // len(lexKeys)+1, CSR into lexIDs
-	lexIDs  []InstanceID
-
-	conKeys []string     // sorted concept names that have instances
-	conOff  []int32      // len(conKeys)+1, CSR into conIDs
-	conIDs  []InstanceID // ascending within each concept span
-
-	relNames  []string     // distinct relationship names
-	aSub      []InstanceID // assertion columns, sorted by (sub, rel name, obj)
-	aRel      []int32      // index into relNames
-	aObj      []InstanceID
-	byObjPerm []int32 // assertion order sorted by (obj, rel name, sub)
-}
-
-// FlatStoreData carries the decoded flat-bundle sections into NewFlatStore.
-// Slices may alias a memory mapping; the store never mutates them.
+// FlatStoreData is the column layout of a store's view, which is also the
+// layout of the store sections of a flat (v4) bundle: instances in parallel
+// ascending-ID slices, the lexicon and by-concept indexes as sorted-key CSR
+// spans, and assertions as three parallel columns sorted by (subject,
+// relationship, object) with a stored permutation providing the by-object
+// order — so the whole ABox is served by binary search. Slices handed to
+// NewFlatStore may alias a memory mapping; slices obtained from
+// Store.FlatData alias the store. Neither side mutates them.
 type FlatStoreData struct {
 	IDs      []InstanceID // ascending
 	Concepts []string
 	Names    []string
 
-	LexKeys []string // sorted ascending, unique
-	LexOff  []int32  // len(LexKeys)+1
-	LexIDs  []InstanceID
+	LexKeys []string     // sorted ascending, unique, normalized names
+	LexOff  []int32      // len(LexKeys)+1
+	LexIDs  []InstanceID // ascending within each key's span
 
-	ConceptKeys []string // sorted ascending, unique
-	ConceptOff  []int32  // len(ConceptKeys)+1
-	ConceptIDs  []InstanceID
+	ConceptKeys []string     // sorted ascending, unique
+	ConceptOff  []int32      // len(ConceptKeys)+1
+	ConceptIDs  []InstanceID // ascending within each concept's span
 
-	RelNames  []string
+	RelNames  []string     // sorted ascending, unique
 	ASub      []InstanceID // sorted by (ASub, RelNames[ARel], AObj)
 	ARel      []int32
 	AObj      []InstanceID
 	ByObjPerm []int32 // permutation of [0,len(ASub)) in (obj, rel, sub) order
 }
 
-// NewFlatStore wraps flat-bundle sections in a read-only *Store bound to
-// onto. It re-validates the invariants AddInstance/AddAssertion enforce
-// piecewise — known concepts, ontology-compatible assertions, sorted
-// columns, a genuine by-object permutation — so a corrupted bundle is
-// rejected rather than served. Mutating methods on the returned store fail.
+// view returns the read representation, building it under the mutex when a
+// mutation dropped it. Concurrent readers share one view.
+func (s *Store) view() *FlatStoreData {
+	if v := s.built.Load(); v != nil {
+		return v
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if v := s.built.Load(); v != nil {
+		return v
+	}
+	v := s.columns()
+	s.builds++
+	s.built.Store(v)
+	return v
+}
+
+// FlatData returns the view's columns, the form a flat bundle stores. The
+// slices alias the store and must not be modified.
+func (s *Store) FlatData() FlatStoreData { return *s.view() }
+
+// columns lays the builder state out as flat columns.
+func (s *Store) columns() *FlatStoreData {
+	n := len(s.instances)
+	d := &FlatStoreData{
+		IDs:      make([]InstanceID, n),
+		Concepts: make([]string, n),
+		Names:    make([]string, n),
+	}
+	bySlot := make([]int32, n)
+	for i := range bySlot {
+		bySlot[i] = int32(i)
+	}
+	slices.SortFunc(bySlot, func(a, b int32) int { return cmp.Compare(s.instances[a].ID, s.instances[b].ID) })
+	keys := make([]string, n)
+	for i, slot := range bySlot {
+		inst := &s.instances[slot]
+		d.IDs[i], d.Concepts[i], d.Names[i] = inst.ID, inst.Concept, inst.Name
+		keys[i] = s.keys[slot]
+	}
+	d.LexKeys, d.LexOff, d.LexIDs = groupByKey(keys, d.IDs)
+	d.ConceptKeys, d.ConceptOff, d.ConceptIDs = groupByKey(d.Concepts, d.IDs)
+
+	// Relationship names sort ascending, so comparing their indexes compares
+	// the names.
+	rel := make(map[string]int32)
+	for _, a := range s.assertions {
+		rel[a.Relationship] = 0
+	}
+	for name := range rel {
+		d.RelNames = append(d.RelNames, name)
+	}
+	slices.Sort(d.RelNames)
+	for i, name := range d.RelNames {
+		rel[name] = int32(i)
+	}
+	type row struct {
+		sub, obj InstanceID
+		rel      int32
+	}
+	rows := make([]row, len(s.assertions))
+	for i, a := range s.assertions {
+		rows[i] = row{sub: a.Subject, obj: a.Object, rel: rel[a.Relationship]}
+	}
+	slices.SortFunc(rows, func(a, b row) int {
+		return cmp.Or(cmp.Compare(a.sub, b.sub), cmp.Compare(a.rel, b.rel), cmp.Compare(a.obj, b.obj))
+	})
+	d.ASub = make([]InstanceID, len(rows))
+	d.ARel = make([]int32, len(rows))
+	d.AObj = make([]InstanceID, len(rows))
+	d.ByObjPerm = make([]int32, len(rows))
+	for i, r := range rows {
+		d.ASub[i], d.ARel[i], d.AObj[i] = r.sub, r.rel, r.obj
+		d.ByObjPerm[i] = int32(i)
+	}
+	slices.SortFunc(d.ByObjPerm, func(i, j int32) int {
+		a, b := rows[i], rows[j]
+		return cmp.Or(cmp.Compare(a.obj, b.obj), cmp.Compare(a.rel, b.rel), cmp.Compare(a.sub, b.sub), cmp.Compare(i, j))
+	})
+	return d
+}
+
+// groupByKey builds one sorted-key CSR index over ids, where keys[i] is the
+// key of ids[i]; blank keys are not indexed. ids ascend, and ties on the key
+// keep that order, so every span ascends too.
+func groupByKey(keys []string, ids []InstanceID) (uniq []string, off []int32, pool []InstanceID) {
+	order := make([]int32, 0, len(ids))
+	for i, k := range keys {
+		if k != "" {
+			order = append(order, int32(i))
+		}
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(keys[a], keys[b]), cmp.Compare(a, b))
+	})
+	off = []int32{0}
+	pool = make([]InstanceID, len(order))
+	for p, i := range order {
+		if k := len(uniq); k == 0 || uniq[k-1] != keys[i] {
+			uniq = append(uniq, keys[i])
+			off = append(off, off[k])
+		}
+		pool[p] = ids[i]
+		off[len(uniq)]++
+	}
+	return uniq, off, pool
+}
+
+// NewFlatStore adopts flat-bundle sections as the view of a read-only *Store
+// bound to onto. It validates what AddInstance/AddAssertion enforce piecewise
+// and what the view build guarantees by construction — known concepts,
+// ontology-compatible assertions, sorted columns and spans, a genuine
+// by-object permutation — so a corrupted bundle is rejected rather than
+// served. Mutating methods on the returned store fail.
 func NewFlatStore(onto *ontology.Ontology, d FlatStoreData) (*Store, error) {
 	n := len(d.IDs)
 	if len(d.Concepts) != n || len(d.Names) != n {
@@ -70,39 +159,32 @@ func NewFlatStore(onto *ontology.Ontology, d FlatStoreData) (*Store, error) {
 		if i > 0 && d.IDs[i] <= d.IDs[i-1] {
 			return nil, fmt.Errorf("kb: flat store: instance ids not strictly ascending at %d", i)
 		}
-		if d.Names[i] == "" {
-			return nil, fmt.Errorf("kb: instance %d has empty name", d.IDs[i])
-		}
-		if !onto.HasConcept(d.Concepts[i]) {
-			return nil, fmt.Errorf("kb: instance %d has unknown concept %q", d.IDs[i], d.Concepts[i])
+		if err := checkInstance(onto, Instance{ID: d.IDs[i], Concept: d.Concepts[i], Name: d.Names[i]}); err != nil {
+			return nil, err
 		}
 	}
-	f := &flatStore{
-		ids: d.IDs, concepts: d.Concepts, names: d.Names,
-		lexKeys: d.LexKeys, lexOff: d.LexOff, lexIDs: d.LexIDs,
-		conKeys: d.ConceptKeys, conOff: d.ConceptOff, conIDs: d.ConceptIDs,
-		relNames: d.RelNames, aSub: d.ASub, aRel: d.ARel, aObj: d.AObj,
-		byObjPerm: d.ByObjPerm,
-	}
-	if err := f.checkIndex("lexicon", d.LexKeys, d.LexOff, d.LexIDs); err != nil {
+	if err := d.checkIndex("lexicon", d.LexKeys, d.LexOff, d.LexIDs); err != nil {
 		return nil, err
 	}
-	if err := f.checkIndex("by-concept", d.ConceptKeys, d.ConceptOff, d.ConceptIDs); err != nil {
+	if err := d.checkIndex("by-concept", d.ConceptKeys, d.ConceptOff, d.ConceptIDs); err != nil {
 		return nil, err
 	}
-	if err := f.checkAssertions(onto); err != nil {
+	if err := d.checkAssertions(onto); err != nil {
 		return nil, err
 	}
-	return &Store{onto: onto, flat: f, count: n}, nil
+	s := &Store{onto: onto, readOnly: true, n: n}
+	s.built.Store(&d)
+	return s, nil
 }
 
 // checkIndex validates one sorted-key CSR index: ascending unique keys,
-// monotonic offsets bounded by the ID pool, and IDs that exist.
-func (f *flatStore) checkIndex(what string, keys []string, off []int32, pool []InstanceID) error {
+// monotonic offsets bounded by the ID pool, and spans of ascending IDs that
+// exist.
+func (d *FlatStoreData) checkIndex(what string, keys []string, off []int32, pool []InstanceID) error {
 	if len(off) != len(keys)+1 {
 		return fmt.Errorf("kb: flat store: %s offsets have length %d, want %d", what, len(off), len(keys)+1)
 	}
-	if len(off) > 0 && (off[0] != 0 || int(off[len(off)-1]) != len(pool)) {
+	if off[0] != 0 || int(off[len(keys)]) != len(pool) {
 		return fmt.Errorf("kb: flat store: %s offsets do not span the id pool", what)
 	}
 	for i := 1; i < len(off); i++ {
@@ -115,196 +197,100 @@ func (f *flatStore) checkIndex(what string, keys []string, off []int32, pool []I
 			return fmt.Errorf("kb: flat store: %s keys not strictly ascending at %d", what, i)
 		}
 	}
-	for _, id := range pool {
-		if _, ok := f.instance(id); !ok {
-			return fmt.Errorf("kb: flat store: %s references unknown instance %d", what, id)
+	for i, key := range keys {
+		span := pool[off[i]:off[i+1]]
+		for j, id := range span {
+			if j > 0 && id <= span[j-1] {
+				return fmt.Errorf("kb: flat store: %s ids of %q not strictly ascending", what, key)
+			}
+			if _, ok := slices.BinarySearch(d.IDs, id); !ok {
+				return fmt.Errorf("kb: flat store: %s references unknown instance %d", what, id)
+			}
 		}
 	}
 	return nil
 }
 
-// checkAssertions validates the assertion columns: equal lengths, known
-// endpoints and relationship indexes, ontology domain/range compatibility,
-// (sub, rel, obj) sort order, and that byObjPerm is a permutation in
-// (obj, rel, sub) order.
-func (f *flatStore) checkAssertions(onto *ontology.Ontology) error {
-	a := len(f.aSub)
-	if len(f.aRel) != a || len(f.aObj) != a || len(f.byObjPerm) != a {
+// checkAssertions validates the assertion columns: equal lengths, ascending
+// relationship names, known endpoints and relationship indexes, ontology
+// domain/range compatibility, (sub, rel, obj) sort order, and that ByObjPerm
+// is a permutation in (obj, rel, sub) order.
+func (d *FlatStoreData) checkAssertions(onto *ontology.Ontology) error {
+	a := len(d.ASub)
+	if len(d.ARel) != a || len(d.AObj) != a || len(d.ByObjPerm) != a {
 		return fmt.Errorf("kb: flat store: assertion columns disagree: %d/%d/%d/%d",
-			a, len(f.aRel), len(f.aObj), len(f.byObjPerm))
+			a, len(d.ARel), len(d.AObj), len(d.ByObjPerm))
+	}
+	for i := 1; i < len(d.RelNames); i++ {
+		if d.RelNames[i] <= d.RelNames[i-1] {
+			return fmt.Errorf("kb: flat store: relationship names not strictly ascending at %d", i)
+		}
 	}
 	// Compatibility is per (relationship, subject concept, object concept);
-	// memoizing on the relationship index keeps this O(A) map lookups.
-	type pair struct {
+	// memoizing on the triple keeps this O(A) map lookups.
+	type triple struct {
 		rel      int32
 		sub, obj string
 	}
-	okCache := make(map[pair]bool)
+	checked := make(map[triple]bool)
 	for i := 0; i < a; i++ {
-		if f.aRel[i] < 0 || int(f.aRel[i]) >= len(f.relNames) {
-			return fmt.Errorf("kb: flat store: assertion %d has relationship index %d of %d", i, f.aRel[i], len(f.relNames))
+		if d.ARel[i] < 0 || int(d.ARel[i]) >= len(d.RelNames) {
+			return fmt.Errorf("kb: flat store: assertion %d has relationship index %d of %d", i, d.ARel[i], len(d.RelNames))
 		}
-		sub, ok := f.instance(f.aSub[i])
+		sub, ok := slices.BinarySearch(d.IDs, d.ASub[i])
 		if !ok {
-			return fmt.Errorf("kb: assertion subject %d not found", f.aSub[i])
+			return errEndpoint("subject", d.ASub[i])
 		}
-		obj, ok := f.instance(f.aObj[i])
+		obj, ok := slices.BinarySearch(d.IDs, d.AObj[i])
 		if !ok {
-			return fmt.Errorf("kb: assertion object %d not found", f.aObj[i])
+			return errEndpoint("object", d.AObj[i])
 		}
-		p := pair{rel: f.aRel[i], sub: sub.Concept, obj: obj.Concept}
-		compatible, seen := okCache[p]
-		if !seen {
-			rel := f.relNames[f.aRel[i]]
-			for _, r := range onto.RelationshipsNamed(rel) {
-				if onto.IsSubConceptOf(sub.Concept, r.Domain) && onto.IsSubConceptOf(obj.Concept, r.Range) {
-					compatible = true
-					break
-				}
+		t := triple{rel: d.ARel[i], sub: d.Concepts[sub], obj: d.Concepts[obj]}
+		if !checked[t] {
+			if err := checkCompatible(onto, d.RelNames[t.rel], t.sub, t.obj); err != nil {
+				return err
 			}
-			okCache[p] = compatible
+			checked[t] = true
 		}
-		if !compatible {
-			return fmt.Errorf("kb: assertion %s(%s,%s) violates ontology domain/range",
-				f.relNames[f.aRel[i]], sub.Concept, obj.Concept)
-		}
-		if i > 0 && f.assertLess(i, i-1) {
+		if i > 0 && d.compareRows(i, i-1, false) < 0 {
 			return fmt.Errorf("kb: flat store: assertions not sorted at %d", i)
 		}
 	}
-	seenPerm := make([]bool, a)
-	for i, p := range f.byObjPerm {
-		if p < 0 || int(p) >= a || seenPerm[p] {
+	seen := make([]bool, a)
+	for i, p := range d.ByObjPerm {
+		if p < 0 || int(p) >= a || seen[p] {
 			return fmt.Errorf("kb: flat store: by-object permutation invalid at %d", i)
 		}
-		seenPerm[p] = true
-		if i > 0 && f.objLess(p, f.byObjPerm[i-1]) {
+		seen[p] = true
+		if i > 0 && d.compareRows(int(p), int(d.ByObjPerm[i-1]), true) < 0 {
 			return fmt.Errorf("kb: flat store: by-object permutation not sorted at %d", i)
 		}
 	}
 	return nil
 }
 
-// assertLess orders assertion rows by (subject, relationship name, object).
-func (f *flatStore) assertLess(i, j int) bool {
-	if f.aSub[i] != f.aSub[j] {
-		return f.aSub[i] < f.aSub[j]
+// compareRows orders assertion rows i and j by (subject, relationship,
+// object), or by (object, relationship, subject) when byObject is set.
+func (d *FlatStoreData) compareRows(i, j int, byObject bool) int {
+	first, last := d.ASub, d.AObj
+	if byObject {
+		first, last = last, first
 	}
-	ri, rj := f.relNames[f.aRel[i]], f.relNames[f.aRel[j]]
-	if ri != rj {
-		return ri < rj
-	}
-	return f.aObj[i] < f.aObj[j]
-}
-
-// objLess orders assertion rows by (object, relationship name, subject).
-func (f *flatStore) objLess(i, j int32) bool {
-	if f.aObj[i] != f.aObj[j] {
-		return f.aObj[i] < f.aObj[j]
-	}
-	ri, rj := f.relNames[f.aRel[i]], f.relNames[f.aRel[j]]
-	if ri != rj {
-		return ri < rj
-	}
-	return f.aSub[i] < f.aSub[j]
-}
-
-// pos maps an InstanceID to its slice position by binary search.
-func (f *flatStore) pos(id InstanceID) (int, bool) {
-	lo, hi := 0, len(f.ids)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if f.ids[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(f.ids) && f.ids[lo] == id {
-		return lo, true
-	}
-	return 0, false
-}
-
-func (f *flatStore) instance(id InstanceID) (Instance, bool) {
-	i, ok := f.pos(id)
-	if !ok {
-		return Instance{}, false
-	}
-	return Instance{ID: id, Concept: f.concepts[i], Name: f.names[i]}, true
+	return cmp.Or(cmp.Compare(first[i], first[j]), cmp.Compare(d.ARel[i], d.ARel[j]), cmp.Compare(last[i], last[j]))
 }
 
 // keySpan binary-searches a sorted key index and returns its ID span.
 func keySpan(keys []string, off []int32, pool []InstanceID, key string) []InstanceID {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if keys[mid] < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= len(keys) || keys[lo] != key {
+	i, ok := slices.BinarySearch(keys, key)
+	if !ok {
 		return nil
 	}
-	return pool[off[lo]:off[lo+1]]
+	return pool[off[i]:off[i+1]]
 }
 
-func (f *flatStore) allInstances() []Instance {
-	out := make([]Instance, len(f.ids))
-	for i, id := range f.ids {
-		out[i] = Instance{ID: id, Concept: f.concepts[i], Name: f.names[i]}
-	}
-	return out
-}
-
-func (f *flatStore) allAssertions() []Assertion {
-	out := make([]Assertion, len(f.aSub))
-	for i := range f.aSub {
-		out[i] = Assertion{Subject: f.aSub[i], Relationship: f.relNames[f.aRel[i]], Object: f.aObj[i]}
-	}
-	return out
-}
-
-// subjects collects the subjects of rel-assertions on obj from the
-// by-object permutation span; within one object the permutation is ordered
-// by (rel, sub), so the filtered output is already sorted.
-func (f *flatStore) subjects(rel string, obj InstanceID) []InstanceID {
-	lo := sort.Search(len(f.byObjPerm), func(i int) bool { return f.aObj[f.byObjPerm[i]] >= obj })
-	var out []InstanceID
-	for ; lo < len(f.byObjPerm); lo++ {
-		p := f.byObjPerm[lo]
-		if f.aObj[p] != obj {
-			break
-		}
-		if f.relNames[f.aRel[p]] == rel {
-			out = append(out, f.aSub[p])
-		}
-	}
-	return out
-}
-
-// objects collects the objects of rel-assertions from sub's column span;
-// within one subject the columns are ordered by (rel, obj).
-func (f *flatStore) objects(rel string, sub InstanceID) []InstanceID {
-	lo := sort.Search(len(f.aSub), func(i int) bool { return f.aSub[i] >= sub })
-	var out []InstanceID
-	for ; lo < len(f.aSub); lo++ {
-		if f.aSub[lo] != sub {
-			break
-		}
-		if f.relNames[f.aRel[lo]] == rel {
-			out = append(out, f.aObj[lo])
-		}
-	}
-	return out
-}
-
-func (f *flatStore) lookupName(name string) []InstanceID {
-	span := keySpan(f.lexKeys, f.lexOff, f.lexIDs, stringutil.Normalize(name))
+// copyIDs returns a fresh, never-nil copy of a span of the view.
+func copyIDs(span []InstanceID) []InstanceID {
 	out := make([]InstanceID, len(span))
 	copy(out, span)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

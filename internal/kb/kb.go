@@ -10,7 +10,10 @@ package kb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"medrelax/internal/ontology"
 	"medrelax/internal/stringutil"
@@ -35,26 +38,36 @@ type Assertion struct {
 	Object       InstanceID
 }
 
-// Store is a mutable instance store bound to a domain ontology. The zero
-// value is not usable; call NewStore.
+// Store is an instance store bound to a domain ontology. It has one read
+// representation, the view (flat.go): columns laid out exactly as
+// FlatStoreData. AddInstance and AddAssertion only append to a small builder
+// state; the first read after a mutation builds the view from it, and
+// NewFlatStore adopts stored columns as the view of a read-only store. The
+// zero value is not usable; call NewStore.
 type Store struct {
-	onto      *ontology.Ontology
-	instances map[InstanceID]Instance
-	byConcept map[string][]InstanceID
-	lexicon   map[string][]InstanceID // normalized name -> ids
-	// assertion indexes
-	bySubject map[InstanceID][]Assertion
-	byObject  map[InstanceID][]Assertion
-	count     int
+	onto *ontology.Ontology
 
-	// flat, when set, backs the store with read-only flat-bundle sections
-	// (usually a memory mapping) instead of the maps above; see
-	// NewFlatStore. Mutating methods fail on a flat store.
-	flat *flatStore
+	// Builder state: what the mutators check against and append to, in
+	// insertion order. Empty on a read-only store.
+	instances  []Instance
+	keys       []string             // normalized name per instance
+	slot       map[InstanceID]int32 // id -> index into instances
+	assertions []Assertion
+	readOnly   bool
+
+	// n answers Len without the view, so a loader may poll it between
+	// mutations for free.
+	n int
+
+	// built is the read representation: constructed under mu by the first
+	// read after a mutation, dropped by every mutation, adopted once and for
+	// all by NewFlatStore. builds counts the constructions.
+	mu     sync.Mutex
+	built  atomic.Pointer[FlatStoreData]
+	builds int
 }
 
-// errFlatMutate is returned by every mutating method on a flat-backed store.
-var errFlatMutate = fmt.Errorf("kb: store is a read-only flat snapshot view")
+var errReadOnly = fmt.Errorf("kb: store is a read-only flat snapshot view")
 
 // NewStore returns an empty store validating instance types and assertion
 // relationships against onto.
@@ -63,15 +76,14 @@ func NewStore(onto *ontology.Ontology) *Store {
 }
 
 // NewStoreSized returns an empty store with capacity hints for n
-// instances, so bulk loads avoid rehashing while they insert.
+// instances, so bulk loads avoid regrowing while they insert.
 func NewStoreSized(onto *ontology.Ontology, n int) *Store {
 	return &Store{
-		onto:      onto,
-		instances: make(map[InstanceID]Instance, n),
-		byConcept: make(map[string][]InstanceID),
-		lexicon:   make(map[string][]InstanceID, n),
-		bySubject: make(map[InstanceID][]Assertion, n),
-		byObject:  make(map[InstanceID][]Assertion, n),
+		onto:       onto,
+		instances:  make([]Instance, 0, n),
+		keys:       make([]string, 0, n),
+		slot:       make(map[InstanceID]int32, n),
+		assertions: make([]Assertion, 0, n),
 	}
 }
 
@@ -80,25 +92,32 @@ func (s *Store) Ontology() *ontology.Ontology { return s.onto }
 
 // AddInstance inserts an instance; its concept must exist in the ontology.
 func (s *Store) AddInstance(inst Instance) error {
-	if s.flat != nil {
-		return errFlatMutate
+	if s.readOnly {
+		return errReadOnly
 	}
+	if err := checkInstance(s.onto, inst); err != nil {
+		return err
+	}
+	if _, ok := s.slot[inst.ID]; ok {
+		return fmt.Errorf("kb: duplicate instance id %d", inst.ID)
+	}
+	s.slot[inst.ID] = int32(len(s.instances))
+	s.instances = append(s.instances, inst)
+	s.keys = append(s.keys, stringutil.Normalize(inst.Name))
+	s.n++
+	s.built.Store(nil)
+	return nil
+}
+
+// checkInstance is the per-instance invariant, shared by AddInstance and the
+// NewFlatStore validator.
+func checkInstance(onto *ontology.Ontology, inst Instance) error {
 	if inst.Name == "" {
 		return fmt.Errorf("kb: instance %d has empty name", inst.ID)
 	}
-	if !s.onto.HasConcept(inst.Concept) {
+	if !onto.HasConcept(inst.Concept) {
 		return fmt.Errorf("kb: instance %d has unknown concept %q", inst.ID, inst.Concept)
 	}
-	if _, ok := s.instances[inst.ID]; ok {
-		return fmt.Errorf("kb: duplicate instance id %d", inst.ID)
-	}
-	s.instances[inst.ID] = inst
-	s.byConcept[inst.Concept] = append(s.byConcept[inst.Concept], inst.ID)
-	key := stringutil.Normalize(inst.Name)
-	if key != "" {
-		s.lexicon[key] = append(s.lexicon[key], inst.ID)
-	}
-	s.count++
 	return nil
 }
 
@@ -106,170 +125,131 @@ func (s *Store) AddInstance(inst Instance) error {
 // the relationship must be declared in the ontology with compatible
 // domain/range for the endpoint concepts.
 func (s *Store) AddAssertion(a Assertion) error {
-	if s.flat != nil {
-		return errFlatMutate
+	if s.readOnly {
+		return errReadOnly
 	}
-	sub, ok := s.instances[a.Subject]
+	sub, ok := s.slot[a.Subject]
 	if !ok {
-		return fmt.Errorf("kb: assertion subject %d not found", a.Subject)
+		return errEndpoint("subject", a.Subject)
 	}
-	obj, ok := s.instances[a.Object]
+	obj, ok := s.slot[a.Object]
 	if !ok {
-		return fmt.Errorf("kb: assertion object %d not found", a.Object)
+		return errEndpoint("object", a.Object)
 	}
-	compatible := false
-	for _, r := range s.onto.RelationshipsNamed(a.Relationship) {
-		if s.onto.IsSubConceptOf(sub.Concept, r.Domain) && s.onto.IsSubConceptOf(obj.Concept, r.Range) {
-			compatible = true
-			break
+	if err := checkCompatible(s.onto, a.Relationship, s.instances[sub].Concept, s.instances[obj].Concept); err != nil {
+		return err
+	}
+	s.assertions = append(s.assertions, a)
+	s.built.Store(nil)
+	return nil
+}
+
+func errEndpoint(role string, id InstanceID) error {
+	return fmt.Errorf("kb: assertion %s %d not found", role, id)
+}
+
+// checkCompatible is the per-assertion ontology invariant, shared by
+// AddAssertion and the NewFlatStore validator: some declaration of rel must
+// admit the endpoint concepts as domain and range.
+func checkCompatible(onto *ontology.Ontology, rel, subConcept, objConcept string) error {
+	for _, r := range onto.RelationshipsNamed(rel) {
+		if onto.IsSubConceptOf(subConcept, r.Domain) && onto.IsSubConceptOf(objConcept, r.Range) {
+			return nil
 		}
 	}
-	if !compatible {
-		return fmt.Errorf("kb: assertion %s(%s,%s) violates ontology domain/range",
-			a.Relationship, sub.Concept, obj.Concept)
-	}
-	s.bySubject[a.Subject] = append(s.bySubject[a.Subject], a)
-	s.byObject[a.Object] = append(s.byObject[a.Object], a)
-	return nil
+	return fmt.Errorf("kb: assertion %s(%s,%s) violates ontology domain/range", rel, subConcept, objConcept)
 }
 
 // Instance returns the instance with the given ID.
 func (s *Store) Instance(id InstanceID) (Instance, bool) {
-	if s.flat != nil {
-		return s.flat.instance(id)
+	v := s.view()
+	i, ok := slices.BinarySearch(v.IDs, id)
+	if !ok {
+		return Instance{}, false
 	}
-	inst, ok := s.instances[id]
-	return inst, ok
+	return Instance{ID: id, Concept: v.Concepts[i], Name: v.Names[i]}, true
 }
 
 // Len returns the number of instances.
-func (s *Store) Len() int { return s.count }
+func (s *Store) Len() int { return s.n }
 
 // InstancesOf returns the IDs of all instances of the exact concept,
-// sorted.
+// ascending.
 func (s *Store) InstancesOf(concept string) []InstanceID {
-	if s.flat != nil {
-		// Stored ascending per concept, so the span only needs copying.
-		span := keySpan(s.flat.conKeys, s.flat.conOff, s.flat.conIDs, concept)
-		out := make([]InstanceID, len(span))
-		copy(out, span)
-		return out
-	}
-	ids := s.byConcept[concept]
-	out := make([]InstanceID, len(ids))
-	copy(out, ids)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	v := s.view()
+	return copyIDs(keySpan(v.ConceptKeys, v.ConceptOff, v.ConceptIDs, concept))
 }
 
 // AllInstances returns every instance, sorted by ID.
 func (s *Store) AllInstances() []Instance {
-	if s.flat != nil {
-		return s.flat.allInstances()
+	v := s.view()
+	out := make([]Instance, len(v.IDs))
+	for i, id := range v.IDs {
+		out[i] = Instance{ID: id, Concept: v.Concepts[i], Name: v.Names[i]}
 	}
-	out := make([]Instance, 0, len(s.instances))
-	for _, inst := range s.instances {
-		out = append(out, inst)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // LookupName returns the instances whose name normalizes to the same form
-// as name, sorted by ID.
+// as name, ascending.
 func (s *Store) LookupName(name string) []InstanceID {
-	if s.flat != nil {
-		return s.flat.lookupName(name)
-	}
-	ids := s.lexicon[stringutil.Normalize(name)]
-	out := make([]InstanceID, len(ids))
-	copy(out, ids)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return s.IDsForLexiconKey(stringutil.Normalize(name))
 }
 
-// LexiconKeys returns every normalized instance name. Order unspecified.
-func (s *Store) LexiconKeys() []string {
-	if s.flat != nil {
-		keys := make([]string, len(s.flat.lexKeys))
-		copy(keys, s.flat.lexKeys)
-		return keys
-	}
-	keys := make([]string, 0, len(s.lexicon))
-	for k := range s.lexicon {
-		keys = append(keys, k)
-	}
-	return keys
-}
+// LexiconKeys returns every normalized instance name in ascending order.
+func (s *Store) LexiconKeys() []string { return slices.Clone(s.view().LexKeys) }
 
-// IDsForLexiconKey returns instance IDs indexed under an already-normalized
-// key.
+// IDsForLexiconKey returns the instance IDs indexed under an
+// already-normalized key, ascending.
 func (s *Store) IDsForLexiconKey(key string) []InstanceID {
-	if s.flat != nil {
-		span := keySpan(s.flat.lexKeys, s.flat.lexOff, s.flat.lexIDs, key)
-		out := make([]InstanceID, len(span))
-		copy(out, span)
-		return out
-	}
-	ids := s.lexicon[key]
-	out := make([]InstanceID, len(ids))
-	copy(out, ids)
-	return out
+	v := s.view()
+	return copyIDs(keySpan(v.LexKeys, v.LexOff, v.LexIDs, key))
 }
 
 // AllAssertions returns every assertion, sorted by (subject, relationship,
 // object) for determinism.
 func (s *Store) AllAssertions() []Assertion {
-	if s.flat != nil {
-		return s.flat.allAssertions()
+	v := s.view()
+	out := make([]Assertion, len(v.ASub))
+	for i := range v.ASub {
+		out[i] = Assertion{Subject: v.ASub[i], Relationship: v.RelNames[v.ARel[i]], Object: v.AObj[i]}
 	}
-	var out []Assertion
-	for _, as := range s.bySubject {
-		out = append(out, as...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Subject != b.Subject {
-			return a.Subject < b.Subject
-		}
-		if a.Relationship != b.Relationship {
-			return a.Relationship < b.Relationship
-		}
-		return a.Object < b.Object
-	})
 	return out
 }
 
 // Subjects returns the subjects of all assertions with the given
-// relationship whose object is obj, sorted. This answers queries such as
-// "which indications have finding F".
+// relationship whose object is obj, ascending. This answers queries such as
+// "which indications have finding F". Within one object the by-object
+// permutation is ordered by (relationship, subject), so the filtered span is
+// already sorted.
 func (s *Store) Subjects(relationship string, obj InstanceID) []InstanceID {
-	if s.flat != nil {
-		return s.flat.subjects(relationship, obj)
-	}
+	v := s.view()
+	lo := sort.Search(len(v.ByObjPerm), func(i int) bool { return v.AObj[v.ByObjPerm[i]] >= obj })
 	var out []InstanceID
-	for _, a := range s.byObject[obj] {
-		if a.Relationship == relationship {
-			out = append(out, a.Subject)
+	for ; lo < len(v.ByObjPerm); lo++ {
+		p := v.ByObjPerm[lo]
+		if v.AObj[p] != obj {
+			break
+		}
+		if v.RelNames[v.ARel[p]] == relationship {
+			out = append(out, v.ASub[p])
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // Objects returns the objects of all assertions with the given relationship
-// whose subject is sub, sorted.
+// whose subject is sub, ascending: within one subject the assertion columns
+// are ordered by (relationship, object).
 func (s *Store) Objects(relationship string, sub InstanceID) []InstanceID {
-	if s.flat != nil {
-		return s.flat.objects(relationship, sub)
-	}
+	v := s.view()
+	lo, _ := slices.BinarySearch(v.ASub, sub)
 	var out []InstanceID
-	for _, a := range s.bySubject[sub] {
-		if a.Relationship == relationship {
-			out = append(out, a.Object)
+	for ; lo < len(v.ASub) && v.ASub[lo] == sub; lo++ {
+		if v.RelNames[v.ARel[lo]] == relationship {
+			out = append(out, v.AObj[lo])
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -119,46 +119,32 @@ func addAncillaryData(rng *rand.Rand, store *kb.Store, newInstance func(concept,
 	return nil
 }
 
-// AddDrugInteractions links random drug pairs through DrugInteraction
-// instances; called once after all drugs exist.
-func AddDrugInteractions(rng *rand.Rand, store *kb.Store, pairs int) error {
-	drugs := store.InstancesOf(ConceptDrug)
+// addDrugInteractions links random drug pairs through DrugInteraction
+// instances; called once after all drugs exist. The drugs and their names
+// come from the generator's own record, not from the store: a store read
+// between writes rebuilds the store's view.
+func addDrugInteractions(rng *rand.Rand, store *kb.Store, newInstance func(concept, name string) (kb.InstanceID, error), drugs []kb.InstanceID, names []string, pairs int) error {
 	if len(drugs) < 2 {
 		return nil
 	}
-	nextID := maxInstanceID(store) + 1
 	for i := 0; i < pairs; i++ {
-		a := drugs[rng.Intn(len(drugs))]
-		b := drugs[rng.Intn(len(drugs))]
+		a := rng.Intn(len(drugs))
+		b := rng.Intn(len(drugs))
 		if a == b {
 			continue
 		}
-		instA, _ := store.Instance(a)
-		instB, _ := store.Instance(b)
-		id := nextID
-		nextID++
-		if err := store.AddInstance(kb.Instance{ID: id, Concept: "DrugInteraction",
-			Name: instA.Name + " interaction with " + instB.Name}); err != nil {
+		id, err := newInstance("DrugInteraction", names[a]+" interaction with "+names[b])
+		if err != nil {
 			return err
 		}
-		if err := store.AddAssertion(kb.Assertion{Subject: a, Relationship: "hasInteraction", Object: id}); err != nil {
+		if err := store.AddAssertion(kb.Assertion{Subject: drugs[a], Relationship: "hasInteraction", Object: id}); err != nil {
 			return err
 		}
-		if err := store.AddAssertion(kb.Assertion{Subject: id, Relationship: "interactsWithDrug", Object: b}); err != nil {
+		if err := store.AddAssertion(kb.Assertion{Subject: id, Relationship: "interactsWithDrug", Object: drugs[b]}); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func maxInstanceID(store *kb.Store) kb.InstanceID {
-	var max kb.InstanceID
-	for _, inst := range store.AllInstances() {
-		if inst.ID > max {
-			max = inst.ID
-		}
-	}
-	return max
 }
 
 func brandName(rng *rand.Rand, drugName string) string {

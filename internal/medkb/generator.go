@@ -183,6 +183,7 @@ func Generate(world *synthkb.World, cfg Config) (*MED, error) {
 	// two body systems, which keeps its findings clinically coherent.
 	popList := make([]eks.ConceptID, len(covered))
 	copy(popList, covered)
+	var drugIDs []kb.InstanceID // ascending, parallel to med.DrugNames
 	for d := 0; d < cfg.Drugs; d++ {
 		drugName := drugName(rng, d)
 		med.DrugNames = append(med.DrugNames, drugName)
@@ -190,6 +191,7 @@ func Generate(world *synthkb.World, cfg Config) (*MED, error) {
 		if err != nil {
 			return nil, err
 		}
+		drugIDs = append(drugIDs, drugID)
 		systems := pickSystems(rng, world, covered)
 		indications := samplePopular(rng, popList, med.Popularity, cfg.IndicationsPerDrug, func(id eks.ConceptID) bool {
 			return systems[world.Attrs[id].System]
@@ -232,13 +234,14 @@ func Generate(world *synthkb.World, cfg Config) (*MED, error) {
 	}
 
 	// 4. Coverage boost: attach still-uncovered findings to random drugs
-	// until the target treated/caused shares are met.
-	drugInstances := store.InstancesOf(ConceptDrug)
+	// until the target treated/caused shares are met. The drugs come from
+	// the generator's own record, not from the store: a store read between
+	// writes rebuilds the store's view.
 	attach := func(find eks.ConceptID, treated bool) error {
-		drugID := drugInstances[rng.Intn(len(drugInstances))]
-		drug, _ := store.Instance(drugID)
+		d := rng.Intn(len(drugIDs))
+		drugID, drugName := drugIDs[d], med.DrugNames[d]
 		if treated {
-			indID, err := newInstance(ConceptIndication, drug.Name+" indication: "+nameOf(world, find))
+			indID, err := newInstance(ConceptIndication, drugName+" indication: "+nameOf(world, find))
 			if err != nil {
 				return err
 			}
@@ -251,7 +254,7 @@ func Generate(world *synthkb.World, cfg Config) (*MED, error) {
 			med.Treated[find] = true
 			return nil
 		}
-		riskID, err := newInstance(ConceptAdverseEffect, drug.Name+" adverse effect: "+nameOf(world, find))
+		riskID, err := newInstance(ConceptAdverseEffect, drugName+" adverse effect: "+nameOf(world, find))
 		if err != nil {
 			return err
 		}
@@ -278,7 +281,7 @@ func Generate(world *synthkb.World, cfg Config) (*MED, error) {
 	}
 
 	// 5. Drug-drug interactions across the whole formulary.
-	if err := AddDrugInteractions(rng, store, cfg.Drugs/2); err != nil {
+	if err := addDrugInteractions(rng, store, newInstance, drugIDs, med.DrugNames, cfg.Drugs/2); err != nil {
 		return nil, err
 	}
 	return med, nil

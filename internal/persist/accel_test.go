@@ -94,8 +94,6 @@ func assertAccelServes(t *testing.T, ing, restored *core.Ingestion) {
 		t.Fatal("restored candidate index refused by matching relaxer")
 	}
 	ctx := &ontology.Context{Domain: "Indication", Relationship: "hasFinding", Range: "Finding"}
-	// FlaggedIDs works under both map and flat backings; ranging the
-	// Flagged map directly would silently skip flat-mapped bundles.
 	flagged := restored.FlaggedIDs()
 	if len(flagged) == 0 {
 		t.Fatal("restored bundle has no flagged concepts to probe")

@@ -44,7 +44,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 		t.Fatal("similarity over restored ingestion")
 	}
 	ctx := &ontology.Context{Domain: "Indication", Relationship: "hasFinding", Range: "Finding"}
-	for id := range restored.Flagged {
+	for _, id := range restored.FlaggedIDs() {
 		if got, want := restored.Frequencies.IC(id, ctx, restored.Ontology), ing.Frequencies.IC(id, ctx, ing.Ontology); got != want {
 			t.Errorf("IC(%d) = %v, want %v", id, got, want)
 		}

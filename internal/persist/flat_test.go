@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"medrelax/internal/core"
+	"medrelax/internal/eks"
 	"medrelax/internal/ontology"
 )
 
@@ -208,6 +210,48 @@ func TestSaveFileAtomicFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameRelaxations(t, ing, restored)
+}
+
+// Non-integer frequencies under several labels one context subsumes: the
+// float sum depends on the order of its additions, so the heap table and the
+// table opened from each saved format must agree bit for bit, call after
+// call.
+func TestFractionalFrequenciesSurviveSave(t *testing.T) {
+	ing := buildIngestion(t)
+	flagged := ing.FlaggedIDs()[0]
+	direct := map[string]map[eks.ConceptID]float64{
+		"Risk-hasFinding-Finding":             {flagged: 0.6},
+		"ContraIndication-hasFinding-Finding": {flagged: 0.3},
+		"AdverseEffect-hasFinding-Finding":    {flagged: 0.1},
+		"BlackBoxWarning-hasFinding-Finding":  {flagged: 0.2},
+	}
+	ft, err := core.BuildFrequencyTableFromDirectCounts(ing.Graph, direct, core.FrequencyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := *ing
+	cp.Frequencies = ft
+	ctx := &ontology.Context{Domain: "Risk", Relationship: "hasFinding", Range: "Finding"}
+	want := ft.NormalizedForContext(flagged, ctx, ing.Ontology)
+
+	for name, save := range map[string]func(io.Writer, *core.Ingestion) error{"json": Save, "binary": SaveBinary, "flat": SaveFlat} {
+		var buf bytes.Buffer
+		if err := save(&buf, &cp); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := 0; i < 2000; i++ {
+			if got := restored.Frequencies.NormalizedForContext(flagged, ctx, restored.Ontology); got != want {
+				t.Fatalf("%s, call %d: %v, want %v", name, i, got, want)
+			}
+			if got := ft.NormalizedForContext(flagged, ctx, ing.Ontology); got != want {
+				t.Fatalf("heap table, call %d: %v, want %v", i, got, want)
+			}
+		}
+	}
 }
 
 // Conversion round-trips: a bundle saved in every older format, loaded, and

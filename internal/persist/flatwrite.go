@@ -262,192 +262,65 @@ func flatOntologySections(fw *flatWriter, ing *core.Ingestion) {
 	fw.add(secOntoRels, fw.leRefs(relRefs))
 }
 
+// The store, the mappings and the offline tables are emitted like the graph:
+// each type's FlatData columns are the sections of the file.
+
 func flatStoreSections(fw *flatWriter, store *kb.Store) {
-	insts := store.AllInstances()
-	ids := make([]kb.InstanceID, len(insts))
-	concepts := make([]string, len(insts))
-	names := make([]string, len(insts))
-	for i, inst := range insts {
-		ids[i] = inst.ID
-		concepts[i] = inst.Concept
-		names[i] = inst.Name
-	}
-
-	lexKeys := store.LexiconKeys()
-	sort.Strings(lexKeys)
-	lexOff := make([]int32, len(lexKeys)+1)
-	var lexIDs []kb.InstanceID
-	for i, k := range lexKeys {
-		lexIDs = append(lexIDs, store.IDsForLexiconKey(k)...)
-		lexOff[i+1] = int32(len(lexIDs))
-	}
-
-	conKeys := make([]string, 0)
-	seenCon := map[string]bool{}
-	for _, c := range concepts {
-		if !seenCon[c] {
-			seenCon[c] = true
-			conKeys = append(conKeys, c)
-		}
-	}
-	sort.Strings(conKeys)
-	conOff := make([]int32, len(conKeys)+1)
-	var conIDs []kb.InstanceID
-	for i, k := range conKeys {
-		conIDs = append(conIDs, store.InstancesOf(k)...)
-		conOff[i+1] = int32(len(conIDs))
-	}
-
-	asserts := store.AllAssertions()
-	relSeen := map[string]bool{}
-	var relNames []string
-	for _, a := range asserts {
-		if !relSeen[a.Relationship] {
-			relSeen[a.Relationship] = true
-			relNames = append(relNames, a.Relationship)
-		}
-	}
-	sort.Strings(relNames)
-	relIdx := make(map[string]int32, len(relNames))
-	for i, r := range relNames {
-		relIdx[r] = int32(i)
-	}
-	aSub := make([]kb.InstanceID, len(asserts))
-	aRel := make([]int32, len(asserts))
-	aObj := make([]kb.InstanceID, len(asserts))
-	for i, a := range asserts {
-		aSub[i], aRel[i], aObj[i] = a.Subject, relIdx[a.Relationship], a.Object
-	}
-	perm := make([]int32, len(asserts))
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	sort.Slice(perm, func(x, y int) bool {
-		i, j := perm[x], perm[y]
-		if aObj[i] != aObj[j] {
-			return aObj[i] < aObj[j]
-		}
-		ri, rj := relNames[aRel[i]], relNames[aRel[j]]
-		if ri != rj {
-			return ri < rj
-		}
-		return aSub[i] < aSub[j]
-	})
-
-	fw.add(secStoreIDs, leInstanceIDs(ids))
-	fw.add(secStoreConcepts, fw.leRefs(concepts))
-	fw.add(secStoreNames, fw.leRefs(names))
-	fw.add(secStoreLexKeys, fw.leRefs(lexKeys))
-	fw.add(secStoreLexOff, leInt32s(lexOff))
-	fw.add(secStoreLexIDs, leInstanceIDs(lexIDs))
-	fw.add(secStoreConKeys, fw.leRefs(conKeys))
-	fw.add(secStoreConOff, leInt32s(conOff))
-	fw.add(secStoreConIDs, leInstanceIDs(conIDs))
-	fw.add(secStoreRelNames, fw.leRefs(relNames))
-	fw.add(secStoreASub, leInstanceIDs(aSub))
-	fw.add(secStoreARel, leInt32s(aRel))
-	fw.add(secStoreAObj, leInstanceIDs(aObj))
-	fw.add(secStorePerm, leInt32s(perm))
+	d := store.FlatData()
+	fw.add(secStoreIDs, leInstanceIDs(d.IDs))
+	fw.add(secStoreConcepts, fw.leRefs(d.Concepts))
+	fw.add(secStoreNames, fw.leRefs(d.Names))
+	fw.add(secStoreLexKeys, fw.leRefs(d.LexKeys))
+	fw.add(secStoreLexOff, leInt32s(d.LexOff))
+	fw.add(secStoreLexIDs, leInstanceIDs(d.LexIDs))
+	fw.add(secStoreConKeys, fw.leRefs(d.ConceptKeys))
+	fw.add(secStoreConOff, leInt32s(d.ConceptOff))
+	fw.add(secStoreConIDs, leInstanceIDs(d.ConceptIDs))
+	fw.add(secStoreRelNames, fw.leRefs(d.RelNames))
+	fw.add(secStoreASub, leInstanceIDs(d.ASub))
+	fw.add(secStoreARel, leInt32s(d.ARel))
+	fw.add(secStoreAObj, leInstanceIDs(d.AObj))
+	fw.add(secStorePerm, leInt32s(d.ByObjPerm))
 }
 
 func flatMappingSections(fw *flatWriter, ing *core.Ingestion) {
-	inst, con := ing.MappingPairs()
-	flagged := ing.FlaggedIDs()
-	iOff := make([]int32, len(flagged)+1)
-	var iPool []kb.InstanceID
-	for i, cid := range flagged {
-		iPool = append(iPool, ing.InstancesForConcept(cid)...)
-		iOff[i+1] = int32(len(iPool))
-	}
-	fw.add(secMapInst, leInstanceIDs(inst))
-	fw.add(secMapCon, leConceptIDs(con))
-	fw.add(secMapFlag, leConceptIDs(flagged))
-	fw.add(secMapIOff, leInt32s(iOff))
-	fw.add(secMapIPool, leInstanceIDs(iPool))
+	d := ing.FlatMappings()
+	fw.add(secMapInst, leInstanceIDs(d.Instances))
+	fw.add(secMapCon, leConceptIDs(d.Concepts))
+	fw.add(secMapFlag, leConceptIDs(d.Flagged))
+	fw.add(secMapIOff, leInt32s(d.InstOff))
+	fw.add(secMapIPool, leInstanceIDs(d.InstPool))
 }
 
-// flatFrequencySections emits the per-label spans plus the precomputed
-// aggregate. The aggregate is accumulated in the exact order
-// core.RestoreFrequencyTable uses (labels ascending, ids ascending within
-// each label), so the stored float sums are bit-identical to the ones a
-// heap restore would compute.
 func flatFrequencySections(fw *flatWriter, meta *flatMeta, ft *core.FrequencyTable) {
-	snap := ft.Snapshot()
-	meta.freqRoot = snap.Root
-	meta.freqSmooth = snap.Smooth
-
-	labels := make([]string, len(snap.Labels))
-	off := make([]int32, len(snap.Labels)+1)
-	var ids []eks.ConceptID
-	var vals []float64
-	agg := make(map[eks.ConceptID]float64)
-	for li, ls := range snap.Labels {
-		labels[li] = ls.Label
-		ids = append(ids, ls.IDs...)
-		vals = append(vals, ls.Values...)
-		off[li+1] = int32(len(ids))
-		for i, id := range ls.IDs {
-			agg[id] += ls.Values[i]
-		}
-	}
-	aggIDs := make([]eks.ConceptID, 0, len(agg))
-	for id := range agg {
-		aggIDs = append(aggIDs, id)
-	}
-	sort.Slice(aggIDs, func(i, j int) bool { return aggIDs[i] < aggIDs[j] })
-	aggVals := make([]float64, len(aggIDs))
-	for i, id := range aggIDs {
-		aggVals[i] = agg[id]
-	}
-
-	fw.add(secFreqLabels, fw.leRefs(labels))
-	fw.add(secFreqOff, leInt32s(off))
-	fw.add(secFreqIDs, leConceptIDs(ids))
-	fw.add(secFreqVals, leFloat64s(vals))
-	fw.add(secFreqAggIDs, leConceptIDs(aggIDs))
-	fw.add(secFreqAggVals, leFloat64s(aggVals))
+	d := ft.FlatData()
+	meta.freqRoot = d.Root
+	meta.freqSmooth = d.Smoothing
+	fw.add(secFreqLabels, fw.leRefs(d.Labels))
+	fw.add(secFreqOff, leInt32s(d.Off))
+	fw.add(secFreqIDs, leConceptIDs(d.IDs))
+	fw.add(secFreqVals, leFloat64s(d.Vals))
+	fw.add(secFreqAggIDs, leConceptIDs(d.AggIDs))
+	fw.add(secFreqAggVals, leFloat64s(d.AggVals))
 }
 
 func flatMaterializedSections(fw *flatWriter, meta *flatMeta, m *core.Materialized) {
-	snap := m.Snapshot()
-	meta.matRadius = uint32(snap.Relax.Radius)
-	meta.matMax = uint32(snap.Relax.MaxRadius)
-	if snap.Relax.DynamicRadius {
+	d := m.FlatData()
+	meta.matRadius = uint32(d.Relax.Radius)
+	meta.matMax = uint32(d.Relax.MaxRadius)
+	if d.Relax.DynamicRadius {
 		meta.matBits |= matBitDynamicRadius
 	}
-	if snap.Relax.IncludeSelf {
+	if d.Relax.IncludeSelf {
 		meta.matBits |= matBitIncludeSelf
 	}
-
-	n := len(snap.Entries)
-	concepts := make([]eks.ConceptID, n)
-	ctxs := make([]string, n)
-	flags := make([]int32, n)
-	cntOff := make([]int32, n+1)
-	var counts []int32
-	candOff := make([]int32, n+1)
-	var cands []core.MatCand
-	for i, e := range snap.Entries {
-		concepts[i] = e.Concept
-		ctxs[i] = e.Ctx
-		if e.Complete {
-			flags[i] = 1
-		}
-		counts = append(counts, e.Counts...)
-		cntOff[i+1] = int32(len(counts))
-		for _, c := range e.Cands {
-			cands = append(cands, core.MatCand{Concept: c.Concept, Score: c.Score, Hops: int32(c.Hops)})
-		}
-		candOff[i+1] = int32(len(cands))
-	}
-
-	fw.add(secMatCon, leConceptIDs(concepts))
-	fw.add(secMatCtx, fw.leRefs(ctxs))
-	fw.add(secMatFlags, leInt32s(flags))
-	fw.add(secMatCntOff, leInt32s(cntOff))
-	fw.add(secMatCnt, leInt32s(counts))
-	fw.add(secMatCandOff, leInt32s(candOff))
-	fw.add(secMatCands, leMatCands(cands))
+	fw.add(secMatCon, leConceptIDs(d.Concepts))
+	fw.add(secMatCtx, fw.leRefs(d.Ctxs))
+	fw.add(secMatFlags, leInt32s(d.Complete))
+	fw.add(secMatCntOff, leInt32s(d.CountOff))
+	fw.add(secMatCnt, leInt32s(d.Counts))
+	fw.add(secMatCandOff, leInt32s(d.CandOff))
+	fw.add(secMatCands, leMatCands(d.Cands))
 }
 
 // flatSourceSection emits the secondary named sources as one JSON-encoded
@@ -471,36 +344,11 @@ func flatSourceSection(fw *flatWriter, ing *core.Ingestion) error {
 }
 
 func flatCandidateSections(fw *flatWriter, meta *flatMeta, x *core.CandidateIndex) {
-	snap := x.Snapshot()
-	meta.cidxRadius = uint32(snap.Radius)
-	meta.cidxSkipped = int64(x.Skipped())
-
-	n := len(snap.Lists)
-	concepts := make([]eks.ConceptID, n)
-	off := make([]int32, n+1)
-	var posts []core.Posting
-	var lcs []eks.ConceptID
-	for i, ls := range snap.Lists {
-		concepts[i] = ls.Concept
-		for _, ps := range ls.Postings {
-			p := core.Posting{
-				Concept: ps.Concept,
-				Hops:    int32(ps.Hops),
-				Gen:     int32(ps.Gen),
-				Spec:    int32(ps.Spec),
-			}
-			if len(ps.LCS) > 0 {
-				p.LCSLo = int32(len(lcs))
-				lcs = append(lcs, ps.LCS...)
-				p.LCSHi = int32(len(lcs))
-			}
-			posts = append(posts, p)
-		}
-		off[i+1] = int32(len(posts))
-	}
-
-	fw.add(secCidxCon, leConceptIDs(concepts))
-	fw.add(secCidxOff, leInt32s(off))
-	fw.add(secCidxPosts, lePostings(posts))
-	fw.add(secCidxLCS, leConceptIDs(lcs))
+	d := x.FlatData()
+	meta.cidxRadius = uint32(d.Radius)
+	meta.cidxSkipped = int64(d.Skipped)
+	fw.add(secCidxCon, leConceptIDs(d.Concepts))
+	fw.add(secCidxOff, leInt32s(d.Off))
+	fw.add(secCidxPosts, lePostings(d.Posts))
+	fw.add(secCidxLCS, leConceptIDs(d.LCS))
 }

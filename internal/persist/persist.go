@@ -395,11 +395,6 @@ func ValidateForServing(ing *core.Ingestion) error {
 	if ing.Frequencies == nil {
 		return fmt.Errorf("persist: bundle has no frequency table")
 	}
-	for _, id := range ing.FlaggedIDs() {
-		if len(ing.InstancesForConcept(id)) == 0 {
-			return fmt.Errorf("persist: flagged concept %d has no mapped instances", id)
-		}
-	}
 	// Mounted secondary sources must each be servable on their own.
 	if err := ing.ValidateSources(); err != nil {
 		return err
@@ -469,27 +464,9 @@ func restore(b *Bundle) (*core.Ingestion, error) {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
 
-	ing := &core.Ingestion{
-		Contexts:       onto.Contexts(),
-		Mappings:       map[kb.InstanceID]eks.ConceptID{},
-		InstancesFor:   map[eks.ConceptID][]kb.InstanceID{},
-		Flagged:        map[eks.ConceptID]bool{},
-		Frequencies:    freqs,
-		Graph:          g,
-		Store:          store,
-		Ontology:       onto,
-		ShortcutsAdded: b.Shortcuts,
-	}
-	for _, m := range b.Mappings {
-		if _, ok := store.Instance(m.Instance); !ok {
-			return nil, fmt.Errorf("persist: mapping references unknown instance %d", m.Instance)
-		}
-		if _, ok := g.Concept(m.Concept); !ok {
-			return nil, fmt.Errorf("persist: mapping references unknown concept %d", m.Concept)
-		}
-		ing.Mappings[m.Instance] = m.Concept
-		ing.InstancesFor[m.Concept] = append(ing.InstancesFor[m.Concept], m.Instance)
-		ing.Flagged[m.Concept] = true
+	ing, err := core.NewFlatIngestion(onto.Contexts(), g, store, onto, freqs, b.Shortcuts, mappingColumns(b.Mappings))
+	if err != nil {
+		return nil, fmt.Errorf("persist: %w", err)
 	}
 	if b.Materialized != nil {
 		m, err := core.RestoreMaterialized(b.Materialized)
@@ -509,6 +486,17 @@ func restore(b *Bundle) (*core.Ingestion, error) {
 		return nil, err
 	}
 	return ing, nil
+}
+
+// mappingColumns turns serialized (instance, concept) pairs into the mapping
+// columns core.NewFlatIngestion validates.
+func mappingColumns(dumps []mappingDump) core.FlatMappingsData {
+	instances := make([]kb.InstanceID, len(dumps))
+	concepts := make([]eks.ConceptID, len(dumps))
+	for i, m := range dumps {
+		instances[i], concepts[i] = m.Instance, m.Concept
+	}
+	return core.MappingsFromPairs(instances, concepts)
 }
 
 // restoreEKSGraph rebuilds a graph from its serialized concept/edge/root
@@ -566,27 +554,9 @@ func restoreSource(d sourceDump, primary *core.Ingestion) (core.NamedSource, err
 	if err != nil {
 		return core.NamedSource{}, fmt.Errorf("persist: source %q: %w", d.Name, err)
 	}
-	sing := &core.Ingestion{
-		Contexts:       primary.Ontology.Contexts(),
-		Mappings:       map[kb.InstanceID]eks.ConceptID{},
-		InstancesFor:   map[eks.ConceptID][]kb.InstanceID{},
-		Flagged:        map[eks.ConceptID]bool{},
-		Frequencies:    freqs,
-		Graph:          g,
-		Store:          primary.Store,
-		Ontology:       primary.Ontology,
-		ShortcutsAdded: d.Shortcuts,
-	}
-	for _, m := range d.Mappings {
-		if _, ok := primary.Store.Instance(m.Instance); !ok {
-			return core.NamedSource{}, fmt.Errorf("persist: source %q mapping references unknown instance %d", d.Name, m.Instance)
-		}
-		if _, ok := g.Concept(m.Concept); !ok {
-			return core.NamedSource{}, fmt.Errorf("persist: source %q mapping references unknown concept %d", d.Name, m.Concept)
-		}
-		sing.Mappings[m.Instance] = m.Concept
-		sing.InstancesFor[m.Concept] = append(sing.InstancesFor[m.Concept], m.Instance)
-		sing.Flagged[m.Concept] = true
+	sing, err := core.NewFlatIngestion(primary.Ontology.Contexts(), g, primary.Store, primary.Ontology, freqs, d.Shortcuts, mappingColumns(d.Mappings))
+	if err != nil {
+		return core.NamedSource{}, fmt.Errorf("persist: source %q: %w", d.Name, err)
 	}
 	return core.NamedSource{Name: d.Name, Ing: sing}, nil
 }

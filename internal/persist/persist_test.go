@@ -71,7 +71,7 @@ func TestRoundTrip(t *testing.T) {
 	if restored.Store.Len() != ing.Store.Len() {
 		t.Errorf("instances: %d vs %d", restored.Store.Len(), ing.Store.Len())
 	}
-	if len(restored.Mappings) != len(ing.Mappings) || len(restored.Flagged) != len(ing.Flagged) {
+	if restored.MappingCount() != ing.MappingCount() || restored.FlaggedCount() != ing.FlaggedCount() {
 		t.Errorf("mappings/flags differ")
 	}
 	if len(restored.Contexts) != len(ing.Contexts) {
@@ -88,7 +88,7 @@ func TestRoundTrip(t *testing.T) {
 	relA := core.NewRelaxer(ing, simA, exactMapper{ing.Graph}, core.RelaxOptions{Radius: 3})
 	relB := core.NewRelaxer(restored, simB, exactMapper{restored.Graph}, core.RelaxOptions{Radius: 3})
 	checked := 0
-	for q := range ing.Flagged {
+	for _, q := range ing.FlaggedIDs() {
 		if checked == 25 {
 			break
 		}
@@ -246,16 +246,19 @@ func TestValidateForServingRejects(t *testing.T) {
 		name   string
 		mutate func(*core.Ingestion)
 	}{
-		{"no flagged concepts", func(i *core.Ingestion) { i.Flagged = map[eks.ConceptID]bool{} }},
-		{"nil frequencies", func(i *core.Ingestion) { i.Frequencies = nil }},
-		{"flagged without instances", func(i *core.Ingestion) {
-			i.InstancesFor = map[eks.ConceptID][]kb.InstanceID{}
+		{"no flagged concepts", func(i *core.Ingestion) {
+			empty, err := core.NewFlatIngestion(i.Contexts, i.Graph, i.Store, i.Ontology, i.Frequencies, 0, core.MappingsFromPairs(nil, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			*i = *empty
 		}},
+		{"nil frequencies", func(i *core.Ingestion) { i.Frequencies = nil }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// Shallow copy: each case replaces a map/pointer field
-			// wholesale, never mutating the shared originals.
+			// Shallow copy: each case replaces fields wholesale, never
+			// mutating the shared originals.
 			cp := *ing
 			tc.mutate(&cp)
 			if err := ValidateForServing(&cp); err == nil {
@@ -265,5 +268,11 @@ func TestValidateForServingRejects(t *testing.T) {
 	}
 	if err := ValidateForServing(ing); err != nil {
 		t.Errorf("pristine ingestion rejected: %v", err)
+	}
+	// A flagged concept without instances cannot be assembled at all.
+	d := ing.FlatMappings()
+	d.InstOff = append([]int32{0, 0}, d.InstOff[2:]...)
+	if _, err := core.NewFlatIngestion(ing.Contexts, ing.Graph, ing.Store, ing.Ontology, ing.Frequencies, 0, d); err == nil {
+		t.Error("flagged concept without instances assembled")
 	}
 }

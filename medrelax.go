@@ -324,12 +324,24 @@ func (s *System) Table1() []eval.MapperScore {
 	return eval.EvaluateMappers(s.Med, mappers)
 }
 
+// FlaggedSet returns the FEC set — the external concepts the KB holds data
+// for — as a fresh set, the form the evaluation harness and the DOT export
+// take.
+func (s *System) FlaggedSet() map[eks.ConceptID]bool {
+	ids := s.Ingestion.FlaggedIDs()
+	set := make(map[eks.ConceptID]bool, len(ids))
+	for _, id := range ids {
+		set[id] = true
+	}
+	return set
+}
+
 // Table2 runs the overall-effectiveness experiment over all six methods
 // with numQueries queries and top-k judgment, reproducing the paper's
 // Table 2 (which uses 100 queries and k=10).
 func (s *System) Table2(numQueries, k int) []eval.MethodScore {
 	queries := eval.SelectQueries(s.Med, s.Oracle, numQueries)
-	return eval.EvaluateMethods(s.Methods, queries, s.Oracle, s.Ingestion.Flagged, k)
+	return eval.EvaluateMethods(s.Methods, queries, s.Oracle, s.FlaggedSet(), k)
 }
 
 // NewConversation builds a dialogue over the system's KB. withQR toggles
@@ -374,7 +386,7 @@ func (s *System) NLQExperiment(cfg eval.NLQConfig) eval.NLQResult {
 	if cfg.Seed == 0 {
 		cfg.Seed = s.Config.Seed + 7
 	}
-	return eval.RunNLQExperiment(s.Oracle, s.Ingestion.Flagged, s.NewNLQSystem(true), s.NewNLQSystem(false), cfg)
+	return eval.RunNLQExperiment(s.Oracle, s.FlaggedSet(), s.NewNLQSystem(true), s.NewNLQSystem(false), cfg)
 }
 
 // Table3 runs the simulated user study, reproducing the paper's Table 3.
@@ -394,7 +406,7 @@ func (s *System) Table3(cfg eval.StudyConfig) (eval.StudyResult, error) {
 		WithQR:    withQR,
 		WithoutQR: withoutQR,
 		Oracle:    s.Oracle,
-		Flagged:   s.Ingestion.Flagged,
+		Flagged:   s.FlaggedSet(),
 	}
 	return eval.RunUserStudy(env, cfg), nil
 }

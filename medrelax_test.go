@@ -38,7 +38,7 @@ func TestBuildSystem(t *testing.T) {
 	if sys.Med.Store.Len() < 1000 {
 		t.Errorf("MED too small: %d instances", sys.Med.Store.Len())
 	}
-	if len(sys.Ingestion.Flagged) == 0 || sys.Ingestion.ShortcutsAdded == 0 {
+	if sys.Ingestion.FlaggedCount() == 0 || sys.Ingestion.ShortcutsAdded == 0 {
 		t.Error("ingestion produced no flags or shortcuts")
 	}
 	if len(sys.Ingestion.Contexts) != 58 {
