@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"medrelax/internal/eks"
 	"medrelax/internal/medkb"
 	"medrelax/internal/synthkb"
 )
@@ -22,6 +23,15 @@ import (
 // variant ingests the world's variant vocabulary instead of its primary
 // graph — the shape of a mounted second source.
 func generatedIngestion(t *testing.T, seed int64, perPair, drugs int, variant bool, opts IngestOptions) *Ingestion {
+	t.Helper()
+	return paddedIngestion(t, seed, perPair, drugs, variant, 0, opts)
+}
+
+// paddedIngestion is generatedIngestion over a graph grown to padTo concepts
+// with leaf variants no KB instance maps to, hung round-robin under the
+// findings — the shape of the bench's w100k: few flagged concepts in a large
+// neighbourhood.
+func paddedIngestion(t *testing.T, seed int64, perPair, drugs int, variant bool, padTo int, opts IngestOptions) *Ingestion {
 	t.Helper()
 	w, err := synthkb.Generate(synthkb.Config{Seed: seed, ConditionsPerPair: perPair})
 	if err != nil {
@@ -37,6 +47,18 @@ func generatedIngestion(t *testing.T, seed int64, perPair, drugs int, variant bo
 		if g, err = synthkb.GenerateVariant(w); err != nil {
 			t.Fatal(err)
 		}
+	}
+	ids := g.ConceptIDs()
+	next := ids[len(ids)-1] + 1
+	for i := 0; g.Len() < padTo; i++ {
+		parent := w.Findings[i%len(w.Findings)]
+		if err := g.AddConcept(eks.Concept{ID: next, Name: fmt.Sprintf("variant %d of %d", i, parent)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.AddSubsumption(next, parent); err != nil {
+			t.Fatal(err)
+		}
+		next++
 	}
 	ing, err := Ingest(med.Ontology, med.Store, g, corp, exactMapper{g}, opts)
 	if err != nil {

@@ -168,6 +168,17 @@ func NewFlatIngestion(contexts []ontology.Context, g *eks.Graph, store *kb.Store
 			}
 		}
 	}
+	// The flagged walk's report column, by one merge of the two ascending id
+	// lists. Customization only adds edges, so positions stay valid.
+	slots := make([]int32, g.Len())
+	next := 0
+	for i, id := range g.ConceptIDs() {
+		slots[i] = -1
+		if next < len(d.Flagged) && d.Flagged[next] == id {
+			slots[i] = int32(next)
+			next++
+		}
+	}
 	return &Ingestion{
 		Contexts:       contexts,
 		Frequencies:    ft,
@@ -176,14 +187,35 @@ func NewFlatIngestion(contexts []ontology.Context, g *eks.Graph, store *kb.Store
 		Ontology:       o,
 		ShortcutsAdded: shortcutsAdded,
 		maps:           d,
+		slots:          slots,
 	}, nil
+}
+
+// flaggedFrontier starts the candidate walk of Algorithm 2 line 2 at q: a
+// hop frontier that reports only flagged concepts, each as its slot — its
+// position in the flagged set, which flaggedAt resolves. The caller Closes
+// the frontier. ok is false for a concept the graph does not have.
+func (ing *Ingestion) flaggedFrontier(q eks.ConceptID) (eks.HopFrontier, bool) {
+	return ing.Graph.HopFrontier(q, ing.slots)
+}
+
+// flaggedAt returns the flagged concept in a slot and its instances, a view
+// shared with the ingestion.
+func (ing *Ingestion) flaggedAt(slot int32) (eks.ConceptID, []kb.InstanceID) {
+	return ing.maps.Flagged[slot], ing.maps.InstPool[ing.maps.InstOff[slot]:ing.maps.InstOff[slot+1]]
+}
+
+// flaggedSlot returns a concept's slot in the flagged set.
+func (ing *Ingestion) flaggedSlot(id eks.ConceptID) (int32, bool) {
+	i, ok := slices.BinarySearch(ing.maps.Flagged, id)
+	return int32(i), ok
 }
 
 // IsFlagged reports whether id is in the FEC set: external concepts with at
 // least one corresponding KB instance. Only flagged concepts are returned by
 // the online phase.
 func (ing *Ingestion) IsFlagged(id eks.ConceptID) bool {
-	_, ok := slices.BinarySearch(ing.maps.Flagged, id)
+	_, ok := ing.flaggedSlot(id)
 	return ok
 }
 
@@ -197,11 +229,12 @@ func (ing *Ingestion) FlaggedIDs() []eks.ConceptID { return slices.Clone(ing.map
 // ascending. The slice is a view shared with the ingestion — callers must
 // not mutate it.
 func (ing *Ingestion) InstancesForConcept(id eks.ConceptID) []kb.InstanceID {
-	i, ok := slices.BinarySearch(ing.maps.Flagged, id)
+	slot, ok := ing.flaggedSlot(id)
 	if !ok {
 		return nil
 	}
-	return ing.maps.InstPool[ing.maps.InstOff[i]:ing.maps.InstOff[i+1]]
+	_, instances := ing.flaggedAt(slot)
+	return instances
 }
 
 // MappingCount returns how many instances are mapped to a concept

@@ -73,6 +73,10 @@ type Ingestion struct {
 	// columns; read them through IsFlagged, FlaggedCount, FlaggedIDs,
 	// InstancesForConcept, MappingCount and MappingPairs.
 	maps FlatMappingsData
+	// slots is derived from maps and the graph, never stored: for each graph
+	// node, in ConceptIDs() order, its position in maps.Flagged or -1 — the
+	// report column of the flagged walk.
+	slots []int32
 }
 
 // Close releases resources the ingestion's backing pins — for a

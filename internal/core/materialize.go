@@ -58,8 +58,8 @@ type matEntry struct {
 	complete bool
 	// counts[i] is the number of distinct KB instances reachable through
 	// candidates within radius opts.Radius+i, computed over the full
-	// (untruncated) candidate set — the exact quantity the live traversal's
-	// instanceCount derives per growth round.
+	// (untruncated) candidate set — the exact quantity the live walk checks
+	// against its target after each growth round.
 	counts []int32
 	// cands is the candidate set at the maximum radius, sorted by
 	// (score descending, concept ascending) — the final ranking order.
@@ -113,15 +113,12 @@ func (o MaterializeOptions) withDefaults() MaterializeOptions {
 // (descending, ties by ascending ID) and takes the configured head.
 func headConcepts(ing *Ingestion, opts MaterializeOptions) []eks.ConceptID {
 	ids := ing.FlaggedIDs()
-	sort.Slice(ids, func(i, j int) bool {
-		var fi, fj float64
+	slices.SortFunc(ids, func(a, b eks.ConceptID) int {
+		var fa, fb float64
 		if ing.Frequencies != nil {
-			fi, fj = ing.Frequencies.RawAggregate(ids[i]), ing.Frequencies.RawAggregate(ids[j])
+			fa, fb = ing.Frequencies.RawAggregate(a), ing.Frequencies.RawAggregate(b)
 		}
-		if fi != fj {
-			return fi > fj
-		}
-		return ids[i] < ids[j]
+		return rankOrder(fa, fb, a, b)
 	})
 	n := int(math.Ceil(opts.HeadFraction * float64(len(ids))))
 	if opts.HeadMax > 0 && n > opts.HeadMax {
@@ -213,47 +210,39 @@ func (d *FlatMaterializedData) appendEntry(concept eks.ConceptID, ctx string, e 
 
 // materializeConcept builds one head concept's entries for every context:
 // the full candidate set at the maximum radius, per-radius instance counts,
-// and the per-context scored rankings.
+// and the per-context scored rankings. The candidates and counts are the
+// live kernel's walk run to the maximum radius; each candidate's meet with q
+// is derived once and scored under every context.
 func materializeConcept(r *Relaxer, q eks.ConceptID, ctxs []*ontology.Context, opts MaterializeOptions, sc *relaxScratch) []matEntry {
-	ropts := opts.Relax
-	maxR := ropts.MaxRadius
-	if !ropts.DynamicRadius {
-		maxR = ropts.Radius
-	}
-	cands := r.flaggedWithin(q, maxR, sc)
+	// Background never cancels, so the error path is unreachable here.
+	hits, walked, _ := r.gatherFlagged(context.Background(), q, math.MaxInt, sc)
+	counts := slices.Clone(walked)
 
-	// Per-radius distinct-instance counts over the full candidate set.
-	// flaggedWithin returns hop-ascending order (self first under
-	// IncludeSelf), so one sweep with a single dedup set suffices.
-	counts := make([]int32, maxR-ropts.Radius+1)
-	instSeen := sc.resetSeen()
-	ci := 0
-	for radius := ropts.Radius; radius <= maxR; radius++ {
-		for ci < len(cands) && cands[ci].Hops <= radius {
-			for _, iid := range r.ing.InstancesForConcept(cands[ci].ID) {
-				instSeen[iid] = true
-			}
-			ci++
+	// The context-free half of Equation 5, once per candidate.
+	meets := make([]pairMeet, len(hits))
+	from := r.sim.meetsFrom(q)
+	for i, h := range hits {
+		if h.hops == 0 {
+			continue // q itself scores 1
 		}
-		counts[radius-ropts.Radius] = int32(len(instSeen))
+		id, _ := r.ing.flaggedAt(h.slot)
+		meets[i], _, _ = from.to(id)
+		meets[i].lcs = slices.Clone(meets[i].lcs)
 	}
 
 	out := make([]matEntry, 0, len(ctxs))
 	for _, ctx := range ctxs {
-		e := matEntry{complete: true, counts: counts, cands: make([]MatCand, 0, len(cands))}
-		for _, nb := range cands {
-			e.cands = append(e.cands, MatCand{
-				Concept: nb.ID,
-				Score:   r.sim.Sim(q, nb.ID, ctx),
-				Hops:    int32(nb.Hops),
-			})
-		}
-		sort.Slice(e.cands, func(i, j int) bool {
-			if e.cands[i].Score != e.cands[j].Score {
-				return e.cands[i].Score > e.cands[j].Score
+		icQ := r.sim.IC.IC(q, ctx, r.sim.Ontology)
+		e := matEntry{complete: true, counts: counts, cands: make([]MatCand, 0, len(hits))}
+		for i, h := range hits {
+			id, _ := r.ing.flaggedAt(h.slot)
+			score := 1.0
+			if h.hops > 0 {
+				score = r.sim.score(meets[i], icQ, id, ctx)
 			}
-			return e.cands[i].Concept < e.cands[j].Concept
-		})
+			e.cands = append(e.cands, MatCand{Concept: id, Score: score, Hops: h.hops})
+		}
+		slices.SortFunc(e.cands, func(a, b MatCand) int { return rankOrder(a.Score, b.Score, a.Concept, b.Concept) })
 		if opts.MaxPerQuery > 0 && len(e.cands) > opts.MaxPerQuery {
 			e.cands = e.cands[:opts.MaxPerQuery]
 			e.complete = false
@@ -284,6 +273,7 @@ func (r *Relaxer) materializedServe(ctx context.Context, q eks.ConceptID, qctx *
 	if err := ctx.Err(); err != nil {
 		return nil, false, fmt.Errorf("core: relaxation aborted at radius %d: %w", radius, err)
 	}
+	sc.stats.radius = radius
 	if k <= 0 {
 		// Full ranked list requested: only a complete entry holds it.
 		if !e.complete {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -17,8 +18,8 @@ import (
 // canonical-meet geometry Equation 5 needs — the generalization and
 // specialization hop counts and the tied least-common-subsumer set. The
 // online phase then scores a bounded, pre-gathered posting list instead of
-// traversing flaggedWithin neighborhoods and re-deriving each candidate's
-// subsumer meet per query. Scores come out bit-identical to the live
+// walking the flagged frontier and re-deriving each candidate's subsumer
+// meet per query. Scores come out bit-identical to the live
 // traversal because the stored geometry feeds the exact same arithmetic
 // (canonicalPathWeight × simICFromLCS, LCS set iterated in the same
 // ascending order) and the final ranking comparator is a total order, so
@@ -110,9 +111,8 @@ func BuildCandidateIndex(ing *Ingestion, sim *Similarity, opts CandidateIndexOpt
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			scratch := &meetScratch{}
 			for i := range next {
-				built[i] = buildPostings(ing, sim, ids[i], opts, scratch)
+				built[i] = buildPostings(ing, sim, ids[i], opts)
 			}
 		}()
 	}
@@ -150,48 +150,45 @@ func (d *FlatCandidateIndexData) appendList(q eks.ConceptID, posts []Posting, lc
 	d.Off = append(d.Off, int32(len(d.Posts)))
 }
 
-// buildPostings computes one concept's posting list: flagged neighbors
-// within the index radius, each with its canonical-meet geometry, ordered
-// by (hops, partial similarity under the build weights, id).
-func buildPostings(ing *Ingestion, sim *Similarity, q eks.ConceptID, opts CandidateIndexOptions, scratch *meetScratch) builtList {
-	nbs := ing.Graph.NeighborsWithinHops(q, opts.Radius)
-	flagged := nbs[:0]
-	for _, nb := range nbs {
-		if ing.IsFlagged(nb.ID) {
-			flagged = append(flagged, nb)
-		}
-	}
-	if opts.MaxPostings > 0 && len(flagged) > opts.MaxPostings {
+// buildPostings computes one concept's posting list: the flagged frontier
+// walked to the index radius, each hit with its canonical-meet geometry,
+// ordered by (hops, partial similarity under the build weights, id).
+func buildPostings(ing *Ingestion, sim *Similarity, q eks.ConceptID, opts CandidateIndexOptions) builtList {
+	f, ok := ing.flaggedFrontier(q)
+	if !ok {
 		return builtList{}
 	}
-	out := builtList{indexed: true, posts: make([]Posting, 0, len(flagged))}
-	partials := make([]float64, 0, len(flagged))
-	for _, nb := range flagged {
-		p := Posting{Concept: nb.ID, Hops: int32(nb.Hops)}
-		partial := 0.0
-		if lcs, _, gen, spec, ok := sim.canonicalMeet(q, nb.ID, scratch); ok {
-			p.Gen, p.Spec = int32(gen), int32(spec)
-			p.LCSLo = int32(len(out.lcs))
-			out.lcs = append(out.lcs, lcs...)
-			p.LCSHi = int32(len(out.lcs))
-			partial = canonicalPathWeight(sim.Weights, gen, spec)
+	defer f.Close()
+	out := builtList{indexed: true}
+	var partials []float64
+	meets := sim.meetsFrom(q)
+	for hops := 1; hops <= opts.Radius; hops++ {
+		level := f.Advance()
+		if opts.MaxPostings > 0 && len(out.posts)+len(level) > opts.MaxPostings {
+			return builtList{}
 		}
-		out.posts = append(out.posts, p)
-		partials = append(partials, partial)
+		for _, slot := range level {
+			id, _ := ing.flaggedAt(slot)
+			p := Posting{Concept: id, Hops: int32(hops)}
+			partial := 0.0
+			if meet, gen, spec := meets.to(id); len(meet.lcs) > 0 {
+				p.Gen, p.Spec = int32(gen), int32(spec)
+				p.LCSLo = int32(len(out.lcs))
+				out.lcs = append(out.lcs, meet.lcs...)
+				p.LCSHi = int32(len(out.lcs))
+				partial = canonicalPathWeight(sim.Weights, gen, spec)
+			}
+			out.posts = append(out.posts, p)
+			partials = append(partials, partial)
+		}
 	}
 	order := make([]int, len(out.posts))
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		pa, pb := &out.posts[order[a]], &out.posts[order[b]]
-		if pa.Hops != pb.Hops {
-			return pa.Hops < pb.Hops
-		}
-		if partials[order[a]] != partials[order[b]] {
-			return partials[order[a]] > partials[order[b]]
-		}
-		return pa.Concept < pb.Concept
+	slices.SortFunc(order, func(a, b int) int {
+		pa, pb := &out.posts[a], &out.posts[b]
+		return cmp.Or(cmp.Compare(pa.Hops, pb.Hops), rankOrder(partials[a], partials[b], pa.Concept, pb.Concept))
 	})
 	// Pack the LCS pool in posting order — the order a bundle stores it in —
 	// with an empty set as the span [0,0).
@@ -263,10 +260,12 @@ func (r *Relaxer) indexedCandidates(ctx context.Context, q eks.ConceptID, qctx *
 	if includeSelf {
 		total++
 	}
+	sc.stats = kernelStats{radius: radius, scored: total}
 	out := make([]Result, 0, total)
 	if includeSelf {
 		out = append(out, Result{Concept: q, Score: 1, Hops: 0, Instances: r.ing.InstancesForConcept(q)})
 	}
+	icQ := r.sim.IC.IC(q, qctx, r.sim.Ontology)
 	for i := 0; i < cut; i++ {
 		if i%scoreCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
@@ -274,28 +273,18 @@ func (r *Relaxer) indexedCandidates(ctx context.Context, q eks.ConceptID, qctx *
 			}
 		}
 		p := &posts[i]
-		score := 0.0
-		if p.LCSHi > p.LCSLo {
-			ic := r.sim.simICFromLCS(q, p.Concept, idx.d.LCS[p.LCSLo:p.LCSHi], qctx)
-			if r.sim.UsePathWeight {
-				score = r.pw[p.Gen][p.Spec] * ic
-			} else {
-				score = ic
-			}
+		meet := pairMeet{lcs: idx.d.LCS[p.LCSLo:p.LCSHi]}
+		if r.sim.UsePathWeight {
+			meet.weight = r.pw[p.Gen][p.Spec]
 		}
-		out = append(out, Result{Concept: p.Concept, Score: score, Hops: int(p.Hops), Instances: r.ing.InstancesForConcept(p.Concept)})
+		out = append(out, Result{Concept: p.Concept, Score: r.sim.score(meet, icQ, p.Concept, qctx), Hops: int(p.Hops), Instances: r.ing.InstancesForConcept(p.Concept)})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Concept < out[j].Concept
-	})
+	slices.SortFunc(out, func(a, b Result) int { return rankOrder(a.Score, b.Score, a.Concept, b.Concept) })
 	return out, true, nil
 }
 
-// postingInstanceCount mirrors instanceCount over a posting prefix,
-// including the self instances flaggedWithin would have contributed.
+// postingInstanceCount counts the distinct instances of a posting prefix
+// exactly as the live walk counts its levels, the self concept's included.
 func (r *Relaxer) postingInstanceCount(posts []Posting, q eks.ConceptID, sc *relaxScratch) int {
 	seen := sc.resetSeen()
 	if r.opts.IncludeSelf && r.ing.IsFlagged(q) {

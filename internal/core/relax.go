@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"sync/atomic"
 
 	"medrelax/internal/eks"
@@ -72,7 +74,7 @@ func (o RelaxOptions) withDefaults() RelaxOptions {
 type ServePath uint8
 
 const (
-	// PathLive is the full Algorithm 2 traversal: gather flaggedWithin,
+	// PathLive is the full Algorithm 2 traversal: walk the flagged frontier,
 	// derive each candidate's canonical meet, score, rank.
 	PathLive ServePath = iota
 	// PathMaterialized served a precomputed offline top-k entry.
@@ -194,15 +196,31 @@ func (r *Relaxer) RelaxTermContextTraced(ctx context.Context, term string, qctx 
 	if parent := trace.FromContext(ctx); parent != nil {
 		sp := parent.StartChild("relax.kernel")
 		sp.SetTag("term", term)
-		out, path, err := r.relaxConceptPath(ctx, q, qctx, k, &relaxScratch{})
-		sp.SetTag("path", path.MetricName())
-		if err != nil {
-			sp.SetTag("error", err.Error())
-		}
-		sp.End()
+		sc := &relaxScratch{}
+		out, path, err := r.relaxConceptPath(ctx, q, qctx, k, sc)
+		endKernelSpan(sp, path, sc.stats, err)
 		return out, path, err
 	}
 	return r.relaxConceptPath(ctx, q, qctx, k, &relaxScratch{})
+}
+
+// kernelStats is what one kernel run did, for the sampled request's span:
+// the radius it stopped at, the graph nodes its walk touched (none on the
+// materialized and indexed paths) and the candidates it scored.
+type kernelStats struct {
+	radius, reached, scored int
+}
+
+// endKernelSpan tags a relax.kernel span with the run's outcome and ends it.
+func endKernelSpan(sp *trace.Span, path ServePath, st kernelStats, err error) {
+	sp.SetTag("path", path.MetricName())
+	sp.SetTag("radius", strconv.Itoa(st.radius))
+	sp.SetTag("reached", strconv.Itoa(st.reached))
+	sp.SetTag("scored", strconv.Itoa(st.scored))
+	if err != nil {
+		sp.SetTag("error", err.Error())
+	}
+	sp.End()
 }
 
 // Options returns the relaxer's effective (defaulted) options — the
@@ -231,13 +249,16 @@ func (r *Relaxer) RelaxConceptContext(ctx context.Context, q eks.ConceptID, qctx
 }
 
 // relaxScratch holds the per-query working state that batch relaxation
-// reuses across items: the instance-dedup set (hit once per radius round
-// and once per truncation) and the flagged-neighbour buffer. Returned
-// Result slices are always freshly allocated — only the intermediate
-// state is shared.
+// reuses across items: the instance-dedup set (filled level by level during
+// the walk, and once per truncation), the walk's candidate and per-radius
+// count buffers, and the stats of the last kernel run. Returned Result
+// slices are always freshly allocated — only the intermediate state is
+// shared.
 type relaxScratch struct {
-	seen map[kb.InstanceID]bool
-	nbuf []eks.Neighbor
+	seen   map[kb.InstanceID]bool
+	hits   []flaggedHit
+	counts []int32
+	stats  kernelStats
 }
 
 // resetSeen clears (or lazily allocates) the dedup set.
@@ -265,6 +286,7 @@ func (r *Relaxer) relaxConceptPath(ctx context.Context, q eks.ConceptID, qctx *o
 	if target <= 0 {
 		target = defaultCandidateTarget
 	}
+	sc.stats = kernelStats{}
 	if r.mat != nil {
 		out, ok, err := r.materializedServe(ctx, q, qctx, k, target, sc)
 		if err != nil {
@@ -390,11 +412,7 @@ func (r *Relaxer) RelaxBatchContextTraced(ctx context.Context, queries []BatchQu
 		}
 		results[i], paths[i], errs[i] = r.relaxConceptPath(ctx, concept, q.Ctx, q.K, sc)
 		if sp != nil {
-			sp.SetTag("path", paths[i].MetricName())
-			if errs[i] != nil {
-				sp.SetTag("error", errs[i].Error())
-			}
-			sp.End()
+			endKernelSpan(sp, paths[i], sc.stats, errs[i])
 		}
 	}
 	return results, paths, errs
@@ -413,78 +431,115 @@ func (r *Relaxer) RankedCandidates(q eks.ConceptID, ctx *ontology.Context) []Res
 // polled often enough to stop promptly but not on every candidate.
 const scoreCheckInterval = 64
 
-// rankedCandidatesTarget gathers and ranks candidates; with DynamicRadius
-// the radius grows until the candidates can supply target KB instances —
-// the paper's "dynamically decided if a fixed r cannot provide k results".
-func (r *Relaxer) rankedCandidatesTarget(ctx context.Context, q eks.ConceptID, qctx *ontology.Context, target int, sc *relaxScratch) ([]Result, error) {
-	radius := r.opts.Radius
-	var cands []eks.Neighbor
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: relaxation aborted at radius %d: %w", radius, err)
-		}
-		cands = r.flaggedWithin(q, radius, sc)
-		if !r.opts.DynamicRadius || radius >= r.opts.MaxRadius || r.instanceCount(cands, sc) >= target {
-			break
-		}
-		radius++
-	}
-	out := make([]Result, 0, len(cands))
-	for i, nb := range cands {
-		if i%scoreCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("core: relaxation aborted scoring candidate %d/%d: %w", i, len(cands), err)
-			}
-		}
-		out = append(out, Result{
-			Concept:   nb.ID,
-			Score:     r.sim.Sim(q, nb.ID, qctx),
-			Hops:      nb.Hops,
-			Instances: r.ing.InstancesForConcept(nb.ID),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Concept < out[j].Concept
-	})
-	return out, nil
+// flaggedHit is one candidate of the walk: a flagged concept, as its slot in
+// the flagged set, and its hop distance from the query concept.
+type flaggedHit struct {
+	slot, hops int32
 }
 
-// instanceCount counts the distinct KB instances reachable through the
-// candidate set. Deduplication matches TopKInstances: an instance mapped to
-// several candidate concepts contributes once, so dynamic-radius growth
-// stops exactly when k distinct results are reachable.
-func (r *Relaxer) instanceCount(cands []eks.Neighbor, sc *relaxScratch) int {
+// gatherFlagged is Algorithm 2 line 2 with the paper's "dynamically decided"
+// radius: it walks the flagged frontier from q out to opts.Radius and then,
+// under DynamicRadius, one more hop per growth round while the candidates so
+// far supply fewer than target distinct KB instances, up to MaxRadius. Each
+// round pays for its new level only; the dedup set grows with the levels and
+// matches TopKInstances, so an instance mapped to several candidates counts
+// once and growth stops exactly when target distinct results are reachable.
+// Under IncludeSelf the flagged query concept is the first hit, at hop 0,
+// and its instances count toward the target.
+//
+// hits come back in hop-ascending order; counts[i] is the number of distinct
+// instances within radius opts.Radius+i, one per radius walked, so the walk
+// stopped at opts.Radius+len(counts)-1. Counting stops at the target — past
+// it only "enough" matters, and the set is most of a query's garbage — so a
+// count is exact below target and at least target from there on;
+// materialization passes no target and reads exact counts. Both slices alias
+// the scratch.
+func (r *Relaxer) gatherFlagged(ctx context.Context, q eks.ConceptID, target int, sc *relaxScratch) (hits []flaggedHit, counts []int32, err error) {
+	maxR := r.opts.Radius
+	if r.opts.DynamicRadius {
+		maxR = r.opts.MaxRadius
+	}
+	hits, counts = sc.hits[:0], sc.counts[:0]
 	seen := sc.resetSeen()
-	for _, nb := range cands {
-		for _, id := range r.ing.InstancesForConcept(nb.ID) {
+	add := func(slot, hops int32) {
+		hits = append(hits, flaggedHit{slot: slot, hops: hops})
+		if len(seen) >= target {
+			return
+		}
+		_, instances := r.ing.flaggedAt(slot)
+		for _, id := range instances {
 			seen[id] = true
 		}
 	}
-	return len(seen)
+	if slot, flagged := r.ing.flaggedSlot(q); flagged && r.opts.IncludeSelf {
+		add(slot, 0)
+	}
+	f, known := r.ing.flaggedFrontier(q)
+	defer f.Close()
+	for hops := 1; hops <= maxR; hops++ {
+		if hops > r.opts.Radius && len(seen) >= target {
+			break
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, nil, fmt.Errorf("core: relaxation aborted at radius %d: %w", hops, err)
+		}
+		if known {
+			for _, slot := range f.Advance() {
+				add(slot, int32(hops))
+			}
+		}
+		if hops >= r.opts.Radius {
+			counts = append(counts, int32(len(seen)))
+		}
+	}
+	sc.hits, sc.counts = hits, counts
+	sc.stats.radius = r.opts.Radius + len(counts) - 1
+	if known {
+		sc.stats.reached = f.Reached()
+	}
+	return hits, counts, nil
+}
+
+// rankedCandidatesTarget is the live kernel: gather the flagged candidates,
+// score each under Equation 5 — the query side of the measure fetched once —
+// and rank.
+func (r *Relaxer) rankedCandidatesTarget(ctx context.Context, q eks.ConceptID, qctx *ontology.Context, target int, sc *relaxScratch) ([]Result, error) {
+	hits, _, err := r.gatherFlagged(ctx, q, target, sc)
+	if err != nil {
+		return nil, err
+	}
+	meets := r.sim.meetsFrom(q)
+	icQ := r.sim.IC.IC(q, qctx, r.sim.Ontology)
+	out := make([]Result, 0, len(hits))
+	for i, h := range hits {
+		if i%scoreCheckInterval == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("core: relaxation aborted scoring candidate %d/%d: %w", i, len(hits), err)
+			}
+		}
+		id, instances := r.ing.flaggedAt(h.slot)
+		score := 1.0 // the query concept itself, the only hit at hop 0
+		if h.hops > 0 {
+			meet, _, _ := meets.to(id)
+			score = r.sim.score(meet, icQ, id, qctx)
+		}
+		out = append(out, Result{Concept: id, Score: score, Hops: int(h.hops), Instances: instances})
+	}
+	sc.stats.scored = len(out)
+	slices.SortFunc(out, func(a, b Result) int { return rankOrder(a.Score, b.Score, a.Concept, b.Concept) })
+	return out, nil
+}
+
+// rankOrder is the final ranking: score descending, ties by ascending
+// concept — a total order over distinct candidates.
+func rankOrder(sa, sb float64, ca, cb eks.ConceptID) int {
+	return cmp.Or(cmp.Compare(sb, sa), cmp.Compare(ca, cb))
 }
 
 // defaultCandidateTarget is the dynamic-radius growth target when the
 // caller did not bound k: keep widening until this many KB instances are
 // reachable (or MaxRadius is hit).
 const defaultCandidateTarget = 10
-
-func (r *Relaxer) flaggedWithin(q eks.ConceptID, radius int, sc *relaxScratch) []eks.Neighbor {
-	nbs := r.ing.Graph.NeighborsWithinHops(q, radius)
-	out := sc.nbuf[:0]
-	if r.opts.IncludeSelf && r.ing.IsFlagged(q) {
-		out = append(out, eks.Neighbor{ID: q, Hops: 0})
-	}
-	for _, nb := range nbs {
-		if r.ing.IsFlagged(nb.ID) {
-			out = append(out, nb)
-		}
-	}
-	sc.nbuf = out
-	return out
-}
 
 // TopKInstances flattens ranked results into at most k distinct KB
 // instances, preserving rank order — the Res set of Algorithm 2.

@@ -153,13 +153,25 @@ func (s *Similarity) CanonicalPathWeight(gen, spec int) float64 {
 // no subsumer.
 func (s *Similarity) canonicalMeet(a, b eks.ConceptID, scratch *meetScratch) (lcs []eks.ConceptID, rep eks.ConceptID, gen, spec int, ok bool) {
 	va, oka := s.subsumerVec(a)
+	if !oka {
+		return nil, 0, 0, 0, false
+	}
+	lcs, rep, gen, spec, ok = s.meetFrom(va, b, scratch.ids[:0])
+	if ok {
+		scratch.ids = lcs
+	}
+	return lcs, rep, gen, spec, ok
+}
+
+// meetFrom is canonicalMeet given the query side's subsumer vector, which a
+// caller scoring many candidates of one query fetches once. The tied set is
+// appended to ids.
+func (s *Similarity) meetFrom(va eks.SubsumerVec, b eks.ConceptID, ids []eks.ConceptID) (lcs []eks.ConceptID, rep eks.ConceptID, gen, spec int, ok bool) {
 	vb, okb := s.subsumerVec(b)
-	if !oka || !okb {
+	if !okb {
 		return nil, 0, 0, 0, false
 	}
 	best := -1
-	ids := scratch.ids[:0]
-	repGen, repSpec := 0, 0
 	eks.CommonSubsumers(va, vb, func(c eks.ConceptID, da, db int) {
 		sum := da + db
 		switch {
@@ -167,21 +179,85 @@ func (s *Similarity) canonicalMeet(a, b eks.ConceptID, scratch *meetScratch) (lc
 			best = sum
 			ids = ids[:0]
 			ids = append(ids, c)
-			rep, repGen, repSpec = c, da, db
+			rep, gen, spec = c, da, db
 		case sum == best:
 			ids = append(ids, c)
-			if da < repGen || (da == repGen && c < rep) {
-				rep, repGen, repSpec = c, da, db
+			if da < gen || (da == gen && c < rep) {
+				rep, gen, spec = c, da, db
 			}
 		}
 	})
-	scratch.ids = ids
 	if best == -1 {
 		return nil, 0, 0, 0, false
 	}
 	// The merge join visits concepts in ascending ID order, so the tied set
 	// is already sorted.
-	return ids, rep, repGen, repSpec, true
+	return ids, rep, gen, spec, true
+}
+
+// Equation 5 factors into a context-free half — the canonical meet of the
+// pair: tied LCS set and Eq. 4 path weight — and a context half, sim_IC over
+// that LCS set under the query context. A caller scoring one query against
+// many candidates and contexts derives the first once per pair (queryMeets)
+// and the query's own IC once per context, and multiplies through score;
+// Sim is the two halves back to back, so every route is bit-identical.
+
+// pairMeet is the context-free half of Equation 5 for one (query,
+// candidate) pair. An empty LCS set means no common subsumer: score 0.
+type pairMeet struct {
+	lcs    []eks.ConceptID // tied least common subsumers, ascending
+	weight float64         // canonicalPathWeight; unset when !UsePathWeight
+}
+
+// queryMeets derives pairMeets for the candidates of one query concept,
+// holding what only depends on the query: its subsumer vector and the
+// tied-set buffer.
+type queryMeets struct {
+	sim   *Similarity
+	vec   eks.SubsumerVec
+	known bool
+	ids   []eks.ConceptID
+}
+
+func (s *Similarity) meetsFrom(q eks.ConceptID) queryMeets {
+	vec, known := s.subsumerVec(q)
+	return queryMeets{sim: s, vec: vec, known: known}
+}
+
+// to returns the meet with candidate b and its hop geometry. The LCS set
+// aliases the buffer: copy it to keep it past the next call.
+func (m *queryMeets) to(b eks.ConceptID) (meet pairMeet, gen, spec int) {
+	if !m.known {
+		return pairMeet{}, 0, 0
+	}
+	lcs, _, gen, spec, ok := m.sim.meetFrom(m.vec, b, m.ids[:0])
+	if !ok {
+		return pairMeet{}, 0, 0
+	}
+	m.ids = lcs
+	return m.sim.meetOf(lcs, gen, spec), gen, spec
+}
+
+// meetOf packs a derived meet, attaching the Eq. 4 weight of its geometry.
+func (s *Similarity) meetOf(lcs []eks.ConceptID, gen, spec int) pairMeet {
+	meet := pairMeet{lcs: lcs}
+	if s.UsePathWeight {
+		meet.weight = canonicalPathWeight(s.Weights, gen, spec)
+	}
+	return meet
+}
+
+// score is the context half: Equation 5 for candidate b from its meet with
+// the query and icA, the query concept's IC under ctx.
+func (s *Similarity) score(m pairMeet, icA float64, b eks.ConceptID, ctx *ontology.Context) float64 {
+	if len(m.lcs) == 0 {
+		return 0
+	}
+	ic := s.simICFromLCS(icA, b, m.lcs, ctx)
+	if !s.UsePathWeight {
+		return ic
+	}
+	return m.weight * ic
 }
 
 // SimIC computes the IC-based similarity of Equation 3,
@@ -202,16 +278,18 @@ func (s *Similarity) SimIC(a, b eks.ConceptID, ctx *ontology.Context) float64 {
 	if !ok {
 		return 0
 	}
-	return s.simICFromLCS(a, b, lcs, ctx)
+	return s.simICFromLCS(s.IC.IC(a, ctx, s.Ontology), b, lcs, ctx)
 }
 
-func (s *Similarity) simICFromLCS(a, b eks.ConceptID, lcs []eks.ConceptID, ctx *ontology.Context) float64 {
+// simICFromLCS is Equation 3 over an already-derived LCS set; icA is IC(a)
+// under ctx.
+func (s *Similarity) simICFromLCS(icA float64, b eks.ConceptID, lcs []eks.ConceptID, ctx *ontology.Context) float64 {
 	lcsIC := 0.0
 	for _, id := range lcs {
 		lcsIC += s.IC.IC(id, ctx, s.Ontology)
 	}
 	lcsIC /= float64(len(lcs))
-	denom := s.IC.IC(a, ctx, s.Ontology) + s.IC.IC(b, ctx, s.Ontology)
+	denom := icA + s.IC.IC(b, ctx, s.Ontology)
 	if denom <= 0 {
 		return 0
 	}
@@ -239,11 +317,7 @@ func (s *Similarity) Sim(a, b eks.ConceptID, ctx *ontology.Context) float64 {
 	if !ok {
 		return 0
 	}
-	ic := s.simICFromLCS(a, b, lcs, ctx)
-	if !s.UsePathWeight {
-		return ic
-	}
-	return canonicalPathWeight(s.Weights, gen, spec) * ic
+	return s.score(s.meetOf(lcs, gen, spec), s.IC.IC(a, ctx, s.Ontology), b, ctx)
 }
 
 // canonicalPathWeight computes PathWeight over the canonical up-then-down

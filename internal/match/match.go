@@ -92,12 +92,14 @@ func (m *Edit) Map(name string) (eks.ConceptID, bool) {
 	bestDist := m.threshold + 1
 	var bestID eks.ConceptID
 	found := false
+	var band stringutil.EditBand // one per call: Map is concurrent
+	band.Reset(norm)
 	for _, key := range m.keys {
 		// Cheap length filter before the banded DP.
 		if abs(len(key)-len(norm)) > m.threshold {
 			continue
 		}
-		if !stringutil.LevenshteinWithin(norm, key, bestDist-1) {
+		if !band.Within(key, bestDist-1) {
 			continue
 		}
 		d := stringutil.Levenshtein(norm, key)

@@ -150,14 +150,63 @@ func Levenshtein(a, b string) int {
 // LevenshteinWithin reports whether the edit distance between a and b is at
 // most maxDist, without computing the full distance when it is not. It runs
 // a banded dynamic program of width 2*maxDist+1, making it much cheaper than
-// Levenshtein for small thresholds over a large lexicon.
+// Levenshtein for small thresholds. To check one string against many, reuse
+// an EditBand.
 func LevenshteinWithin(a, b string, maxDist int) bool {
+	var e EditBand
+	e.Reset(a)
+	return e.Within(b, maxDist)
+}
+
+// EditBand is the working memory of LevenshteinWithin, kept so that scanning
+// a lexicon for the names near one string allocates nothing per name: Reset
+// decodes the fixed string once, Within decodes each candidate into a reused
+// buffer and runs the band over reused rows. The zero value is ready to use;
+// an EditBand must not be shared between goroutines.
+type EditBand struct {
+	a, b       []rune
+	prev, curr []int
+}
+
+// Reset fixes the string later Within calls compare against.
+func (e *EditBand) Reset(a string) { e.a = decodeRunes(e.a, a) }
+
+// decodeRunes decodes s into buf's storage, as []rune(s) would. ASCII — the
+// whole of a normalized English lexicon — widens byte by byte without the
+// UTF-8 decoder.
+func decodeRunes(buf []rune, s string) []rune {
+	buf = buf[:0]
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			buf = buf[:0]
+			for _, r := range s {
+				buf = append(buf, r)
+			}
+			return buf
+		}
+		buf = append(buf, rune(s[i]))
+	}
+	return buf
+}
+
+// Within reports whether the edit distance between the Reset string and b is
+// at most maxDist.
+func (e *EditBand) Within(b string, maxDist int) bool {
 	if maxDist < 0 {
 		return false
 	}
-	ra, rb := []rune(a), []rune(b)
+	e.b = decodeRunes(e.b, b)
+	ra, rb := e.a, e.b
 	if abs(len(ra)-len(rb)) > maxDist {
 		return false
+	}
+	// A common prefix or suffix does not change the distance, and names of
+	// one lexicon share long ones; the band runs over what is left.
+	for len(ra) > 0 && len(rb) > 0 && ra[0] == rb[0] {
+		ra, rb = ra[1:], rb[1:]
+	}
+	for len(ra) > 0 && len(rb) > 0 && ra[len(ra)-1] == rb[len(rb)-1] {
+		ra, rb = ra[:len(ra)-1], rb[:len(rb)-1]
 	}
 	if len(ra) == 0 {
 		return len(rb) <= maxDist
@@ -166,9 +215,14 @@ func LevenshteinWithin(a, b string, maxDist int) bool {
 		return len(ra) <= maxDist
 	}
 	const inf = 1 << 30
-	prev := make([]int, len(rb)+1)
-	curr := make([]int, len(rb)+1)
-	for j := range prev {
+	if cap(e.prev) < len(rb)+1 {
+		e.prev = make([]int, len(rb)+1)
+		e.curr = make([]int, len(rb)+1)
+	}
+	// The rows carry stale cells from earlier calls; every cell a row reads
+	// is written first — the band itself and the inf guards either side.
+	prev, curr := e.prev[:len(rb)+1], e.curr[:len(rb)+1]
+	for j := 0; j <= min(len(rb), maxDist+1); j++ { // what row 1 reads
 		if j <= maxDist {
 			prev[j] = j
 		} else {
@@ -178,12 +232,10 @@ func LevenshteinWithin(a, b string, maxDist int) bool {
 	for i := 1; i <= len(ra); i++ {
 		lo := max(1, i-maxDist)
 		hi := min(len(rb), i+maxDist)
-		if lo-1 >= 0 {
-			if i <= maxDist {
-				curr[0] = i
-			} else {
-				curr[0] = inf
-			}
+		if i <= maxDist {
+			curr[0] = i
+		} else {
+			curr[0] = inf
 		}
 		if lo > 1 {
 			curr[lo-1] = inf
