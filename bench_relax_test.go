@@ -96,11 +96,13 @@ func accelRelaxers(tb testing.TB) (*core.Relaxer, *core.Relaxer) {
 }
 
 // BenchmarkRelaxUncached measures the uncached request path through each
-// serving tier over the same query mix: pure live traversal, the
+// serving tier over the same query mix: the live kernel — apart, a request
+// that finds its concept's geometry in the memo (live/hit) and one that walks
+// for it on a relaxer that has never seen the concept (live/fill) — the
 // posting-list candidate index, and the materialized top-k store. The CI
-// benchmem smoke step pins the allocation profile of the accelerated
-// tiers — an alloc regression on the miss path fails the build before it
-// reaches a latency chart.
+// benchmem smoke step pins the allocation profile of every tier — an alloc
+// regression on the miss path fails the build before it reaches a latency
+// chart.
 func BenchmarkRelaxUncached(b *testing.B) {
 	sys := sharedSystem(b)
 	queries := eval.SelectQueries(sys.Med, sys.Oracle, 32)
@@ -112,9 +114,12 @@ func BenchmarkRelaxUncached(b *testing.B) {
 		name string
 		r    *core.Relaxer
 	}{
-		{"live", sys.Relaxer},
+		{"live/hit", sys.Relaxer},
 		{"indexed", idxR},
 		{"materialized", matR},
+	}
+	for _, q := range queries { // every geometry walked before live/hit is timed
+		sys.Relaxer.RelaxConcept(q.Concept, q.Ctx, 10)
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -126,6 +131,25 @@ func BenchmarkRelaxUncached(b *testing.B) {
 			}
 		})
 	}
+	b.Run("live/fill", func(b *testing.B) {
+		ing := sys.Ingestion
+		// One similarity for all the relaxers: its subsumer vectors are warm,
+		// as a serving process's are; only the geometry is new each time.
+		sim := core.NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
+		fresh := core.NewRelaxer(ing, sim, sys.Mapper, sys.Config.Relax)
+		for _, q := range queries {
+			fresh.RelaxConcept(q.Concept, q.Ctx, 10)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			fresh = core.NewRelaxer(ing, sim, sys.Mapper, sys.Config.Relax)
+			b.StartTimer()
+			q := queries[i%len(queries)]
+			fresh.RelaxConcept(q.Concept, q.Ctx, 10)
+		}
+	})
 }
 
 // benchGraph builds a seeded synthetic world and grows it to the target

@@ -167,3 +167,35 @@ func (s *Similarity) legacySimICFromLCS(a, b eks.ConceptID, lcs []eks.ConceptID,
 	}
 	return sim
 }
+
+// setGeometryBudget replaces the relaxer's geometry memo with an empty one of
+// the given budget, so a test can make every query evict.
+func (r *Relaxer) setGeometryBudget(bytes int64) {
+	r.geo = newWeightedLRU[*geometry](bytes)
+}
+
+// audit walks every shard and returns the weight the cache accounts for, the
+// weight of the entries it actually holds, and how many those are; ok is
+// false when a shard's map and recency list disagree or a shard is over
+// budget.
+func (c *weightedLRU[V]) audit() (accounted, held int64, entries int, ok bool) {
+	ok = true
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		listed, sum := 0, int64(0)
+		for e := s.head; e != nil; e = e.next {
+			listed++
+			sum += e.weight
+			if s.m[e.key] != e {
+				ok = false
+			}
+		}
+		if listed != len(s.m) || s.weight > c.shardBudget {
+			ok = false
+		}
+		accounted, held, entries = accounted+s.weight, held+sum, entries+listed
+		s.mu.Unlock()
+	}
+	return accounted, held, entries, ok
+}

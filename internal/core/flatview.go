@@ -205,6 +205,13 @@ func (ing *Ingestion) flaggedAt(slot int32) (eks.ConceptID, []kb.InstanceID) {
 	return ing.maps.Flagged[slot], ing.maps.InstPool[ing.maps.InstOff[slot]:ing.maps.InstOff[slot+1]]
 }
 
+// instanceCount is the number of instances of the flagged concept in a slot.
+// An instance is mapped to one concept, so over distinct concepts the counts
+// add up to distinct instances.
+func (ing *Ingestion) instanceCount(slot int32) int {
+	return int(ing.maps.InstOff[slot+1] - ing.maps.InstOff[slot])
+}
+
 // flaggedSlot returns a concept's slot in the flagged set.
 func (ing *Ingestion) flaggedSlot(id eks.ConceptID) (int32, bool) {
 	i, ok := slices.BinarySearch(ing.maps.Flagged, id)

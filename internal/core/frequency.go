@@ -18,8 +18,11 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"medrelax/internal/corpus"
 	"medrelax/internal/eks"
@@ -90,7 +93,29 @@ type FrequencyTable struct {
 	ctxOK   []bool             // whether the label parsed as a context
 	rootF   []float64          // per-label root frequency
 	aggRoot float64
+
+	// resolved memoises labelsFor per (context, ontology). Readers load the
+	// map; writers copy it.
+	resolved  atomic.Pointer[map[contextKey]*contextLabels]
+	resolveMu sync.Mutex
 }
+
+type contextKey struct {
+	ctx ontology.Context
+	o   *ontology.Ontology
+}
+
+// contextLabels is one query context resolved against the table's labels:
+// the labels whose context it subsumes, ascending, and the root's frequency
+// summed over them in that order.
+type contextLabels struct {
+	labels []int32
+	rootF  float64
+}
+
+// maxResolvedContexts bounds the memo; an ontology has a few dozen contexts,
+// and one past the bound is resolved per call, as every one used to be.
+const maxResolvedContexts = 256
 
 // BuildFrequencyTable computes per-context concept frequencies for every
 // concept of g from the corpus c.
@@ -303,30 +328,67 @@ func (t *FrequencyTable) NormalizedForContext(id eks.ConceptID, ctx *ontology.Co
 	if ctx == nil || o == nil {
 		return t.normalized(t.RawAggregate(id), t.aggRoot)
 	}
-	f, rootF := 0.0, 0.0
-	matched := false
+	return t.normalizedOver(t.labelsFor(contextKey{ctx: *ctx, o: o}), id)
+}
+
+// normalizedOver is NormalizedForContext for a context already resolved to
+// its labels.
+func (t *FrequencyTable) normalizedOver(cl *contextLabels, id eks.ConceptID) float64 {
+	if len(cl.labels) == 0 {
+		// No corpus evidence for this context at all: fall back to the
+		// aggregate so IC stays informative rather than uniformly maximal.
+		return t.normalized(t.RawAggregate(id), t.aggRoot)
+	}
+	f := 0.0
+	for _, li := range cl.labels {
+		ids, vals := t.span(int(li))
+		f += lookupIn(ids, vals, id)
+	}
+	return t.normalized(f, cl.rootF)
+}
+
+// labelsFor resolves a query context to the labels it subsumes, through the
+// memo.
+func (t *FrequencyTable) labelsFor(key contextKey) *contextLabels {
+	if m := t.resolved.Load(); m != nil {
+		if cl := (*m)[key]; cl != nil {
+			return cl
+		}
+	}
+	return t.resolveLabels(key)
+}
+
+// resolveLabels scans the labels for those key's context subsumes under its
+// ontology (same relationship name, domain and range being subconcepts) and
+// publishes the answer.
+func (t *FrequencyTable) resolveLabels(key contextKey) *contextLabels {
+	cl := &contextLabels{}
 	for li := range t.ctxs {
 		if !t.ctxOK[li] {
 			continue
 		}
 		lc := &t.ctxs[li]
-		if lc.Relationship != ctx.Relationship {
+		if lc.Relationship != key.ctx.Relationship {
 			continue
 		}
-		if !o.IsSubConceptOf(lc.Domain, ctx.Domain) || !o.IsSubConceptOf(lc.Range, ctx.Range) {
+		if !key.o.IsSubConceptOf(lc.Domain, key.ctx.Domain) || !key.o.IsSubConceptOf(lc.Range, key.ctx.Range) {
 			continue
 		}
-		matched = true
-		ids, vals := t.span(li)
-		f += lookupIn(ids, vals, id)
-		rootF += t.rootF[li]
+		cl.labels = append(cl.labels, int32(li))
+		cl.rootF += t.rootF[li]
 	}
-	if !matched {
-		// No corpus evidence for this context at all: fall back to the
-		// aggregate so IC stays informative rather than uniformly maximal.
-		return t.normalized(t.RawAggregate(id), t.aggRoot)
+	t.resolveMu.Lock()
+	defer t.resolveMu.Unlock()
+	m := map[contextKey]*contextLabels{}
+	if old := t.resolved.Load(); old != nil {
+		if len(*old) >= maxResolvedContexts {
+			return cl
+		}
+		m = maps.Clone(*old)
 	}
-	return t.normalized(f, rootF)
+	m[key] = cl
+	t.resolved.Store(&m)
+	return cl
 }
 
 // OpenFlatFrequencyTable adopts frequency columns as a *FrequencyTable. It
@@ -446,7 +508,11 @@ func RestoreFrequencyTable(snap FrequencySnapshot) (*FrequencyTable, error) {
 // The root has IC 0; never-mentioned concepts get a large finite IC thanks
 // to smoothing.
 func (t *FrequencyTable) IC(id eks.ConceptID, ctx *ontology.Context, o *ontology.Ontology) float64 {
-	f := t.NormalizedForContext(id, ctx, o)
+	return icOfFrequency(t.NormalizedForContext(id, ctx, o))
+}
+
+// icOfFrequency is Equation 1 over a normalized frequency.
+func icOfFrequency(f float64) float64 {
 	if f >= 1 {
 		return 0
 	}

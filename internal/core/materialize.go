@@ -210,39 +210,22 @@ func (d *FlatMaterializedData) appendEntry(concept eks.ConceptID, ctx string, e 
 
 // materializeConcept builds one head concept's entries for every context:
 // the full candidate set at the maximum radius, per-radius instance counts,
-// and the per-context scored rankings. The candidates and counts are the
-// live kernel's walk run to the maximum radius; each candidate's meet with q
-// is derived once and scored under every context.
+// and the per-context scored rankings. The candidates, counts and meets are
+// the live kernel's geometry of q, walked to the maximum radius and kept out
+// of the memo; the kernel's scorer runs over it once per context.
 func materializeConcept(r *Relaxer, q eks.ConceptID, ctxs []*ontology.Context, opts MaterializeOptions, sc *relaxScratch) []matEntry {
-	// Background never cancels, so the error path is unreachable here.
-	hits, walked, _ := r.gatherFlagged(context.Background(), q, math.MaxInt, sc)
-	counts := slices.Clone(walked)
-
-	// The context-free half of Equation 5, once per candidate.
-	meets := make([]pairMeet, len(hits))
-	from := r.sim.meetsFrom(q)
-	for i, h := range hits {
-		if h.hops == 0 {
-			continue // q itself scores 1
-		}
-		id, _ := r.ing.flaggedAt(h.slot)
-		meets[i], _, _ = from.to(id)
-		meets[i].lcs = slices.Clone(meets[i].lcs)
-	}
-
+	// Background never cancels, so the error paths are unreachable here.
+	bg := context.Background()
+	g, _ := r.geometry(bg, q, math.MaxInt, sc)
 	out := make([]matEntry, 0, len(ctxs))
 	for _, ctx := range ctxs {
-		icQ := r.sim.IC.IC(q, ctx, r.sim.Ontology)
-		e := matEntry{complete: true, counts: counts, cands: make([]MatCand, 0, len(hits))}
-		for i, h := range hits {
-			id, _ := r.ing.flaggedAt(h.slot)
-			score := 1.0
-			if h.hops > 0 {
-				score = r.sim.score(meets[i], icQ, id, ctx)
-			}
-			e.cands = append(e.cands, MatCand{Concept: id, Score: score, Hops: h.hops})
+		n, hits := r.hitsWithin(g, len(g.levelEnd)-1, sc)
+		scored, _ := r.scoreHits(bg, q, ctx, n, hits, sc)
+		slices.SortFunc(scored, rankScored)
+		e := matEntry{complete: true, counts: g.counts, cands: make([]MatCand, len(scored))}
+		for i, h := range scored {
+			e.cands[i] = MatCand{Concept: r.ing.maps.Flagged[h.slot], Score: h.score, Hops: h.hops}
 		}
-		slices.SortFunc(e.cands, func(a, b MatCand) int { return rankOrder(a.Score, b.Score, a.Concept, b.Concept) })
 		if opts.MaxPerQuery > 0 && len(e.cands) > opts.MaxPerQuery {
 			e.cands = e.cands[:opts.MaxPerQuery]
 			e.complete = false
@@ -256,22 +239,17 @@ func materializeConcept(r *Relaxer, q eks.ConceptID, ctxs []*ontology.Context, o
 // identical to the live traversal; ok=false declines (no entry, or a
 // truncated entry that cannot satisfy this k) and the caller falls through.
 // The stopping radius is derived from the stored per-radius instance counts
-// exactly as the live traversal's growth loop derives it; the stored
-// max-radius ranking filtered to that radius is the radius ranking because
-// the comparator ignores hops.
+// exactly as the live traversal's growth loop derives it (stopRadius); the
+// stored max-radius ranking filtered to that radius is the radius ranking
+// because the comparator ignores hops.
 func (r *Relaxer) materializedServe(ctx context.Context, q eks.ConceptID, qctx *ontology.Context, k, target int, sc *relaxScratch) ([]Result, bool, error) {
 	e, found := r.mat.get(q, ctxKey(qctx))
 	if !found {
 		return nil, false, nil
 	}
-	radius := r.opts.Radius
-	if r.opts.DynamicRadius {
-		for radius < r.opts.MaxRadius && int(e.counts[radius-r.opts.Radius]) < target {
-			radius++
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, false, fmt.Errorf("core: relaxation aborted at radius %d: %w", radius, err)
+	radius, err := r.stopRadius(ctx, e.counts, target)
+	if err != nil {
+		return nil, false, err
 	}
 	sc.stats.radius = radius
 	if k <= 0 {

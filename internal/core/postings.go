@@ -151,32 +151,42 @@ func (d *FlatCandidateIndexData) appendList(q eks.ConceptID, posts []Posting, lc
 }
 
 // buildPostings computes one concept's posting list: the flagged frontier
-// walked to the index radius, each hit with its canonical-meet geometry,
-// ordered by (hops, partial similarity under the build weights, id).
+// walked to the index radius, each hit with its canonical-meet geometry —
+// derived as the live kernel derives it — ordered by (hops, partial
+// similarity under the build weights, id).
 func buildPostings(ing *Ingestion, sim *Similarity, q eks.ConceptID, opts CandidateIndexOptions) builtList {
 	f, ok := ing.flaggedFrontier(q)
 	if !ok {
 		return builtList{}
 	}
 	defer f.Close()
-	out := builtList{indexed: true}
-	var partials []float64
-	meets := sim.meetsFrom(q)
+	b := newGeometryBuilder(ing, sim, q, 0)
+	b.endLevel() // hop 0: a posting list never holds the query concept itself
 	for hops := 1; hops <= opts.Radius; hops++ {
 		level := f.Advance()
-		if opts.MaxPostings > 0 && len(out.posts)+len(level) > opts.MaxPostings {
+		if opts.MaxPostings > 0 && len(b.g.hits)+len(level) > opts.MaxPostings {
 			return builtList{}
 		}
 		for _, slot := range level {
-			id, _ := ing.flaggedAt(slot)
-			p := Posting{Concept: id, Hops: int32(hops)}
+			b.add(slot)
+		}
+		b.endLevel()
+	}
+	g := b.g
+	out := builtList{indexed: true, posts: make([]Posting, 0, len(g.hits))}
+	partials := make([]float64, 0, len(g.hits))
+	var one [1]eks.ConceptID
+	for hops := 1; hops <= opts.Radius; hops++ {
+		for _, h := range g.hits[g.levelEnd[hops-1]:g.levelEnd[hops]] {
+			p := Posting{Concept: ing.maps.Flagged[h.slot], Hops: int32(hops)}
 			partial := 0.0
-			if meet, gen, spec := meets.to(id); len(meet.lcs) > 0 {
-				p.Gen, p.Spec = int32(gen), int32(spec)
+			if lcs := g.lcsOf(h, b.nodes, &one); len(lcs) > 0 {
+				shape := g.shapes[h.shape]
+				p.Gen, p.Spec = shape.gen, shape.spec
 				p.LCSLo = int32(len(out.lcs))
-				out.lcs = append(out.lcs, meet.lcs...)
+				out.lcs = append(out.lcs, lcs...)
 				p.LCSHi = int32(len(out.lcs))
-				partial = canonicalPathWeight(sim.Weights, gen, spec)
+				partial = sim.pathWeight(int(shape.gen), int(shape.spec))
 			}
 			out.posts = append(out.posts, p)
 			partials = append(partials, partial)
@@ -225,11 +235,12 @@ func hopCut(posts []Posting, radius int) int {
 	return sort.Search(len(posts), func(i int) bool { return int(posts[i].Hops) > radius })
 }
 
-// indexedCandidates is rankedCandidatesTarget over the posting list:
-// identical candidate set, identical scores, identical ordering. ok=false
-// declines (unindexed concept, or dynamic growth outrunning the index
-// radius) and the caller runs the live traversal.
-func (r *Relaxer) indexedCandidates(ctx context.Context, q eks.ConceptID, qctx *ontology.Context, target int, sc *relaxScratch) ([]Result, bool, error) {
+// indexedCandidates is liveCandidates over the posting list: identical
+// candidate set, identical scores — the stored geometry goes through the
+// same scorer — identical ordering. ok=false declines (unindexed concept,
+// dynamic growth outrunning the index radius, or a posting that is not a
+// flagged concept of this ingestion) and the caller runs the live kernel.
+func (r *Relaxer) indexedCandidates(ctx context.Context, q eks.ConceptID, qctx *ontology.Context, k, target int, sc *relaxScratch) ([]Result, bool, error) {
 	idx := r.cidx
 	if r.opts.Radius > idx.d.Radius {
 		return nil, false, nil
@@ -238,14 +249,35 @@ func (r *Relaxer) indexedCandidates(ctx context.Context, q eks.ConceptID, qctx *
 	if !found {
 		return nil, false, nil
 	}
+	// The candidates' slots, the query concept's own first under IncludeSelf,
+	// and their distinct instances, counted as the live walk counts its
+	// levels: each growth round adds its new level's instance spans.
+	slots := sc.slots[:0]
+	self := 0
+	if slot, flagged := r.ing.flaggedSlot(q); flagged && r.opts.IncludeSelf {
+		slots, self = append(slots, slot), 1
+	}
+	counted, instances := 0, 0
 	radius := r.opts.Radius
-	var cut int
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, false, fmt.Errorf("core: relaxation aborted at radius %d: %w", radius, err)
 		}
-		cut = hopCut(posts, radius)
-		if !r.opts.DynamicRadius || radius >= r.opts.MaxRadius || r.postingInstanceCount(posts[:cut], q, sc) >= target {
+		for cut := hopCut(posts, radius); len(slots)-self < cut; {
+			slot, flagged := r.ing.flaggedSlot(posts[len(slots)-self].Concept)
+			if !flagged {
+				return nil, false, nil
+			}
+			slots = append(slots, slot)
+		}
+		sc.slots = slots
+		if !r.opts.DynamicRadius || radius >= r.opts.MaxRadius {
+			break
+		}
+		for ; counted < len(slots); counted++ {
+			instances += r.ing.instanceCount(slots[counted])
+		}
+		if instances >= target {
 			break
 		}
 		if radius+1 > idx.d.Radius {
@@ -255,49 +287,22 @@ func (r *Relaxer) indexedCandidates(ctx context.Context, q eks.ConceptID, qctx *
 		}
 		radius++
 	}
-	includeSelf := r.opts.IncludeSelf && r.ing.IsFlagged(q)
-	total := cut
-	if includeSelf {
-		total++
-	}
-	sc.stats = kernelStats{radius: radius, scored: total}
-	out := make([]Result, 0, total)
-	if includeSelf {
-		out = append(out, Result{Concept: q, Score: 1, Hops: 0, Instances: r.ing.InstancesForConcept(q)})
-	}
-	icQ := r.sim.IC.IC(q, qctx, r.sim.Ontology)
-	for i := 0; i < cut; i++ {
-		if i%scoreCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, false, fmt.Errorf("core: relaxation aborted scoring candidate %d/%d: %w", i, cut, err)
-			}
+	sc.stats.radius = radius
+	scored, err := r.scoreHits(ctx, q, qctx, len(slots), func(i int) (int32, int32, pairMeet) {
+		if i < self {
+			return slots[i], 0, pairMeet{}
 		}
-		p := &posts[i]
+		p := &posts[i-self]
 		meet := pairMeet{lcs: idx.d.LCS[p.LCSLo:p.LCSHi]}
 		if r.sim.UsePathWeight {
-			meet.weight = r.pw[p.Gen][p.Spec]
+			meet.weight = r.sim.pathWeight(int(p.Gen), int(p.Spec))
 		}
-		out = append(out, Result{Concept: p.Concept, Score: r.sim.score(meet, icQ, p.Concept, qctx), Hops: int(p.Hops), Instances: r.ing.InstancesForConcept(p.Concept)})
+		return slots[i], p.Hops, meet
+	}, sc)
+	if err != nil {
+		return nil, false, err
 	}
-	slices.SortFunc(out, func(a, b Result) int { return rankOrder(a.Score, b.Score, a.Concept, b.Concept) })
-	return out, true, nil
-}
-
-// postingInstanceCount counts the distinct instances of a posting prefix
-// exactly as the live walk counts its levels, the self concept's included.
-func (r *Relaxer) postingInstanceCount(posts []Posting, q eks.ConceptID, sc *relaxScratch) int {
-	seen := sc.resetSeen()
-	if r.opts.IncludeSelf && r.ing.IsFlagged(q) {
-		for _, iid := range r.ing.InstancesForConcept(q) {
-			seen[iid] = true
-		}
-	}
-	for i := range posts {
-		for _, iid := range r.ing.InstancesForConcept(posts[i].Concept) {
-			seen[iid] = true
-		}
-	}
-	return len(seen)
+	return r.rankResults(scored, k), true, nil
 }
 
 // Radius reports the hop radius the index was built with.
@@ -315,36 +320,6 @@ func (x *CandidateIndex) Skipped() int { return x.d.Skipped }
 // FlatData returns the index's columns, the form a flat bundle stores. The
 // slices alias the index and must not be modified.
 func (x *CandidateIndex) FlatData() FlatCandidateIndexData { return x.d }
-
-// maxGeometry scans the pool for the largest gen/spec hop counts, sizing
-// the path-weight table SetCandidateIndex precomputes.
-func (x *CandidateIndex) maxGeometry() (maxGen, maxSpec int) {
-	for i := range x.d.Posts {
-		if g := int(x.d.Posts[i].Gen); g > maxGen {
-			maxGen = g
-		}
-		if s := int(x.d.Posts[i].Spec); s > maxSpec {
-			maxSpec = s
-		}
-	}
-	return maxGen, maxSpec
-}
-
-// pathWeightTable precomputes canonicalPathWeight for every (gen, spec)
-// pair occurring in the index. Entries are computed by the same function
-// the live path multiplies through, so table lookups are bit-identical.
-func (x *CandidateIndex) pathWeightTable(w PathWeights) [][]float64 {
-	maxGen, maxSpec := x.maxGeometry()
-	table := make([][]float64, maxGen+1)
-	for g := range table {
-		row := make([]float64, maxSpec+1)
-		for s := range row {
-			row[s] = canonicalPathWeight(w, g, s)
-		}
-		table[g] = row
-	}
-	return table
-}
 
 // CandidateIndexSnapshot is the serializable form of a CandidateIndex.
 type CandidateIndexSnapshot struct {

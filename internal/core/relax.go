@@ -121,11 +121,14 @@ type Relaxer struct {
 	// nil keeps the pure live traversal.
 	mat  *Materialized
 	cidx *CandidateIndex
-	// pw caches canonicalPathWeight for every (gen, spec) pair occurring
-	// in cidx, so the indexed path skips the per-candidate hop product.
-	pw [][]float64
+
+	// geo memoises the live kernel's geometry per query concept. It belongs
+	// to this relaxer — its options decide the walk, its similarity the
+	// meets — and goes when the relaxer does, with the snapshot it serves.
+	geo *weightedLRU[*geometry]
 
 	pathLive, pathMaterialized, pathIndexed atomic.Uint64
+	geoHits, geoFills, geoRefills           atomic.Uint64
 }
 
 // SetMaterialized attaches an offline top-k store. It refuses (returning
@@ -147,9 +150,6 @@ func (r *Relaxer) SetCandidateIndex(idx *CandidateIndex) bool {
 		return false
 	}
 	r.cidx = idx
-	if r.sim.UsePathWeight {
-		r.pw = idx.pathWeightTable(r.sim.Weights)
-	}
 	return true
 }
 
@@ -159,11 +159,19 @@ func (r *Relaxer) PathCounts() (live, materialized, indexed uint64) {
 	return r.pathLive.Load(), r.pathMaterialized.Load(), r.pathIndexed.Load()
 }
 
+// GeometryCounts reports what the live kernel's geometry memo has done since
+// the relaxer was built: requests it answered, concepts it walked for the
+// first time, walks redone for a wider target, entries evicted, and the bytes
+// it holds now.
+func (r *Relaxer) GeometryCounts() (hits, fills, refills, evictions uint64, bytes int64) {
+	return r.geoHits.Load(), r.geoFills.Load(), r.geoRefills.Load(), r.geo.evictions.Load(), r.geo.weight()
+}
+
 // NewRelaxer builds the online phase. sim decides which variant runs (full
 // QR, no-context, no-corpus, IC baseline); mapper resolves query terms to
 // external concepts and is typically the same one used during ingestion.
 func NewRelaxer(ing *Ingestion, sim *Similarity, mapper match.Mapper, opts RelaxOptions) *Relaxer {
-	return &Relaxer{ing: ing, sim: sim, mapper: mapper, opts: opts.withDefaults()}
+	return &Relaxer{ing: ing, sim: sim, mapper: mapper, opts: opts.withDefaults(), geo: newWeightedLRU[*geometry](geometryBudget)}
 }
 
 // RelaxTerm maps a query term to an external concept and relaxes it. It
@@ -206,9 +214,12 @@ func (r *Relaxer) RelaxTermContextTraced(ctx context.Context, term string, qctx 
 
 // kernelStats is what one kernel run did, for the sampled request's span:
 // the radius it stopped at, the graph nodes its walk touched (none on the
-// materialized and indexed paths) and the candidates it scored.
+// materialized and indexed paths, and none when the live path found the
+// concept's geometry in the memo), the candidates it scored, and on the live
+// path where the geometry came from: "hit", "fill" or "refill".
 type kernelStats struct {
 	radius, reached, scored int
+	geometry                string
 }
 
 // endKernelSpan tags a relax.kernel span with the run's outcome and ends it.
@@ -217,6 +228,9 @@ func endKernelSpan(sp *trace.Span, path ServePath, st kernelStats, err error) {
 	sp.SetTag("radius", strconv.Itoa(st.radius))
 	sp.SetTag("reached", strconv.Itoa(st.reached))
 	sp.SetTag("scored", strconv.Itoa(st.scored))
+	if st.geometry != "" {
+		sp.SetTag("geometry", st.geometry)
+	}
 	if err != nil {
 		sp.SetTag("error", err.Error())
 	}
@@ -249,16 +263,18 @@ func (r *Relaxer) RelaxConceptContext(ctx context.Context, q eks.ConceptID, qctx
 }
 
 // relaxScratch holds the per-query working state that batch relaxation
-// reuses across items: the instance-dedup set (filled level by level during
-// the walk, and once per truncation), the walk's candidate and per-radius
-// count buffers, and the stats of the last kernel run. Returned Result
-// slices are always freshly allocated — only the intermediate state is
-// shared.
+// reuses across items: the walk's candidate and per-radius count buffers, the
+// scorer's buffers, the instance-dedup set of the paths that consume stored
+// rankings, and the stats of the last kernel run. Returned Result slices are
+// always freshly allocated — only the intermediate state is shared.
 type relaxScratch struct {
-	seen   map[kb.InstanceID]bool
-	hits   []flaggedHit
-	counts []int32
-	stats  kernelStats
+	seen    map[kb.InstanceID]bool
+	hits    []flaggedHit
+	counts  []int32
+	weights []float64
+	scored  []scoredHit
+	slots   []int32
+	stats   kernelStats
 }
 
 // resetSeen clears (or lazily allocates) the dedup set.
@@ -280,7 +296,7 @@ func (r *Relaxer) relaxConceptScratch(ctx context.Context, q eks.ConceptID, qctx
 // relaxConceptPath dispatches materialized -> indexed -> live and reports
 // which path answered. All three paths produce byte-identical results; a
 // path that cannot prove identity for this query declines and the next one
-// runs.
+// runs. k <= 0 asks for the full ranked candidate list.
 func (r *Relaxer) relaxConceptPath(ctx context.Context, q eks.ConceptID, qctx *ontology.Context, k int, sc *relaxScratch) ([]Result, ServePath, error) {
 	target := k
 	if target <= 0 {
@@ -297,7 +313,7 @@ func (r *Relaxer) relaxConceptPath(ctx context.Context, q eks.ConceptID, qctx *o
 			return out, PathMaterialized, nil
 		}
 	}
-	ranked, path, err := r.rankedCandidatesPath(ctx, q, qctx, target, sc)
+	out, path, err := r.rankedPath(ctx, q, qctx, k, target, sc)
 	if err != nil {
 		return nil, path, err
 	}
@@ -306,17 +322,14 @@ func (r *Relaxer) relaxConceptPath(ctx context.Context, q eks.ConceptID, qctx *o
 	} else {
 		r.pathLive.Add(1)
 	}
-	if k <= 0 {
-		return ranked, path, nil
-	}
-	return takeForKInstances(ranked, k, sc), path, nil
+	return out, path, nil
 }
 
-// rankedCandidatesPath tries the posting-list index before falling back to
-// the live traversal.
-func (r *Relaxer) rankedCandidatesPath(ctx context.Context, q eks.ConceptID, qctx *ontology.Context, target int, sc *relaxScratch) ([]Result, ServePath, error) {
+// rankedPath scores and ranks: over the posting-list index when it covers the
+// query, over the live kernel's geometry otherwise.
+func (r *Relaxer) rankedPath(ctx context.Context, q eks.ConceptID, qctx *ontology.Context, k, target int, sc *relaxScratch) ([]Result, ServePath, error) {
 	if r.cidx != nil {
-		out, ok, err := r.indexedCandidates(ctx, q, qctx, target, sc)
+		out, ok, err := r.indexedCandidates(ctx, q, qctx, k, target, sc)
 		if err != nil {
 			return nil, PathIndexed, err
 		}
@@ -324,7 +337,7 @@ func (r *Relaxer) rankedCandidatesPath(ctx context.Context, q eks.ConceptID, qct
 			return out, PathIndexed, nil
 		}
 	}
-	out, err := r.rankedCandidatesTarget(ctx, q, qctx, target, sc)
+	out, err := r.liveCandidates(ctx, q, qctx, k, target, sc)
 	return out, PathLive, err
 }
 
@@ -422,7 +435,7 @@ func (r *Relaxer) RelaxBatchContextTraced(ctx context.Context, queries []BatchQu
 // dynamically grown) radius of q, ranked by similarity to q, best first.
 // Ties break by concept ID for determinism.
 func (r *Relaxer) RankedCandidates(q eks.ConceptID, ctx *ontology.Context) []Result {
-	out, _, _ := r.rankedCandidatesPath(context.Background(), q, ctx, defaultCandidateTarget, &relaxScratch{})
+	out, _, _ := r.rankedPath(context.Background(), q, ctx, 0, defaultCandidateTarget, &relaxScratch{})
 	return out
 }
 
@@ -437,51 +450,48 @@ type flaggedHit struct {
 	slot, hops int32
 }
 
+// maxRadius is how far a walk may go: the base radius, or under
+// DynamicRadius the growth ceiling.
+func (r *Relaxer) maxRadius() int {
+	if r.opts.DynamicRadius {
+		return r.opts.MaxRadius
+	}
+	return r.opts.Radius
+}
+
 // gatherFlagged is Algorithm 2 line 2 with the paper's "dynamically decided"
 // radius: it walks the flagged frontier from q out to opts.Radius and then,
 // under DynamicRadius, one more hop per growth round while the candidates so
 // far supply fewer than target distinct KB instances, up to MaxRadius. Each
-// round pays for its new level only; the dedup set grows with the levels and
-// matches TopKInstances, so an instance mapped to several candidates counts
-// once and growth stops exactly when target distinct results are reachable.
-// Under IncludeSelf the flagged query concept is the first hit, at hop 0,
-// and its instances count toward the target.
+// round pays for its new level only. An instance is mapped to one concept
+// (NewFlatIngestion checks it) and a walk reaches a concept once, so the
+// distinct instances of the candidates are the sum of their instance spans
+// and growth stops exactly when target distinct results are reachable. Under
+// IncludeSelf the flagged query concept is the first hit, at hop 0, and its
+// instances count toward the target.
 //
 // hits come back in hop-ascending order; counts[i] is the number of distinct
 // instances within radius opts.Radius+i, one per radius walked, so the walk
-// stopped at opts.Radius+len(counts)-1. Counting stops at the target — past
-// it only "enough" matters, and the set is most of a query's garbage — so a
-// count is exact below target and at least target from there on;
-// materialization passes no target and reads exact counts. Both slices alias
-// the scratch.
-func (r *Relaxer) gatherFlagged(ctx context.Context, q eks.ConceptID, target int, sc *relaxScratch) (hits []flaggedHit, counts []int32, err error) {
-	maxR := r.opts.Radius
-	if r.opts.DynamicRadius {
-		maxR = r.opts.MaxRadius
-	}
+// stopped at opts.Radius+len(counts)-1. Both slices alias the scratch.
+// reached is the number of graph nodes the walk touched.
+func (r *Relaxer) gatherFlagged(ctx context.Context, q eks.ConceptID, target int, sc *relaxScratch) (hits []flaggedHit, counts []int32, reached int, err error) {
 	hits, counts = sc.hits[:0], sc.counts[:0]
-	seen := sc.resetSeen()
+	instances := 0
 	add := func(slot, hops int32) {
 		hits = append(hits, flaggedHit{slot: slot, hops: hops})
-		if len(seen) >= target {
-			return
-		}
-		_, instances := r.ing.flaggedAt(slot)
-		for _, id := range instances {
-			seen[id] = true
-		}
+		instances += r.ing.instanceCount(slot)
 	}
 	if slot, flagged := r.ing.flaggedSlot(q); flagged && r.opts.IncludeSelf {
 		add(slot, 0)
 	}
 	f, known := r.ing.flaggedFrontier(q)
 	defer f.Close()
-	for hops := 1; hops <= maxR; hops++ {
-		if hops > r.opts.Radius && len(seen) >= target {
+	for hops, maxR := 1, r.maxRadius(); hops <= maxR; hops++ {
+		if hops > r.opts.Radius && instances >= target {
 			break
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, nil, fmt.Errorf("core: relaxation aborted at radius %d: %w", hops, err)
+			return nil, nil, 0, fmt.Errorf("core: relaxation aborted at radius %d: %w", hops, err)
 		}
 		if known {
 			for _, slot := range f.Advance() {
@@ -489,50 +499,158 @@ func (r *Relaxer) gatherFlagged(ctx context.Context, q eks.ConceptID, target int
 			}
 		}
 		if hops >= r.opts.Radius {
-			counts = append(counts, int32(len(seen)))
+			counts = append(counts, int32(instances))
 		}
 	}
 	sc.hits, sc.counts = hits, counts
-	sc.stats.radius = r.opts.Radius + len(counts) - 1
 	if known {
-		sc.stats.reached = f.Reached()
+		reached = f.Reached()
 	}
-	return hits, counts, nil
+	return hits, counts, reached, nil
 }
 
-// rankedCandidatesTarget is the live kernel: gather the flagged candidates,
-// score each under Equation 5 — the query side of the measure fetched once —
-// and rank.
-func (r *Relaxer) rankedCandidatesTarget(ctx context.Context, q eks.ConceptID, qctx *ontology.Context, target int, sc *relaxScratch) ([]Result, error) {
-	hits, _, err := r.gatherFlagged(ctx, q, target, sc)
+// stopRadius derives the radius Algorithm 2 stops at for target from
+// per-radius distinct-instance counts, step for step as gatherFlagged's walk
+// decides it — the deadline polled once a hop, as the walk polls it — so an
+// answer read from stored counts (a memoised geometry, a materialized entry)
+// stops where the walk would.
+func (r *Relaxer) stopRadius(ctx context.Context, counts []int32, target int) (int, error) {
+	maxR := r.maxRadius()
+	for hops := 1; hops <= maxR; hops++ {
+		if hops > r.opts.Radius && int(counts[hops-1-r.opts.Radius]) >= target {
+			return hops - 1, nil
+		}
+		if err := ctx.Err(); err != nil {
+			return 0, fmt.Errorf("core: relaxation aborted at radius %d: %w", hops, err)
+		}
+	}
+	return maxR, nil
+}
+
+// liveCandidates is the live kernel: the query concept's geometry — memoised,
+// or walked and derived now — cut to the radius this request's target stops
+// at, scored under the query context and ranked. The geometry is per
+// concept, the scoring per (concept, context, k).
+func (r *Relaxer) liveCandidates(ctx context.Context, q eks.ConceptID, qctx *ontology.Context, k, target int, sc *relaxScratch) ([]Result, error) {
+	g, err := r.memoGeometry(ctx, q, target, sc)
 	if err != nil {
 		return nil, err
 	}
-	meets := r.sim.meetsFrom(q)
-	icQ := r.sim.IC.IC(q, qctx, r.sim.Ontology)
-	out := make([]Result, 0, len(hits))
-	for i, h := range hits {
+	radius, err := r.stopRadius(ctx, g.counts, target)
+	if err != nil {
+		return nil, err
+	}
+	sc.stats.radius = radius
+	n, hits := r.hitsWithin(g, radius, sc)
+	scored, err := r.scoreHits(ctx, q, qctx, n, hits, sc)
+	if err != nil {
+		return nil, err
+	}
+	return r.rankResults(scored, k), nil
+}
+
+// hitSource yields candidate i of one kernel run to the shared scorer: its
+// slot in the flagged set, its hop distance from the query concept (0 for
+// the query concept itself) and its meet with it. It is called with
+// ascending i.
+type hitSource func(i int) (slot, hops int32, meet pairMeet)
+
+// scoredHit is one candidate after Equation 5 and before ranking.
+type scoredHit struct {
+	score      float64
+	slot, hops int32
+}
+
+// scoreHits is the context half of Equation 5 for every kernel — the live
+// one over a geometry, the indexed one over a posting list, materialization
+// over a full walk: the context resolved and the query concept's IC fetched
+// once, each candidate scored from its meet. The scores alias the scratch.
+func (r *Relaxer) scoreHits(ctx context.Context, q eks.ConceptID, qctx *ontology.Context, n int, hits hitSource, sc *relaxScratch) ([]scoredHit, error) {
+	ic := r.sim.icUnder(qctx)
+	icQ := ic.of(q)
+	scored := slices.Grow(sc.scored[:0], n)
+	for i := 0; i < n; i++ {
 		if i%scoreCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("core: relaxation aborted scoring candidate %d/%d: %w", i, len(hits), err)
+				return nil, fmt.Errorf("core: relaxation aborted scoring candidate %d/%d: %w", i, n, err)
 			}
 		}
-		id, instances := r.ing.flaggedAt(h.slot)
+		slot, hops, meet := hits(i)
 		score := 1.0 // the query concept itself, the only hit at hop 0
-		if h.hops > 0 {
-			meet, _, _ := meets.to(id)
-			score = r.sim.score(meet, icQ, id, qctx)
+		if hops > 0 {
+			score = r.sim.score(meet, icQ, r.ing.maps.Flagged[slot], &ic)
 		}
-		out = append(out, Result{Concept: id, Score: score, Hops: int(h.hops), Instances: instances})
+		scored = append(scored, scoredHit{score: score, slot: slot, hops: hops})
 	}
-	sc.stats.scored = len(out)
-	slices.SortFunc(out, func(a, b Result) int { return rankOrder(a.Score, b.Score, a.Concept, b.Concept) })
-	return out, nil
+	sc.scored = scored
+	sc.stats.scored = n
+	return scored, nil
 }
+
+// rankResults turns scored hits into the answer. k <= 0 returns them all,
+// ranked. k > 0 returns the ranked prefix that covers k distinct KB instances
+// (or every hit, when they hold fewer) — the hits are distinct concepts and
+// an instance is mapped to one, so their spans add up to distinct instances,
+// as in gatherFlagged: the hits are made a heap and popped best first, which
+// is exact because rankOrder is a total order, so the Results built — and the
+// sorting done — follow the answer rather than the candidate set. scored is
+// reordered.
+func (r *Relaxer) rankResults(scored []scoredHit, k int) []Result {
+	result := func(h scoredHit) Result {
+		id, instances := r.ing.flaggedAt(h.slot)
+		return Result{Concept: id, Score: h.score, Hops: int(h.hops), Instances: instances}
+	}
+	if k <= 0 {
+		slices.SortFunc(scored, rankScored)
+		out := make([]Result, len(scored))
+		for i, h := range scored {
+			out[i] = result(h)
+		}
+		return out
+	}
+	if len(scored) == 0 {
+		return nil
+	}
+	n := len(scored)
+	for i := n/2 - 1; i >= 0; i-- {
+		siftDown(scored, i)
+	}
+	out := make([]Result, 0, min(k, n)) // every hit adds an instance
+	for instances := 0; n > 0 && instances < k; n-- {
+		res := result(scored[0])
+		out = append(out, res)
+		instances += len(res.Instances)
+		scored[0] = scored[n-1]
+		siftDown(scored[:n-1], 0)
+	}
+	return out
+}
+
+// siftDown restores the best-first heap order of h below position i.
+func siftDown(h []scoredHit, i int) {
+	for {
+		best := i
+		if l := 2*i + 1; l < len(h) && rankScored(h[l], h[best]) < 0 {
+			best = l
+		}
+		if r := 2*i + 2; r < len(h) && rankScored(h[r], h[best]) < 0 {
+			best = r
+		}
+		if best == i {
+			return
+		}
+		h[i], h[best] = h[best], h[i]
+		i = best
+	}
+}
+
+// rankScored is rankOrder over scored hits: the flagged set is ascending, so
+// slots order as their concepts do.
+func rankScored(a, b scoredHit) int { return rankOrder(a.score, b.score, a.slot, b.slot) }
 
 // rankOrder is the final ranking: score descending, ties by ascending
 // concept — a total order over distinct candidates.
-func rankOrder(sa, sb float64, ca, cb eks.ConceptID) int {
+func rankOrder[C cmp.Ordered](sa, sb float64, ca, cb C) int {
 	return cmp.Or(cmp.Compare(sb, sa), cmp.Compare(ca, cb))
 }
 

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -216,5 +217,234 @@ func TestSelfInstancesCountTowardTarget(t *testing.T) {
 	r = NewRelaxer(ing, NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology), nil, opts)
 	if got := r.RelaxConcept(3, nil, 0); len(got) != 1 || got[0].Concept != 4 || got[0].Hops != 3 {
 		t.Fatalf("RelaxConcept(self, k=0) without IncludeSelf = %+v, want the far concept at 3 hops", got)
+	}
+}
+
+// memoOracleOptions are the radius-loop shapes the memo is replayed under:
+// growth to the default ceiling (entries that stop short and get refilled),
+// growth cut short with the self concept (entries that are final early).
+var memoOracleOptions = []RelaxOptions{
+	{Radius: 1, DynamicRadius: true},
+	{Radius: 2, DynamicRadius: true, MaxRadius: 3, IncludeSelf: true},
+}
+
+// TestGeometryMemoMatchesLegacyOracle replays the flagged concepts of the
+// generated worlds (an even sample of some 150 a world: the oracle is what
+// takes the time) on long-lived relaxers,
+// under k sequences ascending, descending and shuffled and a context that
+// rotates with (concept, k) — fills, hits on entries that cover the target,
+// refills of ones that do not and hits on final ones — against the
+// exhaustive oracle, to the bit. The same replay runs on a relaxer whose
+// budget holds one entry a shard, where most queries evict.
+func TestGeometryMemoMatchesLegacyOracle(t *testing.T) {
+	for name, ing := range oracleWorlds(t) {
+		for _, opts := range memoOracleOptions {
+			t.Run(fmt.Sprintf("%s/%+v", name, opts), func(t *testing.T) {
+				t.Parallel()
+				sim := func() *Similarity { return NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology) }
+				oracle := NewRelaxer(ing, sim(), nil, opts)
+				roomy, tight := NewRelaxer(ing, sim(), nil, opts), NewRelaxer(ing, sim(), nil, opts)
+				ctxs := queryContexts(ing)
+				flagged := ing.FlaggedIDs()
+				if stride := len(flagged) / 150; stride > 1 {
+					sampled := flagged[:0]
+					for i := 0; i < len(flagged); i += stride {
+						sampled = append(sampled, flagged[i])
+					}
+					flagged = sampled
+				}
+
+				type key struct {
+					q eks.ConceptID
+					k int
+				}
+				want := map[key][]Result{}
+				ctxOf := func(qi, ki int) *ontology.Context { return ctxs[(qi*len(oracleKs)+ki)%len(ctxs)] }
+				var heaviest int64
+				for qi, q := range flagged {
+					for ki, k := range oracleKs {
+						res, err := oracle.legacyRelaxConcept(context.Background(), q, ctxOf(qi, ki), k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want[key{q, k}] = res
+					}
+					g, err := oracle.geometry(context.Background(), q, math.MaxInt, &relaxScratch{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					heaviest = max(heaviest, g.bytes())
+				}
+				tight.setGeometryBudget(heaviest * lruShards)
+
+				// oracleKs ascending (so targets outgrow stored walks), then
+				// descending, then shuffled.
+				for _, kis := range [][]int{{0, 1, 2, 3, 4}, {4, 3, 2, 1, 0}, {3, 0, 4, 1, 2}} {
+					for _, ki := range kis {
+						for qi, q := range flagged {
+							k := oracleKs[ki]
+							for _, r := range []*Relaxer{roomy, tight} {
+								if got := r.RelaxConcept(q, ctxOf(qi, ki), k); !sameResults(want[key{q, k}], got) {
+									t.Fatalf("k order %v, tight budget %v: concept %d ctx %q k %d differs from the oracle\noracle %+v\nmemo   %+v",
+										kis, r == tight, q, ctxKey(ctxOf(qi, ki)), k, want[key{q, k}], got)
+								}
+							}
+						}
+					}
+				}
+
+				hits, fills, refills, evictions, bytes := roomy.GeometryCounts()
+				if fills != uint64(len(flagged)) || hits == 0 || evictions != 0 {
+					t.Errorf("roomy memo: %d fills for %d concepts, %d hits, %d evictions", fills, len(flagged), hits, evictions)
+				}
+				if opts.MaxRadius == 0 && refills == 0 {
+					t.Error("growing to the default ceiling, no target outgrew a stored walk: refills are not exercised")
+				}
+				if accounted, held, _, ok := roomy.geo.audit(); !ok || accounted != held || accounted != bytes {
+					t.Errorf("roomy memo accounts for %d bytes, holds %d, reports %d (consistent: %v)", accounted, held, bytes, ok)
+				}
+				_, tightFills, _, tightEvictions, tightBytes := tight.GeometryCounts()
+				if tightEvictions == 0 || tightFills <= fills || tightBytes > heaviest*lruShards {
+					t.Errorf("tight memo: %d fills (roomy %d), %d evictions, %d bytes under a budget of %d",
+						tightFills, fills, tightEvictions, tightBytes, heaviest*lruShards)
+				}
+			})
+		}
+	}
+}
+
+// TestGeometryMemoHammer has eight goroutines ask four concepts under mixed
+// k and contexts at once: concurrent fills of one concept, refills racing
+// hits, all against answers taken beforehand from a relaxer of its own. Run
+// under -race.
+func TestGeometryMemoHammer(t *testing.T) {
+	ing := oracleWorlds(t)["seed11"]
+	opts := RelaxOptions{Radius: 1, DynamicRadius: true}
+	sim := func() *Similarity { return NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology) }
+	ref, shared := NewRelaxer(ing, sim(), nil, opts), NewRelaxer(ing, sim(), nil, opts)
+	// Two entries a shard at most: evictions join the races.
+	g, err := ref.geometry(context.Background(), ing.FlaggedIDs()[0], math.MaxInt, &relaxScratch{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared.setGeometryBudget(2 * g.bytes() * lruShards)
+	ctxs := queryContexts(ing)
+	concepts := ing.FlaggedIDs()[:4]
+	type query struct {
+		q   eks.ConceptID
+		ctx *ontology.Context
+		k   int
+	}
+	var queries []query
+	var want [][]Result
+	for qi, q := range concepts {
+		for ki, k := range oracleKs {
+			qu := query{q, ctxs[(qi+ki)%len(ctxs)], k}
+			queries = append(queries, qu)
+			want = append(want, ref.RelaxConcept(qu.q, qu.ctx, qu.k))
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 40; round++ {
+				i := (w*7 + round*3) % len(queries)
+				if got := shared.RelaxConcept(queries[i].q, queries[i].ctx, queries[i].k); !sameResults(want[i], got) {
+					t.Errorf("goroutine %d round %d: concept %d k %d differs under concurrency", w, round, queries[i].q, queries[i].k)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if accounted, held, _, ok := shared.geo.audit(); !ok || accounted != held {
+		t.Errorf("after the hammer the memo accounts for %d bytes and holds %d (consistent: %v)", accounted, held, ok)
+	}
+}
+
+// TestGeometryMemoIsPerRelaxer runs two relaxers over one ingestion that
+// differ in RelaxOptions, and two that differ in UsePathWeight, interleaved:
+// each must answer as its own oracle does — a geometry walked under one's
+// radius, or weighted under one's measure, must never serve the other — and
+// each walks every concept itself.
+func TestGeometryMemoIsPerRelaxer(t *testing.T) {
+	ing := oracleWorlds(t)["seed5"]
+	plain := func() *Similarity { return NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology) }
+	icOnly := func() *Similarity {
+		s := plain()
+		s.UsePathWeight = false
+		return s
+	}
+	for name, pair := range map[string][2]func() *Relaxer{
+		"options": {
+			func() *Relaxer { return NewRelaxer(ing, plain(), nil, RelaxOptions{Radius: 1}) },
+			func() *Relaxer { return NewRelaxer(ing, plain(), nil, RelaxOptions{Radius: 3, IncludeSelf: true}) },
+		},
+		"path weight": {
+			func() *Relaxer { return NewRelaxer(ing, plain(), nil, RelaxOptions{Radius: 2}) },
+			func() *Relaxer { return NewRelaxer(ing, icOnly(), nil, RelaxOptions{Radius: 2}) },
+		},
+	} {
+		a, b := pair[0](), pair[1]()
+		oracleA, oracleB := pair[0](), pair[1]()
+		concepts := ing.FlaggedIDs()[:20]
+		differ := false
+		for _, q := range concepts {
+			for pass := 0; pass < 2; pass++ {
+				wantA, _ := oracleA.legacyRelaxConcept(context.Background(), q, nil, 5)
+				wantB, _ := oracleB.legacyRelaxConcept(context.Background(), q, nil, 5)
+				if gotA, gotB := a.RelaxConcept(q, nil, 5), b.RelaxConcept(q, nil, 5); !sameResults(wantA, gotA) || !sameResults(wantB, gotB) {
+					t.Fatalf("%s: concept %d pass %d: a relaxer differs from its own oracle", name, q, pass)
+				}
+				differ = differ || !sameResults(wantA, wantB)
+			}
+		}
+		if !differ {
+			t.Fatalf("%s: the two relaxers agree on every query; the test shows nothing", name)
+		}
+		for _, r := range []*Relaxer{a, b} {
+			if hits, fills, _, _, _ := r.GeometryCounts(); fills != uint64(len(concepts)) || hits != uint64(len(concepts)) {
+				t.Errorf("%s: a relaxer filled %d and hit %d of %d concepts asked twice", name, fills, hits, len(concepts))
+			}
+		}
+	}
+}
+
+// TestWeightedLRUAccounting drives the cache the memo and the subsumer
+// vectors share through 10,000 random puts, replacements and gets with
+// random weights — some heavier than a shard's budget — and checks after
+// every thousand that the weight accounted for is the weight held, within
+// budget, and that each held entry is the last value put for its key.
+func TestWeightedLRUAccounting(t *testing.T) {
+	const budget = 64 << 10
+	c := newWeightedLRU[int](budget)
+	rng := rand.New(rand.NewSource(18))
+	last := map[eks.ConceptID]int{}
+	for op := 1; op <= 10_000; op++ {
+		id := eks.ConceptID(rng.Intn(400))
+		if rng.Intn(3) == 0 {
+			if v, ok := c.get(id); ok && v != last[id] {
+				t.Fatalf("op %d: get(%d) = %d, the last value put was %d", op, id, v, last[id])
+			}
+			continue
+		}
+		weight := int64(1 + rng.Intn(budget/lruShards/4))
+		if rng.Intn(50) == 0 {
+			weight = budget/lruShards + 1 + int64(rng.Intn(100)) // never admitted
+		} else {
+			last[id] = op
+		}
+		c.put(id, op, weight)
+		if op%1000 == 0 {
+			accounted, held, entries, ok := c.audit()
+			if !ok || accounted != held || accounted != c.weight() || accounted > budget || entries == 0 {
+				t.Fatalf("op %d: accounts for %d, holds %d in %d entries, budget %d (consistent: %v)", op, accounted, held, entries, budget, ok)
+			}
+		}
+	}
+	if c.evictions.Load() == 0 {
+		t.Error("10,000 operations over a small budget evicted nothing")
 	}
 }

@@ -2,94 +2,133 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"medrelax/internal/eks"
 )
 
-// subsumerCache is a bounded, sharded LRU of subsumer-distance vectors
-// keyed by concept. It replaces the Similarity type's old single-entry
-// last-query cache: shards keep lock contention low under concurrent
-// relaxation, and the LRU bound keeps memory flat no matter how many
-// distinct query and candidate concepts a serving process sees.
+// weightedLRU is a bounded, sharded LRU keyed by concept. Every entry carries
+// a weight in the cache's own unit — 1 for a subsumer vector, bytes for a
+// query concept's geometry — and a shard evicts from its cold end while what
+// it holds outweighs its budget; an entry heavier than a whole shard's budget
+// is not admitted, so the bound holds for every input. Shards keep lock
+// contention low under concurrent relaxation, and the bound keeps memory flat
+// no matter how many distinct concepts a serving process sees.
 //
-// The zero value is ready to use; vectors are immutable so hits are shared
-// between goroutines without copying.
-type subsumerCache struct {
-	shards [subsumerCacheShards]vecShard
+// Values are immutable once put, so hits are shared between goroutines
+// without copying.
+type weightedLRU[V any] struct {
+	shardBudget int64
+	shards      [lruShards]lruShard[V]
+	evictions   atomic.Uint64
 }
 
 const (
-	// subsumerCacheShards spreads concepts over independently locked
-	// shards; must be a power of two.
-	subsumerCacheShards = 16
-	// subsumerShardCap bounds each shard's entry count, ~4k vectors in
+	// lruShards spreads concepts over independently locked shards.
+	lruShardBits = 4
+	lruShards    = 1 << lruShardBits
+	// subsumerShardCap bounds each shard's vector count, ~4k vectors in
 	// total — enough to hold every flagged concept of the paper-scale
 	// worlds while staying bounded on larger ones.
 	subsumerShardCap = 256
 )
 
-func (c *subsumerCache) shard(id eks.ConceptID) *vecShard {
-	return &c.shards[uint64(id)&(subsumerCacheShards-1)]
+func newWeightedLRU[V any](budget int64) *weightedLRU[V] {
+	return &weightedLRU[V]{shardBudget: budget / lruShards}
 }
 
-// get returns the cached vector for id, marking it most recently used.
-func (c *subsumerCache) get(id eks.ConceptID) (eks.SubsumerVec, bool) {
+// shard mixes the id first: concept ids that share their low bits (one
+// generator stride, one id block per source) would otherwise share a shard
+// and its budget.
+func (c *weightedLRU[V]) shard(id eks.ConceptID) *lruShard[V] {
+	return &c.shards[(uint64(id)*0x9E3779B97F4A7C15)>>(64-lruShardBits)]
+}
+
+// get returns the cached value for id, marking it most recently used.
+func (c *weightedLRU[V]) get(id eks.ConceptID) (V, bool) {
 	return c.shard(id).get(id)
 }
 
-// put inserts the vector for id, evicting the shard's least recently used
-// entry when full.
-func (c *subsumerCache) put(id eks.ConceptID, v eks.SubsumerVec) {
-	c.shard(id).put(id, v)
+// put inserts or replaces the value for id, evicting the shard's least
+// recently used entries while it is over budget.
+func (c *weightedLRU[V]) put(id eks.ConceptID, v V, weight int64) {
+	if weight > c.shardBudget {
+		return
+	}
+	if n := c.shard(id).put(id, v, weight, c.shardBudget); n > 0 {
+		c.evictions.Add(uint64(n))
+	}
 }
 
-// vecShard is one lock's worth of the cache: a map for lookup plus an
+// weight reports the total weight held.
+func (c *weightedLRU[V]) weight() int64 {
+	var w int64
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		w += s.weight
+		s.mu.Unlock()
+	}
+	return w
+}
+
+// lruShard is one lock's worth of the cache: a map for lookup plus an
 // intrusive doubly-linked list in recency order (head = most recent).
-type vecShard struct {
+type lruShard[V any] struct {
 	mu         sync.Mutex
-	m          map[eks.ConceptID]*vecEntry
-	head, tail *vecEntry
+	m          map[eks.ConceptID]*lruEntry[V]
+	head, tail *lruEntry[V]
+	weight     int64
 }
 
-type vecEntry struct {
+type lruEntry[V any] struct {
 	key        eks.ConceptID
-	vec        eks.SubsumerVec
-	prev, next *vecEntry
+	val        V
+	weight     int64
+	prev, next *lruEntry[V]
 }
 
-func (s *vecShard) get(id eks.ConceptID) (eks.SubsumerVec, bool) {
+func (s *lruShard[V]) get(id eks.ConceptID) (V, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.m[id]
 	if !ok {
-		return eks.SubsumerVec{}, false
+		var zero V
+		return zero, false
 	}
 	s.moveToFront(e)
-	return e.vec, true
+	return e.val, true
 }
 
-func (s *vecShard) put(id eks.ConceptID, v eks.SubsumerVec) {
+func (s *lruShard[V]) put(id eks.ConceptID, v V, weight, budget int64) (evicted int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.m[id]; ok {
-		e.vec = v
+		s.weight += weight - e.weight
+		e.val, e.weight = v, weight
 		s.moveToFront(e)
-		return
+	} else {
+		if s.m == nil {
+			s.m = make(map[eks.ConceptID]*lruEntry[V])
+		}
+		e := &lruEntry[V]{key: id, val: v, weight: weight}
+		s.m[id] = e
+		s.pushFront(e)
+		s.weight += weight
 	}
-	if s.m == nil {
-		s.m = make(map[eks.ConceptID]*vecEntry, subsumerShardCap)
-	}
-	e := &vecEntry{key: id, vec: v}
-	s.m[id] = e
-	s.pushFront(e)
-	if len(s.m) > subsumerShardCap {
+	// The entry just put is at the head and fits the budget by itself, so
+	// the loop stops before it.
+	for s.weight > budget {
 		evict := s.tail
 		s.unlink(evict)
 		delete(s.m, evict.key)
+		s.weight -= evict.weight
+		evicted++
 	}
+	return evicted
 }
 
-func (s *vecShard) pushFront(e *vecEntry) {
+func (s *lruShard[V]) pushFront(e *lruEntry[V]) {
 	e.prev = nil
 	e.next = s.head
 	if s.head != nil {
@@ -101,7 +140,7 @@ func (s *vecShard) pushFront(e *vecEntry) {
 	}
 }
 
-func (s *vecShard) unlink(e *vecEntry) {
+func (s *lruShard[V]) unlink(e *lruEntry[V]) {
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {
@@ -115,21 +154,10 @@ func (s *vecShard) unlink(e *vecEntry) {
 	e.prev, e.next = nil, nil
 }
 
-func (s *vecShard) moveToFront(e *vecEntry) {
+func (s *lruShard[V]) moveToFront(e *lruEntry[V]) {
 	if s.head == e {
 		return
 	}
 	s.unlink(e)
 	s.pushFront(e)
-}
-
-// len reports the total number of cached vectors (for tests).
-func (c *subsumerCache) len() int {
-	n := 0
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		n += len(c.shards[i].m)
-		c.shards[i].mu.Unlock()
-	}
-	return n
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"medrelax/internal/eks"
 	"medrelax/internal/ontology"
@@ -89,13 +90,20 @@ type Similarity struct {
 	// vecs caches subsumer-distance vectors of recently seen concepts —
 	// query concepts and candidates alike, since Equation 5 needs both
 	// endpoints' subsumer sets.
-	vecs subsumerCache
+	vecs *weightedLRU[eks.SubsumerVec]
+
+	// pw tabulates canonicalPathWeight by (gen, spec), grown on demand.
+	pw   atomic.Pointer[pathWeightTable]
+	pwMu sync.Mutex
 }
 
 // NewSimilarity returns the full measure (path weight enabled, default
 // weights).
 func NewSimilarity(g *eks.Graph, ic ICSource, o *ontology.Ontology) *Similarity {
-	return &Similarity{Graph: g, IC: ic, Ontology: o, Weights: DefaultPathWeights(), UsePathWeight: true}
+	return &Similarity{
+		Graph: g, IC: ic, Ontology: o, Weights: DefaultPathWeights(), UsePathWeight: true,
+		vecs: newWeightedLRU[eks.SubsumerVec](lruShards * subsumerShardCap),
+	}
 }
 
 // subsumerVec returns the subsumer-distance vector of a through the shared
@@ -108,7 +116,7 @@ func (s *Similarity) subsumerVec(a eks.ConceptID) (eks.SubsumerVec, bool) {
 	if !ok {
 		return eks.SubsumerVec{}, false
 	}
-	s.vecs.put(a, v)
+	s.vecs.put(a, v, 1)
 	return v, true
 }
 
@@ -142,7 +150,7 @@ func (s *Similarity) CanonicalMeet(a, b eks.ConceptID) (rep eks.ConceptID, lcs [
 // path exactly, so explain-mode output is bit-identical to the weight the
 // ranked score used.
 func (s *Similarity) CanonicalPathWeight(gen, spec int) float64 {
-	return canonicalPathWeight(s.Weights, gen, spec)
+	return s.pathWeight(gen, spec)
 }
 
 // canonicalMeet finds the common subsumers of a and b minimizing the
@@ -197,10 +205,10 @@ func (s *Similarity) meetFrom(va eks.SubsumerVec, b eks.ConceptID, ids []eks.Con
 
 // Equation 5 factors into a context-free half — the canonical meet of the
 // pair: tied LCS set and Eq. 4 path weight — and a context half, sim_IC over
-// that LCS set under the query context. A caller scoring one query against
-// many candidates and contexts derives the first once per pair (queryMeets)
-// and the query's own IC once per context, and multiplies through score;
-// Sim is the two halves back to back, so every route is bit-identical.
+// that LCS set under the query context. The relaxation kernels derive the
+// first once per (query, candidate) pair (queryMeets, into a geometry) and
+// the query's own IC once per context, and multiply through score; Sim is the
+// two halves back to back, so every route is bit-identical.
 
 // pairMeet is the context-free half of Equation 5 for one (query,
 // candidate) pair. An empty LCS set means no common subsumer: score 0.
@@ -209,7 +217,7 @@ type pairMeet struct {
 	weight float64         // canonicalPathWeight; unset when !UsePathWeight
 }
 
-// queryMeets derives pairMeets for the candidates of one query concept,
+// queryMeets derives the canonical meets of one query concept's candidates,
 // holding what only depends on the query: its subsumer vector and the
 // tied-set buffer.
 type queryMeets struct {
@@ -224,40 +232,69 @@ func (s *Similarity) meetsFrom(q eks.ConceptID) queryMeets {
 	return queryMeets{sim: s, vec: vec, known: known}
 }
 
-// to returns the meet with candidate b and its hop geometry. The LCS set
-// aliases the buffer: copy it to keep it past the next call.
-func (m *queryMeets) to(b eks.ConceptID) (meet pairMeet, gen, spec int) {
+// to returns the tied LCS set of the query concept and candidate b and the
+// hop counts of their canonical path; an empty set means no common subsumer.
+// The set aliases the buffer: copy it to keep it past the next call.
+func (m *queryMeets) to(b eks.ConceptID) (lcs []eks.ConceptID, gen, spec int) {
 	if !m.known {
-		return pairMeet{}, 0, 0
+		return nil, 0, 0
 	}
 	lcs, _, gen, spec, ok := m.sim.meetFrom(m.vec, b, m.ids[:0])
 	if !ok {
-		return pairMeet{}, 0, 0
+		return nil, 0, 0
 	}
 	m.ids = lcs
-	return m.sim.meetOf(lcs, gen, spec), gen, spec
+	return lcs, gen, spec
 }
 
 // meetOf packs a derived meet, attaching the Eq. 4 weight of its geometry.
 func (s *Similarity) meetOf(lcs []eks.ConceptID, gen, spec int) pairMeet {
 	meet := pairMeet{lcs: lcs}
 	if s.UsePathWeight {
-		meet.weight = canonicalPathWeight(s.Weights, gen, spec)
+		meet.weight = s.pathWeight(gen, spec)
 	}
 	return meet
 }
 
+// contextIC is the measure's IC source under one query context. A relaxation
+// asks it for a couple of thousand concepts, so what depends on the context
+// alone is settled when it is made: a frequency table resolves the context to
+// its labels here, once, instead of once a concept. The values are those of
+// ICSource.IC, bit for bit.
+type contextIC struct {
+	src    ICSource
+	ctx    *ontology.Context
+	o      *ontology.Ontology
+	table  *FrequencyTable // src, when it is one and the context needs resolving
+	labels *contextLabels
+}
+
+func (s *Similarity) icUnder(ctx *ontology.Context) contextIC {
+	ic := contextIC{src: s.IC, ctx: ctx, o: s.Ontology}
+	if t, ok := s.IC.(*FrequencyTable); ok && ctx != nil && s.Ontology != nil {
+		ic.table, ic.labels = t, t.labelsFor(contextKey{ctx: *ctx, o: s.Ontology})
+	}
+	return ic
+}
+
+func (c *contextIC) of(id eks.ConceptID) float64 {
+	if c.table != nil {
+		return icOfFrequency(c.table.normalizedOver(c.labels, id))
+	}
+	return c.src.IC(id, c.ctx, c.o)
+}
+
 // score is the context half: Equation 5 for candidate b from its meet with
-// the query and icA, the query concept's IC under ctx.
-func (s *Similarity) score(m pairMeet, icA float64, b eks.ConceptID, ctx *ontology.Context) float64 {
+// the query and icA, the query concept's IC under ic's context.
+func (s *Similarity) score(m pairMeet, icA float64, b eks.ConceptID, ic *contextIC) float64 {
 	if len(m.lcs) == 0 {
 		return 0
 	}
-	ic := s.simICFromLCS(icA, b, m.lcs, ctx)
+	sim := simICFromLCS(icA, b, m.lcs, ic)
 	if !s.UsePathWeight {
-		return ic
+		return sim
 	}
-	return m.weight * ic
+	return m.weight * sim
 }
 
 // SimIC computes the IC-based similarity of Equation 3,
@@ -278,18 +315,19 @@ func (s *Similarity) SimIC(a, b eks.ConceptID, ctx *ontology.Context) float64 {
 	if !ok {
 		return 0
 	}
-	return s.simICFromLCS(s.IC.IC(a, ctx, s.Ontology), b, lcs, ctx)
+	ic := s.icUnder(ctx)
+	return simICFromLCS(ic.of(a), b, lcs, &ic)
 }
 
 // simICFromLCS is Equation 3 over an already-derived LCS set; icA is IC(a)
-// under ctx.
-func (s *Similarity) simICFromLCS(icA float64, b eks.ConceptID, lcs []eks.ConceptID, ctx *ontology.Context) float64 {
+// under ic's context.
+func simICFromLCS(icA float64, b eks.ConceptID, lcs []eks.ConceptID, ic *contextIC) float64 {
 	lcsIC := 0.0
 	for _, id := range lcs {
-		lcsIC += s.IC.IC(id, ctx, s.Ontology)
+		lcsIC += ic.of(id)
 	}
 	lcsIC /= float64(len(lcs))
-	denom := icA + s.IC.IC(b, ctx, s.Ontology)
+	denom := icA + ic.of(b)
 	if denom <= 0 {
 		return 0
 	}
@@ -317,7 +355,8 @@ func (s *Similarity) Sim(a, b eks.ConceptID, ctx *ontology.Context) float64 {
 	if !ok {
 		return 0
 	}
-	return s.score(s.meetOf(lcs, gen, spec), s.IC.IC(a, ctx, s.Ontology), b, ctx)
+	ic := s.icUnder(ctx)
+	return s.score(s.meetOf(lcs, gen, spec), ic.of(a), b, &ic)
 }
 
 // canonicalPathWeight computes PathWeight over the canonical up-then-down
@@ -335,6 +374,56 @@ func canonicalPathWeight(w PathWeights, gen, spec int) float64 {
 		weight *= math.Pow(w.Specialization, float64(d-(i+1)))
 	}
 	return weight
+}
+
+// pathWeightTable is canonicalPathWeight under w for every gen, spec < side,
+// immutable once published. Its entries are computed by canonicalPathWeight
+// itself, so a lookup is bit-identical to the hop product.
+type pathWeightTable struct {
+	w    PathWeights
+	side int
+	vals []float64 // vals[gen*side+spec]
+}
+
+// maxTabledHops bounds the table's side (32 KiB of weights); a canonical
+// path with more hops in one direction is multiplied out directly.
+const maxTabledHops = 64
+
+// pathWeight is canonicalPathWeight under the measure's weights, through the
+// table: Equation 4 costs one math.Pow per hop, and a query's candidates
+// share a handful of (gen, spec) shapes.
+func (s *Similarity) pathWeight(gen, spec int) float64 {
+	need := max(gen, spec)
+	t := s.pw.Load()
+	if t == nil || need >= t.side || t.w != s.Weights {
+		if need >= maxTabledHops {
+			return canonicalPathWeight(s.Weights, gen, spec)
+		}
+		t = s.growPathWeights(need)
+	}
+	return t.vals[gen*t.side+spec]
+}
+
+// growPathWeights publishes a table under the current weights that covers
+// need hops in either direction, doubling so growth is rare.
+func (s *Similarity) growPathWeights(need int) *pathWeightTable {
+	s.pwMu.Lock()
+	defer s.pwMu.Unlock()
+	if t := s.pw.Load(); t != nil && need < t.side && t.w == s.Weights {
+		return t
+	}
+	side := 8
+	for side <= need {
+		side *= 2
+	}
+	t := &pathWeightTable{w: s.Weights, side: side, vals: make([]float64, side*side)}
+	for gen := 0; gen < side; gen++ {
+		for spec := 0; spec < side; spec++ {
+			t.vals[gen*side+spec] = canonicalPathWeight(t.w, gen, spec)
+		}
+	}
+	s.pw.Store(t)
+	return t
 }
 
 // IntrinsicIC is the corpus-free information content of Seco, Veale & Hayes
@@ -360,9 +449,9 @@ func NewIntrinsicIC(g *eks.Graph) *IntrinsicIC {
 		v = 2
 	}
 	ic.logV = math.Log(float64(v))
-	for _, id := range g.ConceptIDs() {
-		d := g.DescendantCount(id)
-		ic.cache[id] = 1 - math.Log(float64(d)+1)/ic.logV
+	counts := g.DescendantCounts()
+	for i, id := range g.ConceptIDs() {
+		ic.cache[id] = 1 - math.Log(float64(counts[i])+1)/ic.logV
 	}
 	return ic
 }

@@ -41,8 +41,11 @@ func intTag(t *testing.T, s *trace.Span, key string) int {
 
 // TestKernelSpanTags pins what a sampled request's relax.kernel span says
 // about the run: the radius the walk stopped at, the graph nodes it touched
-// and the candidates it scored — checked against the exhaustive oracle — on
-// the single and the batch entry points, and on the paths that do not walk.
+// and the candidates it scored — checked against the exhaustive oracle — and,
+// on the live path, whether the concept's geometry was walked now (fill),
+// found in the memo (hit: nothing reached) or walked again for a wider
+// target (refill); on the single and the batch entry points, and on the
+// paths that do not walk.
 func TestKernelSpanTags(t *testing.T) {
 	ing := oracleWorlds(t)["seed11"]
 	opts := RelaxOptions{Radius: 1, DynamicRadius: true, MaxRadius: 6}
@@ -57,6 +60,9 @@ func TestKernelSpanTags(t *testing.T) {
 
 	var batch []BatchQuery
 	var batchWant [][3]int
+	tags := func(s *trace.Span) [3]int {
+		return [3]int{intTag(t, s, "radius"), intTag(t, s, "reached"), intTag(t, s, "scored")}
+	}
 	for _, head := range headConcepts(ing, mopts) {
 		c, _ := ing.Graph.Concept(head)
 		q, ok := mapper.Map(c.Name)
@@ -89,23 +95,62 @@ func TestKernelSpanTags(t *testing.T) {
 			case "index_path": // the posting list stands in for the walk
 				want = [3]int{radius, 0, scored}
 			}
-			if got := [3]int{intTag(t, spans[0], "radius"), intTag(t, spans[0], "reached"), intTag(t, spans[0], "scored")}; got != want {
+			if got := tags(spans[0]); got != want {
 				t.Errorf("%s relaxer, concept %d: span says radius/reached/scored %v, the oracle %v", path, q, got, want)
 			}
+			wantGeometry := ""
+			if path == "live_path" {
+				wantGeometry = "fill"
+			}
+			if got := spans[0].Tag("geometry"); got != wantGeometry {
+				t.Errorf("%s relaxer, concept %d: span says geometry=%q, want %q", path, q, got, wantGeometry)
+			}
+		}
+		// The same query again finds the geometry: same radius and scoring,
+		// no walk.
+		spans := kernelSpans(t, func(ctx context.Context) { live.RelaxTermContextTraced(ctx, c.Name, nil, 0) })
+		if got, want := tags(spans[0]), [3]int{radius, 0, scored}; got != want || spans[0].Tag("geometry") != "hit" {
+			t.Errorf("concept %d asked again: span says radius/reached/scored %v geometry=%q, want %v from a hit", q, got, spans[0].Tag("geometry"), want)
 		}
 		batch = append(batch, BatchQuery{Term: c.Name})
 		batchWant = append(batchWant, [3]int{radius, reached, scored})
 	}
 
 	// A batch reuses one scratch across its items; each item's span carries
-	// its own run's figures.
-	spans := kernelSpans(t, func(ctx context.Context) { live.RelaxBatchContextTraced(ctx, batch) })
-	if len(spans) != len(batch) {
-		t.Fatalf("batch of %d recorded %d kernel spans", len(batch), len(spans))
+	// its own run's figures. On a fresh relaxer a target of one instance
+	// stops short of the ceiling, so the default target walks again; the
+	// third pass finds what the second left.
+	fresh := NewRelaxer(ing, sim(), mapper, opts)
+	narrow := make([]BatchQuery, len(batch))
+	for i, q := range batch {
+		narrow[i] = BatchQuery{Term: q.Term, K: 1}
 	}
-	for i, s := range spans {
-		if got := [3]int{intTag(t, s, "radius"), intTag(t, s, "reached"), intTag(t, s, "scored")}; got != batchWant[i] {
-			t.Errorf("batch item %d: span says radius/reached/scored %v, the oracle %v", i, got, batchWant[i])
+	for _, pass := range []struct {
+		queries  []BatchQuery
+		geometry string
+	}{{narrow, "fill"}, {batch, "refill"}, {batch, "hit"}} {
+		spans := kernelSpans(t, func(ctx context.Context) { fresh.RelaxBatchContextTraced(ctx, pass.queries) })
+		if len(spans) != len(batch) {
+			t.Fatalf("batch of %d recorded %d kernel spans", len(batch), len(spans))
 		}
+		for i, s := range spans {
+			if got := s.Tag("geometry"); got != pass.geometry {
+				t.Errorf("%s pass, batch item %d: span says geometry=%q", pass.geometry, i, got)
+			}
+			want := batchWant[i]
+			switch pass.geometry {
+			case "fill":
+				continue // another target: only the tag is pinned
+			case "hit":
+				want[1] = 0
+			}
+			if got := tags(s); got != want {
+				t.Errorf("%s pass, batch item %d: span says radius/reached/scored %v, the oracle %v", pass.geometry, i, got, want)
+			}
+		}
+	}
+	hits, fills, refills, _, bytes := fresh.GeometryCounts()
+	if n := uint64(len(batch)); hits != n || fills != n || refills != n || bytes <= 0 {
+		t.Errorf("GeometryCounts after the three passes: %d hits, %d fills, %d refills, %d bytes; want %d of each and some bytes", hits, fills, refills, bytes, n)
 	}
 }

@@ -318,6 +318,55 @@ func (g *Graph) DescendantCount(id ConceptID) int {
 	return n
 }
 
+// DescendantCounts returns DescendantCount of every concept, in ConceptIDs
+// order, in one children-before-parents pass. A concept with no descendant
+// that has two native parents heads a tree, and its count is the sum over its
+// children; only the concepts above a shared descendant are walked.
+func (g *Graph) DescendantCounts() []int32 {
+	v := g.view()
+	n := len(v.IDs)
+	counts := make([]int32, n)
+	pending := make([]int32, n) // native children not yet counted
+	shared := make([]bool, n)   // some descendant has two native parents
+	var ready []int32
+	for i := range pending {
+		if pending[i] = v.DownNativeEnd[i] - v.DownOff[i]; pending[i] == 0 {
+			ready = append(ready, int32(i))
+		}
+	}
+	s := v.getScratch()
+	defer v.putScratch(s)
+	walk := func(node int32) {
+		s.next()
+		counts[node] = int32(v.countDescendants(node, s))
+	}
+	for len(ready) > 0 {
+		cur := ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		if shared[cur] {
+			walk(cur)
+		}
+		parents := v.UpTo[v.UpOff[cur]:v.UpNativeEnd[cur]]
+		for _, p := range parents {
+			counts[p] += counts[cur] + 1
+			if shared[cur] || len(parents) > 1 {
+				shared[p] = true
+			}
+			if pending[p]--; pending[p] == 0 {
+				ready = append(ready, p)
+			}
+		}
+	}
+	// Concepts on a native cycle never become ready; Validate reports them,
+	// and their counts are still DescendantCount's.
+	for i := range pending {
+		if pending[i] > 0 {
+			walk(int32(i))
+		}
+	}
+	return counts
+}
+
 // TopologicalOrder returns every concept with children before parents
 // (Algorithm 1, line 12), considering native edges only. It returns an
 // error if the native subsumption graph has a cycle.

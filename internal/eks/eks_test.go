@@ -499,3 +499,44 @@ func TestConcurrentReads(t *testing.T) {
 		<-done
 	}
 }
+
+// TestDescendantCountsMatchWalks pins the one-pass counts to the per-concept
+// walk (itself pinned to Descendants in dense_equiv_test.go) on DAGs whose
+// concepts mostly have two parents, on ones that are mostly trees with a few
+// shared descendants — where both the sum and the fallback walk run — and
+// with shortcut edges, which neither may follow.
+func TestDescendantCountsMatchWalks(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 30; trial++ {
+		n := 10 + rng.Intn(200)
+		g := randomDAG(rng, n)
+		if trial%2 == 1 { // mostly a tree
+			g = New()
+			_ = g.AddConcept(Concept{ID: 1, Name: "root"})
+			_ = g.SetRoot(1)
+			for id := ConceptID(2); id <= ConceptID(n); id++ {
+				_ = g.AddConcept(Concept{ID: id, Name: "t" + itoa(int(id))})
+				_ = g.AddSubsumption(id, ConceptID(1+rng.Intn(int(id)-1)))
+				if rng.Intn(20) == 0 {
+					_ = g.AddSubsumption(id, ConceptID(1+rng.Intn(int(id)-1))) // a duplicate edge is refused
+				}
+			}
+		}
+		ids := g.ConceptIDs()
+		for i := 0; i < 5; i++ {
+			a, b := ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]
+			if g.Ancestors(a)[b] {
+				_ = g.AddShortcutEdge(a, b, 2)
+			}
+		}
+		counts := g.DescendantCounts()
+		if len(counts) != len(ids) {
+			t.Fatalf("trial %d: %d counts for %d concepts", trial, len(counts), len(ids))
+		}
+		for i, id := range ids {
+			if want := g.DescendantCount(id); int(counts[i]) != want {
+				t.Fatalf("trial %d: DescendantCounts[%d] = %d, DescendantCount(%d) = %d", trial, i, counts[i], id, want)
+			}
+		}
+	}
+}

@@ -122,7 +122,10 @@ func TestCancelledWalkReturnsScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := core.NewRelaxer(ing, core.NewSimilarity(g, ing.Frequencies, ing.Ontology), match.NewExact(g), core.RelaxOptions{Radius: 2, DynamicRadius: true})
+	newRelaxer := func() *core.Relaxer {
+		return core.NewRelaxer(ing, core.NewSimilarity(g, ing.Frequencies, ing.Ontology), match.NewExact(g), core.RelaxOptions{Radius: 2, DynamicRadius: true})
+	}
+	r := newRelaxer()
 	q := ing.FlaggedIDs()[0]
 	want := r.RelaxConcept(q, nil, 1<<30)
 	if len(want) <= 64 {
@@ -155,5 +158,38 @@ func TestCancelledWalkReturnsScratch(t *testing.T) {
 	// land after the frontier has advanced, and some in the scoring loop.
 	if walking < 3 || scoring < 2 {
 		t.Fatalf("cancelled %d times mid-walk and %d times mid-scoring; the sweep did not reach both", walking, scoring)
+	}
+
+	// That relaxer held q's geometry from the first call on. A fresh one per
+	// run is cancelled inside the fill — the walk, then the derivation of the
+	// meets — which must give the frontier back and publish nothing.
+	var deriving int
+	for polls := 0; ; polls++ {
+		fresh := newRelaxer()
+		_, err := fresh.RelaxConceptContext(&countdownCtx{Context: context.Background(), left: polls}, q, nil, 1<<30)
+		if lent := g.ScratchLent(); lent != 0 {
+			t.Fatalf("fill cancelled after %d polls: %d scratches not returned to the pool", polls, lent)
+		}
+		hits, fills, refills, _, bytes := fresh.GeometryCounts()
+		if err == nil {
+			if fills != 1 || bytes == 0 {
+				t.Fatalf("the fill that was not cancelled counts %d fills and holds %d bytes", fills, bytes)
+			}
+			break
+		}
+		// Past the fill — deciding the radius, scoring — a cancelled request
+		// leaves the finished geometry behind; before that, nothing.
+		if published := fills == 1 && bytes > 0; hits+refills != 0 || (!published && fills+uint64(bytes) != 0) {
+			t.Fatalf("fill cancelled after %d polls (%v) left %d hits, %d fills, %d refills, %d bytes", polls, err, hits, fills, refills, bytes)
+		}
+		if strings.Contains(err.Error(), "deriving candidate") {
+			if fills != 0 {
+				t.Fatalf("cancelled deriving meets (%v) and published all the same", err)
+			}
+			deriving++
+		}
+	}
+	if deriving < 2 {
+		t.Fatalf("cancelled %d times while deriving meets; the sweep did not reach the second half of a fill", deriving)
 	}
 }

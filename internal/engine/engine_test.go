@@ -138,6 +138,18 @@ func TestSnapshotServesAndReports(t *testing.T) {
 			t.Errorf("Stats missing %q: %v", key, stats)
 		}
 	}
+	// One term relaxed live, once: its geometry was walked and is held. The
+	// same term under another k scores the stored walk.
+	geometry, _ := stats["relaxGeometry"].(map[string]uint64)
+	if geometry["fills"] != 1 || geometry["hits"] != 0 || geometry["bytes"] == 0 {
+		t.Errorf("Stats relaxGeometry after one live relaxation = %v, want one fill holding bytes", geometry)
+	}
+	if _, err := snap.Relax(context.Background(), "pyelectasia", "", 3); err != nil {
+		t.Fatal(err)
+	}
+	if geometry, _ = snap.Stats()["relaxGeometry"].(map[string]uint64); geometry["fills"] != 1 || geometry["hits"] != 1 {
+		t.Errorf("Stats relaxGeometry after the same term under another k = %v, want one fill and one hit", geometry)
+	}
 	if _, err := snap.NewConversation(); err == nil {
 		t.Error("NewConversation without a factory should fail")
 	}

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -14,17 +15,32 @@ import (
 // search over the external knowledge source, usable both as a Mapper and
 // as an interactive search backend.
 //
-// The implementation is an inverted token index with a blended score:
+// The implementation is an inverted token index over the graph's own sorted
+// name-key column — the index holds positions in it, never copies of the
+// keys — with a blended score:
 // exact-phrase and synonym hits dominate, then token-overlap (Jaccard)
 // with a prefix bonus for the kind of incremental lookups a browser makes,
 // and finally a small popularity prior (descendant count) as a tie-breaker
 // the way public lookup services rank head entities first.
 type LookupService struct {
 	graph *eks.Graph
-	// byToken maps a token to the normalized name keys containing it.
-	byToken map[string][]string
-	// popularity is a per-concept prior in [0, 1].
-	popularity map[eks.ConceptID]float64
+	// keys, keyOff and keyIDs are the graph's own name index — the sorted
+	// normalized keys and each key's concepts — shared with the graph, not
+	// copied; ids is its ascending concept column.
+	keys   []string
+	keyOff []int32
+	keyIDs []eks.ConceptID
+	ids    []eks.ConceptID
+	// tokenID numbers the distinct tokens of the keys; the keys containing
+	// token t are tokKeys[tokOff[t]:tokOff[t+1]], as ascending positions in
+	// keys.
+	tokenID map[string]int32
+	tokOff  []int32
+	tokKeys []int32
+	// desc is every concept's descendant count, parallel to ids; a concept's
+	// popularity prior is its share of maxDesc, in [0, 1].
+	desc    []int32
+	maxDesc int
 	// MinScore is the acceptance threshold for Map. Default 0.5.
 	MinScore float64
 }
@@ -38,35 +54,65 @@ type LookupHit struct {
 
 // NewLookupService indexes the graph's full lexicon.
 func NewLookupService(g *eks.Graph) *LookupService {
+	fd := g.FlatData()
 	s := &LookupService{
-		graph:      g,
-		byToken:    map[string][]string{},
-		popularity: map[eks.ConceptID]float64{},
-		MinScore:   0.5,
+		graph:    g,
+		keys:     fd.NameKeys,
+		keyOff:   fd.KeyOff,
+		keyIDs:   fd.KeyIDs,
+		ids:      fd.IDs,
+		tokenID:  map[string]int32{},
+		desc:     g.DescendantCounts(),
+		maxDesc:  1,
+		MinScore: 0.5,
 	}
-	for _, key := range g.NameKeys() {
-		seen := map[string]bool{}
-		for _, tok := range stringutil.Tokenize(key) {
-			if !seen[tok] {
-				seen[tok] = true
-				s.byToken[tok] = append(s.byToken[tok], key)
+	// One pass over the keys numbers the tokens and lists the (token, key)
+	// occurrences, a key's repeated token once; a counting sort by token then
+	// lays them out as the CSR index, each token's keys still ascending.
+	var occTok, occKey []int32
+	var counts []int32
+	for i, key := range s.keys {
+		toks := stringutil.Tokenize(key)
+		for j, tok := range toks {
+			if slices.Contains(toks[:j], tok) {
+				continue
 			}
+			t, ok := s.tokenID[tok]
+			if !ok {
+				t = int32(len(counts))
+				s.tokenID[tok] = t
+				counts = append(counts, 0)
+			}
+			counts[t]++
+			occTok, occKey = append(occTok, t), append(occKey, int32(i))
 		}
 	}
-	// Popularity prior: log-ish scaling of descendant counts.
-	maxDesc := 1
-	descs := map[eks.ConceptID]int{}
-	for _, id := range g.ConceptIDs() {
-		d := g.DescendantCount(id)
-		descs[id] = d
-		if d > maxDesc {
-			maxDesc = d
-		}
+	s.tokOff = make([]int32, len(counts)+1)
+	for t, n := range counts {
+		s.tokOff[t+1] = s.tokOff[t] + n
 	}
-	for id, d := range descs {
-		s.popularity[id] = float64(d) / float64(maxDesc)
+	s.tokKeys = make([]int32, len(occKey))
+	next := slices.Clone(s.tokOff[:len(counts)])
+	for o, t := range occTok {
+		s.tokKeys[next[t]] = occKey[o]
+		next[t]++
+	}
+	for _, d := range s.desc {
+		s.maxDesc = max(s.maxDesc, int(d))
 	}
 	return s
+}
+
+// keysWith returns the positions of the keys containing a token.
+func (s *LookupService) keysWith(t int32) []int32 {
+	return s.tokKeys[s.tokOff[t]:s.tokOff[t+1]]
+}
+
+// popularity is a concept's prior: its descendant count as a share of the
+// largest.
+func (s *LookupService) popularity(id eks.ConceptID) float64 {
+	node, _ := slices.BinarySearch(s.ids, id)
+	return float64(s.desc[node]) / float64(s.maxDesc)
 }
 
 // Search returns up to limit ranked hits for a free-text query. An empty
@@ -80,33 +126,32 @@ func (s *LookupService) Search(query string, limit int) []LookupHit {
 
 	// Candidate keys: any key sharing a token, or containing a token that
 	// starts with a query token (prefix search).
-	candidates := map[string]bool{}
+	var candidates []int32
 	for _, qt := range qTokens {
-		for _, key := range s.byToken[qt] {
-			candidates[key] = true
+		if t, ok := s.tokenID[qt]; ok {
+			candidates = append(candidates, s.keysWith(t)...)
 		}
 		// Prefix expansion for the last token (incremental typing).
 		if qt == qTokens[len(qTokens)-1] && len(qt) >= 3 {
-			for tok, keys := range s.byToken {
+			for tok, t := range s.tokenID {
 				if strings.HasPrefix(tok, qt) {
-					for _, key := range keys {
-						candidates[key] = true
-					}
+					candidates = append(candidates, s.keysWith(t)...)
 				}
 			}
 		}
 	}
+	slices.Sort(candidates)
+	candidates = slices.Compact(candidates)
 
 	var hits []LookupHit
-	for key := range candidates {
+	for _, i := range candidates {
+		key := s.keys[i]
 		score := s.score(norm, qTokens, key)
 		if score <= 0 {
 			continue
 		}
-		// Resolved through the graph's own name index: a copy held here
-		// would be a third of this service's memory at 10⁵ names.
-		for _, id := range s.graph.IDsForNameKey(key) {
-			hits = append(hits, LookupHit{Concept: id, Name: key, Score: score + 0.05*s.popularity[id]})
+		for _, id := range s.keyIDs[s.keyOff[i]:s.keyOff[i+1]] {
+			hits = append(hits, LookupHit{Concept: id, Name: key, Score: score + 0.05*s.popularity(id)})
 		}
 	}
 	sort.Slice(hits, func(i, j int) bool {

@@ -1,9 +1,14 @@
 package match
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"medrelax/internal/eks"
+	"medrelax/internal/synthkb"
 )
 
 func TestLookupServiceSearch(t *testing.T) {
@@ -129,5 +134,62 @@ func TestLookupServicePopularityTieBreak(t *testing.T) {
 	}
 	if hits[0].Concept != 10 {
 		t.Errorf("popular concept must rank first: %+v", hits)
+	}
+}
+
+// TestLookupServiceMatchesLegacy replays the lexicon of a generated world —
+// multi-parent, with synonyms, leaf variants that tie on popularity and keys
+// two concepts share — against the implementation this one replaced
+// (export_test.go): every name as typed, reordered, cut to a prefix of its
+// last token (prefix expansion), misspelt, and gibberish, at several limits.
+// Hits must match to the bit, popularity prior and tie-breaks included, and
+// Map must give the same answer.
+func TestLookupServiceMatchesLegacy(t *testing.T) {
+	w, err := synthkb.Generate(synthkb.Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := w.Graph
+	ids := g.ConceptIDs()
+	next := ids[len(ids)-1] + 1
+	for i := 0; i < 300; i++ {
+		parent := w.Findings[i%len(w.Findings)]
+		c := eks.Concept{ID: next, Name: fmt.Sprintf("variant %d of %d", i, parent)}
+		if i%7 == 0 {
+			c.Synonyms = []string{"shared variant name", fmt.Sprintf("variant variant %d", i)}
+		}
+		if err := g.AddConcept(c); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.AddSubsumption(next, parent); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for _, g := range []*eks.Graph{lexGraph(t), g} {
+		got, want := NewLookupService(g), newLegacyLookupService(g)
+		var queries []string
+		for i, key := range g.NameKeys() {
+			if i%41 != 0 {
+				continue
+			}
+			toks := strings.Fields(key)
+			last := toks[len(toks)-1]
+			slices.Reverse(toks)
+			queries = append(queries, key, strings.Join(toks, " "), key[:len(key)-len(last)/2], key+"x", "x"+key)
+		}
+		queries = append(queries, "", "   ", "zzqx", "variant", "var", "shared variant", "of")
+		for _, q := range queries {
+			for _, limit := range []int{1, 5, 50} {
+				if g, w := got.Search(q, limit), want.Search(q, limit); !reflect.DeepEqual(g, w) {
+					t.Fatalf("Search(%q, %d):\n got %+v\nwant %+v", q, limit, g, w)
+				}
+			}
+			gid, gok := got.Map(q)
+			wid, wok := want.Map(q)
+			if gid != wid || gok != wok {
+				t.Fatalf("Map(%q) = %d, %v; the legacy service says %d, %v", q, gid, gok, wid, wok)
+			}
+		}
 	}
 }

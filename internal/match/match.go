@@ -62,7 +62,7 @@ func (m *Exact) Map(name string) (eks.ConceptID, bool) {
 type Edit struct {
 	graph     *eks.Graph
 	threshold int
-	keys      []string // sorted normalized lexicon, cached at construction
+	keys      []string // the graph's sorted normalized lexicon, shared with it
 }
 
 // DefaultEditThreshold is the τ=2 used in the paper's experiments.
@@ -74,7 +74,7 @@ func NewEdit(g *eks.Graph, threshold int) *Edit {
 	if threshold <= 0 {
 		threshold = DefaultEditThreshold
 	}
-	return &Edit{graph: g, threshold: threshold, keys: g.NameKeys()}
+	return &Edit{graph: g, threshold: threshold, keys: g.FlatData().NameKeys}
 }
 
 // Name implements Mapper.

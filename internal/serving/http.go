@@ -33,6 +33,7 @@ func (e *Engine) Handler(api http.Handler) http.Handler {
 
 func (e *Engine) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	e.syncGeometry()
 	if err := e.reg.WritePrometheus(w); err != nil {
 		log.Printf("serving: writing metrics: %v", err)
 	}

@@ -142,6 +142,47 @@ type Engine struct {
 	mPathLive       *metrics.Counter
 	mPathMat        *metrics.Counter
 	mPathIdx        *metrics.Counter
+
+	geometry geometrySeries
+}
+
+// geometryCounters are the keys of a backend's "relaxGeometry" stats that
+// become medrelax_relax_geometry_<key>_total series.
+var geometryCounters = [...]string{"hits", "fills", "refills", "evictions"}
+
+// geometrySeries mirrors the backend's geometry-memo counts (the
+// "relaxGeometry" map of its Stats) into the registry when it is scraped. The
+// memo belongs to a snapshot and its counts restart with every generation, so
+// the series add each generation's growth and never step back.
+type geometrySeries struct {
+	mu       sync.Mutex
+	gen      uint64
+	seen     [len(geometryCounters)]uint64
+	counters [len(geometryCounters)]*metrics.Counter
+	bytes    *metrics.Gauge
+}
+
+// syncGeometry brings the geometry series up to the current backend's counts.
+func (e *Engine) syncGeometry() {
+	h := e.acquire()
+	defer h.release()
+	counts, ok := h.b.Stats()["relaxGeometry"].(map[string]uint64)
+	if !ok {
+		return
+	}
+	g := &e.geometry
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.gen != h.gen {
+		g.gen, g.seen = h.gen, [len(geometryCounters)]uint64{}
+	}
+	for i, key := range geometryCounters {
+		if v := counts[key]; v > g.seen[i] {
+			g.counters[i].Add(v - g.seen[i])
+			g.seen[i] = v
+		}
+	}
+	g.bytes.Set(int64(counts["bytes"]))
 }
 
 // NewEngine wraps backend with the serving layer.
@@ -169,6 +210,10 @@ func NewEngine(backend server.Backend, opts Options) *Engine {
 	e.mPathLive = e.reg.Counter("medrelax_relax_live_path_total", "uncached relaxations answered by live graph traversal", e.labels(""))
 	e.mPathMat = e.reg.Counter("medrelax_relax_materialized_hit_total", "uncached relaxations answered from the materialized top-k store", e.labels(""))
 	e.mPathIdx = e.reg.Counter("medrelax_relax_index_path_total", "uncached relaxations answered via the posting-list candidate index", e.labels(""))
+	for i, key := range geometryCounters {
+		e.geometry.counters[i] = e.reg.Counter("medrelax_relax_geometry_"+key+"_total", "live-path geometry memo: "+key+" (a hit scored a stored walk; a fill or refill walked the graph)", e.labels(""))
+	}
+	e.geometry.bytes = e.reg.Gauge("medrelax_relax_geometry_bytes", "bytes the live-path geometry memo holds", e.labels(""))
 	e.reg.Gauge("medrelax_bundle_generation", "monotonic bundle generation, bumped per reload", e.labels("")).Set(1)
 	// Register the failure counter up front so a scrape before the first
 	// failed reload still shows the series at 0.

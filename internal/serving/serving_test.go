@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -672,5 +673,51 @@ func TestServePathCounters(t *testing.T) {
 	}
 	if serving["cacheBypassed"].(uint64) != 1 {
 		t.Fatalf("cacheBypassed = %v", serving["cacheBypassed"])
+	}
+}
+
+// geometryBackend reports a geometry memo whose counts the test sets.
+type geometryBackend struct {
+	fakeBackend
+	geometry map[string]uint64
+}
+
+func (g *geometryBackend) Stats() map[string]any {
+	return map[string]any{"relaxGeometry": g.geometry}
+}
+
+// TestGeometrySeries pins how a snapshot's geometry-memo counts reach
+// /metrics: read from the backend's stats at scrape time, counters that keep
+// growing across a reload although the new snapshot's memo starts from zero,
+// and a gauge that follows the current one.
+func TestGeometrySeries(t *testing.T) {
+	a := &geometryBackend{geometry: map[string]uint64{"hits": 7, "fills": 3, "refills": 1, "evictions": 0, "bytes": 4096}}
+	e, ts := newStack(t, a, Options{})
+	scrape := func() map[string]string {
+		_, body := get(t, ts.URL+"/metrics")
+		got := map[string]string{}
+		for _, line := range strings.Split(body, "\n") {
+			if name, value, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, "medrelax_relax_geometry_") {
+				got[strings.TrimPrefix(name, "medrelax_relax_geometry_")] = value
+			}
+		}
+		return got
+	}
+	want := map[string]string{"hits_total": "7", "fills_total": "3", "refills_total": "1", "evictions_total": "0", "bytes": "4096"}
+	if got := scrape(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("first scrape: %v, want %v", got, want)
+	}
+	a.geometry["hits"], a.geometry["evictions"] = 9, 2
+	e.Swap(&geometryBackend{geometry: map[string]uint64{"hits": 1, "fills": 1, "refills": 0, "evictions": 0, "bytes": 512}})
+	// The old snapshot's last two hits were never scraped and are gone with
+	// it; the new one's counts add to what the series held.
+	want = map[string]string{"hits_total": "8", "fills_total": "4", "refills_total": "1", "evictions_total": "0", "bytes": "512"}
+	if got := scrape(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("scrape after the swap: %v, want %v", got, want)
+	}
+	// A backend without the section leaves the series alone.
+	e.Swap(&fakeBackend{label: "plain"})
+	if got := scrape(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("scrape of a backend with no geometry stats: %v, want %v", got, want)
 	}
 }
