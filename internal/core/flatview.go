@@ -170,15 +170,17 @@ func NewFlatIngestion(contexts []ontology.Context, g *eks.Graph, store *kb.Store
 	}
 	// The flagged walk's report column, by one merge of the two ascending id
 	// lists. Customization only adds edges, so positions stay valid.
-	slots := make([]int32, g.Len())
+	fg := g.FlatData()
+	slots := make([]int32, len(fg.IDs))
 	next := 0
-	for i, id := range g.ConceptIDs() {
+	for i, id := range fg.IDs {
 		slots[i] = -1
 		if next < len(d.Flagged) && d.Flagged[next] == id {
 			slots[i] = int32(next)
 			next++
 		}
 	}
+	icRank, icDomain := rankICDomain(fg, slots, d.Flagged)
 	return &Ingestion{
 		Contexts:       contexts,
 		Frequencies:    ft,
@@ -188,7 +190,44 @@ func NewFlatIngestion(contexts []ontology.Context, g *eks.Graph, store *kb.Store
 		ShortcutsAdded: shortcutsAdded,
 		maps:           d,
 		slots:          slots,
+		icRank:         icRank,
+		icDomain:       icDomain,
 	}, nil
+}
+
+// rankICDomain ranks the nodes a relaxation can ask an IC of: the flagged
+// concepts, each at its slot, then their unflagged ancestors in node order.
+// A candidate is flagged and its LCS with the query concept subsumes it, so
+// Equation 3 names nothing else but the query concept itself. Shortcut edges
+// only lead to ancestors: the closure is the same before customization and
+// after.
+func rankICDomain(fg eks.FlatGraphData, slots []int32, flagged []eks.ConceptID) (rank []int32, domain []eks.ConceptID) {
+	const reached = -2
+	rank = slices.Clone(slots)
+	var stack []int32
+	for node, slot := range slots {
+		if slot >= 0 {
+			stack = append(stack, int32(node))
+		}
+	}
+	for len(stack) > 0 {
+		node := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, up := range fg.UpTo[fg.UpOff[node]:fg.UpOff[node+1]] {
+			if rank[up] == -1 {
+				rank[up] = reached
+				stack = append(stack, up)
+			}
+		}
+	}
+	domain = slices.Clone(flagged)
+	for node, rk := range rank {
+		if rk == reached {
+			rank[node] = int32(len(domain))
+			domain = append(domain, fg.IDs[node])
+		}
+	}
+	return rank, domain
 }
 
 // flaggedFrontier starts the candidate walk of Algorithm 2 line 2 at q: a

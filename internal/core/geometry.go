@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"medrelax/internal/eks"
+	"medrelax/internal/ontology"
 )
 
 // geometry is the context-free half of one query concept's relaxation:
@@ -16,8 +17,10 @@ import (
 // of Equation 4's path), plus the per-radius distinct-instance counts the
 // dynamic radius is decided on. Nothing in it depends on the query context or
 // on k beyond how far the walk had to go, so one geometry serves every
-// (context, k) a concept is asked under; only Equations 1–3 run per request.
-// It is immutable once built.
+// (context, k) a concept is asked under; per request Equations 1–3 are loads
+// from the context's IC plane and a few operations a hit (scoreGeometry). A
+// walk supplies it, or the candidate index's posting list where one stands in
+// for the walk. It is immutable once built.
 type geometry struct {
 	hits []geoHit
 	// levelEnd[h] is the number of hits within h hops, one entry per hop from
@@ -29,18 +32,28 @@ type geometry struct {
 	// shapes are the distinct (gen, spec) hop counts of the hits' canonical
 	// paths; a request turns them into Equation 4 weights once.
 	shapes []pathShape
-	// tied pools the LCS sets of two or more members, set i being
-	// tied[tiedOff[i]:tiedOff[i+1]]; a hit whose set equals its
+	// tied pools the LCS sets of two or more members as graph nodes, set i
+	// being tied[tiedOff[i]:tiedOff[i+1]]; a hit whose set equals its
 	// predecessor's shares it.
 	tiedOff []int32
-	tied    []eks.ConceptID
+	tied    []int32
 
 	// final is whether the walk went all the way to the maximum radius: a
 	// final geometry answers every target, any other only those its last
 	// count meets — the walk for them would have stopped no later.
 	final bool
-	// reached is the number of graph nodes the walk touched.
+	// indexed is whether the candidate index's postings stood in for the
+	// walk; the requests such a geometry serves report PathIndexed.
+	indexed bool
+	// reached is the number of graph nodes the walk touched, none when
+	// postings stood in for it.
 	reached int
+}
+
+// answers reports whether the geometry holds every candidate a walk for
+// target would gather.
+func (g *geometry) answers(target int) bool {
+	return g.final || int(g.counts[len(g.counts)-1]) >= target
 }
 
 // geoHit is one candidate in 12 bytes: its slot in the flagged set, its LCS
@@ -60,39 +73,42 @@ type pathShape struct{ gen, spec int32 }
 func (g *geometry) bytes() int64 {
 	return int64(unsafe.Sizeof(*g)) +
 		int64(cap(g.hits))*int64(unsafe.Sizeof(geoHit{})) +
-		int64(cap(g.levelEnd)+cap(g.counts)+cap(g.tiedOff))*4 +
-		int64(cap(g.shapes))*int64(unsafe.Sizeof(pathShape{})) +
-		int64(cap(g.tied))*int64(unsafe.Sizeof(eks.ConceptID(0)))
+		int64(cap(g.levelEnd)+cap(g.counts)+cap(g.tiedOff)+cap(g.tied))*4 +
+		int64(cap(g.shapes))*int64(unsafe.Sizeof(pathShape{}))
 }
 
-// lcsOf returns a hit's LCS set, ascending; nodes is the graph's id column
-// and one the caller's buffer for a sole LCS.
-func (g *geometry) lcsOf(h geoHit, nodes []eks.ConceptID, one *[1]eks.ConceptID) []eks.ConceptID {
+// lcsOf returns a hit's LCS set as ascending graph nodes; one is the caller's
+// buffer for a sole LCS.
+func (g *geometry) lcsOf(h geoHit, one *[1]int32) []int32 {
 	switch {
 	case h.lcs == geoNoMeet:
 		return nil
 	case h.lcs >= 0:
-		one[0] = nodes[h.lcs]
+		one[0] = h.lcs
 		return one[:]
 	default:
 		return g.tied[g.tiedOff[^h.lcs]:g.tiedOff[^h.lcs+1]]
 	}
 }
 
-// geometryBuilder derives hits level by level: the one place a flagged
-// concept reached by a walk gets its canonical meet with the query concept.
+// geometryBuilder assembles hits level by level: the one place a flagged
+// concept reached by a walk gets its canonical meet with the query concept
+// (add), and where a posting's stored meet becomes the same hit (addMeet).
 type geometryBuilder struct {
 	ing   *Ingestion
 	nodes []eks.ConceptID // the graph's ascending ids; a position is a node
 	meets queryMeets
+	lcs   []int32 // the LCS set being added, as nodes
 	g     *geometry
 }
 
-func newGeometryBuilder(ing *Ingestion, sim *Similarity, q eks.ConceptID, capacity int) geometryBuilder {
+// newGeometryBuilder starts a geometry of capacity hits; meets is the query
+// concept's, or zero for a builder that is only handed stored meets.
+func newGeometryBuilder(ing *Ingestion, meets queryMeets, capacity int) geometryBuilder {
 	return geometryBuilder{
 		ing:   ing,
 		nodes: ing.Graph.FlatData().IDs,
-		meets: sim.meetsFrom(q),
+		meets: meets,
 		g:     &geometry{hits: make([]geoHit, 0, capacity), tiedOff: []int32{0}},
 	}
 }
@@ -103,29 +119,44 @@ func (b *geometryBuilder) addSelf(slot int32) {
 	b.g.hits = append(b.g.hits, geoHit{slot: slot, lcs: geoNoMeet})
 }
 
-// add appends the flagged concept in slot to the level being built.
+// add appends the flagged concept in slot to the level being built, deriving
+// its meet with the query concept.
 func (b *geometryBuilder) add(slot int32) {
-	g := b.g
 	lcs, gen, spec := b.meets.to(b.ing.maps.Flagged[slot])
+	b.addMeet(slot, lcs, int32(gen), int32(spec))
+}
+
+// addMeet appends the flagged concept in slot with its meet: the tied LCS set,
+// ascending, and the hop counts of the canonical path. It reports false, and
+// appends nothing, when the graph does not hold an LCS.
+func (b *geometryBuilder) addMeet(slot int32, lcs []eks.ConceptID, gen, spec int32) bool {
+	g := b.g
+	b.lcs = b.lcs[:0]
+	for _, id := range lcs {
+		node, ok := slices.BinarySearch(b.nodes, id)
+		if !ok {
+			return false
+		}
+		b.lcs = append(b.lcs, int32(node))
+	}
 	h := geoHit{slot: slot, lcs: geoNoMeet}
 	switch {
 	case len(lcs) == 0:
 		g.hits = append(g.hits, h)
-		return
+		return true
 	case len(lcs) == 1:
-		node, _ := slices.BinarySearch(b.nodes, lcs[0])
-		h.lcs = int32(node)
+		h.lcs = b.lcs[0]
 	default:
 		last := len(g.tiedOff) - 2
-		if last < 0 || !slices.Equal(g.tied[g.tiedOff[last]:], lcs) {
-			g.tied = append(g.tied, lcs...)
+		if last < 0 || !slices.Equal(g.tied[g.tiedOff[last]:], b.lcs) {
+			g.tied = append(g.tied, b.lcs...)
 			g.tiedOff = append(g.tiedOff, int32(len(g.tied)))
 			last++
 		}
 		h.lcs = ^int32(last)
 	}
 	// A walk meets a handful of shapes, and neighbours mostly share one.
-	shape := pathShape{int32(gen), int32(spec)}
+	shape := pathShape{gen, spec}
 	i := len(g.shapes) - 1
 	for i >= 0 && g.shapes[i] != shape {
 		i--
@@ -136,6 +167,7 @@ func (b *geometryBuilder) add(slot int32) {
 	}
 	h.shape = uint32(i)
 	g.hits = append(g.hits, h)
+	return true
 }
 
 // endLevel closes the hop level the hits since the last call belong to.
@@ -150,7 +182,7 @@ func (r *Relaxer) geometry(ctx context.Context, q eks.ConceptID, target int, sc 
 	if err != nil {
 		return nil, err
 	}
-	b := newGeometryBuilder(r.ing, r.sim, q, len(hits))
+	b := newGeometryBuilder(r.ing, r.sim.meetsFrom(q), len(hits))
 	walked := r.opts.Radius + len(counts) - 1
 	next := 0
 	for hops := 0; hops <= walked; hops++ {
@@ -180,23 +212,29 @@ func (r *Relaxer) geometry(ctx context.Context, q eks.ConceptID, target int, sc 
 const geometryBudget = 16 << 20
 
 // memoGeometry returns q's geometry for target, from the memo when it holds
-// one that covers it, and otherwise walked, derived and published. Entries
-// are never modified: a request that needs a wider walk than the stored one
-// replaces it, and two requests filling the same concept at once both do the
-// work and publish equal entries.
+// one that covers it, and otherwise filled and published: read off the
+// candidate index when it holds q out to a horizon that answers target,
+// walked and derived when not. Entries are never modified: a request that
+// needs a wider geometry than the stored one replaces it by a walk — what the
+// index held is what fell short — and two requests filling the same concept
+// at once both do the work and publish equal entries.
 func (r *Relaxer) memoGeometry(ctx context.Context, q eks.ConceptID, target int, sc *relaxScratch) (*geometry, error) {
 	outcome, counter := "fill", &r.geoFills
-	if g, ok := r.geo.get(q); ok {
-		if g.final || int(g.counts[len(g.counts)-1]) >= target {
-			sc.stats.geometry = "hit"
-			r.geoHits.Add(1)
-			return g, nil
-		}
+	var g *geometry
+	if stored, ok := r.geo.get(q); !ok {
+		g = r.indexedGeometry(q, target)
+	} else if stored.answers(target) {
+		sc.stats.geometry = "hit"
+		r.geoHits.Add(1)
+		return stored, nil
+	} else {
 		outcome, counter = "refill", &r.geoRefills
 	}
-	g, err := r.geometry(ctx, q, target, sc)
-	if err != nil {
-		return nil, err
+	if g == nil {
+		var err error
+		if g, err = r.geometry(ctx, q, target, sc); err != nil {
+			return nil, err
+		}
 	}
 	r.geo.put(q, g, g.bytes())
 	sc.stats.geometry, sc.stats.reached = outcome, g.reached
@@ -204,28 +242,53 @@ func (r *Relaxer) memoGeometry(ctx context.Context, q eks.ConceptID, target int,
 	return g, nil
 }
 
-// hitsWithin yields the hits of g within radius hops to the shared scorer, in
-// stored order; the Equation 4 weight of each shape is looked up once.
-func (r *Relaxer) hitsWithin(g *geometry, radius int, sc *relaxScratch) (int, hitSource) {
-	weights := sc.weights[:0]
-	if r.sim.UsePathWeight {
+// scoreGeometry is the context half of Equation 5 for every kernel — the live
+// one over a walked geometry or one read off the candidate index,
+// materialization over a full walk: the hits of g within radius hops, each
+// scored under qctx from its meet. The context's IC plane is bound, the query
+// concept's IC fetched and each path shape's Equation 4 weight looked up once;
+// a hit then costs the loads of its candidate's and its LCS's IC and the
+// arithmetic of simICFromLCS in its order. The scores alias the scratch.
+func (r *Relaxer) scoreGeometry(ctx context.Context, q eks.ConceptID, qctx *ontology.Context, g *geometry, radius int, sc *relaxScratch) ([]scoredHit, error) {
+	ic := r.icUnder(qctx)
+	icQ := ic.ofConcept(q)
+	weighted, weights := r.sim.UsePathWeight, sc.weights[:0]
+	if weighted {
 		for _, s := range g.shapes {
 			weights = append(weights, r.sim.pathWeight(int(s.gen), int(s.spec)))
 		}
 	}
 	sc.weights = weights
-	nodes := r.ing.Graph.FlatData().IDs
-	var one [1]eks.ConceptID
+	n := int(g.levelEnd[radius])
+	scored := slices.Grow(sc.scored[:0], n)
+	var one [1]int32
 	hops := int32(0)
-	return int(g.levelEnd[radius]), func(i int) (int32, int32, pairMeet) {
+	for i, h := range g.hits[:n] {
+		if i%scoreCheckInterval == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("core: relaxation aborted scoring candidate %d/%d: %w", i, n, err)
+			}
+		}
 		for i >= int(g.levelEnd[hops]) {
 			hops++
 		}
-		h := g.hits[i]
-		meet := pairMeet{lcs: g.lcsOf(h, nodes, &one)}
-		if len(meet.lcs) > 0 && len(weights) > 0 {
-			meet.weight = weights[h.shape]
+		score := 1.0 // the query concept itself, the only hit at hop 0
+		if hops > 0 {
+			score = 0
+			if lcs := g.lcsOf(h, &one); len(lcs) > 0 {
+				lcsIC := 0.0
+				for _, node := range lcs {
+					lcsIC += ic.at(node)
+				}
+				score = simICOf(lcsIC/float64(len(lcs)), icQ, ic.atSlot(h.slot))
+				if weighted {
+					score = weights[h.shape] * score
+				}
+			}
 		}
-		return h.slot, hops, meet
+		scored = append(scored, scoredHit{score: score, slot: h.slot, hops: hops})
 	}
+	sc.scored = scored
+	sc.stats.scored = n
+	return scored, nil
 }

@@ -77,6 +77,11 @@ type Ingestion struct {
 	// node, in ConceptIDs() order, its position in maps.Flagged or -1 — the
 	// report column of the flagged walk.
 	slots []int32
+	// icRank and icDomain, derived with slots, are the IC domain (see
+	// rankICDomain): each graph node's rank in it or -1, and the concept at
+	// each rank. A Relaxer's per-context IC planes are columns over it.
+	icRank   []int32
+	icDomain []eks.ConceptID
 }
 
 // Close releases resources the ingestion's backing pins — for a

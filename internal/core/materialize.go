@@ -183,7 +183,28 @@ func MaterializeTopK(ing *Ingestion, sim *Similarity, opts MaterializeOptions) *
 		byConcept[i] = i
 	}
 	slices.SortFunc(byConcept, func(a, b int) int { return cmp.Compare(head[a], head[b]) })
-	d := FlatMaterializedData{Relax: ropts, CountOff: []int32{0}, CandOff: []int32{0}}
+	// The columns are sized before they are filled: growing by append copies
+	// the candidate pool about five times over into memory fresh from the OS,
+	// a third of the build's wall time at 100k concepts and its least steady
+	// part.
+	var entries, counts, cands int
+	for _, es := range built {
+		entries += len(es)
+		for _, e := range es {
+			counts += len(e.counts)
+			cands += len(e.cands)
+		}
+	}
+	d := FlatMaterializedData{
+		Relax:    ropts,
+		Concepts: make([]eks.ConceptID, 0, entries),
+		Ctxs:     make([]string, 0, entries),
+		Complete: make([]int32, 0, entries),
+		CountOff: append(make([]int32, 0, entries+1), 0),
+		Counts:   make([]int32, 0, counts),
+		CandOff:  append(make([]int32, 0, entries+1), 0),
+		Cands:    make([]MatCand, 0, cands),
+	}
 	for _, i := range byConcept {
 		for j, e := range built[i] {
 			d.appendEntry(head[i], ctxKey(ctxs[j]), e)
@@ -219,16 +240,16 @@ func materializeConcept(r *Relaxer, q eks.ConceptID, ctxs []*ontology.Context, o
 	g, _ := r.geometry(bg, q, math.MaxInt, sc)
 	out := make([]matEntry, 0, len(ctxs))
 	for _, ctx := range ctxs {
-		n, hits := r.hitsWithin(g, len(g.levelEnd)-1, sc)
-		scored, _ := r.scoreHits(bg, q, ctx, n, hits, sc)
+		scored, _ := r.scoreGeometry(bg, q, ctx, g, len(g.levelEnd)-1, sc)
 		slices.SortFunc(scored, rankScored)
-		e := matEntry{complete: true, counts: g.counts, cands: make([]MatCand, len(scored))}
+		e := matEntry{complete: true, counts: g.counts}
+		if opts.MaxPerQuery > 0 && len(scored) > opts.MaxPerQuery {
+			scored = scored[:opts.MaxPerQuery]
+			e.complete = false
+		}
+		e.cands = make([]MatCand, len(scored))
 		for i, h := range scored {
 			e.cands[i] = MatCand{Concept: r.ing.maps.Flagged[h.slot], Score: h.score, Hops: h.hops}
-		}
-		if opts.MaxPerQuery > 0 && len(e.cands) > opts.MaxPerQuery {
-			e.cands = e.cands[:opts.MaxPerQuery]
-			e.complete = false
 		}
 		out = append(out, e)
 	}

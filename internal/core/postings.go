@@ -2,14 +2,12 @@ package core
 
 import (
 	"cmp"
-	"context"
 	"fmt"
 	"slices"
 	"sort"
 	"sync"
 
 	"medrelax/internal/eks"
-	"medrelax/internal/ontology"
 )
 
 // CandidateIndex is the posting-list side of the offline acceleration pair
@@ -160,7 +158,7 @@ func buildPostings(ing *Ingestion, sim *Similarity, q eks.ConceptID, opts Candid
 		return builtList{}
 	}
 	defer f.Close()
-	b := newGeometryBuilder(ing, sim, q, 0)
+	b := newGeometryBuilder(ing, sim.meetsFrom(q), 0)
 	b.endLevel() // hop 0: a posting list never holds the query concept itself
 	for hops := 1; hops <= opts.Radius; hops++ {
 		level := f.Advance()
@@ -175,16 +173,18 @@ func buildPostings(ing *Ingestion, sim *Similarity, q eks.ConceptID, opts Candid
 	g := b.g
 	out := builtList{indexed: true, posts: make([]Posting, 0, len(g.hits))}
 	partials := make([]float64, 0, len(g.hits))
-	var one [1]eks.ConceptID
+	var one [1]int32
 	for hops := 1; hops <= opts.Radius; hops++ {
 		for _, h := range g.hits[g.levelEnd[hops-1]:g.levelEnd[hops]] {
 			p := Posting{Concept: ing.maps.Flagged[h.slot], Hops: int32(hops)}
 			partial := 0.0
-			if lcs := g.lcsOf(h, b.nodes, &one); len(lcs) > 0 {
+			if lcs := g.lcsOf(h, &one); len(lcs) > 0 {
 				shape := g.shapes[h.shape]
 				p.Gen, p.Spec = shape.gen, shape.spec
 				p.LCSLo = int32(len(out.lcs))
-				out.lcs = append(out.lcs, lcs...)
+				for _, node := range lcs {
+					out.lcs = append(out.lcs, b.nodes[node])
+				}
 				p.LCSHi = int32(len(out.lcs))
 				partial = sim.pathWeight(int(shape.gen), int(shape.spec))
 			}
@@ -235,74 +235,50 @@ func hopCut(posts []Posting, radius int) int {
 	return sort.Search(len(posts), func(i int) bool { return int(posts[i].Hops) > radius })
 }
 
-// indexedCandidates is liveCandidates over the posting list: identical
-// candidate set, identical scores — the stored geometry goes through the
-// same scorer — identical ordering. ok=false declines (unindexed concept,
-// dynamic growth outrunning the index radius, or a posting that is not a
-// flagged concept of this ingestion) and the caller runs the live kernel.
-func (r *Relaxer) indexedCandidates(ctx context.Context, q eks.ConceptID, qctx *ontology.Context, k, target int, sc *relaxScratch) ([]Result, bool, error) {
+// indexedGeometry reads q's posting list into the geometry a walk to the
+// index's horizon would derive — the same hits level by level, each level in
+// posting order rather than walk order, the same per-radius instance counts
+// — with every posting's slot and LCS nodes resolved here, once per concept.
+// It returns nil, and the caller walks, with no index attached, for a concept
+// the index does not hold, a horizon that does not answer target, or a posting
+// that names a concept this ingestion does not flag or its graph does not
+// have.
+func (r *Relaxer) indexedGeometry(q eks.ConceptID, target int) *geometry {
 	idx := r.cidx
-	if r.opts.Radius > idx.d.Radius {
-		return nil, false, nil
+	if idx == nil || idx.d.Radius < r.opts.Radius {
+		return nil
 	}
 	posts, found := idx.lookup(q)
 	if !found {
-		return nil, false, nil
+		return nil
 	}
-	// The candidates' slots, the query concept's own first under IncludeSelf,
-	// and their distinct instances, counted as the live walk counts its
-	// levels: each growth round adds its new level's instance spans.
-	slots := sc.slots[:0]
-	self := 0
+	horizon := min(idx.d.Radius, r.maxRadius())
+	posts = posts[:hopCut(posts, horizon)]
+	b := newGeometryBuilder(r.ing, queryMeets{}, len(posts)+1)
+	b.g.indexed, b.g.final = true, horizon == r.maxRadius()
+	instances := 0
 	if slot, flagged := r.ing.flaggedSlot(q); flagged && r.opts.IncludeSelf {
-		slots, self = append(slots, slot), 1
+		b.addSelf(slot)
+		instances = r.ing.instanceCount(slot)
 	}
-	counted, instances := 0, 0
-	radius := r.opts.Radius
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, false, fmt.Errorf("core: relaxation aborted at radius %d: %w", radius, err)
-		}
-		for cut := hopCut(posts, radius); len(slots)-self < cut; {
-			slot, flagged := r.ing.flaggedSlot(posts[len(slots)-self].Concept)
-			if !flagged {
-				return nil, false, nil
+	for hops := 0; hops <= horizon; hops++ {
+		for ; len(posts) > 0 && int(posts[0].Hops) == hops; posts = posts[1:] {
+			p := &posts[0]
+			slot, flagged := r.ing.flaggedSlot(p.Concept)
+			if !flagged || !b.addMeet(slot, idx.d.LCS[p.LCSLo:p.LCSHi], p.Gen, p.Spec) {
+				return nil
 			}
-			slots = append(slots, slot)
+			instances += r.ing.instanceCount(slot)
 		}
-		sc.slots = slots
-		if !r.opts.DynamicRadius || radius >= r.opts.MaxRadius {
-			break
+		b.endLevel()
+		if hops >= r.opts.Radius {
+			b.g.counts = append(b.g.counts, int32(instances))
 		}
-		for ; counted < len(slots); counted++ {
-			instances += r.ing.instanceCount(slots[counted])
-		}
-		if instances >= target {
-			break
-		}
-		if radius+1 > idx.d.Radius {
-			// The next growth round would look past the indexed horizon;
-			// only the live traversal can see further.
-			return nil, false, nil
-		}
-		radius++
 	}
-	sc.stats.radius = radius
-	scored, err := r.scoreHits(ctx, q, qctx, len(slots), func(i int) (int32, int32, pairMeet) {
-		if i < self {
-			return slots[i], 0, pairMeet{}
-		}
-		p := &posts[i-self]
-		meet := pairMeet{lcs: idx.d.LCS[p.LCSLo:p.LCSHi]}
-		if r.sim.UsePathWeight {
-			meet.weight = r.sim.pathWeight(int(p.Gen), int(p.Spec))
-		}
-		return slots[i], p.Hops, meet
-	}, sc)
-	if err != nil {
-		return nil, false, err
+	if !b.g.answers(target) {
+		return nil
 	}
-	return r.rankResults(scored, k), true, nil
+	return b.g
 }
 
 // Radius reports the hop radius the index was built with.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"medrelax/internal/eks"
@@ -68,18 +69,24 @@ func (o RelaxOptions) withDefaults() RelaxOptions {
 	return o
 }
 
-// ServePath identifies which compute path produced a relaxation answer.
-// All paths are byte-identical in output; the distinction is purely
+// ServePath identifies which store supplied a relaxation answer's candidate
+// set. All paths are byte-identical in output; the distinction is purely
 // observability (metrics, stats) and latency.
 type ServePath uint8
 
 const (
-	// PathLive is the full Algorithm 2 traversal: walk the flagged frontier,
-	// derive each candidate's canonical meet, score, rank.
+	// PathLive scored a geometry Algorithm 2's traversal supplied: the flagged
+	// frontier walked and each candidate's canonical meet derived, for this
+	// request or for an earlier one of the same concept that left it in the
+	// geometry memo.
 	PathLive ServePath = iota
-	// PathMaterialized served a precomputed offline top-k entry.
+	// PathMaterialized served a precomputed offline top-k entry: candidates
+	// and scores both stored, nothing scored.
 	PathMaterialized
-	// PathIndexed scored a precomputed posting list instead of traversing.
+	// PathIndexed scored a geometry the candidate index's posting list
+	// supplied, read off it for this request or for an earlier one of the same
+	// concept. Once a target outgrows the index's horizon a walk replaces the
+	// entry and the concept's later requests are PathLive.
 	PathIndexed
 )
 
@@ -126,6 +133,10 @@ type Relaxer struct {
 	// to this relaxer — its options decide the walk, its similarity the
 	// meets — and goes when the relaxer does, with the snapshot it serves.
 	geo *weightedLRU[*geometry]
+	// planes holds the IC plane of every query context asked so far (see
+	// plane.go). Readers load the map; writers copy it.
+	planes  atomic.Pointer[map[planeKey][]float64]
+	planeMu sync.Mutex
 
 	pathLive, pathMaterialized, pathIndexed atomic.Uint64
 	geoHits, geoFills, geoRefills           atomic.Uint64
@@ -160,11 +171,16 @@ func (r *Relaxer) PathCounts() (live, materialized, indexed uint64) {
 }
 
 // GeometryCounts reports what the live kernel's geometry memo has done since
-// the relaxer was built: requests it answered, concepts it walked for the
-// first time, walks redone for a wider target, entries evicted, and the bytes
-// it holds now.
-func (r *Relaxer) GeometryCounts() (hits, fills, refills, evictions uint64, bytes int64) {
-	return r.geoHits.Load(), r.geoFills.Load(), r.geoRefills.Load(), r.geo.evictions.Load(), r.geo.weight()
+// the relaxer was built — requests it answered, concepts it walked or read off
+// the candidate index for the first time, walks redone for a wider target,
+// entries evicted, and the bytes it holds now — and the IC planes the relaxer
+// holds, one per query context asked, with their bytes.
+func (r *Relaxer) GeometryCounts() (hits, fills, refills, evictions uint64, bytes int64, planes int, planeBytes int64) {
+	if m := r.planes.Load(); m != nil {
+		planes = len(*m)
+	}
+	return r.geoHits.Load(), r.geoFills.Load(), r.geoRefills.Load(), r.geo.evictions.Load(), r.geo.weight(),
+		planes, int64(planes) * int64(len(r.ing.icDomain)) * 8
 }
 
 // NewRelaxer builds the online phase. sim decides which variant runs (full
@@ -214,9 +230,10 @@ func (r *Relaxer) RelaxTermContextTraced(ctx context.Context, term string, qctx 
 
 // kernelStats is what one kernel run did, for the sampled request's span:
 // the radius it stopped at, the graph nodes its walk touched (none on the
-// materialized and indexed paths, and none when the live path found the
-// concept's geometry in the memo), the candidates it scored, and on the live
-// path where the geometry came from: "hit", "fill" or "refill".
+// materialized path, none when the concept's geometry was in the memo, and
+// none when postings stood in for the walk: an index_path fill reaches 0), the
+// candidates it scored, and on the live and indexed paths where the geometry
+// came from: "hit", "fill" or "refill".
 type kernelStats struct {
 	radius, reached, scored int
 	geometry                string
@@ -259,7 +276,8 @@ func (r *Relaxer) RelaxConcept(q eks.ConceptID, ctx *ontology.Context, k int) []
 // during candidate scoring; on expiry the partial work is discarded and
 // the context's error is returned.
 func (r *Relaxer) RelaxConceptContext(ctx context.Context, q eks.ConceptID, qctx *ontology.Context, k int) ([]Result, error) {
-	return r.relaxConceptScratch(ctx, q, qctx, k, &relaxScratch{})
+	out, _, err := r.relaxConceptPath(ctx, q, qctx, k, &relaxScratch{})
+	return out, err
 }
 
 // relaxScratch holds the per-query working state that batch relaxation
@@ -273,7 +291,6 @@ type relaxScratch struct {
 	counts  []int32
 	weights []float64
 	scored  []scoredHit
-	slots   []int32
 	stats   kernelStats
 }
 
@@ -287,16 +304,10 @@ func (s *relaxScratch) resetSeen() map[kb.InstanceID]bool {
 	return s.seen
 }
 
-// relaxConceptScratch is the scratch-threaded core of RelaxConceptContext.
-func (r *Relaxer) relaxConceptScratch(ctx context.Context, q eks.ConceptID, qctx *ontology.Context, k int, sc *relaxScratch) ([]Result, error) {
-	out, _, err := r.relaxConceptPath(ctx, q, qctx, k, sc)
-	return out, err
-}
-
-// relaxConceptPath dispatches materialized -> indexed -> live and reports
-// which path answered. All three paths produce byte-identical results; a
-// path that cannot prove identity for this query declines and the next one
-// runs. k <= 0 asks for the full ranked candidate list.
+// relaxConceptPath asks the materialized store and then the kernel, and
+// reports which path answered. All three paths produce byte-identical
+// results; a store that cannot prove identity for this query declines and
+// the next one runs. k <= 0 asks for the full ranked candidate list.
 func (r *Relaxer) relaxConceptPath(ctx context.Context, q eks.ConceptID, qctx *ontology.Context, k int, sc *relaxScratch) ([]Result, ServePath, error) {
 	target := k
 	if target <= 0 {
@@ -325,20 +336,30 @@ func (r *Relaxer) relaxConceptPath(ctx context.Context, q eks.ConceptID, qctx *o
 	return out, path, nil
 }
 
-// rankedPath scores and ranks: over the posting-list index when it covers the
-// query, over the live kernel's geometry otherwise.
+// rankedPath is the kernel: the query concept's geometry — memoised, or read
+// off the candidate index or walked and derived now — cut to the radius this
+// request's target stops at, scored under the query context and ranked. The
+// geometry is per concept, the scoring per (concept, context, k); the path is
+// the geometry's source.
 func (r *Relaxer) rankedPath(ctx context.Context, q eks.ConceptID, qctx *ontology.Context, k, target int, sc *relaxScratch) ([]Result, ServePath, error) {
-	if r.cidx != nil {
-		out, ok, err := r.indexedCandidates(ctx, q, qctx, k, target, sc)
-		if err != nil {
-			return nil, PathIndexed, err
-		}
-		if ok {
-			return out, PathIndexed, nil
-		}
+	g, err := r.memoGeometry(ctx, q, target, sc)
+	if err != nil {
+		return nil, PathLive, err
 	}
-	out, err := r.liveCandidates(ctx, q, qctx, k, target, sc)
-	return out, PathLive, err
+	path := PathLive
+	if g.indexed {
+		path = PathIndexed
+	}
+	radius, err := r.stopRadius(ctx, g.counts, target)
+	if err != nil {
+		return nil, path, err
+	}
+	sc.stats.radius = radius
+	scored, err := r.scoreGeometry(ctx, q, qctx, g, radius, sc)
+	if err != nil {
+		return nil, path, err
+	}
+	return r.rankResults(scored, k), path, nil
 }
 
 // takeForKInstances keeps consuming ranked candidates until at least k
@@ -527,64 +548,10 @@ func (r *Relaxer) stopRadius(ctx context.Context, counts []int32, target int) (i
 	return maxR, nil
 }
 
-// liveCandidates is the live kernel: the query concept's geometry — memoised,
-// or walked and derived now — cut to the radius this request's target stops
-// at, scored under the query context and ranked. The geometry is per
-// concept, the scoring per (concept, context, k).
-func (r *Relaxer) liveCandidates(ctx context.Context, q eks.ConceptID, qctx *ontology.Context, k, target int, sc *relaxScratch) ([]Result, error) {
-	g, err := r.memoGeometry(ctx, q, target, sc)
-	if err != nil {
-		return nil, err
-	}
-	radius, err := r.stopRadius(ctx, g.counts, target)
-	if err != nil {
-		return nil, err
-	}
-	sc.stats.radius = radius
-	n, hits := r.hitsWithin(g, radius, sc)
-	scored, err := r.scoreHits(ctx, q, qctx, n, hits, sc)
-	if err != nil {
-		return nil, err
-	}
-	return r.rankResults(scored, k), nil
-}
-
-// hitSource yields candidate i of one kernel run to the shared scorer: its
-// slot in the flagged set, its hop distance from the query concept (0 for
-// the query concept itself) and its meet with it. It is called with
-// ascending i.
-type hitSource func(i int) (slot, hops int32, meet pairMeet)
-
 // scoredHit is one candidate after Equation 5 and before ranking.
 type scoredHit struct {
 	score      float64
 	slot, hops int32
-}
-
-// scoreHits is the context half of Equation 5 for every kernel — the live
-// one over a geometry, the indexed one over a posting list, materialization
-// over a full walk: the context resolved and the query concept's IC fetched
-// once, each candidate scored from its meet. The scores alias the scratch.
-func (r *Relaxer) scoreHits(ctx context.Context, q eks.ConceptID, qctx *ontology.Context, n int, hits hitSource, sc *relaxScratch) ([]scoredHit, error) {
-	ic := r.sim.icUnder(qctx)
-	icQ := ic.of(q)
-	scored := slices.Grow(sc.scored[:0], n)
-	for i := 0; i < n; i++ {
-		if i%scoreCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("core: relaxation aborted scoring candidate %d/%d: %w", i, n, err)
-			}
-		}
-		slot, hops, meet := hits(i)
-		score := 1.0 // the query concept itself, the only hit at hop 0
-		if hops > 0 {
-			score = r.sim.score(meet, icQ, r.ing.maps.Flagged[slot], &ic)
-		}
-		scored = append(scored, scoredHit{score: score, slot: slot, hops: hops})
-	}
-	sc.scored = scored
-	sc.stats.scored = n
-	return scored, nil
 }
 
 // rankResults turns scored hits into the answer. k <= 0 returns them all,

@@ -293,7 +293,7 @@ func TestGeometryMemoMatchesLegacyOracle(t *testing.T) {
 					}
 				}
 
-				hits, fills, refills, evictions, bytes := roomy.GeometryCounts()
+				hits, fills, refills, evictions, bytes, _, _ := roomy.GeometryCounts()
 				if fills != uint64(len(flagged)) || hits == 0 || evictions != 0 {
 					t.Errorf("roomy memo: %d fills for %d concepts, %d hits, %d evictions", fills, len(flagged), hits, evictions)
 				}
@@ -303,7 +303,7 @@ func TestGeometryMemoMatchesLegacyOracle(t *testing.T) {
 				if accounted, held, _, ok := roomy.geo.audit(); !ok || accounted != held || accounted != bytes {
 					t.Errorf("roomy memo accounts for %d bytes, holds %d, reports %d (consistent: %v)", accounted, held, bytes, ok)
 				}
-				_, tightFills, _, tightEvictions, tightBytes := tight.GeometryCounts()
+				_, tightFills, _, tightEvictions, tightBytes, _, _ := tight.GeometryCounts()
 				if tightEvictions == 0 || tightFills <= fills || tightBytes > heaviest*lruShards {
 					t.Errorf("tight memo: %d fills (roomy %d), %d evictions, %d bytes under a budget of %d",
 						tightFills, fills, tightEvictions, tightBytes, heaviest*lruShards)
@@ -405,7 +405,7 @@ func TestGeometryMemoIsPerRelaxer(t *testing.T) {
 			t.Fatalf("%s: the two relaxers agree on every query; the test shows nothing", name)
 		}
 		for _, r := range []*Relaxer{a, b} {
-			if hits, fills, _, _, _ := r.GeometryCounts(); fills != uint64(len(concepts)) || hits != uint64(len(concepts)) {
+			if hits, fills, _, _, _, _, _ := r.GeometryCounts(); fills != uint64(len(concepts)) || hits != uint64(len(concepts)) {
 				t.Errorf("%s: a relaxer filled %d and hit %d of %d concepts asked twice", name, fills, hits, len(concepts))
 			}
 		}
@@ -446,5 +446,381 @@ func TestWeightedLRUAccounting(t *testing.T) {
 	}
 	if c.evictions.Load() == 0 {
 		t.Error("10,000 operations over a small budget evicted nothing")
+	}
+}
+
+// The IC planes and the one geometry scorer over them, against Similarity.Sim
+// and the context half they replaced (export_test.go), and the candidate
+// index as a fill source of the memo against the walk.
+
+// noLabelContext subsumes no corpus label under any generated ontology: a
+// frequency table answers it from the aggregate.
+var noLabelContext = &ontology.Context{Domain: "NoSuchDomain", Relationship: "noSuchRelationship", Range: "NoSuchRange"}
+
+// planeSources are the measures the planes are checked under: every ICSource
+// the tree has, and the frequency table once more without Equation 4.
+func planeSources(ing *Ingestion) map[string]*Similarity {
+	icOnly := NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
+	icOnly.UsePathWeight = false
+	return map[string]*Similarity{
+		"frequencies":     NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology),
+		"intrinsic":       NewSimilarity(ing.Graph, NewIntrinsicIC(ing.Graph), ing.Ontology),
+		"without-context": NewSimilarity(ing.Graph, WithoutContext(ing.Frequencies), ing.Ontology),
+		"no-path-weight":  icOnly,
+	}
+}
+
+// TestPlanesHoldTheSourceIC pins every plane value: under every ontology
+// context, none, and one no label answers, for every ICSource, the plane of a
+// relaxer holds at each rank the bits ICSource.IC returns for the concept
+// ranked there; the domain ranks the flagged concepts at their slots and is
+// closed upwards, so no meet of two flagged concepts falls outside it.
+func TestPlanesHoldTheSourceIC(t *testing.T) {
+	for name, ing := range oracleWorlds(t) {
+		fg := ing.Graph.FlatData()
+		for node, rk := range ing.icRank {
+			switch {
+			case rk >= 0 && ing.icDomain[rk] != fg.IDs[node]:
+				t.Fatalf("%s: node %d has rank %d, where the domain holds concept %d", name, node, rk, ing.icDomain[rk])
+			case ing.slots[node] >= 0 && rk != ing.slots[node]:
+				t.Fatalf("%s: flagged node %d in slot %d has rank %d", name, node, ing.slots[node], rk)
+			case rk >= 0:
+				for _, up := range fg.UpTo[fg.UpOff[node]:fg.UpOff[node+1]] {
+					if ing.icRank[up] < 0 {
+						t.Fatalf("%s: node %d is ranked and its parent %d is not", name, node, up)
+					}
+				}
+			}
+		}
+		ctxs := append(queryContexts(ing), noLabelContext)
+		for source, sim := range planeSources(ing) {
+			r := NewRelaxer(ing, sim, nil, RelaxOptions{})
+			for _, qctx := range ctxs {
+				ic := r.icUnder(qctx)
+				if len(ic.plane) != len(ing.icDomain) {
+					t.Fatalf("%s/%s ctx %q: plane of %d values over a domain of %d", name, source, ctxKey(qctx), len(ic.plane), len(ing.icDomain))
+				}
+				for rk, id := range ing.icDomain {
+					if want := sim.IC.IC(id, qctx, sim.Ontology); math.Float64bits(ic.plane[rk]) != math.Float64bits(want) {
+						t.Fatalf("%s/%s ctx %q: plane holds %v for concept %d, the source says %v", name, source, ctxKey(qctx), ic.plane[rk], id, want)
+					}
+				}
+			}
+			if _, _, _, _, _, planes, bytes := r.GeometryCounts(); planes != len(ctxs) || bytes != int64(8*len(ctxs)*len(ing.icDomain)) {
+				t.Errorf("%s/%s: %d planes of %d bytes after %d contexts over %d ranked nodes", name, source, planes, bytes, len(ctxs), len(ing.icDomain))
+			}
+		}
+	}
+}
+
+// allPairsGeometry is a geometry whose one level holds every flagged concept
+// but q, so one scoreGeometry call scores q against them all.
+func allPairsGeometry(ing *Ingestion, sim *Similarity, q eks.ConceptID) *geometry {
+	b := newGeometryBuilder(ing, sim.meetsFrom(q), len(ing.maps.Flagged))
+	b.endLevel()
+	for slot, id := range ing.maps.Flagged {
+		if id != q {
+			b.add(int32(slot))
+		}
+	}
+	b.endLevel()
+	return b.g
+}
+
+// TestPlaneScoredMatchesSim scores query concepts — an even sample of the
+// flagged ones, thinner under -short, and three unflagged: the root, a leaf,
+// an inner node — against every flagged concept through scoreGeometry and
+// wants Similarity.Sim's bits, under a context that rotates with the query so
+// all are met, under none and under one no label answers, for every source;
+// every LCS the builder emits is ranked. The same queries score the same on a
+// relaxer whose ingestion ranks nothing (every LCS and unflagged query IC
+// through the fallback) and on one past its plane bound (every IC through it).
+func TestPlaneScoredMatchesSim(t *testing.T) {
+	for name, ing := range oracleWorlds(t) {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			ids := ing.Graph.ConceptIDs()
+			sample := 48
+			if testing.Short() {
+				sample = 8
+			}
+			flagged := ing.FlaggedIDs()
+			qs := []eks.ConceptID{ids[0], ids[len(ids)-1], oracleQueries(ing, nil)[0]}
+			for i := 0; i < len(flagged); i += max(1, len(flagged)/sample) {
+				qs = append(qs, flagged[i])
+			}
+			unranked := *ing
+			unranked.icRank = make([]int32, len(ing.icRank))
+			for i := range unranked.icRank {
+				unranked.icRank[i] = -1
+			}
+			ctxs := queryContexts(ing)
+			for source, sim := range planeSources(ing) {
+				planed := NewRelaxer(ing, sim, nil, RelaxOptions{})
+				blind := NewRelaxer(&unranked, sim, nil, RelaxOptions{})
+				bounded := NewRelaxer(ing, sim, nil, RelaxOptions{})
+				full := map[planeKey][]float64{}
+				for i := 0; i < maxResolvedContexts; i++ {
+					full[planeKey{ctx: ontology.Context{Domain: fmt.Sprint(i)}}] = nil
+				}
+				bounded.planes.Store(&full)
+				asked := qs
+				if source != "frequencies" {
+					asked = qs[:min(len(qs), 3+sample/4)]
+				}
+				for qi, q := range asked {
+					g := allPairsGeometry(ing, sim, q)
+					var one [1]int32
+					for _, h := range g.hits {
+						for _, node := range g.lcsOf(h, &one) {
+							if ing.icRank[node] < 0 {
+								t.Fatalf("%s: the meet of %d and %d names node %d, which the IC domain does not rank", source, q, ing.maps.Flagged[h.slot], node)
+							}
+						}
+					}
+					for _, qctx := range []*ontology.Context{ctxs[1+qi%(len(ctxs)-1)], nil, noLabelContext} {
+						for which, r := range map[string]*Relaxer{"planed": planed, "unranked": blind, "past the bound": bounded} {
+							scored, err := r.scoreGeometry(context.Background(), q, qctx, g, 1, &relaxScratch{})
+							if err != nil {
+								t.Fatal(err)
+							}
+							for _, h := range scored {
+								b := ing.maps.Flagged[h.slot]
+								if want := sim.Sim(q, b, qctx); math.Float64bits(h.score) != math.Float64bits(want) {
+									t.Fatalf("%s, %s relaxer: sim(%d, %d) under %q scored %v, Sim says %v", source, which, q, b, ctxKey(qctx), h.score, want)
+								}
+							}
+						}
+					}
+				}
+				if _, _, _, _, _, planes, _ := bounded.GeometryCounts(); planes != maxResolvedContexts {
+					t.Errorf("%s: a relaxer at its bound of %d planes holds %d", source, maxResolvedContexts, planes)
+				}
+			}
+		})
+	}
+}
+
+// levelSets is a geometry as what does not depend on the order hits were
+// added in: per hop level the set of (slot, LCS nodes, path shape), and the
+// level ends.
+func levelSets(g *geometry, levels int) []map[levelHit]bool {
+	out := make([]map[levelHit]bool, levels)
+	for hops := range out {
+		out[hops] = map[levelHit]bool{}
+		lo := int32(0)
+		if hops > 0 {
+			lo = g.levelEnd[hops-1]
+		}
+		for _, h := range g.hits[lo:g.levelEnd[hops]] {
+			key := levelHit{slot: h.slot, lcs: h.lcs}
+			if h.lcs != geoNoMeet {
+				key.shape = g.shapes[h.shape]
+			}
+			if h.lcs < 0 && h.lcs != geoNoMeet {
+				key.lcs, key.tied = -1, fmt.Sprint(g.tied[g.tiedOff[^h.lcs]:g.tiedOff[^h.lcs+1]])
+			}
+			out[hops][key] = true
+		}
+	}
+	return out
+}
+
+type levelHit struct {
+	slot, lcs int32
+	tied      string
+	shape     pathShape
+}
+
+// TestIndexBornGeometryMatchesWalk reads indexed concepts' geometries off the
+// candidate index and wants the walk's: the same hits level by level as
+// sets, level ends, per-radius counts and finality — out to the index's
+// horizon, under an index that reaches the relaxer's ceiling and one that
+// stops short of it. Then, per sampled concept, request sequences on fresh
+// relaxers against the parent's kernel (indexedCandidates, then a walk): a
+// fresh relaxer reports the parent's path and results for any one request;
+// a target the short index declines is walked, and a small target after it
+// hits the walk's entry; a small target is filled from the index, the large
+// one after it refills by a walk, and the concept stays on the live path.
+func TestIndexBornGeometryMatchesWalk(t *testing.T) {
+	for name, ing := range oracleWorlds(t) {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			sim := NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
+			short := BuildCandidateIndex(ing, sim, CandidateIndexOptions{Radius: 2})
+			for oi, opts := range []RelaxOptions{
+				{Radius: 1, DynamicRadius: true, MaxRadius: 2, IncludeSelf: true},
+				{Radius: 2},
+				{Radius: 1, DynamicRadius: true, MaxRadius: 5},
+				{Radius: 2, DynamicRadius: true, MaxRadius: 4, IncludeSelf: true},
+			} {
+				fresh := func() *Relaxer {
+					r := NewRelaxer(ing, sim, nil, opts)
+					if !r.SetCandidateIndex(short) {
+						t.Fatal("SetCandidateIndex refused an index that covers the base radius")
+					}
+					return r
+				}
+				r := fresh()
+				horizon := min(short.Radius(), r.maxRadius())
+				// Every indexed concept under the first options, an even sample
+				// under the rest and under -short: the walks are what takes time.
+				concepts := short.d.Concepts
+				if sample := 96; oi > 0 || testing.Short() {
+					sampled := make([]eks.ConceptID, 0, sample)
+					for i := 0; i < len(concepts); i += max(1, len(concepts)/sample) {
+						sampled = append(sampled, concepts[i])
+					}
+					concepts = sampled
+				}
+				for _, q := range concepts {
+					walked, err := r.geometry(context.Background(), q, math.MaxInt, &relaxScratch{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					read := r.indexedGeometry(q, 0)
+					if read == nil {
+						t.Fatalf("%+v: the index holds concept %d and declined a target of 0", opts, q)
+					}
+					if !read.indexed || walked.indexed || read.reached != 0 || read.final != (horizon == r.maxRadius()) ||
+						len(read.levelEnd) != horizon+1 || !slices.Equal(read.levelEnd, walked.levelEnd[:horizon+1]) ||
+						!slices.Equal(read.counts, walked.counts[:len(read.counts)]) || len(read.counts) != horizon-opts.Radius+1 {
+						t.Fatalf("%+v concept %d: read off the index %+v, walked %+v", opts, q, read, walked)
+					}
+					got, want := levelSets(read, horizon+1), levelSets(walked, horizon+1)
+					for hops := range want {
+						if len(got[hops]) != len(want[hops]) {
+							t.Fatalf("%+v concept %d hop %d: %d distinct hits read off the index, %d walked", opts, q, hops, len(got[hops]), len(want[hops]))
+						}
+						for key := range want[hops] {
+							if !got[hops][key] {
+								t.Fatalf("%+v concept %d hop %d: the walk's hit %+v is not among the index's", opts, q, hops, key)
+							}
+						}
+					}
+					// Past what the horizon supplies, only a final geometry answers.
+					if beyond := int(read.counts[len(read.counts)-1]) + 1; (r.indexedGeometry(q, beyond) != nil) != read.final {
+						t.Fatalf("%+v concept %d: a target of %d instances, one past the horizon's, answered %v by a geometry final=%v",
+							opts, q, beyond, !read.final, read.final)
+					}
+				}
+
+				parent := fresh()
+				ctxs := queryContexts(ing)
+				outgrown := 0
+				stride := max(1, len(concepts)/24)
+				for qi := 0; qi < len(concepts); qi += stride {
+					q, qctx := concepts[qi], ctxs[qi%len(ctxs)]
+					ask := func(r *Relaxer, k int) ServePath {
+						t.Helper()
+						target := k
+						if k <= 0 {
+							target = defaultCandidateTarget
+						}
+						want, _, err := parent.oracleRankedPath(context.Background(), q, qctx, k, target, &relaxScratch{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, path, err := r.relaxConceptPath(context.Background(), q, qctx, k, &relaxScratch{})
+						if err != nil || !sameResults(want, got) {
+							t.Fatalf("%+v concept %d ctx %q k %d: differs from the parent's kernel (err %v)\nparent %+v\ngot    %+v", opts, q, ctxKey(qctx), k, err, want, got)
+						}
+						return path
+					}
+					for _, k := range oracleKs {
+						_, want, _ := parent.oracleRankedPath(context.Background(), q, qctx, k, max(k, 1), &relaxScratch{})
+						if k <= 0 {
+							_, want, _ = parent.oracleRankedPath(context.Background(), q, qctx, k, defaultCandidateTarget, &relaxScratch{})
+						}
+						if got := ask(fresh(), k); got != want {
+							t.Fatalf("%+v concept %d k %d: a fresh relaxer took the %v path, the parent's kernel the %v path", opts, q, k, got, want)
+						}
+					}
+					if horizon == r.maxRadius() {
+						continue // the index answers every target: nothing to outgrow
+					}
+					large, small := fresh(), fresh()
+					if ask(large, math.MaxInt32) != PathLive || ask(large, 1) != PathLive {
+						t.Fatalf("%+v concept %d: a target past the index's horizon, or the small one after it, was not served by the walk", opts, q)
+					}
+					if hits, fills, refills, _, _, _, _ := large.GeometryCounts(); hits != 1 || fills != 1 || refills != 0 {
+						t.Fatalf("%+v concept %d: large then small target made %d hits, %d fills, %d refills; want a fill and a hit", opts, q, hits, fills, refills)
+					}
+					first := ask(small, 1)
+					if ask(small, math.MaxInt32) != PathLive || ask(small, 1) != PathLive {
+						t.Fatalf("%+v concept %d: after a target outgrew the index-born entry the concept is not on the live path", opts, q)
+					}
+					hits, fills, refills, _, _, _, _ := small.GeometryCounts()
+					if first == PathIndexed {
+						outgrown++
+						if hits != 1 || fills != 1 || refills != 1 {
+							t.Fatalf("%+v concept %d: small, large, small made %d hits, %d fills, %d refills; want one of each", opts, q, hits, fills, refills)
+						}
+					}
+				}
+				if horizon < r.maxRadius() && outgrown == 0 {
+					t.Errorf("%+v: no sampled concept's small target was filled from the index and then outgrown", opts)
+				}
+				if _, _, indexed := parent.PathCounts(); indexed != 0 {
+					t.Fatal("the parent's kernel is called below the path counters")
+				}
+			}
+		})
+	}
+}
+
+// TestPlaneFirstTouchHammer has eight goroutines ask four concepts under one
+// context at once on a relaxer that has seen neither: the context's plane is
+// built by several of them while the concepts' geometries fill — some off the
+// candidate index, some walked. Every answer is checked against one taken
+// beforehand from a relaxer of its own; a round per context. Run under -race.
+func TestPlaneFirstTouchHammer(t *testing.T) {
+	ing := oracleWorlds(t)["seed11"]
+	opts := RelaxOptions{Radius: 1, DynamicRadius: true}
+	sim := func() *Similarity { return NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology) }
+	index := BuildCandidateIndex(ing, sim(), CandidateIndexOptions{Radius: 2})
+	ref := NewRelaxer(ing, sim(), nil, opts)
+	concepts := ing.FlaggedIDs()[:4]
+	ctxs := queryContexts(ing)
+	if testing.Short() {
+		ctxs = ctxs[:8]
+	}
+	shared := NewRelaxer(ing, sim(), nil, opts)
+	shared.SetCandidateIndex(index)
+	for round, qctx := range ctxs {
+		if round%8 == 0 { // the geometries fill again; the planes stay
+			shared.setGeometryBudget(geometryBudget)
+		}
+		ks := []int{1, 50}
+		want := map[eks.ConceptID][][]Result{}
+		for _, q := range concepts {
+			for _, k := range ks {
+				want[q] = append(want[q], ref.RelaxConcept(q, qctx, k))
+			}
+		}
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				q := concepts[w%len(concepts)]
+				for i := range ks {
+					ki := (i + w/len(concepts)) % len(ks)
+					if got := shared.RelaxConcept(q, qctx, ks[ki]); !sameResults(want[q][ki], got) {
+						t.Errorf("round %d goroutine %d: concept %d ctx %q k %d differs under concurrency", round, w, q, ctxKey(qctx), ks[ki])
+					}
+				}
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+	}
+	if _, _, _, _, _, planes, _ := shared.GeometryCounts(); planes != len(ctxs) {
+		t.Errorf("after a round per context the relaxer holds %d planes for %d contexts", planes, len(ctxs))
+	}
+	if _, _, indexed := shared.PathCounts(); indexed == 0 {
+		t.Error("no request was served by a geometry read off the index")
 	}
 }

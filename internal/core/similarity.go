@@ -205,17 +205,11 @@ func (s *Similarity) meetFrom(va eks.SubsumerVec, b eks.ConceptID, ids []eks.Con
 
 // Equation 5 factors into a context-free half — the canonical meet of the
 // pair: tied LCS set and Eq. 4 path weight — and a context half, sim_IC over
-// that LCS set under the query context. The relaxation kernels derive the
+// that LCS set under the query context. The relaxation kernel derives the
 // first once per (query, candidate) pair (queryMeets, into a geometry) and
-// the query's own IC once per context, and multiply through score; Sim is the
-// two halves back to back, so every route is bit-identical.
-
-// pairMeet is the context-free half of Equation 5 for one (query,
-// candidate) pair. An empty LCS set means no common subsumer: score 0.
-type pairMeet struct {
-	lcs    []eks.ConceptID // tied least common subsumers, ascending
-	weight float64         // canonicalPathWeight; unset when !UsePathWeight
-}
+// reads the second off the context's IC plane (Relaxer.scoreGeometry); Sim is
+// the two halves back to back over contextIC, the plane's source, so every
+// route is bit-identical.
 
 // queryMeets derives the canonical meets of one query concept's candidates,
 // holding what only depends on the query: its subsumer vector and the
@@ -247,15 +241,6 @@ func (m *queryMeets) to(b eks.ConceptID) (lcs []eks.ConceptID, gen, spec int) {
 	return lcs, gen, spec
 }
 
-// meetOf packs a derived meet, attaching the Eq. 4 weight of its geometry.
-func (s *Similarity) meetOf(lcs []eks.ConceptID, gen, spec int) pairMeet {
-	meet := pairMeet{lcs: lcs}
-	if s.UsePathWeight {
-		meet.weight = s.pathWeight(gen, spec)
-	}
-	return meet
-}
-
 // contextIC is the measure's IC source under one query context. A relaxation
 // asks it for a couple of thousand concepts, so what depends on the context
 // alone is settled when it is made: a frequency table resolves the context to
@@ -282,19 +267,6 @@ func (c *contextIC) of(id eks.ConceptID) float64 {
 		return icOfFrequency(c.table.normalizedOver(c.labels, id))
 	}
 	return c.src.IC(id, c.ctx, c.o)
-}
-
-// score is the context half: Equation 5 for candidate b from its meet with
-// the query and icA, the query concept's IC under ic's context.
-func (s *Similarity) score(m pairMeet, icA float64, b eks.ConceptID, ic *contextIC) float64 {
-	if len(m.lcs) == 0 {
-		return 0
-	}
-	sim := simICFromLCS(icA, b, m.lcs, ic)
-	if !s.UsePathWeight {
-		return sim
-	}
-	return m.weight * sim
 }
 
 // SimIC computes the IC-based similarity of Equation 3,
@@ -326,8 +298,13 @@ func simICFromLCS(icA float64, b eks.ConceptID, lcs []eks.ConceptID, ic *context
 	for _, id := range lcs {
 		lcsIC += ic.of(id)
 	}
-	lcsIC /= float64(len(lcs))
-	denom := icA + ic.of(b)
+	return simICOf(lcsIC/float64(len(lcs)), icA, ic.of(b))
+}
+
+// simICOf is the arithmetic of Equation 3 from the three ICs it names — the
+// tied LCS set's mean and the two endpoints' — for every route to them.
+func simICOf(lcsIC, icA, icB float64) float64 {
+	denom := icA + icB
 	if denom <= 0 {
 		return 0
 	}
@@ -356,7 +333,11 @@ func (s *Similarity) Sim(a, b eks.ConceptID, ctx *ontology.Context) float64 {
 		return 0
 	}
 	ic := s.icUnder(ctx)
-	return s.score(s.meetOf(lcs, gen, spec), ic.of(a), b, &ic)
+	sim := simICFromLCS(ic.of(a), b, lcs, &ic)
+	if !s.UsePathWeight {
+		return sim
+	}
+	return s.pathWeight(gen, spec) * sim
 }
 
 // canonicalPathWeight computes PathWeight over the canonical up-then-down

@@ -42,10 +42,11 @@ func intTag(t *testing.T, s *trace.Span, key string) int {
 // TestKernelSpanTags pins what a sampled request's relax.kernel span says
 // about the run: the radius the walk stopped at, the graph nodes it touched
 // and the candidates it scored — checked against the exhaustive oracle — and,
-// on the live path, whether the concept's geometry was walked now (fill),
-// found in the memo (hit: nothing reached) or walked again for a wider
-// target (refill); on the single and the batch entry points, and on the
-// paths that do not walk.
+// on the live and the indexed path, whether the concept's geometry was walked
+// or read off the index now (fill: an index fill reaches nothing), found in
+// the memo (hit: nothing reached) or walked again for a wider target
+// (refill, which moves an indexed concept to the live path); on the single
+// and the batch entry points, and on the path that holds no geometry.
 func TestKernelSpanTags(t *testing.T) {
 	ing := oracleWorlds(t)["seed11"]
 	opts := RelaxOptions{Radius: 1, DynamicRadius: true, MaxRadius: 6}
@@ -98,19 +99,22 @@ func TestKernelSpanTags(t *testing.T) {
 			if got := tags(spans[0]); got != want {
 				t.Errorf("%s relaxer, concept %d: span says radius/reached/scored %v, the oracle %v", path, q, got, want)
 			}
-			wantGeometry := ""
-			if path == "live_path" {
-				wantGeometry = "fill"
+			wantGeometry := "fill"
+			if path == "materialized_hit" {
+				wantGeometry = ""
 			}
 			if got := spans[0].Tag("geometry"); got != wantGeometry {
 				t.Errorf("%s relaxer, concept %d: span says geometry=%q, want %q", path, q, got, wantGeometry)
 			}
 		}
-		// The same query again finds the geometry: same radius and scoring,
-		// no walk.
-		spans := kernelSpans(t, func(ctx context.Context) { live.RelaxTermContextTraced(ctx, c.Name, nil, 0) })
-		if got, want := tags(spans[0]), [3]int{radius, 0, scored}; got != want || spans[0].Tag("geometry") != "hit" {
-			t.Errorf("concept %d asked again: span says radius/reached/scored %v geometry=%q, want %v from a hit", q, got, spans[0].Tag("geometry"), want)
+		// The same query again finds the geometry, on the path that filled it:
+		// same radius and scoring, no walk.
+		for path, r := range map[string]*Relaxer{"live_path": live, "index_path": idxR} {
+			spans := kernelSpans(t, func(ctx context.Context) { r.RelaxTermContextTraced(ctx, c.Name, nil, 0) })
+			if got, want := tags(spans[0]), [3]int{radius, 0, scored}; got != want || spans[0].Tag("geometry") != "hit" || spans[0].Tag("path") != path {
+				t.Errorf("%s relaxer, concept %d asked again: span says path=%s radius/reached/scored %v geometry=%q, want %v from a hit",
+					path, q, spans[0].Tag("path"), got, spans[0].Tag("geometry"), want)
+			}
 		}
 		batch = append(batch, BatchQuery{Term: c.Name})
 		batchWant = append(batchWant, [3]int{radius, reached, scored})
@@ -120,7 +124,12 @@ func TestKernelSpanTags(t *testing.T) {
 	// its own run's figures. On a fresh relaxer a target of one instance
 	// stops short of the ceiling, so the default target walks again; the
 	// third pass finds what the second left.
+	// The same passes over an index that ends at the base radius: it answers
+	// the narrow target, the default one outgrows it, and from the walk that
+	// replaces its entry on the concept is the live path's.
 	fresh := NewRelaxer(ing, sim(), mapper, opts)
+	freshIdx := NewRelaxer(ing, sim(), mapper, opts)
+	freshIdx.SetCandidateIndex(BuildCandidateIndex(ing, sim(), CandidateIndexOptions{Radius: opts.Radius}))
 	narrow := make([]BatchQuery, len(batch))
 	for i, q := range batch {
 		narrow[i] = BatchQuery{Term: q.Term, K: 1}
@@ -128,29 +137,48 @@ func TestKernelSpanTags(t *testing.T) {
 	for _, pass := range []struct {
 		queries  []BatchQuery
 		geometry string
-	}{{narrow, "fill"}, {batch, "refill"}, {batch, "hit"}} {
-		spans := kernelSpans(t, func(ctx context.Context) { fresh.RelaxBatchContextTraced(ctx, pass.queries) })
-		if len(spans) != len(batch) {
-			t.Fatalf("batch of %d recorded %d kernel spans", len(batch), len(spans))
-		}
-		for i, s := range spans {
-			if got := s.Tag("geometry"); got != pass.geometry {
-				t.Errorf("%s pass, batch item %d: span says geometry=%q", pass.geometry, i, got)
+		idxPath  string
+	}{{narrow, "fill", "index_path"}, {batch, "refill", "live_path"}, {batch, "hit", "live_path"}} {
+		for _, r := range []*Relaxer{fresh, freshIdx} {
+			spans := kernelSpans(t, func(ctx context.Context) { r.RelaxBatchContextTraced(ctx, pass.queries) })
+			if len(spans) != len(batch) {
+				t.Fatalf("batch of %d recorded %d kernel spans", len(batch), len(spans))
 			}
-			want := batchWant[i]
-			switch pass.geometry {
-			case "fill":
-				continue // another target: only the tag is pinned
-			case "hit":
-				want[1] = 0
+			wantPath := "live_path"
+			if r == freshIdx {
+				wantPath = pass.idxPath
 			}
-			if got := tags(s); got != want {
-				t.Errorf("%s pass, batch item %d: span says radius/reached/scored %v, the oracle %v", pass.geometry, i, got, want)
+			for i, s := range spans {
+				if got := s.Tag("geometry"); got != pass.geometry || s.Tag("path") != wantPath {
+					t.Errorf("%s pass, batch item %d: span says geometry=%q path=%s, want path=%s", pass.geometry, i, got, s.Tag("path"), wantPath)
+				}
+				want := batchWant[i]
+				switch pass.geometry {
+				case "fill":
+					if r == freshIdx && intTag(t, s, "reached") != 0 {
+						t.Errorf("fill pass, batch item %d: an index fill reached %s nodes", i, s.Tag("reached"))
+					}
+					continue // another target: only the tags above are pinned
+				case "hit":
+					want[1] = 0
+				}
+				if got := tags(s); got != want {
+					t.Errorf("%s pass, batch item %d: span says radius/reached/scored %v, the oracle %v", pass.geometry, i, got, want)
+				}
 			}
 		}
 	}
-	hits, fills, refills, _, bytes := fresh.GeometryCounts()
-	if n := uint64(len(batch)); hits != n || fills != n || refills != n || bytes <= 0 {
-		t.Errorf("GeometryCounts after the three passes: %d hits, %d fills, %d refills, %d bytes; want %d of each and some bytes", hits, fills, refills, bytes, n)
+	for _, r := range []*Relaxer{fresh, freshIdx} {
+		hits, fills, refills, _, bytes, planes, planeBytes := r.GeometryCounts()
+		if n := uint64(len(batch)); hits != n || fills != n || refills != n || bytes <= 0 {
+			t.Errorf("GeometryCounts after the three passes: %d hits, %d fills, %d refills, %d bytes; want %d of each and some bytes", hits, fills, refills, bytes, n)
+		}
+		// Every query was context-free: one plane, a float per ranked node.
+		if planes != 1 || planeBytes != int64(8*len(ing.icDomain)) {
+			t.Errorf("GeometryCounts after the three passes: %d planes of %d bytes, want one of %d", planes, planeBytes, 8*len(ing.icDomain))
+		}
+	}
+	if live, _, indexed := freshIdx.PathCounts(); live != 2*uint64(len(batch)) || indexed != uint64(len(batch)) {
+		t.Errorf("PathCounts of the indexed relaxer after the three passes: %d live, %d indexed; want %d and %d", live, indexed, 2*len(batch), len(batch))
 	}
 }

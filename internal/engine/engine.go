@@ -503,10 +503,13 @@ func (s *Snapshot) Stats() map[string]any {
 	}
 	live, mat, idx := s.relaxer.PathCounts()
 	stats["relaxPaths"] = map[string]uint64{"live": live, "materialized": mat, "indexed": idx}
-	// What the live path's per-concept geometry memo has done for this
-	// snapshot: a hit scored a stored walk, a fill or refill walked the graph.
-	hits, fills, refills, evictions, bytes := s.relaxer.GeometryCounts()
-	stats["relaxGeometry"] = map[string]uint64{"hits": hits, "fills": fills, "refills": refills, "evictions": evictions, "bytes": uint64(bytes)}
+	// What the kernel's per-concept geometry memo has done for this snapshot
+	// — a hit scored a stored geometry, a fill walked the graph or read the
+	// candidate index, a refill walked — and the per-context IC planes the
+	// scorer loads from.
+	hits, fills, refills, evictions, bytes, planes, planeBytes := s.relaxer.GeometryCounts()
+	stats["relaxGeometry"] = map[string]uint64{"hits": hits, "fills": fills, "refills": refills, "evictions": evictions, "bytes": uint64(bytes),
+		"planes": uint64(planes), "planeBytes": uint64(planeBytes)}
 	// Multi-source snapshots report each mounted arm; single-source stats
 	// keep the classic shape with no extra keys.
 	if s.multiSource() {

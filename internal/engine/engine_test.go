@@ -144,6 +144,10 @@ func TestSnapshotServesAndReports(t *testing.T) {
 	if geometry["fills"] != 1 || geometry["hits"] != 0 || geometry["bytes"] == 0 {
 		t.Errorf("Stats relaxGeometry after one live relaxation = %v, want one fill holding bytes", geometry)
 	}
+	// It was asked under one context: one IC plane, a float per ranked node.
+	if geometry["planes"] != 1 || geometry["planeBytes"] == 0 || geometry["planeBytes"]%8 != 0 {
+		t.Errorf("Stats relaxGeometry after one live relaxation = %v, want one IC plane holding bytes", geometry)
+	}
 	if _, err := snap.Relax(context.Background(), "pyelectasia", "", 3); err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,15 @@
 package persist
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"io/fs"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"syscall"
 	"testing"
 
 	"medrelax/internal/fault"
@@ -118,6 +123,104 @@ func TestSaveFileAtomicKeepsPreviousBundle(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Errorf("directory not clean after failed save: %v", entries)
+	}
+}
+
+// TestBlockWriterBytes writes streams that end before, on and past block
+// boundaries, in pieces that straddle them, and reads the files back: whole
+// blocks go past the page cache where the filesystem allows, the tail never
+// does, and the bytes are the stream's either way.
+func TestBlockWriterBytes(t *testing.T) {
+	src := make([]byte, 3*writeBlock+writeBlock/2+13)
+	rng := rand.New(rand.NewSource(1))
+	rng.Read(src)
+	dir := t.TempDir()
+	for _, size := range []int{0, 1, writeAlign, writeBlock - 1, writeBlock, writeBlock + 1, 2 * writeBlock, len(src)} {
+		f, err := os.CreateTemp(dir, "blocks-*")
+		if err != nil {
+			t.Fatal(err)
+		}
+		bw := newBlockWriter(f, f)
+		for rest := src[:size]; len(rest) > 0; {
+			n := min(len(rest), 1+rng.Intn(writeBlock/2))
+			if _, err := bw.Write(rest[:n]); err != nil {
+				t.Fatalf("size %d: %v", size, err)
+			}
+			rest = rest[n:]
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatalf("size %d: flush: %v", size, err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, src[:size]) {
+			t.Errorf("size %d: file differs from the stream (%d bytes on disk)", size, len(got))
+		}
+	}
+}
+
+// refusingWriter fails every write with EINVAL until its file is out of
+// direct mode, as a filesystem does that takes O_DIRECT and then refuses the
+// I/O.
+type refusingWriter struct {
+	bw *blockWriter
+	f  *os.File
+}
+
+func (r *refusingWriter) Write(p []byte) (int, error) {
+	if r.bw.direct {
+		return 0, syscall.EINVAL
+	}
+	return r.f.Write(p)
+}
+
+func TestBlockWriterFallsBackWhenDirectRefused(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("no direct I/O to refuse")
+	}
+	src := bytes.Repeat([]byte("medrelax"), (2*writeBlock+100)/8)
+	f, err := os.CreateTemp(t.TempDir(), "refused-*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rw := &refusingWriter{f: f}
+	bw := newBlockWriter(f, rw)
+	rw.bw = bw
+	bw.direct = true // even where setDirect itself was refused
+	if _, err := bw.Write(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, src) {
+		t.Errorf("file differs from the stream after falling back (%d of %d bytes)", len(got), len(src))
+	}
+}
+
+// TestBlockWriterTornPastFirstBlock tears the write inside the second block,
+// where the temp file is in direct mode.
+func TestBlockWriterTornPastFirstBlock(t *testing.T) {
+	f, err := os.CreateTemp(t.TempDir(), "torn-*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	armFaults(t, fmt.Sprintf("persist.write:torn,bytes=%d,count=1", writeBlock+1000))
+	bw := newBlockWriter(f, fault.At("persist.write").WrapWriter(f))
+	_, err = bw.Write(make([]byte, 3*writeBlock))
+	if !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("write through a torn writer: err = %v, want the injected fault", err)
 	}
 }
 

@@ -474,3 +474,42 @@ func TestFlatRoundTripSmallWorld(t *testing.T) {
 	}
 	assertSameRelaxations(t, ing, second)
 }
+
+// TestRecordSectionChunks encodes a record column through buffers that hold
+// from one record to all of them: the chunks concatenate to the same bytes,
+// and writeFlat's checksum over them is the checksum of the whole.
+func TestRecordSectionChunks(t *testing.T) {
+	cands := make([]core.MatCand, 1000)
+	for i := range cands {
+		cands[i] = core.MatCand{Concept: eks.ConceptID(7 * i), Score: 1 / float64(i+1), Hops: int32(i % 9)}
+	}
+	s := flatSection{kind: secMatCands, records: matCandRecords(cands)}
+	var whole []byte
+	s.each(make([]byte, s.size()), func(b []byte) error { whole = append(whole, b...); return nil })
+	if len(whole) != s.size() || len(whole) != 24*len(cands) {
+		t.Fatalf("encoded %d bytes, size() = %d, want %d", len(whole), s.size(), 24*len(cands))
+	}
+	for _, bufSize := range []int{24, 25, 100, 24 * 999, 24*1000 + 5} {
+		var got []byte
+		calls := 0
+		s.each(make([]byte, bufSize), func(b []byte) error { calls++; got = append(got, b...); return nil })
+		if !bytes.Equal(got, whole) {
+			t.Errorf("buffer of %d bytes: chunks differ from the whole (%d calls)", bufSize, calls)
+		}
+	}
+
+	var file bytes.Buffer
+	if err := writeFlat(&file, []flatSection{s}); err != nil {
+		t.Fatal(err)
+	}
+	data := file.Bytes()
+	dirOff := binary.LittleEndian.Uint64(data[16:])
+	e := data[dirOff:]
+	off, size := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
+	if !bytes.Equal(data[off:off+size], whole) {
+		t.Error("section bytes in the file differ from the encoded column")
+	}
+	if got := binary.LittleEndian.Uint32(e[24:]); got != sectionCRC(whole) {
+		t.Errorf("directory checksum %#x, want %#x", got, sectionCRC(whole))
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"runtime"
@@ -22,9 +23,49 @@ type flatWriter struct {
 	strBytes int
 }
 
+// flatSection is one section of the file: its bytes, or — for a column too
+// large to hold encoded next to its source, the candidate pool and the
+// postings being most of an accelerated bundle — the records they are encoded
+// from, a chunk at a time, as they are checksummed and again as they are
+// written.
 type flatSection struct {
 	kind    uint32
 	payload []byte
+	records *recordColumn
+}
+
+// recordColumn stands for n records of width bytes each; put encodes record
+// i, every byte of it, into r.
+type recordColumn struct {
+	n, width int
+	put      func(r []byte, i int)
+}
+
+func (s flatSection) size() int {
+	if s.records != nil {
+		return s.records.n * s.records.width
+	}
+	return len(s.payload)
+}
+
+// each hands the section's bytes to fn in file order; buf is where records
+// are encoded, and fn must be done with a chunk when it returns.
+func (s flatSection) each(buf []byte, fn func([]byte) error) error {
+	if s.records == nil {
+		return fn(s.payload)
+	}
+	c := s.records
+	per := len(buf) / c.width
+	for lo := 0; lo < c.n; lo += per {
+		chunk := buf[:min(per, c.n-lo)*c.width]
+		for i := 0; i < len(chunk); i += c.width {
+			c.put(chunk[i:i+c.width], lo+i/c.width)
+		}
+		if err := fn(chunk); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func newFlatWriter() *flatWriter {
@@ -44,6 +85,10 @@ func (w *flatWriter) ref(s string) uint32 {
 
 func (w *flatWriter) add(kind uint32, payload []byte) {
 	w.sections = append(w.sections, flatSection{kind: kind, payload: payload})
+}
+
+func (w *flatWriter) addRecords(kind uint32, c *recordColumn) {
+	w.sections = append(w.sections, flatSection{kind: kind, records: c})
 }
 
 // Column encoders: everything is little-endian regardless of host, so the
@@ -98,22 +143,17 @@ func (w *flatWriter) leRefs(ss []string) []byte {
 	return leUint32s(refs)
 }
 
-func leMatCands(xs []core.MatCand) []byte {
-	b := make([]byte, 24*len(xs))
-	for i := range xs {
-		r := b[24*i:]
+func matCandRecords(xs []core.MatCand) *recordColumn {
+	return &recordColumn{n: len(xs), width: 24, put: func(r []byte, i int) {
 		binary.LittleEndian.PutUint64(r[0:], uint64(xs[i].Concept))
 		binary.LittleEndian.PutUint64(r[8:], math.Float64bits(xs[i].Score))
 		binary.LittleEndian.PutUint32(r[16:], uint32(xs[i].Hops))
 		binary.LittleEndian.PutUint32(r[20:], 0)
-	}
-	return b
+	}}
 }
 
-func lePostings(xs []core.Posting) []byte {
-	b := make([]byte, 32*len(xs))
-	for i := range xs {
-		r := b[32*i:]
+func postingRecords(xs []core.Posting) *recordColumn {
+	return &recordColumn{n: len(xs), width: 32, put: func(r []byte, i int) {
 		binary.LittleEndian.PutUint64(r[0:], uint64(xs[i].Concept))
 		binary.LittleEndian.PutUint32(r[8:], uint32(xs[i].Hops))
 		binary.LittleEndian.PutUint32(r[12:], uint32(xs[i].Gen))
@@ -121,25 +161,30 @@ func lePostings(xs []core.Posting) []byte {
 		binary.LittleEndian.PutUint32(r[20:], uint32(xs[i].LCSLo))
 		binary.LittleEndian.PutUint32(r[24:], uint32(xs[i].LCSHi))
 		binary.LittleEndian.PutUint32(r[28:], 0)
-	}
-	return b
+	}}
 }
 
 // SaveFlat writes the ingestion as a flat (v4) bundle: the zero-copy format
 // OpenFlat serves directly from a memory mapping. The output is
 // deterministic — identical ingestions produce identical bytes.
 func SaveFlat(w io.Writer, ing *core.Ingestion) error {
-	buf, err := encodeFlat(ing)
+	sections, err := encodeFlat(ing)
 	if err != nil {
 		return err
 	}
-	if _, err := w.Write(buf); err != nil {
+	err = writeFlat(w, sections)
+	// A flat-mapped ingestion's strings and record columns alias its mapping,
+	// which a finalizer unmaps once the ingestion is unreachable; the string
+	// table and the record sections were still reading them after the last
+	// use of ing.
+	runtime.KeepAlive(ing)
+	if err != nil {
 		return fmt.Errorf("persist: writing flat bundle: %w", err)
 	}
 	return nil
 }
 
-func encodeFlat(ing *core.Ingestion) ([]byte, error) {
+func encodeFlat(ing *core.Ingestion) ([]flatSection, error) {
 	fw := newFlatWriter()
 	meta := flatMeta{shortcuts: int64(ing.ShortcutsAdded)}
 
@@ -179,44 +224,64 @@ func encodeFlat(ing *core.Ingestion) ([]byte, error) {
 	fw.add(secMeta, meta.encode())
 	sort.Slice(fw.sections, func(i, j int) bool { return fw.sections[i].kind < fw.sections[j].kind })
 
-	// A flat-mapped ingestion's strings alias its mapping, which a finalizer
-	// unmaps once the ingestion is unreachable; the string table above was
-	// still reading them after the last use of ing.
-	runtime.KeepAlive(ing)
-	return assembleFlat(fw.sections), nil
+	return fw.sections, nil
 }
 
-// assembleFlat lays out header, 8-aligned sections, and the directory.
-func assembleFlat(sections []flatSection) []byte {
+// recordChunk is how many bytes of a record column are encoded at a time.
+const recordChunk = 1 << 20
+
+// writeFlat lays out header, 8-aligned sections, and the directory, and
+// writes them in file order. Only the header and the directory are built
+// here; the payloads go out from where they were encoded and the record
+// columns a chunk at a time, so a save holds the small sections in memory
+// once and the large ones never.
+func writeFlat(w io.Writer, sections []flatSection) error {
 	align := func(n int) int { return (n + 7) &^ 7 }
-	size := flatHeaderSize
-	for _, s := range sections {
-		size = align(size) + len(s.payload)
-	}
-	dirOff := align(size)
-	total := dirOff + flatDirEntrySize*len(sections)
-
-	out := make([]byte, total)
-	copy(out, flatMagic)
-	binary.LittleEndian.PutUint32(out[4:], VersionFlat)
-	binary.LittleEndian.PutUint32(out[8:], uint32(len(sections)))
-	binary.LittleEndian.PutUint64(out[16:], uint64(dirOff))
-	binary.LittleEndian.PutUint64(out[24:], uint64(total))
-
+	buf := make([]byte, recordChunk)
+	dir := make([]byte, flatDirEntrySize*len(sections))
 	pos := flatHeaderSize
 	for i, s := range sections {
 		pos = align(pos)
-		copy(out[pos:], s.payload)
-		e := out[dirOff+flatDirEntrySize*i:]
+		var crc uint32
+		s.each(buf, func(b []byte) error {
+			crc = crc32.Update(crc, crc32.IEEETable, b)
+			return nil
+		})
+		e := dir[flatDirEntrySize*i:]
 		binary.LittleEndian.PutUint32(e[0:], s.kind)
 		binary.LittleEndian.PutUint64(e[8:], uint64(pos))
-		binary.LittleEndian.PutUint64(e[16:], uint64(len(s.payload)))
-		binary.LittleEndian.PutUint32(e[24:], sectionCRC(s.payload))
-		pos += len(s.payload)
+		binary.LittleEndian.PutUint64(e[16:], uint64(s.size()))
+		binary.LittleEndian.PutUint32(e[24:], crc)
+		pos += s.size()
 	}
-	dirCRC := sectionCRC(out[dirOff : dirOff+flatDirEntrySize*len(sections)])
-	binary.LittleEndian.PutUint32(out[12:], dirCRC)
-	return out
+	dirOff := align(pos)
+
+	head := make([]byte, flatHeaderSize)
+	copy(head, flatMagic)
+	binary.LittleEndian.PutUint32(head[4:], VersionFlat)
+	binary.LittleEndian.PutUint32(head[8:], uint32(len(sections)))
+	binary.LittleEndian.PutUint32(head[12:], sectionCRC(dir))
+	binary.LittleEndian.PutUint64(head[16:], uint64(dirOff))
+	binary.LittleEndian.PutUint64(head[24:], uint64(dirOff+len(dir)))
+
+	// Every part starts 8-aligned: the gaps are zero bytes.
+	var pad [8]byte
+	pos = 0
+	write := func(b []byte) error {
+		pos += len(b)
+		_, err := w.Write(b)
+		return err
+	}
+	parts := append(append([]flatSection{{payload: head}}, sections...), flatSection{payload: dir})
+	for _, s := range parts {
+		if err := write(pad[:align(pos)-pos]); err != nil {
+			return err
+		}
+		if err := s.each(buf, write); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // flatGraphSections emits the graph's frozen view column by column: the
@@ -320,7 +385,7 @@ func flatMaterializedSections(fw *flatWriter, meta *flatMeta, m *core.Materializ
 	fw.add(secMatCntOff, leInt32s(d.CountOff))
 	fw.add(secMatCnt, leInt32s(d.Counts))
 	fw.add(secMatCandOff, leInt32s(d.CandOff))
-	fw.add(secMatCands, leMatCands(d.Cands))
+	fw.addRecords(secMatCands, matCandRecords(d.Cands))
 }
 
 // flatSourceSection emits the secondary named sources as one JSON-encoded
@@ -349,6 +414,6 @@ func flatCandidateSections(fw *flatWriter, meta *flatMeta, x *core.CandidateInde
 	meta.cidxSkipped = int64(d.Skipped)
 	fw.add(secCidxCon, leConceptIDs(d.Concepts))
 	fw.add(secCidxOff, leInt32s(d.Off))
-	fw.add(secCidxPosts, lePostings(d.Posts))
+	fw.addRecords(secCidxPosts, postingRecords(d.Posts))
 	fw.add(secCidxLCS, leConceptIDs(d.LCS))
 }

@@ -159,7 +159,9 @@ type geometrySeries struct {
 	gen      uint64
 	seen     [len(geometryCounters)]uint64
 	counters [len(geometryCounters)]*metrics.Counter
-	bytes    *metrics.Gauge
+	// bytes, planes and planeBytes are what the snapshot holds now: the memo's
+	// bytes, and the per-context IC planes with theirs.
+	bytes, planes, planeBytes *metrics.Gauge
 }
 
 // syncGeometry brings the geometry series up to the current backend's counts.
@@ -183,6 +185,8 @@ func (e *Engine) syncGeometry() {
 		}
 	}
 	g.bytes.Set(int64(counts["bytes"]))
+	g.planes.Set(int64(counts["planes"]))
+	g.planeBytes.Set(int64(counts["planeBytes"]))
 }
 
 // NewEngine wraps backend with the serving layer.
@@ -214,6 +218,8 @@ func NewEngine(backend server.Backend, opts Options) *Engine {
 		e.geometry.counters[i] = e.reg.Counter("medrelax_relax_geometry_"+key+"_total", "live-path geometry memo: "+key+" (a hit scored a stored walk; a fill or refill walked the graph)", e.labels(""))
 	}
 	e.geometry.bytes = e.reg.Gauge("medrelax_relax_geometry_bytes", "bytes the live-path geometry memo holds", e.labels(""))
+	e.geometry.planes = e.reg.Gauge("medrelax_relax_ic_planes", "query contexts whose IC plane the relaxer holds", e.labels(""))
+	e.geometry.planeBytes = e.reg.Gauge("medrelax_relax_ic_plane_bytes", "bytes the IC planes hold", e.labels(""))
 	e.reg.Gauge("medrelax_bundle_generation", "monotonic bundle generation, bumped per reload", e.labels("")).Set(1)
 	// Register the failure counter up front so a scrape before the first
 	// failed reload still shows the series at 0.

@@ -686,32 +686,38 @@ func (g *geometryBackend) Stats() map[string]any {
 	return map[string]any{"relaxGeometry": g.geometry}
 }
 
-// TestGeometrySeries pins how a snapshot's geometry-memo counts reach
-// /metrics: read from the backend's stats at scrape time, counters that keep
-// growing across a reload although the new snapshot's memo starts from zero,
-// and a gauge that follows the current one.
+// TestGeometrySeries pins how a snapshot's geometry-memo counts and IC planes
+// reach /metrics: read from the backend's stats at scrape time, counters that
+// keep growing across a reload although the new snapshot's memo starts from
+// zero, and gauges that follow the current one.
 func TestGeometrySeries(t *testing.T) {
-	a := &geometryBackend{geometry: map[string]uint64{"hits": 7, "fills": 3, "refills": 1, "evictions": 0, "bytes": 4096}}
+	a := &geometryBackend{geometry: map[string]uint64{"hits": 7, "fills": 3, "refills": 1, "evictions": 0, "bytes": 4096, "planes": 3, "planeBytes": 36000}}
 	e, ts := newStack(t, a, Options{})
 	scrape := func() map[string]string {
 		_, body := get(t, ts.URL+"/metrics")
 		got := map[string]string{}
 		for _, line := range strings.Split(body, "\n") {
-			if name, value, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, "medrelax_relax_geometry_") {
-				got[strings.TrimPrefix(name, "medrelax_relax_geometry_")] = value
+			name, value, ok := strings.Cut(line, " ")
+			if !ok {
+				continue
+			}
+			for _, prefix := range []string{"medrelax_relax_geometry_", "medrelax_relax_ic_"} {
+				if strings.HasPrefix(name, prefix) {
+					got[strings.TrimPrefix(name, prefix)] = value
+				}
 			}
 		}
 		return got
 	}
-	want := map[string]string{"hits_total": "7", "fills_total": "3", "refills_total": "1", "evictions_total": "0", "bytes": "4096"}
+	want := map[string]string{"hits_total": "7", "fills_total": "3", "refills_total": "1", "evictions_total": "0", "bytes": "4096", "planes": "3", "plane_bytes": "36000"}
 	if got := scrape(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("first scrape: %v, want %v", got, want)
 	}
 	a.geometry["hits"], a.geometry["evictions"] = 9, 2
-	e.Swap(&geometryBackend{geometry: map[string]uint64{"hits": 1, "fills": 1, "refills": 0, "evictions": 0, "bytes": 512}})
+	e.Swap(&geometryBackend{geometry: map[string]uint64{"hits": 1, "fills": 1, "refills": 0, "evictions": 0, "bytes": 512, "planes": 1, "planeBytes": 12000}})
 	// The old snapshot's last two hits were never scraped and are gone with
 	// it; the new one's counts add to what the series held.
-	want = map[string]string{"hits_total": "8", "fills_total": "4", "refills_total": "1", "evictions_total": "0", "bytes": "512"}
+	want = map[string]string{"hits_total": "8", "fills_total": "4", "refills_total": "1", "evictions_total": "0", "bytes": "512", "planes": "1", "plane_bytes": "12000"}
 	if got := scrape(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("scrape after the swap: %v, want %v", got, want)
 	}

@@ -5,8 +5,10 @@ package medrelax
 // typos, 1 % unknown terms — through server.Handler over a flat bundle, with
 // no result cache in front: every request is a miss, so ms/request is the
 // miss path itself rather than a mix that depends on where the stream wraps.
-// Requests the live kernel answered are also timed by where their geometry
-// came from: ms/hit against ms/fill is what the memo saves.
+// Requests the kernel answered are also timed by where their geometry came
+// from: ms/hit against ms/fill is what the memo saves, and a fill is timed
+// apart by its source — walked (ms/walk-fill) or read off the candidate
+// index's postings (ms/index-fill), which is what the index is still for.
 //
 //	go test -run '^$' -bench MissReplay -benchtime 1x . -args -replay.bundle w100k.flat
 //
@@ -105,10 +107,11 @@ func BenchmarkMissReplay(b *testing.B) {
 		h := server.New(pass).Handler()
 		b.StartTimer()
 		relaxer := pass.Relaxer()
-		var total, hit, fill time.Duration
-		var hits, fills uint64
+		var total, hit, walkFill, indexFill time.Duration
+		var hits, walkFills, indexFills uint64
 		for _, p := range paths {
-			h0, f0, r0, _, _ := relaxer.GeometryCounts()
+			h0, f0, r0, _, _, _, _ := relaxer.GeometryCounts()
+			_, _, i0 := relaxer.PathCounts()
 			start := time.Now()
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, p, nil))
@@ -117,19 +120,26 @@ func BenchmarkMissReplay(b *testing.B) {
 				b.Fatalf("%s: status %d: %s", p, rec.Code, rec.Body)
 			}
 			total += took
-			switch h1, f1, r1, _, _ := relaxer.GeometryCounts(); {
+			h1, f1, r1, _, _, _, _ := relaxer.GeometryCounts()
+			_, _, i1 := relaxer.PathCounts()
+			switch {
 			case h1 > h0:
 				hit, hits = hit+took, hits+1
+			case f1 > f0 && i1 > i0:
+				indexFill, indexFills = indexFill+took, indexFills+1
 			case f1 > f0 || r1 > r0:
-				fill, fills = fill+took, fills+1
+				walkFill, walkFills = walkFill+took, walkFills+1
 			}
 		}
 		ms := func(d time.Duration, n uint64) float64 { return float64(d.Microseconds()) / 1000 / float64(max(n, 1)) }
 		b.ReportMetric(ms(total, uint64(len(paths))), "ms/request")
 		b.ReportMetric(ms(hit, hits), "ms/hit")
-		b.ReportMetric(ms(fill, fills), "ms/fill")
+		b.ReportMetric(ms(walkFill+indexFill, walkFills+indexFills), "ms/fill")
+		b.ReportMetric(ms(walkFill, walkFills), "ms/walk-fill")
+		b.ReportMetric(ms(indexFill, indexFills), "ms/index-fill")
 		b.ReportMetric(float64(hits)/float64(len(paths)), "hits/request")
-		b.ReportMetric(float64(fills)/float64(len(paths)), "fills/request")
+		b.ReportMetric(float64(walkFills)/float64(len(paths)), "walk-fills/request")
+		b.ReportMetric(float64(indexFills)/float64(len(paths)), "index-fills/request")
 		b.StopTimer()
 		pass.Close()
 		b.StartTimer()
