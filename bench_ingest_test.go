@@ -9,12 +9,16 @@ package medrelax
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"log"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"medrelax/internal/core"
 	"medrelax/internal/corpus"
 	"medrelax/internal/eks"
+	"medrelax/internal/engine"
 	"medrelax/internal/match"
 	"medrelax/internal/medkb"
 	"medrelax/internal/persist"
@@ -119,9 +123,11 @@ func BenchmarkBundleLoad(b *testing.B) {
 // BenchmarkColdStart measures the from-file serving-start path: LoadFile on
 // a v2 binary bundle (decode + full restore onto the heap) against the v4
 // flat bundle (header/CRC validation over an mmap, columns served in
-// place). The gap between the two sub-benchmarks — wall time and
-// allocs/op — is what CI gates on; cmd/ingestbench records the full-size
-// numbers in BENCH_ingest.json.
+// place), and — flat-snapshot — what a server actually pays to open the flat
+// bundle: engine.LoadSnapshot (load, serving validation, snapshot assembly
+// over the adopted resolver, the probe query) and its Close. The gap between
+// the file sub-benchmarks and the flat-snapshot allocs/op are what CI gates
+// on; cmd/ingestbench records the full-size numbers in BENCH_ingest.json.
 func BenchmarkColdStart(b *testing.B) {
 	med, g, corp := benchWorld(b, 10_000)
 	ing, err := core.Ingest(med.Ontology, med.Store, g, corp, match.NewExact(g), core.IngestOptions{})
@@ -152,7 +158,24 @@ func BenchmarkColdStart(b *testing.B) {
 				if restored.Graph.Len() != ing.Graph.Len() {
 					b.Fatalf("restored %d concepts, want %d", restored.Graph.Len(), ing.Graph.Len())
 				}
+				if err := restored.Close(); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
+	b.Run("flat-snapshot", func(b *testing.B) {
+		log.SetOutput(io.Discard) // LoadSnapshot logs a line per open
+		defer log.SetOutput(os.Stderr)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			snap, err := engine.LoadSnapshot(paths[persist.FormatFlat])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := snap.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -212,7 +212,7 @@ func TestMaterializedSnapshotRoundTrip(t *testing.T) {
 		MaterializeOptions{HeadFraction: 1},
 		CandidateIndexOptions{Radius: 8})
 	snap := ing.Materialized.Snapshot()
-	restored, err := RestoreMaterialized(snap)
+	restored, err := RestoreMaterialized(snap, ing.maps.Flagged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,6 +248,26 @@ func TestCandidateIndexSnapshotRoundTrip(t *testing.T) {
 	assertIdentical(t, ing, live, accel)
 }
 
+// TestMaterializeTopKRefusesWhatCandidatesCannotHold: a hop ceiling past the
+// hop byte gets no store rather than one with truncated distances, and a
+// store's slots are good for its own ingestion's flagged set only.
+func TestMaterializeTopKRefusesWhatCandidatesCannotHold(t *testing.T) {
+	ing, live, _ := accelWorld(t,
+		RelaxOptions{Radius: 3, DynamicRadius: true, MaxRadius: 8},
+		MaterializeOptions{HeadFraction: 1},
+		CandidateIndexOptions{Radius: 8})
+	sim := NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
+	wide := RelaxOptions{Radius: 3, DynamicRadius: true, MaxRadius: matMaxHops + 1}
+	if m := MaterializeTopK(ing, sim, MaterializeOptions{Relax: wide}); m != nil {
+		t.Errorf("MaterializeTopK built a store of %d entries under a max radius of %d", m.Entries(), wide.MaxRadius)
+	}
+	other := generatedIngestion(t, 11, 2, 20, false, IngestOptions{})
+	osim := NewSimilarity(other.Graph, other.Frequencies, other.Ontology)
+	if NewRelaxer(other, osim, nil, live.Options()).SetMaterialized(ing.Materialized) {
+		t.Error("SetMaterialized accepted a store whose slots index another ingestion's flagged set")
+	}
+}
+
 func TestRestoreMaterializedRejectsCorruption(t *testing.T) {
 	ing, _, _ := accelWorld(t,
 		RelaxOptions{Radius: 3, DynamicRadius: true, MaxRadius: 8},
@@ -265,6 +285,9 @@ func TestRestoreMaterializedRejectsCorruption(t *testing.T) {
 		{"duplicate entry", func(s *MaterializedSnapshot) { s.Entries = append(s.Entries, s.Entries[0]) }},
 		{"wrong counts length", func(s *MaterializedSnapshot) { s.Entries[0].Counts = s.Entries[0].Counts[:1] }},
 		{"hops beyond max radius", func(s *MaterializedSnapshot) { s.Entries[0].Cands[0].Hops = 99 }},
+		{"hops beyond a byte", func(s *MaterializedSnapshot) { s.Entries[0].Cands[0].Hops = 256 + 1 }},
+		{"negative hops", func(s *MaterializedSnapshot) { s.Entries[0].Cands[0].Hops = -1 }},
+		{"candidate not flagged", func(s *MaterializedSnapshot) { s.Entries[0].Cands[0].Concept = -7 }},
 		{"ranking order violated", func(s *MaterializedSnapshot) {
 			s.Entries[0].Cands[0], s.Entries[0].Cands[1] = s.Entries[0].Cands[1], s.Entries[0].Cands[0]
 		}},
@@ -273,7 +296,7 @@ func TestRestoreMaterializedRejectsCorruption(t *testing.T) {
 		t.Run(m.name, func(t *testing.T) {
 			snap := cloneMatSnapshot(base)
 			m.fn(snap)
-			if _, err := RestoreMaterialized(snap); err == nil {
+			if _, err := RestoreMaterialized(snap, ing.maps.Flagged); err == nil {
 				t.Error("RestoreMaterialized accepted a corrupt snapshot")
 			}
 		})

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 
 	"medrelax/internal/eks"
@@ -167,175 +166,6 @@ func (s *Similarity) legacySimICFromLCS(a, b eks.ConceptID, lcs []eks.ConceptID,
 		return 1
 	}
 	return sim
-}
-
-// The kernel's context half as it stood before the IC planes, kept as the
-// oracle of the plane-scored kernel until the next PR deletes it: a hitSource
-// per candidate set, scoreHits deriving every IC through contextIC.of — a
-// binary search per matching label and a math.Log, per candidate and per LCS —
-// and the candidate index as a serve path of its own with its own radius
-// loop. The bodies are the parent commit's, but for the tied LCS pool, which
-// now holds graph nodes and is mapped back to ids here.
-
-// oracleRankedPath is the parent's rankedPath with no memo under it: the
-// index when it covers the query, a fresh walk otherwise.
-func (r *Relaxer) oracleRankedPath(ctx context.Context, q eks.ConceptID, qctx *ontology.Context, k, target int, sc *relaxScratch) ([]Result, ServePath, error) {
-	if r.cidx != nil {
-		out, ok, err := r.indexedCandidates(ctx, q, qctx, k, target, sc)
-		if err != nil {
-			return nil, PathIndexed, err
-		}
-		if ok {
-			return out, PathIndexed, nil
-		}
-	}
-	g, err := r.geometry(ctx, q, target, sc)
-	if err != nil {
-		return nil, PathLive, err
-	}
-	radius, err := r.stopRadius(ctx, g.counts, target)
-	if err != nil {
-		return nil, PathLive, err
-	}
-	n, hits := r.hitsWithin(g, radius, sc)
-	scored, err := r.scoreHits(ctx, q, qctx, n, hits, sc)
-	if err != nil {
-		return nil, PathLive, err
-	}
-	return r.rankResults(scored, k), PathLive, nil
-}
-
-type hitSource func(i int) (slot, hops int32, meet pairMeet)
-
-type pairMeet struct {
-	lcs    []eks.ConceptID // tied least common subsumers, ascending
-	weight float64         // canonicalPathWeight; unset when !UsePathWeight
-}
-
-func (s *Similarity) score(m pairMeet, icA float64, b eks.ConceptID, ic *contextIC) float64 {
-	if len(m.lcs) == 0 {
-		return 0
-	}
-	sim := simICFromLCS(icA, b, m.lcs, ic)
-	if !s.UsePathWeight {
-		return sim
-	}
-	return m.weight * sim
-}
-
-func (r *Relaxer) scoreHits(ctx context.Context, q eks.ConceptID, qctx *ontology.Context, n int, hits hitSource, sc *relaxScratch) ([]scoredHit, error) {
-	ic := r.sim.icUnder(qctx)
-	icQ := ic.of(q)
-	scored := slices.Grow(sc.scored[:0], n)
-	for i := 0; i < n; i++ {
-		if i%scoreCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("core: relaxation aborted scoring candidate %d/%d: %w", i, n, err)
-			}
-		}
-		slot, hops, meet := hits(i)
-		score := 1.0 // the query concept itself, the only hit at hop 0
-		if hops > 0 {
-			score = r.sim.score(meet, icQ, r.ing.maps.Flagged[slot], &ic)
-		}
-		scored = append(scored, scoredHit{score: score, slot: slot, hops: hops})
-	}
-	sc.scored = scored
-	sc.stats.scored = n
-	return scored, nil
-}
-
-func (r *Relaxer) hitsWithin(g *geometry, radius int, sc *relaxScratch) (int, hitSource) {
-	weights := sc.weights[:0]
-	if r.sim.UsePathWeight {
-		for _, s := range g.shapes {
-			weights = append(weights, r.sim.pathWeight(int(s.gen), int(s.spec)))
-		}
-	}
-	sc.weights = weights
-	nodes := r.ing.Graph.FlatData().IDs
-	var one [1]int32
-	var ids []eks.ConceptID
-	hops := int32(0)
-	return int(g.levelEnd[radius]), func(i int) (int32, int32, pairMeet) {
-		for i >= int(g.levelEnd[hops]) {
-			hops++
-		}
-		h := g.hits[i]
-		ids = ids[:0]
-		for _, node := range g.lcsOf(h, &one) {
-			ids = append(ids, nodes[node])
-		}
-		meet := pairMeet{lcs: ids}
-		if len(meet.lcs) > 0 && len(weights) > 0 {
-			meet.weight = weights[h.shape]
-		}
-		return h.slot, hops, meet
-	}
-}
-
-func (r *Relaxer) indexedCandidates(ctx context.Context, q eks.ConceptID, qctx *ontology.Context, k, target int, sc *relaxScratch) ([]Result, bool, error) {
-	idx := r.cidx
-	if r.opts.Radius > idx.d.Radius {
-		return nil, false, nil
-	}
-	posts, found := idx.lookup(q)
-	if !found {
-		return nil, false, nil
-	}
-	// The candidates' slots, the query concept's own first under IncludeSelf,
-	// and their distinct instances, counted as the live walk counts its
-	// levels: each growth round adds its new level's instance spans.
-	var slots []int32
-	self := 0
-	if slot, flagged := r.ing.flaggedSlot(q); flagged && r.opts.IncludeSelf {
-		slots, self = append(slots, slot), 1
-	}
-	counted, instances := 0, 0
-	radius := r.opts.Radius
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, false, fmt.Errorf("core: relaxation aborted at radius %d: %w", radius, err)
-		}
-		for cut := hopCut(posts, radius); len(slots)-self < cut; {
-			slot, flagged := r.ing.flaggedSlot(posts[len(slots)-self].Concept)
-			if !flagged {
-				return nil, false, nil
-			}
-			slots = append(slots, slot)
-		}
-		if !r.opts.DynamicRadius || radius >= r.opts.MaxRadius {
-			break
-		}
-		for ; counted < len(slots); counted++ {
-			instances += r.ing.instanceCount(slots[counted])
-		}
-		if instances >= target {
-			break
-		}
-		if radius+1 > idx.d.Radius {
-			// The next growth round would look past the indexed horizon;
-			// only the live traversal can see further.
-			return nil, false, nil
-		}
-		radius++
-	}
-	sc.stats.radius = radius
-	scored, err := r.scoreHits(ctx, q, qctx, len(slots), func(i int) (int32, int32, pairMeet) {
-		if i < self {
-			return slots[i], 0, pairMeet{}
-		}
-		p := &posts[i-self]
-		meet := pairMeet{lcs: idx.d.LCS[p.LCSLo:p.LCSHi]}
-		if r.sim.UsePathWeight {
-			meet.weight = r.sim.pathWeight(int(p.Gen), int(p.Spec))
-		}
-		return slots[i], p.Hops, meet
-	}, sc)
-	if err != nil {
-		return nil, false, err
-	}
-	return r.rankResults(scored, k), true, nil
 }
 
 // setGeometryBudget replaces the relaxer's geometry memo with an empty one of

@@ -221,11 +221,11 @@ func TestAdoptedAccelerationsMatchBuilt(t *testing.T) {
 
 	t.Run("materialized", func(t *testing.T) {
 		m := ing.Materialized
-		adopted, err := OpenFlatMaterialized(m.FlatData())
+		adopted, err := OpenFlatMaterialized(m.FlatData(), ing.maps.Flagged)
 		if err != nil {
 			t.Fatal(err)
 		}
-		restored, err := RestoreMaterialized(m.Snapshot())
+		restored, err := RestoreMaterialized(m.Snapshot(), ing.maps.Flagged)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +239,7 @@ func TestAdoptedAccelerationsMatchBuilt(t *testing.T) {
 		if m.Entries() == 0 || m.Concepts() == 0 || m.Entries() != m.Concepts()*(len(ing.Contexts)+1) {
 			t.Fatalf("%d entries over %d concepts and %d contexts", m.Entries(), m.Concepts(), len(ing.Contexts))
 		}
-		again, err := OpenFlatMaterialized(adopted.FlatData())
+		again, err := OpenFlatMaterialized(adopted.FlatData(), ing.maps.Flagged)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,14 +377,14 @@ func TestOpenFlatAccelerationsRejectHostileColumns(t *testing.T) {
 			d := ing.Materialized.FlatData()
 			d.Concepts, d.Ctxs, d.Complete = slices.Clone(d.Concepts), slices.Clone(d.Ctxs), slices.Clone(d.Complete)
 			d.CountOff, d.Counts = slices.Clone(d.CountOff), slices.Clone(d.Counts)
-			d.CandOff, d.Cands = slices.Clone(d.CandOff), slices.Clone(d.Cands)
+			d.CandOff, d.CandScores, d.CandSlots = slices.Clone(d.CandOff), slices.Clone(d.CandScores), slices.Clone(d.CandSlots)
 			return d
 		}
 		if d := base(); d.CandOff[1] < 2 {
 			t.Fatal("fixture too small to corrupt meaningfully")
 		}
 		open := func(d FlatMaterializedData) error {
-			_, err := OpenFlatMaterialized(d)
+			_, err := OpenFlatMaterialized(d, ing.maps.Flagged)
 			return err
 		}
 		runHostile(t, base, open, []hostileCase[FlatMaterializedData]{
@@ -395,9 +395,19 @@ func TestOpenFlatAccelerationsRejectHostileColumns(t *testing.T) {
 			{"wrong radius-count span", func(d *FlatMaterializedData) { d.CountOff[1]-- }, "radius counts"},
 			{"candidate offsets decrease", func(d *FlatMaterializedData) { d.CandOff[1] = d.CandOff[2] + 1 }, "candidates offsets decrease"},
 			{"candidate offsets past the pool", func(d *FlatMaterializedData) { d.CandOff[len(d.CandOff)-1]++ }, "do not span"},
-			{"hops beyond the max radius", func(d *FlatMaterializedData) { d.Cands[0].Hops = 99 }, "exceeds max radius"},
-			{"negative hops", func(d *FlatMaterializedData) { d.Cands[0].Hops = -1 }, "exceeds max radius"},
-			{"out-of-order ranking", func(d *FlatMaterializedData) { d.Cands[0], d.Cands[1] = d.Cands[1], d.Cands[0] }, "not in ranking order"},
+			{"hops beyond the max radius", func(d *FlatMaterializedData) { d.CandSlots[0] = d.CandSlots[0]&^matMaxHops | 99 }, "exceeds max radius"},
+			{"negative hops", func(d *FlatMaterializedData) { d.CandSlots[0] |= matMaxHops }, "exceeds max radius"}, // -1 in the hop byte
+			{"out-of-order ranking", func(d *FlatMaterializedData) {
+				d.CandScores[0], d.CandScores[1] = d.CandScores[1], d.CandScores[0]
+				d.CandSlots[0], d.CandSlots[1] = d.CandSlots[1], d.CandSlots[0]
+			}, "not in ranking order"},
+			{"tied scores, slots descending", func(d *FlatMaterializedData) {
+				d.CandScores[1] = d.CandScores[0]
+				d.CandSlots[0], d.CandSlots[1] = max(d.CandSlots[0], d.CandSlots[1]), min(d.CandSlots[0], d.CandSlots[1])
+			}, "not in ranking order"},
+			{"slot past the flagged set", func(d *FlatMaterializedData) { d.CandSlots[0] = PackMatCand(int32(len(ing.maps.Flagged)), 1) }, "names flagged slot"},
+			{"score column short", func(d *FlatMaterializedData) { d.CandScores = d.CandScores[1:] }, "candidate scores"},
+			{"max radius past the hop byte", func(d *FlatMaterializedData) { d.Relax.MaxRadius = matMaxHops + 1 }, "does not fit a stored candidate"},
 		})
 	})
 

@@ -27,17 +27,6 @@ type SnapshotBacking interface {
 	SizeBytes() int64
 }
 
-// MatCand is one stored materialized candidate in its fixed 24-byte wire
-// layout: concept, final score, minimal hop distance, and explicit padding
-// so the in-memory struct has no compiler-inserted holes and a flat bundle
-// section can be viewed as []MatCand directly.
-type MatCand struct {
-	Concept eks.ConceptID
-	Score   float64
-	Hops    int32
-	Rsv     int32
-}
-
 // Posting is one precomputed candidate of the candidate index in its fixed
 // 32-byte wire layout: identity, minimal hop distance, and the
 // canonical-meet geometry (generalization/specialization hop counts plus a

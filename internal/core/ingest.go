@@ -61,6 +61,11 @@ type Ingestion struct {
 	// Candidates is the optional posting-list candidate index (nil unless
 	// IngestOptions.CandidateIndex.Enabled or restored from a bundle).
 	Candidates *CandidateIndex
+	// Lookup is the graph's term resolver as adopted from the resolver
+	// columns of a flat bundle; nil for an ingestion built in process or
+	// loaded from a form that carries none, whose server builds its own
+	// (match.NewLookupService).
+	Lookup *match.LookupService
 	// Backing describes (and pins through liveness) the memory a flat-mapped
 	// ingestion reads from; nil for heap-backed ingestions.
 	Backing SnapshotBacking

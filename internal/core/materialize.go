@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"log"
 	"math"
 	"slices"
 	"sort"
@@ -28,6 +29,10 @@ import (
 // SetMaterialized refuses a store whose options differ from the relaxer's.
 type Materialized struct {
 	d FlatMaterializedData
+	// flagged is the flagged set of the ingestion the store was built over,
+	// which the candidates' slots index; SetMaterialized refuses a relaxer
+	// over another.
+	flagged []eks.ConceptID
 	// concepts is the number of distinct query concepts, counted once when
 	// the store is assembled.
 	concepts int
@@ -36,17 +41,37 @@ type Materialized struct {
 // FlatMaterializedData is the column layout of a Materialized store, which
 // is also the layout of the materialized sections of a flat (v4) bundle:
 // entries sorted by (concept, context key) as per-entry scalar columns plus
-// CSR spans into the shared counts and candidate pools. Slices handed to
+// CSR spans into the shared counts and candidate pools. A candidate is 12
+// bytes in two parallel columns: its final score, and its slot in the
+// ingestion's flagged set packed over its hop distance. Slices handed to
 // OpenFlatMaterialized may alias a memory mapping; they are never mutated.
 type FlatMaterializedData struct {
-	Relax    RelaxOptions
-	Concepts []eks.ConceptID // per entry, sorted by (concept, ctx)
-	Ctxs     []string        // parallel context keys
-	Complete []int32         // 1 = complete entry
-	CountOff []int32         // len+1, CSR into Counts
-	Counts   []int32
-	CandOff  []int32 // len+1, CSR into Cands
-	Cands    []MatCand
+	Relax      RelaxOptions
+	Concepts   []eks.ConceptID // per entry, sorted by (concept, ctx)
+	Ctxs       []string        // parallel context keys
+	Complete   []int32         // 1 = complete entry
+	CountOff   []int32         // len+1, CSR into Counts
+	Counts     []int32
+	CandOff    []int32   // len+1, CSR into CandScores and CandSlots
+	CandScores []float64 // descending within an entry
+	CandSlots  []uint32  // parallel: flagged slot<<8 | hops
+}
+
+// A candidate's hop distance takes the low byte of its CandSlots word and its
+// flagged slot the other 24 bits; MaterializeTopK and RestoreMaterialized
+// refuse what does not fit.
+const (
+	matHopBits  = 8
+	matMaxHops  = 1<<matHopBits - 1
+	matMaxSlots = 1 << (32 - matHopBits)
+)
+
+// PackMatCand is a candidate's CandSlots word; slot and hops must fit their
+// fields.
+func PackMatCand(slot, hops int32) uint32 { return uint32(slot)<<matHopBits | uint32(hops) }
+
+func unpackMatCand(c uint32) (slot int32, hops int) {
+	return int32(c >> matHopBits), int(c & matMaxHops)
 }
 
 // matEntry is a value view of one entry; its slices alias the store's pools
@@ -61,9 +86,11 @@ type matEntry struct {
 	// (untruncated) candidate set — the exact quantity the live walk checks
 	// against its target after each growth round.
 	counts []int32
-	// cands is the candidate set at the maximum radius, sorted by
-	// (score descending, concept ascending) — the final ranking order.
-	cands []MatCand
+	// scores and cands are the candidate set at the maximum radius, sorted by
+	// (score descending, concept ascending) — the final ranking order; slots
+	// order as their concepts do.
+	scores []float64
+	cands  []uint32
 }
 
 // MaterializeOptions tunes the offline top-k materialization.
@@ -132,10 +159,18 @@ func headConcepts(ing *Ingestion, opts MaterializeOptions) []eks.ConceptID {
 
 // MaterializeTopK builds the store over the frequency head of the flagged
 // concepts. It runs once, offline, after Ingest; sim must evaluate over the
-// same frozen graph and frequency table the online phase will use.
+// same frozen graph and frequency table the online phase will use. A world
+// whose candidates the columns cannot hold — a hop ceiling past a byte, a
+// flagged set past the slot field — gets no store (nil), logged, and serves
+// live.
 func MaterializeTopK(ing *Ingestion, sim *Similarity, opts MaterializeOptions) *Materialized {
 	opts = opts.withDefaults()
 	ropts := opts.Relax
+	if ropts.MaxRadius > matMaxHops || ing.FlaggedCount() > matMaxSlots {
+		log.Printf("core: not materializing: max radius %d (limit %d) or %d flagged concepts (limit %d) does not fit a stored candidate",
+			ropts.MaxRadius, matMaxHops, ing.FlaggedCount(), matMaxSlots)
+		return nil
+	}
 	head := headConcepts(ing, opts)
 
 	// Entries are stored in (concept, context key) order, so the contexts
@@ -196,21 +231,22 @@ func MaterializeTopK(ing *Ingestion, sim *Similarity, opts MaterializeOptions) *
 		}
 	}
 	d := FlatMaterializedData{
-		Relax:    ropts,
-		Concepts: make([]eks.ConceptID, 0, entries),
-		Ctxs:     make([]string, 0, entries),
-		Complete: make([]int32, 0, entries),
-		CountOff: append(make([]int32, 0, entries+1), 0),
-		Counts:   make([]int32, 0, counts),
-		CandOff:  append(make([]int32, 0, entries+1), 0),
-		Cands:    make([]MatCand, 0, cands),
+		Relax:      ropts,
+		Concepts:   make([]eks.ConceptID, 0, entries),
+		Ctxs:       make([]string, 0, entries),
+		Complete:   make([]int32, 0, entries),
+		CountOff:   append(make([]int32, 0, entries+1), 0),
+		Counts:     make([]int32, 0, counts),
+		CandOff:    append(make([]int32, 0, entries+1), 0),
+		CandScores: make([]float64, 0, cands),
+		CandSlots:  make([]uint32, 0, cands),
 	}
 	for _, i := range byConcept {
 		for j, e := range built[i] {
 			d.appendEntry(head[i], ctxKey(ctxs[j]), e)
 		}
 	}
-	return newMaterialized(d)
+	return newMaterialized(d, ing.maps.Flagged)
 }
 
 // appendEntry adds one entry to the columns; callers append in (concept,
@@ -225,8 +261,9 @@ func (d *FlatMaterializedData) appendEntry(concept eks.ConceptID, ctx string, e 
 	d.Complete = append(d.Complete, complete)
 	d.Counts = append(d.Counts, e.counts...)
 	d.CountOff = append(d.CountOff, int32(len(d.Counts)))
-	d.Cands = append(d.Cands, e.cands...)
-	d.CandOff = append(d.CandOff, int32(len(d.Cands)))
+	d.CandScores = append(d.CandScores, e.scores...)
+	d.CandSlots = append(d.CandSlots, e.cands...)
+	d.CandOff = append(d.CandOff, int32(len(d.CandSlots)))
 }
 
 // materializeConcept builds one head concept's entries for every context:
@@ -247,9 +284,9 @@ func materializeConcept(r *Relaxer, q eks.ConceptID, ctxs []*ontology.Context, o
 			scored = scored[:opts.MaxPerQuery]
 			e.complete = false
 		}
-		e.cands = make([]MatCand, len(scored))
+		e.scores, e.cands = make([]float64, len(scored)), make([]uint32, len(scored))
 		for i, h := range scored {
-			e.cands[i] = MatCand{Concept: r.ing.maps.Flagged[h.slot], Score: h.score, Hops: h.hops}
+			e.scores[i], e.cands[i] = h.score, PackMatCand(h.slot, h.hops)
 		}
 		out = append(out, e)
 	}
@@ -279,27 +316,28 @@ func (r *Relaxer) materializedServe(ctx context.Context, q eks.ConceptID, qctx *
 			return nil, false, nil
 		}
 		out := make([]Result, 0, len(e.cands))
-		for i := range e.cands {
-			c := &e.cands[i]
-			if int(c.Hops) > radius {
+		for i, c := range e.cands {
+			slot, hops := unpackMatCand(c)
+			if hops > radius {
 				continue
 			}
-			out = append(out, Result{Concept: c.Concept, Score: c.Score, Hops: int(c.Hops), Instances: r.ing.InstancesForConcept(c.Concept)})
+			id, instances := r.ing.flaggedAt(slot)
+			out = append(out, Result{Concept: id, Score: e.scores[i], Hops: hops, Instances: instances})
 		}
 		return out, true, nil
 	}
 	seen := sc.resetSeen()
 	var out []Result
-	for i := range e.cands {
-		c := &e.cands[i]
-		if int(c.Hops) > radius {
+	for i, c := range e.cands {
+		slot, hops := unpackMatCand(c)
+		if hops > radius {
 			continue
 		}
 		if len(seen) >= k {
 			return out, true, nil
 		}
-		instances := r.ing.InstancesForConcept(c.Concept)
-		out = append(out, Result{Concept: c.Concept, Score: c.Score, Hops: int(c.Hops), Instances: instances})
+		id, instances := r.ing.flaggedAt(slot)
+		out = append(out, Result{Concept: id, Score: e.scores[i], Hops: hops, Instances: instances})
 		for _, iid := range instances {
 			seen[iid] = true
 		}
@@ -333,7 +371,8 @@ func (m *Materialized) entry(i int) matEntry {
 	return matEntry{
 		complete: d.Complete[i] != 0,
 		counts:   d.Counts[d.CountOff[i]:d.CountOff[i+1]],
-		cands:    d.Cands[d.CandOff[i]:d.CandOff[i+1]],
+		scores:   d.CandScores[d.CandOff[i]:d.CandOff[i+1]],
+		cands:    d.CandSlots[d.CandOff[i]:d.CandOff[i+1]],
 	}
 }
 
@@ -350,14 +389,18 @@ func (m *Materialized) Concepts() int { return m.concepts }
 // slices alias the store and must not be modified.
 func (m *Materialized) FlatData() FlatMaterializedData { return m.d }
 
-// OpenFlatMaterialized adopts materialized columns as a *Materialized,
-// enforcing the invariants serving relies on: normalized options, the
-// per-entry radius-count span, strictly ascending (concept, context) keys,
-// in-range hop distances, and final ranking order.
-func OpenFlatMaterialized(d FlatMaterializedData) (*Materialized, error) {
+// OpenFlatMaterialized adopts materialized columns as a *Materialized over
+// the flagged set their slots index, enforcing the invariants serving relies
+// on: normalized options, the per-entry radius-count span, strictly ascending
+// (concept, context) keys, in-range hop distances and slots, and final
+// ranking order.
+func OpenFlatMaterialized(d FlatMaterializedData, flagged []eks.ConceptID) (*Materialized, error) {
 	opts := d.Relax.withDefaults()
 	if d.Relax != opts {
 		return nil, fmt.Errorf("core: materialized store has non-normalized relax options %+v", d.Relax)
+	}
+	if opts.MaxRadius > matMaxHops || len(flagged) > matMaxSlots {
+		return nil, fmt.Errorf("core: materialized store: max radius %d or %d flagged concepts does not fit a stored candidate", opts.MaxRadius, len(flagged))
 	}
 	wantCounts := opts.MaxRadius - opts.Radius + 1
 	if !opts.DynamicRadius {
@@ -370,9 +413,13 @@ func OpenFlatMaterialized(d FlatMaterializedData) (*Materialized, error) {
 	if err := checkCSR32("materialized counts", n, d.CountOff, len(d.Counts)); err != nil {
 		return nil, err
 	}
-	if err := checkCSR32("materialized candidates", n, d.CandOff, len(d.Cands)); err != nil {
+	if err := checkCSR32("materialized candidates", n, d.CandOff, len(d.CandSlots)); err != nil {
 		return nil, err
 	}
+	if len(d.CandScores) != len(d.CandSlots) {
+		return nil, fmt.Errorf("core: materialized store: %d candidate scores, %d slots", len(d.CandScores), len(d.CandSlots))
+	}
+	maxHops, slots := uint32(opts.MaxRadius), uint32(len(flagged))
 	for i := 0; i < n; i++ {
 		if i > 0 {
 			if d.Concepts[i] < d.Concepts[i-1] ||
@@ -384,26 +431,28 @@ func OpenFlatMaterialized(d FlatMaterializedData) (*Materialized, error) {
 			return nil, fmt.Errorf("core: materialized entry (%d, %q) has %d radius counts, want %d",
 				d.Concepts[i], d.Ctxs[i], d.CountOff[i+1]-d.CountOff[i], wantCounts)
 		}
-		cands := d.Cands[d.CandOff[i]:d.CandOff[i+1]]
-		for j := range cands {
-			c := &cands[j]
-			if c.Hops < 0 || int(c.Hops) > opts.MaxRadius {
-				return nil, fmt.Errorf("core: materialized candidate %d of (%d, %q) at %d hops exceeds max radius %d",
-					c.Concept, d.Concepts[i], d.Ctxs[i], c.Hops, opts.MaxRadius)
+		// Slots order as their concepts do, so ranking order reads off the
+		// packed words.
+		scores, cands := d.CandScores[d.CandOff[i]:d.CandOff[i+1]], d.CandSlots[d.CandOff[i]:d.CandOff[i+1]]
+		for j, c := range cands {
+			if c>>matHopBits >= slots {
+				return nil, fmt.Errorf("core: materialized candidate %d of (%d, %q) names flagged slot %d of %d",
+					j, d.Concepts[i], d.Ctxs[i], c>>matHopBits, slots)
 			}
-			if j > 0 {
-				prev := &cands[j-1]
-				if c.Score > prev.Score || (c.Score == prev.Score && c.Concept <= prev.Concept) {
-					return nil, fmt.Errorf("core: materialized entry (%d, %q) not in ranking order at %d", d.Concepts[i], d.Ctxs[i], j)
-				}
+			if c&matMaxHops > maxHops {
+				return nil, fmt.Errorf("core: materialized candidate %d of (%d, %q) at %d hops exceeds max radius %d",
+					flagged[c>>matHopBits], d.Concepts[i], d.Ctxs[i], c&matMaxHops, opts.MaxRadius)
+			}
+			if j > 0 && (scores[j] > scores[j-1] || (scores[j] == scores[j-1] && c>>matHopBits <= cands[j-1]>>matHopBits)) {
+				return nil, fmt.Errorf("core: materialized entry (%d, %q) not in ranking order at %d", d.Concepts[i], d.Ctxs[i], j)
 			}
 		}
 	}
-	return newMaterialized(d), nil
+	return newMaterialized(d, flagged), nil
 }
 
-func newMaterialized(d FlatMaterializedData) *Materialized {
-	m := &Materialized{d: d}
+func newMaterialized(d FlatMaterializedData, flagged []eks.ConceptID) *Materialized {
+	m := &Materialized{d: d, flagged: flagged}
 	for i, c := range d.Concepts {
 		if i == 0 || c != d.Concepts[i-1] {
 			m.concepts++
@@ -447,24 +496,32 @@ func (m *Materialized) Snapshot() *MaterializedSnapshot {
 			Counts:   append([]int32(nil), e.counts...),
 			Cands:    make([]MaterializedCandidate, 0, len(e.cands)),
 		}
-		for _, c := range e.cands {
-			es.Cands = append(es.Cands, MaterializedCandidate{Concept: c.Concept, Score: c.Score, Hops: int(c.Hops)})
+		for j, c := range e.cands {
+			slot, hops := unpackMatCand(c)
+			es.Cands = append(es.Cands, MaterializedCandidate{Concept: m.flagged[slot], Score: e.scores[j], Hops: hops})
 		}
 		snap.Entries = append(snap.Entries, es)
 	}
 	return snap
 }
 
-// RestoreMaterialized rebuilds a store from its snapshot: the entries become
-// columns in snapshot order and OpenFlatMaterialized validates the result.
-func RestoreMaterialized(snap *MaterializedSnapshot) (*Materialized, error) {
+// RestoreMaterialized rebuilds a store from its snapshot over the flagged set
+// of the ingestion it belongs to: the entries become columns in snapshot
+// order — a candidate's concept its slot in flagged — and
+// OpenFlatMaterialized validates the result.
+func RestoreMaterialized(snap *MaterializedSnapshot, flagged []eks.ConceptID) (*Materialized, error) {
 	d := FlatMaterializedData{Relax: snap.Relax, CountOff: []int32{0}, CandOff: []int32{0}}
 	for _, es := range snap.Entries {
-		e := matEntry{complete: es.Complete, counts: es.Counts, cands: make([]MatCand, len(es.Cands))}
+		e := matEntry{complete: es.Complete, counts: es.Counts, scores: make([]float64, len(es.Cands)), cands: make([]uint32, len(es.Cands))}
 		for i, c := range es.Cands {
-			e.cands[i] = MatCand{Concept: c.Concept, Score: c.Score, Hops: toInt32(c.Hops)}
+			slot, ok := slices.BinarySearch(flagged, c.Concept)
+			if !ok || c.Hops < 0 || c.Hops > matMaxHops {
+				return nil, fmt.Errorf("core: materialized candidate %d of (%d, %q) at %d hops is not a flagged concept within %d hops",
+					c.Concept, es.Concept, es.Ctx, c.Hops, matMaxHops)
+			}
+			e.scores[i], e.cands[i] = c.Score, PackMatCand(int32(slot), int32(c.Hops))
 		}
 		d.appendEntry(es.Concept, es.Ctx, e)
 	}
-	return OpenFlatMaterialized(d)
+	return OpenFlatMaterialized(d, flagged)
 }

@@ -144,9 +144,10 @@ type Relaxer struct {
 
 // SetMaterialized attaches an offline top-k store. It refuses (returning
 // false) a store built under different RelaxOptions, whose entries would
-// not reproduce this relaxer's answers.
+// not reproduce this relaxer's answers, or over another flagged set than the
+// ingestion's, which its candidates' slots would misname.
 func (r *Relaxer) SetMaterialized(m *Materialized) bool {
-	if m == nil || m.Options() != r.opts {
+	if m == nil || m.Options() != r.opts || !slices.Equal(m.flagged, r.ing.maps.Flagged) {
 		return false
 	}
 	r.mat = m

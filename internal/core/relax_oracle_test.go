@@ -637,11 +637,13 @@ type levelHit struct {
 // sets, level ends, per-radius counts and finality — out to the index's
 // horizon, under an index that reaches the relaxer's ceiling and one that
 // stops short of it. Then, per sampled concept, request sequences on fresh
-// relaxers against the parent's kernel (indexedCandidates, then a walk): a
-// fresh relaxer reports the parent's path and results for any one request;
-// a target the short index declines is walked, and a small target after it
-// hits the walk's entry; a small target is filled from the index, the large
-// one after it refills by a walk, and the concept stays on the live path.
+// relaxers against the exhaustive oracle (legacyRelaxConcept): a fresh
+// relaxer gives the oracle's results for any one request, off the index
+// exactly when the walk's own counts stop the request inside the index's
+// horizon; a target the short index declines is walked, and a small target
+// after it hits the walk's entry; a small target is filled from the index,
+// the large one after it refills by a walk, and the concept stays on the
+// live path.
 func TestIndexBornGeometryMatchesWalk(t *testing.T) {
 	for name, ing := range oracleWorlds(t) {
 		t.Run(name, func(t *testing.T) {
@@ -705,35 +707,48 @@ func TestIndexBornGeometryMatchesWalk(t *testing.T) {
 					}
 				}
 
-				parent := fresh()
+				oracle := NewRelaxer(ing, sim, nil, opts)
 				ctxs := queryContexts(ing)
 				outgrown := 0
 				stride := max(1, len(concepts)/24)
 				for qi := 0; qi < len(concepts); qi += stride {
 					q, qctx := concepts[qi], ctxs[qi%len(ctxs)]
+					wants := map[int][]Result{} // the oracle's answer per k, asked once
 					ask := func(r *Relaxer, k int) ServePath {
 						t.Helper()
+						want, asked := wants[k]
+						if !asked {
+							var err error
+							if want, err = oracle.legacyRelaxConcept(context.Background(), q, qctx, k); err != nil {
+								t.Fatal(err)
+							}
+							wants[k] = want
+						}
+						got, path, err := r.relaxConceptPath(context.Background(), q, qctx, k, &relaxScratch{})
+						if err != nil || !sameResults(want, got) {
+							t.Fatalf("%+v concept %d ctx %q k %d: differs from the exhaustive oracle (err %v)\noracle %+v\ngot    %+v", opts, q, ctxKey(qctx), k, err, want, got)
+						}
+						return path
+					}
+					walked, err := r.geometry(context.Background(), q, math.MaxInt, &relaxScratch{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, k := range oracleKs {
 						target := k
 						if k <= 0 {
 							target = defaultCandidateTarget
 						}
-						want, _, err := parent.oracleRankedPath(context.Background(), q, qctx, k, target, &relaxScratch{})
+						stop, err := r.stopRadius(context.Background(), walked.counts, target)
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, path, err := r.relaxConceptPath(context.Background(), q, qctx, k, &relaxScratch{})
-						if err != nil || !sameResults(want, got) {
-							t.Fatalf("%+v concept %d ctx %q k %d: differs from the parent's kernel (err %v)\nparent %+v\ngot    %+v", opts, q, ctxKey(qctx), k, err, want, got)
-						}
-						return path
-					}
-					for _, k := range oracleKs {
-						_, want, _ := parent.oracleRankedPath(context.Background(), q, qctx, k, max(k, 1), &relaxScratch{})
-						if k <= 0 {
-							_, want, _ = parent.oracleRankedPath(context.Background(), q, qctx, k, defaultCandidateTarget, &relaxScratch{})
+						want := PathLive
+						if stop <= horizon {
+							want = PathIndexed
 						}
 						if got := ask(fresh(), k); got != want {
-							t.Fatalf("%+v concept %d k %d: a fresh relaxer took the %v path, the parent's kernel the %v path", opts, q, k, got, want)
+							t.Fatalf("%+v concept %d k %d: a fresh relaxer took the %v path; the walk stops at radius %d, the index reaches %d", opts, q, k, got, stop, horizon)
 						}
 					}
 					if horizon == r.maxRadius() {
@@ -760,9 +775,6 @@ func TestIndexBornGeometryMatchesWalk(t *testing.T) {
 				}
 				if horizon < r.maxRadius() && outgrown == 0 {
 					t.Errorf("%+v: no sampled concept's small target was filled from the index and then outgrown", opts)
-				}
-				if _, _, indexed := parent.PathCounts(); indexed != 0 {
-					t.Fatal("the parent's kernel is called below the path counters")
 				}
 			}
 		})

@@ -94,8 +94,9 @@ type Config struct {
 	// Relax configures the online phase; zero values pick the defaults of
 	// core.RelaxOptions plus DynamicRadius (the serving shape).
 	Relax core.RelaxOptions
-	// Mapper resolves query terms; nil builds the bundle mapper (exact
-	// match, then edit distance, then the lookup service) over the graph.
+	// Mapper resolves query terms; nil assembles the bundle mapper (exact
+	// match, then edit distance, then the lookup service) over the graph,
+	// adopting the resolver a flat bundle carries and building it otherwise.
 	Mapper match.Mapper
 	// Conversation opens a relaxation-backed dialogue; nil disables /chat.
 	Conversation func() (*dialog.Conversation, error)
@@ -129,6 +130,9 @@ type Snapshot struct {
 	// secondaries present the relax entry points fuse per-arm answers
 	// (see federate.go).
 	arms []sourceArm
+	// lookup is the bundle mapper's term resolver, adopted with the ingestion
+	// or built by New; nil under a caller's own Config.Mapper.
+	lookup *match.LookupService
 	// matActive / idxActive record whether the ingestion's offline
 	// accelerations were attached to the relaxer (they are refused when
 	// their build options cannot reproduce the serving configuration).
@@ -153,9 +157,9 @@ func New(ing *core.Ingestion, cfg Config) *Snapshot {
 			cfg.Relax = core.RelaxOptions{Radius: 3, DynamicRadius: true}
 		}
 	}
+	var lookup *match.LookupService
 	if cfg.Mapper == nil {
-		cfg.Mapper = match.NewCombined(
-			match.NewExact(ing.Graph), match.NewEdit(ing.Graph, 0), match.NewLookupService(ing.Graph))
+		cfg.Mapper, lookup = bundleMapper(ing)
 	}
 	ing.Graph.Freeze()
 	sim := core.NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
@@ -165,6 +169,7 @@ func New(ing *core.Ingestion, cfg Config) *Snapshot {
 		cfg:     cfg,
 		terms:   flaggedTerms(ing),
 		names:   instanceNames(ing),
+		lookup:  lookup,
 	}
 	// Mount the source arms: the primary first, then each secondary with its
 	// own combined mapper, similarity evaluator and relaxer over its graph.
@@ -173,8 +178,7 @@ func New(ing *core.Ingestion, cfg Config) *Snapshot {
 	s.arms = []sourceArm{{name: core.PrimarySourceName, ing: ing, sim: sim, relaxer: s.relaxer, mapper: cfg.Mapper}}
 	for _, src := range ing.Sources {
 		src.Ing.Graph.Freeze()
-		m := match.NewCombined(
-			match.NewExact(src.Ing.Graph), match.NewEdit(src.Ing.Graph, 0), match.NewLookupService(src.Ing.Graph))
+		m, _ := bundleMapper(src.Ing)
 		ssim := core.NewSimilarity(src.Ing.Graph, src.Ing.Frequencies, src.Ing.Ontology)
 		s.arms = append(s.arms, sourceArm{
 			name:    src.Name,
@@ -202,6 +206,41 @@ func New(ing *core.Ingestion, cfg Config) *Snapshot {
 		}
 	}
 	return s
+}
+
+// bundleMapper chains exact match, edit distance and the lookup service over
+// an ingestion's graph. The term resolver is the one adopted from the bundle's
+// columns when the ingestion carries it, and tokenised here otherwise; the
+// edit matcher shares its key signatures either way.
+func bundleMapper(ing *core.Ingestion) (match.Mapper, *match.LookupService) {
+	lookup := ing.Lookup
+	if lookup == nil {
+		lookup = match.NewLookupService(ing.Graph)
+	}
+	return match.NewCombined(match.NewExact(ing.Graph), lookup.Edit(0), lookup), lookup
+}
+
+// residency says where the snapshot's columns live: a flat bundle's in a file
+// mapping ("mapped") or in one heap buffer ("heap"); a world built in process,
+// or restored from another format, has no backing and reports "built".
+func (s *Snapshot) residency() string {
+	switch b := s.ing.Backing; {
+	case b == nil:
+		return "built"
+	case b.Mapped():
+		return "mapped"
+	}
+	return "heap"
+}
+
+// resolverResidency is residency for the bundle mapper's term resolver:
+// adopted with the flat bundle's columns, or "built" when New tokenised the
+// lexicon.
+func (s *Snapshot) resolverResidency() string {
+	if s.ing.Lookup == nil {
+		return "built"
+	}
+	return s.residency()
 }
 
 // instanceNames resolves every flagged concept's instances to their surface
@@ -272,8 +311,8 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 	if ing.Backing != nil && ing.Backing.Mapped() {
 		residency = "mapped"
 	}
-	log.Printf("bundle loaded: %d EKS concepts, %d instances, %s (decode+restore %s, freeze %s)",
-		ing.Graph.Len(), ing.Store.Len(), residency,
+	log.Printf("bundle loaded: %d EKS concepts, %d instances, %s, resolver %s with %d tokens (decode+restore %s, freeze %s)",
+		ing.Graph.Len(), ing.Store.Len(), residency, snap.resolverResidency(), len(snap.lookup.FlatData().Tokens),
 		loadDur.Round(time.Millisecond), time.Since(freezeStart).Round(time.Millisecond))
 	// Probe one flagged term end to end so a structurally valid bundle
 	// that cannot actually answer fails here, not in production traffic.
@@ -491,15 +530,16 @@ func (s *Snapshot) Stats() map[string]any {
 	// Residency: a flat bundle reports whether its columns live in a file
 	// mapping or on the heap, and how many bytes the backing pins. Heap
 	// worlds built in process have no backing and report "built".
+	stats["snapshotResidency"] = s.residency()
 	if b := s.ing.Backing; b != nil {
-		if b.Mapped() {
-			stats["snapshotResidency"] = "mapped"
-		} else {
-			stats["snapshotResidency"] = "heap"
-		}
 		stats["snapshotBytes"] = b.SizeBytes()
-	} else {
-		stats["snapshotResidency"] = "built"
+	}
+	// The term resolver of the bundle mapper: adopted with the bundle's
+	// columns (mapped, or heap for a streamed bundle) or built by New, and the
+	// distinct tokens it indexes. Absent under a caller's own mapper.
+	if s.lookup != nil {
+		stats["resolver"] = s.resolverResidency()
+		stats["resolverTokens"] = len(s.lookup.FlatData().Tokens)
 	}
 	live, mat, idx := s.relaxer.PathCounts()
 	stats["relaxPaths"] = map[string]uint64{"live": live, "materialized": mat, "indexed": idx}

@@ -10,6 +10,8 @@
 package match
 
 import (
+	"math/bits"
+
 	"medrelax/internal/eks"
 	"medrelax/internal/embedding"
 	"medrelax/internal/stringutil"
@@ -63,6 +65,7 @@ type Edit struct {
 	graph     *eks.Graph
 	threshold int
 	keys      []string // the graph's sorted normalized lexicon, shared with it
+	sigs      []uint64 // keySignature of every key, parallel to keys
 }
 
 // DefaultEditThreshold is the τ=2 used in the paper's experiments.
@@ -71,10 +74,33 @@ const DefaultEditThreshold = 2
 // NewEdit returns an edit-distance matcher over g with the given threshold
 // (DefaultEditThreshold when <= 0).
 func NewEdit(g *eks.Graph, threshold int) *Edit {
+	return newEdit(g, threshold, keySignatures(g.FlatData().NameKeys))
+}
+
+func newEdit(g *eks.Graph, threshold int, sigs []uint64) *Edit {
 	if threshold <= 0 {
 		threshold = DefaultEditThreshold
 	}
-	return &Edit{graph: g, threshold: threshold, keys: g.FlatData().NameKeys}
+	return &Edit{graph: g, threshold: threshold, keys: g.FlatData().NameKeys, sigs: sigs}
+}
+
+// keySignature is a string's letter set folded into 64 bits, bit c&63 per
+// byte. One edit adds at most one letter to the set and removes at most one,
+// so two strings within Levenshtein distance d differ in at most 2d bits.
+func keySignature(s string) uint64 {
+	var sig uint64
+	for i := 0; i < len(s); i++ {
+		sig |= 1 << (s[i] & 63)
+	}
+	return sig
+}
+
+func keySignatures(keys []string) []uint64 {
+	sigs := make([]uint64, len(keys))
+	for i, key := range keys {
+		sigs[i] = keySignature(key)
+	}
+	return sigs
 }
 
 // Name implements Mapper.
@@ -94,9 +120,10 @@ func (m *Edit) Map(name string) (eks.ConceptID, bool) {
 	found := false
 	var band stringutil.EditBand // one per call: Map is concurrent
 	band.Reset(norm)
-	for _, key := range m.keys {
-		// Cheap length filter before the banded DP.
-		if abs(len(key)-len(norm)) > m.threshold {
+	qsig := keySignature(norm)
+	for i, key := range m.keys {
+		// Cheap length and letter-set filters before the banded DP.
+		if abs(len(key)-len(norm)) > m.threshold || bits.OnesCount64(m.sigs[i]^qsig) > 2*(bestDist-1) {
 			continue
 		}
 		if !band.Within(key, bestDist-1) {

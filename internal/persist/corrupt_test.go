@@ -2,11 +2,15 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"medrelax/internal/match"
 )
 
 // encodeBoth returns the same ingestion in both on-disk formats, the raw
@@ -114,5 +118,99 @@ func TestLoadFileErrorTyping(t *testing.T) {
 	}
 	if errors.Is(err, ErrCorruptBundle) {
 		t.Errorf("missing file reported as corrupt: %v", err)
+	}
+}
+
+// structurallyCorrupt lists, per new flat section, edits a checksum cannot
+// see: each returns the payload it wants the section to have instead. The
+// sections are re-encoded around it, so every CRC in the file is valid and
+// only the component validators stand between the edit and a read.
+// nameKeys, flagged and multi (a token listed under two or more keys)
+// describe the bundle the edits are aimed at.
+func structurallyCorrupt(nameKeys, flagged int, tokOff []int32, multi int) []struct {
+	name string
+	kind uint32
+	edit func(p []byte) []byte
+} {
+	le32 := binary.LittleEndian.PutUint32
+	span := 4 * int(tokOff[multi]) // byte offset of multi's first posting
+	return []struct {
+		name string
+		kind uint32
+		edit func(p []byte) []byte
+	}{
+		{"lookup tokens truncated", secLkTokens, func(p []byte) []byte { return p[:len(p)-4] }},
+		{"lookup token offsets truncated", secLkTokOff, func(p []byte) []byte { return p[:len(p)-4] }},
+		{"lookup token keys truncated", secLkTokKeys, func(p []byte) []byte { return p[:len(p)-4] }},
+		{"lookup descendant counts truncated", secLkDesc, func(p []byte) []byte { return p[:len(p)-4] }},
+		{"lookup key signatures truncated", secLkKeySigs, func(p []byte) []byte { return p[:len(p)-8] }},
+		{"lookup key signatures torn mid-value", secLkKeySigs, func(p []byte) []byte { return p[:len(p)-4] }},
+		{"lookup token not ascending", secLkTokens, func(p []byte) []byte {
+			a, b := binary.LittleEndian.Uint32(p[0:]), binary.LittleEndian.Uint32(p[4:])
+			le32(p[0:], b)
+			le32(p[4:], a)
+			return p
+		}},
+		{"lookup posting out of range", secLkTokKeys, func(p []byte) []byte { le32(p[span+4:], uint32(nameKeys)); return p }},
+		{"lookup postings descending", secLkTokKeys, func(p []byte) []byte {
+			a, b := binary.LittleEndian.Uint32(p[span:]), binary.LittleEndian.Uint32(p[span+4:])
+			le32(p[span:], b)
+			le32(p[span+4:], a)
+			return p
+		}},
+		{"lookup posting span empty", secLkTokOff, func(p []byte) []byte { copy(p[4:8], p[0:4]); return p }},
+		{"lookup descendant count negative", secLkDesc, func(p []byte) []byte { le32(p, ^uint32(0)); return p }},
+		{"candidate scores truncated", secMatCandScores, func(p []byte) []byte { return p[:len(p)-8] }},
+		{"candidate slots truncated", secMatCandSlots, func(p []byte) []byte { return p[:len(p)-4] }},
+		{"candidate slot past the flagged set", secMatCandSlots, func(p []byte) []byte { le32(p, uint32(flagged)<<8|1); return p }},
+		{"candidate hops past the max radius", secMatCandSlots, func(p []byte) []byte { p[0] = 99; return p }},
+		{"candidate rank order swapped", secMatCandScores, func(p []byte) []byte {
+			var first [8]byte
+			copy(first[:], p[:8])
+			copy(p[:8], p[8:16])
+			copy(p[8:16], first[:])
+			return p
+		}},
+	}
+}
+
+// TestFlatNewSectionCorruptionFailsLoudly: a resolver or candidate-column
+// section that is CRC-valid and structurally wrong is ErrCorruptBundle at
+// open, never a panic and never a bundle that answers differently.
+func TestFlatNewSectionCorruptionFailsLoudly(t *testing.T) {
+	ing := buildSmallAccelIngestion(t)
+	sections, err := encodeFlat(ing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lk := match.NewLookupService(ing.Graph).FlatData()
+	multi := 0 // the first token listed under two keys
+	for multi < len(lk.Tokens) && lk.TokOff[multi+1]-lk.TokOff[multi] < 2 {
+		multi++
+	}
+	if md := ing.Materialized.FlatData(); multi == len(lk.Tokens) || md.CandOff[1] < 2 || md.CandScores[0] == md.CandScores[1] {
+		t.Fatal("fixture too small to corrupt meaningfully")
+	}
+	open := func(sections []flatSection) error {
+		data := flatBytes(t, sections)
+		_, err := openFlatBytes(data, &mapRef{size: int64(len(data))})
+		return err
+	}
+	if err := open(sections); err != nil {
+		t.Fatalf("the unedited sections do not open: %v", err)
+	}
+	for _, c := range structurallyCorrupt(len(ing.Graph.NameKeys()), ing.FlaggedCount(), lk.TokOff, multi) {
+		t.Run(c.name, func(t *testing.T) {
+			edited := slices.Clone(sections)
+			i := slices.IndexFunc(edited, func(s flatSection) bool { return s.kind == c.kind })
+			if i < 0 {
+				t.Fatalf("the writer emitted no section %d", c.kind)
+			}
+			// The payload may be the ingestion's own memory: edit a copy.
+			edited[i].payload = c.edit(bytes.Clone(edited[i].payload))
+			if err := open(edited); !errors.Is(err, ErrCorruptBundle) {
+				t.Fatalf("opened with %v, want ErrCorruptBundle", err)
+			}
+		})
 	}
 }

@@ -92,6 +92,15 @@ const (
 	secGraphKeyOff   uint32 = 23 // []int32 CSR into graphKeyIDs
 	secGraphKeyIDs   uint32 = 24 // []eks.ConceptID
 
+	// The term resolver over the graph's name keys (match.FlatLookupData). A
+	// bundle without these sections opens with no resolver and its server
+	// builds one.
+	secLkTokens  uint32 = 25 // []uint32 string refs, distinct tokens ascending
+	secLkTokOff  uint32 = 26 // []int32 CSR into lkTokKeys
+	secLkTokKeys uint32 = 27 // []int32 positions in graphNameKeys, ascending per token
+	secLkDesc    uint32 = 28 // []int32 descendant counts, parallel to graphIDs
+	secLkKeySigs uint32 = 29 // []uint64 letter-set signatures, parallel to graphNameKeys
+
 	secOntoConcepts uint32 = 30 // []uint32 string refs, (name, parent) pairs
 	secOntoRels     uint32 = 31 // []uint32 string refs, (name, domain, range) triples
 
@@ -128,8 +137,13 @@ const (
 	secMatFlags   uint32 = 82 // []int32, 1 = complete
 	secMatCntOff  uint32 = 83 // []int32 CSR into matCnt
 	secMatCnt     uint32 = 84 // []int32
-	secMatCandOff uint32 = 85 // []int32 CSR into matCands
-	secMatCands   uint32 = 86 // []core.MatCand, 24-byte records
+	secMatCandOff uint32 = 85 // []int32 CSR into the candidate columns
+	// secMatCands is the candidate pool as bundles before the score and slot
+	// columns held it: 24-byte (concept, score, hops, pad) records. Read and
+	// converted (legacyMatCands), never written.
+	secMatCands      uint32 = 86
+	secMatCandScores uint32 = 87 // []float64, a candidate's final score
+	secMatCandSlots  uint32 = 88 // []uint32, parallel: flagged slot<<8 | hops
 
 	secCidxCon   uint32 = 90 // []eks.ConceptID, ascending indexed concepts
 	secCidxOff   uint32 = 91 // []int32 CSR into cidxPosts
@@ -215,129 +229,38 @@ var hostLE = func() bool {
 // structs, so their sizes are part of the wire format. A field change that
 // alters a size fails the build here instead of corrupting bundles.
 var (
-	_ = [1]struct{}{}[unsafe.Sizeof(core.MatCand{})-24]
 	_ = [1]struct{}{}[unsafe.Sizeof(core.Posting{})-32]
 	_ = [1]struct{}{}[unsafe.Sizeof(eks.ConceptID(0))-8]
 	_ = [1]struct{}{}[unsafe.Sizeof(kb.InstanceID(0))-8]
 )
 
-// viewConceptIDs reinterprets (or, off the fast path, decodes) a section as
-// concept IDs.
-func viewConceptIDs(b []byte, what string) ([]eks.ConceptID, error) {
-	if len(b)%8 != 0 {
-		return nil, corruptf("flat v4", "%s section length %d not a multiple of 8", what, len(b))
-	}
-	n := len(b) / 8
-	if n == 0 {
-		return nil, nil
-	}
-	if hostLE {
-		return unsafe.Slice((*eks.ConceptID)(unsafe.Pointer(unsafe.SliceData(b))), n), nil
-	}
-	out := make([]eks.ConceptID, n)
-	for i := range out {
-		out[i] = eks.ConceptID(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out, nil
+// flatNumber is what a numeric column holds: every one is 4 or 8 bytes wide.
+type flatNumber interface {
+	~int32 | ~uint32 | ~int64 | ~uint64 | ~float64
 }
 
-// viewInstanceIDs reinterprets a section as instance IDs.
-func viewInstanceIDs(b []byte, what string) ([]kb.InstanceID, error) {
-	if len(b)%8 != 0 {
-		return nil, corruptf("flat v4", "%s section length %d not a multiple of 8", what, len(b))
+// viewColumn reinterprets (or, off the fast path, decodes) a section as a
+// numeric column.
+func viewColumn[T flatNumber](b []byte, what string) ([]T, error) {
+	size := int(unsafe.Sizeof(T(0)))
+	if len(b)%size != 0 {
+		return nil, corruptf("flat v4", "%s section length %d not a multiple of %d", what, len(b), size)
 	}
-	n := len(b) / 8
+	n := len(b) / size
 	if n == 0 {
 		return nil, nil
 	}
 	if hostLE {
-		return unsafe.Slice((*kb.InstanceID)(unsafe.Pointer(unsafe.SliceData(b))), n), nil
+		return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(b))), n), nil
 	}
-	out := make([]kb.InstanceID, n)
+	out := make([]T, n)
 	for i := range out {
-		out[i] = kb.InstanceID(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out, nil
-}
-
-// viewInt32s reinterprets a section as []int32.
-func viewInt32s(b []byte, what string) ([]int32, error) {
-	if len(b)%4 != 0 {
-		return nil, corruptf("flat v4", "%s section length %d not a multiple of 4", what, len(b))
-	}
-	n := len(b) / 4
-	if n == 0 {
-		return nil, nil
-	}
-	if hostLE {
-		return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(b))), n), nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out, nil
-}
-
-// viewUint32s reinterprets a section as []uint32.
-func viewUint32s(b []byte, what string) ([]uint32, error) {
-	if len(b)%4 != 0 {
-		return nil, corruptf("flat v4", "%s section length %d not a multiple of 4", what, len(b))
-	}
-	n := len(b) / 4
-	if n == 0 {
-		return nil, nil
-	}
-	if hostLE {
-		return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(b))), n), nil
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[4*i:])
-	}
-	return out, nil
-}
-
-// viewFloat64s reinterprets a section as []float64.
-func viewFloat64s(b []byte, what string) ([]float64, error) {
-	if len(b)%8 != 0 {
-		return nil, corruptf("flat v4", "%s section length %d not a multiple of 8", what, len(b))
-	}
-	n := len(b) / 8
-	if n == 0 {
-		return nil, nil
-	}
-	if hostLE {
-		return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(b))), n), nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out, nil
-}
-
-// viewMatCands reinterprets a section as materialized candidate records.
-func viewMatCands(b []byte, what string) ([]core.MatCand, error) {
-	const rec = 24
-	if len(b)%rec != 0 {
-		return nil, corruptf("flat v4", "%s section length %d not a multiple of %d", what, len(b), rec)
-	}
-	n := len(b) / rec
-	if n == 0 {
-		return nil, nil
-	}
-	if hostLE {
-		return unsafe.Slice((*core.MatCand)(unsafe.Pointer(unsafe.SliceData(b))), n), nil
-	}
-	out := make([]core.MatCand, n)
-	for i := range out {
-		r := b[rec*i:]
-		out[i] = core.MatCand{
-			Concept: eks.ConceptID(binary.LittleEndian.Uint64(r[0:])),
-			Score:   math.Float64frombits(binary.LittleEndian.Uint64(r[8:])),
-			Hops:    int32(binary.LittleEndian.Uint32(r[16:])),
-			Rsv:     int32(binary.LittleEndian.Uint32(r[20:])),
+		if size == 4 {
+			u := binary.LittleEndian.Uint32(b[4*i:])
+			out[i] = *(*T)(unsafe.Pointer(&u))
+		} else {
+			u := binary.LittleEndian.Uint64(b[8*i:])
+			out[i] = *(*T)(unsafe.Pointer(&u))
 		}
 	}
 	return out, nil

@@ -479,17 +479,17 @@ func TestFlatRoundTripSmallWorld(t *testing.T) {
 // from one record to all of them: the chunks concatenate to the same bytes,
 // and writeFlat's checksum over them is the checksum of the whole.
 func TestRecordSectionChunks(t *testing.T) {
-	cands := make([]core.MatCand, 1000)
-	for i := range cands {
-		cands[i] = core.MatCand{Concept: eks.ConceptID(7 * i), Score: 1 / float64(i+1), Hops: int32(i % 9)}
+	posts := make([]core.Posting, 1000)
+	for i := range posts {
+		posts[i] = core.Posting{Concept: eks.ConceptID(7 * i), Hops: int32(i % 9), Gen: int32(i % 5), Spec: int32(i % 3), LCSLo: int32(i), LCSHi: int32(i + 1)}
 	}
-	s := flatSection{kind: secMatCands, records: matCandRecords(cands)}
+	s := flatSection{kind: secCidxPosts, records: postingRecords(posts)}
 	var whole []byte
 	s.each(make([]byte, s.size()), func(b []byte) error { whole = append(whole, b...); return nil })
-	if len(whole) != s.size() || len(whole) != 24*len(cands) {
-		t.Fatalf("encoded %d bytes, size() = %d, want %d", len(whole), s.size(), 24*len(cands))
+	if len(whole) != s.size() || len(whole) != 32*len(posts) {
+		t.Fatalf("encoded %d bytes, size() = %d, want %d", len(whole), s.size(), 32*len(posts))
 	}
-	for _, bufSize := range []int{24, 25, 100, 24 * 999, 24*1000 + 5} {
+	for _, bufSize := range []int{32, 33, 100, 32 * 999, 32*1000 + 5} {
 		var got []byte
 		calls := 0
 		s.each(make([]byte, bufSize), func(b []byte) error { calls++; got = append(got, b...); return nil })

@@ -4,12 +4,15 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
+	"slices"
 	"unsafe"
 
 	"medrelax/internal/core"
 	"medrelax/internal/eks"
 	"medrelax/internal/fault"
 	"medrelax/internal/kb"
+	"medrelax/internal/match"
 	"medrelax/internal/ontology"
 )
 
@@ -137,7 +140,7 @@ func (d *flatDecoder) initStrings() error {
 	if err != nil {
 		return err
 	}
-	offs, err := viewUint32s(offB, "string offsets")
+	offs, err := viewColumn[uint32](offB, "string offsets")
 	if err != nil {
 		return err
 	}
@@ -163,7 +166,7 @@ func (d *flatDecoder) strings(kind uint32, what string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	refs, err := viewUint32s(b, what)
+	refs, err := viewColumn[uint32](b, what)
 	if err != nil {
 		return nil, err
 	}
@@ -181,36 +184,29 @@ func (d *flatDecoder) strings(kind uint32, what string) ([]string, error) {
 	return out, nil
 }
 
-func (d *flatDecoder) conceptIDs(kind uint32, what string) ([]eks.ConceptID, error) {
+// column returns a required section as a numeric column.
+func column[T flatNumber](d *flatDecoder, kind uint32, what string) ([]T, error) {
 	b, err := d.sec(kind, what)
 	if err != nil {
 		return nil, err
 	}
-	return viewConceptIDs(b, what)
+	return viewColumn[T](b, what)
+}
+
+func (d *flatDecoder) conceptIDs(kind uint32, what string) ([]eks.ConceptID, error) {
+	return column[eks.ConceptID](d, kind, what)
 }
 
 func (d *flatDecoder) instanceIDs(kind uint32, what string) ([]kb.InstanceID, error) {
-	b, err := d.sec(kind, what)
-	if err != nil {
-		return nil, err
-	}
-	return viewInstanceIDs(b, what)
+	return column[kb.InstanceID](d, kind, what)
 }
 
 func (d *flatDecoder) int32s(kind uint32, what string) ([]int32, error) {
-	b, err := d.sec(kind, what)
-	if err != nil {
-		return nil, err
-	}
-	return viewInt32s(b, what)
+	return column[int32](d, kind, what)
 }
 
 func (d *flatDecoder) float64s(kind uint32, what string) ([]float64, error) {
-	b, err := d.sec(kind, what)
-	if err != nil {
-		return nil, err
-	}
-	return viewFloat64s(b, what)
+	return column[float64](d, kind, what)
 }
 
 // restoreFlat assembles the components over the decoded sections. Structural
@@ -255,8 +251,13 @@ func (d *flatDecoder) restoreFlat(backing core.SnapshotBacking) (*core.Ingestion
 		return nil, fmt.Errorf("%w: %v", corruptf("flat v4", "restore failed"), err)
 	}
 
+	if _, present := d.secs[secLkTokens]; present {
+		if ing.Lookup, err = d.restoreLookup(g); err != nil {
+			return nil, err
+		}
+	}
 	if meta.flags&metaHasMaterialized != 0 {
-		m, err := d.restoreMaterialized(meta)
+		m, err := d.restoreMaterialized(meta, maps.Flagged)
 		if err != nil {
 			return nil, err
 		}
@@ -496,7 +497,33 @@ func (d *flatDecoder) mappingData() (core.FlatMappingsData, error) {
 	return md, nil
 }
 
-func (d *flatDecoder) restoreMaterialized(meta flatMeta) (*core.Materialized, error) {
+// restoreLookup adopts the term resolver's columns over the restored graph.
+func (d *flatDecoder) restoreLookup(g *eks.Graph) (*match.LookupService, error) {
+	var ld match.FlatLookupData
+	var err error
+	if ld.Tokens, err = d.strings(secLkTokens, "lookup tokens"); err != nil {
+		return nil, err
+	}
+	if ld.TokOff, err = d.int32s(secLkTokOff, "lookup token offsets"); err != nil {
+		return nil, err
+	}
+	if ld.TokKeys, err = d.int32s(secLkTokKeys, "lookup token keys"); err != nil {
+		return nil, err
+	}
+	if ld.Desc, err = d.int32s(secLkDesc, "lookup descendant counts"); err != nil {
+		return nil, err
+	}
+	if ld.KeySigs, err = column[uint64](d, secLkKeySigs, "lookup key signatures"); err != nil {
+		return nil, err
+	}
+	lk, err := match.OpenFlatLookup(g, ld)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", corruptf("flat v4", "restore failed"), err)
+	}
+	return lk, nil
+}
+
+func (d *flatDecoder) restoreMaterialized(meta flatMeta, flagged []eks.ConceptID) (*core.Materialized, error) {
 	md := core.FlatMaterializedData{
 		Relax: core.RelaxOptions{
 			Radius:        int(meta.matRadius),
@@ -524,18 +551,41 @@ func (d *flatDecoder) restoreMaterialized(meta flatMeta) (*core.Materialized, er
 	if md.CandOff, err = d.int32s(secMatCandOff, "materialized candidate offsets"); err != nil {
 		return nil, err
 	}
-	candB, err := d.sec(secMatCands, "materialized candidates")
+	if legacy, present := d.secs[secMatCands]; present {
+		md.CandScores, md.CandSlots, err = legacyMatCands(legacy, flagged)
+	} else if md.CandScores, err = d.float64s(secMatCandScores, "materialized candidate scores"); err == nil {
+		md.CandSlots, err = column[uint32](d, secMatCandSlots, "materialized candidate slots")
+	}
 	if err != nil {
 		return nil, err
 	}
-	if md.Cands, err = viewMatCands(candB, "materialized candidates"); err != nil {
-		return nil, err
-	}
-	m, err := core.OpenFlatMaterialized(md)
+	m, err := core.OpenFlatMaterialized(md, flagged)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", corruptf("flat v4", "restore failed"), err)
 	}
 	return m, nil
+}
+
+// legacyMatCands converts the candidate pool of a bundle written before the
+// score and slot columns — 24-byte (concept int64, score float64, hops int32,
+// pad) records — into them, on the heap.
+func legacyMatCands(b []byte, flagged []eks.ConceptID) ([]float64, []uint32, error) {
+	const rec = 24
+	if len(b)%rec != 0 {
+		return nil, nil, corruptf("flat v4", "materialized candidates section length %d not a multiple of %d", len(b), rec)
+	}
+	scores, slots := make([]float64, len(b)/rec), make([]uint32, len(b)/rec)
+	for i := range scores {
+		r := b[rec*i:]
+		concept, hops := eks.ConceptID(binary.LittleEndian.Uint64(r[0:])), int32(binary.LittleEndian.Uint32(r[16:]))
+		slot, ok := slices.BinarySearch(flagged, concept)
+		if !ok || hops < 0 || hops > math.MaxUint8 {
+			return nil, nil, corruptf("flat v4", "materialized candidate %d at %d hops is not a flagged concept within a byte of hops", concept, hops)
+		}
+		scores[i] = math.Float64frombits(binary.LittleEndian.Uint64(r[8:]))
+		slots[i] = core.PackMatCand(int32(slot), hops)
+	}
+	return scores, slots, nil
 }
 
 func (d *flatDecoder) restoreCandidates(meta flatMeta) (*core.CandidateIndex, error) {

@@ -6,13 +6,14 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"runtime"
 	"sort"
+	"unsafe"
 
 	"medrelax/internal/core"
 	"medrelax/internal/eks"
 	"medrelax/internal/kb"
+	"medrelax/internal/match"
 )
 
 // flatWriter accumulates sections and interns strings for a v4 bundle.
@@ -23,11 +24,10 @@ type flatWriter struct {
 	strBytes int
 }
 
-// flatSection is one section of the file: its bytes, or — for a column too
-// large to hold encoded next to its source, the candidate pool and the
-// postings being most of an accelerated bundle — the records they are encoded
-// from, a chunk at a time, as they are checksummed and again as they are
-// written.
+// flatSection is one section of the file: its bytes, or — for a record
+// column too large to hold encoded next to its source, the postings being
+// most of an indexed bundle — the records they are encoded from, a chunk at a
+// time, as they are checksummed and again as they are written.
 type flatSection struct {
 	kind    uint32
 	payload []byte
@@ -94,42 +94,22 @@ func (w *flatWriter) addRecords(kind uint32, c *recordColumn) {
 // Column encoders: everything is little-endian regardless of host, so the
 // writer produces identical bytes on any platform.
 
-func leConceptIDs(xs []eks.ConceptID) []byte {
-	b := make([]byte, 8*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
+// leColumn is a numeric column's section payload. On a little-endian host the
+// column's own memory is those bytes, so the payload aliases it — the
+// candidate pool is written from where MaterializeTopK filled it — and xs must
+// not change while it is in use; elsewhere it is an encoded copy.
+func leColumn[T flatNumber](xs []T) []byte {
+	size := int(unsafe.Sizeof(T(0)))
+	if hostLE {
+		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), size*len(xs))
 	}
-	return b
-}
-
-func leInstanceIDs(xs []kb.InstanceID) []byte {
-	b := make([]byte, 8*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
-	}
-	return b
-}
-
-func leInt32s(xs []int32) []byte {
-	b := make([]byte, 4*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
-	}
-	return b
-}
-
-func leUint32s(xs []uint32) []byte {
-	b := make([]byte, 4*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint32(b[4*i:], x)
-	}
-	return b
-}
-
-func leFloat64s(xs []float64) []byte {
-	b := make([]byte, 8*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+	b := make([]byte, size*len(xs))
+	for i := range xs {
+		if size == 4 {
+			binary.LittleEndian.PutUint32(b[4*i:], *(*uint32)(unsafe.Pointer(&xs[i])))
+		} else {
+			binary.LittleEndian.PutUint64(b[8*i:], *(*uint64)(unsafe.Pointer(&xs[i])))
+		}
 	}
 	return b
 }
@@ -140,16 +120,7 @@ func (w *flatWriter) leRefs(ss []string) []byte {
 	for i, s := range ss {
 		refs[i] = w.ref(s)
 	}
-	return leUint32s(refs)
-}
-
-func matCandRecords(xs []core.MatCand) *recordColumn {
-	return &recordColumn{n: len(xs), width: 24, put: func(r []byte, i int) {
-		binary.LittleEndian.PutUint64(r[0:], uint64(xs[i].Concept))
-		binary.LittleEndian.PutUint64(r[8:], math.Float64bits(xs[i].Score))
-		binary.LittleEndian.PutUint32(r[16:], uint32(xs[i].Hops))
-		binary.LittleEndian.PutUint32(r[20:], 0)
-	}}
+	return leColumn(refs)
 }
 
 func postingRecords(xs []core.Posting) *recordColumn {
@@ -191,6 +162,7 @@ func encodeFlat(ing *core.Ingestion) ([]flatSection, error) {
 	if err := flatGraphSections(fw, &meta, ing.Graph); err != nil {
 		return nil, err
 	}
+	flatLookupSections(fw, ing)
 	flatOntologySections(fw, ing)
 	flatStoreSections(fw, ing.Store)
 	flatMappingSections(fw, ing)
@@ -219,7 +191,7 @@ func encodeFlat(ing *core.Ingestion) ([]flatSection, error) {
 		blob = append(blob, s...)
 	}
 	strOff[len(fw.strs)] = uint32(len(blob))
-	fw.add(secStrOff, leUint32s(strOff))
+	fw.add(secStrOff, leColumn(strOff))
 	fw.add(secStr, blob)
 	fw.add(secMeta, meta.encode())
 	sort.Slice(fw.sections, func(i, j int) bool { return fw.sections[i].kind < fw.sections[j].kind })
@@ -294,22 +266,38 @@ func flatGraphSections(fw *flatWriter, meta *flatMeta, g *eks.Graph) error {
 	meta.eksRoot = root
 
 	d := g.FlatData()
-	fw.add(secGraphIDs, leConceptIDs(d.IDs))
+	fw.add(secGraphIDs, leColumn(d.IDs))
 	fw.add(secGraphNames, fw.leRefs(d.Names))
-	fw.add(secGraphSynOff, leInt32s(d.SynOff))
+	fw.add(secGraphSynOff, leColumn(d.SynOff))
 	fw.add(secGraphSyns, fw.leRefs(d.Syns))
-	fw.add(secGraphUpOff, leInt32s(d.UpOff))
-	fw.add(secGraphUpTo, leInt32s(d.UpTo))
-	fw.add(secGraphUpDist, leInt32s(d.UpDist))
-	fw.add(secGraphUpNEnd, leInt32s(d.UpNativeEnd))
-	fw.add(secGraphDownOff, leInt32s(d.DownOff))
-	fw.add(secGraphDownTo, leInt32s(d.DownTo))
-	fw.add(secGraphDownDist, leInt32s(d.DownDist))
-	fw.add(secGraphDownNEnd, leInt32s(d.DownNativeEnd))
+	fw.add(secGraphUpOff, leColumn(d.UpOff))
+	fw.add(secGraphUpTo, leColumn(d.UpTo))
+	fw.add(secGraphUpDist, leColumn(d.UpDist))
+	fw.add(secGraphUpNEnd, leColumn(d.UpNativeEnd))
+	fw.add(secGraphDownOff, leColumn(d.DownOff))
+	fw.add(secGraphDownTo, leColumn(d.DownTo))
+	fw.add(secGraphDownDist, leColumn(d.DownDist))
+	fw.add(secGraphDownNEnd, leColumn(d.DownNativeEnd))
 	fw.add(secGraphNameKeys, fw.leRefs(d.NameKeys))
-	fw.add(secGraphKeyOff, leInt32s(d.KeyOff))
-	fw.add(secGraphKeyIDs, leConceptIDs(d.KeyIDs))
+	fw.add(secGraphKeyOff, leColumn(d.KeyOff))
+	fw.add(secGraphKeyIDs, leColumn(d.KeyIDs))
 	return nil
+}
+
+// flatLookupSections emits the term resolver's columns: the one adopted with
+// the ingestion, or one built now, so a server opening the bundle adopts
+// rather than tokenises.
+func flatLookupSections(fw *flatWriter, ing *core.Ingestion) {
+	lk := ing.Lookup
+	if lk == nil {
+		lk = match.NewLookupService(ing.Graph)
+	}
+	d := lk.FlatData()
+	fw.add(secLkTokens, fw.leRefs(d.Tokens))
+	fw.add(secLkTokOff, leColumn(d.TokOff))
+	fw.add(secLkTokKeys, leColumn(d.TokKeys))
+	fw.add(secLkDesc, leColumn(d.Desc))
+	fw.add(secLkKeySigs, leColumn(d.KeySigs))
 }
 
 func flatOntologySections(fw *flatWriter, ing *core.Ingestion) {
@@ -332,29 +320,29 @@ func flatOntologySections(fw *flatWriter, ing *core.Ingestion) {
 
 func flatStoreSections(fw *flatWriter, store *kb.Store) {
 	d := store.FlatData()
-	fw.add(secStoreIDs, leInstanceIDs(d.IDs))
+	fw.add(secStoreIDs, leColumn(d.IDs))
 	fw.add(secStoreConcepts, fw.leRefs(d.Concepts))
 	fw.add(secStoreNames, fw.leRefs(d.Names))
 	fw.add(secStoreLexKeys, fw.leRefs(d.LexKeys))
-	fw.add(secStoreLexOff, leInt32s(d.LexOff))
-	fw.add(secStoreLexIDs, leInstanceIDs(d.LexIDs))
+	fw.add(secStoreLexOff, leColumn(d.LexOff))
+	fw.add(secStoreLexIDs, leColumn(d.LexIDs))
 	fw.add(secStoreConKeys, fw.leRefs(d.ConceptKeys))
-	fw.add(secStoreConOff, leInt32s(d.ConceptOff))
-	fw.add(secStoreConIDs, leInstanceIDs(d.ConceptIDs))
+	fw.add(secStoreConOff, leColumn(d.ConceptOff))
+	fw.add(secStoreConIDs, leColumn(d.ConceptIDs))
 	fw.add(secStoreRelNames, fw.leRefs(d.RelNames))
-	fw.add(secStoreASub, leInstanceIDs(d.ASub))
-	fw.add(secStoreARel, leInt32s(d.ARel))
-	fw.add(secStoreAObj, leInstanceIDs(d.AObj))
-	fw.add(secStorePerm, leInt32s(d.ByObjPerm))
+	fw.add(secStoreASub, leColumn(d.ASub))
+	fw.add(secStoreARel, leColumn(d.ARel))
+	fw.add(secStoreAObj, leColumn(d.AObj))
+	fw.add(secStorePerm, leColumn(d.ByObjPerm))
 }
 
 func flatMappingSections(fw *flatWriter, ing *core.Ingestion) {
 	d := ing.FlatMappings()
-	fw.add(secMapInst, leInstanceIDs(d.Instances))
-	fw.add(secMapCon, leConceptIDs(d.Concepts))
-	fw.add(secMapFlag, leConceptIDs(d.Flagged))
-	fw.add(secMapIOff, leInt32s(d.InstOff))
-	fw.add(secMapIPool, leInstanceIDs(d.InstPool))
+	fw.add(secMapInst, leColumn(d.Instances))
+	fw.add(secMapCon, leColumn(d.Concepts))
+	fw.add(secMapFlag, leColumn(d.Flagged))
+	fw.add(secMapIOff, leColumn(d.InstOff))
+	fw.add(secMapIPool, leColumn(d.InstPool))
 }
 
 func flatFrequencySections(fw *flatWriter, meta *flatMeta, ft *core.FrequencyTable) {
@@ -362,11 +350,11 @@ func flatFrequencySections(fw *flatWriter, meta *flatMeta, ft *core.FrequencyTab
 	meta.freqRoot = d.Root
 	meta.freqSmooth = d.Smoothing
 	fw.add(secFreqLabels, fw.leRefs(d.Labels))
-	fw.add(secFreqOff, leInt32s(d.Off))
-	fw.add(secFreqIDs, leConceptIDs(d.IDs))
-	fw.add(secFreqVals, leFloat64s(d.Vals))
-	fw.add(secFreqAggIDs, leConceptIDs(d.AggIDs))
-	fw.add(secFreqAggVals, leFloat64s(d.AggVals))
+	fw.add(secFreqOff, leColumn(d.Off))
+	fw.add(secFreqIDs, leColumn(d.IDs))
+	fw.add(secFreqVals, leColumn(d.Vals))
+	fw.add(secFreqAggIDs, leColumn(d.AggIDs))
+	fw.add(secFreqAggVals, leColumn(d.AggVals))
 }
 
 func flatMaterializedSections(fw *flatWriter, meta *flatMeta, m *core.Materialized) {
@@ -379,13 +367,14 @@ func flatMaterializedSections(fw *flatWriter, meta *flatMeta, m *core.Materializ
 	if d.Relax.IncludeSelf {
 		meta.matBits |= matBitIncludeSelf
 	}
-	fw.add(secMatCon, leConceptIDs(d.Concepts))
+	fw.add(secMatCon, leColumn(d.Concepts))
 	fw.add(secMatCtx, fw.leRefs(d.Ctxs))
-	fw.add(secMatFlags, leInt32s(d.Complete))
-	fw.add(secMatCntOff, leInt32s(d.CountOff))
-	fw.add(secMatCnt, leInt32s(d.Counts))
-	fw.add(secMatCandOff, leInt32s(d.CandOff))
-	fw.addRecords(secMatCands, matCandRecords(d.Cands))
+	fw.add(secMatFlags, leColumn(d.Complete))
+	fw.add(secMatCntOff, leColumn(d.CountOff))
+	fw.add(secMatCnt, leColumn(d.Counts))
+	fw.add(secMatCandOff, leColumn(d.CandOff))
+	fw.add(secMatCandScores, leColumn(d.CandScores))
+	fw.add(secMatCandSlots, leColumn(d.CandSlots))
 }
 
 // flatSourceSection emits the secondary named sources as one JSON-encoded
@@ -412,8 +401,8 @@ func flatCandidateSections(fw *flatWriter, meta *flatMeta, x *core.CandidateInde
 	d := x.FlatData()
 	meta.cidxRadius = uint32(d.Radius)
 	meta.cidxSkipped = int64(d.Skipped)
-	fw.add(secCidxCon, leConceptIDs(d.Concepts))
-	fw.add(secCidxOff, leInt32s(d.Off))
+	fw.add(secCidxCon, leColumn(d.Concepts))
+	fw.add(secCidxOff, leColumn(d.Off))
 	fw.addRecords(secCidxPosts, postingRecords(d.Posts))
-	fw.add(secCidxLCS, leConceptIDs(d.LCS))
+	fw.add(secCidxLCS, leColumn(d.LCS))
 }

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -123,6 +124,20 @@ func FuzzOpenFlat(f *testing.F) {
 	misdir := append([]byte(nil), plain.Bytes()...)
 	misdir[16] ^= 0x04 // nudge dirOff off alignment
 	f.Add(misdir)
+
+	// The parent's layout (record candidates, no resolver), and new-section
+	// edits a checksum cannot see: the validators' side of the format.
+	f.Add(flatBytes(f, parentFlatSections(f, accel)))
+	sections, err := encodeFlat(accel)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, c := range structurallyCorrupt(len(accel.Graph.NameKeys()), accel.FlaggedCount(), []int32{0}, 0) {
+		edited := slices.Clone(sections)
+		i := slices.IndexFunc(edited, func(s flatSection) bool { return s.kind == c.kind })
+		edited[i].payload = c.edit(bytes.Clone(edited[i].payload))
+		f.Add(flatBytes(f, edited))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// openFlatBytes requires aligned input, which mapBundle guarantees

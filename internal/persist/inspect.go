@@ -48,7 +48,10 @@ func flatSectionName(kind uint32) string {
 		secGraphDownOff: "graphDownOffsets", secGraphDownTo: "graphDownTargets",
 		secGraphDownDist: "graphDownDistances", secGraphDownNEnd: "graphDownNativeEnds",
 		secGraphNameKeys: "graphNameKeys", secGraphKeyOff: "graphKeyOffsets",
-		secGraphKeyIDs:  "graphKeyIDs",
+		secGraphKeyIDs: "graphKeyIDs",
+		secLkTokens:    "lookupTokens", secLkTokOff: "lookupTokenOffsets",
+		secLkTokKeys: "lookupTokenKeys", secLkDesc: "lookupDescendantCounts",
+		secLkKeySigs:    "lookupKeySignatures",
 		secOntoConcepts: "ontologyConcepts", secOntoRels: "ontologyRelationships",
 		secStoreIDs: "storeIDs", secStoreConcepts: "storeConcepts",
 		secStoreNames: "storeNames", secStoreLexKeys: "storeLexiconKeys",
@@ -66,6 +69,7 @@ func flatSectionName(kind uint32) string {
 		secMatCon: "matConcepts", secMatCtx: "matContexts", secMatFlags: "matFlags",
 		secMatCntOff: "matCountOffsets", secMatCnt: "matCounts",
 		secMatCandOff: "matCandOffsets", secMatCands: "matCandidates",
+		secMatCandScores: "matCandScores", secMatCandSlots: "matCandSlots",
 		secCidxCon: "cidxConcepts", secCidxOff: "cidxOffsets",
 		secCidxPosts: "cidxPostings", secCidxLCS: "cidxLCSPool",
 		secSources: "sources",

@@ -469,7 +469,7 @@ func restore(b *Bundle) (*core.Ingestion, error) {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
 	if b.Materialized != nil {
-		m, err := core.RestoreMaterialized(b.Materialized)
+		m, err := core.RestoreMaterialized(b.Materialized, ing.FlatMappings().Flagged)
 		if err != nil {
 			return nil, fmt.Errorf("persist: materialized section: %w", err)
 		}
