@@ -1,13 +1,11 @@
 package medrelax
 
 // Offline-phase performance benchmarks: Algorithm 1 ingestion serial vs
-// parallel across world sizes, and bundle loading in the JSON v1 vs binary
-// v2 persistence formats. cmd/ingestbench runs the same workloads and
-// records the numbers in BENCH_ingest.json; `go test -bench=BenchmarkIngest`
-// reproduces them.
+// parallel across world sizes, and the serving-start path over a flat
+// bundle. The ledger's core.ingest_s, open_ms, persist.open_flat_ms and
+// persist.open_allocs rows (bench/, offline_build) are the record at 100k.
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"log"
@@ -88,88 +86,43 @@ func BenchmarkIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkBundleLoad measures persist.Load on the same ingestion encoded
-// as JSON v1 and binary v2 — decode plus full restore (ontology fixpoint,
-// graph rebuild, frequency table).
-func BenchmarkBundleLoad(b *testing.B) {
-	med, g, corp := benchWorld(b, 10_000)
-	ing, err := core.Ingest(med.Ontology, med.Store, g, corp, match.NewExact(g), core.IngestOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var v1, v2 bytes.Buffer
-	if err := persist.Save(&v1, ing); err != nil {
-		b.Fatal(err)
-	}
-	if err := persist.SaveBinary(&v2, ing); err != nil {
-		b.Fatal(err)
-	}
-	for _, enc := range []struct {
-		name string
-		data []byte
-	}{{"v1-json", v1.Bytes()}, {"v2-binary", v2.Bytes()}} {
-		b.Run(enc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(enc.data)))
-			for i := 0; i < b.N; i++ {
-				if _, err := persist.Load(bytes.NewReader(enc.data)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkColdStart measures the from-file serving-start path: LoadFile on
-// a v2 binary bundle (decode + full restore onto the heap) against the v4
-// flat bundle (header/CRC validation over an mmap, columns served in
-// place), and — flat-snapshot — what a server actually pays to open the flat
-// bundle: engine.LoadSnapshot (load, serving validation, snapshot assembly
-// over the adopted resolver, the probe query) and its Close. The gap between
-// the file sub-benchmarks and the flat-snapshot allocs/op are what CI gates
-// on; cmd/ingestbench records the full-size numbers in BENCH_ingest.json.
+// BenchmarkColdStart measures the from-file serving-start path over the v4
+// flat bundle: flat-file is persist.LoadFile (header/CRC validation over an
+// mmap, columns served in place) and its Close; flat-snapshot is what a
+// server actually pays to open the bundle — engine.LoadSnapshot (load,
+// serving validation, snapshot assembly over the adopted resolver, the probe
+// query) and its Close. CI gates on the allocs/op of both.
 func BenchmarkColdStart(b *testing.B) {
 	med, g, corp := benchWorld(b, 10_000)
 	ing, err := core.Ingest(med.Ontology, med.Store, g, corp, match.NewExact(g), core.IngestOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	dir := b.TempDir()
-	paths := map[persist.Format]string{
-		persist.FormatBinary: filepath.Join(dir, "world.bundle"),
-		persist.FormatFlat:   filepath.Join(dir, "world.flat"),
+	path := filepath.Join(b.TempDir(), "world.flat")
+	if err := persist.SaveFileAtomic(path, ing, persist.FormatFlat); err != nil {
+		b.Fatal(err)
 	}
-	for format, path := range paths {
-		if err := persist.SaveFileAtomic(path, ing, format); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, enc := range []struct {
-		name   string
-		format persist.Format
-	}{{"v2-file", persist.FormatBinary}, {"flat-file", persist.FormatFlat}} {
-		b.Run(enc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				restored, err := persist.LoadFile(paths[enc.format])
-				if err != nil {
-					b.Fatal(err)
-				}
-				if restored.Graph.Len() != ing.Graph.Len() {
-					b.Fatalf("restored %d concepts, want %d", restored.Graph.Len(), ing.Graph.Len())
-				}
-				if err := restored.Close(); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("flat-file", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			restored, err := persist.LoadFile(path)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if restored.Graph.Len() != ing.Graph.Len() {
+				b.Fatalf("restored %d concepts, want %d", restored.Graph.Len(), ing.Graph.Len())
+			}
+			if err := restored.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("flat-snapshot", func(b *testing.B) {
 		log.SetOutput(io.Discard) // LoadSnapshot logs a line per open
 		defer log.SetOutput(os.Stderr)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			snap, err := engine.LoadSnapshot(paths[persist.FormatFlat])
+			snap, err := engine.LoadSnapshot(path)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -131,6 +131,7 @@ type harness struct {
 	ownDir    bool // we created dir, remove it on cleanup
 	bundle    string
 	goodBytes []byte
+	flipAt    int // offset of the byte the storm's bitflip case flips
 
 	engine *serving.Engine
 	srv    *http.Server
@@ -155,9 +156,10 @@ func (h *harness) violatef(format string, args ...any) {
 	h.mu.Unlock()
 }
 
-// newHarness builds a small deterministic world, publishes it as a binary
-// bundle via the crash-safe writer, and boots the production serving
-// stack on a loopback listener.
+// newHarness builds a small deterministic world, publishes it as the flat
+// bundle production serves via the crash-safe writer, and boots the
+// production serving stack on a loopback listener: every reload, good or
+// refused, goes through the mapped reader.
 func newHarness(seed int64, phase time.Duration, workers, k int, dir string) (*harness, error) {
 	h := &harness{
 		seed:        seed,
@@ -176,18 +178,31 @@ func newHarness(seed int64, phase time.Duration, workers, k int, dir string) (*h
 		}
 		h.dir, h.ownDir = d, true
 	}
-	h.bundle = filepath.Join(h.dir, "bundle.bin")
+	h.bundle = filepath.Join(h.dir, "bundle.flat")
 
 	ing, err := buildIngestion(seed)
 	if err != nil {
 		return nil, err
 	}
-	if err := persist.SaveFileAtomic(h.bundle, ing, persist.FormatBinary); err != nil {
+	if err := persist.SaveFileAtomic(h.bundle, ing, persist.FormatFlat); err != nil {
 		return nil, err
 	}
 	if h.goodBytes, err = os.ReadFile(h.bundle); err != nil {
 		return nil, err
 	}
+	// The storm's bit flip lands in the middle of the largest section: a
+	// byte of the alignment padding between sections is under no checksum.
+	info, err := persist.InspectFile(h.bundle)
+	if err != nil {
+		return nil, err
+	}
+	var largest persist.SectionInfo
+	for _, s := range info.Sections {
+		if s.Length > largest.Length {
+			largest = s
+		}
+	}
+	h.flipAt = int(largest.Offset + largest.Length/2)
 	log.Printf("chaos: bundle published: %s (%d bytes)", h.bundle, len(h.goodBytes))
 
 	backend, err := engine.LoadSnapshot(h.bundle)
@@ -307,13 +322,9 @@ func (h *harness) run() {
 	// load.
 	h.tornWritePhase()
 
-	// Phase 4: hot-swap onto the zero-copy flat encoding, so recovery
-	// traffic and the golden checks serve from a memory-mapped bundle.
-	h.flatSwapPhase()
-
-	// Phase 5: faults cleared — every term must serve byte-identical
-	// golden results again (now from the mapped bundle), and the metrics
-	// must account for exactly the chaos we caused.
+	// Phase 4: faults cleared — every term must serve byte-identical
+	// golden results again, and the metrics must account for exactly the
+	// chaos we caused.
 	fault.SetDefault(nil)
 	h.trafficPhase("recovery", "")
 	h.finalChecks()
@@ -481,7 +492,7 @@ func (h *harness) reloadStorm(stop <-chan struct{}) {
 		{"truncated", func() []byte { return h.goodBytes[:len(h.goodBytes)*3/5] }},
 		{"bitflip", func() []byte {
 			b := append([]byte(nil), h.goodBytes...)
-			b[len(b)/2] ^= 0x40
+			b[h.flipAt] ^= 0x40
 			return b
 		}},
 		{"empty", func() []byte { return nil }},
@@ -567,13 +578,13 @@ func (h *harness) tornWritePhase() {
 		return
 	}
 	// Both on-disk encodings go through the same crash-safe writer; a torn
-	// write must leave the live bundle untouched either way — including the
-	// flat (v4) encoding, whose reader maps the published file directly.
+	// write must leave the live bundle, which the server has mapped,
+	// untouched either way.
 	formats := []struct {
 		name   string
 		format persist.Format
 	}{
-		{"binary", persist.FormatBinary},
+		{"json", persist.FormatJSON},
 		{"flat", persist.FormatFlat},
 	}
 	for i, f := range formats {
@@ -612,37 +623,6 @@ func (h *harness) tornWritePhase() {
 		h.report.Phases = append(h.report.Phases, phaseReport{Name: name, Faults: spec, Sites: reg.Snapshot()})
 		h.mu.Unlock()
 	}
-}
-
-// flatSwapPhase republishes the world as a flat (v4) bundle and hot-reloads
-// onto it, so the recovery phase and the final golden byte-identity checks
-// run against a memory-mapped snapshot instead of the heap-decoded one.
-func (h *harness) flatSwapPhase() {
-	ing, err := buildIngestion(h.seed)
-	if err != nil {
-		h.violatef("flat-swap phase: rebuilding ingestion: %v", err)
-		return
-	}
-	if err := persist.SaveFileAtomic(h.bundle, ing, persist.FormatFlat); err != nil {
-		h.violatef("flat-swap phase: saving flat bundle: %v", err)
-		return
-	}
-	log.Printf("chaos: phase flat-swap: bundle republished as flat v4")
-	if status, gen := h.adminReload(); status != http.StatusOK {
-		h.violatef("flat-swap phase: reload of flat bundle failed with status %d", status)
-	} else {
-		h.mu.Lock()
-		h.expectedGen++
-		want := h.expectedGen
-		h.report.ReloadsOK++
-		h.mu.Unlock()
-		if gen != want {
-			h.violatef("flat-swap phase: generation %d after flat reload, want %d", gen, want)
-		}
-	}
-	h.mu.Lock()
-	h.report.Phases = append(h.report.Phases, phaseReport{Name: "flat-swap"})
-	h.mu.Unlock()
 }
 
 // finalChecks verifies golden byte-identity for every term and that the

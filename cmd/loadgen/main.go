@@ -198,10 +198,10 @@ type traceStats struct {
 	Stages    []traceStage `json:"stages,omitempty"`
 }
 
-// densityFormat is one format's multi-tenant residency measurement: N
-// snapshots of the same bundle loaded side by side into a Registry, RSS
-// sampled from /proc/self/status.
-type densityFormat struct {
+// densityStats is a bundle's multi-tenant residency measurement: N
+// snapshots of it loaded side by side into a Registry, RSS sampled from
+// /proc/self/status.
+type densityStats struct {
 	Format      string  `json:"format"`
 	Residency   string  `json:"residency"`
 	BundleBytes int64   `json:"bundleBytes"`
@@ -214,16 +214,6 @@ type densityFormat struct {
 	RSSTotalDeltaKB        int64   `json:"rssTotalDeltaKB"`
 	RSSPerTenantKB         float64 `json:"rssPerTenantKB"`
 	RSSMarginalPerTenantKB float64 `json:"rssMarginalPerTenantKB"`
-}
-
-// densityStats compares multi-tenant memory density of the v2 heap decode
-// against the zero-copy flat mapping for the same world.
-type densityStats struct {
-	V2   densityFormat `json:"v2"`
-	Flat densityFormat `json:"flat"`
-	// MarginalRatioV2OverFlat is how many times more resident memory one
-	// additional v2 tenant costs than one additional flat tenant.
-	MarginalRatioV2OverFlat float64 `json:"marginalRatioV2OverFlat,omitempty"`
 }
 
 // batchQuery and batchItemResp mirror the wire shapes of POST /relax/batch.
@@ -601,10 +591,9 @@ func main() {
 	}
 
 	// Phase 9 — density: how much resident memory N tenants of the same
-	// bundle cost, v2 heap decode vs zero-copy flat mapping. Runs in this
-	// process (the phase is about snapshot residency, not server traffic),
-	// so RSS deltas are clean of the HTTP client's buffers: both formats
-	// are measured the same way from the same baseline discipline.
+	// bundle cost. Runs in this process (the phase is about snapshot
+	// residency, not server traffic), so RSS deltas are clean of the HTTP
+	// client's buffers.
 	if *denPath != "" {
 		den, err := runDensity(*denPath, *denN)
 		if err != nil {
@@ -894,96 +883,50 @@ func runTracePhase(client *http.Client, base string, termList []string, k, n int
 	return ts
 }
 
-// runDensity loads the bundle once, re-saves it as v2 binary and v4 flat,
-// then measures what N side-by-side tenants of each format cost in
-// resident memory. v2 tenants each decode a private heap copy; flat
-// tenants map the same file, so the kernel shares its pages and the
-// marginal tenant should cost close to nothing.
+// runDensity measures what N side-by-side tenants of one bundle cost in
+// resident memory. Tenants of a flat bundle map the same file, so the kernel
+// shares its pages and the marginal tenant should cost close to nothing.
 func runDensity(bundle string, tenants int) (*densityStats, error) {
 	if tenants < 2 {
 		tenants = 2 // marginal-cost math needs at least a second tenant
 	}
-	ing, err := persist.LoadFile(bundle)
-	if err != nil {
-		return nil, fmt.Errorf("loading %s: %w", bundle, err)
-	}
-	dir, err := os.MkdirTemp("", "loadgen-density-*")
+	info, err := persist.InspectFile(bundle)
 	if err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(dir)
-	v2Path := filepath.Join(dir, "world.bundle")
-	flatPath := filepath.Join(dir, "world.flat")
-	if err := persist.SaveFileAtomic(v2Path, ing, persist.FormatBinary); err != nil {
-		return nil, fmt.Errorf("saving v2: %w", err)
-	}
-	if err := persist.SaveFileAtomic(flatPath, ing, persist.FormatFlat); err != nil {
-		return nil, fmt.Errorf("saving flat: %w", err)
-	}
-	ing = nil
-
-	den := &densityStats{}
-	for _, f := range []struct {
-		name string
-		path string
-		out  *densityFormat
-	}{
-		{"v2", v2Path, &den.V2},
-		{"flat", flatPath, &den.Flat},
-	} {
-		log.Printf("loadgen: density phase (%s, %d tenants)", f.name, tenants)
-		df, err := measureDensity(f.name, f.path, tenants)
-		if err != nil {
-			return nil, fmt.Errorf("%s density: %w", f.name, err)
-		}
-		*f.out = df
-	}
-	if den.Flat.RSSMarginalPerTenantKB > 0 {
-		den.MarginalRatioV2OverFlat = den.V2.RSSMarginalPerTenantKB / den.Flat.RSSMarginalPerTenantKB
-	}
-	return den, nil
-}
-
-func measureDensity(format, path string, tenants int) (densityFormat, error) {
-	df := densityFormat{Format: format, Tenants: tenants}
-	if fi, err := os.Stat(path); err == nil {
-		df.BundleBytes = fi.Size()
-	}
-	// Two GC cycles: the first queues finalizers from the previous format's
-	// mapped snapshots, the second runs the munmaps they trigger, so the
-	// baseline RSS is not inflated by the prior measurement.
-	runtime.GC()
+	log.Printf("loadgen: density phase (%s, %d tenants)", info.Format, tenants)
+	den := &densityStats{Format: info.Format, BundleBytes: info.SizeBytes, Tenants: tenants}
 	runtime.GC()
 	base := rssKB()
 	reg := engine.NewRegistry()
 	var afterFirst int64
 	start := time.Now()
 	for i := 0; i < tenants; i++ {
-		snap, err := engine.LoadSnapshot(path)
+		snap, err := engine.LoadSnapshot(bundle)
 		if err != nil {
-			return df, fmt.Errorf("tenant %d: %w", i, err)
+			return nil, fmt.Errorf("tenant %d: %w", i, err)
 		}
-		if _, err := reg.Add(fmt.Sprintf("t%d", i), path, snap); err != nil {
-			return df, fmt.Errorf("tenant %d: %w", i, err)
+		if _, err := reg.Add(fmt.Sprintf("t%d", i), bundle, snap); err != nil {
+			return nil, fmt.Errorf("tenant %d: %w", i, err)
 		}
 		if i == 0 {
 			if s := snap.Stats(); s != nil {
 				if r, ok := s["snapshotResidency"].(string); ok {
-					df.Residency = r
+					den.Residency = r
 				}
 			}
 			runtime.GC()
 			afterFirst = rssKB()
 		}
 	}
-	df.LoadTotalMs = float64(time.Since(start).Microseconds()) / 1000
+	den.LoadTotalMs = float64(time.Since(start).Microseconds()) / 1000
 	runtime.GC()
 	after := rssKB()
 	runtime.KeepAlive(reg)
-	df.RSSTotalDeltaKB = max64(after-base, 0)
-	df.RSSPerTenantKB = float64(df.RSSTotalDeltaKB) / float64(tenants)
-	df.RSSMarginalPerTenantKB = float64(max64(after-afterFirst, 0)) / float64(tenants-1)
-	return df, nil
+	den.RSSTotalDeltaKB = max64(after-base, 0)
+	den.RSSPerTenantKB = float64(den.RSSTotalDeltaKB) / float64(tenants)
+	den.RSSMarginalPerTenantKB = float64(max64(after-afterFirst, 0)) / float64(tenants-1)
+	return den, nil
 }
 
 func max64(a, b int64) int64 {
@@ -1366,19 +1309,13 @@ func writeMarkdown(path string, rep *report) error {
 	}
 	if rep.Density != nil {
 		d := rep.Density
-		fmt.Fprintf(&b, "## Multi-tenant density (in-process, %d tenants per format)\n\n", d.V2.Tenants)
+		fmt.Fprintf(&b, "## Multi-tenant density (in-process, %d tenants)\n\n", d.Tenants)
 		fmt.Fprintf(&b, "| format | residency | bundle bytes | load total (ms) | RSS delta (KB) | RSS/tenant (KB) | marginal RSS/tenant (KB) |\n")
 		fmt.Fprintf(&b, "|---|---|---:|---:|---:|---:|---:|\n")
-		for _, df := range []densityFormat{d.V2, d.Flat} {
-			fmt.Fprintf(&b, "| %s | %s | %d | %.1f | %d | %.0f | %.0f |\n",
-				df.Format, df.Residency, df.BundleBytes, df.LoadTotalMs,
-				df.RSSTotalDeltaKB, df.RSSPerTenantKB, df.RSSMarginalPerTenantKB)
-		}
-		fmt.Fprintf(&b, "\n")
-		if d.MarginalRatioV2OverFlat > 0 {
-			fmt.Fprintf(&b, "**Marginal tenant cost: v2 is %.1fx the flat mapping.** ", d.MarginalRatioV2OverFlat)
-		}
-		fmt.Fprintf(&b, "Each v2 tenant decodes a private heap copy; flat tenants map the same file, so the kernel shares its pages and adding a tenant costs little beyond bookkeeping — multi-tenant RSS stays sublinear in tenant count.\n\n")
+		fmt.Fprintf(&b, "| %s | %s | %d | %.1f | %d | %.0f | %.0f |\n\n",
+			d.Format, d.Residency, d.BundleBytes, d.LoadTotalMs,
+			d.RSSTotalDeltaKB, d.RSSPerTenantKB, d.RSSMarginalPerTenantKB)
+		fmt.Fprintf(&b, "Tenants of a flat bundle map the same file, so the kernel shares its pages and adding a tenant costs little beyond bookkeeping — multi-tenant RSS stays sublinear in tenant count.\n\n")
 	}
 	if len(rep.ServerMetrics) > 0 {
 		fmt.Fprintf(&b, "## Server-side counters (/metrics)\n\n| series | value |\n|---|---:|\n")

@@ -32,7 +32,7 @@ func main() {
 		mapper  = flag.String("mapper", "EMBEDDING", "term mapping method: EXACT, EDIT or EMBEDDING")
 		quiet   = flag.Bool("quiet", false, "suppress build progress output")
 		save    = flag.String("save", "", "after building, save the ingestion bundle to this file")
-		format  = flag.String("format", "binary", "bundle format for -save: binary (compact), json (inspectable) or flat (zero-copy mmap)")
+		format  = flag.String("format", "flat", "bundle format for -save: flat (what is served, zero-copy mmap) or json (inspectable; carries no -materialize/-index data)")
 
 		materialize = flag.Bool("materialize", false, "precompute top-k relaxations for the head of the term distribution (persisted with -save)")
 		matHead     = flag.Float64("materialize-head", 0.25, "fraction of flagged concepts (by corpus frequency) to materialize")
@@ -46,6 +46,16 @@ func main() {
 		dotHops     = flag.Int("dot-radius", 2, "hop radius of the -dot neighbourhood")
 	)
 	flag.Parse()
+
+	// Before the build: a typo or an unsatisfiable pairing must not cost one.
+	bundleFormat, err := persist.ParseFormat(*format)
+	if err == nil && bundleFormat == persist.FormatJSON && (*materialize || *index) {
+		err = persist.ErrDerivedInJSON
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "medrelax:", err)
+		os.Exit(2)
+	}
 
 	if *inspect != "" {
 		if err := inspectBundle(*inspect); err != nil {
@@ -106,11 +116,6 @@ func main() {
 		}
 	}
 	if *save != "" {
-		bundleFormat, err := persist.ParseFormat(*format)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "medrelax:", err)
-			os.Exit(1)
-		}
 		saveStart := time.Now()
 		// Atomic write (temp + fsync + rename): a crash mid-save leaves the
 		// previous bundle intact rather than a torn file at -save.
@@ -247,7 +252,7 @@ func writeDOT(sys *medrelax.System, term, path string, radius int) error {
 // status, and the named sources a federated bundle carries.
 func inspectBundle(path string) error {
 	info, err := persist.InspectFile(path)
-	if err != nil {
+	if info == nil {
 		return err
 	}
 	status := func(ok bool) string {
@@ -256,8 +261,13 @@ func inspectBundle(path string) error {
 		}
 		return "FAILED"
 	}
-	fmt.Printf("%s: %s (version %d), %d bytes, checksums %s\n",
-		path, info.Format, info.Version, info.SizeBytes, status(info.CRCOK))
+	if err != nil {
+		// A retired form: what the file says it is, then why nothing reads it.
+		fmt.Printf("%s: %s (version %d), %d bytes\n", path, info.Format, info.Version, info.SizeBytes)
+	} else {
+		fmt.Printf("%s: %s (version %d), %d bytes, checksums %s\n",
+			path, info.Format, info.Version, info.SizeBytes, status(info.CRCOK))
+	}
 	if len(info.Sources) > 0 {
 		fmt.Printf("secondary sources: %s\n", strings.Join(info.Sources, ", "))
 	}
@@ -265,10 +275,10 @@ func inspectBundle(path string) error {
 		fmt.Printf("  %-22s kind=%-3d off=%-10d len=%-10d crc=%s\n",
 			s.Name, s.Kind, s.Offset, s.Length, status(s.CRCOK))
 	}
-	if !info.CRCOK {
-		return fmt.Errorf("bundle %s failed checksum verification", path)
+	if err == nil && !info.CRCOK {
+		err = fmt.Errorf("bundle %s failed checksum verification", path)
 	}
-	return nil
+	return err
 }
 
 func displayContext(ctx string) string {

@@ -206,48 +206,6 @@ func TestSetCandidateIndexRejectsNarrowIndex(t *testing.T) {
 	}
 }
 
-func TestMaterializedSnapshotRoundTrip(t *testing.T) {
-	ing, live, _ := accelWorld(t,
-		RelaxOptions{Radius: 3, DynamicRadius: true, MaxRadius: 8},
-		MaterializeOptions{HeadFraction: 1},
-		CandidateIndexOptions{Radius: 8})
-	snap := ing.Materialized.Snapshot()
-	restored, err := RestoreMaterialized(snap, ing.maps.Flagged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Entries() != ing.Materialized.Entries() {
-		t.Fatalf("restored %d entries, want %d", restored.Entries(), ing.Materialized.Entries())
-	}
-	accel := NewRelaxer(ing, NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology),
-		exactMapper{ing.Graph}, live.Options())
-	if !accel.SetMaterialized(restored) {
-		t.Fatal("restored store refused by an identically configured relaxer")
-	}
-	assertIdentical(t, ing, live, accel)
-}
-
-func TestCandidateIndexSnapshotRoundTrip(t *testing.T) {
-	ing, live, _ := accelWorld(t,
-		RelaxOptions{Radius: 3, DynamicRadius: true, MaxRadius: 8},
-		MaterializeOptions{HeadFraction: 1},
-		CandidateIndexOptions{Radius: 8})
-	snap := ing.Candidates.Snapshot()
-	restored, err := RestoreCandidateIndex(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Postings() != ing.Candidates.Postings() {
-		t.Fatalf("restored %d postings, want %d", restored.Postings(), ing.Candidates.Postings())
-	}
-	accel := NewRelaxer(ing, NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology),
-		exactMapper{ing.Graph}, live.Options())
-	if !accel.SetCandidateIndex(restored) {
-		t.Fatal("restored index refused by an identically configured relaxer")
-	}
-	assertIdentical(t, ing, live, accel)
-}
-
 // TestMaterializeTopKRefusesWhatCandidatesCannotHold: a hop ceiling past the
 // hop byte gets no store rather than one with truncated distances, and a
 // store's slots are good for its own ingestion's flagged set only.
@@ -266,107 +224,6 @@ func TestMaterializeTopKRefusesWhatCandidatesCannotHold(t *testing.T) {
 	if NewRelaxer(other, osim, nil, live.Options()).SetMaterialized(ing.Materialized) {
 		t.Error("SetMaterialized accepted a store whose slots index another ingestion's flagged set")
 	}
-}
-
-func TestRestoreMaterializedRejectsCorruption(t *testing.T) {
-	ing, _, _ := accelWorld(t,
-		RelaxOptions{Radius: 3, DynamicRadius: true, MaxRadius: 8},
-		MaterializeOptions{HeadFraction: 1},
-		CandidateIndexOptions{Radius: 8})
-	base := ing.Materialized.Snapshot()
-	if len(base.Entries) == 0 || len(base.Entries[0].Cands) < 2 {
-		t.Fatal("fixture too small to corrupt meaningfully")
-	}
-	mutate := []struct {
-		name string
-		fn   func(s *MaterializedSnapshot)
-	}{
-		{"non-normalized options", func(s *MaterializedSnapshot) { s.Relax.MaxRadius = 0 }},
-		{"duplicate entry", func(s *MaterializedSnapshot) { s.Entries = append(s.Entries, s.Entries[0]) }},
-		{"wrong counts length", func(s *MaterializedSnapshot) { s.Entries[0].Counts = s.Entries[0].Counts[:1] }},
-		{"hops beyond max radius", func(s *MaterializedSnapshot) { s.Entries[0].Cands[0].Hops = 99 }},
-		{"hops beyond a byte", func(s *MaterializedSnapshot) { s.Entries[0].Cands[0].Hops = 256 + 1 }},
-		{"negative hops", func(s *MaterializedSnapshot) { s.Entries[0].Cands[0].Hops = -1 }},
-		{"candidate not flagged", func(s *MaterializedSnapshot) { s.Entries[0].Cands[0].Concept = -7 }},
-		{"ranking order violated", func(s *MaterializedSnapshot) {
-			s.Entries[0].Cands[0], s.Entries[0].Cands[1] = s.Entries[0].Cands[1], s.Entries[0].Cands[0]
-		}},
-	}
-	for _, m := range mutate {
-		t.Run(m.name, func(t *testing.T) {
-			snap := cloneMatSnapshot(base)
-			m.fn(snap)
-			if _, err := RestoreMaterialized(snap, ing.maps.Flagged); err == nil {
-				t.Error("RestoreMaterialized accepted a corrupt snapshot")
-			}
-		})
-	}
-}
-
-func TestRestoreCandidateIndexRejectsCorruption(t *testing.T) {
-	ing, _, _ := accelWorld(t,
-		RelaxOptions{Radius: 3, DynamicRadius: true, MaxRadius: 8},
-		MaterializeOptions{HeadFraction: 1},
-		CandidateIndexOptions{Radius: 8})
-	base := ing.Candidates.Snapshot()
-	var rich int = -1
-	for i, ls := range base.Lists {
-		if len(ls.Postings) >= 2 {
-			rich = i
-			break
-		}
-	}
-	if rich < 0 {
-		t.Fatal("fixture has no posting list with >= 2 entries")
-	}
-	mutate := []struct {
-		name string
-		fn   func(s *CandidateIndexSnapshot)
-	}{
-		{"zero radius", func(s *CandidateIndexSnapshot) { s.Radius = 0 }},
-		{"duplicate list", func(s *CandidateIndexSnapshot) { s.Lists = append(s.Lists, s.Lists[rich]) }},
-		{"hops out of range", func(s *CandidateIndexSnapshot) { s.Lists[rich].Postings[0].Hops = s.Radius + 1 }},
-		{"hop order violated", func(s *CandidateIndexSnapshot) {
-			s.Lists[rich].Postings[0].Hops = s.Radius
-			s.Lists[rich].Postings[1].Hops = 1
-		}},
-		{"negative geometry", func(s *CandidateIndexSnapshot) { s.Lists[rich].Postings[0].Gen = -1 }},
-		{"LCS not ascending", func(s *CandidateIndexSnapshot) {
-			ps := &s.Lists[rich].Postings[0]
-			ps.LCS = []eks.ConceptID{5, 5}
-		}},
-	}
-	for _, m := range mutate {
-		t.Run(m.name, func(t *testing.T) {
-			snap := cloneIdxSnapshot(base)
-			m.fn(snap)
-			if _, err := RestoreCandidateIndex(snap); err == nil {
-				t.Error("RestoreCandidateIndex accepted a corrupt snapshot")
-			}
-		})
-	}
-}
-
-func cloneMatSnapshot(s *MaterializedSnapshot) *MaterializedSnapshot {
-	out := &MaterializedSnapshot{Relax: s.Relax, Entries: make([]MaterializedEntrySnapshot, len(s.Entries))}
-	for i, e := range s.Entries {
-		e.Counts = append([]int32(nil), e.Counts...)
-		e.Cands = append([]MaterializedCandidate(nil), e.Cands...)
-		out.Entries[i] = e
-	}
-	return out
-}
-
-func cloneIdxSnapshot(s *CandidateIndexSnapshot) *CandidateIndexSnapshot {
-	out := &CandidateIndexSnapshot{Radius: s.Radius, Lists: make([]CandidateListSnapshot, len(s.Lists))}
-	for i, ls := range s.Lists {
-		ls.Postings = append([]PostingSnapshot(nil), ls.Postings...)
-		for j := range ls.Postings {
-			ls.Postings[j].LCS = append([]eks.ConceptID(nil), ls.Postings[j].LCS...)
-		}
-		out.Lists[i] = ls
-	}
-	return out
 }
 
 func TestMaterializeHeadSelection(t *testing.T) {

@@ -102,21 +102,21 @@ func TestConcurrentSimilaritySharedCache(t *testing.T) {
 	wg.Wait()
 }
 
-// TestParallelPrecomputeMatchesSerial asserts the worker-pool Precompute
-// yields byte-identical entries to a single-worker build.
+// TestParallelPrecomputeMatchesSerial asserts the worker-pool build of the
+// Section 5.2 precomputation, MaterializeTopK, yields the columns a
+// single-worker build does.
 func TestParallelPrecomputeMatchesSerial(t *testing.T) {
-	ing := ingestWorld(t, IngestOptions{})
+	ing := generatedIngestion(t, 11, 2, 20, false, IngestOptions{})
 	sim := NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
-	ctxs := []ontology.Context{
-		{Domain: "Indication", Relationship: "hasFinding", Range: "Finding"},
+	opts := MaterializeOptions{HeadFraction: 0.1, Contexts: ing.Contexts[:2]}
+	opts.Workers = 1
+	serial := MaterializeTopK(ing, sim, opts)
+	opts.Workers = 8
+	parallel := MaterializeTopK(ing, sim, opts)
+	if serial.Concepts() < 8 {
+		t.Fatalf("%d head concepts leave some of the 8 workers idle", serial.Concepts())
 	}
-	serial := Precompute(ing, sim, PrecomputeOptions{Radius: 4, Contexts: ctxs, Workers: 1})
-	parallel := Precompute(ing, sim, PrecomputeOptions{Radius: 4, Contexts: ctxs, Workers: 8})
-	if serial.Queries() != parallel.Queries() || serial.Entries() != parallel.Entries() {
-		t.Fatalf("shape mismatch: serial (%d q, %d e), parallel (%d q, %d e)",
-			serial.Queries(), serial.Entries(), parallel.Queries(), parallel.Entries())
-	}
-	if !reflect.DeepEqual(serial.entries, parallel.entries) {
-		t.Fatal("parallel Precompute entries differ from serial build")
+	if !reflect.DeepEqual(serial.FlatData(), parallel.FlatData()) {
+		t.Fatal("parallel MaterializeTopK columns differ from the serial build")
 	}
 }

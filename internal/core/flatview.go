@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 
 	"medrelax/internal/eks"
@@ -54,12 +53,6 @@ func checkCSR32(what string, rows int, off []int32, poolLen int) error {
 		}
 	}
 	return nil
-}
-
-// toInt32 narrows a snapshot's int into a column's int32, saturating so an
-// out-of-range value stays out of range for the validator that follows.
-func toInt32(v int) int32 {
-	return int32(min(max(v, math.MinInt32), math.MaxInt32))
 }
 
 // lookupIn binary-searches one ascending id span for a concept's value.

@@ -58,17 +58,16 @@ type FlatMaterializedData struct {
 }
 
 // A candidate's hop distance takes the low byte of its CandSlots word and its
-// flagged slot the other 24 bits; MaterializeTopK and RestoreMaterialized
-// refuse what does not fit.
+// flagged slot the other 24 bits; MaterializeTopK refuses what does not fit.
 const (
 	matHopBits  = 8
 	matMaxHops  = 1<<matHopBits - 1
 	matMaxSlots = 1 << (32 - matHopBits)
 )
 
-// PackMatCand is a candidate's CandSlots word; slot and hops must fit their
+// packMatCand is a candidate's CandSlots word; slot and hops must fit their
 // fields.
-func PackMatCand(slot, hops int32) uint32 { return uint32(slot)<<matHopBits | uint32(hops) }
+func packMatCand(slot, hops int32) uint32 { return uint32(slot)<<matHopBits | uint32(hops) }
 
 func unpackMatCand(c uint32) (slot int32, hops int) {
 	return int32(c >> matHopBits), int(c & matMaxHops)
@@ -134,6 +133,15 @@ func (o MaterializeOptions) withDefaults() MaterializeOptions {
 		o.MaxPerQuery = 256
 	}
 	return o
+}
+
+// ctxKey is the context key entries are stored and looked up under; the
+// context-free query has the empty key.
+func ctxKey(ctx *ontology.Context) string {
+	if ctx == nil {
+		return ""
+	}
+	return ctx.String()
 }
 
 // headConcepts ranks the flagged concepts by aggregate corpus frequency
@@ -286,7 +294,7 @@ func materializeConcept(r *Relaxer, q eks.ConceptID, ctxs []*ontology.Context, o
 		}
 		e.scores, e.cands = make([]float64, len(scored)), make([]uint32, len(scored))
 		for i, h := range scored {
-			e.scores[i], e.cands[i] = h.score, PackMatCand(h.slot, h.hops)
+			e.scores[i], e.cands[i] = h.score, packMatCand(h.slot, h.hops)
 		}
 		out = append(out, e)
 	}
@@ -459,69 +467,4 @@ func newMaterialized(d FlatMaterializedData, flagged []eks.ConceptID) *Materiali
 		}
 	}
 	return m
-}
-
-// MaterializedSnapshot is the serializable form of a Materialized store.
-type MaterializedSnapshot struct {
-	Relax   RelaxOptions                `json:"relax"`
-	Entries []MaterializedEntrySnapshot `json:"entries"`
-}
-
-// MaterializedEntrySnapshot is one (concept, context) entry.
-type MaterializedEntrySnapshot struct {
-	Concept  eks.ConceptID           `json:"concept"`
-	Ctx      string                  `json:"ctx,omitempty"`
-	Complete bool                    `json:"complete"`
-	Counts   []int32                 `json:"counts"`
-	Cands    []MaterializedCandidate `json:"cands"`
-}
-
-// MaterializedCandidate is one stored ranked candidate.
-type MaterializedCandidate struct {
-	Concept eks.ConceptID `json:"concept"`
-	Score   float64       `json:"score"`
-	Hops    int           `json:"hops"`
-}
-
-// Snapshot extracts the serializable form; entries are stored sorted by
-// (concept, context), so bundle bytes are deterministic.
-func (m *Materialized) Snapshot() *MaterializedSnapshot {
-	snap := &MaterializedSnapshot{Relax: m.d.Relax, Entries: make([]MaterializedEntrySnapshot, 0, m.Entries())}
-	for i, concept := range m.d.Concepts {
-		e := m.entry(i)
-		es := MaterializedEntrySnapshot{
-			Concept:  concept,
-			Ctx:      m.d.Ctxs[i],
-			Complete: e.complete,
-			Counts:   append([]int32(nil), e.counts...),
-			Cands:    make([]MaterializedCandidate, 0, len(e.cands)),
-		}
-		for j, c := range e.cands {
-			slot, hops := unpackMatCand(c)
-			es.Cands = append(es.Cands, MaterializedCandidate{Concept: m.flagged[slot], Score: e.scores[j], Hops: hops})
-		}
-		snap.Entries = append(snap.Entries, es)
-	}
-	return snap
-}
-
-// RestoreMaterialized rebuilds a store from its snapshot over the flagged set
-// of the ingestion it belongs to: the entries become columns in snapshot
-// order — a candidate's concept its slot in flagged — and
-// OpenFlatMaterialized validates the result.
-func RestoreMaterialized(snap *MaterializedSnapshot, flagged []eks.ConceptID) (*Materialized, error) {
-	d := FlatMaterializedData{Relax: snap.Relax, CountOff: []int32{0}, CandOff: []int32{0}}
-	for _, es := range snap.Entries {
-		e := matEntry{complete: es.Complete, counts: es.Counts, scores: make([]float64, len(es.Cands)), cands: make([]uint32, len(es.Cands))}
-		for i, c := range es.Cands {
-			slot, ok := slices.BinarySearch(flagged, c.Concept)
-			if !ok || c.Hops < 0 || c.Hops > matMaxHops {
-				return nil, fmt.Errorf("core: materialized candidate %d of (%d, %q) at %d hops is not a flagged concept within %d hops",
-					c.Concept, es.Concept, es.Ctx, c.Hops, matMaxHops)
-			}
-			e.scores[i], e.cands[i] = c.Score, PackMatCand(int32(slot), int32(c.Hops))
-		}
-		d.appendEntry(es.Concept, es.Ctx, e)
-	}
-	return OpenFlatMaterialized(d, flagged)
 }

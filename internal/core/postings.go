@@ -297,68 +297,6 @@ func (x *CandidateIndex) Skipped() int { return x.d.Skipped }
 // slices alias the index and must not be modified.
 func (x *CandidateIndex) FlatData() FlatCandidateIndexData { return x.d }
 
-// CandidateIndexSnapshot is the serializable form of a CandidateIndex.
-type CandidateIndexSnapshot struct {
-	Radius int                     `json:"radius"`
-	Lists  []CandidateListSnapshot `json:"lists"`
-}
-
-// CandidateListSnapshot is one concept's posting list.
-type CandidateListSnapshot struct {
-	Concept  eks.ConceptID     `json:"concept"`
-	Postings []PostingSnapshot `json:"postings"`
-}
-
-// PostingSnapshot is one serialized posting.
-type PostingSnapshot struct {
-	Concept eks.ConceptID   `json:"concept"`
-	Hops    int             `json:"hops"`
-	Gen     int             `json:"gen"`
-	Spec    int             `json:"spec"`
-	LCS     []eks.ConceptID `json:"lcs,omitempty"`
-}
-
-// Snapshot extracts the serializable form; lists are stored in ascending
-// concept order, so bundle bytes are deterministic.
-func (x *CandidateIndex) Snapshot() *CandidateIndexSnapshot {
-	snap := &CandidateIndexSnapshot{Radius: x.d.Radius, Lists: make([]CandidateListSnapshot, 0, x.Concepts())}
-	for i, id := range x.d.Concepts {
-		posts := x.d.Posts[x.d.Off[i]:x.d.Off[i+1]]
-		ls := CandidateListSnapshot{Concept: id, Postings: make([]PostingSnapshot, 0, len(posts))}
-		for i := range posts {
-			p := &posts[i]
-			ps := PostingSnapshot{Concept: p.Concept, Hops: int(p.Hops), Gen: int(p.Gen), Spec: int(p.Spec)}
-			if p.LCSHi > p.LCSLo {
-				ps.LCS = append(ps.LCS, x.d.LCS[p.LCSLo:p.LCSHi]...)
-			}
-			ls.Postings = append(ls.Postings, ps)
-		}
-		snap.Lists = append(snap.Lists, ls)
-	}
-	return snap
-}
-
-// RestoreCandidateIndex rebuilds an index from its snapshot: the lists
-// become columns in snapshot order and OpenFlatCandidateIndex validates the
-// result.
-func RestoreCandidateIndex(snap *CandidateIndexSnapshot) (*CandidateIndex, error) {
-	d := FlatCandidateIndexData{Radius: snap.Radius, Off: []int32{0}}
-	for _, ls := range snap.Lists {
-		posts := make([]Posting, len(ls.Postings))
-		var lcs []eks.ConceptID
-		for i, ps := range ls.Postings {
-			posts[i] = Posting{Concept: ps.Concept, Hops: toInt32(ps.Hops), Gen: toInt32(ps.Gen), Spec: toInt32(ps.Spec)}
-			if len(ps.LCS) > 0 {
-				posts[i].LCSLo = int32(len(lcs))
-				lcs = append(lcs, ps.LCS...)
-				posts[i].LCSHi = int32(len(lcs))
-			}
-		}
-		d.appendList(ls.Concept, posts, lcs)
-	}
-	return OpenFlatCandidateIndex(d)
-}
-
 // OpenFlatCandidateIndex adopts candidate-index columns as a
 // *CandidateIndex, enforcing the structural invariants the online phase
 // relies on: ascending concepts, hop-major posting order within the radius,

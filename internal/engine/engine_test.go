@@ -195,8 +195,8 @@ func TestSnapshotBatchMatchesSequential(t *testing.T) {
 
 func TestLoadSnapshotRoundTrip(t *testing.T) {
 	ing := testIngestion(t)
-	path := filepath.Join(t.TempDir(), "bundle.bin")
-	if err := persist.SaveFileAtomic(path, ing, persist.FormatBinary); err != nil {
+	path := filepath.Join(t.TempDir(), "bundle.flat")
+	if err := persist.SaveFileAtomic(path, ing, persist.FormatFlat); err != nil {
 		t.Fatal(err)
 	}
 	built := New(testIngestion(t), Config{})
@@ -231,8 +231,8 @@ func TestLoadSnapshotRoundTrip(t *testing.T) {
 func TestRegistry(t *testing.T) {
 	reg := NewRegistry()
 	ing := testIngestion(t)
-	path := filepath.Join(t.TempDir(), "alpha.bin")
-	if err := persist.SaveFileAtomic(path, ing, persist.FormatBinary); err != nil {
+	path := filepath.Join(t.TempDir(), "alpha.flat")
+	if err := persist.SaveFileAtomic(path, ing, persist.FormatFlat); err != nil {
 		t.Fatal(err)
 	}
 	alpha, err := LoadSnapshot(path)

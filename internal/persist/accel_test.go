@@ -1,10 +1,6 @@
 package persist
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
-	"hash/crc32"
 	"reflect"
 	"sync"
 	"testing"
@@ -47,7 +43,7 @@ func (f *accelFixture) get(t testing.TB) *core.Ingestion {
 }
 
 // fullAccelFixture is buildIngestion with both offline accelerations enabled,
-// covering the v3 bundle sections.
+// covering the flat bundle's materialized and candidate-index sections.
 var fullAccelFixture = accelFixture{
 	mat: core.MaterializeOptions{Enabled: true, Relax: accelRelax, HeadFraction: 1},
 	idx: core.CandidateIndexOptions{Enabled: true, Radius: 8},
@@ -109,156 +105,5 @@ func assertAccelServes(t *testing.T, ing, restored *core.Ingestion) {
 				t.Fatalf("query %d k %d: restored accelerations diverge from live", q, k)
 			}
 		}
-	}
-}
-
-func TestAccelRoundTripBinary(t *testing.T) {
-	ing := buildAccelIngestion(t)
-	var buf bytes.Buffer
-	if err := SaveBinary(&buf, ing); err != nil {
-		t.Fatal(err)
-	}
-	if v := buf.Bytes()[len(binaryMagic)]; v != versionBinaryAccel {
-		t.Fatalf("bundle with accelerations saved as version %d, want %d", v, versionBinaryAccel)
-	}
-	restored, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertAccelServes(t, ing, restored)
-}
-
-func TestAccelRoundTripJSON(t *testing.T) {
-	ing := buildAccelIngestion(t)
-	var buf bytes.Buffer
-	if err := Save(&buf, ing); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertAccelServes(t, ing, restored)
-}
-
-func TestAccelFreeBundleStaysV2(t *testing.T) {
-	ing := buildIngestion(t)
-	var buf bytes.Buffer
-	if err := SaveBinary(&buf, ing); err != nil {
-		t.Fatal(err)
-	}
-	if v := buf.Bytes()[len(binaryMagic)]; v != VersionBinary {
-		t.Fatalf("acceleration-free bundle saved as version %d, want %d", v, VersionBinary)
-	}
-	restored, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Materialized != nil || restored.Candidates != nil {
-		t.Error("acceleration-free bundle restored phantom accelerations")
-	}
-}
-
-func TestAccelBinaryDeterministicBytes(t *testing.T) {
-	ing := buildAccelIngestion(t)
-	var a, b bytes.Buffer
-	if err := SaveBinary(&a, ing); err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveBinary(&b, ing); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("v3 serialization is not byte-deterministic")
-	}
-}
-
-func TestAccelBinarySectionCorruptionFailsLoudly(t *testing.T) {
-	ing := buildAccelIngestion(t)
-	base, err := buildBundle(ing)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base.Materialized.Entries) == 0 || len(base.Materialized.Entries[0].Cands) < 2 {
-		t.Fatal("fixture too small to corrupt meaningfully")
-	}
-	// Semantic corruption with a valid CRC: the header checksum passes, so
-	// only restore-time validation of the section can catch it.
-	mutate := []struct {
-		name string
-		fn   func(b *Bundle)
-	}{
-		{"materialized ranking order", func(b *Bundle) {
-			cands := b.Materialized.Entries[0].Cands
-			cands[0], cands[1] = cands[1], cands[0]
-		}},
-		{"materialized counts length", func(b *Bundle) {
-			b.Materialized.Entries[0].Counts = b.Materialized.Entries[0].Counts[:1]
-		}},
-		{"candidate index radius", func(b *Bundle) {
-			b.Candidates.Radius = 0
-		}},
-	}
-	for _, m := range mutate {
-		t.Run(m.name, func(t *testing.T) {
-			b, err := buildBundle(ing)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.fn(b)
-			_, err = Load(bytes.NewReader(encodeBinaryStream(b)))
-			if err == nil {
-				t.Fatal("corrupted acceleration section loaded without error")
-			}
-			if !errors.Is(err, ErrCorruptBundle) {
-				t.Errorf("corruption error is not ErrCorruptBundle: %v", err)
-			}
-		})
-	}
-	// Bit-flip inside the v3 section area: the CRC catches it.
-	var buf bytes.Buffer
-	if err := SaveBinary(&buf, ing); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	bad := append([]byte{}, data...)
-	bad[len(bad)-3] ^= 0xFF
-	if _, err := Load(bytes.NewReader(bad)); err == nil {
-		t.Fatal("bit-flipped v3 bundle loaded without error")
-	} else if !errors.Is(err, ErrCorruptBundle) {
-		t.Errorf("bit-flip error is not ErrCorruptBundle: %v", err)
-	}
-}
-
-func TestAccelJSONSectionCorruptionFailsLoudly(t *testing.T) {
-	ing := buildAccelIngestion(t)
-	var buf bytes.Buffer
-	if err := Save(&buf, ing); err != nil {
-		t.Fatal(err)
-	}
-	var b Bundle
-	if err := json.Unmarshal(buf.Bytes(), &b); err != nil {
-		t.Fatal(err)
-	}
-	if b.Materialized == nil || len(b.Materialized.Entries) == 0 {
-		t.Fatal("JSON bundle lost the materialized section")
-	}
-	b.Materialized.Entries[0].Cands[0].Hops = 99
-	b.CRC32 = 0
-	raw, err := json.Marshal(&b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.CRC32 = crc32.ChecksumIEEE(raw)
-	raw, err = json.Marshal(&b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Load(bytes.NewReader(raw))
-	if err == nil {
-		t.Fatal("corrupted materialized JSON section loaded without error")
-	}
-	if !errors.Is(err, ErrCorruptBundle) {
-		t.Errorf("corruption error is not ErrCorruptBundle: %v", err)
 	}
 }

@@ -17,26 +17,23 @@ import (
 type Format int
 
 const (
-	// FormatBinary is the compact v2 encoding (SaveBinary).
-	FormatBinary Format = iota
+	// FormatFlat is the served v4 encoding (SaveFlat).
+	FormatFlat Format = iota
 	// FormatJSON is the inspectable v1 encoding (Save).
 	FormatJSON
-	// FormatFlat is the zero-copy v4 encoding (SaveFlat).
-	FormatFlat
 )
 
-// ParseFormat maps the CLI spelling ("binary", "json", or "flat") to a
-// Format.
+// ParseFormat maps the CLI spelling ("flat" or "json") to a Format.
 func ParseFormat(s string) (Format, error) {
 	switch s {
-	case "binary":
-		return FormatBinary, nil
-	case "json":
-		return FormatJSON, nil
 	case "flat":
 		return FormatFlat, nil
+	case "json":
+		return FormatJSON, nil
+	case "binary":
+		return 0, fmt.Errorf("persist: bundle format %q is retired (want flat or json)", s)
 	}
-	return 0, fmt.Errorf("persist: unknown bundle format %q (want binary, json, or flat)", s)
+	return 0, fmt.Errorf("persist: unknown bundle format %q (want flat or json)", s)
 }
 
 // SaveFileAtomic writes the ingestion to path crash-safely: the bundle is
@@ -72,8 +69,6 @@ func SaveFileAtomic(path string, ing *core.Ingestion, format Format) (err error)
 	var w io.Writer = fault.At("persist.write").WrapWriter(tmp)
 	bw := newBlockWriter(tmp, w)
 	switch format {
-	case FormatBinary:
-		err = SaveBinary(bw, ing)
 	case FormatJSON:
 		err = Save(bw, ing)
 	case FormatFlat:

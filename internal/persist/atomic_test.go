@@ -28,7 +28,7 @@ func armFaults(t *testing.T, spec string) {
 
 func TestSaveFileAtomicRoundTrip(t *testing.T) {
 	ing := buildIngestion(t)
-	for _, format := range []Format{FormatBinary, FormatJSON} {
+	for _, format := range []Format{FormatFlat, FormatJSON} {
 		path := filepath.Join(t.TempDir(), "bundle")
 		if err := SaveFileAtomic(path, ing, format); err != nil {
 			t.Fatalf("format %d: %v", format, err)
@@ -69,8 +69,8 @@ func TestSaveFileAtomicNeverPublishesPartial(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			armFaults(t, tc.spec)
 			dir := t.TempDir()
-			path := filepath.Join(dir, "bundle.bin")
-			if err := SaveFileAtomic(path, ing, FormatBinary); err == nil {
+			path := filepath.Join(dir, "bundle.flat")
+			if err := SaveFileAtomic(path, ing, FormatFlat); err == nil {
 				t.Fatal("save succeeded through an injected fault")
 			}
 			if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
@@ -93,8 +93,8 @@ func TestSaveFileAtomicNeverPublishesPartial(t *testing.T) {
 func TestSaveFileAtomicKeepsPreviousBundle(t *testing.T) {
 	ing := buildIngestion(t)
 	dir := t.TempDir()
-	path := filepath.Join(dir, "bundle.bin")
-	if err := SaveFileAtomic(path, ing, FormatBinary); err != nil {
+	path := filepath.Join(dir, "bundle.flat")
+	if err := SaveFileAtomic(path, ing, FormatFlat); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.ReadFile(path)
@@ -103,7 +103,7 @@ func TestSaveFileAtomicKeepsPreviousBundle(t *testing.T) {
 	}
 
 	armFaults(t, "persist.write:torn,bytes=512,count=1")
-	if err := SaveFileAtomic(path, ing, FormatBinary); err == nil {
+	if err := SaveFileAtomic(path, ing, FormatFlat); err == nil {
 		t.Fatal("save succeeded through a torn writer")
 	}
 
@@ -229,8 +229,8 @@ func TestBlockWriterTornPastFirstBlock(t *testing.T) {
 // fails Load itself.
 func TestLoadFaultSites(t *testing.T) {
 	ing := buildIngestion(t)
-	path := filepath.Join(t.TempDir(), "bundle.bin")
-	if err := SaveFileAtomic(path, ing, FormatBinary); err != nil {
+	path := filepath.Join(t.TempDir(), "bundle.flat")
+	if err := SaveFileAtomic(path, ing, FormatFlat); err != nil {
 		t.Fatal(err)
 	}
 

@@ -18,14 +18,11 @@ import (
 func encodeBoth(t *testing.T) (jsonBundle, binBundle []byte) {
 	t.Helper()
 	ing := buildIngestion(t)
-	var jb, bb bytes.Buffer
+	var jb bytes.Buffer
 	if err := Save(&jb, ing); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveBinary(&bb, ing); err != nil {
-		t.Fatal(err)
-	}
-	return jb.Bytes(), bb.Bytes()
+	return jb.Bytes(), saveFlatBytes(t, ing)
 }
 
 // TestLoadRejectsTornBundles simulates every tear and bit-flip class a
@@ -44,11 +41,9 @@ func TestLoadRejectsTornBundles(t *testing.T) {
 		name string
 		data []byte
 	}{
-		// Binary v2: tears at the header, mid-payload, and one byte
-		// short; flips in the header's length field and in the payload.
-		// (Bytes appended beyond the declared payload length are not a
-		// tear — the frame is complete and checksummed — so they are
-		// deliberately absent here; see binary_test.go.)
+		// Flat v4: tears at the header, mid-sections, and one byte short;
+		// flips in the header's section count, in the first section, in a
+		// section mid-file and in the directory's last entry.
 		{"bin/truncated header", binBundle[:8]},
 		{"bin/truncated quarter", binBundle[:len(binBundle)/4]},
 		{"bin/truncated half", binBundle[:len(binBundle)/2]},

@@ -11,10 +11,9 @@ import (
 	"medrelax/internal/kb"
 )
 
-// Flat bundle (v4) layout — a zero-copy snapshot. Where v2/v3 encode one
-// varint-packed payload that must be decoded record by record into heap
-// structures, v4 lays the ingestion out as the flat arrays the read path
-// wants to traverse: CSR adjacency, sorted ID columns, posting and
+// Flat bundle (v4) layout — a zero-copy snapshot. Where v1 is a document
+// that must be decoded record by record into heap structures, v4 lays the
+// ingestion out as the flat arrays the read path wants to traverse: CSR adjacency, sorted ID columns, posting and
 // candidate records in their in-memory fixed-width form. A reader maps the
 // file and serves queries directly from the mapping — opening a bundle
 // costs a directory walk plus one CRC pass, not a rebuild.
@@ -138,10 +137,7 @@ const (
 	secMatCntOff  uint32 = 83 // []int32 CSR into matCnt
 	secMatCnt     uint32 = 84 // []int32
 	secMatCandOff uint32 = 85 // []int32 CSR into the candidate columns
-	// secMatCands is the candidate pool as bundles before the score and slot
-	// columns held it: 24-byte (concept, score, hops, pad) records. Read and
-	// converted (legacyMatCands), never written.
-	secMatCands      uint32 = 86
+	// 86 held the candidates as records; see retired.go.
 	secMatCandScores uint32 = 87 // []float64, a candidate's final score
 	secMatCandSlots  uint32 = 88 // []uint32, parallel: flagged slot<<8 | hops
 
@@ -295,6 +291,6 @@ func viewPostings(b []byte, what string) ([]core.Posting, error) {
 	return out, nil
 }
 
-// sectionCRC is the per-section checksum. Same polynomial as v1/v2 so the
-// whole persistence layer shares one failure vocabulary.
+// sectionCRC is the per-section checksum. Same polynomial as v1 so the whole
+// persistence layer shares one failure vocabulary.
 func sectionCRC(payload []byte) uint32 { return crc32.ChecksumIEEE(payload) }

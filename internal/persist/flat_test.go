@@ -234,7 +234,7 @@ func TestFractionalFrequenciesSurviveSave(t *testing.T) {
 	ctx := &ontology.Context{Domain: "Risk", Relationship: "hasFinding", Range: "Finding"}
 	want := ft.NormalizedForContext(flagged, ctx, ing.Ontology)
 
-	for name, save := range map[string]func(io.Writer, *core.Ingestion) error{"json": Save, "binary": SaveBinary, "flat": SaveFlat} {
+	for name, save := range map[string]func(io.Writer, *core.Ingestion) error{"json": Save, "flat": SaveFlat} {
 		var buf bytes.Buffer
 		if err := save(&buf, &cp); err != nil {
 			t.Fatal(err)
@@ -254,51 +254,29 @@ func TestFractionalFrequenciesSurviveSave(t *testing.T) {
 	}
 }
 
-// Conversion round-trips: a bundle saved in every older format, loaded, and
-// re-saved flat must answer relaxations identically to the original.
+// Conversion round-trips: a v1 document, loaded, given the derived data it
+// cannot carry (built again from what it does carry) and saved flat, must
+// answer relaxations identically to the ingestion it was written from.
 func TestFlatConversionRoundTrip(t *testing.T) {
 	ing := buildAccelIngestion(t)
-	formats := []struct {
-		name string
-		save func(*bytes.Buffer) error
-	}{
-		{"v1-json", func(b *bytes.Buffer) error { return Save(b, ing) }},
-		{"v3-binary", func(b *bytes.Buffer) error { return SaveBinary(b, ing) }},
-	}
-	for _, f := range formats {
-		t.Run(f.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := f.save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			old, err := Load(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			flat, err := OpenFlat(writeFlatFile(t, old))
-			if err != nil {
-				t.Fatalf("converting %s to flat: %v", f.name, err)
-			}
-			assertSameRelaxations(t, old, flat)
-			assertAccelServes(t, old, flat)
-		})
-	}
-	// v2 (no accelerations) separately: the accel-free ingestion converts too.
-	t.Run("v2-binary", func(t *testing.T) {
-		plain := buildIngestion(t)
+	t.Run("v1-json", func(t *testing.T) {
 		var buf bytes.Buffer
-		if err := SaveBinary(&buf, plain); err != nil {
+		if err := Save(&buf, buildIngestion(t)); err != nil {
 			t.Fatal(err)
 		}
 		old, err := Load(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sim := core.NewSimilarity(old.Graph, old.Frequencies, old.Ontology)
+		old.Materialized = core.MaterializeTopK(old, sim, fullAccelFixture.mat)
+		old.Candidates = core.BuildCandidateIndex(old, sim, fullAccelFixture.idx)
 		flat, err := OpenFlat(writeFlatFile(t, old))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("converting v1 to flat: %v", err)
 		}
-		assertSameRelaxations(t, old, flat)
+		assertSameRelaxations(t, ing, flat)
+		assertAccelServes(t, ing, flat)
 	})
 }
 

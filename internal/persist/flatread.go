@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
-	"slices"
 	"unsafe"
 
 	"medrelax/internal/core"
@@ -105,6 +103,9 @@ func openFlatBytes(data []byte, backing core.SnapshotBacking) (*core.Ingestion, 
 		}
 		if _, dup := secs[kind]; dup {
 			return nil, corruptf("flat v4", "duplicate section kind %d", kind)
+		}
+		if err := retiredFlatSection(kind); err != nil {
+			return nil, err
 		}
 		payload := data[off : off+length]
 		if got := sectionCRC(payload); got != crc {
@@ -551,12 +552,10 @@ func (d *flatDecoder) restoreMaterialized(meta flatMeta, flagged []eks.ConceptID
 	if md.CandOff, err = d.int32s(secMatCandOff, "materialized candidate offsets"); err != nil {
 		return nil, err
 	}
-	if legacy, present := d.secs[secMatCands]; present {
-		md.CandScores, md.CandSlots, err = legacyMatCands(legacy, flagged)
-	} else if md.CandScores, err = d.float64s(secMatCandScores, "materialized candidate scores"); err == nil {
-		md.CandSlots, err = column[uint32](d, secMatCandSlots, "materialized candidate slots")
+	if md.CandScores, err = d.float64s(secMatCandScores, "materialized candidate scores"); err != nil {
+		return nil, err
 	}
-	if err != nil {
+	if md.CandSlots, err = column[uint32](d, secMatCandSlots, "materialized candidate slots"); err != nil {
 		return nil, err
 	}
 	m, err := core.OpenFlatMaterialized(md, flagged)
@@ -564,28 +563,6 @@ func (d *flatDecoder) restoreMaterialized(meta flatMeta, flagged []eks.ConceptID
 		return nil, fmt.Errorf("%w: %v", corruptf("flat v4", "restore failed"), err)
 	}
 	return m, nil
-}
-
-// legacyMatCands converts the candidate pool of a bundle written before the
-// score and slot columns — 24-byte (concept int64, score float64, hops int32,
-// pad) records — into them, on the heap.
-func legacyMatCands(b []byte, flagged []eks.ConceptID) ([]float64, []uint32, error) {
-	const rec = 24
-	if len(b)%rec != 0 {
-		return nil, nil, corruptf("flat v4", "materialized candidates section length %d not a multiple of %d", len(b), rec)
-	}
-	scores, slots := make([]float64, len(b)/rec), make([]uint32, len(b)/rec)
-	for i := range scores {
-		r := b[rec*i:]
-		concept, hops := eks.ConceptID(binary.LittleEndian.Uint64(r[0:])), int32(binary.LittleEndian.Uint32(r[16:]))
-		slot, ok := slices.BinarySearch(flagged, concept)
-		if !ok || hops < 0 || hops > math.MaxUint8 {
-			return nil, nil, corruptf("flat v4", "materialized candidate %d at %d hops is not a flagged concept within a byte of hops", concept, hops)
-		}
-		scores[i] = math.Float64frombits(binary.LittleEndian.Uint64(r[8:]))
-		slots[i] = core.PackMatCand(int32(slot), hops)
-	}
-	return scores, slots, nil
 }
 
 func (d *flatDecoder) restoreCandidates(meta flatMeta) (*core.CandidateIndex, error) {

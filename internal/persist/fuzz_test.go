@@ -10,39 +10,27 @@ import (
 // decoder's contract under fuzzing is: never panic, never hang, and when
 // it does accept an input, the result must survive serving validation or
 // be rejected by it — no third outcome. Seeds cover both real formats
-// plus the torn variants the crash-safety layer defends against.
+// plus the torn variants the crash-safety layer defends against, and the
+// retired forms, which must never load however they are mutated.
 func FuzzLoadBundle(f *testing.F) {
 	ing := buildIngestion(f)
-	var jb, bb bytes.Buffer
+	var jb bytes.Buffer
 	if err := Save(&jb, ing); err != nil {
 		f.Fatal(err)
 	}
-	if err := SaveBinary(&bb, ing); err != nil {
-		f.Fatal(err)
-	}
 	f.Add(jb.Bytes())
-	f.Add(bb.Bytes())
 	f.Add(jb.Bytes()[:len(jb.Bytes())/2])
-	f.Add(bb.Bytes()[:len(bb.Bytes())/2])
-	f.Add(bb.Bytes()[:16])
-	f.Add([]byte("MRXB"))
 	f.Add([]byte(`{"version":1}`))
 	f.Add([]byte{})
 
-	// v3 seeds: bundles carrying the acceleration sections, whole and torn.
-	// The small accel build keeps seeds (and their escaped corpus-file
-	// encodings) far below the fuzzer's 100MB shared-memory cap.
-	accel := buildSmallAccelIngestion(f)
-	var ja, ba bytes.Buffer
-	if err := Save(&ja, accel); err != nil {
-		f.Fatal(err)
+	// Retired forms, whole and torn.
+	for _, name := range []string{"retired-v2.mrxb", "retired-v3.mrxb", "retired-v1-accel.json"} {
+		data := readFixture(f, name)
+		f.Add(data)
+		f.Add(data[:len(data)*3/4])
 	}
-	if err := SaveBinary(&ba, accel); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(ja.Bytes())
-	f.Add(ba.Bytes())
-	f.Add(ba.Bytes()[:len(ba.Bytes())*3/4])
+	f.Add(readFixture(f, "retired-v3.mrxb")[:16])
+	f.Add([]byte(retiredBinaryMagic))
 
 	// v4 seeds: flat bundles reach Load through the magic sniff. Flat
 	// encodes accelerations fixed-width, so seeds use the small accel
@@ -80,6 +68,9 @@ func FuzzLoadBundle(f *testing.F) {
 		restored, err := Load(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if bytes.HasPrefix(data, []byte(retiredBinaryMagic)) {
+			t.Fatalf("a %s stream loaded", retiredBinaryMagic)
 		}
 		// Accepted input: the decoder vouched for it, so it must be
 		// internally consistent enough for ValidateForServing to give a

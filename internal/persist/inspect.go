@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 )
 
@@ -23,10 +22,10 @@ type SectionInfo struct {
 // BundleInfo is the result of InspectFile: enough to answer "what is this
 // file and can I trust it" without restoring the ingestion. CRCOK is the
 // whole-bundle verdict (every checksum the format carries); Sections lists
-// the per-section breakdown where the format has sections (v4; v2/v3 report
-// their single payload, v1 its single document).
+// the per-section breakdown where the format has sections (v4; v1 reports
+// its single document).
 type BundleInfo struct {
-	Format    string // "json v1", "binary v2", "binary v3", "flat v4"
+	Format    string // "json v1", "flat v4"; a retired stream "binary v2", "binary v3"
 	Version   int
 	SizeBytes int64
 	CRCOK     bool
@@ -68,7 +67,7 @@ func flatSectionName(kind uint32) string {
 		secFreqAggIDs: "freqAggIDs", secFreqAggVals: "freqAggValues",
 		secMatCon: "matConcepts", secMatCtx: "matContexts", secMatFlags: "matFlags",
 		secMatCntOff: "matCountOffsets", secMatCnt: "matCounts",
-		secMatCandOff: "matCandOffsets", secMatCands: "matCandidates",
+		secMatCandOff:    "matCandOffsets",
 		secMatCandScores: "matCandScores", secMatCandSlots: "matCandSlots",
 		secCidxCon: "cidxConcepts", secCidxOff: "cidxOffsets",
 		secCidxPosts: "cidxPostings", secCidxLCS: "cidxLCSPool",
@@ -83,8 +82,9 @@ func flatSectionName(kind uint32) string {
 // InspectFile reads a bundle of any format and reports its structure and
 // checksum status without building an ingestion. Unlike Load, a checksum
 // mismatch is NOT an error here — it is the finding (CRCOK false, and per
-// section for v4), so operators can inspect a suspect file. Only a file
-// whose format cannot be identified at all fails.
+// section for v4), so operators can inspect a suspect file. A file whose
+// format cannot be identified at all fails; a file in a retired form gets
+// both — what its header or directory says, and the error Load would give.
 func InspectFile(path string) (*BundleInfo, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -94,8 +94,10 @@ func InspectFile(path string) (*BundleInfo, error) {
 	switch {
 	case bytes.HasPrefix(data, []byte(flatMagic)):
 		return inspectFlat(data, info)
-	case bytes.HasPrefix(data, []byte(binaryMagic)):
-		return inspectBinary(data, info)
+	case bytes.HasPrefix(data, []byte(retiredBinaryMagic)):
+		var err error
+		info.Format, info.Version, err = retiredBinary(data)
+		return info, err
 	case looksLikeJSONStart(data):
 		return inspectJSON(data, info)
 	}
@@ -104,43 +106,23 @@ func InspectFile(path string) (*BundleInfo, error) {
 
 func inspectJSON(data []byte, info *BundleInfo) (*BundleInfo, error) {
 	info.Format = "json v1"
-	var b Bundle
-	if err := json.Unmarshal(data, &b); err != nil {
+	var doc v1Document
+	if err := json.Unmarshal(data, &doc); err != nil {
 		// Undecodable JSON: identified as v1 by shape, but nothing inside it
 		// can be trusted or reported.
 		info.CRCOK = false
 		return info, nil
 	}
-	info.Version = b.Version
-	info.CRCOK = verifyJSONChecksum(&b) == nil
+	info.Version = doc.Version
+	if err := doc.retiredJSONKeys.err(); err != nil {
+		// The checksum covered keys this reader drops; it says nothing.
+		return info, err
+	}
+	info.CRCOK = verifyJSONChecksum(&doc.Bundle) == nil
 	info.Sections = []SectionInfo{{Name: "document", Length: uint64(len(data)), CRCOK: info.CRCOK}}
-	for _, s := range b.Sources {
+	for _, s := range doc.Sources {
 		info.Sources = append(info.Sources, s.Name)
 	}
-	return info, nil
-}
-
-func inspectBinary(data []byte, info *BundleInfo) (*BundleInfo, error) {
-	headerLen := len(binaryMagic) + 1 + 4
-	if len(data) < headerLen+1 {
-		info.Format = "binary v2"
-		info.CRCOK = false
-		return info, nil
-	}
-	version := data[len(binaryMagic)]
-	info.Version = int(version)
-	info.Format = fmt.Sprintf("binary v%d", version)
-	wantCRC := binary.LittleEndian.Uint32(data[len(binaryMagic)+1:])
-	length, n := binary.Uvarint(data[headerLen:])
-	if n <= 0 || uint64(len(data)-headerLen-n) < length {
-		info.CRCOK = false
-		return info, nil
-	}
-	payload := data[headerLen+n : headerLen+n+int(length)]
-	info.CRCOK = crc32.ChecksumIEEE(payload) == wantCRC
-	info.Sections = []SectionInfo{{
-		Name: "payload", Offset: uint64(headerLen + n), Length: length, CRCOK: info.CRCOK,
-	}}
 	return info, nil
 }
 
@@ -163,6 +145,7 @@ func inspectFlat(data []byte, info *BundleInfo) (*BundleInfo, error) {
 	}
 	dir := data[dirOff : dirOff+dirLen]
 	ok := sectionCRC(dir) == dirCRC
+	var retired error
 	for i := uint64(0); i < uint64(nSec); i++ {
 		e := dir[i*flatDirEntrySize:]
 		s := SectionInfo{
@@ -186,7 +169,10 @@ func inspectFlat(data []byte, info *BundleInfo) (*BundleInfo, error) {
 		}
 		ok = ok && s.CRCOK
 		info.Sections = append(info.Sections, s)
+		if err := retiredFlatSection(s.Kind); err != nil {
+			retired = err
+		}
 	}
 	info.CRCOK = ok
-	return info, nil
+	return info, retired
 }

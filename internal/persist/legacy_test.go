@@ -17,7 +17,7 @@ import (
 // resolver and candidate columns emitted them: no resolver sections, and the
 // candidate pool as one section of 24-byte (concept int64, score float64,
 // hops int32, pad) records under kind 86 — that writer's matCandRecords,
-// reading today's columns.
+// reading today's columns. With a store it is the retired section-86 form.
 func parentFlatSections(t testing.TB, ing *core.Ingestion) []flatSection {
 	t.Helper()
 	sections, err := encodeFlat(ing)
@@ -63,18 +63,15 @@ func sectionKinds(sections []flatSection) []uint32 {
 	return kinds
 }
 
-// TestFlatParentBundleStillOpens: a v4 bundle written the parent's way opens,
-// its candidate pool converted to the score and slot columns on the heap and
-// its resolver left for the server to build, and it is the same ingestion as
-// the one the new writer's bundle opens to — the same store columns, the same
-// answers, and the same bytes when saved again.
+// TestFlatParentBundleStillOpens: a v4 bundle written the parent's way that
+// carries no materialized store opens, its resolver left for the server to
+// build, and it is the same ingestion as the one the new writer's bundle
+// opens to — the same answers, and the same bytes when saved again. (With a
+// store it holds section 86 and is refused: TestRetiredFormsFailByName.)
 func TestFlatParentBundleStillOpens(t *testing.T) {
-	ing := buildAccelIngestion(t)
+	ing := buildIngestion(t)
 	parent := flatBytes(t, parentFlatSections(t, ing))
 	current := saveFlatBytes(t, ing)
-	if len(parent) <= len(current)-len(current)/8 {
-		t.Errorf("the parent's form is %d bytes, today's %d: the fixture's candidate pool is too small to tell the layouts apart", len(parent), len(current))
-	}
 
 	old, err := openFlatBytes(parent, &mapRef{size: int64(len(parent))})
 	if err != nil {
@@ -90,19 +87,13 @@ func TestFlatParentBundleStillOpens(t *testing.T) {
 	if now.Lookup == nil {
 		t.Fatal("a bundle with resolver sections opened without a resolver")
 	}
-	if old.Materialized == nil || !reflect.DeepEqual(old.Materialized.FlatData(), now.Materialized.FlatData()) {
-		t.Fatal("the converted candidate pool differs from the stored columns")
-	}
-	if !reflect.DeepEqual(now.Materialized.FlatData(), ing.Materialized.FlatData()) {
-		t.Fatal("the stored candidate columns differ from the built ones")
-	}
-	assertAccelServes(t, ing, old) // TestFlatAccelRoundTrip holds the new bundle to the same
+	assertSameRelaxations(t, ing, old)
 	if !bytes.Equal(saveFlatBytes(t, old), current) {
 		t.Error("a parent-written bundle, opened and saved, is not the new writer's bundle")
 	}
 
 	// The new writer never emits the record section, with or without a store.
-	for _, ing := range []*core.Ingestion{ing, buildIngestion(t)} {
+	for _, ing := range []*core.Ingestion{ing, buildAccelIngestion(t)} {
 		sections, err := encodeFlat(ing)
 		if err != nil {
 			t.Fatal(err)

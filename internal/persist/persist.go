@@ -5,29 +5,26 @@
 // (Section 5.1), really does run only once: production deployments save
 // the ingestion after building it and load it at startup.
 //
-// Three formats coexist:
+// Two formats, one sentence each:
 //
-//   - v1 is versioned JSON — human-inspectable, diff-friendly, stable
-//     across Go versions; written by Save.
-//   - v2 is a compact binary encoding (magic/version header, CRC-32
-//     checksum, length-prefixed sections, deduplicated string table,
-//     varint ids) — several times smaller and faster to load; written by
-//     SaveBinary. See binary.go for the layout. v3 is v2 plus the optional
-//     offline acceleration sections.
-//   - v4 is the flat zero-copy snapshot — aligned, individually
-//     checksummed sections laid out exactly as the read path traverses
-//     them, served directly from a memory mapping; written by SaveFlat and
-//     opened by OpenFlat. See flat.go for the layout.
+//   - JSON v1 holds what Algorithm 1 decided — ontology, store, customized
+//     graph, mappings, frequencies, named sources — in a form a person can
+//     read and diff; written by Save.
+//   - Flat v4 is what is served, and it alone carries what can be derived
+//     from that — the materialized store, the candidate index, the term
+//     resolver's columns: aligned, individually checksummed sections laid
+//     out as the read path traverses them and served from a memory mapping;
+//     written by SaveFlat and opened by OpenFlat. See flat.go for the layout.
 //
 // Load auto-detects the format from the first bytes of the stream, and
-// LoadFile routes flat bundles to the memory-mapping opener. All formats
+// LoadFile routes flat bundles to the memory-mapping opener. Both formats
 // are strictly validated on load (a corrupted or truncated bundle fails
-// loudly rather than yielding a half-built system): v2 is protected by its
-// CRC-32 header, v4 by per-section checksums, and v1 carries a crc32 field
-// computed over the rest of the document, so a torn or bit-flipped bundle
-// of any format is rejected with an error wrapping ErrCorruptBundle —
-// distinguishable from a missing file, which surfaces the fs.ErrNotExist
-// open error.
+// loudly rather than yielding a half-built system): v4 is protected by
+// per-section checksums, and v1 carries a crc32 field computed over the rest
+// of the document, so a torn or bit-flipped bundle of either format is
+// rejected with an error wrapping ErrCorruptBundle — distinguishable from a
+// missing file, which surfaces the fs.ErrNotExist open error. The forms this
+// package used to read (retired.go) fail the same way, by name.
 package persist
 
 import (
@@ -55,7 +52,7 @@ import (
 var ErrCorruptBundle = errors.New("corrupt bundle")
 
 // corruptf builds an ErrCorruptBundle error tagged with the detected
-// format ("json v1", "binary v2", "flat v4", or "unknown").
+// format ("json v1", "flat v4", a retired "binary v2", or "unknown").
 func corruptf(format, msg string, args ...any) error {
 	return fmt.Errorf("persist: %w (%s): %s", ErrCorruptBundle, format, fmt.Sprintf(msg, args...))
 }
@@ -63,15 +60,12 @@ func corruptf(format, msg string, args ...any) error {
 // Version is the JSON bundle format version.
 const Version = 1
 
-// VersionBinary is the binary bundle format version.
-const VersionBinary = 2
-
 // Bundle is the on-disk form of an ingestion.
 type Bundle struct {
 	Version int `json:"version"`
 	// CRC32 is the IEEE checksum of the bundle's canonical JSON encoding
-	// with this field zeroed (v1 only; v2 checksums its binary payload in
-	// the header instead). It makes torn and bit-flipped v1 bundles fail
+	// with this field zeroed (v1 only; v4 checksums each section in its
+	// directory instead). It makes torn and bit-flipped v1 bundles fail
 	// loudly: JSON truncated mid-document already fails to decode, and
 	// this catches the remaining cases — a flipped value that still
 	// parses, or a tear that lands on a value boundary.
@@ -90,13 +84,6 @@ type Bundle struct {
 	Mappings    []mappingDump          `json:"mappings"`
 	Frequencies core.FrequencySnapshot `json:"frequencies"`
 	Shortcuts   int                    `json:"shortcutsAdded"`
-
-	// Materialized and Candidates carry the optional offline accelerations
-	// (omitted when the ingestion was built without them, which keeps the
-	// encodings of older bundles byte-stable: a v1/v2 bundle without the
-	// sections loads exactly as before).
-	Materialized *core.MaterializedSnapshot   `json:"materialized,omitempty"`
-	Candidates   *core.CandidateIndexSnapshot `json:"candidateIndex,omitempty"`
 
 	// Sources carries the optional secondary named external knowledge
 	// sources of a federated ingestion. Omitted for single-source bundles
@@ -163,8 +150,7 @@ func buildSourceDump(src core.NamedSource) (sourceDump, error) {
 	return d, nil
 }
 
-// buildBundle assembles the serializable form of an ingestion, shared by
-// both formats.
+// buildBundle assembles the serializable form of an ingestion.
 func buildBundle(ing *core.Ingestion) (*Bundle, error) {
 	b := &Bundle{Version: Version, Shortcuts: ing.ShortcutsAdded}
 
@@ -188,12 +174,6 @@ func buildBundle(ing *core.Ingestion) (*Bundle, error) {
 	}
 
 	b.Frequencies = ing.Frequencies.Snapshot()
-	if ing.Materialized != nil {
-		b.Materialized = ing.Materialized.Snapshot()
-	}
-	if ing.Candidates != nil {
-		b.Candidates = ing.Candidates.Snapshot()
-	}
 	for _, src := range ing.Sources {
 		sd, err := buildSourceDump(src)
 		if err != nil {
@@ -204,9 +184,17 @@ func buildBundle(ing *core.Ingestion) (*Bundle, error) {
 	return b, nil
 }
 
+// ErrDerivedInJSON is Save's refusal of an ingestion that carries a
+// materialized store or a candidate index: the document has no place for
+// them, and dropping them would write a bundle that loads as a slower world.
+var ErrDerivedInJSON = errors.New("persist: a JSON v1 bundle holds what ingestion decided, not what is derived from it (materialized store, candidate index); save those with -format flat")
+
 // Save writes the ingestion as a JSON (v1) bundle, including the crc32
 // integrity field Load verifies.
 func Save(w io.Writer, ing *core.Ingestion) error {
+	if ing.Materialized != nil || ing.Candidates != nil {
+		return ErrDerivedInJSON
+	}
 	b, err := buildBundle(ing)
 	if err != nil {
 		return err
@@ -240,12 +228,12 @@ func verifyJSONChecksum(b *Bundle) error {
 	return nil
 }
 
-// Load reads a bundle — JSON v1, binary v2/v3, or flat v4, auto-detected
-// from the stream's first bytes — and reconstructs the ingestion. The
-// returned ingestion is fully usable for the online phase: build a
-// Similarity over ing.Frequencies and a Relaxer over it. A bundle that
-// exists but cannot be decoded, fails its checksum, or restores to an
-// invalid structure yields an error wrapping ErrCorruptBundle.
+// Load reads a bundle — JSON v1 or flat v4, auto-detected from the stream's
+// first bytes — and reconstructs the ingestion. The returned ingestion is
+// fully usable for the online phase: build a Similarity over ing.Frequencies
+// and a Relaxer over it. A bundle that exists but cannot be decoded, fails
+// its checksum, restores to an invalid structure, or is in a retired form
+// yields an error wrapping ErrCorruptBundle.
 //
 // A flat bundle read through a stream is copied into one aligned heap
 // buffer; LoadFile and OpenFlat serve it zero-copy from a memory mapping
@@ -255,14 +243,14 @@ func Load(r io.Reader) (*core.Ingestion, error) {
 		return nil, fmt.Errorf("persist: reading bundle: %w", err)
 	}
 	br := bufio.NewReader(r)
-	head, err := br.Peek(len(binaryMagic))
+	head, err := br.Peek(len(retiredBinaryMagic) + 1)
 	if err != nil && len(head) == 0 {
 		if err == io.EOF {
 			return nil, corruptf("unknown", "empty bundle")
 		}
 		return nil, fmt.Errorf("persist: reading bundle: %w", err)
 	}
-	if bytes.Equal(head, []byte(flatMagic)) {
+	if bytes.HasPrefix(head, []byte(flatMagic)) {
 		raw, err := io.ReadAll(br)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", corruptf("flat v4", "reading stream"), err)
@@ -271,34 +259,30 @@ func Load(r io.Reader) (*core.Ingestion, error) {
 		copy(buf, raw)
 		return openFlatBytes(buf, &mapRef{size: int64(len(buf))})
 	}
-	if bytes.Equal(head, []byte(binaryMagic)) {
-		b, err := decodeBinary(br)
-		if err != nil {
-			return nil, err
-		}
-		ing, err := restore(b)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", corruptf("binary v2", "restore failed"), err)
-		}
-		return ing, nil
+	if bytes.HasPrefix(head, []byte(retiredBinaryMagic)) {
+		_, _, err := retiredBinary(head)
+		return nil, err
 	}
 	if len(head) == 0 || (head[0] != '{' && head[0] != ' ' && head[0] != '\t' && head[0] != '\n' && head[0] != '\r') {
-		// Neither the binary magic nor the start of a JSON object: the
-		// file is not a bundle in any format we know.
-		return nil, corruptf("unknown", "no binary magic and no JSON object at byte 0")
+		// Neither the flat magic nor the start of a JSON object: the file
+		// is not a bundle in any format we know.
+		return nil, corruptf("unknown", "no flat magic and no JSON object at byte 0")
 	}
-	var b Bundle
-	dec := json.NewDecoder(br)
-	if err := dec.Decode(&b); err != nil {
+	var doc v1Document
+	if err := json.NewDecoder(br).Decode(&doc); err != nil {
 		return nil, fmt.Errorf("%w: %v", corruptf("json v1", "decode failed (truncated or malformed)"), err)
 	}
+	if err := doc.retiredJSONKeys.err(); err != nil {
+		return nil, err
+	}
+	b := &doc.Bundle
 	if b.Version != Version {
 		return nil, corruptf("json v1", "bundle version %d, want %d", b.Version, Version)
 	}
-	if err := verifyJSONChecksum(&b); err != nil {
+	if err := verifyJSONChecksum(b); err != nil {
 		return nil, err
 	}
-	ing, err := restore(&b)
+	ing, err := restore(b)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", corruptf("json v1", "restore failed"), err)
 	}
@@ -309,8 +293,8 @@ func Load(r io.Reader) (*core.Ingestion, error) {
 // serving layer points it at the (possibly replaced) bundle path and swaps
 // in the result only when both Load and ValidateForServing pass. The
 // format is detected from a small header read: flat (v4) bundles are
-// routed to OpenFlat and served zero-copy from a memory mapping, the other
-// formats stream through Load. Errors carry the path; a corrupt file —
+// routed to OpenFlat and served zero-copy from a memory mapping, everything
+// else streams through Load. Errors carry the path; a corrupt file —
 // including one whose header is too short to classify — wraps
 // ErrCorruptBundle while a missing file wraps fs.ErrNotExist, so callers
 // can react differently.
@@ -403,7 +387,7 @@ func ValidateForServing(ing *core.Ingestion) error {
 }
 
 // restoreOntology rebuilds a domain ontology from its serialized concepts
-// and relationships, shared by the bundle decoders of every format.
+// and relationships, shared by the bundle decoders of both formats.
 func restoreOntology(concepts []ontology.Concept, rels []ontology.Relationship) (*ontology.Ontology, error) {
 	onto := ontology.New()
 	// Concepts must be added parents-first: iterate until fixpoint (the
@@ -467,20 +451,6 @@ func restore(b *Bundle) (*core.Ingestion, error) {
 	ing, err := core.NewFlatIngestion(onto.Contexts(), g, store, onto, freqs, b.Shortcuts, mappingColumns(b.Mappings))
 	if err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
-	}
-	if b.Materialized != nil {
-		m, err := core.RestoreMaterialized(b.Materialized, ing.FlatMappings().Flagged)
-		if err != nil {
-			return nil, fmt.Errorf("persist: materialized section: %w", err)
-		}
-		ing.Materialized = m
-	}
-	if b.Candidates != nil {
-		idx, err := core.RestoreCandidateIndex(b.Candidates)
-		if err != nil {
-			return nil, fmt.Errorf("persist: candidate index section: %w", err)
-		}
-		ing.Candidates = idx
 	}
 	if err := restoreSources(b.Sources, ing); err != nil {
 		return nil, err

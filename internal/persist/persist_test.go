@@ -206,14 +206,38 @@ func TestFrequencySnapshotRoundTrip(t *testing.T) {
 	_ = corpus.Document{}
 }
 
+// TestJSONStillLoads: v1 remains the inspection format — a JSON bundle must
+// keep loading through a stream, sniffed by its first byte and not by a file
+// name, to an ingestion that serializes to the same document.
+func TestJSONStillLoads(t *testing.T) {
+	var first, again bytes.Buffer
+	if err := Save(&first, buildIngestion(t)); err != nil {
+		t.Fatal(err)
+	}
+	if first.Bytes()[0] != '{' {
+		t.Fatal("a JSON bundle opens with an object")
+	}
+	want := append([]byte(nil), first.Bytes()...)
+	restored, err := Load(&first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Save(&again, restored); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), want) {
+		t.Errorf("re-serialized bundle differs (%d vs %d bytes)", again.Len(), len(want))
+	}
+}
+
 func TestLoadFileRoundTrip(t *testing.T) {
 	ing := buildIngestion(t)
-	path := filepath.Join(t.TempDir(), "bundle.bin")
+	path := filepath.Join(t.TempDir(), "bundle.json")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveBinary(f, ing); err != nil {
+	if err := Save(f, ing); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -143,21 +143,6 @@ func TestJSONSingleSourceOmitsSourcesField(t *testing.T) {
 	}
 }
 
-// The fixed binary formats predate federation; saving a multi-source
-// ingestion through them must refuse rather than silently drop the
-// secondary.
-func TestBinaryRefusesSources(t *testing.T) {
-	ing := buildFederatedIngestion(t)
-	var buf bytes.Buffer
-	err := SaveBinary(&buf, ing)
-	if err == nil {
-		t.Fatal("SaveBinary accepted a multi-source ingestion")
-	}
-	if buf.Len() != 0 {
-		t.Error("refused save still wrote bytes")
-	}
-}
-
 func TestFlatSourcesRoundTrip(t *testing.T) {
 	ing := buildFederatedIngestion(t)
 	restored, err := OpenFlat(writeFlatFile(t, ing))
@@ -368,7 +353,7 @@ func TestInspectFileFormats(t *testing.T) {
 	}
 
 	jsonPath := write("b.json", func(b *bytes.Buffer) error { return Save(b, fed) })
-	binPath := write("b.bin", func(b *bytes.Buffer) error { return SaveBinary(b, ing) })
+	plainPath := write("plain.flat", func(b *bytes.Buffer) error { return SaveFlat(b, ing) })
 	flatPath := write("b.flat", func(b *bytes.Buffer) error { return SaveFlat(b, fed) })
 
 	cases := []struct {
@@ -379,7 +364,7 @@ func TestInspectFileFormats(t *testing.T) {
 		sources     []string
 	}{
 		{jsonPath, "json v1", 1, 1, []string{"variant"}},
-		{binPath, "binary v2", 2, 1, nil},
+		{plainPath, "flat v4", 4, 10, nil},
 		{flatPath, "flat v4", 4, 10, []string{"variant"}},
 	}
 	for _, tc := range cases {

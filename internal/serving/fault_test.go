@@ -105,11 +105,27 @@ func TestCacheStaleOnError(t *testing.T) {
 // live generation untouched and visible, and account for itself in the
 // reload-failure metrics with the "corrupt" reason.
 func TestCorruptReloadKeepsServing(t *testing.T) {
-	loaderErr := fmt.Errorf("bundle %q: %w", "x.bin", persist.ErrCorruptBundle)
+	loaders := map[string]func() (server.Backend, error){
+		"corrupt": func() (server.Backend, error) {
+			return nil, fmt.Errorf("bundle %q: %w", "x.bin", persist.ErrCorruptBundle)
+		},
+		// A bundle in a form no reader decodes any more, pushed next to a
+		// live server, is one more corrupt push.
+		"retired binary v2": func() (server.Backend, error) {
+			_, err := persist.LoadFile(filepath.Join("..", "persist", "testdata", "retired-v2.mrxb"))
+			return nil, err
+		},
+	}
+	for name, loader := range loaders {
+		t.Run(name, func(t *testing.T) { corruptReloadKeepsServing(t, loader) })
+	}
+}
+
+func corruptReloadKeepsServing(t *testing.T, loader func() (server.Backend, error)) {
 	e, ts := newStack(t, &fakeBackend{label: "A"}, Options{
 		CacheCapacity: 64,
 		CacheTTL:      time.Minute,
-		Loader:        func() (server.Backend, error) { return nil, loaderErr },
+		Loader:        loader,
 	})
 
 	code, body, _ := getFull(t, ts.URL+"/relax?term=fever&k=3")
