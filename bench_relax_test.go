@@ -67,7 +67,7 @@ var (
 
 // accelRelaxers builds (once) two relaxers over the shared system's
 // ingestion: one serving from a full-head materialized top-k store, one
-// through the posting-list candidate index. Both are byte-identical to
+// through the candidate index's stored geometries. Both are byte-identical to
 // live traversal (TestAcceleratedPathsMatchGolden); here they are timed.
 func accelRelaxers(tb testing.TB) (*core.Relaxer, *core.Relaxer) {
 	tb.Helper()
@@ -97,12 +97,12 @@ func accelRelaxers(tb testing.TB) (*core.Relaxer, *core.Relaxer) {
 }
 
 // BenchmarkRelaxUncached measures the uncached request path through each
-// serving tier over the same query mix: the kernel over a geometry the walk
-// supplies and over one the posting-list candidate index supplies — apart, a
-// request that finds its concept's geometry in the memo (live/hit,
-// indexed/hit: the same work by construction) and one that fills it on a
-// relaxer that has never seen the concept (live/fill walks, indexed/fill
-// reads the postings) — and the materialized top-k store. The CI benchmem
+// serving tier over the same query mix: the kernel over a geometry the memo
+// holds (live/hit) and over a view of the candidate index's columns
+// (indexed/mapped: the same scoring, and a view allocates nothing, so the same
+// figures), a request on a relaxer that has never seen the concept or its
+// context (live/fill walks and builds the context's IC plane; indexed/first
+// builds the plane and takes a view), and the materialized top-k store. The CI benchmem
 // smoke step pins the allocation profile of every tier — an alloc regression
 // on the miss path fails the build before it reaches a latency chart.
 func BenchmarkRelaxUncached(b *testing.B) {
@@ -117,7 +117,7 @@ func BenchmarkRelaxUncached(b *testing.B) {
 		r    *core.Relaxer
 	}{
 		{"live/hit", sys.Relaxer},
-		{"indexed/hit", idxR},
+		{"indexed/mapped", idxR},
 		{"materialized", matR},
 	}
 	for _, q := range queries { // every geometry filled before a hit is timed
@@ -144,7 +144,7 @@ func BenchmarkRelaxUncached(b *testing.B) {
 		fresh func() *core.Relaxer
 	}{
 		{"live/fill", func() *core.Relaxer { return core.NewRelaxer(ing, sim, sys.Mapper, sys.Config.Relax) }},
-		{"indexed/fill", func() *core.Relaxer {
+		{"indexed/first", func() *core.Relaxer {
 			r := core.NewRelaxer(ing, sim, sys.Mapper, sys.Config.Relax)
 			r.SetCandidateIndex(accelIdx)
 			return r

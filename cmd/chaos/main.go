@@ -116,9 +116,12 @@ type report struct {
 	ReloadsOK     int           `json:"reloadsOk"`
 	ReloadsFailed int           `json:"reloadsFailed"`
 	Generation    int           `json:"generation"`
-	Panics        int64         `json:"panics"`
-	Mismatches    int64         `json:"mismatches"`
-	Violations    []string      `json:"violations"`
+	// RelaxPaths is the final generation's kernel request count per serve
+	// path: the world is indexed, so "indexed" must not be zero.
+	RelaxPaths map[string]uint64 `json:"relaxPaths"`
+	Panics     int64             `json:"panics"`
+	Mismatches int64             `json:"mismatches"`
+	Violations []string          `json:"violations"`
 }
 
 type harness struct {
@@ -245,7 +248,10 @@ func newHarness(seed int64, phase time.Duration, workers, k int, dir string) (*h
 
 // buildIngestion generates a compact synthetic world and ingests it with
 // the exact-match mapper — no embedding training, so the harness boots in
-// well under a second and stays CI-friendly.
+// about a second and stays CI-friendly — and with a candidate index out to
+// the serving ceiling (engine.Config's default MaxRadius), so every drill's
+// requests score views of the mapping a reload swaps under them and the
+// largest section, the one the storm flips a bit in, is the index's hits.
 func buildIngestion(seed int64) (*core.Ingestion, error) {
 	world, err := synthkb.Generate(synthkb.Config{Seed: seed, ConditionsPerPair: 2})
 	if err != nil {
@@ -256,7 +262,20 @@ func buildIngestion(seed int64) (*core.Ingestion, error) {
 		return nil, err
 	}
 	corp := medkb.BuildCorpus(world, med, medkb.CorpusConfig{Seed: seed + 2})
-	return core.Ingest(med.Ontology, med.Store, world.Graph, corp, exactMapper{world.Graph}, core.IngestOptions{})
+	return core.Ingest(med.Ontology, med.Store, world.Graph, corp, exactMapper{world.Graph}, core.IngestOptions{
+		CandidateIndex: core.CandidateIndexOptions{Enabled: true, Radius: 8},
+	})
+}
+
+// indexedPaths reads the kernel's per-path request counts off a backend's
+// stats; a world built by buildIngestion that served nothing from its index
+// is a violation.
+func indexedPaths(stats map[string]any, violatef func(string, ...any)) map[string]uint64 {
+	paths, _ := stats["relaxPaths"].(map[string]uint64)
+	if paths["indexed"] == 0 {
+		violatef("final: the candidate index served no request of the last generation: relaxPaths %v", paths)
+	}
+	return paths
 }
 
 type exactMapper struct{ g *eks.Graph }
@@ -657,8 +676,9 @@ func (h *harness) finalChecks() {
 	if reloadFails != h.report.ReloadsFailed {
 		h.violatef("final: medrelax_reload_failures_total = %d, want %d", reloadFails, h.report.ReloadsFailed)
 	}
-	log.Printf("chaos: final: generation %d, %d ok / %d failed reloads, %d panics",
-		gen, h.report.ReloadsOK, h.report.ReloadsFailed, h.report.Panics)
+	h.report.RelaxPaths = indexedPaths(h.engine.Stats(), h.violatef)
+	log.Printf("chaos: final: generation %d, %d ok / %d failed reloads, %d panics, relax paths %v",
+		gen, h.report.ReloadsOK, h.report.ReloadsFailed, h.report.Panics, h.report.RelaxPaths)
 }
 
 // scrapeMetrics pulls the generation gauge and reload-failure counter out

@@ -53,8 +53,10 @@ type routerReport struct {
 	Kills      int           `json:"kills"`
 	Restarts   int           `json:"restarts"`
 	Mismatches int64         `json:"mismatches"`
-	Traces     uint64        `json:"tracesCaptured"`
-	Violations []string      `json:"violations"`
+	// RelaxPaths is the shared snapshot's kernel request count per serve path.
+	RelaxPaths map[string]uint64 `json:"relaxPaths"`
+	Traces     uint64            `json:"tracesCaptured"`
+	Violations []string          `json:"violations"`
 }
 
 // replicaProc is one replica "process": a serving stack on a loopback
@@ -132,6 +134,7 @@ type routerDrill struct {
 	batchBody   []byte
 	batchGolden []byte
 	traceRec    *trace.Recorder
+	snap        *engine.Snapshot // the one snapshot every replica serves
 
 	mu     sync.Mutex
 	report routerReport
@@ -165,6 +168,7 @@ func newRouterDrill(seed int64, phase time.Duration, workers, k int) (*routerDri
 		return nil, err
 	}
 	snap := engine.New(ing, engine.Config{})
+	d.snap = snap
 	// Replicas join traces the router starts (no self-sampling), the same
 	// split a production fleet runs: sampling decisions live at the edge.
 	replicaTracer := trace.NewTracer("kbserver", 0, trace.NewRecorder(64, 8))
@@ -488,6 +492,7 @@ func (d *routerDrill) finalChecks(victimAddr string) {
 		}
 	}
 
+	d.report.RelaxPaths = indexedPaths(d.snap.Stats(), d.violatef)
 	d.checkTracing()
 }
 

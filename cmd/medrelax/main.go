@@ -37,7 +37,7 @@ func main() {
 		materialize = flag.Bool("materialize", false, "precompute top-k relaxations for the head of the term distribution (persisted with -save)")
 		matHead     = flag.Float64("materialize-head", 0.25, "fraction of flagged concepts (by corpus frequency) to materialize")
 		matHeadMax  = flag.Int("materialize-head-max", 0, "cap on materialized head concepts (0: library default, -1: unlimited)")
-		index       = flag.Bool("index", false, "build the posting-list candidate index (persisted with -save)")
+		index       = flag.Bool("index", false, "build the candidate index of stored geometries (persisted with -save)")
 		indexRadius = flag.Int("index-radius", 0, "candidate index hop radius (0: the serving MaxRadius, full dynamic-growth coverage)")
 		load        = flag.String("load", "", "serve from a saved ingestion bundle instead of rebuilding the world")
 		inspect     = flag.String("inspect", "", "print a bundle's format, sections and checksum status, then exit")

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"medrelax/internal/eks"
@@ -203,6 +204,39 @@ func TestSetCandidateIndexRejectsNarrowIndex(t *testing.T) {
 	}
 	if r.SetCandidateIndex(nil) {
 		t.Error("SetCandidateIndex accepted nil")
+	}
+}
+
+// TestSetCandidateIndexRejectsForeignPositions: an index's hits are slots of
+// one flagged set and nodes of one graph, good for a relaxer over exactly
+// those.
+func TestSetCandidateIndexRejectsForeignPositions(t *testing.T) {
+	worlds := oracleWorlds(t)
+	ing, other := worlds["seed5"], worlds["seed11"]
+	relaxer := func(ing *Ingestion) *Relaxer {
+		return NewRelaxer(ing, NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology), nil, RelaxOptions{Radius: 2})
+	}
+	index := BuildCandidateIndex(ing, NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology), CandidateIndexOptions{Radius: 2})
+	if !relaxer(ing).SetCandidateIndex(index) {
+		t.Fatal("SetCandidateIndex refused an index over its own ingestion")
+	}
+	if relaxer(other).SetCandidateIndex(index) {
+		t.Error("SetCandidateIndex accepted an index built over another world")
+	}
+	// The same columns adopted over a flagged set one concept short, and over
+	// node ids one concept short: valid where adopted, foreign to the relaxer.
+	d, flagged, nodes := index.FlatData(), ing.maps.Flagged, ing.Graph.FlatData().IDs
+	for what, adopt := range map[string][2][]eks.ConceptID{
+		"flagged set": {append(slices.Clone(flagged), nodes[len(nodes)-1]+1), nodes},
+		"node ids":    {flagged, append(slices.Clone(nodes), nodes[len(nodes)-1]+1)},
+	} {
+		foreign, err := OpenFlatCandidateIndex(d, adopt[0], adopt[1])
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if relaxer(ing).SetCandidateIndex(foreign) {
+			t.Errorf("SetCandidateIndex accepted an index adopted over another %s", what)
+		}
 	}
 }
 

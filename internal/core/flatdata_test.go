@@ -242,26 +242,37 @@ func TestAdoptedAccelerationsMatchBuilt(t *testing.T) {
 	})
 
 	t.Run("candidate index", func(t *testing.T) {
-		x := ing.Candidates
-		adopted, err := OpenFlatCandidateIndex(x.FlatData())
-		if err != nil {
-			t.Fatal(err)
+		// The ingestion's own index skips every hub, which here is every flagged
+		// concept; one built without the bound holds their own hits too.
+		whole := BuildCandidateIndex(ing, NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology), CandidateIndexOptions{Radius: relax.Radius, MaxPostings: -1})
+		if ing.Candidates.Skipped() == 0 || whole.Concepts() != ing.Graph.Len() || whole.Postings() >= len(whole.hits) {
+			t.Fatalf("%d skipped hubs; %d of %d concepts indexed whole, %d postings of %d hits: the fixture exercises nothing",
+				ing.Candidates.Skipped(), whole.Concepts(), ing.Graph.Len(), whole.Postings(), len(whole.hits))
 		}
-		mustEqual(t, "FlatData", x.FlatData(), adopted.FlatData())
-		mustEqual(t, "Skipped", x.Skipped(), adopted.Skipped())
-		mustEqual(t, "Radius", x.Radius(), adopted.Radius())
-		mustEqual(t, "Concepts", x.Concepts(), adopted.Concepts())
-		mustEqual(t, "Postings", x.Postings(), adopted.Postings())
-		if x.Postings() == 0 || x.Skipped() == 0 {
-			t.Fatalf("%d postings, %d skipped hubs; the fixture exercises nothing", x.Postings(), x.Skipped())
+		flagged, nodes := ing.maps.Flagged, ing.Graph.FlatData().IDs
+		for _, x := range []*CandidateIndex{ing.Candidates, whole} {
+			adopted, err := OpenFlatCandidateIndex(x.FlatData(), flagged, nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustEqual(t, "FlatData", x.FlatData(), adopted.FlatData())
+			mustEqual(t, "hits", x.hits, adopted.hits)
+			mustEqual(t, "shapes", x.shapes, adopted.shapes)
+			mustEqual(t, "Skipped", x.Skipped(), adopted.Skipped())
+			mustEqual(t, "Radius", x.Radius(), adopted.Radius())
+			mustEqual(t, "Concepts", x.Concepts(), adopted.Concepts())
+			mustEqual(t, "Postings", x.Postings(), adopted.Postings())
+			if x.Postings() == 0 {
+				t.Fatal("no postings; the fixture exercises nothing")
+			}
+			again, err := OpenFlatCandidateIndex(adopted.FlatData(), flagged, nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustEqual(t, "FlatData of a re-adopted index", adopted.FlatData(), again.FlatData())
+			assertSameServing(t, ing, relaxer(nil, x), relaxer(nil, adopted))
+			assertSameServing(t, ing, relaxer(nil, nil), relaxer(nil, adopted))
 		}
-		again, err := OpenFlatCandidateIndex(adopted.FlatData())
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustEqual(t, "FlatData of a re-adopted index", adopted.FlatData(), again.FlatData())
-		assertSameServing(t, ing, relaxer(nil, x), relaxer(nil, adopted))
-		assertSameServing(t, ing, relaxer(nil, nil), relaxer(nil, adopted))
 	})
 }
 
@@ -394,25 +405,46 @@ func TestOpenFlatAccelerationsRejectHostileColumns(t *testing.T) {
 	})
 
 	t.Run("candidate index", func(t *testing.T) {
+		// A generated world, indexed whole: tied LCS sets and unflagged indexed
+		// concepts, which the eleven-concept one lacks.
+		ing := flatWorlds(t)["seed11"]
+		flagged, nodes := ing.maps.Flagged, ing.Graph.FlatData().IDs
+		index := BuildCandidateIndex(ing, NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology), CandidateIndexOptions{Radius: 2, MaxPostings: -1})
 		base := func() FlatCandidateIndexData {
-			d := ing.Candidates.FlatData()
-			d.Concepts, d.Off, d.Posts, d.LCS = slices.Clone(d.Concepts), slices.Clone(d.Off), slices.Clone(d.Posts), slices.Clone(d.LCS)
+			d := index.FlatData()
+			d.Concepts, d.Off, d.Hits, d.Levels, d.Counts = slices.Clone(d.Concepts), slices.Clone(d.Off), slices.Clone(d.Hits), slices.Clone(d.Levels), slices.Clone(d.Counts)
+			d.ShapeOff, d.Shapes, d.SetOff, d.TiedOff, d.Tied = slices.Clone(d.ShapeOff), slices.Clone(d.Shapes), slices.Clone(d.SetOff), slices.Clone(d.TiedOff), slices.Clone(d.Tied)
 			return d
 		}
-		// rich is a posting with an LCS set, inside a list of two or more.
-		rich := -1
+		// own is a flagged concept with two candidates or more, bare an
+		// unflagged one with some; sole and tied are hits (as positions in the
+		// word column) past hop 0 with a sole LCS and with a tied set.
+		own, bare, sole, tied := -1, -1, -1, -1
 		d := base()
+		hits := wordsAs[geoHit](d.Hits)
 		for ci := range d.Concepts {
-			if lo, hi := int(d.Off[ci]), int(d.Off[ci+1]); hi-lo >= 2 && d.Posts[lo].LCSHi > d.Posts[lo].LCSLo {
-				rich = lo
-				break
+			lo, hi, self := d.Off[ci], d.Off[ci+1], d.Levels[ci*(d.Radius+1)]
+			if own < 0 && self == 1 && hi-lo >= 3 {
+				own = ci
+			}
+			if bare < 0 && self == 0 && hi > lo {
+				bare = ci
+			}
+			for i := lo + self; i < hi; i++ {
+				if sole < 0 && hits[i].lcs >= 0 {
+					sole = int(3 * i)
+				}
+				if tied < 0 && hits[i].lcs < 0 && hits[i].lcs != geoNoMeet {
+					tied = int(3 * i)
+				}
 			}
 		}
-		if rich < 0 {
-			t.Fatal("fixture has no posting list to corrupt meaningfully")
+		if own < 0 || bare < 0 || sole < 0 || tied < 0 || len(d.TiedOff) < 3 {
+			t.Fatalf("fixture lacks something to corrupt: own %d, bare %d, sole %d, tied %d, %d tied sets", own, bare, sole, tied, len(d.TiedOff)-1)
 		}
+		stride := d.Radius + 1
 		open := func(d FlatCandidateIndexData) error {
-			_, err := OpenFlatCandidateIndex(d)
+			_, err := OpenFlatCandidateIndex(d, flagged, nodes)
 			return err
 		}
 		runHostile(t, base, open, []hostileCase[FlatCandidateIndexData]{
@@ -421,17 +453,33 @@ func TestOpenFlatAccelerationsRejectHostileColumns(t *testing.T) {
 			{"concepts not ascending", func(d *FlatCandidateIndexData) { d.Concepts[1] = d.Concepts[0] }, "concepts not strictly ascending"},
 			{"offsets short", func(d *FlatCandidateIndexData) { d.Off = d.Off[1:] }, "offsets have length"},
 			{"offsets past the pool", func(d *FlatCandidateIndexData) { d.Off[len(d.Off)-1]++ }, "do not span"},
-			{"hops out of range", func(d *FlatCandidateIndexData) { d.Posts[rich].Hops = int32(d.Radius) + 1 }, "outside [1,"},
-			{"hop order violated", func(d *FlatCandidateIndexData) {
-				d.Posts[rich].Hops, d.Posts[rich+1].Hops = int32(d.Radius), 1
-			}, "not hop-sorted"},
-			{"negative geometry", func(d *FlatCandidateIndexData) { d.Posts[rich].Gen = -1 }, "negative meet geometry"},
-			{"LCS span outside the pool", func(d *FlatCandidateIndexData) { d.Posts[rich].LCSHi = int32(len(d.LCS)) + 1 }, "outside pool"},
-			{"LCS span inverted", func(d *FlatCandidateIndexData) { d.Posts[rich].LCSLo = d.Posts[rich].LCSHi + 1 }, "outside pool"},
-			{"LCS set not ascending", func(d *FlatCandidateIndexData) {
-				d.Posts[rich].LCSLo, d.Posts[rich].LCSHi = 0, 2
-				d.LCS[1] = d.LCS[0]
-			}, "LCS set not strictly ascending"},
+			{"hits not whole records", func(d *FlatCandidateIndexData) { d.Hits = d.Hits[:len(d.Hits)-1] }, "not whole records"},
+			{"shapes not whole records", func(d *FlatCandidateIndexData) { d.Shapes = d.Shapes[1:] }, "not whole records"},
+			{"level column short", func(d *FlatCandidateIndexData) { d.Levels = d.Levels[1:] }, "level ends"},
+			{"count column short", func(d *FlatCandidateIndexData) { d.Counts = d.Counts[1:] }, "counts for"},
+			{"shape offsets torn", func(d *FlatCandidateIndexData) { d.ShapeOff[1] = d.ShapeOff[len(d.ShapeOff)-1] + 1 }, "shape offsets decrease"},
+			{"tied-set offsets past the pool", func(d *FlatCandidateIndexData) { d.SetOff[len(d.SetOff)-1]++ }, "tied-set offsets do not span"},
+			{"tied-set boundaries missing", func(d *FlatCandidateIndexData) { d.TiedOff = nil }, "tied-set offsets do not span"},
+			{"LCS span inverted: tied-set boundaries decrease", func(d *FlatCandidateIndexData) { d.TiedOff[1] = d.TiedOff[2] + 1 }, "tied-node offsets decrease"},
+			{"LCS set not ascending", func(d *FlatCandidateIndexData) { d.Tied[1] = d.Tied[0] }, "ascending nodes"},
+			{"tied set of one member", func(d *FlatCandidateIndexData) { d.TiedOff[1] = d.TiedOff[0] + 1 }, "two or more"},
+			{"tied node past the graph", func(d *FlatCandidateIndexData) { d.Tied[d.TiedOff[1]-1] = int32(len(nodes)) }, "ascending nodes"},
+			{"negative geometry", func(d *FlatCandidateIndexData) { d.Shapes[0] = -1 }, "negative path shape"},
+			{"hops out of range: level end past the span", func(d *FlatCandidateIndexData) { d.Levels[own*stride+d.Radius]++ }, "do not grow to the span"},
+			{"hop order violated: level ends decrease", func(d *FlatCandidateIndexData) {
+				d.Levels[own*stride+1] = d.Levels[own*stride+d.Radius] + 1
+			}, "do not grow to the span"},
+			{"counts decrease", func(d *FlatCandidateIndexData) { d.Counts[own*stride+d.Radius] = d.Counts[own*stride] - 1 }, "do not grow to the span"},
+			{"own hit missing", func(d *FlatCandidateIndexData) { d.Levels[own*stride] = 0 }, "not its own hit alone"},
+			{"own hit names another slot", func(d *FlatCandidateIndexData) { d.Hits[3*d.Off[own]]++ }, "not its own hit alone"},
+			{"own hit carries a meet", func(d *FlatCandidateIndexData) { d.Hits[3*d.Off[own]+1] = 0 }, "not its own hit alone"},
+			{"hit at hop 0 of an unflagged concept", func(d *FlatCandidateIndexData) { d.Levels[bare*stride] = 1 }, "is not flagged"},
+			{"instances at hop 0 of an unflagged concept", func(d *FlatCandidateIndexData) { d.Counts[bare*stride] = 1 }, "is not flagged"},
+			{"slot past the flagged set", func(d *FlatCandidateIndexData) { d.Hits[sole] = int32(len(flagged)) }, "outside the flagged set"},
+			{"negative slot", func(d *FlatCandidateIndexData) { d.Hits[sole] = -1 }, "outside the flagged set"},
+			{"LCS node past the graph", func(d *FlatCandidateIndexData) { d.Hits[sole+1] = int32(len(nodes)) }, "hit LCS"},
+			{"LCS span outside the pool: tied set past the concept's", func(d *FlatCandidateIndexData) { d.Hits[tied+1] = ^int32(len(d.TiedOff)) }, "hit LCS"},
+			{"shape past the concept's", func(d *FlatCandidateIndexData) { d.Hits[sole+2] = int32(len(d.Shapes)) }, "hit shape"},
 		})
 	})
 }

@@ -26,18 +26,6 @@ type SnapshotBacking interface {
 	SizeBytes() int64
 }
 
-// Posting is one precomputed candidate of the candidate index in its fixed
-// 32-byte wire layout: identity, minimal hop distance, and the
-// canonical-meet geometry (generalization/specialization hop counts plus a
-// span into the shared LCS pool; an empty span means no common subsumer).
-type Posting struct {
-	Concept      eks.ConceptID
-	Hops         int32
-	Gen, Spec    int32
-	LCSLo, LCSHi int32
-	Rsv          int32
-}
-
 // checkCSR32 validates one CSR offset array: len(off) == rows+1, starting at
 // zero, monotonically non-decreasing, and spanning exactly poolLen entries.
 func checkCSR32(what string, rows int, off []int32, poolLen int) error {

@@ -19,8 +19,9 @@ import (
 // on k beyond how far the walk had to go, so one geometry serves every
 // (context, k) a concept is asked under; per request Equations 1–3 are loads
 // from the context's IC plane and a few operations a hit (scoreGeometry). A
-// walk supplies it, or the candidate index's posting list where one stands in
-// for the walk. It is immutable once built.
+// walk supplies it, or the candidate index, which stores the geometries of a
+// walk to its radius in this form (indexedGeometry). It is immutable once
+// built.
 type geometry struct {
 	hits []geoHit
 	// levelEnd[h] is the number of hits within h hops, one entry per hop from
@@ -42,11 +43,11 @@ type geometry struct {
 	// final geometry answers every target, any other only those its last
 	// count meets — the walk for them would have stopped no later.
 	final bool
-	// indexed is whether the candidate index's postings stood in for the
-	// walk; the requests such a geometry serves report PathIndexed.
+	// indexed marks a view of the candidate index: hits, shapes and tied sets
+	// alias its columns, the rest the scratch of the request it serves, which
+	// reports PathIndexed.
 	indexed bool
-	// reached is the number of graph nodes the walk touched, none when
-	// postings stood in for it.
+	// reached is the number of graph nodes the walk touched, none for a view.
 	reached int
 }
 
@@ -69,8 +70,13 @@ const geoNoMeet = math.MinInt32
 
 type pathShape struct{ gen, spec int32 }
 
-// bytes is what the geometry holds on the heap, the weight the memo budgets.
+// bytes is what the geometry holds on the heap, the weight the memo budgets:
+// nothing for a view, whose slices are the candidate index's and its
+// request's.
 func (g *geometry) bytes() int64 {
+	if g.indexed {
+		return 0
+	}
 	return int64(unsafe.Sizeof(*g)) +
 		int64(cap(g.hits))*int64(unsafe.Sizeof(geoHit{})) +
 		int64(cap(g.levelEnd)+cap(g.counts)+cap(g.tiedOff)+cap(g.tied))*4 +
@@ -92,8 +98,7 @@ func (g *geometry) lcsOf(h geoHit, one *[1]int32) []int32 {
 }
 
 // geometryBuilder assembles hits level by level: the one place a flagged
-// concept reached by a walk gets its canonical meet with the query concept
-// (add), and where a posting's stored meet becomes the same hit (addMeet).
+// concept reached by a walk gets its canonical meet with the query concept.
 type geometryBuilder struct {
 	ing   *Ingestion
 	nodes []eks.ConceptID // the graph's ascending ids; a position is a node
@@ -102,8 +107,8 @@ type geometryBuilder struct {
 	g     *geometry
 }
 
-// newGeometryBuilder starts a geometry of capacity hits; meets is the query
-// concept's, or zero for a builder that is only handed stored meets.
+// newGeometryBuilder starts a geometry of capacity hits for the query concept
+// meets was taken from.
 func newGeometryBuilder(ing *Ingestion, meets queryMeets, capacity int) geometryBuilder {
 	return geometryBuilder{
 		ing:   ing,
@@ -119,31 +124,22 @@ func (b *geometryBuilder) addSelf(slot int32) {
 	b.g.hits = append(b.g.hits, geoHit{slot: slot, lcs: geoNoMeet})
 }
 
-// add appends the flagged concept in slot to the level being built, deriving
-// its meet with the query concept.
+// add appends the flagged concept in slot to the level being built with its
+// meet with the query concept: the tied LCS set, ascending, as graph nodes,
+// and the hop counts of the canonical path.
 func (b *geometryBuilder) add(slot int32) {
-	lcs, gen, spec := b.meets.to(b.ing.maps.Flagged[slot])
-	b.addMeet(slot, lcs, int32(gen), int32(spec))
-}
-
-// addMeet appends the flagged concept in slot with its meet: the tied LCS set,
-// ascending, and the hop counts of the canonical path. It reports false, and
-// appends nothing, when the graph does not hold an LCS.
-func (b *geometryBuilder) addMeet(slot int32, lcs []eks.ConceptID, gen, spec int32) bool {
 	g := b.g
+	lcs, gen, spec := b.meets.to(b.ing.maps.Flagged[slot])
 	b.lcs = b.lcs[:0]
 	for _, id := range lcs {
-		node, ok := slices.BinarySearch(b.nodes, id)
-		if !ok {
-			return false
-		}
+		node, _ := slices.BinarySearch(b.nodes, id)
 		b.lcs = append(b.lcs, int32(node))
 	}
 	h := geoHit{slot: slot, lcs: geoNoMeet}
 	switch {
 	case len(lcs) == 0:
 		g.hits = append(g.hits, h)
-		return true
+		return
 	case len(lcs) == 1:
 		h.lcs = b.lcs[0]
 	default:
@@ -156,7 +152,7 @@ func (b *geometryBuilder) addMeet(slot int32, lcs []eks.ConceptID, gen, spec int
 		h.lcs = ^int32(last)
 	}
 	// A walk meets a handful of shapes, and neighbours mostly share one.
-	shape := pathShape{gen, spec}
+	shape := pathShape{int32(gen), int32(spec)}
 	i := len(g.shapes) - 1
 	for i >= 0 && g.shapes[i] != shape {
 		i--
@@ -167,7 +163,6 @@ func (b *geometryBuilder) addMeet(slot int32, lcs []eks.ConceptID, gen, spec int
 	}
 	h.shape = uint32(i)
 	g.hits = append(g.hits, h)
-	return true
 }
 
 // endLevel closes the hop level the hits since the last call belong to.
@@ -211,30 +206,32 @@ func (r *Relaxer) geometry(ctx context.Context, q eks.ConceptID, target int, sc 
 // each other costs about 11 MB.
 const geometryBudget = 16 << 20
 
-// memoGeometry returns q's geometry for target, from the memo when it holds
-// one that covers it, and otherwise filled and published: read off the
-// candidate index when it holds q out to a horizon that answers target,
-// walked and derived when not. Entries are never modified: a request that
-// needs a wider geometry than the stored one replaces it by a walk — what the
-// index held is what fell short — and two requests filling the same concept
-// at once both do the work and publish equal entries.
+// memoGeometry returns q's geometry for target: from the memo when it holds
+// one that covers it; else as a view of the candidate index when that holds q
+// out to a horizon that answers target, which costs a memo hit's work and
+// enters no memo; else walked, derived and published. Entries are never
+// modified: a request that needs a wider geometry than the stored one — the
+// memo's or the index's — replaces it by a walk, and two requests filling the
+// same concept at once both do the work and publish equal entries.
 func (r *Relaxer) memoGeometry(ctx context.Context, q eks.ConceptID, target int, sc *relaxScratch) (*geometry, error) {
 	outcome, counter := "fill", &r.geoFills
-	var g *geometry
-	if stored, ok := r.geo.get(q); !ok {
-		g = r.indexedGeometry(q, target)
-	} else if stored.answers(target) {
-		sc.stats.geometry = "hit"
-		r.geoHits.Add(1)
-		return stored, nil
-	} else {
+	if stored, ok := r.geo.get(q); ok {
+		if stored.answers(target) {
+			sc.stats.geometry = "hit"
+			r.geoHits.Add(1)
+			return stored, nil
+		}
+		outcome, counter = "refill", &r.geoRefills
+	} else if view, held := r.indexedGeometry(q, target, sc); view != nil {
+		sc.stats.geometry = "mapped"
+		r.geoMapped.Add(1)
+		return view, nil
+	} else if held {
 		outcome, counter = "refill", &r.geoRefills
 	}
-	if g == nil {
-		var err error
-		if g, err = r.geometry(ctx, q, target, sc); err != nil {
-			return nil, err
-		}
+	g, err := r.geometry(ctx, q, target, sc)
+	if err != nil {
+		return nil, err
 	}
 	r.geo.put(q, g, g.bytes())
 	sc.stats.geometry, sc.stats.reached = outcome, g.reached
@@ -242,9 +239,57 @@ func (r *Relaxer) memoGeometry(ctx context.Context, q eks.ConceptID, target int,
 	return g, nil
 }
 
+// indexedGeometry returns q's stored geometry as this relaxer sees it: hits,
+// shapes and tied sets alias the index, and so do level ends and counts, cut
+// to the horizon the index and the maximum radius share — except for a flagged
+// q without IncludeSelf, whose own hit and instances are left out and the two
+// rewritten into the scratch. The view lives in the scratch until its next
+// request. held is whether the index has q; the view is nil when it does not
+// or its horizon does not answer target, and the caller walks.
+func (r *Relaxer) indexedGeometry(q eks.ConceptID, target int, sc *relaxScratch) (view *geometry, held bool) {
+	x := r.cidx
+	if x == nil {
+		return nil, false
+	}
+	i, held := slices.BinarySearch(x.d.Concepts, q)
+	if !held {
+		return nil, false
+	}
+	d, stride := &x.d, x.d.Radius+1
+	horizon := min(d.Radius, r.maxRadius())
+	levels, counts := d.Levels[i*stride:][:horizon+1], d.Counts[i*stride:][r.opts.Radius:horizon+1]
+	own := int32(0)
+	if !r.opts.IncludeSelf && levels[0] != 0 {
+		own = levels[0]
+		buf := slices.Grow(sc.levels[:0], len(levels)+len(counts))
+		for _, end := range levels {
+			buf = append(buf, end-own)
+		}
+		for _, n := range counts {
+			buf = append(buf, n-d.Counts[i*stride])
+		}
+		sc.levels = buf
+		levels, counts = buf[:len(levels)], buf[len(levels):]
+	}
+	sc.view = geometry{
+		hits:     x.hits[d.Off[i]+own : d.Off[i]+own+levels[horizon]],
+		levelEnd: levels,
+		counts:   counts,
+		shapes:   x.shapes[d.ShapeOff[i]:d.ShapeOff[i+1]],
+		tiedOff:  d.TiedOff[d.SetOff[i] : d.SetOff[i+1]+1],
+		tied:     d.Tied,
+		final:    horizon == r.maxRadius(),
+		indexed:  true,
+	}
+	if !sc.view.answers(target) {
+		return nil, true
+	}
+	return &sc.view, true
+}
+
 // scoreGeometry is the context half of Equation 5 for every kernel — the live
-// one over a walked geometry or one read off the candidate index,
-// materialization over a full walk: the hits of g within radius hops, each
+// one over a walked geometry or a view of the candidate index, materialization
+// over a full walk: the hits of g within radius hops, each
 // scored under qctx from its meet. The context's IC plane is bound, the query
 // concept's IC fetched and each path shape's Equation 4 weight looked up once;
 // a hit then costs the loads of its candidate's and its LCS's IC and the

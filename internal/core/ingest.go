@@ -32,8 +32,8 @@ type IngestOptions struct {
 	// Materialize optionally precomputes top-k relaxation answers for the
 	// frequency head of the flagged concepts (see MaterializeTopK).
 	Materialize MaterializeOptions
-	// CandidateIndex optionally precomputes per-concept posting lists for
-	// the online phase (see BuildCandidateIndex).
+	// CandidateIndex optionally precomputes per-concept geometries for the
+	// online phase (see BuildCandidateIndex).
 	CandidateIndex CandidateIndexOptions
 }
 
@@ -58,7 +58,7 @@ type Ingestion struct {
 	// Materialized is the optional offline top-k store (nil unless
 	// IngestOptions.Materialize.Enabled or restored from a bundle).
 	Materialized *Materialized
-	// Candidates is the optional posting-list candidate index (nil unless
+	// Candidates is the optional stored-geometry candidate index (nil unless
 	// IngestOptions.CandidateIndex.Enabled or restored from a bundle).
 	Candidates *CandidateIndex
 	// Lookup is the graph's term resolver as adopted from the resolver

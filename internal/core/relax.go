@@ -83,10 +83,10 @@ const (
 	// PathMaterialized served a precomputed offline top-k entry: candidates
 	// and scores both stored, nothing scored.
 	PathMaterialized
-	// PathIndexed scored a geometry the candidate index's posting list
-	// supplied, read off it for this request or for an earlier one of the same
-	// concept. Once a target outgrows the index's horizon a walk replaces the
-	// entry and the concept's later requests are PathLive.
+	// PathIndexed scored a geometry the candidate index supplied: a view of the
+	// columns it stores, which a bundle maps. Once a target outgrows the index's
+	// horizon a walk takes its place in the memo and the concept's later
+	// requests are PathLive.
 	PathIndexed
 )
 
@@ -138,8 +138,8 @@ type Relaxer struct {
 	planes  atomic.Pointer[map[planeKey][]float64]
 	planeMu sync.Mutex
 
-	pathLive, pathMaterialized, pathIndexed atomic.Uint64
-	geoHits, geoFills, geoRefills           atomic.Uint64
+	pathLive, pathMaterialized, pathIndexed  atomic.Uint64
+	geoHits, geoFills, geoRefills, geoMapped atomic.Uint64
 }
 
 // SetMaterialized attaches an offline top-k store. It refuses (returning
@@ -154,11 +154,13 @@ func (r *Relaxer) SetMaterialized(m *Materialized) bool {
 	return true
 }
 
-// SetCandidateIndex attaches a posting-list candidate index. It refuses
-// (returning false) an index whose radius cannot cover the base search
-// radius.
+// SetCandidateIndex attaches a candidate index. It refuses (returning false)
+// an index whose radius cannot cover the base search radius, or one over
+// another flagged set or other node ids than the ingestion's, which its hits'
+// slots and LCS nodes would misname.
 func (r *Relaxer) SetCandidateIndex(idx *CandidateIndex) bool {
-	if idx == nil || idx.Radius() < r.opts.Radius {
+	if idx == nil || idx.Radius() < r.opts.Radius ||
+		!slices.Equal(idx.flagged, r.ing.maps.Flagged) || !slices.Equal(idx.nodes, r.ing.Graph.FlatData().IDs) {
 		return false
 	}
 	r.cidx = idx
@@ -171,16 +173,17 @@ func (r *Relaxer) PathCounts() (live, materialized, indexed uint64) {
 	return r.pathLive.Load(), r.pathMaterialized.Load(), r.pathIndexed.Load()
 }
 
-// GeometryCounts reports what the live kernel's geometry memo has done since
-// the relaxer was built — requests it answered, concepts it walked or read off
-// the candidate index for the first time, walks redone for a wider target,
-// entries evicted, and the bytes it holds now — and the IC planes the relaxer
-// holds, one per query context asked, with their bytes.
-func (r *Relaxer) GeometryCounts() (hits, fills, refills, evictions uint64, bytes int64, planes int, planeBytes int64) {
+// GeometryCounts reports where the kernel's geometries have come from since
+// the relaxer was built — requests its memo answered, concepts it walked for
+// the first time, walks redone for a wider target, requests that scored a view
+// of the candidate index (which the memo never holds), entries evicted, and the
+// bytes the memo holds now — and the IC planes the relaxer holds, one per query
+// context asked, with their bytes.
+func (r *Relaxer) GeometryCounts() (hits, fills, refills, mapped, evictions uint64, bytes int64, planes int, planeBytes int64) {
 	if m := r.planes.Load(); m != nil {
 		planes = len(*m)
 	}
-	return r.geoHits.Load(), r.geoFills.Load(), r.geoRefills.Load(), r.geo.evictions.Load(), r.geo.weight(),
+	return r.geoHits.Load(), r.geoFills.Load(), r.geoRefills.Load(), r.geoMapped.Load(), r.geo.evictions.Load(), r.geo.weight(),
 		planes, int64(planes) * int64(len(r.ing.icDomain)) * 8
 }
 
@@ -231,10 +234,11 @@ func (r *Relaxer) RelaxTermContextTraced(ctx context.Context, term string, qctx 
 
 // kernelStats is what one kernel run did, for the sampled request's span:
 // the radius it stopped at, the graph nodes its walk touched (none on the
-// materialized path, none when the concept's geometry was in the memo, and
-// none when postings stood in for the walk: an index_path fill reaches 0), the
-// candidates it scored, and on the live and indexed paths where the geometry
-// came from: "hit", "fill" or "refill".
+// materialized path, none when the concept's geometry was in the memo or a
+// view of the candidate index), the candidates it scored, and where the
+// geometry came from: the memo ("hit"), a walk ("fill", or "refill" when it
+// replaces a geometry that fell short) or, on the indexed path, the index's
+// columns ("mapped").
 type kernelStats struct {
 	radius, reached, scored int
 	geometry                string
@@ -283,13 +287,16 @@ func (r *Relaxer) RelaxConceptContext(ctx context.Context, q eks.ConceptID, qctx
 
 // relaxScratch holds the per-query working state that batch relaxation
 // reuses across items: the walk's candidate and per-radius count buffers, the
-// scorer's buffers, the instance-dedup set of the paths that consume stored
-// rankings, and the stats of the last kernel run. Returned Result slices are
+// view of the candidate index with its level ends and counts, the scorer's
+// buffers, the instance-dedup set of the paths that consume stored rankings,
+// and the stats of the last kernel run. Returned Result slices are
 // always freshly allocated — only the intermediate state is shared.
 type relaxScratch struct {
 	seen    map[kb.InstanceID]bool
 	hits    []flaggedHit
 	counts  []int32
+	view    geometry
+	levels  []int32
 	weights []float64
 	scored  []scoredHit
 	stats   kernelStats
@@ -337,8 +344,8 @@ func (r *Relaxer) relaxConceptPath(ctx context.Context, q eks.ConceptID, qctx *o
 	return out, path, nil
 }
 
-// rankedPath is the kernel: the query concept's geometry — memoised, or read
-// off the candidate index or walked and derived now — cut to the radius this
+// rankedPath is the kernel: the query concept's geometry — memoised, a view of
+// the candidate index, or walked and derived now — cut to the radius this
 // request's target stops at, scored under the query context and ranked. The
 // geometry is per concept, the scoring per (concept, context, k); the path is
 // the geometry's source.

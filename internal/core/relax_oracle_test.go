@@ -293,7 +293,7 @@ func TestGeometryMemoMatchesLegacyOracle(t *testing.T) {
 					}
 				}
 
-				hits, fills, refills, evictions, bytes, _, _ := roomy.GeometryCounts()
+				hits, fills, refills, _, evictions, bytes, _, _ := roomy.GeometryCounts()
 				if fills != uint64(len(flagged)) || hits == 0 || evictions != 0 {
 					t.Errorf("roomy memo: %d fills for %d concepts, %d hits, %d evictions", fills, len(flagged), hits, evictions)
 				}
@@ -303,7 +303,7 @@ func TestGeometryMemoMatchesLegacyOracle(t *testing.T) {
 				if accounted, held, _, ok := roomy.geo.audit(); !ok || accounted != held || accounted != bytes {
 					t.Errorf("roomy memo accounts for %d bytes, holds %d, reports %d (consistent: %v)", accounted, held, bytes, ok)
 				}
-				_, tightFills, _, tightEvictions, tightBytes, _, _ := tight.GeometryCounts()
+				_, tightFills, _, _, tightEvictions, tightBytes, _, _ := tight.GeometryCounts()
 				if tightEvictions == 0 || tightFills <= fills || tightBytes > heaviest*lruShards {
 					t.Errorf("tight memo: %d fills (roomy %d), %d evictions, %d bytes under a budget of %d",
 						tightFills, fills, tightEvictions, tightBytes, heaviest*lruShards)
@@ -405,7 +405,7 @@ func TestGeometryMemoIsPerRelaxer(t *testing.T) {
 			t.Fatalf("%s: the two relaxers agree on every query; the test shows nothing", name)
 		}
 		for _, r := range []*Relaxer{a, b} {
-			if hits, fills, _, _, _, _, _ := r.GeometryCounts(); fills != uint64(len(concepts)) || hits != uint64(len(concepts)) {
+			if hits, fills, _, _, _, _, _, _ := r.GeometryCounts(); fills != uint64(len(concepts)) || hits != uint64(len(concepts)) {
 				t.Errorf("%s: a relaxer filled %d and hit %d of %d concepts asked twice", name, fills, hits, len(concepts))
 			}
 		}
@@ -506,7 +506,7 @@ func TestPlanesHoldTheSourceIC(t *testing.T) {
 					}
 				}
 			}
-			if _, _, _, _, _, planes, bytes := r.GeometryCounts(); planes != len(ctxs) || bytes != int64(8*len(ctxs)*len(ing.icDomain)) {
+			if _, _, _, _, _, _, planes, bytes := r.GeometryCounts(); planes != len(ctxs) || bytes != int64(8*len(ctxs)*len(ing.icDomain)) {
 				t.Errorf("%s/%s: %d planes of %d bytes after %d contexts over %d ranked nodes", name, source, planes, bytes, len(ctxs), len(ing.icDomain))
 			}
 		}
@@ -593,7 +593,7 @@ func TestPlaneScoredMatchesSim(t *testing.T) {
 						}
 					}
 				}
-				if _, _, _, _, _, planes, _ := bounded.GeometryCounts(); planes != maxResolvedContexts {
+				if _, _, _, _, _, _, planes, _ := bounded.GeometryCounts(); planes != maxResolvedContexts {
 					t.Errorf("%s: a relaxer at its bound of %d planes holds %d", source, maxResolvedContexts, planes)
 				}
 			}
@@ -601,55 +601,60 @@ func TestPlaneScoredMatchesSim(t *testing.T) {
 	}
 }
 
-// levelSets is a geometry as what does not depend on the order hits were
-// added in: per hop level the set of (slot, LCS nodes, path shape), and the
-// level ends.
-func levelSets(g *geometry, levels int) []map[levelHit]bool {
-	out := make([]map[levelHit]bool, levels)
-	for hops := range out {
-		out[hops] = map[levelHit]bool{}
-		lo := int32(0)
-		if hops > 0 {
-			lo = g.levelEnd[hops-1]
-		}
-		for _, h := range g.hits[lo:g.levelEnd[hops]] {
-			key := levelHit{slot: h.slot, lcs: h.lcs}
-			if h.lcs != geoNoMeet {
-				key.shape = g.shapes[h.shape]
-			}
-			if h.lcs < 0 && h.lcs != geoNoMeet {
-				key.lcs, key.tied = -1, fmt.Sprint(g.tied[g.tiedOff[^h.lcs]:g.tiedOff[^h.lcs+1]])
-			}
-			out[hops][key] = true
+// sameGeometryTo reports how a view of the candidate index differs from the
+// walked geometry of the same concept out to horizon hops: hits, level ends
+// and counts equal position for position, and the shapes and tied sets both
+// number — each a prefix of the other's, the walk or the index having gone
+// further — equal too, every hit within the horizon naming one of those.
+func sameGeometryTo(view, walked *geometry, horizon int) error {
+	n := int(walked.levelEnd[horizon])
+	if !slices.Equal(view.levelEnd, walked.levelEnd[:horizon+1]) || !slices.Equal(view.counts, walked.counts[:len(view.counts)]) {
+		return fmt.Errorf("level ends %v counts %v, walked %v %v", view.levelEnd, view.counts, walked.levelEnd, walked.counts)
+	}
+	if !slices.Equal(view.hits, walked.hits[:n]) {
+		return fmt.Errorf("hits %v, walked %v", view.hits, walked.hits[:n])
+	}
+	shapes := min(len(view.shapes), len(walked.shapes))
+	sets := min(len(view.tiedOff), len(walked.tiedOff)) - 1
+	if !slices.Equal(view.shapes[:shapes], walked.shapes[:shapes]) {
+		return fmt.Errorf("shapes %v, walked %v", view.shapes, walked.shapes)
+	}
+	for i := 0; i < sets; i++ {
+		if got, want := view.tied[view.tiedOff[i]:view.tiedOff[i+1]], walked.tied[walked.tiedOff[i]:walked.tiedOff[i+1]]; !slices.Equal(got, want) {
+			return fmt.Errorf("tied set %d is %v, walked %v", i, got, want)
 		}
 	}
-	return out
+	for _, h := range view.hits {
+		if h.lcs != geoNoMeet && (int(h.shape) >= shapes || int(^h.lcs) >= sets) {
+			return fmt.Errorf("hit %+v names a shape or tied set past the %d and %d both hold", h, shapes, sets)
+		}
+	}
+	return nil
 }
 
-type levelHit struct {
-	slot, lcs int32
-	tied      string
-	shape     pathShape
-}
-
-// TestIndexBornGeometryMatchesWalk reads indexed concepts' geometries off the
-// candidate index and wants the walk's: the same hits level by level as
-// sets, level ends, per-radius counts and finality — out to the index's
-// horizon, under an index that reaches the relaxer's ceiling and one that
-// stops short of it. Then, per sampled concept, request sequences on fresh
-// relaxers against the exhaustive oracle (legacyRelaxConcept): a fresh
-// relaxer gives the oracle's results for any one request, off the index
-// exactly when the walk's own counts stop the request inside the index's
-// horizon; a target the short index declines is walked, and a small target
-// after it hits the walk's entry; a small target is filled from the index,
-// the large one after it refills by a walk, and the concept stays on the
-// live path.
+// TestIndexBornGeometryMatchesWalk takes indexed concepts' geometries as views
+// of the candidate index and wants the walk's, field for field and in order —
+// hits, level ends, per-radius counts, shapes, tied sets, finality — out to
+// the index's horizon, under an index that reaches the relaxer's ceiling and
+// one that stops short of it; and wants the view to score, under a rotating
+// context, to the bit what the posting-built geometry of the parent commit
+// scores (export_test.go: the same walk re-encoded as postings and converted
+// back, each level in posting order, so compared ranked). Then, per sampled
+// concept, request sequences on fresh relaxers against the exhaustive oracle
+// (legacyRelaxConcept): a fresh relaxer gives the oracle's results for any one
+// request, off the index exactly when the walk's own counts stop the request
+// inside the index's horizon; a target the short index declines is walked,
+// and a small target after it hits the walk's entry; a small target is served
+// a view, the large one after it is walked, and the concept stays on the live
+// path.
 func TestIndexBornGeometryMatchesWalk(t *testing.T) {
 	for name, ing := range oracleWorlds(t) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			sim := NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
-			short := BuildCandidateIndex(ing, sim, CandidateIndexOptions{Radius: 2})
+			copts := CandidateIndexOptions{Radius: 2}
+			short := BuildCandidateIndex(ing, sim, copts)
+			ctxs := queryContexts(ing)
 			for oi, opts := range []RelaxOptions{
 				{Radius: 1, DynamicRadius: true, MaxRadius: 2, IncludeSelf: true},
 				{Radius: 2},
@@ -675,40 +680,53 @@ func TestIndexBornGeometryMatchesWalk(t *testing.T) {
 					}
 					concepts = sampled
 				}
-				for _, q := range concepts {
+				for qi, q := range concepts {
 					walked, err := r.geometry(context.Background(), q, math.MaxInt, &relaxScratch{})
 					if err != nil {
 						t.Fatal(err)
 					}
-					read := r.indexedGeometry(q, 0)
-					if read == nil {
+					sc := &relaxScratch{}
+					view, held := r.indexedGeometry(q, 0, sc)
+					if view == nil || !held {
 						t.Fatalf("%+v: the index holds concept %d and declined a target of 0", opts, q)
 					}
-					if !read.indexed || walked.indexed || read.reached != 0 || read.final != (horizon == r.maxRadius()) ||
-						len(read.levelEnd) != horizon+1 || !slices.Equal(read.levelEnd, walked.levelEnd[:horizon+1]) ||
-						!slices.Equal(read.counts, walked.counts[:len(read.counts)]) || len(read.counts) != horizon-opts.Radius+1 {
-						t.Fatalf("%+v concept %d: read off the index %+v, walked %+v", opts, q, read, walked)
+					if !view.indexed || walked.indexed || view.reached != 0 || view.bytes() != 0 || view.final != (horizon == r.maxRadius()) ||
+						len(view.levelEnd) != horizon+1 || len(view.counts) != horizon-opts.Radius+1 {
+						t.Fatalf("%+v concept %d: the view %+v, walked %+v", opts, q, view, walked)
 					}
-					got, want := levelSets(read, horizon+1), levelSets(walked, horizon+1)
-					for hops := range want {
-						if len(got[hops]) != len(want[hops]) {
-							t.Fatalf("%+v concept %d hop %d: %d distinct hits read off the index, %d walked", opts, q, hops, len(got[hops]), len(want[hops]))
-						}
-						for key := range want[hops] {
-							if !got[hops][key] {
-								t.Fatalf("%+v concept %d hop %d: the walk's hit %+v is not among the index's", opts, q, hops, key)
-							}
-						}
+					if err := sameGeometryTo(view, walked, horizon); err != nil {
+						t.Fatalf("%+v concept %d: the view's %v", opts, q, err)
+					}
+					// The parent's path to the same scores.
+					built := r.postingGeometry(buildPostings(ing, sim, q, copts.withDefaults()), copts.Radius, q, 0)
+					if built == nil || !slices.Equal(built.levelEnd, view.levelEnd) || !slices.Equal(built.counts, view.counts) || built.final != view.final {
+						t.Fatalf("%+v concept %d: built from postings %+v, the view %+v", opts, q, built, view)
+					}
+					qctx := ctxs[qi%len(ctxs)]
+					got, err := r.scoreGeometry(context.Background(), q, qctx, view, horizon, sc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := r.scoreGeometry(context.Background(), q, qctx, built, horizon, &relaxScratch{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					slices.SortFunc(got, rankScored)
+					slices.SortFunc(want, rankScored)
+					if !slices.EqualFunc(got, want, func(a, b scoredHit) bool {
+						return a.slot == b.slot && a.hops == b.hops && math.Float64bits(a.score) == math.Float64bits(b.score)
+					}) {
+						t.Fatalf("%+v concept %d ctx %q: the view scores %v, the posting-built geometry %v", opts, q, ctxKey(qctx), got, want)
 					}
 					// Past what the horizon supplies, only a final geometry answers.
-					if beyond := int(read.counts[len(read.counts)-1]) + 1; (r.indexedGeometry(q, beyond) != nil) != read.final {
+					final, beyond := view.final, int(view.counts[len(view.counts)-1])+1
+					if again, held := r.indexedGeometry(q, beyond, sc); !held || (again != nil) != final {
 						t.Fatalf("%+v concept %d: a target of %d instances, one past the horizon's, answered %v by a geometry final=%v",
-							opts, q, beyond, !read.final, read.final)
+							opts, q, beyond, !final, final)
 					}
 				}
 
 				oracle := NewRelaxer(ing, sim, nil, opts)
-				ctxs := queryContexts(ing)
 				outgrown := 0
 				stride := max(1, len(concepts)/24)
 				for qi := 0; qi < len(concepts); qi += stride {
@@ -758,26 +776,69 @@ func TestIndexBornGeometryMatchesWalk(t *testing.T) {
 					if ask(large, math.MaxInt32) != PathLive || ask(large, 1) != PathLive {
 						t.Fatalf("%+v concept %d: a target past the index's horizon, or the small one after it, was not served by the walk", opts, q)
 					}
-					if hits, fills, refills, _, _, _, _ := large.GeometryCounts(); hits != 1 || fills != 1 || refills != 0 {
-						t.Fatalf("%+v concept %d: large then small target made %d hits, %d fills, %d refills; want a fill and a hit", opts, q, hits, fills, refills)
+					// The index holds the concept and fell short: the walk is a refill.
+					if hits, fills, refills, mapped, _, _, _, _ := large.GeometryCounts(); hits != 1 || fills != 0 || refills != 1 || mapped != 0 {
+						t.Fatalf("%+v concept %d: large then small target made %d hits, %d fills, %d refills, %d mapped; want a refill and a hit", opts, q, hits, fills, refills, mapped)
 					}
 					first := ask(small, 1)
 					if ask(small, math.MaxInt32) != PathLive || ask(small, 1) != PathLive {
 						t.Fatalf("%+v concept %d: after a target outgrew the index-born entry the concept is not on the live path", opts, q)
 					}
-					hits, fills, refills, _, _, _, _ := small.GeometryCounts()
+					hits, fills, refills, mapped, _, bytes, _, _ := small.GeometryCounts()
 					if first == PathIndexed {
 						outgrown++
-						if hits != 1 || fills != 1 || refills != 1 {
-							t.Fatalf("%+v concept %d: small, large, small made %d hits, %d fills, %d refills; want one of each", opts, q, hits, fills, refills)
+						if hits != 1 || fills != 0 || refills != 1 || mapped != 1 || bytes == 0 {
+							t.Fatalf("%+v concept %d: small, large, small made %d hits, %d fills, %d refills, %d mapped, holding %d bytes; want a view, a refill and a hit on it", opts, q, hits, fills, refills, mapped, bytes)
 						}
 					}
 				}
 				if horizon < r.maxRadius() && outgrown == 0 {
-					t.Errorf("%+v: no sampled concept's small target was filled from the index and then outgrown", opts)
+					t.Errorf("%+v: no sampled concept's small target was served a view of the index and then outgrown", opts)
 				}
 			}
 		})
+	}
+}
+
+// TestMappedGeometryHoldsNothing serves every indexed concept of a generated
+// world once, and again, from an index that reaches the ceiling: every request
+// scores a view, and the memo holds, accounts for and evicts nothing. Under a
+// higher ceiling a target past the index's horizon is what first puts bytes in
+// it.
+func TestMappedGeometryHoldsNothing(t *testing.T) {
+	ing := oracleWorlds(t)["seed11"]
+	sim := NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
+	index := BuildCandidateIndex(ing, sim, CandidateIndexOptions{Radius: 3})
+	ctxs := queryContexts(ing)
+	r := NewRelaxer(ing, sim, nil, RelaxOptions{Radius: 2, DynamicRadius: true, MaxRadius: 3, IncludeSelf: true})
+	grows := NewRelaxer(ing, sim, nil, RelaxOptions{Radius: 2, DynamicRadius: true, MaxRadius: 5, IncludeSelf: true})
+	if !r.SetCandidateIndex(index) || !grows.SetCandidateIndex(index) {
+		t.Fatal("SetCandidateIndex refused an index that covers the base radius")
+	}
+	n := uint64(len(index.d.Concepts))
+	for pass := 0; pass < 2; pass++ {
+		for qi, q := range index.d.Concepts {
+			r.RelaxConcept(q, ctxs[(qi+pass)%len(ctxs)], math.MaxInt32)
+		}
+	}
+	hits, fills, refills, mapped, evictions, bytes, _, _ := r.GeometryCounts()
+	accounted, held, entries, ok := r.geo.audit()
+	if mapped != 2*n || hits+fills+refills+evictions != 0 || bytes != 0 || accounted != 0 || held != 0 || entries != 0 || !ok {
+		t.Errorf("after %d indexed concepts twice: %d mapped, %d hits, %d fills, %d refills, %d evictions; memo reports %d bytes, accounts for %d, holds %d in %d entries (consistent: %v)",
+			n, mapped, hits, fills, refills, evictions, bytes, accounted, held, entries, ok)
+	}
+	if live, _, indexed := r.PathCounts(); live != 0 || indexed != 2*n {
+		t.Errorf("after %d indexed concepts twice: %d requests on the live path, %d on the indexed", n, live, indexed)
+	}
+	// The flagged concept's own instance answers a target of one.
+	q := ing.FlaggedIDs()[0]
+	grows.RelaxConcept(q, nil, 1)
+	if _, _, _, mapped, _, bytes, _, _ := grows.GeometryCounts(); mapped != 1 || bytes != 0 {
+		t.Errorf("a target the index answers: %d mapped, %d bytes in the memo", mapped, bytes)
+	}
+	grows.RelaxConcept(q, nil, math.MaxInt32)
+	if _, fills, refills, _, _, bytes, _, _ := grows.GeometryCounts(); fills != 0 || refills != 1 || bytes <= 0 {
+		t.Errorf("a target past the index's horizon: %d fills, %d refills, %d bytes; want the walk counted a refill and held", fills, refills, bytes)
 	}
 }
 
@@ -829,7 +890,7 @@ func TestPlaneFirstTouchHammer(t *testing.T) {
 		close(start)
 		wg.Wait()
 	}
-	if _, _, _, _, _, planes, _ := shared.GeometryCounts(); planes != len(ctxs) {
+	if _, _, _, _, _, _, planes, _ := shared.GeometryCounts(); planes != len(ctxs) {
 		t.Errorf("after a round per context the relaxer holds %d planes for %d contexts", planes, len(ctxs))
 	}
 	if _, _, indexed := shared.PathCounts(); indexed == 0 {

@@ -43,10 +43,11 @@ func intTag(t *testing.T, s *trace.Span, key string) int {
 // about the run: the radius the walk stopped at, the graph nodes it touched
 // and the candidates it scored — checked against the exhaustive oracle — and,
 // on the live and the indexed path, whether the concept's geometry was walked
-// or read off the index now (fill: an index fill reaches nothing), found in
-// the memo (hit: nothing reached) or walked again for a wider target
-// (refill, which moves an indexed concept to the live path); on the single
-// and the batch entry points, and on the path that holds no geometry.
+// now (fill), found in the memo (hit: nothing reached), a view of the index
+// (mapped, every time: nothing reached, nothing memoised) or walked for a
+// wider target than the memo's or the index's geometry answers (refill, which
+// moves an indexed concept to the live path); on the single and the batch
+// entry points, and on the path that holds no geometry.
 func TestKernelSpanTags(t *testing.T) {
 	ing := oracleWorlds(t)["seed11"]
 	opts := RelaxOptions{Radius: 1, DynamicRadius: true, MaxRadius: 6}
@@ -93,27 +94,25 @@ func TestKernelSpanTags(t *testing.T) {
 			switch path {
 			case "materialized_hit": // a stored answer: nothing walked, nothing scored
 				want = [3]int{radius, 0, 0}
-			case "index_path": // the posting list stands in for the walk
+			case "index_path": // the stored geometry stands in for the walk
 				want = [3]int{radius, 0, scored}
 			}
 			if got := tags(spans[0]); got != want {
 				t.Errorf("%s relaxer, concept %d: span says radius/reached/scored %v, the oracle %v", path, q, got, want)
 			}
-			wantGeometry := "fill"
-			if path == "materialized_hit" {
-				wantGeometry = ""
-			}
+			wantGeometry := map[string]string{"live_path": "fill", "index_path": "mapped", "materialized_hit": ""}[path]
 			if got := spans[0].Tag("geometry"); got != wantGeometry {
 				t.Errorf("%s relaxer, concept %d: span says geometry=%q, want %q", path, q, got, wantGeometry)
 			}
 		}
-		// The same query again finds the geometry, on the path that filled it:
-		// same radius and scoring, no walk.
+		// The same query again finds the geometry where the first left it — the
+		// memo, or the index still: same radius and scoring, no walk.
 		for path, r := range map[string]*Relaxer{"live_path": live, "index_path": idxR} {
+			wantGeometry := map[string]string{"live_path": "hit", "index_path": "mapped"}[path]
 			spans := kernelSpans(t, func(ctx context.Context) { r.RelaxTermContextTraced(ctx, c.Name, nil, 0) })
-			if got, want := tags(spans[0]), [3]int{radius, 0, scored}; got != want || spans[0].Tag("geometry") != "hit" || spans[0].Tag("path") != path {
-				t.Errorf("%s relaxer, concept %d asked again: span says path=%s radius/reached/scored %v geometry=%q, want %v from a hit",
-					path, q, spans[0].Tag("path"), got, spans[0].Tag("geometry"), want)
+			if got, want := tags(spans[0]), [3]int{radius, 0, scored}; got != want || spans[0].Tag("geometry") != wantGeometry || spans[0].Tag("path") != path {
+				t.Errorf("%s relaxer, concept %d asked again: span says path=%s radius/reached/scored %v geometry=%q, want %v and %q",
+					path, q, spans[0].Tag("path"), got, spans[0].Tag("geometry"), want, wantGeometry)
 			}
 		}
 		batch = append(batch, BatchQuery{Term: c.Name})
@@ -125,8 +124,8 @@ func TestKernelSpanTags(t *testing.T) {
 	// stops short of the ceiling, so the default target walks again; the
 	// third pass finds what the second left.
 	// The same passes over an index that ends at the base radius: it answers
-	// the narrow target, the default one outgrows it, and from the walk that
-	// replaces its entry on the concept is the live path's.
+	// the narrow target as a view, the default one outgrows it, and from the
+	// walk that takes its place on the concept is the live path's.
 	fresh := NewRelaxer(ing, sim(), mapper, opts)
 	freshIdx := NewRelaxer(ing, sim(), mapper, opts)
 	freshIdx.SetCandidateIndex(BuildCandidateIndex(ing, sim(), CandidateIndexOptions{Radius: opts.Radius}))
@@ -144,19 +143,22 @@ func TestKernelSpanTags(t *testing.T) {
 			if len(spans) != len(batch) {
 				t.Fatalf("batch of %d recorded %d kernel spans", len(batch), len(spans))
 			}
-			wantPath := "live_path"
+			wantPath, wantGeometry := "live_path", pass.geometry
 			if r == freshIdx {
 				wantPath = pass.idxPath
+				if wantPath == "index_path" {
+					wantGeometry = "mapped"
+				}
 			}
 			for i, s := range spans {
-				if got := s.Tag("geometry"); got != pass.geometry || s.Tag("path") != wantPath {
-					t.Errorf("%s pass, batch item %d: span says geometry=%q path=%s, want path=%s", pass.geometry, i, got, s.Tag("path"), wantPath)
+				if got := s.Tag("geometry"); got != wantGeometry || s.Tag("path") != wantPath {
+					t.Errorf("%s pass, batch item %d: span says geometry=%q path=%s, want %q path=%s", pass.geometry, i, got, s.Tag("path"), wantGeometry, wantPath)
 				}
 				want := batchWant[i]
 				switch pass.geometry {
 				case "fill":
 					if r == freshIdx && intTag(t, s, "reached") != 0 {
-						t.Errorf("fill pass, batch item %d: an index fill reached %s nodes", i, s.Tag("reached"))
+						t.Errorf("fill pass, batch item %d: a view of the index reached %s nodes", i, s.Tag("reached"))
 					}
 					continue // another target: only the tags above are pinned
 				case "hit":
@@ -169,9 +171,10 @@ func TestKernelSpanTags(t *testing.T) {
 		}
 	}
 	for _, r := range []*Relaxer{fresh, freshIdx} {
-		hits, fills, refills, _, bytes, planes, planeBytes := r.GeometryCounts()
-		if n := uint64(len(batch)); hits != n || fills != n || refills != n || bytes <= 0 {
-			t.Errorf("GeometryCounts after the three passes: %d hits, %d fills, %d refills, %d bytes; want %d of each and some bytes", hits, fills, refills, bytes, n)
+		hits, fills, refills, mapped, _, bytes, planes, planeBytes := r.GeometryCounts()
+		// The first pass walked on the one and mapped on the other.
+		if n := uint64(len(batch)); hits != n || fills+mapped != n || (mapped != 0) != (r == freshIdx) || refills != n || bytes <= 0 {
+			t.Errorf("GeometryCounts after the three passes: %d hits, %d fills, %d mapped, %d refills, %d bytes; want %d of each (fills or mapped) and some bytes", hits, fills, mapped, refills, bytes, n)
 		}
 		// Every query was context-free: one plane, a float per ranked node.
 		if planes != 1 || planeBytes != int64(8*len(ing.icDomain)) {
@@ -180,5 +183,40 @@ func TestKernelSpanTags(t *testing.T) {
 	}
 	if live, _, indexed := freshIdx.PathCounts(); live != 2*uint64(len(batch)) || indexed != uint64(len(batch)) {
 		t.Errorf("PathCounts of the indexed relaxer after the three passes: %d live, %d indexed; want %d and %d", live, indexed, 2*len(batch), len(batch))
+	}
+}
+
+// TestUntracedIndexedRequestAllocatesLikeTheKernel is the zero-alloc untraced
+// gate (internal/trace BenchmarkUntracedOverhead, which cannot import this
+// package) on an index-covered request: taking the view allocates nothing
+// once the scratch is warm — with the own hit left out, the case that writes
+// into it — and the traced entry point, handed a context that carries no
+// span, allocates exactly what the span-free one and the term mapping do.
+func TestUntracedIndexedRequestAllocatesLikeTheKernel(t *testing.T) {
+	ing := oracleWorlds(t)["seed11"]
+	sim := NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
+	index := BuildCandidateIndex(ing, sim, CandidateIndexOptions{Radius: 3})
+	q := ing.FlaggedIDs()[0]
+	c, _ := ing.Graph.Concept(q)
+	for _, opts := range []RelaxOptions{{Radius: 2, IncludeSelf: true}, {Radius: 2, DynamicRadius: true, MaxRadius: 3}} {
+		r := NewRelaxer(ing, sim, exactMapper{ing.Graph}, opts)
+		if !r.SetCandidateIndex(index) {
+			t.Fatal("SetCandidateIndex refused an index that covers the base radius")
+		}
+		sc := &relaxScratch{}
+		if view, _ := r.indexedGeometry(q, 1, sc); view == nil {
+			t.Fatalf("%+v: the index declined concept %d", opts, q)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { r.indexedGeometry(q, 1, sc) }); allocs != 0 {
+			t.Errorf("%+v: a view on a warm scratch allocates %v times, want 0", opts, allocs)
+		}
+		ctx := context.Background()
+		kernel := testing.AllocsPerRun(100, func() { r.RelaxConceptContext(ctx, q, nil, 5) })
+		mapping := testing.AllocsPerRun(100, func() { r.mapper.Map(c.Name) })
+		entry := testing.AllocsPerRun(100, func() { r.RelaxTermContextTraced(ctx, c.Name, nil, 5) })
+		if _, _, _, mapped, _, bytes, _, _ := r.GeometryCounts(); entry != kernel+mapping || mapped == 0 || bytes != 0 {
+			t.Errorf("%+v: the untraced traced entry point allocates %v times, the span-free one %v and the term mapping %v; %d requests mapped, %d bytes memoised",
+				opts, entry, kernel, mapping, mapped, bytes)
+		}
 	}
 }

@@ -170,7 +170,7 @@ func TestCancelledWalkReturnsScratch(t *testing.T) {
 		if lent := g.ScratchLent(); lent != 0 {
 			t.Fatalf("fill cancelled after %d polls: %d scratches not returned to the pool", polls, lent)
 		}
-		hits, fills, refills, _, bytes, _, _ := fresh.GeometryCounts()
+		hits, fills, refills, _, _, bytes, _, _ := fresh.GeometryCounts()
 		if err == nil {
 			if fills != 1 || bytes == 0 {
 				t.Fatalf("the fill that was not cancelled counts %d fills and holds %d bytes", fills, bytes)

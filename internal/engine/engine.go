@@ -201,8 +201,11 @@ func New(ing *core.Ingestion, cfg Config) *Snapshot {
 	if ing.Candidates != nil {
 		s.idxActive = s.relaxer.SetCandidateIndex(ing.Candidates)
 		if !s.idxActive {
-			log.Printf("engine: candidate index radius %d does not cover serving radius %d; ignoring",
-				ing.Candidates.Radius(), s.relaxer.Options().Radius)
+			why := "names flagged slots or graph nodes that are not this ingestion's"
+			if have, want := ing.Candidates.Radius(), s.relaxer.Options().Radius; have < want {
+				why = fmt.Sprintf("radius %d does not cover serving radius %d", have, want)
+			}
+			log.Printf("engine: candidate index %s; ignoring", why)
 		}
 	}
 	return s
@@ -543,12 +546,13 @@ func (s *Snapshot) Stats() map[string]any {
 	}
 	live, mat, idx := s.relaxer.PathCounts()
 	stats["relaxPaths"] = map[string]uint64{"live": live, "materialized": mat, "indexed": idx}
-	// What the kernel's per-concept geometry memo has done for this snapshot
-	// — a hit scored a stored geometry, a fill walked the graph or read the
-	// candidate index, a refill walked — and the per-context IC planes the
+	// Where the kernel's per-concept geometries came from for this snapshot —
+	// a hit scored one the memo held, a fill walked the graph, a refill walked
+	// again for a wider target, mapped scored a view of the candidate index's
+	// columns, which the memo never holds — and the per-context IC planes the
 	// scorer loads from.
-	hits, fills, refills, evictions, bytes, planes, planeBytes := s.relaxer.GeometryCounts()
-	stats["relaxGeometry"] = map[string]uint64{"hits": hits, "fills": fills, "refills": refills, "evictions": evictions, "bytes": uint64(bytes),
+	hits, fills, refills, mapped, evictions, bytes, planes, planeBytes := s.relaxer.GeometryCounts()
+	stats["relaxGeometry"] = map[string]uint64{"hits": hits, "fills": fills, "refills": refills, "mapped": mapped, "evictions": evictions, "bytes": uint64(bytes),
 		"planes": uint64(planes), "planeBytes": uint64(planeBytes)}
 	// Multi-source snapshots report each mounted arm; single-source stats
 	// keep the classic shape with no extra keys.

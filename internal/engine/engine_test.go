@@ -1,10 +1,14 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"log"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -342,5 +346,54 @@ func TestSnapshotAdoptsMaterializedOptions(t *testing.T) {
 	}
 	if mat, _ := snap.AccelActive(); mat {
 		t.Fatal("mismatched store must be refused under explicit options")
+	}
+}
+
+// TestSnapshotServesMappedGeometry: a snapshot over an indexed ingestion
+// scores views of the index — its stats count them as mapped, on the indexed
+// path, and the geometry memo stays empty — and one whose index cannot be
+// attached says in its log which check refused it.
+func TestSnapshotServesMappedGeometry(t *testing.T) {
+	indexed := func(radius int) *core.Ingestion {
+		ing := testIngestion(t)
+		ing.Graph.Freeze()
+		sim := core.NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
+		ing.Candidates = core.BuildCandidateIndex(ing, sim, core.CandidateIndexOptions{Radius: radius})
+		return ing
+	}
+	snap := New(indexed(8), Config{})
+	if _, idx := snap.AccelActive(); !idx {
+		t.Fatal("an index out to the serving ceiling was not attached")
+	}
+	for _, k := range []int{5, 3} {
+		if _, err := snap.Relax(context.Background(), "pyelectasia", "", k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats := snap.Stats()
+	geometry, _ := stats["relaxGeometry"].(map[string]uint64)
+	paths, _ := stats["relaxPaths"].(map[string]uint64)
+	if geometry["mapped"] != 2 || geometry["fills"]+geometry["hits"]+geometry["bytes"] != 0 || paths["indexed"] != 2 {
+		t.Errorf("after two indexed relaxations: relaxGeometry %v, relaxPaths %v; want both mapped and nothing memoised", geometry, paths)
+	}
+
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+	if _, idx := New(indexed(2), Config{}).AccelActive(); idx || !strings.Contains(logged.String(), "radius 2 does not cover serving radius 3") {
+		t.Errorf("an index narrower than the serving radius: attached %v, log %q", idx, logged.String())
+	}
+	// The same columns adopted over a flagged set one concept longer: valid
+	// there, foreign to the ingestion that carries it.
+	logged.Reset()
+	ing := indexed(8)
+	nodes := ing.Graph.ConceptIDs()
+	foreign, err := core.OpenFlatCandidateIndex(ing.Candidates.FlatData(), append(ing.FlaggedIDs(), nodes[len(nodes)-1]+1), nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ing.Candidates = foreign
+	if _, idx := New(ing, Config{}).AccelActive(); idx || !strings.Contains(logged.String(), "not this ingestion's") {
+		t.Errorf("an index over another flagged set: attached %v, log %q", idx, logged.String())
 	}
 }

@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 
+	"medrelax/internal/core"
 	"medrelax/internal/match"
 )
 
@@ -120,20 +122,41 @@ func TestLoadFileErrorTyping(t *testing.T) {
 // see: each returns the payload it wants the section to have instead. The
 // sections are re-encoded around it, so every CRC in the file is valid and
 // only the component validators stand between the edit and a read.
-// nameKeys, flagged and multi (a token listed under two or more keys)
-// describe the bundle the edits are aimed at.
-func structurallyCorrupt(nameKeys, flagged int, tokOff []int32, multi int) []struct {
-	name string
-	kind uint32
-	edit func(p []byte) []byte
-} {
+// ing is the bundle the edits are aimed at — its candidate index holds an
+// unflagged concept with candidates, a hit with a sole LCS and one with a tied
+// set — and multi a token its resolver lists under two or more keys (tokOff).
+func structurallyCorrupt(t testing.TB, ing *core.Ingestion, tokOff []int32, multi int) []flatEdit {
 	le32 := binary.LittleEndian.PutUint32
+	nameKeys, flagged, nodes := len(ing.Graph.NameKeys()), ing.FlaggedCount(), ing.Graph.Len()
 	span := 4 * int(tokOff[multi]) // byte offset of multi's first posting
-	return []struct {
-		name string
-		kind uint32
-		edit func(p []byte) []byte
-	}{
+
+	// In the candidate index: bare is an unflagged concept with candidates;
+	// sole and tied are hits, as word positions in the hit column, whose LCS
+	// is one node and a tied set.
+	cd := ing.Candidates.FlatData()
+	stride, bare, sole, tied := cd.Radius+1, -1, -1, -1
+	for ci := range cd.Concepts {
+		lo, hi := 3*int(cd.Off[ci]), 3*int(cd.Off[ci+1])
+		if bare < 0 && hi > lo && cd.Levels[ci*stride] == 0 {
+			bare = ci
+		}
+		for w := lo + 3*int(cd.Levels[ci*stride]); w < hi; w += 3 {
+			if lcs := cd.Hits[w+1]; sole < 0 && lcs >= 0 {
+				sole = w
+			} else if tied < 0 && lcs < 0 && lcs != math.MinInt32 {
+				tied = w
+			}
+		}
+	}
+	if bare < 0 || sole < 0 || tied < 0 || len(cd.TiedOff) < 3 {
+		t.Fatalf("the candidate index lacks something to corrupt: bare %d, sole %d, tied %d, %d tied sets", bare, sole, tied, len(cd.TiedOff)-1)
+	}
+	// word sets the 32-bit word at a position of a column.
+	word := func(at int, v int32) func(p []byte) []byte {
+		return func(p []byte) []byte { le32(p[4*at:], uint32(v)); return p }
+	}
+	last := func(p []byte) []byte { return p[:len(p)-4] }
+	return []flatEdit{
 		{"lookup tokens truncated", secLkTokens, func(p []byte) []byte { return p[:len(p)-4] }},
 		{"lookup token offsets truncated", secLkTokOff, func(p []byte) []byte { return p[:len(p)-4] }},
 		{"lookup token keys truncated", secLkTokKeys, func(p []byte) []byte { return p[:len(p)-4] }},
@@ -166,11 +189,39 @@ func structurallyCorrupt(nameKeys, flagged int, tokOff []int32, multi int) []str
 			copy(p[8:16], first[:])
 			return p
 		}},
+		{"index hits not whole records", secCidxHits, last},
+		{"index hit offsets torn", secCidxOff, last},
+		{"index level ends truncated", secCidxLevels, last},
+		{"index instance counts truncated", secCidxCounts, last},
+		{"index shape offsets torn", secCidxShapeOff, last},
+		{"index shapes not whole records", secCidxShapes, last},
+		{"index tied-set offsets torn", secCidxSetOff, last},
+		{"index tied-set boundaries truncated", secCidxTiedOff, last},
+		{"index tied nodes truncated", secCidxTied, last},
+		{"index slot past the flagged set", secCidxHits, word(sole, int32(flagged))},
+		{"index LCS node past the graph", secCidxHits, word(sole+1, int32(nodes))},
+		{"index shape past the concept's", secCidxHits, word(sole+2, int32(len(cd.Shapes)))},
+		{"index tied set past the concept's", secCidxHits, word(tied+1, ^int32(len(cd.TiedOff)))},
+		{"index hit at hop 0 of an unflagged concept", secCidxLevels, word(bare*stride, 1)},
+		{"index level end past the span", secCidxLevels, word(bare*stride+cd.Radius, cd.Levels[bare*stride+cd.Radius]+1)},
+		{"index level ends decrease", secCidxLevels, word(bare*stride+1, cd.Levels[bare*stride+cd.Radius]+1)},
+		{"index counts decrease", secCidxCounts, word(bare*stride+cd.Radius, -1)},
+		{"index negative path shape", secCidxShapes, word(0, -1)},
+		{"index tied set descending", secCidxTied, word(1, cd.Tied[0])},
+		{"index tied set of one member", secCidxTiedOff, word(1, 1)},
+		{"index tied node past the graph", secCidxTied, word(int(cd.TiedOff[1])-1, int32(nodes))},
 	}
 }
 
-// TestFlatNewSectionCorruptionFailsLoudly: a resolver or candidate-column
-// section that is CRC-valid and structurally wrong is ErrCorruptBundle at
+// flatEdit is one edit of one section's payload.
+type flatEdit struct {
+	name string
+	kind uint32
+	edit func(p []byte) []byte
+}
+
+// TestFlatNewSectionCorruptionFailsLoudly: a resolver, candidate-column or
+// candidate-index section that is CRC-valid and structurally wrong is ErrCorruptBundle at
 // open, never a panic and never a bundle that answers differently.
 func TestFlatNewSectionCorruptionFailsLoudly(t *testing.T) {
 	ing := buildSmallAccelIngestion(t)
@@ -194,7 +245,7 @@ func TestFlatNewSectionCorruptionFailsLoudly(t *testing.T) {
 	if err := open(sections); err != nil {
 		t.Fatalf("the unedited sections do not open: %v", err)
 	}
-	for _, c := range structurallyCorrupt(len(ing.Graph.NameKeys()), ing.FlaggedCount(), lk.TokOff, multi) {
+	for _, c := range structurallyCorrupt(t, ing, lk.TokOff, multi) {
 		t.Run(c.name, func(t *testing.T) {
 			edited := slices.Clone(sections)
 			i := slices.IndexFunc(edited, func(s flatSection) bool { return s.kind == c.kind })

@@ -6,15 +6,15 @@ import (
 	"math"
 	"unsafe"
 
-	"medrelax/internal/core"
 	"medrelax/internal/eks"
 	"medrelax/internal/kb"
 )
 
 // Flat bundle (v4) layout — a zero-copy snapshot. Where v1 is a document
 // that must be decoded record by record into heap structures, v4 lays the
-// ingestion out as the flat arrays the read path wants to traverse: CSR adjacency, sorted ID columns, posting and
-// candidate records in their in-memory fixed-width form. A reader maps the
+// ingestion out as the flat arrays the read path wants to traverse: CSR
+// adjacency, sorted ID columns, candidate and geometry columns in the
+// fixed-width form the kernel reads. A reader maps the
 // file and serves queries directly from the mapping — opening a bundle
 // costs a directory walk plus one CRC pass, not a rebuild.
 //
@@ -141,10 +141,20 @@ const (
 	secMatCandScores uint32 = 87 // []float64, a candidate's final score
 	secMatCandSlots  uint32 = 88 // []uint32, parallel: flagged slot<<8 | hops
 
-	secCidxCon   uint32 = 90 // []eks.ConceptID, ascending indexed concepts
-	secCidxOff   uint32 = 91 // []int32 CSR into cidxPosts
-	secCidxPosts uint32 = 92 // []core.Posting, 32-byte records
-	secCidxLCS   uint32 = 93 // []eks.ConceptID, shared LCS pool
+	// 90–93 held the candidate index as posting records; see retired.go.
+
+	// The candidate index: per indexed concept the geometry the kernel scores
+	// (core.FlatCandidateIndexData), in shared pools.
+	secCidxCon      uint32 = 110 // []eks.ConceptID, ascending indexed concepts
+	secCidxOff      uint32 = 111 // []int32 CSR into cidxHits, in hits
+	secCidxHits     uint32 = 112 // []int32, three a hit: flagged slot, LCS, shape
+	secCidxLevels   uint32 = 113 // []int32, radius+1 a concept: hits within h hops
+	secCidxCounts   uint32 = 114 // []int32, radius+1 a concept: instances within h hops
+	secCidxShapeOff uint32 = 115 // []int32 CSR into cidxShapes, in shapes
+	secCidxShapes   uint32 = 116 // []int32, two a shape: gen, spec
+	secCidxSetOff   uint32 = 117 // []int32 CSR into the tied sets
+	secCidxTiedOff  uint32 = 118 // []int32 set boundaries in cidxTied
+	secCidxTied     uint32 = 119 // []int32 graph nodes, ascending within a set
 
 	// secSources holds the secondary named sources of a federated bundle as
 	// the canonical JSON encoding of []sourceDump. Secondaries are small
@@ -221,11 +231,10 @@ var hostLE = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// Compile-time size pins: the record sections are viewed in place as these
-// structs, so their sizes are part of the wire format. A field change that
-// alters a size fails the build here instead of corrupting bundles.
+// Compile-time size pins: id columns are viewed in place as these types, so
+// their sizes are part of the wire format. A change that alters a size fails
+// the build here instead of corrupting bundles.
 var (
-	_ = [1]struct{}{}[unsafe.Sizeof(core.Posting{})-32]
 	_ = [1]struct{}{}[unsafe.Sizeof(eks.ConceptID(0))-8]
 	_ = [1]struct{}{}[unsafe.Sizeof(kb.InstanceID(0))-8]
 )
@@ -257,35 +266,6 @@ func viewColumn[T flatNumber](b []byte, what string) ([]T, error) {
 		} else {
 			u := binary.LittleEndian.Uint64(b[8*i:])
 			out[i] = *(*T)(unsafe.Pointer(&u))
-		}
-	}
-	return out, nil
-}
-
-// viewPostings reinterprets a section as candidate-index posting records.
-func viewPostings(b []byte, what string) ([]core.Posting, error) {
-	const rec = 32
-	if len(b)%rec != 0 {
-		return nil, corruptf("flat v4", "%s section length %d not a multiple of %d", what, len(b), rec)
-	}
-	n := len(b) / rec
-	if n == 0 {
-		return nil, nil
-	}
-	if hostLE {
-		return unsafe.Slice((*core.Posting)(unsafe.Pointer(unsafe.SliceData(b))), n), nil
-	}
-	out := make([]core.Posting, n)
-	for i := range out {
-		r := b[rec*i:]
-		out[i] = core.Posting{
-			Concept: eks.ConceptID(binary.LittleEndian.Uint64(r[0:])),
-			Hops:    int32(binary.LittleEndian.Uint32(r[8:])),
-			Gen:     int32(binary.LittleEndian.Uint32(r[12:])),
-			Spec:    int32(binary.LittleEndian.Uint32(r[16:])),
-			LCSLo:   int32(binary.LittleEndian.Uint32(r[20:])),
-			LCSHi:   int32(binary.LittleEndian.Uint32(r[24:])),
-			Rsv:     int32(binary.LittleEndian.Uint32(r[28:])),
 		}
 	}
 	return out, nil

@@ -452,42 +452,3 @@ func TestFlatRoundTripSmallWorld(t *testing.T) {
 	}
 	assertSameRelaxations(t, ing, second)
 }
-
-// TestRecordSectionChunks encodes a record column through buffers that hold
-// from one record to all of them: the chunks concatenate to the same bytes,
-// and writeFlat's checksum over them is the checksum of the whole.
-func TestRecordSectionChunks(t *testing.T) {
-	posts := make([]core.Posting, 1000)
-	for i := range posts {
-		posts[i] = core.Posting{Concept: eks.ConceptID(7 * i), Hops: int32(i % 9), Gen: int32(i % 5), Spec: int32(i % 3), LCSLo: int32(i), LCSHi: int32(i + 1)}
-	}
-	s := flatSection{kind: secCidxPosts, records: postingRecords(posts)}
-	var whole []byte
-	s.each(make([]byte, s.size()), func(b []byte) error { whole = append(whole, b...); return nil })
-	if len(whole) != s.size() || len(whole) != 32*len(posts) {
-		t.Fatalf("encoded %d bytes, size() = %d, want %d", len(whole), s.size(), 32*len(posts))
-	}
-	for _, bufSize := range []int{32, 33, 100, 32 * 999, 32*1000 + 5} {
-		var got []byte
-		calls := 0
-		s.each(make([]byte, bufSize), func(b []byte) error { calls++; got = append(got, b...); return nil })
-		if !bytes.Equal(got, whole) {
-			t.Errorf("buffer of %d bytes: chunks differ from the whole (%d calls)", bufSize, calls)
-		}
-	}
-
-	var file bytes.Buffer
-	if err := writeFlat(&file, []flatSection{s}); err != nil {
-		t.Fatal(err)
-	}
-	data := file.Bytes()
-	dirOff := binary.LittleEndian.Uint64(data[16:])
-	e := data[dirOff:]
-	off, size := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
-	if !bytes.Equal(data[off:off+size], whole) {
-		t.Error("section bytes in the file differ from the encoded column")
-	}
-	if got := binary.LittleEndian.Uint32(e[24:]); got != sectionCRC(whole) {
-		t.Errorf("directory checksum %#x, want %#x", got, sectionCRC(whole))
-	}
-}

@@ -20,7 +20,7 @@ import (
 // memory. The mapping stays valid for the lifetime of the returned
 // Ingestion — its Backing field pins it — and is released by the runtime
 // once the Ingestion becomes unreachable. Views handed out by the
-// ingestion (instance spans, posting lists, ...) must not outlive it.
+// ingestion (instance spans, stored geometries, ...) must not outlive it.
 func OpenFlat(path string) (*core.Ingestion, error) {
 	if err := fault.At("persist.open").Inject(); err != nil {
 		return nil, fmt.Errorf("persist: opening bundle %q: %w", path, err)
@@ -267,7 +267,7 @@ func (d *flatDecoder) restoreFlat(backing core.SnapshotBacking) (*core.Ingestion
 		return nil, corruptf("flat v4", "materialized sections present but meta flag unset")
 	}
 	if meta.flags&metaHasCandidates != 0 {
-		x, err := d.restoreCandidates(meta)
+		x, err := d.restoreCandidates(meta, maps.Flagged, g.FlatData().IDs)
 		if err != nil {
 			return nil, err
 		}
@@ -565,7 +565,9 @@ func (d *flatDecoder) restoreMaterialized(meta flatMeta, flagged []eks.ConceptID
 	return m, nil
 }
 
-func (d *flatDecoder) restoreCandidates(meta flatMeta) (*core.CandidateIndex, error) {
+// restoreCandidates adopts the candidate index over the flagged set and the
+// graph's node ids its hits are positions in.
+func (d *flatDecoder) restoreCandidates(meta flatMeta, flagged, nodes []eks.ConceptID) (*core.CandidateIndex, error) {
 	cd := core.FlatCandidateIndexData{
 		Radius:  int(meta.cidxRadius),
 		Skipped: int(meta.cidxSkipped),
@@ -574,20 +576,26 @@ func (d *flatDecoder) restoreCandidates(meta flatMeta) (*core.CandidateIndex, er
 	if cd.Concepts, err = d.conceptIDs(secCidxCon, "candidate index concepts"); err != nil {
 		return nil, err
 	}
-	if cd.Off, err = d.int32s(secCidxOff, "candidate index offsets"); err != nil {
-		return nil, err
+	for _, col := range []struct {
+		to   *[]int32
+		kind uint32
+		what string
+	}{
+		{&cd.Off, secCidxOff, "candidate index hit offsets"},
+		{&cd.Hits, secCidxHits, "candidate index hits"},
+		{&cd.Levels, secCidxLevels, "candidate index level ends"},
+		{&cd.Counts, secCidxCounts, "candidate index instance counts"},
+		{&cd.ShapeOff, secCidxShapeOff, "candidate index shape offsets"},
+		{&cd.Shapes, secCidxShapes, "candidate index shapes"},
+		{&cd.SetOff, secCidxSetOff, "candidate index tied-set offsets"},
+		{&cd.TiedOff, secCidxTiedOff, "candidate index tied-set boundaries"},
+		{&cd.Tied, secCidxTied, "candidate index tied nodes"},
+	} {
+		if *col.to, err = d.int32s(col.kind, col.what); err != nil {
+			return nil, err
+		}
 	}
-	postB, err := d.sec(secCidxPosts, "candidate index postings")
-	if err != nil {
-		return nil, err
-	}
-	if cd.Posts, err = viewPostings(postB, "candidate index postings"); err != nil {
-		return nil, err
-	}
-	if cd.LCS, err = d.conceptIDs(secCidxLCS, "candidate index LCS pool"); err != nil {
-		return nil, err
-	}
-	x, err := core.OpenFlatCandidateIndex(cd)
+	x, err := core.OpenFlatCandidateIndex(cd, flagged, nodes)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", corruptf("flat v4", "restore failed"), err)
 	}

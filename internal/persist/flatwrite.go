@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"runtime"
 	"sort"
@@ -24,48 +23,10 @@ type flatWriter struct {
 	strBytes int
 }
 
-// flatSection is one section of the file: its bytes, or — for a record
-// column too large to hold encoded next to its source, the postings being
-// most of an indexed bundle — the records they are encoded from, a chunk at a
-// time, as they are checksummed and again as they are written.
+// flatSection is one section of the file: its kind and its bytes.
 type flatSection struct {
 	kind    uint32
 	payload []byte
-	records *recordColumn
-}
-
-// recordColumn stands for n records of width bytes each; put encodes record
-// i, every byte of it, into r.
-type recordColumn struct {
-	n, width int
-	put      func(r []byte, i int)
-}
-
-func (s flatSection) size() int {
-	if s.records != nil {
-		return s.records.n * s.records.width
-	}
-	return len(s.payload)
-}
-
-// each hands the section's bytes to fn in file order; buf is where records
-// are encoded, and fn must be done with a chunk when it returns.
-func (s flatSection) each(buf []byte, fn func([]byte) error) error {
-	if s.records == nil {
-		return fn(s.payload)
-	}
-	c := s.records
-	per := len(buf) / c.width
-	for lo := 0; lo < c.n; lo += per {
-		chunk := buf[:min(per, c.n-lo)*c.width]
-		for i := 0; i < len(chunk); i += c.width {
-			c.put(chunk[i:i+c.width], lo+i/c.width)
-		}
-		if err := fn(chunk); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func newFlatWriter() *flatWriter {
@@ -85,10 +46,6 @@ func (w *flatWriter) ref(s string) uint32 {
 
 func (w *flatWriter) add(kind uint32, payload []byte) {
 	w.sections = append(w.sections, flatSection{kind: kind, payload: payload})
-}
-
-func (w *flatWriter) addRecords(kind uint32, c *recordColumn) {
-	w.sections = append(w.sections, flatSection{kind: kind, records: c})
 }
 
 // Column encoders: everything is little-endian regardless of host, so the
@@ -123,18 +80,6 @@ func (w *flatWriter) leRefs(ss []string) []byte {
 	return leColumn(refs)
 }
 
-func postingRecords(xs []core.Posting) *recordColumn {
-	return &recordColumn{n: len(xs), width: 32, put: func(r []byte, i int) {
-		binary.LittleEndian.PutUint64(r[0:], uint64(xs[i].Concept))
-		binary.LittleEndian.PutUint32(r[8:], uint32(xs[i].Hops))
-		binary.LittleEndian.PutUint32(r[12:], uint32(xs[i].Gen))
-		binary.LittleEndian.PutUint32(r[16:], uint32(xs[i].Spec))
-		binary.LittleEndian.PutUint32(r[20:], uint32(xs[i].LCSLo))
-		binary.LittleEndian.PutUint32(r[24:], uint32(xs[i].LCSHi))
-		binary.LittleEndian.PutUint32(r[28:], 0)
-	}}
-}
-
 // SaveFlat writes the ingestion as a flat (v4) bundle: the zero-copy format
 // OpenFlat serves directly from a memory mapping. The output is
 // deterministic — identical ingestions produce identical bytes.
@@ -144,10 +89,9 @@ func SaveFlat(w io.Writer, ing *core.Ingestion) error {
 		return err
 	}
 	err = writeFlat(w, sections)
-	// A flat-mapped ingestion's strings and record columns alias its mapping,
-	// which a finalizer unmaps once the ingestion is unreachable; the string
-	// table and the record sections were still reading them after the last
-	// use of ing.
+	// A flat-mapped ingestion's strings and columns alias its mapping, which a
+	// finalizer unmaps once the ingestion is unreachable; the section payloads
+	// were still reading them after the last use of ing.
 	runtime.KeepAlive(ing)
 	if err != nil {
 		return fmt.Errorf("persist: writing flat bundle: %w", err)
@@ -199,32 +143,22 @@ func encodeFlat(ing *core.Ingestion) ([]flatSection, error) {
 	return fw.sections, nil
 }
 
-// recordChunk is how many bytes of a record column are encoded at a time.
-const recordChunk = 1 << 20
-
 // writeFlat lays out header, 8-aligned sections, and the directory, and
 // writes them in file order. Only the header and the directory are built
-// here; the payloads go out from where they were encoded and the record
-// columns a chunk at a time, so a save holds the small sections in memory
-// once and the large ones never.
+// here; the payloads go out from where they were encoded — on a little-endian
+// host the columns' own memory — so a save holds no second copy of the bundle.
 func writeFlat(w io.Writer, sections []flatSection) error {
 	align := func(n int) int { return (n + 7) &^ 7 }
-	buf := make([]byte, recordChunk)
 	dir := make([]byte, flatDirEntrySize*len(sections))
 	pos := flatHeaderSize
 	for i, s := range sections {
 		pos = align(pos)
-		var crc uint32
-		s.each(buf, func(b []byte) error {
-			crc = crc32.Update(crc, crc32.IEEETable, b)
-			return nil
-		})
 		e := dir[flatDirEntrySize*i:]
 		binary.LittleEndian.PutUint32(e[0:], s.kind)
 		binary.LittleEndian.PutUint64(e[8:], uint64(pos))
-		binary.LittleEndian.PutUint64(e[16:], uint64(s.size()))
-		binary.LittleEndian.PutUint32(e[24:], crc)
-		pos += s.size()
+		binary.LittleEndian.PutUint64(e[16:], uint64(len(s.payload)))
+		binary.LittleEndian.PutUint32(e[24:], sectionCRC(s.payload))
+		pos += len(s.payload)
 	}
 	dirOff := align(pos)
 
@@ -239,18 +173,13 @@ func writeFlat(w io.Writer, sections []flatSection) error {
 	// Every part starts 8-aligned: the gaps are zero bytes.
 	var pad [8]byte
 	pos = 0
-	write := func(b []byte) error {
-		pos += len(b)
-		_, err := w.Write(b)
-		return err
-	}
 	parts := append(append([]flatSection{{payload: head}}, sections...), flatSection{payload: dir})
 	for _, s := range parts {
-		if err := write(pad[:align(pos)-pos]); err != nil {
-			return err
-		}
-		if err := s.each(buf, write); err != nil {
-			return err
+		for _, b := range [][]byte{pad[:align(pos)-pos], s.payload} {
+			pos += len(b)
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -403,6 +332,12 @@ func flatCandidateSections(fw *flatWriter, meta *flatMeta, x *core.CandidateInde
 	meta.cidxSkipped = int64(d.Skipped)
 	fw.add(secCidxCon, leColumn(d.Concepts))
 	fw.add(secCidxOff, leColumn(d.Off))
-	fw.addRecords(secCidxPosts, postingRecords(d.Posts))
-	fw.add(secCidxLCS, leColumn(d.LCS))
+	fw.add(secCidxHits, leColumn(d.Hits))
+	fw.add(secCidxLevels, leColumn(d.Levels))
+	fw.add(secCidxCounts, leColumn(d.Counts))
+	fw.add(secCidxShapeOff, leColumn(d.ShapeOff))
+	fw.add(secCidxShapes, leColumn(d.Shapes))
+	fw.add(secCidxSetOff, leColumn(d.SetOff))
+	fw.add(secCidxTiedOff, leColumn(d.TiedOff))
+	fw.add(secCidxTied, leColumn(d.Tied))
 }

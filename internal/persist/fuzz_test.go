@@ -24,7 +24,7 @@ func FuzzLoadBundle(f *testing.F) {
 	f.Add([]byte{})
 
 	// Retired forms, whole and torn.
-	for _, name := range []string{"retired-v2.mrxb", "retired-v3.mrxb", "retired-v1-accel.json"} {
+	for _, name := range []string{"retired-v2.mrxb", "retired-v3.mrxb", "retired-v1-accel.json", "retired-postings.flat"} {
 		data := readFixture(f, name)
 		f.Add(data)
 		f.Add(data[:len(data)*3/4])
@@ -123,7 +123,7 @@ func FuzzOpenFlat(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, c := range structurallyCorrupt(len(accel.Graph.NameKeys()), accel.FlaggedCount(), []int32{0}, 0) {
+	for _, c := range structurallyCorrupt(f, accel, []int32{0}, 0) {
 		edited := slices.Clone(sections)
 		i := slices.IndexFunc(edited, func(s flatSection) bool { return s.kind == c.kind })
 		edited[i].payload = c.edit(bytes.Clone(edited[i].payload))

@@ -69,8 +69,11 @@ func flatSectionName(kind uint32) string {
 		secMatCntOff: "matCountOffsets", secMatCnt: "matCounts",
 		secMatCandOff:    "matCandOffsets",
 		secMatCandScores: "matCandScores", secMatCandSlots: "matCandSlots",
-		secCidxCon: "cidxConcepts", secCidxOff: "cidxOffsets",
-		secCidxPosts: "cidxPostings", secCidxLCS: "cidxLCSPool",
+		secCidxCon: "cidxConcepts", secCidxOff: "cidxHitOffsets",
+		secCidxHits: "cidxHits", secCidxLevels: "cidxLevelEnds",
+		secCidxCounts: "cidxInstanceCounts", secCidxShapeOff: "cidxShapeOffsets",
+		secCidxShapes: "cidxShapes", secCidxSetOff: "cidxTiedSetOffsets",
+		secCidxTiedOff: "cidxTiedSetBounds", secCidxTied: "cidxTiedNodes",
 		secSources: "sources",
 	}
 	if n, ok := names[kind]; ok {

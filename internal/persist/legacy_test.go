@@ -33,13 +33,14 @@ func parentFlatSections(t testing.TB, ing *core.Ingestion) []flatSection {
 		if at < 0 {
 			at = len(sections)
 		}
-		sections = slices.Insert(sections, at, flatSection{kind: secMatCands, records: &recordColumn{
-			n: len(d.CandSlots), width: 24, put: func(r []byte, i int) {
-				binary.LittleEndian.PutUint64(r[0:], uint64(flagged[d.CandSlots[i]>>8]))
-				binary.LittleEndian.PutUint64(r[8:], math.Float64bits(d.CandScores[i]))
-				binary.LittleEndian.PutUint32(r[16:], d.CandSlots[i]&0xff)
-				binary.LittleEndian.PutUint32(r[20:], 0)
-			}}})
+		payload := make([]byte, 0, 24*len(d.CandSlots))
+		for i, packed := range d.CandSlots {
+			payload = binary.LittleEndian.AppendUint64(payload, uint64(flagged[packed>>8]))
+			payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(d.CandScores[i]))
+			payload = binary.LittleEndian.AppendUint32(payload, packed&0xff)
+			payload = binary.LittleEndian.AppendUint32(payload, 0)
+		}
+		sections = slices.Insert(sections, at, flatSection{kind: secMatCands, payload: payload})
 	}
 	return sections
 }
@@ -117,9 +118,7 @@ func TestFlatParentReaderRefusesNewBundle(t *testing.T) {
 	}
 	d := &flatDecoder{secs: map[uint32][]byte{}}
 	for _, s := range sections {
-		if s.records == nil {
-			d.secs[s.kind] = s.payload
-		}
+		d.secs[s.kind] = s.payload
 	}
 	meta, err := decodeFlatMeta(d.secs[secMeta])
 	if err != nil || meta.flags&metaHasMaterialized == 0 {
@@ -182,6 +181,9 @@ func TestFlatLookupAdopted(t *testing.T) {
 // without synchronisation.)
 func TestFlatColumnsOffTheFastPath(t *testing.T) {
 	ing := buildSmallAccelIngestion(t)
+	if cd := ing.Candidates.FlatData(); len(cd.Hits) == 0 || len(cd.Shapes) == 0 || len(cd.Tied) == 0 {
+		t.Fatal("the candidate index leaves one of its columns empty")
+	}
 	fast := saveFlatBytes(t, ing)
 	defer func(le bool) { hostLE = le }(hostLE)
 	hostLE = false

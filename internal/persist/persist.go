@@ -12,9 +12,10 @@
 //     read and diff; written by Save.
 //   - Flat v4 is what is served, and it alone carries what can be derived
 //     from that — the materialized store, the candidate index, the term
-//     resolver's columns: aligned, individually checksummed sections laid
-//     out as the read path traverses them and served from a memory mapping;
-//     written by SaveFlat and opened by OpenFlat. See flat.go for the layout.
+//     resolver's columns: aligned, individually checksummed sections, every
+//     one a numeric column (or the string table they index) laid out as the
+//     read path traverses it and served from a memory mapping; written by
+//     SaveFlat and opened by OpenFlat. See flat.go for the layout.
 //
 // Load auto-detects the format from the first bytes of the stream, and
 // LoadFile routes flat bundles to the memory-mapping opener. Both formats

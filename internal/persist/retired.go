@@ -21,6 +21,12 @@ const retiredBinaryMagic = "MRXB"
 // (concept, score, hops, pad) records before the score and slot columns.
 const secMatCands uint32 = 86
 
+// retiredCidxFirst to retiredCidxLast held a flat bundle's candidate index as
+// ascending concepts, a CSR, 32-byte (concept, hops, gen, spec, LCS span)
+// posting records and the LCS id pool the spans pointed into, before the index
+// stored the geometry columns the kernel scores.
+const retiredCidxFirst, retiredCidxLast uint32 = 90, 93
+
 // retiredf is the error a retired input form fails with.
 func retiredf(format, what string, args ...any) error {
 	return corruptf(format, "%s is a retired form no reader decodes; rebuild the bundle with -format flat", fmt.Sprintf(what, args...))
@@ -64,10 +70,15 @@ func (k retiredJSONKeys) err() error {
 }
 
 // retiredFlatSection refuses a flat bundle for holding its materialized
-// candidates in section 86; every other kind passes.
+// candidates in section 86 or its candidate index in sections 90–93; every
+// other kind passes.
 func retiredFlatSection(kind uint32) error {
-	if kind != secMatCands {
-		return nil
+	switch {
+	case kind == secMatCands:
+		return retiredf("flat v4", "a materialized store in section %d (24-byte candidate records)", secMatCands)
+	case kind >= retiredCidxFirst && kind <= retiredCidxLast:
+		return corruptf("flat v4", "a candidate index held as candidate-index postings (sections %d–%d) is a retired form no reader decodes; rebuild with -index -format flat",
+			retiredCidxFirst, retiredCidxLast)
 	}
-	return retiredf("flat v4", "a materialized store in section %d (24-byte candidate records)", secMatCands)
+	return nil
 }

@@ -14,8 +14,8 @@ import (
 
 // The fixtures under testdata were written by the last commit that had the
 // encoders (SaveBinary for v2 and v3, Save of an accelerated ingestion for
-// the v1 document) over the eleven-concept world of core's tests, and loaded
-// there.
+// the v1 document, SaveFlat of an indexed ingestion for the posting
+// sections) over the eleven-concept world of core's tests, and loaded there.
 func readFixture(t testing.TB, name string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", name))
@@ -27,7 +27,7 @@ func readFixture(t testing.TB, name string) []byte {
 
 // assertRetired holds an error to what every retired form fails with: typed,
 // naming the form and the way out, and never blamed on a checksum.
-func assertRetired(t *testing.T, what string, err error, names string) {
+func assertRetired(t *testing.T, what string, err error, names ...string) {
 	t.Helper()
 	if err == nil {
 		t.Fatalf("%s: a retired form was accepted", what)
@@ -35,7 +35,7 @@ func assertRetired(t *testing.T, what string, err error, names string) {
 	if !errors.Is(err, ErrCorruptBundle) {
 		t.Errorf("%s: error is not ErrCorruptBundle: %v", what, err)
 	}
-	for _, want := range []string{names, "retired", "-format flat"} {
+	for _, want := range append(names, "retired", "-format flat") {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: error does not say %q: %v", what, want, err)
 		}
@@ -53,16 +53,17 @@ func TestRetiredFormsFailByName(t *testing.T) {
 	cases := []struct {
 		name    string
 		data    []byte
-		names   string
+		names   []string
 		format  string
 		version int
 	}{
-		{"binary v2", v2, "MRXB", "binary v2", 2},
-		{"binary v3", readFixture(t, "retired-v3.mrxb"), "MRXB", "binary v3", 3},
+		{"binary v2", v2, []string{"MRXB"}, "binary v2", 2},
+		{"binary v3", readFixture(t, "retired-v3.mrxb"), []string{"MRXB"}, "binary v3", 3},
 		// Magic, version and CRC: all a reader looks at, and enough to name it.
-		{"binary v2 header only", v2[:9], "MRXB", "binary v2", 2},
-		{"accelerated v1", readFixture(t, "retired-v1-accel.json"), `"materialized"`, "json v1", 1},
-		{"flat section 86", flatBytes(t, parentFlatSections(t, buildSmallAccelIngestion(t))), "section 86", "flat v4", 4},
+		{"binary v2 header only", v2[:9], []string{"MRXB"}, "binary v2", 2},
+		{"accelerated v1", readFixture(t, "retired-v1-accel.json"), []string{`"materialized"`}, "json v1", 1},
+		{"flat section 86", flatBytes(t, parentFlatSections(t, buildSmallAccelIngestion(t))), []string{"section 86"}, "flat v4", 4},
+		{"flat posting sections", readFixture(t, "retired-postings.flat"), []string{"candidate-index postings (sections 90–93)", "rebuild with -index"}, "flat v4", 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -71,11 +72,11 @@ func TestRetiredFormsFailByName(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, err := Load(bytes.NewReader(tc.data))
-			assertRetired(t, "Load", err, tc.names)
+			assertRetired(t, "Load", err, tc.names...)
 			_, err = LoadFile(path)
-			assertRetired(t, "LoadFile", err, tc.names)
+			assertRetired(t, "LoadFile", err, tc.names...)
 			info, err := InspectFile(path)
-			assertRetired(t, "InspectFile", err, tc.names)
+			assertRetired(t, "InspectFile", err, tc.names...)
 			if info == nil || info.Format != tc.format || info.Version != tc.version {
 				t.Errorf("InspectFile reports %+v, want format %q version %d", info, tc.format, tc.version)
 			}

@@ -45,7 +45,7 @@ type BatchBackend interface {
 }
 
 // TracedBackend is an optional Backend extension: backends that can report
-// which compute path (live traversal, materialized store, posting-list
+// which compute path (live traversal, materialized store, candidate
 // index) answered a relaxation expose it here, so the serving layer's
 // metrics can split the miss path by source. engine.Snapshot implements it.
 type TracedBackend interface {

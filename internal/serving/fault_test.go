@@ -115,6 +115,10 @@ func TestCorruptReloadKeepsServing(t *testing.T) {
 			_, err := persist.LoadFile(filepath.Join("..", "persist", "testdata", "retired-v2.mrxb"))
 			return nil, err
 		},
+		"retired posting sections": func() (server.Backend, error) {
+			_, err := persist.LoadFile(filepath.Join("..", "persist", "testdata", "retired-postings.flat"))
+			return nil, err
+		},
 	}
 	for name, loader := range loaders {
 		t.Run(name, func(t *testing.T) { corruptReloadKeepsServing(t, loader) })

@@ -148,7 +148,7 @@ type Engine struct {
 
 // geometryCounters are the keys of a backend's "relaxGeometry" stats that
 // become medrelax_relax_geometry_<key>_total series.
-var geometryCounters = [...]string{"hits", "fills", "refills", "evictions"}
+var geometryCounters = [...]string{"hits", "fills", "refills", "mapped", "evictions"}
 
 // geometrySeries mirrors the backend's geometry-memo counts (the
 // "relaxGeometry" map of its Stats) into the registry when it is scraped. The
@@ -213,9 +213,9 @@ func NewEngine(backend server.Backend, opts Options) *Engine {
 	e.mBackendRelax = e.reg.Histogram("medrelax_backend_relax_seconds", "uncached relaxation compute latency", e.labels(""))
 	e.mPathLive = e.reg.Counter("medrelax_relax_live_path_total", "uncached relaxations answered by live graph traversal", e.labels(""))
 	e.mPathMat = e.reg.Counter("medrelax_relax_materialized_hit_total", "uncached relaxations answered from the materialized top-k store", e.labels(""))
-	e.mPathIdx = e.reg.Counter("medrelax_relax_index_path_total", "uncached relaxations answered via the posting-list candidate index", e.labels(""))
+	e.mPathIdx = e.reg.Counter("medrelax_relax_index_path_total", "uncached relaxations answered from a geometry the candidate index stores", e.labels(""))
 	for i, key := range geometryCounters {
-		e.geometry.counters[i] = e.reg.Counter("medrelax_relax_geometry_"+key+"_total", "live-path geometry memo: "+key+" (a hit scored a stored walk; a fill or refill walked the graph)", e.labels(""))
+		e.geometry.counters[i] = e.reg.Counter("medrelax_relax_geometry_"+key+"_total", "kernel geometry source: "+key+" (a hit scored a memoised walk; a fill or refill walked the graph; mapped scored a view of the candidate index)", e.labels(""))
 	}
 	e.geometry.bytes = e.reg.Gauge("medrelax_relax_geometry_bytes", "bytes the live-path geometry memo holds", e.labels(""))
 	e.geometry.planes = e.reg.Gauge("medrelax_relax_ic_planes", "query contexts whose IC plane the relaxer holds", e.labels(""))

@@ -691,7 +691,7 @@ func (g *geometryBackend) Stats() map[string]any {
 // keep growing across a reload although the new snapshot's memo starts from
 // zero, and gauges that follow the current one.
 func TestGeometrySeries(t *testing.T) {
-	a := &geometryBackend{geometry: map[string]uint64{"hits": 7, "fills": 3, "refills": 1, "evictions": 0, "bytes": 4096, "planes": 3, "planeBytes": 36000}}
+	a := &geometryBackend{geometry: map[string]uint64{"hits": 7, "fills": 3, "refills": 1, "mapped": 5, "evictions": 0, "bytes": 4096, "planes": 3, "planeBytes": 36000}}
 	e, ts := newStack(t, a, Options{})
 	scrape := func() map[string]string {
 		_, body := get(t, ts.URL+"/metrics")
@@ -709,15 +709,15 @@ func TestGeometrySeries(t *testing.T) {
 		}
 		return got
 	}
-	want := map[string]string{"hits_total": "7", "fills_total": "3", "refills_total": "1", "evictions_total": "0", "bytes": "4096", "planes": "3", "plane_bytes": "36000"}
+	want := map[string]string{"hits_total": "7", "fills_total": "3", "refills_total": "1", "mapped_total": "5", "evictions_total": "0", "bytes": "4096", "planes": "3", "plane_bytes": "36000"}
 	if got := scrape(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("first scrape: %v, want %v", got, want)
 	}
 	a.geometry["hits"], a.geometry["evictions"] = 9, 2
-	e.Swap(&geometryBackend{geometry: map[string]uint64{"hits": 1, "fills": 1, "refills": 0, "evictions": 0, "bytes": 512, "planes": 1, "planeBytes": 12000}})
+	e.Swap(&geometryBackend{geometry: map[string]uint64{"hits": 1, "fills": 1, "refills": 0, "mapped": 2, "evictions": 0, "bytes": 512, "planes": 1, "planeBytes": 12000}})
 	// The old snapshot's last two hits were never scraped and are gone with
 	// it; the new one's counts add to what the series held.
-	want = map[string]string{"hits_total": "8", "fills_total": "4", "refills_total": "1", "evictions_total": "0", "bytes": "512", "planes": "1", "plane_bytes": "12000"}
+	want = map[string]string{"hits_total": "8", "fills_total": "4", "refills_total": "1", "mapped_total": "7", "evictions_total": "0", "bytes": "512", "planes": "1", "plane_bytes": "12000"}
 	if got := scrape(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("scrape after the swap: %v, want %v", got, want)
 	}
