@@ -12,12 +12,11 @@ import (
 
 // TestRelaxBatchMatchesGolden pins the batch read path against
 // testdata/relax_golden.json: every golden query is re-answered through
-// RelaxBatchContext — the shared-scratch path POST /relax/batch rides —
+// Relaxer.RelaxBatch — the shared-scratch path POST /relax/batch rides —
 // and the reconstructed entries must hash identically to the sequential
-// seed implementation. Ranked lists come from K=0 items (the
-// RankedCandidates contract), top-k prefixes from K=10 items, in one
-// interleaved batch so scratch reuse across differently-shaped queries is
-// exercised too.
+// seed implementation. Ranked lists come from K=0 items, top-k prefixes
+// from K=10 items, in one interleaved batch so scratch reuse across
+// differently-shaped queries is exercised too.
 func TestRelaxBatchMatchesGolden(t *testing.T) {
 	data, err := os.ReadFile("testdata/relax_golden.json")
 	if err != nil {
@@ -33,17 +32,17 @@ func TestRelaxBatchMatchesGolden(t *testing.T) {
 
 	// Two batch items per golden query: full ranked list, then the k=10
 	// instance-bounded prefix — exactly the two views a GoldenEntry pins.
-	batch := make([]core.BatchQuery, 0, 2*len(queries))
+	batch := make([]core.Request, 0, 2*len(queries))
 	for _, q := range queries {
 		batch = append(batch,
-			core.BatchQuery{Concept: q.Concept, UseConcept: true, Ctx: q.Ctx, K: 0},
-			core.BatchQuery{Concept: q.Concept, UseConcept: true, Ctx: q.Ctx, K: 10},
+			core.Request{Concept: q.Concept, UseConcept: true, Ctx: q.Ctx, K: 0},
+			core.Request{Concept: q.Concept, UseConcept: true, Ctx: q.Ctx, K: 10},
 		)
 	}
-	results, errs := sys.Engine.Relaxer().RelaxBatchContext(context.Background(), batch)
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("batch item %d: %v", i, err)
+	results := sys.Engine.Relaxer().RelaxBatch(context.Background(), batch)
+	for i, resp := range results {
+		if resp.Err != nil {
+			t.Fatalf("batch item %d: %v", i, resp.Err)
 		}
 	}
 
@@ -53,8 +52,8 @@ func TestRelaxBatchMatchesGolden(t *testing.T) {
 		if q.Ctx != nil {
 			e.Context = q.Ctx.String()
 		}
-		e.Ranked = goldenResults(results[2*i])
-		e.TopK = goldenResults(results[2*i+1])
+		e.Ranked = goldenResults(results[2*i].Results)
+		e.TopK = goldenResults(results[2*i+1].Results)
 		entries = append(entries, e)
 	}
 	got, err := Summarize(entries)

@@ -129,28 +129,31 @@ func main() {
 	// single-tenant shapes just register one unlabelled tenant, so bare
 	// paths and series names look exactly like they always did.
 	tenants := serving.NewTenantServer()
-	switch {
-	case len(bundles) > 0:
-		// Multi-tenant: one engine registry slot, cache partition, and
-		// tenant-labelled series per bundle, over one shared metrics
+	labelled := len(bundles) > 0
+	if *load != "" {
+		bundles = []tenantSpec{{name: "default", path: *load}}
+	}
+	if len(bundles) > 0 {
+		// One engine, cache partition and reload per bundle. Tenants named by
+		// -bundle carry a tenant label on their series, over one shared metrics
 		// registry so a single scrape covers the fleet.
-		registry := engine.NewRegistry()
 		shared := metrics.NewRegistry()
 		for _, spec := range bundles {
+			if _, dup := tenants.Engine(spec.name); dup {
+				log.Fatalf("kbserver: duplicate tenant %q", spec.name)
+			}
 			snap, err := engine.LoadSnapshot(spec.path)
 			if err != nil {
 				log.Fatalf("kbserver: tenant %q: %v", spec.name, err)
 			}
-			handle, err := registry.Add(spec.name, spec.path, snap)
-			if err != nil {
-				log.Fatalf("kbserver: %v", err)
-			}
 			o := opts
-			o.Metrics = shared
-			o.BaseLabels = metrics.Label("tenant", spec.name)
-			o.Tenant = spec.name
+			if labelled {
+				o.Metrics = shared
+				o.BaseLabels = metrics.Label("tenant", spec.name)
+				o.Tenant = spec.name
+			}
 			o.Loader = func() (server.Backend, error) {
-				fresh, err := handle.Reload()
+				fresh, err := engine.LoadSnapshot(spec.path)
 				if err != nil {
 					return nil, err
 				}
@@ -160,22 +163,7 @@ func main() {
 			tenants.Add(spec.name, eng, server.New(eng).Handler())
 			log.Printf("kbserver: tenant %q serving %s", spec.name, spec.path)
 		}
-	case *load != "":
-		snap, err := engine.LoadSnapshot(*load)
-		if err != nil {
-			log.Fatalf("kbserver: loading bundle: %v", err)
-		}
-		bundle := *load
-		opts.Loader = func() (server.Backend, error) {
-			fresh, err := engine.LoadSnapshot(bundle)
-			if err != nil {
-				return nil, err
-			}
-			return fresh, nil
-		}
-		eng := serving.NewEngine(snap, opts)
-		tenants.Add("default", eng, server.New(eng).Handler())
-	default:
+	} else {
 		cfg := medrelax.DefaultConfig()
 		cfg.Seed = *seed
 		log.Print("building synthetic world and running ingestion ...")

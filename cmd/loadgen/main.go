@@ -199,7 +199,7 @@ type traceStats struct {
 }
 
 // densityStats is a bundle's multi-tenant residency measurement: N
-// snapshots of it loaded side by side into a Registry, RSS sampled from
+// snapshots of it loaded side by side, RSS sampled from
 // /proc/self/status.
 type densityStats struct {
 	Format      string  `json:"format"`
@@ -898,7 +898,7 @@ func runDensity(bundle string, tenants int) (*densityStats, error) {
 	den := &densityStats{Format: info.Format, BundleBytes: info.SizeBytes, Tenants: tenants}
 	runtime.GC()
 	base := rssKB()
-	reg := engine.NewRegistry()
+	snaps := make([]*engine.Snapshot, 0, tenants)
 	var afterFirst int64
 	start := time.Now()
 	for i := 0; i < tenants; i++ {
@@ -906,9 +906,7 @@ func runDensity(bundle string, tenants int) (*densityStats, error) {
 		if err != nil {
 			return nil, fmt.Errorf("tenant %d: %w", i, err)
 		}
-		if _, err := reg.Add(fmt.Sprintf("t%d", i), bundle, snap); err != nil {
-			return nil, fmt.Errorf("tenant %d: %w", i, err)
-		}
+		snaps = append(snaps, snap)
 		if i == 0 {
 			if s := snap.Stats(); s != nil {
 				if r, ok := s["snapshotResidency"].(string); ok {
@@ -922,7 +920,7 @@ func runDensity(bundle string, tenants int) (*densityStats, error) {
 	den.LoadTotalMs = float64(time.Since(start).Microseconds()) / 1000
 	runtime.GC()
 	after := rssKB()
-	runtime.KeepAlive(reg)
+	runtime.KeepAlive(snaps)
 	den.RSSTotalDeltaKB = max64(after-base, 0)
 	den.RSSPerTenantKB = float64(den.RSSTotalDeltaKB) / float64(tenants)
 	den.RSSMarginalPerTenantKB = float64(max64(after-afterFirst, 0)) / float64(tenants-1)

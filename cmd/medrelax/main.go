@@ -197,12 +197,12 @@ func serveFromBundle(path, term, qctx string, k int, quiet bool) error {
 	}
 
 	relax := func(q string) error {
-		results, err := snap.Relax(stdcontext.Background(), q, qctx, k)
-		if err != nil {
-			return err
+		resp := snap.Answer(stdcontext.Background(), engine.Request{Term: q, Context: qctx, K: k})
+		if resp.Err != nil {
+			return resp.Err
 		}
 		fmt.Printf("relaxations of %q (context %s):\n", q, displayContext(qctx))
-		for i, r := range results {
+		for i, r := range resp.Results {
 			fmt.Printf("%3d. %-50s score=%.4f hops=%d instances=[%s]\n",
 				i+1, r.Concept, r.Score, r.Hops, strings.Join(r.Instances, "; "))
 		}

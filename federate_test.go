@@ -39,6 +39,12 @@ func twoSourceSystem(tb testing.TB) *System {
 	return twoSrcSys
 }
 
+// relaxNames asks the system's snapshot one request without a deadline.
+func relaxNames(sys *System, req engine.Request) ([]engine.RelaxResult, error) {
+	resp := sys.Engine.Answer(context.Background(), req)
+	return resp.Results, resp.Err
+}
+
 // oovLatentTerms returns latent surface variants the primary's own mapper
 // cannot place — out-of-vocabulary for the primary source by construction
 // (they were withheld from its synonym index and fall below the embedding
@@ -91,7 +97,7 @@ func TestTwoSourceResolvesOOV(t *testing.T) {
 
 	answered := 0
 	for _, term := range oov {
-		results, err := sys.Engine.Relax(context.Background(), term, "", 5)
+		results, err := relaxNames(sys, engine.Request{Term: term, K: 5})
 		if err != nil {
 			// Not every paraphrase made it into the variant vocabulary
 			// (collisions are skipped); what matters is that some do.
@@ -116,7 +122,7 @@ func TestTwoSourceResolvesOOV(t *testing.T) {
 			t.Errorf("term %q: results carry no KB instances", term)
 		}
 		// Determinism: the fused rule must reproduce byte-for-byte.
-		again, err := sys.Engine.Relax(context.Background(), term, "", 5)
+		again, err := relaxNames(sys, engine.Request{Term: term, K: 5})
 		if err != nil || !reflect.DeepEqual(results, again) {
 			t.Errorf("term %q: fused answer not deterministic (err %v)", term, err)
 		}
@@ -141,7 +147,7 @@ func TestTwoSourcePrimaryCoverageKept(t *testing.T) {
 		if q.Ctx != nil {
 			qctx = q.Ctx.String()
 		}
-		results, err := sys.Engine.Relax(context.Background(), q.Term, qctx, 10)
+		results, err := relaxNames(sys, engine.Request{Term: q.Term, Context: qctx, K: 10})
 		if err != nil {
 			t.Fatalf("term %q: %v", q.Term, err)
 		}
@@ -168,11 +174,9 @@ func TestTwoSourcePrimaryCoverageKept(t *testing.T) {
 func TestTwoSourceExplain(t *testing.T) {
 	sys := twoSourceSystem(t)
 	oov := oovLatentTerms(sys)
-	ctx := core.WithExplain(context.Background())
-
 	var explained *engine.Explain
 	for _, term := range oov {
-		results, err := sys.Engine.Relax(ctx, term, "", 5)
+		results, err := relaxNames(sys, engine.Request{Term: term, K: 5, Explain: true})
 		if err != nil || len(results) == 0 {
 			continue
 		}
@@ -210,7 +214,7 @@ func TestTwoSourceExplain(t *testing.T) {
 	// Explain off → the new fields stay absent even on the fused path's
 	// multi-source results (attribution yes, path no).
 	for _, term := range oov {
-		results, err := sys.Engine.Relax(context.Background(), term, "", 5)
+		results, err := relaxNames(sys, engine.Request{Term: term, K: 5})
 		if err != nil {
 			continue
 		}

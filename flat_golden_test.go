@@ -97,7 +97,7 @@ func TestFlatBundleMatchesGolden(t *testing.T) {
 			if q.Ctx != nil {
 				e.Context = q.Ctx.String()
 			}
-			e.Ranked = goldenResults(r.RankedCandidates(q.Concept, q.Ctx))
+			e.Ranked = goldenResults(r.RelaxConcept(q.Concept, q.Ctx, 0))
 			e.TopK = goldenResults(r.RelaxConcept(q.Concept, q.Ctx, 10))
 			entries = append(entries, e)
 		}
@@ -138,17 +138,17 @@ func TestFlatBundleMatchesGolden(t *testing.T) {
 		if !r.SetCandidateIndex(restored.Candidates) {
 			t.Fatal("flat candidate index refused by a same-options relaxer")
 		}
-		batch := make([]core.BatchQuery, 0, 2*len(queries))
+		batch := make([]core.Request, 0, 2*len(queries))
 		for _, q := range queries {
 			batch = append(batch,
-				core.BatchQuery{Concept: q.Concept, UseConcept: true, Ctx: q.Ctx, K: 0},
-				core.BatchQuery{Concept: q.Concept, UseConcept: true, Ctx: q.Ctx, K: 10},
+				core.Request{Concept: q.Concept, UseConcept: true, Ctx: q.Ctx, K: 0},
+				core.Request{Concept: q.Concept, UseConcept: true, Ctx: q.Ctx, K: 10},
 			)
 		}
-		results, errs := r.RelaxBatchContext(context.Background(), batch)
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("batch item %d: %v", i, err)
+		results := r.RelaxBatch(context.Background(), batch)
+		for i, resp := range results {
+			if resp.Err != nil {
+				t.Fatalf("batch item %d: %v", i, resp.Err)
 			}
 		}
 		entries := make([]GoldenEntry, 0, len(queries))
@@ -157,8 +157,8 @@ func TestFlatBundleMatchesGolden(t *testing.T) {
 			if q.Ctx != nil {
 				e.Context = q.Ctx.String()
 			}
-			e.Ranked = goldenResults(results[2*i])
-			e.TopK = goldenResults(results[2*i+1])
+			e.Ranked = goldenResults(results[2*i].Results)
+			e.TopK = goldenResults(results[2*i+1].Results)
 			entries = append(entries, e)
 		}
 		assertGolden(t, entries)

@@ -40,7 +40,7 @@ func GoldenEntries(sys *System, queries []eval.Query) []GoldenEntry {
 		if q.Ctx != nil {
 			e.Context = q.Ctx.String()
 		}
-		e.Ranked = goldenResults(sys.Relaxer.RankedCandidates(q.Concept, q.Ctx))
+		e.Ranked = goldenResults(sys.Relaxer.RelaxConcept(q.Concept, q.Ctx, 0))
 		e.TopK = goldenResults(sys.Relaxer.RelaxConcept(q.Concept, q.Ctx, 10))
 		entries = append(entries, e)
 	}

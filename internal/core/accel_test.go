@@ -149,26 +149,24 @@ func TestTracedBatchMatchesSequential(t *testing.T) {
 		RelaxOptions{Radius: 3, DynamicRadius: true, MaxRadius: 8},
 		MaterializeOptions{HeadFraction: 1},
 		CandidateIndexOptions{Radius: 8})
-	var queries []BatchQuery
+	var queries []Request
 	for _, q := range ing.Graph.ConceptIDs() {
 		for _, qctx := range queryContexts(ing) {
-			queries = append(queries, BatchQuery{Concept: q, UseConcept: true, Ctx: qctx, K: 3})
+			queries = append(queries, Request{Concept: q, UseConcept: true, Ctx: qctx, K: 3})
 		}
 	}
-	queries = append(queries, BatchQuery{Term: "no such term"})
-	wantRes, wantErrs := live.RelaxBatchContext(context.Background(), queries)
-	gotRes, paths, gotErrs := accel.RelaxBatchContextTraced(context.Background(), queries)
-	for i := range queries {
-		if (wantErrs[i] == nil) != (gotErrs[i] == nil) {
-			t.Fatalf("item %d: err mismatch: %v vs %v", i, wantErrs[i], gotErrs[i])
-		}
-		if !reflect.DeepEqual(wantRes[i], gotRes[i]) {
-			t.Fatalf("item %d (path %s): results diverge", i, paths[i])
-		}
-	}
+	queries = append(queries, Request{Term: "no such term"})
+	want := live.RelaxBatch(context.Background(), queries)
+	got := accel.RelaxBatch(context.Background(), queries)
 	sawMat := false
-	for i, p := range paths {
-		if gotErrs[i] == nil && p == PathMaterialized {
+	for i := range queries {
+		if (want[i].Err == nil) != (got[i].Err == nil) {
+			t.Fatalf("item %d: err mismatch: %v vs %v", i, want[i].Err, got[i].Err)
+		}
+		if !reflect.DeepEqual(want[i].Results, got[i].Results) {
+			t.Fatalf("item %d (path %s): results diverge", i, got[i].Path)
+		}
+		if got[i].Err == nil && got[i].Path == PathMaterialized {
 			sawMat = true
 		}
 	}

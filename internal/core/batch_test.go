@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -13,42 +14,37 @@ import (
 
 // TestRelaxBatchMatchesSequential pins the batch read path to the
 // sequential one: for every mix of term/concept items, contexts, and k
-// values, RelaxBatchContext must return exactly what per-item calls
+// values, RelaxBatch must return exactly what per-item calls of Relax
 // return, in input order.
 func TestRelaxBatchMatchesSequential(t *testing.T) {
 	r, _ := newTestRelaxer(t, RelaxOptions{Radius: 3, DynamicRadius: true, MaxRadius: 6})
 	ctx := &ontology.Context{Domain: "Indication", Relationship: "hasFinding", Range: "Finding"}
-	queries := []BatchQuery{
+	queries := []Request{
 		{Term: "headache", Ctx: ctx, K: 3},
 		{Term: "fever", K: 0}, // full ranked list, context-free
 		{Concept: 5, UseConcept: true, Ctx: ctx, K: 2},
 		{Term: "headache", Ctx: ctx, K: 3}, // repeated head term, scratch reuse
 		{Term: "no such term anywhere", K: 5},
+		{Term: "headache", K: 3, Err: fmt.Errorf("%w: the caller could not parse it", ErrBadContext)}, // echoed, not relaxed
 		{Term: "bronchitis", Ctx: ctx, K: 10},
 	}
-	results, errs := r.RelaxBatchContext(context.Background(), queries)
-	if len(results) != len(queries) || len(errs) != len(queries) {
-		t.Fatalf("batch returned %d results / %d errs for %d queries", len(results), len(errs), len(queries))
+	got := r.RelaxBatch(context.Background(), queries)
+	if len(got) != len(queries) {
+		t.Fatalf("batch returned %d responses for %d queries", len(got), len(queries))
 	}
 	for i, q := range queries {
-		var want []Result
-		var wantErr error
-		if q.UseConcept {
-			want, wantErr = r.RelaxConceptContext(context.Background(), q.Concept, q.Ctx, q.K)
-		} else {
-			want, wantErr = r.RelaxTermContext(context.Background(), q.Term, q.Ctx, q.K)
+		want := r.Relax(context.Background(), q)
+		if (want.Err == nil) != (got[i].Err == nil) {
+			t.Fatalf("item %d: batch err %v, sequential err %v", i, got[i].Err, want.Err)
 		}
-		if (wantErr == nil) != (errs[i] == nil) {
-			t.Fatalf("item %d: batch err %v, sequential err %v", i, errs[i], wantErr)
-		}
-		if wantErr != nil {
-			if !errors.Is(errs[i], ErrUnknownTerm) {
-				t.Errorf("item %d: batch error %v does not wrap ErrUnknownTerm", i, errs[i])
+		if want.Err != nil {
+			if got[i].Err.Error() != want.Err.Error() || errors.Is(got[i].Err, ErrUnknownTerm) == errors.Is(got[i].Err, ErrBadContext) {
+				t.Errorf("item %d: batch error %v, sequential %v; want the same, wrapping ErrUnknownTerm or ErrBadContext", i, got[i].Err, want.Err)
 			}
 			continue
 		}
-		if !reflect.DeepEqual(results[i], want) {
-			t.Errorf("item %d (%+v): batch diverged from sequential:\nbatch: %v\nseq:   %v", i, q, results[i], want)
+		if !reflect.DeepEqual(got[i].Results, want.Results) {
+			t.Errorf("item %d (%+v): batch diverged from sequential:\nbatch: %v\nseq:   %v", i, q, got[i].Results, want.Results)
 		}
 	}
 }
@@ -59,20 +55,19 @@ func TestRelaxBatchDeadline(t *testing.T) {
 	r, _ := newTestRelaxer(t, RelaxOptions{Radius: 3})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	queries := []BatchQuery{{Term: "headache", K: 3}, {Term: "fever", K: 3}}
-	_, errs := r.RelaxBatchContext(ctx, queries)
-	for i, err := range errs {
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("item %d: err = %v, want context.Canceled", i, err)
+	queries := []Request{{Term: "headache", K: 3}, {Term: "fever", K: 3}}
+	for i, resp := range r.RelaxBatch(ctx, queries) {
+		if !errors.Is(resp.Err, context.Canceled) {
+			t.Errorf("item %d: err = %v, want context.Canceled", i, resp.Err)
 		}
 	}
 
 	// A deadline firing mid-batch fails the tail but keeps the head.
 	dctx, dcancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer dcancel()
-	head, herrs := r.RelaxBatchContext(dctx, []BatchQuery{{Term: "headache", K: 3}})
-	if herrs[0] != nil || len(head[0]) == 0 {
-		t.Fatalf("live-context batch item failed: %v", herrs[0])
+	head := r.RelaxBatch(dctx, []Request{{Term: "headache", K: 3}})
+	if head[0].Err != nil || len(head[0].Results) == 0 {
+		t.Fatalf("live-context batch item failed: %v", head[0].Err)
 	}
 }
 
@@ -81,15 +76,15 @@ func TestRelaxBatchDeadline(t *testing.T) {
 func TestRelaxBatchConcurrent(t *testing.T) {
 	r, _ := newTestRelaxer(t, RelaxOptions{Radius: 3, DynamicRadius: true, MaxRadius: 6})
 	ctx := &ontology.Context{Domain: "Indication", Relationship: "hasFinding", Range: "Finding"}
-	queries := []BatchQuery{
+	queries := []Request{
 		{Term: "headache", Ctx: ctx, K: 3},
 		{Term: "fever", K: 4},
 		{Term: "pain in throat", Ctx: ctx, K: 2},
 	}
-	want, wantErrs := r.RelaxBatchContext(context.Background(), queries)
-	for i, err := range wantErrs {
-		if err != nil {
-			t.Fatalf("baseline item %d: %v", i, err)
+	want := r.RelaxBatch(context.Background(), queries)
+	for i, resp := range want {
+		if resp.Err != nil {
+			t.Fatalf("baseline item %d: %v", i, resp.Err)
 		}
 	}
 	var wg sync.WaitGroup
@@ -98,13 +93,13 @@ func TestRelaxBatchConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				got, errs := r.RelaxBatchContext(context.Background(), queries)
+				got := r.RelaxBatch(context.Background(), queries)
 				for j := range queries {
-					if errs[j] != nil {
-						t.Errorf("concurrent batch item %d: %v", j, errs[j])
+					if got[j].Err != nil {
+						t.Errorf("concurrent batch item %d: %v", j, got[j].Err)
 						return
 					}
-					if !reflect.DeepEqual(got[j], want[j]) {
+					if !reflect.DeepEqual(got[j].Results, want[j].Results) {
 						t.Errorf("concurrent batch item %d diverged", j)
 						return
 					}

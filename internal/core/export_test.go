@@ -1,10 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 
 	"medrelax/internal/eks"
@@ -200,173 +198,4 @@ func (c *weightedLRU[V]) audit() (accounted, held int64, entries int, ok bool) {
 		s.mu.Unlock()
 	}
 	return accounted, held, entries, ok
-}
-
-// The posting-built candidate index, kept for one PR as the oracle of the
-// stored geometry (TestIndexBornGeometryMatchesWalk): the bodies
-// core/postings.go and geometryBuilder.addMeet had before the index stored
-// what the kernel scores, verbatim — a concept's walk re-encoded as 32-byte
-// postings over an LCS id pool, ordered by (hops, build-time partial
-// similarity, id), and converted back into a geometry per relaxer.
-
-// Posting is one candidate in the retired 32-byte layout.
-type Posting struct {
-	Concept      eks.ConceptID
-	Hops         int32
-	Gen, Spec    int32
-	LCSLo, LCSHi int32
-	Rsv          int32
-}
-
-// builtList is one concept's posting list; its postings' LCS spans are
-// relative to its own lcs.
-type builtList struct {
-	indexed bool
-	posts   []Posting
-	lcs     []eks.ConceptID
-}
-
-func buildPostings(ing *Ingestion, sim *Similarity, q eks.ConceptID, opts CandidateIndexOptions) builtList {
-	f, ok := ing.flaggedFrontier(q)
-	if !ok {
-		return builtList{}
-	}
-	defer f.Close()
-	b := newGeometryBuilder(ing, sim.meetsFrom(q), 0)
-	b.endLevel() // hop 0: a posting list never holds the query concept itself
-	for hops := 1; hops <= opts.Radius; hops++ {
-		level := f.Advance()
-		if opts.MaxPostings > 0 && len(b.g.hits)+len(level) > opts.MaxPostings {
-			return builtList{}
-		}
-		for _, slot := range level {
-			b.add(slot)
-		}
-		b.endLevel()
-	}
-	g := b.g
-	out := builtList{indexed: true, posts: make([]Posting, 0, len(g.hits))}
-	partials := make([]float64, 0, len(g.hits))
-	var one [1]int32
-	for hops := 1; hops <= opts.Radius; hops++ {
-		for _, h := range g.hits[g.levelEnd[hops-1]:g.levelEnd[hops]] {
-			p := Posting{Concept: ing.maps.Flagged[h.slot], Hops: int32(hops)}
-			partial := 0.0
-			if lcs := g.lcsOf(h, &one); len(lcs) > 0 {
-				shape := g.shapes[h.shape]
-				p.Gen, p.Spec = shape.gen, shape.spec
-				p.LCSLo = int32(len(out.lcs))
-				for _, node := range lcs {
-					out.lcs = append(out.lcs, b.nodes[node])
-				}
-				p.LCSHi = int32(len(out.lcs))
-				partial = sim.pathWeight(int(shape.gen), int(shape.spec))
-			}
-			out.posts = append(out.posts, p)
-			partials = append(partials, partial)
-		}
-	}
-	order := make([]int, len(out.posts))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int {
-		pa, pb := &out.posts[a], &out.posts[b]
-		return cmp.Or(cmp.Compare(pa.Hops, pb.Hops), rankOrder(partials[a], partials[b], pa.Concept, pb.Concept))
-	})
-	sorted := make([]Posting, len(out.posts))
-	lcs := make([]eks.ConceptID, 0, len(out.lcs))
-	for i, j := range order {
-		p := out.posts[j]
-		set := out.lcs[p.LCSLo:p.LCSHi]
-		p.LCSLo, p.LCSHi = 0, 0
-		if len(set) > 0 {
-			p.LCSLo = int32(len(lcs))
-			lcs = append(lcs, set...)
-			p.LCSHi = int32(len(lcs))
-		}
-		sorted[i] = p
-	}
-	out.posts, out.lcs = sorted, lcs
-	return out
-}
-
-func hopCut(posts []Posting, radius int) int {
-	return sort.Search(len(posts), func(i int) bool { return int(posts[i].Hops) > radius })
-}
-
-// postingGeometry is what indexedGeometry was: q's posting list, built to
-// idxRadius, read into the geometry a walk to the horizon would derive, each
-// level in posting order.
-func (r *Relaxer) postingGeometry(list builtList, idxRadius int, q eks.ConceptID, target int) *geometry {
-	if !list.indexed || idxRadius < r.opts.Radius {
-		return nil
-	}
-	horizon := min(idxRadius, r.maxRadius())
-	posts := list.posts[:hopCut(list.posts, horizon)]
-	b := newGeometryBuilder(r.ing, queryMeets{}, len(posts)+1)
-	b.g.final = horizon == r.maxRadius()
-	instances := 0
-	if slot, flagged := r.ing.flaggedSlot(q); flagged && r.opts.IncludeSelf {
-		b.addSelf(slot)
-		instances = r.ing.instanceCount(slot)
-	}
-	for hops := 0; hops <= horizon; hops++ {
-		for ; len(posts) > 0 && int(posts[0].Hops) == hops; posts = posts[1:] {
-			p := &posts[0]
-			slot, flagged := r.ing.flaggedSlot(p.Concept)
-			if !flagged || !b.addMeet(slot, list.lcs[p.LCSLo:p.LCSHi], p.Gen, p.Spec) {
-				return nil
-			}
-			instances += r.ing.instanceCount(slot)
-		}
-		b.endLevel()
-		if hops >= r.opts.Radius {
-			b.g.counts = append(b.g.counts, int32(instances))
-		}
-	}
-	if !b.g.answers(target) {
-		return nil
-	}
-	return b.g
-}
-
-func (b *geometryBuilder) addMeet(slot int32, lcs []eks.ConceptID, gen, spec int32) bool {
-	g := b.g
-	b.lcs = b.lcs[:0]
-	for _, id := range lcs {
-		node, ok := slices.BinarySearch(b.nodes, id)
-		if !ok {
-			return false
-		}
-		b.lcs = append(b.lcs, int32(node))
-	}
-	h := geoHit{slot: slot, lcs: geoNoMeet}
-	switch {
-	case len(lcs) == 0:
-		g.hits = append(g.hits, h)
-		return true
-	case len(lcs) == 1:
-		h.lcs = b.lcs[0]
-	default:
-		last := len(g.tiedOff) - 2
-		if last < 0 || !slices.Equal(g.tied[g.tiedOff[last]:], b.lcs) {
-			g.tied = append(g.tied, b.lcs...)
-			g.tiedOff = append(g.tiedOff, int32(len(g.tied)))
-			last++
-		}
-		h.lcs = ^int32(last)
-	}
-	shape := pathShape{gen, spec}
-	i := len(g.shapes) - 1
-	for i >= 0 && g.shapes[i] != shape {
-		i--
-	}
-	if i < 0 {
-		i = len(g.shapes)
-		g.shapes = append(g.shapes, shape)
-	}
-	h.shape = uint32(i)
-	g.hits = append(g.hits, h)
-	return true
 }

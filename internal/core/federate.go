@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"fmt"
-)
+import "fmt"
 
 // NamedSource is one secondary external knowledge source mounted next to
 // the primary: a full ingestion of its own graph, mappings, flagged set and
@@ -55,23 +52,4 @@ func (ing *Ingestion) ValidateSources() error {
 		}
 	}
 	return nil
-}
-
-// explainKey marks a request context as wanting explain-mode output.
-type explainKey struct{}
-
-// WithExplain marks ctx so the serving layers attach relaxation-path
-// explanations (subsumer chain, per-edge original distances, Eq. 4 path
-// weight, source attribution) to every result. The HTTP layer sets it for
-// requests carrying `explain=true`; the flag travels the same context
-// channel the cache-bypass marker does, so the fixed Backend signatures
-// stay unchanged.
-func WithExplain(ctx context.Context) context.Context {
-	return context.WithValue(ctx, explainKey{}, true)
-}
-
-// ExplainRequested reports whether WithExplain marked this context.
-func ExplainRequested(ctx context.Context) bool {
-	v, _ := ctx.Value(explainKey{}).(bool)
-	return v
 }

@@ -169,7 +169,7 @@ func (r *FeedbackRelaxer) RelaxTerm(term string, ctx *ontology.Context, k int) (
 
 // RelaxConceptWithFeedback relaxes and reranks.
 func (r *FeedbackRelaxer) RelaxConceptWithFeedback(q eks.ConceptID, ctx *ontology.Context, k int) []Result {
-	results := r.Relaxer.RankedCandidates(q, ctx)
+	results := r.Relaxer.RelaxConcept(q, ctx, 0)
 	r.Feedback.Rerank(q, ctx, results)
 	if k <= 0 {
 		return results

@@ -28,6 +28,20 @@ var (
 	ErrBadContext = errors.New("invalid query context")
 )
 
+// ParseContext turns the wire form of a query context
+// (Domain-Relationship-Range, or "" for none) into the typed form; a parse
+// failure wraps ErrBadContext.
+func ParseContext(qctx string) (*ontology.Context, error) {
+	if qctx == "" {
+		return nil, nil
+	}
+	parsed, err := ontology.ParseContext(qctx)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadContext, err)
+	}
+	return &parsed, nil
+}
+
 // Result is one relaxed answer: an external concept within the search
 // radius of the query concept, its similarity score under Equation 5, its
 // hop distance in the customized graph, and the KB instances mapped to it.
@@ -194,42 +208,109 @@ func NewRelaxer(ing *Ingestion, sim *Similarity, mapper match.Mapper, opts Relax
 	return &Relaxer{ing: ing, sim: sim, mapper: mapper, opts: opts.withDefaults(), geo: newWeightedLRU[*geometry](geometryBudget)}
 }
 
-// RelaxTerm maps a query term to an external concept and relaxes it. It
-// fails when the term cannot be mapped to any external concept (the error
-// wraps ErrUnknownTerm).
-func (r *Relaxer) RelaxTerm(term string, ctx *ontology.Context, k int) ([]Result, error) {
-	return r.RelaxTermContext(context.Background(), term, ctx, k)
+// Request is one relaxation request in core's vocabulary: a query term (or an
+// already-mapped concept), the typed query context, and k.
+type Request struct {
+	// Term is resolved through the relaxer's mapper; an unmappable term is
+	// answered with an error wrapping ErrUnknownTerm. Under UseConcept it is
+	// not resolved and only names the request on its kernel span.
+	Term string
+	// Concept is relaxed directly, skipping term mapping, when UseConcept is
+	// set.
+	Concept    eks.ConceptID
+	UseConcept bool
+	// Ctx is the optional query context (nil: context-free).
+	Ctx *ontology.Context
+	// K bounds the distinct KB instances consumed: Algorithm 2 keeps popping
+	// ranked candidates until at least K instances are collected (or
+	// candidates run out). K <= 0 returns the full ranked candidate list —
+	// every flagged concept within the (possibly dynamically grown) radius.
+	K int
+	// Err marks a request its caller could not build (a context string that
+	// did not parse). The relaxer answers it with this error and does no work,
+	// so a batch stays positional without a placeholder query.
+	Err error
 }
 
-// RelaxTermContext is RelaxTerm with request-scoped cancellation: the
-// serving layer threads the HTTP request context here so a deadline set by
-// admission control stops the traversal mid-flight instead of burning CPU
-// on an answer nobody will receive. The returned error wraps
-// context.DeadlineExceeded / context.Canceled when the context fired.
-func (r *Relaxer) RelaxTermContext(ctx context.Context, term string, qctx *ontology.Context, k int) ([]Result, error) {
-	out, _, err := r.RelaxTermContextTraced(ctx, term, qctx, k)
-	return out, err
+// Response answers one Request: the ranked candidates consumed, best first
+// (ties by concept ID), the compute path that supplied them (meaningful only
+// when Err is nil), or the failure. Err wraps ErrUnknownTerm for an unmappable
+// term and the context's error when the deadline fired mid-traversal.
+type Response struct {
+	Results []Result
+	Path    ServePath
+	Err     error
 }
 
-// RelaxTermContextTraced is RelaxTermContext plus the compute path that
-// answered, for serving-layer metrics.
-func (r *Relaxer) RelaxTermContextTraced(ctx context.Context, term string, qctx *ontology.Context, k int) ([]Result, ServePath, error) {
-	q, ok := r.mapper.Map(term)
-	if !ok {
-		return nil, PathLive, fmt.Errorf("core: query term %q: %w", term, ErrUnknownTerm)
+// Relax answers one request. ctx carries the request's deadline — checked
+// between radius-growth rounds and periodically during candidate scoring, so
+// an expired request stops mid-flight — and, for a sampled request, the span
+// its relax.kernel child hangs under; an untraced request pays one context
+// lookup for that and nothing else.
+func (r *Relaxer) Relax(ctx context.Context, req Request) Response {
+	return r.relax(ctx, req, trace.FromContext(ctx), &relaxScratch{})
+}
+
+// RelaxBatch answers requests in input order; response i always answers
+// request i, so output is deterministic for a deterministic batch. The
+// per-query working state is allocated once and reused across items, which is
+// what makes a batch cheaper than n calls of Relax. The deadline is honoured
+// between items and inside each item's traversal; once ctx fires, every
+// remaining item reports the context error.
+func (r *Relaxer) RelaxBatch(ctx context.Context, reqs []Request) []Response {
+	out := make([]Response, len(reqs))
+	sc := &relaxScratch{}
+	parent := trace.FromContext(ctx)
+	for i, req := range reqs {
+		if err := ctx.Err(); err != nil {
+			for j := i; j < len(reqs); j++ {
+				out[j].Err = cmp.Or(reqs[j].Err, fmt.Errorf("core: relaxation aborted before request %d of %d: %w", j+1, len(reqs), err))
+			}
+			return out
+		}
+		out[i] = r.relax(ctx, req, parent, sc)
 	}
-	// A sampled request gets a kernel span tagged with the compute path
-	// that answered; untraced requests pay one context lookup and nothing
-	// else (the batch and RelaxConcept entry points stay span-free).
-	if parent := trace.FromContext(ctx); parent != nil {
-		sp := parent.StartChild("relax.kernel")
-		sp.SetTag("term", term)
-		sc := &relaxScratch{}
-		out, path, err := r.relaxConceptPath(ctx, q, qctx, k, sc)
+	return out
+}
+
+// relax is the one body behind every entry point: map the term, open the
+// kernel span when the request is sampled, and ask the stores and the kernel.
+func (r *Relaxer) relax(ctx context.Context, req Request, parent *trace.Span, sc *relaxScratch) Response {
+	if req.Err != nil {
+		return Response{Err: req.Err}
+	}
+	q := req.Concept
+	if !req.UseConcept {
+		var ok bool
+		if q, ok = r.mapper.Map(req.Term); !ok {
+			return Response{Err: fmt.Errorf("core: query term %q: %w", req.Term, ErrUnknownTerm)}
+		}
+	}
+	sp := parent.StartChild("relax.kernel") // nil when the request is not sampled
+	sp.SetTag("term", req.Term)
+	results, path, err := r.relaxConceptPath(ctx, q, req.Ctx, req.K, sc)
+	if sp != nil {
 		endKernelSpan(sp, path, sc.stats, err)
-		return out, path, err
 	}
-	return r.relaxConceptPath(ctx, q, qctx, k, &relaxScratch{})
+	return Response{results, path, err}
+}
+
+// RelaxTerm is Relax of a term without a deadline.
+func (r *Relaxer) RelaxTerm(term string, ctx *ontology.Context, k int) ([]Result, error) {
+	resp := r.Relax(context.Background(), Request{Term: term, Ctx: ctx, K: k})
+	return resp.Results, resp.Err
+}
+
+// RelaxConcept is Relax of an already-mapped concept without a deadline,
+// which cannot fail.
+func (r *Relaxer) RelaxConcept(q eks.ConceptID, ctx *ontology.Context, k int) []Result {
+	return r.Relax(context.Background(), Request{Concept: q, UseConcept: true, Ctx: ctx, K: k}).Results
+}
+
+// RelaxTermContextTraced spells Relax the way bench/ calls it.
+func (r *Relaxer) RelaxTermContextTraced(ctx context.Context, term string, qctx *ontology.Context, k int) ([]Result, ServePath, error) { // bench contract
+	resp := r.Relax(ctx, Request{Term: term, Ctx: qctx, K: k})
+	return resp.Results, resp.Path, resp.Err
 }
 
 // kernelStats is what one kernel run did, for the sampled request's span:
@@ -263,26 +344,6 @@ func endKernelSpan(sp *trace.Span, path ServePath, st kernelStats, err error) {
 // fingerprint a Materialized store must match to be attachable.
 func (r *Relaxer) Options() RelaxOptions {
 	return r.opts
-}
-
-// RelaxConcept runs Algorithm 2 from an already-mapped query concept:
-// gather flagged concepts within the hop radius, rank them by Equation 5
-// under the query context, and keep popping candidates until at least k KB
-// instances are collected (or candidates run out). The full ranked
-// candidate list that was consumed is returned.
-func (r *Relaxer) RelaxConcept(q eks.ConceptID, ctx *ontology.Context, k int) []Result {
-	// Background never cancels, so the error path is unreachable here.
-	out, _ := r.RelaxConceptContext(context.Background(), q, ctx, k)
-	return out
-}
-
-// RelaxConceptContext is RelaxConcept under request-scoped cancellation.
-// Cancellation is checked between radius-growth rounds and periodically
-// during candidate scoring; on expiry the partial work is discarded and
-// the context's error is returned.
-func (r *Relaxer) RelaxConceptContext(ctx context.Context, q eks.ConceptID, qctx *ontology.Context, k int) ([]Result, error) {
-	out, _, err := r.relaxConceptPath(ctx, q, qctx, k, &relaxScratch{})
-	return out, err
 }
 
 // relaxScratch holds the per-query working state that batch relaxation
@@ -387,84 +448,6 @@ func takeForKInstances(ranked []Result, k int, sc *relaxScratch) []Result {
 			seen[id] = true
 		}
 	}
-	return out
-}
-
-// BatchQuery is one item of a RelaxBatchContext call.
-type BatchQuery struct {
-	// Term is resolved through the relaxer's mapper; an unmappable term
-	// yields an error wrapping ErrUnknownTerm for that item.
-	Term string
-	// Concept short-circuits term mapping when UseConcept is set — the
-	// batch relaxes this already-mapped concept directly.
-	Concept    eks.ConceptID
-	UseConcept bool
-	// Ctx is the optional query context (nil: context-free).
-	Ctx *ontology.Context
-	// K bounds the distinct KB instances consumed; k <= 0 returns the full
-	// ranked candidate list, exactly as RelaxConceptContext does.
-	K int
-}
-
-// RelaxBatchContext answers a batch of queries in one call. Items are
-// processed in input order and results[i]/errs[i] always correspond to
-// queries[i], so output is deterministic for a deterministic batch. The
-// per-query working state (instance-dedup sets, neighbour buffers) is
-// allocated once and reused across items, which is what makes a batch
-// cheaper than n sequential calls. The deadline is honoured between items
-// and inside each item's traversal; once ctx fires, every remaining item
-// reports the context error.
-func (r *Relaxer) RelaxBatchContext(ctx context.Context, queries []BatchQuery) (results [][]Result, errs []error) {
-	results, _, errs = r.RelaxBatchContextTraced(ctx, queries)
-	return results, errs
-}
-
-// RelaxBatchContextTraced is RelaxBatchContext plus the compute path that
-// answered each item, for serving-layer metrics. paths[i] is meaningful
-// only when errs[i] is nil.
-func (r *Relaxer) RelaxBatchContextTraced(ctx context.Context, queries []BatchQuery) (results [][]Result, paths []ServePath, errs []error) {
-	results = make([][]Result, len(queries))
-	paths = make([]ServePath, len(queries))
-	errs = make([]error, len(queries))
-	sc := &relaxScratch{}
-	// Resolved once: a sampled batch gets one kernel span per item, each
-	// tagged with its term and compute path; an untraced batch skips all
-	// span work.
-	parent := trace.FromContext(ctx)
-	for i, q := range queries {
-		if err := ctx.Err(); err != nil {
-			for j := i; j < len(queries); j++ {
-				errs[j] = fmt.Errorf("core: batch aborted at item %d/%d: %w", j, len(queries), err)
-			}
-			return results, paths, errs
-		}
-		concept := q.Concept
-		if !q.UseConcept {
-			mapped, ok := r.mapper.Map(q.Term)
-			if !ok {
-				errs[i] = fmt.Errorf("core: query term %q: %w", q.Term, ErrUnknownTerm)
-				continue
-			}
-			concept = mapped
-		}
-		var sp *trace.Span
-		if parent != nil {
-			sp = parent.StartChild("relax.kernel")
-			sp.SetTag("term", q.Term)
-		}
-		results[i], paths[i], errs[i] = r.relaxConceptPath(ctx, concept, q.Ctx, q.K, sc)
-		if sp != nil {
-			endKernelSpan(sp, paths[i], sc.stats, errs[i])
-		}
-	}
-	return results, paths, errs
-}
-
-// RankedCandidates returns every flagged concept within the (possibly
-// dynamically grown) radius of q, ranked by similarity to q, best first.
-// Ties break by concept ID for determinism.
-func (r *Relaxer) RankedCandidates(q eks.ConceptID, ctx *ontology.Context) []Result {
-	out, _, _ := r.rankedPath(context.Background(), q, ctx, 0, defaultCandidateTarget, &relaxScratch{})
 	return out
 }
 

@@ -232,13 +232,11 @@ func TestRelaxTermContextCanceled(t *testing.T) {
 	r, _ := newTestRelaxer(t, RelaxOptions{DynamicRadius: true})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := r.RelaxTermContext(ctx, "headache", nil, 0)
-	if !errors.Is(err, context.Canceled) {
+	if err := r.Relax(ctx, Request{Term: "headache"}).Err; !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled relaxation error = %v, want context.Canceled", err)
 	}
 	// A live context relaxes normally through the same path.
-	res, err := r.RelaxTermContext(context.Background(), "headache", nil, 0)
-	if err != nil || len(res) == 0 {
-		t.Errorf("live-context relaxation = %v results, err %v", len(res), err)
+	if resp := r.Relax(context.Background(), Request{Term: "headache"}); resp.Err != nil || len(resp.Results) == 0 {
+		t.Errorf("live-context relaxation = %v results, err %v", len(resp.Results), resp.Err)
 	}
 }

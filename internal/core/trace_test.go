@@ -60,7 +60,7 @@ func TestKernelSpanTags(t *testing.T) {
 	idxR := NewRelaxer(ing, sim(), mapper, opts)
 	idxR.SetCandidateIndex(BuildCandidateIndex(ing, sim(), CandidateIndexOptions{Radius: 6}))
 
-	var batch []BatchQuery
+	var batch []Request
 	var batchWant [][3]int
 	tags := func(s *trace.Span) [3]int {
 		return [3]int{intTag(t, s, "radius"), intTag(t, s, "reached"), intTag(t, s, "scored")}
@@ -115,7 +115,7 @@ func TestKernelSpanTags(t *testing.T) {
 					path, q, spans[0].Tag("path"), got, spans[0].Tag("geometry"), want, wantGeometry)
 			}
 		}
-		batch = append(batch, BatchQuery{Term: c.Name})
+		batch = append(batch, Request{Term: c.Name})
 		batchWant = append(batchWant, [3]int{radius, reached, scored})
 	}
 
@@ -129,17 +129,17 @@ func TestKernelSpanTags(t *testing.T) {
 	fresh := NewRelaxer(ing, sim(), mapper, opts)
 	freshIdx := NewRelaxer(ing, sim(), mapper, opts)
 	freshIdx.SetCandidateIndex(BuildCandidateIndex(ing, sim(), CandidateIndexOptions{Radius: opts.Radius}))
-	narrow := make([]BatchQuery, len(batch))
+	narrow := make([]Request, len(batch))
 	for i, q := range batch {
-		narrow[i] = BatchQuery{Term: q.Term, K: 1}
+		narrow[i] = Request{Term: q.Term, K: 1}
 	}
 	for _, pass := range []struct {
-		queries  []BatchQuery
+		queries  []Request
 		geometry string
 		idxPath  string
 	}{{narrow, "fill", "index_path"}, {batch, "refill", "live_path"}, {batch, "hit", "live_path"}} {
 		for _, r := range []*Relaxer{fresh, freshIdx} {
-			spans := kernelSpans(t, func(ctx context.Context) { r.RelaxBatchContextTraced(ctx, pass.queries) })
+			spans := kernelSpans(t, func(ctx context.Context) { r.RelaxBatch(ctx, pass.queries) })
 			if len(spans) != len(batch) {
 				t.Fatalf("batch of %d recorded %d kernel spans", len(batch), len(spans))
 			}
@@ -211,7 +211,7 @@ func TestUntracedIndexedRequestAllocatesLikeTheKernel(t *testing.T) {
 			t.Errorf("%+v: a view on a warm scratch allocates %v times, want 0", opts, allocs)
 		}
 		ctx := context.Background()
-		kernel := testing.AllocsPerRun(100, func() { r.RelaxConceptContext(ctx, q, nil, 5) })
+		kernel := testing.AllocsPerRun(100, func() { r.Relax(ctx, Request{Concept: q, UseConcept: true, K: 5}) })
 		mapping := testing.AllocsPerRun(100, func() { r.mapper.Map(c.Name) })
 		entry := testing.AllocsPerRun(100, func() { r.RelaxTermContextTraced(ctx, c.Name, nil, 5) })
 		if _, _, _, mapped, _, bytes, _, _ := r.GeometryCounts(); entry != kernel+mapping || mapped == 0 || bytes != 0 {

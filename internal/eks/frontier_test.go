@@ -134,7 +134,8 @@ func TestCancelledWalkReturnsScratch(t *testing.T) {
 
 	var walking, scoring int
 	for polls := 0; ; polls++ {
-		got, err := r.RelaxConceptContext(&countdownCtx{Context: context.Background(), left: polls}, q, nil, 1<<30)
+		resp := r.Relax(&countdownCtx{Context: context.Background(), left: polls}, core.Request{Concept: q, UseConcept: true, K: 1 << 30})
+		got, err := resp.Results, resp.Err
 		if lent := g.ScratchLent(); lent != 0 {
 			t.Fatalf("cancelled after %d polls: %d scratches not returned to the pool", polls, lent)
 		}
@@ -166,7 +167,7 @@ func TestCancelledWalkReturnsScratch(t *testing.T) {
 	var deriving int
 	for polls := 0; ; polls++ {
 		fresh := newRelaxer()
-		_, err := fresh.RelaxConceptContext(&countdownCtx{Context: context.Background(), left: polls}, q, nil, 1<<30)
+		err := fresh.Relax(&countdownCtx{Context: context.Background(), left: polls}, core.Request{Concept: q, UseConcept: true, K: 1 << 30}).Err
 		if lent := g.ScratchLent(); lent != 0 {
 			t.Fatalf("fill cancelled after %d polls: %d scratches not returned to the pool", polls, lent)
 		}

@@ -6,7 +6,7 @@
 // server, the production serving stack, the chaos harness, the CLIs —
 // constructs or loads exactly this type, so there is a single assembly of
 // "EKS + ingest artifacts + relaxer" in the whole program, and hot reload
-// is an atomic swap of whole Snapshots (see Registry).
+// is an atomic swap of whole Snapshots (internal/serving).
 package engine
 
 import (
@@ -20,7 +20,6 @@ import (
 	"medrelax/internal/dialog"
 	"medrelax/internal/eks"
 	"medrelax/internal/match"
-	"medrelax/internal/ontology"
 	"medrelax/internal/persist"
 	"medrelax/internal/trace"
 )
@@ -71,17 +70,23 @@ type Explain struct {
 	Edges           []ExplainEdge `json:"edges"`
 }
 
-// BatchItem is one query of a batch relaxation request.
-type BatchItem struct {
+// Request is one relax request as the wire spells it: a query term, the
+// query context as a Domain-Relationship-Range string ("" for none), and k.
+// It is the JSON form of a POST /relax/batch item.
+type Request struct {
 	Term    string `json:"term"`
 	Context string `json:"context"`
 	K       int    `json:"k"`
+	// Explain asks for source attribution and the relaxation path on every
+	// result. On the wire it is the explain=true URL parameter of the whole
+	// HTTP request, never part of an item.
+	Explain bool `json:"-"`
 }
 
-// BatchOutcome is one item's answer: Results on success, Err otherwise.
-// Outcomes are positional — outcome i always answers item i. Path reports
-// which compute path answered (meaningful only when Err is nil).
-type BatchOutcome struct {
+// Response answers one Request: Results on success, Err otherwise — wrapping
+// core.ErrUnknownTerm, core.ErrBadContext or the context's error. Path
+// reports which compute path answered (meaningful only when Err is nil).
+type Response struct {
 	Results []RelaxResult
 	Path    core.ServePath
 	Err     error
@@ -111,7 +116,7 @@ type Config struct {
 // Snapshot is a frozen, servable relaxation world. All fields are set at
 // construction and never mutated, so every method is safe for unbounded
 // concurrent use; replacing a world means building a new Snapshot and
-// swapping the pointer (Registry, internal/serving).
+// swapping the pointer (internal/serving).
 type Snapshot struct {
 	ing     *core.Ingestion
 	relaxer *core.Relaxer
@@ -126,9 +131,8 @@ type Snapshot struct {
 	names map[eks.ConceptID][]string
 	// arms are the mounted sources in mount order; arms[0] is always the
 	// primary (the ingestion itself). A single-source snapshot has exactly
-	// one arm and serves through the classic relaxer path untouched; with
-	// secondaries present the relax entry points fuse per-arm answers
-	// (see federate.go).
+	// one arm and serves through its relaxer alone; with secondaries present
+	// RelaxBatch fuses per-arm answers (see federate.go).
 	arms []sourceArm
 	// lookup is the bundle mapper's term resolver, adopted with the ingestion
 	// or built by New; nil under a caller's own Config.Mapper.
@@ -320,7 +324,7 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 	// Probe one flagged term end to end so a structurally valid bundle
 	// that cannot actually answer fails here, not in production traffic.
 	if terms := snap.Terms(1); len(terms) > 0 {
-		if _, err := snap.Relax(context.Background(), terms[0], "", 1); err != nil {
+		if err := snap.Answer(context.Background(), Request{Term: terms[0], K: 1}).Err; err != nil {
 			return nil, fmt.Errorf("engine: bundle %q failed serving probe: %w", path, err)
 		}
 	}
@@ -364,77 +368,58 @@ func (s *Snapshot) Ingestion() *core.Ingestion { return s.ing }
 // process).
 func (s *Snapshot) Source() string { return s.cfg.Source }
 
-// parseContext turns the wire context string into the typed form; parse
-// failures wrap core.ErrBadContext so servers can map them to 400.
-func parseContext(qctx string) (*ontology.Context, error) {
-	if qctx == "" {
-		return nil, nil
-	}
-	parsed, err := ontology.ParseContext(qctx)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", core.ErrBadContext, err)
-	}
-	return &parsed, nil
+// Answer answers one request with up to K ranked, name-resolved results. ctx
+// carries the request's deadline and, for a sampled request, its trace span.
+func (s *Snapshot) Answer(ctx context.Context, req Request) Response {
+	return s.RelaxBatch(ctx, []Request{req})[0]
 }
 
-// RelaxIDs answers a [term, context] pair with the raw concept/instance
-// IDs of the online phase — the form the richer medrelax facade resolves
-// itself. ctx carries the request deadline.
-func (s *Snapshot) RelaxIDs(ctx context.Context, term, qctx string, k int) ([]core.Result, error) {
-	ctxPtr, err := parseContext(qctx)
-	if err != nil {
-		return nil, err
-	}
-	return s.relaxer.RelaxTermContext(ctx, term, ctxPtr, k)
+// RelaxTraced spells Answer the way bench/ calls it.
+func (s *Snapshot) RelaxTraced(ctx context.Context, term, qctx string, k int) ([]RelaxResult, core.ServePath, error) { // bench contract
+	resp := s.Answer(ctx, Request{Term: term, Context: qctx, K: k})
+	return resp.Results, resp.Path, resp.Err
 }
 
-// Relax answers a [term, context] pair with up to k ranked, name-resolved
-// results. It implements the HTTP server's Backend contract. Multi-source
-// snapshots answer through the fused path; single-source snapshots through
-// the classic relaxer, byte-identical to earlier versions unless the
-// context requests explain mode.
-func (s *Snapshot) Relax(ctx context.Context, term, qctx string, k int) ([]RelaxResult, error) {
+// RelaxBatch answers requests positionally — response i always answers
+// request i — through core's shared-scratch batch path. A request that fails
+// (unknown term, malformed context) fails alone, in its own Err, and costs
+// nothing below this layer when its context did not parse. The deadline in
+// ctx bounds the whole batch. A multi-source snapshot fuses each request's
+// per-source answers instead (federate.go); a single-source one serializes
+// byte-identically to a snapshot that predates sources unless the request
+// asks for Explain.
+func (s *Snapshot) RelaxBatch(ctx context.Context, reqs []Request) []Response {
+	out := make([]Response, len(reqs))
+	creqs := make([]core.Request, len(reqs))
+	for i, req := range reqs {
+		qctx, err := core.ParseContext(req.Context)
+		creqs[i] = core.Request{Term: req.Term, Ctx: qctx, K: req.K, Err: err}
+	}
 	if s.multiSource() {
-		out, _, err := s.relaxFused(ctx, term, qctx, k)
-		return out, err
+		for i, creq := range creqs {
+			out[i] = s.relaxFused(ctx, creq, reqs[i].Explain)
+		}
+		return out
 	}
-	results, err := s.RelaxIDs(ctx, term, qctx, k)
-	if err != nil {
-		return nil, err
+	cresps := s.relaxer.RelaxBatch(ctx, creqs)
+	// Name resolution is the non-kernel half of an answer; a sampled request
+	// gets a span for it so the kernel/resolve split is visible.
+	sp := trace.FromContext(ctx).StartChild("engine.resolve")
+	if sp != nil {
+		sp.SetTag("items", strconv.Itoa(len(reqs)))
 	}
-	out := s.resolve(results)
-	s.attachExplain(ctx, term, results, out)
-	return out, nil
-}
-
-// RelaxTraced is Relax plus the compute path that answered — the HTTP
-// server's TracedBackend contract, feeding the materialized/index/live
-// serving metrics.
-func (s *Snapshot) RelaxTraced(ctx context.Context, term, qctx string, k int) ([]RelaxResult, core.ServePath, error) {
-	if s.multiSource() {
-		return s.relaxFused(ctx, term, qctx, k)
+	for i, cresp := range cresps {
+		out[i] = Response{Path: cresp.Path, Err: cresp.Err}
+		if cresp.Err != nil {
+			continue
+		}
+		out[i].Results = s.resolve(cresp.Results)
+		if reqs[i].Explain {
+			s.attachExplain(reqs[i].Term, cresp.Results, out[i].Results)
+		}
 	}
-	ctxPtr, err := parseContext(qctx)
-	if err != nil {
-		return nil, core.PathLive, err
-	}
-	results, path, err := s.relaxer.RelaxTermContextTraced(ctx, term, ctxPtr, k)
-	if err != nil {
-		return nil, path, err
-	}
-	// Name resolution is the non-kernel half of a relax answer; on traced
-	// requests it gets its own span so the kernel/resolve split is visible.
-	if parent := trace.FromContext(ctx); parent != nil {
-		sp := parent.StartChild("engine.resolve")
-		sp.SetTag("results", strconv.Itoa(len(results)))
-		out := s.resolve(results)
-		sp.End()
-		s.attachExplain(ctx, term, results, out)
-		return out, path, nil
-	}
-	out := s.resolve(results)
-	s.attachExplain(ctx, term, results, out)
-	return out, path, nil
+	sp.End()
+	return out
 }
 
 // resolve maps core results to surface names. A result carries all of its
@@ -446,59 +431,6 @@ func (s *Snapshot) resolve(results []core.Result) []RelaxResult {
 		concept, _ := s.ing.Graph.Concept(r.Concept)
 		out = append(out, RelaxResult{Concept: concept.Name, Score: r.Score, Hops: r.Hops, Instances: s.names[r.Concept]})
 	}
-	return out
-}
-
-// RelaxBatch answers a batch of queries through core's shared-scratch
-// batch path. Outcomes are positional and deterministic; per-item failures
-// (unknown term, bad context) land in that item's Err while the rest of
-// the batch still answers. The deadline in ctx bounds the whole batch.
-func (s *Snapshot) RelaxBatch(ctx context.Context, items []BatchItem) []BatchOutcome {
-	if s.multiSource() {
-		// The fused path has no shared-scratch batch kernel: each item fuses
-		// its per-source answers independently, positions preserved.
-		out := make([]BatchOutcome, len(items))
-		for i, it := range items {
-			out[i].Results, out[i].Path, out[i].Err = s.relaxFused(ctx, it.Term, it.Context, it.K)
-		}
-		return out
-	}
-	out := make([]BatchOutcome, len(items))
-	queries := make([]core.BatchQuery, len(items))
-	for i, it := range items {
-		ctxPtr, err := parseContext(it.Context)
-		if err != nil {
-			out[i].Err = err
-			continue
-		}
-		queries[i] = core.BatchQuery{Term: it.Term, Ctx: ctxPtr, K: it.K}
-	}
-	// Items with a bad context are skipped by marking them as already
-	// answered; core still sees a dense slice to keep positions aligned.
-	for i := range items {
-		if out[i].Err != nil {
-			queries[i] = core.BatchQuery{UseConcept: true, K: -1} // placeholder, never used
-		}
-	}
-	results, paths, errs := s.relaxer.RelaxBatchContextTraced(ctx, queries)
-	var resolveSpan *trace.Span
-	if parent := trace.FromContext(ctx); parent != nil {
-		resolveSpan = parent.StartChild("engine.resolve")
-		resolveSpan.SetTag("items", strconv.Itoa(len(items)))
-	}
-	for i := range items {
-		if out[i].Err != nil {
-			continue
-		}
-		if errs[i] != nil {
-			out[i].Err = errs[i]
-			continue
-		}
-		out[i].Results = s.resolve(results[i])
-		out[i].Path = paths[i]
-		s.attachExplain(ctx, items[i].Term, results[i], out[i].Results)
-	}
-	resolveSpan.End()
 	return out
 }
 

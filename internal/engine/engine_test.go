@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"log"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,6 +19,7 @@ import (
 	"medrelax/internal/kb"
 	"medrelax/internal/ontology"
 	"medrelax/internal/persist"
+	"medrelax/internal/trace"
 )
 
 // testIngestion builds the small Figure 7/8-shaped world the server tests
@@ -102,10 +104,16 @@ func (m exactMapper) Map(name string) (eks.ConceptID, bool) {
 	return ids[0], true
 }
 
+// relax asks s one request without a deadline.
+func relax(s *Snapshot, term, qctx string, k int) ([]RelaxResult, error) {
+	resp := s.Answer(context.Background(), Request{Term: term, Context: qctx, K: k})
+	return resp.Results, resp.Err
+}
+
 func TestSnapshotServesAndReports(t *testing.T) {
 	snap := New(testIngestion(t), Config{})
 
-	results, err := snap.Relax(context.Background(), "pyelectasia", "", 5)
+	results, err := relax(snap, "pyelectasia", "", 5)
 	if err != nil {
 		t.Fatalf("Relax: %v", err)
 	}
@@ -118,10 +126,10 @@ func TestSnapshotServesAndReports(t *testing.T) {
 		}
 	}
 
-	if _, err := snap.Relax(context.Background(), "no such term", "", 5); !errors.Is(err, core.ErrUnknownTerm) {
+	if _, err := relax(snap, "no such term", "", 5); !errors.Is(err, core.ErrUnknownTerm) {
 		t.Errorf("unknown term: err = %v, want ErrUnknownTerm", err)
 	}
-	if _, err := snap.Relax(context.Background(), "pyelectasia", "totally-bogus", 5); !errors.Is(err, core.ErrBadContext) {
+	if _, err := relax(snap, "pyelectasia", "totally-bogus", 5); !errors.Is(err, core.ErrBadContext) {
 		t.Errorf("bad context: err = %v, want ErrBadContext", err)
 	}
 
@@ -152,7 +160,7 @@ func TestSnapshotServesAndReports(t *testing.T) {
 	if geometry["planes"] != 1 || geometry["planeBytes"] == 0 || geometry["planeBytes"]%8 != 0 {
 		t.Errorf("Stats relaxGeometry after one live relaxation = %v, want one IC plane holding bytes", geometry)
 	}
-	if _, err := snap.Relax(context.Background(), "pyelectasia", "", 3); err != nil {
+	if _, err := relax(snap, "pyelectasia", "", 3); err != nil {
 		t.Fatal(err)
 	}
 	if geometry, _ = snap.Stats()["relaxGeometry"].(map[string]uint64); geometry["fills"] != 1 || geometry["hits"] != 1 {
@@ -165,7 +173,7 @@ func TestSnapshotServesAndReports(t *testing.T) {
 
 func TestSnapshotBatchMatchesSequential(t *testing.T) {
 	snap := New(testIngestion(t), Config{})
-	items := []BatchItem{
+	items := []Request{
 		{Term: "pyelectasia", K: 5},
 		{Term: "kidney disease", K: 3},
 		{Term: "no such term", K: 5},
@@ -177,7 +185,7 @@ func TestSnapshotBatchMatchesSequential(t *testing.T) {
 		t.Fatalf("got %d outcomes for %d items", len(outcomes), len(items))
 	}
 	for i, it := range items {
-		want, wantErr := snap.Relax(context.Background(), it.Term, it.Context, it.K)
+		want, wantErr := relax(snap, it.Term, it.Context, it.K)
 		if (wantErr == nil) != (outcomes[i].Err == nil) {
 			t.Fatalf("item %d: batch err %v, sequential err %v", i, outcomes[i].Err, wantErr)
 		}
@@ -194,6 +202,44 @@ func TestSnapshotBatchMatchesSequential(t *testing.T) {
 		if !reflect.DeepEqual(outcomes[i].Results, want) {
 			t.Errorf("item %d: batch %v != sequential %v", i, outcomes[i].Results, want)
 		}
+	}
+}
+
+// TestBadContextItemCostsNothingBelowEngine holds a batch item whose context
+// does not parse away from the kernel: the batch moves the relaxer's path and
+// geometry counts by its one good item, a sampled batch records one
+// relax.kernel span, and the bad item still answers ErrBadContext.
+func TestBadContextItemCostsNothingBelowEngine(t *testing.T) {
+	snap := New(testIngestion(t), Config{})
+	items := []Request{{Term: "pyelectasia", Context: "not a context!!", K: 5}, {Term: "pyelectasia", K: 5}}
+	rec := trace.NewRecorder(1, 1)
+	ctx, root := trace.NewTracer("test", 1, rec).StartRequest(context.Background(), http.Header{}, "request")
+	out := snap.RelaxBatch(ctx, items)
+	root.End()
+	if !errors.Is(out[0].Err, core.ErrBadContext) || out[1].Err != nil || len(out[1].Results) == 0 {
+		t.Fatalf("batch answered %+v, want ErrBadContext then results", out)
+	}
+	live, mat, idx := snap.Relaxer().PathCounts()
+	hits, fills, refills, mapped, _, _, _, _ := snap.Relaxer().GeometryCounts()
+	if live+mat+idx != 1 || hits+fills+refills+mapped != 1 {
+		t.Errorf("one good item moved the path counts to %d/%d/%d and the geometry counts to %d hits, %d fills, %d refills, %d mapped; want one request in each",
+			live, mat, idx, hits, fills, refills, mapped)
+	}
+	traces, _ := rec.Snapshot(false)
+	if len(traces) != 1 {
+		t.Fatalf("recorded %d traces, want 1", len(traces))
+	}
+	kernels := 0
+	for _, sp := range traces[0].Spans {
+		if sp.Name == "relax.kernel" {
+			kernels++
+			if sp.Tag("term") != "pyelectasia" {
+				t.Errorf("relax.kernel span with term %q", sp.Tag("term"))
+			}
+		}
+	}
+	if kernels != 1 {
+		t.Errorf("the batch recorded %d relax.kernel spans, want 1", kernels)
 	}
 }
 
@@ -215,11 +261,11 @@ func TestLoadSnapshotRoundTrip(t *testing.T) {
 		t.Errorf("loaded Terms %v != built Terms %v", got, want)
 	}
 	for _, term := range loaded.Terms(100) {
-		got, err := loaded.Relax(context.Background(), term, "", 5)
+		got, err := relax(loaded, term, "", 5)
 		if err != nil {
 			t.Fatalf("loaded Relax(%q): %v", term, err)
 		}
-		want, err := built.Relax(context.Background(), term, "", 5)
+		want, err := relax(built, term, "", 5)
 		if err != nil {
 			t.Fatalf("built Relax(%q): %v", term, err)
 		}
@@ -232,68 +278,10 @@ func TestLoadSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	reg := NewRegistry()
-	ing := testIngestion(t)
-	path := filepath.Join(t.TempDir(), "alpha.flat")
-	if err := persist.SaveFileAtomic(path, ing, persist.FormatFlat); err != nil {
-		t.Fatal(err)
-	}
-	alpha, err := LoadSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	beta := New(testIngestion(t), Config{})
-
-	ha, err := reg.Add("alpha", path, alpha)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reg.Add("beta", "", beta); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reg.Add("alpha", path, alpha); err == nil {
-		t.Error("duplicate tenant registration should fail")
-	}
-	if _, err := reg.Add("", path, alpha); err == nil {
-		t.Error("empty tenant name should fail")
-	}
-
-	if reg.Default() != "alpha" {
-		t.Errorf("Default = %q, want first-added tenant", reg.Default())
-	}
-	if got := reg.Names(); !reflect.DeepEqual(got, []string{"alpha", "beta"}) {
-		t.Errorf("Names = %v", got)
-	}
-	if h, ok := reg.Get(""); !ok || h != ha {
-		t.Error("empty name should resolve to the default tenant")
-	}
-	if h, ok := reg.Get("beta"); !ok || h.Load() != beta {
-		t.Error("Get(beta) should return the registered snapshot")
-	}
-	if _, ok := reg.Get("gamma"); ok {
-		t.Error("unknown tenant should not resolve")
-	}
-
-	// Reload swaps in a fresh snapshot; the old pointer is untouched.
-	before := ha.Load()
-	fresh, err := ha.Reload()
-	if err != nil {
-		t.Fatalf("Reload: %v", err)
-	}
-	if fresh == before || ha.Load() != fresh {
-		t.Error("Reload did not swap in a new snapshot")
-	}
-	hb, _ := reg.Get("beta")
-	if _, err := hb.Reload(); err == nil {
-		t.Error("Reload of a source-less tenant should fail")
-	}
-}
-
 func TestSnapshotConcurrent(t *testing.T) {
 	snap := New(testIngestion(t), Config{})
 	term := snap.Terms(1)[0]
-	want, err := snap.Relax(context.Background(), term, "", 5)
+	want, err := relax(snap, term, "", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +291,7 @@ func TestSnapshotConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				got, err := snap.Relax(context.Background(), term, "", 5)
+				got, err := relax(snap, term, "", 5)
 				if err != nil || !reflect.DeepEqual(got, want) {
 					t.Errorf("concurrent Relax diverged: %v %v", got, err)
 					return
@@ -366,7 +354,7 @@ func TestSnapshotServesMappedGeometry(t *testing.T) {
 		t.Fatal("an index out to the serving ceiling was not attached")
 	}
 	for _, k := range []int{5, 3} {
-		if _, err := snap.Relax(context.Background(), "pyelectasia", "", k); err != nil {
+		if _, err := relax(snap, "pyelectasia", "", k); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,9 +1,9 @@
 // Federated multi-source relaxation: a Snapshot with secondary external
-// knowledge sources mounted answers every relax entry point by fusing
-// per-source ranked lists under a deterministic rule, and attaches
-// per-source attribution (and, under explain mode, the relaxation path) to
-// every result. Single-source snapshots never enter this file's fused path —
-// their output stays byte-identical to earlier versions.
+// knowledge sources mounted answers every request by fusing per-source ranked
+// lists under a deterministic rule, and attaches per-source attribution (and,
+// for a request that asks for Explain, the relaxation path) to every result.
+// Single-source snapshots never enter this file's fused path — their output
+// stays byte-identical to earlier versions.
 package engine
 
 import (
@@ -46,8 +46,8 @@ type fusedEntry struct {
 	winnerConcept eks.ConceptID
 }
 
-// relaxFused answers a [term, context] pair by relaxing in every mounted
-// source that can map the term and fusing the per-source ranked lists.
+// relaxFused answers one request by relaxing in every mounted source that can
+// map the term and fusing the per-source ranked lists.
 //
 // The fusion rule is deterministic: candidates join on concept NAME (the
 // sources are distinct vocabularies over the same KB, so names are the only
@@ -63,11 +63,11 @@ type fusedEntry struct {
 // The reported serve path is core.PathLive: fusion always re-ranks the full
 // per-source candidate lists, so per-arm acceleration hits are not
 // meaningful as a whole-answer label.
-func (s *Snapshot) relaxFused(ctx context.Context, term, qctx string, k int) ([]RelaxResult, core.ServePath, error) {
-	ctxPtr, err := parseContext(qctx)
-	if err != nil {
-		return nil, core.PathLive, err
+func (s *Snapshot) relaxFused(ctx context.Context, req core.Request, explain bool) Response {
+	if req.Err != nil {
+		return Response{Err: req.Err}
 	}
+	term, k := req.Term, req.K
 	entries := make(map[string]*fusedEntry)
 	var order []string // first-seen order, only for map iteration stability before sorting
 	mappedAny := false
@@ -81,11 +81,11 @@ func (s *Snapshot) relaxFused(ctx context.Context, term, qctx string, k int) ([]
 		// Full ranked list (k<=0): truncation must happen once, globally,
 		// after fusion — a per-source cut could starve a concept that only
 		// wins after its scores merge.
-		results, err := arm.relaxer.RelaxConceptContext(ctx, q, ctxPtr, 0)
-		if err != nil {
-			return nil, core.PathLive, err
+		resp := arm.relaxer.Relax(ctx, core.Request{Term: term, Concept: q, UseConcept: true, Ctx: req.Ctx})
+		if resp.Err != nil {
+			return Response{Err: resp.Err}
 		}
-		for _, r := range results {
+		for _, r := range resp.Results {
 			c, ok := arm.ing.Graph.Concept(r.Concept)
 			if !ok {
 				continue
@@ -118,7 +118,7 @@ func (s *Snapshot) relaxFused(ctx context.Context, term, qctx string, k int) ([]
 		}
 	}
 	if !mappedAny {
-		return nil, core.PathLive, fmt.Errorf("engine: query term %q: %w", term, core.ErrUnknownTerm)
+		return Response{Err: fmt.Errorf("engine: query term %q: %w", term, core.ErrUnknownTerm)}
 	}
 	fused := make([]*fusedEntry, 0, len(entries))
 	for _, name := range order {
@@ -130,7 +130,6 @@ func (s *Snapshot) relaxFused(ctx context.Context, term, qctx string, k int) ([]
 		}
 		return fused[i].name < fused[j].name
 	})
-	explain := core.ExplainRequested(ctx)
 	out := make([]RelaxResult, 0, len(fused))
 	seen := make(map[kb.InstanceID]bool)
 	for _, e := range fused {
@@ -156,18 +155,13 @@ func (s *Snapshot) relaxFused(ctx context.Context, term, qctx string, k int) ([]
 		}
 		out = append(out, rr)
 	}
-	return out, core.PathLive, nil
+	return Response{Results: out, Path: core.PathLive}
 }
 
 // attachExplain decorates an already-resolved single-source answer with
-// source attribution and relaxation paths when the request context asked
-// for explain mode. It is a strict no-op otherwise, which is what keeps
-// explain=false responses byte-identical: the resolve path never touches
-// the new fields. ids and out are positionally aligned (out = resolve(ids)).
-func (s *Snapshot) attachExplain(ctx context.Context, term string, ids []core.Result, out []RelaxResult) {
-	if !core.ExplainRequested(ctx) || len(out) == 0 {
-		return
-	}
+// source attribution and relaxation paths, for a request that asked for
+// Explain. ids and out are positionally aligned (out = resolve(ids)).
+func (s *Snapshot) attachExplain(term string, ids []core.Result, out []RelaxResult) {
 	arm := &s.arms[0]
 	// Re-map the term through the arm's mapper; Map is deterministic, so
 	// this resolves to the same query concept the relaxer used.

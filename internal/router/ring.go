@@ -3,9 +3,8 @@
 // replica addresses (virtual nodes for balance, deterministic rebalancing
 // when the set changes); /relax proxies to the owning replica, and
 // /relax/batch scatter-gathers a batch across shards and merges positional
-// outcomes byte-identical to a single-replica run. On the engine.Registry
-// seam a shard is just a remote registry — the router never looks inside a
-// bundle, it only decides which replica owns a routing key.
+// outcomes byte-identical to a single-replica run. The router never looks
+// inside a bundle, it only decides which replica owns a routing key.
 package router
 
 import (

@@ -34,24 +34,12 @@ type shardItem struct {
 // handleBatch is the scatter-gather path: split a ≤MaxBatchItems batch
 // across shards by tenant/term ownership, fan out concurrently with
 // per-shard deadlines, and merge positional outcomes. Request-level
-// validation runs here, mirroring the replica's contract exactly, so a
-// malformed batch fails identically whether it meets one replica or the
-// router.
+// validation is the replica's own (server.DecodeBatch), so a malformed batch
+// fails identically whether it meets one replica or the router.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	// Typed decode first: it enforces the same shape the replica would,
-	// producing the same 400 text for the same bytes.
-	var typed server.BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&typed); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "invalid JSON: " + err.Error()})
-		return
-	}
-	if len(typed.Queries) == 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "queries must be a non-empty array"})
-		return
-	}
-	if len(typed.Queries) > server.MaxBatchItems {
-		writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{
-			"error": fmt.Sprintf("batch of %d exceeds limit of %d", len(typed.Queries), server.MaxBatchItems)})
+	typed, status, msg := server.DecodeBatch(r.Body)
+	if msg != "" {
+		writeJSON(w, status, map[string]string{"error": msg})
 		return
 	}
 
@@ -61,7 +49,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// than failing.
 	type shard struct {
 		indices []int
-		items   []server.BatchItem
+		items   []server.Request
 	}
 	shards := map[string]*shard{}
 	for i, q := range typed.Queries {
@@ -115,7 +103,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 // positional result slice. A shard that stays unreachable (or sheds past
 // the retry budget) resolves to per-item 503s — the batch never fails
 // wholesale because one replica did.
-func (rt *Router) scatterOne(r *http.Request, rep string, indices []int, subItems []server.BatchItem, out []shardItem) {
+func (rt *Router) scatterOne(r *http.Request, rep string, indices []int, subItems []server.Request, out []shardItem) {
 	ctx, cancel := context.WithTimeout(r.Context(), rt.opts.ShardTimeout)
 	defer cancel()
 	outcome := "ok"

@@ -60,6 +60,7 @@ func TestBatchMatchesSequentialBytes(t *testing.T) {
 		term, qctx string
 		k          int
 	}{
+		{"pyelectasia", "not a context!!", 5}, // fails alone, below pinned to its text
 		{"pyelectasia", "", 5},
 		{"fever", "", 3},
 		{"zzqx unknown", "", 5},
@@ -96,6 +97,10 @@ func TestBatchMatchesSequentialBytes(t *testing.T) {
 			t.Errorf("item %d (%+v): body diverged from sequential /relax:\nbatch: %s\nseq:   %s",
 				i, q, got[i].Body, wantBody)
 		}
+	}
+	const badContext = `{"error":"invalid query context: ontology: malformed context \"not a context!!\" (want Domain-Relationship-Range)"}`
+	if got[0].Status != http.StatusBadRequest || string(got[0].Body) != badContext {
+		t.Errorf("malformed-context item: status %d, body %s; want 400, %s", got[0].Status, got[0].Body, badContext)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"sort"
@@ -22,53 +23,37 @@ import (
 	"medrelax/internal/engine"
 )
 
-// Backend is the slice of the relaxation system the server needs.
-// engine.Snapshot satisfies it directly; the serving subsystem
-// (internal/serving) wraps any Backend with caching, admission control,
-// and hot reload, and is itself a Backend.
+// Backend is the relaxation system as the server sees it. engine.Snapshot
+// satisfies it directly; the serving subsystem (internal/serving) wraps any
+// Backend with caching, admission control, and hot reload, and is itself a
+// Backend.
 type Backend interface {
-	// Relax answers a [term, context] pair with up to k ranked results.
-	// ctx carries the request deadline; implementations should abandon
-	// work when it fires and return an error wrapping the context error.
-	Relax(ctx context.Context, term, qctx string, k int) ([]RelaxResult, error)
+	// Answer answers one request with up to K ranked results. ctx carries
+	// the request deadline; implementations should abandon work when it
+	// fires and answer an error wrapping the context error.
+	Answer(ctx context.Context, req Request) Response
+	// RelaxBatch answers many requests, positionally: response i answers
+	// request i, and a request that fails fails alone.
+	RelaxBatch(ctx context.Context, reqs []Request) []Response
+	// Terms returns up to n query terms known to map to flagged concepts —
+	// what GET /terms serves load generators building a realistic query mix.
+	Terms(n int) []string
 	// NewConversation opens a fresh dialogue with relaxation enabled.
 	NewConversation() (*dialog.Conversation, error)
 	// Stats describes the loaded world.
 	Stats() map[string]any
 }
 
-// BatchBackend is an optional Backend extension: backends that support the
-// batch read path answer POST /relax/batch through it. engine.Snapshot and
-// serving.Engine both implement it.
-type BatchBackend interface {
-	RelaxBatch(ctx context.Context, items []BatchItem) []BatchOutcome
-}
+// Request, Response and RelaxResult are the engine's wire shapes re-exported,
+// so handlers and backends share one vocabulary.
+type (
+	Request     = engine.Request
+	Response    = engine.Response
+	RelaxResult = engine.RelaxResult
+)
 
-// TracedBackend is an optional Backend extension: backends that can report
-// which compute path (live traversal, materialized store, candidate
-// index) answered a relaxation expose it here, so the serving layer's
-// metrics can split the miss path by source. engine.Snapshot implements it.
-type TracedBackend interface {
-	RelaxTraced(ctx context.Context, term, qctx string, k int) ([]RelaxResult, core.ServePath, error)
-}
-
-// TermSampler is an optional Backend extension: backends that can
-// enumerate relaxable terms expose them at GET /terms, which load
-// generators (cmd/loadgen) use to build realistic query mixes.
-type TermSampler interface {
-	// Terms returns up to n query terms known to map to flagged concepts.
-	Terms(n int) []string
-}
-
-// RelaxResult is one JSON-ready relaxed answer. It is the engine's result
-// type re-exported so handlers and backends share one wire shape.
-type RelaxResult = engine.RelaxResult
-
-// BatchItem is one query of a POST /relax/batch request.
-type BatchItem = engine.BatchItem
-
-// BatchOutcome is one item's answer within a batch.
-type BatchOutcome = engine.BatchOutcome
+// BatchItem spells Request the way bench/ does.
+type BatchItem = Request // bench contract
 
 // MaxBatchItems bounds a single /relax/batch request.
 const MaxBatchItems = 256
@@ -163,44 +148,41 @@ func explainWanted(r *http.Request) bool {
 }
 
 func (s *Server) handleRelax(w http.ResponseWriter, r *http.Request) {
-	term := r.URL.Query().Get("term")
-	qctx := r.URL.Query().Get("context")
-	if explainWanted(r) {
-		r = r.WithContext(core.WithExplain(r.Context()))
-	}
-	k, kSet := 0, false
+	req := Request{Term: r.URL.Query().Get("term"), Context: r.URL.Query().Get("context"), Explain: explainWanted(r)}
+	kSet := false
 	if ks := r.URL.Query().Get("k"); ks != "" {
 		v, err := strconv.Atoi(ks)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "k must be an integer in [1, 1000]")
 			return
 		}
-		k, kSet = v, true
+		req.K, kSet = v, true
 	}
-	k, msg := validateRelaxParams(term, k, kSet)
+	k, msg := validateRelaxParams(req.Term, req.K, kSet)
 	if msg != "" {
 		writeError(w, http.StatusBadRequest, msg)
 		return
 	}
+	req.K = k
 	// No lock: the relaxation pipeline is safe for concurrent use, so the
 	// hot path serves requests fully in parallel.
-	results, err := s.backend.Relax(r.Context(), term, qctx, k)
-	if err != nil {
-		status := statusForError(err)
+	resp := s.backend.Answer(r.Context(), req)
+	if resp.Err != nil {
+		status := statusForError(resp.Err)
 		if status == http.StatusServiceUnavailable {
 			// A transient backend fault is retryable: tell the client
 			// when, the same way admission-control sheds do.
 			w.Header().Set("Retry-After", "1")
 		}
-		writeError(w, status, err.Error())
+		writeError(w, status, resp.Err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, relaxBody(term, qctx, results))
+	writeJSON(w, http.StatusOK, relaxBody(req.Term, req.Context, resp.Results))
 }
 
 // BatchRequest is the POST /relax/batch request body.
 type BatchRequest struct {
-	Queries []BatchItem `json:"queries"`
+	Queries []Request `json:"queries"`
 }
 
 // BatchItemResponse wraps one item's answer: Status is the HTTP status the
@@ -212,37 +194,39 @@ type BatchItemResponse struct {
 	Body   any `json:"body"`
 }
 
+// DecodeBatch reads a POST /relax/batch body and applies the request-level
+// contract: valid JSON, between one and MaxBatchItems queries. On failure it
+// returns the status and the exact error text to answer with — the router
+// decodes through it too, so a malformed batch fails identically whether it
+// meets one replica or the router.
+func DecodeBatch(body io.Reader) (req BatchRequest, status int, msg string) {
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		return req, http.StatusBadRequest, "invalid JSON: " + err.Error()
+	}
+	if len(req.Queries) == 0 {
+		return req, http.StatusBadRequest, "queries must be a non-empty array"
+	}
+	if len(req.Queries) > MaxBatchItems {
+		return req, http.StatusRequestEntityTooLarge, fmt.Sprintf("batch of %d exceeds limit of %d", len(req.Queries), MaxBatchItems)
+	}
+	return req, 0, ""
+}
+
 // handleRelaxBatch answers many relax queries in one request through the
 // backend's shared-scratch batch path. The response is positional: item i
 // answers query i, failures included, so one unknown term does not fail
 // the batch. The request deadline bounds the whole batch.
 func (s *Server) handleRelaxBatch(w http.ResponseWriter, r *http.Request) {
-	bb, ok := s.backend.(BatchBackend)
-	if !ok {
-		writeError(w, http.StatusNotImplemented, "backend does not support batch relaxation")
+	req, status, msg := DecodeBatch(r.Body)
+	if msg != "" {
+		writeError(w, status, msg)
 		return
 	}
-	if explainWanted(r) {
-		r = r.WithContext(core.WithExplain(r.Context()))
-	}
-	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
-		return
-	}
-	if len(req.Queries) == 0 {
-		writeError(w, http.StatusBadRequest, "queries must be a non-empty array")
-		return
-	}
-	if len(req.Queries) > MaxBatchItems {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d exceeds limit of %d", len(req.Queries), MaxBatchItems))
-		return
-	}
+	explain := explainWanted(r)
 	items := make([]BatchItemResponse, len(req.Queries))
 	// Validate every item first; only the valid ones reach the backend,
 	// with positions preserved through the index map.
-	valid := make([]BatchItem, 0, len(req.Queries))
+	valid := make([]Request, 0, len(req.Queries))
 	validIdx := make([]int, 0, len(req.Queries))
 	for i, q := range req.Queries {
 		k, msg := validateRelaxParams(q.Term, q.K, q.K != 0)
@@ -250,13 +234,12 @@ func (s *Server) handleRelaxBatch(w http.ResponseWriter, r *http.Request) {
 			items[i] = BatchItemResponse{Status: http.StatusBadRequest, Body: map[string]string{"error": msg}}
 			continue
 		}
-		q.K = k
+		q.K, q.Explain = k, explain
 		valid = append(valid, q)
 		validIdx = append(validIdx, i)
 	}
 	if len(valid) > 0 {
-		outcomes := bb.RelaxBatch(r.Context(), valid)
-		for j, out := range outcomes {
+		for j, out := range s.backend.RelaxBatch(r.Context(), valid) {
 			i := validIdx[j]
 			if out.Err != nil {
 				items[i] = BatchItemResponse{
@@ -299,14 +282,9 @@ func statusForError(err error) int {
 	}
 }
 
-// handleTerms exposes a sample of relaxable query terms when the backend
-// can enumerate them; load generators use it to build realistic mixes.
+// handleTerms exposes a sample of relaxable query terms; load generators use
+// it to build realistic mixes.
 func (s *Server) handleTerms(w http.ResponseWriter, r *http.Request) {
-	ts, ok := s.backend.(TermSampler)
-	if !ok {
-		writeError(w, http.StatusNotImplemented, "backend cannot enumerate terms")
-		return
-	}
 	n := 100
 	if ns := r.URL.Query().Get("n"); ns != "" {
 		v, err := strconv.Atoi(ns)
@@ -316,8 +294,7 @@ func (s *Server) handleTerms(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	terms := ts.Terms(n)
-	writeJSON(w, http.StatusOK, map[string]any{"terms": terms})
+	writeJSON(w, http.StatusOK, map[string]any{"terms": s.backend.Terms(n)})
 }
 
 // ChatRequest is the /chat request body.

@@ -133,7 +133,7 @@ func (e *Engine) instrument(next http.Handler) http.Handler {
 			// harnesses use it to measure the uncached path on a warm
 			// server without evicting real entries.
 			if cc := r.Header.Get("Cache-Control"); cc != "" && strings.Contains(strings.ToLower(cc), "no-store") {
-				r = r.WithContext(WithCacheBypass(r.Context()))
+				r = r.WithContext(withCacheBypass(r.Context()))
 			}
 		case "/chat":
 			timeout = e.opts.ChatTimeout

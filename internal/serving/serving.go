@@ -266,14 +266,14 @@ func (e *Engine) acquire() *holder {
 func (h *holder) release() { h.inflight.Add(-1) }
 
 // cacheKey normalizes the request so trivially different spellings of the
-// same query share an entry. k participates because it changes the
-// consumed candidate list, not just its length. explain participates
+// same query share an entry. K participates because it changes the
+// consumed candidate list, not just its length. Explain participates
 // because explained results carry extra fields: caching them under the
 // plain key would leak explain payloads into explain=false responses (and
 // vice versa, strip them from explain=true ones).
-func cacheKey(term, qctx string, k int, explain bool) string {
-	key := stringutil.Normalize(term) + "\x1f" + qctx + "\x1f" + strconv.Itoa(k)
-	if explain {
+func cacheKey(req server.Request) string {
+	key := stringutil.Normalize(req.Term) + "\x1f" + req.Context + "\x1f" + strconv.Itoa(req.K)
+	if req.Explain {
 		key += "\x1fx"
 	}
 	return key
@@ -282,24 +282,23 @@ func cacheKey(term, qctx string, k int, explain bool) string {
 // cacheBypassKey marks a request context as cache-exempt.
 type cacheBypassKey struct{}
 
-// WithCacheBypass marks ctx so Relax and RelaxBatch skip the result cache
+// withCacheBypass marks ctx so Answer and RelaxBatch skip the result cache
 // entirely — no read AND no write — computing fresh against the backend.
 // The HTTP layer sets it for requests carrying `Cache-Control: no-store`,
 // which is how benchmark harnesses measure the uncached path on a warm
-// server without polluting the cache.
-func WithCacheBypass(ctx context.Context) context.Context {
+// server without polluting the cache. The mark never leaves this package.
+func withCacheBypass(ctx context.Context) context.Context {
 	return context.WithValue(ctx, cacheBypassKey{}, true)
 }
 
-// cacheBypassed reports whether WithCacheBypass marked this context.
+// cacheBypassed reports whether withCacheBypass marked this context.
 func cacheBypassed(ctx context.Context) bool {
 	v, _ := ctx.Value(cacheBypassKey{}).(bool)
 	return v
 }
 
 // countPath attributes one uncached relaxation to the serving path that
-// answered it. Live is the default: a backend that doesn't trace (or an
-// accelerator-free bundle) is indistinguishable from pure traversal.
+// answered it.
 func (e *Engine) countPath(p core.ServePath) {
 	switch p {
 	case core.PathMaterialized:
@@ -311,53 +310,44 @@ func (e *Engine) countPath(p core.ServePath) {
 	}
 }
 
-// Relax implements server.Backend with caching and singleflight. Cached
+// Answer implements server.Backend with caching and singleflight. Cached
 // responses are the same slice the backend returned, so an encoded cached
-// response is byte-identical to the uncached one.
-func (e *Engine) Relax(ctx context.Context, term, qctx string, k int) ([]server.RelaxResult, error) {
+// response is byte-identical to the uncached one. The cache holds results,
+// not where they came from: a response that went through it reports no Path.
+func (e *Engine) Answer(ctx context.Context, req server.Request) server.Response {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return server.Response{Err: err}
 	}
 	h := e.acquire()
 	defer h.release()
 	sp := trace.FromContext(ctx)
 	if e.cache == nil {
 		sp.SetTag("cache", "disabled")
-		return e.computeRelax(ctx, h, term, qctx, k)
+		return e.compute(ctx, h, "relax", []server.Request{req})[0]
 	}
 	if cacheBypassed(ctx) {
 		e.mCacheBypass.Inc()
 		sp.SetTag("cache", "bypass")
-		return e.computeRelax(ctx, h, term, qctx, k)
+		return e.compute(ctx, h, "relax", []server.Request{req})[0]
 	}
 	var cspan *trace.Span
 	if sp != nil {
 		cspan = sp.StartChild("serving.cache")
-		cspan.SetTag("term", term)
+		cspan.SetTag("term", req.Term)
 	}
-	explain := core.ExplainRequested(ctx)
-	results, status, err := e.cache.GetOrCompute(ctx, cacheKey(term, qctx, k, explain), func() ([]server.RelaxResult, error) {
+	results, status, err := e.cache.GetOrCompute(ctx, cacheKey(req), func() ([]server.RelaxResult, error) {
 		// The flight owns its deadline: a collapsed waiter's short
 		// deadline bounds only its wait, never the shared computation.
-		fctx := context.Background()
+		fctx := ctx
 		if e.opts.RelaxTimeout > 0 {
-			var cancel context.CancelFunc
-			fctx, cancel = context.WithTimeout(fctx, e.opts.RelaxTimeout)
-			defer cancel()
 			// Detaching sheds the caller's cancellation, not its trace:
 			// the computing request's trace keeps the kernel spans.
-			if sp != nil {
-				fctx = trace.ContextWithSpan(fctx, sp)
-			}
-			// Nor its explain flag — the detached flight must compute the
-			// variant its cache key promises.
-			if explain {
-				fctx = core.WithExplain(fctx)
-			}
-		} else {
-			fctx = ctx
+			var cancel context.CancelFunc
+			fctx, cancel = context.WithTimeout(trace.ContextWithSpan(context.Background(), sp), e.opts.RelaxTimeout)
+			defer cancel()
 		}
-		return e.computeRelax(fctx, h, term, qctx, k)
+		resp := e.compute(fctx, h, "relax", []server.Request{req})[0]
+		return resp.Results, resp.Err
 	})
 	switch status {
 	case CacheHit:
@@ -373,7 +363,13 @@ func (e *Engine) Relax(ctx context.Context, term, qctx string, k int) ([]server.
 		cspan.SetTag("outcome", cacheStatusName(status))
 		cspan.End()
 	}
-	return results, err
+	return server.Response{Results: results, Err: err}
+}
+
+// Relax spells Answer the way bench/ calls it.
+func (e *Engine) Relax(ctx context.Context, term, qctx string, k int) ([]server.RelaxResult, error) { // bench contract
+	resp := e.Answer(ctx, server.Request{Term: term, Context: qctx, K: k})
+	return resp.Results, resp.Err
 }
 
 // cacheStatusName renders a cache outcome for trace tags.
@@ -392,29 +388,47 @@ func cacheStatusName(s CacheStatus) string {
 	}
 }
 
-// computeRelax runs the backend computation. The "backend.relax" fault
-// site injects latency or errors here — after admission, before the
-// backend — so chaos runs exercise the degradation paths (503 mapping,
-// stale-on-error) without a special backend. When the backend traces its
-// serving path the per-path counters attribute the computation.
-func (e *Engine) computeRelax(ctx context.Context, h *holder, term, qctx string, k int) ([]server.RelaxResult, error) {
+// compute is the one place requests leave for the backend, single or batched.
+// The "backend.relax" fault site injects latency or errors here — after
+// admission, before the backend — so chaos runs exercise the degradation
+// paths (503 mapping, stale-on-error) without a special backend. Each answer
+// is attributed to the serve path that supplied it.
+func (e *Engine) compute(ctx context.Context, h *holder, endpoint string, reqs []server.Request) []server.Response {
 	if err := fault.At("backend.relax").Inject(); err != nil {
-		return nil, err
+		return failAll(len(reqs), err)
 	}
-	// Traced requests run under pprof labels so a CPU profile attributes
-	// relax samples to tenant+endpoint; the untraced path skips the label
-	// machinery (and its allocations) entirely.
+	start := time.Now()
+	var out []server.Response
 	if trace.FromContext(ctx) != nil {
-		var (
-			results []server.RelaxResult
-			err     error
-		)
-		pprof.Do(ctx, pprof.Labels("tenant", e.pprofTenant(), "endpoint", "relax"), func(ctx context.Context) {
-			results, err = e.relaxBackend(ctx, h, term, qctx, k)
+		// Traced requests run under pprof labels so a CPU profile attributes
+		// relax samples to tenant+endpoint; the untraced path skips the label
+		// machinery (and its allocations) entirely.
+		pprof.Do(ctx, pprof.Labels("tenant", e.pprofTenant(), "endpoint", endpoint), func(ctx context.Context) {
+			out = h.b.RelaxBatch(ctx, reqs)
 		})
-		return results, err
+	} else {
+		out = h.b.RelaxBatch(ctx, reqs)
 	}
-	return e.relaxBackend(ctx, h, term, qctx, k)
+	answered := false
+	for i := range out {
+		if out[i].Err == nil {
+			e.countPath(out[i].Path)
+			answered = true
+		}
+	}
+	if answered {
+		e.mBackendRelax.Observe(time.Since(start).Seconds())
+	}
+	return out
+}
+
+// failAll answers n requests with the one error that stopped them all.
+func failAll(n int, err error) []server.Response {
+	out := make([]server.Response, n)
+	for i := range out {
+		out[i].Err = err
+	}
+	return out
 }
 
 // pprofTenant names this engine on profile labels; single-tenant
@@ -426,76 +440,48 @@ func (e *Engine) pprofTenant() string {
 	return "default"
 }
 
-// relaxBackend is the backend dispatch shared by the traced and untraced
-// compute paths.
-func (e *Engine) relaxBackend(ctx context.Context, h *holder, term, qctx string, k int) ([]server.RelaxResult, error) {
-	start := time.Now()
-	var (
-		results []server.RelaxResult
-		err     error
-	)
-	if tb, ok := h.b.(server.TracedBackend); ok {
-		var path core.ServePath
-		results, path, err = tb.RelaxTraced(ctx, term, qctx, k)
-		if err == nil {
-			e.countPath(path)
-		}
-	} else {
-		results, err = h.b.Relax(ctx, term, qctx, k)
-	}
-	if err == nil {
-		e.mBackendRelax.Observe(time.Since(start).Seconds())
-	}
-	return results, err
-}
-
-// RelaxBatch implements server.BatchBackend: each item is first probed
-// against the result cache (counted as a hit exactly like a single
-// /relax), and only the misses travel to the backend — in one
-// shared-scratch batch call when the backend supports it, sequentially
-// otherwise. Successful miss results are inserted back unless a reload
-// purged the cache mid-batch (the epoch guard), so a batch never
-// repopulates the cache with a swapped-out bundle's answers. Batch misses
-// skip singleflight: the batch itself is already the collapse.
-func (e *Engine) RelaxBatch(ctx context.Context, items []server.BatchItem) []server.BatchOutcome {
-	out := make([]server.BatchOutcome, len(items))
+// RelaxBatch implements server.Backend: each item is first probed against the
+// result cache (counted as a hit exactly like a single /relax), and only the
+// misses travel to the backend, in one shared-scratch batch call. Successful
+// miss results are inserted back unless a reload purged the cache mid-batch
+// (the epoch guard), so a batch never repopulates the cache with a
+// swapped-out bundle's answers. Batch misses skip singleflight: the batch
+// itself is already the collapse.
+func (e *Engine) RelaxBatch(ctx context.Context, reqs []server.Request) []server.Response {
 	if err := ctx.Err(); err != nil {
-		for i := range out {
-			out[i].Err = err
-		}
-		return out
+		return failAll(len(reqs), err)
 	}
 	h := e.acquire()
 	defer h.release()
 	sp := trace.FromContext(ctx)
 	if e.cache == nil {
 		sp.SetTag("cache", "disabled")
-		return e.computeBatch(ctx, h, items)
+		return e.compute(ctx, h, "relax_batch", reqs)
 	}
 	if cacheBypassed(ctx) {
 		e.mCacheBypass.Inc()
 		sp.SetTag("cache", "bypass")
-		return e.computeBatch(ctx, h, items)
+		return e.compute(ctx, h, "relax_batch", reqs)
 	}
+	out := make([]server.Response, len(reqs))
 	var cspan *trace.Span
 	if sp != nil {
 		cspan = sp.StartChild("serving.cache")
 	}
 	epoch := e.cache.Epoch()
-	explain := core.ExplainRequested(ctx)
-	miss := make([]server.BatchItem, 0, len(items))
-	missIdx := make([]int, 0, len(items))
-	for i, it := range items {
-		if results, ok := e.cache.Get(cacheKey(it.Term, it.Context, it.K, explain)); ok {
+	miss := make([]server.Request, 0, len(reqs))
+	missIdx := make([]int, 0, len(reqs))
+	for i, req := range reqs {
+		if results, ok := e.cache.Get(cacheKey(req)); ok {
 			out[i].Results = results
 			e.mCacheHits.Inc()
 			continue
 		}
-		miss = append(miss, it)
+		miss = append(miss, req)
 		missIdx = append(missIdx, i)
 	}
 	if cspan != nil {
-		cspan.SetTag("hits", strconv.Itoa(len(items)-len(miss)))
+		cspan.SetTag("hits", strconv.Itoa(len(reqs)-len(miss)))
 		cspan.SetTag("misses", strconv.Itoa(len(miss)))
 		cspan.SetTag("outcome", "probed")
 		cspan.End()
@@ -503,55 +489,13 @@ func (e *Engine) RelaxBatch(ctx context.Context, items []server.BatchItem) []ser
 	if len(miss) == 0 {
 		return out
 	}
-	outcomes := e.computeBatch(ctx, h, miss)
-	for j, o := range outcomes {
+	for j, o := range e.compute(ctx, h, "relax_batch", miss) {
 		out[missIdx[j]] = o
 		e.mCacheMisses.Inc()
 		if o.Err == nil {
-			e.cache.Put(cacheKey(miss[j].Term, miss[j].Context, miss[j].K, explain), o.Results, epoch)
+			e.cache.Put(cacheKey(miss[j]), o.Results, epoch)
 		}
 	}
-	return out
-}
-
-// computeBatch runs the uncached part of a batch against the backend,
-// through the same "backend.relax" fault site as single queries.
-func (e *Engine) computeBatch(ctx context.Context, h *holder, items []server.BatchItem) []server.BatchOutcome {
-	if err := fault.At("backend.relax").Inject(); err != nil {
-		out := make([]server.BatchOutcome, len(items))
-		for i := range out {
-			out[i].Err = err
-		}
-		return out
-	}
-	if trace.FromContext(ctx) != nil {
-		var out []server.BatchOutcome
-		pprof.Do(ctx, pprof.Labels("tenant", e.pprofTenant(), "endpoint", "relax_batch"), func(ctx context.Context) {
-			out = e.batchBackend(ctx, h, items)
-		})
-		return out
-	}
-	return e.batchBackend(ctx, h, items)
-}
-
-// batchBackend is the backend dispatch shared by the traced and untraced
-// batch compute paths.
-func (e *Engine) batchBackend(ctx context.Context, h *holder, items []server.BatchItem) []server.BatchOutcome {
-	out := make([]server.BatchOutcome, len(items))
-	start := time.Now()
-	if bb, ok := h.b.(server.BatchBackend); ok {
-		out = bb.RelaxBatch(ctx, items)
-	} else {
-		for i, it := range items {
-			out[i].Results, out[i].Err = h.b.Relax(ctx, it.Term, it.Context, it.K)
-		}
-	}
-	for i := range out {
-		if out[i].Err == nil {
-			e.countPath(out[i].Path)
-		}
-	}
-	e.mBackendRelax.Observe(time.Since(start).Seconds())
 	return out
 }
 
@@ -562,14 +506,11 @@ func (e *Engine) NewConversation() (*dialog.Conversation, error) {
 	return h.b.NewConversation()
 }
 
-// Terms implements server.TermSampler when the inner backend does.
+// Terms implements server.Backend.
 func (e *Engine) Terms(n int) []string {
 	h := e.acquire()
 	defer h.release()
-	if ts, ok := h.b.(server.TermSampler); ok {
-		return ts.Terms(n)
-	}
-	return nil
+	return h.b.Terms(n)
 }
 
 // Stats implements server.Backend: the inner stats plus a "serving"

@@ -22,18 +22,20 @@ import (
 )
 
 // fakeBackend is a controllable server.Backend: per-call delay, call
-// counting, a concurrency high-water mark, and a label baked into results
-// so tests can tell which backend generation answered.
+// counting, a concurrency high-water mark, a label baked into results
+// so tests can tell which backend generation answered, and the serve path
+// every answer reports.
 type fakeBackend struct {
 	label string
 	delay time.Duration
+	path  core.ServePath
 
 	calls    atomic.Int64
 	inflight atomic.Int64
 	maxSeen  atomic.Int64
 }
 
-func (f *fakeBackend) Relax(ctx context.Context, term, qctx string, k int) ([]server.RelaxResult, error) {
+func (f *fakeBackend) Answer(ctx context.Context, req server.Request) server.Response {
 	f.calls.Add(1)
 	cur := f.inflight.Add(1)
 	defer f.inflight.Add(-1)
@@ -47,15 +49,23 @@ func (f *fakeBackend) Relax(ctx context.Context, term, qctx string, k int) ([]se
 		select {
 		case <-time.After(f.delay):
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return server.Response{Err: ctx.Err()}
 		}
 	}
-	if term == "missing" {
-		return nil, fmt.Errorf("fake: %q: %w", term, core.ErrUnknownTerm)
+	if req.Term == "missing" {
+		return server.Response{Err: fmt.Errorf("fake: %q: %w", req.Term, core.ErrUnknownTerm)}
 	}
-	return []server.RelaxResult{
-		{Concept: f.label + ":" + term, Score: 1.0, Hops: k, Instances: []string{f.label + "-inst"}},
-	}, nil
+	return server.Response{Path: f.path, Results: []server.RelaxResult{
+		{Concept: f.label + ":" + req.Term, Score: 1.0, Hops: req.K, Instances: []string{f.label + "-inst"}},
+	}}
+}
+
+func (f *fakeBackend) RelaxBatch(ctx context.Context, reqs []server.Request) []server.Response {
+	out := make([]server.Response, len(reqs))
+	for i, req := range reqs {
+		out[i] = f.Answer(ctx, req)
+	}
+	return out
 }
 
 func (f *fakeBackend) NewConversation() (*dialog.Conversation, error) {
@@ -551,28 +561,6 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	}
 }
 
-// tracedBackend is fakeBackend plus path tracing: every relaxation
-// reports whichever ServePath the test pinned, exercising the engine's
-// per-path attribution without a real accelerated bundle.
-type tracedBackend struct {
-	fakeBackend
-	path core.ServePath
-}
-
-func (tb *tracedBackend) RelaxTraced(ctx context.Context, term, qctx string, k int) ([]server.RelaxResult, core.ServePath, error) {
-	results, err := tb.Relax(ctx, term, qctx, k)
-	return results, tb.path, err
-}
-
-func (tb *tracedBackend) RelaxBatch(ctx context.Context, items []server.BatchItem) []server.BatchOutcome {
-	out := make([]server.BatchOutcome, len(items))
-	for i, it := range items {
-		out[i].Results, out[i].Err = tb.Relax(ctx, it.Term, it.Context, it.K)
-		out[i].Path = tb.path
-	}
-	return out
-}
-
 func TestCacheBypassHeader(t *testing.T) {
 	fb := &fakeBackend{label: "A"}
 	e, ts := newStack(t, fb, Options{CacheCapacity: 128, CacheTTL: time.Minute})
@@ -627,7 +615,7 @@ func TestCacheBypassHeader(t *testing.T) {
 }
 
 func TestServePathCounters(t *testing.T) {
-	tb := &tracedBackend{fakeBackend: fakeBackend{label: "A"}, path: core.PathMaterialized}
+	tb := &fakeBackend{label: "A", path: core.PathMaterialized}
 	e := NewEngine(tb, Options{CacheCapacity: 128, CacheTTL: time.Minute})
 	ctx := context.Background()
 
@@ -644,7 +632,7 @@ func TestServePathCounters(t *testing.T) {
 
 	// Batch outcomes attribute per successful item; errors are not counted.
 	tb.path = core.PathIndexed
-	out := e.RelaxBatch(WithCacheBypass(ctx), []server.BatchItem{
+	out := e.RelaxBatch(withCacheBypass(ctx), []server.Request{
 		{Term: "a", K: 3}, {Term: "b", K: 3}, {Term: "missing", K: 3},
 	})
 	if out[2].Err == nil {

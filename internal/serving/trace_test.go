@@ -42,11 +42,11 @@ type spanProbeBackend struct {
 	sawSpan atomic.Bool
 }
 
-func (b *spanProbeBackend) Relax(ctx context.Context, term, qctx string, k int) ([]server.RelaxResult, error) {
+func (b *spanProbeBackend) RelaxBatch(ctx context.Context, reqs []server.Request) []server.Response {
 	if trace.FromContext(ctx) != nil {
 		b.sawSpan.Store(true)
 	}
-	return b.fakeBackend.Relax(ctx, term, qctx, k)
+	return b.fakeBackend.RelaxBatch(ctx, reqs)
 }
 
 // TestTracedRequestRecordsServingSpans drives one miss and one hit

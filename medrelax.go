@@ -300,12 +300,13 @@ func (s *System) Relax(term, ctx string, k int) ([]Result, error) {
 // layer threads HTTP deadlines through here. Context-string parse
 // failures wrap core.ErrBadContext so servers can map them to 400.
 func (s *System) RelaxContext(cctx context.Context, term, ctx string, k int) ([]Result, error) {
-	results, err := s.Engine.RelaxIDs(cctx, term, ctx, k)
-	if err != nil {
-		return nil, err
+	qctx, err := core.ParseContext(ctx)
+	resp := s.Relaxer.Relax(cctx, core.Request{Term: term, Ctx: qctx, K: k, Err: err})
+	if resp.Err != nil {
+		return nil, resp.Err
 	}
-	out := make([]Result, 0, len(results))
-	for _, r := range results {
+	out := make([]Result, 0, len(resp.Results))
+	for _, r := range resp.Results {
 		concept, _ := s.World.Graph.Concept(r.Concept)
 		res := Result{ConceptID: r.Concept, ConceptName: concept.Name, Score: r.Score, Hops: r.Hops}
 		for _, iid := range r.Instances {
