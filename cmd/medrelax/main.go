@@ -249,7 +249,8 @@ func writeDOT(sys *medrelax.System, term, path string, radius int) error {
 
 // inspectBundle prints a bundle's structure without restoring it: format
 // version, per-section names and sizes, per-section and whole-file CRC
-// status, and the named sources a federated bundle carries.
+// status, the named sources a federated bundle carries and how deep its
+// materialized store is.
 func inspectBundle(path string) error {
 	info, err := persist.InspectFile(path)
 	if info == nil {
@@ -270,6 +271,10 @@ func inspectBundle(path string) error {
 	}
 	if len(info.Sources) > 0 {
 		fmt.Printf("secondary sources: %s\n", strings.Join(info.Sources, ", "))
+	}
+	if d := info.Store; d != nil {
+		fmt.Printf("materialized store: %d entries, %d candidates, depth max %d median %d, %d complete (%.1f%%)\n",
+			d.Entries, d.Candidates, d.MaxDepth, d.MedianDepth, d.Complete, 100*float64(d.Complete)/float64(d.Entries))
 	}
 	for _, s := range info.Sections {
 		fmt.Printf("  %-22s kind=%-3d off=%-10d len=%-10d crc=%s\n",

@@ -107,8 +107,13 @@ type MaterializeOptions struct {
 	// negative means unlimited.
 	HeadMax int
 	// MaxPerQuery caps each entry's stored candidate list; a truncated
-	// entry still serves any k it can prove satisfied and falls back to
-	// the index/live path otherwise. Default 256; negative means unlimited.
+	// entry still serves any k it can prove satisfied and declines to the
+	// kernel otherwise. Default 64; negative means unlimited. An entry is as
+	// deep as a request can consume: 64 is the smallest depth at which no
+	// entry of either bench world (w100k: 13,924 entries, w2k: 16,992) declines
+	// a k <= 50 — each proves it inside its first 50 and 35 candidates — and a
+	// decline costs one ~0.1 ms scoring of the concept's geometry, not the
+	// 17 ms traversal the earlier 256 was sized against.
 	MaxPerQuery int
 	// Contexts are the query contexts materialized besides the
 	// context-free (nil) entry every head concept gets.
@@ -130,7 +135,7 @@ func (o MaterializeOptions) withDefaults() MaterializeOptions {
 		o.HeadMax = 1024
 	}
 	if o.MaxPerQuery == 0 {
-		o.MaxPerQuery = 256
+		o.MaxPerQuery = 64
 	}
 	return o
 }
@@ -286,12 +291,12 @@ func materializeConcept(r *Relaxer, q eks.ConceptID, ctxs []*ontology.Context, o
 	out := make([]matEntry, 0, len(ctxs))
 	for _, ctx := range ctxs {
 		scored, _ := r.scoreGeometry(bg, q, ctx, g, len(g.levelEnd)-1, sc)
-		slices.SortFunc(scored, rankScored)
-		e := matEntry{complete: true, counts: g.counts}
-		if opts.MaxPerQuery > 0 && len(scored) > opts.MaxPerQuery {
-			scored = scored[:opts.MaxPerQuery]
-			e.complete = false
+		n := len(scored)
+		if opts.MaxPerQuery > 0 && n > opts.MaxPerQuery {
+			n = opts.MaxPerQuery
 		}
+		e := matEntry{complete: n == len(scored), counts: g.counts}
+		scored = rankedPrefix(scored, n)
 		e.scores, e.cands = make([]float64, len(scored)), make([]uint32, len(scored))
 		for i, h := range scored {
 			e.scores[i], e.cands[i] = h.score, packMatCand(h.slot, h.hops)
@@ -302,8 +307,9 @@ func materializeConcept(r *Relaxer, q eks.ConceptID, ctxs []*ontology.Context, o
 }
 
 // materializedServe answers from the store when it can prove the answer
-// identical to the live traversal; ok=false declines (no entry, or a
-// truncated entry that cannot satisfy this k) and the caller falls through.
+// identical to the live traversal; ok=false declines and the caller falls
+// through: silently when the store has no entry, through declineTruncated when
+// it has one too shallow for this k.
 // The stopping radius is derived from the stored per-radius instance counts
 // exactly as the live traversal's growth loop derives it (stopRadius); the
 // stored max-radius ranking filtered to that radius is the radius ranking
@@ -321,7 +327,7 @@ func (r *Relaxer) materializedServe(ctx context.Context, q eks.ConceptID, qctx *
 	if k <= 0 {
 		// Full ranked list requested: only a complete entry holds it.
 		if !e.complete {
-			return nil, false, nil
+			return r.declineTruncated(sc)
 		}
 		out := make([]Result, 0, len(e.cands))
 		for i, c := range e.cands {
@@ -352,10 +358,20 @@ func (r *Relaxer) materializedServe(ctx context.Context, q eks.ConceptID, qctx *
 	}
 	if len(seen) < k && !e.complete {
 		// The stored prefix ran out before k was satisfied and truncation
-		// hides whether more candidates exist — only a traversal can answer.
-		return nil, false, nil
+		// hides whether more candidates exist — only the kernel can answer.
+		return r.declineTruncated(sc)
 	}
 	return out, true, nil
+}
+
+// declineTruncated is materializedServe declining a request whose entry exists
+// but was cut at MaxPerQuery before it could prove k: counted, and named on
+// the request's response and kernel span, so traffic asking deeper than the
+// store was built shows instead of quietly costing a scoring.
+func (r *Relaxer) declineTruncated(sc *relaxScratch) ([]Result, bool, error) {
+	r.matTruncated.Add(1)
+	sc.stats.decline = DeclineTruncated
+	return nil, false, nil
 }
 
 // get binary-searches the sorted (concept, ctx) entries and returns a value
@@ -394,7 +410,9 @@ func (m *Materialized) Entries() int { return len(m.d.Concepts) }
 func (m *Materialized) Concepts() int { return m.concepts }
 
 // FlatData returns the store's columns, the form a flat bundle stores. The
-// slices alias the store and must not be modified.
+// slices alias the store and must not be modified; over a mapped bundle they
+// are valid only while the Ingestion that was loaded is reachable — they point
+// into its mapping and pin nothing (see Ingestion.Backing).
 func (m *Materialized) FlatData() FlatMaterializedData { return m.d }
 
 // OpenFlatMaterialized adopts materialized columns as a *Materialized over

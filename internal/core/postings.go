@@ -187,7 +187,9 @@ func (x *CandidateIndex) Postings() int {
 func (x *CandidateIndex) Skipped() int { return x.d.Skipped }
 
 // FlatData returns the index's columns, the form a flat bundle stores. The
-// slices alias the index and must not be modified.
+// slices alias the index and must not be modified; over a mapped bundle they
+// are valid only while the Ingestion that was loaded is reachable — they point
+// into its mapping and pin nothing (see Ingestion.Backing).
 func (x *CandidateIndex) FlatData() FlatCandidateIndexData { return x.d }
 
 // OpenFlatCandidateIndex adopts candidate-index columns as a *CandidateIndex

@@ -153,6 +153,7 @@ type Relaxer struct {
 	planeMu sync.Mutex
 
 	pathLive, pathMaterialized, pathIndexed  atomic.Uint64
+	matTruncated                             atomic.Uint64
 	geoHits, geoFills, geoRefills, geoMapped atomic.Uint64
 }
 
@@ -186,6 +187,11 @@ func (r *Relaxer) SetCandidateIndex(idx *CandidateIndex) bool {
 func (r *Relaxer) PathCounts() (live, materialized, indexed uint64) {
 	return r.pathLive.Load(), r.pathMaterialized.Load(), r.pathIndexed.Load()
 }
+
+// TruncatedDeclines reports how many queries the materialized store held an
+// entry for and still declined, the entry cut too shallow to prove their k;
+// PathCounts has them under the path that answered instead.
+func (r *Relaxer) TruncatedDeclines() uint64 { return r.matTruncated.Load() }
 
 // GeometryCounts reports where the kernel's geometries have come from since
 // the relaxer was built — requests its memo answered, concepts it walked for
@@ -235,12 +241,19 @@ type Request struct {
 // Response answers one Request: the ranked candidates consumed, best first
 // (ties by concept ID), the compute path that supplied them (meaningful only
 // when Err is nil), or the failure. Err wraps ErrUnknownTerm for an unmappable
-// term and the context's error when the deadline fired mid-traversal.
+// term and the context's error when the deadline fired mid-traversal. Decline
+// is why the materialized store, holding an entry for the query, passed it on
+// to Path: DeclineTruncated or empty.
 type Response struct {
 	Results []Result
 	Path    ServePath
+	Decline string
 	Err     error
 }
+
+// DeclineTruncated is the Decline of a request whose materialized entry was
+// cut at MaterializeOptions.MaxPerQuery before it could prove the request's k.
+const DeclineTruncated = "truncated"
 
 // Relax answers one request. ctx carries the request's deadline — checked
 // between radius-growth rounds and periodically during candidate scoring, so
@@ -292,7 +305,7 @@ func (r *Relaxer) relax(ctx context.Context, req Request, parent *trace.Span, sc
 	if sp != nil {
 		endKernelSpan(sp, path, sc.stats, err)
 	}
-	return Response{results, path, err}
+	return Response{results, path, sc.stats.decline, err}
 }
 
 // RelaxTerm is Relax of a term without a deadline.
@@ -319,10 +332,10 @@ func (r *Relaxer) RelaxTermContextTraced(ctx context.Context, term string, qctx 
 // view of the candidate index), the candidates it scored, and where the
 // geometry came from: the memo ("hit"), a walk ("fill", or "refill" when it
 // replaces a geometry that fell short) or, on the indexed path, the index's
-// columns ("mapped").
+// columns ("mapped"); decline is the Response's.
 type kernelStats struct {
 	radius, reached, scored int
-	geometry                string
+	geometry, decline       string
 }
 
 // endKernelSpan tags a relax.kernel span with the run's outcome and ends it.
@@ -333,6 +346,9 @@ func endKernelSpan(sp *trace.Span, path ServePath, st kernelStats, err error) {
 	sp.SetTag("scored", strconv.Itoa(st.scored))
 	if st.geometry != "" {
 		sp.SetTag("geometry", st.geometry)
+	}
+	if st.decline != "" {
+		sp.SetTag("decline", st.decline)
 	}
 	if err != nil {
 		sp.SetTag("error", err.Error())
@@ -569,19 +585,48 @@ func (r *Relaxer) rankResults(scored []scoredHit, k int) []Result {
 	if len(scored) == 0 {
 		return nil
 	}
-	n := len(scored)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(scored, i)
-	}
-	out := make([]Result, 0, min(k, n)) // every hit adds an instance
-	for instances := 0; n > 0 && instances < k; n-- {
-		res := result(scored[0])
+	heapify(scored)
+	out := make([]Result, 0, min(k, len(scored))) // every hit adds an instance
+	for instances := 0; len(scored) > 0 && instances < k; scored = scored[:len(scored)-1] {
+		res := result(popBest(scored))
 		out = append(out, res)
 		instances += len(res.Instances)
-		scored[0] = scored[n-1]
-		siftDown(scored[:n-1], 0)
 	}
 	return out
+}
+
+// rankedPrefix returns the n best of scored in ranking order, reordering
+// scored: all of it sorted when n covers it, and otherwise n pops of the heap
+// rankResults pops — the sorted prefix bit for bit, rankOrder being a total
+// order — which sorts what is kept rather than what is scored.
+func rankedPrefix(scored []scoredHit, n int) []scoredHit {
+	if n >= len(scored) {
+		slices.SortFunc(scored, rankScored)
+		return scored
+	}
+	heapify(scored)
+	rest := len(scored) - n
+	for m := len(scored); m > rest; m-- {
+		popBest(scored[:m])
+	}
+	slices.Reverse(scored[rest:]) // popped best last
+	return scored[rest:]
+}
+
+// heapify puts h in best-first heap order.
+func heapify(h []scoredHit) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+}
+
+// popBest moves the best hit of the non-empty heap h to its end, restores the
+// heap over the rest, and returns the hit; the caller drops the last position.
+func popBest(h []scoredHit) scoredHit {
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	siftDown(h[:n], 0)
+	return h[n]
 }
 
 // siftDown restores the best-first heap order of h below position i.

@@ -159,6 +159,129 @@ func TestLiveKernelMatchesLegacyOracle(t *testing.T) {
 	}
 }
 
+// TestTruncatedEntriesServeOrDeclineToTheOracle sweeps the depth a store is
+// cut at against the k a request asks: whether an entry proves the k inside
+// its stored prefix and serves, or declines to the kernel, the answer is the
+// oracle's to the bit, the response names the path that gave it and a
+// truncation decline is counted once. The stored prefix itself — selected by
+// heap when the entry is cut — is the uncut store's sorted prefix, score bits
+// and slot words.
+func TestTruncatedEntriesServeOrDeclineToTheOracle(t *testing.T) {
+	opts := RelaxOptions{Radius: 3, DynamicRadius: true}.withDefaults()
+	ks := []int{0, 1, 5, 50, 64, 65, 1000}
+	for name, ing := range oracleWorlds(t) {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			sim := func() *Similarity { return NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology) }
+			oracle := NewRelaxer(ing, sim(), nil, opts)
+			store := func(depth int) *Materialized {
+				return MaterializeTopK(ing, sim(), MaterializeOptions{Relax: opts, HeadMax: 2, MaxPerQuery: depth, Contexts: ing.Contexts})
+			}
+			full := store(-1)
+			head := headConcepts(ing, MaterializeOptions{HeadMax: 2}.withDefaults())
+			ctxs := queryContexts(ing)
+			type query struct {
+				q   eks.ConceptID
+				ctx *ontology.Context
+				k   int
+			}
+			// Every head concept under every context, each context at one k in
+			// turn, and every k under no context and one that rotates.
+			var queries []query
+			for qi, q := range head {
+				for ci, c := range ctxs {
+					queries = append(queries, query{q, c, ks[(qi+ci)%len(ks)]})
+				}
+				for _, k := range ks {
+					queries = append(queries, query{q, nil, k}, query{q, ctxs[1+qi], k})
+				}
+			}
+			wants := make([][]Result, len(queries))
+			for i, qu := range queries {
+				var err error
+				if wants[i], err = oracle.legacyRelaxConcept(context.Background(), qu.q, qu.ctx, qu.k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, depth := range []int{-1, 1, 7, 64} {
+				m := store(depth)
+				if m.Entries() != full.Entries() {
+					t.Fatalf("depth %d: %d entries, the uncut store %d", depth, m.Entries(), full.Entries())
+				}
+				cut := 0
+				for i := 0; i < m.Entries(); i++ {
+					e, f := m.entry(i), full.entry(i)
+					n := len(f.cands)
+					if depth > 0 && n > depth {
+						n = depth
+						cut++
+					}
+					if e.complete != (n == len(f.cands)) || !slices.Equal(e.cands, f.cands[:n]) || !slices.Equal(e.counts, f.counts) ||
+						!slices.EqualFunc(e.scores, f.scores[:n], func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+						t.Fatalf("depth %d: entry %d is not the first %d of the uncut entry's %d candidates", depth, i, n, len(f.cands))
+					}
+				}
+				if depth == 1 && cut == 0 {
+					t.Fatal("depth 1 cut no entry: the sweep does not reach the selection")
+				}
+				r := NewRelaxer(ing, sim(), nil, opts)
+				if !r.SetMaterialized(m) {
+					t.Fatalf("depth %d: SetMaterialized refused a store built under the same options", depth)
+				}
+				var served, declined uint64
+				for i, qu := range queries {
+					resp := r.Relax(context.Background(), Request{Concept: qu.q, UseConcept: true, Ctx: qu.ctx, K: qu.k})
+					if resp.Err != nil || !sameResults(wants[i], resp.Results) {
+						t.Fatalf("depth %d, concept %d ctx %q k %d (%s, decline %q): differs from the oracle\noracle %+v\ngot %+v (%v)",
+							depth, qu.q, ctxKey(qu.ctx), qu.k, resp.Path.MetricName(), resp.Decline, wants[i], resp.Results, resp.Err)
+					}
+					// Every query names a stored entry, so the store serves it or
+					// declines it for its depth and for nothing else.
+					switch {
+					case resp.Path == PathMaterialized && resp.Decline == "":
+						served++
+					case resp.Path != PathMaterialized && resp.Decline == DeclineTruncated:
+						declined++
+					default:
+						t.Fatalf("depth %d, concept %d ctx %q k %d: path %s with decline %q", depth, qu.q, ctxKey(qu.ctx), qu.k, resp.Path.MetricName(), resp.Decline)
+					}
+				}
+				if _, mat, _ := r.PathCounts(); mat != served || r.TruncatedDeclines() != declined {
+					t.Errorf("depth %d: counters say %d served, %d truncated; the responses %d and %d", depth, mat, r.TruncatedDeclines(), served, declined)
+				}
+				if served == 0 || (cut == 0) != (declined == 0) {
+					t.Errorf("depth %d: %d entries cut, %d requests served, %d declined", depth, cut, served, declined)
+				}
+			}
+		})
+	}
+}
+
+// TestRankedPrefixIsTheSortedPrefix holds the heap selection a cut entry is
+// built by against the sort it replaced, on hits with few distinct scores
+// (signed zeros among them), where only the slot tie-break orders most pairs.
+func TestRankedPrefixIsTheSortedPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	scores := []float64{0.75, 0.5, 0.5000000000000001, 0, math.Copysign(0, -1), 0.25}
+	for _, size := range []int{2, 3, 64, 943} {
+		hits := make([]scoredHit, size)
+		for i, slot := range rng.Perm(size) {
+			hits[i] = scoredHit{score: scores[rng.Intn(len(scores))], slot: int32(slot), hops: int32(1 + rng.Intn(8))}
+		}
+		sorted := slices.Clone(hits)
+		slices.SortFunc(sorted, rankScored)
+		for _, n := range []int{1, size / 2, size - 1, size, size + 1} {
+			got := rankedPrefix(slices.Clone(hits), n)
+			want := sorted[:min(n, size)]
+			if !slices.EqualFunc(got, want, func(a, b scoredHit) bool {
+				return math.Float64bits(a.score) == math.Float64bits(b.score) && a.slot == b.slot && a.hops == b.hops
+			}) {
+				t.Fatalf("%d hits, n %d: selected %v, sorted %v", size, n, got, want)
+			}
+		}
+	}
+}
+
 // TestSelfInstancesCountTowardTarget pins the one place IncludeSelf reaches
 // into the radius loop: the query concept's own instances count toward the
 // growth target. Here they are all there is within the base radius, and they

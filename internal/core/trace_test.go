@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"net/http"
+	"slices"
 	"strconv"
 	"testing"
 
+	"medrelax/internal/eks"
 	"medrelax/internal/trace"
 )
 
@@ -183,6 +185,47 @@ func TestKernelSpanTags(t *testing.T) {
 	}
 	if live, _, indexed := freshIdx.PathCounts(); live != 2*uint64(len(batch)) || indexed != uint64(len(batch)) {
 		t.Errorf("PathCounts of the indexed relaxer after the three passes: %d live, %d indexed; want %d and %d", live, indexed, 2*len(batch), len(batch))
+	}
+}
+
+// TestKernelSpanNamesATruncationDecline pins the one decline a span reports:
+// over a store cut at one candidate, a k the stored prefix proves is a
+// materialized hit with no decline tag, a k it cannot prove carries
+// decline=truncated on the span of the path that answered, and a concept the
+// store holds no entry for declines untagged — in one batch, so the tag is
+// each item's own.
+func TestKernelSpanNamesATruncationDecline(t *testing.T) {
+	ing := oracleWorlds(t)["seed11"]
+	opts := RelaxOptions{Radius: 3, DynamicRadius: true}
+	mapper := exactMapper{ing.Graph}
+	sim := func() *Similarity { return NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology) }
+	mopts := MaterializeOptions{Relax: opts, HeadMax: 2, MaxPerQuery: 1}.withDefaults()
+	r := NewRelaxer(ing, sim(), mapper, opts)
+	if !r.SetMaterialized(MaterializeTopK(ing, sim(), mopts)) {
+		t.Fatal("SetMaterialized refused a store built under the same options")
+	}
+	head := headConcepts(ing, mopts)
+	name := func(id eks.ConceptID) string {
+		c, _ := ing.Graph.Concept(id)
+		return c.Name
+	}
+	flagged := ing.FlaggedIDs()
+	past := flagged[slices.IndexFunc(flagged, func(id eks.ConceptID) bool { return !slices.Contains(head, id) })]
+	batch := []Request{{Term: name(head[0]), K: 1}, {Term: name(head[0]), K: 1000}, {Term: name(past), K: 1000}, {Term: name(head[1]), K: 1}}
+	want := []struct{ path, decline string }{{"materialized_hit", ""}, {"live_path", "truncated"}, {"live_path", ""}, {"materialized_hit", ""}}
+	var resps []Response
+	spans := kernelSpans(t, func(ctx context.Context) { resps = r.RelaxBatch(ctx, batch) })
+	if len(spans) != len(batch) {
+		t.Fatalf("batch of %d recorded %d kernel spans", len(batch), len(spans))
+	}
+	for i, s := range spans {
+		if s.Tag("path") != want[i].path || s.Tag("decline") != want[i].decline || resps[i].Decline != want[i].decline {
+			t.Errorf("item %d (%q, k %d): span says path=%s decline=%q, the response %q; want %s and %q",
+				i, batch[i].Term, batch[i].K, s.Tag("path"), s.Tag("decline"), resps[i].Decline, want[i].path, want[i].decline)
+		}
+	}
+	if got := r.TruncatedDeclines(); got != 1 {
+		t.Errorf("TruncatedDeclines = %d after one truncated decline", got)
 	}
 }
 

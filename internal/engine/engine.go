@@ -85,10 +85,13 @@ type Request struct {
 
 // Response answers one Request: Results on success, Err otherwise — wrapping
 // core.ErrUnknownTerm, core.ErrBadContext or the context's error. Path
-// reports which compute path answered (meaningful only when Err is nil).
+// reports which compute path answered (meaningful only when Err is nil) and
+// Decline is core.Response's: why the materialized store passed on a query it
+// holds an entry for.
 type Response struct {
 	Results []RelaxResult
 	Path    core.ServePath
+	Decline string
 	Err     error
 }
 
@@ -409,7 +412,7 @@ func (s *Snapshot) RelaxBatch(ctx context.Context, reqs []Request) []Response {
 		sp.SetTag("items", strconv.Itoa(len(reqs)))
 	}
 	for i, cresp := range cresps {
-		out[i] = Response{Path: cresp.Path, Err: cresp.Err}
+		out[i] = Response{Path: cresp.Path, Decline: cresp.Decline, Err: cresp.Err}
 		if cresp.Err != nil {
 			continue
 		}
@@ -477,7 +480,7 @@ func (s *Snapshot) Stats() map[string]any {
 		stats["resolverTokens"] = len(s.lookup.FlatData().Tokens)
 	}
 	live, mat, idx := s.relaxer.PathCounts()
-	stats["relaxPaths"] = map[string]uint64{"live": live, "materialized": mat, "indexed": idx}
+	stats["relaxPaths"] = map[string]uint64{"live": live, "materialized": mat, "indexed": idx, "materializedTruncated": s.relaxer.TruncatedDeclines()}
 	// Where the kernel's per-concept geometries came from for this snapshot —
 	// a hit scored one the memo held, a fill walked the graph, a refill walked
 	// again for a wider target, mapped scored a view of the candidate index's

@@ -1,7 +1,9 @@
 package persist
 
 import (
+	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -104,6 +106,47 @@ func assertAccelServes(t *testing.T, ing, restored *core.Ingestion) {
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("query %d k %d: restored accelerations diverge from live", q, k)
 			}
+		}
+	}
+}
+
+// TestInspectReportsStoreDepth holds InspectFile's summary of the materialized
+// store — read off two sections, no ingestion restored — against the columns
+// of the store that was saved, cut at the default depth and uncut; a bundle
+// without a store reports none.
+func TestInspectReportsStoreDepth(t *testing.T) {
+	uncut := buildIngestion(t)
+	uncut.Materialized = core.MaterializeTopK(uncut, core.NewSimilarity(uncut.Graph, uncut.Frequencies, uncut.Ontology),
+		core.MaterializeOptions{Relax: accelRelax, HeadMax: 3, MaxPerQuery: -1})
+	for name, ing := range map[string]*core.Ingestion{"default depth": buildAccelIngestion(t), "uncut": uncut, "no store": buildIngestion(t)} {
+		path := filepath.Join(t.TempDir(), "bundle.flat")
+		if err := SaveFileAtomic(path, ing, FormatFlat); err != nil {
+			t.Fatal(err)
+		}
+		info, err := InspectFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ing.Materialized == nil {
+			if info.Store != nil {
+				t.Errorf("%s: InspectFile reports store %+v", name, info.Store)
+			}
+			continue
+		}
+		d := ing.Materialized.FlatData()
+		want := StoreDepth{Entries: len(d.Concepts), Candidates: len(d.CandSlots)}
+		depths := make([]int, len(d.Concepts))
+		for i := range depths {
+			depths[i] = int(d.CandOff[i+1] - d.CandOff[i])
+			want.Complete += int(d.Complete[i])
+		}
+		slices.Sort(depths)
+		want.MaxDepth, want.MedianDepth = depths[len(depths)-1], depths[len(depths)/2]
+		if info.Store == nil || *info.Store != want {
+			t.Errorf("%s: InspectFile reports store %+v, the saved columns say %+v", name, info.Store, want)
+		}
+		if cut := name == "default depth"; cut != (want.MaxDepth == 64 && want.Complete == 0) || cut == (want.Complete == want.Entries) {
+			t.Errorf("%s: the fixture's store is %+v", name, want)
 		}
 	}
 }

@@ -13,7 +13,12 @@ import (
 // lifetime. The Ingestion holds the mapRef; the mapping is released either
 // explicitly via Close (a drained snapshot being retired — replica
 // restarts must not wait on GC timing) or by the finalizer backstop once
-// the Ingestion and every view into the mapping are unreachable.
+// the Ingestion — the mapRef's only holder — is unreachable. A view into the
+// mapping does not hold it: the mapping is not heap memory, so a column
+// slice is no pointer the collector follows to the mapRef, and a caller that
+// keeps columns (FlatData) and drops the Ingestion reads unmapped memory
+// after the next collection. Whoever reads views keeps the Ingestion
+// reachable for as long (runtime.KeepAlive, or simply holding it).
 type mapRef struct {
 	size   int64
 	mapped bool

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 )
 
 // SectionInfo describes one section of an inspected bundle: its numeric
@@ -33,6 +34,44 @@ type BundleInfo struct {
 	// Sources names the secondary sources a federated bundle carries, in
 	// mount order; empty for classic single-source bundles.
 	Sources []string
+	// Store says how deep the materialized store of a flat bundle is; nil when
+	// the bundle carries none or its matFlags / matCandOffsets sections fail
+	// their checksums.
+	Store *StoreDepth
+}
+
+// StoreDepth summarises a materialized store from its per-entry columns alone:
+// how many (concept, context) entries it holds, the candidates they store in
+// all, the deepest and the median entry, and how many entries are complete —
+// hold their whole candidate set rather than a prefix cut at
+// core.MaterializeOptions.MaxPerQuery.
+type StoreDepth struct {
+	Entries, Candidates, MaxDepth, MedianDepth, Complete int
+}
+
+// storeDepth reads a StoreDepth off the matFlags and matCandOffsets payloads;
+// nil when they hold no entries (the sections are absent) or do not describe
+// the same ones.
+func storeDepth(flags, candOff []byte) *StoreDepth {
+	complete, err := viewColumn[int32](flags, "matFlags")
+	if err != nil || len(complete) == 0 {
+		return nil
+	}
+	off, err := viewColumn[int32](candOff, "matCandOffsets")
+	if err != nil || len(off) != len(complete)+1 {
+		return nil
+	}
+	d := &StoreDepth{Entries: len(complete), Candidates: int(off[len(off)-1] - off[0])}
+	depths := make([]int, d.Entries)
+	for i := range depths {
+		depths[i] = int(off[i+1] - off[i])
+		if complete[i] != 0 {
+			d.Complete++
+		}
+	}
+	slices.Sort(depths)
+	d.MaxDepth, d.MedianDepth = depths[len(depths)-1], depths[len(depths)/2]
+	return d
 }
 
 // flatSectionName renders a v4 section kind for humans; unknown kinds (from
@@ -149,6 +188,7 @@ func inspectFlat(data []byte, info *BundleInfo) (*BundleInfo, error) {
 	dir := data[dirOff : dirOff+dirLen]
 	ok := sectionCRC(dir) == dirCRC
 	var retired error
+	var matFlags, matCandOff []byte
 	for i := uint64(0); i < uint64(nSec); i++ {
 		e := dir[i*flatDirEntrySize:]
 		s := SectionInfo{
@@ -161,13 +201,20 @@ func inspectFlat(data []byte, info *BundleInfo) (*BundleInfo, error) {
 		if s.Offset <= uint64(len(data)) && s.Length <= uint64(len(data))-s.Offset {
 			payload := data[s.Offset : s.Offset+s.Length]
 			s.CRCOK = sectionCRC(payload) == crc
-			if s.Kind == secSources && s.CRCOK {
+			switch {
+			case !s.CRCOK:
+				// Nothing is read out of a payload its checksum disowns.
+			case s.Kind == secSources:
 				var dumps []sourceDump
 				if json.Unmarshal(payload, &dumps) == nil {
 					for _, d := range dumps {
 						info.Sources = append(info.Sources, d.Name)
 					}
 				}
+			case s.Kind == secMatFlags:
+				matFlags = payload
+			case s.Kind == secMatCandOff:
+				matCandOff = payload
 			}
 		}
 		ok = ok && s.CRCOK
@@ -177,5 +224,6 @@ func inspectFlat(data []byte, info *BundleInfo) (*BundleInfo, error) {
 		}
 	}
 	info.CRCOK = ok
+	info.Store = storeDepth(matFlags, matCandOff)
 	return info, retired
 }

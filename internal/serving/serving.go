@@ -142,6 +142,7 @@ type Engine struct {
 	mPathLive       *metrics.Counter
 	mPathMat        *metrics.Counter
 	mPathIdx        *metrics.Counter
+	mMatTruncated   *metrics.Counter
 
 	geometry geometrySeries
 }
@@ -214,6 +215,7 @@ func NewEngine(backend server.Backend, opts Options) *Engine {
 	e.mPathLive = e.reg.Counter("medrelax_relax_live_path_total", "uncached relaxations answered by live graph traversal", e.labels(""))
 	e.mPathMat = e.reg.Counter("medrelax_relax_materialized_hit_total", "uncached relaxations answered from the materialized top-k store", e.labels(""))
 	e.mPathIdx = e.reg.Counter("medrelax_relax_index_path_total", "uncached relaxations answered from a geometry the candidate index stores", e.labels(""))
+	e.mMatTruncated = e.reg.Counter("medrelax_relax_materialized_truncated_total", "uncached relaxations the materialized store held an entry for and declined, the entry cut too shallow (MaxPerQuery) to prove their k", e.labels(""))
 	for i, key := range geometryCounters {
 		e.geometry.counters[i] = e.reg.Counter("medrelax_relax_geometry_"+key+"_total", "kernel geometry source: "+key+" (a hit scored a memoised walk; a fill or refill walked the graph; mapped scored a view of the candidate index)", e.labels(""))
 	}
@@ -298,9 +300,12 @@ func cacheBypassed(ctx context.Context) bool {
 }
 
 // countPath attributes one uncached relaxation to the serving path that
-// answered it.
-func (e *Engine) countPath(p core.ServePath) {
-	switch p {
+// answered it, and to the truncated entry that declined it first if one did.
+func (e *Engine) countPath(resp *server.Response) {
+	if resp.Decline == core.DeclineTruncated {
+		e.mMatTruncated.Inc()
+	}
+	switch resp.Path {
 	case core.PathMaterialized:
 		e.mPathMat.Inc()
 	case core.PathIndexed:
@@ -412,7 +417,7 @@ func (e *Engine) compute(ctx context.Context, h *holder, endpoint string, reqs [
 	answered := false
 	for i := range out {
 		if out[i].Err == nil {
-			e.countPath(out[i].Path)
+			e.countPath(&out[i])
 			answered = true
 		}
 	}
@@ -533,6 +538,8 @@ func (e *Engine) Stats() map[string]any {
 			"live":         e.mPathLive.Value(),
 			"materialized": e.mPathMat.Value(),
 			"indexed":      e.mPathIdx.Value(),
+			// Also under the path that answered.
+			"materializedTruncated": e.mMatTruncated.Value(),
 		},
 	}
 	if e.cache != nil {

@@ -26,9 +26,10 @@ import (
 // so tests can tell which backend generation answered, and the serve path
 // every answer reports.
 type fakeBackend struct {
-	label string
-	delay time.Duration
-	path  core.ServePath
+	label   string
+	delay   time.Duration
+	path    core.ServePath
+	decline string
 
 	calls    atomic.Int64
 	inflight atomic.Int64
@@ -55,7 +56,7 @@ func (f *fakeBackend) Answer(ctx context.Context, req server.Request) server.Res
 	if req.Term == "missing" {
 		return server.Response{Err: fmt.Errorf("fake: %q: %w", req.Term, core.ErrUnknownTerm)}
 	}
-	return server.Response{Path: f.path, Results: []server.RelaxResult{
+	return server.Response{Path: f.path, Decline: f.decline, Results: []server.RelaxResult{
 		{Concept: f.label + ":" + req.Term, Score: 1.0, Hops: req.K, Instances: []string{f.label + "-inst"}},
 	}}
 }
@@ -631,7 +632,8 @@ func TestServePathCounters(t *testing.T) {
 	}
 
 	// Batch outcomes attribute per successful item; errors are not counted.
-	tb.path = core.PathIndexed
+	// Here a truncated entry declined each before the index answered.
+	tb.path, tb.decline = core.PathIndexed, core.DeclineTruncated
 	out := e.RelaxBatch(withCacheBypass(ctx), []server.Request{
 		{Term: "a", K: 3}, {Term: "b", K: 3}, {Term: "missing", K: 3},
 	})
@@ -656,7 +658,7 @@ func TestServePathCounters(t *testing.T) {
 	if !ok {
 		t.Fatalf("serving stats missing servePaths: %v", serving)
 	}
-	if paths["materialized"] != 1 || paths["indexed"] != 2 || paths["live"] != 0 {
+	if paths["materialized"] != 1 || paths["indexed"] != 2 || paths["live"] != 0 || paths["materializedTruncated"] != 2 {
 		t.Fatalf("servePaths = %v", paths)
 	}
 	if serving["cacheBypassed"].(uint64) != 1 {

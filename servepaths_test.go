@@ -2,6 +2,7 @@ package medrelax
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -35,7 +37,13 @@ type genWorld struct {
 	// accelerated ingests with the materialized store and the candidate
 	// index, so answers come from all three serve paths.
 	accelerated bool
+	// storeDepth is the store's MaterializeOptions.MaxPerQuery; zero takes the
+	// default.
+	storeDepth int
 }
+
+// genRelax is what the accelerated worlds' stores are built under.
+var genRelax = core.RelaxOptions{Radius: 3, DynamicRadius: true, MaxRadius: 6}
 
 func (gw genWorld) ingest(t *testing.T) *core.Ingestion {
 	t.Helper()
@@ -50,9 +58,8 @@ func (gw genWorld) ingest(t *testing.T) *core.Ingestion {
 	corp := medkb.BuildCorpus(w, med, medkb.CorpusConfig{Seed: gw.seed + 2})
 	var opts core.IngestOptions
 	if gw.accelerated {
-		relax := core.RelaxOptions{Radius: 3, DynamicRadius: true, MaxRadius: 6}
-		opts.Materialize = core.MaterializeOptions{Enabled: true, Relax: relax, HeadFraction: 0.25}
-		opts.CandidateIndex = core.CandidateIndexOptions{Enabled: true, Radius: relax.MaxRadius}
+		opts.Materialize = core.MaterializeOptions{Enabled: true, Relax: genRelax, HeadFraction: 0.25, MaxPerQuery: gw.storeDepth}
+		opts.CandidateIndex = core.CandidateIndexOptions{Enabled: true, Radius: genRelax.MaxRadius}
 	}
 	ing, err := core.Ingest(med.Ontology, med.Store, w.Graph, corp, match.NewExact(w.Graph), opts)
 	if err != nil {
@@ -353,5 +360,119 @@ func TestServePathsAgreeOnGeneratedWorlds(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDeepStoreServesUnderShallowDefaults is the compatibility gate of the
+// store's default depth: a bundle whose store was built at the earlier depth
+// of 256 opens under this tree, attaches, and answers every k the same bytes
+// as a bundle built at the default depth and as a snapshot with no store.
+// Where the default store is too shallow to prove a k that the deep one
+// proves, the answer came another way and says so — in the response's path
+// and in medrelax_relax_materialized_truncated_total — and is the same bytes.
+func TestDeepStoreServesUnderShallowDefaults(t *testing.T) {
+	gw := genWorld{name: "accelerated", seed: 101, conditionsPerPair: 1, accelerated: true}
+	live := server.New(engine.New(genWorld{seed: gw.seed, conditionsPerPair: 1}.ingest(t), engine.Config{Relax: genRelax})).Handler()
+
+	type stack struct {
+		built *core.Ingestion  // what the bundle was saved from
+		snap  *engine.Snapshot // the bundle, loaded
+		api   http.Handler     // the serving engine over snap, scraped for /metrics
+	}
+	open := func(depth int) stack {
+		t.Helper()
+		gw.storeDepth = depth
+		ing := gw.ingest(t)
+		deepest := 0
+		d := ing.Materialized.FlatData()
+		for i := range d.Concepts {
+			deepest = max(deepest, int(d.CandOff[i+1]-d.CandOff[i]))
+		}
+		if want := max(depth, 64); deepest != want { // the default, spelled out: a drift fails here
+			t.Fatalf("store built with MaxPerQuery %d: deepest entry holds %d candidates, want %d", depth, deepest, want)
+		}
+		bundle := filepath.Join(t.TempDir(), "world.flat")
+		if err := persist.SaveFileAtomic(bundle, ing, persist.FormatFlat); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := engine.LoadSnapshot(bundle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { snap.Close() })
+		if n, _ := snap.Stats()["materializedEntries"].(int); n != len(d.Concepts) {
+			t.Fatalf("bundle with a depth-%d store: %d of %d entries attached", deepest, n, len(d.Concepts))
+		}
+		eng := serving.NewEngine(snap, serving.DefaultOptions())
+		return stack{ing, snap, eng.Handler(server.New(eng).Handler())}
+	}
+	deep, shallow := open(256), open(0)
+	metric := func(s stack, name string) int {
+		t.Helper()
+		for _, line := range strings.Split(string(serve(s.api, http.MethodGet, "/metrics", nil).body), "\n") {
+			if rest, ok := strings.CutPrefix(line, name+" "); ok {
+				n, err := strconv.Atoi(rest)
+				if err != nil {
+					t.Fatalf("/metrics: %q", line)
+				}
+				return n
+			}
+		}
+		t.Fatalf("/metrics has no %s", name)
+		return 0
+	}
+
+	// Head concepts by their own names, under no context and under two.
+	ing := shallow.built
+	var terms []string
+	for _, id := range slices.Compact(slices.Clone(ing.Materialized.FlatData().Concepts))[:6] {
+		c, _ := ing.Graph.Concept(id)
+		terms = append(terms, c.Name)
+	}
+	contexts := []string{"", ing.Contexts[0].String(), ing.Contexts[len(ing.Contexts)/2].String()}
+	paths := map[bool]int{} // by whether the two stacks named the same path
+	for _, k := range []int{1, 10, 50, 100, 1000} {
+		for _, term := range terms {
+			for _, qctx := range contexts {
+				q := serveQuery{term: term, context: qctx, k: k}
+				want := serve(live, http.MethodGet, q.path(), nil)
+				if want.status != http.StatusOK {
+					t.Fatalf("%s: live status %d, body %s", q, want.status, want.body)
+				}
+				for name, s := range map[string]stack{"deep": deep, "shallow": shallow} {
+					if got := serve(s.api, http.MethodGet, q.path(), nil, "Cache-Control", "no-store"); !got.equal(want) {
+						t.Errorf("%s: %s store: status %d, body %.200s\nlive status %d, body %.200s", q, name, got.status, got.body, want.status, want.body)
+					}
+				}
+				req := engine.Request{Term: term, Context: qctx, K: k}
+				dr, sr := deep.snap.Answer(context.Background(), req), shallow.snap.Answer(context.Background(), req)
+				if k <= 50 && (dr.Path != core.PathMaterialized || sr.Path != core.PathMaterialized || sr.Decline != "") {
+					t.Errorf("%s: answered by %s (deep) and %s (shallow, decline %q); both stores hold the entry and k <= 50", q, dr.Path.MetricName(), sr.Path.MetricName(), sr.Decline)
+				}
+				if (sr.Path != core.PathMaterialized) != (sr.Decline == core.DeclineTruncated) {
+					t.Errorf("%s: shallow store: path %s with decline %q", q, sr.Path.MetricName(), sr.Decline)
+				}
+				if k > 50 {
+					paths[dr.Path == sr.Path]++
+				}
+			}
+		}
+	}
+	if paths[false] == 0 {
+		t.Errorf("no k past 50 was served by the deep store and declined by the shallow one (%d agreed): the table does not cover the difference", paths[true])
+	}
+	// The HTTP pass through each serving engine counted what the direct pass
+	// above saw: per stack one decline per request it did not serve.
+	for name, s := range map[string]stack{"deep": deep, "shallow": shallow} {
+		hits, truncated := metric(s, "medrelax_relax_materialized_hit_total"), metric(s, "medrelax_relax_materialized_truncated_total")
+		if total := 5 * len(terms) * len(contexts); hits+truncated != total || hits == 0 || truncated == 0 {
+			t.Errorf("%s store: %d materialized hits and %d truncated declines over %d requests that all name an entry", name, hits, truncated, total)
+		}
+		if got, _ := s.snap.Stats()["relaxPaths"].(map[string]uint64); got["materializedTruncated"] != 2*uint64(truncated) {
+			t.Errorf("%s store: snapshot counted %d truncated declines over two passes, the serving engine %d over one", name, got["materializedTruncated"], truncated)
+		}
+	}
+	if d, s := metric(deep, "medrelax_relax_materialized_truncated_total"), metric(shallow, "medrelax_relax_materialized_truncated_total"); s <= d {
+		t.Errorf("truncated declines: %d by the deep store, %d by the shallow one", d, s)
 	}
 }
