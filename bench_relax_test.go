@@ -1,62 +1,16 @@
 package medrelax
 
-// Online-phase performance benchmarks: single-request latency and
-// allocation profile of Algorithm 2, parallel throughput of the shared
-// (lock-free) relaxation pipeline, and the dense graph kernel across world
-// sizes. cmd/relaxbench runs the same workloads and records the numbers in
-// BENCH_relax.json; `go test -bench=BenchmarkRelax` reproduces them.
+// The allocation profile of Algorithm 2's uncached request path, tier by
+// tier, which CI's benchmem gate pins. Serving latency and throughput are
+// measured end to end by `bash bench/run.sh`.
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
 	"medrelax/internal/core"
-	"medrelax/internal/eks"
 	"medrelax/internal/eval"
-	"medrelax/internal/synthkb"
 )
-
-// BenchmarkRelaxLatency measures one full RelaxConcept call — candidate
-// gathering on the dense kernel, Equation 5 scoring through the sharded
-// subsumer cache, ranking, and k-instance consumption — over the paper's
-// query mix.
-func BenchmarkRelaxLatency(b *testing.B) {
-	sys := sharedSystem(b)
-	queries := eval.SelectQueries(sys.Med, sys.Oracle, 32)
-	if len(queries) == 0 {
-		b.Fatal("no queries selected")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := queries[i%len(queries)]
-		sys.Relaxer.RelaxConcept(q.Concept, q.Ctx, 10)
-	}
-}
-
-// BenchmarkRelaxParallel measures throughput of concurrent relaxations
-// against ONE shared Relaxer — the /relax serving scenario. Compare its
-// per-op time against BenchmarkRelaxLatency to see parallel speedup; the
-// pre-optimization server serialized every request behind a global mutex,
-// pinning this number to the serial latency regardless of cores.
-func BenchmarkRelaxParallel(b *testing.B) {
-	sys := sharedSystem(b)
-	queries := eval.SelectQueries(sys.Med, sys.Oracle, 32)
-	if len(queries) == 0 {
-		b.Fatal("no queries selected")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			q := queries[i%len(queries)]
-			sys.Relaxer.RelaxConcept(q.Concept, q.Ctx, 10)
-			i++
-		}
-	})
-}
 
 var (
 	accelOnce sync.Once
@@ -163,66 +117,6 @@ func BenchmarkRelaxUncached(b *testing.B) {
 				b.StartTimer()
 				q := queries[i%len(queries)]
 				fresh.RelaxConcept(q.Concept, q.Ctx, 10)
-			}
-		})
-	}
-}
-
-// benchGraph builds a seeded synthetic world and grows it to the target
-// concept count (the generator's own vocabulary saturates near 6k; extra
-// scale comes from deterministic leaf variants, matching the equivalence
-// tests' construction).
-func benchGraph(tb testing.TB, target int) *eks.Graph {
-	tb.Helper()
-	cpp := 1
-	if target > 2000 {
-		cpp = 20
-	}
-	w, err := synthkb.Generate(synthkb.Config{Seed: 42, ConditionsPerPair: cpp})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	g := w.Graph
-	next := eks.ConceptID(1)
-	for _, id := range g.ConceptIDs() {
-		if id >= next {
-			next = id + 1
-		}
-	}
-	for i := 0; g.Len() < target; i++ {
-		parent := w.Findings[i%len(w.Findings)]
-		if err := g.AddConcept(eks.Concept{ID: next, Name: fmt.Sprintf("variant %d of %d", i, parent)}); err != nil {
-			tb.Fatal(err)
-		}
-		if err := g.AddSubsumption(next, parent); err != nil {
-			tb.Fatal(err)
-		}
-		next++
-	}
-	g.Freeze()
-	return g
-}
-
-// BenchmarkSubsumerDistances exercises the dense kernel's upward Dijkstra
-// (the workhorse of Equation 5) across world sizes 10^3..10^5. The
-// map-returning adapter is measured because that is the public API the
-// similarity layer consumed before SubsumerVec existed; SubsumerVec is
-// benchmarked alongside to show the allocation-lean path used by the
-// sharded cache.
-func BenchmarkSubsumerDistances(b *testing.B) {
-	for _, n := range []int{1_000, 10_000, 100_000} {
-		g := benchGraph(b, n)
-		ids := g.ConceptIDs()
-		b.Run(fmt.Sprintf("map/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				g.SubsumerDistances(ids[(i*37)%len(ids)])
-			}
-		})
-		b.Run(fmt.Sprintf("vec/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				g.SubsumerVec(ids[(i*37)%len(ids)])
 			}
 		})
 	}

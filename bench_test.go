@@ -13,9 +13,7 @@ import (
 	"testing"
 
 	"medrelax/internal/core"
-	"medrelax/internal/eks"
 	"medrelax/internal/eval"
-	"medrelax/internal/match"
 	"medrelax/internal/synthkb"
 )
 
@@ -130,43 +128,6 @@ func BenchmarkFigure6PathPenalty(b *testing.B) {
 	}
 	b.ReportMetric(p1w, "pneumonia_to_LRTI")
 	b.ReportMetric(p2w, "LRTI_to_pneumonia")
-}
-
-// BenchmarkOnlineRelaxation measures the latency of one online relaxation
-// (Algorithm 2) on the default world — the paper's Θ(N log N) query path.
-func BenchmarkOnlineRelaxation(b *testing.B) {
-	sys := sharedSystem(b)
-	queries := eval.SelectQueries(sys.Med, sys.Oracle, 50)
-	if len(queries) == 0 {
-		b.Fatal("no queries")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := queries[i%len(queries)]
-		if _, err := sys.Relaxer.RelaxTerm(q.Term, q.Ctx, 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkOfflineIngestion measures the offline phase (Algorithm 1) on a
-// fresh copy of the default world — context generation, mapping, frequency
-// computation and customization.
-func BenchmarkOfflineIngestion(b *testing.B) {
-	cfg := DefaultConfig()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		world, err := synthkb.Generate(cfg.EKS)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sys := sharedSystem(b)
-		mapper := match.NewExact(world.Graph)
-		b.StartTimer()
-		if _, err := core.Ingest(sys.Med.Ontology, sys.Med.Store, world.Graph, sys.Corpus, mapper, core.IngestOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkNLQExperiment runs the Section 6.2 query-answerability
@@ -324,40 +285,4 @@ func scoreRelaxer(sys *System, relaxer *core.Relaxer, queries []eval.Query) floa
 		rs = append(rs, r)
 	}
 	return eval.MeanPRF(ps, rs).F1
-}
-
-// BenchmarkEKSNeighborSearch micro-benchmarks the candidate-gathering BFS
-// of Algorithm 2 on the customized graph.
-func BenchmarkEKSNeighborSearch(b *testing.B) {
-	sys := sharedSystem(b)
-	var ids []eks.ConceptID
-	for _, id := range sys.Ingestion.FlaggedIDs() {
-		ids = append(ids, id)
-		if len(ids) == 64 {
-			break
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys.World.Graph.NeighborsWithinHops(ids[i%len(ids)], 3)
-	}
-}
-
-// BenchmarkSimilarity micro-benchmarks one Equation 5 evaluation.
-func BenchmarkSimilarity(b *testing.B) {
-	sys := sharedSystem(b)
-	sim := core.NewSimilarity(sys.Ingestion.Graph, sys.Ingestion.Frequencies, sys.Ingestion.Ontology)
-	var a, c eks.ConceptID
-	for _, id := range sys.Ingestion.FlaggedIDs() {
-		if a == 0 {
-			a = id
-		} else if c == 0 {
-			c = id
-			break
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Sim(a, c, nil)
-	}
 }

@@ -393,7 +393,7 @@ func (h *harness) get(path string) ([]byte, int, error) {
 }
 
 // trafficPhase arms the given fault spec (empty = none) and hammers
-// /relax from h.workers goroutines for h.phase, with loadgen-style
+// /relax from h.workers goroutines for h.phase, with retry.Policy
 // retries on 429/503. Every 200 must match golden byte-for-byte; a 500
 // anywhere is a violation.
 func (h *harness) trafficPhase(name, spec string) {
@@ -467,9 +467,9 @@ func (h *harness) trafficPhase(name, spec string) {
 }
 
 // relaxRetry fetches one term with capped exponential backoff on 429/503,
-// honoring Retry-After the way a well-behaved client (cmd/loadgen) does —
-// both now ride the shared internal/retry policy. Returns the final body,
-// status, and total attempts.
+// honoring Retry-After the way a well-behaved client does (the shared
+// internal/retry policy). Returns the final body, status, and total
+// attempts.
 func (h *harness) relaxRetry(term string, rng *rand.Rand) ([]byte, int, int, error) {
 	pol := retry.Policy{MaxRetries: 3, Base: 10 * time.Millisecond, Cap: 80 * time.Millisecond}
 	path := h.relaxPath(term)

@@ -414,7 +414,7 @@ func (d *routerDrill) trafficPhase(name string, dur time.Duration, script func()
 }
 
 // relaxRetry fetches one term through the router with the shared backoff
-// policy on 429/503 — the same client discipline loadgen uses.
+// policy on 429/503, honouring Retry-After.
 func (d *routerDrill) relaxRetry(term string, rng *rand.Rand) ([]byte, int, int, error) {
 	pol := retry.Policy{MaxRetries: 3, Base: 10 * time.Millisecond, Cap: 80 * time.Millisecond}
 	url := d.base + d.relaxPath(term)

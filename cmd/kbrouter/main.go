@@ -4,8 +4,8 @@
 // GET /relax proxies to the owning replica, POST /relax/batch
 // scatter-gathers across shards and merges outcomes byte-identical to a
 // single-replica run. Active health probes plus passive failure marking
-// route around dead replicas, with capped-jittered retries (the loadgen
-// backoff policy) on the replica hop, and router-level admission sheds
+// route around dead replicas, with capped-jittered retries (a retry.Policy,
+// honouring Retry-After) on the replica hop, and router-level admission sheds
 // overload with 429 + Retry-After before any replica slot is spent.
 //
 // Endpoints:

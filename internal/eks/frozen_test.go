@@ -127,7 +127,6 @@ func assertSameReads(t *testing.T, want, got *eks.Graph, sample int) {
 		eq(at("Ancestors"), want.Ancestors(id), got.Ancestors(id))
 		eq(at("Descendants"), want.Descendants(id), got.Descendants(id))
 		eq(at("DescendantCount"), want.DescendantCount(id), got.DescendantCount(id))
-		eq(at("SubsumerDistances"), want.SubsumerDistances(id), got.SubsumerDistances(id))
 		eq(at("UpDistances"), want.UpDistances(id), got.UpDistances(id))
 		eq(at("SubsumerVec"), two(want.SubsumerVec(id)), two(got.SubsumerVec(id)))
 		eq(at("DepthFromRoot"), two(want.DepthFromRoot(id)), two(got.DepthFromRoot(id)))

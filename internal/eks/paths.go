@@ -265,7 +265,9 @@ func (g *Graph) LCS(a, b ConceptID) (LCSResult, bool) {
 
 // upDistances returns the minimal upward semantic distance from id to every
 // subsumer of id (including id itself at distance 0), following native and
-// shortcut edges upward only. Only the result map is allocated.
+// shortcut edges upward only; nil for an unknown concept. Only the result map
+// is allocated. The shortest up-then-down path between a and b runs through
+// the common subsumer minimizing upDistances(a)[c] + upDistances(b)[c].
 func (g *Graph) upDistances(id ConceptID) map[ConceptID]int {
 	v := g.view()
 	src, ok := v.node(id)
@@ -280,16 +282,6 @@ func (g *Graph) upDistances(id ConceptID) map[ConceptID]int {
 	}
 	v.putScratch(s)
 	return dist
-}
-
-// SubsumerDistances returns the minimal upward semantic distance from id to
-// every subsumer of id, including id itself at distance 0. Shortcut edges
-// participate with their attached distances. It returns nil for an unknown
-// concept. This is the workhorse of canonical-path similarity: the shortest
-// up-then-down path between a and b runs through the common subsumer
-// minimizing SubsumerDistances(a)[c] + SubsumerDistances(b)[c].
-func (g *Graph) SubsumerDistances(id ConceptID) map[ConceptID]int {
-	return g.upDistances(id)
 }
 
 // UpDistances returns the minimal upward semantic distance from id to every

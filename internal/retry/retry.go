@@ -1,6 +1,6 @@
 // Package retry is the one client-side answer to admission control,
-// shared by every HTTP client in the system (cmd/loadgen, cmd/chaos, the
-// kbrouter replica client): capped exponential backoff with deterministic
+// shared by every HTTP client in the system (cmd/chaos, the kbrouter
+// replica client): capped exponential backoff with deterministic
 // jitter that never sleeps less than the server's Retry-After hint. The
 // serving layer promises well-formed shed signals (429/503 + Retry-After);
 // this package is the matching promise that clients back off instead of
@@ -25,8 +25,8 @@ type Policy struct {
 	Cap time.Duration
 }
 
-// Default is the policy loadgen has always shipped: two retries, 50ms
-// base, 2s cap — enough to ride out a shed burst without turning a dead
+// Default is the policy a client of the server should ship: two retries,
+// 50ms base, 2s cap — enough to ride out a shed burst without turning a dead
 // server into a minutes-long stall.
 func Default() Policy {
 	return Policy{MaxRetries: 2, Base: 50 * time.Millisecond, Cap: 2 * time.Second}

@@ -39,8 +39,9 @@ type Options struct {
 	MaxConcurrent int
 	// RetryAfter is the hint attached to shed responses (default 1s).
 	RetryAfter time.Duration
-	// Retry is the backoff policy for replica failures — the same shape
-	// loadgen uses against the server, applied router→replica.
+	// Retry is the backoff policy for replica failures — the retry.Policy
+	// shape every client of the server uses, honouring Retry-After, applied
+	// router→replica.
 	Retry retry.Policy
 	// ShardTimeout bounds each scatter-gather shard request (default 5s).
 	ShardTimeout time.Duration

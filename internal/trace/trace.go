@@ -380,8 +380,8 @@ func ParseTraceparent(v string) (traceID, parentID string, flags byte, ok bool) 
 }
 
 // NewTraceparent mints a sampled traceparent header value for a client
-// (cmd/loadgen) that wants its request traced end to end. Returns the
-// header value and the embedded trace id.
+// (cmd/chaos's router drill) that wants its request traced end to end.
+// Returns the header value and the embedded trace id.
 func NewTraceparent() (header, traceID string) {
 	traceID = newTraceID()
 	return "00-" + traceID + "-" + newSpanID() + "-01", traceID

@@ -224,8 +224,8 @@ func stripExplain(t *testing.T, body []byte, keepSources bool) []byte {
 // drawn from seeds rather than on the pinned golden queries: a snapshot
 // assembled over the ingestion, the same ingestion saved flat and loaded
 // (adopted resolver, mapped columns), batch items, the serving engine on a
-// miss, on a hit and with the cache bypassed, and the router over two
-// replicas. An explained answer without its explain fields is the plain
+// miss, on a hit and with the cache bypassed, the same engine behind a
+// tenant's /t/{name}/ route, and the router over two replicas. An explained answer without its explain fields is the plain
 // answer, and a snapshot answers the same whatever it answered before.
 func TestServePathsAgreeOnGeneratedWorlds(t *testing.T) {
 	worlds := []genWorld{
@@ -312,6 +312,22 @@ func TestServePathsAgreeOnGeneratedWorlds(t *testing.T) {
 			agree("serving engine, cached batch", serveBatch(t, servingAPI, queries))
 			fresh := serving.NewEngine(loaded, opts)
 			agree("serving engine, uncached batch", serveBatch(t, fresh.Handler(server.New(fresh).Handler()), queries))
+			// The same stack mounted as a tenant, every query asked as
+			// /t/alpha/…: a miss, a hit, and a batch.
+			tenants := serving.NewTenantServer()
+			tenantEng := serving.NewEngine(loaded, opts)
+			tenants.Add("alpha", tenantEng, server.New(tenantEng).Handler())
+			route := tenants.Handler()
+			tenantAPI := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				r.URL.Path = "/t/alpha" + r.URL.Path
+				route.ServeHTTP(w, r)
+			})
+			agree("tenant route, miss", gets(tenantAPI))
+			agree("tenant route, hit", gets(tenantAPI))
+			if hits, _, _, _ := tenantEng.CacheStats(); hits == 0 {
+				t.Error("tenant route: the second pass hit nothing")
+			}
+			agree("tenant route, batch", serveBatch(t, tenantAPI, queries))
 
 			// (5) The router over two replicas.
 			ropts := router.DefaultOptions()
