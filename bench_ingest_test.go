@@ -1,9 +1,10 @@
 package medrelax
 
 // Offline-phase performance benchmarks: Algorithm 1 ingestion serial vs
-// parallel across world sizes, and the serving-start path over a flat
-// bundle. The ledger's core.ingest_s, open_ms, persist.open_flat_ms and
-// persist.open_allocs rows (bench/, offline_build) are the record at 100k.
+// parallel (GOMAXPROCS 1 vs the host's) across world sizes, and the
+// serving-start path over a flat bundle. The ledger's core.ingest_s, open_ms,
+// persist.open_flat_ms and persist.open_allocs rows (bench/, offline_build)
+// are the record at 100k.
 
 import (
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"medrelax/internal/core"
@@ -62,22 +64,24 @@ func benchWorld(tb testing.TB, target int) (*medkb.MED, *eks.Graph, *corpus.Corp
 }
 
 // BenchmarkIngest measures the full offline phase (Algorithm 1: mapping,
-// frequency table, shortcut customization, dense-index freeze) serial vs
-// parallel. World regeneration runs with the timer stopped.
+// frequency table, shortcut customization, dense-index freeze) serial
+// (GOMAXPROCS 1) vs parallel (the host's GOMAXPROCS, which 0 leaves as is).
+// World regeneration runs with the timer stopped.
 func BenchmarkIngest(b *testing.B) {
 	for _, n := range []int{1_000, 10_000, 100_000} {
 		for _, mode := range []struct {
-			name    string
-			workers int
+			name  string
+			procs int
 		}{{"serial", 1}, {"parallel", 0}} {
 			b.Run(fmt.Sprintf("n=%d/%s", n, mode.name), func(b *testing.B) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(mode.procs))
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					med, g, corp := benchWorld(b, n)
 					mapper := match.NewExact(g)
 					b.StartTimer()
-					if _, err := core.Ingest(med.Ontology, med.Store, g, corp, mapper, core.IngestOptions{Parallelism: mode.workers}); err != nil {
+					if _, err := core.Ingest(med.Ontology, med.Store, g, corp, mapper, core.IngestOptions{}); err != nil {
 						b.Fatal(err)
 					}
 				}

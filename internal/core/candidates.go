@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"unsafe"
 
@@ -74,10 +75,6 @@ type CandidateIndexOptions struct {
 	// hub concepts from dominating build time and bundle size. Default
 	// 4096; negative means unlimited.
 	MaxPostings int
-	// Workers is the build parallelism; 0 follows GOMAXPROCS. The index is
-	// deterministic for every value: workers own disjoint concepts and the
-	// pools are assembled in ascending concept order after the barrier.
-	Workers int
 }
 
 func (o CandidateIndexOptions) withDefaults() CandidateIndexOptions {
@@ -98,8 +95,10 @@ func BuildCandidateIndex(ing *Ingestion, sim *Similarity, opts CandidateIndexOpt
 	ids := ing.Graph.ConceptIDs()
 	built := make([]*geometry, len(ids))
 
-	// Worker w takes every workers-th concept: neighbours cost alike.
-	workers := resolveParallelism(opts.Workers)
+	// Worker w takes every workers-th concept: neighbours cost alike. The index
+	// is the same for every GOMAXPROCS: workers own disjoint concepts and the
+	// pools are assembled in ascending concept order after the barrier.
+	workers := runtime.GOMAXPROCS(0)
 	parallelChunks(workers, workers, func(w, _ int) {
 		for i := w; i < len(ids); i += workers {
 			built[i] = storedGeometry(ing, sim, ids[i], opts)

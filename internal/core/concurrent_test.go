@@ -109,10 +109,8 @@ func TestParallelPrecomputeMatchesSerial(t *testing.T) {
 	ing := generatedIngestion(t, 11, 2, 20, false, IngestOptions{})
 	sim := NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
 	opts := MaterializeOptions{HeadFraction: 0.1, Contexts: ing.Contexts[:2]}
-	opts.Workers = 1
-	serial := MaterializeTopK(ing, sim, opts)
-	opts.Workers = 8
-	parallel := MaterializeTopK(ing, sim, opts)
+	serial := underProcs(1, func() *Materialized { return MaterializeTopK(ing, sim, opts) })
+	parallel := underProcs(8, func() *Materialized { return MaterializeTopK(ing, sim, opts) })
 	if serial.Concepts() < 8 {
 		t.Fatalf("%d head concepts leave some of the 8 workers idle", serial.Concepts())
 	}

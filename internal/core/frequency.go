@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -44,13 +45,6 @@ type FrequencyOptions struct {
 	// damning, which is what lets the contextual IC demote findings the KB
 	// holds no data about in that context.
 	Smoothing float64
-	// Parallelism is the worker count for the corpus scan (sharded per
-	// document) and the per-label bottom-up propagation. 0 follows
-	// GOMAXPROCS, 1 forces the serial path; Ingest fills it from its own
-	// Parallelism option. The table is identical for every value: shard
-	// merges are integer sums and each label propagates independently in
-	// topological order.
-	Parallelism int
 }
 
 func (o FrequencyOptions) withDefaults() FrequencyOptions {
@@ -145,7 +139,7 @@ func BuildFrequencyTable(g *eks.Graph, c *corpus.Corpus, opts FrequencyOptions) 
 		phrases = append(phrases, concept.Name)
 		phrases = append(phrases, concept.Synonyms...)
 	}
-	stats := c.CountPhrasesN(phrases, resolveParallelism(opts.Parallelism))
+	stats := c.CountPhrasesN(phrases, runtime.GOMAXPROCS(0))
 	n := c.DocCount()
 
 	// direct[label][id]: tf (or tf-idf) of the concept under each label.
@@ -232,7 +226,7 @@ func buildFromDirect(g *eks.Graph, order []eks.ConceptID, root eks.ConceptID, di
 		p, _ := slices.BinarySearch(ids, id)
 		topo[i] = int32(p)
 	}
-	parallelChunks(len(labels), resolveParallelism(opts.Parallelism), func(lo, hi int) {
+	parallelChunks(len(labels), runtime.GOMAXPROCS(0), func(lo, hi int) {
 		for li := lo; li < hi; li++ {
 			dm := direct[labels[li]]
 			copy(d.IDs[li*n:], ids)

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
 
 	"medrelax/internal/corpus"
@@ -23,12 +24,6 @@ type IngestOptions struct {
 	// DisableShortcuts skips the external-knowledge-source customization
 	// entirely (ablation: BenchmarkAblationShortcutEdges).
 	DisableShortcuts bool
-	// Parallelism is the worker count for the three parallelizable stages
-	// of Algorithm 1 (instance mapping, shortcut planning, corpus
-	// counting). 0 follows GOMAXPROCS; 1 forces the serial path. The output
-	// is identical for every value — workers only reorder independent
-	// computations whose merges are deterministic.
-	Parallelism int
 	// Materialize optionally precomputes top-k relaxation answers for the
 	// frequency head of the flagged concepts (see MaterializeTopK).
 	Materialize MaterializeOptions
@@ -106,13 +101,13 @@ func (ing *Ingestion) Close() error {
 // source g (mutated in place by customization), the document corpus corp,
 // and the chosen instance-to-concept mapper.
 //
-// The three dominant stages run on opts.Parallelism workers: instance
+// The three dominant stages run on GOMAXPROCS workers: instance
 // mapping fans out over the instances (the mapper must be safe for
 // concurrent use — every match.Mapper is, see the Mapper contract),
 // shortcut planning computes per-concept subsumer distances across workers
 // on the read-only graph, and corpus counting shards the documents. Every
 // merge is order-independent, so the result is byte-identical to the
-// serial run.
+// serial run (GOMAXPROCS 1).
 func Ingest(o *ontology.Ontology, store *kb.Store, g *eks.Graph, corp *corpus.Corpus, mapper match.Mapper, opts IngestOptions) (*Ingestion, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid external knowledge source: %w", err)
@@ -120,7 +115,7 @@ func Ingest(o *ontology.Ontology, store *kb.Store, g *eks.Graph, corp *corpus.Co
 	if err := o.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid domain ontology: %w", err)
 	}
-	workers := resolveParallelism(opts.Parallelism)
+	workers := runtime.GOMAXPROCS(0)
 
 	// Mappings (lines 5–11): map every instance, flag mapped concepts.
 	// Each Map call is independent and O(vocab) for the approximate
@@ -150,11 +145,7 @@ func Ingest(o *ontology.Ontology, store *kb.Store, g *eks.Graph, corp *corpus.Co
 	}
 
 	// Concept frequency (lines 12–18).
-	freqOpts := opts.Frequency
-	if freqOpts.Parallelism == 0 {
-		freqOpts.Parallelism = workers
-	}
-	ft, err := BuildFrequencyTable(g, corp, freqOpts)
+	ft, err := BuildFrequencyTable(g, corp, opts.Frequency)
 	if err != nil {
 		return nil, err
 	}
@@ -191,17 +182,10 @@ func Ingest(o *ontology.Ontology, store *kb.Store, g *eks.Graph, corp *corpus.Co
 	if opts.Materialize.Enabled || opts.CandidateIndex.Enabled {
 		sim := NewSimilarity(g, ft, o)
 		if opts.CandidateIndex.Enabled {
-			copts := opts.CandidateIndex
-			if copts.Workers == 0 {
-				copts.Workers = workers
-			}
-			ing.Candidates = BuildCandidateIndex(ing, sim, copts)
+			ing.Candidates = BuildCandidateIndex(ing, sim, opts.CandidateIndex)
 		}
 		if opts.Materialize.Enabled {
 			mopts := opts.Materialize
-			if mopts.Workers == 0 {
-				mopts.Workers = workers
-			}
 			if len(mopts.Contexts) == 0 {
 				mopts.Contexts = ing.Contexts
 			}

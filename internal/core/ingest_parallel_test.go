@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"medrelax/internal/corpus"
@@ -33,13 +34,20 @@ func assertIngestionsEqual(t *testing.T, serial, parallel *Ingestion) {
 	}
 }
 
+// underProcs runs f with GOMAXPROCS at n: the worker count every offline
+// build fans out to.
+func underProcs[T any](n int, f func() T) T {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	return f()
+}
+
 func TestIngestParallelEquivalenceFixture(t *testing.T) {
 	// The paper-figure world, once per worker count: every ingestion must
 	// be identical to the serial one, including over-subscribed pools.
 	for _, workers := range []int{2, 4, 8, 32} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			serial := ingestWorld(t, IngestOptions{Parallelism: 1})
-			parallel := ingestWorld(t, IngestOptions{Parallelism: workers})
+			serial := underProcs(1, func() *Ingestion { return ingestWorld(t, IngestOptions{}) })
+			parallel := underProcs(workers, func() *Ingestion { return ingestWorld(t, IngestOptions{}) })
 			assertIngestionsEqual(t, serial, parallel)
 		})
 	}
@@ -86,16 +94,15 @@ func TestIngestParallelEquivalenceSynthKB(t *testing.T) {
 	}
 	for _, n := range sizes {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			med1, g1, corp1 := bigWorld(t, n)
-			serial, err := Ingest(med1.Ontology, med1.Store, g1, corp1, exactMapper{g1}, IngestOptions{Parallelism: 1})
-			if err != nil {
-				t.Fatal(err)
+			ingest := func() *Ingestion {
+				med, g, corp := bigWorld(t, n)
+				ing, err := Ingest(med.Ontology, med.Store, g, corp, exactMapper{g}, IngestOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ing
 			}
-			med2, g2, corp2 := bigWorld(t, n)
-			parallel, err := Ingest(med2.Ontology, med2.Store, g2, corp2, exactMapper{g2}, IngestOptions{Parallelism: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
+			serial, parallel := underProcs(1, ingest), underProcs(8, ingest)
 			if serial.MappingCount() == 0 {
 				t.Fatal("no instances mapped — the equivalence check would be vacuous")
 			}
@@ -105,10 +112,9 @@ func TestIngestParallelEquivalenceSynthKB(t *testing.T) {
 }
 
 func TestIngestParallelismDefault(t *testing.T) {
-	// Parallelism 0 (the default config everywhere) resolves to GOMAXPROCS
-	// and must match the serial output too — this is the path the golden
-	// test exercises end to end.
-	serial := ingestWorld(t, IngestOptions{Parallelism: 1})
+	// The process's own GOMAXPROCS — the path every caller and the golden
+	// test take — must match the serial output too.
+	serial := underProcs(1, func() *Ingestion { return ingestWorld(t, IngestOptions{}) })
 	deflt := ingestWorld(t, IngestOptions{})
 	assertIngestionsEqual(t, serial, deflt)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -118,9 +119,6 @@ type MaterializeOptions struct {
 	// Contexts are the query contexts materialized besides the
 	// context-free (nil) entry every head concept gets.
 	Contexts []ontology.Context
-	// Workers is the build parallelism; 0 follows GOMAXPROCS. Deterministic
-	// for every value.
-	Workers int
 }
 
 func (o MaterializeOptions) withDefaults() MaterializeOptions {
@@ -199,13 +197,7 @@ func MaterializeTopK(ing *Ingestion, sim *Similarity, opts MaterializeOptions) *
 
 	built := make([][]matEntry, len(head)) // per head concept, parallel to ctxs
 
-	workers := resolveParallelism(opts.Workers)
-	if workers > len(head) {
-		workers = len(head)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(min(runtime.GOMAXPROCS(0), len(head)), 1)
 	relaxer := NewRelaxer(ing, sim, nil, ropts)
 	var wg sync.WaitGroup
 	next := make(chan int)

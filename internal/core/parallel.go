@@ -1,22 +1,6 @@
 package core
 
-import (
-	"runtime"
-	"sync"
-)
-
-// resolveParallelism maps an option value to a worker count: 0 follows
-// GOMAXPROCS (the default for Ingest), anything else is taken literally
-// with a floor of 1.
-func resolveParallelism(p int) int {
-	if p == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if p < 1 {
-		return 1
-	}
-	return p
-}
+import "sync"
 
 // parallelChunks splits [0, n) into at most workers contiguous ranges and
 // runs fn(lo, hi) on each from its own goroutine, waiting for all of them.

@@ -144,16 +144,14 @@ func TestLookupServicePopularityTieBreak(t *testing.T) {
 	}
 }
 
-// TestLookupServiceMatchesLegacy replays the lexicon of a generated world —
+// TestLookupAdoptsItsColumns replays the lexicon of a generated world —
 // multi-parent, with synonyms, leaf variants that tie on popularity and keys
-// two concepts share — against the implementation this one replaced
-// (export_test.go): every name as typed, reordered, cut to a prefix of its
-// last token (prefix expansion), misspelt, and gibberish, at several limits.
-// Hits must match to the bit, popularity prior and tie-breaks included, and
-// Map must give the same answer — from a service that tokenised the lexicon
-// and from one that adopted the first one's columns (persist's
-// TestFlatLookupAdopted takes the columns through a saved bundle).
-func TestLookupServiceMatchesLegacy(t *testing.T) {
+// two concepts share — against a service that tokenised the lexicon and one
+// that adopted its columns: every name as typed, reordered, cut to a prefix of
+// its last token (prefix expansion), misspelt, and gibberish, at several
+// limits. Hits and Map must agree to the bit (persist's TestFlatLookupAdopted
+// takes the columns through a saved bundle).
+func TestLookupAdoptsItsColumns(t *testing.T) {
 	w, err := synthkb.Generate(synthkb.Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +174,7 @@ func TestLookupServiceMatchesLegacy(t *testing.T) {
 		next++
 	}
 	for _, g := range []*eks.Graph{lexGraph(t), g} {
-		built, want := NewLookupService(g), newLegacyLookupService(g)
+		built := NewLookupService(g)
 		adopted, err := OpenFlatLookup(g, cloneLookupData(built.FlatData()))
 		if err != nil {
 			t.Fatal(err)
@@ -195,18 +193,16 @@ func TestLookupServiceMatchesLegacy(t *testing.T) {
 			queries = append(queries, key, strings.Join(toks, " "), key[:len(key)-len(last)/2], key+"x", "x"+key)
 		}
 		queries = append(queries, "", "   ", "zzqx", "qzxj123456wvkq", "variant", "var", "shared variant", "of", "pain pai", "pai pai")
-		for name, got := range map[string]*LookupService{"built": built, "adopted": adopted} {
-			for _, q := range queries {
-				for _, limit := range []int{1, 5, 50} {
-					if g, w := got.Search(q, limit), want.Search(q, limit); !reflect.DeepEqual(g, w) {
-						t.Fatalf("%s Search(%q, %d):\n got %+v\nwant %+v", name, q, limit, g, w)
-					}
+		for _, q := range queries {
+			for _, limit := range []int{1, 5, 50} {
+				if got, want := adopted.Search(q, limit), built.Search(q, limit); !reflect.DeepEqual(got, want) {
+					t.Fatalf("Search(%q, %d):\nadopted %+v\nbuilt   %+v", q, limit, got, want)
 				}
-				gid, gok := got.Map(q)
-				wid, wok := want.Map(q)
-				if gid != wid || gok != wok {
-					t.Fatalf("%s Map(%q) = %d, %v; the legacy service says %d, %v", name, q, gid, gok, wid, wok)
-				}
+			}
+			gid, gok := adopted.Map(q)
+			wid, wok := built.Map(q)
+			if gid != wid || gok != wok {
+				t.Fatalf("Map(%q) = %d, %v adopted; %d, %v built", q, gid, gok, wid, wok)
 			}
 		}
 	}

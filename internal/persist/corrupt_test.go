@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"medrelax/internal/core"
@@ -157,72 +158,107 @@ func structurallyCorrupt(t testing.TB, ing *core.Ingestion, tokOff []int32, mult
 	}
 	last := func(p []byte) []byte { return p[:len(p)-4] }
 	return []flatEdit{
-		{"lookup tokens truncated", secLkTokens, func(p []byte) []byte { return p[:len(p)-4] }},
-		{"lookup token offsets truncated", secLkTokOff, func(p []byte) []byte { return p[:len(p)-4] }},
-		{"lookup token keys truncated", secLkTokKeys, func(p []byte) []byte { return p[:len(p)-4] }},
-		{"lookup descendant counts truncated", secLkDesc, func(p []byte) []byte { return p[:len(p)-4] }},
-		{"lookup key signatures truncated", secLkKeySigs, func(p []byte) []byte { return p[:len(p)-8] }},
-		{"lookup key signatures torn mid-value", secLkKeySigs, func(p []byte) []byte { return p[:len(p)-4] }},
-		{"lookup token not ascending", secLkTokens, func(p []byte) []byte {
+		{name: "lookup tokens truncated", kind: secLkTokens, edit: func(p []byte) []byte { return p[:len(p)-4] }},
+		{name: "lookup token offsets truncated", kind: secLkTokOff, edit: func(p []byte) []byte { return p[:len(p)-4] }},
+		{name: "lookup token keys truncated", kind: secLkTokKeys, edit: func(p []byte) []byte { return p[:len(p)-4] }},
+		{name: "lookup descendant counts truncated", kind: secLkDesc, edit: func(p []byte) []byte { return p[:len(p)-4] }},
+		{name: "lookup key signatures truncated", kind: secLkKeySigs, edit: func(p []byte) []byte { return p[:len(p)-8] }},
+		{name: "lookup key signatures torn mid-value", kind: secLkKeySigs, edit: func(p []byte) []byte { return p[:len(p)-4] }},
+		{name: "lookup token not ascending", kind: secLkTokens, edit: func(p []byte) []byte {
 			a, b := binary.LittleEndian.Uint32(p[0:]), binary.LittleEndian.Uint32(p[4:])
 			le32(p[0:], b)
 			le32(p[4:], a)
 			return p
 		}},
-		{"lookup posting out of range", secLkTokKeys, func(p []byte) []byte { le32(p[span+4:], uint32(nameKeys)); return p }},
-		{"lookup postings descending", secLkTokKeys, func(p []byte) []byte {
+		{name: "lookup posting out of range", kind: secLkTokKeys, edit: func(p []byte) []byte { le32(p[span+4:], uint32(nameKeys)); return p }},
+		{name: "lookup postings descending", kind: secLkTokKeys, edit: func(p []byte) []byte {
 			a, b := binary.LittleEndian.Uint32(p[span:]), binary.LittleEndian.Uint32(p[span+4:])
 			le32(p[span:], b)
 			le32(p[span+4:], a)
 			return p
 		}},
-		{"lookup posting span empty", secLkTokOff, func(p []byte) []byte { copy(p[4:8], p[0:4]); return p }},
-		{"lookup descendant count negative", secLkDesc, func(p []byte) []byte { le32(p, ^uint32(0)); return p }},
-		{"candidate scores truncated", secMatCandScores, func(p []byte) []byte { return p[:len(p)-8] }},
-		{"candidate slots truncated", secMatCandSlots, func(p []byte) []byte { return p[:len(p)-4] }},
-		{"candidate slot past the flagged set", secMatCandSlots, func(p []byte) []byte { le32(p, uint32(flagged)<<8|1); return p }},
-		{"candidate hops past the max radius", secMatCandSlots, func(p []byte) []byte { p[0] = 99; return p }},
-		{"candidate rank order swapped", secMatCandScores, func(p []byte) []byte {
+		{name: "lookup posting span empty", kind: secLkTokOff, edit: func(p []byte) []byte { copy(p[4:8], p[0:4]); return p }},
+		{name: "lookup descendant count negative", kind: secLkDesc, edit: func(p []byte) []byte { le32(p, ^uint32(0)); return p }},
+		{name: "candidate scores truncated", kind: secMatCandScores, edit: func(p []byte) []byte { return p[:len(p)-8] }},
+		{name: "candidate slots truncated", kind: secMatCandSlots, edit: func(p []byte) []byte { return p[:len(p)-4] }},
+		{name: "candidate slot past the flagged set", kind: secMatCandSlots, edit: func(p []byte) []byte { le32(p, uint32(flagged)<<8|1); return p }},
+		{name: "candidate hops past the max radius", kind: secMatCandSlots, edit: func(p []byte) []byte { p[0] = 99; return p }},
+		{name: "candidate rank order swapped", kind: secMatCandScores, edit: func(p []byte) []byte {
 			var first [8]byte
 			copy(first[:], p[:8])
 			copy(p[:8], p[8:16])
 			copy(p[8:16], first[:])
 			return p
 		}},
-		{"index hits not whole records", secCidxHits, last},
-		{"index hit offsets torn", secCidxOff, last},
-		{"index level ends truncated", secCidxLevels, last},
-		{"index instance counts truncated", secCidxCounts, last},
-		{"index shape offsets torn", secCidxShapeOff, last},
-		{"index shapes not whole records", secCidxShapes, last},
-		{"index tied-set offsets torn", secCidxSetOff, last},
-		{"index tied-set boundaries truncated", secCidxTiedOff, last},
-		{"index tied nodes truncated", secCidxTied, last},
-		{"index slot past the flagged set", secCidxHits, word(sole, int32(flagged))},
-		{"index LCS node past the graph", secCidxHits, word(sole+1, int32(nodes))},
-		{"index shape past the concept's", secCidxHits, word(sole+2, int32(len(cd.Shapes)))},
-		{"index tied set past the concept's", secCidxHits, word(tied+1, ^int32(len(cd.TiedOff)))},
-		{"index hit at hop 0 of an unflagged concept", secCidxLevels, word(bare*stride, 1)},
-		{"index level end past the span", secCidxLevels, word(bare*stride+cd.Radius, cd.Levels[bare*stride+cd.Radius]+1)},
-		{"index level ends decrease", secCidxLevels, word(bare*stride+1, cd.Levels[bare*stride+cd.Radius]+1)},
-		{"index counts decrease", secCidxCounts, word(bare*stride+cd.Radius, -1)},
-		{"index negative path shape", secCidxShapes, word(0, -1)},
-		{"index tied set descending", secCidxTied, word(1, cd.Tied[0])},
-		{"index tied set of one member", secCidxTiedOff, word(1, 1)},
-		{"index tied node past the graph", secCidxTied, word(int(cd.TiedOff[1])-1, int32(nodes))},
+		{name: "index hits not whole records", kind: secCidxHits, edit: last},
+		{name: "index hit offsets torn", kind: secCidxOff, edit: last},
+		{name: "index level ends truncated", kind: secCidxLevels, edit: last},
+		{name: "index instance counts truncated", kind: secCidxCounts, edit: last},
+		{name: "index shape offsets torn", kind: secCidxShapeOff, edit: last},
+		{name: "index shapes not whole records", kind: secCidxShapes, edit: last},
+		{name: "index tied-set offsets torn", kind: secCidxSetOff, edit: last},
+		{name: "index tied-set boundaries truncated", kind: secCidxTiedOff, edit: last},
+		{name: "index tied nodes truncated", kind: secCidxTied, edit: last},
+		{name: "index slot past the flagged set", kind: secCidxHits, edit: word(sole, int32(flagged))},
+		{name: "index LCS node past the graph", kind: secCidxHits, edit: word(sole+1, int32(nodes))},
+		{name: "index shape past the concept's", kind: secCidxHits, edit: word(sole+2, int32(len(cd.Shapes)))},
+		{name: "index tied set past the concept's", kind: secCidxHits, edit: word(tied+1, ^int32(len(cd.TiedOff)))},
+		{name: "index hit at hop 0 of an unflagged concept", kind: secCidxLevels, edit: word(bare*stride, 1)},
+		{name: "index level end past the span", kind: secCidxLevels, edit: word(bare*stride+cd.Radius, cd.Levels[bare*stride+cd.Radius]+1)},
+		{name: "index level ends decrease", kind: secCidxLevels, edit: word(bare*stride+1, cd.Levels[bare*stride+cd.Radius]+1)},
+		{name: "index counts decrease", kind: secCidxCounts, edit: word(bare*stride+cd.Radius, -1)},
+		{name: "index negative path shape", kind: secCidxShapes, edit: word(0, -1)},
+		{name: "index tied set descending", kind: secCidxTied, edit: word(1, cd.Tied[0])},
+		{name: "index tied set of one member", kind: secCidxTiedOff, edit: word(1, 1)},
+		{name: "index tied node past the graph", kind: secCidxTied, edit: word(int(cd.TiedOff[1])-1, int32(nodes))},
 	}
 }
 
-// flatEdit is one edit of one section's payload.
+// flatEdit is one edit of a bundle's sections: kind's payload rewritten by
+// edit, when set; the meta flag bits unflag cleared; the sections drop left
+// out. want, when set, is the section name the refusal must carry.
 type flatEdit struct {
-	name string
-	kind uint32
-	edit func(p []byte) []byte
+	name   string
+	kind   uint32
+	edit   func(p []byte) []byte
+	unflag uint32
+	drop   []uint32
+	want   string
+}
+
+// familyEdits walks the column-family tables: for every section, the bundle
+// without it; for every section of a family a bundle may leave out, a bundle
+// that leaves the family out but keeps that one section. Each must be refused
+// by the section's name.
+func familyEdits() []flatEdit {
+	// What says a bundle carries an optional family: a meta flag, or for the
+	// resolver, which has none, its first section — so keeping that one alone
+	// is a present family missing the rest, a row of its own above.
+	optional := map[uint32]uint32{secLkTokens: 0, secMatCon: metaHasMaterialized, secCidxCon: metaHasCandidates}
+	var edits []flatEdit
+	for _, family := range flatFamilies() {
+		flag, ok := optional[family[0].kind]
+		for _, c := range family {
+			edits = append(edits, flatEdit{name: "missing " + c.name, drop: []uint32{c.kind}, want: c.name})
+			if !ok || flag == 0 && c.kind == family[0].kind {
+				continue
+			}
+			orphan := flatEdit{name: "orphaned " + c.name, unflag: flag, want: c.name}
+			for _, other := range family {
+				if other.kind != c.kind {
+					orphan.drop = append(orphan.drop, other.kind)
+				}
+			}
+			edits = append(edits, orphan)
+		}
+	}
+	return edits
 }
 
 // TestFlatNewSectionCorruptionFailsLoudly: a resolver, candidate-column or
 // candidate-index section that is CRC-valid and structurally wrong is ErrCorruptBundle at
-// open, never a panic and never a bundle that answers differently.
+// open, never a panic and never a bundle that answers differently; so is a
+// bundle missing any column section, or holding one of a family it leaves out.
 func TestFlatNewSectionCorruptionFailsLoudly(t *testing.T) {
 	ing := buildSmallAccelIngestion(t)
 	sections, err := encodeFlat(ing)
@@ -245,17 +281,40 @@ func TestFlatNewSectionCorruptionFailsLoudly(t *testing.T) {
 	if err := open(sections); err != nil {
 		t.Fatalf("the unedited sections do not open: %v", err)
 	}
-	for _, c := range structurallyCorrupt(t, ing, lk.TokOff, multi) {
+	payload := func(t *testing.T, sections []flatSection, kind uint32) *[]byte {
+		i := slices.IndexFunc(sections, func(s flatSection) bool { return s.kind == kind })
+		if i < 0 {
+			t.Fatalf("the writer emitted no section %d", kind)
+		}
+		return &sections[i].payload
+	}
+	for _, c := range append(structurallyCorrupt(t, ing, lk.TokOff, multi), familyEdits()...) {
 		t.Run(c.name, func(t *testing.T) {
 			edited := slices.Clone(sections)
-			i := slices.IndexFunc(edited, func(s flatSection) bool { return s.kind == c.kind })
-			if i < 0 {
-				t.Fatalf("the writer emitted no section %d", c.kind)
+			if c.edit != nil {
+				// The payload may be the ingestion's own memory: edit a copy.
+				p := payload(t, edited, c.kind)
+				*p = c.edit(bytes.Clone(*p))
 			}
-			// The payload may be the ingestion's own memory: edit a copy.
-			edited[i].payload = c.edit(bytes.Clone(edited[i].payload))
-			if err := open(edited); !errors.Is(err, ErrCorruptBundle) {
+			if c.unflag != 0 {
+				p := payload(t, edited, secMeta)
+				meta, err := decodeFlatMeta(*p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				meta.flags &^= c.unflag
+				*p = meta.encode()
+			}
+			for _, kind := range c.drop {
+				payload(t, edited, kind) // a row drops only what the writer emitted
+			}
+			edited = slices.DeleteFunc(edited, func(s flatSection) bool { return slices.Contains(c.drop, s.kind) })
+			err := open(edited)
+			if !errors.Is(err, ErrCorruptBundle) {
 				t.Fatalf("opened with %v, want ErrCorruptBundle", err)
+			}
+			if c.want != "" && !slices.Contains(strings.Fields(err.Error()), c.want) {
+				t.Fatalf("the refusal does not name %s: %v", c.want, err)
 			}
 		})
 	}

@@ -69,7 +69,8 @@ const (
 
 // Section kinds. The numeric gaps group sections by subsystem; the writer
 // emits them in ascending kind order and the reader addresses them through
-// the directory, so the gaps cost nothing.
+// the directory, so the gaps cost nothing. A column family's kinds are bound
+// to their names and columns in one table each (flatcolumns.go).
 const (
 	secMeta   uint32 = 1
 	secStrOff uint32 = 2 // []uint32, nStr+1 offsets into strBlob

@@ -10,8 +10,6 @@ import (
 	"unsafe"
 
 	"medrelax/internal/core"
-	"medrelax/internal/eks"
-	"medrelax/internal/kb"
 	"medrelax/internal/match"
 )
 
@@ -100,24 +98,46 @@ func SaveFlat(w io.Writer, ing *core.Ingestion) error {
 }
 
 func encodeFlat(ing *core.Ingestion) ([]flatSection, error) {
-	fw := newFlatWriter()
-	meta := flatMeta{shortcuts: int64(ing.ShortcutsAdded)}
-
-	if err := flatGraphSections(fw, &meta, ing.Graph); err != nil {
-		return nil, err
+	root, ok := ing.Graph.Root()
+	if !ok {
+		return nil, fmt.Errorf("persist: graph has no root")
 	}
-	flatLookupSections(fw, ing)
+	fw := newFlatWriter()
+	meta := flatMeta{eksRoot: root, shortcuts: int64(ing.ShortcutsAdded)}
+
+	// The term resolver is the one adopted with the ingestion, or one built
+	// now, so a server opening the bundle adopts rather than tokenises.
+	lk := ing.Lookup
+	if lk == nil {
+		lk = match.NewLookupService(ing.Graph)
+	}
+	gd, ld, sd, maps, fd := ing.Graph.FlatData(), lk.FlatData(), ing.Store.FlatData(), ing.FlatMappings(), ing.Frequencies.FlatData()
+	meta.freqRoot, meta.freqSmooth = fd.Root, fd.Smoothing
+	// Sections go out in kind order, the ontology among the families: the
+	// string table lists strings in the order they are first met.
+	fw.addColumns(graphColumns(&gd))
+	fw.addColumns(lookupColumns(&ld))
 	flatOntologySections(fw, ing)
-	flatStoreSections(fw, ing.Store)
-	flatMappingSections(fw, ing)
-	flatFrequencySections(fw, &meta, ing.Frequencies)
+	fw.addColumns(storeColumns(&sd))
+	fw.addColumns(mappingsColumns(&maps))
+	fw.addColumns(frequencyColumns(&fd))
 	if ing.Materialized != nil {
+		md := ing.Materialized.FlatData()
 		meta.flags |= metaHasMaterialized
-		flatMaterializedSections(fw, &meta, ing.Materialized)
+		meta.matRadius, meta.matMax = uint32(md.Relax.Radius), uint32(md.Relax.MaxRadius)
+		if md.Relax.DynamicRadius {
+			meta.matBits |= matBitDynamicRadius
+		}
+		if md.Relax.IncludeSelf {
+			meta.matBits |= matBitIncludeSelf
+		}
+		fw.addColumns(materializedColumns(&md))
 	}
 	if ing.Candidates != nil {
+		cd := ing.Candidates.FlatData()
 		meta.flags |= metaHasCandidates
-		flatCandidateSections(fw, &meta, ing.Candidates)
+		meta.cidxRadius, meta.cidxSkipped = uint32(cd.Radius), int64(cd.Skipped)
+		fw.addColumns(candidateColumns(&cd))
 	}
 	if len(ing.Sources) > 0 {
 		meta.flags |= metaHasSources
@@ -185,50 +205,6 @@ func writeFlat(w io.Writer, sections []flatSection) error {
 	return nil
 }
 
-// flatGraphSections emits the graph's frozen view column by column: the
-// layout eks.FlatGraphData names is the layout of the file.
-func flatGraphSections(fw *flatWriter, meta *flatMeta, g *eks.Graph) error {
-	root, ok := g.Root()
-	if !ok {
-		return fmt.Errorf("persist: graph has no root")
-	}
-	meta.eksRoot = root
-
-	d := g.FlatData()
-	fw.add(secGraphIDs, leColumn(d.IDs))
-	fw.add(secGraphNames, fw.leRefs(d.Names))
-	fw.add(secGraphSynOff, leColumn(d.SynOff))
-	fw.add(secGraphSyns, fw.leRefs(d.Syns))
-	fw.add(secGraphUpOff, leColumn(d.UpOff))
-	fw.add(secGraphUpTo, leColumn(d.UpTo))
-	fw.add(secGraphUpDist, leColumn(d.UpDist))
-	fw.add(secGraphUpNEnd, leColumn(d.UpNativeEnd))
-	fw.add(secGraphDownOff, leColumn(d.DownOff))
-	fw.add(secGraphDownTo, leColumn(d.DownTo))
-	fw.add(secGraphDownDist, leColumn(d.DownDist))
-	fw.add(secGraphDownNEnd, leColumn(d.DownNativeEnd))
-	fw.add(secGraphNameKeys, fw.leRefs(d.NameKeys))
-	fw.add(secGraphKeyOff, leColumn(d.KeyOff))
-	fw.add(secGraphKeyIDs, leColumn(d.KeyIDs))
-	return nil
-}
-
-// flatLookupSections emits the term resolver's columns: the one adopted with
-// the ingestion, or one built now, so a server opening the bundle adopts
-// rather than tokenises.
-func flatLookupSections(fw *flatWriter, ing *core.Ingestion) {
-	lk := ing.Lookup
-	if lk == nil {
-		lk = match.NewLookupService(ing.Graph)
-	}
-	d := lk.FlatData()
-	fw.add(secLkTokens, fw.leRefs(d.Tokens))
-	fw.add(secLkTokOff, leColumn(d.TokOff))
-	fw.add(secLkTokKeys, leColumn(d.TokKeys))
-	fw.add(secLkDesc, leColumn(d.Desc))
-	fw.add(secLkKeySigs, leColumn(d.KeySigs))
-}
-
 func flatOntologySections(fw *flatWriter, ing *core.Ingestion) {
 	o := ing.Ontology
 	var conRefs []string
@@ -242,68 +218,6 @@ func flatOntologySections(fw *flatWriter, ing *core.Ingestion) {
 	}
 	fw.add(secOntoConcepts, fw.leRefs(conRefs))
 	fw.add(secOntoRels, fw.leRefs(relRefs))
-}
-
-// The store, the mappings and the offline tables are emitted like the graph:
-// each type's FlatData columns are the sections of the file.
-
-func flatStoreSections(fw *flatWriter, store *kb.Store) {
-	d := store.FlatData()
-	fw.add(secStoreIDs, leColumn(d.IDs))
-	fw.add(secStoreConcepts, fw.leRefs(d.Concepts))
-	fw.add(secStoreNames, fw.leRefs(d.Names))
-	fw.add(secStoreLexKeys, fw.leRefs(d.LexKeys))
-	fw.add(secStoreLexOff, leColumn(d.LexOff))
-	fw.add(secStoreLexIDs, leColumn(d.LexIDs))
-	fw.add(secStoreConKeys, fw.leRefs(d.ConceptKeys))
-	fw.add(secStoreConOff, leColumn(d.ConceptOff))
-	fw.add(secStoreConIDs, leColumn(d.ConceptIDs))
-	fw.add(secStoreRelNames, fw.leRefs(d.RelNames))
-	fw.add(secStoreASub, leColumn(d.ASub))
-	fw.add(secStoreARel, leColumn(d.ARel))
-	fw.add(secStoreAObj, leColumn(d.AObj))
-	fw.add(secStorePerm, leColumn(d.ByObjPerm))
-}
-
-func flatMappingSections(fw *flatWriter, ing *core.Ingestion) {
-	d := ing.FlatMappings()
-	fw.add(secMapInst, leColumn(d.Instances))
-	fw.add(secMapCon, leColumn(d.Concepts))
-	fw.add(secMapFlag, leColumn(d.Flagged))
-	fw.add(secMapIOff, leColumn(d.InstOff))
-	fw.add(secMapIPool, leColumn(d.InstPool))
-}
-
-func flatFrequencySections(fw *flatWriter, meta *flatMeta, ft *core.FrequencyTable) {
-	d := ft.FlatData()
-	meta.freqRoot = d.Root
-	meta.freqSmooth = d.Smoothing
-	fw.add(secFreqLabels, fw.leRefs(d.Labels))
-	fw.add(secFreqOff, leColumn(d.Off))
-	fw.add(secFreqIDs, leColumn(d.IDs))
-	fw.add(secFreqVals, leColumn(d.Vals))
-	fw.add(secFreqAggIDs, leColumn(d.AggIDs))
-	fw.add(secFreqAggVals, leColumn(d.AggVals))
-}
-
-func flatMaterializedSections(fw *flatWriter, meta *flatMeta, m *core.Materialized) {
-	d := m.FlatData()
-	meta.matRadius = uint32(d.Relax.Radius)
-	meta.matMax = uint32(d.Relax.MaxRadius)
-	if d.Relax.DynamicRadius {
-		meta.matBits |= matBitDynamicRadius
-	}
-	if d.Relax.IncludeSelf {
-		meta.matBits |= matBitIncludeSelf
-	}
-	fw.add(secMatCon, leColumn(d.Concepts))
-	fw.add(secMatCtx, fw.leRefs(d.Ctxs))
-	fw.add(secMatFlags, leColumn(d.Complete))
-	fw.add(secMatCntOff, leColumn(d.CountOff))
-	fw.add(secMatCnt, leColumn(d.Counts))
-	fw.add(secMatCandOff, leColumn(d.CandOff))
-	fw.add(secMatCandScores, leColumn(d.CandScores))
-	fw.add(secMatCandSlots, leColumn(d.CandSlots))
 }
 
 // flatSourceSection emits the secondary named sources as one JSON-encoded
@@ -324,20 +238,4 @@ func flatSourceSection(fw *flatWriter, ing *core.Ingestion) error {
 	}
 	fw.add(secSources, payload)
 	return nil
-}
-
-func flatCandidateSections(fw *flatWriter, meta *flatMeta, x *core.CandidateIndex) {
-	d := x.FlatData()
-	meta.cidxRadius = uint32(d.Radius)
-	meta.cidxSkipped = int64(d.Skipped)
-	fw.add(secCidxCon, leColumn(d.Concepts))
-	fw.add(secCidxOff, leColumn(d.Off))
-	fw.add(secCidxHits, leColumn(d.Hits))
-	fw.add(secCidxLevels, leColumn(d.Levels))
-	fw.add(secCidxCounts, leColumn(d.Counts))
-	fw.add(secCidxShapeOff, leColumn(d.ShapeOff))
-	fw.add(secCidxShapes, leColumn(d.Shapes))
-	fw.add(secCidxSetOff, leColumn(d.SetOff))
-	fw.add(secCidxTiedOff, leColumn(d.TiedOff))
-	fw.add(secCidxTied, leColumn(d.Tied))
 }

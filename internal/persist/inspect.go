@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"os"
 	"slices"
+
+	"medrelax/internal/core"
 )
 
 // SectionInfo describes one section of an inspected bundle: its numeric
@@ -35,8 +37,7 @@ type BundleInfo struct {
 	// mount order; empty for classic single-source bundles.
 	Sources []string
 	// Store says how deep the materialized store of a flat bundle is; nil when
-	// the bundle carries none or its matFlags / matCandOffsets sections fail
-	// their checksums.
+	// the bundle carries none or a section it is read from fails its checksum.
 	Store *StoreDepth
 }
 
@@ -49,76 +50,28 @@ type StoreDepth struct {
 	Entries, Candidates, MaxDepth, MedianDepth, Complete int
 }
 
-// storeDepth reads a StoreDepth off the matFlags and matCandOffsets payloads;
-// nil when they hold no entries (the sections are absent) or do not describe
-// the same ones.
-func storeDepth(flags, candOff []byte) *StoreDepth {
-	complete, err := viewColumn[int32](flags, "matFlags")
-	if err != nil || len(complete) == 0 {
+// storeDepth reads a StoreDepth off the materialized family among a flat
+// bundle's sections; nil when the bundle carries none, or one of the family's
+// sections or the string table is not among them.
+func storeDepth(secs map[uint32][]byte) *StoreDepth {
+	d := &flatDecoder{secs: secs}
+	var md core.FlatMaterializedData
+	if d.initStrings() != nil || d.columns(materializedColumns(&md)) != nil ||
+		len(md.Complete) == 0 || len(md.CandOff) != len(md.Complete)+1 {
 		return nil
 	}
-	off, err := viewColumn[int32](candOff, "matCandOffsets")
-	if err != nil || len(off) != len(complete)+1 {
-		return nil
-	}
-	d := &StoreDepth{Entries: len(complete), Candidates: int(off[len(off)-1] - off[0])}
-	depths := make([]int, d.Entries)
+	off := md.CandOff
+	s := &StoreDepth{Entries: len(md.Complete), Candidates: int(off[len(off)-1] - off[0])}
+	depths := make([]int, s.Entries)
 	for i := range depths {
 		depths[i] = int(off[i+1] - off[i])
-		if complete[i] != 0 {
-			d.Complete++
+		if md.Complete[i] != 0 {
+			s.Complete++
 		}
 	}
 	slices.Sort(depths)
-	d.MaxDepth, d.MedianDepth = depths[len(depths)-1], depths[len(depths)/2]
-	return d
-}
-
-// flatSectionName renders a v4 section kind for humans; unknown kinds (from
-// a future writer) print as kind/<n>.
-func flatSectionName(kind uint32) string {
-	names := map[uint32]string{
-		secMeta: "meta", secStrOff: "strOffsets", secStr: "strBlob",
-		secGraphIDs: "graphIDs", secGraphNames: "graphNames",
-		secGraphSynOff: "graphSynOffsets", secGraphSyns: "graphSynonyms",
-		secGraphUpOff: "graphUpOffsets", secGraphUpTo: "graphUpTargets",
-		secGraphUpDist: "graphUpDistances", secGraphUpNEnd: "graphUpNativeEnds",
-		secGraphDownOff: "graphDownOffsets", secGraphDownTo: "graphDownTargets",
-		secGraphDownDist: "graphDownDistances", secGraphDownNEnd: "graphDownNativeEnds",
-		secGraphNameKeys: "graphNameKeys", secGraphKeyOff: "graphKeyOffsets",
-		secGraphKeyIDs: "graphKeyIDs",
-		secLkTokens:    "lookupTokens", secLkTokOff: "lookupTokenOffsets",
-		secLkTokKeys: "lookupTokenKeys", secLkDesc: "lookupDescendantCounts",
-		secLkKeySigs:    "lookupKeySignatures",
-		secOntoConcepts: "ontologyConcepts", secOntoRels: "ontologyRelationships",
-		secStoreIDs: "storeIDs", secStoreConcepts: "storeConcepts",
-		secStoreNames: "storeNames", secStoreLexKeys: "storeLexiconKeys",
-		secStoreLexOff: "storeLexiconOffsets", secStoreLexIDs: "storeLexiconIDs",
-		secStoreConKeys: "storeConceptKeys", secStoreConOff: "storeConceptOffsets",
-		secStoreConIDs: "storeConceptIDs", secStoreRelNames: "storeRelNames",
-		secStoreASub: "storeAssertSubjects", secStoreARel: "storeAssertRels",
-		secStoreAObj: "storeAssertObjects", secStorePerm: "storeAssertPerm",
-		secMapInst: "mappingInstances", secMapCon: "mappingConcepts",
-		secMapFlag: "flaggedConcepts", secMapIOff: "mappingInstOffsets",
-		secMapIPool:   "mappingInstPool",
-		secFreqLabels: "freqLabels", secFreqOff: "freqOffsets",
-		secFreqIDs: "freqIDs", secFreqVals: "freqValues",
-		secFreqAggIDs: "freqAggIDs", secFreqAggVals: "freqAggValues",
-		secMatCon: "matConcepts", secMatCtx: "matContexts", secMatFlags: "matFlags",
-		secMatCntOff: "matCountOffsets", secMatCnt: "matCounts",
-		secMatCandOff:    "matCandOffsets",
-		secMatCandScores: "matCandScores", secMatCandSlots: "matCandSlots",
-		secCidxCon: "cidxConcepts", secCidxOff: "cidxHitOffsets",
-		secCidxHits: "cidxHits", secCidxLevels: "cidxLevelEnds",
-		secCidxCounts: "cidxInstanceCounts", secCidxShapeOff: "cidxShapeOffsets",
-		secCidxShapes: "cidxShapes", secCidxSetOff: "cidxTiedSetOffsets",
-		secCidxTiedOff: "cidxTiedSetBounds", secCidxTied: "cidxTiedNodes",
-		secSources: "sources",
-	}
-	if n, ok := names[kind]; ok {
-		return n
-	}
-	return fmt.Sprintf("kind/%d", kind)
+	s.MaxDepth, s.MedianDepth = depths[len(depths)-1], depths[len(depths)/2]
+	return s
 }
 
 // InspectFile reads a bundle of any format and reports its structure and
@@ -188,7 +141,9 @@ func inspectFlat(data []byte, info *BundleInfo) (*BundleInfo, error) {
 	dir := data[dirOff : dirOff+dirLen]
 	ok := sectionCRC(dir) == dirCRC
 	var retired error
-	var matFlags, matCandOff []byte
+	// Nothing is read out of a payload its checksum disowns, or one placed
+	// where the reader would refuse it as misaligned.
+	checked := make(map[uint32][]byte, nSec)
 	for i := uint64(0); i < uint64(nSec); i++ {
 		e := dir[i*flatDirEntrySize:]
 		s := SectionInfo{
@@ -200,21 +155,8 @@ func inspectFlat(data []byte, info *BundleInfo) (*BundleInfo, error) {
 		crc := binary.LittleEndian.Uint32(e[24:])
 		if s.Offset <= uint64(len(data)) && s.Length <= uint64(len(data))-s.Offset {
 			payload := data[s.Offset : s.Offset+s.Length]
-			s.CRCOK = sectionCRC(payload) == crc
-			switch {
-			case !s.CRCOK:
-				// Nothing is read out of a payload its checksum disowns.
-			case s.Kind == secSources:
-				var dumps []sourceDump
-				if json.Unmarshal(payload, &dumps) == nil {
-					for _, d := range dumps {
-						info.Sources = append(info.Sources, d.Name)
-					}
-				}
-			case s.Kind == secMatFlags:
-				matFlags = payload
-			case s.Kind == secMatCandOff:
-				matCandOff = payload
+			if s.CRCOK = sectionCRC(payload) == crc; s.CRCOK && s.Offset%8 == 0 {
+				checked[s.Kind] = payload
 			}
 		}
 		ok = ok && s.CRCOK
@@ -224,6 +166,12 @@ func inspectFlat(data []byte, info *BundleInfo) (*BundleInfo, error) {
 		}
 	}
 	info.CRCOK = ok
-	info.Store = storeDepth(matFlags, matCandOff)
+	var dumps []sourceDump
+	if payload, ok := checked[secSources]; ok && json.Unmarshal(payload, &dumps) == nil {
+		for _, d := range dumps {
+			info.Sources = append(info.Sources, d.Name)
+		}
+	}
+	info.Store = storeDepth(checked)
 	return info, retired
 }

@@ -125,7 +125,7 @@ func TestFlatParentReaderRefusesNewBundle(t *testing.T) {
 		t.Fatalf("meta %+v (err %v) does not flag the store", meta, err)
 	}
 	// The parent's restoreMaterialized, at the point it fails.
-	if _, err := d.sec(secMatCands, "materialized candidates"); !errors.Is(err, ErrCorruptBundle) {
+	if _, err := d.sec(secMatCands); !errors.Is(err, ErrCorruptBundle) {
 		t.Fatalf("looking up section %d in a new bundle: %v, want ErrCorruptBundle", secMatCands, err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"medrelax/internal/core"
@@ -355,6 +356,14 @@ func TestInspectFileFormats(t *testing.T) {
 	jsonPath := write("b.json", func(b *bytes.Buffer) error { return Save(b, fed) })
 	plainPath := write("plain.flat", func(b *bytes.Buffer) error { return SaveFlat(b, ing) })
 	flatPath := write("b.flat", func(b *bytes.Buffer) error { return SaveFlat(b, fed) })
+	accelPath := write("accel.flat", func(b *bytes.Buffer) error { return SaveFlat(b, buildAccelIngestion(t)) })
+	// A bundle with every column family lists every section of every table.
+	var families []string
+	for _, family := range flatFamilies() {
+		for _, c := range family {
+			families = append(families, c.name)
+		}
+	}
 
 	cases := []struct {
 		path        string
@@ -362,10 +371,12 @@ func TestInspectFileFormats(t *testing.T) {
 		version     int
 		minSections int
 		sources     []string
+		names       []string
 	}{
-		{jsonPath, "json v1", 1, 1, []string{"variant"}},
-		{plainPath, "flat v4", 4, 10, nil},
-		{flatPath, "flat v4", 4, 10, []string{"variant"}},
+		{jsonPath, "json v1", 1, 1, []string{"variant"}, nil},
+		{plainPath, "flat v4", 4, 10, nil, nil},
+		{flatPath, "flat v4", 4, 10, []string{"variant"}, nil},
+		{accelPath, "flat v4", 4, len(families) + 5, nil, families},
 	}
 	for _, tc := range cases {
 		info, err := InspectFile(tc.path)
@@ -381,9 +392,19 @@ func TestInspectFileFormats(t *testing.T) {
 		if len(info.Sections) < tc.minSections {
 			t.Errorf("%s: %d sections, want at least %d", tc.path, len(info.Sections), tc.minSections)
 		}
+		listed := map[string]bool{}
 		for _, s := range info.Sections {
 			if !s.CRCOK {
 				t.Errorf("%s: section %s reports a failed checksum on a pristine bundle", tc.path, s.Name)
+			}
+			if strings.HasPrefix(s.Name, "kind/") {
+				t.Errorf("%s: section kind %d has no name", tc.path, s.Kind)
+			}
+			listed[s.Name] = true
+		}
+		for _, name := range tc.names {
+			if !listed[name] {
+				t.Errorf("%s: no %s section listed", tc.path, name)
 			}
 		}
 		if len(info.Sources) != len(tc.sources) {

@@ -212,7 +212,7 @@ func Build(cfg Config) (*System, error) {
 		// store, ontology and corpus, so its frequency table speaks the
 		// same contexts. Accelerations stay primary-only.
 		vmapper := match.NewCombined(match.NewExact(vg), match.NewEdit(vg, 0))
-		vopts := core.IngestOptions{Frequency: cfg.Ingest.Frequency, Parallelism: cfg.Ingest.Parallelism}
+		vopts := core.IngestOptions{Frequency: cfg.Ingest.Frequency}
 		ving, err := core.Ingest(med.Ontology, med.Store, vg, corp, vmapper, vopts)
 		if err != nil {
 			return nil, fmt.Errorf("medrelax: ingesting variant vocabulary: %w", err)
