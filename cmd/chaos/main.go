@@ -26,6 +26,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -145,6 +146,9 @@ type harness struct {
 
 	terms  []string
 	golden map[string][]byte
+	// One explain=true GET and one POST /relax/batch, captured with the
+	// per-term bodies and replayed by the final checks.
+	batchBody, explainGolden, batchGolden []byte
 
 	mu          sync.Mutex
 	report      report
@@ -374,9 +378,41 @@ func (h *harness) captureGolden() error {
 		}
 		h.golden[term] = b
 	}
-	log.Printf("chaos: golden capture: %d terms", len(h.terms))
+	explain, status, err := h.get(h.explainURL())
+	if err != nil || status != http.StatusOK {
+		return fmt.Errorf("golden GET %s: status %d, err %v", h.explainURL(), status, err)
+	}
+	h.explainGolden = explain
+	// Every term, an unknown one (a 404 item) and an out-of-range k (a 400).
+	queries := []server.Request{{Term: "no such term xyzzy", K: h.k}, {Term: h.terms[0], K: 5000}}
+	for _, term := range h.terms {
+		queries = append(queries, server.Request{Term: term, K: h.k})
+	}
+	if h.batchBody, err = json.Marshal(server.BatchRequest{Queries: queries}); err != nil {
+		return err
+	}
+	if h.batchGolden, status, err = h.post("/relax/batch", h.batchBody); err != nil || status != http.StatusOK {
+		return fmt.Errorf("golden POST /relax/batch: status %d, err %v", status, err)
+	}
+	// The captures are what every later answer is compared against, so each
+	// is first held to encoding/json, the encoder's oracle.
+	for _, term := range h.terms {
+		if err := oracleCheck(h.golden[term], false); err != nil {
+			h.violatef("golden GET /relax?term=%q: %v", term, err)
+		}
+	}
+	if err := oracleCheck(h.explainGolden, false); err != nil {
+		h.violatef("golden GET %s: %v", h.explainURL(), err)
+	}
+	if err := oracleCheck(h.batchGolden, true); err != nil {
+		h.violatef("golden POST /relax/batch: %v", err)
+	}
+	log.Printf("chaos: golden capture: %d terms + explain GET + %d-item batch, held to encoding/json", len(h.terms), len(queries))
 	return nil
 }
+
+// explainURL is the golden explain=true request: the first term.
+func (h *harness) explainURL() string { return h.relaxPath(h.terms[0]) + "&explain=true" }
 
 func (h *harness) relaxPath(term string) string {
 	return "/relax?term=" + strings.ReplaceAll(term, " ", "+") + "&k=" + strconv.Itoa(h.k)
@@ -384,6 +420,15 @@ func (h *harness) relaxPath(term string) string {
 
 func (h *harness) get(path string) ([]byte, int, error) {
 	resp, err := h.client.Get(h.base + path)
+	return readResponse(resp, err)
+}
+
+func (h *harness) post(path string, body []byte) ([]byte, int, error) {
+	resp, err := h.client.Post(h.base+path, "application/json", bytes.NewReader(body))
+	return readResponse(resp, err)
+}
+
+func readResponse(resp *http.Response, err error) ([]byte, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
@@ -657,6 +702,14 @@ func (h *harness) finalChecks() {
 			h.report.Mismatches++
 			h.violatef("final: response for %q differs from golden after faults cleared", term)
 		}
+	}
+	if body, status, err := h.get(h.explainURL()); err != nil || status != http.StatusOK || !bytes.Equal(body, h.explainGolden) {
+		h.report.Mismatches++
+		h.violatef("final: GET %s: status %d, err %v, or body differs from golden", h.explainURL(), status, err)
+	}
+	if body, status, err := h.post("/relax/batch", h.batchBody); err != nil || status != http.StatusOK || !bytes.Equal(body, h.batchGolden) {
+		h.report.Mismatches++
+		h.violatef("final: POST /relax/batch: status %d, err %v, or body differs from golden", status, err)
 	}
 
 	h.report.Panics = h.panics.Load()

@@ -315,7 +315,15 @@ func (d *routerDrill) captureGolden() error {
 		return fmt.Errorf("golden POST /relax/batch: status %d, err %v", status, err)
 	}
 	d.batchGolden = b
-	log.Printf("chaos: golden capture: %d terms + %d-item batch", len(d.terms), len(items))
+	for _, term := range d.terms {
+		if err := oracleCheck(d.golden[term], false); err != nil {
+			d.violatef("golden GET /relax?term=%q: %v", term, err)
+		}
+	}
+	if err := oracleCheck(d.batchGolden, true); err != nil {
+		d.violatef("golden POST /relax/batch: %v", err)
+	}
+	log.Printf("chaos: golden capture: %d terms + %d-item batch, held to encoding/json", len(d.terms), len(items))
 	return nil
 }
 

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"medrelax/internal/retry"
+	"medrelax/internal/server"
 	"medrelax/internal/serving"
 	"medrelax/internal/serving/metrics"
 	"medrelax/internal/trace"
@@ -199,7 +200,7 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 	case "/terms":
 		rt.handleTerms(w, r)
 	default:
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown endpoint"})
+		server.WriteError(w, http.StatusNotFound, "unknown endpoint")
 	}
 }
 
@@ -281,7 +282,7 @@ func (r *statusRecorder) WriteHeader(code int) {
 // client backoff policy covers both tiers.
 func (rt *Router) shed(w http.ResponseWriter, endpoint string) {
 	w.Header().Set("Retry-After", strconv.Itoa(int((rt.opts.RetryAfter+time.Second-1)/time.Second)))
-	writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": "server overloaded: over concurrency limit"})
+	server.WriteError(w, http.StatusTooManyRequests, "server overloaded: over concurrency limit")
 	rt.reg.Counter("kbrouter_http_shed_total", "requests shed by router admission control",
 		metrics.Label("endpoint", endpoint)).Inc()
 }
@@ -364,7 +365,7 @@ func (rt *Router) handleRelax(w http.ResponseWriter, r *http.Request) {
 	if term == "" {
 		// The router needs the term to place the request; answer exactly as
 		// the replica would without spending a hop.
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "missing term parameter"})
+		server.WriteError(w, http.StatusBadRequest, "missing term parameter")
 		return
 	}
 	key := routingKey(tenantOf(r), term)
@@ -382,7 +383,7 @@ func (rt *Router) handleRelax(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleChat(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "reading request body: " + err.Error()})
+		server.WriteError(w, http.StatusBadRequest, "reading request body: "+err.Error())
 		return
 	}
 	var probe struct {
@@ -590,7 +591,7 @@ func copyResponse(w http.ResponseWriter, status int, header http.Header, body []
 
 func writeUnavailable(w http.ResponseWriter, err error) {
 	w.Header().Set("Retry-After", "1")
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "no replica available: " + err.Error()})
+	server.WriteError(w, http.StatusServiceUnavailable, "no replica available: "+err.Error())
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -23,23 +23,18 @@ var scatterShardBuckets = []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}
 // scatterItemBuckets sizes the per-shard sub-batch histogram.
 var scatterItemBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
-// shardItem mirrors server.BatchItemResponse on the decode side: the raw
-// body bytes survive untouched from replica to client, which is what
-// makes the merged response byte-identical to a single-replica run.
-type shardItem struct {
-	Status int             `json:"status"`
-	Body   json.RawMessage `json:"body"`
-}
-
 // handleBatch is the scatter-gather path: split a ≤MaxBatchItems batch
 // across shards by tenant/term ownership, fan out concurrently with
 // per-shard deadlines, and merge positional outcomes. Request-level
 // validation is the replica's own (server.DecodeBatch), so a malformed batch
-// fails identically whether it meets one replica or the router.
+// fails identically whether it meets one replica or the router. Each item's
+// body bytes travel untouched from replica to client through the server's
+// own batch envelope (server.WriteBatch), which is what makes the merged
+// response byte-identical to a single-replica run.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	typed, status, msg := server.DecodeBatch(r.Body)
 	if msg != "" {
-		writeJSON(w, status, map[string]string{"error": msg})
+		server.WriteError(w, status, msg)
 		return
 	}
 
@@ -72,7 +67,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Fan out with a per-shard deadline; merged item responses land at
 	// their original positions.
-	items := make([]shardItem, len(typed.Queries))
+	items := make([]server.BatchItemResponse, len(typed.Queries))
 	// Deterministic shard order keeps retries and metrics stable in tests.
 	order := make([]string, 0, len(shards))
 	for rep := range shards {
@@ -91,19 +86,14 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}(rep, s)
 	}
 	wg.Wait()
-
-	resp := make([]server.BatchItemResponse, len(items))
-	for i, it := range items {
-		resp[i] = server.BatchItemResponse{Status: it.Status, Body: it.Body}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"items": resp})
+	server.WriteBatch(w, items)
 }
 
 // scatterOne sends one shard's sub-batch and writes its outcomes into the
 // positional result slice. A shard that stays unreachable (or sheds past
 // the retry budget) resolves to per-item 503s — the batch never fails
 // wholesale because one replica did.
-func (rt *Router) scatterOne(r *http.Request, rep string, indices []int, subItems []server.Request, out []shardItem) {
+func (rt *Router) scatterOne(r *http.Request, rep string, indices []int, subItems []server.Request, out []server.BatchItemResponse) {
 	ctx, cancel := context.WithTimeout(r.Context(), rt.opts.ShardTimeout)
 	defer cancel()
 	outcome := "ok"
@@ -138,7 +128,7 @@ func (rt *Router) scatterOne(r *http.Request, rep string, indices []int, subItem
 		return
 	}
 	var shardResp struct {
-		Items []shardItem `json:"items"`
+		Items []server.BatchItemResponse `json:"items"`
 	}
 	if err := json.Unmarshal(respBody, &shardResp); err != nil || len(shardResp.Items) != len(indices) {
 		outcome = "malformed_response"
@@ -152,10 +142,10 @@ func (rt *Router) scatterOne(r *http.Request, rep string, indices []int, subItem
 
 // failShard marks every item of a failed shard as a retryable 503 — the
 // shed shape clients already know how to back off from.
-func (rt *Router) failShard(out []shardItem, indices []int, reason string) {
+func (rt *Router) failShard(out []server.BatchItemResponse, indices []int, reason string) {
 	rt.reg.Counter("kbrouter_scatter_shard_failures_total", "scatter shard requests that failed wholesale", "").Inc()
-	body, _ := json.Marshal(map[string]string{"error": "shard unavailable: " + reason})
+	body := server.AppendError(nil, "shard unavailable: "+reason)
 	for _, idx := range indices {
-		out[idx] = shardItem{Status: http.StatusServiceUnavailable, Body: body}
+		out[idx] = server.BatchItemResponse{Status: http.StatusServiceUnavailable, Body: body}
 	}
 }

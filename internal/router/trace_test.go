@@ -1,12 +1,19 @@
 package router
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"medrelax/internal/dialog"
+	"medrelax/internal/server"
+	"medrelax/internal/serving"
 	"medrelax/internal/trace"
 )
 
@@ -22,7 +29,7 @@ func traceFake(f *fakeReplica, tracer *trace.Tracer) {
 		k := sp.StartChild("relax.kernel")
 		k.SetTag("path", "live_path")
 		k.End()
-		if enc := sp.EncodeFinished(); enc != "" {
+		if enc, _ := sp.EncodeFinished(); enc != "" {
 			w.Header().Set(trace.SpansHeader, enc)
 		}
 		sp.End()
@@ -205,5 +212,106 @@ func TestUntracedRequestRecordsNothing(t *testing.T) {
 	}
 	if sawTraceparent {
 		t.Error("untraced request carried a traceparent header to the replica")
+	}
+}
+
+// spanningBackend answers every item with one result and finishes a kernel
+// span per item, as a traced uncached batch does on a real replica.
+type spanningBackend struct{}
+
+func (spanningBackend) Answer(ctx context.Context, req server.Request) server.Response {
+	k := trace.FromContext(ctx).StartChild("relax.kernel")
+	k.SetTag("path", "live_path")
+	k.SetTag("term", req.Term)
+	k.End()
+	return server.Response{Results: []server.RelaxResult{{Concept: req.Term, Score: 1, Instances: []string{"i"}}}}
+}
+
+func (b spanningBackend) RelaxBatch(ctx context.Context, reqs []server.Request) []server.Response {
+	out := make([]server.Response, len(reqs))
+	for i, req := range reqs {
+		out[i] = b.Answer(ctx, req)
+	}
+	return out
+}
+
+func (spanningBackend) Terms(int) []string { return nil }
+func (spanningBackend) NewConversation() (*dialog.Conversation, error) {
+	return nil, errors.New("no conversations")
+}
+func (spanningBackend) Stats() map[string]any { return map[string]any{} }
+
+// TestBatchBackhaulCapped drives a traced 256-item batch through
+// router.Handler to one real replica stack: the replica's span header stays
+// within its cap, the replica's root span counts what it dropped, and the
+// router's trace holds exactly the kernel spans that fit.
+func TestBatchBackhaulCapped(t *testing.T) {
+	replicaRec := trace.NewRecorder(16, 4)
+	opts := serving.DefaultOptions()
+	opts.Tracer = trace.NewTracer("kbserver", 0, replicaRec)
+	eng := serving.NewEngine(spanningBackend{}, opts)
+	stack := eng.Handler(server.New(eng).Handler())
+	var header atomic.Int64
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		stack.ServeHTTP(w, r)
+		header.Store(int64(len(w.Header().Get(trace.SpansHeader))))
+	}))
+	defer replica.Close()
+
+	routerRec := trace.NewRecorder(16, 4)
+	ropts := DefaultOptions()
+	ropts.Replicas = []string{strings.TrimPrefix(replica.URL, "http://")}
+	ropts.ProbeInterval = 0
+	ropts.Tracer = trace.NewTracer("kbrouter", 0, routerRec)
+	rt := New(ropts)
+	rt.Start()
+	defer rt.Stop()
+
+	queries := make([]server.Request, server.MaxBatchItems)
+	for i := range queries {
+		queries[i] = server.Request{Term: "term-" + strconv.Itoa(i), K: 3}
+	}
+	payload, _ := json.Marshal(server.BatchRequest{Queries: queries})
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/relax/batch", strings.NewReader(string(payload)))
+	req.Header.Set(trace.TraceparentHeader, testTraceparent)
+	rt.Handler().ServeHTTP(rec, req)
+	var resp struct {
+		Items []server.BatchItemResponse `json:"items"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != http.StatusOK || err != nil || len(resp.Items) != len(queries) {
+		t.Fatalf("batch: status %d, %d items (%v)", rec.Code, len(resp.Items), err)
+	}
+	if n := header.Load(); n == 0 || n > trace.MaxSpansHeaderBytes {
+		t.Fatalf("replica span header of %d bytes, want 1..%d", n, trace.MaxSpansHeaderBytes)
+	}
+
+	replicaTraces, _ := replicaRec.Snapshot(false)
+	if len(replicaTraces) != 1 {
+		t.Fatalf("replica recorded %d traces, want 1", len(replicaTraces))
+	}
+	var dropped int
+	for _, s := range replicaTraces[0].Spans {
+		if s.Name == "server /relax/batch" {
+			dropped, _ = strconv.Atoi(s.Tag("backhaul_dropped"))
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("replica root span carries no backhaul_dropped tag")
+	}
+	routerTraces, _ := routerRec.Snapshot(false)
+	if len(routerTraces) != 1 {
+		t.Fatalf("router recorded %d traces, want 1", len(routerTraces))
+	}
+	kernels := 0
+	for _, s := range routerTraces[0].Spans {
+		if s.Name == "relax.kernel" {
+			kernels++
+		}
+	}
+	// The admission and cache spans finish first and always fit, so the
+	// dropped spans are all kernel spans.
+	if kernels == 0 || kernels+dropped != len(queries) {
+		t.Fatalf("router trace holds %d kernel spans with %d dropped, want %d in all", kernels, dropped, len(queries))
 	}
 }

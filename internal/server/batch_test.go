@@ -11,14 +11,7 @@ import (
 	"testing"
 )
 
-// batchItemRaw decodes a batch item with the body kept as raw bytes, so
-// tests can compare it byte-for-byte against a sequential /relax body.
-type batchItemRaw struct {
-	Status int             `json:"status"`
-	Body   json.RawMessage `json:"body"`
-}
-
-func postBatch(t *testing.T, base, body string) (int, []batchItemRaw) {
+func postBatch(t *testing.T, base, body string) (int, []BatchItemResponse) {
 	t.Helper()
 	resp, err := http.Post(base+"/relax/batch", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -26,7 +19,7 @@ func postBatch(t *testing.T, base, body string) (int, []batchItemRaw) {
 	}
 	defer resp.Body.Close()
 	var out struct {
-		Items []batchItemRaw `json:"items"`
+		Items []BatchItemResponse `json:"items"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil && resp.StatusCode == http.StatusOK {
 		t.Fatalf("decoding batch response: %v", err)

@@ -7,9 +7,7 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"sort"
@@ -18,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"medrelax/internal/core"
 	"medrelax/internal/dialog"
 	"medrelax/internal/engine"
 )
@@ -115,173 +112,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.backend.Stats())
 }
 
-// validateRelaxParams applies the shared /relax parameter contract: term
-// required, k in [1, 1000] defaulting to 10. The returned message is the
-// exact 400 body text, so single and batch paths fail identically.
-func validateRelaxParams(term string, k int, kSet bool) (int, string) {
-	if term == "" {
-		return 0, "missing term parameter"
-	}
-	if !kSet {
-		return 10, ""
-	}
-	if k < 1 || k > 1000 {
-		return 0, "k must be an integer in [1, 1000]"
-	}
-	return k, ""
-}
-
-// relaxBody is the one success-body shape for a relax answer, shared by
-// GET /relax and each POST /relax/batch item so the two serialize
-// byte-identically.
-func relaxBody(term, qctx string, results []RelaxResult) map[string]any {
-	return map[string]any{"term": term, "context": qctx, "results": results}
-}
-
-// explainWanted reports whether the request opted into explain mode
-// (`explain=true` or `explain=1`). Any other value — including absence —
-// is the classic mode, whose responses stay byte-identical to servers that
-// predate the parameter.
-func explainWanted(r *http.Request) bool {
-	v := r.URL.Query().Get("explain")
-	return v == "true" || v == "1"
-}
-
-func (s *Server) handleRelax(w http.ResponseWriter, r *http.Request) {
-	req := Request{Term: r.URL.Query().Get("term"), Context: r.URL.Query().Get("context"), Explain: explainWanted(r)}
-	kSet := false
-	if ks := r.URL.Query().Get("k"); ks != "" {
-		v, err := strconv.Atoi(ks)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "k must be an integer in [1, 1000]")
-			return
-		}
-		req.K, kSet = v, true
-	}
-	k, msg := validateRelaxParams(req.Term, req.K, kSet)
-	if msg != "" {
-		writeError(w, http.StatusBadRequest, msg)
-		return
-	}
-	req.K = k
-	// No lock: the relaxation pipeline is safe for concurrent use, so the
-	// hot path serves requests fully in parallel.
-	resp := s.backend.Answer(r.Context(), req)
-	if resp.Err != nil {
-		status := statusForError(resp.Err)
-		if status == http.StatusServiceUnavailable {
-			// A transient backend fault is retryable: tell the client
-			// when, the same way admission-control sheds do.
-			w.Header().Set("Retry-After", "1")
-		}
-		writeError(w, status, resp.Err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, relaxBody(req.Term, req.Context, resp.Results))
-}
-
-// BatchRequest is the POST /relax/batch request body.
-type BatchRequest struct {
-	Queries []Request `json:"queries"`
-}
-
-// BatchItemResponse wraps one item's answer: Status is the HTTP status the
-// same query would have gotten from GET /relax, Body the exact response
-// object it would have gotten — success items serialize byte-identically
-// to sequential /relax bodies.
-type BatchItemResponse struct {
-	Status int `json:"status"`
-	Body   any `json:"body"`
-}
-
-// DecodeBatch reads a POST /relax/batch body and applies the request-level
-// contract: valid JSON, between one and MaxBatchItems queries. On failure it
-// returns the status and the exact error text to answer with — the router
-// decodes through it too, so a malformed batch fails identically whether it
-// meets one replica or the router.
-func DecodeBatch(body io.Reader) (req BatchRequest, status int, msg string) {
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		return req, http.StatusBadRequest, "invalid JSON: " + err.Error()
-	}
-	if len(req.Queries) == 0 {
-		return req, http.StatusBadRequest, "queries must be a non-empty array"
-	}
-	if len(req.Queries) > MaxBatchItems {
-		return req, http.StatusRequestEntityTooLarge, fmt.Sprintf("batch of %d exceeds limit of %d", len(req.Queries), MaxBatchItems)
-	}
-	return req, 0, ""
-}
-
-// handleRelaxBatch answers many relax queries in one request through the
-// backend's shared-scratch batch path. The response is positional: item i
-// answers query i, failures included, so one unknown term does not fail
-// the batch. The request deadline bounds the whole batch.
-func (s *Server) handleRelaxBatch(w http.ResponseWriter, r *http.Request) {
-	req, status, msg := DecodeBatch(r.Body)
-	if msg != "" {
-		writeError(w, status, msg)
-		return
-	}
-	explain := explainWanted(r)
-	items := make([]BatchItemResponse, len(req.Queries))
-	// Validate every item first; only the valid ones reach the backend,
-	// with positions preserved through the index map.
-	valid := make([]Request, 0, len(req.Queries))
-	validIdx := make([]int, 0, len(req.Queries))
-	for i, q := range req.Queries {
-		k, msg := validateRelaxParams(q.Term, q.K, q.K != 0)
-		if msg != "" {
-			items[i] = BatchItemResponse{Status: http.StatusBadRequest, Body: map[string]string{"error": msg}}
-			continue
-		}
-		q.K, q.Explain = k, explain
-		valid = append(valid, q)
-		validIdx = append(validIdx, i)
-	}
-	if len(valid) > 0 {
-		for j, out := range s.backend.RelaxBatch(r.Context(), valid) {
-			i := validIdx[j]
-			if out.Err != nil {
-				items[i] = BatchItemResponse{
-					Status: statusForError(out.Err),
-					Body:   map[string]string{"error": out.Err.Error()},
-				}
-				continue
-			}
-			items[i] = BatchItemResponse{
-				Status: http.StatusOK,
-				Body:   relaxBody(valid[j].Term, valid[j].Context, out.Results),
-			}
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"items": items})
-}
-
-// transient is the marker interface for failures expected to clear on
-// retry (injected faults, flaky downstream I/O). Declared structurally so
-// error producers don't need to import this package.
-type transient interface{ Transient() bool }
-
-// statusForError maps backend failures onto HTTP semantics via the typed
-// errors from core: an unmappable term is the caller's 404, a malformed
-// context their 400, an expired deadline the gateway's 504, a transient
-// backend fault a retryable 503, and anything else an internal 500.
-func statusForError(err error) int {
-	var tr transient
-	switch {
-	case errors.Is(err, core.ErrUnknownTerm):
-		return http.StatusNotFound
-	case errors.Is(err, core.ErrBadContext):
-		return http.StatusBadRequest
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return http.StatusGatewayTimeout
-	case errors.As(err, &tr) && tr.Transient():
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
 // handleTerms exposes a sample of relaxable query terms; load generators use
 // it to build realistic mixes.
 func (s *Server) handleTerms(w http.ResponseWriter, r *http.Request) {
@@ -289,7 +119,7 @@ func (s *Server) handleTerms(w http.ResponseWriter, r *http.Request) {
 	if ns := r.URL.Query().Get("n"); ns != "" {
 		v, err := strconv.Atoi(ns)
 		if err != nil || v < 1 || v > 100000 {
-			writeError(w, http.StatusBadRequest, "n must be an integer in [1, 100000]")
+			WriteError(w, http.StatusBadRequest, "n must be an integer in [1, 100000]")
 			return
 		}
 		n = v
@@ -318,17 +148,17 @@ type ChatResponse struct {
 func (s *Server) handleChat(w http.ResponseWriter, r *http.Request) {
 	var req ChatRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+		WriteError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
 		return
 	}
 	if req.Session == "" || (req.Text == "" && !req.Reset) {
-		writeError(w, http.StatusBadRequest, "session and text are required")
+		WriteError(w, http.StatusBadRequest, "session and text are required")
 		return
 	}
 	sess, err := s.conversation(req.Session)
 	if err != nil {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, err.Error())
+		WriteError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	// Serialize turns within this session only; other sessions proceed.
@@ -337,7 +167,7 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request) {
 	sess.touch()
 	if sess.conv == nil {
 		// A concurrent creator failed after this request found the slot.
-		writeError(w, http.StatusServiceUnavailable, "session initialization failed, retry")
+		WriteError(w, http.StatusServiceUnavailable, "session initialization failed, retry")
 		return
 	}
 	if req.Reset {
@@ -426,8 +256,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		log.Printf("server: encoding response: %v", err)
 	}
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
 }

@@ -7,8 +7,10 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
+	"medrelax/internal/server"
 	"medrelax/internal/serving/metrics"
 	"medrelax/internal/trace"
 )
@@ -27,7 +29,12 @@ func (e *Engine) Handler(api http.Handler) http.Handler {
 	mux.HandleFunc("GET /metrics", e.handleMetrics)
 	mux.HandleFunc("POST /admin/reload", e.handleReload)
 	mux.Handle("GET /debug/traces", e.opts.Tracer.Recorder())
-	mux.Handle("/", e.instrument(api))
+	api = e.instrument(api)
+	mux.Handle("/", api)
+	// The relax endpoints are also matched as literals: ServeMux allocates
+	// for every literal it tries and fails before falling back to "/".
+	mux.Handle("GET /relax", api)
+	mux.Handle("POST /relax/batch", api)
 	return mux
 }
 
@@ -45,7 +52,7 @@ func (e *Engine) handleReload(w http.ResponseWriter, _ *http.Request) {
 		if e.opts.Loader == nil {
 			status = http.StatusNotImplemented
 		}
-		writeJSON(w, status, map[string]string{"error": err.Error()})
+		server.WriteError(w, status, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -57,7 +64,8 @@ func (e *Engine) handleReload(w http.ResponseWriter, _ *http.Request) {
 // statusRecorder captures the response code for metrics and logging. On
 // traced requests it also attaches the spans finished so far as a
 // response header just before the headers flush, so an upstream router
-// can merge replica-side timing into its own trace.
+// can merge replica-side timing into its own trace; spans past the
+// header's cap are counted on the root span as backhaul_dropped.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
@@ -68,8 +76,12 @@ type statusRecorder struct {
 func (r *statusRecorder) WriteHeader(code int) {
 	if !r.wrote {
 		r.wrote = true
-		if enc := r.span.EncodeFinished(); enc != "" {
+		enc, dropped := r.span.EncodeFinished()
+		if enc != "" {
 			r.Header().Set(trace.SpansHeader, enc)
+		}
+		if dropped > 0 {
+			r.span.SetTag("backhaul_dropped", strconv.Itoa(dropped))
 		}
 	}
 	r.status = code
@@ -83,22 +95,71 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 	return r.ResponseWriter.Write(b)
 }
 
+// endpointSeries is one endpoint's per-request series: its rendered labels
+// and root span name, built once, and its latency histogram and per-status
+// request counters, each resolved through the registry on first use — when
+// the registry would have created it — and held after that.
+type endpointSeries struct {
+	name    string // the endpoint label value; "other" for untracked paths
+	span    string // the root span's name
+	labels  string // base labels, then endpoint
+	latency atomic.Pointer[metrics.Histogram]
+	// requests holds medrelax_http_requests_total by status code; a code
+	// past the array is resolved per request.
+	requests [600]atomic.Pointer[metrics.Counter]
+}
+
+func (e *Engine) newEndpointSeries(name string) *endpointSeries {
+	return &endpointSeries{name: name, span: "server " + name, labels: e.labels(metrics.Label("endpoint", name))}
+}
+
+// observe records one finished request.
+func (s *endpointSeries) observe(reg *metrics.Registry, status int, dur time.Duration) {
+	h := s.latency.Load()
+	if h == nil {
+		h = reg.Histogram("medrelax_http_request_seconds", httpLatencyHelp, s.labels)
+		s.latency.Store(h)
+	}
+	h.Observe(dur.Seconds())
+	var c *metrics.Counter
+	if status >= 0 && status < len(s.requests) {
+		c = s.requests[status].Load()
+	}
+	if c == nil {
+		// Registration is idempotent: a racing first use stores the same series.
+		c = reg.Counter("medrelax_http_requests_total", "HTTP requests by endpoint and status code",
+			s.labels+",code=\""+strconv.Itoa(status)+"\"")
+		if status >= 0 && status < len(s.requests) {
+			s.requests[status].Store(c)
+		}
+	}
+	c.Inc()
+}
+
 // instrument applies, per request: inflight accounting, the concurrency
 // cap (shed with 429 + Retry-After), per-endpoint deadlines, chat
 // body-size and rate guards, latency histograms, and the slow-query log.
 func (e *Engine) instrument(next http.Handler) http.Handler {
 	inflight := e.reg.Gauge("medrelax_http_inflight", "requests currently being served", e.labels(""))
+	tracked := make([]*endpointSeries, len(trackedEndpoints))
+	for i, ep := range trackedEndpoints {
+		tracked[i] = e.newEndpointSeries(ep)
+	}
+	other := e.newEndpointSeries("other")
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		endpoint := r.URL.Path
-		if !tracked(endpoint) {
-			endpoint = "other"
+		ep := other
+		for _, s := range tracked {
+			if s.name == r.URL.Path {
+				ep = s
+				break
+			}
 		}
-		epLabel := e.labels(metrics.Label("endpoint", endpoint))
+		endpoint := ep.name
 		inflight.Inc()
 		defer inflight.Dec()
 
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		tctx, root := e.opts.Tracer.StartRequest(r.Context(), r.Header, "server "+endpoint)
+		tctx, root := e.opts.Tracer.StartRequest(r.Context(), r.Header, ep.span)
 		if root != nil {
 			if e.opts.Tenant != "" {
 				root.SetTag("tenant", e.opts.Tenant)
@@ -117,7 +178,7 @@ func (e *Engine) instrument(next http.Handler) http.Handler {
 			if !e.limiter.TryAcquire() {
 				adm.SetTag("outcome", "shed")
 				adm.End()
-				e.shed(rec, endpoint, "over concurrency limit")
+				e.shed(rec, ep.labels, "over concurrency limit")
 				return
 			}
 			adm.SetTag("outcome", "admitted")
@@ -138,7 +199,7 @@ func (e *Engine) instrument(next http.Handler) http.Handler {
 		case "/chat":
 			timeout = e.opts.ChatTimeout
 			if !e.chatRate.allow() {
-				e.shed(rec, endpoint, "over rate limit")
+				e.shed(rec, ep.labels, "over rate limit")
 				return
 			}
 			maxBody := e.opts.MaxChatBody
@@ -157,40 +218,28 @@ func (e *Engine) instrument(next http.Handler) http.Handler {
 		next.ServeHTTP(rec, r)
 		dur := time.Since(start)
 
-		e.reg.Histogram("medrelax_http_request_seconds", httpLatencyHelp, epLabel).Observe(dur.Seconds())
-		e.reg.Counter("medrelax_http_requests_total", "HTTP requests by endpoint and status code",
-			epLabel+",code=\""+strconv.Itoa(rec.status)+"\"").Inc()
+		ep.observe(e.reg, rec.status, dur)
 		if e.opts.SlowQuery > 0 && dur >= e.opts.SlowQuery {
-			e.logSlow(r, endpoint, rec.status, dur)
+			e.logSlow(r, endpoint, ep.labels, rec.status, dur)
 		}
 	})
 }
 
-func tracked(path string) bool {
-	for _, ep := range trackedEndpoints {
-		if path == ep {
-			return true
-		}
-	}
-	return false
-}
-
 // shed rejects with 429 + Retry-After: the one response shape that tells
 // a well-behaved client exactly what to do, at near-zero server cost.
-func (e *Engine) shed(w http.ResponseWriter, endpoint, reason string) {
+func (e *Engine) shed(w http.ResponseWriter, labels, reason string) {
 	retry := e.opts.RetryAfter
 	if retry <= 0 {
 		retry = time.Second
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(int((retry+time.Second-1)/time.Second)))
-	writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": "server overloaded: " + reason})
-	e.reg.Counter("medrelax_http_shed_total", "requests shed by admission control",
-		e.labels(metrics.Label("endpoint", endpoint))).Inc()
+	server.WriteError(w, http.StatusTooManyRequests, "server overloaded: "+reason)
+	e.reg.Counter("medrelax_http_shed_total", "requests shed by admission control", labels).Inc()
 }
 
 // logSlow emits one structured line per slow request so tail-latency
 // offenders can be grepped out of production logs.
-func (e *Engine) logSlow(r *http.Request, endpoint string, status int, dur time.Duration) {
+func (e *Engine) logSlow(r *http.Request, endpoint, labels string, status int, dur time.Duration) {
 	fields := map[string]any{
 		"slow_query": true,
 		"endpoint":   endpoint,
@@ -207,8 +256,7 @@ func (e *Engine) logSlow(r *http.Request, endpoint string, status int, dur time.
 	if err != nil {
 		return
 	}
-	e.reg.Counter("medrelax_http_slow_total", "requests over the slow-query threshold",
-		e.labels(metrics.Label("endpoint", endpoint))).Inc()
+	e.reg.Counter("medrelax_http_slow_total", "requests over the slow-query threshold", labels).Inc()
 	if logger := e.opts.SlowLog; logger != nil {
 		logger.Print(string(line))
 	} else {

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"medrelax/internal/server"
 )
 
 // TenantHeader selects a tenant when the request path carries no /t/
@@ -78,7 +80,7 @@ func (t *TenantServer) Handler() http.Handler {
 			var sub string
 			name, sub, _ = strings.Cut(rest, "/")
 			if name == "" {
-				writeJSON(w, http.StatusNotFound, map[string]string{"error": "missing tenant in path"})
+				server.WriteError(w, http.StatusNotFound, "missing tenant in path")
 				return
 			}
 			r2 := new(http.Request)
@@ -95,7 +97,7 @@ func (t *TenantServer) Handler() http.Handler {
 		}
 		tn, ok := t.tenants[name]
 		if !ok {
-			writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown tenant " + strconv.Quote(name)})
+			server.WriteError(w, http.StatusNotFound, "unknown tenant "+strconv.Quote(name))
 			return
 		}
 		tn.handler.ServeHTTP(w, r)

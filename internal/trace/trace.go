@@ -44,6 +44,11 @@ const TraceparentHeader = "Traceparent"
 // Content-Type and Retry-After).
 const SpansHeader = "Medrelax-Spans"
 
+// MaxSpansHeaderBytes caps one SpansHeader value. A traced 256-item batch
+// finishes a kernel span per item; shipped whole, that header outgrows what
+// proxies and clients accept (commonly 8–64 KiB for all headers).
+const MaxSpansHeaderBytes = 16 << 10
+
 // flagSampled is the only traceparent flag bit this system interprets.
 const flagSampled = 0x01
 
@@ -191,24 +196,34 @@ func Inject(ctx context.Context, h http.Header) {
 // EncodeFinished snapshots the spans finished so far in this span's
 // trace as a base64 JSON header value — what a replica attaches to its
 // response so the router can merge replica-side timing into its own
-// trace. "" when there is nothing to report.
-func (s *Span) EncodeFinished() string {
+// trace. The value holds the longest prefix, in finish order, that fits
+// MaxSpansHeaderBytes; dropped counts the spans past it. "" when there is
+// nothing to report.
+func (s *Span) EncodeFinished() (enc string, dropped int) {
 	if s == nil || s.tr == nil {
-		return ""
+		return "", 0
 	}
 	a := s.tr
 	a.mu.Lock()
 	spans := make([]*Span, len(a.spans))
 	copy(spans, a.spans)
 	a.mu.Unlock()
-	if len(spans) == 0 {
-		return ""
+	raw := []byte{'['} // the kept spans, each followed by ','
+	kept := 0
+	for _, sp := range spans {
+		b, err := json.Marshal(sp)
+		// The array closed after this span: what is kept, the span, ']'.
+		if err != nil || base64.StdEncoding.EncodedLen(len(raw)+len(b)+1) > MaxSpansHeaderBytes {
+			break
+		}
+		raw = append(append(raw, b...), ',')
+		kept++
 	}
-	b, err := json.Marshal(spans)
-	if err != nil {
-		return ""
+	if kept == 0 {
+		return "", len(spans)
 	}
-	return base64.StdEncoding.EncodeToString(b)
+	raw[len(raw)-1] = ']'
+	return base64.StdEncoding.EncodeToString(raw), len(spans) - kept
 }
 
 // AdoptEncoded merges spans encoded by EncodeFinished (on the far side

@@ -2,8 +2,11 @@ package trace
 
 import (
 	"context"
+	"encoding/base64"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -147,9 +150,9 @@ func TestBackhaulEncodeAdopt(t *testing.T) {
 	k := rsp.StartChild("relax.kernel")
 	k.SetTag("path", "live_path")
 	k.End()
-	enc := rsp.EncodeFinished()
-	if enc == "" {
-		t.Fatal("EncodeFinished empty with one finished span")
+	enc, dropped := rsp.EncodeFinished()
+	if enc == "" || dropped != 0 {
+		t.Fatalf("EncodeFinished = %q, %d dropped with one finished span", enc, dropped)
 	}
 	rsp.End()
 
@@ -183,6 +186,40 @@ func TestBackhaulEncodeAdopt(t *testing.T) {
 	root2.AdoptEncoded("%%%not-base64%%%")
 	root2.AdoptEncoded("aGVsbG8=") // base64 of "hello", not JSON
 	root2.End()
+}
+
+// TestBackhaulCappedInFinishOrder finishes more spans than one header holds:
+// the value stays within MaxSpansHeaderBytes, decodes to the first spans to
+// finish, in order, and the rest are counted as dropped.
+func TestBackhaulCappedInFinishOrder(t *testing.T) {
+	tracer := NewTracer("kbserver", 1, nil)
+	_, root := tracer.StartRequest(context.Background(), http.Header{}, "server /relax/batch")
+	const n = 400
+	for i := 0; i < n; i++ {
+		k := root.StartChild("relax.kernel")
+		k.SetTag("item", strconv.Itoa(i))
+		k.End()
+	}
+	enc, dropped := root.EncodeFinished()
+	if len(enc) > MaxSpansHeaderBytes || dropped == 0 || dropped == n {
+		t.Fatalf("header of %d bytes with %d of %d spans dropped; want within %d and some dropped", len(enc), dropped, n, MaxSpansHeaderBytes)
+	}
+	raw, err := base64.StdEncoding.DecodeString(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans []*Span
+	if err := json.Unmarshal(raw, &spans); err != nil {
+		t.Fatal(err)
+	}
+	if len(spans)+dropped != n {
+		t.Fatalf("%d spans kept + %d dropped, want %d", len(spans), dropped, n)
+	}
+	for i, sp := range spans {
+		if sp.Tag("item") != strconv.Itoa(i) {
+			t.Fatalf("kept span %d is item %q: not the finish-order prefix", i, sp.Tag("item"))
+		}
+	}
 }
 
 func TestRecorderRingAndExemplars(t *testing.T) {
@@ -267,7 +304,7 @@ func TestNilSafety(t *testing.T) {
 	s.End()
 	s.Inject(http.Header{})
 	s.AdoptEncoded("x")
-	if s.StartChild("y") != nil || s.EncodeFinished() != "" || s.Tag("a") != "" {
+	if enc, dropped := s.EncodeFinished(); s.StartChild("y") != nil || enc != "" || dropped != 0 || s.Tag("a") != "" {
 		t.Fatal("nil span methods must no-op")
 	}
 	if FromContext(context.Background()) != nil {
