@@ -8,8 +8,10 @@
 //   - zero panics anywhere in the handler stack
 //   - no /relax response is ever a 500 (injected faults must map to a
 //     503 with Retry-After, timeouts to 504 — never an opaque error)
-//   - every 200 body is byte-identical to the golden capture (no torn,
-//     mixed-generation, or partially-relaxed answer escapes)
+//   - every 200 body — a GET's, or a batch item's, which lacks only the
+//     GET body's trailing newline — is byte-identical to the golden
+//     capture (no torn, mixed-generation, or partially-relaxed answer
+//     escapes)
 //   - a corrupt bundle never becomes the serving generation: the reload
 //     fails, medrelax_reload_failures_total rises, the generation gauge
 //     does not
@@ -98,13 +100,16 @@ func main() {
 }
 
 // phaseReport records one traffic phase's outcome for the run report.
+// ByStatus counts answers: a GET is one, a batch answered 200 one per item,
+// and any other batch one with its HTTP status.
 type phaseReport struct {
-	Name     string                     `json:"name"`
-	Faults   string                     `json:"faults,omitempty"`
-	Requests int64                      `json:"requests"`
-	Retries  int64                      `json:"retries"`
-	ByStatus map[string]int             `json:"byStatus"`
-	Sites    map[string]fault.SiteStats `json:"sites,omitempty"`
+	Name       string                     `json:"name"`
+	Faults     string                     `json:"faults,omitempty"`
+	Requests   int64                      `json:"requests"`
+	BatchItems int64                      `json:"batchItems,omitempty"`
+	Retries    int64                      `json:"retries"`
+	ByStatus   map[string]int             `json:"byStatus"`
+	Sites      map[string]fault.SiteStats `json:"sites,omitempty"`
 }
 
 // report is the JSON artifact summarizing the whole run.
@@ -356,7 +361,7 @@ func (h *harness) run() {
 // captureGolden records the byte-exact /relax response for every term
 // before any fault is armed.
 func (h *harness) captureGolden() error {
-	body, status, err := h.get("/terms?n=25")
+	body, status, err := get(h.client, h.base+"/terms?n=25")
 	if err != nil || status != http.StatusOK {
 		return fmt.Errorf("GET /terms: status %d, err %v", status, err)
 	}
@@ -372,13 +377,13 @@ func (h *harness) captureGolden() error {
 	h.terms = tr.Terms
 	h.report.Terms = len(tr.Terms)
 	for _, term := range h.terms {
-		b, status, err := h.get(h.relaxPath(term))
+		b, status, err := get(h.client, h.base+relaxPath(term, h.k))
 		if err != nil || status != http.StatusOK {
 			return fmt.Errorf("golden GET /relax?term=%q: status %d, err %v", term, status, err)
 		}
 		h.golden[term] = b
 	}
-	explain, status, err := h.get(h.explainURL())
+	explain, status, err := get(h.client, h.base+h.explainURL())
 	if err != nil || status != http.StatusOK {
 		return fmt.Errorf("golden GET %s: status %d, err %v", h.explainURL(), status, err)
 	}
@@ -391,7 +396,7 @@ func (h *harness) captureGolden() error {
 	if h.batchBody, err = json.Marshal(server.BatchRequest{Queries: queries}); err != nil {
 		return err
 	}
-	if h.batchGolden, status, err = h.post("/relax/batch", h.batchBody); err != nil || status != http.StatusOK {
+	if h.batchGolden, status, err = post(h.client, h.base+"/relax/batch", h.batchBody); err != nil || status != http.StatusOK {
 		return fmt.Errorf("golden POST /relax/batch: status %d, err %v", status, err)
 	}
 	// The captures are what every later answer is compared against, so each
@@ -412,35 +417,111 @@ func (h *harness) captureGolden() error {
 }
 
 // explainURL is the golden explain=true request: the first term.
-func (h *harness) explainURL() string { return h.relaxPath(h.terms[0]) + "&explain=true" }
+func (h *harness) explainURL() string { return relaxPath(h.terms[0], h.k) + "&explain=true" }
 
-func (h *harness) relaxPath(term string) string {
-	return "/relax?term=" + strings.ReplaceAll(term, " ", "+") + "&k=" + strconv.Itoa(h.k)
+// relaxPath is the GET /relax path of one golden query.
+func relaxPath(term string, k int) string {
+	return "/relax?term=" + strings.ReplaceAll(term, " ", "+") + "&k=" + strconv.Itoa(k)
 }
 
-func (h *harness) get(path string) ([]byte, int, error) {
-	resp, err := h.client.Get(h.base + path)
-	return readResponse(resp, err)
+// batchPayload is the POST /relax/batch body asking each term at k.
+func batchPayload(terms []string, k int) ([]byte, error) {
+	queries := make([]server.Request, len(terms))
+	for i, term := range terms {
+		queries[i] = server.Request{Term: term, K: k}
+	}
+	return json.Marshal(server.BatchRequest{Queries: queries})
 }
 
-func (h *harness) post(path string, body []byte) ([]byte, int, error) {
-	resp, err := h.client.Post(h.base+path, "application/json", bytes.NewReader(body))
-	return readResponse(resp, err)
-}
-
-func readResponse(resp *http.Response, err error) ([]byte, int, error) {
+// send issues one request — a JSON body for a POST — and reads the whole
+// response.
+func send(c *http.Client, method, url string, body []byte) ([]byte, int, http.Header, error) {
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.Do(req)
+	if err != nil {
+		return nil, 0, nil, err
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
-	return b, resp.StatusCode, err
+	return b, resp.StatusCode, resp.Header, err
 }
 
-// trafficPhase arms the given fault spec (empty = none) and hammers
-// /relax from h.workers goroutines for h.phase, with retry.Policy
-// retries on 429/503. Every 200 must match golden byte-for-byte; a 500
-// anywhere is a violation.
+func get(c *http.Client, url string) ([]byte, int, error) {
+	b, status, _, err := send(c, http.MethodGet, url, nil)
+	return b, status, err
+}
+
+func post(c *http.Client, url string, body []byte) ([]byte, int, error) {
+	b, status, _, err := send(c, http.MethodPost, url, body)
+	return b, status, err
+}
+
+// relaxRetry sends one request with capped exponential backoff on 429/503,
+// honoring Retry-After the way a well-behaved client does (the shared
+// internal/retry policy). Returns the final body, status, and total
+// attempts.
+func relaxRetry(c *http.Client, method, url string, body []byte, rng *rand.Rand) ([]byte, int, int, error) {
+	pol := retry.Policy{MaxRetries: 3, Base: 10 * time.Millisecond, Cap: 80 * time.Millisecond}
+	for attempt := 0; ; attempt++ {
+		b, status, header, err := send(c, method, url, body)
+		retryable := err != nil || retry.RetryableStatus(status)
+		if !retryable || attempt == pol.MaxRetries {
+			return b, status, attempt + 1, err
+		}
+		// Cap the honored hint so a 1s server hint doesn't stall the whole
+		// phase; production clients would sleep it out.
+		hinted := min(retry.After(header), 50*time.Millisecond)
+		time.Sleep(pol.Wait(attempt, hinted, rng))
+	}
+}
+
+// reply is one query's answer: a GET's, or one batch item's.
+type reply struct {
+	status int
+	body   []byte
+}
+
+// ask sends terms as one GET (one term) or one POST /relax/batch, with
+// relaxRetry, and returns each term's reply; a batch not answered 200 is one
+// reply with its HTTP status.
+func (h *harness) ask(terms []string, rng *rand.Rand) ([]reply, int, error) {
+	if len(terms) == 1 {
+		body, status, attempts, err := relaxRetry(h.client, http.MethodGet, h.base+relaxPath(terms[0], h.k), nil, rng)
+		return []reply{{status, body}}, attempts, err
+	}
+	payload, err := batchPayload(terms, h.k)
+	if err != nil {
+		return nil, 0, err
+	}
+	body, status, attempts, err := relaxRetry(h.client, http.MethodPost, h.base+"/relax/batch", payload, rng)
+	if err != nil || status != http.StatusOK {
+		return []reply{{status, body}}, attempts, err
+	}
+	var resp struct {
+		Items []server.BatchItemResponse `json:"items"`
+	}
+	if err := json.Unmarshal(body, &resp); err != nil || len(resp.Items) != len(terms) {
+		return nil, attempts, fmt.Errorf("batch of %d answered %d items (%v)", len(terms), len(resp.Items), err)
+	}
+	out := make([]reply, len(terms))
+	for i, it := range resp.Items {
+		out[i] = reply{it.Status, it.Body}
+	}
+	return out, attempts, nil
+}
+
+// trafficPhase arms the given fault spec (empty = none) and hammers the
+// relax endpoints from h.workers goroutines for h.phase, with retry.Policy
+// retries on 429/503: every fourth request is a POST /relax/batch of three
+// golden terms, the rest GET /relax. Every 200 — a GET body, or a batch item
+// with the GET body's trailing newline dropped — must match golden
+// byte-for-byte; a 500 anywhere is a violation.
 func (h *harness) trafficPhase(name, spec string) {
 	var reg *fault.Registry
 	if spec != "" {
@@ -454,9 +535,9 @@ func (h *harness) trafficPhase(name, spec string) {
 	log.Printf("chaos: phase %s: faults=%q", name, spec)
 
 	var (
-		requests, retries atomic.Int64
-		byStatus          sync.Map // int -> *atomic.Int64
-		wg                sync.WaitGroup
+		requests, batchItems, retries atomic.Int64
+		byStatus                      sync.Map // int -> *atomic.Int64
+		wg                            sync.WaitGroup
 	)
 	count := func(status int) {
 		c, _ := byStatus.LoadOrStore(status, new(atomic.Int64))
@@ -468,36 +549,46 @@ func (h *harness) trafficPhase(name, spec string) {
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(h.seed + int64(w)*1009))
-			for time.Now().Before(deadline) {
-				term := h.terms[rng.Intn(len(h.terms))]
-				body, status, attempts, err := h.relaxRetry(term, rng)
+			for i := 1; time.Now().Before(deadline); i++ {
+				terms := []string{h.terms[rng.Intn(len(h.terms))]}
+				if i%4 == 0 {
+					terms = append(terms, h.terms[rng.Intn(len(h.terms))], h.terms[rng.Intn(len(h.terms))])
+					batchItems.Add(int64(len(terms)))
+				}
+				replies, attempts, err := h.ask(terms, rng)
 				requests.Add(1)
 				retries.Add(int64(attempts - 1))
 				if err != nil {
-					h.violatef("phase %s: transport error for %q: %v", name, term, err)
+					h.violatef("phase %s: transport error for %q: %v", name, terms, err)
 					continue
 				}
-				count(status)
-				switch status {
-				case http.StatusOK:
-					if string(body) != string(h.golden[term]) {
-						h.mu.Lock()
-						h.report.Mismatches++
-						h.mu.Unlock()
-						h.violatef("phase %s: response for %q differs from golden", name, term)
+				for j, r := range replies {
+					count(r.status)
+					switch r.status {
+					case http.StatusOK:
+						want := h.golden[terms[j]]
+						if len(terms) > 1 {
+							want = bytes.TrimSuffix(want, []byte("\n"))
+						}
+						if !bytes.Equal(r.body, want) {
+							h.mu.Lock()
+							h.report.Mismatches++
+							h.mu.Unlock()
+							h.violatef("phase %s: response for %q differs from golden", name, terms[j])
+						}
+					case http.StatusTooManyRequests, http.StatusServiceUnavailable,
+						http.StatusGatewayTimeout:
+						// Tolerated: retries exhausted under injected load.
+					default:
+						h.violatef("phase %s: unexpected status %d for %q", name, r.status, terms[j])
 					}
-				case http.StatusTooManyRequests, http.StatusServiceUnavailable,
-					http.StatusGatewayTimeout:
-					// Tolerated: retries exhausted under injected load.
-				default:
-					h.violatef("phase %s: unexpected status %d for %q", name, status, term)
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
 
-	pr := phaseReport{Name: name, Faults: spec, Requests: requests.Load(),
+	pr := phaseReport{Name: name, Faults: spec, Requests: requests.Load(), BatchItems: batchItems.Load(),
 		Retries: retries.Load(), ByStatus: map[string]int{}, Sites: reg.Snapshot()}
 	byStatus.Range(func(k, v any) bool {
 		pr.ByStatus[strconv.Itoa(k.(int))] = int(v.(*atomic.Int64).Load())
@@ -508,41 +599,7 @@ func (h *harness) trafficPhase(name, spec string) {
 	h.report.Requests += pr.Requests
 	h.report.Retries += pr.Retries
 	h.mu.Unlock()
-	log.Printf("chaos: phase %s: %d requests, %d retries, statuses %v", name, pr.Requests, pr.Retries, pr.ByStatus)
-}
-
-// relaxRetry fetches one term with capped exponential backoff on 429/503,
-// honoring Retry-After the way a well-behaved client does (the shared
-// internal/retry policy). Returns the final body, status, and total
-// attempts.
-func (h *harness) relaxRetry(term string, rng *rand.Rand) ([]byte, int, int, error) {
-	pol := retry.Policy{MaxRetries: 3, Base: 10 * time.Millisecond, Cap: 80 * time.Millisecond}
-	path := h.relaxPath(term)
-	var (
-		body   []byte
-		status int
-		err    error
-	)
-	for attempt := 0; ; attempt++ {
-		var resp *http.Response
-		resp, err = h.client.Get(h.base + path)
-		if err == nil {
-			body, err = io.ReadAll(resp.Body)
-			resp.Body.Close()
-			status = resp.StatusCode
-		}
-		retryable := err != nil || retry.RetryableStatus(status)
-		if !retryable || attempt == pol.MaxRetries {
-			return body, status, attempt + 1, err
-		}
-		var hinted time.Duration
-		if err == nil {
-			// Cap the honored hint so a 1s server hint doesn't stall the
-			// whole phase; production clients would sleep it out.
-			hinted = min(retry.After(resp.Header), 50*time.Millisecond)
-		}
-		time.Sleep(pol.Wait(attempt, hinted, rng))
-	}
+	log.Printf("chaos: phase %s: %d requests (%d batch items), %d retries, statuses %v", name, pr.Requests, pr.BatchItems, pr.Retries, pr.ByStatus)
 }
 
 // reloadStorm alternates corrupt and good bundle publishes, poking
@@ -693,7 +750,7 @@ func (h *harness) tornWritePhase() {
 // server's own metrics agree with the chaos we inflicted.
 func (h *harness) finalChecks() {
 	for _, term := range h.terms {
-		body, status, err := h.get(h.relaxPath(term))
+		body, status, err := get(h.client, h.base+relaxPath(term, h.k))
 		if err != nil || status != http.StatusOK {
 			h.violatef("final: GET /relax?term=%q: status %d, err %v", term, status, err)
 			continue
@@ -703,11 +760,11 @@ func (h *harness) finalChecks() {
 			h.violatef("final: response for %q differs from golden after faults cleared", term)
 		}
 	}
-	if body, status, err := h.get(h.explainURL()); err != nil || status != http.StatusOK || !bytes.Equal(body, h.explainGolden) {
+	if body, status, err := get(h.client, h.base+h.explainURL()); err != nil || status != http.StatusOK || !bytes.Equal(body, h.explainGolden) {
 		h.report.Mismatches++
 		h.violatef("final: GET %s: status %d, err %v, or body differs from golden", h.explainURL(), status, err)
 	}
-	if body, status, err := h.post("/relax/batch", h.batchBody); err != nil || status != http.StatusOK || !bytes.Equal(body, h.batchGolden) {
+	if body, status, err := post(h.client, h.base+"/relax/batch", h.batchBody); err != nil || status != http.StatusOK || !bytes.Equal(body, h.batchGolden) {
 		h.report.Mismatches++
 		h.violatef("final: POST /relax/batch: status %d, err %v, or body differs from golden", status, err)
 	}
@@ -737,7 +794,7 @@ func (h *harness) finalChecks() {
 // scrapeMetrics pulls the generation gauge and reload-failure counter out
 // of the Prometheus text exposition.
 func (h *harness) scrapeMetrics() (gen, reloadFails int, err error) {
-	body, status, err := h.get("/metrics")
+	body, status, err := get(h.client, h.base+"/metrics")
 	if err != nil || status != http.StatusOK {
 		return 0, 0, fmt.Errorf("status %d, err %v", status, err)
 	}

@@ -276,7 +276,7 @@ func (d *routerDrill) run() {
 // captureGolden records byte-exact single-replica answers — per term and
 // for one scatter-gather batch — before any traffic flows.
 func (d *routerDrill) captureGolden() error {
-	body, status, err := d.get(d.direct + "/terms?n=25")
+	body, status, err := get(d.client, d.direct+"/terms?n=25")
 	if err != nil || status != http.StatusOK {
 		return fmt.Errorf("GET /terms: status %d, err %v", status, err)
 	}
@@ -292,25 +292,17 @@ func (d *routerDrill) captureGolden() error {
 	d.terms = tr.Terms
 	d.report.Terms = len(tr.Terms)
 	for _, term := range d.terms {
-		b, status, err := d.get(d.direct + d.relaxPath(term))
+		b, status, err := get(d.client, d.direct+relaxPath(term, d.k))
 		if err != nil || status != http.StatusOK {
 			return fmt.Errorf("golden GET /relax?term=%q: status %d, err %v", term, status, err)
 		}
 		d.golden[term] = b
 	}
 
-	type item struct {
-		Term string `json:"term"`
-		K    int    `json:"k"`
-	}
-	items := make([]item, 0, len(d.terms))
-	for _, term := range d.terms {
-		items = append(items, item{Term: term, K: d.k})
-	}
-	if d.batchBody, err = json.Marshal(map[string]any{"queries": items}); err != nil {
+	if d.batchBody, err = batchPayload(d.terms, d.k); err != nil {
 		return err
 	}
-	b, status, err := d.post(d.direct+"/relax/batch", d.batchBody)
+	b, status, err := post(d.client, d.direct+"/relax/batch", d.batchBody)
 	if err != nil || status != http.StatusOK {
 		return fmt.Errorf("golden POST /relax/batch: status %d, err %v", status, err)
 	}
@@ -323,32 +315,8 @@ func (d *routerDrill) captureGolden() error {
 	if err := oracleCheck(d.batchGolden, true); err != nil {
 		d.violatef("golden POST /relax/batch: %v", err)
 	}
-	log.Printf("chaos: golden capture: %d terms + %d-item batch, held to encoding/json", len(d.terms), len(items))
+	log.Printf("chaos: golden capture: %d terms + %d-item batch, held to encoding/json", len(d.terms), len(d.terms))
 	return nil
-}
-
-func (d *routerDrill) relaxPath(term string) string {
-	return "/relax?term=" + strings.ReplaceAll(term, " ", "+") + "&k=" + strconv.Itoa(d.k)
-}
-
-func (d *routerDrill) get(url string) ([]byte, int, error) {
-	resp, err := d.client.Get(url)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	return b, resp.StatusCode, err
-}
-
-func (d *routerDrill) post(url string, body []byte) ([]byte, int, error) {
-	resp, err := d.client.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	return b, resp.StatusCode, err
 }
 
 // trafficPhase hammers /relax through the router from d.workers
@@ -378,7 +346,7 @@ func (d *routerDrill) trafficPhase(name string, dur time.Duration, script func()
 			rng := rand.New(rand.NewSource(d.seed + int64(w)*1009))
 			for time.Now().Before(deadline) {
 				term := d.terms[rng.Intn(len(d.terms))]
-				body, status, attempts, err := d.relaxRetry(term, rng)
+				body, status, attempts, err := relaxRetry(d.client, http.MethodGet, d.base+relaxPath(term, d.k), nil, rng)
 				requests.Add(1)
 				retries.Add(int64(attempts - 1))
 				if err != nil {
@@ -421,43 +389,13 @@ func (d *routerDrill) trafficPhase(name string, dur time.Duration, script func()
 	log.Printf("chaos: phase %s: %d requests, %d retries, statuses %v", name, pr.Requests, pr.Retries, pr.ByStatus)
 }
 
-// relaxRetry fetches one term through the router with the shared backoff
-// policy on 429/503, honouring Retry-After.
-func (d *routerDrill) relaxRetry(term string, rng *rand.Rand) ([]byte, int, int, error) {
-	pol := retry.Policy{MaxRetries: 3, Base: 10 * time.Millisecond, Cap: 80 * time.Millisecond}
-	url := d.base + d.relaxPath(term)
-	var (
-		body   []byte
-		status int
-		err    error
-	)
-	for attempt := 0; ; attempt++ {
-		var resp *http.Response
-		resp, err = d.client.Get(url)
-		if err == nil {
-			body, err = io.ReadAll(resp.Body)
-			resp.Body.Close()
-			status = resp.StatusCode
-		}
-		retryable := err != nil || retry.RetryableStatus(status)
-		if !retryable || attempt == pol.MaxRetries {
-			return body, status, attempt + 1, err
-		}
-		var hinted time.Duration
-		if err == nil {
-			hinted = min(retry.After(resp.Header), 50*time.Millisecond)
-		}
-		time.Sleep(pol.Wait(attempt, hinted, rng))
-	}
-}
-
 // finalChecks replays every golden term and the golden batch through the
 // router after the bounce, and cross-checks the router's own metrics:
 // the victim must have transitioned unhealthy and back, and all three
 // replicas must be healthy again.
 func (d *routerDrill) finalChecks(victimAddr string) {
 	for _, term := range d.terms {
-		body, status, err := d.get(d.base + d.relaxPath(term))
+		body, status, err := get(d.client, d.base+relaxPath(term, d.k))
 		if err != nil || status != http.StatusOK {
 			d.violatef("final: GET /relax?term=%q via router: status %d, err %v", term, status, err)
 			continue
@@ -470,7 +408,7 @@ func (d *routerDrill) finalChecks(victimAddr string) {
 		}
 	}
 
-	body, status, err := d.post(d.base+"/relax/batch", d.batchBody)
+	body, status, err := post(d.client, d.base+"/relax/batch", d.batchBody)
 	if err != nil || status != http.StatusOK {
 		d.violatef("final: POST /relax/batch via router: status %d, err %v", status, err)
 	} else if !bytes.Equal(body, d.batchGolden) {
@@ -480,7 +418,7 @@ func (d *routerDrill) finalChecks(victimAddr string) {
 		d.violatef("final: scatter-gather batch differs from single-replica golden after recovery")
 	}
 
-	metricsBody, status, err := d.get(d.base + "/metrics")
+	metricsBody, status, err := get(d.client, d.base+"/metrics")
 	if err != nil || status != http.StatusOK {
 		d.violatef("final: GET /metrics: status %d, err %v", status, err)
 		return

@@ -197,7 +197,7 @@ func serveFromBundle(path, term, qctx string, k int, quiet bool) error {
 	}
 
 	relax := func(q string) error {
-		resp := snap.Answer(stdcontext.Background(), engine.Request{Term: q, Context: qctx, K: k})
+		resp := snap.RelaxBatch(stdcontext.Background(), []engine.Request{{Term: q, Context: qctx, K: k}})[0]
 		if resp.Err != nil {
 			return resp.Err
 		}

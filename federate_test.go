@@ -41,7 +41,7 @@ func twoSourceSystem(tb testing.TB) *System {
 
 // relaxNames asks the system's snapshot one request without a deadline.
 func relaxNames(sys *System, req engine.Request) ([]engine.RelaxResult, error) {
-	resp := sys.Engine.Answer(context.Background(), req)
+	resp := sys.Engine.RelaxBatch(context.Background(), []engine.Request{req})[0]
 	return resp.Results, resp.Err
 }
 

@@ -81,6 +81,11 @@ type Request struct {
 	// result. On the wire it is the explain=true URL parameter of the whole
 	// HTTP request, never part of an item.
 	Explain bool `json:"-"`
+	// NoStore asks that the answer neither come from nor go into a result
+	// cache. On the wire it is the HTTP request's `Cache-Control: no-store`
+	// header, for a GET and for every item of a batch alike. A Snapshot
+	// caches nothing and ignores it.
+	NoStore bool `json:"-"`
 }
 
 // Response answers one Request: Results on success, Err otherwise — wrapping
@@ -327,7 +332,7 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 	// Probe one flagged term end to end so a structurally valid bundle
 	// that cannot actually answer fails here, not in production traffic.
 	if terms := snap.Terms(1); len(terms) > 0 {
-		if err := snap.Answer(context.Background(), Request{Term: terms[0], K: 1}).Err; err != nil {
+		if err := snap.RelaxBatch(context.Background(), []Request{{Term: terms[0], K: 1}})[0].Err; err != nil {
 			return nil, fmt.Errorf("engine: bundle %q failed serving probe: %w", path, err)
 		}
 	}
@@ -371,20 +376,16 @@ func (s *Snapshot) Ingestion() *core.Ingestion { return s.ing }
 // process).
 func (s *Snapshot) Source() string { return s.cfg.Source }
 
-// Answer answers one request with up to K ranked, name-resolved results. ctx
-// carries the request's deadline and, for a sampled request, its trace span.
-func (s *Snapshot) Answer(ctx context.Context, req Request) Response {
-	return s.RelaxBatch(ctx, []Request{req})[0]
-}
-
-// RelaxTraced spells Answer the way bench/ calls it.
+// RelaxTraced spells RelaxBatch the way bench/ calls it.
 func (s *Snapshot) RelaxTraced(ctx context.Context, term, qctx string, k int) ([]RelaxResult, core.ServePath, error) { // bench contract
-	resp := s.Answer(ctx, Request{Term: term, Context: qctx, K: k})
+	resp := s.RelaxBatch(ctx, []Request{{Term: term, Context: qctx, K: k}})[0]
 	return resp.Results, resp.Path, resp.Err
 }
 
-// RelaxBatch answers requests positionally — response i always answers
-// request i — through core's shared-scratch batch path. A request that fails
+// RelaxBatch is the snapshot's one relax method: it answers requests
+// positionally — response i always answers request i, each with up to K
+// ranked, name-resolved results — through core's shared-scratch batch path;
+// one request is a batch of one. A request that fails
 // (unknown term, malformed context) fails alone, in its own Err, and costs
 // nothing below this layer when its context did not parse. The deadline in
 // ctx bounds the whole batch. A multi-source snapshot fuses each request's

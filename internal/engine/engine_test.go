@@ -106,7 +106,7 @@ func (m exactMapper) Map(name string) (eks.ConceptID, bool) {
 
 // relax asks s one request without a deadline.
 func relax(s *Snapshot, term, qctx string, k int) ([]RelaxResult, error) {
-	resp := s.Answer(context.Background(), Request{Term: term, Context: qctx, K: k})
+	resp := s.RelaxBatch(context.Background(), []Request{{Term: term, Context: qctx, K: k}})[0]
 	return resp.Results, resp.Err
 }
 

@@ -219,18 +219,14 @@ func TestUntracedRequestRecordsNothing(t *testing.T) {
 // span per item, as a traced uncached batch does on a real replica.
 type spanningBackend struct{}
 
-func (spanningBackend) Answer(ctx context.Context, req server.Request) server.Response {
-	k := trace.FromContext(ctx).StartChild("relax.kernel")
-	k.SetTag("path", "live_path")
-	k.SetTag("term", req.Term)
-	k.End()
-	return server.Response{Results: []server.RelaxResult{{Concept: req.Term, Score: 1, Instances: []string{"i"}}}}
-}
-
-func (b spanningBackend) RelaxBatch(ctx context.Context, reqs []server.Request) []server.Response {
+func (spanningBackend) RelaxBatch(ctx context.Context, reqs []server.Request) []server.Response {
 	out := make([]server.Response, len(reqs))
 	for i, req := range reqs {
-		out[i] = b.Answer(ctx, req)
+		k := trace.FromContext(ctx).StartChild("relax.kernel")
+		k.SetTag("path", "live_path")
+		k.SetTag("term", req.Term)
+		k.End()
+		out[i] = server.Response{Results: []server.RelaxResult{{Concept: req.Term, Score: 1, Instances: []string{"i"}}}}
 	}
 	return out
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 
 	"medrelax/internal/core"
 )
@@ -38,9 +39,17 @@ func explainWanted(q url.Values) bool {
 	return v == "true" || v == "1"
 }
 
+// noStoreWanted reports whether the request opted out of result caches with
+// `Cache-Control: no-store` — no read, no write. Benchmark harnesses use it to
+// measure the uncached path on a warm server without evicting real entries.
+func noStoreWanted(h http.Header) bool {
+	cc := h.Get("Cache-Control")
+	return cc != "" && strings.Contains(strings.ToLower(cc), "no-store")
+}
+
 func (s *Server) handleRelax(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	req := Request{Term: q.Get("term"), Context: q.Get("context"), Explain: explainWanted(q)}
+	req := Request{Term: q.Get("term"), Context: q.Get("context"), Explain: explainWanted(q), NoStore: noStoreWanted(r.Header)}
 	kSet := false
 	if ks := q.Get("k"); ks != "" {
 		v, err := strconv.Atoi(ks)
@@ -58,7 +67,7 @@ func (s *Server) handleRelax(w http.ResponseWriter, r *http.Request) {
 	req.K = k
 	// No lock: the relaxation pipeline is safe for concurrent use, so the
 	// hot path serves requests fully in parallel.
-	resp := s.backend.Answer(r.Context(), req)
+	resp := s.backend.RelaxBatch(r.Context(), []Request{req})[0]
 	if resp.Err != nil {
 		status := statusForError(resp.Err)
 		if status == http.StatusServiceUnavailable {
@@ -118,7 +127,7 @@ func (s *Server) handleRelaxBatch(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, status, msg)
 		return
 	}
-	explain := explainWanted(r.URL.Query())
+	explain, noStore := explainWanted(r.URL.Query()), noStoreWanted(r.Header)
 	// Validate every item first; only the valid ones reach the backend, and
 	// invalid[i] keeps the 400 text of an item that did not.
 	invalid := make([]string, len(req.Queries))
@@ -129,7 +138,7 @@ func (s *Server) handleRelaxBatch(w http.ResponseWriter, r *http.Request) {
 			invalid[i] = msg
 			continue
 		}
-		q.K, q.Explain = k, explain
+		q.K, q.Explain, q.NoStore = k, explain, noStore
 		valid = append(valid, q)
 	}
 	var outs []Response

@@ -25,12 +25,11 @@ import (
 // Backend with caching, admission control, and hot reload, and is itself a
 // Backend.
 type Backend interface {
-	// Answer answers one request with up to K ranked results. ctx carries
-	// the request deadline; implementations should abandon work when it
-	// fires and answer an error wrapping the context error.
-	Answer(ctx context.Context, req Request) Response
-	// RelaxBatch answers many requests, positionally: response i answers
-	// request i, and a request that fails fails alone.
+	// RelaxBatch is the one way to ask for relaxations: it answers requests
+	// positionally, each with up to K ranked results — response i answers
+	// request i, and a request that fails fails alone. A GET is a batch of
+	// one. ctx carries the request deadline; implementations should abandon
+	// work when it fires and answer an error wrapping the context error.
 	RelaxBatch(ctx context.Context, reqs []Request) []Response
 	// Terms returns up to n query terms known to map to flagged concepts —
 	// what GET /terms serves load generators building a realistic query mix.

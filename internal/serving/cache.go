@@ -11,21 +11,30 @@ import (
 	"medrelax/internal/server"
 )
 
-// CacheStatus says how a lookup was satisfied.
+// CacheStatus says how the serving layer answered one relax request.
 type CacheStatus int
 
 const (
-	// CacheMiss: this call ran the backend computation itself.
+	// CacheMiss: the request opened a flight and computed it.
 	CacheMiss CacheStatus = iota
-	// CacheHit: served from a stored entry.
+	// CacheHit: served from a live entry.
 	CacheHit
-	// CacheCollapsed: a concurrent identical miss was already computing;
-	// this call waited for its result instead of recomputing.
+	// CacheCollapsed: an identical request was already computing; this one
+	// joined its flight instead of recomputing.
 	CacheCollapsed
 	// CacheStale: the computation failed, but an expired entry within the
 	// stale window was served instead — degraded mode, not an error.
 	CacheStale
+	// CacheBypass: the request asked for Request.NoStore and skipped the
+	// cache, read and write.
+	CacheBypass
 )
+
+// cacheStatusNames name each CacheStatus on trace tags.
+var cacheStatusNames = [...]string{CacheMiss: "miss", CacheHit: "hit", CacheCollapsed: "collapsed", CacheStale: "stale", CacheBypass: "bypass"}
+
+// cacheShards is how many locks the cache spreads its entries over.
+const cacheShards = 16
 
 // Cache is a sharded LRU over relaxation results with TTL expiry and
 // singleflight collapse of concurrent misses. Query-expansion traffic is
@@ -33,6 +42,9 @@ const (
 // from many goroutines at once: sharding keeps lock hold times short, and
 // the per-key flight ensures a cold head term is computed once, not once
 // per concurrent requester.
+//
+// Its protocol is one pair: open probes a key and, short of a live entry,
+// joins or opens its flight; complete ends a flight its opener computed.
 type Cache struct {
 	shards []cacheShard
 	ttl    time.Duration
@@ -46,11 +58,7 @@ type Cache struct {
 	// not insert their (old-backend) results afterwards.
 	gen atomic.Uint64
 
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	collapsed atomic.Uint64
 	evictions atomic.Uint64
-	stale     atomic.Uint64
 }
 
 type cacheShard struct {
@@ -67,33 +75,34 @@ type cacheEntry struct {
 	expires int64 // unix nanos; 0 = no TTL
 }
 
-// flight is one in-progress computation other callers can wait on. stale
-// carries the expired-but-within-window entry found at flight start, so
-// every collapsed waiter degrades to the same stale answer if the
-// computation fails.
+// flight is one computation in progress that other requests can join. It
+// keeps the purge epoch it opened under and the expired-but-within-window
+// entry found then, so every caller of the flight degrades to the same stale
+// answer if the computation fails.
 type flight struct {
-	done     chan struct{}
-	results  []server.RelaxResult
-	err      error
-	stale    []server.RelaxResult
-	hasStale bool
+	key      string
+	epoch    uint64
+	fallback *cacheEntry // nil: no stale entry to fall back to
+
+	done chan struct{}
+	// Set before done closes: the one answer every caller of the flight
+	// gets, and whether it is the stale fallback.
+	resp  server.Response
+	stale bool
 }
 
-// NewCache builds a cache holding up to capacity entries across shards
-// (capacity <= 0 returns nil: caching disabled). ttl <= 0 means entries
-// only leave by LRU pressure or purge. shards <= 0 picks 16. staleFor is
-// set separately with SetStaleWindow.
-func NewCache(capacity int, ttl time.Duration, shards int) *Cache {
+// NewCache builds a cache holding up to capacity entries (capacity <= 0
+// returns nil: caching disabled). ttl <= 0 means entries only leave by LRU
+// pressure or purge; staleFor is the stale-on-error window (0 disables it).
+func NewCache(capacity int, ttl, staleFor time.Duration) *Cache {
 	if capacity <= 0 {
 		return nil
 	}
-	if shards <= 0 {
-		shards = 16
-	}
+	shards := cacheShards
 	if shards > capacity {
 		shards = 1
 	}
-	c := &Cache{shards: make([]cacheShard, shards), ttl: ttl}
+	c := &Cache{shards: make([]cacheShard, shards), ttl: ttl, staleFor: max(staleFor, 0)}
 	per := (capacity + shards - 1) / shards
 	for i := range c.shards {
 		c.shards[i] = cacheShard{
@@ -106,95 +115,68 @@ func NewCache(capacity int, ttl time.Duration, shards int) *Cache {
 	return c
 }
 
-// SetStaleWindow enables stale-on-error serving: when a recomputation
-// fails, an entry that expired less than d ago is returned (with
-// CacheStale status) instead of the error. Call before serving traffic.
-// Nil-safe so a disabled cache stays disabled.
-func (c *Cache) SetStaleWindow(d time.Duration) {
-	if c == nil || d < 0 {
-		return
-	}
-	c.staleFor = d
-}
-
 func (c *Cache) shard(key string) *cacheShard {
 	h := fnv.New32a()
 	h.Write([]byte(key))
 	return &c.shards[h.Sum32()%uint32(len(c.shards))]
 }
 
-// GetOrCompute returns the cached results for key, or runs compute —
-// collapsing concurrent identical misses onto one computation. ctx bounds
-// only this caller's wait on a collapsed flight; compute is responsible
-// for its own deadline so one caller's short deadline cannot poison the
-// result every collapsed waiter receives. Errors are never cached — but
-// when compute fails and an entry expired less than the stale window ago
-// exists, that entry is served (CacheStale, nil error) instead: bounded
-// degraded mode for a flaky backend.
-func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() ([]server.RelaxResult, error)) ([]server.RelaxResult, CacheStatus, error) {
+// open probes key. A live entry is a CacheHit and returns its results.
+// Otherwise the key's flight is returned: one already in progress, joined
+// (CacheCollapsed), or one this call opens (CacheMiss) and must complete.
+// An entry expired less than the stale window ago stays in place as the
+// opened flight's fallback.
+func (c *Cache) open(key string) ([]server.RelaxResult, *flight, CacheStatus) {
 	sh := c.shard(key)
 	now := time.Now().UnixNano()
-
 	sh.mu.Lock()
-	var stale []server.RelaxResult
-	hasStale := false
+	defer sh.mu.Unlock()
+	var fallback *cacheEntry
 	if el, ok := sh.entries[key]; ok {
 		ent := el.Value.(*cacheEntry)
-		if ent.expires == 0 || now < ent.expires {
+		switch {
+		case ent.expires == 0 || now < ent.expires:
 			sh.lru.MoveToFront(el)
-			sh.mu.Unlock()
-			c.hits.Add(1)
-			return ent.results, CacheHit, nil
-		}
-		if c.staleFor > 0 && now < ent.expires+int64(c.staleFor) {
-			// Expired but inside the stale window: treat as a miss (force
-			// recomputation) while keeping the entry as a degraded-mode
-			// fallback should the computation fail.
-			stale, hasStale = ent.results, true
-		} else {
+			return ent.results, nil, CacheHit
+		case now < ent.expires+int64(c.staleFor):
+			fallback = ent
+		default:
 			sh.lru.Remove(el)
 			delete(sh.entries, key)
 		}
 	}
 	if fl, ok := sh.flights[key]; ok {
-		sh.mu.Unlock()
-		c.collapsed.Add(1)
-		select {
-		case <-fl.done:
-			if fl.err != nil && fl.hasStale {
-				c.stale.Add(1)
-				return fl.stale, CacheStale, nil
-			}
-			return fl.results, CacheCollapsed, fl.err
-		case <-ctx.Done():
-			return nil, CacheCollapsed, ctx.Err()
-		}
+		return nil, fl, CacheCollapsed
 	}
-	fl := &flight{done: make(chan struct{}), stale: stale, hasStale: hasStale}
+	fl := &flight{key: key, epoch: c.gen.Load(), fallback: fallback, done: make(chan struct{})}
 	sh.flights[key] = fl
-	startGen := c.gen.Load()
-	sh.mu.Unlock()
+	return nil, fl, CacheMiss
+}
 
-	c.misses.Add(1)
-	results, err := compute()
-	fl.results, fl.err = results, err
-
+// complete ends a flight open handed its caller to compute, with the
+// backend's answer. A success is stored unless a purge happened since the
+// flight opened — a result computed against a swapped-out bundle must not
+// outlive the swap — and errors are never stored; a failure falls back to
+// the flight's stale entry when it has one. It releases the flight's joiners
+// and returns the answer they get.
+func (c *Cache) complete(fl *flight, resp server.Response) server.Response {
+	fl.resp = server.Response{Results: resp.Results, Err: resp.Err}
+	if resp.Err != nil && fl.fallback != nil {
+		fl.resp, fl.stale = server.Response{Results: fl.fallback.results}, true
+	}
+	sh := c.shard(fl.key)
 	sh.mu.Lock()
-	delete(sh.flights, key)
-	// Insert only on success and only if no purge happened while
-	// computing — a result computed against a swapped-out bundle must not
-	// outlive the swap.
-	if err == nil && c.gen.Load() == startGen {
-		if el, ok := sh.entries[key]; ok {
-			// Replace the stale fallback kept above.
+	delete(sh.flights, fl.key)
+	if resp.Err == nil && c.gen.Load() == fl.epoch {
+		if el, ok := sh.entries[fl.key]; ok {
+			// Replace the stale fallback open left in place.
 			sh.lru.Remove(el)
-			delete(sh.entries, key)
 		}
-		ent := &cacheEntry{key: key, results: results}
+		ent := &cacheEntry{key: fl.key, results: resp.Results}
 		if c.ttl > 0 {
 			ent.expires = time.Now().Add(c.ttl).UnixNano()
 		}
-		sh.entries[key] = sh.lru.PushFront(ent)
+		sh.entries[fl.key] = sh.lru.PushFront(ent)
 		for sh.lru.Len() > sh.cap {
 			old := sh.lru.Back()
 			sh.lru.Remove(old)
@@ -204,66 +186,22 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() ([]
 	}
 	sh.mu.Unlock()
 	close(fl.done)
-	if err != nil && hasStale {
-		c.stale.Add(1)
-		return stale, CacheStale, nil
-	}
-	return results, CacheMiss, err
+	return fl.resp
 }
 
-// Epoch returns the current purge epoch, to be passed to Put by callers
-// that looked up before computing (the batch path).
-func (c *Cache) Epoch() uint64 { return c.gen.Load() }
-
-// Get probes the cache without computing: a live entry is returned (and
-// counted as a hit), anything else is a miss. Expired entries inside the
-// stale window are left in place as degraded-mode fallbacks but are not
-// returned — the caller is expected to recompute.
-func (c *Cache) Get(key string) ([]server.RelaxResult, bool) {
-	sh := c.shard(key)
-	now := time.Now().UnixNano()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.entries[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		if ent.expires == 0 || now < ent.expires {
-			sh.lru.MoveToFront(el)
-			c.hits.Add(1)
-			return ent.results, true
-		}
-		if c.staleFor == 0 || now >= ent.expires+int64(c.staleFor) {
-			sh.lru.Remove(el)
-			delete(sh.entries, key)
-		}
+// wait blocks until the flight completes or ctx ends, whichever is first; a
+// flight already complete answers even under an ended ctx.
+func (fl *flight) wait(ctx context.Context) error {
+	select {
+	case <-fl.done:
+		return nil
+	default:
 	}
-	c.misses.Add(1)
-	return nil, false
-}
-
-// Put stores a computed result, but only if no purge happened since the
-// caller read epoch (Epoch) — the same swapped-bundle guard GetOrCompute
-// applies to its own insertions.
-func (c *Cache) Put(key string, results []server.RelaxResult, epoch uint64) {
-	if c.gen.Load() != epoch {
-		return
-	}
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.entries[key]; ok {
-		sh.lru.Remove(el)
-		delete(sh.entries, key)
-	}
-	ent := &cacheEntry{key: key, results: results}
-	if c.ttl > 0 {
-		ent.expires = time.Now().Add(c.ttl).UnixNano()
-	}
-	sh.entries[key] = sh.lru.PushFront(ent)
-	for sh.lru.Len() > sh.cap {
-		old := sh.lru.Back()
-		sh.lru.Remove(old)
-		delete(sh.entries, old.Value.(*cacheEntry).key)
-		c.evictions.Add(1)
+	select {
+	case <-fl.done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
@@ -294,9 +232,5 @@ func (c *Cache) Len() int {
 	return n
 }
 
-// Hits, Misses, Collapsed, Evictions, StaleServed expose lifetime counters.
-func (c *Cache) Hits() uint64        { return c.hits.Load() }
-func (c *Cache) Misses() uint64      { return c.misses.Load() }
-func (c *Cache) Collapsed() uint64   { return c.collapsed.Load() }
-func (c *Cache) Evictions() uint64   { return c.evictions.Load() }
-func (c *Cache) StaleServed() uint64 { return c.stale.Load() }
+// Evictions is how many entries LRU pressure has pushed out.
+func (c *Cache) Evictions() uint64 { return c.evictions.Load() }

@@ -28,7 +28,7 @@ func (d *discardWriter) WriteHeader(code int)        { d.status = code }
 // BenchmarkServeHit is a warm cache hit through every layer a kbserver
 // request crosses above the cache — TenantServer.Handler, Engine.Handler's
 // admission, deadline and metrics, the server's query parse and body
-// encoding, and Engine.Answer's cache lookup — over a small generated world
+// encoding, and Engine.RelaxBatch's cache probe — over a small generated world
 // at DefaultOptions, untraced. CI gates its allocs/op.
 func BenchmarkServeHit(b *testing.B) {
 	w, err := synthkb.Generate(synthkb.Config{Seed: 7, ConditionsPerPair: 2})

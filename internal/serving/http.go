@@ -6,7 +6,6 @@ import (
 	"log"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -189,13 +188,6 @@ func (e *Engine) instrument(next http.Handler) http.Handler {
 		switch endpoint {
 		case "/relax", "/relax/batch":
 			timeout = e.opts.RelaxTimeout
-			// A client sending `Cache-Control: no-store` opts out of the
-			// result cache for this request — no read, no write. Benchmark
-			// harnesses use it to measure the uncached path on a warm
-			// server without evicting real entries.
-			if cc := r.Header.Get("Cache-Control"); cc != "" && strings.Contains(strings.ToLower(cc), "no-store") {
-				r = r.WithContext(withCacheBypass(r.Context()))
-			}
 		case "/chat":
 			timeout = e.opts.ChatTimeout
 			if !e.chatRate.allow() {

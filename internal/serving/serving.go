@@ -36,8 +36,6 @@ type Options struct {
 	CacheCapacity int
 	// CacheTTL expires entries; 0 means LRU/purge only.
 	CacheTTL time.Duration
-	// CacheShards spreads the cache over this many locks (0 picks 16).
-	CacheShards int
 	// CacheStaleWindow bounds stale-on-error serving: when the backend
 	// fails a recomputation, a cache entry that expired less than this
 	// long ago is served instead of the error (0 disables degraded mode).
@@ -94,7 +92,6 @@ func DefaultOptions() Options {
 	return Options{
 		CacheCapacity:    16384,
 		CacheTTL:         5 * time.Minute,
-		CacheShards:      16,
 		CacheStaleWindow: time.Minute,
 		MaxConcurrent:    256,
 		RetryAfter:       time.Second,
@@ -132,17 +129,14 @@ type Engine struct {
 	reloadMu sync.Mutex
 	gen      atomic.Uint64
 
-	// metric handles on the hot path, resolved once.
-	mCacheHits      *metrics.Counter
-	mCacheMisses    *metrics.Counter
-	mCacheCollapsed *metrics.Counter
-	mCacheStale     *metrics.Counter
-	mCacheBypass    *metrics.Counter
-	mBackendRelax   *metrics.Histogram
-	mPathLive       *metrics.Counter
-	mPathMat        *metrics.Counter
-	mPathIdx        *metrics.Counter
-	mMatTruncated   *metrics.Counter
+	// metric handles on the hot path, resolved once. mCache counts relax
+	// requests by how the cache answered them, one series per CacheStatus.
+	mCache        [len(cacheStatusNames)]*metrics.Counter
+	mBackendRelax *metrics.Histogram
+	mPathLive     *metrics.Counter
+	mPathMat      *metrics.Counter
+	mPathIdx      *metrics.Counter
+	mMatTruncated *metrics.Counter
 
 	geometry geometrySeries
 }
@@ -199,18 +193,17 @@ func NewEngine(backend server.Backend, opts Options) *Engine {
 	opts.Tracer.BindMetrics(reg, "medrelax")
 	e := &Engine{
 		opts:     opts,
-		cache:    NewCache(opts.CacheCapacity, opts.CacheTTL, opts.CacheShards),
+		cache:    NewCache(opts.CacheCapacity, opts.CacheTTL, opts.CacheStaleWindow),
 		limiter:  NewLimiter(opts.MaxConcurrent),
 		chatRate: newTokenBucket(opts.ChatRPS, opts.ChatBurst),
 		reg:      reg,
 	}
-	e.cache.SetStaleWindow(opts.CacheStaleWindow)
 	e.cur.Store(&holder{b: backend, gen: e.gen.Add(1)})
-	e.mCacheHits = e.reg.Counter("medrelax_relax_cache_hits_total", "relax results served from cache", e.labels(""))
-	e.mCacheMisses = e.reg.Counter("medrelax_relax_cache_misses_total", "relax results computed by the backend", e.labels(""))
-	e.mCacheCollapsed = e.reg.Counter("medrelax_relax_cache_collapsed_total", "concurrent identical misses collapsed onto one computation", e.labels(""))
-	e.mCacheStale = e.reg.Counter("medrelax_relax_cache_stale_total", "expired entries served because recomputation failed (degraded mode)", e.labels(""))
-	e.mCacheBypass = e.reg.Counter("medrelax_relax_cache_bypass_total", "requests that skipped the result cache (Cache-Control: no-store)", e.labels(""))
+	e.mCache[CacheHit] = e.reg.Counter("medrelax_relax_cache_hits_total", "relax results served from cache", e.labels(""))
+	e.mCache[CacheMiss] = e.reg.Counter("medrelax_relax_cache_misses_total", "relax results computed by the backend", e.labels(""))
+	e.mCache[CacheCollapsed] = e.reg.Counter("medrelax_relax_cache_collapsed_total", "concurrent identical misses collapsed onto one computation", e.labels(""))
+	e.mCache[CacheStale] = e.reg.Counter("medrelax_relax_cache_stale_total", "expired entries served because recomputation failed (degraded mode)", e.labels(""))
+	e.mCache[CacheBypass] = e.reg.Counter("medrelax_relax_cache_bypass_total", "relax requests (GETs and batch items) that skipped the result cache (Cache-Control: no-store)", e.labels(""))
 	e.mBackendRelax = e.reg.Histogram("medrelax_backend_relax_seconds", "uncached relaxation compute latency", e.labels(""))
 	e.mPathLive = e.reg.Counter("medrelax_relax_live_path_total", "uncached relaxations answered by live graph traversal", e.labels(""))
 	e.mPathMat = e.reg.Counter("medrelax_relax_materialized_hit_total", "uncached relaxations answered from the materialized top-k store", e.labels(""))
@@ -249,13 +242,15 @@ func (e *Engine) labels(extra string) string { return joinLabels(e.opts.BaseLabe
 // Metrics exposes the registry (for tests and the /metrics handler).
 func (e *Engine) Metrics() *metrics.Registry { return e.reg }
 
-// CacheStats returns (hits, misses, collapsed, entries); zeros when the
-// cache is disabled.
+// CacheStats returns how many relax requests — GETs and batch items alike —
+// the cache served from an entry, computed, and collapsed onto another's
+// flight, and how many entries it holds; zeros when the cache is disabled. A
+// request answered stale, or that bypassed the cache, counts in none of them.
 func (e *Engine) CacheStats() (hits, misses, collapsed uint64, entries int) {
 	if e.cache == nil {
 		return 0, 0, 0, 0
 	}
-	return e.cache.Hits(), e.cache.Misses(), e.cache.Collapsed(), e.cache.Len()
+	return e.mCache[CacheHit].Value(), e.mCache[CacheMiss].Value(), e.mCache[CacheCollapsed].Value(), e.cache.Len()
 }
 
 // acquire pins the current holder for the duration of one request.
@@ -281,24 +276,6 @@ func cacheKey(req server.Request) string {
 	return key
 }
 
-// cacheBypassKey marks a request context as cache-exempt.
-type cacheBypassKey struct{}
-
-// withCacheBypass marks ctx so Answer and RelaxBatch skip the result cache
-// entirely — no read AND no write — computing fresh against the backend.
-// The HTTP layer sets it for requests carrying `Cache-Control: no-store`,
-// which is how benchmark harnesses measure the uncached path on a warm
-// server without polluting the cache. The mark never leaves this package.
-func withCacheBypass(ctx context.Context) context.Context {
-	return context.WithValue(ctx, cacheBypassKey{}, true)
-}
-
-// cacheBypassed reports whether withCacheBypass marked this context.
-func cacheBypassed(ctx context.Context) bool {
-	v, _ := ctx.Value(cacheBypassKey{}).(bool)
-	return v
-}
-
 // countPath attributes one uncached relaxation to the serving path that
 // answered it, and to the truncated entry that declined it first if one did.
 func (e *Engine) countPath(resp *server.Response) {
@@ -312,84 +289,6 @@ func (e *Engine) countPath(resp *server.Response) {
 		e.mPathIdx.Inc()
 	default:
 		e.mPathLive.Inc()
-	}
-}
-
-// Answer implements server.Backend with caching and singleflight. Cached
-// responses are the same slice the backend returned, so an encoded cached
-// response is byte-identical to the uncached one. The cache holds results,
-// not where they came from: a response that went through it reports no Path.
-func (e *Engine) Answer(ctx context.Context, req server.Request) server.Response {
-	if err := ctx.Err(); err != nil {
-		return server.Response{Err: err}
-	}
-	h := e.acquire()
-	defer h.release()
-	sp := trace.FromContext(ctx)
-	if e.cache == nil {
-		sp.SetTag("cache", "disabled")
-		return e.compute(ctx, h, "relax", []server.Request{req})[0]
-	}
-	if cacheBypassed(ctx) {
-		e.mCacheBypass.Inc()
-		sp.SetTag("cache", "bypass")
-		return e.compute(ctx, h, "relax", []server.Request{req})[0]
-	}
-	var cspan *trace.Span
-	if sp != nil {
-		cspan = sp.StartChild("serving.cache")
-		cspan.SetTag("term", req.Term)
-	}
-	results, status, err := e.cache.GetOrCompute(ctx, cacheKey(req), func() ([]server.RelaxResult, error) {
-		// The flight owns its deadline: a collapsed waiter's short
-		// deadline bounds only its wait, never the shared computation.
-		fctx := ctx
-		if e.opts.RelaxTimeout > 0 {
-			// Detaching sheds the caller's cancellation, not its trace:
-			// the computing request's trace keeps the kernel spans.
-			var cancel context.CancelFunc
-			fctx, cancel = context.WithTimeout(trace.ContextWithSpan(context.Background(), sp), e.opts.RelaxTimeout)
-			defer cancel()
-		}
-		resp := e.compute(fctx, h, "relax", []server.Request{req})[0]
-		return resp.Results, resp.Err
-	})
-	switch status {
-	case CacheHit:
-		e.mCacheHits.Inc()
-	case CacheMiss:
-		e.mCacheMisses.Inc()
-	case CacheCollapsed:
-		e.mCacheCollapsed.Inc()
-	case CacheStale:
-		e.mCacheStale.Inc()
-	}
-	if cspan != nil {
-		cspan.SetTag("outcome", cacheStatusName(status))
-		cspan.End()
-	}
-	return server.Response{Results: results, Err: err}
-}
-
-// Relax spells Answer the way bench/ calls it.
-func (e *Engine) Relax(ctx context.Context, term, qctx string, k int) ([]server.RelaxResult, error) { // bench contract
-	resp := e.Answer(ctx, server.Request{Term: term, Context: qctx, K: k})
-	return resp.Results, resp.Err
-}
-
-// cacheStatusName renders a cache outcome for trace tags.
-func cacheStatusName(s CacheStatus) string {
-	switch s {
-	case CacheHit:
-		return "hit"
-	case CacheMiss:
-		return "miss"
-	case CacheCollapsed:
-		return "collapsed"
-	case CacheStale:
-		return "stale"
-	default:
-		return "unknown"
 	}
 }
 
@@ -445,63 +344,138 @@ func (e *Engine) pprofTenant() string {
 	return "default"
 }
 
-// RelaxBatch implements server.Backend: each item is first probed against the
-// result cache (counted as a hit exactly like a single /relax), and only the
-// misses travel to the backend, in one shared-scratch batch call. Successful
-// miss results are inserted back unless a reload purged the cache mid-batch
-// (the epoch guard), so a batch never repopulates the cache with a
-// swapped-out bundle's answers. Batch misses skip singleflight: the batch
-// itself is already the collapse.
+// RelaxBatch implements server.Backend, and is the serving layer's one relax
+// body: a GET is a batch of one. Each item probes the result cache: a live
+// entry is a hit; a key already in flight — opened by a GET, by another batch
+// or by an earlier item of this one — is joined; any other key opens a
+// flight. The flights this call opened and the items that skip the cache
+// (Request.NoStore) go to the backend in one call. Each opened flight then
+// completes — stored unless a reload purged the cache meanwhile, falling back
+// to its stale entry on error — and only then does this call wait, under its
+// own ctx, on the flights it joined: completing every flight it owns before
+// waiting on any other is what keeps two overlapping batches from
+// deadlocking. Each item counts once, in the series of its CacheStatus, and
+// a sampled call's serving.cache span covers the probe and tags its outcome.
+//
+// An answer that went through the cache is the slice the backend returned, so
+// its encoding is byte-identical to the uncached one, but it reports no Path:
+// the cache holds results, not where they came from.
 func (e *Engine) RelaxBatch(ctx context.Context, reqs []server.Request) []server.Response {
 	if err := ctx.Err(); err != nil {
 		return failAll(len(reqs), err)
 	}
 	h := e.acquire()
 	defer h.release()
+	endpoint := "relax" // the pprof label: one item is what a GET asks
+	if len(reqs) > 1 {
+		endpoint = "relax_batch"
+	}
 	sp := trace.FromContext(ctx)
 	if e.cache == nil {
 		sp.SetTag("cache", "disabled")
-		return e.compute(ctx, h, "relax_batch", reqs)
-	}
-	if cacheBypassed(ctx) {
-		e.mCacheBypass.Inc()
-		sp.SetTag("cache", "bypass")
-		return e.compute(ctx, h, "relax_batch", reqs)
+		return e.compute(ctx, h, endpoint, reqs)
 	}
 	out := make([]server.Response, len(reqs))
-	var cspan *trace.Span
-	if sp != nil {
-		cspan = sp.StartChild("serving.cache")
-	}
-	epoch := e.cache.Epoch()
-	miss := make([]server.Request, 0, len(reqs))
-	missIdx := make([]int, 0, len(reqs))
+	// probes holds the items the cache did not answer, in order; batch is what
+	// this call computes: the flights it opened and the items that bypass.
+	var (
+		probes []probe
+		batch  []server.Request
+		counts [len(cacheStatusNames)]int
+		opened bool
+	)
+	cspan := sp.StartChild("serving.cache")
 	for i, req := range reqs {
-		if results, ok := e.cache.Get(cacheKey(req)); ok {
-			out[i].Results = results
-			e.mCacheHits.Inc()
+		p := probe{i: i, status: CacheBypass}
+		if !req.NoStore {
+			var results []server.RelaxResult
+			results, p.fl, p.status = e.cache.open(cacheKey(req))
+			out[i].Results = results // a hit's; nil otherwise
+		}
+		counts[p.status]++
+		if p.status == CacheHit {
 			continue
 		}
-		miss = append(miss, req)
-		missIdx = append(missIdx, i)
+		probes = append(probes, p)
+		if p.status != CacheCollapsed {
+			batch = append(batch, req)
+			opened = opened || p.status == CacheMiss
+		}
 	}
 	if cspan != nil {
-		cspan.SetTag("hits", strconv.Itoa(len(reqs)-len(miss)))
-		cspan.SetTag("misses", strconv.Itoa(len(miss)))
-		cspan.SetTag("outcome", "probed")
+		outcome := "mixed"
+		for s, n := range counts {
+			if n == len(reqs) {
+				outcome = cacheStatusNames[s]
+			}
+		}
+		cspan.SetTag("outcome", outcome)
+		cspan.SetTag("hits", strconv.Itoa(counts[CacheHit]))
+		cspan.SetTag("misses", strconv.Itoa(counts[CacheMiss]))
 		cspan.End()
 	}
-	if len(miss) == 0 {
-		return out
+	if len(batch) > 0 {
+		cctx := ctx
+		if opened && e.opts.RelaxTimeout > 0 {
+			// A flight owns its deadline: a joiner's short deadline bounds
+			// only its wait, never the computation every joiner receives.
+			// Detaching sheds the caller's cancellation, not its trace: the
+			// opening request's trace keeps the kernel spans.
+			var cancel context.CancelFunc
+			cctx, cancel = context.WithTimeout(trace.ContextWithSpan(context.Background(), sp), e.opts.RelaxTimeout)
+			defer cancel()
+		}
+		computed := e.compute(cctx, h, endpoint, batch)
+		j := 0
+		for _, p := range probes {
+			switch p.status {
+			case CacheMiss:
+				out[p.i] = e.cache.complete(p.fl, computed[j])
+			case CacheBypass:
+				out[p.i] = computed[j]
+			default:
+				continue
+			}
+			j++
+		}
 	}
-	for j, o := range e.compute(ctx, h, "relax_batch", miss) {
-		out[missIdx[j]] = o
-		e.mCacheMisses.Inc()
-		if o.Err == nil {
-			e.cache.Put(cacheKey(miss[j]), o.Results, epoch)
+	for _, p := range probes {
+		switch p.status {
+		case CacheBypass:
+			continue
+		case CacheCollapsed:
+			if err := p.fl.wait(ctx); err != nil {
+				out[p.i].Err = err
+				continue
+			}
+			out[p.i] = p.fl.resp
+		}
+		if p.fl.stale {
+			counts[p.status]--
+			counts[CacheStale]++
+		}
+	}
+	for s, n := range counts {
+		if n > 0 {
+			e.mCache[s].Add(uint64(n))
 		}
 	}
 	return out
+}
+
+// probe is one RelaxBatch item the cache did not answer: its index, the
+// flight it opened or joined (nil when it bypasses the cache), and how it
+// stands.
+type probe struct {
+	i      int
+	fl     *flight
+	status CacheStatus
+}
+
+// Relax spells RelaxBatch the way bench/ calls it.
+func (e *Engine) Relax(ctx context.Context, term, qctx string, k int) ([]server.RelaxResult, error) { // bench contract
+	resp := e.RelaxBatch(ctx, []server.Request{{Term: term, Context: qctx, K: k}})[0]
+	return resp.Results, resp.Err
 }
 
 // NewConversation implements server.Backend.
@@ -533,7 +507,7 @@ func (e *Engine) Stats() map[string]any {
 		"cacheCollapsed":   collapsed,
 		"inflightLimited":  e.limiter.InUse(),
 		"reloadFailures":   e.ReloadFailures(),
-		"cacheBypassed":    e.mCacheBypass.Value(),
+		"cacheBypassed":    e.mCache[CacheBypass].Value(),
 		"servePaths": map[string]uint64{
 			"live":         e.mPathLive.Value(),
 			"materialized": e.mPathMat.Value(),
@@ -543,7 +517,7 @@ func (e *Engine) Stats() map[string]any {
 		},
 	}
 	if e.cache != nil {
-		serving["cacheStaleServed"] = e.cache.StaleServed()
+		serving["cacheStaleServed"] = e.mCache[CacheStale].Value()
 	}
 	for _, ep := range trackedEndpoints {
 		hist := e.reg.Histogram("medrelax_http_request_seconds", httpLatencyHelp, e.labels(metrics.Label("endpoint", ep)))

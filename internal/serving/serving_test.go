@@ -19,12 +19,14 @@ import (
 	"medrelax/internal/core"
 	"medrelax/internal/dialog"
 	"medrelax/internal/server"
+	"medrelax/internal/stringutil"
 )
 
-// fakeBackend is a controllable server.Backend: per-call delay, call
-// counting, a concurrency high-water mark, a label baked into results
-// so tests can tell which backend generation answered, and the serve path
-// every answer reports.
+// fakeBackend is a controllable server.Backend: per-call delay, counts of
+// the items it computed (in all and per normalized term), a concurrency
+// high-water mark, a label baked into results so tests can tell which backend
+// generation answered, and the serve path every answer reports. Results name
+// the normalized term, as a real backend's do not depend on the spelling.
 type fakeBackend struct {
 	label   string
 	delay   time.Duration
@@ -32,12 +34,17 @@ type fakeBackend struct {
 	decline string
 
 	calls    atomic.Int64
+	byTerm   sync.Map // normalized term -> *atomic.Int64
 	inflight atomic.Int64
 	maxSeen  atomic.Int64
 }
 
-func (f *fakeBackend) Answer(ctx context.Context, req server.Request) server.Response {
-	f.calls.Add(1)
+func (f *fakeBackend) RelaxBatch(ctx context.Context, reqs []server.Request) []server.Response {
+	f.calls.Add(int64(len(reqs)))
+	for _, req := range reqs {
+		n, _ := f.byTerm.LoadOrStore(stringutil.Normalize(req.Term), new(atomic.Int64))
+		n.(*atomic.Int64).Add(1)
+	}
 	cur := f.inflight.Add(1)
 	defer f.inflight.Add(-1)
 	for {
@@ -50,23 +57,29 @@ func (f *fakeBackend) Answer(ctx context.Context, req server.Request) server.Res
 		select {
 		case <-time.After(f.delay):
 		case <-ctx.Done():
-			return server.Response{Err: ctx.Err()}
+			return failAll(len(reqs), ctx.Err())
 		}
 	}
-	if req.Term == "missing" {
-		return server.Response{Err: fmt.Errorf("fake: %q: %w", req.Term, core.ErrUnknownTerm)}
-	}
-	return server.Response{Path: f.path, Decline: f.decline, Results: []server.RelaxResult{
-		{Concept: f.label + ":" + req.Term, Score: 1.0, Hops: req.K, Instances: []string{f.label + "-inst"}},
-	}}
-}
-
-func (f *fakeBackend) RelaxBatch(ctx context.Context, reqs []server.Request) []server.Response {
 	out := make([]server.Response, len(reqs))
 	for i, req := range reqs {
-		out[i] = f.Answer(ctx, req)
+		term := stringutil.Normalize(req.Term)
+		if term == "missing" {
+			out[i].Err = fmt.Errorf("fake: %q: %w", req.Term, core.ErrUnknownTerm)
+			continue
+		}
+		out[i] = server.Response{Path: f.path, Decline: f.decline, Results: []server.RelaxResult{
+			{Concept: f.label + ":" + term, Score: 1.0, Hops: req.K, Instances: []string{f.label + "-inst"}},
+		}}
 	}
 	return out
+}
+
+// computed is how many times the backend computed term, under any spelling.
+func (f *fakeBackend) computed(term string) int64 {
+	if n, ok := f.byTerm.Load(stringutil.Normalize(term)); ok {
+		return n.(*atomic.Int64).Load()
+	}
+	return 0
 }
 
 func (f *fakeBackend) NewConversation() (*dialog.Conversation, error) {
@@ -212,14 +225,18 @@ func TestCacheTTLExpiry(t *testing.T) {
 }
 
 func TestCacheLRUBound(t *testing.T) {
-	c := NewCache(8, 0, 1)
+	c := NewCache(8, 0, 0)
+	// fill probes key and, on a miss, completes the flight it opened.
+	fill := func(key string) CacheStatus {
+		_, fl, status := c.open(key)
+		if status == CacheMiss {
+			c.complete(fl, server.Response{Results: []server.RelaxResult{{Concept: key}}})
+		}
+		return status
+	}
 	for i := 0; i < 50; i++ {
-		key := "k" + strconv.Itoa(i)
-		_, _, err := c.GetOrCompute(context.Background(), key, func() ([]server.RelaxResult, error) {
-			return []server.RelaxResult{{Concept: key}}, nil
-		})
-		if err != nil {
-			t.Fatal(err)
+		if status := fill("k" + strconv.Itoa(i)); status != CacheMiss {
+			t.Fatalf("first probe of k%d: status %s, want miss", i, cacheStatusNames[status])
 		}
 	}
 	if n := c.Len(); n > 8 {
@@ -229,14 +246,10 @@ func TestCacheLRUBound(t *testing.T) {
 		t.Fatal("no evictions recorded despite overflow")
 	}
 	// Most recent key survives, the first key does not.
-	if _, st, _ := c.GetOrCompute(context.Background(), "k49", func() ([]server.RelaxResult, error) {
-		return nil, nil
-	}); st != CacheHit {
+	if fill("k49") != CacheHit {
 		t.Error("most recent key evicted")
 	}
-	if _, st, _ := c.GetOrCompute(context.Background(), "k0", func() ([]server.RelaxResult, error) {
-		return nil, nil
-	}); st == CacheHit {
+	if fill("k0") == CacheHit {
 		t.Error("oldest key survived LRU pressure")
 	}
 }
@@ -562,56 +575,69 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	}
 }
 
+// TestCacheBypassHeader pins Request.NoStore — no read and no write of the
+// result cache — and that `Cache-Control: no-store` sets it end to end, for a
+// GET and for every item of a batch.
 func TestCacheBypassHeader(t *testing.T) {
 	fb := &fakeBackend{label: "A"}
 	e, ts := newStack(t, fb, Options{CacheCapacity: 128, CacheTTL: time.Minute})
-
-	// Prime the cache, then bypass: the backend must answer again.
-	get(t, ts.URL+"/relax?term=fever&k=3")
-	if fb.calls.Load() != 1 {
-		t.Fatalf("backend calls = %d, want 1", fb.calls.Load())
+	ctx := context.Background()
+	noStore := func(term string) {
+		t.Helper()
+		if out := e.RelaxBatch(ctx, []server.Request{{Term: term, K: 3, NoStore: true}}); out[0].Err != nil {
+			t.Fatal(out[0].Err)
+		}
 	}
-	req, err := http.NewRequest("GET", ts.URL+"/relax?term=fever&k=3", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Cache-Control", "no-store")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("bypassed request status = %d", resp.StatusCode)
-	}
-	if fb.calls.Load() != 2 {
-		t.Fatalf("backend calls = %d after no-store, want 2 (cache skipped)", fb.calls.Load())
+	relax := func(term string) {
+		t.Helper()
+		if _, err := e.Relax(ctx, term, "", 3); err != nil {
+			t.Fatal(err)
+		}
 	}
 
+	// Prime the cache, then bypass it: the backend must answer again.
+	relax("fever")
+	noStore("fever")
+	if n := fb.computed("fever"); n != 2 {
+		t.Fatalf("fever computed %d times after NoStore, want 2 (cache not read)", n)
+	}
 	// The entry primed before the bypass still serves plain requests.
-	get(t, ts.URL+"/relax?term=fever&k=3")
-	if fb.calls.Load() != 2 {
-		t.Fatalf("backend calls = %d, want 2 (cached entry survived the bypass)", fb.calls.Load())
+	relax("fever")
+	if n := fb.computed("fever"); n != 2 {
+		t.Fatalf("fever computed %d times, want 2 (cached entry survived the bypass)", n)
+	}
+	// A bypassed computation must not populate the cache either.
+	noStore("cough")
+	relax("cough")
+	if n := fb.computed("cough"); n != 2 {
+		t.Fatalf("cough computed %d times, want 2 (NoStore must not write the cache)", n)
 	}
 
-	// A bypassed computation must not populate the cache either: a fresh
-	// term queried with no-store stays a miss for the next plain request.
-	req2, err := http.NewRequest("GET", ts.URL+"/relax?term=cough&k=3", nil)
-	if err != nil {
-		t.Fatal(err)
+	// The header is the field, on a GET and on each batch item.
+	send := func(method, path, body string) {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Cache-Control", "no-store")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s with no-store: status %d", method, path, resp.StatusCode)
+		}
 	}
-	req2.Header.Set("Cache-Control", "no-store")
-	resp2, err := http.DefaultClient.Do(req2)
-	if err != nil {
-		t.Fatal(err)
+	send(http.MethodGet, "/relax?term=fever&k=3", "")
+	send(http.MethodPost, "/relax/batch", `{"queries":[{"term":"fever","k":3},{"term":"chills","k":3}]}`)
+	get(t, ts.URL+"/relax?term=chills&k=3")
+	if f, c := fb.computed("fever"), fb.computed("chills"); f != 4 || c != 2 {
+		t.Fatalf("computed fever %d, chills %d times after no-store HTTP requests, want 4 and 2", f, c)
 	}
-	resp2.Body.Close()
-	get(t, ts.URL+"/relax?term=cough&k=3")
-	if fb.calls.Load() != 4 {
-		t.Fatalf("backend calls = %d, want 4 (no-store must not write the cache)", fb.calls.Load())
-	}
-	if got := e.mCacheBypass.Value(); got != 2 {
-		t.Errorf("cache bypass counter = %d, want 2", got)
+	if got := e.mCache[CacheBypass].Value(); got != 5 {
+		t.Errorf("cache bypass counter = %d, want 5 (one per request and batch item)", got)
 	}
 }
 
@@ -634,8 +660,8 @@ func TestServePathCounters(t *testing.T) {
 	// Batch outcomes attribute per successful item; errors are not counted.
 	// Here a truncated entry declined each before the index answered.
 	tb.path, tb.decline = core.PathIndexed, core.DeclineTruncated
-	out := e.RelaxBatch(withCacheBypass(ctx), []server.Request{
-		{Term: "a", K: 3}, {Term: "b", K: 3}, {Term: "missing", K: 3},
+	out := e.RelaxBatch(ctx, []server.Request{
+		{Term: "a", K: 3, NoStore: true}, {Term: "b", K: 3, NoStore: true}, {Term: "missing", K: 3, NoStore: true},
 	})
 	if out[2].Err == nil {
 		t.Fatal("expected the missing term to fail")
@@ -646,8 +672,8 @@ func TestServePathCounters(t *testing.T) {
 	if got := e.mPathLive.Value(); got != 0 {
 		t.Fatalf("live path counter = %d, want 0", got)
 	}
-	if got := e.mCacheBypass.Value(); got != 1 {
-		t.Fatalf("cache bypass counter = %d, want 1", got)
+	if got := e.mCache[CacheBypass].Value(); got != 3 {
+		t.Fatalf("cache bypass counter = %d, want 3", got)
 	}
 
 	serving, ok := e.Stats()["serving"].(map[string]any)
@@ -661,7 +687,7 @@ func TestServePathCounters(t *testing.T) {
 	if paths["materialized"] != 1 || paths["indexed"] != 2 || paths["live"] != 0 || paths["materializedTruncated"] != 2 {
 		t.Fatalf("servePaths = %v", paths)
 	}
-	if serving["cacheBypassed"].(uint64) != 1 {
+	if serving["cacheBypassed"].(uint64) != 3 {
 		t.Fatalf("cacheBypassed = %v", serving["cacheBypassed"])
 	}
 }

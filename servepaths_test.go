@@ -461,7 +461,7 @@ func TestDeepStoreServesUnderShallowDefaults(t *testing.T) {
 					}
 				}
 				req := engine.Request{Term: term, Context: qctx, K: k}
-				dr, sr := deep.snap.Answer(context.Background(), req), shallow.snap.Answer(context.Background(), req)
+				dr, sr := deep.snap.RelaxBatch(context.Background(), []engine.Request{req})[0], shallow.snap.RelaxBatch(context.Background(), []engine.Request{req})[0]
 				if k <= 50 && (dr.Path != core.PathMaterialized || sr.Path != core.PathMaterialized || sr.Decline != "") {
 					t.Errorf("%s: answered by %s (deep) and %s (shallow, decline %q); both stores hold the entry and k <= 50", q, dr.Path.MetricName(), sr.Path.MetricName(), sr.Decline)
 				}
