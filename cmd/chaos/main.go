@@ -1,30 +1,52 @@
-// Command chaos is the crash-safety harness: it boots the same serving
-// stack kbserver runs (engine.LoadSnapshot -> serving.Engine -> server API),
-// captures golden /relax responses, then drives concurrent retrying
-// traffic while injecting backend faults, corrupting the bundle on disk
-// mid-reload, and tearing writes — and asserts the invariants the fault
-// layer promises:
+// Command chaos is the crash-safety harness. It boots the serving stack
+// kbserver runs — a published flat bundle mapped by engine.LoadSnapshot, a
+// serving.Engine that reloads it, the server API — in one of two topologies:
+// one stack, or (-router) three stacks behind an in-process kbrouter. It
+// captures golden answers from a stack before any fault, drives concurrent
+// retrying traffic at the topology's front door (GET /relax, every fourth
+// request a three-term POST /relax/batch) while the topology's faults fire,
+// replays the captures once they clear, and asserts the invariants the fault
+// layer promises.
 //
-//   - zero panics anywhere in the handler stack
-//   - no /relax response is ever a 500 (injected faults must map to a
-//     503 with Retry-After, timeouts to 504 — never an opaque error)
-//   - every 200 body — a GET's, or a batch item's, which lacks only the
-//     GET body's trailing newline — is byte-identical to the golden
-//     capture (no torn, mixed-generation, or partially-relaxed answer
-//     escapes)
+// In both topologies:
+//
+//   - zero panics anywhere in a handler stack
+//   - every golden capture is exactly what encoding/json writes, and every
+//     200 body — a GET's, or a batch item's, which lacks only the GET body's
+//     trailing newline — is byte-identical to it: no torn, mixed-generation,
+//     partially-relaxed or divergent answer escapes a reload or a failover
+//   - no answer carries a status outside 200 and the topology's tolerated
+//     ones, and no request fails in transport
+//   - once faults clear, every term's GET, an explain=true GET and a batch
+//     with a 404 and a 400 item answer their golden bytes again, and the
+//     candidate index served requests of the last generation
+//
+// The stack tolerates 429, 503 and 504 (an injected fault maps to a 503 with
+// Retry-After, a timeout to a 504 — never an opaque 500), and:
+//
 //   - a corrupt bundle never becomes the serving generation: the reload
 //     fails, medrelax_reload_failures_total rises, the generation gauge
 //     does not
-//   - a torn SaveFileAtomic leaves the previous bundle intact and no
-//     temp litter
-//   - once faults clear, every term again serves byte-identical results
+//   - a torn SaveFileAtomic, in either encoding, leaves the previous bundle
+//     intact and no temp litter
 //
-// The run is deterministic for a fixed -seed. A JSON report is written
-// to -out; the exit status is non-zero iff any invariant was violated.
+// The routed cluster tolerates only 429 and 503 sheds — a replica's death
+// must be hidden by failover and retry — and:
+//
+//   - a replica killed under traffic is marked unhealthy while the survivors
+//     answer, and once restarted on its address it is restored:
+//     kbrouter_health_transitions_total saw both moves and every replica
+//     ends healthy
+//   - one traced scatter batch comes back as one trace holding router and
+//     replica spans
+//
+// The run is deterministic for a fixed -seed. A JSON report is written to
+// -out; the exit status is non-zero iff any invariant was violated.
 //
 // Usage:
 //
 //	chaos -seed 42 -phase 1500ms -out chaos_report.json
+//	chaos -router -seed 42 -phase 1500ms
 package main
 
 import (
@@ -39,6 +61,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -52,9 +75,11 @@ import (
 	"medrelax/internal/medkb"
 	"medrelax/internal/persist"
 	"medrelax/internal/retry"
+	"medrelax/internal/router"
 	"medrelax/internal/server"
 	"medrelax/internal/serving"
 	"medrelax/internal/synthkb"
+	"medrelax/internal/trace"
 )
 
 func main() {
@@ -65,38 +90,31 @@ func main() {
 		k       = flag.Int("k", 5, "results per /relax request")
 		out     = flag.String("out", "chaos_report.json", "JSON run report path")
 		dir     = flag.String("dir", "", "working directory for the bundle (default: a temp dir)")
-		rtr     = flag.Bool("router", false, "run the distributed-tier drill instead: 3 replicas + kbrouter, kill/restart one replica under traffic")
+		routed  = flag.Bool("router", false, "run three stacks behind kbrouter and kill/restart one under traffic, instead of one stack under backend faults and reloads")
 	)
 	flag.Parse()
 	log.SetFlags(log.Ltime | log.Lmicroseconds)
 
-	if *rtr {
-		if n := runRouterDrill(*seed, *phase, *workers, *k, *out); n > 0 {
-			os.Exit(1)
-		}
-		return
-	}
-
-	h, err := newHarness(*seed, *phase, *workers, *k, *dir)
+	h, err := newHarness(*seed, *phase, *workers, *k, *dir, *routed)
 	if err != nil {
 		log.Fatalf("chaos: setup: %v", err)
 	}
-	defer h.cleanup()
-
 	h.run()
+	h.cleanup()
 
 	if err := h.writeReport(*out); err != nil {
 		log.Fatalf("chaos: writing report: %v", err)
 	}
-	if n := len(h.report.Violations); n > 0 {
+	r := &h.report
+	if n := len(r.Violations); n > 0 {
 		log.Printf("chaos: FAIL — %d invariant violation(s):", n)
-		for _, v := range h.report.Violations {
+		for _, v := range r.Violations {
 			log.Printf("chaos:   - %s", v)
 		}
 		os.Exit(1)
 	}
-	log.Printf("chaos: PASS — %d requests, %d retries, %d reload failures (all expected), 0 panics, 0 mismatches",
-		h.report.Requests, h.report.Retries, h.report.ReloadsFailed)
+	log.Printf("chaos: PASS — %d requests (%d batch items), %d retries, %d reloads (%d refused, all expected), %d kills, %d restarts, 0 panics, 0 mismatches",
+		r.Requests, r.BatchItems, r.Retries, r.ReloadsOK+r.ReloadsFailed, r.ReloadsFailed, r.Kills, r.Restarts)
 }
 
 // phaseReport records one traffic phase's outcome for the run report.
@@ -112,18 +130,25 @@ type phaseReport struct {
 	Sites      map[string]fault.SiteStats `json:"sites,omitempty"`
 }
 
-// report is the JSON artifact summarizing the whole run.
+// report is the JSON artifact summarizing the whole run. The reload fields
+// are the stack's, the replica, kill and trace fields the routed cluster's.
 type report struct {
 	Seed          int64         `json:"seed"`
+	Replicas      []string      `json:"replicas,omitempty"`
 	Terms         int           `json:"terms"`
 	Phases        []phaseReport `json:"phases"`
 	Requests      int64         `json:"requests"`
+	BatchItems    int64         `json:"batchItems"`
 	Retries       int64         `json:"retries"`
-	ReloadsOK     int           `json:"reloadsOk"`
-	ReloadsFailed int           `json:"reloadsFailed"`
-	Generation    int           `json:"generation"`
-	// RelaxPaths is the final generation's kernel request count per serve
-	// path: the world is indexed, so "indexed" must not be zero.
+	ReloadsOK     int           `json:"reloadsOk,omitempty"`
+	ReloadsFailed int           `json:"reloadsFailed,omitempty"`
+	Generation    int           `json:"generation,omitempty"`
+	Kills         int           `json:"kills,omitempty"`
+	Restarts      int           `json:"restarts,omitempty"`
+	Traces        uint64        `json:"tracesCaptured,omitempty"`
+	// RelaxPaths is the kernel request count per serve path, summed over the
+	// stacks' last generations: the world is indexed, so "indexed" must not
+	// be zero.
 	RelaxPaths map[string]uint64 `json:"relaxPaths"`
 	Panics     int64             `json:"panics"`
 	Mismatches int64             `json:"mismatches"`
@@ -140,14 +165,21 @@ type harness struct {
 	ownDir    bool // we created dir, remove it on cleanup
 	bundle    string
 	goodBytes []byte
-	flipAt    int // offset of the byte the storm's bitflip case flips
 
-	engine *serving.Engine
-	srv    *http.Server
-	lis    net.Listener
-	base   string
-	client *http.Client
-	panics atomic.Int64
+	// stacks are booted with opts. Traffic goes to base — the stack, or the
+	// router — and golden answers come from direct, the stack or replica 0.
+	// An answer may carry 200 or one of tolerated.
+	opts         serving.Options
+	stacks       []*stack
+	base, direct string
+	tolerated    []int
+	client       *http.Client
+	panics       atomic.Int64
+
+	// The routed cluster's router, its server and its trace recorder.
+	rt        *router.Router
+	routerSrv *http.Server
+	traceRec  *trace.Recorder
 
 	terms  []string
 	golden map[string][]byte
@@ -168,17 +200,26 @@ func (h *harness) violatef(format string, args ...any) {
 	h.mu.Unlock()
 }
 
+// mismatchf is a violation by an answer that is not its golden bytes.
+func (h *harness) mismatchf(format string, args ...any) {
+	h.mu.Lock()
+	h.report.Mismatches++
+	h.mu.Unlock()
+	h.violatef(format, args...)
+}
+
 // newHarness builds a small deterministic world, publishes it as the flat
 // bundle production serves via the crash-safe writer, and boots the
-// production serving stack on a loopback listener: every reload, good or
-// refused, goes through the mapped reader.
-func newHarness(seed int64, phase time.Duration, workers, k int, dir string) (*harness, error) {
+// topology over it: every stack, and every reload, good or refused, goes
+// through the mapped reader.
+func newHarness(seed int64, phase time.Duration, workers, k int, dir string, routed bool) (*harness, error) {
 	h := &harness{
 		seed:        seed,
 		phase:       phase,
 		workers:     workers,
 		k:           k,
 		dir:         dir,
+		client:      &http.Client{Timeout: 10 * time.Second},
 		golden:      map[string][]byte{},
 		expectedGen: 1,
 	}
@@ -202,57 +243,35 @@ func newHarness(seed int64, phase time.Duration, workers, k int, dir string) (*h
 	if h.goodBytes, err = os.ReadFile(h.bundle); err != nil {
 		return nil, err
 	}
-	// The storm's bit flip lands in the middle of the largest section: a
-	// byte of the alignment padding between sections is under no checksum.
-	info, err := persist.InspectFile(h.bundle)
-	if err != nil {
-		return nil, err
-	}
-	var largest persist.SectionInfo
-	for _, s := range info.Sections {
-		if s.Length > largest.Length {
-			largest = s
-		}
-	}
-	h.flipAt = int(largest.Offset + largest.Length/2)
 	log.Printf("chaos: bundle published: %s (%d bytes)", h.bundle, len(h.goodBytes))
+	if routed {
+		return h, h.bootCluster()
+	}
+	return h, h.bootSingle()
+}
 
-	backend, err := engine.LoadSnapshot(h.bundle)
+// bootSingle boots the stack topology: one stack, its options tuned so the
+// faults reach the backend.
+func (h *harness) bootSingle() error {
+	h.opts = serving.DefaultOptions()
+	// A tiny cache with a short TTL so traffic actually reaches the backend
+	// fault site instead of being absorbed by cache hits, plus a stale window
+	// so the degraded path gets exercised too.
+	h.opts.CacheCapacity = 8
+	h.opts.CacheTTL = 75 * time.Millisecond
+	h.opts.CacheStaleWindow = 200 * time.Millisecond
+	h.opts.MaxConcurrent = 64
+	h.opts.RelaxTimeout = 2 * time.Second
+	h.opts.SlowQuery = 0
+	h.tolerated = []int{http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusGatewayTimeout}
+	s, err := h.bootStack("127.0.0.1:0")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	opts := serving.DefaultOptions()
-	// A tiny cache with a short TTL so traffic actually reaches the
-	// backend fault site instead of being absorbed by cache hits, plus a
-	// stale window so the degraded path gets exercised too.
-	opts.CacheCapacity = 8
-	opts.CacheTTL = 75 * time.Millisecond
-	opts.CacheStaleWindow = 200 * time.Millisecond
-	opts.MaxConcurrent = 64
-	opts.RelaxTimeout = 2 * time.Second
-	opts.SlowQuery = 0
-	bundle := h.bundle
-	opts.Loader = func() (server.Backend, error) {
-		snap, err := engine.LoadSnapshot(bundle)
-		if err != nil {
-			return nil, err
-		}
-		return snap, nil
-	}
-	h.engine = serving.NewEngine(backend, opts)
-
-	api := server.New(h.engine)
-	handler := h.recoverPanics(h.engine.Handler(api.Handler()))
-	h.lis, err = net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	h.srv = &http.Server{Handler: handler}
-	go h.srv.Serve(h.lis)
-	h.base = "http://" + h.lis.Addr().String()
-	h.client = &http.Client{Timeout: 10 * time.Second}
+	h.stacks = []*stack{s}
+	h.base, h.direct = s.url(), s.url()
 	log.Printf("chaos: serving stack up at %s", h.base)
-	return h, nil
+	return nil
 }
 
 // buildIngestion generates a compact synthetic world and ingests it with
@@ -276,17 +295,6 @@ func buildIngestion(seed int64) (*core.Ingestion, error) {
 	})
 }
 
-// indexedPaths reads the kernel's per-path request counts off a backend's
-// stats; a world built by buildIngestion that served nothing from its index
-// is a violation.
-func indexedPaths(stats map[string]any, violatef func(string, ...any)) map[string]uint64 {
-	paths, _ := stats["relaxPaths"].(map[string]uint64)
-	if paths["indexed"] == 0 {
-		violatef("final: the candidate index served no request of the last generation: relaxPaths %v", paths)
-	}
-	return paths
-}
-
 type exactMapper struct{ g *eks.Graph }
 
 func (m exactMapper) Name() string { return "EXACT" }
@@ -296,6 +304,47 @@ func (m exactMapper) Map(name string) (eks.ConceptID, bool) {
 		return 0, false
 	}
 	return ids[0], true
+}
+
+// stack is one serving stack the way kbserver runs one — the bundle mapped
+// by engine.LoadSnapshot, a serving.Engine whose Loader maps it afresh, the
+// server API and recoverPanics — on a loopback listener a drill can kill.
+type stack struct {
+	addr   string
+	engine *serving.Engine
+	srv    *http.Server
+}
+
+func (s *stack) url() string { return "http://" + s.addr }
+
+// bootStack boots a stack on addr. "127.0.0.1:0" picks a port; a restarted
+// stack rebinds the address it was killed on, retrying while the OS holds it.
+func (h *harness) bootStack(addr string) (*stack, error) {
+	snap, err := engine.LoadSnapshot(h.bundle)
+	if err != nil {
+		return nil, err
+	}
+	opts := h.opts
+	opts.Loader = func() (server.Backend, error) {
+		snap, err := engine.LoadSnapshot(h.bundle)
+		if err != nil {
+			return nil, err
+		}
+		return snap, nil
+	}
+	eng := serving.NewEngine(snap, opts)
+	lis, err := net.Listen("tcp", addr)
+	for i := 0; err != nil && i < 50; i++ {
+		time.Sleep(20 * time.Millisecond)
+		lis, err = net.Listen("tcp", addr)
+	}
+	if err != nil {
+		return nil, err
+	}
+	s := &stack{addr: lis.Addr().String(), engine: eng,
+		srv: &http.Server{Handler: h.recoverPanics(eng.Handler(server.New(eng).Handler()))}}
+	go s.srv.Serve(lis)
+	return s, nil
 }
 
 // recoverPanics converts a handler panic into a 500 and counts it; the
@@ -314,7 +363,13 @@ func (h *harness) recoverPanics(next http.Handler) http.Handler {
 }
 
 func (h *harness) cleanup() {
-	h.srv.Close()
+	if h.rt != nil {
+		h.routerSrv.Close()
+		h.rt.Stop()
+	}
+	for _, s := range h.stacks {
+		s.srv.Close()
+	}
 	fault.SetDefault(nil)
 	if h.ownDir {
 		os.RemoveAll(h.dir)
@@ -326,42 +381,37 @@ func (h *harness) run() {
 		h.violatef("golden capture: %v", err)
 		return
 	}
-
-	// Phase 1: transient backend errors under concurrent reload chaos.
-	// Clients retry on 503; corrupt bundles are pushed and reloaded and
-	// must be rejected while the live generation keeps answering.
-	errSpec := fmt.Sprintf("backend.relax:error,rate=0.15,seed=%d,msg=chaos backend fault", h.seed)
-	stop := make(chan struct{})
-	var storm sync.WaitGroup
-	storm.Add(1)
-	go func() { defer storm.Done(); h.reloadStorm(stop) }()
-	h.trafficPhase("backend-errors", errSpec)
-	close(stop)
-	storm.Wait()
-
-	// Phase 2: injected latency. Slower answers are fine; wrong or
-	// internal-error answers are not.
-	latSpec := fmt.Sprintf("backend.relax:latency,delay=20ms,rate=0.5,seed=%d", h.seed+1)
-	h.trafficPhase("backend-latency", latSpec)
-
-	// Phase 3: torn writes. Publishing a new bundle through a torn
-	// writer — in either on-disk encoding — must fail without disturbing
-	// the live file or leaving temp litter, and the live file must still
-	// load.
-	h.tornWritePhase()
-
-	// Phase 4: faults cleared — every term must serve byte-identical
-	// golden results again, and the metrics must account for exactly the
-	// chaos we caused.
-	fault.SetDefault(nil)
-	h.trafficPhase("recovery", "")
+	if h.rt != nil {
+		h.clusterPhases()
+	} else {
+		h.stackPhases()
+	}
 	h.finalChecks()
 }
 
-// captureGolden records the byte-exact /relax response for every term
-// before any fault is armed.
+// stackPhases is the stack's schedule.
+func (h *harness) stackPhases() {
+	// Transient backend errors under concurrent reload chaos: clients retry
+	// on 503; corrupt bundles are pushed and reloaded and must be rejected
+	// while the live generation keeps answering.
+	h.trafficPhase("backend-errors", fmt.Sprintf("backend.relax:error,rate=0.15,seed=%d,msg=chaos backend fault", h.seed), h.phase, h.reloadStorm)
+	// Injected latency: slower answers are fine; wrong or internal-error
+	// answers are not.
+	h.trafficPhase("backend-latency", fmt.Sprintf("backend.relax:latency,delay=20ms,rate=0.5,seed=%d", h.seed+1), h.phase, nil)
+	// Torn writes: publishing a new bundle through a torn writer — in either
+	// on-disk encoding — must fail without disturbing the live file or
+	// leaving temp litter, and the live file must still load.
+	h.tornWritePhase()
+	// Faults cleared: every term must serve its golden bytes again.
+	h.trafficPhase("recovery", "", h.phase, nil)
+}
+
+// captureGolden records, from the direct stack before any fault is armed,
+// the byte-exact answer to every term's GET, to an explain=true GET and to
+// one batch of every term plus an unknown one (a 404 item) and an
+// out-of-range k (a 400), and holds each to encoding/json.
 func (h *harness) captureGolden() error {
-	body, status, err := get(h.client, h.base+"/terms?n=25")
+	body, status, err := get(h.client, h.direct+"/terms?n=25")
 	if err != nil || status != http.StatusOK {
 		return fmt.Errorf("GET /terms: status %d, err %v", status, err)
 	}
@@ -377,18 +427,17 @@ func (h *harness) captureGolden() error {
 	h.terms = tr.Terms
 	h.report.Terms = len(tr.Terms)
 	for _, term := range h.terms {
-		b, status, err := get(h.client, h.base+relaxPath(term, h.k))
+		b, status, err := get(h.client, h.direct+relaxPath(term, h.k))
 		if err != nil || status != http.StatusOK {
 			return fmt.Errorf("golden GET /relax?term=%q: status %d, err %v", term, status, err)
 		}
 		h.golden[term] = b
 	}
-	explain, status, err := get(h.client, h.base+h.explainURL())
+	explain, status, err := get(h.client, h.direct+h.explainURL())
 	if err != nil || status != http.StatusOK {
 		return fmt.Errorf("golden GET %s: status %d, err %v", h.explainURL(), status, err)
 	}
 	h.explainGolden = explain
-	// Every term, an unknown one (a 404 item) and an out-of-range k (a 400).
 	queries := []server.Request{{Term: "no such term xyzzy", K: h.k}, {Term: h.terms[0], K: 5000}}
 	for _, term := range h.terms {
 		queries = append(queries, server.Request{Term: term, K: h.k})
@@ -396,7 +445,7 @@ func (h *harness) captureGolden() error {
 	if h.batchBody, err = json.Marshal(server.BatchRequest{Queries: queries}); err != nil {
 		return err
 	}
-	if h.batchGolden, status, err = post(h.client, h.base+"/relax/batch", h.batchBody); err != nil || status != http.StatusOK {
+	if h.batchGolden, status, err = post(h.client, h.direct+"/relax/batch", h.batchBody); err != nil || status != http.StatusOK {
 		return fmt.Errorf("golden POST /relax/batch: status %d, err %v", status, err)
 	}
 	// The captures are what every later answer is compared against, so each
@@ -422,15 +471,6 @@ func (h *harness) explainURL() string { return relaxPath(h.terms[0], h.k) + "&ex
 // relaxPath is the GET /relax path of one golden query.
 func relaxPath(term string, k int) string {
 	return "/relax?term=" + strings.ReplaceAll(term, " ", "+") + "&k=" + strconv.Itoa(k)
-}
-
-// batchPayload is the POST /relax/batch body asking each term at k.
-func batchPayload(terms []string, k int) ([]byte, error) {
-	queries := make([]server.Request, len(terms))
-	for i, term := range terms {
-		queries[i] = server.Request{Term: term, K: k}
-	}
-	return json.Marshal(server.BatchRequest{Queries: queries})
 }
 
 // send issues one request — a JSON body for a POST — and reads the whole
@@ -487,15 +527,19 @@ type reply struct {
 	body   []byte
 }
 
-// ask sends terms as one GET (one term) or one POST /relax/batch, with
-// relaxRetry, and returns each term's reply; a batch not answered 200 is one
-// reply with its HTTP status.
+// ask sends terms to the front door as one GET (one term) or one POST
+// /relax/batch, with relaxRetry, and returns each term's reply; a batch not
+// answered 200 is one reply with its HTTP status.
 func (h *harness) ask(terms []string, rng *rand.Rand) ([]reply, int, error) {
 	if len(terms) == 1 {
 		body, status, attempts, err := relaxRetry(h.client, http.MethodGet, h.base+relaxPath(terms[0], h.k), nil, rng)
 		return []reply{{status, body}}, attempts, err
 	}
-	payload, err := batchPayload(terms, h.k)
+	queries := make([]server.Request, len(terms))
+	for i, term := range terms {
+		queries[i] = server.Request{Term: term, K: h.k}
+	}
+	payload, err := json.Marshal(server.BatchRequest{Queries: queries})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -516,13 +560,15 @@ func (h *harness) ask(terms []string, rng *rand.Rand) ([]reply, int, error) {
 	return out, attempts, nil
 }
 
-// trafficPhase arms the given fault spec (empty = none) and hammers the
-// relax endpoints from h.workers goroutines for h.phase, with retry.Policy
-// retries on 429/503: every fourth request is a POST /relax/batch of three
-// golden terms, the rest GET /relax. Every 200 — a GET body, or a batch item
-// with the GET body's trailing newline dropped — must match golden
-// byte-for-byte; a 500 anywhere is a violation.
-func (h *harness) trafficPhase(name, spec string) {
+// trafficPhase arms the given fault spec (empty = none), runs script (if
+// any) beside the traffic until the phase ends and closes its stop channel,
+// and for dur hammers the front door from h.workers goroutines with
+// retry.Policy retries on 429/503: every fourth request is a POST
+// /relax/batch of three golden terms, the rest GET /relax. Every 200 — a GET
+// body, or a batch item with the GET body's trailing newline dropped — must
+// match golden byte-for-byte, and every other answer must carry a tolerated
+// status.
+func (h *harness) trafficPhase(name, spec string, dur time.Duration, script func(stop <-chan struct{})) {
 	var reg *fault.Registry
 	if spec != "" {
 		var err error
@@ -532,18 +578,23 @@ func (h *harness) trafficPhase(name, spec string) {
 		}
 	}
 	fault.SetDefault(reg)
-	log.Printf("chaos: phase %s: faults=%q", name, spec)
+	log.Printf("chaos: phase %s (%s): faults=%q", name, dur, spec)
 
 	var (
 		requests, batchItems, retries atomic.Int64
 		byStatus                      sync.Map // int -> *atomic.Int64
-		wg                            sync.WaitGroup
+		wg, scriptWG                  sync.WaitGroup
 	)
 	count := func(status int) {
 		c, _ := byStatus.LoadOrStore(status, new(atomic.Int64))
 		c.(*atomic.Int64).Add(1)
 	}
-	deadline := time.Now().Add(h.phase)
+	stop := make(chan struct{})
+	if script != nil {
+		scriptWG.Add(1)
+		go func() { defer scriptWG.Done(); script(stop) }()
+	}
+	deadline := time.Now().Add(dur)
 	for w := 0; w < h.workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -564,29 +615,27 @@ func (h *harness) trafficPhase(name, spec string) {
 				}
 				for j, r := range replies {
 					count(r.status)
-					switch r.status {
-					case http.StatusOK:
-						want := h.golden[terms[j]]
+					switch {
+					case r.status == http.StatusOK:
+						want, kind := h.golden[terms[j]], "GET"
 						if len(terms) > 1 {
-							want = bytes.TrimSuffix(want, []byte("\n"))
+							want, kind = bytes.TrimSuffix(want, []byte("\n")), "batch item"
 						}
 						if !bytes.Equal(r.body, want) {
-							h.mu.Lock()
-							h.report.Mismatches++
-							h.mu.Unlock()
-							h.violatef("phase %s: response for %q differs from golden", name, terms[j])
+							h.mismatchf("phase %s: %s for %q differs from golden", name, kind, terms[j])
 						}
-					case http.StatusTooManyRequests, http.StatusServiceUnavailable,
-						http.StatusGatewayTimeout:
-						// Tolerated: retries exhausted under injected load.
+					case slices.Contains(h.tolerated, r.status):
+						// Retries exhausted under injected faults, or a shed.
 					default:
-						h.violatef("phase %s: unexpected status %d for %q", name, r.status, terms[j])
+						h.violatef("phase %s: unexpected status %d for %q: %s", name, r.status, terms[j], r.body)
 					}
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
+	close(stop)
+	scriptWG.Wait()
 
 	pr := phaseReport{Name: name, Faults: spec, Requests: requests.Load(), BatchItems: batchItems.Load(),
 		Retries: retries.Load(), ByStatus: map[string]int{}, Sites: reg.Snapshot()}
@@ -597,15 +646,31 @@ func (h *harness) trafficPhase(name, spec string) {
 	h.mu.Lock()
 	h.report.Phases = append(h.report.Phases, pr)
 	h.report.Requests += pr.Requests
+	h.report.BatchItems += pr.BatchItems
 	h.report.Retries += pr.Retries
 	h.mu.Unlock()
 	log.Printf("chaos: phase %s: %d requests (%d batch items), %d retries, statuses %v", name, pr.Requests, pr.BatchItems, pr.Retries, pr.ByStatus)
 }
 
 // reloadStorm alternates corrupt and good bundle publishes, poking
-// /admin/reload after each. Corrupt publishes must be rejected (reload
-// fails, generation unchanged); good publishes must swap generations.
+// /admin/reload after each, until stop closes. Corrupt publishes must be
+// rejected (reload fails, generation unchanged); good publishes must swap
+// generations.
 func (h *harness) reloadStorm(stop <-chan struct{}) {
+	// The bit flip lands in the middle of the largest section: a byte of the
+	// alignment padding between sections is under no checksum.
+	info, err := persist.InspectFile(h.bundle)
+	if err != nil {
+		h.violatef("reload storm: inspecting the bundle: %v", err)
+		return
+	}
+	var largest persist.SectionInfo
+	for _, s := range info.Sections {
+		if s.Length > largest.Length {
+			largest = s
+		}
+	}
+	flipAt := int(largest.Offset + largest.Length/2)
 	corruptions := []struct {
 		name string
 		data func() []byte
@@ -613,7 +678,7 @@ func (h *harness) reloadStorm(stop <-chan struct{}) {
 		{"truncated", func() []byte { return h.goodBytes[:len(h.goodBytes)*3/5] }},
 		{"bitflip", func() []byte {
 			b := append([]byte(nil), h.goodBytes...)
-			b[h.flipAt] ^= 0x40
+			b[flipAt] ^= 0x40
 			return b
 		}},
 		{"empty", func() []byte { return nil }},
@@ -726,7 +791,7 @@ func (h *harness) tornWritePhase() {
 
 		if got, err := os.ReadFile(h.bundle); err != nil {
 			h.violatef("%s phase: live bundle unreadable after torn save: %v", name, err)
-		} else if string(got) != string(h.goodBytes) {
+		} else if !bytes.Equal(got, h.goodBytes) {
 			h.violatef("%s phase: live bundle changed by a failed save", name)
 		}
 		if litter, _ := filepath.Glob(filepath.Join(h.dir, ".bundle-*.tmp")); len(litter) > 0 {
@@ -746,58 +811,57 @@ func (h *harness) tornWritePhase() {
 	}
 }
 
-// finalChecks verifies golden byte-identity for every term and that the
-// server's own metrics agree with the chaos we inflicted.
+// finalChecks replays every golden capture at the front door once the
+// faults have cleared — each term's GET, the explain GET and the batch with
+// its 404 and 400 items — counts panics and serve paths, and then makes the
+// topology's own checks.
 func (h *harness) finalChecks() {
 	for _, term := range h.terms {
 		body, status, err := get(h.client, h.base+relaxPath(term, h.k))
-		if err != nil || status != http.StatusOK {
-			h.violatef("final: GET /relax?term=%q: status %d, err %v", term, status, err)
-			continue
-		}
-		if string(body) != string(h.golden[term]) {
-			h.report.Mismatches++
-			h.violatef("final: response for %q differs from golden after faults cleared", term)
+		if err != nil || status != http.StatusOK || !bytes.Equal(body, h.golden[term]) {
+			h.mismatchf("final: GET /relax?term=%q: status %d, err %v, or body differs from golden", term, status, err)
 		}
 	}
 	if body, status, err := get(h.client, h.base+h.explainURL()); err != nil || status != http.StatusOK || !bytes.Equal(body, h.explainGolden) {
-		h.report.Mismatches++
-		h.violatef("final: GET %s: status %d, err %v, or body differs from golden", h.explainURL(), status, err)
+		h.mismatchf("final: GET %s: status %d, err %v, or body differs from golden", h.explainURL(), status, err)
 	}
 	if body, status, err := post(h.client, h.base+"/relax/batch", h.batchBody); err != nil || status != http.StatusOK || !bytes.Equal(body, h.batchGolden) {
-		h.report.Mismatches++
-		h.violatef("final: POST /relax/batch: status %d, err %v, or body differs from golden", status, err)
+		h.mismatchf("final: POST /relax/batch: status %d, err %v, or body differs from golden", status, err)
 	}
 
 	h.report.Panics = h.panics.Load()
 	if h.report.Panics != 0 {
 		h.violatef("final: %d handler panic(s)", h.report.Panics)
 	}
+	h.report.RelaxPaths = map[string]uint64{}
+	for _, s := range h.stacks {
+		paths, _ := s.engine.Stats()["relaxPaths"].(map[string]uint64)
+		for path, n := range paths {
+			h.report.RelaxPaths[path] += n
+		}
+	}
+	if h.report.RelaxPaths["indexed"] == 0 {
+		h.violatef("final: the candidate index served no request of the last generation: relaxPaths %v", h.report.RelaxPaths)
+	}
 
-	gen, reloadFails, err := h.scrapeMetrics()
-	if err != nil {
-		h.violatef("final: scraping /metrics: %v", err)
-		return
+	if h.rt != nil {
+		h.clusterChecks()
+	} else {
+		h.stackChecks()
 	}
-	h.report.Generation = gen
-	if gen != h.expectedGen {
-		h.violatef("final: bundle generation %d, want %d (a rejected reload must not advance it)", gen, h.expectedGen)
-	}
-	if reloadFails != h.report.ReloadsFailed {
-		h.violatef("final: medrelax_reload_failures_total = %d, want %d", reloadFails, h.report.ReloadsFailed)
-	}
-	h.report.RelaxPaths = indexedPaths(h.engine.Stats(), h.violatef)
-	log.Printf("chaos: final: generation %d, %d ok / %d failed reloads, %d panics, relax paths %v",
-		gen, h.report.ReloadsOK, h.report.ReloadsFailed, h.report.Panics, h.report.RelaxPaths)
+	log.Printf("chaos: final: %d panics, relax paths %v", h.report.Panics, h.report.RelaxPaths)
 }
 
-// scrapeMetrics pulls the generation gauge and reload-failure counter out
-// of the Prometheus text exposition.
-func (h *harness) scrapeMetrics() (gen, reloadFails int, err error) {
+// stackChecks holds the stack's own metrics to the chaos inflicted: the
+// generation gauge counts exactly the good reloads, and the reload-failure
+// counter exactly the refused ones.
+func (h *harness) stackChecks() {
 	body, status, err := get(h.client, h.base+"/metrics")
 	if err != nil || status != http.StatusOK {
-		return 0, 0, fmt.Errorf("status %d, err %v", status, err)
+		h.violatef("final: scraping /metrics: status %d, err %v", status, err)
+		return
 	}
+	var gen, reloadFails int
 	for _, line := range strings.Split(string(body), "\n") {
 		fields := strings.Fields(line)
 		if len(fields) != 2 {
@@ -810,7 +874,14 @@ func (h *harness) scrapeMetrics() (gen, reloadFails int, err error) {
 			reloadFails, _ = strconv.Atoi(fields[1])
 		}
 	}
-	return gen, reloadFails, nil
+	h.report.Generation = gen
+	if gen != h.expectedGen {
+		h.violatef("final: bundle generation %d, want %d (a rejected reload must not advance it)", gen, h.expectedGen)
+	}
+	if reloadFails != h.report.ReloadsFailed {
+		h.violatef("final: medrelax_reload_failures_total = %d, want %d", reloadFails, h.report.ReloadsFailed)
+	}
+	log.Printf("chaos: final: generation %d, %d ok / %d failed reloads", gen, h.report.ReloadsOK, h.report.ReloadsFailed)
 }
 
 func (h *harness) writeReport(path string) error {

@@ -149,7 +149,6 @@ func main() {
 			o := opts
 			if labelled {
 				o.Metrics = shared
-				o.BaseLabels = metrics.Label("tenant", spec.name)
 				o.Tenant = spec.name
 			}
 			o.Loader = func() (server.Backend, error) {

@@ -17,6 +17,7 @@ import (
 	"medrelax/internal/server"
 	"medrelax/internal/serving"
 	"medrelax/internal/serving/metrics"
+	"medrelax/internal/stringutil"
 	"medrelax/internal/trace"
 )
 
@@ -147,10 +148,11 @@ func (rt *Router) ReplicaHealthy(replica string) bool { return rt.health.Healthy
 // with either's character set.
 const keySep = "\x1f"
 
-// routingKey places a query: tenant plus normalized term, so one term's
-// repeat traffic lands on one replica and its result cache.
+// routingKey places a query: tenant plus the term normalized the way the
+// replica's result cache keys it, so every spelling that shares a cache entry
+// lands on the one replica holding it.
 func routingKey(tenant, term string) string {
-	return tenant + keySep + strings.ToLower(strings.TrimSpace(term))
+	return tenant + keySep + stringutil.Normalize(term)
 }
 
 // tenantOf extracts the tenant a request addresses: a /t/{name}/ path
@@ -293,7 +295,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if healthy == 0 {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, map[string]any{
+	server.WriteJSON(w, status, map[string]any{
 		"status":          map[bool]string{true: "ok", false: "degraded"}[healthy > 0],
 		"replicasHealthy": healthy,
 		"replicasTotal":   total,
@@ -313,7 +315,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, _ *http.Request) {
 	for _, rep := range replicas {
 		states[rep] = rt.health.Healthy(rep)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"role":     "router",
 		"replicas": states,
 		"vnodes":   rt.opts.VNodes,
@@ -352,7 +354,7 @@ func (rt *Router) handleReloadAll(w http.ResponseWriter, r *http.Request) {
 	if failures > 0 {
 		status = http.StatusBadGateway
 	}
-	writeJSON(w, status, map[string]any{"replicas": results})
+	server.WriteJSON(w, status, map[string]any{"replicas": results})
 }
 
 // handleRelax proxies GET /relax to the replica owning tenant+term,
@@ -392,7 +394,7 @@ func (rt *Router) handleChat(w http.ResponseWriter, r *http.Request) {
 	// A malformed body still forwards: the replica owns the error shape.
 	_ = json.Unmarshal(body, &probe)
 	r.Body = io.NopCloser(bytes.NewReader(body))
-	key := routingKey(tenantOf(r), "chat"+keySep+probe.Session)
+	key := tenantOf(r) + keySep + "chat" + keySep + probe.Session
 	status, header, respBody, err := rt.forward(r, key)
 	if err != nil {
 		writeUnavailable(w, err)
@@ -592,12 +594,4 @@ func copyResponse(w http.ResponseWriter, status int, header http.Header, body []
 func writeUnavailable(w http.ResponseWriter, err error) {
 	w.Header().Set("Retry-After", "1")
 	server.WriteError(w, http.StatusServiceUnavailable, "no replica available: "+err.Error())
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("router: encoding response: %v", err)
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"medrelax/internal/retry"
+	"medrelax/internal/stringutil"
 )
 
 // fakeReplica is a minimal kbserver stand-in: /healthz, /relax echoing
@@ -137,6 +139,56 @@ func TestProxyRoutesByTerm(t *testing.T) {
 				t.Fatalf("term %q: routing flapped: %s vs %s", term, first, body)
 			}
 		}
+	}
+}
+
+// TestRoutingKeyFollowsCacheKey pins placement to the replica's result-cache
+// key: spellings the cache folds onto one entry (stringutil.Normalize) get
+// one routing key, so a GET and a batch item of any of them reach the one
+// replica holding that entry, while another term or tenant keys apart.
+func TestRoutingKeyFollowsCacheKey(t *testing.T) {
+	spellings := []string{"heart attack", "Heart  Attack", "heart attack.", "HEART ATTACK,", " heart\tattack ", "(heart) attack!"}
+	want := routingKey("", spellings[0])
+	for _, s := range spellings {
+		if stringutil.Normalize(s) != stringutil.Normalize(spellings[0]) {
+			t.Fatalf("fixture: %q does not normalize like %q", s, spellings[0])
+		}
+		if got := routingKey("", s); got != want {
+			t.Errorf("routingKey(%q) = %q, want %q: one cache entry, one placement", s, got, want)
+		}
+	}
+	if routingKey("", "heart attacks") == want || routingKey("beta", "heart attack") == want {
+		t.Error("another term or tenant shares the routing key")
+	}
+
+	fakes := []*fakeReplica{newFakeReplica(t, "a"), newFakeReplica(t, "b"), newFakeReplica(t, "c")}
+	h := testRouter(t, fakes, nil).Handler()
+	type answer struct {
+		Replica string `json:"replica"`
+	}
+	replicas := map[string]bool{}
+	queries := make([]string, len(spellings))
+	for i, s := range spellings {
+		var a answer
+		if _, body := get(t, h, "/relax?term="+url.QueryEscape(s)); json.Unmarshal(body, &a) != nil {
+			t.Fatalf("GET %q: %s", s, body)
+		}
+		replicas[a.Replica] = true
+		queries[i] = fmt.Sprintf(`{"term":%q,"k":1}`, s)
+	}
+	var batch struct {
+		Items []struct {
+			Body answer `json:"body"`
+		} `json:"items"`
+	}
+	if _, body := post(t, h, "/relax/batch", `{"queries":[`+strings.Join(queries, ",")+`]}`); json.Unmarshal(body, &batch) != nil || len(batch.Items) != len(spellings) {
+		t.Fatalf("batch: %s", body)
+	}
+	for _, it := range batch.Items {
+		replicas[it.Body.Replica] = true
+	}
+	if len(replicas) != 1 {
+		t.Errorf("one term's spellings reached replicas %v, want one", replicas)
 	}
 }
 

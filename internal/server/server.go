@@ -104,11 +104,11 @@ func (s *Server) Handler() http.Handler {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.backend.Stats())
+	WriteJSON(w, http.StatusOK, s.backend.Stats())
 }
 
 // handleTerms exposes a sample of relaxable query terms; load generators use
@@ -123,7 +123,7 @@ func (s *Server) handleTerms(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"terms": s.backend.Terms(n)})
+	WriteJSON(w, http.StatusOK, map[string]any{"terms": s.backend.Terms(n)})
 }
 
 // ChatRequest is the /chat request body.
@@ -172,12 +172,12 @@ func (s *Server) handleChat(w http.ResponseWriter, r *http.Request) {
 	if req.Reset {
 		sess.conv.Reset()
 		if req.Text == "" {
-			writeJSON(w, http.StatusOK, ChatResponse{Text: "session reset", Understood: true})
+			WriteJSON(w, http.StatusOK, ChatResponse{Text: "session reset", Understood: true})
 			return
 		}
 	}
 	resp := sess.conv.Ask(req.Text)
-	writeJSON(w, http.StatusOK, ChatResponse{
+	WriteJSON(w, http.StatusOK, ChatResponse{
 		Text:        resp.Text,
 		Answers:     resp.Answers,
 		Suggestions: resp.Suggestions,
@@ -249,7 +249,10 @@ func (s *Server) evictIdleLocked() bool {
 	return false
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers status with v through encoding/json: the small admin and
+// health bodies of the server, the serving layer and the router. Relax bodies
+// never come here; encode.go appends them, errors included (WriteError).
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	if err := json.NewEncoder(w).Encode(v); err != nil {

@@ -54,7 +54,7 @@ func (e *Engine) handleReload(w http.ResponseWriter, _ *http.Request) {
 		server.WriteError(w, status, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":     "reloaded",
 		"generation": e.cur.Load().gen,
 	})
@@ -253,13 +253,5 @@ func (e *Engine) logSlow(r *http.Request, endpoint, labels string, status int, d
 		logger.Print(string(line))
 	} else {
 		log.Print(string(line))
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("serving: encoding response: %v", err)
 	}
 }

@@ -73,17 +73,14 @@ type Options struct {
 	// one; multi-tenant deployments pass one shared registry so a single
 	// /metrics scrape covers every tenant.
 	Metrics *metrics.Registry
-	// BaseLabels is prepended to every series this engine emits (e.g.
-	// `tenant="alpha"`); empty keeps the single-tenant series names
-	// unchanged.
-	BaseLabels string
 
 	// Tracer samples and records distributed traces; nil disables tracing.
 	// Multi-tenant deployments share one tracer (the ring buffer is
 	// per-process), with Tenant distinguishing the traces.
 	Tracer *trace.Tracer
-	// Tenant names this engine's partition on trace spans and pprof
-	// labels; empty for single-tenant deployments.
+	// Tenant names this engine's partition: a tenant="…" label first on
+	// every series it emits, a tag on its trace spans, a pprof label. Empty
+	// for single-tenant deployments, whose series names carry no label.
 	Tenant string
 }
 
@@ -118,6 +115,7 @@ type holder struct {
 // a server.Server, then wrap the server's handler with Engine.Handler.
 type Engine struct {
 	opts  Options
+	base  string // the tenant label every series starts with; "" untenanted
 	cur   atomic.Pointer[holder]
 	cache *Cache
 
@@ -198,6 +196,9 @@ func NewEngine(backend server.Backend, opts Options) *Engine {
 		chatRate: newTokenBucket(opts.ChatRPS, opts.ChatBurst),
 		reg:      reg,
 	}
+	if opts.Tenant != "" {
+		e.base = metrics.Label("tenant", opts.Tenant)
+	}
 	e.cur.Store(&holder{b: backend, gen: e.gen.Add(1)})
 	e.mCache[CacheHit] = e.reg.Counter("medrelax_relax_cache_hits_total", "relax results served from cache", e.labels(""))
 	e.mCache[CacheMiss] = e.reg.Counter("medrelax_relax_cache_misses_total", "relax results computed by the backend", e.labels(""))
@@ -234,10 +235,9 @@ func joinLabels(a, b string) string {
 	}
 }
 
-// labels prepends the engine's base labels (the tenant partition) to a
-// series' own labels. With no base labels the single-tenant series names
-// come out unchanged.
-func (e *Engine) labels(extra string) string { return joinLabels(e.opts.BaseLabels, extra) }
+// labels prepends the engine's tenant label to a series' own labels. With no
+// tenant the single-tenant series names come out unchanged.
+func (e *Engine) labels(extra string) string { return joinLabels(e.base, extra) }
 
 // Metrics exposes the registry (for tests and the /metrics handler).
 func (e *Engine) Metrics() *metrics.Registry { return e.reg }
