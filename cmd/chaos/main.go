@@ -27,8 +27,10 @@
 //   - a corrupt bundle never becomes the serving generation: the reload
 //     fails, medrelax_reload_failures_total rises, the generation gauge
 //     does not
-//   - a torn SaveFileAtomic, in either encoding, leaves the previous bundle
-//     intact and no temp litter
+//   - a torn SaveFileAtomic, torn a third or two thirds in, leaves the
+//     previous bundle intact and no temp litter
+//   - a JSON document (the retired v1 bundle) pushed and reloaded is refused
+//     by name ("json v1"), like any corrupt push
 //
 // The routed cluster tolerates only 429 and 503 sheds — a replica's death
 // must be hidden by failover and retry — and:
@@ -398,9 +400,9 @@ func (h *harness) stackPhases() {
 	// Injected latency: slower answers are fine; wrong or internal-error
 	// answers are not.
 	h.trafficPhase("backend-latency", fmt.Sprintf("backend.relax:latency,delay=20ms,rate=0.5,seed=%d", h.seed+1), h.phase, nil)
-	// Torn writes: publishing a new bundle through a torn writer — in either
-	// on-disk encoding — must fail without disturbing the live file or
-	// leaving temp litter, and the live file must still load.
+	// Torn writes: publishing a new bundle through a torn writer — torn at
+	// two offsets — must fail without disturbing the live file or leaving
+	// temp litter, and the live file must still load.
 	h.tornWritePhase()
 	// Faults cleared: every term must serve its golden bytes again.
 	h.trafficPhase("recovery", "", h.phase, nil)
@@ -683,6 +685,7 @@ func (h *harness) reloadStorm(stop <-chan struct{}) {
 		}},
 		{"empty", func() []byte { return nil }},
 		{"garbage", func() []byte { return []byte("this is not a bundle\n") }},
+		{"retired-json", func() []byte { return []byte(`{"version":1,"eksConcepts":[],"eksRoot":0}` + "\n") }},
 	}
 	tick := time.NewTicker(150 * time.Millisecond)
 	defer tick.Stop()
@@ -701,9 +704,12 @@ func (h *harness) reloadStorm(stop <-chan struct{}) {
 			h.violatef("reload storm: publishing %s bundle: %v", c.name, err)
 			continue
 		}
-		if status, gen := h.adminReload(); status == http.StatusOK {
+		if status, gen, msg := h.adminReload(); status == http.StatusOK {
 			h.violatef("reload storm: %s bundle was accepted (generation %d)", c.name, gen)
 		} else {
+			if c.name == "retired-json" && !strings.Contains(msg, "json v1") {
+				h.violatef("reload storm: the retired-json refusal does not name the form: %q", msg)
+			}
 			h.mu.Lock()
 			h.report.ReloadsFailed++
 			h.mu.Unlock()
@@ -712,7 +718,7 @@ func (h *harness) reloadStorm(stop <-chan struct{}) {
 			h.violatef("reload storm: restoring good bundle: %v", err)
 			continue
 		}
-		if status, gen := h.adminReload(); status != http.StatusOK {
+		if status, gen, _ := h.adminReload(); status != http.StatusOK {
 			h.violatef("reload storm: good bundle rejected with status %d", status)
 		} else {
 			h.mu.Lock()
@@ -737,20 +743,21 @@ func (h *harness) publish(data []byte) error {
 	return os.Rename(tmp, h.bundle)
 }
 
-// adminReload POSTs /admin/reload and returns the status plus the
-// reported generation (0 when the reload failed).
-func (h *harness) adminReload() (int, int) {
+// adminReload POSTs /admin/reload and returns the status, the reported
+// generation (0 when the reload failed) and the refusal's error text.
+func (h *harness) adminReload() (int, int, string) {
 	resp, err := h.client.Post(h.base+"/admin/reload", "application/json", nil)
 	if err != nil {
 		h.violatef("POST /admin/reload: %v", err)
-		return 0, 0
+		return 0, 0, ""
 	}
 	defer resp.Body.Close()
 	var body struct {
-		Generation int `json:"generation"`
+		Generation int    `json:"generation"`
+		Error      string `json:"error"`
 	}
 	json.NewDecoder(resp.Body).Decode(&body)
-	return resp.StatusCode, body.Generation
+	return resp.StatusCode, body.Generation, body.Error
 }
 
 // tornWritePhase arms a torn-write fault and attempts to publish a fresh
@@ -763,19 +770,12 @@ func (h *harness) tornWritePhase() {
 		h.violatef("torn-write phase: rebuilding ingestion: %v", err)
 		return
 	}
-	// Both on-disk encodings go through the same crash-safe writer; a torn
-	// write must leave the live bundle, which the server has mapped,
-	// untouched either way.
-	formats := []struct {
-		name   string
-		format persist.Format
-	}{
-		{"json", persist.FormatJSON},
-		{"flat", persist.FormatFlat},
-	}
-	for i, f := range formats {
-		name := "torn-write-" + f.name
-		spec := fmt.Sprintf("persist.write:torn,bytes=%d,count=1,seed=%d", len(h.goodBytes)/3, h.seed+2+int64(i))
+	// Tearing a write is the check: a flat save torn a third of the way in,
+	// and one torn two thirds in, must each leave the live bundle, which the
+	// server has mapped, untouched.
+	for i := 1; i <= 2; i++ {
+		name := fmt.Sprintf("torn-write-%d", i)
+		spec := fmt.Sprintf("persist.write:torn,bytes=%d,count=1,seed=%d", i*len(h.goodBytes)/3, h.seed+1+int64(i))
 		reg, err := fault.Parse(spec)
 		if err != nil {
 			h.violatef("%s phase: bad spec: %v", name, err)
@@ -784,7 +784,7 @@ func (h *harness) tornWritePhase() {
 		fault.SetDefault(reg)
 		log.Printf("chaos: phase %s: faults=%q", name, spec)
 
-		if err := persist.SaveFileAtomic(h.bundle, ing, f.format); err == nil {
+		if err := persist.SaveFileAtomic(h.bundle, ing, persist.FormatFlat); err == nil {
 			h.violatef("%s phase: SaveFileAtomic succeeded through a torn writer", name)
 		}
 		fault.SetDefault(nil)
@@ -797,7 +797,7 @@ func (h *harness) tornWritePhase() {
 		if litter, _ := filepath.Glob(filepath.Join(h.dir, ".bundle-*.tmp")); len(litter) > 0 {
 			h.violatef("%s phase: temp litter left behind: %v", name, litter)
 		}
-		if status, _ := h.adminReload(); status != http.StatusOK {
+		if status, _, _ := h.adminReload(); status != http.StatusOK {
 			h.violatef("%s phase: reload of untouched bundle failed with status %d", name, status)
 		} else {
 			h.mu.Lock()

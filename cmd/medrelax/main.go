@@ -31,8 +31,7 @@ func main() {
 		k       = flag.Int("k", 10, "number of results")
 		mapper  = flag.String("mapper", "EMBEDDING", "term mapping method: EXACT, EDIT or EMBEDDING")
 		quiet   = flag.Bool("quiet", false, "suppress build progress output")
-		save    = flag.String("save", "", "after building, save the ingestion bundle to this file")
-		format  = flag.String("format", "flat", "bundle format for -save: flat (what is served, zero-copy mmap) or json (inspectable; carries no -materialize/-index data)")
+		save    = flag.String("save", "", "after building, save the ingestion bundle (flat, served zero-copy) to this file")
 
 		materialize = flag.Bool("materialize", false, "precompute top-k relaxations for the head of the term distribution (persisted with -save)")
 		matHead     = flag.Float64("materialize-head", 0.25, "fraction of flagged concepts (by corpus frequency) to materialize")
@@ -46,16 +45,6 @@ func main() {
 		dotHops     = flag.Int("dot-radius", 2, "hop radius of the -dot neighbourhood")
 	)
 	flag.Parse()
-
-	// Before the build: a typo or an unsatisfiable pairing must not cost one.
-	bundleFormat, err := persist.ParseFormat(*format)
-	if err == nil && bundleFormat == persist.FormatJSON && (*materialize || *index) {
-		err = persist.ErrDerivedInJSON
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "medrelax:", err)
-		os.Exit(2)
-	}
 
 	if *inspect != "" {
 		if err := inspectBundle(*inspect); err != nil {
@@ -119,7 +108,7 @@ func main() {
 		saveStart := time.Now()
 		// Atomic write (temp + fsync + rename): a crash mid-save leaves the
 		// previous bundle intact rather than a torn file at -save.
-		if err := persist.SaveFileAtomic(*save, sys.Ingestion, bundleFormat); err != nil {
+		if err := persist.SaveFileAtomic(*save, sys.Ingestion, persist.FormatFlat); err != nil {
 			fmt.Fprintln(os.Stderr, "medrelax: saving bundle:", err)
 			os.Exit(1)
 		}
@@ -128,8 +117,8 @@ func main() {
 			if st, err := os.Stat(*save); err == nil {
 				size = st.Size()
 			}
-			fmt.Fprintf(os.Stderr, "ingestion bundle saved to %s (%s, %d bytes, %s)\n",
-				*save, *format, size, time.Since(saveStart).Round(time.Millisecond))
+			fmt.Fprintf(os.Stderr, "ingestion bundle saved to %s (%d bytes, %s)\n",
+				*save, size, time.Since(saveStart).Round(time.Millisecond))
 		}
 	}
 

@@ -20,14 +20,15 @@ type NamedSource struct {
 }
 
 // PrimarySourceName is the reserved name of the mounting ingestion itself.
-// Bundles of formats that predate multi-source sections load as this single
-// source.
+// A bundle without a sources table loads as this single source.
 const PrimarySourceName = "primary"
 
 // ValidateSources checks the multi-source invariants of an ingestion:
 // non-empty unique names (none colliding with the reserved primary name),
-// each secondary sharing the primary's store, and each being servable on
-// its own. A single-source ingestion (no secondaries) always passes.
+// each secondary sharing the primary's store and ontology — the engine
+// resolves every source's instance IDs through the primary's — and each
+// being servable on its own. A single-source ingestion (no secondaries)
+// always passes.
 func (ing *Ingestion) ValidateSources() error {
 	seen := map[string]bool{PrimarySourceName: true}
 	for i, src := range ing.Sources {
@@ -40,6 +41,9 @@ func (ing *Ingestion) ValidateSources() error {
 		seen[src.Name] = true
 		if src.Ing == nil {
 			return fmt.Errorf("core: source %q has no ingestion", src.Name)
+		}
+		if src.Ing.Store != ing.Store || src.Ing.Ontology != ing.Ontology {
+			return fmt.Errorf("core: source %q does not share the primary's store and ontology", src.Name)
 		}
 		if src.Ing.Graph == nil || src.Ing.Graph.Len() == 0 {
 			return fmt.Errorf("core: source %q has an empty external knowledge source", src.Name)

@@ -257,12 +257,6 @@ func (ing *Ingestion) InstancesForConcept(id eks.ConceptID) []kb.InstanceID {
 // (instances the mapper could not place are absent).
 func (ing *Ingestion) MappingCount() int { return len(ing.maps.Instances) }
 
-// MappingPairs returns every instance-concept mapping as parallel slices in
-// ascending instance order.
-func (ing *Ingestion) MappingPairs() ([]kb.InstanceID, []eks.ConceptID) {
-	return slices.Clone(ing.maps.Instances), slices.Clone(ing.maps.Concepts)
-}
-
 // FlatMappings returns the mapping columns, the form a flat bundle stores.
 // The slices alias the ingestion and must not be modified.
 func (ing *Ingestion) FlatMappings() FlatMappingsData { return ing.maps }

@@ -447,56 +447,6 @@ func newFrequencyTable(d FlatFrequencyData) *FrequencyTable {
 // slices alias the table and must not be modified.
 func (t *FrequencyTable) FlatData() FlatFrequencyData { return t.d }
 
-// FrequencySnapshot is the serializable state of a FrequencyTable, used by
-// the persistence layer to save and restore the offline phase.
-type FrequencySnapshot struct {
-	// Labels holds, per context label, the propagated frequencies as
-	// parallel ID/value slices (JSON-friendly; map keys must be strings).
-	Labels []FrequencyLabelSnapshot
-	Root   eks.ConceptID
-	Smooth float64
-}
-
-// FrequencyLabelSnapshot is one label's slice of the table.
-type FrequencyLabelSnapshot struct {
-	Label  string
-	IDs    []eks.ConceptID
-	Values []float64
-}
-
-// Snapshot exports the table's state deterministically (labels and IDs
-// sorted).
-func (t *FrequencyTable) Snapshot() FrequencySnapshot {
-	snap := FrequencySnapshot{Root: t.d.Root, Smooth: t.d.Smoothing}
-	for li, label := range t.d.Labels {
-		ids, vals := t.span(li)
-		snap.Labels = append(snap.Labels, FrequencyLabelSnapshot{
-			Label:  label,
-			IDs:    slices.Clone(ids),
-			Values: slices.Clone(vals),
-		})
-	}
-	return snap
-}
-
-// RestoreFrequencyTable rebuilds a table from a snapshot: the snapshot's
-// spans become columns, the aggregate is re-accumulated, and
-// OpenFlatFrequencyTable validates the result.
-func RestoreFrequencyTable(snap FrequencySnapshot) (*FrequencyTable, error) {
-	d := FlatFrequencyData{Root: snap.Root, Smoothing: snap.Smooth, Off: []int32{0}}
-	for _, ls := range snap.Labels {
-		if len(ls.IDs) != len(ls.Values) {
-			return nil, errSnapshotShape
-		}
-		d.Labels = append(d.Labels, ls.Label)
-		d.IDs = append(d.IDs, ls.IDs...)
-		d.Vals = append(d.Vals, ls.Values...)
-		d.Off = append(d.Off, int32(len(d.IDs)))
-	}
-	d.AggIDs, d.AggVals = aggregateLabels(d.IDs, d.Vals)
-	return OpenFlatFrequencyTable(d)
-}
-
 // IC returns the information content of the concept under the query
 // context: IC(A) = −log(freq(A)) over normalized frequencies (Equation 1).
 // The root has IC 0; never-mentioned concepts get a large finite IC thanks

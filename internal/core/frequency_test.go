@@ -231,12 +231,8 @@ func TestNormalizedForContextSumsLabelAscending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreFrequencyTable(ft.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 2000; i++ {
-		for name, table := range map[string]*FrequencyTable{"built": ft, "adopted": adopted, "restored": restored} {
+		for name, table := range map[string]*FrequencyTable{"built": ft, "adopted": adopted} {
 			if got := table.NormalizedForContext(fever, ctx, o); got != want {
 				t.Fatalf("call %d on the %s table: %v, want the label-ascending sum %v", i, name, got, want)
 			}

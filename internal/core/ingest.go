@@ -71,7 +71,7 @@ type Ingestion struct {
 
 	// maps holds the instance-concept mappings M and the flagged set FEC as
 	// columns; read them through IsFlagged, FlaggedCount, FlaggedIDs,
-	// InstancesForConcept, MappingCount and MappingPairs.
+	// InstancesForConcept, MappingCount and FlatMappings.
 	maps FlatMappingsData
 	// slots is derived from maps and the graph, never stored: for each graph
 	// node, in ConceptIDs() order, its position in maps.Flagged or -1 — the

@@ -29,8 +29,8 @@ func assertIngestionsEqual(t *testing.T, serial, parallel *Ingestion) {
 	if s, p := serial.Graph.ShortcutCount(), parallel.Graph.ShortcutCount(); s != p {
 		t.Errorf("ShortcutCount: %d serial vs %d parallel", s, p)
 	}
-	if !reflect.DeepEqual(serial.Frequencies.Snapshot(), parallel.Frequencies.Snapshot()) {
-		t.Error("FrequencySnapshot differs")
+	if !reflect.DeepEqual(serial.Frequencies.FlatData(), parallel.Frequencies.FlatData()) {
+		t.Error("frequency columns differ")
 	}
 }
 

@@ -33,10 +33,10 @@ func TestIngestMappingsAndFEC(t *testing.T) {
 	// (4), fever (7), bronchitis (10). Drugs and indications have no EKS
 	// counterpart under the exact mapper.
 	wantMap := map[kb.InstanceID]eks.ConceptID{130: 5, 131: 4, 132: 7, 133: 10}
-	insts, cons := ing.MappingPairs()
+	pairs := ing.FlatMappings()
 	got := map[kb.InstanceID]eks.ConceptID{}
-	for i, iid := range insts {
-		got[iid] = cons[i]
+	for i, iid := range pairs.Instances {
+		got[iid] = pairs.Concepts[i]
 	}
 	if !maps.Equal(got, wantMap) || ing.MappingCount() != len(wantMap) {
 		t.Fatalf("mappings = %v, want %v", got, wantMap)

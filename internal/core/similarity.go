@@ -11,10 +11,7 @@ import (
 	"medrelax/internal/stringutil"
 )
 
-var (
-	errNoRoot        = errors.New("core: external knowledge source has no root")
-	errSnapshotShape = errors.New("core: frequency snapshot has mismatched id/value lengths")
-)
+var errNoRoot = errors.New("core: external knowledge source has no root")
 
 func normalizeName(name string) string { return stringutil.Normalize(name) }
 

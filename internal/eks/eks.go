@@ -95,19 +95,12 @@ var errReadOnly = fmt.Errorf("eks: graph is a read-only flat snapshot view")
 
 // New returns an empty graph.
 func New() *Graph {
-	return NewSized(0)
-}
-
-// NewSized returns an empty graph with capacity hints for n concepts, so
-// bulk loads (persist restore, generators) avoid regrowing while they
-// insert.
-func NewSized(n int) *Graph {
 	return &Graph{
-		concepts: make([]Concept, 0, n),
-		slot:     make(map[ConceptID]int32, n),
-		edges:    make([]builderEdge, 0, n),
-		edgeSet:  make(map[uint64]struct{}, n),
-		names:    make([]nameEntry, 0, n),
+		concepts: make([]Concept, 0),
+		slot:     make(map[ConceptID]int32),
+		edges:    make([]builderEdge, 0),
+		edgeSet:  make(map[uint64]struct{}),
+		names:    make([]nameEntry, 0),
 	}
 }
 

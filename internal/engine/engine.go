@@ -236,8 +236,8 @@ func bundleMapper(ing *core.Ingestion) (match.Mapper, *match.LookupService) {
 }
 
 // residency says where the snapshot's columns live: a flat bundle's in a file
-// mapping ("mapped") or in one heap buffer ("heap"); a world built in process,
-// or restored from another format, has no backing and reports "built".
+// mapping ("mapped") or in one heap buffer ("heap"); a world built in process
+// has no backing and reports "built".
 func (s *Snapshot) residency() string {
 	switch b := s.ing.Backing; {
 	case b == nil:

@@ -72,18 +72,12 @@ var errReadOnly = fmt.Errorf("kb: store is a read-only flat snapshot view")
 // NewStore returns an empty store validating instance types and assertion
 // relationships against onto.
 func NewStore(onto *ontology.Ontology) *Store {
-	return NewStoreSized(onto, 0)
-}
-
-// NewStoreSized returns an empty store with capacity hints for n
-// instances, so bulk loads avoid regrowing while they insert.
-func NewStoreSized(onto *ontology.Ontology, n int) *Store {
 	return &Store{
 		onto:       onto,
-		instances:  make([]Instance, 0, n),
-		keys:       make([]string, 0, n),
-		slot:       make(map[InstanceID]int32, n),
-		assertions: make([]Assertion, 0, n),
+		instances:  make([]Instance, 0),
+		keys:       make([]string, 0),
+		slot:       make(map[InstanceID]int32),
+		assertions: make([]Assertion, 0),
 	}
 }
 

@@ -13,28 +13,11 @@ import (
 	"medrelax/internal/fault"
 )
 
-// Format selects the on-disk encoding for SaveFileAtomic.
+// Format selects the on-disk encoding for SaveFileAtomic; there is one.
 type Format int
 
-const (
-	// FormatFlat is the served v4 encoding (SaveFlat).
-	FormatFlat Format = iota
-	// FormatJSON is the inspectable v1 encoding (Save).
-	FormatJSON
-)
-
-// ParseFormat maps the CLI spelling ("flat" or "json") to a Format.
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "flat":
-		return FormatFlat, nil
-	case "json":
-		return FormatJSON, nil
-	case "binary":
-		return 0, fmt.Errorf("persist: bundle format %q is retired (want flat or json)", s)
-	}
-	return 0, fmt.Errorf("persist: unknown bundle format %q (want flat or json)", s)
-}
+// FormatFlat is the flat (v4) encoding SaveFlat writes.
+const FormatFlat Format = 0 // bench contract
 
 // SaveFileAtomic writes the ingestion to path crash-safely: the bundle is
 // written to a temporary file in the same directory, flushed and fsynced,
@@ -42,7 +25,7 @@ func ParseFormat(s string) (Format, error) {
 // rename itself is durable). A crash — or an injected fault — at any
 // point leaves either the previous bundle or no file at path, never a
 // torn one; the temporary file is removed on every failure path. Combined
-// with Load's checksums this is the full crash-safety story: writers
+// with the bundle's checksums this is the full crash-safety story: writers
 // can't publish a partial bundle, and readers reject one anyway if the
 // storage layer tears it.
 //
@@ -68,13 +51,10 @@ func SaveFileAtomic(path string, ing *core.Ingestion, format Format) (err error)
 
 	var w io.Writer = fault.At("persist.write").WrapWriter(tmp)
 	bw := newBlockWriter(tmp, w)
-	switch format {
-	case FormatJSON:
-		err = Save(bw, ing)
-	case FormatFlat:
-		err = SaveFlat(bw, ing)
-	default:
+	if format != FormatFlat {
 		err = fmt.Errorf("persist: unknown format %d", format)
+	} else {
+		err = SaveFlat(bw, ing)
 	}
 	if err == nil {
 		err = bw.Flush()

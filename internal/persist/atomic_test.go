@@ -28,25 +28,31 @@ func armFaults(t *testing.T, spec string) {
 
 func TestSaveFileAtomicRoundTrip(t *testing.T) {
 	ing := buildIngestion(t)
-	for _, format := range []Format{FormatFlat, FormatJSON} {
-		path := filepath.Join(t.TempDir(), "bundle")
-		if err := SaveFileAtomic(path, ing, format); err != nil {
-			t.Fatalf("format %d: %v", format, err)
-		}
-		restored, err := LoadFile(path)
-		if err != nil {
-			t.Fatalf("format %d: %v", format, err)
-		}
-		if restored.Graph.Len() != ing.Graph.Len() {
-			t.Errorf("format %d: graph len = %d, want %d", format, restored.Graph.Len(), ing.Graph.Len())
-		}
-		fi, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fi.Mode().Perm() != 0o644 {
-			t.Errorf("format %d: bundle mode = %v, want 0644", format, fi.Mode().Perm())
-		}
+	path := filepath.Join(t.TempDir(), "bundle")
+	if err := SaveFileAtomic(path, ing, FormatFlat); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.Graph.Len() != ing.Graph.Len() {
+		t.Errorf("graph len = %d, want %d", restored.Graph.Len(), ing.Graph.Len())
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Mode().Perm() != 0o644 {
+		t.Errorf("bundle mode = %v, want 0644", fi.Mode().Perm())
+	}
+	// There is one format: any other value publishes nothing.
+	other := filepath.Join(t.TempDir(), "other")
+	if err := SaveFileAtomic(other, ing, FormatFlat+1); err == nil {
+		t.Error("SaveFileAtomic accepted a format that does not exist")
+	}
+	if _, err := os.Stat(other); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("a refused save left a file (stat err %v)", err)
 	}
 }
 
@@ -226,7 +232,7 @@ func TestBlockWriterTornPastFirstBlock(t *testing.T) {
 
 // TestLoadFaultSites proves the read-side fault hooks fire: an armed
 // persist.open fails LoadFile before any I/O, and an armed persist.read
-// fails Load itself.
+// fails the read of the bundle itself.
 func TestLoadFaultSites(t *testing.T) {
 	ing := buildIngestion(t)
 	path := filepath.Join(t.TempDir(), "bundle.flat")

@@ -16,24 +16,13 @@ import (
 	"medrelax/internal/match"
 )
 
-// encodeBoth returns the same ingestion in both on-disk formats, the raw
-// material for torn-write simulations.
-func encodeBoth(t *testing.T) (jsonBundle, binBundle []byte) {
-	t.Helper()
-	ing := buildIngestion(t)
-	var jb bytes.Buffer
-	if err := Save(&jb, ing); err != nil {
-		t.Fatal(err)
-	}
-	return jb.Bytes(), saveFlatBytes(t, ing)
-}
-
 // TestLoadRejectsTornBundles simulates every tear and bit-flip class a
-// crashed or lying storage layer can produce, in both formats, and
-// demands a typed ErrCorruptBundle for each: a torn bundle must never
-// load as a smaller-but-plausible world.
+// crashed or lying storage layer can produce and demands a typed
+// ErrCorruptBundle for each: a torn bundle must never load as a
+// smaller-but-plausible world. A torn JSON document is still the retired v1
+// bundle, and is refused as that, never for a checksum.
 func TestLoadRejectsTornBundles(t *testing.T) {
-	jsonBundle, binBundle := encodeBoth(t)
+	binBundle, jsonBundle := saveFlatBytes(t, buildIngestion(t)), readFixture(t, "retired-v1.json")
 
 	flip := func(src []byte, off int) []byte {
 		b := append([]byte(nil), src...)
@@ -56,10 +45,7 @@ func TestLoadRejectsTornBundles(t *testing.T) {
 		{"bin/bitflip payload middle", flip(binBundle, len(binBundle)/2)},
 		{"bin/bitflip last byte", flip(binBundle, len(binBundle)-1)},
 
-		// JSON v1: tears that still decode are caught by the embedded
-		// CRC; tears that break the syntax by the decoder. Cutting the
-		// closing brace breaks decoding; flipping a digit inside a value
-		// leaves a parseable document whose checksum no longer matches.
+		// The retired JSON v1 document, torn or flipped.
 		{"json/truncated quarter", jsonBundle[:len(jsonBundle)/4]},
 		{"json/truncated half", jsonBundle[:len(jsonBundle)/2]},
 		{"json/truncated before closing brace", jsonBundle[:len(jsonBundle)-2]},
@@ -70,12 +56,15 @@ func TestLoadRejectsTornBundles(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ing, err := Load(bytes.NewReader(tc.data))
+			ing, err := loadBytes(tc.data)
 			if err == nil {
 				t.Fatalf("corrupt bundle loaded: %d concepts", ing.Graph.Len())
 			}
 			if !errors.Is(err, ErrCorruptBundle) {
 				t.Errorf("error is not ErrCorruptBundle: %v", err)
+			}
+			if strings.HasPrefix(tc.name, "json/") {
+				assertRetired(t, "a torn JSON document", err, "json v1")
 			}
 		})
 	}
@@ -226,24 +215,25 @@ type flatEdit struct {
 	want   string
 }
 
-// familyEdits walks the column-family tables: for every section, the bundle
+// familyEdits walks column-family tables: for every section, the bundle
 // without it; for every section of a family a bundle may leave out, a bundle
 // that leaves the family out but keeps that one section. Each must be refused
 // by the section's name.
-func familyEdits() []flatEdit {
+func familyEdits(families [][]flatColumn) []flatEdit {
 	// What says a bundle carries an optional family: a meta flag, or for the
 	// resolver, which has none, its first section — so keeping that one alone
 	// is a present family missing the rest, a row of its own above.
-	optional := map[uint32]uint32{secLkTokens: 0, secMatCon: metaHasMaterialized, secCidxCon: metaHasCandidates}
+	optional := map[uint32]uint32{secLkTokens: 0, secMatCon: metaHasMaterialized, secCidxCon: metaHasCandidates, secSrcNames: metaHasSources}
 	var edits []flatEdit
-	for _, family := range flatFamilies() {
+	for _, family := range families {
 		flag, ok := optional[family[0].kind]
 		for _, c := range family {
-			edits = append(edits, flatEdit{name: "missing " + c.name, drop: []uint32{c.kind}, want: c.name})
+			name := flatSectionName(c.kind)
+			edits = append(edits, flatEdit{name: "missing " + name, drop: []uint32{c.kind}, want: name})
 			if !ok || flag == 0 && c.kind == family[0].kind {
 				continue
 			}
-			orphan := flatEdit{name: "orphaned " + c.name, unflag: flag, want: c.name}
+			orphan := flatEdit{name: "orphaned " + name, unflag: flag, want: name}
 			for _, other := range family {
 				if other.kind != c.kind {
 					orphan.drop = append(orphan.drop, other.kind)
@@ -273,6 +263,13 @@ func TestFlatNewSectionCorruptionFailsLoudly(t *testing.T) {
 	if md := ing.Materialized.FlatData(); multi == len(lk.Tokens) || md.CandOff[1] < 2 || md.CandScores[0] == md.CandScores[1] {
 		t.Fatal("fixture too small to corrupt meaningfully")
 	}
+	runFlatEdits(t, sections, append(structurallyCorrupt(t, ing, lk.TokOff, multi), familyEdits(flatFamilies())...))
+}
+
+// runFlatEdits opens the sections as each edit leaves them, every checksum
+// valid: each must be refused ErrCorruptBundle, by name where the edit says.
+func runFlatEdits(t *testing.T, sections []flatSection, edits []flatEdit) {
+	t.Helper()
 	open := func(sections []flatSection) error {
 		data := flatBytes(t, sections)
 		_, err := openFlatBytes(data, &mapRef{size: int64(len(data))})
@@ -288,7 +285,7 @@ func TestFlatNewSectionCorruptionFailsLoudly(t *testing.T) {
 		}
 		return &sections[i].payload
 	}
-	for _, c := range append(structurallyCorrupt(t, ing, lk.TokOff, multi), familyEdits()...) {
+	for _, c := range edits {
 		t.Run(c.name, func(t *testing.T) {
 			edited := slices.Clone(sections)
 			if c.edit != nil {

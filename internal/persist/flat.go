@@ -10,13 +10,13 @@ import (
 	"medrelax/internal/kb"
 )
 
-// Flat bundle (v4) layout — a zero-copy snapshot. Where v1 is a document
-// that must be decoded record by record into heap structures, v4 lays the
-// ingestion out as the flat arrays the read path wants to traverse: CSR
-// adjacency, sorted ID columns, candidate and geometry columns in the
-// fixed-width form the kernel reads. A reader maps the
-// file and serves queries directly from the mapping — opening a bundle
-// costs a directory walk plus one CRC pass, not a rebuild.
+// Flat bundle (v4) layout — a zero-copy snapshot. The ingestion is laid out
+// as the flat arrays the read path wants to traverse: CSR adjacency, sorted
+// ID columns, candidate and geometry columns in the fixed-width form the
+// kernel reads. A reader maps the file and serves queries directly from the
+// mapping — opening a bundle costs a directory walk plus one CRC pass, not a
+// rebuild. A federated bundle's secondary sources are the same columns again,
+// at a kind base of their own.
 //
 //	header      32 bytes (see below)
 //	sections    each 8-byte aligned, zero-padded between
@@ -144,6 +144,18 @@ const (
 
 	// 90–93 held the candidate index as posting records; see retired.go.
 
+	// 100 held the secondary sources as one JSON document; see retired.go.
+
+	// The sources table: a row per secondary source of a federated bundle, in
+	// mount order, with the scalars META holds for the primary. Source i's own
+	// families — graph, resolver, mappings, frequencies — are the primary's
+	// sections at kind sourceBase(i) + the primary's kind.
+	secSrcNames     uint32 = 101 // []uint32 string refs, one per source
+	secSrcRoots     uint32 = 102 // []eks.ConceptID, the graph's root
+	secSrcShortcuts uint32 = 103 // []int64, shortcut edges ingestion added
+	secSrcFreqRoots uint32 = 104 // []eks.ConceptID, the frequency table's root
+	secSrcSmoothing uint32 = 105 // []float64, the frequency table's smoothing
+
 	// The candidate index: per indexed concept the geometry the kernel scores
 	// (core.FlatCandidateIndexData), in shared pools.
 	secCidxCon      uint32 = 110 // []eks.ConceptID, ascending indexed concepts
@@ -156,16 +168,18 @@ const (
 	secCidxSetOff   uint32 = 117 // []int32 CSR into the tied sets
 	secCidxTiedOff  uint32 = 118 // []int32 set boundaries in cidxTied
 	secCidxTied     uint32 = 119 // []int32 graph nodes, ascending within a set
-
-	// secSources holds the secondary named sources of a federated bundle as
-	// the canonical JSON encoding of []sourceDump. Secondaries are small
-	// auxiliary vocabularies, so they ride as one self-contained section and
-	// restore onto the heap — the zero-copy columns stay a primary-only
-	// optimization. Readers that predate the kind tolerate it (unknown
-	// sections are skipped), but metaHasSources makes the load refuse to
-	// silently serve a smaller world: flag and section must agree.
-	secSources uint32 = 100
 )
+
+// sourceKindStride spaces the sources' kind bases: source i's sections are at
+// sourceBase(i) + the primary's kind, every primary kind being below it.
+const sourceKindStride = 1000
+
+// sourceBase is the kind base of secondary source i (0-based, mount order).
+func sourceBase(i int) uint32 { return sourceKindStride * uint32(i+1) }
+
+// sourceOf is the 1-based secondary source a section kind belongs to; 0 is
+// the primary.
+func sourceOf(kind uint32) int { return int(kind / sourceKindStride) }
 
 // META flag bits.
 const (
@@ -272,6 +286,5 @@ func viewColumn[T flatNumber](b []byte, what string) ([]T, error) {
 	return out, nil
 }
 
-// sectionCRC is the per-section checksum. Same polynomial as v1 so the whole
-// persistence layer shares one failure vocabulary.
+// sectionCRC is the per-section checksum (IEEE CRC-32).
 func sectionCRC(payload []byte) uint32 { return crc32.ChecksumIEEE(payload) }

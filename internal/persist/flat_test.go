@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -159,11 +158,11 @@ func TestFlatDeterministicBytes(t *testing.T) {
 	}
 }
 
-// Load sniffs the MRXF magic from a plain reader and decodes the flat
-// bundle from a heap copy — the streaming API keeps working for v4.
+// The head classifier knows a flat bundle by its MRXF magic, and the decoder
+// opens one from a heap copy as from a mapping, accelerations included.
 func TestLoadSniffsFlat(t *testing.T) {
 	ing := buildAccelIngestion(t)
-	restored, err := Load(bytes.NewReader(saveFlatBytes(t, ing)))
+	restored, err := loadBytes(saveFlatBytes(t, ing))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +213,8 @@ func TestSaveFileAtomicFlat(t *testing.T) {
 
 // Non-integer frequencies under several labels one context subsumes: the
 // float sum depends on the order of its additions, so the heap table and the
-// table opened from each saved format must agree bit for bit, call after
-// call.
+// table opened from a saved bundle, mapped or from a heap copy, must agree bit
+// for bit, call after call.
 func TestFractionalFrequenciesSurviveSave(t *testing.T) {
 	ing := buildIngestion(t)
 	flagged := ing.FlaggedIDs()[0]
@@ -234,12 +233,12 @@ func TestFractionalFrequenciesSurviveSave(t *testing.T) {
 	ctx := &ontology.Context{Domain: "Risk", Relationship: "hasFinding", Range: "Finding"}
 	want := ft.NormalizedForContext(flagged, ctx, ing.Ontology)
 
-	for name, save := range map[string]func(io.Writer, *core.Ingestion) error{"json": Save, "flat": SaveFlat} {
-		var buf bytes.Buffer
-		if err := save(&buf, &cp); err != nil {
-			t.Fatal(err)
-		}
-		restored, err := Load(&buf)
+	data := saveFlatBytes(t, &cp)
+	for name, open := range map[string]func() (*core.Ingestion, error){
+		"mapped": func() (*core.Ingestion, error) { return LoadFile(writeBundle(t, "bundle.flat", data)) },
+		"heap":   func() (*core.Ingestion, error) { return loadBytes(data) },
+	} {
+		restored, err := open()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -252,32 +251,6 @@ func TestFractionalFrequenciesSurviveSave(t *testing.T) {
 			}
 		}
 	}
-}
-
-// Conversion round-trips: a v1 document, loaded, given the derived data it
-// cannot carry (built again from what it does carry) and saved flat, must
-// answer relaxations identically to the ingestion it was written from.
-func TestFlatConversionRoundTrip(t *testing.T) {
-	ing := buildAccelIngestion(t)
-	t.Run("v1-json", func(t *testing.T) {
-		var buf bytes.Buffer
-		if err := Save(&buf, buildIngestion(t)); err != nil {
-			t.Fatal(err)
-		}
-		old, err := Load(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim := core.NewSimilarity(old.Graph, old.Frequencies, old.Ontology)
-		old.Materialized = core.MaterializeTopK(old, sim, fullAccelFixture.mat)
-		old.Candidates = core.BuildCandidateIndex(old, sim, fullAccelFixture.idx)
-		flat, err := OpenFlat(writeFlatFile(t, old))
-		if err != nil {
-			t.Fatalf("converting v1 to flat: %v", err)
-		}
-		assertSameRelaxations(t, ing, flat)
-		assertAccelServes(t, ing, flat)
-	})
 }
 
 // patchDirEntry mutates field bytes of directory entry i and re-stamps the

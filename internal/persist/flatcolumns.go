@@ -11,15 +11,17 @@ import (
 
 // The column families of a flat (v4) bundle. Each component that rides in a
 // bundle as columns — the graph, the term resolver, the store, the mappings,
-// the frequency table, the materialized store and the candidate index — has
-// one table here, a row per section: its kind, its name, and the field of the
-// component's Flat*Data that is its column. The writer encodes a table
-// (addColumns), the reader decodes one (columns), and -inspect and every
-// decode error name a section by its row, so a column is declared once. Rows
-// are in kind order, the order the writer meets their strings in.
+// the frequency table, the materialized store, the candidate index and the
+// sources table — has one table here, a row per section: its kind, its name,
+// and the field of the component's Flat*Data that is its column. The writer
+// encodes a table (addColumns), the reader decodes one (columns), and -inspect
+// and every decode error name a section by its row, so a column is declared
+// once. Rows are in kind order, the order the writer meets their strings in.
+// A secondary source's graph, resolver, mappings and frequencies are the
+// primary's tables shifted to its kind base (atSource).
 //
-// The meta scalars, the string table, the ontology and the JSON sources
-// section are not columns of a component and are written and read by hand.
+// The meta scalars, the string table and the ontology are not columns of a
+// component and are written and read by hand.
 
 // flatColumn is one section of a column family. col points at the column: a
 // *[]string is a string-reference column, any other a numeric column.
@@ -127,7 +129,37 @@ func candidateColumns(d *core.FlatCandidateIndexData) []flatColumn {
 	}
 }
 
-// flatFamilies is every column family's table, over no data.
+// flatSources is the sources table's columns: a row per secondary source.
+type flatSources struct {
+	Names     []string
+	Roots     []eks.ConceptID
+	Shortcuts []int64
+	FreqRoots []eks.ConceptID
+	Smoothing []float64
+}
+
+func sourcesColumns(d *flatSources) []flatColumn {
+	return []flatColumn{
+		{secSrcNames, "sourceNames", &d.Names},
+		{secSrcRoots, "sourceRoots", &d.Roots},
+		{secSrcShortcuts, "sourceShortcuts", &d.Shortcuts},
+		{secSrcFreqRoots, "sourceFreqRoots", &d.FreqRoots},
+		{secSrcSmoothing, "sourceFreqSmoothing", &d.Smoothing},
+	}
+}
+
+// atSource shifts a family to a secondary source's kind base; its rows keep
+// the primary's names, which flatSectionName prefixes with the source. Base 0
+// is the primary's family as it is.
+func atSource(base uint32, family []flatColumn) []flatColumn {
+	for i := range family {
+		family[i].kind += base
+	}
+	return family
+}
+
+// flatFamilies is the table of every family a single-source bundle may carry,
+// over no data.
 func flatFamilies() [][]flatColumn {
 	return [][]flatColumn{
 		graphColumns(new(eks.FlatGraphData)),
@@ -140,15 +172,14 @@ func flatFamilies() [][]flatColumn {
 	}
 }
 
-// flatSectionNames names every section kind this package writes: the
-// hand-written sections, then every row of every family.
+// flatSectionNames names every section kind a primary has: the hand-written
+// sections, then every row of every family and of the sources table.
 var flatSectionNames = func() map[uint32]string {
 	names := map[uint32]string{
 		secMeta: "meta", secStrOff: "strOffsets", secStr: "strBlob",
 		secOntoConcepts: "ontologyConcepts", secOntoRels: "ontologyRelationships",
-		secSources: "sources",
 	}
-	for _, family := range flatFamilies() {
+	for _, family := range append(flatFamilies(), sourcesColumns(new(flatSources))) {
 		for _, c := range family {
 			names[c.kind] = c.name
 		}
@@ -156,9 +187,13 @@ var flatSectionNames = func() map[uint32]string {
 	return names
 }()
 
-// flatSectionName renders a v4 section kind for humans; unknown kinds (from
-// a future writer) print as kind/<n>.
+// flatSectionName renders a v4 section kind for humans: a secondary source's
+// section as source<i>.<the primary's name>; unknown kinds (from a future
+// writer) print as kind/<n>.
 func flatSectionName(kind uint32) string {
+	if src := sourceOf(kind); src > 0 {
+		return fmt.Sprintf("source%d.%s", src, flatSectionName(kind%sourceKindStride))
+	}
 	if n, ok := flatSectionNames[kind]; ok {
 		return n
 	}
@@ -178,6 +213,8 @@ func (w *flatWriter) addColumns(family []flatColumn) {
 		case *[]uint32:
 			payload = leColumn(*col)
 		case *[]uint64:
+			payload = leColumn(*col)
+		case *[]int64:
 			payload = leColumn(*col)
 		case *[]float64:
 			payload = leColumn(*col)
@@ -206,6 +243,8 @@ func (d *flatDecoder) columns(family []flatColumn) error {
 			*col, err = column[uint32](d, c.kind)
 		case *[]uint64:
 			*col, err = column[uint64](d, c.kind)
+		case *[]int64:
+			*col, err = column[int64](d, c.kind)
 		case *[]float64:
 			*col, err = column[float64](d, c.kind)
 		case *[]eks.ConceptID:
@@ -232,7 +271,7 @@ func (d *flatDecoder) optionalColumns(family []flatColumn, has bool, absent stri
 	}
 	for _, c := range family {
 		if _, ok := d.secs[c.kind]; ok {
-			return corruptf("flat v4", "%s section present without %s", c.name, absent)
+			return corruptf("flat v4", "%s section present without %s", flatSectionName(c.kind), absent)
 		}
 	}
 	return nil

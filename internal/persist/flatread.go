@@ -2,7 +2,6 @@ package persist
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"unsafe"
 
@@ -205,46 +204,21 @@ func (d *flatDecoder) restoreFlat(backing core.SnapshotBacking) (*core.Ingestion
 	if err != nil {
 		return nil, err
 	}
-
-	gd := eks.FlatGraphData{Root: meta.eksRoot}
 	var sd kb.FlatStoreData
-	var maps core.FlatMappingsData
-	fd := core.FlatFrequencyData{Root: meta.freqRoot, Smoothing: meta.freqSmooth}
-	for _, family := range [][]flatColumn{graphColumns(&gd), storeColumns(&sd), mappingsColumns(&maps), frequencyColumns(&fd)} {
-		if err := d.columns(family); err != nil {
-			return nil, err
-		}
-	}
-	g, err := eks.NewFlatGraph(gd)
-	if err != nil {
-		return nil, restoreFailed(err)
+	if err := d.columns(storeColumns(&sd)); err != nil {
+		return nil, err
 	}
 	store, err := kb.NewFlatStore(onto, sd)
 	if err != nil {
 		return nil, restoreFailed(err)
 	}
-	ft, err := core.OpenFlatFrequencyTable(fd)
+	ing, err := d.openSource(0, eks.FlatGraphData{Root: meta.eksRoot},
+		core.FlatFrequencyData{Root: meta.freqRoot, Smoothing: meta.freqSmooth}, meta.shortcuts, store, onto)
 	if err != nil {
-		return nil, restoreFailed(err)
-	}
-	ing, err := core.NewFlatIngestion(onto.Contexts(), g, store, onto, ft, int(meta.shortcuts), maps)
-	if err != nil {
-		return nil, restoreFailed(err)
-	}
-
-	// The resolver has no meta bit: a bundle carries it when it carries the
-	// family's first section, and writers before it left the family out.
-	var ld match.FlatLookupData
-	lookup := lookupColumns(&ld)
-	_, hasLookup := d.secs[lookup[0].kind]
-	if err := d.optionalColumns(lookup, hasLookup, lookup[0].name); err != nil {
 		return nil, err
 	}
-	if hasLookup {
-		if ing.Lookup, err = match.OpenFlatLookup(g, ld); err != nil {
-			return nil, restoreFailed(err)
-		}
-	}
+	flagged := ing.FlatMappings().Flagged
+
 	md := core.FlatMaterializedData{Relax: core.RelaxOptions{
 		Radius:        int(meta.matRadius),
 		MaxRadius:     int(meta.matMax),
@@ -256,7 +230,7 @@ func (d *flatDecoder) restoreFlat(backing core.SnapshotBacking) (*core.Ingestion
 		return nil, err
 	}
 	if hasMat {
-		if ing.Materialized, err = core.OpenFlatMaterialized(md, maps.Flagged); err != nil {
+		if ing.Materialized, err = core.OpenFlatMaterialized(md, flagged); err != nil {
 			return nil, restoreFailed(err)
 		}
 	}
@@ -267,47 +241,105 @@ func (d *flatDecoder) restoreFlat(backing core.SnapshotBacking) (*core.Ingestion
 		return nil, err
 	}
 	if hasIndex {
-		if ing.Candidates, err = core.OpenFlatCandidateIndex(cd, maps.Flagged, gd.IDs); err != nil {
+		if ing.Candidates, err = core.OpenFlatCandidateIndex(cd, flagged, ing.Graph.FlatData().IDs); err != nil {
 			return nil, restoreFailed(err)
 		}
 	}
-	if meta.flags&metaHasSources != 0 {
-		if err := d.restoreSourcesSection(ing); err != nil {
+	ing.Backing = backing
+	if err := d.restoreSources(ing, meta.flags&metaHasSources != 0); err != nil {
+		return nil, err
+	}
+	return ing, nil
+}
+
+// openSource opens the graph, resolver, mapping and frequency families of the
+// source at a kind base over a store and ontology: the primary at base 0, and
+// each secondary at its own base over the primary's store and ontology. gd and
+// fd come with the scalars META or the sources table holds for the source, and
+// the columns complete them. The resolver has no flag: a source carries it
+// when it carries the family's first section, and writers before it left the
+// family out.
+func (d *flatDecoder) openSource(base uint32, gd eks.FlatGraphData, fd core.FlatFrequencyData, shortcuts int64,
+	store *kb.Store, onto *ontology.Ontology) (*core.Ingestion, error) {
+	var ld match.FlatLookupData
+	var maps core.FlatMappingsData
+	for _, family := range [][]flatColumn{
+		atSource(base, graphColumns(&gd)), atSource(base, mappingsColumns(&maps)), atSource(base, frequencyColumns(&fd)),
+	} {
+		if err := d.columns(family); err != nil {
 			return nil, err
 		}
-	} else if _, present := d.secs[secSources]; present {
-		return nil, corruptf("flat v4", "sources section present without the meta sources flag")
 	}
-
-	ing.Backing = backing
+	lookup := atSource(base, lookupColumns(&ld))
+	_, hasLookup := d.secs[lookup[0].kind]
+	if err := d.optionalColumns(lookup, hasLookup, flatSectionName(lookup[0].kind)); err != nil {
+		return nil, err
+	}
+	g, err := eks.NewFlatGraph(gd)
+	if err != nil {
+		return nil, restoreFailed(err)
+	}
+	var lk *match.LookupService
+	if hasLookup {
+		if lk, err = match.OpenFlatLookup(g, ld); err != nil {
+			return nil, restoreFailed(err)
+		}
+	}
+	ft, err := core.OpenFlatFrequencyTable(fd)
+	if err != nil {
+		return nil, restoreFailed(err)
+	}
+	ing, err := core.NewFlatIngestion(onto.Contexts(), g, store, onto, ft, int(shortcuts), maps)
+	if err != nil {
+		return nil, restoreFailed(err)
+	}
+	ing.Lookup = lk
 	return ing, nil
+}
+
+// restoreSources mounts the secondary sources the sources table lists on the
+// opened primary. Each is mapped like the primary, over its store, ontology
+// and backing, so it lives exactly as long as the primary does. A section at
+// the base of a source the table does not list is refused by name.
+func (d *flatDecoder) restoreSources(ing *core.Ingestion, has bool) error {
+	var st flatSources
+	if err := d.optionalColumns(sourcesColumns(&st), has, "the meta sources flag"); err != nil {
+		return err
+	}
+	n := len(st.Names)
+	if has && n == 0 {
+		return corruptf("flat v4", "the sources table is empty but the meta sources flag is set")
+	}
+	if len(st.Roots) != n || len(st.Shortcuts) != n || len(st.FreqRoots) != n || len(st.Smoothing) != n {
+		return corruptf("flat v4", "the sources table's columns disagree on its %d rows", n)
+	}
+	stray := uint32(0)
+	for kind := range d.secs {
+		if sourceOf(kind) > n && (stray == 0 || kind < stray) {
+			stray = kind
+		}
+	}
+	if stray != 0 {
+		return corruptf("flat v4", "%s section present without a row in the sources table", flatSectionName(stray))
+	}
+	for i, name := range st.Names {
+		src, err := d.openSource(sourceBase(i), eks.FlatGraphData{Root: st.Roots[i]},
+			core.FlatFrequencyData{Root: st.FreqRoots[i], Smoothing: st.Smoothing[i]}, st.Shortcuts[i], ing.Store, ing.Ontology)
+		if err != nil {
+			return fmt.Errorf("source %q: %w", name, err)
+		}
+		src.Backing = ing.Backing
+		ing.Sources = append(ing.Sources, core.NamedSource{Name: name, Ing: src})
+	}
+	if err := ing.ValidateSources(); err != nil {
+		return restoreFailed(err)
+	}
+	return nil
 }
 
 // restoreFailed is the error a component constructor's refusal becomes.
 func restoreFailed(err error) error {
 	return fmt.Errorf("%w: %v", corruptf("flat v4", "restore failed"), err)
-}
-
-// restoreSourcesSection decodes the JSON-encoded secondary sources (see
-// secSources) and mounts them on the already-assembled primary ingestion.
-// The secondaries restore onto the heap — only the primary's columns are
-// zero-copy.
-func (d *flatDecoder) restoreSourcesSection(ing *core.Ingestion) error {
-	payload, err := d.sec(secSources)
-	if err != nil {
-		return err
-	}
-	var dumps []sourceDump
-	if err := json.Unmarshal(payload, &dumps); err != nil {
-		return corruptf("flat v4", "source section decode failed: %v", err)
-	}
-	if len(dumps) == 0 {
-		return corruptf("flat v4", "source section is empty but meta flag set")
-	}
-	if err := restoreSources(dumps, ing); err != nil {
-		return restoreFailed(err)
-	}
-	return nil
 }
 
 // restoreOntology rebuilds the (small) domain ontology on the heap — it is

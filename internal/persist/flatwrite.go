@@ -2,7 +2,6 @@ package persist
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -103,24 +102,18 @@ func encodeFlat(ing *core.Ingestion) ([]flatSection, error) {
 		return nil, fmt.Errorf("persist: graph has no root")
 	}
 	fw := newFlatWriter()
-	meta := flatMeta{eksRoot: root, shortcuts: int64(ing.ShortcutsAdded)}
-
-	// The term resolver is the one adopted with the ingestion, or one built
-	// now, so a server opening the bundle adopts rather than tokenises.
-	lk := ing.Lookup
-	if lk == nil {
-		lk = match.NewLookupService(ing.Graph)
-	}
-	gd, ld, sd, maps, fd := ing.Graph.FlatData(), lk.FlatData(), ing.Store.FlatData(), ing.FlatMappings(), ing.Frequencies.FlatData()
-	meta.freqRoot, meta.freqSmooth = fd.Root, fd.Smoothing
+	fd := ing.Frequencies.FlatData()
+	meta := flatMeta{eksRoot: root, shortcuts: int64(ing.ShortcutsAdded), freqRoot: fd.Root, freqSmooth: fd.Smoothing}
 	// Sections go out in kind order, the ontology among the families: the
 	// string table lists strings in the order they are first met.
-	fw.addColumns(graphColumns(&gd))
-	fw.addColumns(lookupColumns(&ld))
+	graph, lookup, mappings, freqs := sourceFamilies(0, ing)
+	fw.addColumns(graph)
+	fw.addColumns(lookup)
 	flatOntologySections(fw, ing)
+	sd := ing.Store.FlatData()
 	fw.addColumns(storeColumns(&sd))
-	fw.addColumns(mappingsColumns(&maps))
-	fw.addColumns(frequencyColumns(&fd))
+	fw.addColumns(mappings)
+	fw.addColumns(freqs)
 	if ing.Materialized != nil {
 		md := ing.Materialized.FlatData()
 		meta.flags |= metaHasMaterialized
@@ -141,9 +134,24 @@ func encodeFlat(ing *core.Ingestion) ([]flatSection, error) {
 	}
 	if len(ing.Sources) > 0 {
 		meta.flags |= metaHasSources
-		if err := flatSourceSection(fw, ing); err != nil {
-			return nil, err
+		var st flatSources
+		for i, src := range ing.Sources {
+			root, ok := src.Ing.Graph.Root()
+			if !ok {
+				return nil, fmt.Errorf("persist: source %q: graph has no root", src.Name)
+			}
+			fd := src.Ing.Frequencies.FlatData()
+			st.Names = append(st.Names, src.Name)
+			st.Roots = append(st.Roots, root)
+			st.Shortcuts = append(st.Shortcuts, int64(src.Ing.ShortcutsAdded))
+			st.FreqRoots = append(st.FreqRoots, fd.Root)
+			st.Smoothing = append(st.Smoothing, fd.Smoothing)
+			graph, lookup, mappings, freqs := sourceFamilies(sourceBase(i), src.Ing)
+			for _, family := range [][]flatColumn{graph, lookup, mappings, freqs} {
+				fw.addColumns(family)
+			}
 		}
+		fw.addColumns(sourcesColumns(&st))
 	}
 
 	// The string table is complete only now; emit it with META and sort the
@@ -220,22 +228,15 @@ func flatOntologySections(fw *flatWriter, ing *core.Ingestion) {
 	fw.add(secOntoRels, fw.leRefs(relRefs))
 }
 
-// flatSourceSection emits the secondary named sources as one JSON-encoded
-// section (see secSources). Deterministic: sources serialize in mount order
-// and json.Marshal over the slice-and-scalar sourceDump is canonical.
-func flatSourceSection(fw *flatWriter, ing *core.Ingestion) error {
-	dumps := make([]sourceDump, 0, len(ing.Sources))
-	for _, src := range ing.Sources {
-		d, err := buildSourceDump(src)
-		if err != nil {
-			return err
-		}
-		dumps = append(dumps, d)
+// sourceFamilies is a source's graph, resolver, mapping and frequency families
+// at its kind base. The resolver is the one adopted with the ingestion, or one
+// built now, so a server opening the bundle adopts rather than tokenises.
+func sourceFamilies(base uint32, ing *core.Ingestion) (graph, lookup, mappings, freqs []flatColumn) {
+	lk := ing.Lookup
+	if lk == nil {
+		lk = match.NewLookupService(ing.Graph)
 	}
-	payload, err := json.Marshal(dumps)
-	if err != nil {
-		return fmt.Errorf("persist: encoding source section: %w", err)
-	}
-	fw.add(secSources, payload)
-	return nil
+	gd, ld, maps, fd := ing.Graph.FlatData(), lk.FlatData(), ing.FlatMappings(), ing.Frequencies.FlatData()
+	return atSource(base, graphColumns(&gd)), atSource(base, lookupColumns(&ld)),
+		atSource(base, mappingsColumns(&maps)), atSource(base, frequencyColumns(&fd))
 }

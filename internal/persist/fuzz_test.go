@@ -6,25 +6,23 @@ import (
 	"testing"
 )
 
-// FuzzLoadBundle throws arbitrary bytes at the bundle decoder. The
-// decoder's contract under fuzzing is: never panic, never hang, and when
-// it does accept an input, the result must survive serving validation or
-// be rejected by it — no third outcome. Seeds cover both real formats
-// plus the torn variants the crash-safety layer defends against, and the
-// retired forms, which must never load however they are mutated.
+// FuzzLoadBundle throws arbitrary bytes at what LoadFile does with a file:
+// the head classifier, then the flat decoder. Its contract under fuzzing is:
+// never panic, never hang, and when it does accept an input, the result must
+// survive serving validation or be rejected by it — no third outcome. Seeds
+// cover real bundles, single-source, accelerated and federated, the torn
+// variants the crash-safety layer defends against, and the retired forms,
+// which must never load however they are mutated.
 func FuzzLoadBundle(f *testing.F) {
 	ing := buildIngestion(f)
-	var jb bytes.Buffer
-	if err := Save(&jb, ing); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(jb.Bytes())
-	f.Add(jb.Bytes()[:len(jb.Bytes())/2])
+	jb := readFixture(f, "retired-v1.json")
+	f.Add(jb)
+	f.Add(jb[:len(jb)/2])
 	f.Add([]byte(`{"version":1}`))
 	f.Add([]byte{})
 
 	// Retired forms, whole and torn.
-	for _, name := range []string{"retired-v2.mrxb", "retired-v3.mrxb", "retired-v1-accel.json", "retired-postings.flat"} {
+	for _, name := range []string{"retired-v2.mrxb", "retired-v3.mrxb", "retired-v1-accel.json", "retired-postings.flat", "retired-sources-json.flat"} {
 		data := readFixture(f, name)
 		f.Add(data)
 		f.Add(data[:len(data)*3/4])
@@ -32,45 +30,28 @@ func FuzzLoadBundle(f *testing.F) {
 	f.Add(readFixture(f, "retired-v3.mrxb")[:16])
 	f.Add([]byte(retiredBinaryMagic))
 
-	// v4 seeds: flat bundles reach Load through the magic sniff. Flat
-	// encodes accelerations fixed-width, so seeds use the small accel
-	// build — full-fat fixtures overflow the fuzzer's shared memory.
-	smallAccel := buildSmallAccelIngestion(f)
-	var fb, fa bytes.Buffer
-	if err := SaveFlat(&fb, ing); err != nil {
-		f.Fatal(err)
-	}
-	if err := SaveFlat(&fa, smallAccel); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(fb.Bytes())
-	f.Add(fa.Bytes())
-	f.Add(fa.Bytes()[:len(fa.Bytes())/2])
+	// Flat seeds. Flat encodes accelerations fixed-width, so seeds use the
+	// small accel build — full-fat fixtures overflow the fuzzer's shared
+	// memory.
+	fa := saveFlatBytes(f, buildSmallAccelIngestion(f))
+	f.Add(saveFlatBytes(f, ing))
+	f.Add(fa)
+	f.Add(fa[:len(fa)/2])
 	f.Add([]byte("MRXF"))
 
-	// Multi-source seeds: federated bundles carrying the named-source
-	// section (flat) and field (JSON), whole and torn, so mutations explore
-	// the source-restore path too.
-	fed := buildFederatedIngestion(f)
-	var jf, ff bytes.Buffer
-	if err := Save(&jf, fed); err != nil {
-		f.Fatal(err)
-	}
-	if err := SaveFlat(&ff, fed); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(jf.Bytes())
-	f.Add(ff.Bytes())
-	f.Add(jf.Bytes()[:len(jf.Bytes())*3/4])
-	f.Add(ff.Bytes()[:len(ff.Bytes())*3/4])
+	// A federated bundle, whole and torn, so mutations explore the sources
+	// table and the secondary's families too.
+	ff := saveFlatBytes(f, buildFederatedIngestion(f))
+	f.Add(ff)
+	f.Add(ff[:len(ff)*3/4])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		restored, err := Load(bytes.NewReader(data))
+		restored, err := loadBytes(data)
 		if err != nil {
 			return
 		}
-		if bytes.HasPrefix(data, []byte(retiredBinaryMagic)) {
-			t.Fatalf("a %s stream loaded", retiredBinaryMagic)
+		if !bytes.HasPrefix(data, []byte(flatMagic)) {
+			t.Fatalf("a bundle without the flat magic loaded: %q", data[:min(len(data), 8)])
 		}
 		// Accepted input: the decoder vouched for it, so it must be
 		// internally consistent enough for ValidateForServing to give a

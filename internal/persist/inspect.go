@@ -1,9 +1,7 @@
 package persist
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"os"
 	"slices"
@@ -24,11 +22,10 @@ type SectionInfo struct {
 
 // BundleInfo is the result of InspectFile: enough to answer "what is this
 // file and can I trust it" without restoring the ingestion. CRCOK is the
-// whole-bundle verdict (every checksum the format carries); Sections lists
-// the per-section breakdown where the format has sections (v4; v1 reports
-// its single document).
+// whole-bundle verdict (the directory's and every section's checksum);
+// Sections lists the per-section breakdown.
 type BundleInfo struct {
-	Format    string // "json v1", "flat v4"; a retired stream "binary v2", "binary v3"
+	Format    string // "flat v4"; a retired form "json v1", "binary v2", "binary v3"
 	Version   int
 	SizeBytes int64
 	CRCOK     bool
@@ -74,55 +71,29 @@ func storeDepth(secs map[uint32][]byte) *StoreDepth {
 	return s
 }
 
-// InspectFile reads a bundle of any format and reports its structure and
-// checksum status without building an ingestion. Unlike Load, a checksum
-// mismatch is NOT an error here — it is the finding (CRCOK false, and per
-// section for v4), so operators can inspect a suspect file. A file whose
-// format cannot be identified at all fails; a file in a retired form gets
-// both — what its header or directory says, and the error Load would give.
+// InspectFile reads a bundle and reports its structure and checksum status
+// without building an ingestion. Unlike LoadFile, a checksum mismatch is NOT
+// an error here — it is the finding (CRCOK false, per section), so operators
+// can inspect a suspect file. A file whose form cannot be identified at all
+// fails; a file in a retired form gets both — what its header or directory
+// says, and the error LoadFile would give.
 func InspectFile(path string) (*BundleInfo, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("persist: reading bundle: %w", err)
 	}
 	info := &BundleInfo{SizeBytes: int64(len(data))}
+	info.Format, info.Version, err = classifyHead(data)
 	switch {
-	case bytes.HasPrefix(data, []byte(flatMagic)):
+	case err == nil:
 		return inspectFlat(data, info)
-	case bytes.HasPrefix(data, []byte(retiredBinaryMagic)):
-		var err error
-		info.Format, info.Version, err = retiredBinary(data)
-		return info, err
-	case looksLikeJSONStart(data):
-		return inspectJSON(data, info)
+	case info.Format == "unknown":
+		return nil, err
 	}
-	return nil, corruptf("unknown", "no recognizable bundle header")
-}
-
-func inspectJSON(data []byte, info *BundleInfo) (*BundleInfo, error) {
-	info.Format = "json v1"
-	var doc v1Document
-	if err := json.Unmarshal(data, &doc); err != nil {
-		// Undecodable JSON: identified as v1 by shape, but nothing inside it
-		// can be trusted or reported.
-		info.CRCOK = false
-		return info, nil
-	}
-	info.Version = doc.Version
-	if err := doc.retiredJSONKeys.err(); err != nil {
-		// The checksum covered keys this reader drops; it says nothing.
-		return info, err
-	}
-	info.CRCOK = verifyJSONChecksum(&doc.Bundle) == nil
-	info.Sections = []SectionInfo{{Name: "document", Length: uint64(len(data)), CRCOK: info.CRCOK}}
-	for _, s := range doc.Sources {
-		info.Sources = append(info.Sources, s.Name)
-	}
-	return info, nil
+	return info, err
 }
 
 func inspectFlat(data []byte, info *BundleInfo) (*BundleInfo, error) {
-	info.Format = "flat v4"
 	if len(data) < flatHeaderSize {
 		info.CRCOK = false
 		return info, nil
@@ -166,11 +137,10 @@ func inspectFlat(data []byte, info *BundleInfo) (*BundleInfo, error) {
 		}
 	}
 	info.CRCOK = ok
-	var dumps []sourceDump
-	if payload, ok := checked[secSources]; ok && json.Unmarshal(payload, &dumps) == nil {
-		for _, d := range dumps {
-			info.Sources = append(info.Sources, d.Name)
-		}
+	d := &flatDecoder{secs: checked}
+	var st flatSources
+	if d.initStrings() == nil && d.columns(sourcesColumns(&st)) == nil {
+		info.Sources = st.Names
 	}
 	info.Store = storeDepth(checked)
 	return info, retired

@@ -78,7 +78,7 @@ func TestFlatParentBundleStillOpens(t *testing.T) {
 	if err != nil {
 		t.Fatalf("opening a parent-written bundle: %v", err)
 	}
-	now, err := Load(bytes.NewReader(current))
+	now, err := loadBytes(current)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestFlatColumnsOffTheFastPath(t *testing.T) {
 	if !bytes.Equal(fast, slow) {
 		t.Fatal("the writer's bytes depend on the host's byte order")
 	}
-	decoded, err := Load(bytes.NewReader(slow))
+	decoded, err := loadBytes(slow)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,20 +2,18 @@ package persist
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"medrelax/internal/core"
-	"medrelax/internal/corpus"
 	"medrelax/internal/eks"
-	"medrelax/internal/kb"
 	"medrelax/internal/medkb"
-	"medrelax/internal/ontology"
 	"medrelax/internal/synthkb"
 )
 
@@ -50,15 +48,37 @@ func (m exactMapper) Map(name string) (eks.ConceptID, bool) {
 	return ids[0], true
 }
 
-func TestRoundTrip(t *testing.T) {
-	ing := buildIngestion(t)
-	var buf bytes.Buffer
-	if err := Save(&buf, ing); err != nil {
+// loadBytes is LoadFile over bytes in memory: the head classifier, then the
+// flat decoder over an aligned heap copy, where LoadFile maps the file.
+func loadBytes(data []byte) (*core.Ingestion, error) {
+	if _, _, err := classifyHead(data[:min(len(data), flatHeaderSize)]); err != nil {
+		return nil, err
+	}
+	buf := alignedBytes(len(data))
+	copy(buf, data)
+	return openFlatBytes(buf, &mapRef{size: int64(len(buf))})
+}
+
+// writeBundle writes bytes to a file under a name that says nothing of them.
+func writeBundle(t *testing.T, name string, data []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Load(&buf)
+	return path
+}
+
+// TestRoundTrip takes an ingestion through a bundle opened from a heap copy,
+// the path a bundle takes where no mapping is to be had.
+func TestRoundTrip(t *testing.T) {
+	ing := buildIngestion(t)
+	restored, err := loadBytes(saveFlatBytes(t, ing))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if restored.Backing == nil || restored.Backing.Mapped() {
+		t.Errorf("a bundle opened from a heap copy reports backing %v", restored.Backing)
 	}
 
 	// Structural equality.
@@ -82,165 +102,121 @@ func TestRoundTrip(t *testing.T) {
 	}
 
 	// Behavioural equality: identical relaxation results on both sides.
-	ctx := &ontology.Context{Domain: "Indication", Relationship: "hasFinding", Range: "Finding"}
-	simA := core.NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
-	simB := core.NewSimilarity(restored.Graph, restored.Frequencies, restored.Ontology)
-	relA := core.NewRelaxer(ing, simA, exactMapper{ing.Graph}, core.RelaxOptions{Radius: 3})
-	relB := core.NewRelaxer(restored, simB, exactMapper{restored.Graph}, core.RelaxOptions{Radius: 3})
-	checked := 0
-	for _, q := range ing.FlaggedIDs() {
-		if checked == 25 {
-			break
-		}
-		checked++
-		a := relA.RelaxConcept(q, ctx, 0)
-		b := relB.RelaxConcept(q, ctx, 0)
-		if len(a) != len(b) {
-			t.Fatalf("query %d: %d vs %d results", q, len(a), len(b))
-		}
-		for i := range a {
-			if a[i].Concept != b[i].Concept || a[i].Score != b[i].Score {
-				t.Fatalf("query %d rank %d: %+v vs %+v", q, i, a[i], b[i])
-			}
-		}
-	}
+	assertSameRelaxations(t, ing, restored)
 }
 
+// TestRoundTripDeterministicBytes: two independent builds of the same world,
+// single-source and federated, save to the same bytes.
 func TestRoundTripDeterministicBytes(t *testing.T) {
-	ing := buildIngestion(t)
-	var a, b bytes.Buffer
-	if err := Save(&a, ing); err != nil {
-		t.Fatal(err)
-	}
-	if err := Save(&b, ing); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("serialization is not byte-deterministic")
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	cases := map[string]string{
-		"empty":       "",
-		"not json":    "hello",
-		"wrong shape": `{"version": 1, "eksEdges": "nope"}`,
-	}
-	for name, in := range cases {
-		if _, err := Load(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: Load must fail", name)
+	for name, build := range map[string]func(testing.TB) *core.Ingestion{"single": buildIngestion, "federated": buildFederatedIngestion} {
+		if !bytes.Equal(saveFlatBytes(t, build(t)), saveFlatBytes(t, build(t))) {
+			t.Errorf("%s: two builds of one world save to different bytes", name)
 		}
 	}
 }
 
+// TestLoadRejectsGarbage: what is no bundle fails typed, a JSON document of
+// any shape as the retired v1 bundle.
+func TestLoadRejectsGarbage(t *testing.T) {
+	cases := map[string]struct{ in, form string }{
+		"empty":       {"", "unknown"},
+		"not json":    {"hello", "unknown"},
+		"wrong shape": {`{"version": 1, "eksEdges": "nope"}`, "json v1"},
+	}
+	for name, tc := range cases {
+		_, err := LoadFile(writeBundle(t, "bundle", []byte(tc.in)))
+		if !errors.Is(err, ErrCorruptBundle) || !strings.Contains(err.Error(), "("+tc.form+")") {
+			t.Errorf("%s: LoadFile = %v, want ErrCorruptBundle (%s)", name, err, tc.form)
+		}
+	}
+}
+
+// TestLoadRejectsWrongVersion: a flat bundle of another version is refused by
+// its version; a JSON document of any version is the retired v1 bundle.
 func TestLoadRejectsWrongVersion(t *testing.T) {
-	if _, err := Load(strings.NewReader(`{"version": 99}`)); err == nil {
-		t.Error("wrong version must fail")
+	flat := saveFlatBytes(t, buildIngestion(t))
+	binary.LittleEndian.PutUint32(flat[4:], 99)
+	for doc, want := range map[string]string{string(flat): "bundle version 99", `{"version": 99}`: "json v1"} {
+		if _, err := LoadFile(writeBundle(t, "bundle", []byte(doc))); !errors.Is(err, ErrCorruptBundle) || !strings.Contains(err.Error(), want) {
+			t.Errorf("LoadFile = %v, want ErrCorruptBundle saying %q", err, want)
+		}
 	}
 }
 
+// TestLoadRejectsDanglingMapping points one mapping at a concept the graph
+// does not contain under valid checksums: restore-time validation, not a
+// CRC, must catch it.
 func TestLoadRejectsDanglingMapping(t *testing.T) {
-	ing := buildIngestion(t)
-	var buf bytes.Buffer
-	if err := Save(&buf, ing); err != nil {
-		t.Fatal(err)
-	}
-	// Point one mapping at a concept the graph does not contain, then
-	// re-checksum: the corruption must be caught by restore-time
-	// validation, not the CRC.
-	var b Bundle
-	if err := json.Unmarshal(buf.Bytes(), &b); err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Mappings) == 0 {
-		t.Fatal("bundle has no mappings")
-	}
-	b.Mappings[0].Concept = 1 << 40
-	b.CRC32 = 0
-	raw, err := json.Marshal(&b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.CRC32 = crc32.ChecksumIEEE(raw)
-	raw, err = json.Marshal(&b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Load(bytes.NewReader(raw))
-	if err == nil {
-		t.Fatal("dangling mapping must fail")
-	}
+	_, err := openEdited(t, buildIngestion(t), secMapCon, func(p []byte) []byte {
+		binary.LittleEndian.PutUint64(p, 1<<40)
+		return p
+	})
 	if !errors.Is(err, ErrCorruptBundle) {
-		t.Errorf("dangling mapping error is not ErrCorruptBundle: %v", err)
+		t.Errorf("dangling mapping: %v, want ErrCorruptBundle", err)
 	}
 }
 
+// openEdited saves an ingestion's sections, rewrites one section's payload
+// (a copy: it may alias the ingestion) and opens the result, every checksum
+// valid.
+func openEdited(t *testing.T, ing *core.Ingestion, kind uint32, edit func(p []byte) []byte) (*core.Ingestion, error) {
+	t.Helper()
+	sections, err := encodeFlat(ing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(sections, func(s flatSection) bool { return s.kind == kind })
+	if i < 0 {
+		t.Fatalf("the writer emitted no %s section", flatSectionName(kind))
+	}
+	sections[i].payload = edit(bytes.Clone(sections[i].payload))
+	data := flatBytes(t, sections)
+	return openFlatBytes(data, &mapRef{size: int64(len(data))})
+}
+
+// TestFrequencySnapshotRoundTrip: the frequency table's columns come back
+// from a bundle as they went in — every label's values, and the aggregate —
+// and columns that disagree in length are refused.
 func TestFrequencySnapshotRoundTrip(t *testing.T) {
 	ing := buildIngestion(t)
-	snap := ing.Frequencies.Snapshot()
-	restored, err := core.RestoreFrequencyTable(snap)
+	restored, err := loadBytes(saveFlatBytes(t, ing))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ls := range snap.Labels {
-		for i, id := range ls.IDs {
-			if got := restored.Raw(id, ls.Label); got != ls.Values[i] {
-				t.Fatalf("raw(%d, %s) = %v, want %v", id, ls.Label, got, ls.Values[i])
-			}
+	want, got := ing.Frequencies.FlatData(), restored.Frequencies.FlatData()
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("the frequency columns differ after a round trip")
+	}
+	for _, id := range want.IDs {
+		if restored.Frequencies.RawAggregate(id) != ing.Frequencies.RawAggregate(id) {
+			t.Fatalf("aggregate mismatch for %d", id)
 		}
 	}
-	// Aggregate is rebuilt.
-	for _, ls := range snap.Labels {
-		for _, id := range ls.IDs {
-			if restored.RawAggregate(id) != ing.Frequencies.RawAggregate(id) {
-				t.Fatalf("aggregate mismatch for %d", id)
-			}
-		}
+	_, err = openEdited(t, ing, secFreqVals, func(p []byte) []byte { return p[:len(p)-8] })
+	if !errors.Is(err, ErrCorruptBundle) {
+		t.Errorf("a values column one short: %v, want ErrCorruptBundle", err)
 	}
-	// Malformed snapshot rejected.
-	bad := core.FrequencySnapshot{Labels: []core.FrequencyLabelSnapshot{{Label: "x", IDs: []eks.ConceptID{1}, Values: nil}}}
-	if _, err := core.RestoreFrequencyTable(bad); err == nil {
-		t.Error("mismatched snapshot must fail")
-	}
-	_ = kb.InstanceID(0)
-	_ = corpus.Document{}
 }
 
-// TestJSONStillLoads: v1 remains the inspection format — a JSON bundle must
-// keep loading through a stream, sniffed by its first byte and not by a file
-// name, to an ingestion that serializes to the same document.
+// TestJSONStillLoads: a JSON document still gets as far as the head
+// classifier, which knows it by its first byte — not by the file's name, nor
+// past leading whitespace — and names it; nothing decodes it further.
 func TestJSONStillLoads(t *testing.T) {
-	var first, again bytes.Buffer
-	if err := Save(&first, buildIngestion(t)); err != nil {
-		t.Fatal(err)
+	doc := append([]byte("\n  "), readFixture(t, "retired-v1.json")...)
+	path := writeBundle(t, "bundle.flat", doc)
+	if _, err := LoadFile(path); !errors.Is(err, ErrCorruptBundle) || !strings.Contains(err.Error(), "(json v1)") {
+		t.Errorf("LoadFile = %v, want the retired json v1 refusal", err)
 	}
-	if first.Bytes()[0] != '{' {
-		t.Fatal("a JSON bundle opens with an object")
-	}
-	want := append([]byte(nil), first.Bytes()...)
-	restored, err := Load(&first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Save(&again, restored); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again.Bytes(), want) {
-		t.Errorf("re-serialized bundle differs (%d vs %d bytes)", again.Len(), len(want))
+	if info, err := InspectFile(path); err == nil || info == nil || info.Format != "json v1" {
+		t.Errorf("InspectFile = %+v, %v, want json v1 and the refusal", info, err)
 	}
 }
 
+// TestLoadFileRoundTrip: a flat bundle loads whatever it is called.
 func TestLoadFileRoundTrip(t *testing.T) {
 	ing := buildIngestion(t)
 	path := filepath.Join(t.TempDir(), "bundle.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Save(f, ing); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := SaveFileAtomic(path, ing, FormatFlat); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := LoadFile(path)

@@ -1,17 +1,17 @@
 package persist
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 )
 
-// Input forms this package once read and now refuses by name. Each carried
-// derived data — or, for the binary stream, everything — in an encoding
-// nothing writes any more; a bundle in one of them is rebuilt from its
-// sources, not converted. A reader that meets one fails with an error
-// wrapping ErrCorruptBundle that names the form, before any checksum is
-// looked at: "this file is corrupt" would send an operator looking for a bad
-// disk.
+// Input forms this package once read and now refuses by name. Each is an
+// encoding nothing writes any more — a whole-bundle codec (the JSON v1
+// document, the binary stream), or a flat section laid out another way; a
+// bundle in one of them is rebuilt from its sources, not converted. A reader
+// that meets one fails with an error wrapping ErrCorruptBundle that names the
+// form, before any checksum is looked at: "this file is corrupt" would send
+// an operator looking for a bad disk.
 
 // retiredBinaryMagic opened the varint-packed binary stream (version byte 2,
 // or 3 with the acceleration sections appended): magic, version, CRC-32.
@@ -27,9 +27,33 @@ const secMatCands uint32 = 86
 // stored the geometry columns the kernel scores.
 const retiredCidxFirst, retiredCidxLast uint32 = 90, 93
 
+// secSourcesJSON held a federated flat bundle's secondary sources as one JSON
+// document, restored onto the heap at every open, before each source became
+// column families at a kind base of its own (sourceBase).
+const secSourcesJSON uint32 = 100
+
 // retiredf is the error a retired input form fails with.
 func retiredf(format, what string, args ...any) error {
-	return corruptf(format, "%s is a retired form no reader decodes; rebuild the bundle with -format flat", fmt.Sprintf(what, args...))
+	return corruptf(format, "%s is a retired form no reader decodes; rebuild the bundle with medrelax -save", fmt.Sprintf(what, args...))
+}
+
+// classifyHead names the form a bundle's first bytes announce: a flat bundle
+// (no error), the binary stream or a JSON document (each with the error it
+// fails with, whatever else is in the file), or no bundle at all. LoadFile
+// and InspectFile both ask it.
+func classifyHead(head []byte) (format string, version int, err error) {
+	switch {
+	case bytes.HasPrefix(head, []byte(flatMagic)):
+		return "flat v4", VersionFlat, nil
+	case bytes.HasPrefix(head, []byte(retiredBinaryMagic)):
+		return retiredBinary(head)
+	case looksLikeJSONStart(head):
+		// The only JSON bundle there ever was, whatever its keys say.
+		return "json v1", 1, retiredf("json v1", "a JSON document (the v1 bundle)")
+	case len(head) < len(flatMagic):
+		return "unknown", 0, corruptf("unknown", "truncated header (%d bytes)", len(head))
+	}
+	return "unknown", 0, corruptf("unknown", "no flat magic and no JSON object at byte 0")
 }
 
 // retiredBinary names a binary stream from its header: the version byte
@@ -43,42 +67,34 @@ func retiredBinary(head []byte) (format string, version int, err error) {
 	return format, version, retiredf(format, "the %s stream format (binary v2/v3)", retiredBinaryMagic)
 }
 
-// retiredJSONKeys catches the keys under which a v1 document carried the
-// materialized store and the candidate index. Decoded beside Bundle, which
-// no longer has them, so such a document is refused by name and not for the
-// checksum its dropped keys would break.
-type retiredJSONKeys struct {
-	Materialized   json.RawMessage `json:"materialized"`
-	CandidateIndex json.RawMessage `json:"candidateIndex"`
-}
-
-// v1Document is a v1 document as a reader decodes it.
-type v1Document struct {
-	Bundle
-	retiredJSONKeys
-}
-
-func (k retiredJSONKeys) err() error {
-	const form = "a v1 document with a %q key (accelerated v1)"
-	switch {
-	case k.Materialized != nil:
-		return retiredf("json v1", form, "materialized")
-	case k.CandidateIndex != nil:
-		return retiredf("json v1", form, "candidateIndex")
+// looksLikeJSONStart reports whether the first bytes could open a JSON
+// document (an object brace, possibly after whitespace).
+func looksLikeJSONStart(head []byte) bool {
+	for _, c := range head {
+		switch c {
+		case ' ', '\t', '\n', '\r':
+			continue
+		case '{':
+			return true
+		default:
+			return false
+		}
 	}
-	return nil
+	return false
 }
 
 // retiredFlatSection refuses a flat bundle for holding its materialized
-// candidates in section 86 or its candidate index in sections 90–93; every
-// other kind passes.
+// candidates in section 86, its candidate index in sections 90–93 or its
+// secondary sources in section 100; every other kind passes.
 func retiredFlatSection(kind uint32) error {
 	switch {
 	case kind == secMatCands:
 		return retiredf("flat v4", "a materialized store in section %d (24-byte candidate records)", secMatCands)
 	case kind >= retiredCidxFirst && kind <= retiredCidxLast:
-		return corruptf("flat v4", "a candidate index held as candidate-index postings (sections %d–%d) is a retired form no reader decodes; rebuild with -index -format flat",
+		return corruptf("flat v4", "a candidate index held as candidate-index postings (sections %d–%d) is a retired form no reader decodes; rebuild with medrelax -save -index",
 			retiredCidxFirst, retiredCidxLast)
+	case kind == secSourcesJSON:
+		return retiredf("flat v4", "a federated bundle holding its secondary sources in section %d (one JSON document)", secSourcesJSON)
 	}
 	return nil
 }

@@ -3,45 +3,20 @@ package persist
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"medrelax/internal/core"
+	"medrelax/internal/eks"
 	"medrelax/internal/match"
 	"medrelax/internal/medkb"
 	"medrelax/internal/synthkb"
 )
-
-// decodeBundleForTest / reencodeBundleForTest open a saved v1 document for
-// deliberate mutation and re-stamp its checksum, so only restore-time
-// validation can catch the damage.
-func decodeBundleForTest(raw []byte) (*Bundle, error) {
-	var b Bundle
-	if err := json.Unmarshal(raw, &b); err != nil {
-		return nil, err
-	}
-	return &b, nil
-}
-
-func reencodeBundleForTest(t *testing.T, b *Bundle) []byte {
-	t.Helper()
-	b.CRC32 = 0
-	raw, err := json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.CRC32 = crc32.ChecksumIEEE(raw)
-	raw, err = json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
-}
 
 // buildFederatedIngestion produces an ingestion with a mounted secondary
 // source: the variant vocabulary derived from the same small world
@@ -103,45 +78,56 @@ func assertSourcesRestored(t *testing.T, want, got *core.Ingestion) {
 		if r.Ing.Store != got.Store {
 			t.Errorf("source %q does not share the primary's store", src.Name)
 		}
+		assertSameRelaxations(t, src.Ing, r.Ing)
 	}
 	if err := ValidateForServing(got); err != nil {
 		t.Errorf("ValidateForServing on a federated bundle: %v", err)
 	}
 }
 
+// TestJSONSourcesRoundTrip, named for the document that carried sources
+// before the sources table: a federated bundle opened from a heap copy brings
+// every secondary back, each of its sections at the source's kind base and
+// named for it.
 func TestJSONSourcesRoundTrip(t *testing.T) {
 	ing := buildFederatedIngestion(t)
-	var buf bytes.Buffer
-	if err := Save(&buf, ing); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Load(bytes.NewReader(buf.Bytes()))
+	data := saveFlatBytes(t, ing)
+	restored, err := loadBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSourcesRestored(t, ing, restored)
 
-	// Determinism with sources present.
-	var again bytes.Buffer
-	if err := Save(&again, ing); err != nil {
+	info, err := InspectFile(writeBundle(t, "fed.flat", data))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-		t.Error("federated JSON serialization is not byte-deterministic")
+	var secondary []string
+	for _, s := range info.Sections {
+		if sourceOf(s.Kind) > 0 {
+			secondary = append(secondary, s.Name)
+			if s.Kind-sourceBase(0) != kindOf(t, strings.TrimPrefix(s.Name, "source1.")) {
+				t.Errorf("section %s at kind %d is not its primary's kind at source 1's base", s.Name, s.Kind)
+			}
+		}
+	}
+	families := len(graphColumns(new(eks.FlatGraphData))) + len(lookupColumns(new(match.FlatLookupData))) +
+		len(mappingsColumns(new(core.FlatMappingsData))) + len(frequencyColumns(new(core.FlatFrequencyData)))
+	if len(secondary) != families {
+		t.Errorf("the secondary has %d sections %v, want its %d family sections", len(secondary), secondary, families)
 	}
 }
 
-// A classic single-source bundle must not mention the sources field at all —
-// v1 bytes written by this version stay identical to earlier versions.
-func TestJSONSingleSourceOmitsSourcesField(t *testing.T) {
-	ing := buildIngestion(t)
-	var buf bytes.Buffer
-	if err := Save(&buf, ing); err != nil {
-		t.Fatal(err)
+// kindOf is the primary kind of a section name.
+func kindOf(t *testing.T, name string) uint32 {
+	t.Helper()
+	for kind, n := range flatSectionNames {
+		if n == name {
+			return kind
+		}
 	}
-	if bytes.Contains(buf.Bytes(), []byte(`"sources"`)) {
-		t.Error("single-source v1 bundle serializes a sources field")
-	}
+	t.Fatalf("no section is named %s", name)
+	return 0
 }
 
 func TestFlatSourcesRoundTrip(t *testing.T) {
@@ -159,13 +145,18 @@ func TestFlatSourcesRoundTrip(t *testing.T) {
 	}
 }
 
-// A single-source flat bundle carries neither the sources section nor the
-// meta flag.
+// A single-source flat bundle carries neither the sources table nor a
+// section at a source's base.
 func TestFlatSingleSourceOmitsSourcesSection(t *testing.T) {
 	ing := buildIngestion(t)
-	data := saveFlatBytes(t, ing)
-	if _, _, ok := findFlatSection(data, secSources); ok {
-		t.Error("single-source flat bundle carries a sources section")
+	sections, err := encodeFlat(ing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range sections {
+		if s.kind == secSrcNames || sourceOf(s.kind) > 0 {
+			t.Errorf("single-source flat bundle carries a %s section", flatSectionName(s.kind))
+		}
 	}
 	restored, err := OpenFlat(writeFlatFile(t, ing))
 	if err != nil {
@@ -207,14 +198,15 @@ func restampMeta(d []byte) {
 	}
 }
 
-// TestFlatSourcesCorruption extends the corruption table to the federated
-// section: every tear, flip, and flag/section inconsistency must surface as
+// TestFlatSourcesCorruption extends the corruption table to the sources:
+// every tear, flip, and flag/table inconsistency must surface as
 // ErrCorruptBundle, never as a silently single-source world.
 func TestFlatSourcesCorruption(t *testing.T) {
 	ing := buildFederatedIngestion(t)
 	pristine := saveFlatBytes(t, ing)
-	if _, _, ok := findFlatSection(pristine, secSources); !ok {
-		t.Fatal("federated flat bundle lacks a sources section")
+	graphIDs := sourceBase(0) + secGraphIDs
+	if _, _, ok := findFlatSection(pristine, graphIDs); !ok {
+		t.Fatal("federated flat bundle lacks the secondary's graph")
 	}
 
 	metaFlagsOff := func(d []byte) uint64 {
@@ -224,18 +216,28 @@ func TestFlatSourcesCorruption(t *testing.T) {
 		}
 		return off + 32
 	}
+	// rekind moves a section to another kind under valid directory checksums.
+	rekind := func(d []byte, from, to uint32) {
+		nSec := int(binary.LittleEndian.Uint32(d[8:]))
+		dirOff := binary.LittleEndian.Uint64(d[16:])
+		for i := 0; i < nSec; i++ {
+			if binary.LittleEndian.Uint32(d[dirOff+uint64(i)*flatDirEntrySize:]) == from {
+				patchDirEntry(d, i, 0, func(f []byte) { binary.LittleEndian.PutUint32(f, to) })
+			}
+		}
+	}
 
 	cases := []struct {
 		name   string
 		mutate func(d []byte) []byte
 	}{
 		{"sources payload bit flip", func(d []byte) []byte {
-			off, length, _ := findFlatSection(d, secSources)
+			off, length, _ := findFlatSection(d, graphIDs)
 			d[off+length/2] ^= 0x20
 			return d
 		}},
 		{"sources payload first byte flip", func(d []byte) []byte {
-			off, _, _ := findFlatSection(d, secSources)
+			off, _, _ := findFlatSection(d, secSrcNames)
 			d[off] ^= 0xFF
 			return d
 		}},
@@ -244,7 +246,7 @@ func TestFlatSourcesCorruption(t *testing.T) {
 			dirOff := binary.LittleEndian.Uint64(d[16:])
 			for i := 0; i < nSec; i++ {
 				e := d[dirOff+uint64(i)*flatDirEntrySize:]
-				if binary.LittleEndian.Uint32(e) == secSources {
+				if binary.LittleEndian.Uint32(e) == graphIDs {
 					patchDirEntry(d, i, 16, func(f []byte) {
 						l := binary.LittleEndian.Uint64(f)
 						binary.LittleEndian.PutUint64(f, l/2)
@@ -261,16 +263,7 @@ func TestFlatSourcesCorruption(t *testing.T) {
 			return d
 		}},
 		{"flag set but sources section missing", func(d []byte) []byte {
-			nSec := int(binary.LittleEndian.Uint32(d[8:]))
-			dirOff := binary.LittleEndian.Uint64(d[16:])
-			for i := 0; i < nSec; i++ {
-				e := d[dirOff+uint64(i)*flatDirEntrySize:]
-				if binary.LittleEndian.Uint32(e) == secSources {
-					patchDirEntry(d, i, 0, func(f []byte) {
-						binary.LittleEndian.PutUint32(f, 9999)
-					})
-				}
-			}
+			rekind(d, secSrcNames, 9999)
 			return d
 		}},
 	}
@@ -288,50 +281,130 @@ func TestFlatSourcesCorruption(t *testing.T) {
 			}
 		})
 	}
+
+	// Every section of the sources table and of the secondary's families:
+	// missing, or (the table's) kept without the meta sources flag.
+	sections, err := encodeFlat(ing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := sourceBase(0)
+	runFlatEdits(t, sections, familyEdits([][]flatColumn{
+		sourcesColumns(new(flatSources)),
+		atSource(base, graphColumns(new(eks.FlatGraphData))),
+		atSource(base, lookupColumns(new(match.FlatLookupData))),
+		atSource(base, mappingsColumns(new(core.FlatMappingsData))),
+		atSource(base, frequencyColumns(new(core.FlatFrequencyData))),
+	}))
 }
 
-// Restore-time source validation: a decodable bundle whose source payload is
-// semantically broken (dangling mapping, duplicate name, the reserved
-// primary name) must be rejected.
-func TestJSONSourcesValidation(t *testing.T) {
-	ing := buildFederatedIngestion(t)
-
-	mutate := func(t *testing.T, f func(*Bundle)) error {
-		t.Helper()
-		var buf bytes.Buffer
-		if err := Save(&buf, ing); err != nil {
-			t.Fatal(err)
-		}
-		b, err := decodeBundleForTest(buf.Bytes())
+// TestFlatStraySourceSectionRefused: a section at the kind base of a source
+// the sources table does not list is refused by its name — in a federated
+// bundle one source past the table, in a single-source bundle at any base.
+func TestFlatStraySourceSectionRefused(t *testing.T) {
+	for _, tc := range []struct {
+		ing  *core.Ingestion
+		from uint32
+		want string
+	}{
+		{buildFederatedIngestion(t), sourceBase(0) + secGraphIDs, "source2.graphIDs"},
+		{buildIngestion(t), secGraphIDs, "source1.graphIDs"},
+	} {
+		sections, err := encodeFlat(tc.ing)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f(b)
-		raw := reencodeBundleForTest(t, b)
-		_, err = Load(bytes.NewReader(raw))
-		return err
+		i := slices.IndexFunc(sections, func(s flatSection) bool { return s.kind == tc.from })
+		stray := flatSection{kind: tc.from + sourceKindStride, payload: sections[i].payload}
+		data := flatBytes(t, append(sections, stray))
+		_, err = openFlatBytes(data, &mapRef{size: int64(len(data))})
+		if !errors.Is(err, ErrCorruptBundle) || !slices.Contains(strings.Fields(err.Error()), tc.want) {
+			t.Errorf("a stray %s: %v, want ErrCorruptBundle naming it", tc.want, err)
+		}
 	}
+}
 
+// TestJSONSourcesValidation, named for the document that carried sources
+// before the sources table: a bundle whose checksums hold but whose sources
+// table is semantically broken — an empty name, the reserved primary name,
+// a duplicate name, a dangling mapping, a root outside the graph — must be
+// refused.
+func TestJSONSourcesValidation(t *testing.T) {
+	ing := buildFederatedIngestion(t)
+	variant := ing.Sources[0]
+	renamed := func(names ...string) func() *core.Ingestion {
+		return func() *core.Ingestion {
+			cp := *ing
+			cp.Sources = nil
+			for _, name := range names {
+				cp.Sources = append(cp.Sources, core.NamedSource{Name: name, Ing: variant.Ing})
+			}
+			return &cp
+		}
+	}
+	word64 := func(v uint64) func(p []byte) []byte {
+		return func(p []byte) []byte { binary.LittleEndian.PutUint64(p, v); return p }
+	}
+	keep := func(p []byte) []byte { return p }
 	cases := []struct {
 		name string
-		f    func(*Bundle)
+		ing  func() *core.Ingestion
+		kind uint32
+		edit func(p []byte) []byte
 	}{
-		{"empty source name", func(b *Bundle) { b.Sources[0].Name = "" }},
-		{"reserved primary name", func(b *Bundle) { b.Sources[0].Name = core.PrimarySourceName }},
-		{"duplicate source names", func(b *Bundle) { b.Sources = append(b.Sources, b.Sources[0]) }},
-		{"dangling source mapping", func(b *Bundle) { b.Sources[0].Mappings[0].Concept = 1 << 40 }},
-		{"source root outside graph", func(b *Bundle) { b.Sources[0].EKSRoot = 1 << 40 }},
+		{"empty source name", renamed(""), secSrcNames, keep},
+		{"reserved primary name", renamed(core.PrimarySourceName), secSrcNames, keep},
+		{"duplicate source names", renamed(variant.Name, variant.Name), secSrcNames, keep},
+		{"dangling source mapping", renamed(variant.Name), sourceBase(0) + secMapCon, word64(1 << 40)},
+		{"source root outside graph", renamed(variant.Name), secSrcRoots, word64(1 << 40)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := mutate(t, tc.f)
+			_, err := openEdited(t, tc.ing(), tc.kind, tc.edit)
 			if err == nil {
-				t.Fatal("broken source payload loaded without error")
+				t.Fatal("broken sources table opened without error")
 			}
 			if !errors.Is(err, ErrCorruptBundle) {
 				t.Errorf("error is not ErrCorruptBundle: %v", err)
 			}
 		})
+	}
+}
+
+// TestFlatSecondaryIsMapped: a secondary source is served from the bundle's
+// mapping like the primary — its graph and frequency columns are views of
+// it, not heap rebuilds — and it opens with the resolver the bundle carries.
+func TestFlatSecondaryIsMapped(t *testing.T) {
+	restored, err := LoadFile(writeFlatFile(t, buildFederatedIngestion(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	ref, ok := restored.Backing.(*mapRef)
+	if !ok || !ref.mapped {
+		t.Skipf("the bundle is not memory-mapped here (backing %T)", restored.Backing)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(ref.data)))
+	inMapping := func(what string, p unsafe.Pointer) {
+		if at := uintptr(p); at < lo || at >= lo+uintptr(len(ref.data)) {
+			t.Errorf("the secondary's %s lie outside the primary's mapping", what)
+		}
+	}
+	for _, src := range restored.Sources {
+		gd, fd := src.Ing.Graph.FlatData(), src.Ing.Frequencies.FlatData()
+		inMapping("graph IDs", unsafe.Pointer(unsafe.SliceData(gd.IDs)))
+		inMapping("upward targets", unsafe.Pointer(unsafe.SliceData(gd.UpTo)))
+		inMapping("frequency IDs", unsafe.Pointer(unsafe.SliceData(fd.IDs)))
+		inMapping("frequency values", unsafe.Pointer(unsafe.SliceData(fd.Vals)))
+		if src.Ing.Lookup == nil {
+			t.Errorf("source %q opened without a resolver", src.Name)
+		}
+		if src.Ing.Backing != restored.Backing {
+			t.Errorf("source %q does not share the primary's backing", src.Name)
+		}
+	}
+	if len(restored.Sources) == 0 {
+		t.Fatal("the federated bundle opened with no secondary")
 	}
 }
 
@@ -353,7 +426,6 @@ func TestInspectFileFormats(t *testing.T) {
 		return path
 	}
 
-	jsonPath := write("b.json", func(b *bytes.Buffer) error { return Save(b, fed) })
 	plainPath := write("plain.flat", func(b *bytes.Buffer) error { return SaveFlat(b, ing) })
 	flatPath := write("b.flat", func(b *bytes.Buffer) error { return SaveFlat(b, fed) })
 	accelPath := write("accel.flat", func(b *bytes.Buffer) error { return SaveFlat(b, buildAccelIngestion(t)) })
@@ -373,9 +445,8 @@ func TestInspectFileFormats(t *testing.T) {
 		sources     []string
 		names       []string
 	}{
-		{jsonPath, "json v1", 1, 1, []string{"variant"}, nil},
 		{plainPath, "flat v4", 4, 10, nil, nil},
-		{flatPath, "flat v4", 4, 10, []string{"variant"}, nil},
+		{flatPath, "flat v4", 4, 10, []string{"variant"}, []string{"sourceNames", "source1.graphIDs", "source1.lookupTokens", "source1.freqValues"}},
 		{accelPath, "flat v4", 4, len(families) + 5, nil, families},
 	}
 	for _, tc := range cases {
@@ -425,9 +496,10 @@ func TestInspectFileFormats(t *testing.T) {
 func TestInspectFileCorruptionIsAFinding(t *testing.T) {
 	fed := buildFederatedIngestion(t)
 	data := saveFlatBytes(t, fed)
-	off, length, ok := findFlatSection(data, secSources)
+	damagedKind := sourceBase(0) + secGraphIDs
+	off, length, ok := findFlatSection(data, damagedKind)
 	if !ok {
-		t.Fatal("no sources section")
+		t.Fatal("no source1.graphIDs section")
 	}
 	data[off+length/2] ^= 0x01
 	path := filepath.Join(t.TempDir(), "damaged.flat")
@@ -445,8 +517,8 @@ func TestInspectFileCorruptionIsAFinding(t *testing.T) {
 	for _, s := range info.Sections {
 		if !s.CRCOK {
 			damaged++
-			if s.Kind != secSources {
-				t.Errorf("damage attributed to section %s, want sources", s.Name)
+			if s.Kind != damagedKind {
+				t.Errorf("damage attributed to section %s, want source1.graphIDs", s.Name)
 			}
 		}
 	}

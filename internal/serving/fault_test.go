@@ -105,27 +105,32 @@ func TestCacheStaleOnError(t *testing.T) {
 // live generation untouched and visible, and account for itself in the
 // reload-failure metrics with the "corrupt" reason.
 func TestCorruptReloadKeepsServing(t *testing.T) {
-	loaders := map[string]func() (server.Backend, error){
-		"corrupt": func() (server.Backend, error) {
-			return nil, fmt.Errorf("bundle %q: %w", "x.bin", persist.ErrCorruptBundle)
-		},
-		// A bundle in a form no reader decodes any more, pushed next to a
-		// live server, is one more corrupt push.
-		"retired binary v2": func() (server.Backend, error) {
-			_, err := persist.LoadFile(filepath.Join("..", "persist", "testdata", "retired-v2.mrxb"))
+	// A bundle in a form no reader decodes any more, pushed next to a live
+	// server, is one more corrupt push, refused by the form's name.
+	retired := func(fixture string) func() (server.Backend, error) {
+		return func() (server.Backend, error) {
+			_, err := persist.LoadFile(filepath.Join("..", "persist", "testdata", fixture))
 			return nil, err
-		},
-		"retired posting sections": func() (server.Backend, error) {
-			_, err := persist.LoadFile(filepath.Join("..", "persist", "testdata", "retired-postings.flat"))
-			return nil, err
-		},
+		}
 	}
-	for name, loader := range loaders {
-		t.Run(name, func(t *testing.T) { corruptReloadKeepsServing(t, loader) })
+	loaders := map[string]struct {
+		load func() (server.Backend, error)
+		want string // what the reload's refusal must say
+	}{
+		"corrupt": {func() (server.Backend, error) {
+			return nil, fmt.Errorf("bundle %q: %w", "x.bin", persist.ErrCorruptBundle)
+		}, "corrupt bundle"},
+		"retired binary v2":        {retired("retired-v2.mrxb"), "binary v2"},
+		"retired posting sections": {retired("retired-postings.flat"), "sections 90–93"},
+		"retired json v1":          {retired("retired-v1.json"), "json v1"},
+		"retired sources section":  {retired("retired-sources-json.flat"), "section 100"},
+	}
+	for name, tc := range loaders {
+		t.Run(name, func(t *testing.T) { corruptReloadKeepsServing(t, tc.load, tc.want) })
 	}
 }
 
-func corruptReloadKeepsServing(t *testing.T, loader func() (server.Backend, error)) {
+func corruptReloadKeepsServing(t *testing.T, loader func() (server.Backend, error), want string) {
 	e, ts := newStack(t, &fakeBackend{label: "A"}, Options{
 		CacheCapacity: 64,
 		CacheTTL:      time.Minute,
@@ -145,6 +150,9 @@ func corruptReloadKeepsServing(t *testing.T, loader func() (server.Backend, erro
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("corrupt reload = %d (%s), want 500", resp.StatusCode, reloadBody)
+	}
+	if !strings.Contains(string(reloadBody), want) {
+		t.Errorf("the reload's refusal %s does not say %q", reloadBody, want)
 	}
 
 	// A fresh key (not served from cache) must still answer from the old
