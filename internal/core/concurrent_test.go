@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
+	"medrelax/internal/eks"
 	"medrelax/internal/ontology"
 )
 
@@ -116,5 +119,54 @@ func TestParallelPrecomputeMatchesSerial(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial.FlatData(), parallel.FlatData()) {
 		t.Fatal("parallel MaterializeTopK columns differ from the serial build")
+	}
+}
+
+// TestFirstFlaggedWalksShareOneSkeleton starts many flagged walks at once on
+// an ingestion whose skeleton is not derived yet: under -race this is the
+// proof that the derivation behind sync.Once publishes one skeleton safely,
+// and every walk, first or not, reports and enters what a serial walk does.
+func TestFirstFlaggedWalksShareOneSkeleton(t *testing.T) {
+	shared := oracleWorlds(t)["seed5"]
+	walk := func(ing *Ingestion, q eks.ConceptID) (hits []int32, entered int) {
+		f, _ := ing.flaggedFrontier(q)
+		defer f.Close()
+		for last := -1; f.Reached() != last; {
+			last = f.Reached()
+			hits = append(hits, f.Advance()...)
+		}
+		return hits, f.Reached()
+	}
+	qs := shared.FlaggedIDs()[:8]
+	type outcome struct {
+		hits    []int32
+		entered int
+	}
+	want := make([]outcome, len(qs))
+	for i, q := range qs {
+		want[i].hits, want[i].entered = walk(shared, q)
+	}
+	ing := *shared
+	ing.walk = &flaggedWalk{}
+	var wg sync.WaitGroup
+	errs := make(chan string, 4*len(qs))
+	for g := 0; g < 4; g++ {
+		for i, q := range qs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if hits, entered := walk(&ing, q); !slices.Equal(hits, want[i].hits) || entered != want[i].entered {
+					errs <- fmt.Sprintf("concept %d: %d hits entering %d nodes, serially %d entering %d", q, len(hits), entered, len(want[i].hits), want[i].entered)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if ing.walk.skel == nil {
+		t.Fatal("the walks derived no skeleton")
 	}
 }

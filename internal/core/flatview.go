@@ -162,6 +162,7 @@ func NewFlatIngestion(contexts []ontology.Context, g *eks.Graph, store *kb.Store
 		slots:          slots,
 		icRank:         icRank,
 		icDomain:       icDomain,
+		walk:           &flaggedWalk{},
 	}, nil
 }
 
@@ -201,11 +202,14 @@ func rankICDomain(fg eks.FlatGraphData, slots []int32, flagged []eks.ConceptID) 
 }
 
 // flaggedFrontier starts the candidate walk of Algorithm 2 line 2 at q: a
-// hop frontier that reports only flagged concepts, each as its slot — its
-// position in the flagged set, which flaggedAt resolves. The caller Closes
+// hop frontier over the ingestion's skeleton that reports only flagged
+// concepts, each as its slot — its position in the flagged set, which
+// flaggedAt resolves. The first call derives the skeleton. The caller Closes
 // the frontier. ok is false for a concept the graph does not have.
 func (ing *Ingestion) flaggedFrontier(q eks.ConceptID) (eks.HopFrontier, bool) {
-	return ing.Graph.HopFrontier(q, ing.slots)
+	w := ing.walk
+	w.once.Do(func() { w.skel = ing.Graph.Skeleton(ing.slots) })
+	return w.skel.HopFrontier(q)
 }
 
 // flaggedAt returns the flagged concept in a slot and its instances, a view

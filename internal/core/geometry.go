@@ -47,7 +47,7 @@ type geometry struct {
 	// alias its columns, the rest the scratch of the request it serves, which
 	// reports PathIndexed.
 	indexed bool
-	// reached is the number of graph nodes the walk touched, none for a view.
+	// reached is the number of graph nodes the walk entered, none for a view.
 	reached int
 }
 
@@ -236,6 +236,7 @@ func (r *Relaxer) memoGeometry(ctx context.Context, q eks.ConceptID, target int,
 	r.geo.put(q, g, g.bytes())
 	sc.stats.geometry, sc.stats.reached = outcome, g.reached
 	counter.Add(1)
+	r.geoEntered.Add(uint64(g.reached))
 	return g, nil
 }
 

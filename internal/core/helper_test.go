@@ -184,3 +184,47 @@ func (m exactMapper) Map(name string) (eks.ConceptID, bool) {
 	}
 	return ids[0], true
 }
+
+// passThroughNodes reads the walk skeleton's rule off a graph's columns by
+// brute force: an unreported node whose out-neighbours, two at a time, are
+// joined by an arc each way, and whose every in-arc comes from an
+// out-neighbour.
+func passThroughNodes(fg eks.FlatGraphData, report []int32) []bool {
+	n := len(fg.IDs)
+	out := make([]map[int32]bool, n)
+	in := make([]map[int32]bool, n)
+	for i := range out {
+		out[i], in[i] = map[int32]bool{}, map[int32]bool{}
+	}
+	for i := 0; i < n; i++ {
+		for _, to := range [][]int32{fg.UpTo[fg.UpOff[i]:fg.UpOff[i+1]], fg.DownTo[fg.DownOff[i]:fg.DownOff[i+1]]} {
+			for _, nb := range to {
+				out[i][nb] = true
+				in[nb][int32(i)] = true
+			}
+		}
+	}
+	pass := make([]bool, n)
+	for x := range pass {
+		if report[x] >= 0 {
+			continue
+		}
+		pass[x] = true
+		for a := range out[x] {
+			for b := range out[x] {
+				if a != b && !out[a][b] {
+					pass[x] = false
+				}
+			}
+			if !pass[x] {
+				break
+			}
+		}
+		for p := range in[x] {
+			if !out[x][p] {
+				pass[x] = false
+			}
+		}
+	}
+	return pass
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 
 	"medrelax/internal/corpus"
 	"medrelax/internal/eks"
@@ -82,6 +83,17 @@ type Ingestion struct {
 	// each rank. A Relaxer's per-context IC planes are columns over it.
 	icRank   []int32
 	icDomain []eks.ConceptID
+	// walk is the skeleton the flagged walk runs on, derived from the graph
+	// and slots by the first flagged walk (see flaggedFrontier) — after
+	// customization, whose shortcut edges change neighbourhoods — and never
+	// stored.
+	walk *flaggedWalk
+}
+
+// flaggedWalk holds an ingestion's walk skeleton, derived once.
+type flaggedWalk struct {
+	once sync.Once
+	skel *eks.Skeleton
 }
 
 // Close releases resources the ingestion's backing pins — for a

@@ -155,6 +155,7 @@ type Relaxer struct {
 	pathLive, pathMaterialized, pathIndexed  atomic.Uint64
 	matTruncated                             atomic.Uint64
 	geoHits, geoFills, geoRefills, geoMapped atomic.Uint64
+	geoEntered                               atomic.Uint64
 }
 
 // SetMaterialized attaches an offline top-k store. It refuses (returning
@@ -206,6 +207,11 @@ func (r *Relaxer) GeometryCounts() (hits, fills, refills, mapped, evictions uint
 	return r.geoHits.Load(), r.geoFills.Load(), r.geoRefills.Load(), r.geoMapped.Load(), r.geo.evictions.Load(), r.geo.weight(),
 		planes, int64(planes) * int64(len(r.ing.icDomain)) * 8
 }
+
+// WalkedNodes reports the graph nodes the relaxer's geometry walks — its
+// fills and refills — have entered since it was built: the sum of their
+// relax.kernel spans' reached tags.
+func (r *Relaxer) WalkedNodes() uint64 { return r.geoEntered.Load() }
 
 // NewRelaxer builds the online phase. sim decides which variant runs (full
 // QR, no-context, no-corpus, IC baseline); mapper resolves query terms to
@@ -327,9 +333,10 @@ func (r *Relaxer) RelaxTermContextTraced(ctx context.Context, term string, qctx 
 }
 
 // kernelStats is what one kernel run did, for the sampled request's span:
-// the radius it stopped at, the graph nodes its walk touched (none on the
-// materialized path, none when the concept's geometry was in the memo or a
-// view of the candidate index), the candidates it scored, and where the
+// the radius it stopped at, the graph nodes its walk entered (the
+// skeleton's, not every node within the radius — see flaggedFrontier; none on
+// the materialized path, none when the concept's geometry was in the memo or
+// a view of the candidate index), the candidates it scored, and where the
 // geometry came from: the memo ("hit"), a walk ("fill", or "refill" when it
 // replaces a geometry that fell short) or, on the indexed path, the index's
 // columns ("mapped"); decline is the Response's.
@@ -501,7 +508,7 @@ func (r *Relaxer) maxRadius() int {
 // hits come back in hop-ascending order; counts[i] is the number of distinct
 // instances within radius opts.Radius+i, one per radius walked, so the walk
 // stopped at opts.Radius+len(counts)-1. Both slices alias the scratch.
-// reached is the number of graph nodes the walk touched.
+// reached is the number of graph nodes the walk entered.
 func (r *Relaxer) gatherFlagged(ctx context.Context, q eks.ConceptID, target int, sc *relaxScratch) (hits []flaggedHit, counts []int32, reached int, err error) {
 	hits, counts = sc.hits[:0], sc.counts[:0]
 	instances := 0

@@ -42,7 +42,7 @@ func intTag(t *testing.T, s *trace.Span, key string) int {
 }
 
 // TestKernelSpanTags pins what a sampled request's relax.kernel span says
-// about the run: the radius the walk stopped at, the graph nodes it touched
+// about the run: the radius the walk stopped at, the graph nodes it entered
 // and the candidates it scored — checked against the exhaustive oracle — and,
 // on the live and the indexed path, whether the concept's geometry was walked
 // now (fill), found in the memo (hit: nothing reached), a view of the index
@@ -62,6 +62,10 @@ func TestKernelSpanTags(t *testing.T) {
 	idxR := NewRelaxer(ing, sim(), mapper, opts)
 	idxR.SetCandidateIndex(BuildCandidateIndex(ing, sim(), CandidateIndexOptions{Radius: 6}))
 
+	// The walk enters the nodes within the radius that are not pass-through,
+	// found here by brute force on the graph's columns.
+	pass := passThroughNodes(ing.Graph.FlatData(), ing.slots)
+	ids := ing.Graph.ConceptIDs()
 	var batch []Request
 	var batchWant [][3]int
 	tags := func(s *trace.Span) [3]int {
@@ -80,7 +84,16 @@ func TestKernelSpanTags(t *testing.T) {
 		for radius < opts.MaxRadius && live.legacyInstanceCount(live.legacyFlaggedWithin(q, radius, sc), sc) < defaultCandidateTarget {
 			radius++
 		}
-		reached := len(ing.Graph.NeighborsWithinHops(q, radius))
+		touched := ing.Graph.NeighborsWithinHops(q, radius)
+		reached := 0
+		for _, nb := range touched {
+			if pos, _ := slices.BinarySearch(ids, nb.ID); !pass[pos] {
+				reached++
+			}
+		}
+		if reached > len(touched) || reached == 0 {
+			t.Fatalf("concept %d: the oracle enters %d of the %d nodes it touches", q, reached, len(touched))
+		}
 		scored := len(live.legacyFlaggedWithin(q, radius, sc))
 
 		for path, r := range map[string]*Relaxer{"live_path": live, "materialized_hit": matR, "index_path": idxR} {
@@ -130,6 +143,7 @@ func TestKernelSpanTags(t *testing.T) {
 	// walk that takes its place on the concept is the live path's.
 	fresh := NewRelaxer(ing, sim(), mapper, opts)
 	freshIdx := NewRelaxer(ing, sim(), mapper, opts)
+	walked := map[*Relaxer]uint64{} // the reached tags of each one's spans, summed
 	freshIdx.SetCandidateIndex(BuildCandidateIndex(ing, sim(), CandidateIndexOptions{Radius: opts.Radius}))
 	narrow := make([]Request, len(batch))
 	for i, q := range batch {
@@ -153,6 +167,7 @@ func TestKernelSpanTags(t *testing.T) {
 				}
 			}
 			for i, s := range spans {
+				walked[r] += uint64(intTag(t, s, "reached"))
 				if got := s.Tag("geometry"); got != wantGeometry || s.Tag("path") != wantPath {
 					t.Errorf("%s pass, batch item %d: span says geometry=%q path=%s, want %q path=%s", pass.geometry, i, got, s.Tag("path"), wantGeometry, wantPath)
 				}
@@ -173,6 +188,9 @@ func TestKernelSpanTags(t *testing.T) {
 		}
 	}
 	for _, r := range []*Relaxer{fresh, freshIdx} {
+		if got := r.WalkedNodes(); got != walked[r] || got == 0 {
+			t.Errorf("WalkedNodes after the three passes: %d, the spans' reached tags add up to %d", got, walked[r])
+		}
 		hits, fills, refills, mapped, _, bytes, planes, planeBytes := r.GeometryCounts()
 		// The first pass walked on the one and mapped on the other.
 		if n := uint64(len(batch)); hits != n || fills+mapped != n || (mapped != 0) != (r == freshIdx) || refills != n || bytes <= 0 {
@@ -260,6 +278,47 @@ func TestUntracedIndexedRequestAllocatesLikeTheKernel(t *testing.T) {
 		if _, _, _, mapped, _, bytes, _, _ := r.GeometryCounts(); entry != kernel+mapping || mapped == 0 || bytes != 0 {
 			t.Errorf("%+v: the untraced traced entry point allocates %v times, the span-free one %v and the term mapping %v; %d requests mapped, %d bytes memoised",
 				opts, entry, kernel, mapping, mapped, bytes)
+		}
+	}
+}
+
+// TestFlaggedWalkEntersSkeleton pins where the flagged walk's work goes on a
+// world padded like the benchmark's: walked to the end of the component, from
+// flagged and unflagged concepts, it enters exactly the nodes a brute-force
+// reading of the pass-through rule keeps — a small part of what it would
+// touch — and reports every flagged concept it reaches.
+func TestFlaggedWalkEntersSkeleton(t *testing.T) {
+	ing := oracleWorlds(t)["sparse10k"]
+	fg := ing.Graph.FlatData()
+	pass := passThroughNodes(fg, ing.slots)
+	for _, q := range oracleQueries(ing, ing.FlaggedIDs()[:2]) {
+		touched := ing.Graph.NeighborsWithinHops(q, len(fg.IDs))
+		want, flagged := 0, 0
+		for _, nb := range touched {
+			pos, _ := slices.BinarySearch(fg.IDs, nb.ID)
+			if !pass[pos] {
+				want++
+			}
+			if ing.slots[pos] >= 0 {
+				flagged++
+			}
+		}
+		f, ok := ing.flaggedFrontier(q)
+		if !ok {
+			t.Fatalf("concept %d: no frontier", q)
+		}
+		reported := 0
+		for last := -1; f.Reached() != last; {
+			last = f.Reached()
+			reported += len(f.Advance())
+		}
+		got := f.Reached()
+		f.Close()
+		if got != want || reported != flagged {
+			t.Errorf("concept %d: the walk entered %d nodes and reported %d; the skeleton keeps %d of the %d touched, %d of them flagged", q, got, reported, want, len(touched), flagged)
+		}
+		if 4*want > len(touched) {
+			t.Errorf("concept %d: the skeleton keeps %d of %d nodes; the padded world's leaves should pass through", q, want, len(touched))
 		}
 	}
 }

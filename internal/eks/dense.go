@@ -56,10 +56,13 @@ func (v *frozen) putScratch(s *denseScratch) {
 // breadth-first walk from one concept that treats every edge — native or
 // shortcut, either direction — as one hop. It is resumable: each Advance
 // expands exactly one more hop and the visited marks and the queue survive
-// between calls, so growing a search radius costs only the new level. And it
-// is filtered: a node-indexed report column decides which reached nodes are
-// handed back, so a caller interested in a sparse subset (the flagged
-// concepts) never sees, copies or sorts the rest.
+// between calls, so growing a search radius costs only the new level. It
+// runs over one of two arc sets: the graph's own up and down lists
+// (Graph.HopFrontier, every node reported as its position), or a Skeleton's,
+// which leaves out the nodes a walk filtered by a report column never needs
+// to enter and hands back only the reported ones, so a caller interested in
+// a sparse subset (the flagged concepts) neither walks, sees, copies nor
+// sorts the rest.
 //
 // The walk borrows pooled scratch; Close returns it and must be called on
 // every exit path. A HopFrontier is single-goroutine and must not be copied
@@ -67,29 +70,33 @@ func (v *frozen) putScratch(s *denseScratch) {
 type HopFrontier struct {
 	v      *frozen
 	s      *denseScratch
-	report []int32
-	level  int // start of the outermost reached level in s.queue
+	adj    []arcs  // each node's arcs are its spans of these, in order
+	report []int32 // nil: every node reported as its position
+	level  int     // start of the outermost reached level in s.queue
 }
 
-// HopFrontier starts a walk at from. report is indexed by concept position
-// in ConceptIDs() order: a node is reported by Advance as report[position]
-// when that value is non-negative and skipped otherwise; a nil report
-// reports every node as its position. ok is false for an unknown concept, in
-// which case nothing was borrowed. A report column of the wrong length is a
-// caller bug and panics.
-func (g *Graph) HopFrontier(from ConceptID, report []int32) (f HopFrontier, ok bool) {
+// arcs is one CSR arc list over dense nodes: node i's arcs are
+// to[off[i]:off[i+1]].
+type arcs struct{ off, to []int32 }
+
+// HopFrontier starts an unfiltered walk at from: Advance reports every node
+// it reaches as its position in ConceptIDs() order. ok is false for an
+// unknown concept, in which case nothing was borrowed.
+func (g *Graph) HopFrontier(from ConceptID) (f HopFrontier, ok bool) {
 	v := g.view()
+	return v.hopFrontier(from, v.walk[:], nil)
+}
+
+// hopFrontier starts a walk at from over adj, reporting through report.
+func (v *frozen) hopFrontier(from ConceptID, adj []arcs, report []int32) (HopFrontier, bool) {
 	src, ok := v.node(from)
 	if !ok {
 		return HopFrontier{}, false
 	}
-	if report != nil && len(report) != len(v.IDs) {
-		panic("eks: HopFrontier report column does not match the graph")
-	}
 	s := v.getScratch()
 	s.stamp[src] = s.epoch
 	s.queue = append(s.queue, src)
-	return HopFrontier{v: v, s: s, report: report}, true
+	return HopFrontier{v: v, s: s, adj: adj, report: report}, true
 }
 
 // Advance expands the walk by one hop and returns the report values of the
@@ -98,12 +105,12 @@ func (g *Graph) HopFrontier(from ConceptID, report []int32) (f HopFrontier, ok b
 // exhausted every further call returns an empty level in constant time.
 // This is the only breadth-first body of the package.
 func (f *HopFrontier) Advance() []int32 {
-	v, s := f.v, f.s
+	s := f.s
 	stamp, epoch, queue, out := s.stamp, s.epoch, s.queue, s.touched[:0]
 	end := len(queue)
 	for _, cur := range queue[f.level:end] {
-		for _, adj := range [2][]int32{v.UpTo[v.UpOff[cur]:v.UpOff[cur+1]], v.DownTo[v.DownOff[cur]:v.DownOff[cur+1]]} {
-			for _, nb := range adj {
+		for _, a := range f.adj {
+			for _, nb := range a.to[a.off[cur]:a.off[cur+1]] {
 				if stamp[nb] == epoch {
 					continue
 				}
@@ -122,8 +129,9 @@ func (f *HopFrontier) Advance() []int32 {
 	return out
 }
 
-// Reached returns how many nodes the walk has visited so far, the source
-// excluded and reported or not.
+// Reached returns how many nodes the walk has entered so far, the source
+// excluded and reported or not. A skeleton's walk enters only the nodes it
+// keeps, so this counts less than every node within the radius.
 func (f *HopFrontier) Reached() int { return len(f.s.queue) - 1 }
 
 // Close returns the walk's scratch to the pool. It is idempotent; the

@@ -1,7 +1,7 @@
 package eks_test
 
-// The hop frontier on its own — resumable, filtered, scratch returned on
-// Close — and under its one real caller: core's live kernel must give the
+// The hop frontier on its own — resumable, filtered over a skeleton, scratch
+// returned on Close — and under its one real caller: core's live kernel must give the
 // scratch back when a deadline fires mid-walk. NeighborsWithinHops, the
 // unfiltered frontier, is pinned to LegacyOracle in dense_equiv_test.go.
 
@@ -30,16 +30,20 @@ func TestHopFrontierLevelsAndFilter(t *testing.T) {
 			report[i] = int32(i) + 1000
 		}
 	}
+	// The filtered walk enters what the plain walk touches, less the
+	// pass-through nodes, found here by brute force.
+	pass := passThrough(g.FlatData(), report)
+	skel := g.Skeleton(report)
 	legacy := eks.NewLegacyOracle(g)
 	for i := 0; i < len(ids); i += 41 {
 		from := ids[i]
-		all, ok := g.HopFrontier(from, nil)
+		all, ok := g.HopFrontier(from)
 		if !ok {
 			t.Fatalf("HopFrontier(%d): unknown", from)
 		}
-		some, _ := g.HopFrontier(from, report)
+		some, _ := skel.HopFrontier(from)
 		want := legacy.NeighborsWithinHops(from, 6)
-		reached := 0
+		touched, entered := 0, 0
 		for hops := 1; hops <= 6; hops++ {
 			var wantAll, wantSome []int32
 			for _, nb := range want {
@@ -51,6 +55,9 @@ func TestHopFrontierLevelsAndFilter(t *testing.T) {
 				if report[pos] >= 0 {
 					wantSome = append(wantSome, report[pos])
 				}
+				if !pass[pos] {
+					entered++
+				}
 			}
 			gotAll, gotSome := slices.Clone(all.Advance()), slices.Clone(some.Advance())
 			slices.Sort(gotAll)
@@ -58,9 +65,9 @@ func TestHopFrontierLevelsAndFilter(t *testing.T) {
 			if !slices.Equal(gotAll, wantAll) || !slices.Equal(gotSome, wantSome) {
 				t.Fatalf("from %d, hop %d: frontier levels %v / %v, legacy BFS says %v / %v", from, hops, gotAll, gotSome, wantAll, wantSome)
 			}
-			reached += len(wantAll)
-			if all.Reached() != reached || some.Reached() != reached {
-				t.Fatalf("from %d, hop %d: Reached %d and %d, want %d nodes", from, hops, all.Reached(), some.Reached(), reached)
+			touched += len(wantAll)
+			if all.Reached() != touched || some.Reached() != entered || entered > touched {
+				t.Fatalf("from %d, hop %d: Reached %d and %d, want %d nodes touched and %d entered", from, hops, all.Reached(), some.Reached(), touched, entered)
 			}
 		}
 		if lent := g.ScratchLent(); lent != 2 {
@@ -74,11 +81,14 @@ func TestHopFrontierLevelsAndFilter(t *testing.T) {
 		}
 	}
 
-	if _, ok := g.HopFrontier(ids[len(ids)-1]+1, nil); ok || g.ScratchLent() != 0 {
+	if _, ok := g.HopFrontier(ids[len(ids)-1] + 1); ok || g.ScratchLent() != 0 {
 		t.Fatal("HopFrontier of an unknown concept must borrow nothing and report !ok")
 	}
+	if _, ok := skel.HopFrontier(ids[len(ids)-1] + 1); ok || g.ScratchLent() != 0 {
+		t.Fatal("a skeleton's HopFrontier of an unknown concept must borrow nothing and report !ok")
+	}
 	// Past the end of the component every level is empty.
-	f, _ := g.HopFrontier(ids[0], nil)
+	f, _ := g.HopFrontier(ids[0])
 	defer f.Close()
 	for len(f.Advance()) > 0 {
 	}
@@ -90,7 +100,7 @@ func TestHopFrontierLevelsAndFilter(t *testing.T) {
 			t.Fatal("a report column of the wrong length must panic")
 		}
 	}()
-	g.HopFrontier(ids[0], report[1:])
+	g.Skeleton(report[1:])
 }
 
 // countdownCtx is a context whose Err starts failing after a set number of

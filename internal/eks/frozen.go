@@ -43,6 +43,9 @@ type FlatGraphData struct {
 // immutable and safe for concurrent use.
 type frozen struct {
 	FlatGraphData
+	// walk is the unfiltered hop walk's arcs: the up lists, then the down
+	// lists.
+	walk    [2]arcs
 	scratch sync.Pool // *denseScratch
 	// lent counts scratches out of the pool, so a test can tell a traversal
 	// that returned without giving its scratch back.
@@ -50,7 +53,7 @@ type frozen struct {
 }
 
 func newFrozen(d FlatGraphData) *frozen {
-	v := &frozen{FlatGraphData: d}
+	v := &frozen{FlatGraphData: d, walk: [2]arcs{{d.UpOff, d.UpTo}, {d.DownOff, d.DownTo}}}
 	n := len(d.IDs)
 	v.scratch.New = func() any {
 		return &denseScratch{

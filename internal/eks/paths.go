@@ -21,7 +21,7 @@ func (g *Graph) NeighborsWithinHops(from ConceptID, radius int) []Neighbor {
 	if radius < 0 {
 		return nil
 	}
-	f, ok := g.HopFrontier(from, nil)
+	f, ok := g.HopFrontier(from)
 	if !ok {
 		return nil
 	}

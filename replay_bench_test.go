@@ -9,7 +9,8 @@ package medrelax
 // from: the memo (ms/hit), a walk that filled or refilled it (ms/walk-fill:
 // against ms/hit, what the memo saves) or a view of the candidate index's
 // columns (ms/mapped: against ms/walk-fill, what the index saves, and it
-// should cost what a hit costs).
+// should cost what a hit costs). nodes/walk-fill is the mean number of graph
+// nodes a fill's walk entered, a count that repeats exactly.
 //
 //	go test -run '^$' -bench MissReplay -benchtime 1x . -args -replay.bundle w100k.flat
 //
@@ -110,6 +111,7 @@ func BenchmarkMissReplay(b *testing.B) {
 		relaxer := pass.Relaxer()
 		var total, hit, walkFill, mapped time.Duration
 		var hits, walkFills, views uint64
+		walked0 := relaxer.WalkedNodes()
 		for _, p := range paths {
 			h0, f0, r0, m0, _, _, _, _ := relaxer.GeometryCounts()
 			start := time.Now()
@@ -135,6 +137,7 @@ func BenchmarkMissReplay(b *testing.B) {
 		b.ReportMetric(ms(hit, hits), "ms/hit")
 		b.ReportMetric(ms(walkFill, walkFills), "ms/walk-fill")
 		b.ReportMetric(ms(mapped, views), "ms/mapped")
+		b.ReportMetric(float64(relaxer.WalkedNodes()-walked0)/float64(max(walkFills, 1)), "nodes/walk-fill")
 		b.ReportMetric(float64(hits)/float64(len(paths)), "hits/request")
 		b.ReportMetric(float64(walkFills)/float64(len(paths)), "walk-fills/request")
 		b.ReportMetric(float64(views)/float64(len(paths)), "mapped/request")
