@@ -152,21 +152,25 @@ func BuildFrequencyTable(g *eks.Graph, c *corpus.Corpus, opts FrequencyOptions) 
 		}
 		m[id] += v
 	}
+	addName := func(id eks.ConceptID, name string) {
+		st, ok := lookupStats(stats, name)
+		if !ok || st.TotalTF == 0 {
+			return
+		}
+		weight := 1.0
+		if opts.UseTFIDF {
+			weight = corpus.IDF(st.DF, n)
+		}
+		for label, tf := range st.TF {
+			addDirect(label, id, float64(tf)*weight)
+		}
+	}
 	for _, id := range g.ConceptIDs() {
+		// Name, then synonyms: the order the per-label sums are taken in.
 		concept, _ := g.Concept(id)
-		names := append([]string{concept.Name}, concept.Synonyms...)
-		for _, name := range names {
-			st, ok := lookupStats(stats, name)
-			if !ok || st.TotalTF == 0 {
-				continue
-			}
-			weight := 1.0
-			if opts.UseTFIDF {
-				weight = corpus.IDF(st.DF, n)
-			}
-			for label, tf := range st.TF {
-				addDirect(label, id, float64(tf)*weight)
-			}
+		addName(id, concept.Name)
+		for _, syn := range concept.Synonyms {
+			addName(id, syn)
 		}
 	}
 
@@ -267,10 +271,9 @@ func aggregateLabels(ids []eks.ConceptID, vals []float64) ([]eks.ConceptID, []fl
 	return aggIDs, aggVals
 }
 
+// lookupStats finds a name's statistics with one Normalize and one map
+// lookup: corpus.CountPhrases keys every phrase by its Normalize form.
 func lookupStats(stats map[string]corpus.TermStats, name string) (corpus.TermStats, bool) {
-	// corpus.CountPhrases keys by normalized phrase; reuse its convention by
-	// looking up both the raw and trimmed forms cheaply via a re-scan-free
-	// normalization — the corpus package normalized with the same tokenizer.
 	st, ok := stats[normalizeName(name)]
 	return st, ok
 }

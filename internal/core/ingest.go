@@ -216,8 +216,9 @@ type plannedEdge struct {
 // planShortcuts computes the shortcut edges of Algorithm 1 lines 19–23
 // without mutating the graph: per concept, every non-parent ancestor within
 // the distance cap with a flagged endpoint and no existing edge. The
-// per-concept computation (a semantic-metric Dijkstra on the dense index)
-// runs across workers; results merge into (from, to) order.
+// per-concept computation (a semantic-metric Dijkstra on the dense index,
+// read as the concept's subsumer vector) runs across workers; results merge
+// into (from, to) order.
 func planShortcuts(g *eks.Graph, order []eks.ConceptID, flagged func(eks.ConceptID) bool, maxDist, workers int) []plannedEdge {
 	plans := make([][]plannedEdge, len(order))
 	parallelChunks(len(order), workers, func(lo, hi int) {
@@ -225,9 +226,11 @@ func planShortcuts(g *eks.Graph, order []eks.ConceptID, flagged func(eks.Concept
 			a := order[i]
 			aFlagged := flagged(a)
 			var out []plannedEdge
-			for b, dist := range g.UpDistances(a) {
+			up, _ := g.SubsumerVec(a)
+			for j := range up.Len() {
+				b, dist := up.At(j)
 				if dist < 2 {
-					continue // direct parents stay as they are
+					continue // a itself and its direct parents stay as they are
 				}
 				if maxDist > 0 && dist > maxDist {
 					continue

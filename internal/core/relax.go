@@ -572,10 +572,10 @@ type scoredHit struct {
 // ranked. k > 0 returns the ranked prefix that covers k distinct KB instances
 // (or every hit, when they hold fewer) — the hits are distinct concepts and
 // an instance is mapped to one, so their spans add up to distinct instances,
-// as in gatherFlagged: the hits are made a heap and popped best first, which
-// is exact because rankOrder is a total order, so the Results built — and the
-// sorting done — follow the answer rather than the candidate set. scored is
-// reordered.
+// as in gatherFlagged. Every flagged concept holds an instance, so that prefix
+// is at most k hits long, and it is read from rankedPrefix's k best: the
+// Results built — and the sorting done — follow the answer rather than the
+// candidate set. scored is reordered.
 func (r *Relaxer) rankResults(scored []scoredHit, k int) []Result {
 	result := func(h scoredHit) Result {
 		id, instances := r.ing.flaggedAt(h.slot)
@@ -592,10 +592,10 @@ func (r *Relaxer) rankResults(scored []scoredHit, k int) []Result {
 	if len(scored) == 0 {
 		return nil
 	}
-	heapify(scored)
-	out := make([]Result, 0, min(k, len(scored))) // every hit adds an instance
-	for instances := 0; len(scored) > 0 && instances < k; scored = scored[:len(scored)-1] {
-		res := result(popBest(scored))
+	kept := rankedPrefix(scored, k)
+	out := make([]Result, 0, len(kept))
+	for instances := 0; len(out) < len(kept) && instances < k; {
+		res := result(kept[len(out)])
 		out = append(out, res)
 		instances += len(res.Instances)
 	}
@@ -603,55 +603,68 @@ func (r *Relaxer) rankResults(scored []scoredHit, k int) []Result {
 }
 
 // rankedPrefix returns the n best of scored in ranking order, reordering
-// scored: all of it sorted when n covers it, and otherwise n pops of the heap
-// rankResults pops — the sorted prefix bit for bit, rankOrder being a total
-// order — which sorts what is kept rather than what is scored.
+// scored. It is a selection, not a sort of everything: one pass keeps the n
+// best seen so far in a worst-first heap at the front of scored, where a hit
+// that does not beat the root — the worst kept — costs one comparison, and
+// the n kept are then sorted in place by popping the heap's worst to its end.
+// rankOrder being a total order, the result is the sorted prefix bit for bit.
 func rankedPrefix(scored []scoredHit, n int) []scoredHit {
 	if n >= len(scored) {
 		slices.SortFunc(scored, rankScored)
 		return scored
 	}
-	heapify(scored)
-	rest := len(scored) - n
-	for m := len(scored); m > rest; m-- {
-		popBest(scored[:m])
+	if n <= 0 {
+		return scored[:0]
 	}
-	slices.Reverse(scored[rest:]) // popped best last
-	return scored[rest:]
-}
-
-// heapify puts h in best-first heap order.
-func heapify(h []scoredHit) {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
+	h := scored[:n]
+	for i := n/2 - 1; i >= 0; i-- {
+		siftWorst(h, i)
 	}
+	for _, x := range scored[n:] {
+		if outranks(x, h[0]) {
+			h[0] = x
+			siftWorst(h, 0)
+		}
+	}
+	for m := n - 1; m > 0; m-- {
+		h[0], h[m] = h[m], h[0]
+		siftWorst(h[:m], 0)
+	}
+	return h
 }
 
-// popBest moves the best hit of the non-empty heap h to its end, restores the
-// heap over the rest, and returns the hit; the caller drops the last position.
-func popBest(h []scoredHit) scoredHit {
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	siftDown(h[:n], 0)
-	return h[n]
-}
-
-// siftDown restores the best-first heap order of h below position i.
-func siftDown(h []scoredHit, i int) {
+// siftWorst restores the worst-first heap order of h below position i.
+func siftWorst(h []scoredHit, i int) {
 	for {
-		best := i
-		if l := 2*i + 1; l < len(h) && rankScored(h[l], h[best]) < 0 {
-			best = l
+		worst := i
+		if l := 2*i + 1; l < len(h) && outranks(h[worst], h[l]) {
+			worst = l
 		}
-		if r := 2*i + 2; r < len(h) && rankScored(h[r], h[best]) < 0 {
-			best = r
+		if r := 2*i + 2; r < len(h) && outranks(h[worst], h[r]) {
+			worst = r
 		}
-		if best == i {
+		if worst == i {
 			return
 		}
-		h[i], h[best] = h[best], h[i]
-		i = best
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
 	}
+}
+
+// outranks reports rankScored(a, b) < 0 without the three-way compares when
+// both scores are ordered: the higher score wins, and equal scores — ±0
+// among them, about half of a materialized concept's hits scoring exactly 0 —
+// leave it to the slot. A NaN falls back to rankScored.
+func outranks(a, b scoredHit) bool {
+	switch {
+	case a.score > b.score:
+		return true
+	case a.score < b.score:
+		return false
+	case a.score == b.score:
+		return a.slot < b.slot
+	}
+	return rankScored(a, b) < 0
 }
 
 // rankScored is rankOrder over scored hits: the flagged set is ascending, so

@@ -257,26 +257,96 @@ func TestTruncatedEntriesServeOrDeclineToTheOracle(t *testing.T) {
 	}
 }
 
-// TestRankedPrefixIsTheSortedPrefix holds the heap selection a cut entry is
-// built by against the sort it replaced, on hits with few distinct scores
-// (signed zeros among them), where only the slot tie-break orders most pairs.
+// sameHits is []scoredHit equality to the bit, slot for slot and hop for hop.
+func sameHits(a, b []scoredHit) bool {
+	return slices.EqualFunc(a, b, func(x, y scoredHit) bool {
+		return math.Float64bits(x.score) == math.Float64bits(y.score) && x.slot == y.slot && x.hops == y.hops
+	})
+}
+
+// checkRankedPrefix holds rankedPrefix(hits, n) to the sorted prefix and to
+// the heap-pop selection it replaced. hits is left as it was.
+func checkRankedPrefix(t *testing.T, hits []scoredHit, n int) {
+	t.Helper()
+	sorted := slices.Clone(hits)
+	slices.SortFunc(sorted, rankScored)
+	want := sorted[:min(n, len(hits))]
+	if got := rankedPrefix(slices.Clone(hits), n); !sameHits(got, want) {
+		t.Fatalf("%d hits, n %d: selected %v, sorted %v", len(hits), n, got, want)
+	}
+	if old := legacyRankedPrefix(slices.Clone(hits), n); !sameHits(old, want) {
+		t.Fatalf("%d hits, n %d: the heap-pop oracle selected %v, sorted %v", len(hits), n, old, want)
+	}
+}
+
+// TestRankedPrefixIsTheSortedPrefix holds the bounded selection a cut entry
+// and a k-bounded answer are built by against the sort, on hits with few
+// distinct scores — signed zeros and NaNs among them, and sets where every
+// score is 0 — where only the slot tie-break orders most pairs.
 func TestRankedPrefixIsTheSortedPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
-	scores := []float64{0.75, 0.5, 0.5000000000000001, 0, math.Copysign(0, -1), 0.25}
-	for _, size := range []int{2, 3, 64, 943} {
-		hits := make([]scoredHit, size)
-		for i, slot := range rng.Perm(size) {
-			hits[i] = scoredHit{score: scores[rng.Intn(len(scores))], slot: int32(slot), hops: int32(1 + rng.Intn(8))}
+	negZero, nan := math.Copysign(0, -1), math.NaN()
+	palettes := [][]float64{
+		{0.75, 0.5, 0.5000000000000001, 0, negZero, 0.25},
+		{0.75, nan, 0, negZero, 1, nan},
+		{0},
+		{0, negZero},
+		{nan},
+	}
+	for _, scores := range palettes {
+		for _, size := range []int{0, 1, 2, 3, 64, 943} {
+			hits := make([]scoredHit, size)
+			for i, slot := range rng.Perm(size) {
+				hits[i] = scoredHit{score: scores[rng.Intn(len(scores))], slot: int32(slot), hops: int32(1 + rng.Intn(8))}
+			}
+			for _, n := range []int{0, 1, size / 2, max(0, size-1), size, size + 1} {
+				checkRankedPrefix(t, hits, n)
+			}
 		}
-		sorted := slices.Clone(hits)
-		slices.SortFunc(sorted, rankScored)
-		for _, n := range []int{1, size / 2, size - 1, size, size + 1} {
-			got := rankedPrefix(slices.Clone(hits), n)
-			want := sorted[:min(n, size)]
-			if !slices.EqualFunc(got, want, func(a, b scoredHit) bool {
-				return math.Float64bits(a.score) == math.Float64bits(b.score) && a.slot == b.slot && a.hops == b.hops
-			}) {
-				t.Fatalf("%d hits, n %d: selected %v, sorted %v", size, n, got, want)
+	}
+}
+
+// FuzzRankedPrefix draws scores from a small set — NaN and ±0 among them —
+// over distinct slots, the hits' invariant, and holds the selection to the
+// sorted prefix and to the heap-pop oracle, to the bit.
+func FuzzRankedPrefix(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7}, uint8(3))
+	f.Add([]byte{2, 2, 2, 2, 3, 3, 3}, uint8(1))
+	f.Add([]byte{4, 0, 4, 1, 4, 2}, uint8(6))
+	f.Add([]byte{}, uint8(0))
+	scores := []float64{0, math.Copysign(0, -1), 1, math.NaN(), 0.5, 0.25, 0.5000000000000001, math.Inf(-1)}
+	f.Fuzz(func(t *testing.T, draws []byte, n uint8) {
+		if len(draws) > 2048 {
+			return
+		}
+		rng := rand.New(rand.NewSource(int64(len(draws))))
+		hits := make([]scoredHit, len(draws))
+		for i, slot := range rng.Perm(len(draws)) {
+			b := draws[i]
+			hits[i] = scoredHit{score: scores[int(b)%len(scores)], slot: int32(slot), hops: int32(b >> 4)}
+		}
+		checkRankedPrefix(t, hits, int(n))
+	})
+}
+
+// TestRankResultsMatchesHeapPop holds rankResults to the heap-pop body it
+// replaced over a generated world's flagged slots, for every k the kernel
+// differentials use and k near the hit count.
+func TestRankResultsMatchesHeapPop(t *testing.T) {
+	ing := oracleWorlds(t)["seed11"]
+	r := NewRelaxer(ing, NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology), nil, RelaxOptions{})
+	rng := rand.New(rand.NewSource(38))
+	scores := []float64{0.75, 0.5, 0, math.Copysign(0, -1), math.NaN()}
+	flagged := len(ing.FlaggedIDs())
+	for _, size := range []int{0, 1, 5, 60, flagged} {
+		hits := make([]scoredHit, size)
+		for i, slot := range rng.Perm(flagged)[:size] {
+			hits[i] = scoredHit{score: scores[rng.Intn(len(scores))], slot: int32(slot), hops: int32(1 + rng.Intn(4))}
+		}
+		for _, k := range append([]int{size - 1, size, size + 1, -1}, oracleKs...) {
+			want := r.legacyRankResults(slices.Clone(hits), k)
+			if got := r.rankResults(slices.Clone(hits), k); !sameResults(got, want) {
+				t.Fatalf("%d hits, k %d: ranked %+v, the heap-pop oracle %+v", size, k, got, want)
 			}
 		}
 	}

@@ -86,7 +86,8 @@ func (c *Corpus) TokenCount() int {
 // TermStats aggregates the occurrence statistics of one phrase.
 type TermStats struct {
 	// TF maps a section label to the number of occurrences of the phrase
-	// inside sections with that label, across the whole corpus.
+	// inside sections with that label, across the whole corpus. It is nil
+	// for a phrase that never occurs.
 	TF map[string]int
 	// TotalTF is the number of occurrences regardless of label.
 	TotalTF int
@@ -102,20 +103,26 @@ type phraseSet struct {
 	maxLen   int             // longest phrase, in tokens
 }
 
+// newPhraseSet indexes each phrase by its Normalize form — the phrase itself
+// when it is already normal, as nearly every lexicon name is — whose tokens
+// are joined by single spaces, so its proper prefixes are sliced out of it at
+// its spaces rather than tokenized and joined again.
 func newPhraseSet(phrases []string) *phraseSet {
-	ps := &phraseSet{phrases: make(map[string]bool), prefixes: make(map[string]bool)}
+	ps := &phraseSet{phrases: make(map[string]bool, len(phrases)), prefixes: make(map[string]bool, len(phrases))}
 	for _, p := range phrases {
-		toks := stringutil.Tokenize(p)
-		if len(toks) == 0 {
+		norm := stringutil.Normalize(p)
+		if norm == "" {
 			continue
 		}
-		ps.phrases[strings.Join(toks, " ")] = true
-		if len(toks) > ps.maxLen {
-			ps.maxLen = len(toks)
+		ps.phrases[norm] = true
+		toks := 1
+		for i := 0; i < len(norm); i++ {
+			if norm[i] == ' ' {
+				ps.prefixes[norm[:i]] = true
+				toks++
+			}
 		}
-		for i := 1; i < len(toks); i++ {
-			ps.prefixes[strings.Join(toks[:i], " ")] = true
-		}
+		ps.maxLen = max(ps.maxLen, toks)
 	}
 	return ps
 }
@@ -141,7 +148,7 @@ func (c *Corpus) CountPhrasesN(phrases []string, workers int) map[string]TermSta
 	ps := newPhraseSet(phrases)
 	out := make(map[string]TermStats, len(ps.phrases))
 	for p := range ps.phrases {
-		out[p] = TermStats{TF: make(map[string]int)}
+		out[p] = TermStats{}
 	}
 	if ps.maxLen == 0 {
 		return out
@@ -172,6 +179,9 @@ func (c *Corpus) CountPhrasesN(phrases []string, workers int) map[string]TermSta
 			agg := out[p]
 			agg.TotalTF += st.TotalTF
 			agg.DF += st.DF
+			if agg.TF == nil {
+				agg.TF = make(map[string]int, len(st.TF))
+			}
 			for label, tf := range st.TF {
 				agg.TF[label] += tf
 			}
@@ -182,8 +192,7 @@ func (c *Corpus) CountPhrasesN(phrases []string, workers int) map[string]TermSta
 }
 
 // countRange scans documents [lo, hi) and accumulates statistics into out.
-// Shard maps start empty, so the zero TermStats gets its TF map on first
-// touch.
+// A phrase's TF map is made on its first occurrence.
 func (c *Corpus) countRange(ps *phraseSet, lo, hi int, out map[string]TermStats) {
 	for di := lo; di < hi; di++ {
 		doc := c.tokenized[di]

@@ -240,9 +240,10 @@ func (v *frozen) countDescendants(src int32, s *denseScratch) int {
 
 // SubsumerVec is an immutable vector of upward semantic distances from one
 // concept to each of its subsumers (the concept itself at distance 0),
-// sorted by ascending ConceptID. It is the flat counterpart of UpDistances
-// (which leaves the concept itself out), shareable across goroutines and
-// cacheable without copying; callers must not mutate it.
+// sorted by ascending ConceptID: the upward semantic-distance Dijkstra's
+// answer, following native and shortcut edges, so it is invariant under
+// customization. It is shareable across goroutines and cacheable without
+// copying; callers must not mutate it.
 type SubsumerVec struct {
 	ids  []ConceptID
 	dist []int32

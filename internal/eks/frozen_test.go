@@ -38,10 +38,10 @@ func decorate(t *testing.T, g *eks.Graph) {
 	// view the next read would rebuild.
 	var planned []eks.PathEdge
 	for _, id := range ids {
-		up := g.UpDistances(id)
-		for _, sub := range sortedKeys(up) {
-			if up[sub] >= 2 && !g.HasEdge(id, sub) {
-				planned = append(planned, eks.PathEdge{From: id, To: sub, Dist: up[sub]})
+		up, _ := g.SubsumerVec(id)
+		for i := range up.Len() {
+			if sub, dist := up.At(i); dist >= 2 && !g.HasEdge(id, sub) {
+				planned = append(planned, eks.PathEdge{From: id, To: sub, Dist: dist})
 			}
 		}
 	}
@@ -50,15 +50,6 @@ func decorate(t *testing.T, g *eks.Graph) {
 			t.Fatal(err)
 		}
 	}
-}
-
-func sortedKeys(m map[eks.ConceptID]int) []eks.ConceptID {
-	out := make([]eks.ConceptID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
 }
 
 // adopt round-trips a built graph through its flat columns.
@@ -127,7 +118,6 @@ func assertSameReads(t *testing.T, want, got *eks.Graph, sample int) {
 		eq(at("Ancestors"), want.Ancestors(id), got.Ancestors(id))
 		eq(at("Descendants"), want.Descendants(id), got.Descendants(id))
 		eq(at("DescendantCount"), want.DescendantCount(id), got.DescendantCount(id))
-		eq(at("UpDistances"), want.UpDistances(id), got.UpDistances(id))
 		eq(at("SubsumerVec"), two(want.SubsumerVec(id)), two(got.SubsumerVec(id)))
 		eq(at("DepthFromRoot"), two(want.DepthFromRoot(id)), two(got.DepthFromRoot(id)))
 		for r := -1; r <= 3; r++ {

@@ -234,67 +234,26 @@ type LCSResult struct {
 // average their information content. ok is false when a and b share no
 // subsumer (cannot happen on a validated rooted graph).
 func (g *Graph) LCS(a, b ConceptID) (LCSResult, bool) {
-	da := g.upDistances(a)
-	db := g.upDistances(b)
-	if da == nil || db == nil {
+	va, oka := g.SubsumerVec(a)
+	vb, okb := g.SubsumerVec(b)
+	if !oka || !okb {
 		return LCSResult{}, false
 	}
 	best := -1
 	var ids []ConceptID
-	for id, x := range da {
-		y, ok := db[id]
-		if !ok {
-			continue
-		}
-		sum := x + y
-		switch {
+	CommonSubsumers(va, vb, func(c ConceptID, da, db int) { // ID-ascending
+		switch sum := da + db; {
 		case best == -1 || sum < best:
 			best = sum
-			ids = ids[:0]
-			ids = append(ids, id)
+			ids = append(ids[:0], c)
 		case sum == best:
-			ids = append(ids, id)
+			ids = append(ids, c)
 		}
-	}
+	})
 	if best == -1 {
 		return LCSResult{}, false
 	}
-	slices.Sort(ids)
 	return LCSResult{IDs: ids, Combined: best}, true
-}
-
-// upDistances returns the minimal upward semantic distance from id to every
-// subsumer of id (including id itself at distance 0), following native and
-// shortcut edges upward only; nil for an unknown concept. Only the result map
-// is allocated. The shortest up-then-down path between a and b runs through
-// the common subsumer minimizing upDistances(a)[c] + upDistances(b)[c].
-func (g *Graph) upDistances(id ConceptID) map[ConceptID]int {
-	v := g.view()
-	src, ok := v.node(id)
-	if !ok {
-		return nil
-	}
-	s := v.getScratch()
-	v.dijkstraUp(src, s)
-	dist := make(map[ConceptID]int, len(s.touched))
-	for _, node := range s.touched {
-		dist[v.IDs[node]] = int(s.dist[node])
-	}
-	v.putScratch(s)
-	return dist
-}
-
-// UpDistances returns the minimal upward semantic distance from id to every
-// subsumer of id, excluding id itself. Shortcut edges participate with
-// their attached distances, so results are invariant under customization.
-// It returns nil for an unknown concept.
-func (g *Graph) UpDistances(id ConceptID) map[ConceptID]int {
-	d := g.upDistances(id)
-	if d == nil {
-		return nil
-	}
-	delete(d, id)
-	return d
 }
 
 // HasEdge reports whether any edge (native or shortcut) runs from child to
@@ -313,6 +272,13 @@ func (g *Graph) DepthFromRoot(id ConceptID) (int, bool) {
 	if !g.hasRoot {
 		return 0, false
 	}
-	d, ok := g.upDistances(id)[g.root]
-	return d, ok
+	up, ok := g.SubsumerVec(id)
+	if !ok {
+		return 0, false
+	}
+	i, found := slices.BinarySearch(up.ids, g.root)
+	if !found {
+		return 0, false
+	}
+	return int(up.dist[i]), true
 }
