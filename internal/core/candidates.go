@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"medrelax/internal/eks"
+	"medrelax/internal/idindex"
 )
 
 // CandidateIndex is the stored-geometry side of the offline acceleration pair
@@ -238,6 +239,7 @@ func OpenFlatCandidateIndex(d FlatCandidateIndexData, flagged, nodes []eks.Conce
 			return nil, fmt.Errorf("core: candidate index holds a negative path shape")
 		}
 	}
+	slotOf := idindex.New(flagged)
 	for i, q := range d.Concepts {
 		if i > 0 && q <= d.Concepts[i-1] {
 			return nil, fmt.Errorf("core: candidate index concepts not strictly ascending at %d", i)
@@ -246,7 +248,7 @@ func OpenFlatCandidateIndex(d FlatCandidateIndexData, flagged, nodes []eks.Conce
 		if !slices.IsSorted(levels) || int(levels[d.Radius]) != len(hits) || !slices.IsSorted(counts) {
 			return nil, fmt.Errorf("core: concept %d: level ends %v over %d hits or counts %v do not grow to the span", q, levels, len(hits), counts)
 		}
-		if own, isFlagged := slices.BinarySearch(flagged, q); isFlagged {
+		if own, isFlagged := slotOf.Find(q); isFlagged {
 			if levels[0] != 1 || hits[0].slot != int32(own) || hits[0].lcs != geoNoMeet || counts[0] < 0 {
 				return nil, fmt.Errorf("core: concept %d is flagged and hop 0 is not its own hit alone", q)
 			}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 
 	"medrelax/internal/eks"
@@ -167,81 +166,6 @@ func (s *Similarity) legacySimICFromLCS(a, b eks.ConceptID, lcs []eks.ConceptID,
 		return 1
 	}
 	return sim
-}
-
-// The heap-pop selection rankedPrefix and rankResults had before the bounded
-// selection, verbatim, kept as the oracle of FuzzRankedPrefix and
-// TestRankResultsMatchesHeapPop: every scored hit is heapified best first and
-// the answer popped off it.
-
-func legacyRankedPrefix(scored []scoredHit, n int) []scoredHit {
-	if n >= len(scored) {
-		slices.SortFunc(scored, rankScored)
-		return scored
-	}
-	legacyHeapify(scored)
-	rest := len(scored) - n
-	for m := len(scored); m > rest; m-- {
-		legacyPopBest(scored[:m])
-	}
-	slices.Reverse(scored[rest:]) // popped best last
-	return scored[rest:]
-}
-
-func (r *Relaxer) legacyRankResults(scored []scoredHit, k int) []Result {
-	result := func(h scoredHit) Result {
-		id, instances := r.ing.flaggedAt(h.slot)
-		return Result{Concept: id, Score: h.score, Hops: int(h.hops), Instances: instances}
-	}
-	if k <= 0 {
-		slices.SortFunc(scored, rankScored)
-		out := make([]Result, len(scored))
-		for i, h := range scored {
-			out[i] = result(h)
-		}
-		return out
-	}
-	if len(scored) == 0 {
-		return nil
-	}
-	legacyHeapify(scored)
-	out := make([]Result, 0, min(k, len(scored))) // every hit adds an instance
-	for instances := 0; len(scored) > 0 && instances < k; scored = scored[:len(scored)-1] {
-		res := result(legacyPopBest(scored))
-		out = append(out, res)
-		instances += len(res.Instances)
-	}
-	return out
-}
-
-func legacyHeapify(h []scoredHit) {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		legacySiftDown(h, i)
-	}
-}
-
-func legacyPopBest(h []scoredHit) scoredHit {
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	legacySiftDown(h[:n], 0)
-	return h[n]
-}
-
-func legacySiftDown(h []scoredHit, i int) {
-	for {
-		best := i
-		if l := 2*i + 1; l < len(h) && rankScored(h[l], h[best]) < 0 {
-			best = l
-		}
-		if r := 2*i + 2; r < len(h) && rankScored(h[r], h[best]) < 0 {
-			best = r
-		}
-		if best == i {
-			return
-		}
-		h[i], h[best] = h[best], h[i]
-		i = best
-	}
 }
 
 // setGeometryBudget replaces the relaxer's geometry memo with an empty one of

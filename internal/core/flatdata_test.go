@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"testing"
 
 	"medrelax/internal/eks"
+	"medrelax/internal/kb"
 	"medrelax/internal/medkb"
 	"medrelax/internal/synthkb"
 )
@@ -324,6 +326,94 @@ func TestNewFlatIngestionRejectsHostileColumns(t *testing.T) {
 		{"span disagrees with the pairs", func(d *FlatMappingsData) { d.InstPool[0], d.InstPool[1] = d.InstPool[1], d.InstPool[0] }, "disagrees with mapping pairs"},
 		{"flagged set misses a mapped concept", func(d *FlatMappingsData) { d.Concepts[0] = d.Concepts[1] }, "disagrees with mapping pairs"},
 	})
+}
+
+// TestNewFlatIngestionFindsEveryIDExactly: a mapped instance the store does
+// not hold, a flagged concept the graph does not hold and a span instance the
+// pairs do not hold are each refused with the same message wherever the id
+// falls — in a gap of the column it is looked up in, below its first id, past
+// its last, at either end of int64.
+func TestNewFlatIngestionFindsEveryIDExactly(t *testing.T) {
+	ing := ingestWorld(t, IngestOptions{})
+	whole := func() FlatMappingsData {
+		d := ing.FlatMappings()
+		return MappingsFromPairs(slices.Clone(d.Instances), slices.Clone(d.Concepts))
+	}
+	// The pairs without their second, so the instance column has a gap.
+	gapped := func() FlatMappingsData {
+		d := ing.FlatMappings()
+		return MappingsFromPairs(slices.Delete(slices.Clone(d.Instances), 1, 2), slices.Delete(slices.Clone(d.Concepts), 1, 2))
+	}
+	open := func(d FlatMappingsData) error {
+		_, err := NewFlatIngestion(ing.Contexts, ing.Graph, ing.Store, ing.Ontology, ing.Frequencies, 0, d)
+		return err
+	}
+	for _, base := range []func() FlatMappingsData{whole, gapped} {
+		if err := open(base()); err != nil {
+			t.Fatalf("pristine columns rejected: %v", err)
+		}
+	}
+	storeIDs, graphIDs := ing.Store.FlatData().IDs, ing.Graph.FlatData().IDs
+	var storeGap kb.InstanceID // an id inside the store's span it does not hold
+	for i := 1; i < len(storeIDs) && storeGap == 0; i++ {
+		if storeIDs[i] > storeIDs[i-1]+1 {
+			storeGap = storeIDs[i] - 1
+		}
+	}
+	pairs := whole()
+	if storeGap == 0 || storeGap >= pairs.Instances[1] || pairs.Instances[len(pairs.Instances)-1] != storeIDs[len(storeIDs)-1] {
+		t.Fatalf("fixture: store %v, mapped instances %v", storeIDs, pairs.Instances)
+	}
+	last := func(n int) int { return n - 1 }
+	instance := func(at func(int) int, id kb.InstanceID) func(d *FlatMappingsData) string {
+		return func(d *FlatMappingsData) string {
+			d.Instances[at(len(d.Instances))] = id
+			return fmt.Sprintf("core: mapping references unknown instance %d", id)
+		}
+	}
+	concept := func(at func(int) int, id eks.ConceptID) func(d *FlatMappingsData) string {
+		return func(d *FlatMappingsData) string {
+			d.Flagged[at(len(d.Flagged))] = id
+			return fmt.Sprintf("core: mapping references unknown concept %d", id)
+		}
+	}
+	span := func(at func(int) int, id kb.InstanceID) func(d *FlatMappingsData) string {
+		return func(d *FlatMappingsData) string {
+			i := at(len(d.Flagged))
+			d.InstPool[d.InstOff[i]] = id
+			return fmt.Sprintf("core: instance span of concept %d disagrees with mapping pairs at instance %d", d.Flagged[i], id)
+		}
+	}
+	first := func(int) int { return 0 }
+	cases := []struct {
+		name   string
+		base   func() FlatMappingsData
+		mutate func(d *FlatMappingsData) string
+	}{
+		{"instance in a gap of the store", whole, instance(first, storeGap)},
+		{"instance below the store", whole, instance(first, storeIDs[0]-1)},
+		{"instance MinInt64", whole, instance(first, math.MinInt64)},
+		{"instance past the store", whole, instance(last, storeIDs[len(storeIDs)-1]+1)},
+		{"instance MaxInt64", whole, instance(last, math.MaxInt64)},
+		{"flagged below the graph", whole, concept(first, graphIDs[0]-1)},
+		{"flagged MinInt64", whole, concept(first, math.MinInt64)},
+		{"flagged past the graph", whole, concept(last, graphIDs[len(graphIDs)-1]+1)},
+		{"flagged MaxInt64", whole, concept(last, math.MaxInt64)},
+		{"span instance in a gap of the pairs", gapped, span(first, pairs.Instances[1])},
+		{"span instance below the pairs", whole, span(first, pairs.Instances[0]-1)},
+		{"span instance MinInt64", whole, span(first, math.MinInt64)},
+		{"span instance past the pairs", whole, span(last, pairs.Instances[len(pairs.Instances)-1]+1)},
+		{"span instance MaxInt64", whole, span(last, math.MaxInt64)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := tc.base()
+			want := tc.mutate(&d)
+			if err := open(d); err == nil || err.Error() != want {
+				t.Fatalf("error %v, want %q", err, want)
+			}
+		})
+	}
 }
 
 func TestOpenFlatFrequencyTableRejectsHostileColumns(t *testing.T) {

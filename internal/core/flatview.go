@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"medrelax/internal/eks"
+	"medrelax/internal/idindex"
 	"medrelax/internal/kb"
 	"medrelax/internal/ontology"
 )
@@ -104,11 +105,12 @@ func NewFlatIngestion(contexts []ontology.Context, g *eks.Graph, store *kb.Store
 	if len(d.Concepts) != n {
 		return nil, fmt.Errorf("core: mappings: %d instances, %d concepts", n, len(d.Concepts))
 	}
+	known := idindex.New(store.FlatData().IDs)
 	for i := 0; i < n; i++ {
 		if i > 0 && d.Instances[i] <= d.Instances[i-1] {
 			return nil, fmt.Errorf("core: mappings not strictly ascending at %d", i)
 		}
-		if _, ok := store.Instance(d.Instances[i]); !ok {
+		if _, ok := known.Find(d.Instances[i]); !ok {
 			return nil, fmt.Errorf("core: mapping references unknown instance %d", d.Instances[i])
 		}
 	}
@@ -118,13 +120,27 @@ func NewFlatIngestion(contexts []ontology.Context, g *eks.Graph, store *kb.Store
 	if len(d.InstPool) != n {
 		return nil, fmt.Errorf("core: mappings: %d pool instances, %d pairs", len(d.InstPool), n)
 	}
+	// The flagged walk's report column, by one merge of the two ascending id
+	// lists, which also finds each flagged concept in the graph.
+	// Customization only adds edges, so positions stay valid.
+	fg := g.FlatData()
+	slots := make([]int32, len(fg.IDs))
+	for i := range slots {
+		slots[i] = -1
+	}
+	instances := idindex.New(d.Instances)
+	node := 0
 	for i, cid := range d.Flagged {
 		if i > 0 && cid <= d.Flagged[i-1] {
 			return nil, fmt.Errorf("core: flagged set not strictly ascending at %d", i)
 		}
-		if _, ok := g.Concept(cid); !ok {
+		for node < len(fg.IDs) && fg.IDs[node] < cid {
+			node++
+		}
+		if node == len(fg.IDs) || fg.IDs[node] != cid {
 			return nil, fmt.Errorf("core: mapping references unknown concept %d", cid)
 		}
+		slots[node] = int32(i)
 		span := d.InstPool[d.InstOff[i]:d.InstOff[i+1]]
 		if len(span) == 0 {
 			return nil, fmt.Errorf("core: flagged concept %d has no instances", cid)
@@ -133,21 +149,9 @@ func NewFlatIngestion(contexts []ontology.Context, g *eks.Graph, store *kb.Store
 			if j > 0 && iid <= span[j-1] {
 				return nil, fmt.Errorf("core: instances of concept %d not strictly ascending", cid)
 			}
-			if p, ok := slices.BinarySearch(d.Instances, iid); !ok || d.Concepts[p] != cid {
+			if p, ok := instances.Find(iid); !ok || d.Concepts[p] != cid {
 				return nil, fmt.Errorf("core: instance span of concept %d disagrees with mapping pairs at instance %d", cid, iid)
 			}
-		}
-	}
-	// The flagged walk's report column, by one merge of the two ascending id
-	// lists. Customization only adds edges, so positions stay valid.
-	fg := g.FlatData()
-	slots := make([]int32, len(fg.IDs))
-	next := 0
-	for i, id := range fg.IDs {
-		slots[i] = -1
-		if next < len(d.Flagged) && d.Flagged[next] == id {
-			slots[i] = int32(next)
-			next++
 		}
 	}
 	icRank, icDomain := rankICDomain(fg, slots, d.Flagged)

@@ -264,8 +264,8 @@ func sameHits(a, b []scoredHit) bool {
 	})
 }
 
-// checkRankedPrefix holds rankedPrefix(hits, n) to the sorted prefix and to
-// the heap-pop selection it replaced. hits is left as it was.
+// checkRankedPrefix holds rankedPrefix(hits, n) to the sorted prefix. hits
+// is left as it was.
 func checkRankedPrefix(t *testing.T, hits []scoredHit, n int) {
 	t.Helper()
 	sorted := slices.Clone(hits)
@@ -273,9 +273,6 @@ func checkRankedPrefix(t *testing.T, hits []scoredHit, n int) {
 	want := sorted[:min(n, len(hits))]
 	if got := rankedPrefix(slices.Clone(hits), n); !sameHits(got, want) {
 		t.Fatalf("%d hits, n %d: selected %v, sorted %v", len(hits), n, got, want)
-	}
-	if old := legacyRankedPrefix(slices.Clone(hits), n); !sameHits(old, want) {
-		t.Fatalf("%d hits, n %d: the heap-pop oracle selected %v, sorted %v", len(hits), n, old, want)
 	}
 }
 
@@ -308,7 +305,7 @@ func TestRankedPrefixIsTheSortedPrefix(t *testing.T) {
 
 // FuzzRankedPrefix draws scores from a small set — NaN and ±0 among them —
 // over distinct slots, the hits' invariant, and holds the selection to the
-// sorted prefix and to the heap-pop oracle, to the bit.
+// sorted prefix, to the bit.
 func FuzzRankedPrefix(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7}, uint8(3))
 	f.Add([]byte{2, 2, 2, 2, 3, 3, 3}, uint8(1))
@@ -329,10 +326,28 @@ func FuzzRankedPrefix(f *testing.F) {
 	})
 }
 
-// TestRankResultsMatchesHeapPop holds rankResults to the heap-pop body it
-// replaced over a generated world's flagged slots, for every k the kernel
+// sortedCover is rankResults' reference: every hit sorted by rankScored,
+// then the shortest prefix whose instances cover k, or all of them when
+// k <= 0 (an empty list when there are no hits; nil for k > 0).
+func (r *Relaxer) sortedCover(scored []scoredHit, k int) []Result {
+	slices.SortFunc(scored, rankScored)
+	var out []Result
+	if k <= 0 {
+		out = make([]Result, 0, len(scored))
+	}
+	for instances := 0; len(out) < len(scored) && (k <= 0 || instances < k); {
+		h := scored[len(out)]
+		id, inst := r.ing.flaggedAt(h.slot)
+		out = append(out, Result{Concept: id, Score: h.score, Hops: int(h.hops), Instances: inst})
+		instances += len(inst)
+	}
+	return out
+}
+
+// TestRankResultsIsTheSortedCover holds rankResults to the sort-then-cover-k
+// reference over a generated world's flagged slots, for every k the kernel
 // differentials use and k near the hit count.
-func TestRankResultsMatchesHeapPop(t *testing.T) {
+func TestRankResultsIsTheSortedCover(t *testing.T) {
 	ing := oracleWorlds(t)["seed11"]
 	r := NewRelaxer(ing, NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology), nil, RelaxOptions{})
 	rng := rand.New(rand.NewSource(38))
@@ -344,9 +359,9 @@ func TestRankResultsMatchesHeapPop(t *testing.T) {
 			hits[i] = scoredHit{score: scores[rng.Intn(len(scores))], slot: int32(slot), hops: int32(1 + rng.Intn(4))}
 		}
 		for _, k := range append([]int{size - 1, size, size + 1, -1}, oracleKs...) {
-			want := r.legacyRankResults(slices.Clone(hits), k)
+			want := r.sortedCover(slices.Clone(hits), k)
 			if got := r.rankResults(slices.Clone(hits), k); !sameResults(got, want) {
-				t.Fatalf("%d hits, k %d: ranked %+v, the heap-pop oracle %+v", size, k, got, want)
+				t.Fatalf("%d hits, k %d: ranked %+v, sorted and covered %+v", size, k, got, want)
 			}
 		}
 	}

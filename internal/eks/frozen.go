@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"medrelax/internal/idindex"
 )
 
 // FlatGraphData is the column layout of a frozen graph, which is also the
@@ -221,17 +223,17 @@ func NewFlatGraph(d FlatGraphData) (*Graph, error) {
 			return nil, fmt.Errorf("eks: flat graph: name keys not strictly ascending at %d", i)
 		}
 	}
-	v := newFrozen(d)
+	ids := idindex.New(d.IDs)
 	for _, id := range d.KeyIDs {
-		if _, ok := v.node(id); !ok {
+		if _, ok := ids.Find(id); !ok {
 			return nil, fmt.Errorf("eks: flat graph: name index references unknown concept %d", id)
 		}
 	}
-	if _, ok := v.node(d.Root); !ok {
+	if _, ok := ids.Find(d.Root); !ok {
 		return nil, fmt.Errorf("eks: flat graph: root %d not a concept", d.Root)
 	}
 	g := &Graph{readOnly: true, n: n, root: d.Root, hasRoot: true}
-	g.built.Store(v)
+	g.built.Store(newFrozen(d))
 	return g, nil
 }
 

@@ -8,6 +8,7 @@ package eks_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -246,23 +247,26 @@ func TestViewBuildCount(t *testing.T) {
 // TestNewFlatGraphRejectsHostileColumns corrupts one column at a time of a
 // valid layout; every case must fail validation rather than reach a
 // traversal.
-func TestNewFlatGraphRejectsHostileColumns(t *testing.T) {
-	base := func() eks.FlatGraphData {
-		g := figure5Chain(t) // 5 concepts, 4 native edges, shortcut 5->2 of distance 3
-		g.AddSynonym(3, "CKD")
-		d := g.FlatData()
-		// Deep-copy so a case cannot corrupt its neighbours through the
-		// shared graph.
-		return eks.FlatGraphData{
-			IDs: slices.Clone(d.IDs), Names: slices.Clone(d.Names),
-			SynOff: slices.Clone(d.SynOff), Syns: slices.Clone(d.Syns), Root: d.Root,
-			UpOff: slices.Clone(d.UpOff), DownOff: slices.Clone(d.DownOff),
-			UpTo: slices.Clone(d.UpTo), DownTo: slices.Clone(d.DownTo),
-			UpDist: slices.Clone(d.UpDist), DownDist: slices.Clone(d.DownDist),
-			UpNativeEnd: slices.Clone(d.UpNativeEnd), DownNativeEnd: slices.Clone(d.DownNativeEnd),
-			NameKeys: slices.Clone(d.NameKeys), KeyOff: slices.Clone(d.KeyOff), KeyIDs: slices.Clone(d.KeyIDs),
-		}
+// figure5Columns is the Figure 5 chain's columns (concepts 1..5, 4 native
+// edges, shortcut 5->2 of distance 3, a synonym on 3), deep-copied so a case
+// cannot corrupt its neighbours through the shared graph.
+func figure5Columns(t *testing.T) eks.FlatGraphData {
+	g := figure5Chain(t)
+	g.AddSynonym(3, "CKD")
+	d := g.FlatData()
+	return eks.FlatGraphData{
+		IDs: slices.Clone(d.IDs), Names: slices.Clone(d.Names),
+		SynOff: slices.Clone(d.SynOff), Syns: slices.Clone(d.Syns), Root: d.Root,
+		UpOff: slices.Clone(d.UpOff), DownOff: slices.Clone(d.DownOff),
+		UpTo: slices.Clone(d.UpTo), DownTo: slices.Clone(d.DownTo),
+		UpDist: slices.Clone(d.UpDist), DownDist: slices.Clone(d.DownDist),
+		UpNativeEnd: slices.Clone(d.UpNativeEnd), DownNativeEnd: slices.Clone(d.DownNativeEnd),
+		NameKeys: slices.Clone(d.NameKeys), KeyOff: slices.Clone(d.KeyOff), KeyIDs: slices.Clone(d.KeyIDs),
 	}
+}
+
+func TestNewFlatGraphRejectsHostileColumns(t *testing.T) {
+	base := func() eks.FlatGraphData { return figure5Columns(t) }
 	if _, err := eks.NewFlatGraph(base()); err != nil {
 		t.Fatalf("the uncorrupted layout is rejected: %v", err)
 	}
@@ -306,6 +310,69 @@ func TestNewFlatGraphRejectsHostileColumns(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestNewFlatGraphFindsEveryIDExactly: a name-index id or a root that is not
+// in the concept column is refused with the same message wherever it falls —
+// in a gap of the column, below its first id, past its last, at either end
+// of int64 — and a column that spans all of int64 is adopted.
+func TestNewFlatGraphFindsEveryIDExactly(t *testing.T) {
+	// The chain's ids 1..5 spread over int64 with gaps: MinInt64, -1000, 3,
+	// 1000, MaxInt64.
+	spread := map[eks.ConceptID]eks.ConceptID{1: math.MinInt64, 2: -1000, 4: 1000, 5: math.MaxInt64}
+	wide := func() eks.FlatGraphData {
+		d := figure5Columns(t)
+		for _, col := range [][]eks.ConceptID{d.IDs, d.KeyIDs} {
+			for i, id := range col {
+				if w, ok := spread[id]; ok {
+					col[i] = w
+				}
+			}
+		}
+		d.Root = spread[d.Root]
+		return d
+	}
+	if _, err := eks.NewFlatGraph(wide()); err != nil {
+		t.Fatalf("a column spanning int64 is rejected: %v", err)
+	}
+	key := func(id eks.ConceptID) func(d *eks.FlatGraphData) string {
+		return func(d *eks.FlatGraphData) string {
+			d.KeyIDs[0] = id
+			return fmt.Sprintf("eks: flat graph: name index references unknown concept %d", id)
+		}
+	}
+	root := func(id eks.ConceptID) func(d *eks.FlatGraphData) string {
+		return func(d *eks.FlatGraphData) string {
+			d.Root = id
+			return fmt.Sprintf("eks: flat graph: root %d not a concept", id)
+		}
+	}
+	cases := []struct {
+		name    string
+		base    func() eks.FlatGraphData
+		corrupt func(d *eks.FlatGraphData) string
+	}{
+		{"key id below the first", func() eks.FlatGraphData { return figure5Columns(t) }, key(0)},
+		{"key id past the last", func() eks.FlatGraphData { return figure5Columns(t) }, key(6)},
+		{"key id MinInt64", func() eks.FlatGraphData { return figure5Columns(t) }, key(math.MinInt64)},
+		{"key id MaxInt64", func() eks.FlatGraphData { return figure5Columns(t) }, key(math.MaxInt64)},
+		{"root below the first", func() eks.FlatGraphData { return figure5Columns(t) }, root(-1)},
+		{"root MinInt64", func() eks.FlatGraphData { return figure5Columns(t) }, root(math.MinInt64)},
+		{"root MaxInt64", func() eks.FlatGraphData { return figure5Columns(t) }, root(math.MaxInt64)},
+		{"wide: key id in a gap", wide, key(2)},
+		{"wide: key id next to MinInt64", wide, key(math.MinInt64 + 1)},
+		{"wide: key id next to MaxInt64", wide, key(math.MaxInt64 - 1)},
+		{"wide: root in a gap", wide, root(0)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := tc.base()
+			want := tc.corrupt(&d)
+			if _, err := eks.NewFlatGraph(d); err == nil || err.Error() != want {
+				t.Fatalf("error %v, want %q", err, want)
 			}
 		})
 	}

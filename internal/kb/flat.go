@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"medrelax/internal/idindex"
 	"medrelax/internal/ontology"
 )
 
@@ -163,13 +164,14 @@ func NewFlatStore(onto *ontology.Ontology, d FlatStoreData) (*Store, error) {
 			return nil, err
 		}
 	}
-	if err := d.checkIndex("lexicon", d.LexKeys, d.LexOff, d.LexIDs); err != nil {
+	ids := idindex.New(d.IDs)
+	if err := checkIndex("lexicon", ids, d.LexKeys, d.LexOff, d.LexIDs); err != nil {
 		return nil, err
 	}
-	if err := d.checkIndex("by-concept", d.ConceptKeys, d.ConceptOff, d.ConceptIDs); err != nil {
+	if err := checkIndex("by-concept", ids, d.ConceptKeys, d.ConceptOff, d.ConceptIDs); err != nil {
 		return nil, err
 	}
-	if err := d.checkAssertions(onto); err != nil {
+	if err := d.checkAssertions(onto, ids); err != nil {
 		return nil, err
 	}
 	s := &Store{onto: onto, readOnly: true, n: n}
@@ -179,8 +181,8 @@ func NewFlatStore(onto *ontology.Ontology, d FlatStoreData) (*Store, error) {
 
 // checkIndex validates one sorted-key CSR index: ascending unique keys,
 // monotonic offsets bounded by the ID pool, and spans of ascending IDs that
-// exist.
-func (d *FlatStoreData) checkIndex(what string, keys []string, off []int32, pool []InstanceID) error {
+// exist, found through ids, the index of the instance column.
+func checkIndex(what string, ids idindex.Index[InstanceID], keys []string, off []int32, pool []InstanceID) error {
 	if len(off) != len(keys)+1 {
 		return fmt.Errorf("kb: flat store: %s offsets have length %d, want %d", what, len(off), len(keys)+1)
 	}
@@ -203,7 +205,7 @@ func (d *FlatStoreData) checkIndex(what string, keys []string, off []int32, pool
 			if j > 0 && id <= span[j-1] {
 				return fmt.Errorf("kb: flat store: %s ids of %q not strictly ascending", what, key)
 			}
-			if _, ok := slices.BinarySearch(d.IDs, id); !ok {
+			if _, ok := ids.Find(id); !ok {
 				return fmt.Errorf("kb: flat store: %s references unknown instance %d", what, id)
 			}
 		}
@@ -214,8 +216,9 @@ func (d *FlatStoreData) checkIndex(what string, keys []string, off []int32, pool
 // checkAssertions validates the assertion columns: equal lengths, ascending
 // relationship names, known endpoints and relationship indexes, ontology
 // domain/range compatibility, (sub, rel, obj) sort order, and that ByObjPerm
-// is a permutation in (obj, rel, sub) order.
-func (d *FlatStoreData) checkAssertions(onto *ontology.Ontology) error {
+// is a permutation in (obj, rel, sub) order. Endpoints are found through ids,
+// the index of the instance column.
+func (d *FlatStoreData) checkAssertions(onto *ontology.Ontology, ids idindex.Index[InstanceID]) error {
 	a := len(d.ASub)
 	if len(d.ARel) != a || len(d.AObj) != a || len(d.ByObjPerm) != a {
 		return fmt.Errorf("kb: flat store: assertion columns disagree: %d/%d/%d/%d",
@@ -237,11 +240,11 @@ func (d *FlatStoreData) checkAssertions(onto *ontology.Ontology) error {
 		if d.ARel[i] < 0 || int(d.ARel[i]) >= len(d.RelNames) {
 			return fmt.Errorf("kb: flat store: assertion %d has relationship index %d of %d", i, d.ARel[i], len(d.RelNames))
 		}
-		sub, ok := slices.BinarySearch(d.IDs, d.ASub[i])
+		sub, ok := ids.Find(d.ASub[i])
 		if !ok {
 			return errEndpoint("subject", d.ASub[i])
 		}
-		obj, ok := slices.BinarySearch(d.IDs, d.AObj[i])
+		obj, ok := ids.Find(d.AObj[i])
 		if !ok {
 			return errEndpoint("object", d.AObj[i])
 		}

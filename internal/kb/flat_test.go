@@ -6,6 +6,8 @@ package kb_test
 // with them; and the view must be built a bounded number of times.
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -196,18 +198,22 @@ func TestViewInvalidatedByMutation(t *testing.T) {
 
 // TestNewFlatStoreRejectsHostileColumns corrupts one column at a time of a
 // valid layout; every case must fail in NewFlatStore.
+// cloneColumns deep-copies a store's columns, so a case cannot corrupt its
+// neighbours through the shared store.
+func cloneColumns(s *kb.Store) kb.FlatStoreData {
+	d := s.FlatData()
+	return kb.FlatStoreData{
+		IDs: slices.Clone(d.IDs), Concepts: slices.Clone(d.Concepts), Names: slices.Clone(d.Names),
+		LexKeys: slices.Clone(d.LexKeys), LexOff: slices.Clone(d.LexOff), LexIDs: slices.Clone(d.LexIDs),
+		ConceptKeys: slices.Clone(d.ConceptKeys), ConceptOff: slices.Clone(d.ConceptOff), ConceptIDs: slices.Clone(d.ConceptIDs),
+		RelNames: slices.Clone(d.RelNames), ASub: slices.Clone(d.ASub), ARel: slices.Clone(d.ARel),
+		AObj: slices.Clone(d.AObj), ByObjPerm: slices.Clone(d.ByObjPerm),
+	}
+}
+
 func TestNewFlatStoreRejectsHostileColumns(t *testing.T) {
 	s := scrambled(t)
-	base := func() kb.FlatStoreData {
-		d := s.FlatData()
-		return kb.FlatStoreData{
-			IDs: slices.Clone(d.IDs), Concepts: slices.Clone(d.Concepts), Names: slices.Clone(d.Names),
-			LexKeys: slices.Clone(d.LexKeys), LexOff: slices.Clone(d.LexOff), LexIDs: slices.Clone(d.LexIDs),
-			ConceptKeys: slices.Clone(d.ConceptKeys), ConceptOff: slices.Clone(d.ConceptOff), ConceptIDs: slices.Clone(d.ConceptIDs),
-			RelNames: slices.Clone(d.RelNames), ASub: slices.Clone(d.ASub), ARel: slices.Clone(d.ARel),
-			AObj: slices.Clone(d.AObj), ByObjPerm: slices.Clone(d.ByObjPerm),
-		}
-	}
+	base := func() kb.FlatStoreData { return cloneColumns(s) }
 	if _, err := kb.NewFlatStore(s.Ontology(), base()); err != nil {
 		t.Fatalf("pristine columns rejected: %v", err)
 	}
@@ -263,6 +269,76 @@ func TestNewFlatStoreRejectsHostileColumns(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestNewFlatStoreFindsEveryIDExactly: an instance id the lexicon, the
+// by-concept index or an assertion names that is not in the instance column
+// is refused with the same message wherever it falls — in a gap of the
+// column, below its first id, past its last, at either end of int64 — and a
+// column that spans all of int64 is adopted.
+func TestNewFlatStoreFindsEveryIDExactly(t *testing.T) {
+	s := scrambled(t)
+	narrow := func() kb.FlatStoreData { return cloneColumns(s) }
+	// The fixture's ids 1,3,7,50,60,90 spread over int64 by a monotone map,
+	// so every order the columns keep still holds.
+	spread := map[kb.InstanceID]kb.InstanceID{1: math.MinInt64, 3: -5, 90: math.MaxInt64}
+	wide := func() kb.FlatStoreData {
+		d := cloneColumns(s)
+		for _, col := range [][]kb.InstanceID{d.IDs, d.LexIDs, d.ConceptIDs, d.ASub, d.AObj} {
+			for i, id := range col {
+				if w, ok := spread[id]; ok {
+					col[i] = w
+				}
+			}
+		}
+		return d
+	}
+	if _, err := kb.NewFlatStore(s.Ontology(), wide()); err != nil {
+		t.Fatalf("a column spanning int64 is rejected: %v", err)
+	}
+	pool := func(what string, col func(d *kb.FlatStoreData) []kb.InstanceID) func(kb.InstanceID) func(d *kb.FlatStoreData) string {
+		return func(id kb.InstanceID) func(d *kb.FlatStoreData) string {
+			return func(d *kb.FlatStoreData) string {
+				col(d)[0] = id
+				return fmt.Sprintf("kb: flat store: %s references unknown instance %d", what, id)
+			}
+		}
+	}
+	endpoint := func(role string, col func(d *kb.FlatStoreData) []kb.InstanceID) func(kb.InstanceID) func(d *kb.FlatStoreData) string {
+		return func(id kb.InstanceID) func(d *kb.FlatStoreData) string {
+			return func(d *kb.FlatStoreData) string {
+				col(d)[0] = id
+				return fmt.Sprintf("kb: assertion %s %d not found", role, id)
+			}
+		}
+	}
+	refs := map[string]func(kb.InstanceID) func(d *kb.FlatStoreData) string{
+		"lexicon":    pool("lexicon", func(d *kb.FlatStoreData) []kb.InstanceID { return d.LexIDs }),
+		"by-concept": pool("by-concept", func(d *kb.FlatStoreData) []kb.InstanceID { return d.ConceptIDs }),
+		"subject":    endpoint("subject", func(d *kb.FlatStoreData) []kb.InstanceID { return d.ASub }),
+		"object":     endpoint("object", func(d *kb.FlatStoreData) []kb.InstanceID { return d.AObj }),
+	}
+	columns := []struct {
+		name string
+		base func() kb.FlatStoreData
+		ids  []kb.InstanceID // not in the column: a gap, below, past, the ends of int64
+	}{
+		{"narrow", narrow, []kb.InstanceID{2, 40, 0, -1, 91, math.MinInt64, math.MaxInt64}},
+		{"wide", wide, []kb.InstanceID{1, 90, -6, 0, math.MinInt64 + 1, math.MaxInt64 - 1}},
+	}
+	for _, c := range columns {
+		for ref, hostile := range refs {
+			for _, id := range c.ids {
+				t.Run(fmt.Sprintf("%s/%s/%d", c.name, ref, id), func(t *testing.T) {
+					d := c.base()
+					want := hostile(id)(&d)
+					if _, err := kb.NewFlatStore(s.Ontology(), d); err == nil || err.Error() != want {
+						t.Fatalf("error %v, want %q", err, want)
+					}
+				})
+			}
+		}
 	}
 }
 

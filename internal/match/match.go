@@ -60,7 +60,10 @@ func (m *Exact) Map(name string) (eks.ConceptID, bool) {
 
 // Edit matches under a Levenshtein threshold: it first tries an exact
 // match, then scans the lexicon for the closest name within the threshold.
-// Among equally close names the smallest concept ID wins.
+// The scan runs over the name keys in sorted order and only probes a key
+// strictly closer than the best so far, so among equally close names the
+// first key in sorted order wins, whatever its concept ID; a key that names
+// several concepts answers with the smallest of their IDs.
 type Edit struct {
 	graph     *eks.Graph
 	threshold int
@@ -134,10 +137,9 @@ func (m *Edit) Map(name string) (eks.ConceptID, bool) {
 		if len(ids) == 0 {
 			continue
 		}
-		id := minID(ids)
-		if d < bestDist || (d == bestDist && id < bestID) {
+		if d < bestDist {
 			bestDist = d
-			bestID = id
+			bestID = minID(ids)
 			found = true
 		}
 	}

@@ -102,10 +102,41 @@ func TestEditPrefersCloserMatch(t *testing.T) {
 	_ = g.AddSubsumption(20, 1)
 	_ = g.SetRoot(1)
 	m := NewEdit(g, 2)
-	// "coldz" is distance 1 from both "cold" and "colds": smaller ID wins.
+	// "coldz" is distance 1 from both "cold" and "colds": the first key in
+	// sorted order wins, "cold".
 	id, ok := m.Map("coldz")
 	if !ok || id != 10 {
 		t.Errorf("Map(coldz) = %d,%v, want 10,true", id, ok)
+	}
+	// "colx" is distance 1 from "cold" and 2 from "colds": the closer wins.
+	if id, ok := m.Map("colx"); !ok || id != 10 {
+		t.Errorf("Map(colx) = %d,%v, want 10,true", id, ok)
+	}
+}
+
+// TestEditTieGoesToTheFirstKey pins the tie rule on IDs that disagree with
+// it: with "cold" = 20 and "colds" = 10, "coldz" is distance 1 from both and
+// answers 20, the concept of the key that sorts first, not the smaller ID.
+func TestEditTieGoesToTheFirstKey(t *testing.T) {
+	g := eks.New()
+	for _, c := range []eks.Concept{
+		{ID: 1, Name: "root"},
+		{ID: 20, Name: "cold"},
+		{ID: 10, Name: "colds"},
+	} {
+		if err := g.AddConcept(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = g.AddSubsumption(20, 1)
+	_ = g.AddSubsumption(10, 1)
+	_ = g.SetRoot(1)
+	m := NewEdit(g, 2)
+	if id, ok := m.Map("coldz"); !ok || id != 20 {
+		t.Errorf("Map(coldz) = %d,%v, want 20,true", id, ok)
+	}
+	if id, ok := legacyEditMap(m, "coldz"); !ok || id != 20 {
+		t.Errorf("the unfiltered scan maps coldz to %d,%v, want 20,true", id, ok)
 	}
 }
 

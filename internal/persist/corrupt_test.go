@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"io/fs"
 	"math"
 	"os"
@@ -312,6 +314,83 @@ func runFlatEdits(t *testing.T, sections []flatSection, edits []flatEdit) {
 			}
 			if c.want != "" && !slices.Contains(strings.Fields(err.Error()), c.want) {
 				t.Fatalf("the refusal does not name %s: %v", c.want, err)
+			}
+		})
+	}
+}
+
+// TestSectionErrorsKeepDirectoryOrder pins which error a bundle with two
+// faults reports, now that section checksums are computed concurrently: the
+// one a single pass over the directory meets first. Each case edits a saved
+// bundle's directory or payloads and restamps the directory checksum.
+func TestSectionErrorsKeepDirectoryOrder(t *testing.T) {
+	saved := saveFlatBytes(t, buildIngestion(t))
+	le := binary.LittleEndian
+	dirOff := le.Uint64(saved[16:])
+	nSec := int(le.Uint32(saved[8:]))
+	entry := func(data []byte, i int) []byte {
+		return data[dirOff+uint64(i)*flatDirEntrySize:][:flatDirEntrySize]
+	}
+	payload := func(data []byte, i int) []byte {
+		e := entry(data, i)
+		return data[le.Uint64(e[8:]):][:le.Uint64(e[16:])]
+	}
+	restamp := func(data []byte) {
+		le.PutUint32(data[12:], crc32.ChecksumIEEE(data[dirOff:dirOff+uint64(nSec)*flatDirEntrySize]))
+	}
+	// first is the first non-empty section in directory order; largest the
+	// largest, which a concurrent checksum finishes last.
+	first, largest := -1, 0
+	for i := 0; i < nSec; i++ {
+		if n := len(payload(saved, i)); n > 0 && first < 0 {
+			first = i
+		}
+		if len(payload(saved, i)) > len(payload(saved, largest)) {
+			largest = i
+		}
+	}
+	if first < 0 || largest <= first+1 {
+		t.Fatalf("fixture: first non-empty section %d, largest %d", first, largest)
+	}
+	flip := func(data []byte, i int) string {
+		p := payload(data, i)
+		p[len(p)/2] ^= 0x40
+		e := entry(data, i)
+		return fmt.Sprintf("section %d checksum mismatch (stored %08x, computed %08x)", le.Uint32(e[0:]), le.Uint32(e[24:]), crc32.ChecksumIEEE(p))
+	}
+	cases := []struct {
+		name string
+		edit func(data []byte) (want string)
+	}{
+		{"two flipped sections name the first in directory order", func(data []byte) string {
+			want := flip(data, first)
+			flip(data, largest)
+			return want
+		}},
+		{"a mismatch ahead of a retired kind is the mismatch", func(data []byte) string {
+			want := flip(data, first)
+			le.PutUint32(entry(data, largest)[0:], secMatCands)
+			restamp(data)
+			return want
+		}},
+		{"a section out of bounds ahead of a mismatch is the bounds error", func(data []byte) string {
+			e := entry(data, first)
+			le.PutUint64(e[8:], uint64(len(data))+8)
+			restamp(data)
+			flip(data, largest)
+			return fmt.Sprintf("section %d at [%d,+%d) outside the section area", le.Uint32(e[0:]), uint64(len(data))+8, le.Uint64(e[16:]))
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			data := bytes.Clone(saved)
+			want := tc.edit(data)
+			_, err := loadBytes(data)
+			if !errors.Is(err, ErrCorruptBundle) {
+				t.Fatalf("opened with %v, want ErrCorruptBundle", err)
+			}
+			if !strings.HasSuffix(err.Error(), want) {
+				t.Fatalf("error %q, want it to end %q", err, want)
 			}
 		})
 	}

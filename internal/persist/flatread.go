@@ -1,8 +1,13 @@
 package persist
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"medrelax/internal/core"
@@ -91,6 +96,8 @@ func openFlatBytes(data []byte, backing core.SnapshotBacking) (*core.Ingestion, 
 	}
 
 	secs := make(map[uint32][]byte, nSec)
+	sums := make([]sectionSum, 0, nSec)
+	var structural error
 	for i := uint64(0); i < uint64(nSec); i++ {
 		e := dir[i*flatDirEntrySize:]
 		kind := binary.LittleEndian.Uint32(e[0:])
@@ -98,19 +105,29 @@ func openFlatBytes(data []byte, backing core.SnapshotBacking) (*core.Ingestion, 
 		length := binary.LittleEndian.Uint64(e[16:])
 		crc := binary.LittleEndian.Uint32(e[24:])
 		if off < flatHeaderSize || off%8 != 0 || off > uint64(len(data)) || length > uint64(len(data))-off || off+length > dirOff {
-			return nil, corruptf("flat v4", "section %d at [%d,+%d) outside the section area", kind, off, length)
+			structural = corruptf("flat v4", "section %d at [%d,+%d) outside the section area", kind, off, length)
+			break
 		}
 		if _, dup := secs[kind]; dup {
-			return nil, corruptf("flat v4", "duplicate section kind %d", kind)
+			structural = corruptf("flat v4", "duplicate section kind %d", kind)
+			break
 		}
 		if err := retiredFlatSection(kind); err != nil {
-			return nil, err
+			structural = err
+			break
 		}
 		payload := data[off : off+length]
-		if got := sectionCRC(payload); got != crc {
-			return nil, corruptf("flat v4", "section %d checksum mismatch (stored %08x, computed %08x)", kind, crc, got)
-		}
+		sums = append(sums, sectionSum{kind: kind, stored: crc, payload: payload})
 		secs[kind] = payload
+	}
+	// A section's checksum is checked before anything later in the
+	// directory, so a mismatch is reported ahead of a structural error that
+	// follows it, as one pass in directory order would.
+	if err := checkSectionCRCs(sums); err != nil {
+		return nil, err
+	}
+	if structural != nil {
+		return nil, structural
 	}
 
 	d := &flatDecoder{secs: secs}
@@ -119,6 +136,48 @@ func openFlatBytes(data []byte, backing core.SnapshotBacking) (*core.Ingestion, 
 		return nil, err
 	}
 	return ing, nil
+}
+
+// sectionSum is one directory entry's payload and stored checksum, and the
+// checksum computed over the payload.
+type sectionSum struct {
+	kind             uint32
+	stored, computed uint32
+	payload          []byte
+}
+
+// checkSectionCRCs checksums the sections on min(GOMAXPROCS, sections)
+// goroutines, each taking the largest section left, and reports the first
+// mismatch in directory order.
+func checkSectionCRCs(sums []sectionSum) error {
+	order := make([]int, len(sums))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(len(sums[b].payload), len(sums[a].payload)) })
+	var next atomic.Int64
+	work := func() {
+		for k := int(next.Add(1)) - 1; k < len(order); k = int(next.Add(1)) - 1 {
+			s := &sums[order[k]]
+			s.computed = sectionCRC(s.payload)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), len(sums)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, s := range sums {
+		if s.computed != s.stored {
+			return corruptf("flat v4", "section %d checksum mismatch (stored %08x, computed %08x)", s.kind, s.stored, s.computed)
+		}
+	}
+	return nil
 }
 
 // sec returns a required section's payload.

@@ -18,10 +18,13 @@ package medrelax
 
 import (
 	"flag"
+	"io"
+	"log"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"slices"
 	"strconv"
 	"testing"
@@ -145,4 +148,30 @@ func BenchmarkMissReplay(b *testing.B) {
 		pass.Close()
 		b.StartTimer()
 	}
+}
+
+// BenchmarkOpenBundle times what a server boot or a hot reload pays to open
+// a flat bundle: engine.LoadSnapshot (map, section checksums, every column
+// check, snapshot assembly, the probe query) and its Close, in ms/open and
+// allocs/op.
+//
+//	go test -run '^$' -bench OpenBundle -benchmem -benchtime 40x . -args -replay.bundle .bench_build/w100k.flat
+func BenchmarkOpenBundle(b *testing.B) {
+	if *replayBundle == "" {
+		b.Skip("no -replay.bundle given")
+	}
+	log.SetOutput(io.Discard) // LoadSnapshot logs a line per open
+	defer log.SetOutput(os.Stderr)
+	b.ReportAllocs()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		snap, err := engine.LoadSnapshot(*replayBundle)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := snap.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(time.Since(start).Microseconds())/1000/float64(b.N), "ms/open")
 }
