@@ -1,14 +1,43 @@
 package medrelax
 
 import (
-	"context"
-	"encoding/json"
-	"os"
+	"sync"
 	"testing"
 
 	"medrelax/internal/core"
 	"medrelax/internal/eval"
 )
+
+// The accelerated ingestion is built once, like sharedSystem, and only read.
+var (
+	accelIngOnce sync.Once
+	accelIng     *core.Ingestion
+)
+
+// sharedAccelerated is the shared system's ingestion carrying the full-head
+// materialized store, with unlimited per-entry candidates, and the candidate
+// index out to MaxRadius, so every golden query (including the k=0
+// full-ranked-list form) is servable from either. Both are attached to a
+// shallow copy: the shared system's ingestion stays untouched.
+func sharedAccelerated(tb testing.TB) *core.Ingestion {
+	tb.Helper()
+	sys := sharedSystem(tb)
+	accelIngOnce.Do(func() {
+		ing, ropts := sys.Ingestion, sys.Config.Relax
+		sim := core.NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
+		cp := *ing
+		cp.Materialized = core.MaterializeTopK(ing, sim, core.MaterializeOptions{
+			Enabled: true, Relax: ropts,
+			HeadFraction: 1, HeadMax: -1, MaxPerQuery: -1,
+			Contexts: ing.Contexts,
+		})
+		cp.Candidates = core.BuildCandidateIndex(ing, sim, core.CandidateIndexOptions{
+			Enabled: true, Radius: ropts.MaxRadius,
+		})
+		accelIng = &cp
+	})
+	return accelIng
+}
 
 // TestAcceleratedPathsMatchGolden pins the two offline accelerations —
 // the materialized top-k store and the posting-list candidate index —
@@ -19,80 +48,22 @@ import (
 // This is the byte-identity contract as a regression gate: any divergence
 // between a precomputed answer and the live one fails here.
 func TestAcceleratedPathsMatchGolden(t *testing.T) {
-	data, err := os.ReadFile("testdata/relax_golden.json")
-	if err != nil {
-		t.Fatalf("reading golden file: %v", err)
-	}
-	var want []GoldenSummary
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("parsing golden file: %v", err)
-	}
-
+	want := goldenSummaries(t)
 	sys := sharedSystem(t)
 	queries := eval.SelectQueries(sys.Med, sys.Oracle, len(want))
-	ing := sys.Ingestion
+	ing := sharedAccelerated(t)
 	sim := core.NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
-	ropts := sys.Config.Relax
-
-	// Full head and unlimited per-entry candidates, so every golden query
-	// (including the k=0 full-ranked-list form) is servable from the store.
-	mat := core.MaterializeTopK(ing, sim, core.MaterializeOptions{
-		Enabled: true, Relax: ropts,
-		HeadFraction: 1, HeadMax: -1, MaxPerQuery: -1,
-		Contexts: ing.Contexts,
-	})
-	cidx := core.BuildCandidateIndex(ing, sim, core.CandidateIndexOptions{
-		Enabled: true, Radius: ropts.MaxRadius,
-	})
-
 	newRelaxer := func() *core.Relaxer {
-		return core.NewRelaxer(ing, sim, sys.Mapper, ropts)
+		return core.NewRelaxer(ing, sim, sys.Mapper, sys.Config.Relax)
 	}
-	assertGolden := func(t *testing.T, entries []GoldenEntry) {
-		t.Helper()
-		got, err := Summarize(entries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("got %d summaries, want %d", len(got), len(want))
-		}
-		for i := range want {
-			w, g := want[i], got[i]
-			if g.Term != w.Term || g.Concept != w.Concept || g.Context != w.Context {
-				t.Errorf("query %d: identity mismatch: got (%q, %d, %q), want (%q, %d, %q)",
-					i, g.Term, g.Concept, g.Context, w.Term, w.Concept, w.Context)
-				continue
-			}
-			if g.RankedLen != w.RankedLen || g.TopKLen != w.TopKLen {
-				t.Errorf("query %d (%q): result counts changed: ranked %d->%d, topk %d->%d",
-					i, w.Term, w.RankedLen, g.RankedLen, w.TopKLen, g.TopKLen)
-			}
-			if g.Hash != w.Hash {
-				t.Errorf("query %d (%q): accelerated output diverged from the pinned live traversal", i, w.Term)
-			}
-		}
-	}
-	collect := func(r *core.Relaxer) []GoldenEntry {
-		entries := make([]GoldenEntry, 0, len(queries))
-		for _, q := range queries {
-			e := GoldenEntry{Term: q.Term, Concept: int64(q.Concept)}
-			if q.Ctx != nil {
-				e.Context = q.Ctx.String()
-			}
-			e.Ranked = goldenResults(r.RelaxConcept(q.Concept, q.Ctx, 0))
-			e.TopK = goldenResults(r.RelaxConcept(q.Concept, q.Ctx, 10))
-			entries = append(entries, e)
-		}
-		return entries
-	}
+	const diverged = "accelerated output diverged from the pinned live traversal"
 
 	t.Run("materialized", func(t *testing.T) {
 		r := newRelaxer()
-		if !r.SetMaterialized(mat) {
+		if !r.SetMaterialized(ing.Materialized) {
 			t.Fatal("materialized store refused by a same-options relaxer")
 		}
-		assertGolden(t, collect(r))
+		assertGolden(t, want, relaxerEntries(r, queries), diverged)
 		if _, m, _ := r.PathCounts(); m == 0 {
 			t.Error("no golden query was served from the materialized store")
 		}
@@ -100,10 +71,10 @@ func TestAcceleratedPathsMatchGolden(t *testing.T) {
 
 	t.Run("indexed", func(t *testing.T) {
 		r := newRelaxer()
-		if !r.SetCandidateIndex(cidx) {
+		if !r.SetCandidateIndex(ing.Candidates) {
 			t.Fatal("candidate index refused by a same-options relaxer")
 		}
-		assertGolden(t, collect(r))
+		assertGolden(t, want, relaxerEntries(r, queries), diverged)
 		if _, _, ix := r.PathCounts(); ix == 0 {
 			t.Error("no golden query was served through the candidate index")
 		}
@@ -111,35 +82,12 @@ func TestAcceleratedPathsMatchGolden(t *testing.T) {
 
 	t.Run("batch", func(t *testing.T) {
 		r := newRelaxer()
-		if !r.SetMaterialized(mat) {
+		if !r.SetMaterialized(ing.Materialized) {
 			t.Fatal("materialized store refused by a same-options relaxer")
 		}
-		if !r.SetCandidateIndex(cidx) {
+		if !r.SetCandidateIndex(ing.Candidates) {
 			t.Fatal("candidate index refused by a same-options relaxer")
 		}
-		batch := make([]core.Request, 0, 2*len(queries))
-		for _, q := range queries {
-			batch = append(batch,
-				core.Request{Concept: q.Concept, UseConcept: true, Ctx: q.Ctx, K: 0},
-				core.Request{Concept: q.Concept, UseConcept: true, Ctx: q.Ctx, K: 10},
-			)
-		}
-		results := r.RelaxBatch(context.Background(), batch)
-		for i, resp := range results {
-			if resp.Err != nil {
-				t.Fatalf("batch item %d: %v", i, resp.Err)
-			}
-		}
-		entries := make([]GoldenEntry, 0, len(queries))
-		for i, q := range queries {
-			e := GoldenEntry{Term: q.Term, Concept: int64(q.Concept)}
-			if q.Ctx != nil {
-				e.Context = q.Ctx.String()
-			}
-			e.Ranked = goldenResults(results[2*i].Results)
-			e.TopK = goldenResults(results[2*i+1].Results)
-			entries = append(entries, e)
-		}
-		assertGolden(t, entries)
+		assertGolden(t, want, batchEntries(t, r, queries), diverged)
 	})
 }

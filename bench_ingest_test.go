@@ -34,15 +34,10 @@ func benchWorld(tb testing.TB, target int) (*medkb.MED, *eks.Graph, *corpus.Corp
 	if target > 2000 {
 		cpp = 20
 	}
-	w, err := synthkb.Generate(synthkb.Config{Seed: 42, ConditionsPerPair: cpp})
+	w, med, corp, err := medkb.GenerateWorld(42, synthkb.Config{ConditionsPerPair: cpp}, medkb.Config{Drugs: 40}, medkb.CorpusConfig{})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	med, err := medkb.Generate(w, medkb.Config{Seed: 43, Drugs: 40})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	corp := medkb.BuildCorpus(w, med, medkb.CorpusConfig{Seed: 44})
 	g := w.Graph
 	next := eks.ConceptID(1)
 	for _, id := range g.ConceptIDs() {

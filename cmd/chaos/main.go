@@ -71,9 +71,9 @@ import (
 	"time"
 
 	"medrelax/internal/core"
-	"medrelax/internal/eks"
 	"medrelax/internal/engine"
 	"medrelax/internal/fault"
+	"medrelax/internal/match"
 	"medrelax/internal/medkb"
 	"medrelax/internal/persist"
 	"medrelax/internal/retry"
@@ -283,29 +283,13 @@ func (h *harness) bootSingle() error {
 // requests score views of the mapping a reload swaps under them and the
 // largest section, the one the storm flips a bit in, is the index's hits.
 func buildIngestion(seed int64) (*core.Ingestion, error) {
-	world, err := synthkb.Generate(synthkb.Config{Seed: seed, ConditionsPerPair: 2})
+	world, med, corp, err := medkb.GenerateWorld(seed, synthkb.Config{ConditionsPerPair: 2}, medkb.Config{Drugs: 25}, medkb.CorpusConfig{})
 	if err != nil {
 		return nil, err
 	}
-	med, err := medkb.Generate(world, medkb.Config{Seed: seed + 1, Drugs: 25})
-	if err != nil {
-		return nil, err
-	}
-	corp := medkb.BuildCorpus(world, med, medkb.CorpusConfig{Seed: seed + 2})
-	return core.Ingest(med.Ontology, med.Store, world.Graph, corp, exactMapper{world.Graph}, core.IngestOptions{
+	return core.Ingest(med.Ontology, med.Store, world.Graph, corp, match.NewExact(world.Graph), core.IngestOptions{
 		CandidateIndex: core.CandidateIndexOptions{Enabled: true, Radius: 8},
 	})
-}
-
-type exactMapper struct{ g *eks.Graph }
-
-func (m exactMapper) Name() string { return "EXACT" }
-func (m exactMapper) Map(name string) (eks.ConceptID, bool) {
-	ids := m.g.LookupName(name)
-	if len(ids) == 0 {
-		return 0, false
-	}
-	return ids[0], true
 }
 
 // stack is one serving stack the way kbserver runs one — the bundle mapped

@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"medrelax"
-	"medrelax/internal/match"
 	"medrelax/internal/nlq"
 	"medrelax/internal/synthkb"
 )
@@ -26,11 +25,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	combined := match.NewCombined(sys.Mappers["EXACT"], sys.Mappers["EDIT"], sys.Mappers["EMBEDDING"])
-	opts := sys.Config.Relax
-	opts.IncludeSelf = true
-	relaxer := sys.Engine.NewRelaxer(combined, opts)
-	system := nlq.NewSystem(sys.Med.Ontology, sys.Med.Store, relaxer, sys.Ingestion)
+	system := sys.NewNLQSystem(true)
 
 	// Assemble the Figure 9 style query from the synthetic world: a drug,
 	// one of its caused findings, and an unknown term near that finding.

@@ -18,8 +18,8 @@ import (
 	"medrelax/internal/serving"
 )
 
-// The federated build is expensive (full world + a second ingestion), so
-// every two-source test shares one, mirroring sharedSystem.
+// Every two-source test shares one federated system, derived from
+// sharedSystem by the step Build runs for Config.SecondSource.
 var (
 	twoSrcOnce sync.Once
 	twoSrcSys  *System
@@ -28,10 +28,9 @@ var (
 
 func twoSourceSystem(tb testing.TB) *System {
 	tb.Helper()
+	sys := sharedSystem(tb)
 	twoSrcOnce.Do(func() {
-		cfg := DefaultConfig()
-		cfg.SecondSource = true
-		twoSrcSys, twoSrcErr = Build(cfg)
+		twoSrcSys, twoSrcErr = sys.withSecondSource()
 	})
 	if twoSrcErr != nil {
 		tb.Fatalf("Build(SecondSource): %v", twoSrcErr)

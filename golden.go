@@ -34,14 +34,19 @@ type GoldenResult struct {
 // GoldenEntries runs every query through the system's relaxer and captures
 // the ranked output, both context-sensitive and with k=10 truncation.
 func GoldenEntries(sys *System, queries []eval.Query) []GoldenEntry {
+	return relaxerEntries(sys.Relaxer, queries)
+}
+
+// relaxerEntries is GoldenEntries over any relaxer.
+func relaxerEntries(r *core.Relaxer, queries []eval.Query) []GoldenEntry {
 	entries := make([]GoldenEntry, 0, len(queries))
 	for _, q := range queries {
 		e := GoldenEntry{Term: q.Term, Concept: int64(q.Concept)}
 		if q.Ctx != nil {
 			e.Context = q.Ctx.String()
 		}
-		e.Ranked = goldenResults(sys.Relaxer.RelaxConcept(q.Concept, q.Ctx, 0))
-		e.TopK = goldenResults(sys.Relaxer.RelaxConcept(q.Concept, q.Ctx, 10))
+		e.Ranked = goldenResults(r.RelaxConcept(q.Concept, q.Ctx, 0))
+		e.TopK = goldenResults(r.RelaxConcept(q.Concept, q.Ctx, 10))
 		entries = append(entries, e)
 	}
 	return entries

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"medrelax/internal/eks"
+	"medrelax/internal/match"
 	"medrelax/internal/ontology"
 )
 
@@ -26,8 +27,8 @@ func accelWorld(t *testing.T, ropts RelaxOptions, mopts MaterializeOptions, copt
 		t.Fatal("ingest did not build candidate index")
 	}
 	sim := NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
-	live := NewRelaxer(ing, sim, exactMapper{ing.Graph}, ropts)
-	accel := NewRelaxer(ing, NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology), exactMapper{ing.Graph}, ropts)
+	live := NewRelaxer(ing, sim, match.NewExact(ing.Graph), ropts)
+	accel := NewRelaxer(ing, NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology), match.NewExact(ing.Graph), ropts)
 	if !accel.SetMaterialized(ing.Materialized) {
 		t.Fatal("SetMaterialized refused a store built under the same options")
 	}
@@ -181,7 +182,7 @@ func TestSetMaterializedRejectsMismatchedOptions(t *testing.T) {
 		MaterializeOptions{HeadFraction: 1},
 		CandidateIndexOptions{Radius: 8})
 	sim := NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
-	other := NewRelaxer(ing, sim, exactMapper{ing.Graph}, RelaxOptions{Radius: 2, DynamicRadius: true, MaxRadius: 8})
+	other := NewRelaxer(ing, sim, match.NewExact(ing.Graph), RelaxOptions{Radius: 2, DynamicRadius: true, MaxRadius: 8})
 	if other.SetMaterialized(ing.Materialized) {
 		t.Error("SetMaterialized accepted a store built under different options")
 	}
@@ -196,7 +197,7 @@ func TestSetCandidateIndexRejectsNarrowIndex(t *testing.T) {
 		t.Fatal("ingest did not build candidate index")
 	}
 	sim := NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
-	r := NewRelaxer(ing, sim, exactMapper{ing.Graph}, RelaxOptions{Radius: 3, DynamicRadius: true, MaxRadius: 8})
+	r := NewRelaxer(ing, sim, match.NewExact(ing.Graph), RelaxOptions{Radius: 3, DynamicRadius: true, MaxRadius: 8})
 	if r.SetCandidateIndex(ing.Candidates) {
 		t.Error("SetCandidateIndex accepted an index narrower than the serving radius")
 	}
@@ -251,7 +252,7 @@ func TestMaterializeTopKRefusesWhatCandidatesCannotHold(t *testing.T) {
 	if m := MaterializeTopK(ing, sim, MaterializeOptions{Relax: wide}); m != nil {
 		t.Errorf("MaterializeTopK built a store of %d entries under a max radius of %d", m.Entries(), wide.MaxRadius)
 	}
-	other := generatedIngestion(t, 11, 2, 20, false, IngestOptions{})
+	other := sharedIngestion(t, 11, 2, 20, false, 0, IngestOptions{})
 	osim := NewSimilarity(other.Graph, other.Frequencies, other.Ontology)
 	if NewRelaxer(other, osim, nil, live.Options()).SetMaterialized(ing.Materialized) {
 		t.Error("SetMaterialized accepted a store whose slots index another ingestion's flagged set")

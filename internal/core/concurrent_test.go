@@ -109,7 +109,7 @@ func TestConcurrentSimilaritySharedCache(t *testing.T) {
 // Section 5.2 precomputation, MaterializeTopK, yields the columns a
 // single-worker build does.
 func TestParallelPrecomputeMatchesSerial(t *testing.T) {
-	ing := generatedIngestion(t, 11, 2, 20, false, IngestOptions{})
+	ing := sharedIngestion(t, 11, 2, 20, false, 0, IngestOptions{})
 	sim := NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
 	opts := MaterializeOptions{HeadFraction: 0.1, Contexts: ing.Contexts[:2]}
 	serial := underProcs(1, func() *Materialized { return MaterializeTopK(ing, sim, opts) })

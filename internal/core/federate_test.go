@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"medrelax/internal/match"
 )
 
 // TestValidateSourcesRequiresSharedStore: a secondary maps instance IDs that
@@ -12,7 +14,7 @@ import (
 func TestValidateSourcesRequiresSharedStore(t *testing.T) {
 	primary := ingestWorld(t, IngestOptions{})
 	g := testEKS(t)
-	shared, err := Ingest(primary.Ontology, primary.Store, g, testCorpus(), exactMapper{g}, IngestOptions{})
+	shared, err := Ingest(primary.Ontology, primary.Store, g, testCorpus(), match.NewExact(g), IngestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"medrelax/internal/eks"
 	"medrelax/internal/kb"
+	"medrelax/internal/match"
 	"medrelax/internal/ontology"
 )
 
@@ -91,7 +92,7 @@ func TestFeedbackRerank(t *testing.T) {
 func TestFeedbackRelaxerEndToEnd(t *testing.T) {
 	ing := ingestWorld(t, IngestOptions{})
 	sim := NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
-	base := NewRelaxer(ing, sim, exactMapper{ing.Graph}, RelaxOptions{Radius: 4})
+	base := NewRelaxer(ing, sim, match.NewExact(ing.Graph), RelaxOptions{Radius: 4})
 	fr := NewFeedbackRelaxer(base, nil)
 	ctx := &ontology.Context{Domain: "Indication", Relationship: "hasFinding", Range: "Finding"}
 
@@ -104,7 +105,7 @@ func TestFeedbackRelaxerEndToEnd(t *testing.T) {
 	}
 	top := before[0].Concept
 	// The user keeps rejecting the top result...
-	q, _ := exactMapper{ing.Graph}.Map("headache")
+	q, _ := match.NewExact(ing.Graph).Map("headache")
 	for i := 0; i < 12; i++ {
 		fr.Feedback.Reject(q, top, ctx)
 	}

@@ -17,33 +17,23 @@ import (
 
 	"medrelax/internal/eks"
 	"medrelax/internal/kb"
+	"medrelax/internal/match"
 	"medrelax/internal/medkb"
 	"medrelax/internal/synthkb"
 )
 
-// generatedIngestion runs Algorithm 1 over a seeded synthkb + medkb world.
-// variant ingests the world's variant vocabulary instead of its primary
-// graph — the shape of a mounted second source.
-func generatedIngestion(t *testing.T, seed int64, perPair, drugs int, variant bool, opts IngestOptions) *Ingestion {
-	t.Helper()
-	return paddedIngestion(t, seed, perPair, drugs, variant, 0, opts)
-}
-
-// paddedIngestion is generatedIngestion over a graph grown to padTo concepts
-// with leaf variants no KB instance maps to, hung round-robin under the
-// findings — the shape of the bench's w100k: few flagged concepts in a large
-// neighbourhood.
+// paddedIngestion runs Algorithm 1 over a seeded synthkb + medkb world whose
+// graph is grown to padTo concepts with leaf variants no KB instance maps
+// to, hung round-robin under the findings — the shape of the bench's w100k:
+// few flagged concepts in a large neighbourhood. variant ingests the world's
+// variant vocabulary instead of its primary graph — the shape of a mounted
+// second source.
 func paddedIngestion(t *testing.T, seed int64, perPair, drugs int, variant bool, padTo int, opts IngestOptions) *Ingestion {
 	t.Helper()
-	w, err := synthkb.Generate(synthkb.Config{Seed: seed, ConditionsPerPair: perPair})
+	w, med, corp, err := medkb.GenerateWorld(seed, synthkb.Config{ConditionsPerPair: perPair}, medkb.Config{Drugs: drugs}, medkb.CorpusConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	med, err := medkb.Generate(w, medkb.Config{Seed: seed + 1, Drugs: drugs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	corp := medkb.BuildCorpus(w, med, medkb.CorpusConfig{Seed: seed + 2})
 	g := w.Graph
 	if variant {
 		if g, err = synthkb.GenerateVariant(w); err != nil {
@@ -62,7 +52,7 @@ func paddedIngestion(t *testing.T, seed int64, perPair, drugs int, variant bool,
 		}
 		next++
 	}
-	ing, err := Ingest(med.Ontology, med.Store, g, corp, exactMapper{g}, opts)
+	ing, err := Ingest(med.Ontology, med.Store, g, corp, match.NewExact(g), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,35 +62,44 @@ func paddedIngestion(t *testing.T, seed int64, perPair, drugs int, variant bool,
 	return ing
 }
 
-// flatWorlds are the ingestions the differential tests sweep: several seeds
-// and sizes, tf-idf (non-integer) frequencies, a second-source-shaped one,
-// and one with both accelerations. The tests only read them, so they are
-// built once.
-func flatWorlds(t *testing.T) map[string]*Ingestion {
+// sharedIngestion is paddedIngestion built once per process for each shape
+// and options, for fixtures that only read it. It memoizes ingestions, not
+// worlds: Ingest customizes a world's graph in place.
+func sharedIngestion(t *testing.T, seed int64, perPair, drugs int, variant bool, padTo int, opts IngestOptions) *Ingestion {
 	t.Helper()
-	flatWorldsOnce.Do(func() {
-		relax := RelaxOptions{Radius: 3, DynamicRadius: true, MaxRadius: 6}
-		flatWorldsBuilt = map[string]*Ingestion{
-			"paper-figure": ingestWorld(t, IngestOptions{}),
-			"seed11":       generatedIngestion(t, 11, 2, 20, false, IngestOptions{}),
-			"seed23-tfidf": generatedIngestion(t, 23, 3, 35, false, IngestOptions{Frequency: FrequencyOptions{UseTFIDF: true}}),
-			"variant":      generatedIngestion(t, 11, 2, 20, true, IngestOptions{}),
-			"accelerated": generatedIngestion(t, 31, 2, 25, false, IngestOptions{
-				Materialize:    MaterializeOptions{Enabled: true, Relax: relax, HeadFraction: 0.5, HeadMax: 48, MaxPerQuery: 40},
-				CandidateIndex: CandidateIndexOptions{Enabled: true, Radius: 4, MaxPostings: 400},
-			}),
-		}
-	})
-	if flatWorldsBuilt == nil {
-		t.Fatal("the shared worlds failed to build in an earlier test")
+	key := fmt.Sprintf("%d/%d/%d/%t/%d/%+v", seed, perPair, drugs, variant, padTo, opts)
+	sharedIngestionsMu.Lock()
+	defer sharedIngestionsMu.Unlock()
+	ing, ok := sharedIngestions[key]
+	if !ok {
+		ing = paddedIngestion(t, seed, perPair, drugs, variant, padTo, opts)
+		sharedIngestions[key] = ing
 	}
-	return flatWorldsBuilt
+	return ing
 }
 
 var (
-	flatWorldsOnce  sync.Once
-	flatWorldsBuilt map[string]*Ingestion
+	sharedIngestionsMu sync.Mutex
+	sharedIngestions   = map[string]*Ingestion{}
 )
+
+// flatWorlds are the ingestions the differential tests sweep: several seeds
+// and sizes, tf-idf (non-integer) frequencies, a second-source-shaped one,
+// and one with both accelerations. The tests only read them.
+func flatWorlds(t *testing.T) map[string]*Ingestion {
+	t.Helper()
+	relax := RelaxOptions{Radius: 3, DynamicRadius: true, MaxRadius: 6}
+	return map[string]*Ingestion{
+		"paper-figure": ingestWorld(t, IngestOptions{}),
+		"seed11":       sharedIngestion(t, 11, 2, 20, false, 0, IngestOptions{}),
+		"seed23-tfidf": sharedIngestion(t, 23, 3, 35, false, 0, IngestOptions{Frequency: FrequencyOptions{UseTFIDF: true}}),
+		"variant":      sharedIngestion(t, 11, 2, 20, true, 0, IngestOptions{}),
+		"accelerated": sharedIngestion(t, 31, 2, 25, false, 0, IngestOptions{
+			Materialize:    MaterializeOptions{Enabled: true, Relax: relax, HeadFraction: 0.5, HeadMax: 48, MaxPerQuery: 40},
+			CandidateIndex: CandidateIndexOptions{Enabled: true, Radius: 4, MaxPostings: 400},
+		}),
+	}
+}
 
 func mustEqual(t *testing.T, what string, built, adopted any) {
 	t.Helper()
@@ -202,7 +201,7 @@ func TestAdoptedAccelerationsMatchBuilt(t *testing.T) {
 	ing := flatWorlds(t)["accelerated"]
 	relax := ing.Materialized.Options()
 	relaxer := func(m *Materialized, x *CandidateIndex) *Relaxer {
-		r := NewRelaxer(ing, NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology), exactMapper{ing.Graph}, relax)
+		r := NewRelaxer(ing, NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology), match.NewExact(ing.Graph), relax)
 		if m != nil && !r.SetMaterialized(m) {
 			t.Fatal("materialized store refused")
 		}

@@ -6,6 +6,7 @@ import (
 	"medrelax/internal/corpus"
 	"medrelax/internal/eks"
 	"medrelax/internal/kb"
+	"medrelax/internal/match"
 	"medrelax/internal/ontology"
 )
 
@@ -164,25 +165,11 @@ func ingestWorld(t *testing.T, opts IngestOptions) *Ingestion {
 	o := testOntology(t)
 	g := testEKS(t)
 	store := testStore(t, o)
-	ing, err := Ingest(o, store, g, testCorpus(), exactMapper{g}, opts)
+	ing, err := Ingest(o, store, g, testCorpus(), match.NewExact(g), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ing
-}
-
-// exactMapper avoids importing match in fixtures (match is tested on its
-// own); ingestion only needs the Mapper contract.
-type exactMapper struct{ g *eks.Graph }
-
-func (m exactMapper) Name() string { return "EXACT" }
-
-func (m exactMapper) Map(name string) (eks.ConceptID, bool) {
-	ids := m.g.LookupName(name)
-	if len(ids) == 0 {
-		return 0, false
-	}
-	return ids[0], true
 }
 
 // passThroughNodes reads the walk skeleton's rule off a graph's columns by

@@ -8,6 +8,7 @@ import (
 
 	"medrelax/internal/corpus"
 	"medrelax/internal/eks"
+	"medrelax/internal/match"
 	"medrelax/internal/medkb"
 	"medrelax/internal/synthkb"
 )
@@ -58,15 +59,10 @@ func TestIngestParallelEquivalenceFixture(t *testing.T) {
 // parallel runs get independent, identical graphs to mutate.
 func bigWorld(t testing.TB, target int) (*medkb.MED, *eks.Graph, *corpus.Corpus) {
 	t.Helper()
-	w, err := synthkb.Generate(synthkb.Config{Seed: 42, ConditionsPerPair: 20})
+	w, med, corp, err := medkb.GenerateWorld(42, synthkb.Config{ConditionsPerPair: 20}, medkb.Config{Drugs: 40}, medkb.CorpusConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	med, err := medkb.Generate(w, medkb.Config{Seed: 43, Drugs: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	corp := medkb.BuildCorpus(w, med, medkb.CorpusConfig{Seed: 44})
 	g := w.Graph
 	next := eks.ConceptID(1)
 	for _, id := range g.ConceptIDs() {
@@ -96,7 +92,7 @@ func TestIngestParallelEquivalenceSynthKB(t *testing.T) {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			ingest := func() *Ingestion {
 				med, g, corp := bigWorld(t, n)
-				ing, err := Ingest(med.Ontology, med.Store, g, corp, exactMapper{g}, IngestOptions{})
+				ing, err := Ingest(med.Ontology, med.Store, g, corp, match.NewExact(g), IngestOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}

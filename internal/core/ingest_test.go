@@ -7,6 +7,7 @@ import (
 
 	"medrelax/internal/eks"
 	"medrelax/internal/kb"
+	"medrelax/internal/match"
 )
 
 func TestIngestContexts(t *testing.T) {
@@ -121,10 +122,10 @@ func TestIngestIdempotentOnDoubleCustomization(t *testing.T) {
 	o := testOntology(t)
 	g := testEKS(t)
 	store := testStore(t, o)
-	if _, err := Ingest(o, store, g, testCorpus(), exactMapper{g}, IngestOptions{}); err != nil {
+	if _, err := Ingest(o, store, g, testCorpus(), match.NewExact(g), IngestOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	ing2, err := Ingest(o, store, g, testCorpus(), exactMapper{g}, IngestOptions{})
+	ing2, err := Ingest(o, store, g, testCorpus(), match.NewExact(g), IngestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestIngestInvalidInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No root -> invalid EKS.
-	if _, err := Ingest(o, store, g, testCorpus(), exactMapper{g}, IngestOptions{}); err == nil {
+	if _, err := Ingest(o, store, g, testCorpus(), match.NewExact(g), IngestOptions{}); err == nil {
 		t.Error("invalid EKS must fail ingestion")
 	}
 }
@@ -159,11 +160,11 @@ func TestInstanceResults(t *testing.T) {
 
 func TestConceptForTerm(t *testing.T) {
 	ing := ingestWorld(t, IngestOptions{})
-	id, ok := ing.ConceptForTerm("Fever", exactMapper{ing.Graph})
+	id, ok := ing.ConceptForTerm("Fever", match.NewExact(ing.Graph))
 	if !ok || id != 7 {
 		t.Errorf("ConceptForTerm(Fever) = %d,%v", id, ok)
 	}
-	if _, ok := ing.ConceptForTerm("pyelectasia", exactMapper{ing.Graph}); ok {
+	if _, ok := ing.ConceptForTerm("pyelectasia", match.NewExact(ing.Graph)); ok {
 		t.Error("unknown term must not map")
 	}
 }

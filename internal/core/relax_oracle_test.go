@@ -16,6 +16,7 @@ import (
 
 	"medrelax/internal/eks"
 	"medrelax/internal/kb"
+	"medrelax/internal/match"
 	"medrelax/internal/ontology"
 )
 
@@ -47,30 +48,19 @@ var oracleOptions = []RelaxOptions{
 
 var oracleKs = []int{0, 1, 5, 50, math.MaxInt32}
 
-// oracleWorlds are built once: three synthkb seeds of different sizes (all
+// oracleWorlds are three synthkb seeds of different sizes (all
 // multi-parent DAGs customized with shortcut edges), one of them on tf-idf
 // frequencies, and a sparse world of 10,000 concepts of which only the
-// original few hundred are flagged.
+// original few hundred are flagged. The tests only read them.
 func oracleWorlds(t *testing.T) map[string]*Ingestion {
 	t.Helper()
-	oracleWorldsOnce.Do(func() {
-		oracleWorldsBuilt = map[string]*Ingestion{
-			"seed5":        generatedIngestion(t, 5, 1, 15, false, IngestOptions{}),
-			"seed11":       generatedIngestion(t, 11, 2, 20, false, IngestOptions{}),
-			"seed23-tfidf": generatedIngestion(t, 23, 1, 25, false, IngestOptions{Frequency: FrequencyOptions{UseTFIDF: true}}),
-			"sparse10k":    paddedIngestion(t, 7, 1, 15, false, 10_000, IngestOptions{}),
-		}
-	})
-	if oracleWorldsBuilt == nil {
-		t.Fatal("the oracle worlds failed to build in an earlier test")
+	return map[string]*Ingestion{
+		"seed5":        sharedIngestion(t, 5, 1, 15, false, 0, IngestOptions{}),
+		"seed11":       sharedIngestion(t, 11, 2, 20, false, 0, IngestOptions{}),
+		"seed23-tfidf": sharedIngestion(t, 23, 1, 25, false, 0, IngestOptions{Frequency: FrequencyOptions{UseTFIDF: true}}),
+		"sparse10k":    sharedIngestion(t, 7, 1, 15, false, 10_000, IngestOptions{}),
 	}
-	return oracleWorldsBuilt
 }
-
-var (
-	oracleWorldsOnce  sync.Once
-	oracleWorldsBuilt map[string]*Ingestion
-)
 
 // oracleQueries picks the query concepts of one world: the materialization
 // head (so the store answers some), flagged concepts past it, and unflagged
@@ -402,7 +392,7 @@ func TestSelfInstancesCountTowardTarget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ing, err := Ingest(o, store, g, testCorpus(), exactMapper{g}, IngestOptions{DisableShortcuts: true})
+	ing, err := Ingest(o, store, g, testCorpus(), match.NewExact(g), IngestOptions{DisableShortcuts: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"medrelax/internal/eks"
 	"medrelax/internal/kb"
+	"medrelax/internal/match"
 	"medrelax/internal/ontology"
 )
 
@@ -14,7 +15,7 @@ func newTestRelaxer(t *testing.T, opts RelaxOptions) (*Relaxer, *Ingestion) {
 	t.Helper()
 	ing := ingestWorld(t, IngestOptions{})
 	sim := NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
-	r := NewRelaxer(ing, sim, exactMapper{ing.Graph}, opts)
+	r := NewRelaxer(ing, sim, match.NewExact(ing.Graph), opts)
 	return r, ing
 }
 
@@ -102,8 +103,8 @@ func TestRelaxDynamicRadius(t *testing.T) {
 	// candidates anyway.
 	ing := ingestWorld(t, IngestOptions{DisableShortcuts: true})
 	sim := NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
-	fixed := NewRelaxer(ing, sim, exactMapper{ing.Graph}, RelaxOptions{Radius: 1})
-	grown := NewRelaxer(ing, sim, exactMapper{ing.Graph}, RelaxOptions{Radius: 1, DynamicRadius: true, MaxRadius: 6})
+	fixed := NewRelaxer(ing, sim, match.NewExact(ing.Graph), RelaxOptions{Radius: 1})
+	grown := NewRelaxer(ing, sim, match.NewExact(ing.Graph), RelaxOptions{Radius: 1, DynamicRadius: true, MaxRadius: 6})
 	// pertussis (11): nearest flagged concept is bronchitis (10) at 2 hops
 	// without shortcuts.
 	fres, err := fixed.RelaxTerm("pertussis", nil, 0)
@@ -132,8 +133,8 @@ func TestRelaxShortcutsWidenReach(t *testing.T) {
 	withoutS := ingestWorld(t, IngestOptions{DisableShortcuts: true})
 	simS := NewSimilarity(withS.Graph, withS.Frequencies, withS.Ontology)
 	simN := NewSimilarity(withoutS.Graph, withoutS.Frequencies, withoutS.Ontology)
-	rS := NewRelaxer(withS, simS, exactMapper{withS.Graph}, RelaxOptions{Radius: 2})
-	rN := NewRelaxer(withoutS, simN, exactMapper{withoutS.Graph}, RelaxOptions{Radius: 2})
+	rS := NewRelaxer(withS, simS, match.NewExact(withS.Graph), RelaxOptions{Radius: 2})
+	rN := NewRelaxer(withoutS, simN, match.NewExact(withoutS.Graph), RelaxOptions{Radius: 2})
 	// From headache (5): without shortcuts, fever (7) is 4 hops
 	// (5-3-2-1-7); radius 2 misses it. With shortcuts 5->1 it is 2 hops.
 	resS, err := rS.RelaxTerm("headache", nil, 0)
@@ -192,7 +193,7 @@ func TestTopKInstances(t *testing.T) {
 
 func TestMethodsRunAndDiffer(t *testing.T) {
 	ing := ingestWorld(t, IngestOptions{})
-	mapper := exactMapper{ing.Graph}
+	mapper := match.NewExact(ing.Graph)
 	opts := RelaxOptions{Radius: 4}
 	methods := []Method{
 		NewQR(ing, mapper, opts),

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"medrelax/internal/eks"
+	"medrelax/internal/match"
 	"medrelax/internal/trace"
 )
 
@@ -53,7 +54,7 @@ func intTag(t *testing.T, s *trace.Span, key string) int {
 func TestKernelSpanTags(t *testing.T) {
 	ing := oracleWorlds(t)["seed11"]
 	opts := RelaxOptions{Radius: 1, DynamicRadius: true, MaxRadius: 6}
-	mapper := exactMapper{ing.Graph}
+	mapper := match.NewExact(ing.Graph)
 	sim := func() *Similarity { return NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology) }
 	live := NewRelaxer(ing, sim(), mapper, opts)
 	mopts := MaterializeOptions{Relax: opts, HeadMax: 2, MaxPerQuery: -1, Contexts: ing.Contexts}.withDefaults()
@@ -215,7 +216,7 @@ func TestKernelSpanTags(t *testing.T) {
 func TestKernelSpanNamesATruncationDecline(t *testing.T) {
 	ing := oracleWorlds(t)["seed11"]
 	opts := RelaxOptions{Radius: 3, DynamicRadius: true}
-	mapper := exactMapper{ing.Graph}
+	mapper := match.NewExact(ing.Graph)
 	sim := func() *Similarity { return NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology) }
 	mopts := MaterializeOptions{Relax: opts, HeadMax: 2, MaxPerQuery: 1}.withDefaults()
 	r := NewRelaxer(ing, sim(), mapper, opts)
@@ -260,7 +261,7 @@ func TestUntracedIndexedRequestAllocatesLikeTheKernel(t *testing.T) {
 	q := ing.FlaggedIDs()[0]
 	c, _ := ing.Graph.Concept(q)
 	for _, opts := range []RelaxOptions{{Radius: 2, IncludeSelf: true}, {Radius: 2, DynamicRadius: true, MaxRadius: 3}} {
-		r := NewRelaxer(ing, sim, exactMapper{ing.Graph}, opts)
+		r := NewRelaxer(ing, sim, match.NewExact(ing.Graph), opts)
 		if !r.SetCandidateIndex(index) {
 			t.Fatal("SetCandidateIndex refused an index that covers the base radius")
 		}

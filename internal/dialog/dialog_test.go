@@ -8,6 +8,7 @@ import (
 	"medrelax/internal/corpus"
 	"medrelax/internal/eks"
 	"medrelax/internal/kb"
+	"medrelax/internal/match"
 	"medrelax/internal/ontology"
 )
 
@@ -108,24 +109,13 @@ func testWorld(t *testing.T) (*ontology.Ontology, *kb.Store, *core.Ingestion, *c
 		},
 	}})
 
-	ing, err := core.Ingest(o, store, g, corp, exactMapper{g}, core.IngestOptions{})
+	ing, err := core.Ingest(o, store, g, corp, match.NewExact(g), core.IngestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim := core.NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
-	relaxer := core.NewRelaxer(ing, sim, exactMapper{g}, core.RelaxOptions{Radius: 3, DynamicRadius: true})
+	relaxer := core.NewRelaxer(ing, sim, match.NewExact(g), core.RelaxOptions{Radius: 3, DynamicRadius: true})
 	return o, store, ing, relaxer
-}
-
-type exactMapper struct{ g *eks.Graph }
-
-func (m exactMapper) Name() string { return "EXACT" }
-func (m exactMapper) Map(name string) (eks.ConceptID, bool) {
-	ids := m.g.LookupName(name)
-	if len(ids) == 0 {
-		return 0, false
-	}
-	return ids[0], true
 }
 
 func newConversation(t *testing.T, withQR bool) *Conversation {

@@ -119,16 +119,12 @@ func (c *countdownCtx) Err() error {
 }
 
 func TestCancelledWalkReturnsScratch(t *testing.T) {
-	w, err := synthkb.Generate(synthkb.Config{Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	med, err := medkb.Generate(w, medkb.Config{Seed: 12, Drugs: 20})
+	w, med, corp, err := medkb.GenerateWorld(11, synthkb.Config{}, medkb.Config{Drugs: 20}, medkb.CorpusConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := w.Graph
-	ing, err := core.Ingest(med.Ontology, med.Store, g, medkb.BuildCorpus(w, med, medkb.CorpusConfig{Seed: 13}), match.NewExact(g), core.IngestOptions{})
+	ing, err := core.Ingest(med.Ontology, med.Store, g, corp, match.NewExact(g), core.IngestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -181,15 +181,10 @@ func TestAdoptedGraphMatchesBuiltRandomDAGs(t *testing.T) {
 // the benchmark's padding loop does.
 func ingestWorld(t *testing.T, n int) (g *eks.Graph, padBuilds, ingestBuilds int) {
 	t.Helper()
-	w, err := synthkb.Generate(synthkb.Config{Seed: 11, ConditionsPerPair: 2})
+	w, med, corp, err := medkb.GenerateWorld(11, synthkb.Config{ConditionsPerPair: 2}, medkb.Config{Drugs: 20}, medkb.CorpusConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	med, err := medkb.Generate(w, medkb.Config{Seed: 12, Drugs: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	corp := medkb.BuildCorpus(w, med, medkb.CorpusConfig{Seed: 13})
 	g = w.Graph
 	ids := g.ConceptIDs()
 	next := ids[len(ids)-1] + 1

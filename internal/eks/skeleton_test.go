@@ -160,11 +160,7 @@ func checkSkeletonWalk(t *testing.T, g *eks.Graph, skel *eks.Skeleton, report []
 // flagged report column.
 func skeletonWorld(t *testing.T, seed int64, padTo int, chains bool, opts core.IngestOptions) (*eks.Graph, []int32) {
 	t.Helper()
-	w, err := synthkb.Generate(synthkb.Config{Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	med, err := medkb.Generate(w, medkb.Config{Seed: seed + 1, Drugs: 20})
+	w, med, _, err := medkb.GenerateWorld(seed, synthkb.Config{}, medkb.Config{Drugs: 20}, medkb.CorpusConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

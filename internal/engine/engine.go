@@ -277,11 +277,11 @@ func instanceNames(ing *core.Ingestion) map[eks.ConceptID][]string {
 }
 
 // flaggedTerms resolves the flagged concepts to names in ID order — the
-// deterministic term index Terms slices from. FlaggedIDs is already
-// ascending under both map and flat-mapped backings. With secondary sources
-// mounted, their flagged names follow the primary's in mount order (each
-// source's names in its own ID order, duplicates dropped), so load
-// generators exercise terms only a secondary can answer.
+// deterministic term index Terms slices from; FlaggedIDs is already
+// ascending. With secondary sources mounted, their flagged names follow the
+// primary's in mount order (each source's names in its own ID order,
+// duplicates dropped), so load generators exercise terms only a secondary
+// can answer.
 func flaggedTerms(ing *core.Ingestion) []string {
 	ids := ing.FlaggedIDs()
 	out := make([]string, 0, len(ids))
@@ -322,12 +322,8 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 	loadDur := time.Since(loadStart)
 	freezeStart := time.Now()
 	snap := New(ing, Config{Source: path})
-	residency := "heap"
-	if ing.Backing != nil && ing.Backing.Mapped() {
-		residency = "mapped"
-	}
 	log.Printf("bundle loaded: %d EKS concepts, %d instances, %s, resolver %s with %d tokens (decode+restore %s, freeze %s)",
-		ing.Graph.Len(), ing.Store.Len(), residency, snap.resolverResidency(), len(snap.lookup.FlatData().Tokens),
+		ing.Graph.Len(), ing.Store.Len(), snap.residency(), snap.resolverResidency(), len(snap.lookup.FlatData().Tokens),
 		loadDur.Round(time.Millisecond), time.Since(freezeStart).Round(time.Millisecond))
 	// Probe one flagged term end to end so a structurally valid bundle
 	// that cannot actually answer fails here, not in production traffic.

@@ -17,6 +17,7 @@ import (
 	"medrelax/internal/corpus"
 	"medrelax/internal/eks"
 	"medrelax/internal/kb"
+	"medrelax/internal/match"
 	"medrelax/internal/ontology"
 	"medrelax/internal/persist"
 	"medrelax/internal/trace"
@@ -86,22 +87,11 @@ func testIngestion(t *testing.T) *core.Ingestion {
 	corp := corpus.New([]corpus.Document{{ID: "d", Sections: []corpus.Section{
 		{Label: "Indication-hasFinding-Finding", Text: "kidney disease kidney disease fever"},
 	}}})
-	ing, err := core.Ingest(o, store, g, corp, exactMapper{g}, core.IngestOptions{})
+	ing, err := core.Ingest(o, store, g, corp, match.NewExact(g), core.IngestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ing
-}
-
-type exactMapper struct{ g *eks.Graph }
-
-func (m exactMapper) Name() string { return "EXACT" }
-func (m exactMapper) Map(name string) (eks.ConceptID, bool) {
-	ids := m.g.LookupName(name)
-	if len(ids) == 0 {
-		return 0, false
-	}
-	return ids[0], true
 }
 
 // relax asks s one request without a deadline.

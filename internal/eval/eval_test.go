@@ -110,11 +110,7 @@ func TestFormatTable(t *testing.T) {
 
 func buildOracleWorld(t *testing.T) (*synthkb.World, *medkb.MED, *Oracle) {
 	t.Helper()
-	w, err := synthkb.Generate(synthkb.Config{Seed: 17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	med, err := medkb.Generate(w, medkb.Config{Seed: 18, Drugs: 40})
+	w, med, _, err := medkb.GenerateWorld(17, synthkb.Config{}, medkb.Config{Drugs: 40}, medkb.CorpusConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,11 +24,7 @@ import (
 // world generates a MED store over a seeded synthkb world.
 func world(t *testing.T, seed int64, conditionsPerPair, drugs int) (*synthkb.World, *medkb.MED) {
 	t.Helper()
-	w, err := synthkb.Generate(synthkb.Config{Seed: seed, ConditionsPerPair: conditionsPerPair})
-	if err != nil {
-		t.Fatal(err)
-	}
-	med, err := medkb.Generate(w, medkb.Config{Seed: seed + 1, Drugs: drugs})
+	w, med, _, err := medkb.GenerateWorld(seed, synthkb.Config{ConditionsPerPair: conditionsPerPair}, medkb.Config{Drugs: drugs}, medkb.CorpusConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

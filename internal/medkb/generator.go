@@ -1,12 +1,14 @@
 package medkb
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"strings"
 
+	"medrelax/internal/corpus"
 	"medrelax/internal/eks"
 	"medrelax/internal/kb"
 	"medrelax/internal/ontology"
@@ -128,6 +130,26 @@ type MED struct {
 	Popularity map[eks.ConceptID]float64
 	// DrugNames lists generated drug instance names in ID order.
 	DrugNames []string
+}
+
+// GenerateWorld generates a whole synthetic world from one seed: the
+// external knowledge source, the MED over it, and its monograph corpus. A
+// stage config whose Seed is zero gets seed, seed+1 and seed+2 respectively;
+// an explicit stage seed wins. Every call returns fresh values: ingestion
+// customizes the world's graph in place, so two ingestions need two calls.
+func GenerateWorld(seed int64, source synthkb.Config, cfg Config, corpusCfg CorpusConfig) (*synthkb.World, *MED, *corpus.Corpus, error) {
+	source.Seed = cmp.Or(source.Seed, seed)
+	cfg.Seed = cmp.Or(cfg.Seed, seed+1)
+	corpusCfg.Seed = cmp.Or(corpusCfg.Seed, seed+2)
+	world, err := synthkb.Generate(source)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("medkb: generating external knowledge source: %w", err)
+	}
+	med, err := Generate(world, cfg)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("medkb: generating MED: %w", err)
+	}
+	return world, med, BuildCorpus(world, med, corpusCfg), nil
 }
 
 // Generate builds a MED over a synthkb world.

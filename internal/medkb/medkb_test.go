@@ -2,8 +2,13 @@ package medkb
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
+	"medrelax/internal/corpus"
+	"medrelax/internal/eks"
+	"medrelax/internal/kb"
 	"medrelax/internal/stringutil"
 	"medrelax/internal/synthkb"
 )
@@ -218,6 +223,69 @@ func TestBuildCorpusDeterministic(t *testing.T) {
 	if c1.TokenCount() != c2.TokenCount() {
 		t.Error("corpus generation not deterministic")
 	}
+}
+
+// TestGenerateWorldSeeds: zero stage seeds are seed, seed+1 and seed+2; an
+// explicit stage seed wins.
+func TestGenerateWorldSeeds(t *testing.T) {
+	type columns struct {
+		graph  eks.FlatGraphData
+		store  kb.FlatStoreData
+		corpus []corpus.Document
+	}
+	gen := func(source, med, corp int64) columns {
+		t.Helper()
+		w, m, c, err := GenerateWorld(11, synthkb.Config{Seed: source}, Config{Seed: med, Drugs: 20}, CorpusConfig{Seed: corp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return columns{w.Graph.FlatData(), m.Store.FlatData(), c.Documents()}
+	}
+	derived := gen(0, 0, 0)
+	if !reflect.DeepEqual(derived, gen(11, 12, 13)) {
+		t.Error("zero stage seeds do not derive seed, seed+1, seed+2")
+	}
+	explicit := gen(0, 40, 0)
+	if !reflect.DeepEqual(explicit, gen(11, 40, 13)) {
+		t.Error("an explicit MED seed with zero source and corpus seeds is not the triple (11, 40, 13)")
+	}
+	if reflect.DeepEqual(explicit.store, derived.store) {
+		t.Error("the explicit MED seed was ignored")
+	}
+}
+
+// TestGenerateWorldIsFresh: ingestion customizes a graph in place, so two
+// calls must not share one.
+func TestGenerateWorldIsFresh(t *testing.T) {
+	a, _, _, err := GenerateWorld(11, synthkb.Config{}, Config{Drugs: 20}, CorpusConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, _, err := GenerateWorld(11, synthkb.Config{}, Config{Drugs: 20}, CorpusConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := b.Graph.EdgeCount()
+	for _, id := range a.Findings {
+		for _, p := range a.Graph.Parents(id) {
+			for _, gp := range a.Graph.Parents(p) {
+				if slices.Contains(a.Graph.Parents(id), gp) {
+					continue
+				}
+				if err := a.Graph.AddShortcutEdge(id, gp, 2); err != nil {
+					t.Fatal(err)
+				}
+				if got := a.Graph.EdgeCount(); got != edges+1 {
+					t.Fatalf("the shortcut left %d edges, want %d", got, edges+1)
+				}
+				if got := b.Graph.EdgeCount(); got != edges {
+					t.Fatalf("a shortcut added to one world's graph moved the other's edge count %d -> %d", edges, got)
+				}
+				return
+			}
+		}
+	}
+	t.Fatal("no finding has a grandparent to shortcut to")
 }
 
 func TestBuildGeneralCorpus(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"medrelax/internal/core"
+	"medrelax/internal/match"
 	"medrelax/internal/ontology"
 )
 
@@ -81,10 +82,10 @@ func assertAccelServes(t *testing.T, ing, restored *core.Ingestion) {
 	}
 	live := core.NewRelaxer(restored,
 		core.NewSimilarity(restored.Graph, restored.Frequencies, restored.Ontology),
-		exactMapper{restored.Graph}, accelRelax)
+		match.NewExact(restored.Graph), accelRelax)
 	accel := core.NewRelaxer(restored,
 		core.NewSimilarity(restored.Graph, restored.Frequencies, restored.Ontology),
-		exactMapper{restored.Graph}, accelRelax)
+		match.NewExact(restored.Graph), accelRelax)
 	if !accel.SetMaterialized(restored.Materialized) {
 		t.Fatal("restored materialized store refused by matching relaxer")
 	}

@@ -11,6 +11,7 @@ import (
 
 	"medrelax/internal/core"
 	"medrelax/internal/eks"
+	"medrelax/internal/match"
 	"medrelax/internal/ontology"
 )
 
@@ -39,10 +40,10 @@ func assertSameRelaxations(t *testing.T, want, got *core.Ingestion) {
 	ctx := &ontology.Context{Domain: "Indication", Relationship: "hasFinding", Range: "Finding"}
 	relA := core.NewRelaxer(want,
 		core.NewSimilarity(want.Graph, want.Frequencies, want.Ontology),
-		exactMapper{want.Graph}, core.RelaxOptions{Radius: 3})
+		match.NewExact(want.Graph), core.RelaxOptions{Radius: 3})
 	relB := core.NewRelaxer(got,
 		core.NewSimilarity(got.Graph, got.Frequencies, got.Ontology),
-		exactMapper{got.Graph}, core.RelaxOptions{Radius: 3})
+		match.NewExact(got.Graph), core.RelaxOptions{Radius: 3})
 	flagged := want.FlaggedIDs()
 	if len(flagged) == 0 {
 		t.Fatal("ingestion has no flagged concepts to probe")

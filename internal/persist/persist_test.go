@@ -12,7 +12,7 @@ import (
 	"testing"
 
 	"medrelax/internal/core"
-	"medrelax/internal/eks"
+	"medrelax/internal/match"
 	"medrelax/internal/medkb"
 	"medrelax/internal/synthkb"
 )
@@ -21,31 +21,15 @@ import (
 // world. testing.TB so the fuzz harness can share it.
 func buildIngestion(t testing.TB) *core.Ingestion {
 	t.Helper()
-	world, err := synthkb.Generate(synthkb.Config{Seed: 31, ConditionsPerPair: 2})
+	world, med, corp, err := medkb.GenerateWorld(31, synthkb.Config{ConditionsPerPair: 2}, medkb.Config{Drugs: 25}, medkb.CorpusConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	med, err := medkb.Generate(world, medkb.Config{Seed: 32, Drugs: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	corp := medkb.BuildCorpus(world, med, medkb.CorpusConfig{Seed: 33})
-	ing, err := core.Ingest(med.Ontology, med.Store, world.Graph, corp, exactMapper{world.Graph}, core.IngestOptions{})
+	ing, err := core.Ingest(med.Ontology, med.Store, world.Graph, corp, match.NewExact(world.Graph), core.IngestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ing
-}
-
-type exactMapper struct{ g *eks.Graph }
-
-func (m exactMapper) Name() string { return "EXACT" }
-func (m exactMapper) Map(name string) (eks.ConceptID, bool) {
-	ids := m.g.LookupName(name)
-	if len(ids) == 0 {
-		return 0, false
-	}
-	return ids[0], true
 }
 
 // loadBytes is LoadFile over bytes in memory: the head classifier, then the

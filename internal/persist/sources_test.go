@@ -24,16 +24,11 @@ import (
 // harness can share it.
 func buildFederatedIngestion(t testing.TB) *core.Ingestion {
 	t.Helper()
-	world, err := synthkb.Generate(synthkb.Config{Seed: 31, ConditionsPerPair: 2})
+	world, med, corp, err := medkb.GenerateWorld(31, synthkb.Config{ConditionsPerPair: 2}, medkb.Config{Drugs: 25}, medkb.CorpusConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	med, err := medkb.Generate(world, medkb.Config{Seed: 32, Drugs: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	corp := medkb.BuildCorpus(world, med, medkb.CorpusConfig{Seed: 33})
-	ing, err := core.Ingest(med.Ontology, med.Store, world.Graph, corp, exactMapper{world.Graph}, core.IngestOptions{})
+	ing, err := core.Ingest(med.Ontology, med.Store, world.Graph, corp, match.NewExact(world.Graph), core.IngestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"medrelax/internal/eks"
 	"medrelax/internal/engine"
 	"medrelax/internal/kb"
+	"medrelax/internal/match"
 	"medrelax/internal/ontology"
 )
 
@@ -80,7 +81,7 @@ func testBackend(t *testing.T) *engine.Snapshot {
 	corp := corpus.New([]corpus.Document{{ID: "d", Sections: []corpus.Section{
 		{Label: "Indication-hasFinding-Finding", Text: "kidney disease kidney disease fever"},
 	}}})
-	mapper := exactMapper{g}
+	mapper := match.NewExact(g)
 	ing, err := core.Ingest(o, store, g, corp, mapper, core.IngestOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -99,17 +100,6 @@ func testBackend(t *testing.T) *engine.Snapshot {
 		},
 	})
 	return snap
-}
-
-type exactMapper struct{ g *eks.Graph }
-
-func (m exactMapper) Name() string { return "EXACT" }
-func (m exactMapper) Map(name string) (eks.ConceptID, bool) {
-	ids := m.g.LookupName(name)
-	if len(ids) == 0 {
-		return 0, false
-	}
-	return ids[0], true
 }
 
 func newTestServer(t *testing.T) *httptest.Server {

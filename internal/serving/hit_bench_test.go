@@ -31,15 +31,10 @@ func (d *discardWriter) WriteHeader(code int)        { d.status = code }
 // encoding, and Engine.RelaxBatch's cache probe — over a small generated world
 // at DefaultOptions, untraced. CI gates its allocs/op.
 func BenchmarkServeHit(b *testing.B) {
-	w, err := synthkb.Generate(synthkb.Config{Seed: 7, ConditionsPerPair: 2})
+	w, med, corp, err := medkb.GenerateWorld(7, synthkb.Config{ConditionsPerPair: 2}, medkb.Config{Drugs: 25}, medkb.CorpusConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	med, err := medkb.Generate(w, medkb.Config{Seed: 8, Drugs: 25})
-	if err != nil {
-		b.Fatal(err)
-	}
-	corp := medkb.BuildCorpus(w, med, medkb.CorpusConfig{Seed: 9})
 	ing, err := core.Ingest(med.Ontology, med.Store, w.Graph, corp, match.NewExact(w.Graph), core.IngestOptions{})
 	if err != nil {
 		b.Fatal(err)

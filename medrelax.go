@@ -18,8 +18,11 @@
 package medrelax
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"medrelax/internal/core"
@@ -123,36 +126,22 @@ type System struct {
 
 // Build generates the synthetic world and runs the offline phase.
 func Build(cfg Config) (*System, error) {
-	if cfg.Seed == 0 {
-		cfg.Seed = 42
+	cfg.Seed = cmp.Or(cfg.Seed, 42)
+	cfg.MapperName = cmp.Or(cfg.MapperName, "EMBEDDING")
+	mapperNames := []string{"EXACT", "EDIT", "EMBEDDING"} // Table 1's order
+	if !slices.Contains(mapperNames, cfg.MapperName) {
+		last := len(mapperNames) - 1
+		return nil, fmt.Errorf("medrelax: unknown mapper %q (want %s or %s)",
+			cfg.MapperName, strings.Join(mapperNames[:last], ", "), mapperNames[last])
 	}
-	if cfg.MapperName == "" {
-		cfg.MapperName = "EMBEDDING"
-	}
-	if cfg.EKS.Seed == 0 {
-		cfg.EKS.Seed = cfg.Seed
-	}
-	if cfg.MED.Seed == 0 {
-		cfg.MED.Seed = cfg.Seed + 1
-	}
-	if cfg.Corpus.Seed == 0 {
-		cfg.Corpus.Seed = cfg.Seed + 2
-	}
-	if cfg.Embedding.Seed == 0 {
-		cfg.Embedding.Seed = cfg.Seed + 3
-	}
+	cfg.Embedding.Seed = cmp.Or(cfg.Embedding.Seed, cfg.Seed+3)
 
 	var timings BuildTimings
 	start := time.Now()
-	world, err := synthkb.Generate(cfg.EKS)
+	world, med, corp, err := medkb.GenerateWorld(cfg.Seed, cfg.EKS, cfg.MED, cfg.Corpus)
 	if err != nil {
-		return nil, fmt.Errorf("medrelax: generating external knowledge source: %w", err)
+		return nil, fmt.Errorf("medrelax: %w", err)
 	}
-	med, err := medkb.Generate(world, cfg.MED)
-	if err != nil {
-		return nil, fmt.Errorf("medrelax: generating MED: %w", err)
-	}
-	corp := medkb.BuildCorpus(world, med, cfg.Corpus)
 	general := medkb.BuildPretrainCorpus(world, cfg.Seed+4, 0)
 	timings.WorldGen = time.Since(start)
 
@@ -176,15 +165,11 @@ func Build(cfg Config) (*System, error) {
 	medEnc := embedding.NewSIFEncoder(medModel, 0, refs)
 	genEnc := embedding.NewSIFEncoder(genModel, 0, refs)
 
-	mappers := map[string]match.Mapper{
-		"EXACT":     match.NewExact(world.Graph),
-		"EDIT":      match.NewEdit(world.Graph, 0),
-		"EMBEDDING": match.NewEmbedding(world.Graph, medEnc, 0),
+	mappers := make(map[string]match.Mapper, len(mapperNames))
+	for i, m := range []match.Mapper{match.NewExact(world.Graph), match.NewEdit(world.Graph, 0), match.NewEmbedding(world.Graph, medEnc, 0)} {
+		mappers[mapperNames[i]] = m
 	}
-	mapper, ok := mappers[cfg.MapperName]
-	if !ok {
-		return nil, fmt.Errorf("medrelax: unknown mapper %q (want EXACT, EDIT or EMBEDDING)", cfg.MapperName)
-	}
+	mapper := mappers[cfg.MapperName]
 	timings.Embeddings = time.Since(embedStart)
 
 	// An enabled materialization with no explicit relaxation options
@@ -201,57 +186,10 @@ func Build(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("medrelax: ingestion: %w", err)
 	}
-	if cfg.SecondSource {
-		vg, err := synthkb.GenerateVariant(world)
-		if err != nil {
-			return nil, fmt.Errorf("medrelax: generating variant vocabulary: %w", err)
-		}
-		// The variant source maps by surface form only (exact, then edit
-		// distance) — no embeddings: its whole point is to exactly know the
-		// names the primary does not. Its ingestion runs over the same KB
-		// store, ontology and corpus, so its frequency table speaks the
-		// same contexts. Accelerations stay primary-only.
-		vmapper := match.NewCombined(match.NewExact(vg), match.NewEdit(vg, 0))
-		vopts := core.IngestOptions{Frequency: cfg.Ingest.Frequency}
-		ving, err := core.Ingest(med.Ontology, med.Store, vg, corp, vmapper, vopts)
-		if err != nil {
-			return nil, fmt.Errorf("medrelax: ingesting variant vocabulary: %w", err)
-		}
-		ing.Sources = []core.NamedSource{{Name: "variant", Ing: ving}}
-	}
 	timings.Ingest = time.Since(ingestStart)
 	timings.Total = time.Since(start)
 
-	// The servable assembly (freeze, similarity, relaxer, term index)
-	// happens in exactly one place: engine.New. The conversation factory
-	// and world stats close over sys, assigned below before any caller can
-	// invoke them.
-	var sys *System
-	snap := engine.New(ing, engine.Config{
-		Relax:  cfg.Relax,
-		Mapper: mapper,
-		Conversation: func() (*dialog.Conversation, error) {
-			return sys.NewConversation(true)
-		},
-		ExtraStats: func() map[string]any {
-			return map[string]any{
-				"corpusTokens":     sys.Corpus.TokenCount(),
-				"embeddingVocab":   sys.MedModel.VocabSize(),
-				"ontologyConcepts": sys.Med.Ontology.ConceptCount(),
-			}
-		},
-	})
-
-	methods := []core.Method{
-		core.NewQR(ing, mapper, cfg.Relax),
-		core.NewQRNoContext(ing, mapper, cfg.Relax),
-		core.NewQRNoCorpus(ing, mapper, cfg.Relax),
-		core.NewICBaseline(ing, mapper, cfg.Relax),
-		core.NewEmbeddingMethod("Embedding-pre-trained", ing, genEnc),
-		core.NewEmbeddingMethod("Embedding-trained", ing, medEnc),
-	}
-
-	sys = &System{
+	sys := &System{
 		Config:        cfg,
 		World:         world,
 		Med:           med,
@@ -264,13 +202,74 @@ func Build(cfg Config) (*System, error) {
 		Mappers:       mappers,
 		Mapper:        mapper,
 		Ingestion:     ing,
-		Engine:        snap,
-		Relaxer:       snap.Relaxer(),
-		Methods:       methods,
 		Oracle:        eval.NewOracle(world, med),
 		Timings:       timings,
 	}
+	if cfg.SecondSource {
+		return sys.withSecondSource()
+	}
+	sys.assemble()
 	return sys, nil
+}
+
+// withSecondSource returns a copy of s whose ingestion is a shallow copy of
+// s's with the variant vocabulary mounted as the source "variant",
+// assembled as Build assembles it. s is left as it was.
+func (s *System) withSecondSource() (*System, error) {
+	start := time.Now()
+	vg, err := synthkb.GenerateVariant(s.World)
+	if err != nil {
+		return nil, fmt.Errorf("medrelax: generating variant vocabulary: %w", err)
+	}
+	// The variant source maps by surface form only (exact, then edit
+	// distance) — no embeddings: its whole point is to exactly know the
+	// names the primary does not. Its ingestion runs over the same KB
+	// store, ontology and corpus, so its frequency table speaks the same
+	// contexts. Accelerations stay primary-only.
+	vmapper := match.NewCombined(match.NewExact(vg), match.NewEdit(vg, 0))
+	ving, err := core.Ingest(s.Med.Ontology, s.Med.Store, vg, s.Corpus, vmapper, core.IngestOptions{Frequency: s.Config.Ingest.Frequency})
+	if err != nil {
+		return nil, fmt.Errorf("medrelax: ingesting variant vocabulary: %w", err)
+	}
+	ing := *s.Ingestion
+	ing.Sources = []core.NamedSource{{Name: "variant", Ing: ving}}
+	out := *s
+	out.Config.SecondSource = true
+	out.Ingestion = &ing
+	out.Timings.Ingest += time.Since(start)
+	out.Timings.Total += time.Since(start)
+	out.assemble()
+	return &out, nil
+}
+
+// assemble derives what s serves from its ingestion: the snapshot (engine.New
+// is the one place freeze, similarity, relaxer and term index are assembled),
+// its relaxer and Table 2's six methods. Conversations and stats close over s.
+func (s *System) assemble() {
+	ing, mapper, opts := s.Ingestion, s.Mapper, s.Config.Relax
+	s.Engine = engine.New(ing, engine.Config{
+		Relax:  opts,
+		Mapper: mapper,
+		Conversation: func() (*dialog.Conversation, error) {
+			return s.NewConversation(true)
+		},
+		ExtraStats: func() map[string]any {
+			return map[string]any{
+				"corpusTokens":     s.Corpus.TokenCount(),
+				"embeddingVocab":   s.MedModel.VocabSize(),
+				"ontologyConcepts": s.Med.Ontology.ConceptCount(),
+			}
+		},
+	})
+	s.Relaxer = s.Engine.Relaxer()
+	s.Methods = []core.Method{
+		core.NewQR(ing, mapper, opts),
+		core.NewQRNoContext(ing, mapper, opts),
+		core.NewQRNoCorpus(ing, mapper, opts),
+		core.NewICBaseline(ing, mapper, opts),
+		core.NewEmbeddingMethod("Embedding-pre-trained", ing, s.GenEncoder),
+		core.NewEmbeddingMethod("Embedding-trained", ing, s.MedEncoder),
+	}
 }
 
 // Result is one relaxed answer resolved to surface names.
@@ -325,6 +324,16 @@ func (s *System) Table1() []eval.MapperScore {
 	return eval.EvaluateMappers(s.Med, mappers)
 }
 
+// qrRelaxer is the relaxer of the Section 6 integrations. The online phase
+// resolves colloquial terms by exact match, then edit distance, then
+// embeddings (Section 3), and repair includes the mapped concept itself
+// when the KB knows it.
+func (s *System) qrRelaxer() *core.Relaxer {
+	opts := s.Config.Relax
+	opts.IncludeSelf = true
+	return s.Engine.NewRelaxer(match.NewCombined(s.Mappers["EXACT"], s.Mappers["EDIT"], s.Mappers["EMBEDDING"]), opts)
+}
+
 // FlaggedSet returns the FEC set — the external concepts the KB holds data
 // for — as a fresh set, the form the evaluation harness and the DOT export
 // take.
@@ -357,14 +366,7 @@ func (s *System) NewConversation(withQR bool) (*dialog.Conversation, error) {
 	if !withQR {
 		return dialog.NewConversation(s.Med.Store, s.Med.Ontology, classifier, extractor, nil, nil), nil
 	}
-	// The online phase resolves colloquial terms by exact match, then edit
-	// distance, then embeddings (Section 3), and repair includes the mapped
-	// concept itself when the KB knows it.
-	combined := match.NewCombined(s.Mappers["EXACT"], s.Mappers["EDIT"], s.Mappers["EMBEDDING"])
-	opts := s.Config.Relax
-	opts.IncludeSelf = true
-	relaxer := s.Engine.NewRelaxer(combined, opts)
-	return dialog.NewConversation(s.Med.Store, s.Med.Ontology, classifier, extractor, relaxer, s.Ingestion), nil
+	return dialog.NewConversation(s.Med.Store, s.Med.Ontology, classifier, extractor, s.qrRelaxer(), s.Ingestion), nil
 }
 
 // NewNLQSystem builds the Section 6.2 natural language query pipeline over
@@ -373,11 +375,7 @@ func (s *System) NewNLQSystem(withQR bool) *nlq.System {
 	if !withQR {
 		return nlq.NewSystem(s.Med.Ontology, s.Med.Store, nil, nil)
 	}
-	combined := match.NewCombined(s.Mappers["EXACT"], s.Mappers["EDIT"], s.Mappers["EMBEDDING"])
-	opts := s.Config.Relax
-	opts.IncludeSelf = true
-	relaxer := s.Engine.NewRelaxer(combined, opts)
-	return nlq.NewSystem(s.Med.Ontology, s.Med.Store, relaxer, s.Ingestion)
+	return nlq.NewSystem(s.Med.Ontology, s.Med.Store, s.qrRelaxer(), s.Ingestion)
 }
 
 // NLQExperiment runs the query-answerability comparison on the NLQ

@@ -247,10 +247,7 @@ func TestBuildDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping second build in -short mode")
 	}
-	a, err := Build(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := sharedSystem(t)
 	b, err := Build(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

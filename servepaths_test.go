@@ -13,6 +13,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -45,17 +46,19 @@ type genWorld struct {
 // genRelax is what the accelerated worlds' stores are built under.
 var genRelax = core.RelaxOptions{Radius: 3, DynamicRadius: true, MaxRadius: 6}
 
+// ingest runs Algorithm 1 over the generated world once per process for
+// each genWorld; the tests only read what it returns.
 func (gw genWorld) ingest(t *testing.T) *core.Ingestion {
 	t.Helper()
-	w, err := synthkb.Generate(synthkb.Config{Seed: gw.seed, ConditionsPerPair: gw.conditionsPerPair})
+	ingestedMu.Lock()
+	defer ingestedMu.Unlock()
+	if ing, ok := ingested[gw]; ok {
+		return ing
+	}
+	w, med, corp, err := medkb.GenerateWorld(gw.seed, synthkb.Config{ConditionsPerPair: gw.conditionsPerPair}, medkb.Config{}, medkb.CorpusConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	med, err := medkb.Generate(w, medkb.Config{Seed: gw.seed + 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	corp := medkb.BuildCorpus(w, med, medkb.CorpusConfig{Seed: gw.seed + 2})
 	var opts core.IngestOptions
 	if gw.accelerated {
 		opts.Materialize = core.MaterializeOptions{Enabled: true, Relax: genRelax, HeadFraction: 0.25, MaxPerQuery: gw.storeDepth}
@@ -76,8 +79,14 @@ func (gw genWorld) ingest(t *testing.T) *core.Ingestion {
 		}
 		ing.Sources = []core.NamedSource{{Name: "variant", Ing: ving}}
 	}
+	ingested[gw] = ing
 	return ing
 }
+
+var (
+	ingestedMu sync.Mutex
+	ingested   = map[genWorld]*core.Ingestion{}
+)
 
 // serveQuery is one relax request as every serve path spells it.
 type serveQuery struct {
