@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"medrelax/internal/eks"
@@ -166,6 +168,49 @@ func (s *Similarity) legacySimICFromLCS(a, b eks.ConceptID, lcs []eks.ConceptID,
 		return 1
 	}
 	return sim
+}
+
+// legacyMaterializeConcept is materializeConcept before contexts shared their
+// evidence class, verbatim: every context scored and ranked on its own.
+// Materialization's oracle for one release.
+func legacyMaterializeConcept(r *Relaxer, q eks.ConceptID, ctxs []*ontology.Context, opts MaterializeOptions, sc *relaxScratch) []matEntry {
+	// Background never cancels, so the error paths are unreachable here.
+	bg := context.Background()
+	g, _ := r.geometry(bg, q, math.MaxInt, sc)
+	out := make([]matEntry, 0, len(ctxs))
+	for _, ctx := range ctxs {
+		scored, _ := r.scoreGeometry(bg, q, ctx, g, len(g.levelEnd)-1, sc)
+		n := len(scored)
+		if opts.MaxPerQuery > 0 && n > opts.MaxPerQuery {
+			n = opts.MaxPerQuery
+		}
+		e := matEntry{complete: n == len(scored), counts: g.counts}
+		scored = rankedPrefix(scored, n)
+		e.scores, e.cands = make([]float64, len(scored)), make([]uint32, len(scored))
+		for i, h := range scored {
+			e.scores[i], e.cands[i] = h.score, packMatCand(h.slot, h.hops)
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// legacyMaterialize is MaterializeTopK's columns built serially through
+// legacyMaterializeConcept.
+func legacyMaterialize(ing *Ingestion, sim *Similarity, opts MaterializeOptions) FlatMaterializedData {
+	opts = opts.withDefaults()
+	head := slices.Clone(headConcepts(ing, opts))
+	slices.Sort(head)
+	ctxs := materializedContexts(opts)
+	r := NewRelaxer(ing, sim, nil, opts.Relax)
+	d := FlatMaterializedData{Relax: opts.Relax, CountOff: []int32{0}, CandOff: []int32{0}}
+	sc := &relaxScratch{}
+	for _, q := range head {
+		for j, e := range legacyMaterializeConcept(r, q, ctxs, opts, sc) {
+			d.appendEntry(q, ctxKey(ctxs[j]), e)
+		}
+	}
+	return d
 }
 
 // setGeometryBudget replaces the relaxer's geometry memo with an empty one of

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"medrelax/internal/eks"
 	"medrelax/internal/ontology"
@@ -26,6 +27,11 @@ import (
 // filtered list), and candidates are consumed until k distinct instances —
 // byte-identical output with no traversal, no scoring, and no sort.
 //
+// Contexts that subsume the same corpus labels — one evidence class, the
+// context-free query among those that subsume none — give every concept the
+// same IC and so the same ranking: MaterializeTopK computes it once per head
+// concept and class and stores it under each context of the class.
+//
 // Entries are valid only under the RelaxOptions they were built with;
 // SetMaterialized refuses a store whose options differ from the relaxer's.
 type Materialized struct {
@@ -37,6 +43,10 @@ type Materialized struct {
 	// concepts is the number of distinct query concepts, counted once when
 	// the store is assembled.
 	concepts int
+	// rankings and scored are the work MaterializeTopK did for the store: the
+	// rankings it selected, one per head concept and evidence class, and the
+	// hits it scored for them. A store opened from columns did none.
+	rankings, scored int
 }
 
 // FlatMaterializedData is the column layout of a Materialized store, which
@@ -117,7 +127,9 @@ type MaterializeOptions struct {
 	// 17 ms traversal the earlier 256 was sized against.
 	MaxPerQuery int
 	// Contexts are the query contexts materialized besides the
-	// context-free (nil) entry every head concept gets.
+	// context-free (nil) entry every head concept gets. Each is stored as an
+	// entry of its own, but contexts of one evidence class (see Materialized)
+	// are scored and ranked once.
 	Contexts []ontology.Context
 }
 
@@ -183,23 +195,15 @@ func MaterializeTopK(ing *Ingestion, sim *Similarity, opts MaterializeOptions) *
 		return nil
 	}
 	head := headConcepts(ing, opts)
-
-	// Entries are stored in (concept, context key) order, so the contexts
-	// are put in key order once; one listed twice is materialized once. The
-	// context-free query has the empty key and sorts first.
-	ctxs := make([]*ontology.Context, 0, len(opts.Contexts)+1)
-	ctxs = append(ctxs, nil)
-	for i := range opts.Contexts {
-		ctxs = append(ctxs, &opts.Contexts[i])
-	}
-	slices.SortFunc(ctxs, func(a, b *ontology.Context) int { return cmp.Compare(ctxKey(a), ctxKey(b)) })
-	ctxs = slices.CompactFunc(ctxs, func(a, b *ontology.Context) bool { return ctxKey(a) == ctxKey(b) })
+	ctxs := materializedContexts(opts)
+	class := evidenceClasses(sim, ctxs)
 
 	built := make([][]matEntry, len(head)) // per head concept, parallel to ctxs
 
 	workers := max(min(runtime.GOMAXPROCS(0), len(head)), 1)
 	relaxer := NewRelaxer(ing, sim, nil, ropts)
 	var wg sync.WaitGroup
+	var scored atomic.Int64
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -207,7 +211,9 @@ func MaterializeTopK(ing *Ingestion, sim *Similarity, opts MaterializeOptions) *
 			defer wg.Done()
 			sc := &relaxScratch{}
 			for i := range next {
-				built[i] = materializeConcept(relaxer, head[i], ctxs, opts, sc)
+				var hits int
+				built[i], hits = materializeConcept(relaxer, head[i], ctxs, class, opts, sc)
+				scored.Add(int64(hits))
 			}
 		}()
 	}
@@ -251,7 +257,52 @@ func MaterializeTopK(ing *Ingestion, sim *Similarity, opts MaterializeOptions) *
 			d.appendEntry(head[i], ctxKey(ctxs[j]), e)
 		}
 	}
-	return newMaterialized(d, ing.maps.Flagged)
+	m := newMaterialized(d, ing.maps.Flagged)
+	for j := range class {
+		if class[j] == j {
+			m.rankings += len(head)
+		}
+	}
+	m.scored = int(scored.Load())
+	return m
+}
+
+// materializedContexts are the contexts a store holds entries for, in the
+// (concept, context key) order entries are stored in; one listed twice is
+// materialized once. The context-free query has the empty key and sorts first.
+func materializedContexts(opts MaterializeOptions) []*ontology.Context {
+	ctxs := make([]*ontology.Context, 0, len(opts.Contexts)+1)
+	ctxs = append(ctxs, nil)
+	for i := range opts.Contexts {
+		ctxs = append(ctxs, &opts.Contexts[i])
+	}
+	slices.SortFunc(ctxs, func(a, b *ontology.Context) int { return cmp.Compare(ctxKey(a), ctxKey(b)) })
+	return slices.CompactFunc(ctxs, func(a, b *ontology.Context) bool { return ctxKey(a) == ctxKey(b) })
+}
+
+// evidenceClasses resolves each context to its evidence class, named by the
+// first of ctxs in it: contexts whose IC under sim reads the same frequency
+// labels (contextIC.evidence, of the contextIC scoring binds) give every
+// concept the same IC, bit for bit. Under any other IC source each context is
+// a class of its own.
+func evidenceClasses(sim *Similarity, ctxs []*ontology.Context) []int {
+	class := make([]int, len(ctxs))
+	first := make(map[string]int, len(ctxs))
+	for j, ctx := range ctxs {
+		class[j] = j
+		ic := sim.icUnder(ctx)
+		labels, ok := ic.evidence()
+		if !ok {
+			continue
+		}
+		key := fmt.Sprint(labels)
+		if c, seen := first[key]; seen {
+			class[j] = c
+		} else {
+			first[key] = j
+		}
+	}
+	return class
 }
 
 // appendEntry adds one entry to the columns; callers append in (concept,
@@ -273,16 +324,24 @@ func (d *FlatMaterializedData) appendEntry(concept eks.ConceptID, ctx string, e 
 
 // materializeConcept builds one head concept's entries for every context:
 // the full candidate set at the maximum radius, per-radius instance counts,
-// and the per-context scored rankings. The candidates, counts and meets are
-// the live kernel's geometry of q, walked to the maximum radius and kept out
-// of the memo; the kernel's scorer runs over it once per context.
-func materializeConcept(r *Relaxer, q eks.ConceptID, ctxs []*ontology.Context, opts MaterializeOptions, sc *relaxScratch) []matEntry {
+// and the per-context scored rankings, and reports the hits it scored. The
+// candidates, counts and meets are the live kernel's geometry of q, walked to
+// the maximum radius and kept out of the memo; the kernel's scorer runs over it
+// once per evidence class, and a context whose class (class[j], the first
+// context in it) is already ranked shares that entry.
+func materializeConcept(r *Relaxer, q eks.ConceptID, ctxs []*ontology.Context, class []int, opts MaterializeOptions, sc *relaxScratch) ([]matEntry, int) {
 	// Background never cancels, so the error paths are unreachable here.
 	bg := context.Background()
 	g, _ := r.geometry(bg, q, math.MaxInt, sc)
-	out := make([]matEntry, 0, len(ctxs))
-	for _, ctx := range ctxs {
+	out := make([]matEntry, len(ctxs))
+	hits := 0
+	for j, ctx := range ctxs {
+		if c := class[j]; c != j {
+			out[j] = out[c]
+			continue
+		}
 		scored, _ := r.scoreGeometry(bg, q, ctx, g, len(g.levelEnd)-1, sc)
+		hits += len(scored)
 		n := len(scored)
 		if opts.MaxPerQuery > 0 && n > opts.MaxPerQuery {
 			n = opts.MaxPerQuery
@@ -293,9 +352,9 @@ func materializeConcept(r *Relaxer, q eks.ConceptID, ctxs []*ontology.Context, o
 		for i, h := range scored {
 			e.scores[i], e.cands[i] = h.score, packMatCand(h.slot, h.hops)
 		}
-		out = append(out, e)
+		out[j] = e
 	}
-	return out
+	return out, hits
 }
 
 // materializedServe answers from the store when it can prove the answer

@@ -266,6 +266,19 @@ func (c *contextIC) of(id eks.ConceptID) float64 {
 	return c.src.IC(id, c.ctx, c.o)
 }
 
+// evidence is the part of the context that of reads from a frequency table:
+// the labels the context subsumes, ascending. The context-free query and a context
+// that subsumes no label both read the aggregate, so both have none. ok is
+// false when the source is not a frequency table: nothing short of the context
+// itself tells its ICs apart.
+func (c *contextIC) evidence() (labels []int32, ok bool) {
+	if c.table != nil {
+		return c.labels.labels, true
+	}
+	_, ok = c.src.(*FrequencyTable)
+	return nil, ok
+}
+
 // SimIC computes the IC-based similarity of Equation 3,
 //
 //	sim_IC(A,B) = 2·IC(lcs(A,B)) / (IC(A)+IC(B)),
