@@ -262,9 +262,8 @@ func inspectBundle(path string) error {
 		fmt.Printf("secondary sources: %s\n", strings.Join(info.Sources, ", "))
 	}
 	if d := info.Store; d != nil {
-		fmt.Printf("materialized store: %d entries, %d candidates, depth max %d median %d, %d complete (%.1f%%), %d repeated (%d candidate bytes)\n",
-			d.Entries, d.Candidates, d.MaxDepth, d.MedianDepth, d.Complete, 100*float64(d.Complete)/float64(d.Entries),
-			d.Repeated, d.RepeatedBytes)
+		fmt.Printf("materialized store: %d entries, %d rankings, %d candidates, depth max %d median %d, %d complete (%.1f%%)\n",
+			d.Entries, d.Rankings, d.Candidates, d.MaxDepth, d.MedianDepth, d.Complete, 100*float64(d.Complete)/float64(d.Rankings))
 	}
 	for _, s := range info.Sections {
 		fmt.Printf("  %-22s kind=%-3d off=%-10d len=%-10d crc=%s\n",

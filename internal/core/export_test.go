@@ -196,7 +196,9 @@ func legacyMaterializeConcept(r *Relaxer, q eks.ConceptID, ctxs []*ontology.Cont
 }
 
 // legacyMaterialize is MaterializeTopK's columns built serially through
-// legacyMaterializeConcept.
+// legacyMaterializeConcept, in the per-entry layout stores had before a
+// ranking was stored once per evidence class: every entry its own ranking
+// (Ranking[i] == i), so CountOff, CandOff and Complete are indexed by entry.
 func legacyMaterialize(ing *Ingestion, sim *Similarity, opts MaterializeOptions) FlatMaterializedData {
 	opts = opts.withDefaults()
 	head := slices.Clone(headConcepts(ing, opts))
@@ -207,7 +209,9 @@ func legacyMaterialize(ing *Ingestion, sim *Similarity, opts MaterializeOptions)
 	sc := &relaxScratch{}
 	for _, q := range head {
 		for j, e := range legacyMaterializeConcept(r, q, ctxs, opts, sc) {
-			d.appendEntry(q, ctxKey(ctxs[j]), e)
+			d.Concepts = append(d.Concepts, q)
+			d.Ctxs = append(d.Ctxs, ctxKey(ctxs[j]))
+			d.Ranking = append(d.Ranking, d.appendRanking(e))
 		}
 	}
 	return d

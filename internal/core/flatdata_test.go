@@ -448,12 +448,17 @@ func TestOpenFlatAccelerationsRejectHostileColumns(t *testing.T) {
 	t.Run("materialized", func(t *testing.T) {
 		base := func() FlatMaterializedData {
 			d := ing.Materialized.FlatData()
-			d.Concepts, d.Ctxs, d.Complete = slices.Clone(d.Concepts), slices.Clone(d.Ctxs), slices.Clone(d.Complete)
-			d.CountOff, d.Counts = slices.Clone(d.CountOff), slices.Clone(d.Counts)
+			d.Concepts, d.Ctxs, d.Ranking = slices.Clone(d.Concepts), slices.Clone(d.Ctxs), slices.Clone(d.Ranking)
+			d.Complete, d.CountOff, d.Counts = slices.Clone(d.Complete), slices.Clone(d.CountOff), slices.Clone(d.Counts)
 			d.CandOff, d.CandScores, d.CandSlots = slices.Clone(d.CandOff), slices.Clone(d.CandScores), slices.Clone(d.CandSlots)
 			return d
 		}
-		if d := base(); d.CandOff[1] < 2 {
+		// second is the first entry of the second concept. The store must
+		// share a ranking between entries of a concept, or the layout checks
+		// tell nothing apart.
+		d := base()
+		second := slices.IndexFunc(d.Concepts, func(c eks.ConceptID) bool { return c != d.Concepts[0] })
+		if d.CandOff[1] < 2 || second < 0 || len(d.Complete) >= len(d.Concepts) {
 			t.Fatal("fixture too small to corrupt meaningfully")
 		}
 		open := func(d FlatMaterializedData) error {
@@ -463,9 +468,22 @@ func TestOpenFlatAccelerationsRejectHostileColumns(t *testing.T) {
 		runHostile(t, base, open, []hostileCase[FlatMaterializedData]{
 			{"non-normalized options", func(d *FlatMaterializedData) { d.Relax.MaxRadius = 0 }, "non-normalized"},
 			{"entry columns disagree", func(d *FlatMaterializedData) { d.Ctxs = d.Ctxs[1:] }, "contexts"},
+			{"ranking column short", func(d *FlatMaterializedData) { d.Ranking = d.Ranking[1:] }, "ranking indexes"},
 			{"entries not ascending", func(d *FlatMaterializedData) { d.Concepts[1], d.Ctxs[1] = d.Concepts[0], d.Ctxs[0] }, "entries not strictly ascending"},
+			{"ranking index past the rankings", func(d *FlatMaterializedData) { d.Ranking[len(d.Ranking)-1] = int32(len(d.Complete)) }, "past the"},
+			{"negative ranking index", func(d *FlatMaterializedData) { d.Ranking[0] = -1 }, "past the"},
+			{"rankings out of first-use order", func(d *FlatMaterializedData) { d.Ranking[0] = 1 }, "first-use order"},
+			{"ranking shared by two concepts", func(d *FlatMaterializedData) { d.Ranking[second] = d.Ranking[second-1] }, "of an earlier concept"},
+			{"ranking named by no entry", func(d *FlatMaterializedData) {
+				last := d.Ranking[len(d.Ranking)-1]
+				for i := len(d.Ranking) - 1; d.Ranking[i] == last; i-- {
+					d.Ranking[i] = last - 1
+				}
+			}, "named by no entry"},
+			{"flags column short", func(d *FlatMaterializedData) { d.Complete = d.Complete[1:] }, "counts offsets have length"},
 			{"count offsets short", func(d *FlatMaterializedData) { d.CountOff = d.CountOff[1:] }, "counts offsets have length"},
 			{"wrong radius-count span", func(d *FlatMaterializedData) { d.CountOff[1]-- }, "radius counts"},
+			{"candidate offsets short", func(d *FlatMaterializedData) { d.CandOff = d.CandOff[:len(d.CandOff)-1] }, "candidates offsets have length"},
 			{"candidate offsets decrease", func(d *FlatMaterializedData) { d.CandOff[1] = d.CandOff[2] + 1 }, "candidates offsets decrease"},
 			{"candidate offsets past the pool", func(d *FlatMaterializedData) { d.CandOff[len(d.CandOff)-1]++ }, "do not span"},
 			{"hops beyond the max radius", func(d *FlatMaterializedData) { d.CandSlots[0] = d.CandSlots[0]&^matMaxHops | 99 }, "exceeds max radius"},
@@ -479,6 +497,9 @@ func TestOpenFlatAccelerationsRejectHostileColumns(t *testing.T) {
 				d.CandSlots[0], d.CandSlots[1] = max(d.CandSlots[0], d.CandSlots[1]), min(d.CandSlots[0], d.CandSlots[1])
 			}, "not in ranking order"},
 			{"slot past the flagged set", func(d *FlatMaterializedData) { d.CandSlots[0] = packMatCand(int32(len(ing.maps.Flagged)), 1) }, "names flagged slot"},
+			{"slot past the flagged set in the last ranking", func(d *FlatMaterializedData) {
+				d.CandSlots[len(d.CandSlots)-1] = packMatCand(int32(len(ing.maps.Flagged)), 1)
+			}, "names flagged slot"},
 			{"score column short", func(d *FlatMaterializedData) { d.CandScores = d.CandScores[1:] }, "candidate scores"},
 			{"max radius past the hop byte", func(d *FlatMaterializedData) { d.Relax.MaxRadius = matMaxHops + 1 }, "does not fit a stored candidate"},
 		})

@@ -30,7 +30,8 @@ import (
 // Contexts that subsume the same corpus labels — one evidence class, the
 // context-free query among those that subsume none — give every concept the
 // same IC and so the same ranking: MaterializeTopK computes it once per head
-// concept and class and stores it under each context of the class.
+// concept and class, stores it once as a ranking, and points the entry of each
+// context of the class at it.
 //
 // Entries are valid only under the RelaxOptions they were built with;
 // SetMaterialized refuses a store whose options differ from the relaxer's.
@@ -44,27 +45,33 @@ type Materialized struct {
 	// the store is assembled.
 	concepts int
 	// rankings and scored are the work MaterializeTopK did for the store: the
-	// rankings it selected, one per head concept and evidence class, and the
-	// hits it scored for them. A store opened from columns did none.
+	// rankings it selected and stored, one per head concept and evidence
+	// class, and the hits it scored for them. A store opened from columns did
+	// none.
 	rankings, scored int
 }
 
 // FlatMaterializedData is the column layout of a Materialized store, which
-// is also the layout of the materialized sections of a flat (v4) bundle:
-// entries sorted by (concept, context key) as per-entry scalar columns plus
-// CSR spans into the shared counts and candidate pools. A candidate is 12
-// bytes in two parallel columns: its final score, and its slot in the
-// ingestion's flagged set packed over its hop distance. Slices handed to
-// OpenFlatMaterialized may alias a memory mapping; they are never mutated.
+// is also the layout of the materialized sections of a flat (v4) bundle. It
+// has two levels. Entry rows, sorted by (concept, context key), name the
+// ranking that answers them. Ranking rows hold what is identical across an
+// evidence class: the complete flag and CSR spans into the shared counts and
+// candidate pools. Rankings are numbered in the order entries first use them,
+// and each serves the entries of one concept, so a store has one layout. A
+// candidate is 12 bytes in two parallel columns: its final score, and its slot
+// in the ingestion's flagged set packed over its hop distance. Slices handed
+// to OpenFlatMaterialized may alias a memory mapping; they are never mutated.
 type FlatMaterializedData struct {
-	Relax      RelaxOptions
-	Concepts   []eks.ConceptID // per entry, sorted by (concept, ctx)
-	Ctxs       []string        // parallel context keys
-	Complete   []int32         // 1 = complete entry
-	CountOff   []int32         // len+1, CSR into Counts
+	Relax    RelaxOptions
+	Concepts []eks.ConceptID // per entry, sorted by (concept, ctx)
+	Ctxs     []string        // parallel context keys
+	Ranking  []int32         // parallel: the entry's ranking row
+	// Ranking rows.
+	Complete   []int32 // 1 = complete ranking
+	CountOff   []int32 // rankings+1, CSR into Counts
 	Counts     []int32
-	CandOff    []int32   // len+1, CSR into CandScores and CandSlots
-	CandScores []float64 // descending within an entry
+	CandOff    []int32   // rankings+1, CSR into CandScores and CandSlots
+	CandScores []float64 // descending within a ranking
 	CandSlots  []uint32  // parallel: flagged slot<<8 | hops
 }
 
@@ -84,8 +91,8 @@ func unpackMatCand(c uint32) (slot int32, hops int) {
 	return int32(c >> matHopBits), int(c & matMaxHops)
 }
 
-// matEntry is a value view of one entry; its slices alias the store's pools
-// and must not be mutated.
+// matEntry is a value view of one ranking, and so of every entry that names
+// it; its slices alias the store's pools and must not be mutated.
 type matEntry struct {
 	// complete is true when the full candidate set fit under MaxPerQuery;
 	// an incomplete entry can only serve queries whose k is satisfied
@@ -129,7 +136,7 @@ type MaterializeOptions struct {
 	// Contexts are the query contexts materialized besides the
 	// context-free (nil) entry every head concept gets. Each is stored as an
 	// entry of its own, but contexts of one evidence class (see Materialized)
-	// are scored and ranked once.
+	// are scored, ranked and stored once.
 	Contexts []ontology.Context
 }
 
@@ -232,37 +239,48 @@ func MaterializeTopK(ing *Ingestion, sim *Similarity, opts MaterializeOptions) *
 	// The columns are sized before they are filled: growing by append copies
 	// the candidate pool about five times over into memory fresh from the OS,
 	// a third of the build's wall time at 100k concepts and its least steady
-	// part.
-	var entries, counts, cands int
+	// part. Only a class's first context (class[j] == j) holds a ranking.
+	var rankings, counts, cands int
 	for _, es := range built {
-		entries += len(es)
-		for _, e := range es {
-			counts += len(e.counts)
-			cands += len(e.cands)
+		for j, e := range es {
+			if class[j] == j {
+				rankings++
+				counts += len(e.counts)
+				cands += len(e.cands)
+			}
 		}
 	}
+	entries := len(head) * len(ctxs)
 	d := FlatMaterializedData{
 		Relax:      ropts,
 		Concepts:   make([]eks.ConceptID, 0, entries),
 		Ctxs:       make([]string, 0, entries),
-		Complete:   make([]int32, 0, entries),
-		CountOff:   append(make([]int32, 0, entries+1), 0),
+		Ranking:    make([]int32, 0, entries),
+		Complete:   make([]int32, 0, rankings),
+		CountOff:   append(make([]int32, 0, rankings+1), 0),
 		Counts:     make([]int32, 0, counts),
-		CandOff:    append(make([]int32, 0, entries+1), 0),
+		CandOff:    append(make([]int32, 0, rankings+1), 0),
 		CandScores: make([]float64, 0, cands),
 		CandSlots:  make([]uint32, 0, cands),
 	}
+	keys, rank := make([]string, len(ctxs)), make([]int32, len(ctxs))
+	for j, ctx := range ctxs {
+		keys[j] = ctxKey(ctx)
+	}
 	for _, i := range byConcept {
 		for j, e := range built[i] {
-			d.appendEntry(head[i], ctxKey(ctxs[j]), e)
+			if c := class[j]; c != j {
+				rank[j] = rank[c]
+			} else {
+				rank[j] = d.appendRanking(e)
+			}
+			d.Concepts = append(d.Concepts, head[i])
+			d.Ctxs = append(d.Ctxs, keys[j])
+			d.Ranking = append(d.Ranking, rank[j])
 		}
 	}
 	m := newMaterialized(d, ing.maps.Flagged)
-	for j := range class {
-		if class[j] == j {
-			m.rankings += len(head)
-		}
-	}
+	m.rankings = rankings
 	m.scored = int(scored.Load())
 	return m
 }
@@ -305,11 +323,9 @@ func evidenceClasses(sim *Similarity, ctxs []*ontology.Context) []int {
 	return class
 }
 
-// appendEntry adds one entry to the columns; callers append in (concept,
-// context key) order.
-func (d *FlatMaterializedData) appendEntry(concept eks.ConceptID, ctx string, e matEntry) {
-	d.Concepts = append(d.Concepts, concept)
-	d.Ctxs = append(d.Ctxs, ctx)
+// appendRanking adds one ranking row to the columns and returns its index;
+// callers append rankings in the order entries first name them.
+func (d *FlatMaterializedData) appendRanking(e matEntry) int32 {
 	complete := int32(0)
 	if e.complete {
 		complete = 1
@@ -320,6 +336,7 @@ func (d *FlatMaterializedData) appendEntry(concept eks.ConceptID, ctx string, e 
 	d.CandScores = append(d.CandScores, e.scores...)
 	d.CandSlots = append(d.CandSlots, e.cands...)
 	d.CandOff = append(d.CandOff, int32(len(d.CandSlots)))
+	return int32(len(d.Complete) - 1)
 }
 
 // materializeConcept builds one head concept's entries for every context:
@@ -441,13 +458,15 @@ func (m *Materialized) get(concept eks.ConceptID, ctx string) (matEntry, bool) {
 	return m.entry(i), true
 }
 
-func (m *Materialized) entry(i int) matEntry {
-	d := &m.d
+// entry is the view of entry i: the ranking it names.
+func (m *Materialized) entry(i int) matEntry { return m.d.ranking(m.d.Ranking[i]) }
+
+func (d *FlatMaterializedData) ranking(r int32) matEntry {
 	return matEntry{
-		complete: d.Complete[i] != 0,
-		counts:   d.Counts[d.CountOff[i]:d.CountOff[i+1]],
-		scores:   d.CandScores[d.CandOff[i]:d.CandOff[i+1]],
-		cands:    d.CandSlots[d.CandOff[i]:d.CandOff[i+1]],
+		complete: d.Complete[r] != 0,
+		counts:   d.Counts[d.CountOff[r]:d.CountOff[r+1]],
+		scores:   d.CandScores[d.CandOff[r]:d.CandOff[r+1]],
+		cands:    d.CandSlots[d.CandOff[r]:d.CandOff[r+1]],
 	}
 }
 
@@ -468,8 +487,10 @@ func (m *Materialized) FlatData() FlatMaterializedData { return m.d }
 
 // OpenFlatMaterialized adopts materialized columns as a *Materialized over
 // the flagged set their slots index, enforcing the invariants serving relies
-// on: normalized options, the per-entry radius-count span, strictly ascending
-// (concept, context) keys, in-range hop distances and slots, and final
+// on: normalized options, strictly ascending (concept, context) entries, each
+// naming a ranking in range, in the canonical layout (rankings in first-use
+// order, none shared by two concepts or used by none), and for each ranking,
+// once, the radius-count span, in-range hop distances and slots, and final
 // ranking order.
 func OpenFlatMaterialized(d FlatMaterializedData, flagged []eks.ConceptID) (*Materialized, error) {
 	opts := d.Relax.withDefaults()
@@ -479,53 +500,81 @@ func OpenFlatMaterialized(d FlatMaterializedData, flagged []eks.ConceptID) (*Mat
 	if opts.MaxRadius > matMaxHops || len(flagged) > matMaxSlots {
 		return nil, fmt.Errorf("core: materialized store: max radius %d or %d flagged concepts does not fit a stored candidate", opts.MaxRadius, len(flagged))
 	}
-	wantCounts := opts.MaxRadius - opts.Radius + 1
-	if !opts.DynamicRadius {
-		wantCounts = 1
+	n, rankings := len(d.Concepts), len(d.Complete)
+	if len(d.Ctxs) != n || len(d.Ranking) != n {
+		return nil, fmt.Errorf("core: materialized store: %d concepts, %d contexts, %d ranking indexes", n, len(d.Ctxs), len(d.Ranking))
 	}
-	n := len(d.Concepts)
-	if len(d.Ctxs) != n || len(d.Complete) != n {
-		return nil, fmt.Errorf("core: materialized store: %d concepts, %d contexts, %d flags", n, len(d.Ctxs), len(d.Complete))
-	}
-	if err := checkCSR32("materialized counts", n, d.CountOff, len(d.Counts)); err != nil {
+	if err := checkCSR32("materialized counts", rankings, d.CountOff, len(d.Counts)); err != nil {
 		return nil, err
 	}
-	if err := checkCSR32("materialized candidates", n, d.CandOff, len(d.CandSlots)); err != nil {
+	if err := checkCSR32("materialized candidates", rankings, d.CandOff, len(d.CandSlots)); err != nil {
 		return nil, err
 	}
 	if len(d.CandScores) != len(d.CandSlots) {
 		return nil, fmt.Errorf("core: materialized store: %d candidate scores, %d slots", len(d.CandScores), len(d.CandSlots))
 	}
-	maxHops, slots := uint32(opts.MaxRadius), uint32(len(flagged))
+	// next is the number of rankings entries have named so far, and first the
+	// first of them the current concept named: a ranking is checked at the
+	// entry that names it first.
+	var next, first int32
 	for i := 0; i < n; i++ {
 		if i > 0 {
 			if d.Concepts[i] < d.Concepts[i-1] ||
 				(d.Concepts[i] == d.Concepts[i-1] && d.Ctxs[i] <= d.Ctxs[i-1]) {
 				return nil, fmt.Errorf("core: materialized entries not strictly ascending at %d", i)
 			}
+			if d.Concepts[i] != d.Concepts[i-1] {
+				first = next
+			}
 		}
-		if int(d.CountOff[i+1]-d.CountOff[i]) != wantCounts {
-			return nil, fmt.Errorf("core: materialized entry (%d, %q) has %d radius counts, want %d",
-				d.Concepts[i], d.Ctxs[i], d.CountOff[i+1]-d.CountOff[i], wantCounts)
-		}
-		// Slots order as their concepts do, so ranking order reads off the
-		// packed words.
-		scores, cands := d.CandScores[d.CandOff[i]:d.CandOff[i+1]], d.CandSlots[d.CandOff[i]:d.CandOff[i+1]]
-		for j, c := range cands {
-			if c>>matHopBits >= slots {
-				return nil, fmt.Errorf("core: materialized candidate %d of (%d, %q) names flagged slot %d of %d",
-					j, d.Concepts[i], d.Ctxs[i], c>>matHopBits, slots)
+		switch r := d.Ranking[i]; {
+		case r < 0 || int(r) >= rankings:
+			return nil, fmt.Errorf("core: materialized entry (%d, %q) names ranking %d, past the %d rankings", d.Concepts[i], d.Ctxs[i], r, rankings)
+		case r > next:
+			return nil, fmt.Errorf("core: materialized entry (%d, %q) names ranking %d before ranking %d: rankings not in first-use order", d.Concepts[i], d.Ctxs[i], r, next)
+		case r < first:
+			return nil, fmt.Errorf("core: materialized entry (%d, %q) names ranking %d of an earlier concept", d.Concepts[i], d.Ctxs[i], r)
+		case r == next:
+			if err := checkMatRanking(d.ranking(r), opts, flagged, d.Concepts[i], d.Ctxs[i]); err != nil {
+				return nil, err
 			}
-			if c&matMaxHops > maxHops {
-				return nil, fmt.Errorf("core: materialized candidate %d of (%d, %q) at %d hops exceeds max radius %d",
-					flagged[c>>matHopBits], d.Concepts[i], d.Ctxs[i], c&matMaxHops, opts.MaxRadius)
-			}
-			if j > 0 && (scores[j] > scores[j-1] || (scores[j] == scores[j-1] && c>>matHopBits <= cands[j-1]>>matHopBits)) {
-				return nil, fmt.Errorf("core: materialized entry (%d, %q) not in ranking order at %d", d.Concepts[i], d.Ctxs[i], j)
-			}
+			next++
 		}
 	}
+	if int(next) != rankings {
+		return nil, fmt.Errorf("core: materialized store: %d of %d rankings named by no entry", rankings-int(next), rankings)
+	}
 	return newMaterialized(d, flagged), nil
+}
+
+// checkMatRanking checks one ranking, named in errors by the entry that names
+// it first: its radius-count span, and its candidates' slots, hop distances
+// and final ranking order.
+func checkMatRanking(e matEntry, opts RelaxOptions, flagged []eks.ConceptID, concept eks.ConceptID, ctx string) error {
+	wantCounts := opts.MaxRadius - opts.Radius + 1
+	if !opts.DynamicRadius {
+		wantCounts = 1
+	}
+	if len(e.counts) != wantCounts {
+		return fmt.Errorf("core: materialized entry (%d, %q) has %d radius counts, want %d", concept, ctx, len(e.counts), wantCounts)
+	}
+	// Slots order as their concepts do, so ranking order reads off the packed
+	// words.
+	maxHops, slots := uint32(opts.MaxRadius), uint32(len(flagged))
+	for j, c := range e.cands {
+		if c>>matHopBits >= slots {
+			return fmt.Errorf("core: materialized candidate %d of (%d, %q) names flagged slot %d of %d",
+				j, concept, ctx, c>>matHopBits, slots)
+		}
+		if c&matMaxHops > maxHops {
+			return fmt.Errorf("core: materialized candidate %d (concept %d) of (%d, %q) at %d hops exceeds max radius %d",
+				j, flagged[c>>matHopBits], concept, ctx, c&matMaxHops, opts.MaxRadius)
+		}
+		if j > 0 && (e.scores[j] > e.scores[j-1] || (e.scores[j] == e.scores[j-1] && c>>matHopBits <= e.cands[j-1]>>matHopBits)) {
+			return fmt.Errorf("core: materialized entry (%d, %q) not in ranking order at %d", concept, ctx, j)
+		}
+	}
+	return nil
 }
 
 func newMaterialized(d FlatMaterializedData, flagged []eks.ConceptID) *Materialized {

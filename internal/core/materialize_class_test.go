@@ -1,10 +1,10 @@
 package core
 
 // A materialized store ranks once per evidence class — the frequency labels a
-// context subsumes — and stores the ranking under every context of the class.
-// These tests hold it to the per-context build it replaced
-// (legacyMaterialize, export_test.go), column for column, and hold the classes
-// to the ICs they stand for.
+// context subsumes — stores the ranking once, and points every context of the
+// class at it. These tests hold it to the per-context build in the per-entry
+// layout it replaced (legacyMaterialize, export_test.go), entry for entry, and
+// hold the classes to the ICs they stand for.
 
 import (
 	"fmt"
@@ -16,27 +16,24 @@ import (
 	"medrelax/internal/ontology"
 )
 
-// sameMaterializedColumns fails unless two stores' columns are equal, scores
-// to the bit.
-func sameMaterializedColumns(t *testing.T, got, want FlatMaterializedData) {
+// sameAsPerEntryOracle fails unless every entry of a store answers as the
+// same entry of the per-entry oracle (legacyMaterialize) does: the same keys,
+// and the same counts, complete flag, slots and scores, to the bit, read
+// through the ranking the entry names.
+func sameAsPerEntryOracle(t *testing.T, m *Materialized, want FlatMaterializedData) {
 	t.Helper()
+	got := m.FlatData()
+	if got.Relax != want.Relax || !slices.Equal(got.Concepts, want.Concepts) || !slices.Equal(got.Ctxs, want.Ctxs) {
+		t.Fatalf("the store's entries (%d) are not the per-context oracle's (%d)", len(got.Concepts), len(want.Concepts))
+	}
 	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	for _, c := range []struct {
-		name string
-		ok   bool
-	}{
-		{"Relax", got.Relax == want.Relax},
-		{"Concepts", slices.Equal(got.Concepts, want.Concepts)},
-		{"Ctxs", slices.Equal(got.Ctxs, want.Ctxs)},
-		{"Complete", slices.Equal(got.Complete, want.Complete)},
-		{"CountOff", slices.Equal(got.CountOff, want.CountOff)},
-		{"Counts", slices.Equal(got.Counts, want.Counts)},
-		{"CandOff", slices.Equal(got.CandOff, want.CandOff)},
-		{"CandScores", slices.EqualFunc(got.CandScores, want.CandScores, sameBits)},
-		{"CandSlots", slices.Equal(got.CandSlots, want.CandSlots)},
-	} {
-		if !c.ok {
-			t.Errorf("column %s differs from the per-context oracle's", c.name)
+	for i := range want.Concepts {
+		e := m.entry(i)
+		counts := want.Counts[want.CountOff[i]:want.CountOff[i+1]]
+		lo, hi := want.CandOff[i], want.CandOff[i+1]
+		if e.complete != (want.Complete[i] != 0) || !slices.Equal(e.counts, counts) ||
+			!slices.Equal(e.cands, want.CandSlots[lo:hi]) || !slices.EqualFunc(e.scores, want.CandScores[lo:hi], sameBits) {
+			t.Fatalf("entry (%d, %q) differs from the per-context oracle's", want.Concepts[i], want.Ctxs[i])
 		}
 	}
 }
@@ -137,8 +134,9 @@ func TestEvidenceClasses(t *testing.T) {
 	}
 }
 
-// TestClassStoreMatchesPerContextOracle: the store that ranks once per
-// evidence class has the columns of the one that ranked every context, on
+// TestClassStoreMatchesPerContextOracle: every entry of the store that ranks
+// and stores once per evidence class reads as the same entry of the one that
+// ranked and stored every context, on
 // generated worlds, on a hand-built table where contexts share a non-empty
 // label set (and one that subsumes every label does not share the
 // aggregate's), and under IC sources where nothing shares.
@@ -147,7 +145,10 @@ func TestClassStoreMatchesPerContextOracle(t *testing.T) {
 	check := func(t *testing.T, ing *Ingestion, sim *Similarity, opts MaterializeOptions) *Materialized {
 		t.Helper()
 		m := MaterializeTopK(ing, sim, opts)
-		sameMaterializedColumns(t, m.FlatData(), legacyMaterialize(ing, sim, opts))
+		sameAsPerEntryOracle(t, m, legacyMaterialize(ing, sim, opts))
+		if stored := len(m.FlatData().Complete); stored != m.rankings {
+			t.Errorf("%d rankings stored, %d selected", stored, m.rankings)
+		}
 		return m
 	}
 	for name, ing := range oracleWorlds(t) {
@@ -195,10 +196,10 @@ func TestClassStoreMatchesPerContextOracle(t *testing.T) {
 }
 
 // TestMaterializeWorkCounts pins the work of materializing the default world
-// (seed 42) the way the bench materializes w100k: every head concept under
-// the context-free query and the ontology's 58 contexts. Before rankings were
-// shared per evidence class, each of the 59 entries of a head concept was a
-// ranking of its own.
+// (seed 42) the way the bench materializes w100k — every head concept under
+// the context-free query and the ontology's 58 contexts — and what the store
+// keeps of it. Before rankings were shared per evidence class, each of the 59
+// entries of a head concept was a ranking of its own, scored and stored.
 func TestMaterializeWorkCounts(t *testing.T) {
 	ing := sharedIngestion(t, 42, 0, 0, false, 0, IngestOptions{})
 	m := MaterializeTopK(ing, NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology),
@@ -206,6 +207,7 @@ func TestMaterializeWorkCounts(t *testing.T) {
 	const (
 		head, contexts, classes = 236, 59, 3
 		hits                    = 666_936
+		candidates              = 45_312
 	)
 	if m.Concepts() != head || m.Entries() != head*contexts {
 		t.Fatalf("%d head concepts, %d entries; want %d and %d", m.Concepts(), m.Entries(), head, head*contexts)
@@ -215,6 +217,13 @@ func TestMaterializeWorkCounts(t *testing.T) {
 	}
 	if m.scored != hits {
 		t.Errorf("%d hits scored, want %d (%d before classes)", m.scored, hits, hits/classes*contexts)
+	}
+	d := m.FlatData()
+	if len(d.Complete) != m.rankings || len(d.CandOff) != m.rankings+1 {
+		t.Errorf("%d ranking rows stored, want the %d rankings selected", len(d.Complete), m.rankings)
+	}
+	if len(d.CandSlots) != candidates {
+		t.Errorf("%d candidates stored, want %d (%d before one span per class)", len(d.CandSlots), candidates, candidates/classes*contexts)
 	}
 }
 

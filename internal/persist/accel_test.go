@@ -2,7 +2,7 @@ package persist
 
 import (
 	"encoding/binary"
-	"math"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -115,7 +115,7 @@ func assertAccelServes(t *testing.T, ing, restored *core.Ingestion) {
 }
 
 // TestInspectReportsStoreDepth holds InspectFile's summary of the materialized
-// store — read off two sections, no ingestion restored — against the columns
+// store — read off its sections, no ingestion restored — against the columns
 // of the store that was saved, cut at the default depth and uncut; a bundle
 // without a store reports none.
 func TestInspectReportsStoreDepth(t *testing.T) {
@@ -138,124 +138,58 @@ func TestInspectReportsStoreDepth(t *testing.T) {
 			continue
 		}
 		d := ing.Materialized.FlatData()
-		want := StoreDepth{Entries: len(d.Concepts), Candidates: len(d.CandSlots)}
-		depths := make([]int, len(d.Concepts))
-		for i := range depths {
-			depths[i] = int(d.CandOff[i+1] - d.CandOff[i])
-			want.Complete += int(d.Complete[i])
+		want := StoreDepth{Entries: len(d.Concepts), Rankings: len(d.Complete), Candidates: len(d.CandSlots)}
+		depths := make([]int, len(d.Complete))
+		for r := range depths {
+			depths[r] = int(d.CandOff[r+1] - d.CandOff[r])
+			want.Complete += int(d.Complete[r])
 		}
 		slices.Sort(depths)
 		want.MaxDepth, want.MedianDepth = depths[len(depths)-1], depths[len(depths)/2]
-		want.Repeated, want.RepeatedBytes = repeatsByPairs(d)
 		if info.Store == nil || *info.Store != want {
 			t.Errorf("%s: InspectFile reports store %+v, the saved columns say %+v", name, info.Store, want)
 		}
-		if cut := name == "default depth"; cut != (want.MaxDepth == 64 && want.Complete == 0) || cut == (want.Complete == want.Entries) {
+		if cut := name == "default depth"; cut != (want.MaxDepth == 64 && want.Complete == 0) || cut == (want.Complete == want.Rankings) {
 			t.Errorf("%s: the fixture's store is %+v", name, want)
 		}
 	}
 }
 
-// repeatsByPairs counts, by comparing every pair of a concept's entries, the
-// entries byte-equal to an earlier one of the same concept, and their
-// candidate bytes.
-func repeatsByPairs(d core.FlatMaterializedData) (entries, bytes int) {
-	entry := func(i int) (counts []int32, scores []float64, slots []uint32) {
-		return d.Counts[d.CountOff[i]:d.CountOff[i+1]], d.CandScores[d.CandOff[i]:d.CandOff[i+1]], d.CandSlots[d.CandOff[i]:d.CandOff[i+1]]
-	}
-	for i := range d.Concepts {
-		ci, si, li := entry(i)
-		for j := 0; j < i; j++ {
-			cj, sj, lj := entry(j)
-			if d.Concepts[j] == d.Concepts[i] && slices.Equal(ci, cj) && slices.Equal(li, lj) &&
-				slices.EqualFunc(si, sj, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
-				entries, bytes = entries+1, bytes+12*len(li)
-				break
-			}
-		}
-	}
-	return entries, bytes
-}
-
-// TestInspectCountsRepeatedEntries saves a store whose repeats are known — two
-// concepts, three contexts each: a context that repeats its concept's first
-// entry, one that holds a prefix of it, and one that holds the other
-// concept's entry — and reads two repeats and their candidate bytes back.
-func TestInspectCountsRepeatedEntries(t *testing.T) {
-	ing := buildAccelIngestion(t)
-	src := ing.Materialized.FlatData()
-	// The first entries of two concepts with at least two candidates each.
-	var firsts []int
-	for i := range src.Concepts {
-		if (i == 0 || src.Concepts[i] != src.Concepts[i-1]) && src.CandOff[i+1]-src.CandOff[i] >= 2 {
-			firsts = append(firsts, i)
-		}
-	}
-	if len(firsts) < 2 {
-		t.Fatalf("the fixture's store has %d concepts with two candidates", len(firsts))
-	}
-	a, b := firsts[0], firsts[1]
-	d := core.FlatMaterializedData{Relax: src.Relax, CountOff: []int32{0}, CandOff: []int32{0}}
-	add := func(concept, from int, ctx string, cands int32) {
-		d.Concepts = append(d.Concepts, src.Concepts[concept])
-		d.Ctxs = append(d.Ctxs, ctx)
-		d.Complete = append(d.Complete, 0)
-		d.Counts = append(d.Counts, src.Counts[src.CountOff[concept]:src.CountOff[concept+1]]...)
-		d.CountOff = append(d.CountOff, int32(len(d.Counts)))
-		lo := src.CandOff[from]
-		d.CandScores = append(d.CandScores, src.CandScores[lo:lo+cands]...)
-		d.CandSlots = append(d.CandSlots, src.CandSlots[lo:lo+cands]...)
-		d.CandOff = append(d.CandOff, int32(len(d.CandSlots)))
-	}
-	na, nb := src.CandOff[a+1]-src.CandOff[a], src.CandOff[b+1]-src.CandOff[b]
-	add(a, a, "", na)
-	add(a, a, "A-r-B", na)   // repeats (a, "")
-	add(a, a, "C-r-D", na-1) // a prefix: not a repeat
-	add(b, b, "", nb)
-	add(b, b, "A-r-B", nb) // repeats (b, "")
-	add(b, a, "C-r-D", na) // a's candidates under b's counts: not a repeat
-	store, err := core.OpenFlatMaterialized(d, ing.FlaggedIDs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp := *ing
-	cp.Materialized = store
-	path := filepath.Join(t.TempDir(), "bundle.flat")
-	if err := SaveFileAtomic(path, &cp, FormatFlat); err != nil {
-		t.Fatal(err)
-	}
-	info, err := InspectFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Store == nil || info.Store.Repeated != 2 || info.Store.RepeatedBytes != 12*int(na+nb) {
-		t.Errorf("InspectFile reports store %+v; want 2 repeated entries, %d candidate bytes", info.Store, 12*(na+nb))
-	}
-
-	// A file whose count offsets run past the counts, checksums restamped:
-	// -inspect is for suspect files, so it reports the store without reading
-	// the spans instead of panicking.
+// TestInspectSurvivesHostileRankingSpans: -inspect is for suspect files, so a
+// file whose ranking offsets run past the pools, checksums restamped, still
+// gets its store reported, read off the offsets, instead of a panic.
+func TestInspectSurvivesHostileRankingSpans(t *testing.T) {
+	path := writeFlatFile(t, buildAccelIngestion(t))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dirOff := binary.LittleEndian.Uint64(data[16:])
+	patched := 0
 	for i := 0; i < int(binary.LittleEndian.Uint32(data[8:])); i++ {
 		e := data[dirOff+uint64(i)*flatDirEntrySize:]
-		if binary.LittleEndian.Uint32(e) != secMatCntOff {
+		if kind := binary.LittleEndian.Uint32(e); kind != secMatCntOff && kind != secMatCandOff {
 			continue
 		}
 		so, sl := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
 		binary.LittleEndian.PutUint32(data[so+sl-4:], 1<<30)
 		patchDirEntry(data, i, 24, func(f []byte) { binary.LittleEndian.PutUint32(f, sectionCRC(data[so:so+sl])) })
+		patched++
+	}
+	if patched != 2 {
+		t.Fatalf("patched %d ranking offset sections, want 2", patched)
 	}
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if info, err = InspectFile(path); err != nil || !info.CRCOK {
+	info, err := InspectFile(path)
+	if err != nil || !info.CRCOK {
 		t.Fatalf("InspectFile of the restamped file: %+v, %v", info, err)
 	}
-	if info.Store == nil || info.Store.Repeated != 0 {
-		t.Errorf("InspectFile reports store %+v over count offsets past the pool; want one with 0 repeated", info.Store)
+	if info.Store == nil || info.Store.Candidates != 1<<30 {
+		t.Errorf("InspectFile reports store %+v over ranking offsets past the pools; want the offsets' spans", info.Store)
+	}
+	if _, err := LoadFile(path); !errors.Is(err, ErrCorruptBundle) {
+		t.Errorf("LoadFile of the restamped file: %v, want ErrCorruptBundle", err)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"medrelax/internal/core"
+	"medrelax/internal/eks"
 	"medrelax/internal/match"
 )
 
@@ -143,6 +144,14 @@ func structurallyCorrupt(t testing.TB, ing *core.Ingestion, tokOff []int32, mult
 	if bare < 0 || sole < 0 || tied < 0 || len(cd.TiedOff) < 3 {
 		t.Fatalf("the candidate index lacks something to corrupt: bare %d, sole %d, tied %d, %d tied sets", bare, sole, tied, len(cd.TiedOff)-1)
 	}
+	// In the materialized store: second is the first entry of the second
+	// concept, and rankings the number of ranking rows.
+	md := ing.Materialized.FlatData()
+	second := slices.IndexFunc(md.Concepts, func(c eks.ConceptID) bool { return c != md.Concepts[0] })
+	rankings := len(md.Complete)
+	if second < 0 || md.CountOff[1] == 0 {
+		t.Fatalf("the materialized store lacks something to corrupt: second concept at %d", second)
+	}
 	// word sets the 32-bit word at a position of a column.
 	word := func(at int, v int32) func(p []byte) []byte {
 		return func(p []byte) []byte { le32(p[4*at:], uint32(v)); return p }
@@ -181,6 +190,14 @@ func structurallyCorrupt(t testing.TB, ing *core.Ingestion, tokOff []int32, mult
 			copy(p[8:16], first[:])
 			return p
 		}},
+		{name: "ranking index past the rankings", kind: secMatRanking, edit: word(len(md.Ranking)-1, int32(rankings))},
+		{name: "rankings out of first-use order", kind: secMatRanking, edit: word(0, 1)},
+		{name: "ranking shared by two concepts", kind: secMatRanking, edit: word(second, md.Ranking[second-1])},
+		{name: "ranking column truncated", kind: secMatRanking, edit: last},
+		{name: "ranking flags truncated", kind: secMatFlags, edit: last},
+		{name: "ranking count offsets truncated", kind: secMatCntOff, edit: last},
+		{name: "ranking candidate offsets torn", kind: secMatCandOff, edit: func(p []byte) []byte { return p[:len(p)-2] }},
+		{name: "ranking count span of the wrong length", kind: secMatCntOff, edit: word(1, md.CountOff[1]-1)},
 		{name: "index hits not whole records", kind: secCidxHits, edit: last},
 		{name: "index hit offsets torn", kind: secCidxOff, edit: last},
 		{name: "index level ends truncated", kind: secCidxLevels, edit: last},

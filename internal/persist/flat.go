@@ -132,17 +132,23 @@ const (
 	secFreqAggIDs  uint32 = 74 // []eks.ConceptID, ascending
 	secFreqAggVals uint32 = 75 // []float64
 
-	secMatCon     uint32 = 80 // []eks.ConceptID, (concept, ctx)-sorted entries
-	secMatCtx     uint32 = 81 // []uint32 string refs, parallel context keys
-	secMatFlags   uint32 = 82 // []int32, 1 = complete
-	secMatCntOff  uint32 = 83 // []int32 CSR into matCnt
-	secMatCnt     uint32 = 84 // []int32
-	secMatCandOff uint32 = 85 // []int32 CSR into the candidate columns
+	// The materialized store (core.FlatMaterializedData) in two levels: entry
+	// rows, a (concept, context key) each, name a ranking row; a ranking row,
+	// one per head concept and evidence class, spans the shared pools.
+	secMatCon uint32 = 80 // []eks.ConceptID, (concept, ctx)-sorted entries
+	secMatCtx uint32 = 81 // []uint32 string refs, parallel context keys
+	// 82, 83 and 85 held the flags and spans per entry; see retired.go.
+	secMatCnt uint32 = 84 // []int32, radius counts, a ranking's span each
 	// 86 held the candidates as records; see retired.go.
 	secMatCandScores uint32 = 87 // []float64, a candidate's final score
 	secMatCandSlots  uint32 = 88 // []uint32, parallel: flagged slot<<8 | hops
+	secMatRanking    uint32 = 89 // []int32, per entry: its ranking row
 
 	// 90–93 held the candidate index as posting records; see retired.go.
+
+	secMatFlags   uint32 = 94 // []int32, per ranking: 1 = complete
+	secMatCntOff  uint32 = 95 // []int32, rankings+1, CSR into matCounts
+	secMatCandOff uint32 = 96 // []int32, rankings+1, CSR into the candidate columns
 
 	// 100 held the secondary sources as one JSON document; see retired.go.
 

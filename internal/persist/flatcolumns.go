@@ -105,12 +105,13 @@ func materializedColumns(d *core.FlatMaterializedData) []flatColumn {
 	return []flatColumn{
 		{secMatCon, "matConcepts", &d.Concepts},
 		{secMatCtx, "matContexts", &d.Ctxs},
-		{secMatFlags, "matFlags", &d.Complete},
-		{secMatCntOff, "matCountOffsets", &d.CountOff},
 		{secMatCnt, "matCounts", &d.Counts},
-		{secMatCandOff, "matCandOffsets", &d.CandOff},
 		{secMatCandScores, "matCandScores", &d.CandScores},
 		{secMatCandSlots, "matCandSlots", &d.CandSlots},
+		{secMatRanking, "matEntryRankings", &d.Ranking},
+		{secMatFlags, "matFlags", &d.Complete},
+		{secMatCntOff, "matCountOffsets", &d.CountOff},
+		{secMatCandOff, "matCandOffsets", &d.CandOff},
 	}
 }
 

@@ -3,7 +3,6 @@ package persist
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 	"slices"
 
@@ -39,22 +38,21 @@ type BundleInfo struct {
 	Store *StoreDepth
 }
 
-// StoreDepth summarises a materialized store from its per-entry columns alone:
-// how many (concept, context) entries it holds, the candidates they store in
-// all, the deepest and the median entry, and how many entries are complete —
-// hold their whole candidate set rather than a prefix cut at
-// core.MaterializeOptions.MaxPerQuery. Repeated counts the entries whose
-// counts, scores and slots are byte-equal to an earlier entry of the same
-// concept — contexts of one evidence class — and RepeatedBytes the candidate
-// bytes they hold, what storing one candidate span per class would save.
+// StoreDepth summarises a materialized store from its columns alone: how
+// many (concept, context) entries it holds, and how many rankings answer them
+// — one per head concept and evidence class, each stored once — the
+// candidates those rankings store in all, the deepest and the median ranking,
+// and how many rankings are complete — hold their whole candidate set rather
+// than a prefix cut at core.MaterializeOptions.MaxPerQuery.
 type StoreDepth struct {
-	Entries, Candidates, MaxDepth, MedianDepth, Complete int
-	Repeated, RepeatedBytes                              int
+	Entries, Rankings, Candidates, MaxDepth, MedianDepth, Complete int
 }
 
 // storeDepth reads a StoreDepth off the materialized family among a flat
 // bundle's sections; nil when the bundle carries none, or one of the family's
-// sections or the string table is not among them.
+// sections or the string table is not among them. It reads the spans' lengths
+// off the offsets and slices no pool, so a hostile file's spans cannot fault
+// it.
 func storeDepth(secs map[uint32][]byte) *StoreDepth {
 	d := &flatDecoder{secs: secs}
 	var md core.FlatMaterializedData
@@ -63,8 +61,8 @@ func storeDepth(secs map[uint32][]byte) *StoreDepth {
 		return nil
 	}
 	off := md.CandOff
-	s := &StoreDepth{Entries: len(md.Complete), Candidates: int(off[len(off)-1] - off[0])}
-	depths := make([]int, s.Entries)
+	s := &StoreDepth{Entries: len(md.Concepts), Rankings: len(md.Complete), Candidates: int(off[len(off)-1] - off[0])}
+	depths := make([]int, s.Rankings)
 	for i := range depths {
 		depths[i] = int(off[i+1] - off[i])
 		if md.Complete[i] != 0 {
@@ -73,46 +71,7 @@ func storeDepth(secs map[uint32][]byte) *StoreDepth {
 	}
 	slices.Sort(depths)
 	s.MaxDepth, s.MedianDepth = depths[len(depths)-1], depths[len(depths)/2]
-	s.Repeated, s.RepeatedBytes = repeatedEntries(&md)
 	return s
-}
-
-// repeatedEntries counts the entries of a store that repeat an earlier entry
-// of their concept byte for byte, and the candidate bytes (a score and a slot
-// word each) they hold. Each entry is compared with the distinct entries of
-// its concept before it. Columns whose spans would not slice, which only a
-// hostile file has, count none.
-func repeatedEntries(md *core.FlatMaterializedData) (entries, bytes int) {
-	n := len(md.Complete)
-	spans := func(off []int32, pool int) bool {
-		return len(off) == n+1 && off[0] >= 0 && slices.IsSorted(off) && int(off[n]) <= pool
-	}
-	if len(md.Concepts) != n || len(md.CandScores) != len(md.CandSlots) ||
-		!spans(md.CountOff, len(md.Counts)) || !spans(md.CandOff, len(md.CandSlots)) {
-		return 0, 0
-	}
-	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	var distinct []int
-	for i := range md.Complete {
-		if i == 0 || md.Concepts[i] != md.Concepts[i-1] {
-			distinct = distinct[:0]
-		}
-		counts := md.Counts[md.CountOff[i]:md.CountOff[i+1]]
-		c0, c1 := md.CandOff[i], md.CandOff[i+1]
-		repeat := slices.ContainsFunc(distinct, func(j int) bool {
-			d0, d1 := md.CandOff[j], md.CandOff[j+1]
-			return slices.Equal(counts, md.Counts[md.CountOff[j]:md.CountOff[j+1]]) &&
-				slices.Equal(md.CandSlots[c0:c1], md.CandSlots[d0:d1]) &&
-				slices.EqualFunc(md.CandScores[c0:c1], md.CandScores[d0:d1], sameBits)
-		})
-		if !repeat {
-			distinct = append(distinct, i)
-			continue
-		}
-		entries++
-		bytes += int(c1-c0) * (8 + 4)
-	}
-	return entries, bytes
 }
 
 // InspectFile reads a bundle and reports its structure and checksum status

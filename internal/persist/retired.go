@@ -3,6 +3,7 @@ package persist
 import (
 	"bytes"
 	"fmt"
+	"slices"
 )
 
 // Input forms this package once read and now refuses by name. Each is an
@@ -20,6 +21,12 @@ const retiredBinaryMagic = "MRXB"
 // secMatCands held a flat bundle's materialized candidates as 24-byte
 // (concept, score, hops, pad) records before the score and slot columns.
 const secMatCands uint32 = 86
+
+// retiredMatEntrySpans held a flat bundle's materialized complete flags, count
+// offsets and candidate offsets per (concept, context) entry, a copy of the
+// ranking for every context of an evidence class, before a ranking was stored
+// once and its entries named it (matEntryRankings).
+var retiredMatEntrySpans = [...]uint32{82, 83, 85}
 
 // retiredCidxFirst to retiredCidxLast held a flat bundle's candidate index as
 // ascending concepts, a CSR, 32-byte (concept, hops, gen, spec, LCS span)
@@ -84,12 +91,16 @@ func looksLikeJSONStart(head []byte) bool {
 }
 
 // retiredFlatSection refuses a flat bundle for holding its materialized
-// candidates in section 86, its candidate index in sections 90–93 or its
-// secondary sources in section 100; every other kind passes.
+// candidates in section 86, its materialized spans per entry in sections 82,
+// 83 and 85, its candidate index in sections 90–93 or its secondary sources in
+// section 100; every other kind passes.
 func retiredFlatSection(kind uint32) error {
 	switch {
 	case kind == secMatCands:
 		return retiredf("flat v4", "a materialized store in section %d (24-byte candidate records)", secMatCands)
+	case slices.Contains(retiredMatEntrySpans[:], kind):
+		return retiredf("flat v4", "a materialized store holding a candidate span per entry (sections %d, %d and %d)",
+			retiredMatEntrySpans[0], retiredMatEntrySpans[1], retiredMatEntrySpans[2])
 	case kind >= retiredCidxFirst && kind <= retiredCidxLast:
 		return corruptf("flat v4", "a candidate index held as candidate-index postings (sections %d–%d) is a retired form no reader decodes; rebuild with medrelax -save -index",
 			retiredCidxFirst, retiredCidxLast)

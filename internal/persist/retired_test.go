@@ -14,8 +14,11 @@ import (
 // encoders, and loaded there: SaveBinary for v2 and v3, Save of an
 // accelerated ingestion for the v1 document, SaveFlat of an indexed ingestion
 // for the posting sections, over the eleven-concept world of core's tests;
-// and over buildIngestion's world, Save for retired-v1.json and SaveFlat of
-// buildFederatedIngestion for retired-sources-json.flat (section 100).
+// over buildIngestion's world, Save for retired-v1.json and SaveFlat of
+// buildFederatedIngestion for retired-sources-json.flat (section 100); and
+// SaveFlat of buildSmallAccelIngestion for retired-entry-spans.flat (a
+// materialized store with its flags and spans per entry, sections 82, 83 and
+// 85).
 func readFixture(t testing.TB, name string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", name))
@@ -66,6 +69,7 @@ func TestRetiredFormsFailByName(t *testing.T) {
 		{"sources in section 100", readFixture(t, "retired-sources-json.flat"), []string{"section 100", "secondary sources"}, "flat v4", 4},
 		{"flat section 86", flatBytes(t, parentFlatSections(t, buildSmallAccelIngestion(t))), []string{"section 86"}, "flat v4", 4},
 		{"flat posting sections", readFixture(t, "retired-postings.flat"), []string{"candidate-index postings (sections 90–93)", "-index"}, "flat v4", 4},
+		{"materialized spans per entry", readFixture(t, "retired-entry-spans.flat"), []string{"candidate span per entry", "sections 82, 83 and 85"}, "flat v4", 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -410,8 +410,8 @@ func TestDeepStoreServesUnderShallowDefaults(t *testing.T) {
 		ing := gw.ingest(t)
 		deepest := 0
 		d := ing.Materialized.FlatData()
-		for i := range d.Concepts {
-			deepest = max(deepest, int(d.CandOff[i+1]-d.CandOff[i]))
+		for r := range d.Complete {
+			deepest = max(deepest, int(d.CandOff[r+1]-d.CandOff[r]))
 		}
 		if want := max(depth, 64); deepest != want { // the default, spelled out: a drift fails here
 			t.Fatalf("store built with MaxPerQuery %d: deepest entry holds %d candidates, want %d", depth, deepest, want)
