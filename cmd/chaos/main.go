@@ -278,16 +278,18 @@ func (h *harness) bootSingle() error {
 
 // buildIngestion generates a compact synthetic world and ingests it with
 // the exact-match mapper — no embedding training, so the harness boots in
-// about a second and stays CI-friendly — and with a candidate index out to
-// the serving ceiling (engine.Config's default MaxRadius), so every drill's
-// requests score views of the mapping a reload swaps under them and the
-// largest section, the one the storm flips a bit in, is the index's hits.
+// about a second and stays CI-friendly — with a materialized store built
+// under the relax options a stack serves a store-less bundle with, and a
+// candidate index out to the serving ceiling (engine.Config's default
+// MaxRadius). So every drill's requests read the store's rankings or score
+// views of the mapping a reload swaps under them.
 func buildIngestion(seed int64) (*core.Ingestion, error) {
 	world, med, corp, err := medkb.GenerateWorld(seed, synthkb.Config{ConditionsPerPair: 2}, medkb.Config{Drugs: 25}, medkb.CorpusConfig{})
 	if err != nil {
 		return nil, err
 	}
 	return core.Ingest(med.Ontology, med.Store, world.Graph, corp, match.NewExact(world.Graph), core.IngestOptions{
+		Materialize:    core.MaterializeOptions{Enabled: true, Relax: core.RelaxOptions{Radius: 3, DynamicRadius: true}},
 		CandidateIndex: core.CandidateIndexOptions{Enabled: true, Radius: 8},
 	})
 }
@@ -824,8 +826,10 @@ func (h *harness) finalChecks() {
 			h.report.RelaxPaths[path] += n
 		}
 	}
-	if h.report.RelaxPaths["indexed"] == 0 {
-		h.violatef("final: the candidate index served no request of the last generation: relaxPaths %v", h.report.RelaxPaths)
+	for _, path := range []string{"materialized", "indexed"} {
+		if h.report.RelaxPaths[path] == 0 {
+			h.violatef("final: no request of the last generation took the %s path: relaxPaths %v", path, h.report.RelaxPaths)
+		}
 	}
 
 	if h.rt != nil {

@@ -238,8 +238,8 @@ func writeDOT(sys *medrelax.System, term, path string, radius int) error {
 
 // inspectBundle prints a bundle's structure without restoring it: format
 // version, per-section names and sizes, per-section and whole-file CRC
-// status, the named sources a federated bundle carries and how deep its
-// materialized store is.
+// status, the named sources a federated bundle carries, how deep its
+// materialized store is and what its frequency table stores.
 func inspectBundle(path string) error {
 	info, err := persist.InspectFile(path)
 	if info == nil {
@@ -264,6 +264,10 @@ func inspectBundle(path string) error {
 	if d := info.Store; d != nil {
 		fmt.Printf("materialized store: %d entries, %d rankings, %d candidates, depth max %d median %d, %d complete (%.1f%%)\n",
 			d.Entries, d.Rankings, d.Candidates, d.MaxDepth, d.MedianDepth, d.Complete, 100*float64(d.Complete)/float64(d.Rankings))
+	}
+	if f := info.Frequencies; f != nil {
+		fmt.Printf("frequency table: %d labels, %d entries, %d aggregate entries, %d zero values\n",
+			f.Labels, f.Entries, f.Aggregates, f.Zeros)
 	}
 	for _, s := range info.Sections {
 		fmt.Printf("  %-22s kind=%-3d off=%-10d len=%-10d crc=%s\n",

@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 
+	"medrelax/internal/corpus"
 	"medrelax/internal/eks"
 	"medrelax/internal/ontology"
 )
@@ -247,4 +249,91 @@ func (c *weightedLRU[V]) audit() (accounted, held int64, entries int, ok bool) {
 		s.mu.Unlock()
 	}
 	return accounted, held, entries, ok
+}
+
+// denseFrequencyTable is BuildFrequencyTable before a label's span kept only
+// its nonzero concepts: denseBuildFromDirect and aggregateLabels are the
+// bodies the table's propagation had, verbatim — every label's span covers
+// every concept of g, and the aggregate every concept. The sparse table's
+// oracle for one release.
+func denseFrequencyTable(g *eks.Graph, c *corpus.Corpus, opts FrequencyOptions) (*FrequencyTable, error) {
+	opts = opts.withDefaults()
+	order, err := g.TopologicalOrder()
+	if err != nil {
+		return nil, err
+	}
+	root, ok := g.Root()
+	if !ok {
+		return nil, errNoRoot
+	}
+	return denseBuildFromDirect(g, order, root, directCounts(g, c, opts), opts), nil
+}
+
+func denseBuildFromDirect(g *eks.Graph, order []eks.ConceptID, root eks.ConceptID, direct map[string]map[eks.ConceptID]float64, opts FrequencyOptions) *FrequencyTable {
+	labels := make([]string, 0, len(direct))
+	for label := range direct {
+		labels = append(labels, label)
+	}
+	slices.Sort(labels)
+	ids := g.ConceptIDs()
+	n := len(ids)
+	d := FlatFrequencyData{
+		Root:      root,
+		Smoothing: opts.Smoothing,
+		Labels:    labels,
+		Off:       make([]int32, len(labels)+1),
+		IDs:       make([]eks.ConceptID, len(labels)*n),
+		Vals:      make([]float64, len(labels)*n),
+	}
+	// Children as positions in ids, resolved once for all labels.
+	childOff := make([]int32, n+1)
+	var children []int32
+	for i, id := range ids {
+		for _, child := range g.Children(id) {
+			c, _ := slices.BinarySearch(ids, child)
+			children = append(children, int32(c))
+		}
+		childOff[i+1] = int32(len(children))
+	}
+	topo := make([]int32, n)
+	for i, id := range order {
+		p, _ := slices.BinarySearch(ids, id)
+		topo[i] = int32(p)
+	}
+	parallelChunks(len(labels), runtime.GOMAXPROCS(0), func(lo, hi int) {
+		for li := lo; li < hi; li++ {
+			dm := direct[labels[li]]
+			copy(d.IDs[li*n:], ids)
+			vals := d.Vals[li*n : (li+1)*n]
+			for _, p := range topo { // children before parents
+				f := dm[ids[p]]
+				for _, c := range children[childOff[p]:childOff[p+1]] {
+					f += vals[c]
+				}
+				vals[p] = f
+			}
+		}
+	})
+	for li := range labels {
+		d.Off[li+1] = int32((li + 1) * n)
+	}
+	d.AggIDs, d.AggVals = aggregateLabels(d.IDs, d.Vals)
+	return newFrequencyTable(d)
+}
+
+func aggregateLabels(ids []eks.ConceptID, vals []float64) ([]eks.ConceptID, []float64) {
+	agg := make(map[eks.ConceptID]float64)
+	for i, id := range ids {
+		agg[id] += vals[i]
+	}
+	aggIDs := make([]eks.ConceptID, 0, len(agg))
+	for id := range agg {
+		aggIDs = append(aggIDs, id)
+	}
+	slices.Sort(aggIDs)
+	aggVals := make([]float64, len(aggIDs))
+	for i, id := range aggIDs {
+		aggVals[i] = agg[id]
+	}
+	return aggIDs, aggVals
 }

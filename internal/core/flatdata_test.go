@@ -15,6 +15,7 @@ import (
 	"sync"
 	"testing"
 
+	"medrelax/internal/corpus"
 	"medrelax/internal/eks"
 	"medrelax/internal/kb"
 	"medrelax/internal/match"
@@ -28,7 +29,7 @@ import (
 // few flagged concepts in a large neighbourhood. variant ingests the world's
 // variant vocabulary instead of its primary graph — the shape of a mounted
 // second source.
-func paddedIngestion(t *testing.T, seed int64, perPair, drugs int, variant bool, padTo int, opts IngestOptions) *Ingestion {
+func paddedIngestion(t *testing.T, seed int64, perPair, drugs int, variant bool, padTo int, opts IngestOptions) (*Ingestion, *corpus.Corpus) {
 	t.Helper()
 	w, med, corp, err := medkb.GenerateWorld(seed, synthkb.Config{ConditionsPerPair: perPair}, medkb.Config{Drugs: drugs}, medkb.CorpusConfig{})
 	if err != nil {
@@ -59,7 +60,7 @@ func paddedIngestion(t *testing.T, seed int64, perPair, drugs int, variant bool,
 	if ing.MappingCount() == 0 {
 		t.Fatal("no instance mapped; the fixture exercises nothing")
 	}
-	return ing
+	return ing, corp
 }
 
 // sharedIngestion is paddedIngestion built once per process for each shape
@@ -72,15 +73,24 @@ func sharedIngestion(t *testing.T, seed int64, perPair, drugs int, variant bool,
 	defer sharedIngestionsMu.Unlock()
 	ing, ok := sharedIngestions[key]
 	if !ok {
-		ing = paddedIngestion(t, seed, perPair, drugs, variant, padTo, opts)
+		var corp *corpus.Corpus
+		ing, corp = paddedIngestion(t, seed, perPair, drugs, variant, padTo, opts)
 		sharedIngestions[key] = ing
+		sharedSources[ing] = ingestedFrom{corp, opts.Frequency}
 	}
 	return ing
+}
+
+// ingestedFrom is what a shared ingestion's frequency table was built from.
+type ingestedFrom struct {
+	corp *corpus.Corpus
+	freq FrequencyOptions
 }
 
 var (
 	sharedIngestionsMu sync.Mutex
 	sharedIngestions   = map[string]*Ingestion{}
+	sharedSources      = map[*Ingestion]ingestedFrom{}
 )
 
 // flatWorlds are the ingestions the differential tests sweep: several seeds

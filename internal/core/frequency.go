@@ -59,8 +59,12 @@ func (o FrequencyOptions) withDefaults() FrequencyOptions {
 // CSR spans of ascending (concept, value) pairs plus the aggregate over all
 // labels. The aggregate holds, per concept, the float sum of its per-label
 // values accumulated in ascending label order, so every table over the same
-// spans produces bit-identical normalized frequencies. Slices handed to
-// OpenFlatFrequencyTable may alias a memory mapping; they are never mutated.
+// spans produces bit-identical normalized frequencies. The writer stores no
+// zero value: a concept absent from a span or the aggregate reads as 0, so
+// a span holds only the concepts with corpus evidence under its label.
+// Tables written with zeros (spans over every concept) read the same.
+// Slices handed to OpenFlatFrequencyTable may alias a memory mapping; they
+// are never mutated.
 type FlatFrequencyData struct {
 	Root      eks.ConceptID
 	Smoothing float64
@@ -72,12 +76,13 @@ type FlatFrequencyData struct {
 	AggVals   []float64
 }
 
-// FrequencyTable holds, for every external concept, its propagated
+// FrequencyTable answers, for every external concept, its propagated
 // frequency per context label (Equation 2: direct mentions plus the
 // frequencies of its direct descendants), plus an aggregate over all
-// labels used when no contextual information is available. Its one read
+// labels used when no contextual information is available. It stores only
+// the nonzero frequencies; every other concept reads 0. Its one read
 // representation is the FlatFrequencyData columns, whether assembled by
-// buildFromDirect or adopted from a bundle, plus what
+// BuildFrequencyTableFromDirectCounts or adopted from a bundle, plus what
 // OpenFlatFrequencyTable derives from them once so NormalizedForContext
 // neither parses nor allocates.
 type FrequencyTable struct {
@@ -122,22 +127,18 @@ const maxResolvedContexts = 256
 // a concept is its direct count plus the sum of its direct children's
 // frequencies.
 func BuildFrequencyTable(g *eks.Graph, c *corpus.Corpus, opts FrequencyOptions) (*FrequencyTable, error) {
-	opts = opts.withDefaults()
-	order, err := g.TopologicalOrder()
-	if err != nil {
-		return nil, err
-	}
-	root, ok := g.Root()
-	if !ok {
-		return nil, errNoRoot
-	}
+	return BuildFrequencyTableFromDirectCounts(g, directCounts(g, c, opts), opts)
+}
 
-	// Gather direct counts for every concept name and synonym.
+// directCounts gathers, per context label, every concept's tf (or tf-idf)
+// over its name and synonyms.
+func directCounts(g *eks.Graph, c *corpus.Corpus, opts FrequencyOptions) map[string]map[eks.ConceptID]float64 {
+	fg := g.FlatData()
+	synonyms := func(p int) []string { return fg.Syns[fg.SynOff[p]:fg.SynOff[p+1]] }
 	var phrases []string
-	for _, id := range g.ConceptIDs() {
-		concept, _ := g.Concept(id)
-		phrases = append(phrases, concept.Name)
-		phrases = append(phrases, concept.Synonyms...)
+	for p, name := range fg.Names {
+		phrases = append(phrases, name)
+		phrases = append(phrases, synonyms(p)...)
 	}
 	stats := c.CountPhrasesN(phrases, runtime.GOMAXPROCS(0))
 	n := c.DocCount()
@@ -165,26 +166,27 @@ func BuildFrequencyTable(g *eks.Graph, c *corpus.Corpus, opts FrequencyOptions) 
 			addDirect(label, id, float64(tf)*weight)
 		}
 	}
-	for _, id := range g.ConceptIDs() {
+	for p, id := range fg.IDs {
 		// Name, then synonyms: the order the per-label sums are taken in.
-		concept, _ := g.Concept(id)
-		addName(id, concept.Name)
-		for _, syn := range concept.Synonyms {
+		addName(id, fg.Names[p])
+		for _, syn := range synonyms(p) {
 			addName(id, syn)
 		}
 	}
-
-	return buildFromDirect(g, order, root, direct, opts), nil
+	return direct
 }
 
-// BuildFrequencyTableFromDirectCounts builds a frequency table from
-// already-gathered direct mention counts per context label, propagating
-// them bottom-up exactly like BuildFrequencyTable. It serves callers whose
-// counts come from an external pipeline rather than the corpus scanner, and
-// the paper-figure fixtures whose counts are given in the paper.
+// BuildFrequencyTableFromDirectCounts builds a frequency table from direct
+// mention counts per context label, gathered by BuildFrequencyTable, an
+// external pipeline, or given in the paper (the paper-figure fixtures).
+// Counts propagate bottom-up per label (Equation 2) over the graph's dense
+// nodes; labels are independent, so they distribute across workers. A
+// label's span keeps only the concepts whose value is not zero, and the
+// aggregate only the nonzero sums: a reader answers 0 for an absent
+// concept, so every read is what a span over every concept gives (a -0
+// direct count reads back as +0).
 func BuildFrequencyTableFromDirectCounts(g *eks.Graph, direct map[string]map[eks.ConceptID]float64, opts FrequencyOptions) (*FrequencyTable, error) {
-	opts = opts.withDefaults()
-	order, err := g.TopologicalOrder()
+	topo, err := g.TopologicalNodes()
 	if err != nil {
 		return nil, err
 	}
@@ -192,83 +194,70 @@ func BuildFrequencyTableFromDirectCounts(g *eks.Graph, direct map[string]map[eks
 	if !ok {
 		return nil, errNoRoot
 	}
-	return buildFromDirect(g, order, root, direct, opts), nil
-}
+	fg := g.FlatData()
+	n := len(fg.IDs)
+	// Each node's native children, ascending — the order Graph.Children
+	// lists them, so every sum is taken in the same order.
+	kidLo, kidHi, kids := fg.DownOff, fg.DownNativeEnd, slices.Clone(fg.DownTo)
+	for p := range n {
+		slices.Sort(kids[kidLo[p]:kidHi[p]])
+	}
 
-// buildFromDirect propagates direct counts bottom-up per label (Equation 2)
-// and assembles the table. Labels are independent — each propagation walks
-// the same topological order into its own value column — so they distribute
-// across workers. Every label's span covers every concept of g.
-func buildFromDirect(g *eks.Graph, order []eks.ConceptID, root eks.ConceptID, direct map[string]map[eks.ConceptID]float64, opts FrequencyOptions) *FrequencyTable {
 	labels := make([]string, 0, len(direct))
 	for label := range direct {
 		labels = append(labels, label)
 	}
 	slices.Sort(labels)
-	ids := g.ConceptIDs()
-	n := len(ids)
-	d := FlatFrequencyData{
-		Root:      root,
-		Smoothing: opts.Smoothing,
-		Labels:    labels,
-		Off:       make([]int32, len(labels)+1),
-		IDs:       make([]eks.ConceptID, len(labels)*n),
-		Vals:      make([]float64, len(labels)*n),
+	type span struct {
+		pos  []int32
+		vals []float64
 	}
-	// Children as positions in ids, resolved once for all labels.
-	childOff := make([]int32, n+1)
-	var children []int32
-	for i, id := range ids {
-		for _, child := range g.Children(id) {
-			c, _ := slices.BinarySearch(ids, child)
-			children = append(children, int32(c))
-		}
-		childOff[i+1] = int32(len(children))
-	}
-	topo := make([]int32, n)
-	for i, id := range order {
-		p, _ := slices.BinarySearch(ids, id)
-		topo[i] = int32(p)
-	}
+	spans := make([]span, len(labels))
 	parallelChunks(len(labels), runtime.GOMAXPROCS(0), func(lo, hi int) {
+		f := make([]float64, n)
 		for li := lo; li < hi; li++ {
-			dm := direct[labels[li]]
-			copy(d.IDs[li*n:], ids)
-			vals := d.Vals[li*n : (li+1)*n]
-			for _, p := range topo { // children before parents
-				f := dm[ids[p]]
-				for _, c := range children[childOff[p]:childOff[p+1]] {
-					f += vals[c]
+			clear(f)
+			for id, v := range direct[labels[li]] {
+				if p, ok := slices.BinarySearch(fg.IDs, id); ok {
+					f[p] = v
 				}
-				vals[p] = f
+			}
+			for _, p := range topo { // children before parents
+				sum := f[p]
+				for _, c := range kids[kidLo[p]:kidHi[p]] {
+					sum += f[c]
+				}
+				f[p] = sum
+			}
+			sp := &spans[li]
+			for p, v := range f {
+				if v != 0 {
+					sp.pos = append(sp.pos, int32(p))
+					sp.vals = append(sp.vals, v)
+				}
 			}
 		}
 	})
-	for li := range labels {
-		d.Off[li+1] = int32((li + 1) * n)
-	}
-	d.AggIDs, d.AggVals = aggregateLabels(d.IDs, d.Vals)
-	return newFrequencyTable(d)
-}
 
-// aggregateLabels sums every concept's per-label values in column order —
-// ascending label order — so the float sums are reproducible run to run and
-// equal for every table over the same spans.
-func aggregateLabels(ids []eks.ConceptID, vals []float64) ([]eks.ConceptID, []float64) {
-	agg := make(map[eks.ConceptID]float64)
-	for i, id := range ids {
-		agg[id] += vals[i]
+	d := FlatFrequencyData{Root: root, Smoothing: opts.Smoothing, Labels: labels, Off: make([]int32, len(labels)+1)}
+	// The aggregate sums each concept's values in ascending label order, so
+	// the float sums are reproducible run to run.
+	agg := make([]float64, n)
+	for li, sp := range spans {
+		for i, p := range sp.pos {
+			d.IDs = append(d.IDs, fg.IDs[p])
+			agg[p] += sp.vals[i]
+		}
+		d.Vals = append(d.Vals, sp.vals...)
+		d.Off[li+1] = int32(len(d.IDs))
 	}
-	aggIDs := make([]eks.ConceptID, 0, len(agg))
-	for id := range agg {
-		aggIDs = append(aggIDs, id)
+	for p, v := range agg {
+		if v != 0 {
+			d.AggIDs = append(d.AggIDs, fg.IDs[p])
+			d.AggVals = append(d.AggVals, v)
+		}
 	}
-	slices.Sort(aggIDs)
-	aggVals := make([]float64, len(aggIDs))
-	for i, id := range aggIDs {
-		aggVals[i] = agg[id]
-	}
-	return aggIDs, aggVals
+	return newFrequencyTable(d), nil
 }
 
 // lookupStats finds a name's statistics with one Normalize and one map

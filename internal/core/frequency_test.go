@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"medrelax/internal/corpus"
@@ -236,6 +238,121 @@ func TestNormalizedForContextSumsLabelAscending(t *testing.T) {
 			if got := table.NormalizedForContext(fever, ctx, o); got != want {
 				t.Fatalf("call %d on the %s table: %v, want the label-ascending sum %v", i, name, got, want)
 			}
+		}
+	}
+}
+
+// TestSparseFrequenciesMatchDenseOracle holds the table, whose spans keep
+// only nonzero values, to the dense build it replaced (denseBuildFromDirect,
+// export_test.go) over the fixture worlds and over five labels on a graph
+// whose root's children were inserted out of order.
+func TestSparseFrequenciesMatchDenseOracle(t *testing.T) {
+	worlds := flatWorlds(t)
+	worlds["sparse10k"] = oracleWorlds(t)["sparse10k"]
+	for name, ing := range worlds {
+		t.Run(name, func(t *testing.T) {
+			// The paper-figure world is ingestWorld's, over testCorpus.
+			from := ingestedFrom{corp: testCorpus()}
+			sharedIngestionsMu.Lock()
+			if src, ok := sharedSources[ing]; ok {
+				from = src
+			}
+			sharedIngestionsMu.Unlock()
+			dense, err := denseFrequencyTable(ing.Graph, from.corp, from.freq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameFrequencyBits(t, ing.Graph, ing.Ontology, ing.Contexts, dense, ing.Frequencies)
+		})
+	}
+	// Non-integer counts over five labels, and a root whose children were
+	// inserted 5, 3, 4: the order of every sum — children ascending, labels
+	// ascending — shows in the last bits.
+	t.Run("five-labels", func(t *testing.T) {
+		g := eks.New()
+		for id := eks.ConceptID(1); id <= 5; id++ {
+			if err := g.AddConcept(eks.Concept{ID: id, Name: fmt.Sprintf("c%d", id)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, e := range [][2]eks.ConceptID{{5, 1}, {3, 1}, {4, 1}, {2, 5}} {
+			if err := g.AddSubsumption(e[0], e[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := g.SetRoot(1); err != nil {
+			t.Fatal(err)
+		}
+		o := testOntology(t)
+		if err := o.AddRelationship(ontology.Relationship{Name: "cause", Domain: "Drug", Range: "Finding"}); err != nil {
+			t.Fatal(err)
+		}
+		direct := map[string]map[eks.ConceptID]float64{
+			"Drug-cause-AdverseEffect":    {1: 0.1, 3: 0.7, 4: 0.1, 5: 0.2},
+			"Drug-cause-BlackBoxWarning":  {2: 0.2},
+			"Drug-cause-ContraIndication": {2: 0.3},
+			"Drug-cause-Finding":          {2: 0.6, 6: 1},
+			"Drug-cause-Risk":             {2: 0.7},
+		}
+		sparse, err := BuildFrequencyTableFromDirectCounts(g, direct, FrequencyOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		order, err := g.TopologicalOrder()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dense := denseBuildFromDirect(g, order, 1, direct, FrequencyOptions{}.withDefaults())
+		sameFrequencyBits(t, g, o, o.Contexts(), dense, sparse)
+	})
+}
+
+// sameFrequencyBits fails unless every read of got has want's bits: for
+// every concept of g and one id past them, under every label and one the
+// table lacks, the context-free query, every context of ctxs and a context
+// that subsumes no label.
+func sameFrequencyBits(t *testing.T, g *eks.Graph, o *ontology.Ontology, ctxs []ontology.Context, want, got *FrequencyTable) {
+	t.Helper()
+	if wl, gl := want.FlatData().Labels, got.FlatData().Labels; !slices.Equal(wl, gl) {
+		t.Fatalf("labels %q, oracle %q", gl, wl)
+	}
+	qctxs := []*ontology.Context{nil}
+	for i := range ctxs {
+		qctxs = append(qctxs, &ctxs[i])
+	}
+	none := ctxs[0]
+	none.Relationship = "subsumesNoLabel"
+	qctxs = append(qctxs, &none)
+	labels := append(slices.Clone(want.FlatData().Labels), "No-such-Label")
+	same := func(what string, id eks.ConceptID, w, g float64) {
+		if math.Float64bits(w) != math.Float64bits(g) {
+			t.Fatalf("%s of %d: %v (%#x), oracle %v (%#x)", what, id, g, math.Float64bits(g), w, math.Float64bits(w))
+		}
+	}
+	ids := g.ConceptIDs()
+	for _, id := range append(ids, ids[len(ids)-1]+1) {
+		same("RawAggregate", id, want.RawAggregate(id), got.RawAggregate(id))
+		for _, label := range labels {
+			same("Raw "+label, id, want.Raw(id, label), got.Raw(id, label))
+		}
+		for _, ctx := range qctxs {
+			same(fmt.Sprintf("NormalizedForContext %v", ctx), id, want.NormalizedForContext(id, ctx, o), got.NormalizedForContext(id, ctx, o))
+			same(fmt.Sprintf("IC %v", ctx), id, want.IC(id, ctx, o), got.IC(id, ctx, o))
+		}
+	}
+}
+
+// TestFrequencyTablesStoreNoZero: no span value and no aggregate a built
+// table stores is zero — a zero is what a reader answers for an absent
+// concept.
+func TestFrequencyTablesStoreNoZero(t *testing.T) {
+	for name, ing := range flatWorlds(t) {
+		d := ing.Frequencies.FlatData()
+		if i := slices.Index(d.Vals, 0); i >= 0 {
+			t.Errorf("%s: span entry %d (concept %d) stores 0", name, i, d.IDs[i])
+		}
+		if i := slices.Index(d.AggVals, 0); i >= 0 {
+			t.Errorf("%s: aggregate entry %d (concept %d) stores 0", name, i, d.AggIDs[i])
 		}
 	}
 }

@@ -227,6 +227,23 @@ func TestMaterializeWorkCounts(t *testing.T) {
 	}
 }
 
+// TestFrequencyWorkCounts pins what the default world's (seed 42) frequency
+// table stores: the span entries and aggregates whose value is not zero.
+// Before spans kept only those, every label's span and the aggregate held
+// every concept.
+func TestFrequencyWorkCounts(t *testing.T) {
+	ing := sharedIngestion(t, 42, 0, 0, false, 0, IngestOptions{})
+	d := ing.Frequencies.FlatData()
+	n := ing.Graph.Len()
+	const entries, aggregates = 2_643, 1_462
+	if len(d.IDs) != entries {
+		t.Errorf("%d span entries stored, want %d (%d labels x %d concepts before)", len(d.IDs), entries, len(d.Labels), n)
+	}
+	if len(d.AggIDs) != aggregates {
+		t.Errorf("%d aggregate entries stored, want %d (%d before)", len(d.AggIDs), aggregates, n)
+	}
+}
+
 // classLabels is the pool FuzzContextClass draws a table's labels from,
 // ascending: contexts over evidenceOntology at several depths, the unlabeled
 // label and one that does not parse as a context.

@@ -363,7 +363,22 @@ func (g *Graph) DescendantCounts() []int32 {
 // TopologicalOrder returns every concept with children before parents
 // (Algorithm 1, line 12), considering native edges only. It returns an
 // error if the native subsumption graph has a cycle.
-func (g *Graph) TopologicalOrder() ([]ConceptID, error) { return g.view().topologicalOrder() }
+func (g *Graph) TopologicalOrder() ([]ConceptID, error) {
+	v := g.view()
+	nodes, err := v.topologicalOrder()
+	if err != nil {
+		return nil, err
+	}
+	order := make([]ConceptID, len(nodes))
+	for i, p := range nodes {
+		order[i] = v.IDs[p]
+	}
+	return order, nil
+}
+
+// TopologicalNodes is TopologicalOrder as dense nodes: positions in
+// FlatData's IDs column.
+func (g *Graph) TopologicalNodes() ([]int32, error) { return g.view().topologicalOrder() }
 
 // Validate checks structural invariants: the graph is a DAG over native
 // edges, a root is set, and every concept other than the root reaches the

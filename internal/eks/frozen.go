@@ -375,13 +375,13 @@ func (v *frozen) reachNative(id ConceptID, up bool) map[ConceptID]bool {
 	return out
 }
 
-// topologicalOrder is Kahn's algorithm over the child→parent direction:
-// indegree counts native down-edges (children not yet emitted). Always
-// popping the smallest ready node — dense node order is ascending ConceptID
-// order — keeps the order deterministic. The ready set reuses the Dijkstra
-// heap with each node as its own priority; collected in ascending order, it
-// starts out a valid heap.
-func (v *frozen) topologicalOrder() ([]ConceptID, error) {
+// topologicalOrder is Kahn's algorithm over the child→parent direction,
+// as dense nodes: indegree counts native down-edges (children not yet
+// emitted). Always popping the smallest ready node — dense node order is
+// ascending ConceptID order — keeps the order deterministic. The ready set
+// reuses the Dijkstra heap with each node as its own priority; collected in
+// ascending order, it starts out a valid heap.
+func (v *frozen) topologicalOrder() ([]int32, error) {
 	n := len(v.IDs)
 	indeg := make([]int32, n)
 	ready := make([]heapNode, 0, n)
@@ -391,12 +391,12 @@ func (v *frozen) topologicalOrder() ([]ConceptID, error) {
 			ready = append(ready, heapNode{dist: int32(i), node: int32(i)})
 		}
 	}
-	order := make([]ConceptID, 0, n)
+	order := make([]int32, 0, n)
 	for len(ready) > 0 {
 		var top heapNode
 		top, ready = popHeap(ready)
 		cur := top.node
-		order = append(order, v.IDs[cur])
+		order = append(order, cur)
 		for _, parent := range v.UpTo[v.UpOff[cur]:v.UpNativeEnd[cur]] {
 			indeg[parent]--
 			if indeg[parent] == 0 {

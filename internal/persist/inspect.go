@@ -36,6 +36,10 @@ type BundleInfo struct {
 	// Store says how deep the materialized store of a flat bundle is; nil when
 	// the bundle carries none or a section it is read from fails its checksum.
 	Store *StoreDepth
+	// Frequencies says what the primary frequency table of a flat bundle
+	// stores; nil when a section it is read from is missing or fails its
+	// checksum.
+	Frequencies *FrequencyShape
 }
 
 // StoreDepth summarises a materialized store from its columns alone: how
@@ -71,6 +75,36 @@ func storeDepth(secs map[uint32][]byte) *StoreDepth {
 	}
 	slices.Sort(depths)
 	s.MaxDepth, s.MedianDepth = depths[len(depths)-1], depths[len(depths)/2]
+	return s
+}
+
+// FrequencyShape summarises a frequency table from its columns alone: its
+// labels, the (concept, value) entries its label spans store, the entries
+// of its aggregate, and how many stored values of either are zero. The
+// writer stores no zero, so Zeros > 0 marks a table whose spans cover every
+// concept, as every table did before the spans kept only corpus evidence.
+type FrequencyShape struct {
+	Labels, Entries, Aggregates, Zeros int
+}
+
+// frequencyShape reads a FrequencyShape off the primary frequency family
+// among a flat bundle's sections; nil when one of them, or the string table,
+// is not among them. It reads the columns' lengths and values and slices no
+// pool by an offset, so a hostile file's spans cannot fault it.
+func frequencyShape(secs map[uint32][]byte) *FrequencyShape {
+	d := &flatDecoder{secs: secs}
+	var fd core.FlatFrequencyData
+	if d.initStrings() != nil || d.columns(frequencyColumns(&fd)) != nil {
+		return nil
+	}
+	s := &FrequencyShape{Labels: len(fd.Labels), Entries: len(fd.IDs), Aggregates: len(fd.AggIDs)}
+	for _, vals := range [][]float64{fd.Vals, fd.AggVals} {
+		for _, v := range vals {
+			if v == 0 {
+				s.Zeros++
+			}
+		}
+	}
 	return s
 }
 
@@ -146,5 +180,6 @@ func inspectFlat(data []byte, info *BundleInfo) (*BundleInfo, error) {
 		info.Sources = st.Names
 	}
 	info.Store = storeDepth(checked)
+	info.Frequencies = frequencyShape(checked)
 	return info, retired
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"medrelax/internal/core"
+	"medrelax/internal/eks"
 	"medrelax/internal/match"
 	"medrelax/internal/medkb"
 	"medrelax/internal/synthkb"
@@ -179,6 +181,84 @@ func TestFrequencySnapshotRoundTrip(t *testing.T) {
 	_, err = openEdited(t, ing, secFreqVals, func(p []byte) []byte { return p[:len(p)-8] })
 	if !errors.Is(err, ErrCorruptBundle) {
 		t.Errorf("a values column one short: %v, want ErrCorruptBundle", err)
+	}
+}
+
+// TestDenseFrequencyBundleStillOpens: a bundle whose label spans and
+// aggregate cover every concept, zeros included — what every bundle stored
+// before spans kept only the concepts with corpus evidence — opens and
+// answers every frequency read with the bits of the table built today, and
+// InspectFile counts its zeros where a bundle saved today has none.
+func TestDenseFrequencyBundleStillOpens(t *testing.T) {
+	ing := buildIngestion(t)
+	sparse := ing.Frequencies
+	d := sparse.FlatData()
+	ids := ing.Graph.ConceptIDs()
+	dense := core.FlatFrequencyData{Root: d.Root, Smoothing: d.Smoothing, Labels: d.Labels, Off: []int32{0}}
+	for _, label := range d.Labels {
+		for _, id := range ids {
+			dense.IDs, dense.Vals = append(dense.IDs, id), append(dense.Vals, sparse.Raw(id, label))
+		}
+		dense.Off = append(dense.Off, int32(len(dense.IDs)))
+	}
+	for _, id := range ids {
+		dense.AggIDs, dense.AggVals = append(dense.AggIDs, id), append(dense.AggVals, sparse.RawAggregate(id))
+	}
+	zeros := 0
+	for _, v := range append(slices.Clone(dense.Vals), dense.AggVals...) {
+		if v == 0 {
+			zeros++
+		}
+	}
+	if zeros == 0 {
+		t.Fatal("the dense fixture stores no zero; it tells the tables apart by nothing")
+	}
+	ft, err := core.OpenFlatFrequencyTable(dense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := core.NewFlatIngestion(ing.Contexts, ing.Graph, ing.Store, ing.Ontology, ft, ing.ShortcutsAdded, ing.FlatMappings())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := saveFlatBytes(t, old)
+	restored, err := loadBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := restored.Frequencies
+	same := func(what string, id eks.ConceptID, want, got float64) {
+		if math.Float64bits(want) != math.Float64bits(got) {
+			t.Fatalf("%s of %d: %v from the dense bundle, %v built", what, id, got, want)
+		}
+	}
+	for _, id := range append(ids, ids[len(ids)-1]+1) {
+		same("RawAggregate", id, sparse.RawAggregate(id), got.RawAggregate(id))
+		for _, label := range d.Labels {
+			same("Raw "+label, id, sparse.Raw(id, label), got.Raw(id, label))
+		}
+		same("IC", id, sparse.IC(id, nil, ing.Ontology), got.IC(id, nil, ing.Ontology))
+		for i := range ing.Contexts {
+			ctx := &ing.Contexts[i]
+			same("IC "+ctx.String(), id, sparse.IC(id, ctx, ing.Ontology), got.IC(id, ctx, ing.Ontology))
+		}
+	}
+
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want FrequencyShape
+	}{
+		{"dense.flat", data, FrequencyShape{len(d.Labels), len(dense.IDs), len(ids), zeros}},
+		{"sparse.flat", saveFlatBytes(t, ing), FrequencyShape{len(d.Labels), len(d.IDs), len(d.AggIDs), 0}},
+	} {
+		info, err := InspectFile(writeBundle(t, tc.name, tc.data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Frequencies == nil || *info.Frequencies != tc.want {
+			t.Errorf("%s: frequency table %+v, want %+v", tc.name, info.Frequencies, tc.want)
+		}
 	}
 }
 
