@@ -3,12 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
-	"runtime"
-	"slices"
 	"sort"
 
-	"medrelax/internal/corpus"
 	"medrelax/internal/eks"
 	"medrelax/internal/ontology"
 )
@@ -172,53 +168,6 @@ func (s *Similarity) legacySimICFromLCS(a, b eks.ConceptID, lcs []eks.ConceptID,
 	return sim
 }
 
-// legacyMaterializeConcept is materializeConcept before contexts shared their
-// evidence class, verbatim: every context scored and ranked on its own.
-// Materialization's oracle for one release.
-func legacyMaterializeConcept(r *Relaxer, q eks.ConceptID, ctxs []*ontology.Context, opts MaterializeOptions, sc *relaxScratch) []matEntry {
-	// Background never cancels, so the error paths are unreachable here.
-	bg := context.Background()
-	g, _ := r.geometry(bg, q, math.MaxInt, sc)
-	out := make([]matEntry, 0, len(ctxs))
-	for _, ctx := range ctxs {
-		scored, _ := r.scoreGeometry(bg, q, ctx, g, len(g.levelEnd)-1, sc)
-		n := len(scored)
-		if opts.MaxPerQuery > 0 && n > opts.MaxPerQuery {
-			n = opts.MaxPerQuery
-		}
-		e := matEntry{complete: n == len(scored), counts: g.counts}
-		scored = rankedPrefix(scored, n)
-		e.scores, e.cands = make([]float64, len(scored)), make([]uint32, len(scored))
-		for i, h := range scored {
-			e.scores[i], e.cands[i] = h.score, packMatCand(h.slot, h.hops)
-		}
-		out = append(out, e)
-	}
-	return out
-}
-
-// legacyMaterialize is MaterializeTopK's columns built serially through
-// legacyMaterializeConcept, in the per-entry layout stores had before a
-// ranking was stored once per evidence class: every entry its own ranking
-// (Ranking[i] == i), so CountOff, CandOff and Complete are indexed by entry.
-func legacyMaterialize(ing *Ingestion, sim *Similarity, opts MaterializeOptions) FlatMaterializedData {
-	opts = opts.withDefaults()
-	head := slices.Clone(headConcepts(ing, opts))
-	slices.Sort(head)
-	ctxs := materializedContexts(opts)
-	r := NewRelaxer(ing, sim, nil, opts.Relax)
-	d := FlatMaterializedData{Relax: opts.Relax, CountOff: []int32{0}, CandOff: []int32{0}}
-	sc := &relaxScratch{}
-	for _, q := range head {
-		for j, e := range legacyMaterializeConcept(r, q, ctxs, opts, sc) {
-			d.Concepts = append(d.Concepts, q)
-			d.Ctxs = append(d.Ctxs, ctxKey(ctxs[j]))
-			d.Ranking = append(d.Ranking, d.appendRanking(e))
-		}
-	}
-	return d
-}
-
 // setGeometryBudget replaces the relaxer's geometry memo with an empty one of
 // the given budget, so a test can make every query evict.
 func (r *Relaxer) setGeometryBudget(bytes int64) {
@@ -249,91 +198,4 @@ func (c *weightedLRU[V]) audit() (accounted, held int64, entries int, ok bool) {
 		s.mu.Unlock()
 	}
 	return accounted, held, entries, ok
-}
-
-// denseFrequencyTable is BuildFrequencyTable before a label's span kept only
-// its nonzero concepts: denseBuildFromDirect and aggregateLabels are the
-// bodies the table's propagation had, verbatim — every label's span covers
-// every concept of g, and the aggregate every concept. The sparse table's
-// oracle for one release.
-func denseFrequencyTable(g *eks.Graph, c *corpus.Corpus, opts FrequencyOptions) (*FrequencyTable, error) {
-	opts = opts.withDefaults()
-	order, err := g.TopologicalOrder()
-	if err != nil {
-		return nil, err
-	}
-	root, ok := g.Root()
-	if !ok {
-		return nil, errNoRoot
-	}
-	return denseBuildFromDirect(g, order, root, directCounts(g, c, opts), opts), nil
-}
-
-func denseBuildFromDirect(g *eks.Graph, order []eks.ConceptID, root eks.ConceptID, direct map[string]map[eks.ConceptID]float64, opts FrequencyOptions) *FrequencyTable {
-	labels := make([]string, 0, len(direct))
-	for label := range direct {
-		labels = append(labels, label)
-	}
-	slices.Sort(labels)
-	ids := g.ConceptIDs()
-	n := len(ids)
-	d := FlatFrequencyData{
-		Root:      root,
-		Smoothing: opts.Smoothing,
-		Labels:    labels,
-		Off:       make([]int32, len(labels)+1),
-		IDs:       make([]eks.ConceptID, len(labels)*n),
-		Vals:      make([]float64, len(labels)*n),
-	}
-	// Children as positions in ids, resolved once for all labels.
-	childOff := make([]int32, n+1)
-	var children []int32
-	for i, id := range ids {
-		for _, child := range g.Children(id) {
-			c, _ := slices.BinarySearch(ids, child)
-			children = append(children, int32(c))
-		}
-		childOff[i+1] = int32(len(children))
-	}
-	topo := make([]int32, n)
-	for i, id := range order {
-		p, _ := slices.BinarySearch(ids, id)
-		topo[i] = int32(p)
-	}
-	parallelChunks(len(labels), runtime.GOMAXPROCS(0), func(lo, hi int) {
-		for li := lo; li < hi; li++ {
-			dm := direct[labels[li]]
-			copy(d.IDs[li*n:], ids)
-			vals := d.Vals[li*n : (li+1)*n]
-			for _, p := range topo { // children before parents
-				f := dm[ids[p]]
-				for _, c := range children[childOff[p]:childOff[p+1]] {
-					f += vals[c]
-				}
-				vals[p] = f
-			}
-		}
-	})
-	for li := range labels {
-		d.Off[li+1] = int32((li + 1) * n)
-	}
-	d.AggIDs, d.AggVals = aggregateLabels(d.IDs, d.Vals)
-	return newFrequencyTable(d)
-}
-
-func aggregateLabels(ids []eks.ConceptID, vals []float64) ([]eks.ConceptID, []float64) {
-	agg := make(map[eks.ConceptID]float64)
-	for i, id := range ids {
-		agg[id] += vals[i]
-	}
-	aggIDs := make([]eks.ConceptID, 0, len(agg))
-	for id := range agg {
-		aggIDs = append(aggIDs, id)
-	}
-	slices.Sort(aggIDs)
-	aggVals := make([]float64, len(aggIDs))
-	for i, id := range aggIDs {
-		aggVals[i] = agg[id]
-	}
-	return aggIDs, aggVals
 }

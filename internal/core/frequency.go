@@ -196,8 +196,8 @@ func BuildFrequencyTableFromDirectCounts(g *eks.Graph, direct map[string]map[eks
 	}
 	fg := g.FlatData()
 	n := len(fg.IDs)
-	// Each node's native children, ascending — the order Graph.Children
-	// lists them, so every sum is taken in the same order.
+	// Each node's native children in ascending concept order, so every sum
+	// is taken in the same order.
 	kidLo, kidHi, kids := fg.DownOff, fg.DownNativeEnd, slices.Clone(fg.DownTo)
 	for p := range n {
 		slices.Sort(kids[kidLo[p]:kidHi[p]])
@@ -288,9 +288,6 @@ func (t *FrequencyTable) Raw(id eks.ConceptID, label string) float64 {
 func (t *FrequencyTable) RawAggregate(id eks.ConceptID) float64 {
 	return lookupIn(t.d.AggIDs, t.d.AggVals, id)
 }
-
-// Labels returns the number of distinct context labels with any counts.
-func (t *FrequencyTable) Labels() int { return len(t.d.Labels) }
 
 // normalized maps a raw frequency to the smoothed probability of the
 // concept under the root's total for the same slice of the table; the root

@@ -94,7 +94,7 @@ func TestExample3SubcontextAggregation(t *testing.T) {
 	// broader Risk context (the paper's Example 3).
 	o := testOntology(t)
 	g := testEKS(t)
-	docs := testCorpus().Documents()
+	docs := testDocs()
 	// Relabel the risk sections with subconcept contexts.
 	docs[0].Sections[1].Label = "AdverseEffect-hasFinding-Finding"
 	docs[1].Sections[1].Label = "BlackBoxWarning-hasFinding-Finding"
@@ -184,7 +184,7 @@ func TestLabelsCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Indication, Risk, and the general "" label.
-	if got := ft.Labels(); got != 3 {
+	if got := len(ft.FlatData().Labels); got != 3 {
 		t.Errorf("Labels = %d, want 3", got)
 	}
 }
@@ -242,32 +242,11 @@ func TestNormalizedForContextSumsLabelAscending(t *testing.T) {
 	}
 }
 
-// TestSparseFrequenciesMatchDenseOracle holds the table, whose spans keep
-// only nonzero values, to the dense build it replaced (denseBuildFromDirect,
-// export_test.go) over the fixture worlds and over five labels on a graph
-// whose root's children were inserted out of order.
+// TestSparseFrequenciesMatchDenseOracle pins a table over five labels with
+// non-integer counts, on a graph whose root's children were inserted 5, 3, 4,
+// to the bits the dense build the sparse table replaced read: the order of
+// every sum — children ascending, labels ascending — shows in the last bits.
 func TestSparseFrequenciesMatchDenseOracle(t *testing.T) {
-	worlds := flatWorlds(t)
-	worlds["sparse10k"] = oracleWorlds(t)["sparse10k"]
-	for name, ing := range worlds {
-		t.Run(name, func(t *testing.T) {
-			// The paper-figure world is ingestWorld's, over testCorpus.
-			from := ingestedFrom{corp: testCorpus()}
-			sharedIngestionsMu.Lock()
-			if src, ok := sharedSources[ing]; ok {
-				from = src
-			}
-			sharedIngestionsMu.Unlock()
-			dense, err := denseFrequencyTable(ing.Graph, from.corp, from.freq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameFrequencyBits(t, ing.Graph, ing.Ontology, ing.Contexts, dense, ing.Frequencies)
-		})
-	}
-	// Non-integer counts over five labels, and a root whose children were
-	// inserted 5, 3, 4: the order of every sum — children ascending, labels
-	// ascending — shows in the last bits.
 	t.Run("five-labels", func(t *testing.T) {
 		g := eks.New()
 		for id := eks.ConceptID(1); id <= 5; id++ {
@@ -294,52 +273,44 @@ func TestSparseFrequenciesMatchDenseOracle(t *testing.T) {
 			"Drug-cause-Finding":          {2: 0.6, 6: 1},
 			"Drug-cause-Risk":             {2: 0.7},
 		}
-		sparse, err := BuildFrequencyTableFromDirectCounts(g, direct, FrequencyOptions{})
+		ft, err := BuildFrequencyTableFromDirectCounts(g, direct, FrequencyOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		order, err := g.TopologicalOrder()
-		if err != nil {
-			t.Fatal(err)
+		labels := []string{"Drug-cause-AdverseEffect", "Drug-cause-BlackBoxWarning", "Drug-cause-ContraIndication", "Drug-cause-Finding", "Drug-cause-Risk"}
+		if got := ft.FlatData().Labels; !slices.Equal(got, labels) {
+			t.Fatalf("labels %q, want %q", got, labels)
 		}
-		dense := denseBuildFromDirect(g, order, 1, direct, FrequencyOptions{}.withDefaults())
-		sameFrequencyBits(t, g, o, o.Contexts(), dense, sparse)
+		risk := &ontology.Context{Domain: "Drug", Relationship: "cause", Range: "Risk"}
+		// Float64bits of RawAggregate, Raw under each label, and IC with no
+		// context and under Drug-cause-Risk; concept 6 is not in the graph.
+		want := []struct {
+			id            eks.ConceptID
+			agg           uint64
+			raw           [5]uint64
+			icNil, icRisk uint64
+		}{
+			{1, 0x4007333333333332, [5]uint64{0x3ff1999999999999, 0x3fc999999999999a, 0x3fd3333333333333, 0x3fe3333333333333, 0x3fe6666666666666}, 0x0, 0x0},
+			{2, 0x3ffccccccccccccd, [5]uint64{0x0, 0x3fc999999999999a, 0x3fd3333333333333, 0x3fe3333333333333, 0x3fe6666666666666}, 0x3fde417d1dc1a658, 0x3fe49121d4990bf2},
+			{3, 0x3fe6666666666666, [5]uint64{0x3fe6666666666666, 0x0, 0x0, 0x0, 0x0}, 0x3ff666c257b19c8b, 0x3ff2b89ca241f628},
+			{4, 0x3fb999999999999a, [5]uint64{0x3fb999999999999a, 0x0, 0x0, 0x0, 0x0}, 0x400988e728edde46, 0x4007b1d44e360b15},
+			{5, 0x3fffffffffffffff, [5]uint64{0x3fc999999999999a, 0x3fc999999999999a, 0x3fd3333333333333, 0x3fe3333333333333, 0x3fe6666666666666}, 0x3fd79546be5bcf36, 0x3fdf6b13180b6c22},
+			{6, 0x0, [5]uint64{0x0, 0x0, 0x0, 0x0, 0x0}, 0x4013ef3693017724, 0x401303ad25a58d8b},
+		}
+		same := func(what string, id eks.ConceptID, want uint64, got float64) {
+			if math.Float64bits(got) != want {
+				t.Errorf("%s of %d: %v (%#x), want %v (%#x)", what, id, got, math.Float64bits(got), math.Float64frombits(want), want)
+			}
+		}
+		for _, w := range want {
+			same("RawAggregate", w.id, w.agg, ft.RawAggregate(w.id))
+			for i, label := range labels {
+				same("Raw "+label, w.id, w.raw[i], ft.Raw(w.id, label))
+			}
+			same("IC", w.id, w.icNil, ft.IC(w.id, nil, o))
+			same("IC "+risk.String(), w.id, w.icRisk, ft.IC(w.id, risk, o))
+		}
 	})
-}
-
-// sameFrequencyBits fails unless every read of got has want's bits: for
-// every concept of g and one id past them, under every label and one the
-// table lacks, the context-free query, every context of ctxs and a context
-// that subsumes no label.
-func sameFrequencyBits(t *testing.T, g *eks.Graph, o *ontology.Ontology, ctxs []ontology.Context, want, got *FrequencyTable) {
-	t.Helper()
-	if wl, gl := want.FlatData().Labels, got.FlatData().Labels; !slices.Equal(wl, gl) {
-		t.Fatalf("labels %q, oracle %q", gl, wl)
-	}
-	qctxs := []*ontology.Context{nil}
-	for i := range ctxs {
-		qctxs = append(qctxs, &ctxs[i])
-	}
-	none := ctxs[0]
-	none.Relationship = "subsumesNoLabel"
-	qctxs = append(qctxs, &none)
-	labels := append(slices.Clone(want.FlatData().Labels), "No-such-Label")
-	same := func(what string, id eks.ConceptID, w, g float64) {
-		if math.Float64bits(w) != math.Float64bits(g) {
-			t.Fatalf("%s of %d: %v (%#x), oracle %v (%#x)", what, id, g, math.Float64bits(g), w, math.Float64bits(w))
-		}
-	}
-	ids := g.ConceptIDs()
-	for _, id := range append(ids, ids[len(ids)-1]+1) {
-		same("RawAggregate", id, want.RawAggregate(id), got.RawAggregate(id))
-		for _, label := range labels {
-			same("Raw "+label, id, want.Raw(id, label), got.Raw(id, label))
-		}
-		for _, ctx := range qctxs {
-			same(fmt.Sprintf("NormalizedForContext %v", ctx), id, want.NormalizedForContext(id, ctx, o), got.NormalizedForContext(id, ctx, o))
-			same(fmt.Sprintf("IC %v", ctx), id, want.IC(id, ctx, o), got.IC(id, ctx, o))
-		}
-	}
 }
 
 // TestFrequencyTablesStoreNoZero: no span value and no aggregate a built

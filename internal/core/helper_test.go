@@ -130,8 +130,11 @@ const (
 	ctxRisk       = "Risk-hasFinding-Finding"
 )
 
-func testCorpus() *corpus.Corpus {
-	docs := []corpus.Document{
+func testCorpus() *corpus.Corpus { return corpus.New(testDocs()) }
+
+// testDocs are testCorpus's documents, fresh on every call.
+func testDocs() []corpus.Document {
+	return []corpus.Document{
 		{
 			ID: "amoxicillin", Title: "Amoxicillin",
 			Sections: []corpus.Section{
@@ -155,7 +158,6 @@ func testCorpus() *corpus.Corpus {
 			},
 		},
 	}
-	return corpus.New(docs)
 }
 
 // ingestWorld runs a full ingestion over the shared world with the exact

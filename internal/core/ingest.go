@@ -259,25 +259,3 @@ func planShortcuts(g *eks.Graph, order []eks.ConceptID, flagged func(eks.Concept
 	})
 	return planned
 }
-
-// ConceptForTerm maps a query term to an external concept with the given
-// mapper — the first step of the online phase (Algorithm 2, line 1).
-func (ing *Ingestion) ConceptForTerm(term string, mapper match.Mapper) (eks.ConceptID, bool) {
-	return mapper.Map(term)
-}
-
-// InstanceResults resolves a ranked list of external concepts into KB
-// instances through the mappings (Algorithm 2, line 7).
-func (ing *Ingestion) InstanceResults(conceptIDs []eks.ConceptID) []kb.InstanceID {
-	var out []kb.InstanceID
-	seen := map[kb.InstanceID]bool{}
-	for _, cid := range conceptIDs {
-		for _, iid := range ing.InstancesForConcept(cid) {
-			if !seen[iid] {
-				seen[iid] = true
-				out = append(out, iid)
-			}
-		}
-	}
-	return out
-}

@@ -27,8 +27,8 @@ func assertIngestionsEqual(t *testing.T, serial, parallel *Ingestion) {
 	if s, p := serial.Graph.EdgeCount(), parallel.Graph.EdgeCount(); s != p {
 		t.Errorf("EdgeCount: %d serial vs %d parallel", s, p)
 	}
-	if s, p := serial.Graph.ShortcutCount(), parallel.Graph.ShortcutCount(); s != p {
-		t.Errorf("ShortcutCount: %d serial vs %d parallel", s, p)
+	if !reflect.DeepEqual(serial.Graph.FlatData(), parallel.Graph.FlatData()) {
+		t.Error("graph columns differ")
 	}
 	if !reflect.DeepEqual(serial.Frequencies.FlatData(), parallel.Frequencies.FlatData()) {
 		t.Error("frequency columns differ")

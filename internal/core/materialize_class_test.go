@@ -2,9 +2,9 @@ package core
 
 // A materialized store ranks once per evidence class — the frequency labels a
 // context subsumes — stores the ranking once, and points every context of the
-// class at it. These tests hold it to the per-context build in the per-entry
-// layout it replaced (legacyMaterialize, export_test.go), entry for entry, and
-// hold the classes to the ICs they stand for.
+// class at it. These tests hold the classes to the ICs they stand for and the
+// store to the rankings it selected; TestLiveKernelMatchesLegacyOracle holds
+// every entry's answer to the exhaustive kernel.
 
 import (
 	"fmt"
@@ -15,28 +15,6 @@ import (
 	"medrelax/internal/eks"
 	"medrelax/internal/ontology"
 )
-
-// sameAsPerEntryOracle fails unless every entry of a store answers as the
-// same entry of the per-entry oracle (legacyMaterialize) does: the same keys,
-// and the same counts, complete flag, slots and scores, to the bit, read
-// through the ranking the entry names.
-func sameAsPerEntryOracle(t *testing.T, m *Materialized, want FlatMaterializedData) {
-	t.Helper()
-	got := m.FlatData()
-	if got.Relax != want.Relax || !slices.Equal(got.Concepts, want.Concepts) || !slices.Equal(got.Ctxs, want.Ctxs) {
-		t.Fatalf("the store's entries (%d) are not the per-context oracle's (%d)", len(got.Concepts), len(want.Concepts))
-	}
-	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	for i := range want.Concepts {
-		e := m.entry(i)
-		counts := want.Counts[want.CountOff[i]:want.CountOff[i+1]]
-		lo, hi := want.CandOff[i], want.CandOff[i+1]
-		if e.complete != (want.Complete[i] != 0) || !slices.Equal(e.counts, counts) ||
-			!slices.Equal(e.cands, want.CandSlots[lo:hi]) || !slices.EqualFunc(e.scores, want.CandScores[lo:hi], sameBits) {
-			t.Fatalf("entry (%d, %q) differs from the per-context oracle's", want.Concepts[i], want.Ctxs[i])
-		}
-	}
-}
 
 // evidenceOntology is the paper-figure ontology with one more level under
 // AdverseEffect, so two different contexts can subsume the same label.
@@ -134,18 +112,18 @@ func TestEvidenceClasses(t *testing.T) {
 	}
 }
 
-// TestClassStoreMatchesPerContextOracle: every entry of the store that ranks
-// and stores once per evidence class reads as the same entry of the one that
-// ranked and stored every context, on
-// generated worlds, on a hand-built table where contexts share a non-empty
-// label set (and one that subsumes every label does not share the
-// aggregate's), and under IC sources where nothing shares.
+// TestClassStoreMatchesPerContextOracle: the store that ranks and stores
+// once per evidence class stores exactly the rankings it selected, and shares
+// them as the classes say — on generated worlds, on a hand-built table where
+// contexts share a non-empty label set (and one that subsumes every label
+// does not share the aggregate's), and under IC sources where nothing shares.
+// Every entry's answer is held to the exhaustive kernel by
+// TestLiveKernelMatchesLegacyOracle.
 func TestClassStoreMatchesPerContextOracle(t *testing.T) {
 	relax := RelaxOptions{Radius: 3, DynamicRadius: true, MaxRadius: 6}
 	check := func(t *testing.T, ing *Ingestion, sim *Similarity, opts MaterializeOptions) *Materialized {
 		t.Helper()
 		m := MaterializeTopK(ing, sim, opts)
-		sameAsPerEntryOracle(t, m, legacyMaterialize(ing, sim, opts))
 		if stored := len(m.FlatData().Complete); stored != m.rankings {
 			t.Errorf("%d rankings stored, %d selected", stored, m.rankings)
 		}
@@ -170,8 +148,8 @@ func TestClassStoreMatchesPerContextOracle(t *testing.T) {
 		if want := m.Concepts() * 4; m.rankings != want {
 			t.Errorf("%d rankings, want %d: four classes per head concept", m.rankings, want)
 		}
-		// The classes rank differently, or the oracle could not tell a wrong
-		// share from a right one.
+		// The classes rank differently, or a wrong share could not be told
+		// from a right one.
 		d, differs := m.FlatData(), false
 		for i := 0; i < m.Entries(); i += ctxs {
 			all, risk := m.entry(i), m.entry(i+6) // "" and {A, B}

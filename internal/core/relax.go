@@ -456,9 +456,8 @@ func (r *Relaxer) rankedPath(ctx context.Context, q eks.ConceptID, qctx *ontolog
 
 // takeForKInstances keeps consuming ranked candidates until at least k
 // distinct KB instances are collected (or candidates run out). Instances
-// are deduplicated across candidates with the same semantics as
-// TopKInstances, so an instance reachable through several candidate
-// concepts is counted once.
+// are deduplicated across candidates, so an instance reachable through
+// several candidate concepts is counted once.
 func takeForKInstances(ranked []Result, k int, sc *relaxScratch) []Result {
 	var out []Result
 	seen := sc.resetSeen()
@@ -681,23 +680,3 @@ func rankOrder[C cmp.Ordered](sa, sb float64, ca, cb C) int {
 // caller did not bound k: keep widening until this many KB instances are
 // reachable (or MaxRadius is hit).
 const defaultCandidateTarget = 10
-
-// TopKInstances flattens ranked results into at most k distinct KB
-// instances, preserving rank order — the Res set of Algorithm 2.
-func TopKInstances(results []Result, k int) []kb.InstanceID {
-	var out []kb.InstanceID
-	seen := map[kb.InstanceID]bool{}
-	for _, res := range results {
-		for _, id := range res.Instances {
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			out = append(out, id)
-			if len(out) == k {
-				return out
-			}
-		}
-	}
-	return out
-}

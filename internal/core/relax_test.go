@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"medrelax/internal/eks"
-	"medrelax/internal/kb"
 	"medrelax/internal/match"
 	"medrelax/internal/ontology"
 )
@@ -169,25 +168,6 @@ func TestRelaxShortcutsWidenReach(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestTopKInstances(t *testing.T) {
-	results := []Result{
-		{Concept: 4, Score: 0.9, Instances: []kb.InstanceID{131}},
-		{Concept: 7, Score: 0.8, Instances: []kb.InstanceID{132, 131}},
-		{Concept: 10, Score: 0.7, Instances: []kb.InstanceID{133}},
-	}
-	got := TopKInstances(results, 2)
-	if len(got) != 2 || got[0] != 131 || got[1] != 132 {
-		t.Errorf("TopKInstances = %v, want [131 132]", got)
-	}
-	got = TopKInstances(results, 10)
-	if len(got) != 3 {
-		t.Errorf("TopKInstances all = %v", got)
-	}
-	if got := TopKInstances(nil, 3); len(got) != 0 {
-		t.Errorf("empty results = %v", got)
 	}
 }
 

@@ -54,10 +54,6 @@ func New(docs []Document) *Corpus {
 // DocCount returns the number of documents.
 func (c *Corpus) DocCount() int { return len(c.docs) }
 
-// Documents returns the underlying documents. Callers must not mutate the
-// result.
-func (c *Corpus) Documents() []Document { return c.docs }
-
 // TokenStreams returns one token stream per section across all documents,
 // in document order. Embedding training treats each stream as one text.
 func (c *Corpus) TokenStreams() [][]string {
@@ -255,44 +251,4 @@ func (ps *phraseSet) longestMatchAt(toks []string, i int) (string, int) {
 // positive weight and unseen terms do not divide by zero.
 func IDF(df, n int) float64 {
 	return math.Log(float64(1+n)/float64(1+df)) + 1
-}
-
-// WordFrequencies returns the relative frequency of every token in the
-// corpus, for use by SIF-weighted phrase embeddings. Frequencies sum to 1
-// over the vocabulary (when the corpus is non-empty).
-func (c *Corpus) WordFrequencies() map[string]float64 {
-	counts := make(map[string]int)
-	total := 0
-	for _, doc := range c.tokenized {
-		for _, sec := range doc {
-			for _, tok := range sec {
-				counts[tok]++
-				total++
-			}
-		}
-	}
-	out := make(map[string]float64, len(counts))
-	if total == 0 {
-		return out
-	}
-	for tok, n := range counts {
-		out[tok] = float64(n) / float64(total)
-	}
-	return out
-}
-
-// Labels returns the distinct section labels present in the corpus,
-// excluding the empty general label.
-func (c *Corpus) Labels() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, d := range c.docs {
-		for _, s := range d.Sections {
-			if s.Label != "" && !seen[s.Label] {
-				seen[s.Label] = true
-				out = append(out, s.Label)
-			}
-		}
-	}
-	return out
 }

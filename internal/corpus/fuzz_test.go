@@ -46,24 +46,3 @@ func FuzzCountPhrases(f *testing.F) {
 		}
 	})
 }
-
-func FuzzWordFrequencies(f *testing.F) {
-	f.Add("one two two three three three")
-	f.Fuzz(func(t *testing.T, text string) {
-		if len(text) > 2048 {
-			return
-		}
-		c := New([]Document{{ID: "d", Sections: []Section{{Text: text}}}})
-		sum := 0.0
-		for w, fr := range c.WordFrequencies() {
-			if fr <= 0 || fr > 1 {
-				t.Fatalf("frequency of %q = %v", w, fr)
-			}
-			sum += fr
-		}
-		if c.TokenCount() > 0 && (sum < 0.999 || sum > 1.001) {
-			t.Fatalf("frequencies sum to %v", sum)
-		}
-		_ = strings.TrimSpace(text)
-	})
-}

@@ -77,12 +77,6 @@ func NewConversation(store *kb.Store, onto *ontology.Ontology, classifier *Inten
 	}
 }
 
-// SetFeedback attaches a feedback store: suggestion picks become positive
-// feedback and abandoning a suggestion list becomes mild negative feedback
-// on its top entry, so repeated conversations progressively sharpen the
-// relaxation ranking.
-func (c *Conversation) SetFeedback(store *core.FeedbackStore) { c.feedback = store }
-
 // Reset clears the dialogue state.
 func (c *Conversation) Reset() {
 	c.lastCtx = nil

@@ -168,8 +168,8 @@ func TestIntentClassifier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Contexts()) != 4 {
-		t.Fatalf("contexts = %v", c.Contexts())
+	if len(c.contexts) != 4 {
+		t.Fatalf("contexts = %v", c.contexts)
 	}
 	cases := []struct {
 		text string
@@ -352,7 +352,7 @@ func TestFeedbackLearningAcrossConversations(t *testing.T) {
 	feedback := core.NewFeedbackStore()
 
 	conv := NewConversation(store, o, classifier, extractor, relaxer, ing)
-	conv.SetFeedback(feedback)
+	conv.feedback = feedback
 
 	// Session 1: ask about pyelectasia, pick "kidney disease".
 	resp := conv.Ask("what drugs treat pyelectasia")
@@ -386,7 +386,7 @@ func TestFeedbackAbandonmentRecordsReject(t *testing.T) {
 	extractor := NewMentionExtractor(store, ing.Graph.NameKeys())
 	feedback := core.NewFeedbackStore()
 	conv := NewConversation(store, o, classifier, extractor, relaxer, ing)
-	conv.SetFeedback(feedback)
+	conv.feedback = feedback
 
 	resp := conv.Ask("what drugs treat pyelectasia")
 	if len(resp.Suggestions) == 0 {

@@ -76,13 +76,6 @@ func TrainIntentClassifier(examples []Example) (*IntentClassifier, error) {
 	return c, nil
 }
 
-// Contexts returns the label set, in first-seen order.
-func (c *IntentClassifier) Contexts() []ontology.Context {
-	out := make([]ontology.Context, len(c.contexts))
-	copy(out, c.contexts)
-	return out
-}
-
 // ClassifyAmong is Classify restricted to contexts accepted by the filter,
 // used to reconcile the intent with the semantic type of the extracted
 // entity (a Finding mention can only fill a Finding-ranged context). It

@@ -236,16 +236,6 @@ func (g *Graph) Len() int { return g.n }
 // EdgeCount returns the number of edges, counting shortcuts.
 func (g *Graph) EdgeCount() int { return len(g.view().UpTo) }
 
-// ShortcutCount returns the number of shortcut edges.
-func (g *Graph) ShortcutCount() int {
-	v := g.view()
-	n := 0
-	for i, end := range v.UpNativeEnd {
-		n += int(v.UpOff[i+1] - end)
-	}
-	return n
-}
-
 // ConceptIDs returns all concept IDs in ascending order.
 func (g *Graph) ConceptIDs() []ConceptID { return slices.Clone(g.view().IDs) }
 
@@ -272,33 +262,13 @@ func (g *Graph) IDsForNameKey(key string) []ConceptID {
 	return slices.Clone(v.KeyIDs[v.KeyOff[i]:v.KeyOff[i+1]])
 }
 
-// Parents returns the native (non-shortcut) direct parents of id.
-func (g *Graph) Parents(id ConceptID) []ConceptID { return g.view().nativeNeighbors(id, true) }
-
-// Children returns the native (non-shortcut) direct children of id.
-func (g *Graph) Children(id ConceptID) []ConceptID { return g.view().nativeNeighbors(id, false) }
-
 // UpEdges returns all edges (native and shortcut) from id toward its
 // generalizations, native edges first.
 func (g *Graph) UpEdges(id ConceptID) []Edge { return g.view().edges(id, true) }
 
-// DownEdges returns all edges (native and shortcut) from id toward its
-// specializations, native edges first.
-func (g *Graph) DownEdges(id ConceptID) []Edge { return g.view().edges(id, false) }
-
-// Ancestors returns the set of all concepts reachable from id by following
-// native subsumption edges upward, excluding id itself.
-func (g *Graph) Ancestors(id ConceptID) map[ConceptID]bool { return g.view().reachNative(id, true) }
-
-// Descendants returns the set of all concepts reachable from id by
-// following native subsumption edges downward, excluding id itself.
-func (g *Graph) Descendants(id ConceptID) map[ConceptID]bool {
-	return g.view().reachNative(id, false)
-}
-
-// DescendantCount returns |Descendants(id)|. Used by the intrinsic
-// (corpus-free) information-content measure; counting does not materialize
-// the descendant set.
+// DescendantCount returns the number of concepts below id along native
+// subsumption edges, id excluded, by one walk: the reference
+// DescendantCounts is tested against.
 func (g *Graph) DescendantCount(id ConceptID) int {
 	v := g.view()
 	src, ok := v.node(id)

@@ -2,6 +2,7 @@ package eks
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -95,25 +96,29 @@ func TestLookupName(t *testing.T) {
 	}
 }
 
+// subsumers returns SubsumerVec(id) as a map from subsumer to upward
+// distance, id itself included at 0.
+func subsumers(t *testing.T, g *Graph, id ConceptID) map[ConceptID]int {
+	t.Helper()
+	vec, ok := g.SubsumerVec(id)
+	if !ok {
+		t.Fatalf("SubsumerVec(%d): unknown concept", id)
+	}
+	out := make(map[ConceptID]int, vec.Len())
+	for i := 0; i < vec.Len(); i++ {
+		c, d := vec.At(i)
+		out[c] = d
+	}
+	return out
+}
+
 func TestAncestorsDescendants(t *testing.T) {
 	g := buildDiamond(t)
-	anc := g.Ancestors(6)
-	for _, want := range []ConceptID{4, 2, 3, 1} {
-		if !anc[want] {
-			t.Errorf("Ancestors(6) missing %d", want)
-		}
+	if got, want := subsumers(t, g, 6), map[ConceptID]int{6: 0, 4: 1, 2: 2, 3: 2, 1: 3}; !reflect.DeepEqual(got, want) {
+		t.Errorf("SubsumerVec(6) = %v, want %v", got, want)
 	}
-	if anc[6] || anc[5] {
-		t.Error("Ancestors(6) must exclude self and non-ancestors")
-	}
-	desc := g.Descendants(3)
-	for _, want := range []ConceptID{4, 5, 6} {
-		if !desc[want] {
-			t.Errorf("Descendants(3) missing %d", want)
-		}
-	}
-	if desc[2] || desc[3] {
-		t.Error("Descendants(3) must exclude self and siblings")
+	if got := g.DescendantCount(3); got != 3 {
+		t.Errorf("DescendantCount(3) = %d, want 3", got)
 	}
 	if got := g.DescendantCount(1); got != 5 {
 		t.Errorf("DescendantCount(root) = %d, want 5", got)
@@ -219,6 +224,7 @@ func TestShortcutEdgeChangesHopsNotSemantics(t *testing.T) {
 			t.Fatal("root already within 2 hops before shortcut")
 		}
 	}
+	edges := g.EdgeCount()
 	if err := g.AddShortcutEdge(6, 1, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -242,8 +248,8 @@ func TestShortcutEdgeChangesHopsNotSemantics(t *testing.T) {
 	if !ok || p.Len() != 3 || p.Generalizations() != 3 {
 		t.Errorf("path = %+v, want 3 generalization hops", p)
 	}
-	if g.ShortcutCount() != 1 {
-		t.Errorf("ShortcutCount = %d, want 1", g.ShortcutCount())
+	if g.EdgeCount() != edges+1 || !g.HasEdge(6, 1) {
+		t.Errorf("EdgeCount = %d, want %d with the shortcut 6->1", g.EdgeCount(), edges+1)
 	}
 }
 
@@ -289,25 +295,35 @@ func TestShortestSemanticPathDisconnected(t *testing.T) {
 	}
 }
 
+// common returns what CommonSubsumers visits for a and b, in visit order.
+func common(t *testing.T, g *Graph, a, b ConceptID) [][3]int {
+	t.Helper()
+	va, oka := g.SubsumerVec(a)
+	vb, okb := g.SubsumerVec(b)
+	if !oka || !okb {
+		t.Fatalf("SubsumerVec(%d) or (%d): unknown concept", a, b)
+	}
+	var out [][3]int
+	CommonSubsumers(va, vb, func(c ConceptID, da, db int) { out = append(out, [3]int{int(c), da, db}) })
+	return out
+}
+
 func TestLCS(t *testing.T) {
 	g := buildDiamond(t)
-	// LCS(6, 5): common subsumers are 3 (dist 2+1=3) and 1 (3+2=5): choose 3.
-	res, ok := g.LCS(6, 5)
-	if !ok {
-		t.Fatal("LCS(6,5) not found")
-	}
-	if len(res.IDs) != 1 || res.IDs[0] != 3 || res.Combined != 3 {
-		t.Errorf("LCS(6,5) = %+v, want {[3] 3}", res)
-	}
-	// LCS of a concept with its ancestor is the ancestor itself.
-	res, ok = g.LCS(6, 2)
-	if !ok || len(res.IDs) != 1 || res.IDs[0] != 2 {
-		t.Errorf("LCS(6,2) = %+v, want [2]", res)
-	}
-	// LCS with itself is itself at distance 0.
-	res, ok = g.LCS(4, 4)
-	if !ok || len(res.IDs) != 1 || res.IDs[0] != 4 || res.Combined != 0 {
-		t.Errorf("LCS(4,4) = %+v, want {[4] 0}", res)
+	for _, tc := range []struct {
+		a, b ConceptID
+		want [][3]int // (subsumer, distance from a, distance from b), ID-ascending
+	}{
+		// 3 at 2+1 beats the root at 3+2: the LCS of 6 and 5 is 3.
+		{6, 5, [][3]int{{1, 3, 2}, {3, 2, 1}}},
+		// A concept and its ancestor meet at the ancestor.
+		{6, 2, [][3]int{{1, 3, 1}, {2, 2, 0}}},
+		// A concept meets itself at distance 0.
+		{4, 4, [][3]int{{1, 2, 2}, {2, 1, 1}, {3, 1, 1}, {4, 0, 0}}},
+	} {
+		if got := common(t, g, tc.a, tc.b); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("CommonSubsumers(%d, %d) = %v, want %v", tc.a, tc.b, got, tc.want)
+		}
 	}
 }
 
@@ -325,21 +341,16 @@ func TestLCSTies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, ok := g.LCS(3, 4)
-	if !ok {
-		t.Fatal("no LCS")
-	}
-	if len(res.IDs) != 2 || res.IDs[0] != 1 || res.IDs[1] != 2 || res.Combined != 2 {
-		t.Errorf("LCS(3,4) = %+v, want tie {[1 2] 2}", res)
+	if got, want := common(t, g, 3, 4), [][3]int{{1, 1, 1}, {2, 1, 1}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("CommonSubsumers(3, 4) = %v, want the tie %v", got, want)
 	}
 }
 
 func TestDepthFromRoot(t *testing.T) {
 	g := buildDiamond(t)
 	for id, want := range map[ConceptID]int{1: 0, 2: 1, 3: 1, 4: 2, 5: 2, 6: 3} {
-		d, ok := g.DepthFromRoot(id)
-		if !ok || d != want {
-			t.Errorf("DepthFromRoot(%d) = %d,%v want %d,true", id, d, ok, want)
+		if d, ok := subsumers(t, g, id)[1]; !ok || d != want {
+			t.Errorf("root in SubsumerVec(%d) at %d,%v, want %d,true", id, d, ok, want)
 		}
 	}
 }
@@ -395,9 +406,9 @@ func TestRandomDAGProperties(t *testing.T) {
 			pos[id] = i
 		}
 		for _, id := range g.ConceptIDs() {
-			for _, par := range g.Parents(id) {
-				if pos[id] >= pos[par] {
-					t.Fatalf("trial %d: topological violation %d vs %d", trial, id, par)
+			for _, e := range g.UpEdges(id) {
+				if pos[id] >= pos[e.To] {
+					t.Fatalf("trial %d: topological violation %d vs %d", trial, id, e.To)
 				}
 			}
 		}
@@ -420,9 +431,9 @@ func TestRandomDAGProperties(t *testing.T) {
 			if g := pa.Generalizations(); g < 0 || g > pa.Len() {
 				t.Fatalf("generalization count %d out of range for path of length %d", g, pa.Len())
 			}
-			// LCS must exist on a rooted DAG.
-			if _, ok := g.LCS(a, b); !ok {
-				t.Fatalf("LCS(%d,%d) missing on rooted DAG", a, b)
+			// A common subsumer must exist on a rooted DAG.
+			if len(common(t, g, a, b)) == 0 {
+				t.Fatalf("no common subsumer of %d,%d on rooted DAG", a, b)
 			}
 		}
 	}
@@ -489,9 +500,9 @@ func TestConcurrentReads(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				g.NeighborsWithinHops(6, 3)
 				g.ShortestSemanticPath(6, 5)
-				g.LCS(6, 5)
+				g.SubsumerVec(6)
 				g.LookupName("deep")
-				g.Ancestors(6)
+				g.DescendantCount(3)
 			}
 		}()
 	}
@@ -501,7 +512,7 @@ func TestConcurrentReads(t *testing.T) {
 }
 
 // TestDescendantCountsMatchWalks pins the one-pass counts to the per-concept
-// walk (itself pinned to Descendants in dense_equiv_test.go) on DAGs whose
+// walk (itself pinned to the legacy oracle in dense_equiv_test.go) on DAGs whose
 // concepts mostly have two parents, on ones that are mostly trees with a few
 // shared descendants — where both the sum and the fallback walk run — and
 // with shortcut edges, which neither may follow.
@@ -525,7 +536,7 @@ func TestDescendantCountsMatchWalks(t *testing.T) {
 		ids := g.ConceptIDs()
 		for i := 0; i < 5; i++ {
 			a, b := ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]
-			if g.Ancestors(a)[b] {
+			if _, above := subsumers(t, g, a)[b]; above && a != b {
 				_ = g.AddShortcutEdge(a, b, 2)
 			}
 		}

@@ -47,9 +47,10 @@ func Example() {
 	// Output: hops after customization: 1, semantic distance: 3 -> 3
 }
 
-// ExampleGraph_LCS shows the least-common-subsumer lookup the similarity
-// measure is built on.
-func ExampleGraph_LCS() {
+// ExampleCommonSubsumers shows the least-common-subsumer lookup the
+// similarity measure is built on: the common subsumer with the shortest
+// combined upward distance.
+func ExampleCommonSubsumers() {
 	g := eks.New()
 	for _, c := range []eks.Concept{
 		{ID: 1, Name: "finding"}, {ID: 2, Name: "pain"},
@@ -67,8 +68,15 @@ func ExampleGraph_LCS() {
 	if err := g.SetRoot(1); err != nil {
 		panic(err)
 	}
-	res, _ := g.LCS(3, 4)
-	c, _ := g.Concept(res.IDs[0])
-	fmt.Printf("lcs(headache, back pain) = %s at combined distance %d\n", c.Name, res.Combined)
+	a, _ := g.SubsumerVec(3)
+	b, _ := g.SubsumerVec(4)
+	lcs, best := eks.ConceptID(0), -1
+	eks.CommonSubsumers(a, b, func(c eks.ConceptID, da, db int) {
+		if best == -1 || da+db < best {
+			lcs, best = c, da+db
+		}
+	})
+	c, _ := g.Concept(lcs)
+	fmt.Printf("lcs(headache, back pain) = %s at combined distance %d\n", c.Name, best)
 	// Output: lcs(headache, back pain) = pain at combined distance 2
 }

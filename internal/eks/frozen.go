@@ -332,49 +332,6 @@ func (v *frozen) edges(id ConceptID, up bool) []Edge {
 	return out
 }
 
-// nativeNeighbors returns the sorted concept IDs across one node's native
-// edge segment (Parents/Children).
-func (v *frozen) nativeNeighbors(id ConceptID, up bool) []ConceptID {
-	i, ok := v.node(id)
-	if !ok {
-		return nil
-	}
-	off, to, _, nativeEnd := v.dir(up)
-	lo, hi := off[i], nativeEnd[i]
-	if lo == hi {
-		return nil
-	}
-	out := make([]ConceptID, 0, hi-lo)
-	for _, nb := range to[lo:hi] {
-		out = append(out, v.IDs[nb])
-	}
-	slices.Sort(out)
-	return out
-}
-
-// reachNative collects the native-edge closure of id in one direction,
-// excluding id, as a ConceptID set (Ancestors/Descendants).
-func (v *frozen) reachNative(id ConceptID, up bool) map[ConceptID]bool {
-	out := make(map[ConceptID]bool)
-	i, ok := v.node(id)
-	if !ok {
-		return out
-	}
-	off, to, _, nativeEnd := v.dir(up)
-	stack := []int32{i}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, nb := range to[off[cur]:nativeEnd[cur]] {
-			if !out[v.IDs[nb]] {
-				out[v.IDs[nb]] = true
-				stack = append(stack, nb)
-			}
-		}
-	}
-	return out
-}
-
 // topologicalOrder is Kahn's algorithm over the child→parent direction,
 // as dense nodes: indegree counts native down-edges (children not yet
 // emitted). Always popping the smallest ready node — dense node order is

@@ -78,7 +78,6 @@ func assertSameReads(t *testing.T, want, got *eks.Graph, sample int) {
 	eq("Len", want.Len(), got.Len())
 	eq("Root", two(want.Root()), two(got.Root()))
 	eq("EdgeCount", want.EdgeCount(), got.EdgeCount())
-	eq("ShortcutCount", want.ShortcutCount(), got.ShortcutCount())
 	eq("ConceptIDs", want.ConceptIDs(), got.ConceptIDs())
 	eq("NameKeys", want.NameKeys(), got.NameKeys())
 	eq("TopologicalOrder", two(want.TopologicalOrder()), two(got.TopologicalOrder()))
@@ -112,15 +111,9 @@ func assertSameReads(t *testing.T, want, got *eks.Graph, sample int) {
 	for _, id := range picked {
 		at := func(name string) string { return fmt.Sprintf("%s(%d)", name, id) }
 		eq(at("Concept"), two(want.Concept(id)), two(got.Concept(id)))
-		eq(at("Parents"), want.Parents(id), got.Parents(id))
-		eq(at("Children"), want.Children(id), got.Children(id))
 		eq(at("UpEdges"), want.UpEdges(id), got.UpEdges(id))
-		eq(at("DownEdges"), want.DownEdges(id), got.DownEdges(id))
-		eq(at("Ancestors"), want.Ancestors(id), got.Ancestors(id))
-		eq(at("Descendants"), want.Descendants(id), got.Descendants(id))
 		eq(at("DescendantCount"), want.DescendantCount(id), got.DescendantCount(id))
 		eq(at("SubsumerVec"), two(want.SubsumerVec(id)), two(got.SubsumerVec(id)))
-		eq(at("DepthFromRoot"), two(want.DepthFromRoot(id)), two(got.DepthFromRoot(id)))
 		for r := -1; r <= 3; r++ {
 			eq(fmt.Sprintf("NeighborsWithinHops(%d,%d)", id, r), want.NeighborsWithinHops(id, r), got.NeighborsWithinHops(id, r))
 		}
@@ -132,7 +125,6 @@ func assertSameReads(t *testing.T, want, got *eks.Graph, sample int) {
 		eq(at("ShortestSemanticPath"), two(want.ShortestSemanticPath(a, b)), two(got.ShortestSemanticPath(a, b)))
 		eq(at("SemanticDistance"), two(want.SemanticDistance(a, b)), two(got.SemanticDistance(a, b)))
 		eq(at("UpPathTo"), two(want.UpPathTo(a, b)), two(got.UpPathTo(a, b)))
-		eq(at("LCS"), two(want.LCS(a, b)), two(got.LCS(a, b)))
 		eq(at("HasEdge"), want.HasEdge(a, b), got.HasEdge(a, b))
 	}
 }

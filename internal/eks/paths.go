@@ -219,43 +219,6 @@ func (g *Graph) SemanticDistance(a, b ConceptID) (int, bool) {
 	return p.Len(), true
 }
 
-// LCSResult is the outcome of a least-common-subsumer computation: the set
-// of minimal common subsumers (more than one only on ties) and the combined
-// semantic distance from the pair to each of them.
-type LCSResult struct {
-	IDs      []ConceptID
-	Combined int // distUp(a, lcs) + distUp(b, lcs)
-}
-
-// LCS returns the least common subsumer(s) of a and b per the paper's
-// footnote 1: among all common subsumers (a concept C with a ⊑* C and
-// b ⊑* C, where a concept subsumes itself), choose those with the shortest
-// combined upward path to the pair; all ties are returned so the caller can
-// average their information content. ok is false when a and b share no
-// subsumer (cannot happen on a validated rooted graph).
-func (g *Graph) LCS(a, b ConceptID) (LCSResult, bool) {
-	va, oka := g.SubsumerVec(a)
-	vb, okb := g.SubsumerVec(b)
-	if !oka || !okb {
-		return LCSResult{}, false
-	}
-	best := -1
-	var ids []ConceptID
-	CommonSubsumers(va, vb, func(c ConceptID, da, db int) { // ID-ascending
-		switch sum := da + db; {
-		case best == -1 || sum < best:
-			best = sum
-			ids = append(ids[:0], c)
-		case sum == best:
-			ids = append(ids, c)
-		}
-	})
-	if best == -1 {
-		return LCSResult{}, false
-	}
-	return LCSResult{IDs: ids, Combined: best}, true
-}
-
 // HasEdge reports whether any edge (native or shortcut) runs from child to
 // parent.
 func (g *Graph) HasEdge(child, parent ConceptID) bool {
@@ -263,22 +226,4 @@ func (g *Graph) HasEdge(child, parent ConceptID) bool {
 	c, okChild := v.node(child)
 	p, okParent := v.node(parent)
 	return okChild && okParent && slices.Contains(v.UpTo[v.UpOff[c]:v.UpOff[c+1]], p)
-}
-
-// DepthFromRoot returns the minimal semantic distance from the root down to
-// id (equivalently, from id up to the root). ok is false when no root is
-// set or id does not reach it.
-func (g *Graph) DepthFromRoot(id ConceptID) (int, bool) {
-	if !g.hasRoot {
-		return 0, false
-	}
-	up, ok := g.SubsumerVec(id)
-	if !ok {
-		return 0, false
-	}
-	i, found := slices.BinarySearch(up.ids, g.root)
-	if !found {
-		return 0, false
-	}
-	return int(up.dist[i]), true
 }

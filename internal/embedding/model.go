@@ -173,12 +173,6 @@ func (m *Model) Dim() int { return m.dim }
 // VocabSize returns the vocabulary size.
 func (m *Model) VocabSize() int { return len(m.words) }
 
-// Contains reports whether the word is in vocabulary.
-func (m *Model) Contains(word string) bool {
-	_, ok := m.vocab[word]
-	return ok
-}
-
 // Word returns the vector for a word. ok is false for out-of-vocabulary
 // words.
 func (m *Model) Word(word string) (Vector, bool) {
@@ -197,27 +191,4 @@ func (m *Model) WordFrequency(word string) float64 {
 		return 0
 	}
 	return m.freq[i]
-}
-
-// Words returns the vocabulary in sorted order. Callers must not mutate
-// the result.
-func (m *Model) Words() []string { return m.words }
-
-// AveragePhrase embeds a tokenized phrase as the unweighted mean of its
-// in-vocabulary word vectors — the scheme the paper uses for the
-// pre-trained baseline ("we used the average [of] its words' embeddings").
-// The zero vector is returned when every token is out of vocabulary.
-func (m *Model) AveragePhrase(tokens []string) Vector {
-	out := make(Vector, m.dim)
-	n := 0
-	for _, tok := range tokens {
-		if v, ok := m.Word(tok); ok {
-			out.Add(v)
-			n++
-		}
-	}
-	if n > 0 {
-		out.Scale(1 / float64(n))
-	}
-	return out
 }

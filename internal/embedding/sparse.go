@@ -26,15 +26,6 @@ func (m *sparseMatrix) add(row, col int, val float64) {
 	m.rows[row] = append(m.rows[row], sparseEntry{col: col, val: val})
 }
 
-// nnz returns the number of stored entries.
-func (m *sparseMatrix) nnz() int {
-	n := 0
-	for _, r := range m.rows {
-		n += len(r)
-	}
-	return n
-}
-
 // mulVec computes dst = M·src. dst must have length n.
 func (m *sparseMatrix) mulVec(dst, src []float64) {
 	for i := range dst {

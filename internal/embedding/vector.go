@@ -46,13 +46,6 @@ func (a Vector) IsZero() bool {
 	return true
 }
 
-// Clone returns a copy of a.
-func (a Vector) Clone() Vector {
-	out := make(Vector, len(a))
-	copy(out, a)
-	return out
-}
-
 // Add accumulates b into a in place.
 func (a Vector) Add(b Vector) {
 	if len(a) != len(b) {

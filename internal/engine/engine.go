@@ -339,13 +339,6 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 // directly (golden pinning, benchmarks, the evaluation suite).
 func (s *Snapshot) Relaxer() *core.Relaxer { return s.relaxer }
 
-// AccelActive reports whether the ingestion's offline accelerations were
-// attached to the serving relaxer (false also when the bundle simply does
-// not carry them).
-func (s *Snapshot) AccelActive() (materialized, indexed bool) {
-	return s.matActive, s.idxActive
-}
-
 // NewRelaxer derives an alternative online phase over the same frozen
 // ingestion — different mapper or options (e.g. dialogue repair wants
 // IncludeSelf and the combined mapper) — keeping relaxer assembly inside
@@ -367,10 +360,6 @@ func (s *Snapshot) Close() error { return s.ing.Close() }
 
 // Ingestion exposes the underlying frozen ingestion (read-only).
 func (s *Snapshot) Ingestion() *core.Ingestion { return s.ing }
-
-// Source reports where the snapshot was loaded from ("" if built in
-// process).
-func (s *Snapshot) Source() string { return s.cfg.Source }
 
 // RelaxTraced spells RelaxBatch the way bench/ calls it.
 func (s *Snapshot) RelaxTraced(ctx context.Context, term, qctx string, k int) ([]RelaxResult, core.ServePath, error) { // bench contract

@@ -244,8 +244,8 @@ func TestLoadSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadSnapshot: %v", err)
 	}
-	if loaded.Source() != path {
-		t.Errorf("Source = %q, want %q", loaded.Source(), path)
+	if got := loaded.Stats()["source"]; got != path {
+		t.Errorf("stats source = %v, want %q", got, path)
 	}
 	if got, want := loaded.Terms(100), built.Terms(100); !reflect.DeepEqual(got, want) {
 		t.Errorf("loaded Terms %v != built Terms %v", got, want)
@@ -313,7 +313,7 @@ func TestSnapshotAdoptsMaterializedOptions(t *testing.T) {
 	if got := snap.Relaxer().Options(); got != ropts {
 		t.Fatalf("zero-Config snapshot serves under %+v, want the store's %+v", got, ropts)
 	}
-	if mat, _ := snap.AccelActive(); !mat {
+	if !snap.matActive {
 		t.Fatal("store built under its own options was not attached")
 	}
 
@@ -322,7 +322,7 @@ func TestSnapshotAdoptsMaterializedOptions(t *testing.T) {
 	if got := snap.Relaxer().Options(); got != explicit {
 		t.Fatalf("explicit options overridden: got %+v, want %+v", got, explicit)
 	}
-	if mat, _ := snap.AccelActive(); mat {
+	if snap.matActive {
 		t.Fatal("mismatched store must be refused under explicit options")
 	}
 }
@@ -340,7 +340,7 @@ func TestSnapshotServesMappedGeometry(t *testing.T) {
 		return ing
 	}
 	snap := New(indexed(8), Config{})
-	if _, idx := snap.AccelActive(); !idx {
+	if !snap.idxActive {
 		t.Fatal("an index out to the serving ceiling was not attached")
 	}
 	for _, k := range []int{5, 3} {
@@ -358,7 +358,7 @@ func TestSnapshotServesMappedGeometry(t *testing.T) {
 	var logged bytes.Buffer
 	log.SetOutput(&logged)
 	defer log.SetOutput(os.Stderr)
-	if _, idx := New(indexed(2), Config{}).AccelActive(); idx || !strings.Contains(logged.String(), "radius 2 does not cover serving radius 3") {
+	if idx := New(indexed(2), Config{}).idxActive; idx || !strings.Contains(logged.String(), "radius 2 does not cover serving radius 3") {
 		t.Errorf("an index narrower than the serving radius: attached %v, log %q", idx, logged.String())
 	}
 	// The same columns adopted over a flagged set one concept longer: valid
@@ -371,7 +371,7 @@ func TestSnapshotServesMappedGeometry(t *testing.T) {
 		t.Fatal(err)
 	}
 	ing.Candidates = foreign
-	if _, idx := New(ing, Config{}).AccelActive(); idx || !strings.Contains(logged.String(), "not this ingestion's") {
+	if idx := New(ing, Config{}).idxActive; idx || !strings.Contains(logged.String(), "not this ingestion's") {
 		t.Errorf("an index over another flagged set: attached %v, log %q", idx, logged.String())
 	}
 }

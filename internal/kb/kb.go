@@ -200,17 +200,6 @@ func (s *Store) IDsForLexiconKey(key string) []InstanceID {
 	return copyIDs(keySpan(v.LexKeys, v.LexOff, v.LexIDs, key))
 }
 
-// AllAssertions returns every assertion, sorted by (subject, relationship,
-// object) for determinism.
-func (s *Store) AllAssertions() []Assertion {
-	v := s.view()
-	out := make([]Assertion, len(v.ASub))
-	for i := range v.ASub {
-		out[i] = Assertion{Subject: v.ASub[i], Relationship: v.RelNames[v.ARel[i]], Object: v.AObj[i]}
-	}
-	return out
-}
-
 // Subjects returns the subjects of all assertions with the given
 // relationship whose object is obj, ascending. This answers queries such as
 // "which indications have finding F". Within one object the by-object
@@ -274,14 +263,4 @@ func (s *Store) PathQuery(relationships []string, terminal InstanceID) []Instanc
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// AnswerContext answers a query in a given context for a terminal instance:
-// it finds the instances of the context's domain concept connected to the
-// terminal through the context relationship, then — when the context's
-// domain is itself the range of further relationships (e.g. Indication is
-// the range of Drug-treat-Indication) — the caller can walk further with
-// PathQuery. AnswerContext itself performs the single hop of the context.
-func (s *Store) AnswerContext(ctx ontology.Context, terminal InstanceID) []InstanceID {
-	return s.Subjects(ctx.Relationship, terminal)
 }

@@ -171,15 +171,6 @@ func TestPathQuery(t *testing.T) {
 	}
 }
 
-func TestAnswerContext(t *testing.T) {
-	s := fixture(t)
-	ctx := ontology.Context{Domain: "Indication", Relationship: "hasFinding", Range: "Finding"}
-	got := s.AnswerContext(ctx, 7)
-	if len(got) != 2 {
-		t.Errorf("AnswerContext = %v", got)
-	}
-}
-
 func TestAllInstancesSorted(t *testing.T) {
 	s := fixture(t)
 	all := s.AllInstances()

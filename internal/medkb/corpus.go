@@ -255,26 +255,3 @@ func BuildPretrainCorpus(world *synthkb.World, seed int64, coverage float64) *co
 	flush()
 	return corpus.New(docs)
 }
-
-// BuildGeneralCorpus generates a purely out-of-domain corpus for ablations
-// and tests.
-func BuildGeneralCorpus(seed int64, docs int) *corpus.Corpus {
-	rng := rand.New(rand.NewSource(seed))
-	if docs <= 0 {
-		docs = 200
-	}
-	out := make([]corpus.Document, 0, docs)
-	for i := 0; i < docs; i++ {
-		var sentences []string
-		for s := 0; s < 4+rng.Intn(5); s++ {
-			topic := generalTopics[rng.Intn(len(generalTopics))]
-			sentences = append(sentences, strings.Join(topic, " ")+".")
-		}
-		out = append(out, corpus.Document{
-			ID:       fmt.Sprintf("general-%d", i),
-			Title:    fmt.Sprintf("article %d", i),
-			Sections: []corpus.Section{{Label: "", Text: strings.Join(sentences, " ")}},
-		})
-	}
-	return corpus.New(out)
-}

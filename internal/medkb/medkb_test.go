@@ -3,10 +3,8 @@ package medkb
 import (
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
-	"medrelax/internal/corpus"
 	"medrelax/internal/eks"
 	"medrelax/internal/kb"
 	"medrelax/internal/stringutil"
@@ -186,12 +184,8 @@ func TestBuildCorpus(t *testing.T) {
 	if c.DocCount() != 30 {
 		t.Errorf("documents = %d, want one per drug", c.DocCount())
 	}
-	labels := c.Labels()
-	if len(labels) != 2 {
-		t.Fatalf("labels = %v", labels)
-	}
 	// Popular treated findings are actually mentioned under the indication
-	// label.
+	// label, and findings are mentioned under the two finding labels only.
 	var names []string
 	for cid := range med.Treated {
 		concept, _ := w.Graph.Concept(cid)
@@ -199,10 +193,17 @@ func TestBuildCorpus(t *testing.T) {
 	}
 	stats := c.CountPhrases(names)
 	mentioned := 0
+	labels := map[string]bool{}
 	for _, st := range stats {
 		if st.TF[CtxIndicationFinding] > 0 {
 			mentioned++
 		}
+		for label := range st.TF {
+			labels[label] = true
+		}
+	}
+	if len(labels) != 2 || !labels[CtxIndicationFinding] || !labels[CtxRiskFinding] {
+		t.Errorf("labels = %v, want the indication and risk finding labels", labels)
 	}
 	if mentioned < len(names)/2 {
 		t.Errorf("only %d/%d treated findings mentioned under the indication label", mentioned, len(names))
@@ -231,7 +232,7 @@ func TestGenerateWorldSeeds(t *testing.T) {
 	type columns struct {
 		graph  eks.FlatGraphData
 		store  kb.FlatStoreData
-		corpus []corpus.Document
+		corpus [][]string
 	}
 	gen := func(source, med, corp int64) columns {
 		t.Helper()
@@ -239,7 +240,7 @@ func TestGenerateWorldSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return columns{w.Graph.FlatData(), m.Store.FlatData(), c.Documents()}
+		return columns{w.Graph.FlatData(), m.Store.FlatData(), c.TokenStreams()}
 	}
 	derived := gen(0, 0, 0)
 	if !reflect.DeepEqual(derived, gen(11, 12, 13)) {
@@ -267,12 +268,12 @@ func TestGenerateWorldIsFresh(t *testing.T) {
 	}
 	edges := b.Graph.EdgeCount()
 	for _, id := range a.Findings {
-		for _, p := range a.Graph.Parents(id) {
-			for _, gp := range a.Graph.Parents(p) {
-				if slices.Contains(a.Graph.Parents(id), gp) {
+		for _, p := range a.Graph.UpEdges(id) {
+			for _, gp := range a.Graph.UpEdges(p.To) {
+				if a.Graph.HasEdge(id, gp.To) {
 					continue
 				}
-				if err := a.Graph.AddShortcutEdge(id, gp, 2); err != nil {
+				if err := a.Graph.AddShortcutEdge(id, gp.To, 2); err != nil {
 					t.Fatal(err)
 				}
 				if got := a.Graph.EdgeCount(); got != edges+1 {
@@ -286,32 +287,6 @@ func TestGenerateWorldIsFresh(t *testing.T) {
 		}
 	}
 	t.Fatal("no finding has a grandparent to shortcut to")
-}
-
-func TestBuildGeneralCorpus(t *testing.T) {
-	g := BuildGeneralCorpus(9, 50)
-	if g.DocCount() != 50 {
-		t.Errorf("documents = %d", g.DocCount())
-	}
-	if len(g.Labels()) != 0 {
-		t.Error("general corpus must be unlabeled")
-	}
-	// Medical coverage is thin: most curated finding names are absent.
-	stats := g.CountPhrases([]string{"pneumonia", "thrombocytopenia", "pyelectasia", "urticaria", "fever"})
-	absent := 0
-	for name, st := range stats {
-		if st.TotalTF == 0 {
-			absent++
-		} else if name != "fever" && name != "headache" {
-			t.Logf("unexpected medical mention %q in general corpus", name)
-		}
-	}
-	if absent < 3 {
-		t.Errorf("general corpus mentions too many medical terms (%d absent)", absent)
-	}
-	if BuildGeneralCorpus(9, 0).DocCount() != 200 {
-		t.Error("default doc count must apply")
-	}
 }
 
 func TestParaphraseByLexicon(t *testing.T) {

@@ -162,15 +162,6 @@ func (o *Ontology) Relationships() []Relationship {
 	return out
 }
 
-// Children returns the direct subconcepts of name, sorted.
-func (o *Ontology) Children(name string) []string {
-	cs := o.children[name]
-	out := make([]string, len(cs))
-	copy(out, cs)
-	sort.Strings(out)
-	return out
-}
-
 // Descendants returns all transitive subconcepts of name, excluding name,
 // sorted.
 func (o *Ontology) Descendants(name string) []string {
@@ -211,22 +202,6 @@ func (o *Ontology) Contexts() []Context {
 	out := make([]Context, 0, len(o.rels))
 	for _, r := range o.rels {
 		out = append(out, Context{Domain: r.Domain, Relationship: r.Name, Range: r.Range})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
-}
-
-// ContextsForRange returns the contexts whose range is the given concept or
-// one of its superconcepts — the contexts in which an instance of that
-// concept can appear as a query term (Section 5.1: "we use the
-// relationships associated to a concept in the domain ontology as the
-// contexts of A").
-func (o *Ontology) ContextsForRange(concept string) []Context {
-	var out []Context
-	for _, r := range o.rels {
-		if o.IsSubConceptOf(concept, r.Range) {
-			out = append(out, Context{Domain: r.Domain, Relationship: r.Name, Range: r.Range})
-		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
 	return out

@@ -91,32 +91,8 @@ func TestContexts(t *testing.T) {
 	}
 }
 
-func TestContextsForRange(t *testing.T) {
-	o := figure1(t)
-	ctxs := o.ContextsForRange("Finding")
-	if len(ctxs) != 2 {
-		t.Fatalf("ContextsForRange(Finding) = %v, want 2 contexts", ctxs)
-	}
-	got := map[string]bool{}
-	for _, c := range ctxs {
-		got[c.String()] = true
-	}
-	if !got["Indication-hasFinding-Finding"] || !got["Risk-hasFinding-Finding"] {
-		t.Errorf("ContextsForRange(Finding) = %v", ctxs)
-	}
-	// A subconcept of Risk participates in contexts whose range is Risk.
-	ctxs = o.ContextsForRange("AdverseEffect")
-	if len(ctxs) != 1 || ctxs[0].String() != "Drug-cause-Risk" {
-		t.Errorf("ContextsForRange(AdverseEffect) = %v", ctxs)
-	}
-}
-
 func TestHierarchy(t *testing.T) {
 	o := figure1(t)
-	kids := o.Children("Risk")
-	if len(kids) != 3 {
-		t.Fatalf("Children(Risk) = %v", kids)
-	}
 	if !o.IsSubConceptOf("AdverseEffect", "Risk") {
 		t.Error("AdverseEffect must be subconcept of Risk")
 	}

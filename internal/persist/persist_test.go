@@ -71,8 +71,8 @@ func TestRoundTrip(t *testing.T) {
 	if restored.Graph.Len() != ing.Graph.Len() || restored.Graph.EdgeCount() != ing.Graph.EdgeCount() {
 		t.Errorf("graph: %d/%d vs %d/%d", restored.Graph.Len(), restored.Graph.EdgeCount(), ing.Graph.Len(), ing.Graph.EdgeCount())
 	}
-	if restored.Graph.ShortcutCount() != ing.Graph.ShortcutCount() {
-		t.Errorf("shortcuts: %d vs %d", restored.Graph.ShortcutCount(), ing.Graph.ShortcutCount())
+	if !reflect.DeepEqual(restored.Graph.FlatData(), ing.Graph.FlatData()) {
+		t.Error("graph columns differ")
 	}
 	if restored.Store.Len() != ing.Store.Len() {
 		t.Errorf("instances: %d vs %d", restored.Store.Len(), ing.Store.Len())

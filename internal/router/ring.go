@@ -9,9 +9,9 @@ package router
 
 import (
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
-	"sync"
 )
 
 // ringPoint is one virtual node: a position on the hash circle owned by a
@@ -23,13 +23,11 @@ type ringPoint struct {
 
 // Ring is a consistent-hash ring with virtual nodes. Placement depends
 // only on the replica set and vnode count — never on insertion order — so
-// every router instance computes identical ownership, and adding or
-// removing one replica moves only the keys that land on its vnodes
-// (~1/N of the keyspace), not a full reshuffle.
+// every router instance computes identical ownership, and a ring over one
+// replica more or one fewer moves only the keys that land on that
+// replica's vnodes (~1/N of the keyspace), not a full reshuffle. A ring is
+// immutable once NewRing returns, so every read is lock-free.
 type Ring struct {
-	vnodes int
-
-	mu       sync.RWMutex
 	points   []ringPoint // sorted by hash
 	replicas []string    // sorted, deduplicated
 }
@@ -39,14 +37,35 @@ type Ring struct {
 const DefaultVNodes = 128
 
 // NewRing builds a ring with the given virtual nodes per replica
-// (<= 0 uses DefaultVNodes) over an initial replica set.
+// (<= 0 uses DefaultVNodes) over a replica set; empty and repeated names
+// are dropped.
 func NewRing(vnodes int, replicas []string) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVNodes
 	}
-	r := &Ring{vnodes: vnodes}
-	r.Set(replicas)
-	return r
+	names := make([]string, 0, len(replicas))
+	for _, rep := range replicas {
+		if rep != "" {
+			names = append(names, rep)
+		}
+	}
+	slices.Sort(names)
+	names = slices.Compact(names)
+	points := make([]ringPoint, 0, len(names)*vnodes)
+	for _, rep := range names {
+		for i := 0; i < vnodes; i++ {
+			points = append(points, ringPoint{keyHash(rep + "#" + strconv.Itoa(i)), rep})
+		}
+	}
+	sort.Slice(points, func(i, j int) bool {
+		if points[i].hash != points[j].hash {
+			return points[i].hash < points[j].hash
+		}
+		// Hash ties (vanishingly rare) break by name so placement stays
+		// deterministic across instances.
+		return points[i].replica < points[j].replica
+	})
+	return &Ring{points: points, replicas: names}
 }
 
 // keyHash is FNV-1a 64 run through a splitmix64-style finisher. FNV alone
@@ -65,99 +84,26 @@ func keyHash(s string) uint64 {
 	return x
 }
 
-// Set replaces the replica set, rebuilding the ring deterministically.
-func (r *Ring) Set(replicas []string) {
-	seen := make(map[string]bool, len(replicas))
-	names := make([]string, 0, len(replicas))
-	for _, rep := range replicas {
-		if rep == "" || seen[rep] {
-			continue
-		}
-		seen[rep] = true
-		names = append(names, rep)
-	}
-	sort.Strings(names)
-	points := make([]ringPoint, 0, len(names)*r.vnodes)
-	for _, rep := range names {
-		for i := 0; i < r.vnodes; i++ {
-			points = append(points, ringPoint{keyHash(rep + "#" + strconv.Itoa(i)), rep})
-		}
-	}
-	sort.Slice(points, func(i, j int) bool {
-		if points[i].hash != points[j].hash {
-			return points[i].hash < points[j].hash
-		}
-		// Hash ties (vanishingly rare) break by name so placement stays
-		// deterministic across instances.
-		return points[i].replica < points[j].replica
-	})
-	r.mu.Lock()
-	r.points, r.replicas = points, names
-	r.mu.Unlock()
-}
-
-// Add inserts one replica; a no-op if already present.
-func (r *Ring) Add(replica string) {
-	r.mu.RLock()
-	cur := append([]string(nil), r.replicas...)
-	r.mu.RUnlock()
-	r.Set(append(cur, replica))
-}
-
-// Remove drops one replica; a no-op if absent.
-func (r *Ring) Remove(replica string) {
-	r.mu.RLock()
-	cur := make([]string, 0, len(r.replicas))
-	for _, rep := range r.replicas {
-		if rep != replica {
-			cur = append(cur, rep)
-		}
-	}
-	r.mu.RUnlock()
-	r.Set(cur)
-}
-
-// Replicas returns the current replica set, sorted.
-func (r *Ring) Replicas() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]string(nil), r.replicas...)
-}
-
-// Owner returns the replica owning key: the first vnode clockwise from the
-// key's hash. Empty string on an empty ring.
-func (r *Ring) Owner(key string) string {
-	owners := r.Owners(key, 1)
-	if len(owners) == 0 {
-		return ""
-	}
-	return owners[0]
-}
+// Replicas returns the replica set, sorted.
+func (r *Ring) Replicas() []string { return slices.Clone(r.replicas) }
 
 // Owners returns up to n distinct replicas in fallback order: the owner
-// first, then each further replica in the order its first vnode appears
-// clockwise. Every router instance computes the same order, so failover
-// placement is as deterministic as primary placement.
+// (the first vnode clockwise from the key's hash) first, then each further
+// replica in the order its first vnode appears clockwise. Every router
+// instance computes the same order, so failover placement is as
+// deterministic as primary placement.
 func (r *Ring) Owners(key string, n int) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if len(r.points) == 0 || n <= 0 {
 		return nil
 	}
-	if n > len(r.replicas) {
-		n = len(r.replicas)
-	}
+	n = min(n, len(r.replicas))
 	h := keyHash(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	owners := make([]string, 0, n)
-	seen := make(map[string]bool, n)
 	for i := 0; i < len(r.points) && len(owners) < n; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if seen[p.replica] {
-			continue
+		if p := r.points[(start+i)%len(r.points)]; !slices.Contains(owners, p.replica) {
+			owners = append(owners, p.replica)
 		}
-		seen[p.replica] = true
-		owners = append(owners, p.replica)
 	}
 	return owners
 }

@@ -5,6 +5,14 @@ import (
 	"testing"
 )
 
+// owner is the replica owning key, "" on an empty ring.
+func owner(r *Ring, key string) string {
+	if owners := r.Owners(key, 1); len(owners) > 0 {
+		return owners[0]
+	}
+	return ""
+}
+
 func testKeys(n int) []string {
 	keys := make([]string, n)
 	for i := range keys {
@@ -20,34 +28,33 @@ func TestRingPlacementDeterministic(t *testing.T) {
 	a := NewRing(64, []string{"10.0.0.1:8080", "10.0.0.2:8080", "10.0.0.3:8080"})
 	b := NewRing(64, []string{"10.0.0.3:8080", "10.0.0.1:8080", "10.0.0.2:8080"})
 	for _, key := range testKeys(2000) {
-		if oa, ob := a.Owner(key), b.Owner(key); oa != ob {
+		if oa, ob := owner(a, key), owner(b, key); oa != ob {
 			t.Fatalf("key %q: owner %q vs %q from reordered replica lists", key, oa, ob)
 		}
 	}
 	// And stable across repeated queries of one ring.
 	for _, key := range testKeys(100) {
-		if first, second := a.Owner(key), a.Owner(key); first != second {
+		if first, second := owner(a, key), owner(a, key); first != second {
 			t.Fatalf("key %q: owner changed between calls: %q then %q", key, first, second)
 		}
 	}
 }
 
 // TestRingMinimalMovementOnAdd is consistent hashing's defining property:
-// adding one replica moves only the keys that land on its vnodes — every
-// moved key moves TO the newcomer, and the moved fraction is near 1/new-N,
-// nowhere near the full reshuffle a modulo scheme would cause.
+// a ring over one more replica moves only the keys that land on its vnodes —
+// every moved key moves TO the newcomer, and the moved fraction is near
+// 1/new-N, nowhere near the full reshuffle a modulo scheme would cause.
 func TestRingMinimalMovementOnAdd(t *testing.T) {
-	replicas := []string{"r1:8080", "r2:8080", "r3:8080"}
-	r := NewRing(128, replicas)
+	r := NewRing(128, []string{"r1:8080", "r2:8080", "r3:8080"})
+	added := NewRing(128, []string{"r1:8080", "r2:8080", "r3:8080", "r4:8080"})
 	keys := testKeys(20000)
+	moved := 0
 	before := make(map[string]string, len(keys))
 	for _, k := range keys {
-		before[k] = r.Owner(k)
+		before[k] = owner(r, k)
 	}
-	r.Add("r4:8080")
-	moved := 0
 	for _, k := range keys {
-		after := r.Owner(k)
+		after := owner(added, k)
 		if after == before[k] {
 			continue
 		}
@@ -62,18 +69,19 @@ func TestRingMinimalMovementOnAdd(t *testing.T) {
 	}
 }
 
-// TestRingMinimalMovementOnRemove is the mirror property: removing a
-// replica moves exactly its own keys, and everything else stays put.
+// TestRingMinimalMovementOnRemove is the mirror property: a ring without
+// one replica moves exactly that replica's keys, and everything else stays
+// put.
 func TestRingMinimalMovementOnRemove(t *testing.T) {
 	r := NewRing(128, []string{"r1:8080", "r2:8080", "r3:8080", "r4:8080"})
+	removed := NewRing(128, []string{"r1:8080", "r3:8080", "r4:8080"})
 	keys := testKeys(20000)
 	before := make(map[string]string, len(keys))
 	for _, k := range keys {
-		before[k] = r.Owner(k)
+		before[k] = owner(r, k)
 	}
-	r.Remove("r2:8080")
 	for _, k := range keys {
-		after := r.Owner(k)
+		after := owner(removed, k)
 		if before[k] == "r2:8080" {
 			if after == "r2:8080" {
 				t.Fatalf("key %q still owned by removed replica", k)
@@ -94,7 +102,7 @@ func TestRingVNodeDistribution(t *testing.T) {
 	counts := map[string]int{}
 	keys := testKeys(50000)
 	for _, k := range keys {
-		counts[r.Owner(k)]++
+		counts[owner(r, k)]++
 	}
 	fair := float64(len(keys)) / float64(len(replicas))
 	for _, rep := range replicas {
@@ -117,8 +125,8 @@ func TestRingOwnersFallbackOrder(t *testing.T) {
 		if len(owners) != len(replicas) {
 			t.Fatalf("key %q: %d owners, want all %d replicas", key, len(owners), len(replicas))
 		}
-		if owners[0] != r.Owner(key) {
-			t.Fatalf("key %q: Owners[0]=%q but Owner=%q", key, owners[0], r.Owner(key))
+		if owners[0] != owner(r, key) {
+			t.Fatalf("key %q: Owners[0]=%q but the owner is %q", key, owners[0], owner(r, key))
 		}
 		seen := map[string]bool{}
 		for _, o := range owners {
@@ -134,7 +142,7 @@ func TestRingOwnersFallbackOrder(t *testing.T) {
 			}
 		}
 	}
-	if got := NewRing(64, nil).Owner("anything"); got != "" {
-		t.Errorf("empty ring owner = %q, want \"\"", got)
+	if got := NewRing(64, nil).Owners("anything", 1); got != nil {
+		t.Errorf("empty ring owners = %q, want none", got)
 	}
 }

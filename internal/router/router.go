@@ -134,13 +134,6 @@ func (rt *Router) Start() { rt.health.Start() }
 // Stop shuts down the prober.
 func (rt *Router) Stop() { rt.health.Stop() }
 
-// Registry exposes the router's metrics registry (for tests and embedded
-// harnesses; HTTP scraping goes through GET /metrics).
-func (rt *Router) Registry() *metrics.Registry { return rt.reg }
-
-// Ring exposes the placement ring (read-only use in tests/harnesses).
-func (rt *Router) Ring() *Ring { return rt.ring }
-
 // Health reports whether a replica is currently routable.
 func (rt *Router) ReplicaHealthy(replica string) bool { return rt.health.Healthy(replica) }
 
@@ -418,7 +411,7 @@ func (rt *Router) handleTerms(w http.ResponseWriter, r *http.Request) {
 // order first, then unhealthy ones as a last resort — a fully-down
 // cluster still gets attempted rather than synthesizing failure.
 func (rt *Router) candidates(key string) []string {
-	owners := rt.ring.Owners(key, len(rt.ring.Replicas()))
+	owners := rt.ring.Owners(key, len(rt.ring.replicas))
 	healthy := make([]string, 0, len(owners))
 	down := make([]string, 0, len(owners))
 	for _, rep := range owners {

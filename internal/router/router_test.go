@@ -202,9 +202,6 @@ func TestProxyMissingTerm(t *testing.T) {
 	if want := `{"error":"missing term parameter"}` + "\n"; string(body) != want {
 		t.Fatalf("body %q, want %q", body, want)
 	}
-	if served := rt.Registry(); served == nil {
-		t.Fatal("registry missing")
-	}
 }
 
 // TestFailoverOnDeadReplica kills one replica and requires its keys to be
@@ -219,7 +216,7 @@ func TestFailoverOnDeadReplica(t *testing.T) {
 	var term string
 	for i := 0; ; i++ {
 		term = fmt.Sprintf("probe-%d", i)
-		if rt.Ring().Owner(routingKey("", term)) == victim.addr() {
+		if rt.ring.Owners(routingKey("", term), 1)[0] == victim.addr() {
 			break
 		}
 	}

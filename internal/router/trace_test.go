@@ -58,7 +58,7 @@ func TestTracePropagationSurvivesFailover(t *testing.T) {
 	var term string
 	for i := 0; ; i++ {
 		term = "probe-" + strings.Repeat("x", i%3) + string(rune('a'+i%26))
-		if rt.Ring().Owner(routingKey("", term)) == victim.addr() {
+		if rt.ring.Owners(routingKey("", term), 1)[0] == victim.addr() {
 			break
 		}
 		if i > 10000 {

@@ -57,8 +57,6 @@ type Cache struct {
 	// gen is the purge epoch: computations started before a Purge must
 	// not insert their (old-backend) results afterwards.
 	gen atomic.Uint64
-
-	evictions atomic.Uint64
 }
 
 type cacheShard struct {
@@ -181,7 +179,6 @@ func (c *Cache) complete(fl *flight, resp server.Response) server.Response {
 			old := sh.lru.Back()
 			sh.lru.Remove(old)
 			delete(sh.entries, old.Value.(*cacheEntry).key)
-			c.evictions.Add(1)
 		}
 	}
 	sh.mu.Unlock()
@@ -231,6 +228,3 @@ func (c *Cache) Len() int {
 	}
 	return n
 }
-
-// Evictions is how many entries LRU pressure has pushed out.
-func (c *Cache) Evictions() uint64 { return c.evictions.Load() }

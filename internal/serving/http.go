@@ -217,14 +217,13 @@ func (e *Engine) instrument(next http.Handler) http.Handler {
 	})
 }
 
+// shedRetryAfter is the Retry-After, in seconds, a shed response carries.
+const shedRetryAfter = "1"
+
 // shed rejects with 429 + Retry-After: the one response shape that tells
 // a well-behaved client exactly what to do, at near-zero server cost.
 func (e *Engine) shed(w http.ResponseWriter, labels, reason string) {
-	retry := e.opts.RetryAfter
-	if retry <= 0 {
-		retry = time.Second
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(int((retry+time.Second-1)/time.Second)))
+	w.Header().Set("Retry-After", shedRetryAfter)
 	server.WriteError(w, http.StatusTooManyRequests, "server overloaded: "+reason)
 	e.reg.Counter("medrelax_http_shed_total", "requests shed by admission control", labels).Inc()
 }
@@ -249,9 +248,5 @@ func (e *Engine) logSlow(r *http.Request, endpoint, labels string, status int, d
 		return
 	}
 	e.reg.Counter("medrelax_http_slow_total", "requests over the slow-query threshold", labels).Inc()
-	if logger := e.opts.SlowLog; logger != nil {
-		logger.Print(string(line))
-	} else {
-		log.Print(string(line))
-	}
+	log.Print(string(line))
 }

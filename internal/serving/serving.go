@@ -42,10 +42,9 @@ type Options struct {
 	CacheStaleWindow time.Duration
 
 	// MaxConcurrent caps simultaneously admitted /relax + /chat requests;
-	// excess load is shed with 429. 0 means unlimited.
+	// excess load is shed with 429 and a Retry-After of one second. 0 means
+	// unlimited.
 	MaxConcurrent int
-	// RetryAfter is the backoff hint sent with 429 responses.
-	RetryAfter time.Duration
 
 	// RelaxTimeout bounds one relaxation computation (and a caller's wait
 	// on a collapsed flight). 0 means no deadline.
@@ -60,10 +59,9 @@ type Options struct {
 	// ChatBurst is the token-bucket burst for ChatRPS.
 	ChatBurst int
 
-	// SlowQuery logs requests slower than this threshold (0 disables).
+	// SlowQuery logs requests slower than this threshold through the
+	// standard logger (0 disables).
 	SlowQuery time.Duration
-	// SlowLog receives the structured slow-query lines (nil: std logger).
-	SlowLog *log.Logger
 
 	// Loader builds a fresh backend for POST /admin/reload and SIGHUP;
 	// reload is disabled when nil.
@@ -91,7 +89,6 @@ func DefaultOptions() Options {
 		CacheTTL:         5 * time.Minute,
 		CacheStaleWindow: time.Minute,
 		MaxConcurrent:    256,
-		RetryAfter:       time.Second,
 		RelaxTimeout:     2 * time.Second,
 		ChatTimeout:      5 * time.Second,
 		MaxChatBody:      1 << 20,
@@ -238,9 +235,6 @@ func joinLabels(a, b string) string {
 // labels prepends the engine's tenant label to a series' own labels. With no
 // tenant the single-tenant series names come out unchanged.
 func (e *Engine) labels(extra string) string { return joinLabels(e.base, extra) }
-
-// Metrics exposes the registry (for tests and the /metrics handler).
-func (e *Engine) Metrics() *metrics.Registry { return e.reg }
 
 // CacheStats returns how many relax requests — GETs and batch items alike —
 // the cache served from an entry, computed, and collapsed onto another's

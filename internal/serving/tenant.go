@@ -66,9 +66,6 @@ func (t *TenantServer) Names() []string {
 	return out
 }
 
-// Default returns the default tenant's name.
-func (t *TenantServer) Default() string { return t.def }
-
 // Handler returns the routing handler. A /t/{tenant} prefix is stripped
 // before the request reaches the tenant's stack, so per-tenant paths look
 // exactly like single-tenant ones to everything downstream (instrument's

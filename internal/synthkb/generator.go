@@ -3,7 +3,6 @@ package synthkb
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"medrelax/internal/eks"
 	"medrelax/internal/stringutil"
@@ -378,37 +377,4 @@ func (b *builder) buildDrugs(productRoot eks.ConceptID) error {
 		}
 	}
 	return nil
-}
-
-// FindingByName returns the finding concept whose preferred name matches,
-// for tests and examples.
-func (w *World) FindingByName(name string) (eks.ConceptID, bool) {
-	ids := w.Graph.LookupName(name)
-	for _, id := range ids {
-		if w.Attrs[id].Kind == KindFinding {
-			return id, true
-		}
-	}
-	return 0, false
-}
-
-// SystemOf is a convenience accessor for a concept's latent body system.
-func (w *World) SystemOf(id eks.ConceptID) string { return w.Attrs[id].System }
-
-// Describe renders a one-line description of a concept for logs and
-// examples.
-func (w *World) Describe(id eks.ConceptID) string {
-	c, ok := w.Graph.Concept(id)
-	if !ok {
-		return fmt.Sprintf("unknown concept %d", id)
-	}
-	attr := w.Attrs[id]
-	parts := []string{c.Name}
-	if attr.System != "" {
-		parts = append(parts, "system="+attr.System)
-	}
-	if attr.Type != "" {
-		parts = append(parts, "type="+attr.Type)
-	}
-	return strings.Join(parts, " ")
 }

@@ -151,13 +151,13 @@ func TestRouterByteIdentity(t *testing.T) {
 	}
 
 	// The scatter actually spread: more than one replica saw traffic.
-	var scrape bytes.Buffer
-	if err := rt.Registry().WritePrometheus(&scrape); err != nil {
-		t.Fatal(err)
+	mStatus, scrape := httpGet(t, routerSrv.URL, "/metrics")
+	if mStatus != http.StatusOK {
+		t.Fatalf("GET /metrics: status %d", mStatus)
 	}
 	hit := 0
 	for _, rep := range replicas {
-		if strings.Contains(scrape.String(), fmt.Sprintf("kbrouter_replica_requests_total{replica=%q}", rep)) {
+		if strings.Contains(string(scrape), fmt.Sprintf("kbrouter_replica_requests_total{replica=%q}", rep)) {
 			hit++
 		}
 	}
