@@ -70,12 +70,12 @@ func BenchmarkRelaxUncached(b *testing.B) {
 		name string
 		r    *core.Relaxer
 	}{
-		{"live/hit", sys.Relaxer},
+		{"live/hit", sys.Engine.Relaxer()},
 		{"indexed/mapped", idxR},
 		{"materialized", matR},
 	}
 	for _, q := range queries { // every geometry filled before a hit is timed
-		sys.Relaxer.RelaxConcept(q.Concept, q.Ctx, 10)
+		sys.Engine.Relaxer().RelaxConcept(q.Concept, q.Ctx, 10)
 		idxR.RelaxConcept(q.Concept, q.Ctx, 10)
 	}
 	for _, c := range cases {

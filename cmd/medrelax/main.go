@@ -55,7 +55,11 @@ func main() {
 	}
 
 	if *load != "" {
-		if err := serveFromBundle(*load, *term, *context, *k, *quiet); err != nil {
+		snap, err := loadBundle(*load, *quiet)
+		if err == nil {
+			err = serve(snap, *term, *context, *k)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "medrelax:", err)
 			os.Exit(1)
 		}
@@ -133,58 +137,32 @@ func main() {
 		return
 	}
 
-	if *term != "" {
-		if err := relaxOnce(sys, *term, *context, *k); err != nil {
-			fmt.Fprintln(os.Stderr, "medrelax:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	fmt.Println("enter a query term per line (ctrl-D to exit):")
-	scanner := bufio.NewScanner(os.Stdin)
-	for scanner.Scan() {
-		line := strings.TrimSpace(scanner.Text())
-		if line == "" {
-			continue
-		}
-		if err := relaxOnce(sys, line, *context, *k); err != nil {
-			fmt.Println("  ", err)
-		}
+	if err := serve(sys.Engine, *term, *context, *k); err != nil {
+		fmt.Fprintln(os.Stderr, "medrelax:", err)
+		os.Exit(1)
 	}
 }
 
-func relaxOnce(sys *medrelax.System, term, context string, k int) error {
-	results, err := sys.Relax(term, context, k)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("relaxations of %q (context %s):\n", term, displayContext(context))
-	for i, r := range results {
-		names := make([]string, 0, len(r.Instances))
-		for _, inst := range r.Instances {
-			names = append(names, inst.Name)
-		}
-		fmt.Printf("%3d. %-50s score=%.4f hops=%d instances=[%s]\n",
-			i+1, r.ConceptName, r.Score, r.Hops, strings.Join(names, "; "))
-	}
-	return nil
-}
-
-// serveFromBundle answers queries from a saved ingestion without
-// regenerating the world or retraining embeddings, through the same
-// engine.LoadSnapshot path kbserver cold-starts on.
-func serveFromBundle(path, term, qctx string, k int, quiet bool) error {
+// loadBundle opens a saved ingestion without regenerating the world or
+// retraining embeddings, through the same engine.LoadSnapshot path kbserver
+// cold-starts on.
+func loadBundle(path string, quiet bool) (*engine.Snapshot, error) {
 	snap, err := engine.LoadSnapshot(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if !quiet {
 		ing := snap.Ingestion()
 		fmt.Fprintf(os.Stderr, "loaded bundle: %d EKS concepts, %d instances, %d flagged, %d contexts\n",
 			ing.Graph.Len(), ing.Store.Len(), ing.FlaggedCount(), len(ing.Contexts))
 	}
+	return snap, nil
+}
 
+// serve answers term from snap, or with term empty one term per line of
+// stdin, printing an error and going on. A built world and a loaded bundle
+// answer through the same snapshot path.
+func serve(snap *engine.Snapshot, term, qctx string, k int) error {
 	relax := func(q string) error {
 		resp := snap.RelaxBatch(stdcontext.Background(), []engine.Request{{Term: q, Context: qctx, K: k}})[0]
 		if resp.Err != nil {
@@ -197,7 +175,6 @@ func serveFromBundle(path, term, qctx string, k int, quiet bool) error {
 		}
 		return nil
 	}
-
 	if term != "" {
 		return relax(term)
 	}

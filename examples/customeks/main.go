@@ -120,13 +120,7 @@ func main() {
 		fmt.Printf("relaxations of %q:\n", term)
 		for _, r := range results {
 			c, _ := g.Concept(r.Concept)
-			var names []string
-			for _, iid := range r.Instances {
-				inst, _ := store.Instance(iid)
-				names = append(names, inst.Name)
-			}
 			fmt.Printf("  %-16s score=%.4f -> drugs: %v\n", c.Name, r.Score, drugsFor(store, r.Instances))
-			_ = names
 		}
 	}
 }

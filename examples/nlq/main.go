@@ -82,6 +82,7 @@ func figure9Pair(sys *medrelax.System) (drug, unknown string) {
 		for _, riskID := range sys.Med.Store.Objects("cause", drugID) {
 			for _, findID := range sys.Med.Store.Objects("hasFinding", riskID) {
 				caused := sys.Med.Gold[findID]
+				causedConcept, _ := sys.World.Graph.Concept(caused)
 				// An unflagged neighbour of the caused finding.
 				for _, nb := range sys.World.Graph.NeighborsWithinHops(caused, 2) {
 					if sys.Ingestion.IsFlagged(nb.ID) || sys.World.Attrs[nb.ID].Kind != synthkb.KindFinding {
@@ -93,7 +94,7 @@ func figure9Pair(sys *medrelax.System) (drug, unknown string) {
 						continue
 					}
 					for _, r := range results {
-						if r.ConceptID == caused {
+						if r.Concept == causedConcept.Name {
 							d, _ := sys.Med.Store.Instance(drugID)
 							return d.Name, c.Name
 						}

@@ -38,7 +38,7 @@ func main() {
 		fmt.Printf("top relaxations of %q in context %s:\n", q.term, q.ctx)
 		for i, r := range results {
 			fmt.Printf("  %d. %-45s score=%.4f hops=%d (%d KB instances)\n",
-				i+1, r.ConceptName, r.Score, r.Hops, len(r.Instances))
+				i+1, r.Concept, r.Score, r.Hops, len(r.Instances))
 		}
 		fmt.Println()
 	}

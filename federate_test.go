@@ -44,6 +44,16 @@ func relaxNames(sys *System, req engine.Request) ([]engine.RelaxResult, error) {
 	return resp.Results, resp.Err
 }
 
+// relaxAgrees fails t unless System.Relax answers req exactly as the snapshot
+// does, sources included: the facade is a batch of one on the snapshot.
+func relaxAgrees(t *testing.T, sys *System, req engine.Request, want []engine.RelaxResult, wantErr error) {
+	t.Helper()
+	got, err := sys.Relax(req.Term, req.Context, req.K)
+	if (err == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+		t.Errorf("term %q: System.Relax = %v, %v; the snapshot answers %v, %v", req.Term, got, err, want, wantErr)
+	}
+}
+
 // oovLatentTerms returns latent surface variants the primary's own mapper
 // cannot place — out-of-vocabulary for the primary source by construction
 // (they were withheld from its synonym index and fall below the embedding
@@ -96,7 +106,9 @@ func TestTwoSourceResolvesOOV(t *testing.T) {
 
 	answered := 0
 	for _, term := range oov {
-		results, err := relaxNames(sys, engine.Request{Term: term, K: 5})
+		req := engine.Request{Term: term, K: 5}
+		results, err := relaxNames(sys, req)
+		relaxAgrees(t, sys, req, results, err)
 		if err != nil {
 			// Not every paraphrase made it into the variant vocabulary
 			// (collisions are skipped); what matters is that some do.
@@ -146,10 +158,12 @@ func TestTwoSourcePrimaryCoverageKept(t *testing.T) {
 		if q.Ctx != nil {
 			qctx = q.Ctx.String()
 		}
-		results, err := relaxNames(sys, engine.Request{Term: q.Term, Context: qctx, K: 10})
+		req := engine.Request{Term: q.Term, Context: qctx, K: 10}
+		results, err := relaxNames(sys, req)
 		if err != nil {
 			t.Fatalf("term %q: %v", q.Term, err)
 		}
+		relaxAgrees(t, sys, req, results, err)
 		if len(results) == 0 {
 			t.Fatalf("term %q: no results from the fused path", q.Term)
 		}

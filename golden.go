@@ -34,7 +34,7 @@ type GoldenResult struct {
 // GoldenEntries runs every query through the system's relaxer and captures
 // the ranked output, both context-sensitive and with k=10 truncation.
 func GoldenEntries(sys *System, queries []eval.Query) []GoldenEntry {
-	return relaxerEntries(sys.Relaxer, queries)
+	return relaxerEntries(sys.Engine.Relaxer(), queries)
 }
 
 // relaxerEntries is GoldenEntries over any relaxer.

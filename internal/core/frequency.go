@@ -38,21 +38,15 @@ type FrequencyOptions struct {
 	// concepts that are frequent only because they appear in a few very
 	// verbose documents.
 	UseTFIDF bool
-	// Smoothing is the pseudo-count added when normalizing, so that
-	// never-mentioned concepts receive a large finite information content
-	// rather than an infinite one. Defaults to 0.02 when zero; smaller
-	// values make the absence of corpus evidence for a context more
-	// damning, which is what lets the contextual IC demote findings the KB
-	// holds no data about in that context.
-	Smoothing float64
 }
 
-func (o FrequencyOptions) withDefaults() FrequencyOptions {
-	if o.Smoothing <= 0 {
-		o.Smoothing = 0.02
-	}
-	return o
-}
+// frequencySmoothing is the pseudo-count added when normalizing, so that
+// never-mentioned concepts receive a large finite information content rather
+// than an infinite one. A small value makes the absence of corpus evidence
+// for a context damning, which is what lets the contextual IC demote
+// findings the KB holds no data about in that context. A table carries the
+// smoothing it was built with, and a bundle stores it.
+const frequencySmoothing = 0.02
 
 // FlatFrequencyData is the column layout of a frequency table, which is
 // also the layout of the frequency sections of a flat (v4) bundle: per-label
@@ -239,7 +233,7 @@ func BuildFrequencyTableFromDirectCounts(g *eks.Graph, direct map[string]map[eks
 		}
 	})
 
-	d := FlatFrequencyData{Root: root, Smoothing: opts.Smoothing, Labels: labels, Off: make([]int32, len(labels)+1)}
+	d := FlatFrequencyData{Root: root, Smoothing: frequencySmoothing, Labels: labels, Off: make([]int32, len(labels)+1)}
 	// The aggregate sums each concept's values in ascending label order, so
 	// the float sums are reproducible run to run.
 	agg := make([]float64, n)
@@ -414,7 +408,9 @@ func OpenFlatFrequencyTable(d FlatFrequencyData) (*FrequencyTable, error) {
 // newFrequencyTable derives, once, what NormalizedForContext reads besides
 // the columns: the parsed label contexts and the root's frequencies.
 func newFrequencyTable(d FlatFrequencyData) *FrequencyTable {
-	d.Smoothing = FrequencyOptions{Smoothing: d.Smoothing}.withDefaults().Smoothing
+	if d.Smoothing <= 0 {
+		d.Smoothing = frequencySmoothing
+	}
 	t := &FrequencyTable{
 		d:     d,
 		ctxs:  make([]ontology.Context, len(d.Labels)),

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"medrelax/internal/core"
-	"medrelax/internal/eks"
 	"medrelax/internal/kb"
 	"medrelax/internal/ontology"
 	"medrelax/internal/stringutil"
@@ -46,20 +45,12 @@ type Conversation struct {
 	ing        *core.Ingestion
 	topK       int
 
-	// feedback, when set, records which relaxed suggestions users accept
-	// (picking one) or implicitly reject (rephrasing instead) and reranks
-	// future relaxations accordingly — the progressive-improvement loop the
-	// paper's conclusion proposes.
-	feedback *core.FeedbackStore
-
-	lastCtx   *ontology.Context
-	lastQuery eks.ConceptID
-	pending   []pendingSuggestion
+	lastCtx *ontology.Context
+	pending []pendingSuggestion
 }
 
 type pendingSuggestion struct {
 	name      string
-	concept   eks.ConceptID
 	instances []kb.InstanceID
 }
 
@@ -96,11 +87,6 @@ func (c *Conversation) Ask(text string) Response {
 	if len(c.pending) > 0 {
 		if resp, ok := c.resolvePending(norm); ok {
 			return resp
-		}
-		// The user moved on without picking: mild negative signal on the
-		// top suggestion.
-		if c.feedback != nil && c.lastQuery != 0 {
-			c.feedback.Reject(c.lastQuery, c.pending[0].concept, c.lastCtx)
 		}
 		c.pending = nil
 	}
@@ -187,9 +173,6 @@ func (c *Conversation) resolvePending(norm string) (Response, bool) {
 		return Response{}, false
 	}
 	s := c.pending[pick]
-	if c.feedback != nil && c.lastQuery != 0 {
-		c.feedback.Accept(c.lastQuery, s.concept, c.lastCtx)
-	}
 	c.pending = nil
 	ctx := ontology.Context{Domain: "Indication", Relationship: "hasFinding", Range: "Finding"}
 	if c.lastCtx != nil {
@@ -253,25 +236,10 @@ func (c *Conversation) repairUnknown(ctx ontology.Context, m Mention) Response {
 		resp.Text = fmt.Sprintf("I don't understand %q.", m.Text)
 		return resp
 	}
-	var results []core.Result
-	var err error
-	q, mapped := eks.ConceptID(0), false
-	if fr := c.feedbackRelaxer(); fr != nil {
-		results, err = fr.RelaxTerm(m.Text, &ctx, 0)
-	} else {
-		results, err = c.relaxer.RelaxTerm(m.Text, &ctx, 0)
-	}
+	results, err := c.relaxer.RelaxTerm(m.Text, &ctx, 0)
 	if err != nil || len(results) == 0 {
 		resp.Text = fmt.Sprintf("I don't understand %q.", m.Text)
 		return resp
-	}
-	if ids := c.ing.Graph.LookupName(m.Text); len(ids) > 0 {
-		q, mapped = ids[0], true
-	}
-	if mapped {
-		c.lastQuery = q
-	} else {
-		c.lastQuery = 0
 	}
 	c.pending = nil
 	for _, r := range results {
@@ -282,7 +250,7 @@ func (c *Conversation) repairUnknown(ctx ontology.Context, m Mention) Response {
 		if name == "" || len(r.Instances) == 0 {
 			continue
 		}
-		c.pending = append(c.pending, pendingSuggestion{name: name, concept: r.Concept, instances: r.Instances})
+		c.pending = append(c.pending, pendingSuggestion{name: name, instances: r.Instances})
 		resp.Suggestions = append(resp.Suggestions, name)
 	}
 	if len(resp.Suggestions) == 0 {
@@ -339,15 +307,6 @@ func (c *Conversation) drugForward(ctx ontology.Context, instances []kb.Instance
 		}
 	}
 	return out
-}
-
-// feedbackRelaxer wraps the relaxer with the feedback store when one is
-// attached.
-func (c *Conversation) feedbackRelaxer() *core.FeedbackRelaxer {
-	if c.feedback == nil || c.relaxer == nil {
-		return nil
-	}
-	return core.NewFeedbackRelaxer(c.relaxer, c.feedback)
 }
 
 func (c *Conversation) conceptName(r core.Result) string {

@@ -341,65 +341,6 @@ func TestNoMention(t *testing.T) {
 	}
 }
 
-func TestFeedbackLearningAcrossConversations(t *testing.T) {
-	o, store, ing, relaxer := testWorld(t)
-	examples := GenerateTrainingExamples(o, store, 1, 12)
-	classifier, err := TrainIntentClassifier(examples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	extractor := NewMentionExtractor(store, ing.Graph.NameKeys())
-	feedback := core.NewFeedbackStore()
-
-	conv := NewConversation(store, o, classifier, extractor, relaxer, ing)
-	conv.feedback = feedback
-
-	// Session 1: ask about pyelectasia, pick "kidney disease".
-	resp := conv.Ask("what drugs treat pyelectasia")
-	if len(resp.Suggestions) == 0 {
-		t.Fatal("no suggestions")
-	}
-	follow := conv.Ask("kidney disease")
-	if !follow.Understood {
-		t.Fatal("pick failed")
-	}
-	if feedback.Len() == 0 {
-		t.Fatal("pick did not record feedback")
-	}
-	// The accepted (query, suggestion) pair carries positive net feedback,
-	// keyed by the context's relationship.
-	q := ing.Graph.LookupName("pyelectasia")[0]
-	kd := ing.Graph.LookupName("kidney disease")[0]
-	ctx := follow.Context
-	if feedback.Net(q, kd, &ctx) <= 0 {
-		t.Errorf("net feedback = %d, want positive", feedback.Net(q, kd, &ctx))
-	}
-}
-
-func TestFeedbackAbandonmentRecordsReject(t *testing.T) {
-	o, store, ing, relaxer := testWorld(t)
-	examples := GenerateTrainingExamples(o, store, 1, 12)
-	classifier, err := TrainIntentClassifier(examples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	extractor := NewMentionExtractor(store, ing.Graph.NameKeys())
-	feedback := core.NewFeedbackStore()
-	conv := NewConversation(store, o, classifier, extractor, relaxer, ing)
-	conv.feedback = feedback
-
-	resp := conv.Ask("what drugs treat pyelectasia")
-	if len(resp.Suggestions) == 0 {
-		t.Fatal("no suggestions")
-	}
-	// Ask something else instead of picking: the top suggestion takes a
-	// mild negative signal.
-	conv.Ask("what drugs treat fever")
-	if feedback.Len() == 0 {
-		t.Error("abandonment did not record feedback")
-	}
-}
-
 func TestDrugForwardQuery(t *testing.T) {
 	c := newConversation(t, true)
 	// Asking about a drug lists the findings of its indications.

@@ -127,21 +127,26 @@ type Config struct {
 // swapping the pointer (internal/serving).
 type Snapshot struct {
 	ing     *core.Ingestion
+	sim     *core.Similarity
 	relaxer *core.Relaxer
 	cfg     Config
+	// name is the source name attribution and explanations carry:
+	// core.PrimarySourceName, or the name a secondary source is mounted under.
+	name string
 	// terms is the precomputed term index: flagged-concept names in
 	// deterministic (ID) order, the realistic query mix GET /terms serves.
 	terms []string
-	// names holds, per flagged concept of the primary ingestion, the surface
-	// names of its instances in InstancesForConcept order. Every answer that
-	// lists the concept shares the one slice, so a cached answer costs its
-	// result headers and nothing per instance.
+	// names holds, per flagged concept of the ingestion, the surface names
+	// of its instances in InstancesForConcept order. Every answer that lists
+	// the concept shares the one slice, so a cached answer costs its result
+	// headers and nothing per instance.
 	names map[eks.ConceptID][]string
-	// arms are the mounted sources in mount order; arms[0] is always the
-	// primary (the ingestion itself). A single-source snapshot has exactly
-	// one arm and serves through its relaxer alone; with secondaries present
-	// RelaxBatch fuses per-arm answers (see federate.go).
-	arms []sourceArm
+	// sources are the mounted sources in mount order when the ingestion
+	// carries secondaries: sources[0] is the snapshot itself, then one
+	// Snapshot per secondary, assembled by New over its own ingestion. A
+	// single-source snapshot has none and serves through its relaxer alone;
+	// with sources RelaxBatch fuses per-source answers (see federate.go).
+	sources []*Snapshot
 	// lookup is the bundle mapper's term resolver, adopted with the ingestion
 	// or built by New; nil under a caller's own Config.Mapper.
 	lookup *match.LookupService
@@ -177,28 +182,37 @@ func New(ing *core.Ingestion, cfg Config) *Snapshot {
 	sim := core.NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
 	s := &Snapshot{
 		ing:     ing,
+		sim:     sim,
 		relaxer: core.NewRelaxer(ing, sim, cfg.Mapper, cfg.Relax),
 		cfg:     cfg,
+		name:    core.PrimarySourceName,
 		terms:   flaggedTerms(ing),
 		names:   instanceNames(ing),
 		lookup:  lookup,
 	}
-	// Mount the source arms: the primary first, then each secondary with its
-	// own combined mapper, similarity evaluator and relaxer over its graph.
-	// Secondaries always serve the live path (their worlds are small; the
-	// offline accelerations remain a primary-only optimization).
-	s.arms = []sourceArm{{name: core.PrimarySourceName, ing: ing, sim: sim, relaxer: s.relaxer, mapper: cfg.Mapper}}
-	for _, src := range ing.Sources {
-		src.Ing.Graph.Freeze()
-		m, _ := bundleMapper(src.Ing)
-		ssim := core.NewSimilarity(src.Ing.Graph, src.Ing.Frequencies, src.Ing.Ontology)
-		s.arms = append(s.arms, sourceArm{
-			name:    src.Name,
-			ing:     src.Ing,
-			sim:     ssim,
-			relaxer: core.NewRelaxer(src.Ing, ssim, m, cfg.Relax),
-			mapper:  m,
-		})
+	// Mount the secondary sources, each a Snapshot of its own with the bundle
+	// mapper over its graph, always on the live path (their worlds are small;
+	// the offline accelerations remain a primary-only optimization). Their
+	// flagged names follow the primary's in the term index, in mount order
+	// and without a name an earlier source lists, so load generators
+	// exercise terms only a secondary can answer.
+	if len(ing.Sources) > 0 {
+		s.sources = []*Snapshot{s}
+		seen := make(map[string]bool, len(s.terms))
+		for _, t := range s.terms {
+			seen[t] = true
+		}
+		for _, src := range ing.Sources {
+			sub := New(src.Ing, Config{Relax: cfg.Relax})
+			sub.name = src.Name
+			s.sources = append(s.sources, sub)
+			for _, t := range sub.terms {
+				if !seen[t] {
+					seen[t] = true
+					s.terms = append(s.terms, t)
+				}
+			}
+		}
 	}
 	// Attach the ingestion's offline accelerations when their build options
 	// match the serving configuration; a mismatched store is left unused
@@ -278,26 +292,13 @@ func instanceNames(ing *core.Ingestion) map[eks.ConceptID][]string {
 
 // flaggedTerms resolves the flagged concepts to names in ID order — the
 // deterministic term index Terms slices from; FlaggedIDs is already
-// ascending. With secondary sources mounted, their flagged names follow the
-// primary's in mount order (each source's names in its own ID order,
-// duplicates dropped), so load generators exercise terms only a secondary
-// can answer.
+// ascending.
 func flaggedTerms(ing *core.Ingestion) []string {
 	ids := ing.FlaggedIDs()
 	out := make([]string, 0, len(ids))
-	seen := make(map[string]bool, len(ids))
 	for _, id := range ids {
 		if c, ok := ing.Graph.Concept(id); ok {
 			out = append(out, c.Name)
-			seen[c.Name] = true
-		}
-	}
-	for _, src := range ing.Sources {
-		for _, id := range src.Ing.FlaggedIDs() {
-			if c, ok := src.Ing.Graph.Concept(id); ok && !seen[c.Name] {
-				out = append(out, c.Name)
-				seen[c.Name] = true
-			}
 		}
 	}
 	return out
@@ -475,18 +476,17 @@ func (s *Snapshot) Stats() map[string]any {
 	hits, fills, refills, mapped, evictions, bytes, planes, planeBytes := s.relaxer.GeometryCounts()
 	stats["relaxGeometry"] = map[string]uint64{"hits": hits, "fills": fills, "refills": refills, "mapped": mapped, "evictions": evictions, "bytes": uint64(bytes),
 		"planes": uint64(planes), "planeBytes": uint64(planeBytes)}
-	// Multi-source snapshots report each mounted arm; single-source stats
+	// Multi-source snapshots report each mounted source; single-source stats
 	// keep the classic shape with no extra keys.
 	if s.multiSource() {
-		stats["sourceCount"] = len(s.arms)
-		sources := make(map[string]any, len(s.arms))
-		for i := range s.arms {
-			arm := &s.arms[i]
-			sources[arm.name] = map[string]any{
-				"eksConcepts":     arm.ing.Graph.Len(),
-				"eksEdges":        arm.ing.Graph.EdgeCount(),
-				"shortcutsAdded":  arm.ing.ShortcutsAdded,
-				"flaggedConcepts": arm.ing.FlaggedCount(),
+		stats["sourceCount"] = len(s.sources)
+		sources := make(map[string]any, len(s.sources))
+		for _, src := range s.sources {
+			sources[src.name] = map[string]any{
+				"eksConcepts":     src.ing.Graph.Len(),
+				"eksEdges":        src.ing.Graph.EdgeCount(),
+				"shortcutsAdded":  src.ing.ShortcutsAdded,
+				"flaggedConcepts": src.ing.FlaggedCount(),
 			}
 		}
 		stats["sources"] = sources

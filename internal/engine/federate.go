@@ -15,33 +15,21 @@ import (
 	"medrelax/internal/core"
 	"medrelax/internal/eks"
 	"medrelax/internal/kb"
-	"medrelax/internal/match"
 )
 
-// sourceArm is one mounted source ready to answer queries: its ingestion
-// plus the per-source mapper, similarity evaluator and relaxer built over
-// its graph. arms[0] of a Snapshot is always the primary.
-type sourceArm struct {
-	name    string
-	ing     *core.Ingestion
-	sim     *core.Similarity
-	relaxer *core.Relaxer
-	mapper  match.Mapper
-}
-
 // multiSource reports whether secondary sources are mounted.
-func (s *Snapshot) multiSource() bool { return len(s.arms) > 1 }
+func (s *Snapshot) multiSource() bool { return s.sources != nil }
 
 // fusedEntry accumulates one concept name's evidence across sources while
 // fusing. The winner fields record the source whose score the entry keeps —
-// the arm the explanation path runs in.
+// the source the explanation path runs in.
 type fusedEntry struct {
 	name          string
 	score         float64
 	hops          int
 	instSet       map[kb.InstanceID]bool
 	sources       []string
-	winnerArm     int
+	winner        *Snapshot
 	winnerQuery   eks.ConceptID
 	winnerConcept eks.ConceptID
 }
@@ -61,7 +49,7 @@ type fusedEntry struct {
 // result that would add new instances).
 //
 // The reported serve path is core.PathLive: fusion always re-ranks the full
-// per-source candidate lists, so per-arm acceleration hits are not
+// per-source candidate lists, so per-source acceleration hits are not
 // meaningful as a whole-answer label.
 func (s *Snapshot) relaxFused(ctx context.Context, req core.Request, explain bool) Response {
 	if req.Err != nil {
@@ -71,9 +59,8 @@ func (s *Snapshot) relaxFused(ctx context.Context, req core.Request, explain boo
 	entries := make(map[string]*fusedEntry)
 	var order []string // first-seen order, only for map iteration stability before sorting
 	mappedAny := false
-	for ai := range s.arms {
-		arm := &s.arms[ai]
-		q, ok := arm.mapper.Map(term)
+	for _, src := range s.sources {
+		q, ok := src.cfg.Mapper.Map(term)
 		if !ok {
 			continue
 		}
@@ -81,12 +68,12 @@ func (s *Snapshot) relaxFused(ctx context.Context, req core.Request, explain boo
 		// Full ranked list (k<=0): truncation must happen once, globally,
 		// after fusion — a per-source cut could starve a concept that only
 		// wins after its scores merge.
-		resp := arm.relaxer.Relax(ctx, core.Request{Term: term, Concept: q, UseConcept: true, Ctx: req.Ctx})
+		resp := src.relaxer.Relax(ctx, core.Request{Term: term, Concept: q, UseConcept: true, Ctx: req.Ctx})
 		if resp.Err != nil {
 			return Response{Err: resp.Err}
 		}
 		for _, r := range resp.Results {
-			c, ok := arm.ing.Graph.Concept(r.Concept)
+			c, ok := src.ing.Graph.Concept(r.Concept)
 			if !ok {
 				continue
 			}
@@ -97,7 +84,7 @@ func (s *Snapshot) relaxFused(ctx context.Context, req core.Request, explain boo
 					score:         r.Score,
 					hops:          r.Hops,
 					instSet:       make(map[kb.InstanceID]bool),
-					winnerArm:     ai,
+					winner:        src,
 					winnerQuery:   q,
 					winnerConcept: r.Concept,
 				}
@@ -106,12 +93,12 @@ func (s *Snapshot) relaxFused(ctx context.Context, req core.Request, explain boo
 			} else if r.Score > e.score {
 				// Strictly greater only: score ties keep the earlier mount.
 				e.score, e.hops = r.Score, r.Hops
-				e.winnerArm, e.winnerQuery, e.winnerConcept = ai, q, r.Concept
+				e.winner, e.winnerQuery, e.winnerConcept = src, q, r.Concept
 			}
 			// A source contributes at most one entry per concept name (its
 			// ranked list is concept-unique), so appending here cannot
 			// duplicate an attribution.
-			e.sources = append(e.sources, arm.name)
+			e.sources = append(e.sources, src.name)
 			for _, iid := range r.Instances {
 				e.instSet[iid] = true
 			}
@@ -151,7 +138,7 @@ func (s *Snapshot) relaxFused(ctx context.Context, req core.Request, explain boo
 			}
 		}
 		if explain {
-			rr.Explain = s.explainFor(&s.arms[e.winnerArm], e.winnerQuery, e.winnerConcept)
+			rr.Explain = e.winner.explainFor(e.winnerQuery, e.winnerConcept)
 		}
 		out = append(out, rr)
 	}
@@ -162,10 +149,9 @@ func (s *Snapshot) relaxFused(ctx context.Context, req core.Request, explain boo
 // source attribution and relaxation paths, for a request that asked for
 // Explain. ids and out are positionally aligned (out = resolve(ids)).
 func (s *Snapshot) attachExplain(term string, ids []core.Result, out []RelaxResult) {
-	arm := &s.arms[0]
-	// Re-map the term through the arm's mapper; Map is deterministic, so
-	// this resolves to the same query concept the relaxer used.
-	q, ok := arm.mapper.Map(term)
+	// Re-map the term through the snapshot's mapper; Map is deterministic,
+	// so this resolves to the same query concept the relaxer used.
+	q, ok := s.cfg.Mapper.Map(term)
 	if !ok {
 		return
 	}
@@ -173,8 +159,8 @@ func (s *Snapshot) attachExplain(term string, ids []core.Result, out []RelaxResu
 		if i >= len(ids) {
 			break
 		}
-		out[i].Sources = []string{arm.name}
-		out[i].Explain = s.explainFor(arm, q, ids[i].Concept)
+		out[i].Sources = []string{s.name}
+		out[i].Explain = s.explainFor(q, ids[i].Concept)
 	}
 }
 
@@ -186,27 +172,27 @@ func (s *Snapshot) attachExplain(term string, ids []core.Result, out []RelaxResu
 // distance for shortcut edges). Returns nil when the pair shares no
 // subsumer or a path leg cannot be reconstructed — the result then carries
 // attribution but no path, rather than a fabricated one.
-func (s *Snapshot) explainFor(arm *sourceArm, q, c eks.ConceptID) *Explain {
+func (s *Snapshot) explainFor(q, c eks.ConceptID) *Explain {
 	name := func(id eks.ConceptID) string {
-		cc, _ := arm.ing.Graph.Concept(id)
+		cc, _ := s.ing.Graph.Concept(id)
 		return cc.Name
 	}
 	if q == c {
 		// IncludeSelf answers: the query concept itself, an empty path.
 		return &Explain{
-			Source:     arm.name,
+			Source:     s.name,
 			Query:      name(q),
 			Subsumer:   name(q),
 			PathWeight: 1,
 			Edges:      []ExplainEdge{},
 		}
 	}
-	rep, lcs, gen, spec, ok := arm.sim.CanonicalMeet(q, c)
+	rep, lcs, gen, spec, ok := s.sim.CanonicalMeet(q, c)
 	if !ok {
 		return nil
 	}
-	upQ, ok1 := arm.ing.Graph.UpPathTo(q, rep)
-	upC, ok2 := arm.ing.Graph.UpPathTo(c, rep)
+	upQ, ok1 := s.ing.Graph.UpPathTo(q, rep)
+	upC, ok2 := s.ing.Graph.UpPathTo(c, rep)
 	if !ok1 || !ok2 {
 		return nil
 	}
@@ -225,12 +211,12 @@ func (s *Snapshot) explainFor(arm *sourceArm, q, c eks.ConceptID) *Explain {
 		})
 	}
 	ex := &Explain{
-		Source:          arm.name,
+		Source:          s.name,
 		Query:           name(q),
 		Subsumer:        name(rep),
 		Generalizations: gen,
 		Specializations: spec,
-		PathWeight:      arm.sim.CanonicalPathWeight(gen, spec),
+		PathWeight:      s.sim.CanonicalPathWeight(gen, spec),
 		Edges:           edges,
 	}
 	for _, id := range lcs {

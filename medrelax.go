@@ -32,7 +32,6 @@ import (
 	"medrelax/internal/embedding"
 	"medrelax/internal/engine"
 	"medrelax/internal/eval"
-	"medrelax/internal/kb"
 	"medrelax/internal/match"
 	"medrelax/internal/medkb"
 	"medrelax/internal/nlq"
@@ -118,7 +117,6 @@ type System struct {
 	Mapper        match.Mapper
 	Ingestion     *core.Ingestion
 	Engine        *engine.Snapshot
-	Relaxer       *core.Relaxer
 	Methods       []core.Method
 	Oracle        *eval.Oracle
 	Timings       BuildTimings
@@ -243,8 +241,8 @@ func (s *System) withSecondSource() (*System, error) {
 }
 
 // assemble derives what s serves from its ingestion: the snapshot (engine.New
-// is the one place freeze, similarity, relaxer and term index are assembled),
-// its relaxer and Table 2's six methods. Conversations and stats close over s.
+// is the one place freeze, similarity, relaxer and term index are assembled)
+// and Table 2's six methods. Conversations and stats close over s.
 func (s *System) assemble() {
 	ing, mapper, opts := s.Ingestion, s.Mapper, s.Config.Relax
 	s.Engine = engine.New(ing, engine.Config{
@@ -261,7 +259,6 @@ func (s *System) assemble() {
 			}
 		},
 	})
-	s.Relaxer = s.Engine.Relaxer()
 	s.Methods = []core.Method{
 		core.NewQR(ing, mapper, opts),
 		core.NewQRNoContext(ing, mapper, opts),
@@ -272,49 +269,18 @@ func (s *System) assemble() {
 	}
 }
 
-// Result is one relaxed answer resolved to surface names.
-type Result struct {
-	ConceptID   eks.ConceptID
-	ConceptName string
-	Score       float64
-	Hops        int
-	Instances   []InstanceRef
-}
-
-// InstanceRef names a KB instance in a result.
-type InstanceRef struct {
-	ID   kb.InstanceID
-	Name string
-}
+// Result is one relaxed answer with its concept and instances resolved to
+// names, and on a multi-source system the sources that contributed it.
+type Result = engine.RelaxResult
 
 // Relax answers a [query term, context] pair with up to k ranked relaxed
-// results, resolving concepts and instances to names. ctx may be "" for
-// context-free relaxation; otherwise it is a Domain-Relationship-Range
-// string such as ContextIndication.
+// results through the system's snapshot, as every serving path does. ctx may
+// be "" for context-free relaxation; otherwise it is a
+// Domain-Relationship-Range string such as ContextIndication. A malformed
+// context wraps core.ErrBadContext, an unmappable term core.ErrUnknownTerm.
 func (s *System) Relax(term, ctx string, k int) ([]Result, error) {
-	return s.RelaxContext(context.Background(), term, ctx, k)
-}
-
-// RelaxContext is Relax under request-scoped cancellation: the serving
-// layer threads HTTP deadlines through here. Context-string parse
-// failures wrap core.ErrBadContext so servers can map them to 400.
-func (s *System) RelaxContext(cctx context.Context, term, ctx string, k int) ([]Result, error) {
-	qctx, err := core.ParseContext(ctx)
-	resp := s.Relaxer.Relax(cctx, core.Request{Term: term, Ctx: qctx, K: k, Err: err})
-	if resp.Err != nil {
-		return nil, resp.Err
-	}
-	out := make([]Result, 0, len(resp.Results))
-	for _, r := range resp.Results {
-		concept, _ := s.World.Graph.Concept(r.Concept)
-		res := Result{ConceptID: r.Concept, ConceptName: concept.Name, Score: r.Score, Hops: r.Hops}
-		for _, iid := range r.Instances {
-			inst, _ := s.Med.Store.Instance(iid)
-			res.Instances = append(res.Instances, InstanceRef{ID: iid, Name: inst.Name})
-		}
-		out = append(out, res)
-	}
-	return out, nil
+	resp := s.Engine.RelaxBatch(context.Background(), []engine.Request{{Term: term, Context: ctx, K: k}})[0]
+	return resp.Results, resp.Err
 }
 
 // Table1 runs the mapping-accuracy experiment over the three mapping

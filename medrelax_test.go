@@ -72,7 +72,7 @@ func TestRelaxEndToEnd(t *testing.T) {
 		t.Fatal("no relaxed results")
 	}
 	for i, r := range results {
-		if r.ConceptName == "" {
+		if r.Concept == "" {
 			t.Errorf("result %d has no name", i)
 		}
 		if r.Score < 0 || r.Score > 1 {
@@ -82,7 +82,7 @@ func TestRelaxEndToEnd(t *testing.T) {
 			t.Error("results not sorted by score")
 		}
 		if len(r.Instances) == 0 {
-			t.Errorf("result %s has no KB instances (must be flagged)", r.ConceptName)
+			t.Errorf("result %s has no KB instances (must be flagged)", r.Concept)
 		}
 	}
 	// Context strings are validated.
