@@ -144,6 +144,25 @@ func BenchmarkNLQExperiment(b *testing.B) {
 	b.ReportMetric(100*res.WithoutQR.AnsweredRate(), "noQR_answered_pct")
 }
 
+// BenchmarkNewConversation prices one /chat session on a warm System: open
+// it and ask a question that only relaxation answers. The intent classifier,
+// mention extractor and repair relaxer are the System's, derived once, so a
+// session costs its own state and its answers.
+func BenchmarkNewConversation(b *testing.B) {
+	sys := sharedSystem(b)
+	if _, err := sys.NewConversation(true); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		conv, err := sys.NewConversation(true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		conv.Ask("what drugs treat pyelectasia")
+	}
+}
+
 // ---- Ablations (DESIGN.md) ----
 
 // ablationSystem builds a fresh system with the given tweaks; it is not

@@ -20,6 +20,7 @@ import (
 	"medrelax/internal/core"
 	"medrelax/internal/eks"
 	"medrelax/internal/eval"
+	"medrelax/internal/match"
 	"medrelax/internal/synthkb"
 )
 
@@ -50,6 +51,7 @@ func main() {
 
 	if wantTable(1) {
 		printTable1(sys)
+		printQueryTermMapping(sys)
 	}
 	if wantTable(2) {
 		printTable2(sys)
@@ -103,6 +105,22 @@ func printTable1(sys *medrelax.System) {
 	}
 	fmt.Println(eval.FormatTable("Table 1: accuracy of mapping methods (measured vs paper)",
 		[]string{"Method", "P", "R", "F1", "paper P", "paper R", "paper F1"}, rows))
+}
+
+// printQueryTermMapping scores the served query-term mapper beside Table 1's
+// three on the world's latent paraphrases: right, wrong or unplaced.
+func printQueryTermMapping(sys *medrelax.System) {
+	mappers := []match.Mapper{sys.Engine.Mapper(), sys.Mappers["EXACT"], sys.Mappers["EDIT"], sys.Mappers["EMBEDDING"]}
+	rows := [][]string{}
+	for i, r := range eval.EvaluatePlacements(sys.World.Latent, mappers) {
+		method := r.Method
+		if i == 0 {
+			method = "served (exact, edit, lookup)"
+		}
+		rows = append(rows, []string{method, fmt.Sprint(r.Right), fmt.Sprint(r.Wrong), fmt.Sprint(r.Unplaced)})
+	}
+	fmt.Println(eval.FormatTable("Query-term mapping: where each mapper places the world's latent paraphrases (not a paper table)",
+		[]string{"Mapper", "right", "wrong", "unplaced"}, rows))
 }
 
 func printTable2(sys *medrelax.System) {

@@ -107,7 +107,7 @@ func main() {
 	// introduction example), and "pyelectasia" reaches kidney disease.
 	// Hand the ingestion to the engine layer: it freezes the graph and
 	// assembles the relaxer, same as every serving entry point.
-	snap := engine.New(ing, engine.Config{Mapper: mapper, Relax: core.RelaxOptions{Radius: 3, DynamicRadius: true}})
+	snap := engine.New(ing, engine.Config{Relax: core.RelaxOptions{Radius: 3, DynamicRadius: true}})
 	relaxer := snap.Relaxer()
 	ctx := &ontology.Context{Domain: "Indication", Relationship: "hasFinding", Range: "Finding"}
 

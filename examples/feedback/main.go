@@ -16,7 +16,6 @@ import (
 	"medrelax"
 	"medrelax/internal/core"
 	"medrelax/internal/eks"
-	"medrelax/internal/match"
 	"medrelax/internal/ontology"
 )
 
@@ -26,13 +25,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	combined := match.NewCombined(sys.Mappers["EXACT"], sys.Mappers["EDIT"], sys.Mappers["EMBEDDING"])
-	base := sys.Engine.NewRelaxer(combined, sys.Config.Relax)
-	relaxer := core.NewFeedbackRelaxer(base, nil)
+	relaxer := core.NewFeedbackRelaxer(sys.Engine.Relaxer(), nil)
 	ctx := &ontology.Context{Domain: "Indication", Relationship: "hasFinding", Range: "Finding"}
 
 	// Pick a term with several candidates.
-	term := pickTerm(sys)
+	q, term := pickTerm(sys)
 	fmt.Printf("\nquery term: %q\n", term)
 
 	show := func(round int) []core.Result {
@@ -56,7 +53,6 @@ func main() {
 	if len(before) < 3 {
 		log.Fatal("not enough candidates to demonstrate feedback")
 	}
-	q, _ := combined.Map(term)
 	target := before[2].Concept // the users consistently want #3
 
 	fmt.Println("\n... ten sessions in which users skip the top suggestions and pick #3 ...")
@@ -72,15 +68,17 @@ func main() {
 		cTarget.Name, rankOf(after, target))
 }
 
-func pickTerm(sys *medrelax.System) string {
-	best, bestPop := "", -1.0
+// pickTerm returns the most popular treated concept and its name.
+func pickTerm(sys *medrelax.System) (eks.ConceptID, string) {
+	var best eks.ConceptID
+	bestPop := -1.0
 	for cid := range sys.Med.Treated {
 		if p := sys.Med.Popularity[cid]; p > bestPop {
-			c, _ := sys.World.Graph.Concept(cid)
-			best, bestPop = c.Name, p
+			best, bestPop = cid, p
 		}
 	}
-	return best
+	c, _ := sys.World.Graph.Concept(best)
+	return best, c.Name
 }
 
 func rankOf(results []core.Result, target eks.ConceptID) int {

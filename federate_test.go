@@ -54,15 +54,16 @@ func relaxAgrees(t *testing.T, sys *System, req engine.Request, want []engine.Re
 	}
 }
 
-// oovLatentTerms returns latent surface variants the primary's own mapper
+// oovLatentTerms returns latent surface variants the primary's served mapper
 // cannot place — out-of-vocabulary for the primary source by construction
-// (they were withheld from its synonym index and fall below the embedding
-// acceptance threshold).
+// (they were withheld from its synonym index, and exact match, edit distance
+// and the lookup service all miss them). On a two-source system the engine's
+// mapper is the primary's.
 func oovLatentTerms(sys *System) []string {
 	var oov []string
 	for _, variants := range sys.World.Latent {
 		for _, term := range variants {
-			if _, ok := sys.Mapper.Map(term); !ok {
+			if _, ok := sys.Engine.Mapper().Map(term); !ok {
 				oov = append(oov, term)
 			}
 		}

@@ -100,17 +100,13 @@ type Response struct {
 	Err     error
 }
 
-// Config tunes Snapshot assembly. The zero value serves a loaded bundle:
-// combined exact/edit/lookup term mapping, default relaxation radius, no
-// conversations.
+// Config tunes Snapshot assembly. It names no term mapper: every snapshot
+// resolves query terms through bundleMapper over its own graph. The zero
+// value serves a loaded bundle: default relaxation radius, no conversations.
 type Config struct {
 	// Relax configures the online phase; zero values pick the defaults of
 	// core.RelaxOptions plus DynamicRadius (the serving shape).
 	Relax core.RelaxOptions
-	// Mapper resolves query terms; nil assembles the bundle mapper (exact
-	// match, then edit distance, then the lookup service) over the graph,
-	// adopting the resolver a flat bundle carries and building it otherwise.
-	Mapper match.Mapper
 	// Conversation opens a relaxation-backed dialogue; nil disables /chat.
 	Conversation func() (*dialog.Conversation, error)
 	// ExtraStats is merged over the base Stats map (world metadata only a
@@ -147,8 +143,10 @@ type Snapshot struct {
 	// single-source snapshot has none and serves through its relaxer alone;
 	// with sources RelaxBatch fuses per-source answers (see federate.go).
 	sources []*Snapshot
-	// lookup is the bundle mapper's term resolver, adopted with the ingestion
-	// or built by New; nil under a caller's own Config.Mapper.
+	// mapper is the snapshot's one query-term mapper, the bundle mapper over
+	// its graph; lookup is that mapper's term resolver, adopted with the
+	// ingestion or built by New.
+	mapper match.Mapper
 	lookup *match.LookupService
 	// matActive / idxActive record whether the ingestion's offline
 	// accelerations were attached to the relaxer (they are refused when
@@ -174,25 +172,23 @@ func New(ing *core.Ingestion, cfg Config) *Snapshot {
 			cfg.Relax = core.RelaxOptions{Radius: 3, DynamicRadius: true}
 		}
 	}
-	var lookup *match.LookupService
-	if cfg.Mapper == nil {
-		cfg.Mapper, lookup = bundleMapper(ing)
-	}
+	mapper, lookup := bundleMapper(ing)
 	ing.Graph.Freeze()
 	sim := core.NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
 	s := &Snapshot{
 		ing:     ing,
 		sim:     sim,
-		relaxer: core.NewRelaxer(ing, sim, cfg.Mapper, cfg.Relax),
+		relaxer: core.NewRelaxer(ing, sim, mapper, cfg.Relax),
 		cfg:     cfg,
 		name:    core.PrimarySourceName,
 		terms:   flaggedTerms(ing),
 		names:   instanceNames(ing),
+		mapper:  mapper,
 		lookup:  lookup,
 	}
-	// Mount the secondary sources, each a Snapshot of its own with the bundle
-	// mapper over its graph, always on the live path (their worlds are small;
-	// the offline accelerations remain a primary-only optimization). Their
+	// Mount the secondary sources, each a Snapshot of its own, always on the
+	// live path (their worlds are small; the offline accelerations remain a
+	// primary-only optimization). Their
 	// flagged names follow the primary's in the term index, in mount order
 	// and without a name an earlier source lists, so load generators
 	// exercise terms only a secondary can answer.
@@ -237,10 +233,12 @@ func New(ing *core.Ingestion, cfg Config) *Snapshot {
 	return s
 }
 
-// bundleMapper chains exact match, edit distance and the lookup service over
-// an ingestion's graph. The term resolver is the one adopted from the bundle's
-// columns when the ingestion carries it, and tokenised here otherwise; the
-// edit matcher shares its key signatures either way.
+// bundleMapper is every snapshot's query-term mapper, built or loaded, primary
+// or secondary, so a world and the bundle it saves answer alike: exact match,
+// then edit distance, then the lookup service over an ingestion's graph. The
+// term resolver is the one adopted from the bundle's columns when the
+// ingestion carries it, and tokenised here otherwise; the edit matcher shares
+// its key signatures either way.
 func bundleMapper(ing *core.Ingestion) (match.Mapper, *match.LookupService) {
 	lookup := ing.Lookup
 	if lookup == nil {
@@ -340,16 +338,16 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 // directly (golden pinning, benchmarks, the evaluation suite).
 func (s *Snapshot) Relaxer() *core.Relaxer { return s.relaxer }
 
+// Mapper is the snapshot's query-term mapper, for harnesses that score where
+// it places terms.
+func (s *Snapshot) Mapper() match.Mapper { return s.mapper }
+
 // NewRelaxer derives an alternative online phase over the same frozen
-// ingestion — different mapper or options (e.g. dialogue repair wants
-// IncludeSelf and the combined mapper) — keeping relaxer assembly inside
-// the engine. A nil mapper reuses the snapshot's.
-func (s *Snapshot) NewRelaxer(mapper match.Mapper, opts core.RelaxOptions) *core.Relaxer {
-	if mapper == nil {
-		mapper = s.cfg.Mapper
-	}
+// ingestion and the snapshot's mapper, with other options (dialogue repair
+// wants IncludeSelf), keeping relaxer assembly inside the engine.
+func (s *Snapshot) NewRelaxer(opts core.RelaxOptions) *core.Relaxer {
 	sim := core.NewSimilarity(s.ing.Graph, s.ing.Frequencies, s.ing.Ontology)
-	return core.NewRelaxer(s.ing, sim, mapper, opts)
+	return core.NewRelaxer(s.ing, sim, s.mapper, opts)
 }
 
 // Close releases the snapshot's backing resources — for an mmap-backed
@@ -461,11 +459,9 @@ func (s *Snapshot) Stats() map[string]any {
 	}
 	// The term resolver of the bundle mapper: adopted with the bundle's
 	// columns (mapped, or heap for a streamed bundle) or built by New, and the
-	// distinct tokens it indexes. Absent under a caller's own mapper.
-	if s.lookup != nil {
-		stats["resolver"] = s.resolverResidency()
-		stats["resolverTokens"] = len(s.lookup.FlatData().Tokens)
-	}
+	// distinct tokens it indexes.
+	stats["resolver"] = s.resolverResidency()
+	stats["resolverTokens"] = len(s.lookup.FlatData().Tokens)
 	live, mat, idx := s.relaxer.PathCounts()
 	stats["relaxPaths"] = map[string]uint64{"live": live, "materialized": mat, "indexed": idx, "materializedTruncated": s.relaxer.TruncatedDeclines()}
 	// Where the kernel's per-concept geometries came from for this snapshot —

@@ -60,7 +60,7 @@ func (s *Snapshot) relaxFused(ctx context.Context, req core.Request, explain boo
 	var order []string // first-seen order, only for map iteration stability before sorting
 	mappedAny := false
 	for _, src := range s.sources {
-		q, ok := src.cfg.Mapper.Map(term)
+		q, ok := src.mapper.Map(term)
 		if !ok {
 			continue
 		}
@@ -151,7 +151,7 @@ func (s *Snapshot) relaxFused(ctx context.Context, req core.Request, explain boo
 func (s *Snapshot) attachExplain(term string, ids []core.Result, out []RelaxResult) {
 	// Re-map the term through the snapshot's mapper; Map is deterministic,
 	// so this resolves to the same query concept the relaxer used.
-	q, ok := s.cfg.Mapper.Map(term)
+	q, ok := s.mapper.Map(term)
 	if !ok {
 		return
 	}

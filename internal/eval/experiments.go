@@ -51,6 +51,40 @@ func EvaluateMappers(med *medkb.MED, mappers []match.Mapper) []MapperScore {
 	return out
 }
 
+// PlacementScore counts where one mapper places query terms whose concept is
+// known: on that concept (Right), on another one (Wrong) or nowhere
+// (Unplaced).
+type PlacementScore struct {
+	Method                 string
+	Right, Wrong, Unplaced int
+}
+
+// EvaluatePlacements maps every latent paraphrase — a surface form of its
+// concept that the generator never registered as a name or synonym — through
+// each mapper. It scores query-term mapping, which Table 1 (KB instances at
+// ingestion) does not; a wrong placement is worse than none, since Algorithm 2
+// then ranks a confidently wrong neighbourhood.
+func EvaluatePlacements(latent map[eks.ConceptID][]string, mappers []match.Mapper) []PlacementScore {
+	out := make([]PlacementScore, 0, len(mappers))
+	for _, m := range mappers {
+		row := PlacementScore{Method: m.Name()}
+		for want, variants := range latent {
+			for _, term := range variants {
+				switch got, ok := m.Map(term); {
+				case !ok:
+					row.Unplaced++
+				case got == want:
+					row.Right++
+				default:
+					row.Wrong++
+				}
+			}
+		}
+		out = append(out, row)
+	}
+	return out
+}
+
 // Query is one evaluation query for Table 2: a surface term, its gold
 // external concept, and the query context.
 type Query struct {

@@ -81,14 +81,12 @@ func testBackend(t *testing.T) *engine.Snapshot {
 	corp := corpus.New([]corpus.Document{{ID: "d", Sections: []corpus.Section{
 		{Label: "Indication-hasFinding-Finding", Text: "kidney disease kidney disease fever"},
 	}}})
-	mapper := match.NewExact(g)
-	ing, err := core.Ingest(o, store, g, corp, mapper, core.IngestOptions{})
+	ing, err := core.Ingest(o, store, g, corp, match.NewExact(g), core.IngestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var snap *engine.Snapshot
 	snap = engine.New(ing, engine.Config{
-		Mapper: mapper,
 		Conversation: func() (*dialog.Conversation, error) {
 			examples := dialog.GenerateTrainingExamples(o, store, 1, 8)
 			classifier, err := dialog.TrainIntentClassifier(examples)

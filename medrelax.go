@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"medrelax/internal/core"
@@ -113,13 +114,23 @@ type System struct {
 	GeneralModel  *embedding.Model
 	MedEncoder    *embedding.SIFEncoder
 	GenEncoder    *embedding.SIFEncoder
-	Mappers       map[string]match.Mapper
-	Mapper        match.Mapper
+	Mappers       map[string]match.Mapper // Table 1's three, at ingestion only
+	Mapper        match.Mapper            // ingestion's and Table 2's; Engine serves its own
 	Ingestion     *core.Ingestion
 	Engine        *engine.Snapshot
 	Methods       []core.Method
 	Oracle        *eval.Oracle
 	Timings       BuildTimings
+
+	shared func() (dialogue, error) // derived on first use; assemble sets it
+}
+
+// dialogue is what every /chat session and NLQ pipeline of a System shares,
+// read-only once derived.
+type dialogue struct {
+	classifier *dialog.IntentClassifier
+	extractor  *dialog.MentionExtractor
+	relaxer    *core.Relaxer
 }
 
 // Build generates the synthetic world and runs the offline phase.
@@ -245,9 +256,9 @@ func (s *System) withSecondSource() (*System, error) {
 // and Table 2's six methods. Conversations and stats close over s.
 func (s *System) assemble() {
 	ing, mapper, opts := s.Ingestion, s.Mapper, s.Config.Relax
+	s.shared = sync.OnceValues(s.deriveDialogue)
 	s.Engine = engine.New(ing, engine.Config{
-		Relax:  opts,
-		Mapper: mapper,
+		Relax: opts,
 		Conversation: func() (*dialog.Conversation, error) {
 			return s.NewConversation(true)
 		},
@@ -290,14 +301,14 @@ func (s *System) Table1() []eval.MapperScore {
 	return eval.EvaluateMappers(s.Med, mappers)
 }
 
-// qrRelaxer is the relaxer of the Section 6 integrations. The online phase
-// resolves colloquial terms by exact match, then edit distance, then
-// embeddings (Section 3), and repair includes the mapped concept itself
-// when the KB knows it.
-func (s *System) qrRelaxer() *core.Relaxer {
+// deriveDialogue trains the intent classifier and builds the mention extractor
+// and the relaxer of the Section 6 integrations, which maps terms as the
+// snapshot does and includes the mapped concept itself when the KB knows it.
+func (s *System) deriveDialogue() (dialogue, error) {
 	opts := s.Config.Relax
 	opts.IncludeSelf = true
-	return s.Engine.NewRelaxer(match.NewCombined(s.Mappers["EXACT"], s.Mappers["EDIT"], s.Mappers["EMBEDDING"]), opts)
+	classifier, err := dialog.TrainIntentClassifier(dialog.GenerateTrainingExamples(s.Med.Ontology, s.Med.Store, s.Config.Seed+5, 0))
+	return dialogue{classifier, dialog.NewMentionExtractor(s.Med.Store, s.World.Graph.NameKeys()), s.Engine.NewRelaxer(opts)}, err
 }
 
 // FlaggedSet returns the FEC set — the external concepts the KB holds data
@@ -323,16 +334,14 @@ func (s *System) Table2(numQueries, k int) []eval.MethodScore {
 // NewConversation builds a dialogue over the system's KB. withQR toggles
 // query relaxation — the two arms of the paper's user study.
 func (s *System) NewConversation(withQR bool) (*dialog.Conversation, error) {
-	examples := dialog.GenerateTrainingExamples(s.Med.Ontology, s.Med.Store, s.Config.Seed+5, 0)
-	classifier, err := dialog.TrainIntentClassifier(examples)
+	d, err := s.shared()
 	if err != nil {
-		return nil, fmt.Errorf("medrelax: training intent classifier: %w", err)
+		return nil, err
 	}
-	extractor := dialog.NewMentionExtractor(s.Med.Store, s.World.Graph.NameKeys())
 	if !withQR {
-		return dialog.NewConversation(s.Med.Store, s.Med.Ontology, classifier, extractor, nil, nil), nil
+		return dialog.NewConversation(s.Med.Store, s.Med.Ontology, d.classifier, d.extractor, nil, nil), nil
 	}
-	return dialog.NewConversation(s.Med.Store, s.Med.Ontology, classifier, extractor, s.qrRelaxer(), s.Ingestion), nil
+	return dialog.NewConversation(s.Med.Store, s.Med.Ontology, d.classifier, d.extractor, d.relaxer, s.Ingestion), nil
 }
 
 // NewNLQSystem builds the Section 6.2 natural language query pipeline over
@@ -341,7 +350,8 @@ func (s *System) NewNLQSystem(withQR bool) *nlq.System {
 	if !withQR {
 		return nlq.NewSystem(s.Med.Ontology, s.Med.Store, nil, nil)
 	}
-	return nlq.NewSystem(s.Med.Ontology, s.Med.Store, s.qrRelaxer(), s.Ingestion)
+	d, _ := s.shared() // the relaxer is derived even if the classifier fails
+	return nlq.NewSystem(s.Med.Ontology, s.Med.Store, d.relaxer, s.Ingestion)
 }
 
 // NLQExperiment runs the query-answerability comparison on the NLQ
