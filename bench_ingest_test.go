@@ -34,7 +34,7 @@ func benchWorld(tb testing.TB, target int) (*medkb.MED, *eks.Graph, *corpus.Corp
 	if target > 2000 {
 		cpp = 20
 	}
-	w, med, corp, err := medkb.GenerateWorld(42, synthkb.Config{ConditionsPerPair: cpp}, medkb.Config{Drugs: 40}, medkb.CorpusConfig{})
+	w, med, corp, err := medkb.GenerateWorld(42, synthkb.Config{ConditionsPerPair: cpp}, medkb.Config{Drugs: 40})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package medrelax
 
 import (
 	"errors"
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -13,8 +14,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -44,7 +47,7 @@ var keptWithoutCaller = map[string]string{
 func TestEveryFunctionHasACaller(t *testing.T) {
 	unreached := map[string]bool{}
 	var dead []string
-	for _, name := range unreachedFunctions(t, ".") {
+	for _, name := range unreachedFunctions(loadModule(t)) {
 		unreached[name] = true
 		if _, ok := keptWithoutCaller[name]; !ok {
 			dead = append(dead, name)
@@ -66,6 +69,7 @@ type reachPass struct {
 	fset    *token.FileSet
 	module  string
 	dirs    map[string]string // import path -> directory
+	paths   []string          // the module's import paths, sorted
 	checked map[string]*reachPkg
 	std     types.Importer
 }
@@ -108,9 +112,10 @@ func (p *reachPass) check(path string) (*reachPkg, error) {
 		files = append(files, f)
 	}
 	info := &types.Info{
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	conf := types.Config{Importer: p}
 	tp, err := conf.Check(path, p.fset, files, info)
@@ -122,14 +127,29 @@ func (p *reachPass) check(path string) (*reachPkg, error) {
 	return pkg, nil
 }
 
-// unreachedFunctions returns the sorted names (package.Func or
-// package.Recv.Method, the package named by its path inside the module)
-// of every non-test function the walk does not reach.
-func unreachedFunctions(t *testing.T, root string) []string {
+// modulePass is the one type-checked load of the module that the function
+// and the field guards share.
+var (
+	moduleOnce sync.Once
+	modulePass *reachPass
+	moduleErr  error
+)
+
+func loadModule(t *testing.T) *reachPass {
 	t.Helper()
+	moduleOnce.Do(func() { modulePass, moduleErr = checkModule(".", "medrelax") })
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
+	}
+	return modulePass
+}
+
+// checkModule type-checks every non-test package under root, the
+// directory of the module named module.
+func checkModule(root, module string) (*reachPass, error) {
 	p := &reachPass{
 		fset:    token.NewFileSet(),
-		module:  "medrelax",
+		module:  module,
 		dirs:    map[string]string{},
 		checked: map[string]*reachPkg{},
 	}
@@ -155,20 +175,17 @@ func unreachedFunctions(t *testing.T, root string) []string {
 			}
 		}
 		path := p.module
-		if rel := filepath.ToSlash(dir); rel != "." {
-			path += "/" + rel
+		if rel, _ := filepath.Rel(root, dir); rel != "." {
+			path += "/" + filepath.ToSlash(rel)
 		}
 		p.dirs[path] = dir
+		p.paths = append(p.paths, path)
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	var paths []string
-	for path := range p.dirs {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
+	sort.Strings(p.paths)
 
 	// One go list finds the export data of every standard package the
 	// module imports; the gc importer would otherwise run one per package.
@@ -178,7 +195,7 @@ func unreachedFunctions(t *testing.T, root string) []string {
 	}
 	out, err := exec.Command("go", args...).Output()
 	if err != nil {
-		t.Fatalf("go list -export: %v", err)
+		return nil, fmt.Errorf("go list -export: %v", err)
 	}
 	exports := map[string]string{}
 	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
@@ -192,7 +209,29 @@ func unreachedFunctions(t *testing.T, root string) []string {
 		}
 		return os.Open(file)
 	})
+	for _, path := range p.paths {
+		if _, err := p.check(path); err != nil {
+			return nil, fmt.Errorf("type-check %s: %v", path, err)
+		}
+	}
+	return p, nil
+}
 
+// shortName names a package by its path inside the module, without the
+// internal/ prefix: core, serving/metrics, cmd/medrelax.
+func (p *reachPass) shortName(path string) string {
+	short := strings.TrimPrefix(strings.TrimPrefix(path, p.module), "/")
+	short = strings.TrimPrefix(short, "internal/")
+	if short == "" {
+		short = p.module
+	}
+	return short
+}
+
+// unreachedFunctions returns the sorted names (package.Func or
+// package.Recv.Method, the package named by its path inside the module)
+// of every non-test function the walk does not reach.
+func unreachedFunctions(p *reachPass) []string {
 	// Every method name an interface declares, in the module or in a
 	// standard package it imports directly or transitively.
 	ifaceMethods := map[string]bool{}
@@ -242,16 +281,9 @@ func unreachedFunctions(t *testing.T, root string) []string {
 		return out
 	}
 	var methods []*types.Func
-	for _, path := range paths {
-		pkg, err := p.check(path)
-		if err != nil {
-			t.Fatalf("type-check %s: %v", path, err)
-		}
-		short := strings.TrimPrefix(strings.TrimPrefix(path, p.module), "/")
-		short = strings.TrimPrefix(short, "internal/")
-		if short == "" {
-			short = p.module
-		}
+	for _, path := range p.paths {
+		pkg := p.checked[path]
+		short := p.shortName(path)
 		for _, imp := range pkg.types.Imports() {
 			if _, ok := p.dirs[imp.Path()]; !ok {
 				addStd(imp)
@@ -319,4 +351,408 @@ func unreachedFunctions(t *testing.T, root string) []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// keptWithoutSetter lists the non-test struct fields that no non-test code
+// writes, each with the reason it stays: a paper ablation a benchmark runs,
+// or a size a test shrinks to reach a branch or to run in time.
+var keptWithoutSetter = map[string]string{
+	"core.FrequencyOptions.UseTFIDF":         "the tf-idf ablation BenchmarkAblationTFIDF runs",
+	"core.IngestOptions.DisableShortcuts":    "the shortcut-edge ablation BenchmarkAblationShortcutEdges runs",
+	"core.MaterializeOptions.MaxPerQuery":    "tests cap entries at 1 or lift the cap (-1) to reach the truncated and complete branches on small worlds",
+	"core.CandidateIndexOptions.MaxPostings": "tests cap postings at 2 or 8 to reach the skip branch on small worlds",
+	"core.WeightExample.Path":                "LearnPathWeights' training pair, a capability README documents",
+	"core.WeightExample.Relevant":            "LearnPathWeights' training label, a capability README documents",
+	"embedding.Config.Dim":                   "tests train small models in time",
+	"embedding.Config.Window":                "tests train small models in time",
+	"embedding.Config.MinCount":              "tests train small models and reach Train's empty-vocabulary error",
+	"embedding.Config.Iterations":            "tests train small models in time",
+	"eval.NLQConfig.Questions":               "tests shrink the NLQ workload to run in time",
+	"eval.StudyConfig.Participants":          "tests shrink the Table 3 panel to run in time",
+	"eval.StudyConfig.T1Questions":           "tests shrink the Table 3 workload to run in time",
+	"eval.StudyConfig.T2Questions":           "tests shrink the Table 3 workload to run in time",
+}
+
+// TestEveryFieldHasASetter fails on a field of a struct declared outside
+// tests and bench/ that no non-test code writes: such a field's zero value
+// or default fill is the only value that ever runs. A write is a key of a
+// composite literal or a positional literal; the target of an assignment,
+// op-assignment, ++/-- or range, and every field selected on the path to it; an
+// operand of &, or the receiver of a pointer-method call; or a field of a
+// type passed by pointer to a JSON Unmarshal or Decode. A default fill, an
+// assignment inside `if x.F == zero` or `if x.F <= zero` whose right side is
+// a constant or the same field of a Default…() value, is not a write.
+func TestEveryFieldHasASetter(t *testing.T) {
+	unset := map[string]bool{}
+	var dead []string
+	for _, name := range unsetFields(loadModule(t)) {
+		unset[name] = true
+		if _, ok := keptWithoutSetter[name]; !ok {
+			dead = append(dead, name)
+		}
+	}
+	if len(dead) > 0 {
+		t.Errorf("%d fields are never set outside tests; make each a constant, delete it, or add it to keptWithoutSetter with a reason:\n\t%s",
+			len(dead), strings.Join(dead, "\n\t"))
+	}
+	for name := range keptWithoutSetter {
+		if !unset[name] {
+			t.Errorf("keptWithoutSetter names %s, which is gone or now has a setter; drop the entry", name)
+		}
+	}
+}
+
+// TestFieldSetterRules runs the field guard on a fixture with one field per
+// rule: it must report exactly the fields named Unset….
+func TestFieldSetterRules(t *testing.T) {
+	p, err := checkModule(filepath.Join("testdata", "setters"), "fixture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"fixture.Config.UnsetCopied", "fixture.Config.UnsetFilled", "fixture.Config.UnsetNever"}
+	if got := unsetFields(p); !slices.Equal(got, want) {
+		t.Errorf("unset fields = %v, want %v", got, want)
+	}
+}
+
+// unsetFields returns the sorted names (package.Type.Field, an anonymous
+// struct named by what encloses it) of every field of a struct declared in
+// a non-test file outside bench/ that no non-test code writes.
+func unsetFields(p *reachPass) []string {
+	fields := map[*types.Var]string{}
+	written := map[*types.Var]bool{}
+	for _, path := range p.paths {
+		pkg := p.checked[path]
+		if short := p.shortName(path); short != "bench" && !strings.HasPrefix(short, "bench/") {
+			for _, f := range pkg.files {
+				declaredFields(pkg.info, f, short, fields)
+			}
+		}
+		for _, f := range pkg.files {
+			fieldWrites(pkg.info, f, written)
+		}
+	}
+	// Two identical anonymous struct types declare two sets of fields under
+	// one name; a write to either sets the name.
+	set := map[string]bool{}
+	for v := range written {
+		set[fields[v]] = true
+	}
+	var names []string
+	for _, name := range fields {
+		if !set[name] {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	return slices.Compact(names)
+}
+
+// declaredFields names every struct field declared in f: the enclosing
+// function, type and field names joined by dots.
+func declaredFields(info *types.Info, f *ast.File, short string, fields map[*types.Var]string) {
+	var stack []string
+	var pushed []bool
+	ast.Inspect(f, func(n ast.Node) bool {
+		if n == nil {
+			if pushed[len(pushed)-1] {
+				stack = stack[:len(stack)-1]
+			}
+			pushed = pushed[:len(pushed)-1]
+			return true
+		}
+		name := ""
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			name = n.Name.Name
+			if n.Recv != nil && len(n.Recv.List) == 1 {
+				recv := n.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if idx, ok := recv.(*ast.IndexExpr); ok {
+					recv = idx.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					name = id.Name + "." + name
+				}
+			}
+		case *ast.TypeSpec:
+			name = n.Name.Name
+		case *ast.ValueSpec:
+			if len(n.Names) > 0 {
+				name = n.Names[0].Name
+			}
+		case *ast.StructType:
+			for _, field := range n.Fields.List {
+				idents := field.Names
+				if len(idents) == 0 { // embedded: Defs maps the type's name
+					typ := field.Type
+					if star, ok := typ.(*ast.StarExpr); ok {
+						typ = star.X
+					}
+					if sel, ok := typ.(*ast.SelectorExpr); ok {
+						typ = sel.Sel
+					}
+					if id, ok := typ.(*ast.Ident); ok {
+						idents = []*ast.Ident{id}
+					}
+				}
+				for _, id := range idents {
+					if v, ok := info.Defs[id].(*types.Var); ok && v.IsField() {
+						fields[v] = strings.Join(append([]string{short}, append(stack, id.Name)...), ".")
+					}
+				}
+			}
+		case *ast.Field:
+			if len(n.Names) > 0 {
+				name = n.Names[0].Name
+			}
+		}
+		pushed = append(pushed, name != "")
+		if name != "" {
+			stack = append(stack, name)
+		}
+		return true
+	})
+}
+
+// fieldWrites marks every field that f writes.
+func fieldWrites(info *types.Info, f *ast.File, written map[*types.Var]bool) {
+	mark := func(v *types.Var) { written[v.Origin()] = true }
+	// path marks the fields selected on the way to an assigned or
+	// addressed expression: a.b[i].c writes b and c.
+	var path func(e ast.Expr)
+	path = func(e ast.Expr) {
+		switch e := e.(type) {
+		case *ast.ParenExpr:
+			path(e.X)
+		case *ast.StarExpr:
+			path(e.X)
+		case *ast.IndexExpr:
+			path(e.X)
+		case *ast.IndexListExpr:
+			path(e.X)
+		case *ast.SelectorExpr:
+			if sel := info.Selections[e]; sel != nil && sel.Kind() == types.FieldVal {
+				for _, v := range selectedFields(sel) {
+					mark(v)
+				}
+				path(e.X)
+			}
+		}
+	}
+	fills := defaultFills(info, f)
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			typ := info.Types[n].Type
+			if ptr, ok := typ.(*types.Pointer); ok {
+				typ = ptr.Elem()
+			}
+			st, ok := typ.Underlying().(*types.Struct)
+			if !ok {
+				return true
+			}
+			for i, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						if v, ok := info.Uses[id].(*types.Var); ok {
+							mark(v)
+						}
+					}
+				} else if i < st.NumFields() {
+					mark(st.Field(i))
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				if !fills[lhs] {
+					path(lhs)
+				}
+			}
+		case *ast.IncDecStmt:
+			path(n.X)
+		case *ast.RangeStmt:
+			if n.Tok == token.ASSIGN {
+				if n.Key != nil {
+					path(n.Key)
+				}
+				if n.Value != nil {
+					path(n.Value)
+				}
+			}
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				path(n.X)
+			}
+		case *ast.SelectorExpr:
+			sel := info.Selections[n]
+			if sel == nil || sel.Kind() == types.FieldVal {
+				return true
+			}
+			recv := sel.Obj().Type().(*types.Signature).Recv()
+			if recv == nil {
+				return true
+			}
+			if _, ptr := recv.Type().(*types.Pointer); !ptr {
+				return true
+			}
+			// A pointer method takes the address of its receiver: every
+			// embedded field on the way, and the fields selected on the
+			// way to a receiver that is not already a pointer.
+			for _, v := range selectedFields(sel) {
+				mark(v)
+			}
+			if _, ptr := info.Types[n.X].Type.Underlying().(*types.Pointer); !ptr {
+				path(n.X)
+			}
+		case *ast.CallExpr:
+			if isJSONDecode(info, n) {
+				for _, arg := range n.Args {
+					if ptr, ok := info.Types[arg].Type.(*types.Pointer); ok {
+						decodedFields(ptr.Elem(), map[types.Type]bool{}, mark)
+					}
+				}
+			}
+		}
+		return true
+	})
+}
+
+// selectedFields returns the fields a selection passes through: for a field
+// the embedded fields on the way and the field itself, for a method only
+// the embedded fields.
+func selectedFields(sel *types.Selection) []*types.Var {
+	var out []*types.Var
+	typ, index := sel.Recv(), sel.Index()
+	if sel.Kind() != types.FieldVal {
+		index = index[:len(index)-1]
+	}
+	for _, i := range index {
+		if ptr, ok := typ.Underlying().(*types.Pointer); ok {
+			typ = ptr.Elem()
+		}
+		st, ok := typ.Underlying().(*types.Struct)
+		if !ok {
+			break
+		}
+		out = append(out, st.Field(i))
+		typ = st.Field(i).Type()
+	}
+	return out
+}
+
+// defaultFills returns the left sides of f's default fills: an assignment
+// directly inside `if x.F == zero` or `if x.F <= zero` (one operand of a ||
+// chain) that sets the same field to a constant or to the same field of a
+// Default…() value.
+func defaultFills(info *types.Info, f *ast.File) map[ast.Expr]bool {
+	fieldOf := func(e ast.Expr) *types.Var {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+				return s.Obj().(*types.Var)
+			}
+		}
+		return nil
+	}
+	isZero := func(e ast.Expr) bool {
+		tv := info.Types[e]
+		return tv.IsNil() || tv.Value != nil && (tv.Value.String() == "0" || tv.Value.String() == `""` || tv.Value.String() == "false")
+	}
+	fills := map[ast.Expr]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		ifs, ok := n.(*ast.IfStmt)
+		if !ok {
+			return true
+		}
+		tested := map[*types.Var]bool{}
+		var conds func(e ast.Expr)
+		conds = func(e ast.Expr) {
+			bin, ok := ast.Unparen(e).(*ast.BinaryExpr)
+			if !ok {
+				return
+			}
+			switch bin.Op {
+			case token.LOR:
+				conds(bin.X)
+				conds(bin.Y)
+			case token.EQL, token.LEQ:
+				if v := fieldOf(bin.X); v != nil && isZero(bin.Y) {
+					tested[v] = true
+				}
+			}
+		}
+		conds(ifs.Cond)
+		for _, stmt := range ifs.Body.List {
+			as, ok := stmt.(*ast.AssignStmt)
+			if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != len(as.Rhs) {
+				continue
+			}
+			for i, lhs := range as.Lhs {
+				v := fieldOf(lhs)
+				if v == nil || !tested[v] {
+					continue
+				}
+				rhs := as.Rhs[i]
+				if info.Types[rhs].Value != nil || fieldOf(rhs) == v && isDefaultCall(info, ast.Unparen(rhs).(*ast.SelectorExpr).X) {
+					fills[lhs] = true
+				}
+			}
+		}
+		return true
+	})
+	return fills
+}
+
+// isDefaultCall reports whether e calls a function whose name starts with
+// Default.
+func isDefaultCall(info *types.Info, e ast.Expr) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	}
+	fn, ok := info.Uses[id].(*types.Func)
+	return ok && strings.HasPrefix(fn.Name(), "Default")
+}
+
+// isJSONDecode reports whether call is encoding/json's Unmarshal or a
+// Decoder's Decode.
+func isJSONDecode(info *types.Info, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "encoding/json" && (fn.Name() == "Unmarshal" || fn.Name() == "Decode")
+}
+
+// decodedFields marks every field a JSON decode into typ can write.
+func decodedFields(typ types.Type, seen map[types.Type]bool, mark func(*types.Var)) {
+	if seen[typ] {
+		return
+	}
+	seen[typ] = true
+	switch u := typ.Underlying().(type) {
+	case *types.Pointer:
+		decodedFields(u.Elem(), seen, mark)
+	case *types.Slice:
+		decodedFields(u.Elem(), seen, mark)
+	case *types.Array:
+		decodedFields(u.Elem(), seen, mark)
+	case *types.Map:
+		decodedFields(u.Elem(), seen, mark)
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			mark(u.Field(i))
+			decodedFields(u.Field(i).Type(), seen, mark)
+		}
+	}
 }

@@ -284,7 +284,7 @@ func (h *harness) bootSingle() error {
 // MaxRadius). So every drill's requests read the store's rankings or score
 // views of the mapping a reload swaps under them.
 func buildIngestion(seed int64) (*core.Ingestion, error) {
-	world, med, corp, err := medkb.GenerateWorld(seed, synthkb.Config{ConditionsPerPair: 2}, medkb.Config{Drugs: 25}, medkb.CorpusConfig{})
+	world, med, corp, err := medkb.GenerateWorld(seed, synthkb.Config{ConditionsPerPair: 2}, medkb.Config{Drugs: 25})
 	if err != nil {
 		return nil, err
 	}

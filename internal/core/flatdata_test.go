@@ -30,7 +30,7 @@ import (
 // second source.
 func paddedIngestion(t *testing.T, seed int64, perPair, drugs int, variant bool, padTo int, opts IngestOptions) *Ingestion {
 	t.Helper()
-	w, med, corp, err := medkb.GenerateWorld(seed, synthkb.Config{ConditionsPerPair: perPair}, medkb.Config{Drugs: drugs}, medkb.CorpusConfig{})
+	w, med, corp, err := medkb.GenerateWorld(seed, synthkb.Config{ConditionsPerPair: perPair}, medkb.Config{Drugs: drugs})
 	if err != nil {
 		t.Fatal(err)
 	}

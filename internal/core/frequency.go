@@ -5,9 +5,10 @@
 // source to a given KB: it enumerates the possible query contexts from the
 // domain ontology, maps KB instances to external concepts, computes
 // per-context concept frequencies from the document corpus (Equations 1–2,
-// tf-idf adjusted), and adds application-specific shortcut edges that bring
-// flagged concepts within a small hop radius while preserving semantic
-// distances.
+// raw mention counts by default; the paper's tf-idf adjustment is the
+// FrequencyOptions.UseTFIDF ablation), and adds application-specific
+// shortcut edges that bring flagged concepts within a small hop radius while
+// preserving semantic distances.
 //
 // The online phase (Algorithm 2, Relaxer) receives a [query term, context]
 // pair, finds the corresponding external concept, gathers flagged concepts

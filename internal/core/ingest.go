@@ -18,10 +18,6 @@ import (
 type IngestOptions struct {
 	// Frequency controls the corpus-derived frequency table.
 	Frequency FrequencyOptions
-	// ShortcutMaxDist caps the original distance of shortcut edges added
-	// during customization; 0 means unlimited, exactly as in Algorithm 1.
-	// Large graphs can set a cap to bound edge growth.
-	ShortcutMaxDist int
 	// DisableShortcuts skips the external-knowledge-source customization
 	// entirely (ablation: BenchmarkAblationShortcutEdges).
 	DisableShortcuts bool
@@ -175,7 +171,7 @@ func Ingest(o *ontology.Ontology, store *kb.Store, g *eks.Graph, corp *corpus.Co
 		if err != nil {
 			return nil, err
 		}
-		planned := planShortcuts(g, order, ing.IsFlagged, opts.ShortcutMaxDist, workers)
+		planned := planShortcuts(g, order, ing.IsFlagged, workers)
 		for _, e := range planned {
 			if err := g.AddShortcutEdge(e.from, e.to, e.dist); err != nil {
 				return nil, fmt.Errorf("core: customization: %w", err)
@@ -214,12 +210,12 @@ type plannedEdge struct {
 }
 
 // planShortcuts computes the shortcut edges of Algorithm 1 lines 19–23
-// without mutating the graph: per concept, every non-parent ancestor within
-// the distance cap with a flagged endpoint and no existing edge. The
-// per-concept computation (a semantic-metric Dijkstra on the dense index,
-// read as the concept's subsumer vector) runs across workers; results merge
-// into (from, to) order.
-func planShortcuts(g *eks.Graph, order []eks.ConceptID, flagged func(eks.ConceptID) bool, maxDist, workers int) []plannedEdge {
+// without mutating the graph: per concept, every non-parent ancestor at any
+// distance with a flagged endpoint and no existing edge. The per-concept
+// computation (a semantic-metric Dijkstra on the dense index, read as the
+// concept's subsumer vector) runs across workers; results merge into
+// (from, to) order.
+func planShortcuts(g *eks.Graph, order []eks.ConceptID, flagged func(eks.ConceptID) bool, workers int) []plannedEdge {
 	plans := make([][]plannedEdge, len(order))
 	parallelChunks(len(order), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -231,9 +227,6 @@ func planShortcuts(g *eks.Graph, order []eks.ConceptID, flagged func(eks.Concept
 				b, dist := up.At(j)
 				if dist < 2 {
 					continue // a itself and its direct parents stay as they are
-				}
-				if maxDist > 0 && dist > maxDist {
-					continue
 				}
 				if !aFlagged && !flagged(b) {
 					continue

@@ -59,7 +59,7 @@ func TestIngestParallelEquivalenceFixture(t *testing.T) {
 // parallel runs get independent, identical graphs to mutate.
 func bigWorld(t testing.TB, target int) (*medkb.MED, *eks.Graph, *corpus.Corpus) {
 	t.Helper()
-	w, med, corp, err := medkb.GenerateWorld(42, synthkb.Config{ConditionsPerPair: 20}, medkb.Config{Drugs: 40}, medkb.CorpusConfig{})
+	w, med, corp, err := medkb.GenerateWorld(42, synthkb.Config{ConditionsPerPair: 20}, medkb.Config{Drugs: 40})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,21 +101,6 @@ func TestIngestDisableShortcuts(t *testing.T) {
 	}
 }
 
-func TestIngestShortcutMaxDist(t *testing.T) {
-	capped := ingestWorld(t, IngestOptions{ShortcutMaxDist: 2})
-	full := ingestWorld(t, IngestOptions{})
-	if capped.ShortcutsAdded >= full.ShortcutsAdded {
-		t.Errorf("cap must reduce shortcuts: %d vs %d", capped.ShortcutsAdded, full.ShortcutsAdded)
-	}
-	// No shortcut spans more than the cap: headache (5) -> root (1) is 3.
-	if capped.Graph.HasEdge(5, 1) {
-		t.Error("capped ingestion must not add the 3-hop shortcut")
-	}
-	if !capped.Graph.HasEdge(5, 2) {
-		t.Error("capped ingestion must keep the 2-hop shortcut")
-	}
-}
-
 func TestIngestIdempotentOnDoubleCustomization(t *testing.T) {
 	// Running Ingest twice over the same graph must not fail on duplicate
 	// shortcut edges.

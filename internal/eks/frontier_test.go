@@ -119,7 +119,7 @@ func (c *countdownCtx) Err() error {
 }
 
 func TestCancelledWalkReturnsScratch(t *testing.T) {
-	w, med, corp, err := medkb.GenerateWorld(11, synthkb.Config{}, medkb.Config{Drugs: 20}, medkb.CorpusConfig{})
+	w, med, corp, err := medkb.GenerateWorld(11, synthkb.Config{}, medkb.Config{Drugs: 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,7 +173,7 @@ func TestAdoptedGraphMatchesBuiltRandomDAGs(t *testing.T) {
 // the benchmark's padding loop does.
 func ingestWorld(t *testing.T, n int) (g *eks.Graph, padBuilds, ingestBuilds int) {
 	t.Helper()
-	w, med, corp, err := medkb.GenerateWorld(11, synthkb.Config{ConditionsPerPair: 2}, medkb.Config{Drugs: 20}, medkb.CorpusConfig{})
+	w, med, corp, err := medkb.GenerateWorld(11, synthkb.Config{ConditionsPerPair: 2}, medkb.Config{Drugs: 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@ package eks_test
 
 // The skeleton walk against the plain hop walk: on generated worlds shaped
 // like the benchmark's (padded with unflagged leaves, multi-parent variants,
-// chains, a shortcut cap), on a hand-built graph whose down lists are not the
+// chains, no shortcuts), on a hand-built graph whose down lists are not the
 // transpose of its up lists, and on fuzzed small graphs, every level a
 // skeleton's frontier reports must be the reported nodes of the plain walk's
 // level, in its visiting order, and it must enter exactly the nodes that are
@@ -160,7 +160,7 @@ func checkSkeletonWalk(t *testing.T, g *eks.Graph, skel *eks.Skeleton, report []
 // flagged report column.
 func skeletonWorld(t *testing.T, seed int64, padTo int, chains bool, opts core.IngestOptions) (*eks.Graph, []int32) {
 	t.Helper()
-	w, med, _, err := medkb.GenerateWorld(seed, synthkb.Config{}, medkb.Config{Drugs: 20}, medkb.CorpusConfig{})
+	w, med, _, err := medkb.GenerateWorld(seed, synthkb.Config{}, medkb.Config{Drugs: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,10 +227,6 @@ func TestSkeletonWalkMatchesLegacy(t *testing.T) {
 		},
 		"padded w100k recipe": func() world {
 			g, report := skeletonWorld(t, 11, 4000, false, core.IngestOptions{})
-			return world{g, report}
-		},
-		"padded chains, shortcut cap 2": func() world {
-			g, report := skeletonWorld(t, 13, 3000, true, core.IngestOptions{ShortcutMaxDist: 2})
 			return world{g, report}
 		},
 		"padded chains, no shortcuts": func() world {

@@ -234,17 +234,17 @@ func New(ing *core.Ingestion, cfg Config) *Snapshot {
 }
 
 // bundleMapper is every snapshot's query-term mapper, built or loaded, primary
-// or secondary, so a world and the bundle it saves answer alike: exact match,
-// then edit distance, then the lookup service over an ingestion's graph. The
-// term resolver is the one adopted from the bundle's columns when the
-// ingestion carries it, and tokenised here otherwise; the edit matcher shares
-// its key signatures either way.
+// or secondary, so a world and the bundle it saves answer alike: edit distance
+// (which tries the exact key first), then the lookup service over an
+// ingestion's graph. The term resolver is the one adopted from the bundle's
+// columns when the ingestion carries it, and tokenised here otherwise; the
+// edit matcher shares its key signatures either way.
 func bundleMapper(ing *core.Ingestion) (match.Mapper, *match.LookupService) {
 	lookup := ing.Lookup
 	if lookup == nil {
 		lookup = match.NewLookupService(ing.Graph)
 	}
-	return match.NewCombined(match.NewExact(ing.Graph), lookup.Edit(0), lookup), lookup
+	return match.NewCombined(lookup.Edit(0), lookup), lookup
 }
 
 // residency says where the snapshot's columns live: a flat bundle's in a file

@@ -22,23 +22,20 @@ type NLQConfig struct {
 	Seed int64
 	// Questions is the workload size. Default 200.
 	Questions int
-	// ColloquialShare is the fraction of questions phrased with
-	// non-canonical terminology (latent variants, synonyms). Default 0.45.
-	ColloquialShare float64
-	// UnknownShare is the fraction of questions about concepts absent from
-	// the KB entirely, answerable only through relaxation. Default 0.15.
-	UnknownShare float64
 }
+
+const (
+	// colloquialShare is the fraction of questions phrased with
+	// non-canonical terminology (latent variants, synonyms).
+	colloquialShare float64 = 0.45
+	// unknownShare is the fraction of questions about concepts absent from
+	// the KB entirely, answerable only through relaxation.
+	unknownShare float64 = 0.15
+)
 
 func (c NLQConfig) withDefaults() NLQConfig {
 	if c.Questions <= 0 {
 		c.Questions = 200
-	}
-	if c.ColloquialShare <= 0 {
-		c.ColloquialShare = 0.45
-	}
-	if c.UnknownShare <= 0 {
-		c.UnknownShare = 0.15
 	}
 	return c
 }
@@ -107,7 +104,7 @@ func GenerateNLQWorkload(o *Oracle, flagged map[eks.ConceptID]bool, cfg NLQConfi
 	for i := 0; i < cfg.Questions; i++ {
 		r := rng.Float64()
 		switch {
-		case r < cfg.UnknownShare && len(unknown) > 0:
+		case r < unknownShare && len(unknown) > 0:
 			target := unknown[rng.Intn(len(unknown))]
 			c, _ := o.World.Graph.Concept(target)
 			out = append(out, NLQQuestion{
@@ -115,7 +112,7 @@ func GenerateNLQWorkload(o *Oracle, flagged map[eks.ConceptID]bool, cfg NLQConfi
 				Target: target,
 				Kind:   "unknown-concept",
 			})
-		case r < cfg.UnknownShare+cfg.ColloquialShare:
+		case r < unknownShare+colloquialShare:
 			target := treated[rng.Intn(len(treated))]
 			c, _ := o.World.Graph.Concept(target)
 			term := c.Name

@@ -20,13 +20,16 @@ type StudyConfig struct {
 	T1Questions int
 	// T2Questions per participant, free choice; the paper used 10.
 	T2Questions int
-	// MaxAttempts is the initial ask plus rephrases; the paper allowed 5.
-	MaxAttempts int
-	// UnanswerableProb is the chance a T2 question targets a concept with
+}
+
+const (
+	// maxAttempts is the initial ask plus rephrases; the paper allowed 5.
+	maxAttempts = 5
+	// unanswerableProb is the chance a T2 question targets a concept with
 	// no KB answer or whose expected answer is missing; the paper observed
 	// 9 unanswerable questions plus 7 missing-answer incidents out of 200.
-	UnanswerableProb float64
-}
+	unanswerableProb float64 = 0.09
+)
 
 func (c StudyConfig) withDefaults() StudyConfig {
 	if c.Participants <= 0 {
@@ -37,12 +40,6 @@ func (c StudyConfig) withDefaults() StudyConfig {
 	}
 	if c.T2Questions <= 0 {
 		c.T2Questions = 10
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 5
-	}
-	if c.UnanswerableProb <= 0 {
-		c.UnanswerableProb = 0.09
 	}
 	return c
 }
@@ -142,7 +139,7 @@ func RunUserStudy(env StudyEnvironment, cfg StudyConfig) StudyResult {
 		for q := 0; q < cfg.T2Questions; q++ {
 			var target eks.ConceptID
 			answerableTarget := true
-			if len(unanswerable) > 0 && rng.Float64() < cfg.UnanswerableProb {
+			if len(unanswerable) > 0 && rng.Float64() < unanswerableProb {
 				target = unanswerable[rng.Intn(len(unanswerable))]
 				answerableTarget = false
 			} else {
@@ -215,7 +212,6 @@ func gradeQuestion(env StudyEnvironment, conv *dialog.Conversation, rng *rand.Ra
 	ctx := questionContext(env, target)
 	failures := 0
 	overwhelmed := false
-	const maxAttempts = 5
 	success := false
 	// A share of participants only knows the condition colloquially and
 	// cannot rephrase into the KB's terminology no matter how often the

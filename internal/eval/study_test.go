@@ -17,7 +17,7 @@ func buildStudyEnv(t *testing.T) (StudyEnvironment, *core.Ingestion, *core.Relax
 	t.Helper()
 	w, med, o := buildOracleWorld(t)
 	corp := medkb.BuildCorpus(w, med, medkb.CorpusConfig{Seed: 21})
-	mapper := match.NewCombined(match.NewExact(w.Graph), match.NewEdit(w.Graph, 0))
+	mapper := match.NewEdit(w.Graph, 0)
 	ing, err := core.Ingest(med.Ontology, med.Store, w.Graph, corp, mapper, core.IngestOptions{})
 	if err != nil {
 		t.Fatal(err)

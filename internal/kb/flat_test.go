@@ -24,7 +24,7 @@ import (
 // world generates a MED store over a seeded synthkb world.
 func world(t *testing.T, seed int64, conditionsPerPair, drugs int) (*synthkb.World, *medkb.MED) {
 	t.Helper()
-	w, med, _, err := medkb.GenerateWorld(seed, synthkb.Config{ConditionsPerPair: conditionsPerPair}, medkb.Config{Drugs: drugs}, medkb.CorpusConfig{})
+	w, med, _, err := medkb.GenerateWorld(seed, synthkb.Config{ConditionsPerPair: conditionsPerPair}, medkb.Config{Drugs: drugs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 func TestCombinedConcurrentMap(t *testing.T) {
 	g := lexGraph(t)
 	enc := trainEncoder(t, g)
-	m := NewCombined(NewExact(g), NewEdit(g, 0), NewEmbedding(g, enc, 0), NewLookupService(g))
+	m := NewCombined(NewEdit(g, 0), NewEmbedding(g, enc, 0), NewLookupService(g))
 
 	// Query mix: exact hits, synonym hits, typos (edit path), phrases
 	// (embedding/lookup path), and misses.

@@ -216,8 +216,9 @@ func (m *Embedding) Map(name string) (eks.ConceptID, bool) {
 // Combined tries a sequence of mappers in order and returns the first
 // match. The paper's online phase resolves a query term whose name "either
 // matches with the exact query term, or is very similar in terms of either
-// edit distance or word embeddings" — i.e. exact, then EDIT, then
-// EMBEDDING, which is the composition NewCombined(exact, edit, embedding).
+// edit distance or word embeddings". EDIT and EMBEDDING each try the exact
+// key first, so an exact stage placed before either only repeats the hash
+// lookup on every term it misses: the chain is NewCombined(edit, embedding).
 type Combined struct {
 	mappers []Mapper
 }

@@ -235,7 +235,7 @@ func TestMapperInterfaceCompliance(t *testing.T) {
 func TestCombined(t *testing.T) {
 	g := lexGraph(t)
 	enc := trainEncoder(t, g)
-	m := NewCombined(NewExact(g), NewEdit(g, 2), NewEmbedding(g, enc, 0.5))
+	m := NewCombined(NewEdit(g, 2), NewEmbedding(g, enc, 0.5))
 	if m.Name() != "COMBINED" {
 		t.Error("name")
 	}

@@ -14,30 +14,19 @@ import (
 type CorpusConfig struct {
 	// Seed drives all randomness.
 	Seed int64
-	// MentionScale multiplies per-finding mention counts. Default 12.
-	MentionScale float64
-	// LatentMentionProb is the probability a mention uses a latent surface
-	// variant instead of the preferred name — this is what lets the
-	// embedding model learn that "renal disease" means "kidney disease".
-	// Default 0.2.
-	LatentMentionProb float64
-	// SynonymMentionProb is the probability a mention uses a registered
-	// synonym. Default 0.15.
-	SynonymMentionProb float64
 }
 
-func (c CorpusConfig) withDefaults() CorpusConfig {
-	if c.MentionScale <= 0 {
-		c.MentionScale = 12
-	}
-	if c.LatentMentionProb <= 0 {
-		c.LatentMentionProb = 0.2
-	}
-	if c.SynonymMentionProb <= 0 {
-		c.SynonymMentionProb = 0.15
-	}
-	return c
-}
+const (
+	// mentionScale multiplies per-finding mention counts.
+	mentionScale float64 = 12
+	// latentMentionProb is the probability a mention uses a latent surface
+	// variant instead of the preferred name — this is what lets the
+	// embedding model learn that "renal disease" means "kidney disease".
+	latentMentionProb float64 = 0.2
+	// synonymMentionProb is the probability a mention uses a registered
+	// synonym.
+	synonymMentionProb float64 = 0.15
+)
 
 var indicationTemplates = []string{
 	"%s is indicated for the treatment of %s in adult patients.",
@@ -71,7 +60,6 @@ var generalBoilerplate = []string{
 // notes ("asthma is mentioned in 54 drug descriptions ... lung cancer has
 // only a handful").
 func BuildCorpus(world *synthkb.World, med *MED, cfg CorpusConfig) *corpus.Corpus {
-	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var docs []corpus.Document
 	drugIDs := med.Store.InstancesOf(ConceptDrug)
@@ -85,9 +73,9 @@ func BuildCorpus(world *synthkb.World, med *MED, cfg CorpusConfig) *corpus.Corpu
 				if !ok {
 					continue
 				}
-				mentions := mentionCount(rng, med.Popularity[cid], cfg.MentionScale)
+				mentions := mentionCount(rng, med.Popularity[cid], mentionScale)
 				for m := 0; m < mentions; m++ {
-					surface := surfaceForm(rng, world, cid, cfg)
+					surface := surfaceForm(rng, world, cid)
 					tmpl := indicationTemplates[rng.Intn(len(indicationTemplates))]
 					indSentences = append(indSentences, fmt.Sprintf(tmpl, drug.Name, systemHint(rng, world, cid, surface)))
 				}
@@ -107,13 +95,13 @@ func BuildCorpus(world *synthkb.World, med *MED, cfg CorpusConfig) *corpus.Corpu
 				// blind frequency ranking finds these attractive; only the
 				// per-context frequencies can tell they never appear as
 				// indications.
-				scale := 1.5 * cfg.MentionScale
+				scale := 1.5 * mentionScale
 				if !med.Treated[cid] {
 					scale *= 3
 				}
 				mentions := 1 + mentionCount(rng, med.Popularity[cid], scale)
 				for m := 0; m < mentions; m++ {
-					surface := surfaceForm(rng, world, cid, cfg)
+					surface := surfaceForm(rng, world, cid)
 					tmpl := riskTemplates[rng.Intn(len(riskTemplates))]
 					riskSentences = append(riskSentences, fmt.Sprintf(tmpl, systemHint(rng, world, cid, surface), drug.Name))
 				}
@@ -169,13 +157,13 @@ func systemHint(rng *rand.Rand, world *synthkb.World, cid eks.ConceptID, surface
 // surfaceForm picks how a concept is mentioned: preferred name, registered
 // synonym, or latent variant. Using the paraphrase lexicon in running text
 // also exposes those substitutions to the embedding model.
-func surfaceForm(rng *rand.Rand, world *synthkb.World, cid eks.ConceptID, cfg CorpusConfig) string {
+func surfaceForm(rng *rand.Rand, world *synthkb.World, cid eks.ConceptID) string {
 	c, _ := world.Graph.Concept(cid)
 	r := rng.Float64()
-	if latent := world.Latent[cid]; len(latent) > 0 && r < cfg.LatentMentionProb {
+	if latent := world.Latent[cid]; len(latent) > 0 && r < latentMentionProb {
 		return latent[rng.Intn(len(latent))]
 	}
-	if len(c.Synonyms) > 0 && r < cfg.LatentMentionProb+cfg.SynonymMentionProb {
+	if len(c.Synonyms) > 0 && r < latentMentionProb+synonymMentionProb {
 		return c.Synonyms[rng.Intn(len(c.Synonyms))]
 	}
 	if alt, ok := paraphraseByLexicon(c.Name); ok && rng.Float64() < 0.12 {

@@ -58,52 +58,33 @@ type Config struct {
 	Seed int64
 	// Drugs is the number of drug monograph entries. Default 220.
 	Drugs int
-	// FindingCoverage is the fraction of the world's finding concepts that
-	// get a KB instance. Default 0.55.
-	FindingCoverage float64
-	// Variation class probabilities; they must sum to <= 1 with the
-	// remainder going to ClassExact. Defaults reproduce the Table 1 bands:
-	// typo 0.05, paraphrase 0.09, novel 0.03 (=> exact 0.83).
-	TypoProb, ParaphraseProb, NovelProb float64
-	// IndicationsPerDrug and RisksPerDrug bound the per-drug finding links.
-	IndicationsPerDrug, RisksPerDrug int
-	// TreatedShare and CausedShare are the target fractions of covered
+}
+
+const (
+	// findingCoverage is the fraction of the world's finding concepts that
+	// get a KB instance.
+	findingCoverage float64 = 0.55
+	// Variation class probabilities, the remainder going to ClassExact.
+	// They reproduce the Table 1 bands (=> exact 0.83).
+	typoProb       float64 = 0.05
+	paraphraseProb float64 = 0.09
+	novelProb      float64 = 0.03
+	// indicationsPerDrug and risksPerDrug bound the per-drug finding links.
+	indicationsPerDrug = 5
+	risksPerDrug       = 4
+	// treatedShare and causedShare are the target fractions of covered
 	// findings that end up with indication/risk data: after the per-drug
 	// sampling, findings still lacking data are attached to random drugs
-	// until the shares are met. Defaults 0.75 and 0.75. The gap between
-	// these shares and 1.0 is what context-aware ranking exploits: a
-	// relaxation into a finding no drug treats cannot answer a treatment
-	// query.
-	TreatedShare, CausedShare float64
-}
+	// until the shares are met. The gap between these shares and 1.0 is
+	// what context-aware ranking exploits: a relaxation into a finding no
+	// drug treats cannot answer a treatment query.
+	treatedShare float64 = 0.75
+	causedShare  float64 = 0.75
+)
 
 func (c Config) withDefaults() Config {
 	if c.Drugs <= 0 {
 		c.Drugs = 220
-	}
-	if c.FindingCoverage <= 0 {
-		c.FindingCoverage = 0.55
-	}
-	if c.TypoProb <= 0 {
-		c.TypoProb = 0.05
-	}
-	if c.ParaphraseProb <= 0 {
-		c.ParaphraseProb = 0.09
-	}
-	if c.NovelProb <= 0 {
-		c.NovelProb = 0.03
-	}
-	if c.IndicationsPerDrug <= 0 {
-		c.IndicationsPerDrug = 5
-	}
-	if c.RisksPerDrug <= 0 {
-		c.RisksPerDrug = 4
-	}
-	if c.TreatedShare <= 0 {
-		c.TreatedShare = 0.75
-	}
-	if c.CausedShare <= 0 {
-		c.CausedShare = 0.75
 	}
 	return c
 }
@@ -134,13 +115,13 @@ type MED struct {
 
 // GenerateWorld generates a whole synthetic world from one seed: the
 // external knowledge source, the MED over it, and its monograph corpus. A
-// stage config whose Seed is zero gets seed, seed+1 and seed+2 respectively;
-// an explicit stage seed wins. Every call returns fresh values: ingestion
-// customizes the world's graph in place, so two ingestions need two calls.
-func GenerateWorld(seed int64, source synthkb.Config, cfg Config, corpusCfg CorpusConfig) (*synthkb.World, *MED, *corpus.Corpus, error) {
+// stage config whose Seed is zero gets seed and seed+1 respectively (an
+// explicit stage seed wins); the corpus is seeded seed+2. Every call returns
+// fresh values: ingestion customizes the world's graph in place, so two
+// ingestions need two calls.
+func GenerateWorld(seed int64, source synthkb.Config, cfg Config) (*synthkb.World, *MED, *corpus.Corpus, error) {
 	source.Seed = cmp.Or(source.Seed, seed)
 	cfg.Seed = cmp.Or(cfg.Seed, seed+1)
-	corpusCfg.Seed = cmp.Or(corpusCfg.Seed, seed+2)
 	world, err := synthkb.Generate(source)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("medkb: generating external knowledge source: %w", err)
@@ -149,7 +130,7 @@ func GenerateWorld(seed int64, source synthkb.Config, cfg Config, corpusCfg Corp
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("medkb: generating MED: %w", err)
 	}
-	return world, med, BuildCorpus(world, med, corpusCfg), nil
+	return world, med, BuildCorpus(world, med, CorpusConfig{Seed: seed + 2}), nil
 }
 
 // Generate builds a MED over a synthkb world.
@@ -173,7 +154,7 @@ func Generate(world *synthkb.World, cfg Config) (*MED, error) {
 	}
 
 	// 1. Choose covered findings and assign Zipf popularity.
-	covered := sampleFindings(rng, world.Findings, cfg.FindingCoverage)
+	covered := sampleFindings(rng, world.Findings, findingCoverage)
 	for rank, id := range covered {
 		med.Popularity[id] = 1 / math.Pow(float64(rank+1), 0.7)
 	}
@@ -191,7 +172,7 @@ func Generate(world *synthkb.World, cfg Config) (*MED, error) {
 	// 2. Finding instances with variation-classed names.
 	for _, cid := range covered {
 		concept, _ := world.Graph.Concept(cid)
-		name, class := varyName(rng, cfg, world, cid, concept)
+		name, class := varyName(rng, world, cid, concept)
 		iid, err := newInstance(ConceptFinding, name)
 		if err != nil {
 			return nil, err
@@ -215,7 +196,7 @@ func Generate(world *synthkb.World, cfg Config) (*MED, error) {
 		}
 		drugIDs = append(drugIDs, drugID)
 		systems := pickSystems(rng, world, covered)
-		indications := samplePopular(rng, popList, med.Popularity, cfg.IndicationsPerDrug, func(id eks.ConceptID) bool {
+		indications := samplePopular(rng, popList, med.Popularity, indicationsPerDrug, func(id eks.ConceptID) bool {
 			return systems[world.Attrs[id].System]
 		})
 		for _, find := range indications {
@@ -231,7 +212,7 @@ func Generate(world *synthkb.World, cfg Config) (*MED, error) {
 			}
 			med.Treated[find] = true
 		}
-		risks := samplePopular(rng, popList, med.Popularity, cfg.RisksPerDrug, func(id eks.ConceptID) bool {
+		risks := samplePopular(rng, popList, med.Popularity, risksPerDrug, func(id eks.ConceptID) bool {
 			// Adverse effects cluster by the drug's systems too; keeping the
 			// monograph anatomically coherent is also what real compendia
 			// look like.
@@ -290,12 +271,12 @@ func Generate(world *synthkb.World, cfg Config) (*MED, error) {
 		return nil
 	}
 	for _, find := range covered {
-		if !med.Treated[find] && rng.Float64() < cfg.TreatedShare {
+		if !med.Treated[find] && rng.Float64() < treatedShare {
 			if err := attach(find, true); err != nil {
 				return nil, err
 			}
 		}
-		if !med.Caused[find] && rng.Float64() < cfg.CausedShare {
+		if !med.Caused[find] && rng.Float64() < causedShare {
 			if err := attach(find, false); err != nil {
 				return nil, err
 			}
@@ -333,12 +314,12 @@ func sampleFindings(rng *rand.Rand, findings []eks.ConceptID, coverage float64) 
 // varyName produces the instance's surface name and its variation class.
 // Classes that cannot apply (no latent variant for paraphrase) degrade to
 // exact, keeping the generator total and the class labels truthful.
-func varyName(rng *rand.Rand, cfg Config, world *synthkb.World, cid eks.ConceptID, concept eks.Concept) (string, VariationClass) {
+func varyName(rng *rand.Rand, world *synthkb.World, cid eks.ConceptID, concept eks.Concept) (string, VariationClass) {
 	r := rng.Float64()
 	switch {
-	case r < cfg.NovelProb:
+	case r < novelProb:
 		return novelName(concept.Name), ClassNovel
-	case r < cfg.NovelProb+cfg.ParaphraseProb:
+	case r < novelProb+paraphraseProb:
 		if variants := world.Latent[cid]; len(variants) > 0 {
 			return variants[rng.Intn(len(variants))], ClassParaphrase
 		}
@@ -346,7 +327,7 @@ func varyName(rng *rand.Rand, cfg Config, world *synthkb.World, cid eks.ConceptI
 			return alt, ClassParaphrase
 		}
 		return concept.Name, ClassExact
-	case r < cfg.NovelProb+cfg.ParaphraseProb+cfg.TypoProb:
+	case r < novelProb+paraphraseProb+typoProb:
 		if typo, ok := introduceTypo(rng, concept.Name); ok {
 			return typo, ClassTypo
 		}

@@ -106,7 +106,7 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestVariationClassDistribution(t *testing.T) {
 	w := world(t)
-	med, err := Generate(w, Config{Seed: 2, Drugs: 10, FindingCoverage: 0.9})
+	med, err := Generate(w, Config{Seed: 2, Drugs: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestVariationClassDistribution(t *testing.T) {
 
 func TestVariationClassesMatchable(t *testing.T) {
 	w := world(t)
-	med, err := Generate(w, Config{Seed: 2, Drugs: 10, FindingCoverage: 0.9})
+	med, err := Generate(w, Config{Seed: 2, Drugs: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,29 +226,32 @@ func TestBuildCorpusDeterministic(t *testing.T) {
 	}
 }
 
-// TestGenerateWorldSeeds: zero stage seeds are seed, seed+1 and seed+2; an
-// explicit stage seed wins.
+// TestGenerateWorldSeeds: zero stage seeds are seed and seed+1, the corpus
+// is seeded seed+2, and an explicit stage seed wins.
 func TestGenerateWorldSeeds(t *testing.T) {
 	type columns struct {
 		graph  eks.FlatGraphData
 		store  kb.FlatStoreData
 		corpus [][]string
 	}
-	gen := func(source, med, corp int64) columns {
+	gen := func(source, med int64) columns {
 		t.Helper()
-		w, m, c, err := GenerateWorld(11, synthkb.Config{Seed: source}, Config{Seed: med, Drugs: 20}, CorpusConfig{Seed: corp})
+		w, m, c, err := GenerateWorld(11, synthkb.Config{Seed: source}, Config{Seed: med, Drugs: 20})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if want := BuildCorpus(w, m, CorpusConfig{Seed: 13}).TokenStreams(); !reflect.DeepEqual(c.TokenStreams(), want) {
+			t.Error("the corpus is not seeded seed+2")
+		}
 		return columns{w.Graph.FlatData(), m.Store.FlatData(), c.TokenStreams()}
 	}
-	derived := gen(0, 0, 0)
-	if !reflect.DeepEqual(derived, gen(11, 12, 13)) {
-		t.Error("zero stage seeds do not derive seed, seed+1, seed+2")
+	derived := gen(0, 0)
+	if !reflect.DeepEqual(derived, gen(11, 12)) {
+		t.Error("zero stage seeds do not derive seed, seed+1")
 	}
-	explicit := gen(0, 40, 0)
-	if !reflect.DeepEqual(explicit, gen(11, 40, 13)) {
-		t.Error("an explicit MED seed with zero source and corpus seeds is not the triple (11, 40, 13)")
+	explicit := gen(0, 40)
+	if !reflect.DeepEqual(explicit, gen(11, 40)) {
+		t.Error("an explicit MED seed with a zero source seed is not the pair (11, 40)")
 	}
 	if reflect.DeepEqual(explicit.store, derived.store) {
 		t.Error("the explicit MED seed was ignored")
@@ -258,11 +261,11 @@ func TestGenerateWorldSeeds(t *testing.T) {
 // TestGenerateWorldIsFresh: ingestion customizes a graph in place, so two
 // calls must not share one.
 func TestGenerateWorldIsFresh(t *testing.T) {
-	a, _, _, err := GenerateWorld(11, synthkb.Config{}, Config{Drugs: 20}, CorpusConfig{})
+	a, _, _, err := GenerateWorld(11, synthkb.Config{}, Config{Drugs: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, _, err := GenerateWorld(11, synthkb.Config{}, Config{Drugs: 20}, CorpusConfig{})
+	b, _, _, err := GenerateWorld(11, synthkb.Config{}, Config{Drugs: 20})
 	if err != nil {
 		t.Fatal(err)
 	}

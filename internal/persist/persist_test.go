@@ -23,7 +23,7 @@ import (
 // world. testing.TB so the fuzz harness can share it.
 func buildIngestion(t testing.TB) *core.Ingestion {
 	t.Helper()
-	world, med, corp, err := medkb.GenerateWorld(31, synthkb.Config{ConditionsPerPair: 2}, medkb.Config{Drugs: 25}, medkb.CorpusConfig{})
+	world, med, corp, err := medkb.GenerateWorld(31, synthkb.Config{ConditionsPerPair: 2}, medkb.Config{Drugs: 25})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ import (
 // harness can share it.
 func buildFederatedIngestion(t testing.TB) *core.Ingestion {
 	t.Helper()
-	world, med, corp, err := medkb.GenerateWorld(31, synthkb.Config{ConditionsPerPair: 2}, medkb.Config{Drugs: 25}, medkb.CorpusConfig{})
+	world, med, corp, err := medkb.GenerateWorld(31, synthkb.Config{ConditionsPerPair: 2}, medkb.Config{Drugs: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func buildFederatedIngestion(t testing.TB) *core.Ingestion {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vmapper := match.NewCombined(match.NewExact(vg), match.NewEdit(vg, 0))
+	vmapper := match.NewEdit(vg, 0)
 	ving, err := core.Ingest(med.Ontology, med.Store, vg, corp, vmapper, core.IngestOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -47,9 +47,6 @@ type Options struct {
 	Retry retry.Policy
 	// ShardTimeout bounds each scatter-gather shard request (default 5s).
 	ShardTimeout time.Duration
-	// Client is the HTTP client for replica traffic (default: pooled
-	// transport with generous idle connections per replica).
-	Client *http.Client
 	// Tracer samples and records distributed traces; nil disables
 	// tracing entirely (the untraced path costs nothing either way).
 	Tracer *trace.Tracer
@@ -105,14 +102,13 @@ func New(opts Options) *Router {
 	if opts.Retry == (retry.Policy{}) {
 		opts.Retry = def.Retry
 	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 64,
-			IdleConnTimeout:     90 * time.Second,
-		}}
-	}
+	// Replica traffic shares one pooled transport with generous idle
+	// connections per replica.
+	client := &http.Client{Transport: &http.Transport{
+		MaxIdleConns:        256,
+		MaxIdleConnsPerHost: 64,
+		IdleConnTimeout:     90 * time.Second,
+	}}
 	reg := metrics.NewRegistry()
 	opts.Tracer.BindMetrics(reg, "kbrouter")
 	rt := &Router{

@@ -31,7 +31,7 @@ func (d *discardWriter) WriteHeader(code int)        { d.status = code }
 // encoding, and Engine.RelaxBatch's cache probe — over a small generated world
 // at DefaultOptions, untraced. CI gates its allocs/op.
 func BenchmarkServeHit(b *testing.B) {
-	w, med, corp, err := medkb.GenerateWorld(7, synthkb.Config{ConditionsPerPair: 2}, medkb.Config{Drugs: 25}, medkb.CorpusConfig{})
+	w, med, corp, err := medkb.GenerateWorld(7, synthkb.Config{ConditionsPerPair: 2}, medkb.Config{Drugs: 25})
 	if err != nil {
 		b.Fatal(err)
 	}

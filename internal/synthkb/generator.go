@@ -37,30 +37,24 @@ type Config struct {
 	// ConditionsPerPair is how many templated base conditions are created
 	// per (system, type) pair, beyond the curated findings. Default 2.
 	ConditionsPerPair int
-	// ModifierProb is the probability that a base condition receives each
-	// severity modifier child. Default 0.75.
-	ModifierProb float64
-	// StageProb is the probability that a chronic condition receives stage
-	// children. Default 0.6.
-	StageProb float64
-	// RegisterSynonymProb is the probability that a generated surface
-	// variant is registered as an official synonym; otherwise it stays
-	// latent (only discoverable through corpus context). Default 0.6.
-	RegisterSynonymProb float64
 }
+
+const (
+	// modifierProb is the probability that a base condition receives each
+	// severity modifier child.
+	modifierProb float64 = 0.75
+	// stageProb is the probability that a chronic condition receives stage
+	// children.
+	stageProb float64 = 0.6
+	// registerSynonymProb is the probability that a generated surface
+	// variant is registered as an official synonym; otherwise it stays
+	// latent (only discoverable through corpus context).
+	registerSynonymProb float64 = 0.6
+)
 
 func (c Config) withDefaults() Config {
 	if c.ConditionsPerPair <= 0 {
 		c.ConditionsPerPair = 2
-	}
-	if c.ModifierProb <= 0 {
-		c.ModifierProb = 0.75
-	}
-	if c.StageProb <= 0 {
-		c.StageProb = 0.6
-	}
-	if c.RegisterSynonymProb <= 0 {
-		c.RegisterSynonymProb = 0.6
 	}
 	return c
 }
@@ -178,14 +172,14 @@ func (b *builder) addConcept(name string, attr Attr, parents []eks.ConceptID) (e
 }
 
 // addSynonymOrLatent attaches a surface variant to a concept: registered as
-// a graph synonym with probability RegisterSynonymProb, kept latent
+// a graph synonym with probability registerSynonymProb, kept latent
 // otherwise.
 func (b *builder) addSynonymOrLatent(id eks.ConceptID, variant string) {
 	key := stringutil.Normalize(variant)
 	if key == "" || b.usedNames[key] {
 		return
 	}
-	if b.rng.Float64() < b.cfg.RegisterSynonymProb {
+	if b.rng.Float64() < registerSynonymProb {
 		b.usedNames[key] = true
 		b.registerSynonym(id, variant)
 	} else {
@@ -337,7 +331,7 @@ func (b *builder) pickOrgans(bs bodySystem, n int) []string {
 // grandchildren under chronic) off a base condition.
 func (b *builder) addModifiedChildren(base eks.ConceptID, baseName string, attr Attr) error {
 	for _, mod := range severityModifiers {
-		if b.rng.Float64() >= b.cfg.ModifierProb {
+		if b.rng.Float64() >= modifierProb {
 			continue
 		}
 		childAttr := attr
@@ -350,7 +344,7 @@ func (b *builder) addModifiedChildren(base eks.ConceptID, baseName string, attr 
 		if id == 0 || mod != "chronic" {
 			continue
 		}
-		if b.rng.Float64() >= b.cfg.StageProb {
+		if b.rng.Float64() >= stageProb {
 			continue
 		}
 		for _, stage := range stageModifiers {

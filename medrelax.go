@@ -54,10 +54,6 @@ type Config struct {
 	Seed int64
 	// EKS configures the synthetic external knowledge source.
 	EKS synthkb.Config
-	// MED configures the synthetic knowledge base.
-	MED medkb.Config
-	// Corpus configures monograph generation.
-	Corpus medkb.CorpusConfig
 	// Embedding configures both embedding models.
 	Embedding embedding.Config
 	// Ingest configures the offline phase.
@@ -147,7 +143,7 @@ func Build(cfg Config) (*System, error) {
 
 	var timings BuildTimings
 	start := time.Now()
-	world, med, corp, err := medkb.GenerateWorld(cfg.Seed, cfg.EKS, cfg.MED, cfg.Corpus)
+	world, med, corp, err := medkb.GenerateWorld(cfg.Seed, cfg.EKS, medkb.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("medrelax: %w", err)
 	}
@@ -230,12 +226,12 @@ func (s *System) withSecondSource() (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("medrelax: generating variant vocabulary: %w", err)
 	}
-	// The variant source maps by surface form only (exact, then edit
-	// distance) — no embeddings: its whole point is to exactly know the
+	// The variant source maps by surface form only (edit distance, which
+	// tries the exact key first) — no embeddings: its whole point is to exactly know the
 	// names the primary does not. Its ingestion runs over the same KB
 	// store, ontology and corpus, so its frequency table speaks the same
 	// contexts. Accelerations stay primary-only.
-	vmapper := match.NewCombined(match.NewExact(vg), match.NewEdit(vg, 0))
+	vmapper := match.NewEdit(vg, 0)
 	ving, err := core.Ingest(s.Med.Ontology, s.Med.Store, vg, s.Corpus, vmapper, core.IngestOptions{Frequency: s.Config.Ingest.Frequency})
 	if err != nil {
 		return nil, fmt.Errorf("medrelax: ingesting variant vocabulary: %w", err)

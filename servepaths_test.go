@@ -55,7 +55,7 @@ func (gw genWorld) ingest(t *testing.T) *core.Ingestion {
 	if ing, ok := ingested[gw]; ok {
 		return ing
 	}
-	w, med, corp, err := medkb.GenerateWorld(gw.seed, synthkb.Config{ConditionsPerPair: gw.conditionsPerPair}, medkb.Config{}, medkb.CorpusConfig{})
+	w, med, corp, err := medkb.GenerateWorld(gw.seed, synthkb.Config{ConditionsPerPair: gw.conditionsPerPair}, medkb.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func (gw genWorld) ingest(t *testing.T) *core.Ingestion {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ving, err := core.Ingest(med.Ontology, med.Store, vg, corp, match.NewCombined(match.NewExact(vg), match.NewEdit(vg, 0)), core.IngestOptions{})
+		ving, err := core.Ingest(med.Ontology, med.Store, vg, corp, match.NewEdit(vg, 0), core.IngestOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
