@@ -115,7 +115,7 @@ func printQueryTermMapping(sys *medrelax.System) {
 	for i, r := range eval.EvaluatePlacements(sys.World.Latent, mappers) {
 		method := r.Method
 		if i == 0 {
-			method = "served (exact, edit, lookup)"
+			method = "served (edit, lookup)"
 		}
 		rows = append(rows, []string{method, fmt.Sprint(r.Right), fmt.Sprint(r.Wrong), fmt.Sprint(r.Unplaced)})
 	}

@@ -4,9 +4,9 @@
 // one stack, or (-router) three stacks behind an in-process kbrouter. It
 // captures golden answers from a stack before any fault, drives concurrent
 // retrying traffic at the topology's front door (GET /relax, every fourth
-// request a three-term POST /relax/batch) while the topology's faults fire,
-// replays the captures once they clear, and asserts the invariants the fault
-// layer promises.
+// request a three-term POST /relax/batch and every sixteenth a POST /chat turn
+// on a fresh session) while the topology's faults fire, replays the captures
+// once they clear, and asserts the invariants the fault layer promises.
 //
 // In both topologies:
 //
@@ -15,11 +15,14 @@
 //     200 body — a GET's, or a batch item's, which lacks only the GET body's
 //     trailing newline — is byte-identical to it: no torn, mixed-generation,
 //     partially-relaxed or divergent answer escapes a reload or a failover
+//   - every /chat reply is byte-identical to its golden capture too: each
+//     generation derives its dialogue afresh, and it answers alike
 //   - no answer carries a status outside 200 and the topology's tolerated
 //     ones, and no request fails in transport
-//   - once faults clear, every term's GET, an explain=true GET and a batch
-//     with a 404 and a 400 item answer their golden bytes again, and the
-//     candidate index served requests of the last generation
+//   - once faults clear, every term's GET, an explain=true GET, a batch
+//     with a 404 and a 400 item and every golden /chat turn answer their
+//     golden bytes again, and the candidate index served requests of the
+//     last generation
 //
 // The stack tolerates 429, 503 and 504 (an injected fault maps to a 503 with
 // Retry-After, a timeout to a 504 — never an opaque 500), and:
@@ -115,8 +118,8 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	log.Printf("chaos: PASS — %d requests (%d batch items), %d retries, %d reloads (%d refused, all expected), %d kills, %d restarts, 0 panics, 0 mismatches",
-		r.Requests, r.BatchItems, r.Retries, r.ReloadsOK+r.ReloadsFailed, r.ReloadsFailed, r.Kills, r.Restarts)
+	log.Printf("chaos: PASS — %d requests (%d batch items, %d chat turns), %d retries, %d reloads (%d refused, all expected), %d kills, %d restarts, 0 panics, 0 mismatches",
+		r.Requests, r.BatchItems, r.ChatTurns, r.Retries, r.ReloadsOK+r.ReloadsFailed, r.ReloadsFailed, r.Kills, r.Restarts)
 }
 
 // phaseReport records one traffic phase's outcome for the run report.
@@ -127,6 +130,7 @@ type phaseReport struct {
 	Faults     string                     `json:"faults,omitempty"`
 	Requests   int64                      `json:"requests"`
 	BatchItems int64                      `json:"batchItems,omitempty"`
+	ChatTurns  int64                      `json:"chatTurns,omitempty"`
 	Retries    int64                      `json:"retries"`
 	ByStatus   map[string]int             `json:"byStatus"`
 	Sites      map[string]fault.SiteStats `json:"sites,omitempty"`
@@ -141,6 +145,7 @@ type report struct {
 	Phases        []phaseReport `json:"phases"`
 	Requests      int64         `json:"requests"`
 	BatchItems    int64         `json:"batchItems"`
+	ChatTurns     int64         `json:"chatTurns"`
 	Retries       int64         `json:"retries"`
 	ReloadsOK     int           `json:"reloadsOk,omitempty"`
 	ReloadsFailed int           `json:"reloadsFailed,omitempty"`
@@ -188,6 +193,10 @@ type harness struct {
 	// One explain=true GET and one POST /relax/batch, captured with the
 	// per-term bodies and replayed by the final checks.
 	batchBody, explainGolden, batchGolden []byte
+	// chats are the /chat turns traffic asks, each on a fresh session, and
+	// chatGolden their replies.
+	chats      []string
+	chatGolden map[string][]byte
 
 	mu          sync.Mutex
 	report      report
@@ -223,6 +232,7 @@ func newHarness(seed int64, phase time.Duration, workers, k int, dir string, rou
 		dir:         dir,
 		client:      &http.Client{Timeout: 10 * time.Second},
 		golden:      map[string][]byte{},
+		chatGolden:  map[string][]byte{},
 		expectedGen: 1,
 	}
 	h.report.Seed = seed
@@ -395,9 +405,10 @@ func (h *harness) stackPhases() {
 }
 
 // captureGolden records, from the direct stack before any fault is armed,
-// the byte-exact answer to every term's GET, to an explain=true GET and to
+// the byte-exact answer to every term's GET, to an explain=true GET, to
 // one batch of every term plus an unknown one (a 404 item) and an
-// out-of-range k (a 400), and holds each to encoding/json.
+// out-of-range k (a 400), and to a /chat question about each of the first
+// three terms, and holds each relax body to encoding/json.
 func (h *harness) captureGolden() error {
 	body, status, err := get(h.client, h.direct+"/terms?n=25")
 	if err != nil || status != http.StatusOK {
@@ -449,8 +460,34 @@ func (h *harness) captureGolden() error {
 	if err := oracleCheck(h.batchGolden, true); err != nil {
 		h.violatef("golden POST /relax/batch: %v", err)
 	}
-	log.Printf("chaos: golden capture: %d terms + explain GET + %d-item batch, held to encoding/json", len(h.terms), len(queries))
+	// A chat capture that understands nothing would hold every later turn to
+	// a refusal, so at least one must answer.
+	answered := false
+	for i, term := range h.terms[:min(3, len(h.terms))] {
+		text := "what drugs treat " + term
+		b, status, err := post(h.client, h.direct+"/chat", chatBody(fmt.Sprintf("golden-%d", i), text))
+		if err != nil || status != http.StatusOK {
+			return fmt.Errorf("golden POST /chat %q: status %d, err %v", text, status, err)
+		}
+		var resp server.ChatResponse
+		if err := json.Unmarshal(b, &resp); err != nil {
+			return fmt.Errorf("golden POST /chat %q: %v", text, err)
+		}
+		answered = answered || (resp.Understood && len(resp.Answers)+len(resp.Suggestions) > 0)
+		h.chats = append(h.chats, text)
+		h.chatGolden[text] = b
+	}
+	if !answered {
+		h.violatef("golden POST /chat: no turn of %q was answered", h.chats)
+	}
+	log.Printf("chaos: golden capture: %d terms + explain GET + %d-item batch, held to encoding/json, + %d chat turns", len(h.terms), len(queries), len(h.chats))
 	return nil
+}
+
+// chatBody is a POST /chat body: one turn on the named session.
+func chatBody(session, text string) []byte {
+	b, _ := json.Marshal(server.ChatRequest{Session: session, Text: text}) // strings always marshal
+	return b
 }
 
 // explainURL is the golden explain=true request: the first term.
@@ -552,10 +589,11 @@ func (h *harness) ask(terms []string, rng *rand.Rand) ([]reply, int, error) {
 // any) beside the traffic until the phase ends and closes its stop channel,
 // and for dur hammers the front door from h.workers goroutines with
 // retry.Policy retries on 429/503: every fourth request is a POST
-// /relax/batch of three golden terms, the rest GET /relax. Every 200 — a GET
-// body, or a batch item with the GET body's trailing newline dropped — must
-// match golden byte-for-byte, and every other answer must carry a tolerated
-// status.
+// /relax/batch of three golden terms, every sixteenth a golden POST /chat turn
+// on a session of its own, the rest GET /relax. Every 200 — a GET body, a
+// batch item with the GET body's trailing newline dropped, or a chat reply —
+// must match golden byte-for-byte, and every other answer must carry a
+// tolerated status.
 func (h *harness) trafficPhase(name, spec string, dur time.Duration, script func(stop <-chan struct{})) {
 	var reg *fault.Registry
 	if spec != "" {
@@ -569,9 +607,9 @@ func (h *harness) trafficPhase(name, spec string, dur time.Duration, script func
 	log.Printf("chaos: phase %s (%s): faults=%q", name, dur, spec)
 
 	var (
-		requests, batchItems, retries atomic.Int64
-		byStatus                      sync.Map // int -> *atomic.Int64
-		wg, scriptWG                  sync.WaitGroup
+		requests, batchItems, chatTurns, retries atomic.Int64
+		byStatus                                 sync.Map // int -> *atomic.Int64
+		wg, scriptWG                             sync.WaitGroup
 	)
 	count := func(status int) {
 		c, _ := byStatus.LoadOrStore(status, new(atomic.Int64))
@@ -589,33 +627,55 @@ func (h *harness) trafficPhase(name, spec string, dur time.Duration, script func
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(h.seed + int64(w)*1009))
 			for i := 1; time.Now().Before(deadline); i++ {
-				terms := []string{h.terms[rng.Intn(len(h.terms))]}
-				if i%4 == 0 {
-					terms = append(terms, h.terms[rng.Intn(len(h.terms))], h.terms[rng.Intn(len(h.terms))])
-					batchItems.Add(int64(len(terms)))
+				// Reply j answers asked[j] and must equal want[j] when it is a 200.
+				var (
+					asked    []string
+					want     [][]byte
+					kind     = "GET"
+					replies  []reply
+					attempts int
+					err      error
+				)
+				if i%16 == 2 {
+					text := h.chats[rng.Intn(len(h.chats))]
+					asked, want, kind = []string{text}, [][]byte{h.chatGolden[text]}, "chat turn"
+					var r reply
+					r.body, r.status, attempts, err = relaxRetry(h.client, http.MethodPost, h.base+"/chat", chatBody(fmt.Sprintf("chaos-%s-%d-%d", name, w, i), text), rng)
+					replies = []reply{r}
+					chatTurns.Add(1)
+				} else {
+					asked = []string{h.terms[rng.Intn(len(h.terms))]}
+					if i%4 == 0 {
+						asked = append(asked, h.terms[rng.Intn(len(h.terms))], h.terms[rng.Intn(len(h.terms))])
+						batchItems.Add(int64(len(asked)))
+						kind = "batch item"
+					}
+					for _, term := range asked {
+						golden := h.golden[term]
+						if len(asked) > 1 {
+							golden = bytes.TrimSuffix(golden, []byte("\n"))
+						}
+						want = append(want, golden)
+					}
+					replies, attempts, err = h.ask(asked, rng)
 				}
-				replies, attempts, err := h.ask(terms, rng)
 				requests.Add(1)
 				retries.Add(int64(attempts - 1))
 				if err != nil {
-					h.violatef("phase %s: transport error for %q: %v", name, terms, err)
+					h.violatef("phase %s: transport error for %q: %v", name, asked, err)
 					continue
 				}
 				for j, r := range replies {
 					count(r.status)
 					switch {
 					case r.status == http.StatusOK:
-						want, kind := h.golden[terms[j]], "GET"
-						if len(terms) > 1 {
-							want, kind = bytes.TrimSuffix(want, []byte("\n")), "batch item"
-						}
-						if !bytes.Equal(r.body, want) {
-							h.mismatchf("phase %s: %s for %q differs from golden", name, kind, terms[j])
+						if !bytes.Equal(r.body, want[j]) {
+							h.mismatchf("phase %s: %s for %q differs from golden", name, kind, asked[j])
 						}
 					case slices.Contains(h.tolerated, r.status):
 						// Retries exhausted under injected faults, or a shed.
 					default:
-						h.violatef("phase %s: unexpected status %d for %q: %s", name, r.status, terms[j], r.body)
+						h.violatef("phase %s: unexpected status %d for %q: %s", name, r.status, asked[j], r.body)
 					}
 				}
 			}
@@ -626,7 +686,7 @@ func (h *harness) trafficPhase(name, spec string, dur time.Duration, script func
 	scriptWG.Wait()
 
 	pr := phaseReport{Name: name, Faults: spec, Requests: requests.Load(), BatchItems: batchItems.Load(),
-		Retries: retries.Load(), ByStatus: map[string]int{}, Sites: reg.Snapshot()}
+		ChatTurns: chatTurns.Load(), Retries: retries.Load(), ByStatus: map[string]int{}, Sites: reg.Snapshot()}
 	byStatus.Range(func(k, v any) bool {
 		pr.ByStatus[strconv.Itoa(k.(int))] = int(v.(*atomic.Int64).Load())
 		return true
@@ -635,9 +695,10 @@ func (h *harness) trafficPhase(name, spec string, dur time.Duration, script func
 	h.report.Phases = append(h.report.Phases, pr)
 	h.report.Requests += pr.Requests
 	h.report.BatchItems += pr.BatchItems
+	h.report.ChatTurns += pr.ChatTurns
 	h.report.Retries += pr.Retries
 	h.mu.Unlock()
-	log.Printf("chaos: phase %s: %d requests (%d batch items), %d retries, statuses %v", name, pr.Requests, pr.BatchItems, pr.Retries, pr.ByStatus)
+	log.Printf("chaos: phase %s: %d requests (%d batch items, %d chat turns), %d retries, statuses %v", name, pr.Requests, pr.BatchItems, pr.ChatTurns, pr.Retries, pr.ByStatus)
 }
 
 // reloadStorm alternates corrupt and good bundle publishes, poking
@@ -798,9 +859,10 @@ func (h *harness) tornWritePhase() {
 }
 
 // finalChecks replays every golden capture at the front door once the
-// faults have cleared — each term's GET, the explain GET and the batch with
-// its 404 and 400 items — counts panics and serve paths, and then makes the
-// topology's own checks.
+// faults have cleared — each term's GET, the explain GET, the batch with
+// its 404 and 400 items and each chat turn on a fresh session, retried
+// past a shed like traffic's — counts
+// panics and serve paths, and then makes the topology's own checks.
 func (h *harness) finalChecks() {
 	for _, term := range h.terms {
 		body, status, err := get(h.client, h.base+relaxPath(term, h.k))
@@ -813,6 +875,13 @@ func (h *harness) finalChecks() {
 	}
 	if body, status, err := post(h.client, h.base+"/relax/batch", h.batchBody); err != nil || status != http.StatusOK || !bytes.Equal(body, h.batchGolden) {
 		h.mismatchf("final: POST /relax/batch: status %d, err %v, or body differs from golden", status, err)
+	}
+	// A chat turn may still meet the rate limit the traffic drained.
+	rng := rand.New(rand.NewSource(h.seed))
+	for i, text := range h.chats {
+		if body, status, _, err := relaxRetry(h.client, http.MethodPost, h.base+"/chat", chatBody(fmt.Sprintf("final-%d", i), text), rng); err != nil || status != http.StatusOK || !bytes.Equal(body, h.chatGolden[text]) {
+			h.mismatchf("final: POST /chat %q: status %d, err %v, or body differs from golden", text, status, err)
+		}
 	}
 
 	h.report.Panics = h.panics.Load()

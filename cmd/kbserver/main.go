@@ -1,9 +1,12 @@
 // Command kbserver exposes the query relaxation system over HTTP with a
 // small JSON API, the way the paper's method was deployed as a cloud
-// service interacting with the conversational frontend. The serving layer
+// service interacting with the conversational frontend. It serves ingestion
+// bundles saved by `medrelax -save`: ingestion runs once, offline, and every
+// server loads its result (the paper's Section 5.1). The serving layer
 // (internal/serving) adds a result cache, admission control, hot bundle
 // reload, and Prometheus-format metrics; the engine layer
-// (internal/engine) supplies the immutable snapshots being served.
+// (internal/engine) supplies the immutable snapshots being served, each of
+// which derives its own /chat dialogue on the first conversation.
 //
 // Endpoints:
 //
@@ -18,7 +21,8 @@
 //	POST /relax/batch {"queries":[...]}     many relax queries in one request
 //	                                        (?explain=true applies to all items)
 //	GET  /terms?n=N                         sample of relaxable query terms
-//	POST /chat {"session":"s1","text":"…"}  stateful conversation turn
+//	POST /chat {"session":"s1","text":"…"}  stateful conversation turn (the
+//	                                        paper's Section 6.1 integration)
 //	GET  /metrics                           Prometheus text exposition (all tenants)
 //	POST /admin/reload                      reload this tenant's bundle and swap atomically
 //
@@ -27,14 +31,14 @@
 // tenant-labelled metrics; route with /t/{name}/... or the
 // X-Medrelax-Tenant header (bare paths hit the first-listed tenant).
 //
-// SIGHUP reloads every reloadable tenant; SIGINT/SIGTERM drain in-flight
-// requests and exit.
+// SIGHUP reloads every tenant from its bundle file; SIGINT/SIGTERM drain
+// in-flight requests and exit.
 //
 // Usage:
 //
-//	kbserver -addr :8080 -seed 42
-//	kbserver -addr :8080 -load bundle.bin
-//	kbserver -addr :8080 -bundle alpha=a.bin -bundle beta=b.bin
+//	medrelax -save bundle.flat
+//	kbserver -addr :8080 -load bundle.flat
+//	kbserver -addr :8080 -bundle alpha=a.flat -bundle beta=b.flat
 package main
 
 import (
@@ -51,7 +55,6 @@ import (
 	"syscall"
 	"time"
 
-	"medrelax"
 	"medrelax/internal/engine"
 	"medrelax/internal/fault"
 	"medrelax/internal/server"
@@ -69,8 +72,7 @@ func main() {
 	var bundles []tenantSpec
 	var (
 		addr = flag.String("addr", ":8080", "listen address")
-		seed = flag.Int64("seed", 42, "generation seed")
-		load = flag.String("load", "", "serve from a saved ingestion bundle instead of rebuilding the world (disables /chat, enables /admin/reload)")
+		load = flag.String("load", "", "serve this saved ingestion bundle (medrelax -save) as the unlabelled tenant \"default\"")
 
 		cacheSize  = flag.Int("cache-size", 16384, "result cache capacity in entries, per tenant (0 disables caching)")
 		cacheTTL   = flag.Duration("cache-ttl", 5*time.Minute, "result cache entry TTL (0: LRU/reload eviction only)")
@@ -111,6 +113,9 @@ func main() {
 	if len(bundles) > 0 && *load != "" {
 		log.Fatal("kbserver: -load and -bundle are mutually exclusive; use -bundle default=path")
 	}
+	if len(bundles) == 0 && *load == "" {
+		log.Fatal("kbserver: nothing to serve; save a bundle with medrelax -save, then pass -load path or -bundle name=path")
+	}
 
 	opts := serving.DefaultOptions()
 	opts.CacheCapacity = *cacheSize
@@ -125,58 +130,40 @@ func main() {
 	// distinguished by the tenant tag on their spans.
 	opts.Tracer = trace.NewTracer("kbserver", *traceEvery, trace.NewRecorder(256, 16))
 
-	// Every deployment shape mounts through the tenant router; the
-	// single-tenant shapes just register one unlabelled tenant, so bare
-	// paths and series names look exactly like they always did.
+	// Every bundle mounts through the tenant router, with its own engine,
+	// cache partition and reload. -load registers one unlabelled tenant, so
+	// bare paths and series names look exactly like they always did; tenants
+	// named by -bundle carry a tenant label on their series, over one shared
+	// metrics registry so a single scrape covers the fleet.
 	tenants := serving.NewTenantServer()
 	labelled := len(bundles) > 0
 	if *load != "" {
 		bundles = []tenantSpec{{name: "default", path: *load}}
 	}
-	if len(bundles) > 0 {
-		// One engine, cache partition and reload per bundle. Tenants named by
-		// -bundle carry a tenant label on their series, over one shared metrics
-		// registry so a single scrape covers the fleet.
-		shared := metrics.NewRegistry()
-		for _, spec := range bundles {
-			if _, dup := tenants.Engine(spec.name); dup {
-				log.Fatalf("kbserver: duplicate tenant %q", spec.name)
-			}
-			snap, err := engine.LoadSnapshot(spec.path)
-			if err != nil {
-				log.Fatalf("kbserver: tenant %q: %v", spec.name, err)
-			}
-			o := opts
-			if labelled {
-				o.Metrics = shared
-				o.Tenant = spec.name
-			}
-			o.Loader = func() (server.Backend, error) {
-				fresh, err := engine.LoadSnapshot(spec.path)
-				if err != nil {
-					return nil, err
-				}
-				return fresh, nil
-			}
-			eng := serving.NewEngine(snap, o)
-			tenants.Add(spec.name, eng, server.New(eng).Handler())
-			log.Printf("kbserver: tenant %q serving %s", spec.name, spec.path)
+	shared := metrics.NewRegistry()
+	for _, spec := range bundles {
+		if _, dup := tenants.Engine(spec.name); dup {
+			log.Fatalf("kbserver: duplicate tenant %q", spec.name)
 		}
-	} else {
-		cfg := medrelax.DefaultConfig()
-		cfg.Seed = *seed
-		log.Print("building synthetic world and running ingestion ...")
-		buildStart := time.Now()
-		sys, err := medrelax.Build(cfg)
+		snap, err := engine.LoadSnapshot(spec.path)
 		if err != nil {
-			log.Fatalf("kbserver: %v", err)
+			log.Fatalf("kbserver: tenant %q: %v", spec.name, err)
 		}
-		tm := sys.Timings
-		log.Printf("world ready in %s (worldgen %s, embeddings %s, ingest %s)",
-			time.Since(buildStart).Round(time.Millisecond), tm.WorldGen.Round(time.Millisecond),
-			tm.Embeddings.Round(time.Millisecond), tm.Ingest.Round(time.Millisecond))
-		eng := serving.NewEngine(sys.Engine, opts)
-		tenants.Add("default", eng, server.New(eng).Handler())
+		o := opts
+		if labelled {
+			o.Metrics = shared
+			o.Tenant = spec.name
+		}
+		o.Loader = func() (server.Backend, error) {
+			fresh, err := engine.LoadSnapshot(spec.path)
+			if err != nil {
+				return nil, err
+			}
+			return fresh, nil
+		}
+		eng := serving.NewEngine(snap, o)
+		tenants.Add(spec.name, eng, server.New(eng).Handler())
+		log.Printf("kbserver: tenant %q serving %s", spec.name, spec.path)
 	}
 
 	// Profiling stays off the API address: pprof binds its own listener,
@@ -206,8 +193,7 @@ func main() {
 		IdleTimeout:       120 * time.Second,
 	}
 
-	// SIGHUP reloads every reloadable tenant in place; SIGINT/SIGTERM
-	// drain and exit.
+	// SIGHUP reloads every tenant in place; SIGINT/SIGTERM drain and exit.
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	go func() {

@@ -29,7 +29,7 @@ func main() {
 		term    = flag.String("term", "", "query term to relax (empty: interactive)")
 		context = flag.String("context", medrelax.ContextIndication, "query context Domain-Relationship-Range (empty: context-free)")
 		k       = flag.Int("k", 10, "number of results")
-		mapper  = flag.String("mapper", "EMBEDDING", "ingestion mapping method (KB instances to concepts): EXACT, EDIT or EMBEDDING; query terms always map by exact, edit, lookup")
+		mapper  = flag.String("mapper", "EMBEDDING", "ingestion mapping method (KB instances to concepts): EXACT, EDIT or EMBEDDING; query terms always map by edit distance, then lookup")
 		quiet   = flag.Bool("quiet", false, "suppress build progress output")
 		save    = flag.String("save", "", "after building, save the ingestion bundle (flat, served zero-copy) to this file")
 

@@ -68,17 +68,6 @@ func (c *Corpus) TokenStreams() [][]string {
 	return out
 }
 
-// TokenCount returns the total number of tokens in the corpus.
-func (c *Corpus) TokenCount() int {
-	n := 0
-	for _, doc := range c.tokenized {
-		for _, sec := range doc {
-			n += len(sec)
-		}
-	}
-	return n
-}
-
 // TermStats aggregates the occurrence statistics of one phrase.
 type TermStats struct {
 	// TF maps a section label to the number of occurrences of the phrase

@@ -33,16 +33,14 @@ type Response struct {
 	UsedRelaxation bool
 }
 
-// Conversation is a stateful dialogue over the medical KB. A nil Relaxer
-// disables query relaxation, which is the "without QR" arm of the paper's
-// user study.
+// Conversation is a stateful dialogue over the medical KB an ingestion
+// serves. A nil Relaxer disables query relaxation, which is the "without QR"
+// arm of the paper's user study.
 type Conversation struct {
-	store      *kb.Store
-	onto       *ontology.Ontology
+	ing        *core.Ingestion
 	classifier *IntentClassifier
 	extractor  *MentionExtractor
 	relaxer    *core.Relaxer
-	ing        *core.Ingestion
 	topK       int
 
 	lastCtx *ontology.Context
@@ -54,16 +52,14 @@ type pendingSuggestion struct {
 	instances []kb.InstanceID
 }
 
-// NewConversation assembles a dialogue. relaxer and ing may both be nil to
-// run without query relaxation.
-func NewConversation(store *kb.Store, onto *ontology.Ontology, classifier *IntentClassifier, extractor *MentionExtractor, relaxer *core.Relaxer, ing *core.Ingestion) *Conversation {
+// NewConversation assembles a dialogue over ing's store and ontology. relaxer
+// may be nil to run without query relaxation.
+func NewConversation(ing *core.Ingestion, classifier *IntentClassifier, extractor *MentionExtractor, relaxer *core.Relaxer) *Conversation {
 	return &Conversation{
-		store:      store,
-		onto:       onto,
+		ing:        ing,
 		classifier: classifier,
 		extractor:  extractor,
 		relaxer:    relaxer,
-		ing:        ing,
 		topK:       7,
 	}
 }
@@ -122,7 +118,7 @@ func (c *Conversation) Ask(text string) Response {
 func (c *Conversation) mentionConcepts(m Mention) map[string]bool {
 	out := map[string]bool{}
 	for _, id := range m.Instances {
-		if inst, ok := c.store.Instance(id); ok {
+		if inst, ok := c.ing.Store.Instance(id); ok {
 			out[inst.Concept] = true
 		}
 	}
@@ -136,7 +132,7 @@ func (c *Conversation) mentionConcepts(m Mention) map[string]bool {
 // context's range.
 func (c *Conversation) compatibleRange(ctx ontology.Context, types map[string]bool) bool {
 	for t := range types {
-		if c.onto.IsSubConceptOf(t, ctx.Range) {
+		if c.ing.Ontology.IsSubConceptOf(t, ctx.Range) {
 			return true
 		}
 	}
@@ -201,7 +197,7 @@ func (c *Conversation) answerKnown(ctx ontology.Context, m Mention) Response {
 	} else {
 		resp.Text = fmt.Sprintf("Here is what I found for %s:", m.Text)
 	}
-	if c.relaxer != nil && c.ing != nil {
+	if c.relaxer != nil {
 		if results, err := c.relaxer.RelaxTerm(m.Text, &ctx, 0); err == nil {
 			// The expansion lists related conditions, not the query itself.
 			self := map[string]bool{}
@@ -269,9 +265,9 @@ func (c *Conversation) repairUnknown(ctx ontology.Context, m Mention) Response {
 func (c *Conversation) answersFor(ctx ontology.Context, instances []kb.InstanceID) []string {
 	var chain []string
 	switch {
-	case ctx.Relationship == "hasFinding" && c.onto.IsSubConceptOf(ctx.Domain, "Indication"):
+	case ctx.Relationship == "hasFinding" && c.ing.Ontology.IsSubConceptOf(ctx.Domain, "Indication"):
 		chain = []string{"treat", "hasFinding"}
-	case ctx.Relationship == "hasFinding" && c.onto.IsSubConceptOf(ctx.Domain, "Risk"):
+	case ctx.Relationship == "hasFinding" && c.ing.Ontology.IsSubConceptOf(ctx.Domain, "Risk"):
 		chain = []string{"cause", "hasFinding"}
 	case ctx.Domain == "Drug":
 		// Forward query from a drug: list the findings of its
@@ -283,8 +279,8 @@ func (c *Conversation) answersFor(ctx ontology.Context, instances []kb.InstanceI
 	seen := map[string]bool{}
 	var out []string
 	for _, inst := range instances {
-		for _, ans := range c.store.PathQuery(chain, inst) {
-			if a, ok := c.store.Instance(ans); ok && !seen[a.Name] {
+		for _, ans := range c.ing.Store.PathQuery(chain, inst) {
+			if a, ok := c.ing.Store.Instance(ans); ok && !seen[a.Name] {
 				seen[a.Name] = true
 				out = append(out, a.Name)
 			}
@@ -297,9 +293,9 @@ func (c *Conversation) drugForward(ctx ontology.Context, instances []kb.Instance
 	seen := map[string]bool{}
 	var out []string
 	for _, inst := range instances {
-		for _, mid := range c.store.Objects(ctx.Relationship, inst) {
-			for _, fid := range c.store.Objects("hasFinding", mid) {
-				if f, ok := c.store.Instance(fid); ok && !seen[f.Name] {
+		for _, mid := range c.ing.Store.Objects(ctx.Relationship, inst) {
+			for _, fid := range c.ing.Store.Objects("hasFinding", mid) {
+				if f, ok := c.ing.Store.Instance(fid); ok && !seen[f.Name] {
 					seen[f.Name] = true
 					out = append(out, f.Name)
 				}

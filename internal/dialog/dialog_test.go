@@ -128,9 +128,9 @@ func newConversation(t *testing.T, withQR bool) *Conversation {
 	}
 	extractor := NewMentionExtractor(store, ing.Graph.NameKeys())
 	if !withQR {
-		return NewConversation(store, o, classifier, extractor, nil, nil)
+		return NewConversation(ing, classifier, extractor, nil)
 	}
-	return NewConversation(store, o, classifier, extractor, relaxer, ing)
+	return NewConversation(ing, classifier, extractor, relaxer)
 }
 
 func TestGenerateTrainingExamples(t *testing.T) {

@@ -217,9 +217,6 @@ func TestModelAccessors(t *testing.T) {
 	if model.WordFrequency("zebra") != 0 {
 		t.Error("OOV frequency must be 0")
 	}
-	if model.VocabSize() != len(model.words) {
-		t.Error("VocabSize mismatch")
-	}
 	if !slices.IsSorted(model.words) {
 		t.Fatal("vocabulary not sorted")
 	}
@@ -365,7 +362,7 @@ func TestTrainScalesToModerateCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if model.VocabSize() < 100 {
-		t.Errorf("vocab size = %d", model.VocabSize())
+	if len(model.words) < 100 {
+		t.Errorf("vocab size = %d", len(model.words))
 	}
 }

@@ -170,9 +170,6 @@ func Train(streams [][]string, cfg Config) (*Model, error) {
 // Dim returns the embedding dimensionality.
 func (m *Model) Dim() int { return m.dim }
 
-// VocabSize returns the vocabulary size.
-func (m *Model) VocabSize() int { return len(m.words) }
-
 // Word returns the vector for a word. ok is false for out-of-vocabulary
 // words.
 func (m *Model) Word(word string) (Vector, bool) {

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"log"
 	"strconv"
+	"sync"
 	"time"
 
 	"medrelax/internal/core"
@@ -102,16 +103,11 @@ type Response struct {
 
 // Config tunes Snapshot assembly. It names no term mapper: every snapshot
 // resolves query terms through bundleMapper over its own graph. The zero
-// value serves a loaded bundle: default relaxation radius, no conversations.
+// value serves a loaded bundle at the default relaxation radius.
 type Config struct {
 	// Relax configures the online phase; zero values pick the defaults of
 	// core.RelaxOptions plus DynamicRadius (the serving shape).
 	Relax core.RelaxOptions
-	// Conversation opens a relaxation-backed dialogue; nil disables /chat.
-	Conversation func() (*dialog.Conversation, error)
-	// ExtraStats is merged over the base Stats map (world metadata only a
-	// richer builder knows, e.g. corpus and embedding sizes).
-	ExtraStats func() map[string]any
 	// Source names where the snapshot came from (bundle path, or "" for an
 	// in-process build); reported in Stats.
 	Source string
@@ -152,7 +148,20 @@ type Snapshot struct {
 	// accelerations were attached to the relaxer (they are refused when
 	// their build options cannot reproduce the serving configuration).
 	matActive, idxActive bool
+	// dialogue derives the generation's Dialogue once, on first use.
+	dialogue func() (Dialogue, error)
 }
+
+// Dialogue is what a generation's /chat sessions and NLQ pipelines share.
+type Dialogue struct {
+	Classifier *dialog.IntentClassifier
+	Extractor  *dialog.MentionExtractor
+	Relaxer    *core.Relaxer // repair: the snapshot's options plus IncludeSelf
+}
+
+// dialogueSeed seeds every generation's classifier examples alike: 47 is the
+// seed the default world has always trained with.
+const dialogueSeed = 47
 
 // New assembles a Snapshot over an ingestion: freezes the dense graph
 // index, builds the similarity evaluator and relaxer, and precomputes the
@@ -175,17 +184,19 @@ func New(ing *core.Ingestion, cfg Config) *Snapshot {
 	mapper, lookup := bundleMapper(ing)
 	ing.Graph.Freeze()
 	sim := core.NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
+	terms, names := flaggedNames(ing)
 	s := &Snapshot{
 		ing:     ing,
 		sim:     sim,
 		relaxer: core.NewRelaxer(ing, sim, mapper, cfg.Relax),
 		cfg:     cfg,
 		name:    core.PrimarySourceName,
-		terms:   flaggedTerms(ing),
-		names:   instanceNames(ing),
+		terms:   terms,
+		names:   names,
 		mapper:  mapper,
 		lookup:  lookup,
 	}
+	s.dialogue = sync.OnceValues(s.deriveDialogue)
 	// Mount the secondary sources, each a Snapshot of its own, always on the
 	// live path (their worlds are small; the offline accelerations remain a
 	// primary-only optimization). Their
@@ -270,45 +281,35 @@ func (s *Snapshot) resolverResidency() string {
 	return s.residency()
 }
 
-// instanceNames resolves every flagged concept's instances to their surface
-// names once, for resolve to hand out.
-func instanceNames(ing *core.Ingestion) map[eks.ConceptID][]string {
+// flaggedNames resolves the flagged concepts once, in ID order (FlaggedIDs is
+// ascending): their names, the deterministic term index Terms slices from, and
+// per concept its instances' surface names, which resolve hands out.
+func flaggedNames(ing *core.Ingestion) ([]string, map[eks.ConceptID][]string) {
 	ids := ing.FlaggedIDs()
-	out := make(map[eks.ConceptID][]string, len(ids))
-	for _, id := range ids {
-		instances := ing.InstancesForConcept(id)
-		names := make([]string, 0, len(instances))
-		for _, iid := range instances {
-			if inst, ok := ing.Store.Instance(iid); ok {
-				names = append(names, inst.Name)
-			}
-		}
-		out[id] = names
-	}
-	return out
-}
-
-// flaggedTerms resolves the flagged concepts to names in ID order — the
-// deterministic term index Terms slices from; FlaggedIDs is already
-// ascending.
-func flaggedTerms(ing *core.Ingestion) []string {
-	ids := ing.FlaggedIDs()
-	out := make([]string, 0, len(ids))
+	terms := make([]string, 0, len(ids))
+	names := make(map[eks.ConceptID][]string, len(ids))
 	for _, id := range ids {
 		if c, ok := ing.Graph.Concept(id); ok {
-			out = append(out, c.Name)
+			terms = append(terms, c.Name)
 		}
+		instances := ing.InstancesForConcept(id)
+		out := make([]string, 0, len(instances))
+		for _, iid := range instances {
+			if inst, ok := ing.Store.Instance(iid); ok {
+				out = append(out, inst.Name)
+			}
+		}
+		names[id] = out
 	}
-	return out
+	return terms, names
 }
 
 // LoadSnapshot builds a Snapshot from a persisted ingestion bundle: no
 // world regeneration, no embedding training. This is the one cold-start
 // path — kbserver startup, hot reload, the chaos harness, and the CLI all
-// come through here, fault sites and CRC checks included. Conversations
-// are unavailable because the bundle deliberately omits the synthetic
-// world. Errors keep persist's typing: a corrupt file wraps
-// persist.ErrCorruptBundle, a missing one fs.ErrNotExist.
+// come through here, fault sites and CRC checks included; /chat derives
+// nothing here (see Dialogue). Errors keep persist's typing: a corrupt file
+// wraps persist.ErrCorruptBundle, a missing one fs.ErrNotExist.
 func LoadSnapshot(path string) (*Snapshot, error) {
 	loadStart := time.Now()
 	ing, err := persist.LoadFile(path)
@@ -341,14 +342,6 @@ func (s *Snapshot) Relaxer() *core.Relaxer { return s.relaxer }
 // Mapper is the snapshot's query-term mapper, for harnesses that score where
 // it places terms.
 func (s *Snapshot) Mapper() match.Mapper { return s.mapper }
-
-// NewRelaxer derives an alternative online phase over the same frozen
-// ingestion and the snapshot's mapper, with other options (dialogue repair
-// wants IncludeSelf), keeping relaxer assembly inside the engine.
-func (s *Snapshot) NewRelaxer(opts core.RelaxOptions) *core.Relaxer {
-	sim := core.NewSimilarity(s.ing.Graph, s.ing.Frequencies, s.ing.Ontology)
-	return core.NewRelaxer(s.ing, sim, s.mapper, opts)
-}
 
 // Close releases the snapshot's backing resources — for an mmap-backed
 // flat bundle, the file mapping, released deterministically instead of at
@@ -383,7 +376,7 @@ func (s *Snapshot) RelaxBatch(ctx context.Context, reqs []Request) []Response {
 		qctx, err := core.ParseContext(req.Context)
 		creqs[i] = core.Request{Term: req.Term, Ctx: qctx, K: req.K, Err: err}
 	}
-	if s.multiSource() {
+	if s.sources != nil {
 		for i, creq := range creqs {
 			out[i] = s.relaxFused(ctx, creq, reqs[i].Explain)
 		}
@@ -422,34 +415,44 @@ func (s *Snapshot) resolve(results []core.Result) []RelaxResult {
 	return out
 }
 
-// NewConversation opens a relaxation-backed dialogue when the snapshot's
-// builder provided one (bundles cannot: the synthetic world is absent).
+// Dialogue returns the generation's dialogue, derived on first use from the
+// ingestion alone (the classifier from the ontology and store, the paper's
+// Section 4; the extractor from the store and EKS names; a repair relaxer with
+// its own similarity memo), so a world, its bundle and each reload agree.
+func (s *Snapshot) Dialogue() (Dialogue, error) { return s.dialogue() }
+
+func (s *Snapshot) deriveDialogue() (Dialogue, error) {
+	opts := s.relaxer.Options()
+	opts.IncludeSelf = true
+	classifier, err := dialog.TrainIntentClassifier(dialog.GenerateTrainingExamples(s.ing.Ontology, s.ing.Store, dialogueSeed, 0))
+	sim := core.NewSimilarity(s.ing.Graph, s.ing.Frequencies, s.ing.Ontology)
+	return Dialogue{classifier, dialog.NewMentionExtractor(s.ing.Store, s.ing.Graph.NameKeys()), core.NewRelaxer(s.ing, sim, s.mapper, opts)}, err
+}
+
+// NewConversation opens a relaxation-backed dialogue over the Dialogue. The
+// session holds the generation's ingestion past the serving layer's release
+// of the turn that opened it; only the finalizer keeps a mapped bundle valid
+// meanwhile, so a refcount that unmaps generations must count sessions.
 func (s *Snapshot) NewConversation() (*dialog.Conversation, error) {
-	if s.cfg.Conversation == nil {
-		return nil, fmt.Errorf("engine: snapshot has no conversation factory (serving from a bundle?)")
+	d, err := s.dialogue()
+	if err != nil {
+		return nil, err
 	}
-	return s.cfg.Conversation()
+	return dialog.NewConversation(s.ing, d.Classifier, d.Extractor, d.Relaxer), nil
 }
 
 // Terms returns up to n query terms known to map to flagged concepts, in
 // deterministic order — the realistic query mix load generators build on.
 func (s *Snapshot) Terms(n int) []string {
-	if n > len(s.terms) {
-		n = len(s.terms)
-	}
+	n = min(n, len(s.terms))
 	return s.terms[:n:n]
 }
 
 // Stats describes the frozen world.
 func (s *Snapshot) Stats() map[string]any {
-	stats := map[string]any{
-		"eksConcepts":     s.ing.Graph.Len(),
-		"eksEdges":        s.ing.Graph.EdgeCount(),
-		"shortcutsAdded":  s.ing.ShortcutsAdded,
-		"kbInstances":     s.ing.Store.Len(),
-		"flaggedConcepts": s.ing.FlaggedCount(),
-		"contexts":        len(s.ing.Contexts),
-	}
+	stats := sourceStats(s.ing)
+	stats["kbInstances"] = s.ing.Store.Len()
+	stats["contexts"] = len(s.ing.Contexts)
 	// Residency: a flat bundle reports whether its columns live in a file
 	// mapping or on the heap, and how many bytes the backing pins. Heap
 	// worlds built in process have no backing and report "built".
@@ -474,16 +477,11 @@ func (s *Snapshot) Stats() map[string]any {
 		"planes": uint64(planes), "planeBytes": uint64(planeBytes)}
 	// Multi-source snapshots report each mounted source; single-source stats
 	// keep the classic shape with no extra keys.
-	if s.multiSource() {
+	if s.sources != nil {
 		stats["sourceCount"] = len(s.sources)
 		sources := make(map[string]any, len(s.sources))
 		for _, src := range s.sources {
-			sources[src.name] = map[string]any{
-				"eksConcepts":     src.ing.Graph.Len(),
-				"eksEdges":        src.ing.Graph.EdgeCount(),
-				"shortcutsAdded":  src.ing.ShortcutsAdded,
-				"flaggedConcepts": src.ing.FlaggedCount(),
-			}
+			sources[src.name] = sourceStats(src.ing)
 		}
 		stats["sources"] = sources
 	}
@@ -499,10 +497,15 @@ func (s *Snapshot) Stats() map[string]any {
 	if s.cfg.Source != "" {
 		stats["source"] = s.cfg.Source
 	}
-	if s.cfg.ExtraStats != nil {
-		for k, v := range s.cfg.ExtraStats() {
-			stats[k] = v
-		}
-	}
 	return stats
+}
+
+// sourceStats is what Stats reports of each source's customized graph.
+func sourceStats(ing *core.Ingestion) map[string]any {
+	return map[string]any{
+		"eksConcepts":     ing.Graph.Len(),
+		"eksEdges":        ing.Graph.EdgeCount(),
+		"shortcutsAdded":  ing.ShortcutsAdded,
+		"flaggedConcepts": ing.FlaggedCount(),
+	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"medrelax/internal/core"
 	"medrelax/internal/corpus"
+	"medrelax/internal/dialog"
 	"medrelax/internal/eks"
 	"medrelax/internal/kb"
 	"medrelax/internal/match"
@@ -156,9 +157,6 @@ func TestSnapshotServesAndReports(t *testing.T) {
 	if geometry, _ = snap.Stats()["relaxGeometry"].(map[string]uint64); geometry["fills"] != 1 || geometry["hits"] != 1 {
 		t.Errorf("Stats relaxGeometry after the same term under another k = %v, want one fill and one hit", geometry)
 	}
-	if _, err := snap.NewConversation(); err == nil {
-		t.Error("NewConversation without a factory should fail")
-	}
 }
 
 func TestSnapshotBatchMatchesSequential(t *testing.T) {
@@ -261,6 +259,24 @@ func TestLoadSnapshotRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("Relax(%q): loaded %v != built %v", term, got, want)
+		}
+	}
+	// A loaded snapshot opens conversations, and each turn answers as the
+	// built world's does: the dialogue is derived from the ingestion alone.
+	for _, text := range []string{"what drugs treat kidney disease", "what drugs treat pyelectasia", "what drugs treat nothing known"} {
+		var turns [2]dialog.Response
+		for i, snap := range []*Snapshot{loaded, built} {
+			conv, err := snap.NewConversation()
+			if err != nil {
+				t.Fatalf("NewConversation: %v", err)
+			}
+			turns[i] = conv.Ask(text)
+		}
+		if !reflect.DeepEqual(turns[0], turns[1]) {
+			t.Errorf("%q: loaded answers %+v, built %+v", text, turns[0], turns[1])
+		}
+		if text == "what drugs treat kidney disease" && (!turns[0].Understood || len(turns[0].Answers) == 0) {
+			t.Errorf("%q: a loaded conversation answers %+v, want the treating drug", text, turns[0])
 		}
 	}
 	if _, err := LoadSnapshot(filepath.Join(t.TempDir(), "missing.bin")); err == nil {

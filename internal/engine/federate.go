@@ -17,9 +17,6 @@ import (
 	"medrelax/internal/kb"
 )
 
-// multiSource reports whether secondary sources are mounted.
-func (s *Snapshot) multiSource() bool { return s.sources != nil }
-
 // fusedEntry accumulates one concept name's evidence across sources while
 // fusing. The winner fields record the source whose score the entry keeps —
 // the source the explanation path runs in.
@@ -57,7 +54,6 @@ func (s *Snapshot) relaxFused(ctx context.Context, req core.Request, explain boo
 	}
 	term, k := req.Term, req.K
 	entries := make(map[string]*fusedEntry)
-	var order []string // first-seen order, only for map iteration stability before sorting
 	mappedAny := false
 	for _, src := range s.sources {
 		q, ok := src.mapper.Map(term)
@@ -89,7 +85,6 @@ func (s *Snapshot) relaxFused(ctx context.Context, req core.Request, explain boo
 					winnerConcept: r.Concept,
 				}
 				entries[c.Name] = e
-				order = append(order, c.Name)
 			} else if r.Score > e.score {
 				// Strictly greater only: score ties keep the earlier mount.
 				e.score, e.hops = r.Score, r.Hops
@@ -107,9 +102,10 @@ func (s *Snapshot) relaxFused(ctx context.Context, req core.Request, explain boo
 	if !mappedAny {
 		return Response{Err: fmt.Errorf("engine: query term %q: %w", term, core.ErrUnknownTerm)}
 	}
+	// Names are unique, so (score, name) orders the entries totally.
 	fused := make([]*fusedEntry, 0, len(entries))
-	for _, name := range order {
-		fused = append(fused, entries[name])
+	for _, e := range entries {
+		fused = append(fused, e)
 	}
 	sort.Slice(fused, func(i, j int) bool {
 		if fused[i].score != fused[j].score {
@@ -156,9 +152,6 @@ func (s *Snapshot) attachExplain(term string, ids []core.Result, out []RelaxResu
 		return
 	}
 	for i := range out {
-		if i >= len(ids) {
-			break
-		}
 		out[i].Sources = []string{s.name}
 		out[i].Explain = s.explainFor(q, ids[i].Concept)
 	}

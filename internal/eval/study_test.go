@@ -33,9 +33,9 @@ func buildStudyEnv(t *testing.T) (StudyEnvironment, *core.Ingestion, *core.Relax
 		}
 		extractor := dialog.NewMentionExtractor(med.Store, w.Graph.NameKeys())
 		if !withQR {
-			return dialog.NewConversation(med.Store, med.Ontology, classifier, extractor, nil, nil)
+			return dialog.NewConversation(ing, classifier, extractor, nil)
 		}
-		return dialog.NewConversation(med.Store, med.Ontology, classifier, extractor, relaxer, ing)
+		return dialog.NewConversation(ing, classifier, extractor, relaxer)
 	}
 	env := StudyEnvironment{
 		WithQR:    newConv(true),

@@ -10,7 +10,6 @@ import (
 
 	"medrelax/internal/core"
 	"medrelax/internal/corpus"
-	"medrelax/internal/dialog"
 	"medrelax/internal/eks"
 	"medrelax/internal/engine"
 	"medrelax/internal/kb"
@@ -85,19 +84,7 @@ func testBackend(t *testing.T) *engine.Snapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap *engine.Snapshot
-	snap = engine.New(ing, engine.Config{
-		Conversation: func() (*dialog.Conversation, error) {
-			examples := dialog.GenerateTrainingExamples(o, store, 1, 8)
-			classifier, err := dialog.TrainIntentClassifier(examples)
-			if err != nil {
-				return nil, err
-			}
-			extractor := dialog.NewMentionExtractor(store, g.NameKeys())
-			return dialog.NewConversation(store, o, classifier, extractor, snap.Relaxer(), ing), nil
-		},
-	})
-	return snap
+	return engine.New(ing, engine.Config{})
 }
 
 func newTestServer(t *testing.T) *httptest.Server {

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"medrelax/internal/core"
@@ -117,16 +116,6 @@ type System struct {
 	Methods       []core.Method
 	Oracle        *eval.Oracle
 	Timings       BuildTimings
-
-	shared func() (dialogue, error) // derived on first use; assemble sets it
-}
-
-// dialogue is what every /chat session and NLQ pipeline of a System shares,
-// read-only once derived.
-type dialogue struct {
-	classifier *dialog.IntentClassifier
-	extractor  *dialog.MentionExtractor
-	relaxer    *core.Relaxer
 }
 
 // Build generates the synthetic world and runs the offline phase.
@@ -248,24 +237,11 @@ func (s *System) withSecondSource() (*System, error) {
 }
 
 // assemble derives what s serves from its ingestion: the snapshot (engine.New
-// is the one place freeze, similarity, relaxer and term index are assembled)
-// and Table 2's six methods. Conversations and stats close over s.
+// is the one place freeze, similarity, relaxer, term index and dialogue are
+// assembled) and Table 2's six methods.
 func (s *System) assemble() {
 	ing, mapper, opts := s.Ingestion, s.Mapper, s.Config.Relax
-	s.shared = sync.OnceValues(s.deriveDialogue)
-	s.Engine = engine.New(ing, engine.Config{
-		Relax: opts,
-		Conversation: func() (*dialog.Conversation, error) {
-			return s.NewConversation(true)
-		},
-		ExtraStats: func() map[string]any {
-			return map[string]any{
-				"corpusTokens":     s.Corpus.TokenCount(),
-				"embeddingVocab":   s.MedModel.VocabSize(),
-				"ontologyConcepts": s.Med.Ontology.ConceptCount(),
-			}
-		},
-	})
+	s.Engine = engine.New(ing, engine.Config{Relax: opts})
 	s.Methods = []core.Method{
 		core.NewQR(ing, mapper, opts),
 		core.NewQRNoContext(ing, mapper, opts),
@@ -297,16 +273,6 @@ func (s *System) Table1() []eval.MapperScore {
 	return eval.EvaluateMappers(s.Med, mappers)
 }
 
-// deriveDialogue trains the intent classifier and builds the mention extractor
-// and the relaxer of the Section 6 integrations, which maps terms as the
-// snapshot does and includes the mapped concept itself when the KB knows it.
-func (s *System) deriveDialogue() (dialogue, error) {
-	opts := s.Config.Relax
-	opts.IncludeSelf = true
-	classifier, err := dialog.TrainIntentClassifier(dialog.GenerateTrainingExamples(s.Med.Ontology, s.Med.Store, s.Config.Seed+5, 0))
-	return dialogue{classifier, dialog.NewMentionExtractor(s.Med.Store, s.World.Graph.NameKeys()), s.Engine.NewRelaxer(opts)}, err
-}
-
 // FlaggedSet returns the FEC set — the external concepts the KB holds data
 // for — as a fresh set, the form the evaluation harness and the DOT export
 // take.
@@ -327,27 +293,29 @@ func (s *System) Table2(numQueries, k int) []eval.MethodScore {
 	return eval.EvaluateMethods(s.Methods, queries, s.Oracle, s.FlaggedSet(), k)
 }
 
-// NewConversation builds a dialogue over the system's KB. withQR toggles
-// query relaxation — the two arms of the paper's user study.
+// NewConversation builds a dialogue over the system's KB from its snapshot's
+// Dialogue, as /chat does. withQR toggles query relaxation — the two arms of
+// the paper's user study.
 func (s *System) NewConversation(withQR bool) (*dialog.Conversation, error) {
-	d, err := s.shared()
+	if withQR {
+		return s.Engine.NewConversation()
+	}
+	d, err := s.Engine.Dialogue()
 	if err != nil {
 		return nil, err
 	}
-	if !withQR {
-		return dialog.NewConversation(s.Med.Store, s.Med.Ontology, d.classifier, d.extractor, nil, nil), nil
-	}
-	return dialog.NewConversation(s.Med.Store, s.Med.Ontology, d.classifier, d.extractor, d.relaxer, s.Ingestion), nil
+	return dialog.NewConversation(s.Ingestion, d.Classifier, d.Extractor, nil), nil
 }
 
 // NewNLQSystem builds the Section 6.2 natural language query pipeline over
-// the system's KB; withQR toggles relaxation-backed evidence generation.
+// the system's KB; withQR toggles relaxation-backed evidence generation by
+// the snapshot's dialogue relaxer.
 func (s *System) NewNLQSystem(withQR bool) *nlq.System {
 	if !withQR {
 		return nlq.NewSystem(s.Med.Ontology, s.Med.Store, nil, nil)
 	}
-	d, _ := s.shared() // the relaxer is derived even if the classifier fails
-	return nlq.NewSystem(s.Med.Ontology, s.Med.Store, d.relaxer, s.Ingestion)
+	d, _ := s.Engine.Dialogue() // the relaxer is derived even if the classifier fails
+	return nlq.NewSystem(s.Med.Ontology, s.Med.Store, d.Relaxer, s.Ingestion)
 }
 
 // NLQExperiment runs the query-answerability comparison on the NLQ

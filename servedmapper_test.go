@@ -2,6 +2,7 @@ package medrelax
 
 import (
 	"context"
+	"math"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -51,7 +52,10 @@ func errText(err error) string {
 // every snapshot resolves query terms through the one bundle mapper, so
 // sys.Engine and engine.LoadSnapshot of the system's own flat save give the
 // same results, sources and explanations included, and the same error text,
-// for paraphrases, typos and an unknown term, on one source and on two.
+// for paraphrases, typos and an unknown term, on one source and on two. Every
+// flagged term asked for k=1000 in the indication context drives the dynamic
+// radius to its ceiling, where the two differ in configuration: the built
+// engine serves MaxRadius 6, a bundle without a store the default 8.
 func TestBuiltAndLoadedAnswerAlike(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -75,8 +79,16 @@ func TestBuiltAndLoadedAnswerAlike(t *testing.T) {
 					reqs = append(reqs, engine.Request{Term: term, Context: ContextIndication, K: 5, Explain: explain})
 				}
 			}
-			built := sys.Engine.RelaxBatch(context.Background(), reqs)
+			for _, term := range sys.Engine.Terms(math.MaxInt) {
+				reqs = append(reqs, engine.Request{Term: term, Context: ContextIndication, K: 1000})
+			}
+			// The two sides answer at once: each is a full grid at the radius
+			// ceiling.
+			var built []engine.Response
+			done := make(chan struct{})
+			go func() { defer close(done); built = sys.Engine.RelaxBatch(context.Background(), reqs) }()
 			load := loaded.RelaxBatch(context.Background(), reqs)
+			<-done
 			differ, answered := 0, 0
 			for i, req := range reqs {
 				b, l := built[i], load[i]
@@ -117,14 +129,30 @@ func TestServedMapperPlacement(t *testing.T) {
 }
 
 // TestConcurrentConversationsShareOneDialogue opens sessions of both study
-// arms at once on a System whose dialogue is not derived yet: they derive it
-// once, share it, and each answers a script exactly as a session opened alone
-// does. Run it under -race.
+// arms at once on a generation loaded from the system's own bundle, whose
+// dialogue is not derived yet: they derive it once, share it, and each
+// answers a script exactly as a session of the built world does — the bundle
+// carries everything /chat needs. Run it under -race.
 func TestConcurrentConversationsShareOneDialogue(t *testing.T) {
-	sys := *sharedSystem(t)
-	sys.shared = sync.OnceValues(sys.deriveDialogue)
+	built := sharedSystem(t)
+	path := filepath.Join(t.TempDir(), "own.flat")
+	if err := persist.SaveFileAtomic(path, built.Ingestion, persist.FormatFlat); err != nil {
+		t.Fatalf("saving the system's bundle: %v", err)
+	}
+	loaded, err := engine.LoadSnapshot(path)
+	if err != nil {
+		t.Fatalf("loading the system's bundle: %v", err)
+	}
+	t.Cleanup(func() { loaded.Close() })
+	sys := *built
+	sys.Engine, sys.Ingestion = loaded, loaded.Ingestion()
+
 	script := []string{"what drugs treat headache", "what about fever", "what drugs treat pyelectasia", "1", "what drugs treat brain attack"}
-	ask := func(conv *dialog.Conversation) []dialog.Response {
+	ask := func(conv *dialog.Conversation, err error) []dialog.Response {
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
 		out := make([]dialog.Response, 0, len(script))
 		for _, text := range script {
 			out = append(out, conv.Ask(text))
@@ -139,12 +167,7 @@ func TestConcurrentConversationsShareOneDialogue(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			conv, err := sys.NewConversation(i%2 == 0)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			got[i] = ask(conv)
+			got[i] = ask(sys.NewConversation(i%2 == 0))
 		}()
 	}
 	wg.Wait()
@@ -152,24 +175,16 @@ func TestConcurrentConversationsShareOneDialogue(t *testing.T) {
 		return
 	}
 
-	// A session on its own derives its parts as every session once did.
-	classifier, err := dialog.TrainIntentClassifier(dialog.GenerateTrainingExamples(sys.Med.Ontology, sys.Med.Store, sys.Config.Seed+5, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	extractor := dialog.NewMentionExtractor(sys.Med.Store, sys.World.Graph.NameKeys())
-	opts := sys.Config.Relax
-	opts.IncludeSelf = true
 	want := map[bool][]dialog.Response{
-		true:  ask(dialog.NewConversation(sys.Med.Store, sys.Med.Ontology, classifier, extractor, sys.Engine.NewRelaxer(opts), sys.Ingestion)),
-		false: ask(dialog.NewConversation(sys.Med.Store, sys.Med.Ontology, classifier, extractor, nil, nil)),
+		true:  ask(built.NewConversation(true)),
+		false: ask(built.NewConversation(false)),
 	}
 	if reflect.DeepEqual(want[true], want[false]) {
 		t.Fatal("the script answers alike with and without QR; it shows nothing")
 	}
 	for i, g := range got {
 		if !reflect.DeepEqual(g, want[i%2 == 0]) {
-			t.Errorf("session %d (QR %v) answered %+v; alone it answers %+v", i, i%2 == 0, g, want[i%2 == 0])
+			t.Errorf("session %d (QR %v) answered %+v; on the built world it answers %+v", i, i%2 == 0, g, want[i%2 == 0])
 		}
 	}
 }
