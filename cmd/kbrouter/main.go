@@ -36,27 +36,27 @@ import (
 	"syscall"
 	"time"
 
-	"medrelax/internal/retry"
 	"medrelax/internal/router"
 	"medrelax/internal/trace"
 )
 
 func main() {
 	var replicas []string
+	opts := router.DefaultOptions()
 	var (
 		addr       = flag.String("addr", ":9090", "listen address")
-		vnodes     = flag.Int("vnodes", router.DefaultVNodes, "virtual nodes per replica on the placement ring")
-		probeIntv  = flag.Duration("probe-interval", 500*time.Millisecond, "active health probe period (0: passive marking only)")
-		probeTO    = flag.Duration("probe-timeout", 250*time.Millisecond, "per-probe deadline")
-		failAfter  = flag.Int("fail-after", 3, "consecutive failures before a replica is marked down")
-		maxConc    = flag.Int("max-concurrent", 256, "max concurrently routed /relax+/chat requests; excess sheds with 429 (0: unlimited)")
-		retryHint  = flag.Duration("retry-after", time.Second, "Retry-After hint on shed responses")
-		retries    = flag.Int("retries", 2, "max retries per proxied request on replica failure")
-		retryLo    = flag.Duration("retry-base", 25*time.Millisecond, "replica retry backoff base")
-		retryHi    = flag.Duration("retry-cap", 500*time.Millisecond, "replica retry backoff cap")
-		shardTO    = flag.Duration("shard-timeout", 5*time.Second, "per-shard deadline for scatter-gather batches")
 		traceEvery = flag.Int("trace-sample", 128, "trace 1 in N requests arriving without a traceparent header (0 disables self-sampling; explicit sampled traceparent headers are always honored)")
 	)
+	flag.IntVar(&opts.VNodes, "vnodes", opts.VNodes, "virtual nodes per replica on the placement ring")
+	flag.DurationVar(&opts.ProbeInterval, "probe-interval", opts.ProbeInterval, "active health probe period (0: passive marking only)")
+	flag.DurationVar(&opts.ProbeTimeout, "probe-timeout", opts.ProbeTimeout, "per-probe deadline")
+	flag.IntVar(&opts.FailAfter, "fail-after", opts.FailAfter, "consecutive failures before a replica is marked down")
+	flag.IntVar(&opts.MaxConcurrent, "max-concurrent", opts.MaxConcurrent, "max concurrently routed /relax+/chat requests; excess sheds with 429 (0: unlimited)")
+	flag.DurationVar(&opts.RetryAfter, "retry-after", opts.RetryAfter, "Retry-After hint on shed responses")
+	flag.IntVar(&opts.Retry.MaxRetries, "retries", opts.Retry.MaxRetries, "max retries per proxied request on replica failure")
+	flag.DurationVar(&opts.Retry.Base, "retry-base", opts.Retry.Base, "replica retry backoff base")
+	flag.DurationVar(&opts.Retry.Cap, "retry-cap", opts.Retry.Cap, "replica retry backoff cap")
+	flag.DurationVar(&opts.ShardTimeout, "shard-timeout", opts.ShardTimeout, "per-shard deadline for scatter-gather batches")
 	flag.Func("replica", "host:port of one kbserver replica (repeatable)", func(v string) error {
 		replicas = append(replicas, v)
 		return nil
@@ -66,16 +66,7 @@ func main() {
 		log.Fatal("kbrouter: at least one -replica is required")
 	}
 
-	opts := router.DefaultOptions()
 	opts.Replicas = replicas
-	opts.VNodes = *vnodes
-	opts.ProbeInterval = *probeIntv
-	opts.ProbeTimeout = *probeTO
-	opts.FailAfter = *failAfter
-	opts.MaxConcurrent = *maxConc
-	opts.RetryAfter = *retryHint
-	opts.Retry = retry.Policy{MaxRetries: *retries, Base: *retryLo, Cap: *retryHi}
-	opts.ShardTimeout = *shardTO
 	opts.Tracer = trace.NewTracer("kbrouter", *traceEvery, trace.NewRecorder(256, 16))
 
 	rt := router.New(opts)

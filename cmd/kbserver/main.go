@@ -70,22 +70,23 @@ type tenantSpec struct {
 
 func main() {
 	var bundles []tenantSpec
+	opts := serving.DefaultOptions()
 	var (
 		addr = flag.String("addr", ":8080", "listen address")
 		load = flag.String("load", "", "serve this saved ingestion bundle (medrelax -save) as the unlabelled tenant \"default\"")
 
-		cacheSize  = flag.Int("cache-size", 16384, "result cache capacity in entries, per tenant (0 disables caching)")
-		cacheTTL   = flag.Duration("cache-ttl", 5*time.Minute, "result cache entry TTL (0: LRU/reload eviction only)")
-		cacheStale = flag.Duration("cache-stale", time.Minute, "serve entries expired less than this long ago when recomputation fails (0: disabled)")
-		maxConc    = flag.Int("max-concurrent", 256, "max concurrently admitted /relax+/chat requests, per tenant; excess sheds with 429 (0: unlimited)")
-		relaxTO    = flag.Duration("relax-timeout", 2*time.Second, "per-request /relax deadline (0: none)")
-		chatTO     = flag.Duration("chat-timeout", 5*time.Second, "per-request /chat deadline (0: none)")
-		chatRPS    = flag.Float64("chat-rps", 200, "global /chat rate limit in requests/second (0: unlimited)")
-		slowQ      = flag.Duration("slow-query", 500*time.Millisecond, "slow-query log threshold (0: disabled)")
 		traceEvery = flag.Int("trace-sample", 128, "trace 1 in N requests arriving without a traceparent header (0 disables self-sampling; explicit sampled traceparent headers are always honored)")
 		faults     = flag.String("faults", "", "fault-injection spec (see internal/fault); overrides $"+fault.EnvVar)
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this separate address, e.g. 127.0.0.1:6060 (empty: disabled)")
 	)
+	flag.IntVar(&opts.CacheCapacity, "cache-size", opts.CacheCapacity, "result cache capacity in entries, per tenant (0 disables caching)")
+	flag.DurationVar(&opts.CacheTTL, "cache-ttl", opts.CacheTTL, "result cache entry TTL (0: LRU/reload eviction only)")
+	flag.DurationVar(&opts.CacheStaleWindow, "cache-stale", opts.CacheStaleWindow, "serve entries expired less than this long ago when recomputation fails (0: disabled)")
+	flag.IntVar(&opts.MaxConcurrent, "max-concurrent", opts.MaxConcurrent, "max concurrently admitted /relax+/chat requests, per tenant; excess sheds with 429 (0: unlimited)")
+	flag.DurationVar(&opts.RelaxTimeout, "relax-timeout", opts.RelaxTimeout, "per-request /relax deadline (0: none)")
+	flag.DurationVar(&opts.ChatTimeout, "chat-timeout", opts.ChatTimeout, "per-request /chat deadline (0: none)")
+	flag.Float64Var(&opts.ChatRPS, "chat-rps", opts.ChatRPS, "global /chat rate limit in requests/second (0: unlimited)")
+	flag.DurationVar(&opts.SlowQuery, "slow-query", opts.SlowQuery, "slow-query log threshold (0: disabled)")
 	flag.Func("bundle", "name=path: serve this bundle as tenant NAME (repeatable; first is the default tenant)", func(v string) error {
 		name, path, ok := strings.Cut(v, "=")
 		if !ok || name == "" || path == "" {
@@ -117,15 +118,6 @@ func main() {
 		log.Fatal("kbserver: nothing to serve; save a bundle with medrelax -save, then pass -load path or -bundle name=path")
 	}
 
-	opts := serving.DefaultOptions()
-	opts.CacheCapacity = *cacheSize
-	opts.CacheTTL = *cacheTTL
-	opts.CacheStaleWindow = *cacheStale
-	opts.MaxConcurrent = *maxConc
-	opts.RelaxTimeout = *relaxTO
-	opts.ChatTimeout = *chatTO
-	opts.ChatRPS = *chatRPS
-	opts.SlowQuery = *slowQ
 	// One tracer (and one /debug/traces ring) per process; tenants are
 	// distinguished by the tenant tag on their spans.
 	opts.Tracer = trace.NewTracer("kbserver", *traceEvery, trace.NewRecorder(256, 16))

@@ -26,7 +26,7 @@ func TestFlatBundleMatchesGolden(t *testing.T) {
 	if err := persist.SaveFileAtomic(path, sharedAccelerated(t), persist.FormatFlat); err != nil {
 		t.Fatalf("saving flat bundle: %v", err)
 	}
-	restored, err := persist.OpenFlat(path)
+	restored, err := persist.LoadFile(path)
 	if err != nil {
 		t.Fatalf("opening flat bundle: %v", err)
 	}

@@ -11,7 +11,6 @@ package corpus
 
 import (
 	"math"
-	"strings"
 	"sync"
 
 	"medrelax/internal/stringutil"
@@ -80,38 +79,6 @@ type TermStats struct {
 	DF int
 }
 
-// phraseSet indexes a set of normalized multi-word phrases for greedy
-// longest-match scanning.
-type phraseSet struct {
-	phrases  map[string]bool // full phrases, joined by spaces
-	prefixes map[string]bool // all proper prefixes, joined by spaces
-	maxLen   int             // longest phrase, in tokens
-}
-
-// newPhraseSet indexes each phrase by its Normalize form — the phrase itself
-// when it is already normal, as nearly every lexicon name is — whose tokens
-// are joined by single spaces, so its proper prefixes are sliced out of it at
-// its spaces rather than tokenized and joined again.
-func newPhraseSet(phrases []string) *phraseSet {
-	ps := &phraseSet{phrases: make(map[string]bool, len(phrases)), prefixes: make(map[string]bool, len(phrases))}
-	for _, p := range phrases {
-		norm := stringutil.Normalize(p)
-		if norm == "" {
-			continue
-		}
-		ps.phrases[norm] = true
-		toks := 1
-		for i := 0; i < len(norm); i++ {
-			if norm[i] == ' ' {
-				ps.prefixes[norm[:i]] = true
-				toks++
-			}
-		}
-		ps.maxLen = max(ps.maxLen, toks)
-	}
-	return ps
-}
-
 // CountPhrases scans the corpus for every phrase and returns per-phrase
 // statistics, keyed by the phrase's normalized form. Matching is greedy
 // longest-match over token windows: overlapping shorter phrases inside a
@@ -130,12 +97,10 @@ func (c *Corpus) CountPhrases(phrases []string) map[string]TermStats {
 // result is identical to the serial scan for any worker count. workers <= 1
 // runs the serial scan.
 func (c *Corpus) CountPhrasesN(phrases []string, workers int) map[string]TermStats {
-	ps := newPhraseSet(phrases)
-	out := make(map[string]TermStats, len(ps.phrases))
-	for p := range ps.phrases {
-		out[p] = TermStats{}
-	}
-	if ps.maxLen == 0 {
+	ps := stringutil.NewPhraseIndex(phrases)
+	out := make(map[string]TermStats, ps.Len())
+	ps.Each(func(p string) { out[p] = TermStats{} })
+	if ps.Len() == 0 {
 		return out
 	}
 	if workers > len(c.docs) {
@@ -178,14 +143,14 @@ func (c *Corpus) CountPhrasesN(phrases []string, workers int) map[string]TermSta
 
 // countRange scans documents [lo, hi) and accumulates statistics into out.
 // A phrase's TF map is made on its first occurrence.
-func (c *Corpus) countRange(ps *phraseSet, lo, hi int, out map[string]TermStats) {
+func (c *Corpus) countRange(ps *stringutil.PhraseIndex, lo, hi int, out map[string]TermStats) {
 	for di := lo; di < hi; di++ {
 		doc := c.tokenized[di]
 		seenInDoc := map[string]bool{}
 		for si, toks := range doc {
 			label := c.docs[di].Sections[si].Label
 			for i := 0; i < len(toks); {
-				match, matchLen := ps.longestMatchAt(toks, i)
+				match, matchLen := ps.LongestMatchAt(toks, i)
 				if matchLen == 0 {
 					i++
 					continue
@@ -205,33 +170,6 @@ func (c *Corpus) countRange(ps *phraseSet, lo, hi int, out map[string]TermStats)
 			}
 		}
 	}
-}
-
-// longestMatchAt returns the longest phrase starting at toks[i], and its
-// token length, or ("", 0).
-func (ps *phraseSet) longestMatchAt(toks []string, i int) (string, int) {
-	var b strings.Builder
-	bestLen := 0
-	best := ""
-	limit := i + ps.maxLen
-	if limit > len(toks) {
-		limit = len(toks)
-	}
-	for j := i; j < limit; j++ {
-		if j > i {
-			b.WriteByte(' ')
-		}
-		b.WriteString(toks[j])
-		cur := b.String()
-		if ps.phrases[cur] {
-			best = cur
-			bestLen = j - i + 1
-		}
-		if !ps.prefixes[cur] && !ps.phrases[cur] {
-			break
-		}
-	}
-	return best, bestLen
 }
 
 // IDF returns the inverse document frequency for a term with document

@@ -7,37 +7,48 @@ import (
 	"medrelax/internal/stringutil"
 )
 
-// The phrase index and scan CountPhrasesN had before it read each phrase's
-// Normalize form: every phrase, and every prefix of it, tokenized and joined
-// again, and every phrase keyed with an empty TF map. Kept as the oracle of
-// FuzzCountPhrases.
-
-func oraclePhraseSet(phrases []string) *phraseSet {
-	ps := &phraseSet{phrases: make(map[string]bool), prefixes: make(map[string]bool)}
+// The count CountPhrasesN had before it read each phrase's Normalize form and
+// shared stringutil.PhraseIndex: every phrase tokenized and joined again, every
+// phrase keyed with an empty TF map, and at each token the longest window of
+// at most the longest phrase's length that joins to a phrase. Kept as the
+// oracle of FuzzCountPhrases.
+func (c *Corpus) oracleCountPhrases(phrases []string) map[string]TermStats {
+	set, maxLen := map[string]bool{}, 0
 	for _, p := range phrases {
-		toks := stringutil.Tokenize(p)
-		if len(toks) == 0 {
-			continue
-		}
-		ps.phrases[strings.Join(toks, " ")] = true
-		if len(toks) > ps.maxLen {
-			ps.maxLen = len(toks)
-		}
-		for i := 1; i < len(toks); i++ {
-			ps.prefixes[strings.Join(toks[:i], " ")] = true
+		if toks := stringutil.Tokenize(p); len(toks) > 0 {
+			set[strings.Join(toks, " ")] = true
+			maxLen = max(maxLen, len(toks))
 		}
 	}
-	return ps
-}
-
-func (c *Corpus) oracleCountPhrases(phrases []string) map[string]TermStats {
-	ps := oraclePhraseSet(phrases)
-	out := make(map[string]TermStats, len(ps.phrases))
-	for p := range ps.phrases {
+	out := make(map[string]TermStats, len(set))
+	for p := range set {
 		out[p] = TermStats{TF: make(map[string]int)}
 	}
-	if ps.maxLen > 0 {
-		c.countRange(ps, 0, len(c.docs), out)
+	for di, doc := range c.tokenized {
+		seenInDoc := map[string]bool{}
+		for si, toks := range doc {
+			label := c.docs[di].Sections[si].Label
+			for i := 0; i < len(toks); {
+				n := min(maxLen, len(toks)-i)
+				for n > 0 && !set[strings.Join(toks[i:i+n], " ")] {
+					n--
+				}
+				if n == 0 {
+					i++
+					continue
+				}
+				match := strings.Join(toks[i:i+n], " ")
+				st := out[match]
+				st.TF[label]++
+				st.TotalTF++
+				if !seenInDoc[match] {
+					seenInDoc[match] = true
+					st.DF++
+				}
+				out[match] = st
+				i += n
+			}
+		}
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package dialog
 
 import (
+	"slices"
 	"strings"
 
 	"medrelax/internal/kb"
@@ -25,48 +26,29 @@ func (m Mention) Known() bool { return len(m.Instances) > 0 }
 // absent from the KB are still recognized as mentions and can be relaxed —
 // the "pyelectasia" case of Figure 7).
 type MentionExtractor struct {
-	store    *kb.Store
-	phrases  map[string]bool
-	prefixes map[string]bool
-	maxLen   int
+	store   *kb.Store
+	phrases *stringutil.PhraseIndex
 	// stop contains tokens that never begin a mention, keeping template
 	// words like "drugs" from being swallowed.
 	stop map[string]bool
 }
 
 // NewMentionExtractor indexes the store's lexicon together with the extra
-// vocabulary terms.
+// vocabulary terms, leaving out every name that begins with a stop word.
 func NewMentionExtractor(store *kb.Store, extraVocabulary []string) *MentionExtractor {
-	e := &MentionExtractor{
-		store:    store,
-		phrases:  map[string]bool{},
-		prefixes: map[string]bool{},
-		stop: map[string]bool{
-			"drug": true, "drugs": true, "medication": true, "treatment": true,
-			"what": true, "which": true, "the": true, "of": true, "for": true,
-			"risk": true, "risks": true, "side": true, "effect": true, "effects": true,
-		},
+	stop := map[string]bool{
+		"drug": true, "drugs": true, "medication": true, "treatment": true,
+		"what": true, "which": true, "the": true, "of": true, "for": true,
+		"risk": true, "risks": true, "side": true, "effect": true, "effects": true,
 	}
-	add := func(name string) {
-		toks := stringutil.Tokenize(name)
-		if len(toks) == 0 || e.stop[toks[0]] {
-			return
-		}
-		e.phrases[strings.Join(toks, " ")] = true
-		if len(toks) > e.maxLen {
-			e.maxLen = len(toks)
-		}
-		for i := 1; i < len(toks); i++ {
-			e.prefixes[strings.Join(toks[:i], " ")] = true
+	var names []string
+	for _, name := range slices.Concat(store.LexiconKeys(), extraVocabulary) {
+		norm := stringutil.Normalize(name)
+		if first, _, _ := strings.Cut(norm, " "); !stop[first] {
+			names = append(names, norm)
 		}
 	}
-	for _, key := range store.LexiconKeys() {
-		add(key)
-	}
-	for _, v := range extraVocabulary {
-		add(v)
-	}
-	return e
+	return &MentionExtractor{store: store, phrases: stringutil.NewPhraseIndex(names), stop: stop}
 }
 
 // Extract returns the mentions of the utterance in reading order. When the
@@ -78,7 +60,7 @@ func (e *MentionExtractor) Extract(text string) []Mention {
 	toks := stringutil.Tokenize(text)
 	var out []Mention
 	for i := 0; i < len(toks); {
-		match, n := e.longestMatchAt(toks, i)
+		match, n := e.phrases.LongestMatchAt(toks, i)
 		if n == 0 {
 			i++
 			continue
@@ -126,30 +108,4 @@ func (e *MentionExtractor) questionTail(toks []string) (string, bool) {
 		return "", false
 	}
 	return strings.Join(tail, " "), true
-}
-
-func (e *MentionExtractor) longestMatchAt(toks []string, i int) (string, int) {
-	if e.stop[toks[i]] {
-		return "", 0
-	}
-	var b strings.Builder
-	best, bestLen := "", 0
-	limit := i + e.maxLen
-	if limit > len(toks) {
-		limit = len(toks)
-	}
-	for j := i; j < limit; j++ {
-		if j > i {
-			b.WriteByte(' ')
-		}
-		b.WriteString(toks[j])
-		cur := b.String()
-		if e.phrases[cur] {
-			best, bestLen = cur, j-i+1
-		}
-		if !e.prefixes[cur] && !e.phrases[cur] {
-			break
-		}
-	}
-	return best, bestLen
 }

@@ -102,8 +102,8 @@ type Response struct {
 }
 
 // Config tunes Snapshot assembly. It names no term mapper: every snapshot
-// resolves query terms through bundleMapper over its own graph. The zero
-// value serves a loaded bundle at the default relaxation radius.
+// resolves query terms through bundleMapper over its ingestion's resolver.
+// The zero value serves a loaded bundle at the default relaxation radius.
 type Config struct {
 	// Relax configures the online phase; zero values pick the defaults of
 	// core.RelaxOptions plus DynamicRadius (the serving shape).
@@ -140,10 +140,8 @@ type Snapshot struct {
 	// with sources RelaxBatch fuses per-source answers (see federate.go).
 	sources []*Snapshot
 	// mapper is the snapshot's one query-term mapper, the bundle mapper over
-	// its graph; lookup is that mapper's term resolver, adopted with the
-	// ingestion or built by New.
+	// its ingestion's term resolver.
 	mapper match.Mapper
-	lookup *match.LookupService
 	// matActive / idxActive record whether the ingestion's offline
 	// accelerations were attached to the relaxer (they are refused when
 	// their build options cannot reproduce the serving configuration).
@@ -181,7 +179,7 @@ func New(ing *core.Ingestion, cfg Config) *Snapshot {
 			cfg.Relax = core.RelaxOptions{Radius: 3, DynamicRadius: true}
 		}
 	}
-	mapper, lookup := bundleMapper(ing)
+	mapper := bundleMapper(ing)
 	ing.Graph.Freeze()
 	sim := core.NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
 	terms, names := flaggedNames(ing)
@@ -194,7 +192,6 @@ func New(ing *core.Ingestion, cfg Config) *Snapshot {
 		terms:   terms,
 		names:   names,
 		mapper:  mapper,
-		lookup:  lookup,
 	}
 	s.dialogue = sync.OnceValues(s.deriveDialogue)
 	// Mount the secondary sources, each a Snapshot of its own, always on the
@@ -246,16 +243,10 @@ func New(ing *core.Ingestion, cfg Config) *Snapshot {
 
 // bundleMapper is every snapshot's query-term mapper, built or loaded, primary
 // or secondary, so a world and the bundle it saves answer alike: edit distance
-// (which tries the exact key first), then the lookup service over an
-// ingestion's graph. The term resolver is the one adopted from the bundle's
-// columns when the ingestion carries it, and tokenised here otherwise; the
-// edit matcher shares its key signatures either way.
-func bundleMapper(ing *core.Ingestion) (match.Mapper, *match.LookupService) {
-	lookup := ing.Lookup
-	if lookup == nil {
-		lookup = match.NewLookupService(ing.Graph)
-	}
-	return match.NewCombined(lookup.Edit(0), lookup), lookup
+// (which tries the exact key first), then the ingestion's term resolver, whose
+// key signatures the edit matcher shares.
+func bundleMapper(ing *core.Ingestion) match.Mapper {
+	return match.NewCombined(ing.Lookup.Edit(0), ing.Lookup)
 }
 
 // residency says where the snapshot's columns live: a flat bundle's in a file
@@ -269,16 +260,6 @@ func (s *Snapshot) residency() string {
 		return "mapped"
 	}
 	return "heap"
-}
-
-// resolverResidency is residency for the bundle mapper's term resolver:
-// adopted with the flat bundle's columns, or "built" when New tokenised the
-// lexicon.
-func (s *Snapshot) resolverResidency() string {
-	if s.ing.Lookup == nil {
-		return "built"
-	}
-	return s.residency()
 }
 
 // flaggedNames resolves the flagged concepts once, in ID order (FlaggedIDs is
@@ -322,8 +303,8 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 	loadDur := time.Since(loadStart)
 	freezeStart := time.Now()
 	snap := New(ing, Config{Source: path})
-	log.Printf("bundle loaded: %d EKS concepts, %d instances, %s, resolver %s with %d tokens (decode+restore %s, freeze %s)",
-		ing.Graph.Len(), ing.Store.Len(), snap.residency(), snap.resolverResidency(), len(snap.lookup.FlatData().Tokens),
+	log.Printf("bundle loaded: %d EKS concepts, %d instances, %s, resolver %[3]s with %d tokens (decode+restore %s, freeze %s)",
+		ing.Graph.Len(), ing.Store.Len(), snap.residency(), len(ing.Lookup.FlatData().Tokens),
 		loadDur.Round(time.Millisecond), time.Since(freezeStart).Round(time.Millisecond))
 	// Probe one flagged term end to end so a structurally valid bundle
 	// that cannot actually answer fails here, not in production traffic.
@@ -460,11 +441,10 @@ func (s *Snapshot) Stats() map[string]any {
 	if b := s.ing.Backing; b != nil {
 		stats["snapshotBytes"] = b.SizeBytes()
 	}
-	// The term resolver of the bundle mapper: adopted with the bundle's
-	// columns (mapped, or heap for a streamed bundle) or built by New, and the
-	// distinct tokens it indexes.
-	stats["resolver"] = s.resolverResidency()
-	stats["resolverTokens"] = len(s.lookup.FlatData().Tokens)
+	// The term resolver of the bundle mapper lives with the ingestion's
+	// columns, and the distinct tokens it indexes.
+	stats["resolver"] = s.residency()
+	stats["resolverTokens"] = len(s.ing.Lookup.FlatData().Tokens)
 	live, mat, idx := s.relaxer.PathCounts()
 	stats["relaxPaths"] = map[string]uint64{"live": live, "materialized": mat, "indexed": idx, "materializedTruncated": s.relaxer.TruncatedDeclines()}
 	// Where the kernel's per-concept geometries came from for this snapshot —

@@ -135,11 +135,8 @@ func (g *EvidenceGenerator) matchAt(toks []string, i int) (TokenEvidence, int) {
 		return TokenEvidence{}, 0
 	}
 	// Try spans longest-first, up to 5 tokens, direct evidence only.
-	max := 5
-	if i+max > len(toks) {
-		max = len(toks) - i
-	}
-	for n := max; n >= 1; n-- {
+	longest := min(5, len(toks)-i)
+	for n := longest; n >= 1; n-- {
 		span := g.spanAt(toks, i, n)
 		if span == "" {
 			continue
@@ -151,7 +148,7 @@ func (g *EvidenceGenerator) matchAt(toks []string, i int) (TokenEvidence, int) {
 	}
 	// Relaxation fallback for short unknown spans: take the longest span
 	// (up to 3 tokens) that ends before a stopword.
-	for n := min(3, max); n >= 1; n-- {
+	for n := min(3, longest); n >= 1; n-- {
 		span := g.spanAt(toks, i, n)
 		if span == "" {
 			continue
@@ -186,13 +183,6 @@ func (g *EvidenceGenerator) knownPhrase(span string) bool {
 	}
 	_, ok := g.relLex[span]
 	return ok
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // directEvidencesFor collects every direct evidence for a span: metadata

@@ -254,3 +254,19 @@ func TestLoadFaultSites(t *testing.T) {
 		t.Errorf("persist.read fault not surfaced: %v", err)
 	}
 }
+
+// TestLoadChecksEachFaultSiteOnce: a load asks persist.open once, so a site
+// armed after one check lets the first load through and fails the second.
+func TestLoadChecksEachFaultSiteOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bundle.flat")
+	if err := SaveFileAtomic(path, buildIngestion(t), FormatFlat); err != nil {
+		t.Fatal(err)
+	}
+	armFaults(t, "persist.open:error,after=1,count=1")
+	if _, err := LoadFile(path); err != nil {
+		t.Fatalf("the first load checked persist.open more than once: %v", err)
+	}
+	if _, err := LoadFile(path); !errors.Is(err, fault.ErrInjected) {
+		t.Errorf("the second load: %v, want the injected fault", err)
+	}
+}

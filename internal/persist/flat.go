@@ -92,9 +92,8 @@ const (
 	secGraphKeyOff   uint32 = 23 // []int32 CSR into graphKeyIDs
 	secGraphKeyIDs   uint32 = 24 // []eks.ConceptID
 
-	// The term resolver over the graph's name keys (match.FlatLookupData). A
-	// bundle without these sections opens with no resolver and its server
-	// builds one.
+	// The term resolver over the graph's name keys (match.FlatLookupData).
+	// Every source carries it; a bundle without it is a retired form.
 	secLkTokens  uint32 = 25 // []uint32 string refs, distinct tokens ascending
 	secLkTokOff  uint32 = 26 // []int32 CSR into lkTokKeys
 	secLkTokKeys uint32 = 27 // []int32 positions in graphNameKeys, ascending per token

@@ -62,7 +62,7 @@ func assertSameRelaxations(t *testing.T, want, got *core.Ingestion) {
 
 func TestFlatRoundTrip(t *testing.T) {
 	ing := buildIngestion(t)
-	restored, err := OpenFlat(writeFlatFile(t, ing))
+	restored, err := LoadFile(writeFlatFile(t, ing))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestFlatRoundTrip(t *testing.T) {
 
 func TestFlatAccelRoundTrip(t *testing.T) {
 	ing := buildAccelIngestion(t)
-	restored, err := OpenFlat(writeFlatFile(t, ing))
+	restored, err := LoadFile(writeFlatFile(t, ing))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestFlatAccelRoundTrip(t *testing.T) {
 
 func TestFlatAccelFreeOmitsAccelSections(t *testing.T) {
 	ing := buildIngestion(t)
-	restored, err := OpenFlat(writeFlatFile(t, ing))
+	restored, err := LoadFile(writeFlatFile(t, ing))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestFlatAccelFreeOmitsAccelSections(t *testing.T) {
 // and Close is idempotent, through both the Ingestion and the backing.
 func TestFlatExplicitClose(t *testing.T) {
 	ing := buildIngestion(t)
-	restored, err := OpenFlat(writeFlatFile(t, ing))
+	restored, err := LoadFile(writeFlatFile(t, ing))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestSaveFileAtomicFlat(t *testing.T) {
 	if err := SaveFileAtomic(path, ing, FormatFlat); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := OpenFlat(path)
+	restored, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,11 +413,11 @@ func TestFlatRoundTripSmallWorld(t *testing.T) {
 	ing := buildIngestion(t)
 	// Strip accelerations explicitly (buildIngestion has none) and save the
 	// same world twice through flat: open → save → open must be stable.
-	first, err := OpenFlat(writeFlatFile(t, ing))
+	first, err := LoadFile(writeFlatFile(t, ing))
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := OpenFlat(writeFlatFile(t, first))
+	second, err := LoadFile(writeFlatFile(t, first))
 	if err != nil {
 		t.Fatal(err)
 	}

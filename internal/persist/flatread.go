@@ -12,37 +12,10 @@ import (
 
 	"medrelax/internal/core"
 	"medrelax/internal/eks"
-	"medrelax/internal/fault"
 	"medrelax/internal/kb"
 	"medrelax/internal/match"
 	"medrelax/internal/ontology"
 )
-
-// OpenFlat opens a flat (v4) bundle from disk zero-copy: the file is
-// memory-mapped (where the platform supports it; otherwise read into one
-// aligned buffer) and every column of the returned ingestion aliases that
-// memory. The mapping stays valid for the lifetime of the returned
-// Ingestion — its Backing field pins it — and is released by the runtime
-// once the Ingestion becomes unreachable. Views handed out by the
-// ingestion (instance spans, stored geometries, ...) must not outlive it.
-func OpenFlat(path string) (*core.Ingestion, error) {
-	if err := fault.At("persist.open").Inject(); err != nil {
-		return nil, fmt.Errorf("persist: opening bundle %q: %w", path, err)
-	}
-	if err := fault.At("persist.read").Inject(); err != nil {
-		return nil, fmt.Errorf("persist: reading bundle %q: %w", path, err)
-	}
-	data, backing, err := mapBundle(path)
-	if err != nil {
-		return nil, fmt.Errorf("persist: opening bundle: %w", err)
-	}
-	ing, err := openFlatBytes(data, backing)
-	if err != nil {
-		backing.release()
-		return nil, fmt.Errorf("bundle %q: %w", path, err)
-	}
-	return ing, nil
-}
 
 // alignedBytes allocates an 8-byte-aligned buffer of n bytes, so the heap
 // fallback satisfies the same alignment contract a page-aligned mapping
@@ -62,24 +35,33 @@ type flatDecoder struct {
 	strOff []uint32
 }
 
-// openFlatBytes validates a flat bundle held in memory and assembles the
-// ingestion over it. data must be 8-byte aligned (a page-aligned mapping or
-// alignedBytes buffer); backing is attached to the result to pin the
-// memory's lifetime.
-func openFlatBytes(data []byte, backing core.SnapshotBacking) (*core.Ingestion, error) {
+// flatEntry is one directory entry of a flat bundle: a section's kind,
+// placement and stored checksum, and its payload when it lies in the section
+// area (placed) — between the header and the directory, 8-byte aligned.
+type flatEntry struct {
+	kind, crc   uint32
+	off, length uint64
+	placed      bool
+	payload     []byte
+}
+
+// readFlatDirectory decodes a flat bundle's header and directory: the magic,
+// the version, the size the header claims, the section count, the directory's
+// bounds and checksum, and its entries. It returns the first fault it meets;
+// the entries are decoded whenever the directory lies inside the file, so a
+// directory its checksum disowns is still listed along with the mismatch.
+func readFlatDirectory(data []byte) ([]flatEntry, error) {
+	le := binary.LittleEndian
 	if len(data) < flatHeaderSize {
 		return nil, corruptf("flat v4", "truncated header (%d bytes)", len(data))
 	}
 	if string(data[:len(flatMagic)]) != flatMagic {
 		return nil, corruptf("flat v4", "bad magic")
 	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != VersionFlat {
+	if v := le.Uint32(data[4:]); v != VersionFlat {
 		return nil, corruptf("flat v4", "bundle version %d, want %d", v, VersionFlat)
 	}
-	nSec := binary.LittleEndian.Uint32(data[8:])
-	dirCRC := binary.LittleEndian.Uint32(data[12:])
-	dirOff := binary.LittleEndian.Uint64(data[16:])
-	fileSize := binary.LittleEndian.Uint64(data[24:])
+	nSec, dirCRC, dirOff, fileSize := le.Uint32(data[8:]), le.Uint32(data[12:]), le.Uint64(data[16:]), le.Uint64(data[24:])
 	if fileSize != uint64(len(data)) {
 		return nil, corruptf("flat v4", "header claims %d bytes, file has %d", fileSize, len(data))
 	}
@@ -91,34 +73,45 @@ func openFlatBytes(data []byte, backing core.SnapshotBacking) (*core.Ingestion, 
 		return nil, corruptf("flat v4", "directory [%d,+%d) outside file of %d bytes", dirOff, dirLen, fileSize)
 	}
 	dir := data[dirOff : dirOff+dirLen]
-	if got := sectionCRC(dir); got != dirCRC {
-		return nil, corruptf("flat v4", "directory checksum mismatch (stored %08x, computed %08x)", dirCRC, got)
+	entries := make([]flatEntry, nSec)
+	for i := range entries {
+		e, raw := &entries[i], dir[i*flatDirEntrySize:]
+		e.kind, e.off, e.length, e.crc = le.Uint32(raw), le.Uint64(raw[8:]), le.Uint64(raw[16:]), le.Uint32(raw[24:])
+		if e.placed = e.off >= flatHeaderSize && e.off%8 == 0 && e.off <= dirOff && e.length <= dirOff-e.off; e.placed {
+			e.payload = data[e.off : e.off+e.length]
+		}
 	}
+	if got := sectionCRC(dir); got != dirCRC {
+		return entries, corruptf("flat v4", "directory checksum mismatch (stored %08x, computed %08x)", dirCRC, got)
+	}
+	return entries, nil
+}
 
-	secs := make(map[uint32][]byte, nSec)
-	sums := make([]sectionSum, 0, nSec)
+// openFlatBytes validates a flat bundle held in memory and assembles the
+// ingestion over it, refusing it at the first fault. data must be 8-byte
+// aligned (a page-aligned mapping or alignedBytes buffer); backing is attached
+// to the result to pin the memory's lifetime.
+func openFlatBytes(data []byte, backing core.SnapshotBacking) (*core.Ingestion, error) {
+	entries, err := readFlatDirectory(data)
+	if err != nil {
+		return nil, err
+	}
+	secs := make(map[uint32][]byte, len(entries))
+	sums := make([]sectionSum, 0, len(entries))
 	var structural error
-	for i := uint64(0); i < uint64(nSec); i++ {
-		e := dir[i*flatDirEntrySize:]
-		kind := binary.LittleEndian.Uint32(e[0:])
-		off := binary.LittleEndian.Uint64(e[8:])
-		length := binary.LittleEndian.Uint64(e[16:])
-		crc := binary.LittleEndian.Uint32(e[24:])
-		if off < flatHeaderSize || off%8 != 0 || off > uint64(len(data)) || length > uint64(len(data))-off || off+length > dirOff {
-			structural = corruptf("flat v4", "section %d at [%d,+%d) outside the section area", kind, off, length)
+	for _, e := range entries {
+		if _, dup := secs[e.kind]; !e.placed {
+			structural = corruptf("flat v4", "section %d at [%d,+%d) outside the section area", e.kind, e.off, e.length)
+		} else if dup {
+			structural = corruptf("flat v4", "duplicate section kind %d", e.kind)
+		} else {
+			structural = retiredFlatSection(e.kind)
+		}
+		if structural != nil {
 			break
 		}
-		if _, dup := secs[kind]; dup {
-			structural = corruptf("flat v4", "duplicate section kind %d", kind)
-			break
-		}
-		if err := retiredFlatSection(kind); err != nil {
-			structural = err
-			break
-		}
-		payload := data[off : off+length]
-		sums = append(sums, sectionSum{kind: kind, stored: crc, payload: payload})
-		secs[kind] = payload
+		sums = append(sums, sectionSum{kind: e.kind, stored: e.crc, payload: e.payload})
+		secs[e.kind] = e.payload
 	}
 	// A section's checksum is checked before anything later in the
 	// directory, so a mismatch is reported ahead of a structural error that
@@ -129,13 +122,8 @@ func openFlatBytes(data []byte, backing core.SnapshotBacking) (*core.Ingestion, 
 	if structural != nil {
 		return nil, structural
 	}
-
 	d := &flatDecoder{secs: secs}
-	ing, err := d.restoreFlat(backing)
-	if err != nil {
-		return nil, err
-	}
-	return ing, nil
+	return d.restoreFlat(backing)
 }
 
 // sectionSum is one directory entry's payload and stored checksum, and the
@@ -315,9 +303,8 @@ func (d *flatDecoder) restoreFlat(backing core.SnapshotBacking) (*core.Ingestion
 // source at a kind base over a store and ontology: the primary at base 0, and
 // each secondary at its own base over the primary's store and ontology. gd and
 // fd come with the scalars META or the sources table holds for the source, and
-// the columns complete them. The resolver has no flag: a source carries it
-// when it carries the family's first section, and writers before it left the
-// family out.
+// the columns complete them. Every source carries its term resolver; one
+// without the family is a retired form.
 func (d *flatDecoder) openSource(base uint32, gd eks.FlatGraphData, fd core.FlatFrequencyData, shortcuts int64,
 	store *kb.Store, onto *ontology.Ontology) (*core.Ingestion, error) {
 	var ld match.FlatLookupData
@@ -329,20 +316,23 @@ func (d *flatDecoder) openSource(base uint32, gd eks.FlatGraphData, fd core.Flat
 			return nil, err
 		}
 	}
+	// The family's first section says the source carries it: without it, a
+	// section of the rest is an orphan, and no section at all a retired form.
 	lookup := atSource(base, lookupColumns(&ld))
 	_, hasLookup := d.secs[lookup[0].kind]
 	if err := d.optionalColumns(lookup, hasLookup, flatSectionName(lookup[0].kind)); err != nil {
 		return nil, err
 	}
+	if !hasLookup {
+		return nil, retiredNoResolver(lookup[0].kind)
+	}
 	g, err := eks.NewFlatGraph(gd)
 	if err != nil {
 		return nil, restoreFailed(err)
 	}
-	var lk *match.LookupService
-	if hasLookup {
-		if lk, err = match.OpenFlatLookup(g, ld); err != nil {
-			return nil, restoreFailed(err)
-		}
+	lk, err := match.OpenFlatLookup(g, ld)
+	if err != nil {
+		return nil, restoreFailed(err)
 	}
 	ft, err := core.OpenFlatFrequencyTable(fd)
 	if err != nil {

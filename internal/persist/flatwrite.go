@@ -9,7 +9,6 @@ import (
 	"unsafe"
 
 	"medrelax/internal/core"
-	"medrelax/internal/match"
 )
 
 // flatWriter accumulates sections and interns strings for a v4 bundle.
@@ -78,7 +77,7 @@ func (w *flatWriter) leRefs(ss []string) []byte {
 }
 
 // SaveFlat writes the ingestion as a flat (v4) bundle: the zero-copy format
-// OpenFlat serves directly from a memory mapping. The output is
+// LoadFile serves directly from a memory mapping. The output is
 // deterministic — identical ingestions produce identical bytes.
 func SaveFlat(w io.Writer, ing *core.Ingestion) error {
 	sections, err := encodeFlat(ing)
@@ -229,14 +228,9 @@ func flatOntologySections(fw *flatWriter, ing *core.Ingestion) {
 }
 
 // sourceFamilies is a source's graph, resolver, mapping and frequency families
-// at its kind base. The resolver is the one adopted with the ingestion, or one
-// built now, so a server opening the bundle adopts rather than tokenises.
+// at its kind base.
 func sourceFamilies(base uint32, ing *core.Ingestion) (graph, lookup, mappings, freqs []flatColumn) {
-	lk := ing.Lookup
-	if lk == nil {
-		lk = match.NewLookupService(ing.Graph)
-	}
-	gd, ld, maps, fd := ing.Graph.FlatData(), lk.FlatData(), ing.FlatMappings(), ing.Frequencies.FlatData()
+	gd, ld, maps, fd := ing.Graph.FlatData(), ing.Lookup.FlatData(), ing.FlatMappings(), ing.Frequencies.FlatData()
 	return atSource(base, graphColumns(&gd)), atSource(base, lookupColumns(&ld)),
 		atSource(base, mappingsColumns(&maps)), atSource(base, frequencyColumns(&fd))
 }

@@ -6,10 +6,12 @@ import (
 	"testing"
 )
 
-// FuzzLoadBundle throws arbitrary bytes at what LoadFile does with a file:
-// the head classifier, then the flat decoder. Its contract under fuzzing is:
-// never panic, never hang, and when it does accept an input, the result must
-// survive serving validation or be rejected by it — no third outcome. Seeds
+// FuzzLoadBundle throws arbitrary bytes at what LoadFile does with a file —
+// the head classifier, then the flat decoder — and at what InspectFile does.
+// Its contract under fuzzing is: never panic, never hang, and when the load
+// does accept an input, the result must survive serving validation or be
+// rejected by it — no third outcome — and inspect must agree: no error, every
+// checksum good, the same sections. Seeds
 // cover real bundles, single-source, accelerated and federated, the torn
 // variants the crash-safety layer defends against, and the retired forms,
 // which must never load however they are mutated.
@@ -22,7 +24,7 @@ func FuzzLoadBundle(f *testing.F) {
 	f.Add([]byte{})
 
 	// Retired forms, whole and torn.
-	for _, name := range []string{"retired-v2.mrxb", "retired-v3.mrxb", "retired-v1-accel.json", "retired-postings.flat", "retired-sources-json.flat"} {
+	for _, name := range []string{"retired-v2.mrxb", "retired-v3.mrxb", "retired-v1-accel.json", "retired-postings.flat", "retired-sources-json.flat", "retired-no-resolver.flat"} {
 		data := readFixture(f, name)
 		f.Add(data)
 		f.Add(data[:len(data)*3/4])
@@ -46,6 +48,7 @@ func FuzzLoadBundle(f *testing.F) {
 	f.Add(ff[:len(ff)*3/4])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		info, ierr := inspectBytes(data)
 		restored, err := loadBytes(data)
 		if err != nil {
 			return
@@ -57,6 +60,18 @@ func FuzzLoadBundle(f *testing.F) {
 		// internally consistent enough for ValidateForServing to give a
 		// deterministic verdict (either way) without panicking.
 		_ = ValidateForServing(restored)
+		if ierr != nil || !info.CRCOK {
+			t.Fatalf("a loaded bundle inspects with error %v, CRCOK %v", ierr, info != nil && info.CRCOK)
+		}
+		entries, _ := readFlatDirectory(data)
+		if len(info.Sections) != len(entries) {
+			t.Fatalf("inspect lists %d sections, the loaded directory %d", len(info.Sections), len(entries))
+		}
+		for i, s := range info.Sections {
+			if s.Kind != entries[i].kind || !s.CRCOK {
+				t.Fatalf("inspect lists section %d as %+v, the loaded directory as kind %d", i, s, entries[i].kind)
+			}
+		}
 	})
 }
 

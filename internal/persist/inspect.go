@@ -119,65 +119,53 @@ func InspectFile(path string) (*BundleInfo, error) {
 	if err != nil {
 		return nil, fmt.Errorf("persist: reading bundle: %w", err)
 	}
-	info := &BundleInfo{SizeBytes: int64(len(data))}
-	info.Format, info.Version, err = classifyHead(data)
-	switch {
-	case err == nil:
-		return inspectFlat(data, info)
-	case info.Format == "unknown":
-		return nil, err
-	}
-	return info, err
+	return inspectBytes(data)
 }
 
-func inspectFlat(data []byte, info *BundleInfo) (*BundleInfo, error) {
-	if len(data) < flatHeaderSize {
-		info.CRCOK = false
-		return info, nil
+// inspectBytes is InspectFile over bytes in memory. A flat bundle's header or
+// directory that does not decode leaves CRCOK false and no sections.
+func inspectBytes(data []byte) (*BundleInfo, error) {
+	info := &BundleInfo{SizeBytes: int64(len(data))}
+	var err error
+	if info.Format, info.Version, err = classifyHead(data); err != nil {
+		if info.Format == "unknown" {
+			return nil, err
+		}
+		return info, err
 	}
-	info.Version = int(binary.LittleEndian.Uint32(data[4:]))
-	nSec := binary.LittleEndian.Uint32(data[8:])
-	dirCRC := binary.LittleEndian.Uint32(data[12:])
-	dirOff := binary.LittleEndian.Uint64(data[16:])
-	fileSize := binary.LittleEndian.Uint64(data[24:])
-	dirLen := uint64(nSec) * flatDirEntrySize
-	if fileSize != uint64(len(data)) || nSec == 0 || nSec > flatMaxSections ||
-		dirOff < flatHeaderSize || dirOff > uint64(len(data)) || dirLen > uint64(len(data))-dirOff {
-		info.CRCOK = false
-		return info, nil
+	if len(data) >= flatHeaderSize {
+		info.Version = int(binary.LittleEndian.Uint32(data[4:]))
 	}
-	dir := data[dirOff : dirOff+dirLen]
-	ok := sectionCRC(dir) == dirCRC
+	entries, err := readFlatDirectory(data)
+	info.CRCOK = err == nil
 	var retired error
 	// Nothing is read out of a payload its checksum disowns, or one placed
-	// where the reader would refuse it as misaligned.
-	checked := make(map[uint32][]byte, nSec)
-	for i := uint64(0); i < uint64(nSec); i++ {
-		e := dir[i*flatDirEntrySize:]
-		s := SectionInfo{
-			Kind:   binary.LittleEndian.Uint32(e[0:]),
-			Offset: binary.LittleEndian.Uint64(e[8:]),
-			Length: binary.LittleEndian.Uint64(e[16:]),
+	// where the reader would refuse it.
+	checked := make(map[uint32][]byte, len(entries))
+	for _, e := range entries {
+		s := SectionInfo{Kind: e.kind, Name: flatSectionName(e.kind), Offset: e.off, Length: e.length,
+			CRCOK: e.placed && sectionCRC(e.payload) == e.crc}
+		if s.CRCOK {
+			checked[e.kind] = e.payload
 		}
-		s.Name = flatSectionName(s.Kind)
-		crc := binary.LittleEndian.Uint32(e[24:])
-		if s.Offset <= uint64(len(data)) && s.Length <= uint64(len(data))-s.Offset {
-			payload := data[s.Offset : s.Offset+s.Length]
-			if s.CRCOK = sectionCRC(payload) == crc; s.CRCOK && s.Offset%8 == 0 {
-				checked[s.Kind] = payload
-			}
-		}
-		ok = ok && s.CRCOK
+		info.CRCOK = info.CRCOK && s.CRCOK
 		info.Sections = append(info.Sections, s)
-		if err := retiredFlatSection(s.Kind); err != nil {
+		if err := retiredFlatSection(e.kind); err != nil {
 			retired = err
 		}
 	}
-	info.CRCOK = ok
 	d := &flatDecoder{secs: checked}
 	var st flatSources
 	if d.initStrings() == nil && d.columns(sourcesColumns(&st)) == nil {
 		info.Sources = st.Names
+	}
+	// A source's resolver is looked for only where the directory can be
+	// trusted to list every section.
+	for i := 0; info.CRCOK && retired == nil && i <= len(info.Sources); i++ {
+		first := uint32(i)*sourceKindStride + secLkTokens
+		if _, has := checked[first]; !has {
+			retired = retiredNoResolver(first)
+		}
 	}
 	info.Store = storeDepth(checked)
 	info.Frequencies = frequencyShape(checked)

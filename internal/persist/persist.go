@@ -11,7 +11,7 @@
 // sections, every one a numeric column (or the string table they index) laid
 // out as the read path traverses it and served from a memory mapping;
 // written by SaveFlat (SaveFileAtomic publishes it crash-safely), opened by
-// LoadFile and OpenFlat. A federated ingestion's secondary sources ride in
+// LoadFile. A federated ingestion's secondary sources ride in
 // the same file as column families of their own. See flat.go for the layout.
 //
 // A bundle is strictly validated on open (a corrupted or truncated bundle
@@ -27,8 +27,6 @@ package persist
 import (
 	"errors"
 	"fmt"
-	"io"
-	"os"
 
 	"medrelax/internal/core"
 	"medrelax/internal/fault"
@@ -51,29 +49,36 @@ func corruptf(format, msg string, args ...any) error {
 // LoadFile loads a bundle from disk — the hot-reload entry point: the
 // serving layer points it at the (possibly replaced) bundle path and swaps
 // in the result only when both LoadFile and ValidateForServing pass. The
-// header is classified first (classifyHead): a flat bundle is opened by
-// OpenFlat and served zero-copy from a memory mapping, a retired form fails
-// by name, anything else as unknown. Errors carry the path; a corrupt file —
-// including one too short to classify — wraps ErrCorruptBundle while a
-// missing file wraps fs.ErrNotExist, so callers can react differently.
+// file is mapped once (where the platform supports it; otherwise read into
+// one aligned buffer) and its head classified (classifyHead): a flat bundle
+// is opened over the mapping, a retired form fails by name, anything else as
+// unknown. Every column of the returned ingestion aliases the mapping, which
+// stays valid for the ingestion's lifetime — its Backing pins it — and is
+// released by the runtime once the ingestion becomes unreachable; views it
+// hands out (instance spans, stored geometries, ...) must not outlive it.
+// Errors carry the path; a corrupt file — including one too short to
+// classify — wraps ErrCorruptBundle while a missing file wraps
+// fs.ErrNotExist, so callers can react differently.
 func LoadFile(path string) (*core.Ingestion, error) {
 	if err := fault.At("persist.open").Inject(); err != nil {
 		return nil, fmt.Errorf("persist: opening bundle %q: %w", path, err)
 	}
-	f, err := os.Open(path)
+	if err := fault.At("persist.read").Inject(); err != nil {
+		return nil, fmt.Errorf("persist: reading bundle %q: %w", path, err)
+	}
+	data, backing, err := mapBundle(path)
 	if err != nil {
 		return nil, fmt.Errorf("persist: opening bundle: %w", err)
 	}
-	head := make([]byte, flatHeaderSize)
-	n, rerr := io.ReadFull(f, head)
-	f.Close()
-	if rerr != nil && rerr != io.ErrUnexpectedEOF && rerr != io.EOF {
-		return nil, fmt.Errorf("bundle %q: persist: reading bundle header: %w", path, rerr)
+	var ing *core.Ingestion
+	if _, _, err = classifyHead(data[:min(len(data), flatHeaderSize)]); err == nil {
+		ing, err = openFlatBytes(data, backing)
 	}
-	if _, _, err := classifyHead(head[:n]); err != nil {
+	if err != nil {
+		backing.release()
 		return nil, fmt.Errorf("bundle %q: %w", path, err)
 	}
-	return OpenFlat(path)
+	return ing, nil
 }
 
 // ValidateForServing checks the invariants a bundle must satisfy before a

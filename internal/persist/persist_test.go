@@ -221,6 +221,7 @@ func TestDenseFrequencyBundleStillOpens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	old.Lookup = ing.Lookup
 	data := saveFlatBytes(t, old)
 	restored, err := loadBytes(data)
 	if err != nil {

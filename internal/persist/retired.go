@@ -39,6 +39,14 @@ const retiredCidxFirst, retiredCidxLast uint32 = 90, 93
 // column families at a kind base of its own (sourceBase).
 const secSourcesJSON uint32 = 100
 
+// retiredNoResolver refuses a source that carries no term resolver, whose
+// family starts at section kind first: a bundle written before the resolver
+// became columns, whose server tokenised the lexicon at every open. Its
+// absence, not a section, marks the form, so it is met after the checksums.
+func retiredNoResolver(first uint32) error {
+	return retiredf("flat v4", "a source without its term resolver (no %s section)", flatSectionName(first))
+}
+
 // retiredf is the error a retired input form fails with.
 func retiredf(format, what string, args ...any) error {
 	return corruptf(format, "%s is a retired form no reader decodes; rebuild the bundle with medrelax -save", fmt.Sprintf(what, args...))

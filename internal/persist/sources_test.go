@@ -127,7 +127,7 @@ func kindOf(t *testing.T, name string) uint32 {
 
 func TestFlatSourcesRoundTrip(t *testing.T) {
 	ing := buildFederatedIngestion(t)
-	restored, err := OpenFlat(writeFlatFile(t, ing))
+	restored, err := LoadFile(writeFlatFile(t, ing))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestFlatSingleSourceOmitsSourcesSection(t *testing.T) {
 			t.Errorf("single-source flat bundle carries a %s section", flatSectionName(s.kind))
 		}
 	}
-	restored, err := OpenFlat(writeFlatFile(t, ing))
+	restored, err := LoadFile(writeFlatFile(t, ing))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -437,8 +437,8 @@ func (rt *Router) forward(r *http.Request, key string) (int, http.Header, []byte
 // transport failure and shed/transient statuses per the backoff policy.
 // Transport errors advance to the next candidate immediately (and count
 // against the failing replica's health); 429/503 wait out the backoff
-// first, honoring Retry-After. Whatever response ends the loop is
-// returned verbatim.
+// first, and Retry-After too when the next attempt asks the same replica.
+// Whatever response ends the loop is returned verbatim.
 func (rt *Router) forwardReq(ctx context.Context, method, uri string, header http.Header, body []byte, key string) (int, http.Header, []byte, error) {
 	cands := rt.candidates(key)
 	if len(cands) == 0 {
@@ -488,7 +488,13 @@ func (rt *Router) forwardReq(ctx context.Context, method, uri string, header htt
 				att.End()
 			}
 			rt.countRetry(rep)
-			time.Sleep(rt.wait(pol, attempt, retry.After(respHeader)))
+			// Retry-After speaks for the replica that sent it: the next
+			// candidate is asked after the backoff alone.
+			var after time.Duration
+			if cands[(attempt+1)%len(cands)] == rep {
+				after = retry.After(respHeader)
+			}
+			time.Sleep(rt.wait(pol, attempt, after))
 			continue
 		}
 		if att != nil {

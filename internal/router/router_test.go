@@ -268,6 +268,34 @@ func TestRetryOnShedStatus(t *testing.T) {
 	}
 }
 
+// TestShedOwnerRetryAfterSpeaksForItself: an owner that always sheds with
+// Retry-After: 1 does not park the request for a second — the next attempt
+// goes to the other replica after the backoff alone.
+func TestShedOwnerRetryAfterSpeaksForItself(t *testing.T) {
+	fakes := []*fakeReplica{newFakeReplica(t, "a"), newFakeReplica(t, "b")}
+	fakes[0].relax = func(w http.ResponseWriter, _ *http.Request) bool {
+		w.Header().Set("Retry-After", "1")
+		w.WriteHeader(http.StatusTooManyRequests)
+		return true
+	}
+	rt := testRouter(t, fakes, nil)
+	var term string
+	for i := 0; ; i++ {
+		term = fmt.Sprintf("probe-%d", i)
+		if rt.ring.Owners(routingKey("", term), 1)[0] == fakes[0].addr() {
+			break
+		}
+	}
+	start := time.Now()
+	resp, body := get(t, rt.Handler(), "/relax?term="+term)
+	if took := time.Since(start); resp.StatusCode != 200 || took >= 500*time.Millisecond {
+		t.Fatalf("status %d after %v: %s", resp.StatusCode, took, body)
+	}
+	if fakes[1].served.Load() != 1 {
+		t.Errorf("the other replica served %d requests, want 1", fakes[1].served.Load())
+	}
+}
+
 // TestAdmissionShedsBeforeReplica holds the router at its concurrency cap
 // and requires the overflow request to get 429 + Retry-After without the
 // replica ever seeing it.

@@ -309,3 +309,68 @@ func abs(x int) int {
 	}
 	return x
 }
+
+// PhraseIndex indexes phrases by their Normalize form for greedy
+// longest-match scanning of token streams — how entity mentions are
+// extracted from an utterance and concept mentions counted in a corpus.
+type PhraseIndex struct {
+	phrases  map[string]bool // full phrases, joined by spaces
+	prefixes map[string]bool // all proper prefixes, joined by spaces
+	maxLen   int             // longest phrase, in tokens
+}
+
+// NewPhraseIndex indexes each phrase by its Normalize form — the phrase
+// itself when it is already normal, as nearly every lexicon name is — whose
+// tokens are joined by single spaces, so its proper prefixes are sliced out
+// of it at its spaces rather than tokenized and joined again. A phrase with
+// no tokens is left out.
+func NewPhraseIndex(phrases []string) *PhraseIndex {
+	x := &PhraseIndex{phrases: make(map[string]bool, len(phrases)), prefixes: make(map[string]bool, len(phrases))}
+	for _, p := range phrases {
+		norm := Normalize(p)
+		if norm == "" {
+			continue
+		}
+		x.phrases[norm] = true
+		toks := 1
+		for i := 0; i < len(norm); i++ {
+			if norm[i] == ' ' {
+				x.prefixes[norm[:i]] = true
+				toks++
+			}
+		}
+		x.maxLen = max(x.maxLen, toks)
+	}
+	return x
+}
+
+// Len is the number of distinct phrases indexed.
+func (x *PhraseIndex) Len() int { return len(x.phrases) }
+
+// Each calls f with every distinct phrase, in no particular order.
+func (x *PhraseIndex) Each(f func(phrase string)) {
+	for p := range x.phrases {
+		f(p)
+	}
+}
+
+// LongestMatchAt returns the longest phrase starting at toks[i], and its
+// token length, or ("", 0).
+func (x *PhraseIndex) LongestMatchAt(toks []string, i int) (string, int) {
+	var b strings.Builder
+	best, bestLen := "", 0
+	for j := i; j < min(i+x.maxLen, len(toks)); j++ {
+		if j > i {
+			b.WriteByte(' ')
+		}
+		b.WriteString(toks[j])
+		cur := b.String()
+		if x.phrases[cur] {
+			best, bestLen = cur, j-i+1
+		}
+		if !x.prefixes[cur] && !x.phrases[cur] {
+			break
+		}
+	}
+	return best, bestLen
+}
