@@ -39,6 +39,15 @@ func twoSourceSystem(tb testing.TB) *System {
 }
 
 // relaxNames asks the system's snapshot one request without a deadline.
+// provenanceOf is a result's attribution: the zero Provenance on a plain
+// answer, which carries none.
+func provenanceOf(r engine.RelaxResult) engine.Provenance {
+	if r.Provenance == nil {
+		return engine.Provenance{}
+	}
+	return *r.Provenance
+}
+
 func relaxNames(sys *System, req engine.Request) ([]engine.RelaxResult, error) {
 	resp := sys.Engine.RelaxBatch(context.Background(), []engine.Request{req})[0]
 	return resp.Results, resp.Err
@@ -122,10 +131,10 @@ func TestTwoSourceResolvesOOV(t *testing.T) {
 		answered++
 		instances := 0
 		for _, r := range results {
-			if !slices.Contains(r.Sources, "variant") {
-				t.Errorf("term %q: result %q sources = %v, want variant attribution", term, r.Concept, r.Sources)
+			if !slices.Contains(provenanceOf(r).Sources, "variant") {
+				t.Errorf("term %q: result %q sources = %v, want variant attribution", term, r.Concept, provenanceOf(r).Sources)
 			}
-			if slices.Contains(r.Sources, core.PrimarySourceName) {
+			if slices.Contains(provenanceOf(r).Sources, core.PrimarySourceName) {
 				t.Errorf("term %q: result %q claims primary attribution, but the primary cannot map the term", term, r.Concept)
 			}
 			instances += len(r.Instances)
@@ -170,10 +179,10 @@ func TestTwoSourcePrimaryCoverageKept(t *testing.T) {
 		}
 		fromPrimary := false
 		for _, r := range results {
-			if len(r.Sources) == 0 {
+			if len(provenanceOf(r).Sources) == 0 {
 				t.Fatalf("term %q: result %q has no source attribution on a multi-source snapshot", q.Term, r.Concept)
 			}
-			if slices.Contains(r.Sources, core.PrimarySourceName) {
+			if slices.Contains(provenanceOf(r).Sources, core.PrimarySourceName) {
 				fromPrimary = true
 			}
 		}
@@ -195,20 +204,20 @@ func TestTwoSourceExplain(t *testing.T) {
 			continue
 		}
 		for _, r := range results {
-			if r.Explain == nil {
+			if provenanceOf(r).Explain == nil {
 				continue
 			}
-			explained = r.Explain
-			if r.Explain.Source != "variant" {
-				t.Errorf("term %q: explain source %q, want variant", term, r.Explain.Source)
+			explained = provenanceOf(r).Explain
+			if provenanceOf(r).Explain.Source != "variant" {
+				t.Errorf("term %q: explain source %q, want variant", term, provenanceOf(r).Explain.Source)
 			}
-			if r.Explain.PathWeight <= 0 || r.Explain.PathWeight > 1 {
-				t.Errorf("term %q: path weight %v out of (0, 1]", term, r.Explain.PathWeight)
+			if provenanceOf(r).Explain.PathWeight <= 0 || provenanceOf(r).Explain.PathWeight > 1 {
+				t.Errorf("term %q: path weight %v out of (0, 1]", term, provenanceOf(r).Explain.PathWeight)
 			}
-			if len(r.Explain.Edges) == 0 {
+			if len(provenanceOf(r).Explain.Edges) == 0 {
 				t.Errorf("term %q: explained result %q has an empty path but is not the query itself", term, r.Concept)
 			}
-			for _, e := range r.Explain.Edges {
+			for _, e := range provenanceOf(r).Explain.Edges {
 				if e.Direction != "generalization" && e.Direction != "specialization" {
 					t.Errorf("edge %v has direction %q", e, e.Direction)
 				}
@@ -233,7 +242,7 @@ func TestTwoSourceExplain(t *testing.T) {
 			continue
 		}
 		for _, r := range results {
-			if r.Explain != nil {
+			if provenanceOf(r).Explain != nil {
 				t.Fatalf("term %q: explain attached without being requested", term)
 			}
 		}
@@ -282,7 +291,7 @@ func TestExplainHTTPByteIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range plain.Results {
-			if r.Sources != nil || r.Explain != nil {
+			if r.Provenance != nil {
 				t.Fatalf("term %q: explain=false response carries attribution fields: %s", q.Term, before)
 			}
 		}
@@ -300,13 +309,13 @@ func TestExplainHTTPByteIdentity(t *testing.T) {
 		}
 		sawPath := false
 		for i, r := range ex.Results {
-			if !slices.Equal(r.Sources, []string{core.PrimarySourceName}) {
-				t.Fatalf("term %q: explain result sources = %v, want [primary]", q.Term, r.Sources)
+			if !slices.Equal(provenanceOf(r).Sources, []string{core.PrimarySourceName}) {
+				t.Fatalf("term %q: explain result sources = %v, want [primary]", q.Term, provenanceOf(r).Sources)
 			}
-			if r.Explain != nil {
+			if provenanceOf(r).Explain != nil {
 				sawPath = true
-				if r.Explain.Source != core.PrimarySourceName {
-					t.Fatalf("term %q: explain path source %q", q.Term, r.Explain.Source)
+				if provenanceOf(r).Explain.Source != core.PrimarySourceName {
+					t.Fatalf("term %q: explain path source %q", q.Term, provenanceOf(r).Explain.Source)
 				}
 			}
 			// Ranked surface stays identical; explain only annotates.

@@ -19,6 +19,7 @@ import (
 	"medrelax/internal/kb"
 	"medrelax/internal/match"
 	"medrelax/internal/medkb"
+	"medrelax/internal/strtab"
 	"medrelax/internal/synthkb"
 )
 
@@ -148,7 +149,7 @@ func assertSameFrequencies(t *testing.T, ing *Ingestion, want, got *FrequencyTab
 	mustEqual(t, "FlatData", want.FlatData(), got.FlatData())
 	ids := ing.Graph.ConceptIDs()
 	ids = append(ids, ids[len(ids)-1]+1)
-	labels := append(slices.Clone(want.FlatData().Labels), "No-such-Label")
+	labels := append(want.FlatData().Labels.Strings(), "No-such-Label")
 	for _, id := range ids {
 		mustEqual(t, "RawAggregate", want.RawAggregate(id), got.RawAggregate(id))
 		for _, label := range labels {
@@ -417,7 +418,7 @@ func TestOpenFlatFrequencyTableRejectsHostileColumns(t *testing.T) {
 	ing := ingestWorld(t, IngestOptions{})
 	base := func() FlatFrequencyData {
 		d := ing.Frequencies.FlatData()
-		d.Labels, d.Off, d.IDs, d.Vals = slices.Clone(d.Labels), slices.Clone(d.Off), slices.Clone(d.IDs), slices.Clone(d.Vals)
+		d.Off, d.IDs, d.Vals = slices.Clone(d.Off), slices.Clone(d.IDs), slices.Clone(d.Vals)
 		d.AggIDs, d.AggVals = slices.Clone(d.AggIDs), slices.Clone(d.AggVals)
 		return d
 	}
@@ -428,7 +429,7 @@ func TestOpenFlatFrequencyTableRejectsHostileColumns(t *testing.T) {
 	runHostile(t, base, open, []hostileCase[FlatFrequencyData]{
 		{"value column short", func(d *FlatFrequencyData) { d.Vals = d.Vals[1:] }, "ids"},
 		{"aggregate column short", func(d *FlatFrequencyData) { d.AggVals = d.AggVals[1:] }, "aggregate"},
-		{"labels not ascending", func(d *FlatFrequencyData) { d.Labels[1] = d.Labels[0] }, "labels not strictly ascending"},
+		{"labels not ascending", func(d *FlatFrequencyData) { d.Labels = withString(d.Labels, 1, d.Labels.At(0)) }, "labels not strictly ascending"},
 		{"offsets short", func(d *FlatFrequencyData) { d.Off = d.Off[:len(d.Off)-1] }, "offsets have length"},
 		{"offsets decrease", func(d *FlatFrequencyData) { d.Off[1] = d.Off[2] + 1 }, "offsets decrease"},
 		{"offsets past the pool", func(d *FlatFrequencyData) { d.Off[len(d.Off)-1]++ }, "do not span"},
@@ -446,7 +447,7 @@ func TestOpenFlatAccelerationsRejectHostileColumns(t *testing.T) {
 	t.Run("materialized", func(t *testing.T) {
 		base := func() FlatMaterializedData {
 			d := ing.Materialized.FlatData()
-			d.Concepts, d.Ctxs, d.Ranking = slices.Clone(d.Concepts), slices.Clone(d.Ctxs), slices.Clone(d.Ranking)
+			d.Concepts, d.Ranking = slices.Clone(d.Concepts), slices.Clone(d.Ranking)
 			d.Complete, d.CountOff, d.Counts = slices.Clone(d.Complete), slices.Clone(d.CountOff), slices.Clone(d.Counts)
 			d.CandOff, d.CandScores, d.CandSlots = slices.Clone(d.CandOff), slices.Clone(d.CandScores), slices.Clone(d.CandSlots)
 			return d
@@ -465,9 +466,11 @@ func TestOpenFlatAccelerationsRejectHostileColumns(t *testing.T) {
 		}
 		runHostile(t, base, open, []hostileCase[FlatMaterializedData]{
 			{"non-normalized options", func(d *FlatMaterializedData) { d.Relax.MaxRadius = 0 }, "non-normalized"},
-			{"entry columns disagree", func(d *FlatMaterializedData) { d.Ctxs = d.Ctxs[1:] }, "contexts"},
+			{"entry columns disagree", func(d *FlatMaterializedData) { d.Ctxs = strtab.Pack(d.Ctxs.Strings()[1:]) }, "contexts"},
 			{"ranking column short", func(d *FlatMaterializedData) { d.Ranking = d.Ranking[1:] }, "ranking indexes"},
-			{"entries not ascending", func(d *FlatMaterializedData) { d.Concepts[1], d.Ctxs[1] = d.Concepts[0], d.Ctxs[0] }, "entries not strictly ascending"},
+			{"entries not ascending", func(d *FlatMaterializedData) {
+				d.Concepts[1], d.Ctxs = d.Concepts[0], withString(d.Ctxs, 1, d.Ctxs.At(0))
+			}, "entries not strictly ascending"},
 			{"ranking index past the rankings", func(d *FlatMaterializedData) { d.Ranking[len(d.Ranking)-1] = int32(len(d.Complete)) }, "past the"},
 			{"negative ranking index", func(d *FlatMaterializedData) { d.Ranking[0] = -1 }, "past the"},
 			{"rankings out of first-use order", func(d *FlatMaterializedData) { d.Ranking[0] = 1 }, "first-use order"},
@@ -581,4 +584,12 @@ func TestOpenFlatAccelerationsRejectHostileColumns(t *testing.T) {
 			{"shape past the concept's", func(d *FlatCandidateIndexData) { d.Hits[sole+2] = int32(len(d.Shapes)) }, "hit shape"},
 		})
 	})
+}
+
+// withString is a string column with its i-th string replaced, packed anew:
+// how a hostile case edits a column, which is never mutated in place.
+func withString(c strtab.Column, i int, s string) strtab.Column {
+	ss := c.Strings()
+	ss[i] = s
+	return strtab.Pack(ss)
 }

@@ -29,6 +29,7 @@ import (
 	"medrelax/internal/corpus"
 	"medrelax/internal/eks"
 	"medrelax/internal/ontology"
+	"medrelax/internal/strtab"
 )
 
 // FrequencyOptions controls how concept frequencies are derived from the
@@ -58,13 +59,13 @@ const frequencySmoothing = 0.02
 // zero value: a concept absent from a span or the aggregate reads as 0, so
 // a span holds only the concepts with corpus evidence under its label.
 // Tables written with zeros (spans over every concept) read the same.
-// Slices handed to OpenFlatFrequencyTable may alias a memory mapping; they
+// Columns handed to OpenFlatFrequencyTable may alias a memory mapping; they
 // are never mutated.
 type FlatFrequencyData struct {
 	Root      eks.ConceptID
 	Smoothing float64
-	Labels    []string        // ascending
-	Off       []int32         // len(Labels)+1
+	Labels    strtab.Column   // ascending
+	Off       []int32         // Labels.Len()+1
 	IDs       []eks.ConceptID // ascending within each label span
 	Vals      []float64
 	AggIDs    []eks.ConceptID // ascending
@@ -129,11 +130,16 @@ func BuildFrequencyTable(g *eks.Graph, c *corpus.Corpus, opts FrequencyOptions) 
 // over its name and synonyms.
 func directCounts(g *eks.Graph, c *corpus.Corpus, opts FrequencyOptions) map[string]map[eks.ConceptID]float64 {
 	fg := g.FlatData()
-	synonyms := func(p int) []string { return fg.Syns[fg.SynOff[p]:fg.SynOff[p+1]] }
+	// Each concept's name, then its synonyms: concept p's are
+	// phrases[start[p]:start[p+1]].
 	var phrases []string
-	for p, name := range fg.Names {
-		phrases = append(phrases, name)
-		phrases = append(phrases, synonyms(p)...)
+	start := make([]int, len(fg.IDs)+1)
+	for p := range fg.IDs {
+		phrases = append(phrases, fg.Names.At(p))
+		for k := fg.SynOff[p]; k < fg.SynOff[p+1]; k++ {
+			phrases = append(phrases, fg.Syns.At(int(k)))
+		}
+		start[p+1] = len(phrases)
 	}
 	stats := c.CountPhrasesN(phrases, runtime.GOMAXPROCS(0))
 	n := c.DocCount()
@@ -163,9 +169,8 @@ func directCounts(g *eks.Graph, c *corpus.Corpus, opts FrequencyOptions) map[str
 	}
 	for p, id := range fg.IDs {
 		// Name, then synonyms: the order the per-label sums are taken in.
-		addName(id, fg.Names[p])
-		for _, syn := range synonyms(p) {
-			addName(id, syn)
+		for _, name := range phrases[start[p]:start[p+1]] {
+			addName(id, name)
 		}
 	}
 	return direct
@@ -234,7 +239,7 @@ func BuildFrequencyTableFromDirectCounts(g *eks.Graph, direct map[string]map[eks
 		}
 	})
 
-	d := FlatFrequencyData{Root: root, Smoothing: frequencySmoothing, Labels: labels, Off: make([]int32, len(labels)+1)}
+	d := FlatFrequencyData{Root: root, Smoothing: frequencySmoothing, Labels: strtab.Pack(labels), Off: make([]int32, len(labels)+1)}
 	// The aggregate sums each concept's values in ascending label order, so
 	// the float sums are reproducible run to run.
 	agg := make([]float64, n)
@@ -271,7 +276,7 @@ func (t *FrequencyTable) span(li int) ([]eks.ConceptID, []float64) {
 // Raw returns the propagated (un-normalized) frequency of a concept under a
 // single corpus context label, 0 when never mentioned.
 func (t *FrequencyTable) Raw(id eks.ConceptID, label string) float64 {
-	li, ok := slices.BinarySearch(t.d.Labels, label)
+	li, ok := t.d.Labels.Search(label)
 	if !ok {
 		return 0
 	}
@@ -382,19 +387,20 @@ func OpenFlatFrequencyTable(d FlatFrequencyData) (*FrequencyTable, error) {
 	if len(d.AggIDs) != len(d.AggVals) {
 		return nil, fmt.Errorf("core: frequency aggregate: %d ids, %d values", len(d.AggIDs), len(d.AggVals))
 	}
-	if err := checkCSR32("frequency", len(d.Labels), d.Off, len(d.IDs)); err != nil {
+	labels := d.Labels.Len()
+	if err := checkCSR32("frequency", labels, d.Off, len(d.IDs)); err != nil {
 		return nil, err
 	}
-	for i := 1; i < len(d.Labels); i++ {
-		if d.Labels[i] <= d.Labels[i-1] {
+	for i := 1; i < labels; i++ {
+		if d.Labels.At(i) <= d.Labels.At(i-1) {
 			return nil, fmt.Errorf("core: frequency labels not strictly ascending at %d", i)
 		}
 	}
-	for li := range d.Labels {
+	for li := range labels {
 		ids := d.IDs[d.Off[li]:d.Off[li+1]]
 		for i := 1; i < len(ids); i++ {
 			if ids[i] <= ids[i-1] {
-				return nil, fmt.Errorf("core: frequency label %q ids not strictly ascending", d.Labels[li])
+				return nil, fmt.Errorf("core: frequency label %q ids not strictly ascending", d.Labels.At(li))
 			}
 		}
 	}
@@ -414,12 +420,12 @@ func newFrequencyTable(d FlatFrequencyData) *FrequencyTable {
 	}
 	t := &FrequencyTable{
 		d:     d,
-		ctxs:  make([]ontology.Context, len(d.Labels)),
-		ctxOK: make([]bool, len(d.Labels)),
-		rootF: make([]float64, len(d.Labels)),
+		ctxs:  make([]ontology.Context, d.Labels.Len()),
+		ctxOK: make([]bool, d.Labels.Len()),
+		rootF: make([]float64, d.Labels.Len()),
 	}
-	for li, label := range d.Labels {
-		if lc, err := ontology.ParseContext(label); err == nil {
+	for li := range d.Labels.Len() {
+		if lc, err := ontology.ParseContext(d.Labels.At(li)); err == nil {
 			t.ctxs[li], t.ctxOK[li] = lc, true
 		}
 		ids, vals := t.span(li)

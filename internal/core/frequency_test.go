@@ -184,7 +184,7 @@ func TestLabelsCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Indication, Risk, and the general "" label.
-	if got := len(ft.FlatData().Labels); got != 3 {
+	if got := ft.FlatData().Labels.Len(); got != 3 {
 		t.Errorf("Labels = %d, want 3", got)
 	}
 }
@@ -278,7 +278,7 @@ func TestSparseFrequenciesMatchDenseOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		labels := []string{"Drug-cause-AdverseEffect", "Drug-cause-BlackBoxWarning", "Drug-cause-ContraIndication", "Drug-cause-Finding", "Drug-cause-Risk"}
-		if got := ft.FlatData().Labels; !slices.Equal(got, labels) {
+		if got := ft.FlatData().Labels.Strings(); !slices.Equal(got, labels) {
 			t.Fatalf("labels %q, want %q", got, labels)
 		}
 		risk := &ontology.Context{Domain: "Drug", Relationship: "cause", Range: "Risk"}

@@ -14,6 +14,7 @@ import (
 
 	"medrelax/internal/eks"
 	"medrelax/internal/ontology"
+	"medrelax/internal/strtab"
 )
 
 // Materialized holds offline-computed relaxation answers for the head of
@@ -60,11 +61,12 @@ type Materialized struct {
 // and each serves the entries of one concept, so a store has one layout. A
 // candidate is 12 bytes in two parallel columns: its final score, and its slot
 // in the ingestion's flagged set packed over its hop distance. Slices handed
-// to OpenFlatMaterialized may alias a memory mapping; they are never mutated.
+// to OpenFlatMaterialized may alias a memory mapping, as may the context
+// column; they are never mutated.
 type FlatMaterializedData struct {
 	Relax    RelaxOptions
 	Concepts []eks.ConceptID // per entry, sorted by (concept, ctx)
-	Ctxs     []string        // parallel context keys
+	Ctxs     strtab.Column   // parallel context keys
 	Ranking  []int32         // parallel: the entry's ranking row
 	// Ranking rows.
 	Complete   []int32 // 1 = complete ranking
@@ -254,7 +256,6 @@ func MaterializeTopK(ing *Ingestion, sim *Similarity, opts MaterializeOptions) *
 	d := FlatMaterializedData{
 		Relax:      ropts,
 		Concepts:   make([]eks.ConceptID, 0, entries),
-		Ctxs:       make([]string, 0, entries),
 		Ranking:    make([]int32, 0, entries),
 		Complete:   make([]int32, 0, rankings),
 		CountOff:   append(make([]int32, 0, rankings+1), 0),
@@ -264,6 +265,7 @@ func MaterializeTopK(ing *Ingestion, sim *Similarity, opts MaterializeOptions) *
 		CandSlots:  make([]uint32, 0, cands),
 	}
 	keys, rank := make([]string, len(ctxs)), make([]int32, len(ctxs))
+	entryCtxs := make([]string, 0, entries)
 	for j, ctx := range ctxs {
 		keys[j] = ctxKey(ctx)
 	}
@@ -275,10 +277,11 @@ func MaterializeTopK(ing *Ingestion, sim *Similarity, opts MaterializeOptions) *
 				rank[j] = d.appendRanking(e)
 			}
 			d.Concepts = append(d.Concepts, head[i])
-			d.Ctxs = append(d.Ctxs, keys[j])
+			entryCtxs = append(entryCtxs, keys[j])
 			d.Ranking = append(d.Ranking, rank[j])
 		}
 	}
+	d.Ctxs = strtab.Pack(entryCtxs)
 	m := newMaterialized(d, ing.maps.Flagged)
 	m.rankings = rankings
 	m.scored = int(scored.Load())
@@ -450,9 +453,9 @@ func (m *Materialized) get(concept eks.ConceptID, ctx string) (matEntry, bool) {
 		if d.Concepts[i] != concept {
 			return d.Concepts[i] > concept
 		}
-		return d.Ctxs[i] >= ctx
+		return d.Ctxs.At(i) >= ctx
 	})
-	if i >= len(d.Concepts) || d.Concepts[i] != concept || d.Ctxs[i] != ctx {
+	if i >= len(d.Concepts) || d.Concepts[i] != concept || d.Ctxs.At(i) != ctx {
 		return matEntry{}, false
 	}
 	return m.entry(i), true
@@ -501,8 +504,8 @@ func OpenFlatMaterialized(d FlatMaterializedData, flagged []eks.ConceptID) (*Mat
 		return nil, fmt.Errorf("core: materialized store: max radius %d or %d flagged concepts does not fit a stored candidate", opts.MaxRadius, len(flagged))
 	}
 	n, rankings := len(d.Concepts), len(d.Complete)
-	if len(d.Ctxs) != n || len(d.Ranking) != n {
-		return nil, fmt.Errorf("core: materialized store: %d concepts, %d contexts, %d ranking indexes", n, len(d.Ctxs), len(d.Ranking))
+	if d.Ctxs.Len() != n || len(d.Ranking) != n {
+		return nil, fmt.Errorf("core: materialized store: %d concepts, %d contexts, %d ranking indexes", n, d.Ctxs.Len(), len(d.Ranking))
 	}
 	if err := checkCSR32("materialized counts", rankings, d.CountOff, len(d.Counts)); err != nil {
 		return nil, err
@@ -520,7 +523,7 @@ func OpenFlatMaterialized(d FlatMaterializedData, flagged []eks.ConceptID) (*Mat
 	for i := 0; i < n; i++ {
 		if i > 0 {
 			if d.Concepts[i] < d.Concepts[i-1] ||
-				(d.Concepts[i] == d.Concepts[i-1] && d.Ctxs[i] <= d.Ctxs[i-1]) {
+				(d.Concepts[i] == d.Concepts[i-1] && d.Ctxs.At(i) <= d.Ctxs.At(i-1)) {
 				return nil, fmt.Errorf("core: materialized entries not strictly ascending at %d", i)
 			}
 			if d.Concepts[i] != d.Concepts[i-1] {
@@ -529,13 +532,13 @@ func OpenFlatMaterialized(d FlatMaterializedData, flagged []eks.ConceptID) (*Mat
 		}
 		switch r := d.Ranking[i]; {
 		case r < 0 || int(r) >= rankings:
-			return nil, fmt.Errorf("core: materialized entry (%d, %q) names ranking %d, past the %d rankings", d.Concepts[i], d.Ctxs[i], r, rankings)
+			return nil, fmt.Errorf("core: materialized entry (%d, %q) names ranking %d, past the %d rankings", d.Concepts[i], d.Ctxs.At(i), r, rankings)
 		case r > next:
-			return nil, fmt.Errorf("core: materialized entry (%d, %q) names ranking %d before ranking %d: rankings not in first-use order", d.Concepts[i], d.Ctxs[i], r, next)
+			return nil, fmt.Errorf("core: materialized entry (%d, %q) names ranking %d before ranking %d: rankings not in first-use order", d.Concepts[i], d.Ctxs.At(i), r, next)
 		case r < first:
-			return nil, fmt.Errorf("core: materialized entry (%d, %q) names ranking %d of an earlier concept", d.Concepts[i], d.Ctxs[i], r)
+			return nil, fmt.Errorf("core: materialized entry (%d, %q) names ranking %d of an earlier concept", d.Concepts[i], d.Ctxs.At(i), r)
 		case r == next:
-			if err := checkMatRanking(d.ranking(r), opts, flagged, d.Concepts[i], d.Ctxs[i]); err != nil {
+			if err := checkMatRanking(d.ranking(r), opts, flagged, d.Concepts[i], d.Ctxs.At(i)); err != nil {
 				return nil, err
 			}
 			next++

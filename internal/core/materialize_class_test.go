@@ -14,6 +14,7 @@ import (
 
 	"medrelax/internal/eks"
 	"medrelax/internal/ontology"
+	"medrelax/internal/strtab"
 )
 
 // evidenceOntology is the paper-figure ontology with one more level under
@@ -44,14 +45,16 @@ func evidenceTable(t *testing.T) *FrequencyTable {
 	}
 	d := FlatFrequencyData{Root: 1, Off: []int32{0}}
 	agg := map[eks.ConceptID]float64{}
+	var labels []string
 	for _, s := range spans {
-		d.Labels = append(d.Labels, s.label)
+		labels = append(labels, s.label)
 		for _, id := range sortedKeys(s.freq) {
 			d.IDs, d.Vals = append(d.IDs, id), append(d.Vals, s.freq[id])
 			agg[id] += s.freq[id]
 		}
 		d.Off = append(d.Off, int32(len(d.IDs)))
 	}
+	d.Labels = strtab.Pack(labels)
 	for _, id := range sortedKeys(agg) {
 		d.AggIDs, d.AggVals = append(d.AggIDs, id), append(d.AggVals, agg[id])
 	}
@@ -154,8 +157,8 @@ func TestClassStoreMatchesPerContextOracle(t *testing.T) {
 		for i := 0; i < m.Entries(); i += ctxs {
 			all, risk := m.entry(i), m.entry(i+6) // "" and {A, B}
 			differs = differs || !slices.Equal(all.scores, risk.scores)
-			if d.Ctxs[i] != "" || d.Ctxs[i+6] != "Risk-hasFinding-Finding" {
-				t.Fatalf("entries of concept %d out of key order: %q", d.Concepts[i], d.Ctxs[i:i+ctxs])
+			if d.Ctxs.At(i) != "" || d.Ctxs.At(i+6) != "Risk-hasFinding-Finding" {
+				t.Fatalf("entries of concept %d out of key order: %q", d.Concepts[i], d.Ctxs.Strings()[i:i+ctxs])
 			}
 		}
 		if !differs {
@@ -215,7 +218,7 @@ func TestFrequencyWorkCounts(t *testing.T) {
 	n := ing.Graph.Len()
 	const entries, aggregates = 2_643, 1_462
 	if len(d.IDs) != entries {
-		t.Errorf("%d span entries stored, want %d (%d labels x %d concepts before)", len(d.IDs), entries, len(d.Labels), n)
+		t.Errorf("%d span entries stored, want %d (%d labels x %d concepts before)", len(d.IDs), entries, d.Labels.Len(), n)
 	}
 	if len(d.AggIDs) != aggregates {
 		t.Errorf("%d aggregate entries stored, want %d (%d before)", len(d.AggIDs), aggregates, n)
@@ -260,11 +263,12 @@ func FuzzContextClass(f *testing.F) {
 		mask := uint16(next()) | uint16(next())<<8
 		d := FlatFrequencyData{Root: 1, Off: []int32{0}}
 		agg := map[eks.ConceptID]float64{}
+		var labels []string
 		for i, label := range classLabels {
 			if mask&(1<<i) == 0 {
 				continue
 			}
-			d.Labels = append(d.Labels, label)
+			labels = append(labels, label)
 			for id := eks.ConceptID(1); id <= 11; id++ {
 				if v := next(); v != 0 {
 					d.IDs, d.Vals = append(d.IDs, id), append(d.Vals, float64(v)/4)
@@ -273,6 +277,7 @@ func FuzzContextClass(f *testing.F) {
 			}
 			d.Off = append(d.Off, int32(len(d.IDs)))
 		}
+		d.Labels = strtab.Pack(labels)
 		for _, id := range sortedKeys(agg) {
 			d.AggIDs, d.AggVals = append(d.AggIDs, id), append(d.AggVals, agg[id])
 		}

@@ -215,19 +215,30 @@ func (g *Graph) addEdge(e Edge) error {
 	return nil
 }
 
-// Concept returns the concept with the given ID. Its Synonyms alias the
-// graph's storage and must not be modified.
+// Concept returns the concept with the given ID. Its Synonyms are a fresh
+// slice, allocated only when the concept has synonyms.
 func (g *Graph) Concept(id ConceptID) (Concept, bool) {
 	v := g.view()
 	i, ok := v.node(id)
 	if !ok {
 		return Concept{}, false
 	}
-	c := Concept{ID: id, Name: v.Names[i]}
-	if lo, hi := v.SynOff[i], v.SynOff[i+1]; lo < hi {
-		c.Synonyms = v.Syns[lo:hi:hi]
+	c := Concept{ID: id, Name: v.Names.At(int(i))}
+	for k := v.SynOff[i]; k < v.SynOff[i+1]; k++ {
+		c.Synonyms = append(c.Synonyms, v.Syns.At(int(k)))
 	}
 	return c, true
+}
+
+// Name returns the preferred name of the concept with the given ID, without
+// allocating: the read a hot path makes instead of Concept.
+func (g *Graph) Name(id ConceptID) (string, bool) {
+	v := g.view()
+	i, ok := v.node(id)
+	if !ok {
+		return "", false
+	}
+	return v.Names.At(int(i)), true
 }
 
 // Len returns the number of concepts.
@@ -249,17 +260,33 @@ func (g *Graph) LookupName(name string) []ConceptID {
 
 // NameKeys returns every normalized name key in the index, in ascending
 // order. It is intended for matchers that scan the lexicon.
-func (g *Graph) NameKeys() []string { return slices.Clone(g.view().NameKeys) }
+func (g *Graph) NameKeys() []string { return g.view().NameKeys.Strings() }
+
+// keySpan is the concept IDs indexed under an already-normalized key, in the
+// order they were indexed, aliasing the graph; empty when the key is unknown.
+func (v *frozen) keySpan(key string) []ConceptID {
+	i, ok := v.NameKeys.Search(key)
+	if !ok {
+		return nil
+	}
+	return v.KeyIDs[v.KeyOff[i]:v.KeyOff[i+1]]
+}
 
 // IDsForNameKey returns the concept IDs indexed under an already-normalized
 // key, in the order they were indexed; empty when the key is unknown.
 func (g *Graph) IDsForNameKey(key string) []ConceptID {
-	v := g.view()
-	i, ok := slices.BinarySearch(v.NameKeys, key)
-	if !ok {
-		return []ConceptID{}
+	return append([]ConceptID{}, g.view().keySpan(key)...)
+}
+
+// MinIDForNameKey returns the smallest concept ID indexed under an
+// already-normalized key, without copying the key's span: how a matcher
+// resolves an ambiguous name. ok is false when the key is unknown.
+func (g *Graph) MinIDForNameKey(key string) (id ConceptID, ok bool) {
+	span := g.view().keySpan(key)
+	if len(span) == 0 {
+		return 0, false
 	}
-	return slices.Clone(v.KeyIDs[v.KeyOff[i]:v.KeyOff[i+1]])
+	return slices.Min(span), true
 }
 
 // UpEdges returns all edges (native and shortcut) from id toward its

@@ -9,19 +9,21 @@ import (
 	"sync/atomic"
 
 	"medrelax/internal/idindex"
+	"medrelax/internal/strtab"
 )
 
 // FlatGraphData is the column layout of a frozen graph, which is also the
 // layout of the graph sections of a flat (v4) bundle: concepts renumbered
 // into the dense range [0, n) in ascending ConceptID order, with both
 // adjacency directions and the name index flattened into CSR offset/pool
-// slices. Slices handed to NewFlatGraph may alias a memory mapping; slices
-// obtained from Graph.FlatData alias the graph. Neither side mutates them.
+// slices, and the names as string columns (references into a string table).
+// Columns handed to NewFlatGraph may alias a memory mapping; columns obtained
+// from Graph.FlatData alias the graph. Neither side mutates them.
 type FlatGraphData struct {
-	IDs    []ConceptID // ascending
-	Names  []string    // one per concept, non-empty
-	SynOff []int32     // len(IDs)+1, CSR into Syns
-	Syns   []string
+	IDs    []ConceptID   // ascending
+	Names  strtab.Column // one per concept, non-empty
+	SynOff []int32       // len(IDs)+1, CSR into Syns
+	Syns   strtab.Column
 	Root   ConceptID
 
 	// Node i's up edges are UpTo[UpOff[i]:UpOff[i+1]] (dense node targets)
@@ -33,8 +35,8 @@ type FlatGraphData struct {
 	UpDist, DownDist           []int32
 	UpNativeEnd, DownNativeEnd []int32 // len(IDs), absolute positions
 
-	NameKeys []string // sorted ascending, unique, normalized
-	KeyOff   []int32  // len(NameKeys)+1, CSR into KeyIDs
+	NameKeys strtab.Column // sorted ascending, unique, normalized
+	KeyOff   []int32       // len(NameKeys)+1, CSR into KeyIDs
 	KeyIDs   []ConceptID
 }
 
@@ -92,15 +94,17 @@ func (g *Graph) Freeze() { g.view() }
 // stores. The slices alias the graph and must not be modified.
 func (g *Graph) FlatData() FlatGraphData { return g.view().FlatGraphData }
 
-// columns lays the builder state out as flat columns.
+// columns lays the builder state out as flat columns, packing the names into
+// string tables.
 func (g *Graph) columns() FlatGraphData {
 	n := len(g.concepts)
 	d := FlatGraphData{
 		IDs:    make([]ConceptID, n),
-		Names:  make([]string, n),
 		SynOff: make([]int32, n+1),
 		Root:   g.root,
 	}
+	names := make([]string, n)
+	var syns, keys []string
 	bySlot := make([]int32, n) // dense node -> concept slot
 	for i := range bySlot {
 		bySlot[i] = int32(i)
@@ -110,10 +114,11 @@ func (g *Graph) columns() FlatGraphData {
 	for i, s := range bySlot {
 		c := &g.concepts[s]
 		node[s] = int32(i)
-		d.IDs[i], d.Names[i] = c.ID, c.Name
-		d.Syns = append(d.Syns, c.Synonyms...)
-		d.SynOff[i+1] = int32(len(d.Syns))
+		d.IDs[i], names[i] = c.ID, c.Name
+		syns = append(syns, c.Synonyms...)
+		d.SynOff[i+1] = int32(len(syns))
 	}
+	d.Names, d.Syns = strtab.Pack(names), strtab.Pack(syns)
 	d.UpOff, d.UpTo, d.UpDist, d.UpNativeEnd = g.adjacency(node, true)
 	d.DownOff, d.DownTo, d.DownDist, d.DownNativeEnd = g.adjacency(node, false)
 
@@ -132,16 +137,17 @@ func (g *Graph) columns() FlatGraphData {
 	d.KeyOff = []int32{0}
 	for _, i := range order {
 		e := g.names[i]
-		if k := len(d.NameKeys); k == 0 || d.NameKeys[k-1] != e.key {
-			d.NameKeys = append(d.NameKeys, e.key)
+		if k := len(keys); k == 0 || keys[k-1] != e.key {
+			keys = append(keys, e.key)
 			d.KeyOff = append(d.KeyOff, d.KeyOff[k])
 		}
-		k := len(d.NameKeys)
+		k := len(keys)
 		if !slices.Contains(d.KeyIDs[d.KeyOff[k-1]:], e.id) {
 			d.KeyIDs = append(d.KeyIDs, e.id)
 			d.KeyOff[k]++
 		}
 	}
+	d.NameKeys = strtab.Pack(keys)
 	return d
 }
 
@@ -193,20 +199,20 @@ func (g *Graph) adjacency(node []int32, up bool) (off, to, dist, nativeEnd []int
 // memory-safe. Mutating methods on the returned graph fail.
 func NewFlatGraph(d FlatGraphData) (*Graph, error) {
 	n := len(d.IDs)
-	if len(d.Names) != n {
-		return nil, fmt.Errorf("eks: flat graph: %d names for %d concepts", len(d.Names), n)
+	if d.Names.Len() != n {
+		return nil, fmt.Errorf("eks: flat graph: %d names for %d concepts", d.Names.Len(), n)
 	}
 	for i := 1; i < n; i++ {
 		if d.IDs[i] <= d.IDs[i-1] {
 			return nil, fmt.Errorf("eks: flat graph: concept ids not strictly ascending at %d", i)
 		}
 	}
-	for i, name := range d.Names {
-		if name == "" {
+	for i := range n {
+		if d.Names.At(i) == "" {
 			return nil, fmt.Errorf("eks: flat graph: concept %d has empty name", d.IDs[i])
 		}
 	}
-	if err := checkCSR("synonyms", n, d.SynOff, len(d.Syns)); err != nil {
+	if err := checkCSR("synonyms", n, d.SynOff, d.Syns.Len()); err != nil {
 		return nil, err
 	}
 	if err := checkAdjacency("up", n, d.UpOff, d.UpTo, d.UpDist, d.UpNativeEnd); err != nil {
@@ -215,11 +221,11 @@ func NewFlatGraph(d FlatGraphData) (*Graph, error) {
 	if err := checkAdjacency("down", n, d.DownOff, d.DownTo, d.DownDist, d.DownNativeEnd); err != nil {
 		return nil, err
 	}
-	if err := checkCSR("name index", len(d.NameKeys), d.KeyOff, len(d.KeyIDs)); err != nil {
+	if err := checkCSR("name index", d.NameKeys.Len(), d.KeyOff, len(d.KeyIDs)); err != nil {
 		return nil, err
 	}
-	for i := 1; i < len(d.NameKeys); i++ {
-		if d.NameKeys[i] <= d.NameKeys[i-1] {
+	for i := 1; i < d.NameKeys.Len(); i++ {
+		if d.NameKeys.At(i) <= d.NameKeys.At(i-1) {
 			return nil, fmt.Errorf("eks: flat graph: name keys not strictly ascending at %d", i)
 		}
 	}
@@ -394,7 +400,7 @@ func (v *frozen) validate(root ConceptID) error {
 	}
 	// Report the smallest unreached ID so the error is deterministic.
 	if i := slices.Index(reached, false); i >= 0 {
-		return fmt.Errorf("eks: concept %d (%q) does not reach root", v.IDs[i], v.Names[i])
+		return fmt.Errorf("eks: concept %d (%q) does not reach root", v.IDs[i], v.Names.At(i))
 	}
 	return nil
 }

@@ -19,6 +19,7 @@ import (
 	"medrelax/internal/eks"
 	"medrelax/internal/match"
 	"medrelax/internal/medkb"
+	"medrelax/internal/strtab"
 	"medrelax/internal/synthkb"
 )
 
@@ -236,19 +237,20 @@ func TestViewBuildCount(t *testing.T) {
 // traversal.
 // figure5Columns is the Figure 5 chain's columns (concepts 1..5, 4 native
 // edges, shortcut 5->2 of distance 3, a synonym on 3), deep-copied so a case
-// cannot corrupt its neighbours through the shared graph.
+// cannot corrupt its neighbours through the shared graph; a case replaces a
+// string column (edited) instead of writing to it.
 func figure5Columns(t *testing.T) eks.FlatGraphData {
 	g := figure5Chain(t)
 	g.AddSynonym(3, "CKD")
 	d := g.FlatData()
 	return eks.FlatGraphData{
-		IDs: slices.Clone(d.IDs), Names: slices.Clone(d.Names),
-		SynOff: slices.Clone(d.SynOff), Syns: slices.Clone(d.Syns), Root: d.Root,
+		IDs: slices.Clone(d.IDs), Names: d.Names,
+		SynOff: slices.Clone(d.SynOff), Syns: d.Syns, Root: d.Root,
 		UpOff: slices.Clone(d.UpOff), DownOff: slices.Clone(d.DownOff),
 		UpTo: slices.Clone(d.UpTo), DownTo: slices.Clone(d.DownTo),
 		UpDist: slices.Clone(d.UpDist), DownDist: slices.Clone(d.DownDist),
 		UpNativeEnd: slices.Clone(d.UpNativeEnd), DownNativeEnd: slices.Clone(d.DownNativeEnd),
-		NameKeys: slices.Clone(d.NameKeys), KeyOff: slices.Clone(d.KeyOff), KeyIDs: slices.Clone(d.KeyIDs),
+		NameKeys: d.NameKeys, KeyOff: slices.Clone(d.KeyOff), KeyIDs: slices.Clone(d.KeyIDs),
 	}
 }
 
@@ -265,8 +267,10 @@ func TestNewFlatGraphRejectsHostileColumns(t *testing.T) {
 	}{
 		{"ids not ascending", func(d *eks.FlatGraphData) { d.IDs[2], d.IDs[3] = d.IDs[3], d.IDs[2] }, "not strictly ascending"},
 		{"duplicate id", func(d *eks.FlatGraphData) { d.IDs[3] = d.IDs[2] }, "not strictly ascending"},
-		{"name count", func(d *eks.FlatGraphData) { d.Names = d.Names[:4] }, "4 names for 5"},
-		{"empty name", func(d *eks.FlatGraphData) { d.Names[1] = "" }, "empty name"},
+		{"name count", func(d *eks.FlatGraphData) { d.Names = edited(d.Names, func(s []string) []string { return s[:4] }) }, "4 names for 5"},
+		{"empty name", func(d *eks.FlatGraphData) {
+			d.Names = edited(d.Names, func(s []string) []string { s[1] = ""; return s })
+		}, "empty name"},
 		{"synonym offsets decrease", func(d *eks.FlatGraphData) { d.SynOff[1], d.SynOff[2] = 1, 0 }, "offsets decrease"},
 		{"synonym offsets past the pool", func(d *eks.FlatGraphData) { d.SynOff[5] = 9 }, "offsets end at 9"},
 		{"offsets too short", func(d *eks.FlatGraphData) { d.UpOff = d.UpOff[:5] }, "have length 5, want 6"},
@@ -282,7 +286,9 @@ func TestNewFlatGraphRejectsHostileColumns(t *testing.T) {
 		{"boundary count", func(d *eks.FlatGraphData) { d.UpNativeEnd = d.UpNativeEnd[:4] }, "native boundaries have length 4"},
 		{"native distance below 1", func(d *eks.FlatGraphData) { d.UpDist[d.UpOff[4]] = 0 }, "distance 0, floor 1"},
 		{"shortcut distance below 2", func(d *eks.FlatGraphData) { d.UpDist[d.UpOff[4]+1] = 1 }, "distance 1, floor 2"},
-		{"name keys unsorted", func(d *eks.FlatGraphData) { d.NameKeys[0], d.NameKeys[1] = d.NameKeys[1], d.NameKeys[0] }, "name keys not strictly ascending"},
+		{"name keys unsorted", func(d *eks.FlatGraphData) {
+			d.NameKeys = edited(d.NameKeys, func(s []string) []string { s[0], s[1] = s[1], s[0]; return s })
+		}, "name keys not strictly ascending"},
 		{"name key offsets past the pool", func(d *eks.FlatGraphData) { d.KeyOff[len(d.KeyOff)-1]++ }, "name index offsets end at"},
 		{"key id not a concept", func(d *eks.FlatGraphData) { d.KeyIDs[0] = 99 }, "unknown concept 99"},
 		{"root not a concept", func(d *eks.FlatGraphData) { d.Root = 99 }, "root 99 not a concept"},
@@ -363,4 +369,10 @@ func TestNewFlatGraphFindsEveryIDExactly(t *testing.T) {
 			}
 		})
 	}
+}
+
+// edited is a string column as edit leaves a copy of its strings, packed
+// anew: how a hostile case changes a column, which is never mutated in place.
+func edited(c strtab.Column, edit func([]string) []string) strtab.Column {
+	return strtab.Pack(edit(c.Strings()))
 }

@@ -17,6 +17,7 @@ import (
 	"medrelax/internal/eks"
 	"medrelax/internal/match"
 	"medrelax/internal/medkb"
+	"medrelax/internal/strtab"
 	"medrelax/internal/synthkb"
 )
 
@@ -304,10 +305,12 @@ func flatGraph(t testing.TB, up, down [][]int32) *eks.Graph {
 		}
 		return off, to, dist, nativeEnd
 	}
-	for i := 0; i < n; i++ {
+	names := make([]string, n)
+	for i := range n {
 		d.IDs = append(d.IDs, eks.ConceptID(10*(i+1)))
-		d.Names = append(d.Names, fmt.Sprintf("node %d", i))
+		names[i] = fmt.Sprintf("node %d", i)
 	}
+	d.Names = strtab.Pack(names)
 	d.UpOff, d.UpTo, d.UpDist, d.UpNativeEnd = csr(up)
 	d.DownOff, d.DownTo, d.DownDist, d.DownNativeEnd = csr(down)
 	g, err := eks.NewFlatGraph(d)

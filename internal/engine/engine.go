@@ -29,19 +29,27 @@ import (
 // instances resolved to surface names. The HTTP layer re-exports it as
 // server.RelaxResult.
 //
-// Sources and Explain are attribution extensions: Sources lists the named
-// external knowledge sources that contributed the result (multi-source
-// snapshots always, single-source snapshots only under explain mode), and
-// Explain carries the relaxation path when the request asked for it. Both
-// are omitted when unset, so classic single-source explain=false responses
-// serialize byte-identically to earlier versions.
+// Provenance holds the attribution extensions, nil on a plain answer, so a
+// cached single-source result carries no header for them. JSON promotes its
+// fields in place and leaves them out while it is nil, so classic
+// single-source explain=false responses serialize byte-identically to
+// earlier versions.
 type RelaxResult struct {
 	Concept   string   `json:"concept"`
 	Score     float64  `json:"score"`
 	Hops      int      `json:"hops"`
 	Instances []string `json:"instances"`
-	Sources   []string `json:"sources,omitempty"`
-	Explain   *Explain `json:"explain,omitempty"`
+	*Provenance
+}
+
+// Provenance is a result's attribution: Sources lists the named external
+// knowledge sources that contributed it (multi-source snapshots always,
+// single-source snapshots only under explain mode), and Explain carries the
+// relaxation path when the request asked for it. Either is omitted when
+// unset.
+type Provenance struct {
+	Sources []string `json:"sources,omitempty"`
+	Explain *Explain `json:"explain,omitempty"`
 }
 
 // ExplainEdge is one traversed edge of an explained relaxation path:
@@ -270,8 +278,8 @@ func flaggedNames(ing *core.Ingestion) ([]string, map[eks.ConceptID][]string) {
 	terms := make([]string, 0, len(ids))
 	names := make(map[eks.ConceptID][]string, len(ids))
 	for _, id := range ids {
-		if c, ok := ing.Graph.Concept(id); ok {
-			terms = append(terms, c.Name)
+		if name, ok := ing.Graph.Name(id); ok {
+			terms = append(terms, name)
 		}
 		instances := ing.InstancesForConcept(id)
 		out := make([]string, 0, len(instances))
@@ -303,8 +311,8 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 	loadDur := time.Since(loadStart)
 	freezeStart := time.Now()
 	snap := New(ing, Config{Source: path})
-	log.Printf("bundle loaded: %d EKS concepts, %d instances, %s, resolver %[3]s with %d tokens (decode+restore %s, freeze %s)",
-		ing.Graph.Len(), ing.Store.Len(), snap.residency(), len(ing.Lookup.FlatData().Tokens),
+	log.Printf("bundle loaded: %d EKS concepts, %d instances, %s, resolver with %d tokens (decode+restore %s, freeze %s)",
+		ing.Graph.Len(), ing.Store.Len(), snap.residency(), ing.Lookup.FlatData().Tokens.Len(),
 		loadDur.Round(time.Millisecond), time.Since(freezeStart).Round(time.Millisecond))
 	// Probe one flagged term end to end so a structurally valid bundle
 	// that cannot actually answer fails here, not in production traffic.
@@ -390,8 +398,8 @@ func (s *Snapshot) RelaxBatch(ctx context.Context, reqs []Request) []Response {
 func (s *Snapshot) resolve(results []core.Result) []RelaxResult {
 	out := make([]RelaxResult, 0, len(results))
 	for _, r := range results {
-		concept, _ := s.ing.Graph.Concept(r.Concept)
-		out = append(out, RelaxResult{Concept: concept.Name, Score: r.Score, Hops: r.Hops, Instances: s.names[r.Concept]})
+		name, _ := s.ing.Graph.Name(r.Concept)
+		out = append(out, RelaxResult{Concept: name, Score: r.Score, Hops: r.Hops, Instances: s.names[r.Concept]})
 	}
 	return out
 }
@@ -441,10 +449,9 @@ func (s *Snapshot) Stats() map[string]any {
 	if b := s.ing.Backing; b != nil {
 		stats["snapshotBytes"] = b.SizeBytes()
 	}
-	// The term resolver of the bundle mapper lives with the ingestion's
-	// columns, and the distinct tokens it indexes.
-	stats["resolver"] = s.residency()
-	stats["resolverTokens"] = len(s.ing.Lookup.FlatData().Tokens)
+	// The distinct tokens the bundle mapper's term resolver indexes; the
+	// resolver lives with the ingestion's columns.
+	stats["resolverTokens"] = s.ing.Lookup.FlatData().Tokens.Len()
 	live, mat, idx := s.relaxer.PathCounts()
 	stats["relaxPaths"] = map[string]uint64{"live": live, "materialized": mat, "indexed": idx, "materializedTruncated": s.relaxer.TruncatedDeclines()}
 	// Where the kernel's per-concept geometries came from for this snapshot —

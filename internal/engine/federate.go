@@ -69,14 +69,14 @@ func (s *Snapshot) relaxFused(ctx context.Context, req core.Request, explain boo
 			return Response{Err: resp.Err}
 		}
 		for _, r := range resp.Results {
-			c, ok := src.ing.Graph.Concept(r.Concept)
+			name, ok := src.ing.Graph.Name(r.Concept)
 			if !ok {
 				continue
 			}
-			e := entries[c.Name]
+			e := entries[name]
 			if e == nil {
 				e = &fusedEntry{
-					name:          c.Name,
+					name:          name,
 					score:         r.Score,
 					hops:          r.Hops,
 					instSet:       make(map[kb.InstanceID]bool),
@@ -84,7 +84,7 @@ func (s *Snapshot) relaxFused(ctx context.Context, req core.Request, explain boo
 					winnerQuery:   q,
 					winnerConcept: r.Concept,
 				}
-				entries[c.Name] = e
+				entries[name] = e
 			} else if r.Score > e.score {
 				// Strictly greater only: score ties keep the earlier mount.
 				e.score, e.hops = r.Score, r.Hops
@@ -126,7 +126,7 @@ func (s *Snapshot) relaxFused(ctx context.Context, req core.Request, explain boo
 			ids = append(ids, iid)
 		}
 		slices.Sort(ids)
-		rr := RelaxResult{Concept: e.name, Score: e.score, Hops: e.hops, Sources: e.sources}
+		rr := RelaxResult{Concept: e.name, Score: e.score, Hops: e.hops, Provenance: &Provenance{Sources: e.sources}}
 		for _, iid := range ids {
 			seen[iid] = true
 			if inst, ok := s.ing.Store.Instance(iid); ok {
@@ -152,8 +152,7 @@ func (s *Snapshot) attachExplain(term string, ids []core.Result, out []RelaxResu
 		return
 	}
 	for i := range out {
-		out[i].Sources = []string{s.name}
-		out[i].Explain = s.explainFor(q, ids[i].Concept)
+		out[i].Provenance = &Provenance{Sources: []string{s.name}, Explain: s.explainFor(q, ids[i].Concept)}
 	}
 }
 
@@ -167,8 +166,8 @@ func (s *Snapshot) attachExplain(term string, ids []core.Result, out []RelaxResu
 // attribution but no path, rather than a fabricated one.
 func (s *Snapshot) explainFor(q, c eks.ConceptID) *Explain {
 	name := func(id eks.ConceptID) string {
-		cc, _ := s.ing.Graph.Concept(id)
-		return cc.Name
+		n, _ := s.ing.Graph.Name(id)
+		return n
 	}
 	if q == c {
 		// IncludeSelf answers: the query concept itself, an empty path.

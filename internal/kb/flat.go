@@ -7,6 +7,7 @@ import (
 
 	"medrelax/internal/idindex"
 	"medrelax/internal/ontology"
+	"medrelax/internal/strtab"
 )
 
 // FlatStoreData is the column layout of a store's view, which is also the
@@ -14,24 +15,25 @@ import (
 // ascending-ID slices, the lexicon and by-concept indexes as sorted-key CSR
 // spans, and assertions as three parallel columns sorted by (subject,
 // relationship, object) with a stored permutation providing the by-object
-// order — so the whole ABox is served by binary search. Slices handed to
-// NewFlatStore may alias a memory mapping; slices obtained from
+// order — so the whole ABox is served by binary search. Every string is a
+// string column (references into a string table). Columns handed to
+// NewFlatStore may alias a memory mapping; columns obtained from
 // Store.FlatData alias the store. Neither side mutates them.
 type FlatStoreData struct {
 	IDs      []InstanceID // ascending
-	Concepts []string
-	Names    []string
+	Concepts strtab.Column
+	Names    strtab.Column
 
-	LexKeys []string     // sorted ascending, unique, normalized names
-	LexOff  []int32      // len(LexKeys)+1
-	LexIDs  []InstanceID // ascending within each key's span
+	LexKeys strtab.Column // sorted ascending, unique, normalized names
+	LexOff  []int32       // LexKeys.Len()+1
+	LexIDs  []InstanceID  // ascending within each key's span
 
-	ConceptKeys []string     // sorted ascending, unique
-	ConceptOff  []int32      // len(ConceptKeys)+1
-	ConceptIDs  []InstanceID // ascending within each concept's span
+	ConceptKeys strtab.Column // sorted ascending, unique
+	ConceptOff  []int32       // ConceptKeys.Len()+1
+	ConceptIDs  []InstanceID  // ascending within each concept's span
 
-	RelNames  []string     // sorted ascending, unique
-	ASub      []InstanceID // sorted by (ASub, RelNames[ARel], AObj)
+	RelNames  strtab.Column // sorted ascending, unique
+	ASub      []InstanceID  // sorted by (ASub, RelNames[ARel], AObj)
 	ARel      []int32
 	AObj      []InstanceID
 	ByObjPerm []int32 // permutation of [0,len(ASub)) in (obj, rel, sub) order
@@ -58,14 +60,12 @@ func (s *Store) view() *FlatStoreData {
 // slices alias the store and must not be modified.
 func (s *Store) FlatData() FlatStoreData { return *s.view() }
 
-// columns lays the builder state out as flat columns.
+// columns lays the builder state out as flat columns, packing the strings
+// into string tables.
 func (s *Store) columns() *FlatStoreData {
 	n := len(s.instances)
-	d := &FlatStoreData{
-		IDs:      make([]InstanceID, n),
-		Concepts: make([]string, n),
-		Names:    make([]string, n),
-	}
+	d := &FlatStoreData{IDs: make([]InstanceID, n)}
+	concepts, names := make([]string, n), make([]string, n)
 	bySlot := make([]int32, n)
 	for i := range bySlot {
 		bySlot[i] = int32(i)
@@ -74,11 +74,12 @@ func (s *Store) columns() *FlatStoreData {
 	keys := make([]string, n)
 	for i, slot := range bySlot {
 		inst := &s.instances[slot]
-		d.IDs[i], d.Concepts[i], d.Names[i] = inst.ID, inst.Concept, inst.Name
+		d.IDs[i], concepts[i], names[i] = inst.ID, inst.Concept, inst.Name
 		keys[i] = s.keys[slot]
 	}
+	d.Concepts, d.Names = strtab.Pack(concepts), strtab.Pack(names)
 	d.LexKeys, d.LexOff, d.LexIDs = groupByKey(keys, d.IDs)
-	d.ConceptKeys, d.ConceptOff, d.ConceptIDs = groupByKey(d.Concepts, d.IDs)
+	d.ConceptKeys, d.ConceptOff, d.ConceptIDs = groupByKey(concepts, d.IDs)
 
 	// Relationship names sort ascending, so comparing their indexes compares
 	// the names.
@@ -86,13 +87,15 @@ func (s *Store) columns() *FlatStoreData {
 	for _, a := range s.assertions {
 		rel[a.Relationship] = 0
 	}
+	relNames := make([]string, 0, len(rel))
 	for name := range rel {
-		d.RelNames = append(d.RelNames, name)
+		relNames = append(relNames, name)
 	}
-	slices.Sort(d.RelNames)
-	for i, name := range d.RelNames {
+	slices.Sort(relNames)
+	for i, name := range relNames {
 		rel[name] = int32(i)
 	}
+	d.RelNames = strtab.Pack(relNames)
 	type row struct {
 		sub, obj InstanceID
 		rel      int32
@@ -122,7 +125,7 @@ func (s *Store) columns() *FlatStoreData {
 // groupByKey builds one sorted-key CSR index over ids, where keys[i] is the
 // key of ids[i]; blank keys are not indexed. ids ascend, and ties on the key
 // keep that order, so every span ascends too.
-func groupByKey(keys []string, ids []InstanceID) (uniq []string, off []int32, pool []InstanceID) {
+func groupByKey(keys []string, ids []InstanceID) (uniq strtab.Column, off []int32, pool []InstanceID) {
 	order := make([]int32, 0, len(ids))
 	for i, k := range keys {
 		if k != "" {
@@ -132,17 +135,18 @@ func groupByKey(keys []string, ids []InstanceID) (uniq []string, off []int32, po
 	slices.SortFunc(order, func(a, b int32) int {
 		return cmp.Or(cmp.Compare(keys[a], keys[b]), cmp.Compare(a, b))
 	})
+	var distinct []string
 	off = []int32{0}
 	pool = make([]InstanceID, len(order))
 	for p, i := range order {
-		if k := len(uniq); k == 0 || uniq[k-1] != keys[i] {
-			uniq = append(uniq, keys[i])
+		if k := len(distinct); k == 0 || distinct[k-1] != keys[i] {
+			distinct = append(distinct, keys[i])
 			off = append(off, off[k])
 		}
 		pool[p] = ids[i]
-		off[len(uniq)]++
+		off[len(distinct)]++
 	}
-	return uniq, off, pool
+	return strtab.Pack(distinct), off, pool
 }
 
 // NewFlatStore adopts flat-bundle sections as the view of a read-only *Store
@@ -153,14 +157,14 @@ func groupByKey(keys []string, ids []InstanceID) (uniq []string, off []int32, po
 // served. Mutating methods on the returned store fail.
 func NewFlatStore(onto *ontology.Ontology, d FlatStoreData) (*Store, error) {
 	n := len(d.IDs)
-	if len(d.Concepts) != n || len(d.Names) != n {
-		return nil, fmt.Errorf("kb: flat store: %d ids, %d concepts, %d names", n, len(d.Concepts), len(d.Names))
+	if d.Concepts.Len() != n || d.Names.Len() != n {
+		return nil, fmt.Errorf("kb: flat store: %d ids, %d concepts, %d names", n, d.Concepts.Len(), d.Names.Len())
 	}
 	for i := 0; i < n; i++ {
 		if i > 0 && d.IDs[i] <= d.IDs[i-1] {
 			return nil, fmt.Errorf("kb: flat store: instance ids not strictly ascending at %d", i)
 		}
-		if err := checkInstance(onto, Instance{ID: d.IDs[i], Concept: d.Concepts[i], Name: d.Names[i]}); err != nil {
+		if err := checkInstance(onto, Instance{ID: d.IDs[i], Concept: d.Concepts.At(i), Name: d.Names.At(i)}); err != nil {
 			return nil, err
 		}
 	}
@@ -182,11 +186,12 @@ func NewFlatStore(onto *ontology.Ontology, d FlatStoreData) (*Store, error) {
 // checkIndex validates one sorted-key CSR index: ascending unique keys,
 // monotonic offsets bounded by the ID pool, and spans of ascending IDs that
 // exist, found through ids, the index of the instance column.
-func checkIndex(what string, ids idindex.Index[InstanceID], keys []string, off []int32, pool []InstanceID) error {
-	if len(off) != len(keys)+1 {
-		return fmt.Errorf("kb: flat store: %s offsets have length %d, want %d", what, len(off), len(keys)+1)
+func checkIndex(what string, ids idindex.Index[InstanceID], keys strtab.Column, off []int32, pool []InstanceID) error {
+	n := keys.Len()
+	if len(off) != n+1 {
+		return fmt.Errorf("kb: flat store: %s offsets have length %d, want %d", what, len(off), n+1)
 	}
-	if off[0] != 0 || int(off[len(keys)]) != len(pool) {
+	if off[0] != 0 || int(off[n]) != len(pool) {
 		return fmt.Errorf("kb: flat store: %s offsets do not span the id pool", what)
 	}
 	for i := 1; i < len(off); i++ {
@@ -194,16 +199,16 @@ func checkIndex(what string, ids idindex.Index[InstanceID], keys []string, off [
 			return fmt.Errorf("kb: flat store: %s offsets decrease at %d", what, i)
 		}
 	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i] <= keys[i-1] {
+	for i := 1; i < n; i++ {
+		if keys.At(i) <= keys.At(i-1) {
 			return fmt.Errorf("kb: flat store: %s keys not strictly ascending at %d", what, i)
 		}
 	}
-	for i, key := range keys {
+	for i := range n {
 		span := pool[off[i]:off[i+1]]
 		for j, id := range span {
 			if j > 0 && id <= span[j-1] {
-				return fmt.Errorf("kb: flat store: %s ids of %q not strictly ascending", what, key)
+				return fmt.Errorf("kb: flat store: %s ids of %q not strictly ascending", what, keys.At(i))
 			}
 			if _, ok := ids.Find(id); !ok {
 				return fmt.Errorf("kb: flat store: %s references unknown instance %d", what, id)
@@ -224,8 +229,8 @@ func (d *FlatStoreData) checkAssertions(onto *ontology.Ontology, ids idindex.Ind
 		return fmt.Errorf("kb: flat store: assertion columns disagree: %d/%d/%d/%d",
 			a, len(d.ARel), len(d.AObj), len(d.ByObjPerm))
 	}
-	for i := 1; i < len(d.RelNames); i++ {
-		if d.RelNames[i] <= d.RelNames[i-1] {
+	for i := 1; i < d.RelNames.Len(); i++ {
+		if d.RelNames.At(i) <= d.RelNames.At(i-1) {
 			return fmt.Errorf("kb: flat store: relationship names not strictly ascending at %d", i)
 		}
 	}
@@ -237,8 +242,8 @@ func (d *FlatStoreData) checkAssertions(onto *ontology.Ontology, ids idindex.Ind
 	}
 	checked := make(map[triple]bool)
 	for i := 0; i < a; i++ {
-		if d.ARel[i] < 0 || int(d.ARel[i]) >= len(d.RelNames) {
-			return fmt.Errorf("kb: flat store: assertion %d has relationship index %d of %d", i, d.ARel[i], len(d.RelNames))
+		if d.ARel[i] < 0 || int(d.ARel[i]) >= d.RelNames.Len() {
+			return fmt.Errorf("kb: flat store: assertion %d has relationship index %d of %d", i, d.ARel[i], d.RelNames.Len())
 		}
 		sub, ok := ids.Find(d.ASub[i])
 		if !ok {
@@ -248,9 +253,9 @@ func (d *FlatStoreData) checkAssertions(onto *ontology.Ontology, ids idindex.Ind
 		if !ok {
 			return errEndpoint("object", d.AObj[i])
 		}
-		t := triple{rel: d.ARel[i], sub: d.Concepts[sub], obj: d.Concepts[obj]}
+		t := triple{rel: d.ARel[i], sub: d.Concepts.At(sub), obj: d.Concepts.At(obj)}
 		if !checked[t] {
-			if err := checkCompatible(onto, d.RelNames[t.rel], t.sub, t.obj); err != nil {
+			if err := checkCompatible(onto, d.RelNames.At(int(t.rel)), t.sub, t.obj); err != nil {
 				return err
 			}
 			checked[t] = true
@@ -283,8 +288,8 @@ func (d *FlatStoreData) compareRows(i, j int, byObject bool) int {
 }
 
 // keySpan binary-searches a sorted key index and returns its ID span.
-func keySpan(keys []string, off []int32, pool []InstanceID, key string) []InstanceID {
-	i, ok := slices.BinarySearch(keys, key)
+func keySpan(keys strtab.Column, off []int32, pool []InstanceID, key string) []InstanceID {
+	i, ok := keys.Search(key)
 	if !ok {
 		return nil
 	}

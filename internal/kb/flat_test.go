@@ -18,6 +18,7 @@ import (
 	"medrelax/internal/match"
 	"medrelax/internal/medkb"
 	"medrelax/internal/ontology"
+	"medrelax/internal/strtab"
 	"medrelax/internal/synthkb"
 )
 
@@ -143,7 +144,7 @@ func assertRejectsMutation(t *testing.T, s *kb.Store) {
 		t.Error("adopted store accepted AddInstance")
 	}
 	d := s.FlatData()
-	if err := s.AddAssertion(kb.Assertion{Subject: d.ASub[0], Relationship: d.RelNames[d.ARel[0]], Object: d.AObj[0]}); err == nil {
+	if err := s.AddAssertion(kb.Assertion{Subject: d.ASub[0], Relationship: d.RelNames.At(int(d.ARel[0])), Object: d.AObj[0]}); err == nil {
 		t.Error("adopted store accepted AddAssertion")
 	}
 }
@@ -193,15 +194,16 @@ func TestViewInvalidatedByMutation(t *testing.T) {
 
 // TestNewFlatStoreRejectsHostileColumns corrupts one column at a time of a
 // valid layout; every case must fail in NewFlatStore.
-// cloneColumns deep-copies a store's columns, so a case cannot corrupt its
-// neighbours through the shared store.
+// cloneColumns deep-copies a store's numeric columns, so a case cannot
+// corrupt its neighbours through the shared store; a case replaces a string
+// column (edited) instead of writing to it.
 func cloneColumns(s *kb.Store) kb.FlatStoreData {
 	d := s.FlatData()
 	return kb.FlatStoreData{
-		IDs: slices.Clone(d.IDs), Concepts: slices.Clone(d.Concepts), Names: slices.Clone(d.Names),
-		LexKeys: slices.Clone(d.LexKeys), LexOff: slices.Clone(d.LexOff), LexIDs: slices.Clone(d.LexIDs),
-		ConceptKeys: slices.Clone(d.ConceptKeys), ConceptOff: slices.Clone(d.ConceptOff), ConceptIDs: slices.Clone(d.ConceptIDs),
-		RelNames: slices.Clone(d.RelNames), ASub: slices.Clone(d.ASub), ARel: slices.Clone(d.ARel),
+		IDs: slices.Clone(d.IDs), Concepts: d.Concepts, Names: d.Names,
+		LexKeys: d.LexKeys, LexOff: slices.Clone(d.LexOff), LexIDs: slices.Clone(d.LexIDs),
+		ConceptKeys: d.ConceptKeys, ConceptOff: slices.Clone(d.ConceptOff), ConceptIDs: slices.Clone(d.ConceptIDs),
+		RelNames: d.RelNames, ASub: slices.Clone(d.ASub), ARel: slices.Clone(d.ARel),
 		AObj: slices.Clone(d.AObj), ByObjPerm: slices.Clone(d.ByObjPerm),
 	}
 }
@@ -219,16 +221,22 @@ func TestNewFlatStoreRejectsHostileColumns(t *testing.T) {
 		mutate func(d *kb.FlatStoreData)
 		want   string
 	}{
-		{"column lengths disagree", func(d *kb.FlatStoreData) { d.Names = d.Names[1:] }, "ids"},
+		{"column lengths disagree", func(d *kb.FlatStoreData) { d.Names = edited(d.Names, func(s []string) []string { return s[1:] }) }, "ids"},
 		{"ids not ascending", func(d *kb.FlatStoreData) { d.IDs[1] = d.IDs[0] }, "not strictly ascending"},
-		{"empty name", func(d *kb.FlatStoreData) { d.Names[2] = "" }, "empty name"},
-		{"unknown concept", func(d *kb.FlatStoreData) { d.Concepts[0] = "Gene" }, "unknown concept"},
-		{"lexicon keys not ascending", func(d *kb.FlatStoreData) { d.LexKeys[1] = d.LexKeys[0] }, "keys not strictly ascending"},
+		{"empty name", func(d *kb.FlatStoreData) {
+			d.Names = edited(d.Names, func(s []string) []string { s[2] = ""; return s })
+		}, "empty name"},
+		{"unknown concept", func(d *kb.FlatStoreData) {
+			d.Concepts = edited(d.Concepts, func(s []string) []string { s[0] = "Gene"; return s })
+		}, "unknown concept"},
+		{"lexicon keys not ascending", func(d *kb.FlatStoreData) {
+			d.LexKeys = edited(d.LexKeys, func(s []string) []string { s[1] = s[0]; return s })
+		}, "keys not strictly ascending"},
 		{"lexicon offsets short", func(d *kb.FlatStoreData) { d.LexOff = d.LexOff[:len(d.LexOff)-1] }, "offsets have length"},
 		{"lexicon offsets decrease", func(d *kb.FlatStoreData) { d.LexOff[1] = d.LexOff[2] + 1 }, "offsets decrease"},
 		{"lexicon offsets past the pool", func(d *kb.FlatStoreData) { d.LexOff[len(d.LexOff)-1]++ }, "do not span"},
 		{"lexicon span not ascending", func(d *kb.FlatStoreData) {
-			i := slices.Index(d.LexKeys, "fever")
+			i, _ := d.LexKeys.Search("fever")
 			d.LexIDs[d.LexOff[i]], d.LexIDs[d.LexOff[i]+1] = 90, 7
 		}, "ids of \"fever\" not strictly ascending"},
 		{"lexicon unknown instance", func(d *kb.FlatStoreData) { d.LexIDs[0] = 1 << 40 }, "unknown instance"},
@@ -236,8 +244,10 @@ func TestNewFlatStoreRejectsHostileColumns(t *testing.T) {
 		{"by-concept span not ascending", func(d *kb.FlatStoreData) { d.ConceptIDs[0], d.ConceptIDs[1] = d.ConceptIDs[1], d.ConceptIDs[0] }, "not strictly ascending"},
 		{"by-concept unknown instance", func(d *kb.FlatStoreData) { d.ConceptIDs[len(d.ConceptIDs)-1] = 1 << 40 }, "unknown instance"},
 		{"assertion columns disagree", func(d *kb.FlatStoreData) { d.AObj = d.AObj[1:] }, "columns disagree"},
-		{"relationship names not ascending", func(d *kb.FlatStoreData) { d.RelNames[0], d.RelNames[1] = d.RelNames[1], d.RelNames[0] }, "relationship names"},
-		{"relationship index out of range", func(d *kb.FlatStoreData) { d.ARel[0] = int32(len(d.RelNames)) }, "relationship index"},
+		{"relationship names not ascending", func(d *kb.FlatStoreData) {
+			d.RelNames = edited(d.RelNames, func(s []string) []string { s[0], s[1] = s[1], s[0]; return s })
+		}, "relationship names"},
+		{"relationship index out of range", func(d *kb.FlatStoreData) { d.ARel[0] = int32(d.RelNames.Len()) }, "relationship index"},
 		{"unknown subject", func(d *kb.FlatStoreData) { d.ASub[0] = 2 }, "subject 2 not found"},
 		{"unknown object", func(d *kb.FlatStoreData) { d.AObj[0] = 2 }, "object 2 not found"},
 		{"ontology-incompatible assertion", func(d *kb.FlatStoreData) { d.ARel[0] = 1 - d.ARel[0] }, "violates ontology"},
@@ -359,4 +369,10 @@ func TestViewBuildCount(t *testing.T) {
 		t.Errorf("the store view was built %d times at %d instances and %d times at %d; want once each",
 			small, smallLen, large, largeLen)
 	}
+}
+
+// edited is a string column as edit leaves a copy of its strings, packed
+// anew: a column is never mutated in place.
+func edited(c strtab.Column, edit func([]string) []string) strtab.Column {
+	return strtab.Pack(edit(c.Strings()))
 }

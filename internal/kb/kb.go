@@ -161,7 +161,7 @@ func (s *Store) Instance(id InstanceID) (Instance, bool) {
 	if !ok {
 		return Instance{}, false
 	}
-	return Instance{ID: id, Concept: v.Concepts[i], Name: v.Names[i]}, true
+	return Instance{ID: id, Concept: v.Concepts.At(i), Name: v.Names.At(i)}, true
 }
 
 // Len returns the number of instances.
@@ -179,7 +179,7 @@ func (s *Store) AllInstances() []Instance {
 	v := s.view()
 	out := make([]Instance, len(v.IDs))
 	for i, id := range v.IDs {
-		out[i] = Instance{ID: id, Concept: v.Concepts[i], Name: v.Names[i]}
+		out[i] = Instance{ID: id, Concept: v.Concepts.At(i), Name: v.Names.At(i)}
 	}
 	return out
 }
@@ -191,7 +191,7 @@ func (s *Store) LookupName(name string) []InstanceID {
 }
 
 // LexiconKeys returns every normalized instance name in ascending order.
-func (s *Store) LexiconKeys() []string { return slices.Clone(s.view().LexKeys) }
+func (s *Store) LexiconKeys() []string { return s.view().LexKeys.Strings() }
 
 // IDsForLexiconKey returns the instance IDs indexed under an
 // already-normalized key, ascending.
@@ -214,7 +214,7 @@ func (s *Store) Subjects(relationship string, obj InstanceID) []InstanceID {
 		if v.AObj[p] != obj {
 			break
 		}
-		if v.RelNames[v.ARel[p]] == relationship {
+		if v.RelNames.At(int(v.ARel[p])) == relationship {
 			out = append(out, v.ASub[p])
 		}
 	}
@@ -229,7 +229,7 @@ func (s *Store) Objects(relationship string, sub InstanceID) []InstanceID {
 	lo, _ := slices.BinarySearch(v.ASub, sub)
 	var out []InstanceID
 	for ; lo < len(v.ASub) && v.ASub[lo] == sub; lo++ {
-		if v.RelNames[v.ARel[lo]] == relationship {
+		if v.RelNames.At(int(v.ARel[lo])) == relationship {
 			out = append(out, v.AObj[lo])
 		}
 	}

@@ -1,6 +1,8 @@
 package match
 
 import (
+	"slices"
+
 	"medrelax/internal/eks"
 	"medrelax/internal/stringutil"
 )
@@ -21,7 +23,7 @@ func legacyEditMap(m *Edit, name string) (eks.ConceptID, bool) {
 	found := false
 	var band stringutil.EditBand
 	band.Reset(norm)
-	for _, key := range m.keys {
+	for _, key := range m.keys.Strings() {
 		if abs(len(key)-len(norm)) > m.threshold {
 			continue
 		}
@@ -33,7 +35,7 @@ func legacyEditMap(m *Edit, name string) (eks.ConceptID, bool) {
 		if len(ids) == 0 {
 			continue
 		}
-		id := minID(ids)
+		id := slices.Min(ids)
 		if d < bestDist || (d == bestDist && id < bestID) {
 			bestDist = d
 			bestID = id

@@ -8,6 +8,7 @@ import (
 
 	"medrelax/internal/eks"
 	"medrelax/internal/stringutil"
+	"medrelax/internal/strtab"
 )
 
 // LookupService is the "more sophisticated lookup service" the paper notes
@@ -32,7 +33,7 @@ type LookupService struct {
 	// keys, keyOff and keyIDs are the graph's own name index — the sorted
 	// normalized keys and each key's concepts — shared with the graph, not
 	// copied; ids is its ascending concept column.
-	keys   []string
+	keys   strtab.Column
 	keyOff []int32
 	keyIDs []eks.ConceptID
 	ids    []eks.ConceptID
@@ -45,14 +46,14 @@ type LookupService struct {
 }
 
 // FlatLookupData is the column layout of a LookupService over a graph, which
-// is also the layout of the resolver sections of a flat (v4) bundle. Slices
+// is also the layout of the resolver sections of a flat (v4) bundle. Columns
 // handed to OpenFlatLookup may alias a memory mapping; they are never
 // mutated.
 type FlatLookupData struct {
 	// Tokens are the distinct tokens of the graph's name keys, strictly
 	// ascending: a token's id is its position, finding one is a binary
 	// search, and the tokens a prefix expands to are a contiguous run.
-	Tokens []string
+	Tokens strtab.Column
 	// The keys containing token t are TokKeys[TokOff[t]:TokOff[t+1]], as
 	// ascending positions in the graph's NameKeys.
 	TokOff  []int32 // len(Tokens)+1
@@ -79,8 +80,8 @@ func NewLookupService(g *eks.Graph) *LookupService {
 	firstSeen := map[string]int32{}
 	var tokens []string
 	var occTok, occKey, counts []int32
-	for i, key := range keys {
-		toks := stringutil.Tokenize(key)
+	for i := range keys.Len() {
+		toks := stringutil.Tokenize(keys.At(i))
 		for j, tok := range toks {
 			if slices.Contains(toks[:j], tok) {
 				continue
@@ -104,8 +105,8 @@ func NewLookupService(g *eks.Graph) *LookupService {
 		order[t] = int32(t)
 	}
 	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(tokens[a], tokens[b]) })
+	sorted := make([]string, len(tokens))
 	d := FlatLookupData{
-		Tokens:  make([]string, len(tokens)),
 		TokOff:  make([]int32, len(tokens)+1),
 		TokKeys: make([]int32, len(occKey)),
 		Desc:    g.DescendantCounts(),
@@ -114,9 +115,10 @@ func NewLookupService(g *eks.Graph) *LookupService {
 	rank := make([]int32, len(tokens))
 	for pos, t := range order {
 		rank[t] = int32(pos)
-		d.Tokens[pos] = tokens[t]
+		sorted[pos] = tokens[t]
 		d.TokOff[pos+1] = d.TokOff[pos] + counts[t]
 	}
+	d.Tokens = strtab.Pack(sorted)
 	next := slices.Clone(d.TokOff[:len(tokens)])
 	for o, t := range occTok {
 		pos := rank[t]
@@ -133,12 +135,13 @@ func NewLookupService(g *eks.Graph) *LookupService {
 // descendant count per concept and one signature per key.
 func OpenFlatLookup(g *eks.Graph, d FlatLookupData) (*LookupService, error) {
 	fd := g.FlatData()
-	n := len(d.Tokens)
+	n := d.Tokens.Len()
 	if len(d.TokOff) != n+1 || d.TokOff[0] != 0 || int(d.TokOff[n]) != len(d.TokKeys) {
 		return nil, fmt.Errorf("match: lookup token offsets (%d for %d tokens) do not span the %d postings", len(d.TokOff), n, len(d.TokKeys))
 	}
-	for t, tok := range d.Tokens {
-		if tok == "" || (t > 0 && tok <= d.Tokens[t-1]) {
+	for t := range n {
+		tok := d.Tokens.At(t)
+		if tok == "" || (t > 0 && tok <= d.Tokens.At(t-1)) {
 			return nil, fmt.Errorf("match: lookup tokens empty or not strictly ascending at %d", t)
 		}
 		lo, hi := d.TokOff[t], d.TokOff[t+1]
@@ -147,8 +150,8 @@ func OpenFlatLookup(g *eks.Graph, d FlatLookupData) (*LookupService, error) {
 		}
 		prev := int32(-1)
 		for _, key := range d.TokKeys[lo:hi] {
-			if key <= prev || int(key) >= len(fd.NameKeys) {
-				return nil, fmt.Errorf("match: lookup token %q lists key %d after %d of %d", tok, key, prev, len(fd.NameKeys))
+			if key <= prev || int(key) >= fd.NameKeys.Len() {
+				return nil, fmt.Errorf("match: lookup token %q lists key %d after %d of %d", tok, key, prev, fd.NameKeys.Len())
 			}
 			prev = key
 		}
@@ -159,8 +162,8 @@ func OpenFlatLookup(g *eks.Graph, d FlatLookupData) (*LookupService, error) {
 	if i := slices.IndexFunc(d.Desc, func(c int32) bool { return c < 0 }); i >= 0 {
 		return nil, fmt.Errorf("match: negative descendant count at concept %d", fd.IDs[i])
 	}
-	if len(d.KeySigs) != len(fd.NameKeys) {
-		return nil, fmt.Errorf("match: %d key signatures for %d name keys", len(d.KeySigs), len(fd.NameKeys))
+	if len(d.KeySigs) != fd.NameKeys.Len() {
+		return nil, fmt.Errorf("match: %d key signatures for %d name keys", len(d.KeySigs), fd.NameKeys.Len())
 	}
 	return newLookupService(g, d), nil
 }
@@ -217,13 +220,13 @@ func (s *LookupService) Search(query string, limit int) []LookupHit {
 	// and their keys one span of the CSR.
 	var candidates []int32
 	for _, qt := range qTokens {
-		lo, found := slices.BinarySearch(s.d.Tokens, qt)
+		lo, found := s.d.Tokens.Search(qt)
 		hi := lo
 		if found {
 			hi++
 		}
 		if qt == qTokens[len(qTokens)-1] && len(qt) >= 3 {
-			for hi < len(s.d.Tokens) && strings.HasPrefix(s.d.Tokens[hi], qt) {
+			for hi < s.d.Tokens.Len() && strings.HasPrefix(s.d.Tokens.At(hi), qt) {
 				hi++
 			}
 		}
@@ -233,7 +236,7 @@ func (s *LookupService) Search(query string, limit int) []LookupHit {
 	candidates = slices.Compact(candidates)
 	var hits []LookupHit
 	for _, i := range candidates {
-		key := s.keys[i]
+		key := s.keys.At(int(i))
 		score := s.score(norm, qTokens, key)
 		if score <= 0 {
 			continue

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"medrelax/internal/eks"
+	"medrelax/internal/strtab"
 	"medrelax/internal/synthkb"
 )
 
@@ -210,7 +211,7 @@ func TestLookupAdoptsItsColumns(t *testing.T) {
 
 func cloneLookupData(d FlatLookupData) FlatLookupData {
 	return FlatLookupData{
-		Tokens: slices.Clone(d.Tokens), TokOff: slices.Clone(d.TokOff), TokKeys: slices.Clone(d.TokKeys),
+		Tokens: d.Tokens, TokOff: slices.Clone(d.TokOff), TokKeys: slices.Clone(d.TokKeys),
 		Desc: slices.Clone(d.Desc), KeySigs: slices.Clone(d.KeySigs),
 	}
 }
@@ -221,11 +222,11 @@ func cloneLookupData(d FlatLookupData) FlatLookupData {
 func TestLookupColumnsSorted(t *testing.T) {
 	g := lexGraph(t)
 	d := NewLookupService(g).FlatData()
-	keys := g.FlatData().NameKeys
-	if !slices.IsSorted(d.Tokens) || len(slices.Compact(slices.Clone(d.Tokens))) != len(d.Tokens) {
-		t.Fatalf("tokens not strictly ascending: %q", d.Tokens)
+	keys, tokens := g.FlatData().NameKeys.Strings(), d.Tokens.Strings()
+	if !slices.IsSorted(tokens) || len(slices.Compact(slices.Clone(tokens))) != len(tokens) {
+		t.Fatalf("tokens not strictly ascending: %q", tokens)
 	}
-	for ti, tok := range d.Tokens {
+	for ti, tok := range tokens {
 		span := d.TokKeys[d.TokOff[ti]:d.TokOff[ti+1]]
 		if len(span) == 0 || !slices.IsSorted(span) {
 			t.Fatalf("token %q lists keys %v", tok, span)
@@ -248,7 +249,7 @@ func TestLookupColumnsSorted(t *testing.T) {
 func TestOpenFlatLookupRejectsHostileColumns(t *testing.T) {
 	g := painGraph(t)
 	base := NewLookupService(g).FlatData()
-	multi, _ := slices.BinarySearch(base.Tokens, "pain") // in three keys
+	multi, _ := base.Tokens.Search("pain") // in three keys
 	if base.TokOff[multi+1]-base.TokOff[multi] < 2 {
 		t.Fatal("fixture has no token in two keys")
 	}
@@ -260,13 +261,15 @@ func TestOpenFlatLookupRejectsHostileColumns(t *testing.T) {
 		{"token offsets short", func(d *FlatLookupData) { d.TokOff = d.TokOff[1:] }, "token offsets"},
 		{"token offsets past the postings", func(d *FlatLookupData) { d.TokOff[len(d.TokOff)-1]++ }, "token offsets"},
 		{"token offsets start late", func(d *FlatLookupData) { d.TokOff[0] = 1 }, "token offsets"},
-		{"tokens truncated", func(d *FlatLookupData) { d.Tokens = d.Tokens[:len(d.Tokens)-1] }, "token offsets"},
-		{"empty token", func(d *FlatLookupData) { d.Tokens[0] = "" }, "empty or not strictly ascending"},
-		{"tokens not ascending", func(d *FlatLookupData) { d.Tokens[0], d.Tokens[1] = d.Tokens[1], d.Tokens[0] }, "empty or not strictly ascending"},
-		{"token repeated", func(d *FlatLookupData) { d.Tokens[1] = d.Tokens[0] }, "empty or not strictly ascending"},
+		{"tokens truncated", func(d *FlatLookupData) { d.Tokens = editTokens(d, func(s []string) []string { return s[:len(s)-1] }) }, "token offsets"},
+		{"empty token", func(d *FlatLookupData) { d.Tokens = editTokens(d, func(s []string) []string { s[0] = ""; return s }) }, "empty or not strictly ascending"},
+		{"tokens not ascending", func(d *FlatLookupData) {
+			d.Tokens = editTokens(d, func(s []string) []string { s[0], s[1] = s[1], s[0]; return s })
+		}, "empty or not strictly ascending"},
+		{"token repeated", func(d *FlatLookupData) { d.Tokens = editTokens(d, func(s []string) []string { s[1] = s[0]; return s }) }, "empty or not strictly ascending"},
 		{"empty posting span", func(d *FlatLookupData) { d.TokOff[1] = d.TokOff[0] }, "posting span"},
 		{"posting span runs backwards", func(d *FlatLookupData) { d.TokOff[2] = d.TokOff[1] - 1 }, "posting span"},
-		{"posting past the keys", func(d *FlatLookupData) { d.TokKeys[d.TokOff[multi+1]-1] = int32(len(g.FlatData().NameKeys)) }, "lists key"},
+		{"posting past the keys", func(d *FlatLookupData) { d.TokKeys[d.TokOff[multi+1]-1] = int32(g.FlatData().NameKeys.Len()) }, "lists key"},
 		{"negative posting", func(d *FlatLookupData) { d.TokKeys[d.TokOff[multi]] = -1 }, "lists key"},
 		{"postings descending", func(d *FlatLookupData) {
 			lo := d.TokOff[multi]
@@ -335,4 +338,10 @@ func TestEditSignaturesKeepAnswers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// editTokens is the token column as edit leaves a copy of its strings, packed
+// anew: a column is never mutated in place.
+func editTokens(d *FlatLookupData, edit func([]string) []string) strtab.Column {
+	return strtab.Pack(edit(d.Tokens.Strings()))
 }

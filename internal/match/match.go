@@ -15,6 +15,7 @@ import (
 	"medrelax/internal/eks"
 	"medrelax/internal/embedding"
 	"medrelax/internal/stringutil"
+	"medrelax/internal/strtab"
 )
 
 // Mapper maps a surface form to an external concept of a fixed graph.
@@ -51,11 +52,7 @@ func (m *Exact) Name() string { return "EXACT" }
 
 // Map implements Mapper.
 func (m *Exact) Map(name string) (eks.ConceptID, bool) {
-	ids := m.graph.LookupName(name)
-	if len(ids) == 0 {
-		return 0, false
-	}
-	return ids[0], true
+	return m.graph.MinIDForNameKey(stringutil.Normalize(name))
 }
 
 // Edit matches under a Levenshtein threshold: it first tries an exact
@@ -67,8 +64,8 @@ func (m *Exact) Map(name string) (eks.ConceptID, bool) {
 type Edit struct {
 	graph     *eks.Graph
 	threshold int
-	keys      []string // the graph's sorted normalized lexicon, shared with it
-	sigs      []uint64 // keySignature of every key, parallel to keys
+	keys      strtab.Column // the graph's sorted normalized lexicon, shared with it
+	sigs      []uint64      // keySignature of every key, parallel to keys
 }
 
 // DefaultEditThreshold is the τ=2 used in the paper's experiments.
@@ -98,10 +95,10 @@ func keySignature(s string) uint64 {
 	return sig
 }
 
-func keySignatures(keys []string) []uint64 {
-	sigs := make([]uint64, len(keys))
-	for i, key := range keys {
-		sigs[i] = keySignature(key)
+func keySignatures(keys strtab.Column) []uint64 {
+	sigs := make([]uint64, keys.Len())
+	for i := range sigs {
+		sigs[i] = keySignature(keys.At(i))
 	}
 	return sigs
 }
@@ -124,22 +121,25 @@ func (m *Edit) Map(name string) (eks.ConceptID, bool) {
 	var band stringutil.EditBand // one per call: Map is concurrent
 	band.Reset(norm)
 	qsig := keySignature(norm)
-	for i, key := range m.keys {
-		// Cheap length and letter-set filters before the banded DP.
-		if abs(len(key)-len(norm)) > m.threshold || bits.OnesCount64(m.sigs[i]^qsig) > 2*(bestDist-1) {
+	for i, sig := range m.sigs {
+		// Cheap letter-set and length filters before the banded DP: the
+		// signatures are a sequential column, a key's length a read of the
+		// string table, so the signature goes first.
+		if bits.OnesCount64(sig^qsig) > 2*(bestDist-1) {
 			continue
 		}
-		if !band.Within(key, bestDist-1) {
+		key := m.keys.At(i)
+		if abs(len(key)-len(norm)) > m.threshold || !band.Within(key, bestDist-1) {
 			continue
 		}
 		d := stringutil.Levenshtein(norm, key)
-		ids := m.graph.IDsForNameKey(key)
-		if len(ids) == 0 {
+		id, ok := m.graph.MinIDForNameKey(key)
+		if !ok {
 			continue
 		}
 		if d < bestDist {
 			bestDist = d
-			bestID = minID(ids)
+			bestID = id
 			found = true
 		}
 	}
@@ -187,11 +187,11 @@ func NewEmbedding(g *eks.Graph, enc *embedding.SIFEncoder, threshold float64) *E
 	}
 	m.index = embedding.NewIndex(dim)
 	for _, key := range keys {
-		ids := g.IDsForNameKey(key)
-		if len(ids) == 0 {
+		id, ok := g.MinIDForNameKey(key)
+		if !ok {
 			continue
 		}
-		m.byKey[key] = minID(ids)
+		m.byKey[key] = id
 		m.index.Add(key, encoded[key])
 	}
 	return m
@@ -239,16 +239,6 @@ func (m *Combined) Map(name string) (eks.ConceptID, bool) {
 		}
 	}
 	return 0, false
-}
-
-func minID(ids []eks.ConceptID) eks.ConceptID {
-	best := ids[0]
-	for _, id := range ids[1:] {
-		if id < best {
-			best = id
-		}
-	}
-	return best
 }
 
 func abs(x int) int {

@@ -158,6 +158,7 @@ func structurallyCorrupt(t testing.TB, ing *core.Ingestion, tokOff []int32, mult
 	}
 	last := func(p []byte) []byte { return p[:len(p)-4] }
 	return []flatEdit{
+		{name: "string reference past the table", kind: secGraphNames, edit: func(p []byte) []byte { le32(p, ^uint32(0)); return p }, want: "graphNames"},
 		{name: "lookup tokens truncated", kind: secLkTokens, edit: func(p []byte) []byte { return p[:len(p)-4] }},
 		{name: "lookup token offsets truncated", kind: secLkTokOff, edit: func(p []byte) []byte { return p[:len(p)-4] }},
 		{name: "lookup token keys truncated", kind: secLkTokKeys, edit: func(p []byte) []byte { return p[:len(p)-4] }},
@@ -276,10 +277,10 @@ func TestFlatNewSectionCorruptionFailsLoudly(t *testing.T) {
 	}
 	lk := match.NewLookupService(ing.Graph).FlatData()
 	multi := 0 // the first token listed under two keys
-	for multi < len(lk.Tokens) && lk.TokOff[multi+1]-lk.TokOff[multi] < 2 {
+	for multi < lk.Tokens.Len() && lk.TokOff[multi+1]-lk.TokOff[multi] < 2 {
 		multi++
 	}
-	if md := ing.Materialized.FlatData(); multi == len(lk.Tokens) || md.CandOff[1] < 2 || md.CandScores[0] == md.CandScores[1] {
+	if md := ing.Materialized.FlatData(); multi == lk.Tokens.Len() || md.CandOff[1] < 2 || md.CandScores[0] == md.CandScores[1] {
 		t.Fatal("fixture too small to corrupt meaningfully")
 	}
 	runFlatEdits(t, sections, append(structurallyCorrupt(t, ing, lk.TokOff, multi), familyEdits(flatFamilies())...))

@@ -40,9 +40,10 @@ import (
 //
 // Strings are interned once: section strBlob holds the concatenated UTF-8
 // bytes, strOff the nStr+1 offsets into it, and every string-valued column
-// elsewhere is a []uint32 of indexes into that table. The reader builds
-// []string headers pointing into the blob (one allocation per column), so
-// no string bytes are copied.
+// elsewhere is a []uint32 of indexes into that table — the layout of a
+// strtab.Column. The reader adopts the table and each reference section in
+// place once its references are in range, so nothing is decoded, copied or
+// allocated per string.
 //
 // Integrity: a torn or bit-flipped file fails the directory or a section
 // CRC and is rejected with ErrCorruptBundle before any structural

@@ -7,6 +7,7 @@ import (
 	"medrelax/internal/eks"
 	"medrelax/internal/kb"
 	"medrelax/internal/match"
+	"medrelax/internal/strtab"
 )
 
 // The column families of a flat (v4) bundle. Each component that rides in a
@@ -24,7 +25,7 @@ import (
 // component and are written and read by hand.
 
 // flatColumn is one section of a column family. col points at the column: a
-// *[]string is a string-reference column, any other a numeric column.
+// *strtab.Column is a string-reference column, any other a numeric column.
 type flatColumn struct {
 	kind uint32
 	name string
@@ -132,7 +133,7 @@ func candidateColumns(d *core.FlatCandidateIndexData) []flatColumn {
 
 // flatSources is the sources table's columns: a row per secondary source.
 type flatSources struct {
-	Names     []string
+	Names     strtab.Column
 	Roots     []eks.ConceptID
 	Shortcuts []int64
 	FreqRoots []eks.ConceptID
@@ -202,12 +203,12 @@ func flatSectionName(kind uint32) string {
 }
 
 // addColumns emits a family's sections: numeric columns little-endian,
-// string columns as references into the string table.
+// string columns as references into the bundle's string table.
 func (w *flatWriter) addColumns(family []flatColumn) {
 	for _, c := range family {
 		var payload []byte
 		switch col := c.col.(type) {
-		case *[]string:
+		case *strtab.Column:
 			payload = w.leRefs(*col)
 		case *[]int32:
 			payload = leColumn(*col)
@@ -236,8 +237,8 @@ func (d *flatDecoder) columns(family []flatColumn) error {
 	for _, c := range family {
 		var err error
 		switch col := c.col.(type) {
-		case *[]string:
-			*col, err = d.strings(c.kind)
+		case *strtab.Column:
+			*col, err = d.stringColumn(c.kind)
 		case *[]int32:
 			*col, err = column[int32](d, c.kind)
 		case *[]uint32:

@@ -15,6 +15,7 @@ import (
 	"medrelax/internal/kb"
 	"medrelax/internal/match"
 	"medrelax/internal/ontology"
+	"medrelax/internal/strtab"
 )
 
 // alignedBytes allocates an 8-byte-aligned buffer of n bytes, so the heap
@@ -30,9 +31,8 @@ func alignedBytes(n int) []byte {
 
 // flatDecoder resolves directory sections and the string table.
 type flatDecoder struct {
-	secs   map[uint32][]byte
-	blob   []byte
-	strOff []uint32
+	secs map[uint32][]byte
+	tab  *strtab.Table
 }
 
 // flatEntry is one directory entry of a flat bundle: a section's kind,
@@ -177,7 +177,7 @@ func (d *flatDecoder) sec(kind uint32) ([]byte, error) {
 	return b, nil
 }
 
-// initStrings decodes the interned string table.
+// initStrings adopts the interned string table.
 func (d *flatDecoder) initStrings() error {
 	blob, err := d.sec(secStr)
 	if err != nil {
@@ -187,40 +187,24 @@ func (d *flatDecoder) initStrings() error {
 	if err != nil {
 		return err
 	}
-	if len(offs) == 0 {
-		return corruptf("flat v4", "empty string offset table")
+	if d.tab, err = strtab.NewTable(offs, blob); err != nil {
+		return corruptf("flat v4", "%v", err)
 	}
-	if offs[0] != 0 || int(offs[len(offs)-1]) != len(blob) {
-		return corruptf("flat v4", "string offsets do not span the blob")
-	}
-	for i := 1; i < len(offs); i++ {
-		if offs[i] < offs[i-1] {
-			return corruptf("flat v4", "string offsets decrease at %d", i)
-		}
-	}
-	d.blob, d.strOff = blob, offs
 	return nil
 }
 
-// strings decodes one string-reference column into a []string whose
-// entries alias the blob — string bytes are never copied.
-func (d *flatDecoder) strings(kind uint32) ([]string, error) {
+// stringColumn adopts one string-reference section as a column of the string
+// table once every reference is in range: nothing is decoded per string.
+func (d *flatDecoder) stringColumn(kind uint32) (strtab.Column, error) {
 	refs, err := column[uint32](d, kind)
 	if err != nil {
-		return nil, err
+		return strtab.Column{}, err
 	}
-	nStr := uint32(len(d.strOff) - 1)
-	out := make([]string, len(refs))
-	for i, r := range refs {
-		if r >= nStr {
-			return nil, corruptf("flat v4", "%s string reference %d out of range (table has %d)", flatSectionName(kind), r, nStr)
-		}
-		lo, hi := d.strOff[r], d.strOff[r+1]
-		if hi > lo {
-			out[i] = unsafe.String(&d.blob[lo], int(hi-lo))
-		}
+	col, err := d.tab.Column(refs)
+	if err != nil {
+		return strtab.Column{}, corruptf("flat v4", "%s %v", flatSectionName(kind), err)
 	}
-	return out, nil
+	return col, nil
 }
 
 // column returns a required section as a numeric column.
@@ -355,7 +339,7 @@ func (d *flatDecoder) restoreSources(ing *core.Ingestion, has bool) error {
 	if err := d.optionalColumns(sourcesColumns(&st), has, "the meta sources flag"); err != nil {
 		return err
 	}
-	n := len(st.Names)
+	n := st.Names.Len()
 	if has && n == 0 {
 		return corruptf("flat v4", "the sources table is empty but the meta sources flag is set")
 	}
@@ -371,7 +355,8 @@ func (d *flatDecoder) restoreSources(ing *core.Ingestion, has bool) error {
 	if stray != 0 {
 		return corruptf("flat v4", "%s section present without a row in the sources table", flatSectionName(stray))
 	}
-	for i, name := range st.Names {
+	for i := range n {
+		name := st.Names.At(i)
 		src, err := d.openSource(sourceBase(i), eks.FlatGraphData{Root: st.Roots[i]},
 			core.FlatFrequencyData{Root: st.FreqRoots[i], Smoothing: st.Smoothing[i]}, st.Shortcuts[i], ing.Store, ing.Ontology)
 		if err != nil {
@@ -394,27 +379,27 @@ func restoreFailed(err error) error {
 // restoreOntology rebuilds the (small) domain ontology on the heap — it is
 // a handful of concepts and relationships, not worth a flat backing.
 func (d *flatDecoder) restoreOntology() (*ontology.Ontology, error) {
-	conRefs, err := d.strings(secOntoConcepts)
+	conRefs, err := d.stringColumn(secOntoConcepts)
 	if err != nil {
 		return nil, err
 	}
-	if len(conRefs)%2 != 0 {
-		return nil, corruptf("flat v4", "ontology concept section has %d refs, want pairs", len(conRefs))
+	if conRefs.Len()%2 != 0 {
+		return nil, corruptf("flat v4", "ontology concept section has %d refs, want pairs", conRefs.Len())
 	}
-	relRefs, err := d.strings(secOntoRels)
+	relRefs, err := d.stringColumn(secOntoRels)
 	if err != nil {
 		return nil, err
 	}
-	if len(relRefs)%3 != 0 {
-		return nil, corruptf("flat v4", "ontology relationship section has %d refs, want triples", len(relRefs))
+	if relRefs.Len()%3 != 0 {
+		return nil, corruptf("flat v4", "ontology relationship section has %d refs, want triples", relRefs.Len())
 	}
-	concepts := make([]ontology.Concept, 0, len(conRefs)/2)
-	for i := 0; i < len(conRefs); i += 2 {
-		concepts = append(concepts, ontology.Concept{Name: conRefs[i], Parent: conRefs[i+1]})
+	concepts := make([]ontology.Concept, 0, conRefs.Len()/2)
+	for i := 0; i < conRefs.Len(); i += 2 {
+		concepts = append(concepts, ontology.Concept{Name: conRefs.At(i), Parent: conRefs.At(i + 1)})
 	}
-	rels := make([]ontology.Relationship, 0, len(relRefs)/3)
-	for i := 0; i < len(relRefs); i += 3 {
-		rels = append(rels, ontology.Relationship{Name: relRefs[i], Domain: relRefs[i+1], Range: relRefs[i+2]})
+	rels := make([]ontology.Relationship, 0, relRefs.Len()/3)
+	for i := 0; i < relRefs.Len(); i += 3 {
+		rels = append(rels, ontology.Relationship{Name: relRefs.At(i), Domain: relRefs.At(i + 1), Range: relRefs.At(i + 2)})
 	}
 	onto, err := restoreOntology(concepts, rels)
 	if err != nil {

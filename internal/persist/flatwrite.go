@@ -9,35 +9,19 @@ import (
 	"unsafe"
 
 	"medrelax/internal/core"
+	"medrelax/internal/strtab"
 )
 
 // flatWriter accumulates sections and interns strings for a v4 bundle.
 type flatWriter struct {
 	sections []flatSection
-	strs     []string
-	strIdx   map[string]uint32
-	strBytes int
+	strs     strtab.Builder
 }
 
 // flatSection is one section of the file: its kind and its bytes.
 type flatSection struct {
 	kind    uint32
 	payload []byte
-}
-
-func newFlatWriter() *flatWriter {
-	return &flatWriter{strIdx: make(map[string]uint32)}
-}
-
-func (w *flatWriter) ref(s string) uint32 {
-	if i, ok := w.strIdx[s]; ok {
-		return i
-	}
-	i := uint32(len(w.strs))
-	w.strs = append(w.strs, s)
-	w.strIdx[s] = i
-	w.strBytes += len(s)
-	return i
 }
 
 func (w *flatWriter) add(kind uint32, payload []byte) {
@@ -67,11 +51,12 @@ func leColumn[T flatNumber](xs []T) []byte {
 	return b
 }
 
-// leRefs interns every string and encodes the reference column.
-func (w *flatWriter) leRefs(ss []string) []byte {
-	refs := make([]uint32, len(ss))
-	for i, s := range ss {
-		refs[i] = w.ref(s)
+// leRefs interns every string of a column into the bundle's string table and
+// encodes the reference column.
+func (w *flatWriter) leRefs(col strtab.Column) []byte {
+	refs := make([]uint32, col.Len())
+	for i := range refs {
+		refs[i] = w.strs.Ref(col.At(i))
 	}
 	return leColumn(refs)
 }
@@ -100,7 +85,7 @@ func encodeFlat(ing *core.Ingestion) ([]flatSection, error) {
 	if !ok {
 		return nil, fmt.Errorf("persist: graph has no root")
 	}
-	fw := newFlatWriter()
+	fw := &flatWriter{}
 	fd := ing.Frequencies.FlatData()
 	meta := flatMeta{eksRoot: root, shortcuts: int64(ing.ShortcutsAdded), freqRoot: fd.Root, freqSmooth: fd.Smoothing}
 	// Sections go out in kind order, the ontology among the families: the
@@ -134,13 +119,14 @@ func encodeFlat(ing *core.Ingestion) ([]flatSection, error) {
 	if len(ing.Sources) > 0 {
 		meta.flags |= metaHasSources
 		var st flatSources
+		names := make([]string, len(ing.Sources))
 		for i, src := range ing.Sources {
 			root, ok := src.Ing.Graph.Root()
 			if !ok {
 				return nil, fmt.Errorf("persist: source %q: graph has no root", src.Name)
 			}
 			fd := src.Ing.Frequencies.FlatData()
-			st.Names = append(st.Names, src.Name)
+			names[i] = src.Name
 			st.Roots = append(st.Roots, root)
 			st.Shortcuts = append(st.Shortcuts, int64(src.Ing.ShortcutsAdded))
 			st.FreqRoots = append(st.FreqRoots, fd.Root)
@@ -150,18 +136,13 @@ func encodeFlat(ing *core.Ingestion) ([]flatSection, error) {
 				fw.addColumns(family)
 			}
 		}
+		st.Names = strtab.Pack(names)
 		fw.addColumns(sourcesColumns(&st))
 	}
 
 	// The string table is complete only now; emit it with META and sort the
 	// sections into ascending kind order for a canonical file.
-	strOff := make([]uint32, len(fw.strs)+1)
-	blob := make([]byte, 0, fw.strBytes)
-	for i, s := range fw.strs {
-		strOff[i] = uint32(len(blob))
-		blob = append(blob, s...)
-	}
-	strOff[len(fw.strs)] = uint32(len(blob))
+	strOff, blob := fw.strs.Table()
 	fw.add(secStrOff, leColumn(strOff))
 	fw.add(secStr, blob)
 	fw.add(secMeta, meta.encode())
@@ -223,8 +204,8 @@ func flatOntologySections(fw *flatWriter, ing *core.Ingestion) {
 	for _, r := range o.Relationships() {
 		relRefs = append(relRefs, r.Name, r.Domain, r.Range)
 	}
-	fw.add(secOntoConcepts, fw.leRefs(conRefs))
-	fw.add(secOntoRels, fw.leRefs(relRefs))
+	fw.add(secOntoConcepts, fw.leRefs(strtab.Pack(conRefs)))
+	fw.add(secOntoRels, fw.leRefs(strtab.Pack(relRefs)))
 }
 
 // sourceFamilies is a source's graph, resolver, mapping and frequency families

@@ -97,7 +97,7 @@ func frequencyShape(secs map[uint32][]byte) *FrequencyShape {
 	if d.initStrings() != nil || d.columns(frequencyColumns(&fd)) != nil {
 		return nil
 	}
-	s := &FrequencyShape{Labels: len(fd.Labels), Entries: len(fd.IDs), Aggregates: len(fd.AggIDs)}
+	s := &FrequencyShape{Labels: fd.Labels.Len(), Entries: len(fd.IDs), Aggregates: len(fd.AggIDs)}
 	for _, vals := range [][]float64{fd.Vals, fd.AggVals} {
 		for _, v := range vals {
 			if v == 0 {
@@ -157,7 +157,7 @@ func inspectBytes(data []byte) (*BundleInfo, error) {
 	d := &flatDecoder{secs: checked}
 	var st flatSources
 	if d.initStrings() == nil && d.columns(sourcesColumns(&st)) == nil {
-		info.Sources = st.Names
+		info.Sources = st.Names.Strings()
 	}
 	// A source's resolver is looked for only where the directory can be
 	// trusted to list every section.

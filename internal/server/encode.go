@@ -92,13 +92,15 @@ func (e *encoder) result(r *RelaxResult) {
 	e.b = strconv.AppendInt(e.b, int64(r.Hops), 10)
 	e.b = append(e.b, `,"instances":`...)
 	e.b = appendStrings(e.b, r.Instances)
-	if len(r.Sources) > 0 {
-		e.b = append(e.b, `,"sources":`...)
-		e.b = appendStrings(e.b, r.Sources)
-	}
-	if r.Explain != nil {
-		e.b = append(e.b, `,"explain":`...)
-		e.explain(r.Explain)
+	if p := r.Provenance; p != nil {
+		if len(p.Sources) > 0 {
+			e.b = append(e.b, `,"sources":`...)
+			e.b = appendStrings(e.b, p.Sources)
+		}
+		if p.Explain != nil {
+			e.b = append(e.b, `,"explain":`...)
+			e.explain(p.Explain)
+		}
 	}
 	e.b = append(e.b, '}')
 }

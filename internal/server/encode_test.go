@@ -191,7 +191,7 @@ func TestRelaxBodyMatchesEncodingJSON(t *testing.T) {
 	var floats []RelaxResult
 	for i, f := range floatCases {
 		floats = append(floats, RelaxResult{Concept: fmt.Sprint("c", i), Score: f, Hops: i - 3,
-			Instances: []string{"i"}, Explain: explained("q", f)})
+			Instances: []string{"i"}, Provenance: &engine.Provenance{Explain: explained("q", f)}})
 	}
 	cases := []struct {
 		name, term, qctx string
@@ -205,13 +205,13 @@ func TestRelaxBodyMatchesEncodingJSON(t *testing.T) {
 		}},
 		{"floats", "fever", "", floats},
 		{"sources without explain", "fever", "", []RelaxResult{
-			{Concept: "a", Score: 1, Instances: []string{"x"}, Sources: []string{"primary", "variant"}},
-			{Concept: "b", Score: 1, Instances: []string{"y"}, Sources: []string{}},
+			{Concept: "a", Score: 1, Instances: []string{"x"}, Provenance: &engine.Provenance{Sources: []string{"primary", "variant"}}},
+			{Concept: "b", Score: 1, Instances: []string{"y"}, Provenance: &engine.Provenance{Sources: []string{}}},
 		}},
 		{"explain", "fever", "Drug-treat-Indication", []RelaxResult{
-			{Concept: "a", Score: 0.75, Hops: 2, Instances: []string{"x"}, Sources: []string{"primary"}, Explain: explained("fever", 0.75)},
-			{Concept: "b", Score: 0.5, Hops: 0, Instances: []string{"y"}, Explain: &engine.Explain{Source: "variant", Subsumers: []string{}}},
-			{Concept: "c", Score: 0.5, Hops: 0, Instances: []string{"z"}, Explain: &engine.Explain{Edges: []engine.ExplainEdge{}}},
+			{Concept: "a", Score: 0.75, Hops: 2, Instances: []string{"x"}, Provenance: &engine.Provenance{Sources: []string{"primary"}, Explain: explained("fever", 0.75)}},
+			{Concept: "b", Score: 0.5, Hops: 0, Instances: []string{"y"}, Provenance: &engine.Provenance{Explain: &engine.Explain{Source: "variant", Subsumers: []string{}}}},
+			{Concept: "c", Score: 0.5, Hops: 0, Instances: []string{"z"}, Provenance: &engine.Provenance{Explain: &engine.Explain{Edges: []engine.ExplainEdge{}}}},
 		}},
 		{"a non-finite score refuses the body", "fever", "", []RelaxResult{{Concept: "a", Score: math.NaN()}}},
 		{"missing term", "", "", nil},
@@ -221,9 +221,9 @@ func TestRelaxBodyMatchesEncodingJSON(t *testing.T) {
 			name, term, qctx string
 			results          []RelaxResult
 		}{fmt.Sprint("escapes ", i), "t" + s, s, []RelaxResult{{
-			Concept: s, Score: 0.5, Hops: 1, Instances: []string{s, "plain"}, Sources: []string{s},
-			Explain: &engine.Explain{Source: s, Query: s, Subsumer: s, Subsumers: []string{s},
-				Edges: []engine.ExplainEdge{{From: s, To: s, Direction: s, Dist: 1}}},
+			Concept: s, Score: 0.5, Hops: 1, Instances: []string{s, "plain"}, Provenance: &engine.Provenance{Sources: []string{s},
+				Explain: &engine.Explain{Source: s, Query: s, Subsumer: s, Subsumers: []string{s},
+					Edges: []engine.ExplainEdge{{From: s, To: s, Direction: s, Dist: 1}}}},
 		}}})
 	}
 	for _, c := range cases {
@@ -284,6 +284,9 @@ func FuzzRelaxBody(f *testing.F) {
 			r := RelaxResult{Concept: name, Score: score, Hops: hops}
 			if bit(1) {
 				r.Instances = []string{name, term}
+			}
+			if bit(2) || bit(3) {
+				r.Provenance = &engine.Provenance{}
 			}
 			if bit(2) {
 				r.Sources = []string{name}

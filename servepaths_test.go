@@ -216,9 +216,11 @@ func stripExplain(t *testing.T, body []byte, keepSources bool) []byte {
 		t.Fatalf("decoding explain body: %v", err)
 	}
 	for i := range decoded.Results {
-		decoded.Results[i].Explain = nil
-		if !keepSources {
-			decoded.Results[i].Sources = nil
+		if p := decoded.Results[i].Provenance; p != nil {
+			p.Explain = nil
+			if !keepSources {
+				p.Sources = nil
+			}
 		}
 	}
 	var buf bytes.Buffer
