@@ -24,16 +24,13 @@ import (
 // keptWithoutCaller lists the non-test functions that no program, init,
 // package-level initializer, exported root API or interface method reaches,
 // each with the reason it stays: every one is a reference that tests score
-// production code against, or a documented capability.
+// production code against, or a work counter.
 var keptWithoutCaller = map[string]string{
 	"core.Similarity.Sim":          "per-pair Eq. 5 that the oracle tests score the relax kernel against",
 	"core.Similarity.SimIC":        "per-pair Eq. 3 that the oracle tests score the relax kernel against",
 	"core.simICFromLCS":            "Eq. 3 from one LCS, the body of Similarity.SimIC",
 	"core.takeForKInstances":       "the exhaustive oracle's k consumption",
 	"core.Relaxer.WalkedNodes":     "the relax kernel's work counter (ROADMAP item 5)",
-	"core.LearnPathWeights":        "path-weight learning, a capability README documents",
-	"core.clampWeight":             "used by LearnPathWeights",
-	"core.sigmoid":                 "used by LearnPathWeights",
 	"eks.Graph.DescendantCount":    "the reference for Graph.DescendantCounts",
 	"stringutil.LevenshteinWithin": "the reference of the CI fuzz differential that guards EditBand",
 	"corpus.Corpus.CountPhrases":   "the reference of the CI fuzz differential that guards CountPhrasesN",
@@ -361,8 +358,6 @@ var keptWithoutSetter = map[string]string{
 	"core.IngestOptions.DisableShortcuts":    "the shortcut-edge ablation BenchmarkAblationShortcutEdges runs",
 	"core.MaterializeOptions.MaxPerQuery":    "tests cap entries at 1 or lift the cap (-1) to reach the truncated and complete branches on small worlds",
 	"core.CandidateIndexOptions.MaxPostings": "tests cap postings at 2 or 8 to reach the skip branch on small worlds",
-	"core.WeightExample.Path":                "LearnPathWeights' training pair, a capability README documents",
-	"core.WeightExample.Relevant":            "LearnPathWeights' training label, a capability README documents",
 	"embedding.Config.Dim":                   "tests train small models in time",
 	"embedding.Config.Window":                "tests train small models in time",
 	"embedding.Config.MinCount":              "tests train small models and reach Train's empty-vocabulary error",

@@ -115,7 +115,7 @@ func printQueryTermMapping(sys *medrelax.System) {
 	for i, r := range eval.EvaluatePlacements(sys.World.Latent, mappers) {
 		method := r.Method
 		if i == 0 {
-			method = "served (edit, lookup)"
+			method = "served: EDIT at tau=2"
 		}
 		rows = append(rows, []string{method, fmt.Sprint(r.Right), fmt.Sprint(r.Wrong), fmt.Sprint(r.Unplaced)})
 	}

@@ -65,8 +65,8 @@ func relaxAgrees(t *testing.T, sys *System, req engine.Request, want []engine.Re
 
 // oovLatentTerms returns latent surface variants the primary's served mapper
 // cannot place — out-of-vocabulary for the primary source by construction
-// (they were withheld from its synonym index, and exact match, edit distance
-// and the lookup service all miss them). On a two-source system the engine's
+// (they were withheld from its synonym index, and the served EDIT, exact
+// match then edit distance, misses them). On a two-source system the engine's
 // mapper is the primary's.
 func oovLatentTerms(sys *System) []string {
 	var oov []string

@@ -53,10 +53,10 @@ type Ingestion struct {
 	// Candidates is the optional stored-geometry candidate index (nil unless
 	// IngestOptions.CandidateIndex.Enabled or restored from a bundle).
 	Candidates *CandidateIndex
-	// Lookup is the graph's term resolver (Algorithm 2 maps the query term
-	// through it): tokenised once by Ingest over the customized graph, or
-	// adopted from the resolver columns of a flat bundle.
-	Lookup *match.LookupService
+	// Resolver is the graph's query-term mapper (Algorithm 2, line 1): the
+	// paper's EDIT at τ=2, whose key signatures Ingest derives once over the
+	// customized graph or a flat bundle's reader adopts.
+	Resolver *match.Edit
 	// Backing describes (and pins through liveness) the memory a flat-mapped
 	// ingestion reads from; nil for heap-backed ingestions.
 	Backing SnapshotBacking
@@ -179,10 +179,10 @@ func Ingest(o *ontology.Ontology, store *kb.Store, g *eks.Graph, corp *corpus.Co
 		}
 	}
 	// The graph's structure is final: freeze the dense traversal index now
-	// so the first online query does not pay the build, and index its lexicon
+	// so the first online query does not pay the build, and sign its lexicon
 	// for the term resolver every snapshot and bundle of it shares.
 	g.Freeze()
-	ing.Lookup = match.NewLookupService(g)
+	ing.Resolver = match.NewEdit(g, 0)
 
 	// Optional offline accelerations run against the frozen graph with the
 	// same similarity construction the engine serves with (default weights,

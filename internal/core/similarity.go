@@ -16,8 +16,8 @@ var errNoRoot = errors.New("core: external knowledge source has no root")
 func normalizeName(name string) string { return stringutil.Normalize(name) }
 
 // PathWeights are the per-hop edge weights of Equation 4. The paper's
-// empirical study sets generalization to 0.9 and specialization to 1.0;
-// LearnPathWeights can fit them from labeled data instead.
+// empirical study sets generalization to 0.9 and specialization to 1.0, and
+// they stay those constants: the weights are not learned from feedback.
 type PathWeights struct {
 	Generalization float64
 	Specialization float64

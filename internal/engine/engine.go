@@ -110,7 +110,7 @@ type Response struct {
 }
 
 // Config tunes Snapshot assembly. It names no term mapper: every snapshot
-// resolves query terms through bundleMapper over its ingestion's resolver.
+// resolves query terms through its ingestion's resolver, the paper's EDIT.
 // The zero value serves a loaded bundle at the default relaxation radius.
 type Config struct {
 	// Relax configures the online phase; zero values pick the defaults of
@@ -147,9 +147,6 @@ type Snapshot struct {
 	// single-source snapshot has none and serves through its relaxer alone;
 	// with sources RelaxBatch fuses per-source answers (see federate.go).
 	sources []*Snapshot
-	// mapper is the snapshot's one query-term mapper, the bundle mapper over
-	// its ingestion's term resolver.
-	mapper match.Mapper
 	// matActive / idxActive record whether the ingestion's offline
 	// accelerations were attached to the relaxer (they are refused when
 	// their build options cannot reproduce the serving configuration).
@@ -187,19 +184,17 @@ func New(ing *core.Ingestion, cfg Config) *Snapshot {
 			cfg.Relax = core.RelaxOptions{Radius: 3, DynamicRadius: true}
 		}
 	}
-	mapper := bundleMapper(ing)
 	ing.Graph.Freeze()
 	sim := core.NewSimilarity(ing.Graph, ing.Frequencies, ing.Ontology)
 	terms, names := flaggedNames(ing)
 	s := &Snapshot{
 		ing:     ing,
 		sim:     sim,
-		relaxer: core.NewRelaxer(ing, sim, mapper, cfg.Relax),
+		relaxer: core.NewRelaxer(ing, sim, ing.Resolver, cfg.Relax),
 		cfg:     cfg,
 		name:    core.PrimarySourceName,
 		terms:   terms,
 		names:   names,
-		mapper:  mapper,
 	}
 	s.dialogue = sync.OnceValues(s.deriveDialogue)
 	// Mount the secondary sources, each a Snapshot of its own, always on the
@@ -247,14 +242,6 @@ func New(ing *core.Ingestion, cfg Config) *Snapshot {
 		}
 	}
 	return s
-}
-
-// bundleMapper is every snapshot's query-term mapper, built or loaded, primary
-// or secondary, so a world and the bundle it saves answer alike: edit distance
-// (which tries the exact key first), then the ingestion's term resolver, whose
-// key signatures the edit matcher shares.
-func bundleMapper(ing *core.Ingestion) match.Mapper {
-	return match.NewCombined(ing.Lookup.Edit(0), ing.Lookup)
 }
 
 // residency says where the snapshot's columns live: a flat bundle's in a file
@@ -311,8 +298,8 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 	loadDur := time.Since(loadStart)
 	freezeStart := time.Now()
 	snap := New(ing, Config{Source: path})
-	log.Printf("bundle loaded: %d EKS concepts, %d instances, %s, resolver with %d tokens (decode+restore %s, freeze %s)",
-		ing.Graph.Len(), ing.Store.Len(), snap.residency(), ing.Lookup.FlatData().Tokens.Len(),
+	log.Printf("bundle loaded: %d EKS concepts, %d instances, %s (decode+restore %s, freeze %s)",
+		ing.Graph.Len(), ing.Store.Len(), snap.residency(),
 		loadDur.Round(time.Millisecond), time.Since(freezeStart).Round(time.Millisecond))
 	// Probe one flagged term end to end so a structurally valid bundle
 	// that cannot actually answer fails here, not in production traffic.
@@ -330,7 +317,7 @@ func (s *Snapshot) Relaxer() *core.Relaxer { return s.relaxer }
 
 // Mapper is the snapshot's query-term mapper, for harnesses that score where
 // it places terms.
-func (s *Snapshot) Mapper() match.Mapper { return s.mapper }
+func (s *Snapshot) Mapper() match.Mapper { return s.ing.Resolver }
 
 // Close releases the snapshot's backing resources — for an mmap-backed
 // flat bundle, the file mapping, released deterministically instead of at
@@ -415,7 +402,7 @@ func (s *Snapshot) deriveDialogue() (Dialogue, error) {
 	opts.IncludeSelf = true
 	classifier, err := dialog.TrainIntentClassifier(dialog.GenerateTrainingExamples(s.ing.Ontology, s.ing.Store, dialogueSeed, 0))
 	sim := core.NewSimilarity(s.ing.Graph, s.ing.Frequencies, s.ing.Ontology)
-	return Dialogue{classifier, dialog.NewMentionExtractor(s.ing.Store, s.ing.Graph.NameKeys()), core.NewRelaxer(s.ing, sim, s.mapper, opts)}, err
+	return Dialogue{classifier, dialog.NewMentionExtractor(s.ing.Store, s.ing.Graph.NameKeys()), core.NewRelaxer(s.ing, sim, s.ing.Resolver, opts)}, err
 }
 
 // NewConversation opens a relaxation-backed dialogue over the Dialogue. The
@@ -449,9 +436,6 @@ func (s *Snapshot) Stats() map[string]any {
 	if b := s.ing.Backing; b != nil {
 		stats["snapshotBytes"] = b.SizeBytes()
 	}
-	// The distinct tokens the bundle mapper's term resolver indexes; the
-	// resolver lives with the ingestion's columns.
-	stats["resolverTokens"] = s.ing.Lookup.FlatData().Tokens.Len()
 	live, mat, idx := s.relaxer.PathCounts()
 	stats["relaxPaths"] = map[string]uint64{"live": live, "materialized": mat, "indexed": idx, "materializedTruncated": s.relaxer.TruncatedDeclines()}
 	// Where the kernel's per-concept geometries came from for this snapshot —

@@ -56,7 +56,7 @@ func (s *Snapshot) relaxFused(ctx context.Context, req core.Request, explain boo
 	entries := make(map[string]*fusedEntry)
 	mappedAny := false
 	for _, src := range s.sources {
-		q, ok := src.mapper.Map(term)
+		q, ok := src.ing.Resolver.Map(term)
 		if !ok {
 			continue
 		}
@@ -147,7 +147,7 @@ func (s *Snapshot) relaxFused(ctx context.Context, req core.Request, explain boo
 func (s *Snapshot) attachExplain(term string, ids []core.Result, out []RelaxResult) {
 	// Re-map the term through the snapshot's mapper; Map is deterministic,
 	// so this resolves to the same query concept the relaxer used.
-	q, ok := s.mapper.Map(term)
+	q, ok := s.ing.Resolver.Map(term)
 	if !ok {
 		return
 	}

@@ -1,7 +1,6 @@
 package match
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -11,11 +10,12 @@ import (
 	"medrelax/internal/strtab"
 )
 
-// LookupService is the "more sophisticated lookup service" the paper notes
-// several knowledge sources offer (Section 3: SNOMED CT's browser,
-// DrugBank, DBpedia Lookup): a ranked, typo- and word-order-tolerant name
-// search over the external knowledge source, usable both as a Mapper and
-// as an interactive search backend.
+// LookupService is a ranked, word-order-tolerant name search over an
+// external knowledge source, in the manner of the "more sophisticated lookup
+// service" the paper notes several sources offer (Section 3: SNOMED CT's
+// browser, DrugBank, DBpedia Lookup). No snapshot serves it: every snapshot
+// maps query terms with the paper's EDIT (Edit). It stays because the
+// benchmark's traced resolve layer assembles its own chain with it.
 //
 // The implementation is an inverted token index over the graph's own sorted
 // name-key column — the index holds positions in it, never copies of the
@@ -24,12 +24,7 @@ import (
 // with a prefix bonus for the kind of incremental lookups a browser makes,
 // and finally a small popularity prior (descendant count) as a tie-breaker
 // the way public lookup services rank head entities first.
-//
-// The index is frozen columns (FlatLookupData), tokenised and sorted by
-// NewLookupService or adopted from a flat bundle by OpenFlatLookup after the
-// same validator; every read runs on them either way.
 type LookupService struct {
-	graph *eks.Graph
 	// keys, keyOff and keyIDs are the graph's own name index — the sorted
 	// normalized keys and each key's concepts — shared with the graph, not
 	// copied; ids is its ascending concept column.
@@ -37,32 +32,20 @@ type LookupService struct {
 	keyOff []int32
 	keyIDs []eks.ConceptID
 	ids    []eks.ConceptID
-	d      FlatLookupData
-	// A concept's popularity prior is its descendant count as a share of
-	// maxDesc, in [0, 1].
+	// tokens are the distinct tokens of the name keys, strictly ascending: a
+	// token's id is its position, finding one is a binary search, and the
+	// tokens a prefix expands to are a contiguous run. The keys containing
+	// token t are tokKeys[tokOff[t]:tokOff[t+1]], as ascending positions in
+	// keys.
+	tokens  strtab.Column
+	tokOff  []int32 // len(tokens)+1
+	tokKeys []int32
+	// desc is every concept's descendant count, parallel to ids; a concept's
+	// popularity prior is its count as a share of maxDesc, in [0, 1].
+	desc    []int32
 	maxDesc int
 	// MinScore is the acceptance threshold for Map. Default 0.5.
 	MinScore float64
-}
-
-// FlatLookupData is the column layout of a LookupService over a graph, which
-// is also the layout of the resolver sections of a flat (v4) bundle. Columns
-// handed to OpenFlatLookup may alias a memory mapping; they are never
-// mutated.
-type FlatLookupData struct {
-	// Tokens are the distinct tokens of the graph's name keys, strictly
-	// ascending: a token's id is its position, finding one is a binary
-	// search, and the tokens a prefix expands to are a contiguous run.
-	Tokens strtab.Column
-	// The keys containing token t are TokKeys[TokOff[t]:TokOff[t+1]], as
-	// ascending positions in the graph's NameKeys.
-	TokOff  []int32 // len(Tokens)+1
-	TokKeys []int32
-	// Desc is every concept's descendant count, parallel to the graph's IDs.
-	Desc []int32
-	// KeySigs is every name key's letter-set signature (keySignature),
-	// parallel to the graph's NameKeys: what Edit skips keys by.
-	KeySigs []uint64
 }
 
 // LookupHit is one ranked search result.
@@ -72,9 +55,11 @@ type LookupHit struct {
 	Score   float64
 }
 
-// NewLookupService indexes the graph's full lexicon.
-func NewLookupService(g *eks.Graph) *LookupService {
-	keys := g.FlatData().NameKeys
+// NewLookupService indexes the graph's full lexicon; bench/traced.go chains
+// it after EXACT and EDIT.
+func NewLookupService(g *eks.Graph) *LookupService { // bench contract
+	fd := g.FlatData()
+	keys := fd.NameKeys
 	// One pass over the keys numbers the tokens as they first appear and
 	// lists the (token, key) occurrences, a key's repeated token once.
 	firstSeen := map[string]int32{}
@@ -106,102 +91,41 @@ func NewLookupService(g *eks.Graph) *LookupService {
 	}
 	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(tokens[a], tokens[b]) })
 	sorted := make([]string, len(tokens))
-	d := FlatLookupData{
-		TokOff:  make([]int32, len(tokens)+1),
-		TokKeys: make([]int32, len(occKey)),
-		Desc:    g.DescendantCounts(),
-		KeySigs: keySignatures(keys),
+	s := &LookupService{
+		keys:     keys,
+		keyOff:   fd.KeyOff,
+		keyIDs:   fd.KeyIDs,
+		ids:      fd.IDs,
+		tokOff:   make([]int32, len(tokens)+1),
+		tokKeys:  make([]int32, len(occKey)),
+		desc:     g.DescendantCounts(),
+		maxDesc:  1,
+		MinScore: 0.5,
 	}
 	rank := make([]int32, len(tokens))
 	for pos, t := range order {
 		rank[t] = int32(pos)
 		sorted[pos] = tokens[t]
-		d.TokOff[pos+1] = d.TokOff[pos] + counts[t]
+		s.tokOff[pos+1] = s.tokOff[pos] + counts[t]
 	}
-	d.Tokens = strtab.Pack(sorted)
-	next := slices.Clone(d.TokOff[:len(tokens)])
+	s.tokens = strtab.Pack(sorted)
+	next := slices.Clone(s.tokOff[:len(tokens)])
 	for o, t := range occTok {
 		pos := rank[t]
-		d.TokKeys[next[pos]] = occKey[o]
+		s.tokKeys[next[pos]] = occKey[o]
 		next[pos]++
 	}
-	return newLookupService(g, d)
-}
-
-// OpenFlatLookup adopts resolver columns as a LookupService over g,
-// enforcing the invariants Search and Edit rely on: the token CSR's shape,
-// tokens non-empty and strictly ascending, every token's key span non-empty,
-// strictly ascending and inside the graph's name keys, one non-negative
-// descendant count per concept and one signature per key.
-func OpenFlatLookup(g *eks.Graph, d FlatLookupData) (*LookupService, error) {
-	fd := g.FlatData()
-	n := d.Tokens.Len()
-	if len(d.TokOff) != n+1 || d.TokOff[0] != 0 || int(d.TokOff[n]) != len(d.TokKeys) {
-		return nil, fmt.Errorf("match: lookup token offsets (%d for %d tokens) do not span the %d postings", len(d.TokOff), n, len(d.TokKeys))
-	}
-	for t := range n {
-		tok := d.Tokens.At(t)
-		if tok == "" || (t > 0 && tok <= d.Tokens.At(t-1)) {
-			return nil, fmt.Errorf("match: lookup tokens empty or not strictly ascending at %d", t)
-		}
-		lo, hi := d.TokOff[t], d.TokOff[t+1]
-		if lo >= hi || int(hi) > len(d.TokKeys) {
-			return nil, fmt.Errorf("match: lookup token %q has the posting span [%d, %d)", tok, lo, hi)
-		}
-		prev := int32(-1)
-		for _, key := range d.TokKeys[lo:hi] {
-			if key <= prev || int(key) >= fd.NameKeys.Len() {
-				return nil, fmt.Errorf("match: lookup token %q lists key %d after %d of %d", tok, key, prev, fd.NameKeys.Len())
-			}
-			prev = key
-		}
-	}
-	if len(d.Desc) != len(fd.IDs) {
-		return nil, fmt.Errorf("match: %d descendant counts for %d concepts", len(d.Desc), len(fd.IDs))
-	}
-	if i := slices.IndexFunc(d.Desc, func(c int32) bool { return c < 0 }); i >= 0 {
-		return nil, fmt.Errorf("match: negative descendant count at concept %d", fd.IDs[i])
-	}
-	if len(d.KeySigs) != fd.NameKeys.Len() {
-		return nil, fmt.Errorf("match: %d key signatures for %d name keys", len(d.KeySigs), fd.NameKeys.Len())
-	}
-	return newLookupService(g, d), nil
-}
-
-func newLookupService(g *eks.Graph, d FlatLookupData) *LookupService {
-	fd := g.FlatData()
-	s := &LookupService{
-		graph:    g,
-		keys:     fd.NameKeys,
-		keyOff:   fd.KeyOff,
-		keyIDs:   fd.KeyIDs,
-		ids:      fd.IDs,
-		d:        d,
-		maxDesc:  1,
-		MinScore: 0.5,
-	}
-	for _, c := range d.Desc {
+	for _, c := range s.desc {
 		s.maxDesc = max(s.maxDesc, int(c))
 	}
 	return s
-}
-
-// FlatData returns the service's columns, the form a flat bundle stores. The
-// slices alias the service and must not be modified.
-func (s *LookupService) FlatData() FlatLookupData { return s.d }
-
-// Edit returns an edit-distance matcher over the service's graph that shares
-// its key signatures instead of deriving them again (DefaultEditThreshold
-// when threshold <= 0).
-func (s *LookupService) Edit(threshold int) *Edit {
-	return newEdit(s.graph, threshold, s.d.KeySigs)
 }
 
 // popularity is a concept's prior: its descendant count as a share of the
 // largest.
 func (s *LookupService) popularity(id eks.ConceptID) float64 {
 	node, _ := slices.BinarySearch(s.ids, id)
-	return float64(s.d.Desc[node]) / float64(s.maxDesc)
+	return float64(s.desc[node]) / float64(s.maxDesc)
 }
 
 // Search returns up to limit ranked hits for a free-text query. An empty
@@ -220,17 +144,17 @@ func (s *LookupService) Search(query string, limit int) []LookupHit {
 	// and their keys one span of the CSR.
 	var candidates []int32
 	for _, qt := range qTokens {
-		lo, found := s.d.Tokens.Search(qt)
+		lo, found := s.tokens.Search(qt)
 		hi := lo
 		if found {
 			hi++
 		}
 		if qt == qTokens[len(qTokens)-1] && len(qt) >= 3 {
-			for hi < s.d.Tokens.Len() && strings.HasPrefix(s.d.Tokens.At(hi), qt) {
+			for hi < s.tokens.Len() && strings.HasPrefix(s.tokens.At(hi), qt) {
 				hi++
 			}
 		}
-		candidates = append(candidates, s.d.TokKeys[s.d.TokOff[lo]:s.d.TokOff[hi]]...)
+		candidates = append(candidates, s.tokKeys[s.tokOff[lo]:s.tokOff[hi]]...)
 	}
 	slices.Sort(candidates)
 	candidates = slices.Compact(candidates)

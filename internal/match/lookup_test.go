@@ -1,14 +1,11 @@
 package match
 
 import (
-	"fmt"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"medrelax/internal/eks"
-	"medrelax/internal/strtab"
 	"medrelax/internal/synthkb"
 )
 
@@ -145,89 +142,18 @@ func TestLookupServicePopularityTieBreak(t *testing.T) {
 	}
 }
 
-// TestLookupAdoptsItsColumns replays the lexicon of a generated world —
-// multi-parent, with synonyms, leaf variants that tie on popularity and keys
-// two concepts share — against a service that tokenised the lexicon and one
-// that adopted its columns: every name as typed, reordered, cut to a prefix of
-// its last token (prefix expansion), misspelt, and gibberish, at several
-// limits. Hits and Map must agree to the bit (persist's TestFlatLookupAdopted
-// takes the columns through a saved bundle).
-func TestLookupAdoptsItsColumns(t *testing.T) {
-	w, err := synthkb.Generate(synthkb.Config{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := w.Graph
-	ids := g.ConceptIDs()
-	next := ids[len(ids)-1] + 1
-	for i := 0; i < 300; i++ {
-		parent := w.Findings[i%len(w.Findings)]
-		c := eks.Concept{ID: next, Name: fmt.Sprintf("variant %d of %d", i, parent)}
-		if i%7 == 0 {
-			c.Synonyms = []string{"shared variant name", fmt.Sprintf("variant variant %d", i)}
-		}
-		if err := g.AddConcept(c); err != nil {
-			t.Fatal(err)
-		}
-		if err := g.AddSubsumption(next, parent); err != nil {
-			t.Fatal(err)
-		}
-		next++
-	}
-	for _, g := range []*eks.Graph{lexGraph(t), g} {
-		built := NewLookupService(g)
-		adopted, err := OpenFlatLookup(g, cloneLookupData(built.FlatData()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(built.FlatData(), adopted.FlatData()) {
-			t.Fatal("an adopted service does not hold the columns it was given")
-		}
-		var queries []string
-		for i, key := range g.NameKeys() {
-			if i%41 != 0 {
-				continue
-			}
-			toks := strings.Fields(key)
-			last := toks[len(toks)-1]
-			slices.Reverse(toks)
-			queries = append(queries, key, strings.Join(toks, " "), key[:len(key)-len(last)/2], key+"x", "x"+key)
-		}
-		queries = append(queries, "", "   ", "zzqx", "qzxj123456wvkq", "variant", "var", "shared variant", "of", "pain pai", "pai pai")
-		for _, q := range queries {
-			for _, limit := range []int{1, 5, 50} {
-				if got, want := adopted.Search(q, limit), built.Search(q, limit); !reflect.DeepEqual(got, want) {
-					t.Fatalf("Search(%q, %d):\nadopted %+v\nbuilt   %+v", q, limit, got, want)
-				}
-			}
-			gid, gok := adopted.Map(q)
-			wid, wok := built.Map(q)
-			if gid != wid || gok != wok {
-				t.Fatalf("Map(%q) = %d, %v adopted; %d, %v built", q, gid, gok, wid, wok)
-			}
-		}
-	}
-}
-
-func cloneLookupData(d FlatLookupData) FlatLookupData {
-	return FlatLookupData{
-		Tokens: d.Tokens, TokOff: slices.Clone(d.TokOff), TokKeys: slices.Clone(d.TokKeys),
-		Desc: slices.Clone(d.Desc), KeySigs: slices.Clone(d.KeySigs),
-	}
-}
-
 // TestLookupColumnsSorted pins the layout the reads rely on: tokens strictly
 // ascending, so a token's id is its rank, and every token's keys ascending
 // positions of keys that contain it.
 func TestLookupColumnsSorted(t *testing.T) {
 	g := lexGraph(t)
-	d := NewLookupService(g).FlatData()
-	keys, tokens := g.FlatData().NameKeys.Strings(), d.Tokens.Strings()
+	s := NewLookupService(g)
+	keys, tokens := g.FlatData().NameKeys.Strings(), s.tokens.Strings()
 	if !slices.IsSorted(tokens) || len(slices.Compact(slices.Clone(tokens))) != len(tokens) {
 		t.Fatalf("tokens not strictly ascending: %q", tokens)
 	}
 	for ti, tok := range tokens {
-		span := d.TokKeys[d.TokOff[ti]:d.TokOff[ti+1]]
+		span := s.tokKeys[s.tokOff[ti]:s.tokOff[ti+1]]
 		if len(span) == 0 || !slices.IsSorted(span) {
 			t.Fatalf("token %q lists keys %v", tok, span)
 		}
@@ -237,67 +163,47 @@ func TestLookupColumnsSorted(t *testing.T) {
 			}
 		}
 	}
-	for i, key := range keys {
-		if d.KeySigs[i] != keySignature(key) {
-			t.Fatalf("signature of key %q is %#x, want %#x", key, d.KeySigs[i], keySignature(key))
-		}
-	}
 }
 
-// TestOpenFlatLookupRejectsHostileColumns hands the validator columns a
-// checksum would pass and a read would trip over.
-func TestOpenFlatLookupRejectsHostileColumns(t *testing.T) {
+// TestOpenEditRejectsHostileSignatures hands the adopting constructor
+// signature columns a checksum would pass and the scan would index past, and
+// wants NewEdit's own column, one letter set per key, adopted as it is.
+func TestOpenEditRejectsHostileSignatures(t *testing.T) {
 	g := painGraph(t)
-	base := NewLookupService(g).FlatData()
-	multi, _ := base.Tokens.Search("pain") // in three keys
-	if base.TokOff[multi+1]-base.TokOff[multi] < 2 {
-		t.Fatal("fixture has no token in two keys")
+	keys, sigs := g.FlatData().NameKeys.Strings(), NewEdit(g, 0).KeySigs()
+	for i, key := range keys {
+		if sigs[i] != keySignature(key) {
+			t.Fatalf("signature of key %q is %#x, want %#x", key, sigs[i], keySignature(key))
+		}
 	}
 	for _, c := range []struct {
-		name   string
-		mutate func(d *FlatLookupData)
-		want   string
+		name string
+		sigs []uint64
 	}{
-		{"token offsets short", func(d *FlatLookupData) { d.TokOff = d.TokOff[1:] }, "token offsets"},
-		{"token offsets past the postings", func(d *FlatLookupData) { d.TokOff[len(d.TokOff)-1]++ }, "token offsets"},
-		{"token offsets start late", func(d *FlatLookupData) { d.TokOff[0] = 1 }, "token offsets"},
-		{"tokens truncated", func(d *FlatLookupData) { d.Tokens = editTokens(d, func(s []string) []string { return s[:len(s)-1] }) }, "token offsets"},
-		{"empty token", func(d *FlatLookupData) { d.Tokens = editTokens(d, func(s []string) []string { s[0] = ""; return s }) }, "empty or not strictly ascending"},
-		{"tokens not ascending", func(d *FlatLookupData) {
-			d.Tokens = editTokens(d, func(s []string) []string { s[0], s[1] = s[1], s[0]; return s })
-		}, "empty or not strictly ascending"},
-		{"token repeated", func(d *FlatLookupData) { d.Tokens = editTokens(d, func(s []string) []string { s[1] = s[0]; return s }) }, "empty or not strictly ascending"},
-		{"empty posting span", func(d *FlatLookupData) { d.TokOff[1] = d.TokOff[0] }, "posting span"},
-		{"posting span runs backwards", func(d *FlatLookupData) { d.TokOff[2] = d.TokOff[1] - 1 }, "posting span"},
-		{"posting past the keys", func(d *FlatLookupData) { d.TokKeys[d.TokOff[multi+1]-1] = int32(g.FlatData().NameKeys.Len()) }, "lists key"},
-		{"negative posting", func(d *FlatLookupData) { d.TokKeys[d.TokOff[multi]] = -1 }, "lists key"},
-		{"postings descending", func(d *FlatLookupData) {
-			lo := d.TokOff[multi]
-			d.TokKeys[lo], d.TokKeys[lo+1] = d.TokKeys[lo+1], d.TokKeys[lo]
-		}, "lists key"},
-		{"posting repeated", func(d *FlatLookupData) { d.TokKeys[d.TokOff[multi]+1] = d.TokKeys[d.TokOff[multi]] }, "lists key"},
-		{"descendant counts short", func(d *FlatLookupData) { d.Desc = d.Desc[1:] }, "descendant counts"},
-		{"negative descendant count", func(d *FlatLookupData) { d.Desc[2] = -1 }, "negative descendant count"},
-		{"key signatures short", func(d *FlatLookupData) { d.KeySigs = d.KeySigs[1:] }, "key signatures"},
+		{"key signatures short", sigs[1:]},
+		{"key signatures long", append(slices.Clone(sigs), 0)},
+		{"no key signatures", nil},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			d := cloneLookupData(base)
-			c.mutate(&d)
-			if _, err := OpenFlatLookup(g, d); err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("OpenFlatLookup: %v, want an error naming %q", err, c.want)
+			if _, err := OpenEdit(g, c.sigs); err == nil || !strings.Contains(err.Error(), "key signatures") {
+				t.Fatalf("OpenEdit: %v, want an error naming the key signatures", err)
 			}
 		})
 	}
-	if _, err := OpenFlatLookup(g, cloneLookupData(base)); err != nil {
-		t.Fatalf("the unmutated columns were refused: %v", err)
+	m, err := OpenEdit(g, slices.Clone(sigs))
+	if err != nil {
+		t.Fatalf("NewEdit's own signatures were refused: %v", err)
+	}
+	if !slices.Equal(m.KeySigs(), sigs) || m.threshold != DefaultEditThreshold {
+		t.Fatalf("OpenEdit holds %d signatures at threshold %d", len(m.KeySigs()), m.threshold)
 	}
 }
 
 // TestEditSignaturesKeepAnswers misspells the lexicon of a generated world —
 // a letter dropped, doubled, replaced by one the name does not hold, two
 // swapped, and two edits at once — and wants from the signature-filtered
-// scan, under thresholds 1 to 3 and with the signatures derived by NewEdit or
-// shared by a lookup service, exactly what the unfiltered scan answers.
+// scan, under thresholds 1 to 3 with the signatures NewEdit derives, and at
+// τ=2 with them adopted by OpenEdit, exactly what the unfiltered scan answers.
 func TestEditSignaturesKeepAnswers(t *testing.T) {
 	w, err := synthkb.Generate(synthkb.Config{Seed: 3})
 	if err != nil {
@@ -319,9 +225,16 @@ func TestEditSignaturesKeepAnswers(t *testing.T) {
 			key+"zzzz")
 	}
 	queries = append(queries, "", "qzxj123456wvkq", "a")
-	lookup := NewLookupService(g)
+	adopted, err := OpenEdit(g, slices.Clone(NewEdit(g, 0).KeySigs()))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for threshold := 1; threshold <= 3; threshold++ {
-		for name, m := range map[string]*Edit{"NewEdit": NewEdit(g, threshold), "LookupService.Edit": lookup.Edit(threshold)} {
+		matchers := map[string]*Edit{"NewEdit": NewEdit(g, threshold)}
+		if threshold == DefaultEditThreshold {
+			matchers["OpenEdit"] = adopted
+		}
+		for name, m := range matchers {
 			resolved := 0
 			for _, q := range queries {
 				id, ok := m.Map(q)
@@ -338,10 +251,4 @@ func TestEditSignaturesKeepAnswers(t *testing.T) {
 			}
 		}
 	}
-}
-
-// editTokens is the token column as edit leaves a copy of its strings, packed
-// anew: a column is never mutated in place.
-func editTokens(d *FlatLookupData, edit func([]string) []string) strtab.Column {
-	return strtab.Pack(edit(d.Tokens.Strings()))
 }

@@ -4,12 +4,13 @@
 // (EDIT, τ=2 in the paper's experiments), and embedding-based matching
 // (EMBEDDING) using SIF phrase vectors.
 //
-// The same Mapper is used in both phases: offline, to map every KB
-// instance to an external concept (Algorithm 1, line 8), and online, to
-// map the incoming query term (Algorithm 2, line 1).
+// Offline, the configured Mapper maps every KB instance to an external
+// concept (Algorithm 1, line 8); online, every snapshot maps the incoming
+// query term (Algorithm 2, line 1) with Edit at τ=2.
 package match
 
 import (
+	"fmt"
 	"math/bits"
 
 	"medrelax/internal/eks"
@@ -60,7 +61,8 @@ func (m *Exact) Map(name string) (eks.ConceptID, bool) {
 // The scan runs over the name keys in sorted order and only probes a key
 // strictly closer than the best so far, so among equally close names the
 // first key in sorted order wins, whatever its concept ID; a key that names
-// several concepts answers with the smallest of their IDs.
+// several concepts answers with the smallest of their IDs. At τ=2 it is every
+// snapshot's query-term mapper, its key signatures stored in the bundle.
 type Edit struct {
 	graph     *eks.Graph
 	threshold int
@@ -77,12 +79,27 @@ func NewEdit(g *eks.Graph, threshold int) *Edit {
 	return newEdit(g, threshold, keySignatures(g.FlatData().NameKeys))
 }
 
+// OpenEdit adopts key signatures (a flat bundle's column, which may alias a
+// memory mapping and is never mutated) as an edit matcher over g at
+// DefaultEditThreshold. It holds them to one signature per name key, the
+// bound the scan indexes by.
+func OpenEdit(g *eks.Graph, sigs []uint64) (*Edit, error) {
+	if n := g.FlatData().NameKeys.Len(); len(sigs) != n {
+		return nil, fmt.Errorf("match: %d key signatures for %d name keys", len(sigs), n)
+	}
+	return newEdit(g, 0, sigs), nil
+}
+
 func newEdit(g *eks.Graph, threshold int, sigs []uint64) *Edit {
 	if threshold <= 0 {
 		threshold = DefaultEditThreshold
 	}
 	return &Edit{graph: g, threshold: threshold, keys: g.FlatData().NameKeys, sigs: sigs}
 }
+
+// KeySigs returns every name key's signature, the column a flat bundle
+// stores. The slice aliases the matcher and must not be modified.
+func (m *Edit) KeySigs() []uint64 { return m.sigs }
 
 // keySignature is a string's letter set folded into 64 bits, bit c&63 per
 // byte. One edit adds at most one letter to the set and removes at most one,

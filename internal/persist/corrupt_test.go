@@ -16,7 +16,6 @@ import (
 
 	"medrelax/internal/core"
 	"medrelax/internal/eks"
-	"medrelax/internal/match"
 )
 
 // TestLoadRejectsTornBundles simulates every tear and bit-flip class a
@@ -117,11 +116,10 @@ func TestLoadFileErrorTyping(t *testing.T) {
 // only the component validators stand between the edit and a read.
 // ing is the bundle the edits are aimed at — its candidate index holds an
 // unflagged concept with candidates, a hit with a sole LCS and one with a tied
-// set — and multi a token its resolver lists under two or more keys (tokOff).
-func structurallyCorrupt(t testing.TB, ing *core.Ingestion, tokOff []int32, multi int) []flatEdit {
+// set.
+func structurallyCorrupt(t testing.TB, ing *core.Ingestion) []flatEdit {
 	le32 := binary.LittleEndian.PutUint32
-	nameKeys, flagged, nodes := len(ing.Graph.NameKeys()), ing.FlaggedCount(), ing.Graph.Len()
-	span := 4 * int(tokOff[multi]) // byte offset of multi's first posting
+	flagged, nodes := ing.FlaggedCount(), ing.Graph.Len()
 
 	// In the candidate index: bare is an unflagged concept with candidates;
 	// sole and tied are hits, as word positions in the hit column, whose LCS
@@ -159,27 +157,8 @@ func structurallyCorrupt(t testing.TB, ing *core.Ingestion, tokOff []int32, mult
 	last := func(p []byte) []byte { return p[:len(p)-4] }
 	return []flatEdit{
 		{name: "string reference past the table", kind: secGraphNames, edit: func(p []byte) []byte { le32(p, ^uint32(0)); return p }, want: "graphNames"},
-		{name: "lookup tokens truncated", kind: secLkTokens, edit: func(p []byte) []byte { return p[:len(p)-4] }},
-		{name: "lookup token offsets truncated", kind: secLkTokOff, edit: func(p []byte) []byte { return p[:len(p)-4] }},
-		{name: "lookup token keys truncated", kind: secLkTokKeys, edit: func(p []byte) []byte { return p[:len(p)-4] }},
-		{name: "lookup descendant counts truncated", kind: secLkDesc, edit: func(p []byte) []byte { return p[:len(p)-4] }},
 		{name: "lookup key signatures truncated", kind: secLkKeySigs, edit: func(p []byte) []byte { return p[:len(p)-8] }},
 		{name: "lookup key signatures torn mid-value", kind: secLkKeySigs, edit: func(p []byte) []byte { return p[:len(p)-4] }},
-		{name: "lookup token not ascending", kind: secLkTokens, edit: func(p []byte) []byte {
-			a, b := binary.LittleEndian.Uint32(p[0:]), binary.LittleEndian.Uint32(p[4:])
-			le32(p[0:], b)
-			le32(p[4:], a)
-			return p
-		}},
-		{name: "lookup posting out of range", kind: secLkTokKeys, edit: func(p []byte) []byte { le32(p[span+4:], uint32(nameKeys)); return p }},
-		{name: "lookup postings descending", kind: secLkTokKeys, edit: func(p []byte) []byte {
-			a, b := binary.LittleEndian.Uint32(p[span:]), binary.LittleEndian.Uint32(p[span+4:])
-			le32(p[span:], b)
-			le32(p[span+4:], a)
-			return p
-		}},
-		{name: "lookup posting span empty", kind: secLkTokOff, edit: func(p []byte) []byte { copy(p[4:8], p[0:4]); return p }},
-		{name: "lookup descendant count negative", kind: secLkDesc, edit: func(p []byte) []byte { le32(p, ^uint32(0)); return p }},
 		{name: "candidate scores truncated", kind: secMatCandScores, edit: func(p []byte) []byte { return p[:len(p)-8] }},
 		{name: "candidate slots truncated", kind: secMatCandSlots, edit: func(p []byte) []byte { return p[:len(p)-4] }},
 		{name: "candidate slot past the flagged set", kind: secMatCandSlots, edit: func(p []byte) []byte { le32(p, uint32(flagged)<<8|1); return p }},
@@ -240,10 +219,10 @@ type flatEdit struct {
 // that leaves the family out but keeps that one section. Each must be refused
 // by the section's name.
 func familyEdits(families [][]flatColumn) []flatEdit {
-	// What says a bundle carries an optional family: a meta flag, or for the
-	// resolver, which has none, its first section — so keeping that one alone
-	// is a present family missing the rest, a row of its own above.
-	optional := map[uint32]uint32{secLkTokens: 0, secMatCon: metaHasMaterialized, secCidxCon: metaHasCandidates, secSrcNames: metaHasSources}
+	// What says a bundle carries an optional family: a meta flag. The
+	// resolver's one section is required; a bundle without it is the retired
+	// form TestRetiredFormsFailByName names.
+	optional := map[uint32]uint32{secMatCon: metaHasMaterialized, secCidxCon: metaHasCandidates, secSrcNames: metaHasSources}
 	var edits []flatEdit
 	for _, family := range families {
 		flag, ok := optional[family[0].kind]
@@ -275,15 +254,10 @@ func TestFlatNewSectionCorruptionFailsLoudly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lk := match.NewLookupService(ing.Graph).FlatData()
-	multi := 0 // the first token listed under two keys
-	for multi < lk.Tokens.Len() && lk.TokOff[multi+1]-lk.TokOff[multi] < 2 {
-		multi++
-	}
-	if md := ing.Materialized.FlatData(); multi == lk.Tokens.Len() || md.CandOff[1] < 2 || md.CandScores[0] == md.CandScores[1] {
+	if md := ing.Materialized.FlatData(); md.CandOff[1] < 2 || md.CandScores[0] == md.CandScores[1] {
 		t.Fatal("fixture too small to corrupt meaningfully")
 	}
-	runFlatEdits(t, sections, append(structurallyCorrupt(t, ing, lk.TokOff, multi), familyEdits(flatFamilies())...))
+	runFlatEdits(t, sections, append(structurallyCorrupt(t, ing), familyEdits(flatFamilies())...))
 }
 
 // runFlatEdits opens the sections as each edit leaves them, every checksum

@@ -93,12 +93,9 @@ const (
 	secGraphKeyOff   uint32 = 23 // []int32 CSR into graphKeyIDs
 	secGraphKeyIDs   uint32 = 24 // []eks.ConceptID
 
-	// The term resolver over the graph's name keys (match.FlatLookupData).
-	// Every source carries it; a bundle without it is a retired form.
-	secLkTokens  uint32 = 25 // []uint32 string refs, distinct tokens ascending
-	secLkTokOff  uint32 = 26 // []int32 CSR into lkTokKeys
-	secLkTokKeys uint32 = 27 // []int32 positions in graphNameKeys, ascending per token
-	secLkDesc    uint32 = 28 // []int32 descendant counts, parallel to graphIDs
+	// The term resolver over the graph's name keys (match.Edit's key
+	// signatures). Every source carries it; a bundle without it, or with the
+	// token index of sections 25–28 beside it, is a retired form.
 	secLkKeySigs uint32 = 29 // []uint64 letter-set signatures, parallel to graphNameKeys
 
 	secOntoConcepts uint32 = 30 // []uint32 string refs, (name, parent) pairs

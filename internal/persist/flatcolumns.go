@@ -6,7 +6,6 @@ import (
 	"medrelax/internal/core"
 	"medrelax/internal/eks"
 	"medrelax/internal/kb"
-	"medrelax/internal/match"
 	"medrelax/internal/strtab"
 )
 
@@ -52,13 +51,9 @@ func graphColumns(d *eks.FlatGraphData) []flatColumn {
 	}
 }
 
-func lookupColumns(d *match.FlatLookupData) []flatColumn {
+func resolverColumns(sigs *[]uint64) []flatColumn {
 	return []flatColumn{
-		{secLkTokens, "lookupTokens", &d.Tokens},
-		{secLkTokOff, "lookupTokenOffsets", &d.TokOff},
-		{secLkTokKeys, "lookupTokenKeys", &d.TokKeys},
-		{secLkDesc, "lookupDescendantCounts", &d.Desc},
-		{secLkKeySigs, "lookupKeySignatures", &d.KeySigs},
+		{secLkKeySigs, "lookupKeySignatures", sigs},
 	}
 }
 
@@ -165,7 +160,7 @@ func atSource(base uint32, family []flatColumn) []flatColumn {
 func flatFamilies() [][]flatColumn {
 	return [][]flatColumn{
 		graphColumns(new(eks.FlatGraphData)),
-		lookupColumns(new(match.FlatLookupData)),
+		resolverColumns(new([]uint64)),
 		storeColumns(new(kb.FlatStoreData)),
 		mappingsColumns(new(core.FlatMappingsData)),
 		frequencyColumns(new(core.FlatFrequencyData)),

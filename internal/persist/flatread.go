@@ -287,34 +287,29 @@ func (d *flatDecoder) restoreFlat(backing core.SnapshotBacking) (*core.Ingestion
 // source at a kind base over a store and ontology: the primary at base 0, and
 // each secondary at its own base over the primary's store and ontology. gd and
 // fd come with the scalars META or the sources table holds for the source, and
-// the columns complete them. Every source carries its term resolver; one
-// without the family is a retired form.
+// the columns complete them. Every source carries its term resolver, the edit
+// matcher's key signatures alone; one without them, or with the token index
+// beside them, is a retired form.
 func (d *flatDecoder) openSource(base uint32, gd eks.FlatGraphData, fd core.FlatFrequencyData, shortcuts int64,
 	store *kb.Store, onto *ontology.Ontology) (*core.Ingestion, error) {
-	var ld match.FlatLookupData
+	if err := retiredResolver(base, d.secs); err != nil {
+		return nil, err
+	}
+	var sigs []uint64
 	var maps core.FlatMappingsData
 	for _, family := range [][]flatColumn{
-		atSource(base, graphColumns(&gd)), atSource(base, mappingsColumns(&maps)), atSource(base, frequencyColumns(&fd)),
+		atSource(base, graphColumns(&gd)), atSource(base, resolverColumns(&sigs)),
+		atSource(base, mappingsColumns(&maps)), atSource(base, frequencyColumns(&fd)),
 	} {
 		if err := d.columns(family); err != nil {
 			return nil, err
 		}
 	}
-	// The family's first section says the source carries it: without it, a
-	// section of the rest is an orphan, and no section at all a retired form.
-	lookup := atSource(base, lookupColumns(&ld))
-	_, hasLookup := d.secs[lookup[0].kind]
-	if err := d.optionalColumns(lookup, hasLookup, flatSectionName(lookup[0].kind)); err != nil {
-		return nil, err
-	}
-	if !hasLookup {
-		return nil, retiredNoResolver(lookup[0].kind)
-	}
 	g, err := eks.NewFlatGraph(gd)
 	if err != nil {
 		return nil, restoreFailed(err)
 	}
-	lk, err := match.OpenFlatLookup(g, ld)
+	resolver, err := match.OpenEdit(g, sigs)
 	if err != nil {
 		return nil, restoreFailed(err)
 	}
@@ -326,7 +321,7 @@ func (d *flatDecoder) openSource(base uint32, gd eks.FlatGraphData, fd core.Flat
 	if err != nil {
 		return nil, restoreFailed(err)
 	}
-	ing.Lookup = lk
+	ing.Resolver = resolver
 	return ing, nil
 }
 

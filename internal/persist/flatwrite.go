@@ -90,9 +90,9 @@ func encodeFlat(ing *core.Ingestion) ([]flatSection, error) {
 	meta := flatMeta{eksRoot: root, shortcuts: int64(ing.ShortcutsAdded), freqRoot: fd.Root, freqSmooth: fd.Smoothing}
 	// Sections go out in kind order, the ontology among the families: the
 	// string table lists strings in the order they are first met.
-	graph, lookup, mappings, freqs := sourceFamilies(0, ing)
+	graph, resolver, mappings, freqs := sourceFamilies(0, ing)
 	fw.addColumns(graph)
-	fw.addColumns(lookup)
+	fw.addColumns(resolver)
 	flatOntologySections(fw, ing)
 	sd := ing.Store.FlatData()
 	fw.addColumns(storeColumns(&sd))
@@ -131,8 +131,8 @@ func encodeFlat(ing *core.Ingestion) ([]flatSection, error) {
 			st.Shortcuts = append(st.Shortcuts, int64(src.Ing.ShortcutsAdded))
 			st.FreqRoots = append(st.FreqRoots, fd.Root)
 			st.Smoothing = append(st.Smoothing, fd.Smoothing)
-			graph, lookup, mappings, freqs := sourceFamilies(sourceBase(i), src.Ing)
-			for _, family := range [][]flatColumn{graph, lookup, mappings, freqs} {
+			graph, resolver, mappings, freqs := sourceFamilies(sourceBase(i), src.Ing)
+			for _, family := range [][]flatColumn{graph, resolver, mappings, freqs} {
 				fw.addColumns(family)
 			}
 		}
@@ -210,8 +210,8 @@ func flatOntologySections(fw *flatWriter, ing *core.Ingestion) {
 
 // sourceFamilies is a source's graph, resolver, mapping and frequency families
 // at its kind base.
-func sourceFamilies(base uint32, ing *core.Ingestion) (graph, lookup, mappings, freqs []flatColumn) {
-	gd, ld, maps, fd := ing.Graph.FlatData(), ing.Lookup.FlatData(), ing.FlatMappings(), ing.Frequencies.FlatData()
-	return atSource(base, graphColumns(&gd)), atSource(base, lookupColumns(&ld)),
+func sourceFamilies(base uint32, ing *core.Ingestion) (graph, resolver, mappings, freqs []flatColumn) {
+	gd, sigs, maps, fd := ing.Graph.FlatData(), ing.Resolver.KeySigs(), ing.FlatMappings(), ing.Frequencies.FlatData()
+	return atSource(base, graphColumns(&gd)), atSource(base, resolverColumns(&sigs)),
 		atSource(base, mappingsColumns(&maps)), atSource(base, frequencyColumns(&fd))
 }

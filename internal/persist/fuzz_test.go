@@ -24,7 +24,7 @@ func FuzzLoadBundle(f *testing.F) {
 	f.Add([]byte{})
 
 	// Retired forms, whole and torn.
-	for _, name := range []string{"retired-v2.mrxb", "retired-v3.mrxb", "retired-v1-accel.json", "retired-postings.flat", "retired-sources-json.flat", "retired-no-resolver.flat"} {
+	for _, name := range []string{"retired-v2.mrxb", "retired-v3.mrxb", "retired-v1-accel.json", "retired-postings.flat", "retired-sources-json.flat", "retired-no-resolver.flat", "retired-token-index.flat"} {
 		data := readFixture(f, name)
 		f.Add(data)
 		f.Add(data[:len(data)*3/4])
@@ -119,7 +119,7 @@ func FuzzOpenFlat(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, c := range structurallyCorrupt(f, accel, []int32{0}, 0) {
+	for _, c := range structurallyCorrupt(f, accel) {
 		edited := slices.Clone(sections)
 		i := slices.IndexFunc(edited, func(s flatSection) bool { return s.kind == c.kind })
 		edited[i].payload = c.edit(bytes.Clone(edited[i].payload))

@@ -162,10 +162,7 @@ func inspectBytes(data []byte) (*BundleInfo, error) {
 	// A source's resolver is looked for only where the directory can be
 	// trusted to list every section.
 	for i := 0; info.CRCOK && retired == nil && i <= len(info.Sources); i++ {
-		first := uint32(i)*sourceKindStride + secLkTokens
-		if _, has := checked[first]; !has {
-			retired = retiredNoResolver(first)
-		}
+		retired = retiredResolver(uint32(i)*sourceKindStride, checked)
 	}
 	info.Store = storeDepth(checked)
 	info.Frequencies = frequencyShape(checked)

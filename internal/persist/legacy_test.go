@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -25,7 +24,7 @@ func parentFlatSections(t testing.TB, ing *core.Ingestion) []flatSection {
 		t.Fatal(err)
 	}
 	sections = slices.DeleteFunc(sections, func(s flatSection) bool {
-		return s.kind >= secLkTokens && s.kind <= secLkKeySigs || s.kind == secMatCandScores || s.kind == secMatCandSlots
+		return s.kind == secLkKeySigs || s.kind == secMatCandScores || s.kind == secMatCandSlots
 	})
 	if ing.Materialized != nil {
 		d, flagged := ing.Materialized.FlatData(), ing.FlatMappings().Flagged
@@ -72,23 +71,26 @@ func sectionKinds(sections []flatSection) []uint32 {
 func TestFlatParentBundleRefused(t *testing.T) {
 	ing := buildIngestion(t)
 	_, err := loadBytes(flatBytes(t, parentFlatSections(t, ing)))
-	assertRetired(t, "a parent-written bundle", err, "term resolver", "lookupTokens")
+	assertRetired(t, "a parent-written bundle", err, "term resolver", "lookupKeySignatures")
 	now, err := loadBytes(saveFlatBytes(t, ing))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if now.Lookup == nil {
+	if now.Resolver == nil {
 		t.Fatal("a bundle with resolver sections opened without a resolver")
 	}
 	assertSameRelaxations(t, ing, now)
 
-	// The new writer never emits the record section, and always the resolver.
+	// The new writer never emits the record section or the token index, and
+	// always the resolver's key signatures.
 	for _, ing := range []*core.Ingestion{ing, buildAccelIngestion(t)} {
 		sections, err := encodeFlat(ing)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if kinds := sectionKinds(sections); slices.Contains(kinds, secMatCands) || !slices.Contains(kinds, secLkTokens) {
+		kinds := sectionKinds(sections)
+		if slices.Contains(kinds, secMatCands) || slices.ContainsFunc(kinds, func(k uint32) bool { return k >= retiredTokenIndexFirst && k <= retiredTokenIndexLast }) ||
+			!slices.Contains(kinds, secLkKeySigs) {
 			t.Errorf("the writer emitted sections %v", kinds)
 		}
 	}
@@ -120,10 +122,9 @@ func TestFlatParentReaderRefusesNewBundle(t *testing.T) {
 }
 
 // TestFlatLookupAdopted takes the resolver through a saved bundle: LoadFile
-// adopts columns equal to the ones a fresh tokenisation of the loaded graph
-// gives, and the adopted service — and the edit matcher sharing its
-// signatures — answers names, reorderings, prefixes, typos and unknowns as
-// the built ones do.
+// adopts key signatures equal to the ones the loaded graph and the saved one
+// derive, and the adopted edit matcher answers names, typos, cut names and
+// unknowns as one built over the loaded graph does.
 func TestFlatLookupAdopted(t *testing.T) {
 	ing := buildIngestion(t)
 	loaded, err := LoadFile(writeFlatFile(t, ing))
@@ -131,17 +132,16 @@ func TestFlatLookupAdopted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer loaded.Close()
-	if loaded.Lookup == nil {
+	if loaded.Resolver == nil {
 		t.Fatal("the bundle opened without a resolver")
 	}
-	built := match.NewLookupService(loaded.Graph)
-	if !sameColumns(built.FlatData(), loaded.Lookup.FlatData()) {
-		t.Fatal("adopted resolver columns differ from a fresh tokenisation of the loaded graph")
+	built := match.NewEdit(loaded.Graph, 0)
+	if !slices.Equal(built.KeySigs(), loaded.Resolver.KeySigs()) {
+		t.Fatal("adopted key signatures differ from the loaded graph's")
 	}
-	if !sameColumns(match.NewLookupService(ing.Graph).FlatData(), loaded.Lookup.FlatData()) {
-		t.Fatal("adopted resolver columns differ from the saved graph's")
+	if !slices.Equal(ing.Resolver.KeySigs(), loaded.Resolver.KeySigs()) {
+		t.Fatal("adopted key signatures differ from the saved graph's")
 	}
-	adoptedEdit, builtEdit := loaded.Lookup.Edit(0), match.NewEdit(loaded.Graph, 0)
 	queries := []string{"", "zzqx", "qzxj123456wvkq"}
 	for i, key := range loaded.Graph.NameKeys() {
 		if i%29 != 0 || len(key) < 4 {
@@ -150,15 +150,10 @@ func TestFlatLookupAdopted(t *testing.T) {
 		queries = append(queries, key, key[:len(key)-2], key[:len(key)/2]+key[len(key)/2+1:], "x"+key)
 	}
 	for _, q := range queries {
-		for _, limit := range []int{1, 5, 50} {
-			if got, want := loaded.Lookup.Search(q, limit), built.Search(q, limit); !reflect.DeepEqual(got, want) {
-				t.Fatalf("Search(%q, %d):\nadopted %+v\nbuilt   %+v", q, limit, got, want)
-			}
-		}
-		gid, gok := adoptedEdit.Map(q)
-		wid, wok := builtEdit.Map(q)
+		gid, gok := loaded.Resolver.Map(q)
+		wid, wok := built.Map(q)
 		if gid != wid || gok != wok {
-			t.Fatalf("Edit.Map(%q) = %d, %v adopted; %d, %v built", q, gid, gok, wid, wok)
+			t.Fatalf("Map(%q) = %d, %v adopted; %d, %v built", q, gid, gok, wid, wok)
 		}
 	}
 }

@@ -39,12 +39,26 @@ const retiredCidxFirst, retiredCidxLast uint32 = 90, 93
 // column families at a kind base of its own (sourceBase).
 const secSourcesJSON uint32 = 100
 
-// retiredNoResolver refuses a source that carries no term resolver, whose
-// family starts at section kind first: a bundle written before the resolver
-// became columns, whose server tokenised the lexicon at every open. Its
-// absence, not a section, marks the form, so it is met after the checksums.
-func retiredNoResolver(first uint32) error {
-	return retiredf("flat v4", "a source without its term resolver (no %s section)", flatSectionName(first))
+// retiredTokenIndexFirst to retiredTokenIndexLast held a source's term
+// resolver's token index (tokens, their keys, descendant counts) beside the
+// key signatures, before every snapshot mapped query terms with EDIT alone.
+const retiredTokenIndexFirst, retiredTokenIndexLast uint32 = 25, 28
+
+// retiredResolver refuses the source at a kind base whose resolver carries
+// the token index, or is missing (written before the resolver became
+// columns). Both are met after the checksums: a current source holds the
+// same kinds, and an absence is no section to checksum.
+func retiredResolver(base uint32, secs map[uint32][]byte) error {
+	for kind := base + retiredTokenIndexFirst; kind <= base+retiredTokenIndexLast; kind++ {
+		if _, ok := secs[kind]; ok {
+			return retiredf("flat v4", "a term resolver with its token index (sections %d–%d)",
+				base+retiredTokenIndexFirst, base+retiredTokenIndexLast)
+		}
+	}
+	if _, ok := secs[base+secLkKeySigs]; !ok {
+		return retiredf("flat v4", "a source without its term resolver (no %s section)", flatSectionName(base+secLkKeySigs))
+	}
+	return nil
 }
 
 // retiredf is the error a retired input form fails with.

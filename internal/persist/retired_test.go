@@ -18,8 +18,10 @@ import (
 // buildFederatedIngestion for retired-sources-json.flat (section 100); and
 // SaveFlat of buildSmallAccelIngestion for retired-entry-spans.flat (a
 // materialized store with its flags and spans per entry, sections 82, 83 and
-// 85); and parentFlatSections of buildIngestion, the writer's sections without
-// the resolver family, for retired-no-resolver.flat.
+// 85); parentFlatSections of buildIngestion, the writer's sections without
+// the resolver family, for retired-no-resolver.flat; and SaveFlat of
+// buildIngestion, whose resolver carried its token index (sections 25–28), for
+// retired-token-index.flat.
 func readFixture(t testing.TB, name string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", name))
@@ -71,7 +73,8 @@ func TestRetiredFormsFailByName(t *testing.T) {
 		{"flat section 86", flatBytes(t, parentFlatSections(t, buildSmallAccelIngestion(t))), []string{"section 86"}, "flat v4", 4},
 		{"flat posting sections", readFixture(t, "retired-postings.flat"), []string{"candidate-index postings (sections 90–93)", "-index"}, "flat v4", 4},
 		{"materialized spans per entry", readFixture(t, "retired-entry-spans.flat"), []string{"candidate span per entry", "sections 82, 83 and 85"}, "flat v4", 4},
-		{"no term resolver", readFixture(t, "retired-no-resolver.flat"), []string{"term resolver", "lookupTokens"}, "flat v4", 4},
+		{"no term resolver", readFixture(t, "retired-no-resolver.flat"), []string{"term resolver", "lookupKeySignatures"}, "flat v4", 4},
+		{"resolver token index", readFixture(t, "retired-token-index.flat"), []string{"term resolver with its token index", "sections 25–28"}, "flat v4", 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

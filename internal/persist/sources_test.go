@@ -106,7 +106,7 @@ func TestJSONSourcesRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	families := len(graphColumns(new(eks.FlatGraphData))) + len(lookupColumns(new(match.FlatLookupData))) +
+	families := len(graphColumns(new(eks.FlatGraphData))) + len(resolverColumns(new([]uint64))) +
 		len(mappingsColumns(new(core.FlatMappingsData))) + len(frequencyColumns(new(core.FlatFrequencyData)))
 	if len(secondary) != families {
 		t.Errorf("the secondary has %d sections %v, want its %d family sections", len(secondary), secondary, families)
@@ -287,7 +287,7 @@ func TestFlatSourcesCorruption(t *testing.T) {
 	runFlatEdits(t, sections, familyEdits([][]flatColumn{
 		sourcesColumns(new(flatSources)),
 		atSource(base, graphColumns(new(eks.FlatGraphData))),
-		atSource(base, lookupColumns(new(match.FlatLookupData))),
+		atSource(base, resolverColumns(new([]uint64))),
 		atSource(base, mappingsColumns(new(core.FlatMappingsData))),
 		atSource(base, frequencyColumns(new(core.FlatFrequencyData))),
 	}))
@@ -391,8 +391,10 @@ func TestFlatSecondaryIsMapped(t *testing.T) {
 		inMapping("upward targets", unsafe.Pointer(unsafe.SliceData(gd.UpTo)))
 		inMapping("frequency IDs", unsafe.Pointer(unsafe.SliceData(fd.IDs)))
 		inMapping("frequency values", unsafe.Pointer(unsafe.SliceData(fd.Vals)))
-		if src.Ing.Lookup == nil {
+		if src.Ing.Resolver == nil {
 			t.Errorf("source %q opened without a resolver", src.Name)
+		} else {
+			inMapping("key signatures", unsafe.Pointer(unsafe.SliceData(src.Ing.Resolver.KeySigs())))
 		}
 		if src.Ing.Backing != restored.Backing {
 			t.Errorf("source %q does not share the primary's backing", src.Name)
@@ -441,7 +443,7 @@ func TestInspectFileFormats(t *testing.T) {
 		names       []string
 	}{
 		{plainPath, "flat v4", 4, 10, nil, nil},
-		{flatPath, "flat v4", 4, 10, []string{"variant"}, []string{"sourceNames", "source1.graphIDs", "source1.lookupTokens", "source1.freqValues"}},
+		{flatPath, "flat v4", 4, 10, []string{"variant"}, []string{"sourceNames", "source1.graphIDs", "source1.lookupKeySignatures", "source1.freqValues"}},
 		{accelPath, "flat v4", 4, len(families) + 5, nil, families},
 	}
 	for _, tc := range cases {

@@ -124,6 +124,7 @@ func TestCorruptReloadKeepsServing(t *testing.T) {
 		"retired posting sections": {retired("retired-postings.flat"), "sections 90–93"},
 		"retired json v1":          {retired("retired-v1.json"), "json v1"},
 		"retired sources section":  {retired("retired-sources-json.flat"), "section 100"},
+		"retired token index":      {retired("retired-token-index.flat"), "sections 25–28"},
 	}
 	for name, tc := range loaders {
 		t.Run(name, func(t *testing.T) { corruptReloadKeepsServing(t, tc.load, tc.want) })

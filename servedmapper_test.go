@@ -49,7 +49,7 @@ func errText(err error) string {
 }
 
 // TestBuiltAndLoadedAnswerAlike holds a built world to the bundle it saves:
-// every snapshot resolves query terms through the one bundle mapper, so
+// every snapshot resolves query terms through the paper's EDIT, so
 // sys.Engine and engine.LoadSnapshot of the system's own flat save give the
 // same results, sources and explanations included, and the same error text,
 // for paraphrases, typos and an unknown term, on one source and on two. Every
@@ -105,6 +105,31 @@ func TestBuiltAndLoadedAnswerAlike(t *testing.T) {
 				t.Fatal("no probe term was answered; the comparison shows nothing")
 			}
 			t.Logf("%d probe requests, %d answered, %d differ", len(reqs), answered, differ)
+
+			// The loaded mapper is the paper's EDIT over the built graph:
+			// known names, each with one letter dropped, the probe terms and
+			// unknowns land where match.NewEdit places them.
+			edit := match.NewEdit(sys.Ingestion.Graph, 0)
+			terms := append(probeTerms(sys), "", "qzxjabcdefwvkq")
+			for i, key := range sys.Ingestion.Graph.NameKeys() {
+				if i%7 == 0 && len(key) >= 4 {
+					terms = append(terms, key, key[:len(key)/2]+key[len(key)/2+1:])
+				}
+			}
+			placed := 0
+			for _, term := range terms {
+				gid, gok := loaded.Mapper().Map(term)
+				wid, wok := edit.Map(term)
+				if gid != wid || gok != wok {
+					t.Errorf("term %q: the loaded mapper says %d, %v; EDIT says %d, %v", term, gid, gok, wid, wok)
+				}
+				if gok {
+					placed++
+				}
+			}
+			if placed == 0 || placed == len(terms) {
+				t.Fatalf("%d of %d mapper terms placed; the comparison shows nothing", placed, len(terms))
+			}
 		})
 	}
 }
@@ -113,17 +138,22 @@ func TestBuiltAndLoadedAnswerAlike(t *testing.T) {
 // the default world's 55 latent paraphrases. A wrong concept is worse than
 // none (Algorithm 2 then ranks a confidently wrong neighbourhood; a
 // paraphrase the primary cannot place is a second source's job), so the
-// wrong count is a ceiling that may only move down. The ingestion mapper
+// wrong count is a ceiling that may only move down. The served mapper is the
+// paper's EDIT at τ=2, and counts as match.NewEdit does; the ingestion mapper
 // (EMBEDDING) places 45 of them wrong.
 func TestServedMapperPlacement(t *testing.T) {
-	const maxWrong = 8
+	const maxWrong = 4
 	sys := sharedSystem(t)
-	got := eval.EvaluatePlacements(sys.World.Latent, []match.Mapper{sys.Engine.Mapper()})[0]
+	counts := eval.EvaluatePlacements(sys.World.Latent, []match.Mapper{sys.Engine.Mapper(), match.NewEdit(sys.Ingestion.Graph, 0)})
+	got := counts[0]
 	if n := got.Right + got.Wrong + got.Unplaced; n != 55 {
 		t.Fatalf("%d latent paraphrases counted, want the default world's 55", n)
 	}
 	if got.Wrong > maxWrong {
 		t.Errorf("the served mapper places %d latent paraphrases on the wrong concept, ceiling %d", got.Wrong, maxWrong)
+	}
+	if got != counts[1] {
+		t.Errorf("the served mapper counts %+v, EDIT %+v", got, counts[1])
 	}
 	t.Logf("served mapper: %d right, %d wrong, %d unplaced", got.Right, got.Wrong, got.Unplaced)
 }

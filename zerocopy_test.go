@@ -11,15 +11,15 @@ import (
 	"medrelax/internal/strtab"
 )
 
-// stringColumns are the string columns of an ingestion's graph, store,
-// resolver and frequency table, by name.
+// stringColumns are the string columns of an ingestion's graph, store and
+// frequency table, by name.
 func stringColumns(ing *core.Ingestion) map[string]strtab.Column {
-	g, s, l, f := ing.Graph.FlatData(), ing.Store.FlatData(), ing.Lookup.FlatData(), ing.Frequencies.FlatData()
+	g, s, f := ing.Graph.FlatData(), ing.Store.FlatData(), ing.Frequencies.FlatData()
 	return map[string]strtab.Column{
 		"graph names": g.Names, "graph synonyms": g.Syns, "graph name keys": g.NameKeys,
 		"store concepts": s.Concepts, "store names": s.Names, "store lexicon keys": s.LexKeys,
 		"store concept keys": s.ConceptKeys, "store relationship names": s.RelNames,
-		"resolver tokens": l.Tokens, "frequency labels": f.Labels,
+		"frequency labels": f.Labels,
 	}
 }
 
