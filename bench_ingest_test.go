@@ -131,3 +131,55 @@ func BenchmarkColdStart(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkDialogue measures a generation's first /chat derivation:
+// Snapshot.Dialogue (the intent classifier, the mention extractor and the
+// repair relaxer) on a fresh, untimed engine.LoadSnapshot of a w100k-shaped
+// bundle. live-B/op is the heap the derived dialogue keeps after a GC; the
+// extractor reads the bundle's key columns in place, so it adds nothing that
+// grows with the lexicon.
+func BenchmarkDialogue(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "w100k.flat")
+	func() {
+		med, g, corp := benchWorld(b, 100_000)
+		ing, err := core.Ingest(med.Ontology, med.Store, g, corp, match.NewExact(g), core.IngestOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := persist.SaveFileAtomic(path, ing, persist.FormatFlat); err != nil {
+			b.Fatal(err)
+		}
+	}()
+	log.SetOutput(io.Discard) // LoadSnapshot logs a line per open
+	defer log.SetOutput(os.Stderr)
+	// Two collections: the first queues the finalizers of what the last
+	// open and close dropped, the second frees what they held.
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	live := int64(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		snap, err := engine.LoadSnapshot(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		before := heap()
+		b.StartTimer()
+		if _, err := snap.Dialogue(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		live += heap() - before
+		if err := snap.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(live)/float64(b.N), "live-B/op")
+}

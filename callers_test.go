@@ -33,7 +33,6 @@ var keptWithoutCaller = map[string]string{
 	"core.Relaxer.WalkedNodes":     "the relax kernel's work counter (ROADMAP item 5)",
 	"eks.Graph.DescendantCount":    "the reference for Graph.DescendantCounts",
 	"stringutil.LevenshteinWithin": "the reference of the CI fuzz differential that guards EditBand",
-	"corpus.Corpus.CountPhrases":   "the reference of the CI fuzz differential that guards CountPhrasesN",
 }
 
 // TestEveryFunctionHasACaller type-checks every non-test package of the

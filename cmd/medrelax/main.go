@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -22,6 +23,12 @@ import (
 	"medrelax/internal/persist"
 )
 
+// buildFlags shape or save a world build; -load refuses them.
+var buildFlags = []string{
+	"save", "seed", "world-scale", "mapper", "materialize", "materialize-head", "materialize-head-max",
+	"index", "index-radius", "second-source", "dot", "dot-radius",
+}
+
 func main() {
 	var (
 		seed    = flag.Int64("seed", 42, "generation seed")
@@ -29,7 +36,7 @@ func main() {
 		term    = flag.String("term", "", "query term to relax (empty: interactive)")
 		context = flag.String("context", medrelax.ContextIndication, "query context Domain-Relationship-Range (empty: context-free)")
 		k       = flag.Int("k", 10, "number of results")
-		mapper  = flag.String("mapper", "EMBEDDING", "ingestion mapping method (KB instances to concepts): EXACT, EDIT or EMBEDDING; query terms always map by edit distance, then lookup")
+		mapper  = flag.String("mapper", "EMBEDDING", "ingestion mapping method (KB instances to concepts): EXACT, EDIT or EMBEDDING; query terms always map by EDIT (edit distance, tau = 2)")
 		quiet   = flag.Bool("quiet", false, "suppress build progress output")
 		save    = flag.String("save", "", "after building, save the ingestion bundle (flat, served zero-copy) to this file")
 
@@ -55,6 +62,18 @@ func main() {
 	}
 
 	if *load != "" {
+		// A loaded bundle is served as it was built: a flag that shapes or
+		// saves a build would be silently ignored, so it is refused.
+		var buildOnly []string
+		flag.Visit(func(f *flag.Flag) {
+			if slices.Contains(buildFlags, f.Name) {
+				buildOnly = append(buildOnly, "-"+f.Name)
+			}
+		})
+		if len(buildOnly) > 0 {
+			fmt.Fprintf(os.Stderr, "medrelax: -load serves a saved bundle; it cannot be used with the build flags %s\n", strings.Join(buildOnly, ", "))
+			os.Exit(2)
+		}
 		snap, err := loadBundle(*load, *quiet)
 		if err == nil {
 			err = serve(snap, *term, *context, *k)

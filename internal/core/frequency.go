@@ -130,18 +130,7 @@ func BuildFrequencyTable(g *eks.Graph, c *corpus.Corpus, opts FrequencyOptions) 
 // over its name and synonyms.
 func directCounts(g *eks.Graph, c *corpus.Corpus, opts FrequencyOptions) map[string]map[eks.ConceptID]float64 {
 	fg := g.FlatData()
-	// Each concept's name, then its synonyms: concept p's are
-	// phrases[start[p]:start[p+1]].
-	var phrases []string
-	start := make([]int, len(fg.IDs)+1)
-	for p := range fg.IDs {
-		phrases = append(phrases, fg.Names.At(p))
-		for k := fg.SynOff[p]; k < fg.SynOff[p+1]; k++ {
-			phrases = append(phrases, fg.Syns.At(int(k)))
-		}
-		start[p+1] = len(phrases)
-	}
-	stats := c.CountPhrasesN(phrases, runtime.GOMAXPROCS(0))
+	stats := c.CountPhrasesN(fg.NameKeys, runtime.GOMAXPROCS(0))
 	n := c.DocCount()
 
 	// direct[label][id]: tf (or tf-idf) of the concept under each label.
@@ -155,10 +144,11 @@ func directCounts(g *eks.Graph, c *corpus.Corpus, opts FrequencyOptions) map[str
 		m[id] += v
 	}
 	addName := func(id eks.ConceptID, name string) {
-		st, ok := lookupStats(stats, name)
-		if !ok || st.TotalTF == 0 {
+		p, ok := fg.NameKeys.Search(normalizeName(name))
+		if !ok || stats[p].TotalTF == 0 {
 			return
 		}
+		st := stats[p]
 		weight := 1.0
 		if opts.UseTFIDF {
 			weight = corpus.IDF(st.DF, n)
@@ -169,8 +159,9 @@ func directCounts(g *eks.Graph, c *corpus.Corpus, opts FrequencyOptions) map[str
 	}
 	for p, id := range fg.IDs {
 		// Name, then synonyms: the order the per-label sums are taken in.
-		for _, name := range phrases[start[p]:start[p+1]] {
-			addName(id, name)
+		addName(id, fg.Names.At(p))
+		for k := fg.SynOff[p]; k < fg.SynOff[p+1]; k++ {
+			addName(id, fg.Syns.At(int(k)))
 		}
 	}
 	return direct
@@ -258,13 +249,6 @@ func BuildFrequencyTableFromDirectCounts(g *eks.Graph, direct map[string]map[eks
 		}
 	}
 	return newFrequencyTable(d), nil
-}
-
-// lookupStats finds a name's statistics with one Normalize and one map
-// lookup: corpus.CountPhrases keys every phrase by its Normalize form.
-func lookupStats(stats map[string]corpus.TermStats, name string) (corpus.TermStats, bool) {
-	st, ok := stats[normalizeName(name)]
-	return st, ok
 }
 
 // span returns one label's ascending (concept, value) columns.

@@ -18,7 +18,7 @@ func trainEncoder(t *testing.T, ing *Ingestion) *embedding.SIFEncoder {
 		{"cases", "of", "%s", "were", "reported", "in", "trials"},
 		{"management", "of", "%s", "requires", "monitoring"},
 	}
-	for _, key := range ing.Graph.NameKeys() {
+	for _, key := range ing.Graph.FlatData().NameKeys.Strings() {
 		toks := stringutil.Tokenize(key)
 		for _, tmpl := range templates {
 			var s []string
@@ -39,7 +39,7 @@ func trainEncoder(t *testing.T, ing *Ingestion) *embedding.SIFEncoder {
 		t.Fatal(err)
 	}
 	var refs [][]string
-	for _, key := range ing.Graph.NameKeys() {
+	for _, key := range ing.Graph.FlatData().NameKeys.Strings() {
 		refs = append(refs, stringutil.Tokenize(key))
 	}
 	return embedding.NewSIFEncoder(model, 0, refs)

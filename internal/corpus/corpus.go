@@ -14,6 +14,7 @@ import (
 	"sync"
 
 	"medrelax/internal/stringutil"
+	"medrelax/internal/strtab"
 )
 
 // Section is a contiguous piece of document text carrying a context label.
@@ -79,94 +80,93 @@ type TermStats struct {
 	DF int
 }
 
-// CountPhrases scans the corpus for every phrase and returns per-phrase
-// statistics, keyed by the phrase's normalized form. Matching is greedy
-// longest-match over token windows: overlapping shorter phrases inside a
-// longer matched phrase are not counted, mirroring how an annotator counts
-// concept mentions.
-func (c *Corpus) CountPhrases(phrases []string) map[string]TermStats {
-	return c.CountPhrasesN(phrases, 1)
-}
-
-// CountPhrasesN is CountPhrases sharded over workers goroutines: the
-// documents are partitioned into contiguous ranges, each range is scanned
-// independently against the shared (read-only) phrase index, and the
-// per-shard statistics are merged. All statistics are integer sums over
+// CountPhrasesN scans the corpus for the keys of a lexicon — Normalize
+// forms, ascending and unique, as a frozen graph's name keys are — and
+// returns the statistics of the key at position p at index p. Matching is
+// greedy longest-match over token windows (stringutil.LongestKeyAt):
+// overlapping shorter keys inside a longer matched key are not counted,
+// mirroring how an annotator counts concept mentions.
+//
+// The documents are partitioned into contiguous ranges over workers
+// goroutines, each range scanned independently over the shared column, and
+// the per-shard statistics merged. All statistics are integer sums over
 // disjoint document sets — TF and TotalTF sum occurrences, DF counts
 // distinct documents, each of which lives in exactly one shard — so the
 // result is identical to the serial scan for any worker count. workers <= 1
 // runs the serial scan.
-func (c *Corpus) CountPhrasesN(phrases []string, workers int) map[string]TermStats {
-	ps := stringutil.NewPhraseIndex(phrases)
-	out := make(map[string]TermStats, ps.Len())
-	ps.Each(func(p string) { out[p] = TermStats{} })
-	if ps.Len() == 0 {
-		return out
-	}
-	if workers > len(c.docs) {
-		workers = len(c.docs)
-	}
+func (c *Corpus) CountPhrasesN(keys strtab.Column, workers int) []TermStats {
+	out := make([]TermStats, keys.Len())
+	workers = min(workers, len(c.docs))
 	if workers <= 1 {
-		c.countRange(ps, 0, len(c.docs), out)
+		c.countRange(keys, 0, len(c.docs), out)
 		return out
 	}
-	shards := make([]map[string]TermStats, workers)
+	// The first shard counts into out; the others are merged into it.
+	shards := make([][]TermStats, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range workers {
 		lo := w * len(c.docs) / workers
 		hi := (w + 1) * len(c.docs) / workers
-		shard := make(map[string]TermStats)
-		shards[w] = shard
+		shards[w] = out
+		if w > 0 {
+			shards[w] = make([]TermStats, keys.Len())
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.countRange(ps, lo, hi, shard)
+			c.countRange(keys, lo, hi, shards[w])
 		}()
 	}
 	wg.Wait()
-	for _, shard := range shards {
+	for _, shard := range shards[1:] {
 		for p, st := range shard {
-			agg := out[p]
+			if st.TotalTF == 0 {
+				continue
+			}
+			agg := &out[p]
 			agg.TotalTF += st.TotalTF
 			agg.DF += st.DF
 			if agg.TF == nil {
-				agg.TF = make(map[string]int, len(st.TF))
+				agg.TF = st.TF
+				continue
 			}
 			for label, tf := range st.TF {
 				agg.TF[label] += tf
 			}
-			out[p] = agg
 		}
 	}
 	return out
 }
 
-// countRange scans documents [lo, hi) and accumulates statistics into out.
-// A phrase's TF map is made on its first occurrence.
-func (c *Corpus) countRange(ps *stringutil.PhraseIndex, lo, hi int, out map[string]TermStats) {
+// countRange scans documents [lo, hi) and accumulates statistics into out,
+// indexed by key position. A key's TF map is made on its first occurrence;
+// seen stamps each key with one past the last document it was counted in,
+// so DF counts documents without a set per document.
+func (c *Corpus) countRange(keys strtab.Column, lo, hi int, out []TermStats) {
+	seen := make([]int32, keys.Len())
+	var buf []byte
 	for di := lo; di < hi; di++ {
-		doc := c.tokenized[di]
-		seenInDoc := map[string]bool{}
-		for si, toks := range doc {
+		stamp := int32(di + 1)
+		for si, toks := range c.tokenized[di] {
 			label := c.docs[di].Sections[si].Label
 			for i := 0; i < len(toks); {
-				match, matchLen := ps.LongestMatchAt(toks, i)
-				if matchLen == 0 {
+				var p, n int
+				p, n, buf = stringutil.LongestKeyAt(keys, toks, i, buf)
+				if n == 0 {
 					i++
 					continue
 				}
-				st := out[match]
+				st := &out[p]
 				if st.TF == nil {
 					st.TF = make(map[string]int)
 				}
 				st.TF[label]++
 				st.TotalTF++
-				if !seenInDoc[match] {
-					seenInDoc[match] = true
+				if seen[p] != stamp {
+					seen[p] = stamp
 					st.DF++
 				}
-				out[match] = st
-				i += matchLen
+				i += n
 			}
 		}
 	}

@@ -4,7 +4,11 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
+
+	"medrelax/internal/stringutil"
+	"medrelax/internal/strtab"
 )
 
 func testCorpus() *Corpus {
@@ -33,12 +37,37 @@ func testCorpus() *Corpus {
 	})
 }
 
+// keysOf lays phrases out as a lexicon's key column, as a frozen graph's
+// name keys are: each phrase's Normalize form, blanks dropped, sorted and
+// deduplicated.
+func keysOf(phrases ...string) strtab.Column {
+	var keys []string
+	for _, p := range phrases {
+		if key := stringutil.Normalize(p); key != "" {
+			keys = append(keys, key)
+		}
+	}
+	slices.Sort(keys)
+	return strtab.Pack(slices.Compact(keys))
+}
+
+// countByKey counts the phrases' keys serially and returns each key's
+// statistics under the key.
+func countByKey(c *Corpus, phrases ...string) map[string]TermStats {
+	keys := keysOf(phrases...)
+	out := map[string]TermStats{}
+	for p, st := range c.CountPhrasesN(keys, 1) {
+		out[keys.At(p)] = st
+	}
+	return out
+}
+
 func TestCountPhrasesPerLabel(t *testing.T) {
 	c := testCorpus()
-	stats := c.CountPhrases([]string{
+	stats := countByKey(c,
 		"bronchitis", "headache", "renal impairment", "fever", "pain in throat",
 		"craniofacial pain", "pertussis",
-	})
+	)
 
 	br := stats["bronchitis"]
 	if br.TF["Indication-hasFinding-Finding"] != 2 || br.TotalTF != 2 || br.DF != 1 {
@@ -68,7 +97,7 @@ func TestLongestMatchWins(t *testing.T) {
 	c := New([]Document{{ID: "d", Sections: []Section{
 		{Label: "x", Text: "pain in throat but also pain elsewhere"},
 	}}})
-	stats := c.CountPhrases([]string{"pain", "pain in throat"})
+	stats := countByKey(c, "pain", "pain in throat")
 	if got := stats["pain in throat"].TotalTF; got != 1 {
 		t.Errorf("pain in throat TF = %d, want 1", got)
 	}
@@ -83,7 +112,7 @@ func TestPhraseNormalizationInKeys(t *testing.T) {
 	c := New([]Document{{ID: "d", Sections: []Section{
 		{Label: "", Text: "Chronic Kidney Disease is noted."},
 	}}})
-	stats := c.CountPhrases([]string{"  Chronic   kidney DISEASE "})
+	stats := countByKey(c, "  Chronic   kidney DISEASE ")
 	st, ok := stats["chronic kidney disease"]
 	if !ok || st.TotalTF != 1 {
 		t.Errorf("normalized key lookup failed: %+v", stats)
@@ -92,10 +121,10 @@ func TestPhraseNormalizationInKeys(t *testing.T) {
 
 func TestCountPhrasesEmpty(t *testing.T) {
 	c := testCorpus()
-	if got := c.CountPhrases(nil); len(got) != 0 {
+	if got := countByKey(c); len(got) != 0 {
 		t.Errorf("no phrases must give empty stats, got %v", got)
 	}
-	if got := c.CountPhrases([]string{"", "  "}); len(got) != 0 {
+	if got := countByKey(c, "", "  "); len(got) != 0 {
 		t.Errorf("blank phrases must be dropped, got %v", got)
 	}
 }
@@ -161,10 +190,10 @@ func TestCountPhrasesNShardEquivalence(t *testing.T) {
 		})
 	}
 	c := New(docs)
-	phrases := []string{"fever", "headache", "sore throat", "severe headache", "absent phrase"}
-	want := c.CountPhrases(phrases)
+	keys := keysOf("fever", "headache", "sore throat", "severe headache", "absent phrase")
+	want := c.CountPhrasesN(keys, 1)
 	for _, workers := range []int{2, 3, 7, 16, 64} {
-		got := c.CountPhrasesN(phrases, workers)
+		got := c.CountPhrasesN(keys, workers)
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("workers=%d: sharded stats differ from serial", workers)
 		}

@@ -7,11 +7,10 @@ import (
 	"medrelax/internal/stringutil"
 )
 
-// The count CountPhrasesN had before it read each phrase's Normalize form and
-// shared stringutil.PhraseIndex: every phrase tokenized and joined again, every
-// phrase keyed with an empty TF map, and at each token the longest window of
-// at most the longest phrase's length that joins to a phrase. Kept as the
-// oracle of FuzzCountPhrases.
+// The count CountPhrasesN had before it read a sorted key column: every
+// phrase tokenized and joined again, every phrase keyed with an empty TF
+// map, and at each token the longest window of at most the longest phrase's
+// length that joins to a phrase. Kept as the oracle of FuzzCountPhrases.
 func (c *Corpus) oracleCountPhrases(phrases []string) map[string]TermStats {
 	set, maxLen := map[string]bool{}, 0
 	for _, p := range phrases {

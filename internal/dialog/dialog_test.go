@@ -126,7 +126,7 @@ func newConversation(t *testing.T, withQR bool) *Conversation {
 	if err != nil {
 		t.Fatal(err)
 	}
-	extractor := NewMentionExtractor(store, ing.Graph.NameKeys())
+	extractor := NewMentionExtractor(store, ing.Graph.FlatData().NameKeys)
 	if !withQR {
 		return NewConversation(ing, classifier, extractor, nil)
 	}
@@ -199,7 +199,7 @@ func TestIntentClassifierEmpty(t *testing.T) {
 
 func TestMentionExtractor(t *testing.T) {
 	_, store, ing, _ := testWorld(t)
-	e := NewMentionExtractor(store, ing.Graph.NameKeys())
+	e := NewMentionExtractor(store, ing.Graph.FlatData().NameKeys)
 	ms := e.Extract("what drugs treat kidney disease")
 	if len(ms) != 1 || ms[0].Text != "kidney disease" || !ms[0].Known() {
 		t.Fatalf("mentions = %+v", ms)
@@ -394,7 +394,7 @@ func TestClassifyAmong(t *testing.T) {
 
 func TestQuestionTailFallback(t *testing.T) {
 	_, store, ing, _ := testWorld(t)
-	e := NewMentionExtractor(store, ing.Graph.NameKeys())
+	e := NewMentionExtractor(store, ing.Graph.FlatData().NameKeys)
 	// A completely novel term after a question frame becomes a mention.
 	ms := e.Extract("what drugs treat glomerulomegaly")
 	if len(ms) != 1 || ms[0].Text != "glomerulomegaly" || ms[0].Known() {

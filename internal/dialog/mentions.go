@@ -1,11 +1,11 @@
 package dialog
 
 import (
-	"slices"
 	"strings"
 
 	"medrelax/internal/kb"
 	"medrelax/internal/stringutil"
+	"medrelax/internal/strtab"
 )
 
 // Mention is an entity mention extracted from an utterance.
@@ -21,37 +21,34 @@ type Mention struct {
 func (m Mention) Known() bool { return len(m.Instances) > 0 }
 
 // MentionExtractor finds entity mentions by greedy longest-match over a
-// lexicon assembled from the KB instance names plus any extra vocabulary
-// (typically the external knowledge source's concept names, so that terms
-// absent from the KB are still recognized as mentions and can be relaxed —
-// the "pyelectasia" case of Figure 7).
+// lexicon of the KB instance names plus the external knowledge source's
+// concept names, so that terms absent from the KB are still recognized as
+// mentions and can be relaxed — the "pyelectasia" case of Figure 7. Both
+// halves are sorted key columns read in place; the extractor copies neither.
 type MentionExtractor struct {
-	store   *kb.Store
-	phrases *stringutil.PhraseIndex
-	// stop contains tokens that never begin a mention, keeping template
-	// words like "drugs" from being swallowed.
-	stop map[string]bool
+	store     *kb.Store
+	instances strtab.Column // the store's instance-name keys
+	names     strtab.Column // the concept-name keys
 }
 
-// NewMentionExtractor indexes the store's lexicon together with the extra
-// vocabulary terms, leaving out every name that begins with a stop word.
-func NewMentionExtractor(store *kb.Store, extraVocabulary []string) *MentionExtractor {
-	stop := map[string]bool{
-		"drug": true, "drugs": true, "medication": true, "treatment": true,
-		"what": true, "which": true, "the": true, "of": true, "for": true,
-		"risk": true, "risks": true, "side": true, "effect": true, "effects": true,
-	}
-	var names []string
-	for _, name := range slices.Concat(store.LexiconKeys(), extraVocabulary) {
-		norm := stringutil.Normalize(name)
-		if first, _, _ := strings.Cut(norm, " "); !stop[first] {
-			names = append(names, norm)
-		}
-	}
-	return &MentionExtractor{store: store, phrases: stringutil.NewPhraseIndex(names), stop: stop}
+// stopWords never begin a mention, keeping template words like "drugs" from
+// being swallowed.
+var stopWords = map[string]bool{
+	"drug": true, "drugs": true, "medication": true, "treatment": true,
+	"what": true, "which": true, "the": true, "of": true, "for": true,
+	"risk": true, "risks": true, "side": true, "effect": true, "effects": true,
 }
 
-// Extract returns the mentions of the utterance in reading order. When the
+// NewMentionExtractor matches over the store's lexicon and names, a column
+// of concept-name keys (Normalize forms, ascending and unique, as a frozen
+// graph's FlatData().NameKeys); it builds nothing.
+func NewMentionExtractor(store *kb.Store, names strtab.Column) *MentionExtractor {
+	return &MentionExtractor{store: store, instances: store.FlatData().LexKeys, names: names}
+}
+
+// Extract returns the mentions of the utterance in reading order: at each
+// token that is not a stop word, the longer of the longest instance name
+// and the longest concept name the tokens from there join to. When the
 // lexicon yields nothing, a pattern fallback takes the trailing phrase
 // after a question frame ("what drugs treat X" → X) as an unknown mention,
 // the way an NLU entity extractor surfaces novel entity spans — this is
@@ -59,19 +56,27 @@ func NewMentionExtractor(store *kb.Store, extraVocabulary []string) *MentionExtr
 func (e *MentionExtractor) Extract(text string) []Mention {
 	toks := stringutil.Tokenize(text)
 	var out []Mention
+	var buf []byte
 	for i := 0; i < len(toks); {
-		match, n := e.phrases.LongestMatchAt(toks, i)
+		var n, byName int
+		if !stopWords[toks[i]] {
+			_, n, buf = stringutil.LongestKeyAt(e.instances, toks, i, buf)
+			_, byName, buf = stringutil.LongestKeyAt(e.names, toks, i, buf)
+		}
+		n = max(n, byName)
 		if n == 0 {
 			i++
 			continue
 		}
-		m := Mention{Text: match}
-		m.Instances = append(m.Instances, e.store.LookupName(match)...) // ascending
+		// Joined anew: a mention outlives the columns, which may alias a
+		// mapped bundle.
+		m := Mention{Text: strings.Join(toks[i:i+n], " ")}
+		m.Instances = append(m.Instances, e.store.LookupName(m.Text)...) // ascending
 		out = append(out, m)
 		i += n
 	}
 	if len(out) == 0 {
-		if tail, ok := e.questionTail(toks); ok {
+		if tail, ok := questionTail(toks); ok {
 			out = append(out, Mention{Text: tail})
 		}
 	}
@@ -87,7 +92,7 @@ var questionFrames = map[string]bool{
 // questionTail returns the phrase after the last question-frame token,
 // stripped of stopwords, or ok=false when no frame is present or the tail
 // is empty.
-func (e *MentionExtractor) questionTail(toks []string) (string, bool) {
+func questionTail(toks []string) (string, bool) {
 	last := -1
 	for i, tok := range toks {
 		if questionFrames[tok] {
@@ -99,7 +104,7 @@ func (e *MentionExtractor) questionTail(toks []string) (string, bool) {
 	}
 	var tail []string
 	for _, tok := range toks[last+1:] {
-		if e.stop[tok] {
+		if stopWords[tok] {
 			continue
 		}
 		tail = append(tail, tok)

@@ -283,8 +283,8 @@ func TestDenseInvalidationOnMutation(t *testing.T) {
 	if got := g.LookupName("early ckd variant"); !reflect.DeepEqual(got, []eks.ConceptID{6}) {
 		t.Fatalf("LookupName of a synonym added after Freeze = %v", got)
 	}
-	if _, ok := slices.BinarySearch(g.NameKeys(), "early ckd variant"); !ok {
-		t.Fatalf("NameKeys misses the synonym added after Freeze: %v", g.NameKeys())
+	if _, ok := slices.BinarySearch(g.FlatData().NameKeys.Strings(), "early ckd variant"); !ok {
+		t.Fatalf("NameKeys misses the synonym added after Freeze: %v", g.FlatData().NameKeys.Strings())
 	}
 	if c, _ := g.Concept(6); !reflect.DeepEqual(c.Synonyms, []string{"Early CKD, variant"}) {
 		t.Fatalf("Concept(6).Synonyms = %v", c.Synonyms)

@@ -258,10 +258,6 @@ func (g *Graph) LookupName(name string) []ConceptID {
 	return out
 }
 
-// NameKeys returns every normalized name key in the index, in ascending
-// order. It is intended for matchers that scan the lexicon.
-func (g *Graph) NameKeys() []string { return g.view().NameKeys.Strings() }
-
 // keySpan is the concept IDs indexed under an already-normalized key, in the
 // order they were indexed, aliasing the graph; empty when the key is unknown.
 func (v *frozen) keySpan(key string) []ConceptID {

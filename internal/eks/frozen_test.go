@@ -80,7 +80,7 @@ func assertSameReads(t *testing.T, want, got *eks.Graph, sample int) {
 	eq("Root", two(want.Root()), two(got.Root()))
 	eq("EdgeCount", want.EdgeCount(), got.EdgeCount())
 	eq("ConceptIDs", want.ConceptIDs(), got.ConceptIDs())
-	eq("NameKeys", want.NameKeys(), got.NameKeys())
+	eq("NameKeys", want.FlatData().NameKeys.Strings(), got.FlatData().NameKeys.Strings())
 	eq("TopologicalOrder", two(want.TopologicalOrder()), two(got.TopologicalOrder()))
 	eq("Validate", want.Validate(), got.Validate())
 	eq("FlatData", want.FlatData(), got.FlatData())
@@ -93,7 +93,7 @@ func assertSameReads(t *testing.T, want, got *eks.Graph, sample int) {
 	}
 	eq("WriteDOT", wantDOT.String(), gotDOT.String())
 
-	for _, key := range want.NameKeys() {
+	for _, key := range want.FlatData().NameKeys.Strings() {
 		eq("IDsForNameKey "+key, want.IDsForNameKey(key), got.IDsForNameKey(key))
 		eq("LookupName "+key, want.LookupName(strings.ToUpper(key)), got.LookupName(strings.ToUpper(key)))
 	}

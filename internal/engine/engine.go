@@ -402,7 +402,7 @@ func (s *Snapshot) deriveDialogue() (Dialogue, error) {
 	opts.IncludeSelf = true
 	classifier, err := dialog.TrainIntentClassifier(dialog.GenerateTrainingExamples(s.ing.Ontology, s.ing.Store, dialogueSeed, 0))
 	sim := core.NewSimilarity(s.ing.Graph, s.ing.Frequencies, s.ing.Ontology)
-	return Dialogue{classifier, dialog.NewMentionExtractor(s.ing.Store, s.ing.Graph.NameKeys()), core.NewRelaxer(s.ing, sim, s.ing.Resolver, opts)}, err
+	return Dialogue{classifier, dialog.NewMentionExtractor(s.ing.Store, s.ing.Graph.FlatData().NameKeys), core.NewRelaxer(s.ing, sim, s.ing.Resolver, opts)}, err
 }
 
 // NewConversation opens a relaxation-backed dialogue over the Dialogue. The

@@ -31,7 +31,7 @@ func buildStudyEnv(t *testing.T) (StudyEnvironment, *core.Ingestion, *core.Relax
 		if err != nil {
 			t.Fatal(err)
 		}
-		extractor := dialog.NewMentionExtractor(med.Store, w.Graph.NameKeys())
+		extractor := dialog.NewMentionExtractor(med.Store, w.Graph.FlatData().NameKeys)
 		if !withQR {
 			return dialog.NewConversation(ing, classifier, extractor, nil)
 		}

@@ -101,12 +101,12 @@ func assertSameReads(t *testing.T, want, got *kb.Store) {
 	}
 	eq("Len", want.Len(), got.Len())
 	eq("AllInstances", want.AllInstances(), got.AllInstances())
-	eq("LexiconKeys", want.LexiconKeys(), got.LexiconKeys())
+	eq("LexiconKeys", want.FlatData().LexKeys.Strings(), got.FlatData().LexKeys.Strings())
 	eq("FlatData", want.FlatData(), got.FlatData())
-	if !slices.IsSorted(want.LexiconKeys()) {
+	if !slices.IsSorted(want.FlatData().LexKeys.Strings()) {
 		t.Fatal("LexiconKeys not ascending")
 	}
-	for _, key := range append(want.LexiconKeys(), "no such key", "") {
+	for _, key := range append(want.FlatData().LexKeys.Strings(), "no such key", "") {
 		eq("IDsForLexiconKey "+key, want.IDsForLexiconKey(key), got.IDsForLexiconKey(key))
 		eq("LookupName "+key, want.LookupName(strings.ToUpper(key)), got.LookupName(strings.ToUpper(key)))
 		if !slices.IsSorted(got.LookupName(key)) {

@@ -190,9 +190,6 @@ func (s *Store) LookupName(name string) []InstanceID {
 	return s.IDsForLexiconKey(stringutil.Normalize(name))
 }
 
-// LexiconKeys returns every normalized instance name in ascending order.
-func (s *Store) LexiconKeys() []string { return s.view().LexKeys.Strings() }
-
 // IDsForLexiconKey returns the instance IDs indexed under an
 // already-normalized key, ascending.
 func (s *Store) IDsForLexiconKey(key string) []InstanceID {

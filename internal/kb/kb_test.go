@@ -186,7 +186,7 @@ func TestAllInstancesSorted(t *testing.T) {
 
 func TestLexiconKeys(t *testing.T) {
 	s := fixture(t)
-	keys := s.LexiconKeys()
+	keys := s.FlatData().LexKeys.Strings()
 	if len(keys) != 9 {
 		t.Errorf("LexiconKeys len = %d, want 9", len(keys))
 	}

@@ -211,7 +211,7 @@ func TestEditSignaturesKeepAnswers(t *testing.T) {
 	}
 	g := w.Graph
 	var queries []string
-	for i, key := range g.NameKeys() {
+	for i, key := range g.FlatData().NameKeys.Strings() {
 		if i%17 != 0 || len(key) < 4 {
 			continue
 		}

@@ -170,7 +170,6 @@ type Embedding struct {
 	graph     *eks.Graph
 	encoder   *embedding.SIFEncoder
 	index     *embedding.Index
-	byKey     map[string]eks.ConceptID
 	threshold float64
 }
 
@@ -185,31 +184,20 @@ func NewEmbedding(g *eks.Graph, enc *embedding.SIFEncoder, threshold float64) *E
 	if threshold <= 0 {
 		threshold = DefaultEmbeddingThreshold
 	}
-	m := &Embedding{
-		graph:     g,
-		encoder:   enc,
-		byKey:     make(map[string]eks.ConceptID),
-		threshold: threshold,
-	}
-	keys := g.NameKeys()
+	m := &Embedding{graph: g, encoder: enc, threshold: threshold}
+	keys := g.FlatData().NameKeys
 	// Probe the encoder's dimension with the first non-zero encoding.
 	dim := 0
-	encoded := make(map[string]embedding.Vector, len(keys))
-	for _, key := range keys {
-		v := enc.Encode(stringutil.Tokenize(key))
-		encoded[key] = v
-		if dim == 0 && len(v) > 0 {
-			dim = len(v)
+	encoded := make([]embedding.Vector, keys.Len())
+	for i := range encoded {
+		encoded[i] = enc.Encode(stringutil.Tokenize(keys.At(i)))
+		if dim == 0 && len(encoded[i]) > 0 {
+			dim = len(encoded[i])
 		}
 	}
 	m.index = embedding.NewIndex(dim)
-	for _, key := range keys {
-		id, ok := g.MinIDForNameKey(key)
-		if !ok {
-			continue
-		}
-		m.byKey[key] = id
-		m.index.Add(key, encoded[key])
+	for i, v := range encoded {
+		m.index.Add(keys.At(i), v)
 	}
 	return m
 }
@@ -227,7 +215,7 @@ func (m *Embedding) Map(name string) (eks.ConceptID, bool) {
 	if !ok || hit.Cosine < m.threshold {
 		return 0, false
 	}
-	return m.byKey[hit.Key], true
+	return m.graph.MinIDForNameKey(hit.Key)
 }
 
 // Combined tries a sequence of mappers in order and returns the first

@@ -176,7 +176,7 @@ func trainEncoder(t *testing.T, g *eks.Graph) *embedding.SIFEncoder {
 		t.Fatal(err)
 	}
 	var refs [][]string
-	for _, key := range g.NameKeys() {
+	for _, key := range g.FlatData().NameKeys.Strings() {
 		refs = append(refs, stringutil.Tokenize(key))
 	}
 	return embedding.NewSIFEncoder(model, 0, refs)

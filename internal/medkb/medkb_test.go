@@ -3,12 +3,14 @@ package medkb
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"medrelax/internal/corpus"
 	"medrelax/internal/eks"
 	"medrelax/internal/kb"
 	"medrelax/internal/stringutil"
+	"medrelax/internal/strtab"
 	"medrelax/internal/synthkb"
 )
 
@@ -187,12 +189,14 @@ func TestBuildCorpus(t *testing.T) {
 	}
 	// Popular treated findings are actually mentioned under the indication
 	// label, and findings are mentioned under the two finding labels only.
-	var names []string
+	var names, keys []string
 	for cid := range med.Treated {
 		concept, _ := w.Graph.Concept(cid)
 		names = append(names, concept.Name)
+		keys = append(keys, stringutil.Normalize(concept.Name))
 	}
-	stats := c.CountPhrases(names)
+	slices.Sort(keys)
+	stats := c.CountPhrasesN(strtab.Pack(slices.Compact(keys)), 1)
 	mentioned := 0
 	labels := map[string]bool{}
 	for _, st := range stats {

@@ -143,7 +143,7 @@ func TestFlatLookupAdopted(t *testing.T) {
 		t.Fatal("adopted key signatures differ from the saved graph's")
 	}
 	queries := []string{"", "zzqx", "qzxj123456wvkq"}
-	for i, key := range loaded.Graph.NameKeys() {
+	for i, key := range loaded.Graph.FlatData().NameKeys.Strings() {
 		if i%29 != 0 || len(key) < 4 {
 			continue
 		}

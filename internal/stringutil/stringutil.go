@@ -8,9 +8,12 @@
 package stringutil
 
 import (
+	"sort"
 	"strings"
 	"unicode"
 	"unicode/utf8"
+
+	"medrelax/internal/strtab"
 )
 
 // Normalize canonicalizes a surface form for matching: it lowercases,
@@ -310,67 +313,38 @@ func abs(x int) int {
 	return x
 }
 
-// PhraseIndex indexes phrases by their Normalize form for greedy
-// longest-match scanning of token streams — how entity mentions are
-// extracted from an utterance and concept mentions counted in a corpus.
-type PhraseIndex struct {
-	phrases  map[string]bool // full phrases, joined by spaces
-	prefixes map[string]bool // all proper prefixes, joined by spaces
-	maxLen   int             // longest phrase, in tokens
-}
-
-// NewPhraseIndex indexes each phrase by its Normalize form — the phrase
-// itself when it is already normal, as nearly every lexicon name is — whose
-// tokens are joined by single spaces, so its proper prefixes are sliced out
-// of it at its spaces rather than tokenized and joined again. A phrase with
-// no tokens is left out.
-func NewPhraseIndex(phrases []string) *PhraseIndex {
-	x := &PhraseIndex{phrases: make(map[string]bool, len(phrases)), prefixes: make(map[string]bool, len(phrases))}
-	for _, p := range phrases {
-		norm := Normalize(p)
-		if norm == "" {
-			continue
-		}
-		x.phrases[norm] = true
-		toks := 1
-		for i := 0; i < len(norm); i++ {
-			if norm[i] == ' ' {
-				x.prefixes[norm[:i]] = true
-				toks++
-			}
-		}
-		x.maxLen = max(x.maxLen, toks)
-	}
-	return x
-}
-
-// Len is the number of distinct phrases indexed.
-func (x *PhraseIndex) Len() int { return len(x.phrases) }
-
-// Each calls f with every distinct phrase, in no particular order.
-func (x *PhraseIndex) Each(f func(phrase string)) {
-	for p := range x.phrases {
-		f(p)
-	}
-}
-
-// LongestMatchAt returns the longest phrase starting at toks[i], and its
-// token length, or ("", 0).
-func (x *PhraseIndex) LongestMatchAt(toks []string, i int) (string, int) {
-	var b strings.Builder
-	best, bestLen := "", 0
-	for j := i; j < min(i+x.maxLen, len(toks)); j++ {
+// LongestKeyAt finds the longest key that the tokens from toks[i] join to,
+// one space between tokens: the greedy longest match that counts concept
+// mentions in a corpus and extracts entity mentions from an utterance. keys
+// holds Normalize forms, ascending and unique, read in place. It returns the
+// key's position and its length in tokens, or n = 0 when no key begins at
+// toks[i]. buf is scratch for the window, returned grown so a scan reuses it
+// and allocates nothing.
+//
+// The window grows a token at a time while [lo, hi), the keys that extend it
+// by a whole token, is not empty; two binary searches narrow the range per
+// token. ' ' is the smallest byte a normalized key holds, so the keys "w …"
+// sit right after the key "w", if there is one, and before every other key
+// that begins with w.
+func LongestKeyAt(keys strtab.Column, toks []string, i int, buf []byte) (pos, n int, scratch []byte) {
+	buf = buf[:0]
+	for j, lo, hi := i, 0, keys.Len(); j < len(toks) && lo < hi; j++ {
 		if j > i {
-			b.WriteByte(' ')
+			buf = append(buf, ' ')
 		}
-		b.WriteString(toks[j])
-		cur := b.String()
-		if x.phrases[cur] {
-			best, bestLen = cur, j-i+1
+		buf = append(buf, toks[j]...)
+		lo += sort.Search(hi-lo, func(k int) bool { return keys.At(lo+k) >= string(buf) })
+		if lo < hi && keys.At(lo) == string(buf) {
+			pos, n = lo, j-i+1
+			lo++
 		}
-		if !x.prefixes[cur] && !x.phrases[cur] {
-			break
-		}
+		// The keys that extend the window by a token come first in [lo, hi).
+		hi = lo + sort.Search(hi-lo, func(k int) bool { return !extendsByToken(keys.At(lo+k), buf) })
 	}
-	return best, bestLen
+	return pos, n, buf
+}
+
+// extendsByToken reports whether key is the window w, a space, and more.
+func extendsByToken(key string, w []byte) bool {
+	return len(key) > len(w) && key[len(w)] == ' ' && key[:len(w)] == string(w)
 }

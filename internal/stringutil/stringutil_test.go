@@ -2,9 +2,12 @@ package stringutil
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"medrelax/internal/strtab"
 )
 
 func TestNormalize(t *testing.T) {
@@ -206,4 +209,53 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestLongestKeyAtIsTheLongestJoinedWindow: over drawn lexicons whose keys
+// share byte prefixes that are not token prefixes ("a", "ab", "a-b", "a b"),
+// LongestKeyAt finds at every token the longest window that joins to a key,
+// as trying every window length does, and a scan that reuses its buffer
+// allocates nothing.
+func TestLongestKeyAtIsTheLongestJoinedWindow(t *testing.T) {
+	words := []string{"a", "ab", "a-b", "b", "b'c", "é", "éa"}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		set := map[string]bool{}
+		for k := rng.Intn(12); k > 0; k-- {
+			toks := make([]string, 1+rng.Intn(4))
+			for j := range toks {
+				toks[j] = words[rng.Intn(len(words))]
+			}
+			set[strings.Join(toks, " ")] = true
+		}
+		sorted := make([]string, 0, len(set))
+		for k := range set {
+			sorted = append(sorted, k)
+		}
+		slices.Sort(sorted)
+		keys := strtab.Pack(sorted)
+		stream := make([]string, rng.Intn(16))
+		for j := range stream {
+			stream[j] = words[rng.Intn(len(words))]
+		}
+		var buf []byte
+		for i := range stream {
+			want := len(stream) - i
+			for want > 0 && !set[strings.Join(stream[i:i+want], " ")] {
+				want--
+			}
+			var pos, n int
+			pos, n, buf = LongestKeyAt(keys, stream, i, buf)
+			if n != want || n > 0 && sorted[pos] != strings.Join(stream[i:i+n], " ") {
+				t.Fatalf("keys %q, stream %q at %d: %d tokens (key %d), want %d", sorted, stream, i, n, pos, want)
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() {
+			for i := range stream {
+				_, _, buf = LongestKeyAt(keys, stream, i, buf)
+			}
+		}); allocs != 0 {
+			t.Fatalf("a scan with a warm buffer allocates %.0f times", allocs)
+		}
+	}
 }

@@ -152,9 +152,10 @@ func Build(cfg Config) (*System, error) {
 	}
 
 	// SIF reference set: every name key of the external knowledge source.
-	var refs [][]string
-	for _, key := range world.Graph.NameKeys() {
-		refs = append(refs, stringutil.Tokenize(key))
+	keys := world.Graph.FlatData().NameKeys
+	refs := make([][]string, keys.Len())
+	for i := range refs {
+		refs[i] = stringutil.Tokenize(keys.At(i))
 	}
 	medEnc := embedding.NewSIFEncoder(medModel, 0, refs)
 	genEnc := embedding.NewSIFEncoder(genModel, 0, refs)

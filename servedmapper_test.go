@@ -111,7 +111,7 @@ func TestBuiltAndLoadedAnswerAlike(t *testing.T) {
 			// unknowns land where match.NewEdit places them.
 			edit := match.NewEdit(sys.Ingestion.Graph, 0)
 			terms := append(probeTerms(sys), "", "qzxjabcdefwvkq")
-			for i, key := range sys.Ingestion.Graph.NameKeys() {
+			for i, key := range sys.Ingestion.Graph.FlatData().NameKeys.Strings() {
 				if i%7 == 0 && len(key) >= 4 {
 					terms = append(terms, key, key[:len(key)/2]+key[len(key)/2+1:])
 				}
