@@ -8,6 +8,7 @@ import (
 	"medrelax/internal/eks"
 	"medrelax/internal/idindex"
 	"medrelax/internal/kb"
+	"medrelax/internal/match"
 	"medrelax/internal/ontology"
 )
 
@@ -98,8 +99,9 @@ func MappingsFromPairs(instances []kb.InstanceID, concepts []eks.ConceptID) Flat
 // checked, whether the columns come from MappingsFromPairs or from mapped
 // bundle sections: pairs sorted by instance, a flagged set that is exactly
 // the distinct mapped concepts, per-concept instance spans that agree with
-// the pairs, and endpoints that exist in the store and graph. The caller
-// attaches Materialized/Candidates/Backing afterwards.
+// the pairs, and endpoints that exist in the store and graph. It builds the
+// term resolver over the graph; the caller attaches
+// Materialized/Candidates/Backing afterwards.
 func NewFlatIngestion(contexts []ontology.Context, g *eks.Graph, store *kb.Store, o *ontology.Ontology, ft *FrequencyTable, shortcutsAdded int, d FlatMappingsData) (*Ingestion, error) {
 	n := len(d.Instances)
 	if len(d.Concepts) != n {
@@ -162,6 +164,7 @@ func NewFlatIngestion(contexts []ontology.Context, g *eks.Graph, store *kb.Store
 		Store:          store,
 		Ontology:       o,
 		ShortcutsAdded: shortcutsAdded,
+		Resolver:       match.NewEdit(g, 0),
 		maps:           d,
 		slots:          slots,
 		icRank:         icRank,

@@ -54,8 +54,8 @@ type Ingestion struct {
 	// IngestOptions.CandidateIndex.Enabled or restored from a bundle).
 	Candidates *CandidateIndex
 	// Resolver is the graph's query-term mapper (Algorithm 2, line 1): the
-	// paper's EDIT at τ=2, whose key signatures Ingest derives once over the
-	// customized graph or a flat bundle's reader adopts.
+	// paper's EDIT at τ=2 over the graph's name keys, built by
+	// NewFlatIngestion for every ingestion, in process or from a bundle.
 	Resolver *match.Edit
 	// Backing describes (and pins through liveness) the memory a flat-mapped
 	// ingestion reads from; nil for heap-backed ingestions.
@@ -179,10 +179,8 @@ func Ingest(o *ontology.Ontology, store *kb.Store, g *eks.Graph, corp *corpus.Co
 		}
 	}
 	// The graph's structure is final: freeze the dense traversal index now
-	// so the first online query does not pay the build, and sign its lexicon
-	// for the term resolver every snapshot and bundle of it shares.
+	// so the first online query does not pay the build.
 	g.Freeze()
-	ing.Resolver = match.NewEdit(g, 0)
 
 	// Optional offline accelerations run against the frozen graph with the
 	// same similarity construction the engine serves with (default weights,

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"medrelax/internal/eks"
 	"medrelax/internal/embedding"
 	"medrelax/internal/match"
@@ -82,60 +84,41 @@ type EmbeddingMethod struct {
 	ing     *Ingestion
 	encoder *embedding.SIFEncoder
 	index   *embedding.Index
-	byKey   map[string][]eks.ConceptID
+	keys    []int32 // the name-key position of each index position, ascending
 }
 
-// NewEmbeddingMethod indexes the names and synonyms of every flagged
-// concept under enc. name distinguishes the pre-trained and the
-// corpus-trained baselines.
+// NewEmbeddingMethod indexes the name keys (preferred names and synonyms)
+// of the flagged concepts under enc. name distinguishes the pre-trained and
+// the corpus-trained baselines.
 func NewEmbeddingMethod(name string, ing *Ingestion, enc *embedding.SIFEncoder) *EmbeddingMethod {
-	m := &EmbeddingMethod{
-		name:    name,
-		ing:     ing,
-		encoder: enc,
-		byKey:   make(map[string][]eks.ConceptID),
-	}
-	flagged := ing.FlaggedIDs()
-	type entry struct {
-		key string
-		vec embedding.Vector
-	}
-	var entries []entry
+	m := &EmbeddingMethod{name: name, ing: ing, encoder: enc}
+	fd := ing.Graph.FlatData()
+	var vecs []embedding.Vector
 	dim := 0
-	for _, id := range flagged {
-		concept, ok := ing.Graph.Concept(id)
-		if !ok {
+	for i := range fd.NameKeys.Len() {
+		if !slices.ContainsFunc(fd.KeyIDs[fd.KeyOff[i]:fd.KeyOff[i+1]], ing.IsFlagged) {
 			continue
 		}
-		for _, n := range append([]string{concept.Name}, concept.Synonyms...) {
-			key := stringutil.Normalize(n)
-			if key == "" {
-				continue
-			}
-			if _, dup := m.byKey[key]; !dup {
-				v := enc.Encode(stringutil.Tokenize(key))
-				entries = append(entries, entry{key: key, vec: v})
-				if dim == 0 && len(v) > 0 {
-					dim = len(v)
-				}
-			}
-			m.byKey[key] = appendUnique(m.byKey[key], id)
+		v := enc.Encode(stringutil.Tokenize(fd.NameKeys.At(i)))
+		if dim == 0 && len(v) > 0 {
+			dim = len(v)
 		}
+		m.keys, vecs = append(m.keys, int32(i)), append(vecs, v)
 	}
 	m.index = embedding.NewIndex(dim)
-	for _, e := range entries {
-		m.index.Add(e.key, e.vec)
+	for _, v := range vecs {
+		m.index.Add(v)
 	}
 	return m
 }
 
-func appendUnique(ids []eks.ConceptID, id eks.ConceptID) []eks.ConceptID {
-	for _, x := range ids {
-		if x == id {
-			return ids
-		}
-	}
-	return append(ids, id)
+// flaggedForKey returns the flagged concepts a name key names, ascending.
+func (m *EmbeddingMethod) flaggedForKey(key int32) []eks.ConceptID {
+	fd := m.ing.Graph.FlatData()
+	ids := slices.Clone(fd.KeyIDs[fd.KeyOff[key]:fd.KeyOff[key+1]])
+	ids = slices.DeleteFunc(ids, func(id eks.ConceptID) bool { return !m.ing.IsFlagged(id) })
+	slices.Sort(ids)
+	return ids
 }
 
 // Name implements Method.
@@ -156,7 +139,7 @@ func (m *EmbeddingMethod) RelaxConcepts(term string, _ *ontology.Context, k int)
 		seen[id] = true
 	}
 	for _, h := range hits {
-		for _, id := range m.byKey[h.Key] {
+		for _, id := range m.flaggedForKey(m.keys[h.Pos]) {
 			if seen[id] {
 				continue
 			}

@@ -1,6 +1,8 @@
 package dialog
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"medrelax/internal/kb"
 	"medrelax/internal/match"
 	"medrelax/internal/ontology"
+	"medrelax/internal/strtab"
 )
 
 // The test world mirrors the paper's Figures 7 and 8: "pyelectasia" exists
@@ -217,6 +220,21 @@ func TestMentionExtractor(t *testing.T) {
 	ms = e.Extract("tell me about chronic kidney disease please")
 	if len(ms) != 1 || ms[0].Text != "chronic kidney disease" {
 		t.Fatalf("mentions = %+v", ms)
+	}
+	// Keys that begin with a stop word never begin a mention, though the
+	// column holds them: Extract skips the word.
+	names := ing.Graph.FlatData().NameKeys
+	stopped := append(names.Strings(), "drug allergy", "side effects", "the fever", "risk of fever")
+	slices.Sort(stopped)
+	withStops := NewMentionExtractor(store, strtab.Pack(stopped))
+	fever := []Mention{{Text: "fever", Instances: []kb.InstanceID{21}}}
+	for _, u := range []string{"what drug allergy treat fever", "side effects of fever", "the fever risk", "risk of fever"} {
+		if got := withStops.Extract(u); !reflect.DeepEqual(got, fever) {
+			t.Fatalf("%q: mentions = %+v, want %+v", u, got, fever)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { NewMentionExtractor(store, names) }); allocs > 1 {
+		t.Fatalf("NewMentionExtractor allocates %.0f times; it should build nothing but itself", allocs)
 	}
 }
 

@@ -283,22 +283,19 @@ func TestSIFCommonComponentRemoved(t *testing.T) {
 
 func TestIndex(t *testing.T) {
 	ix := NewIndex(2)
-	ix.Add("x", Vector{1, 0})
-	ix.Add("y", Vector{0, 1})
-	ix.Add("xy", Vector{1, 1})
-	ix.Add("zero", Vector{0, 0}) // skipped
-	if ix.Len() != 3 {
-		t.Errorf("Len = %d, want 3", ix.Len())
-	}
+	ix.Add(Vector{0, 0}) // position 0, never a hit
+	ix.Add(Vector{1, 0})
+	ix.Add(Vector{0, 1})
+	ix.Add(Vector{1, 1})
 	hits := ix.Nearest(Vector{1, 0.1}, 2)
-	if len(hits) != 2 || hits[0].Key != "x" {
+	if len(hits) != 2 || hits[0].Pos != 1 {
 		t.Errorf("Nearest = %+v", hits)
 	}
 	if hits[0].Cosine < hits[1].Cosine {
 		t.Error("hits not sorted")
 	}
 	best, ok := ix.Best(Vector{0, 2})
-	if !ok || best.Key != "y" {
+	if !ok || best.Pos != 2 {
 		t.Errorf("Best = %+v", best)
 	}
 	if got := ix.Nearest(Vector{0, 0}, 3); got != nil {
@@ -310,7 +307,7 @@ func TestIndex(t *testing.T) {
 	if _, ok := NewIndex(2).Best(Vector{1, 0}); ok {
 		t.Error("empty index must report no best")
 	}
-	// k larger than index size clamps.
+	// k larger than the nonzero vectors clamps.
 	if got := ix.Nearest(Vector{1, 0}, 10); len(got) != 3 {
 		t.Errorf("clamped k = %d", len(got))
 	}
@@ -318,11 +315,11 @@ func TestIndex(t *testing.T) {
 
 func TestIndexTieBreakDeterministic(t *testing.T) {
 	ix := NewIndex(2)
-	ix.Add("b", Vector{2, 0})
-	ix.Add("a", Vector{1, 0}) // same direction, same cosine
+	ix.Add(Vector{2, 0})
+	ix.Add(Vector{1, 0}) // same direction, same cosine
 	hits := ix.Nearest(Vector{1, 0}, 2)
-	if hits[0].Key != "a" || hits[1].Key != "b" {
-		t.Errorf("tie break not by key: %+v", hits)
+	if hits[0].Pos != 0 || hits[1].Pos != 1 {
+		t.Errorf("tie break not by position: %+v", hits)
 	}
 }
 

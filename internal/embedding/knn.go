@@ -2,53 +2,53 @@ package embedding
 
 import "sort"
 
-// Index is a brute-force nearest-neighbour index over named vectors, used
-// to match surface forms against a lexicon of concept-name embeddings.
-// For the lexicon sizes in scope (10³–10⁵ names) exact scan is both simple
-// and fast enough; the interface would admit an ANN structure if needed.
+// Index is a brute-force nearest-neighbour index over vectors, used to match
+// surface forms against a lexicon of concept-name embeddings. It holds the
+// vectors alone: a hit is the position its vector was added at, which the
+// caller maps back to its own lexicon. For the lexicon sizes in scope
+// (10³–10⁵ names) exact scan is both simple and fast enough; the interface
+// would admit an ANN structure if needed.
 type Index struct {
-	keys    []string
-	vectors []Vector
+	vectors []Vector // nil where a zero vector was added
 	dim     int
 }
 
 // NewIndex returns an empty index for vectors of the given dimension.
 func NewIndex(dim int) *Index { return &Index{dim: dim} }
 
-// Add inserts a named vector. Zero vectors are skipped: they carry no
+// Add appends a vector at the next position. A zero vector, or one of
+// another dimension, holds its position but is never a hit: it carries no
 // information and would match nothing under cosine anyway.
-func (ix *Index) Add(key string, v Vector) {
+func (ix *Index) Add(v Vector) {
 	if len(v) != ix.dim || v.IsZero() {
-		return
+		v = nil
 	}
-	ix.keys = append(ix.keys, key)
 	ix.vectors = append(ix.vectors, v)
 }
 
-// Len returns the number of indexed vectors.
-func (ix *Index) Len() int { return len(ix.keys) }
-
 // Hit is one nearest-neighbour result.
 type Hit struct {
-	Key    string
+	Pos    int // the position the vector was added at
 	Cosine float64
 }
 
-// Nearest returns the k indexed entries most cosine-similar to q, best
-// first. Ties break by key for determinism. A zero query returns nil.
+// Nearest returns the k indexed vectors most cosine-similar to q, best
+// first. Ties break by position for determinism. A zero query returns nil.
 func (ix *Index) Nearest(q Vector, k int) []Hit {
-	if k <= 0 || q.IsZero() || len(ix.keys) == 0 {
+	if k <= 0 || q.IsZero() {
 		return nil
 	}
-	hits := make([]Hit, 0, len(ix.keys))
+	hits := make([]Hit, 0, len(ix.vectors))
 	for i, v := range ix.vectors {
-		hits = append(hits, Hit{Key: ix.keys[i], Cosine: Cosine(q, v)})
+		if v != nil {
+			hits = append(hits, Hit{Pos: i, Cosine: Cosine(q, v)})
+		}
 	}
 	sort.Slice(hits, func(i, j int) bool {
 		if hits[i].Cosine != hits[j].Cosine {
 			return hits[i].Cosine > hits[j].Cosine
 		}
-		return hits[i].Key < hits[j].Key
+		return hits[i].Pos < hits[j].Pos
 	})
 	if k > len(hits) {
 		k = len(hits)

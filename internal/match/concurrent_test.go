@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"medrelax/internal/eks"
+	"medrelax/internal/synthkb"
 )
 
 // TestCombinedConcurrentMap hammers one shared Combined mapper — the exact
@@ -55,6 +56,43 @@ func TestCombinedConcurrentMap(t *testing.T) {
 			}
 		}(w)
 	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestEditDerivesSignaturesOnce sends typos from 8 goroutines at once into
+// one fresh Edit whose key signatures no call has derived yet: under the race
+// detector the first misses race to derive them, and every answer is the
+// unfiltered scan's.
+func TestEditDerivesSignaturesOnce(t *testing.T) {
+	w, err := synthkb.Generate(synthkb.Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewEdit(w.Graph, 0)
+	queries := misspellings(w.Graph)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for i := range queries {
+				q := queries[(i+w*len(queries)/8)%len(queries)]
+				id, ok := m.Map(q)
+				if wid, wok := legacyEditMap(m, q); id != wid || ok != wok {
+					errs <- fmt.Errorf("goroutine %d: Map(%q) = %d, %v; the unfiltered scan says %d, %v", w, q, id, ok, wid, wok)
+					return
+				}
+			}
+		}(w)
+	}
+	close(start)
 	wg.Wait()
 	close(errs)
 	for err := range errs {

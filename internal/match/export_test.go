@@ -23,7 +23,7 @@ func legacyEditMap(m *Edit, name string) (eks.ConceptID, bool) {
 	found := false
 	var band stringutil.EditBand
 	band.Reset(norm)
-	for _, key := range m.keys.Strings() {
+	for _, key := range m.graph.FlatData().NameKeys.Strings() {
 		if abs(len(key)-len(norm)) > m.threshold {
 			continue
 		}

@@ -165,51 +165,11 @@ func TestLookupColumnsSorted(t *testing.T) {
 	}
 }
 
-// TestOpenEditRejectsHostileSignatures hands the adopting constructor
-// signature columns a checksum would pass and the scan would index past, and
-// wants NewEdit's own column, one letter set per key, adopted as it is.
-func TestOpenEditRejectsHostileSignatures(t *testing.T) {
-	g := painGraph(t)
-	keys, sigs := g.FlatData().NameKeys.Strings(), NewEdit(g, 0).KeySigs()
-	for i, key := range keys {
-		if sigs[i] != keySignature(key) {
-			t.Fatalf("signature of key %q is %#x, want %#x", key, sigs[i], keySignature(key))
-		}
-	}
-	for _, c := range []struct {
-		name string
-		sigs []uint64
-	}{
-		{"key signatures short", sigs[1:]},
-		{"key signatures long", append(slices.Clone(sigs), 0)},
-		{"no key signatures", nil},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			if _, err := OpenEdit(g, c.sigs); err == nil || !strings.Contains(err.Error(), "key signatures") {
-				t.Fatalf("OpenEdit: %v, want an error naming the key signatures", err)
-			}
-		})
-	}
-	m, err := OpenEdit(g, slices.Clone(sigs))
-	if err != nil {
-		t.Fatalf("NewEdit's own signatures were refused: %v", err)
-	}
-	if !slices.Equal(m.KeySigs(), sigs) || m.threshold != DefaultEditThreshold {
-		t.Fatalf("OpenEdit holds %d signatures at threshold %d", len(m.KeySigs()), m.threshold)
-	}
-}
-
-// TestEditSignaturesKeepAnswers misspells the lexicon of a generated world —
-// a letter dropped, doubled, replaced by one the name does not hold, two
-// swapped, and two edits at once — and wants from the signature-filtered
-// scan, under thresholds 1 to 3 with the signatures NewEdit derives, and at
-// τ=2 with them adopted by OpenEdit, exactly what the unfiltered scan answers.
-func TestEditSignaturesKeepAnswers(t *testing.T) {
-	w, err := synthkb.Generate(synthkb.Config{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := w.Graph
+// misspellings misspells every seventeenth key of g's lexicon at least four
+// bytes long — a letter dropped, doubled, replaced by one the name does not
+// hold, two swapped, and two edits at once — and adds the empty term, an
+// unknown one and a one-letter one.
+func misspellings(g *eks.Graph) []string {
 	var queries []string
 	for i, key := range g.FlatData().NameKeys.Strings() {
 		if i%17 != 0 || len(key) < 4 {
@@ -224,31 +184,33 @@ func TestEditSignaturesKeepAnswers(t *testing.T) {
 			"z"+key[:mid]+key[mid+1:],
 			key+"zzzz")
 	}
-	queries = append(queries, "", "qzxj123456wvkq", "a")
-	adopted, err := OpenEdit(g, slices.Clone(NewEdit(g, 0).KeySigs()))
+	return append(queries, "", "qzxj123456wvkq", "a")
+}
+
+// TestEditSignaturesKeepAnswers misspells the lexicon of a generated world
+// and wants from the signature-filtered scan, under thresholds 1 to 3,
+// exactly what the unfiltered scan answers.
+func TestEditSignaturesKeepAnswers(t *testing.T) {
+	w, err := synthkb.Generate(synthkb.Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	queries := misspellings(w.Graph)
 	for threshold := 1; threshold <= 3; threshold++ {
-		matchers := map[string]*Edit{"NewEdit": NewEdit(g, threshold)}
-		if threshold == DefaultEditThreshold {
-			matchers["OpenEdit"] = adopted
+		m := NewEdit(w.Graph, threshold)
+		resolved := 0
+		for _, q := range queries {
+			id, ok := m.Map(q)
+			wid, wok := legacyEditMap(m, q)
+			if id != wid || ok != wok {
+				t.Fatalf("threshold %d: Map(%q) = %d, %v; the unfiltered scan says %d, %v", threshold, q, id, ok, wid, wok)
+			}
+			if ok {
+				resolved++
+			}
 		}
-		for name, m := range matchers {
-			resolved := 0
-			for _, q := range queries {
-				id, ok := m.Map(q)
-				wid, wok := legacyEditMap(m, q)
-				if id != wid || ok != wok {
-					t.Fatalf("%s threshold %d: Map(%q) = %d, %v; the unfiltered scan says %d, %v", name, threshold, q, id, ok, wid, wok)
-				}
-				if ok {
-					resolved++
-				}
-			}
-			if resolved < len(queries)/3 {
-				t.Errorf("%s threshold %d: only %d of %d misspellings resolved", name, threshold, resolved, len(queries))
-			}
+		if resolved < len(queries)/3 {
+			t.Errorf("threshold %d: only %d of %d misspellings resolved", threshold, resolved, len(queries))
 		}
 	}
 }

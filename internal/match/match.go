@@ -10,13 +10,12 @@
 package match
 
 import (
-	"fmt"
 	"math/bits"
+	"sync"
 
 	"medrelax/internal/eks"
 	"medrelax/internal/embedding"
 	"medrelax/internal/stringutil"
-	"medrelax/internal/strtab"
 )
 
 // Mapper maps a surface form to an external concept of a fixed graph.
@@ -25,9 +24,10 @@ import (
 // mapper is constructed, as long as the underlying graph is not mutated —
 // the parallel offline phase (core.Ingest) hammers one shared Mapper from
 // many goroutines, and the server resolves query terms concurrently. All
-// mappers in this package satisfy the contract by being strictly read-only
-// after construction: they hold no per-call caches or scratch state, every
-// Map call allocates its own temporaries. Custom implementations must
+// mappers in this package satisfy the contract by being read-only after
+// construction — Edit's key signatures, derived under a sync.Once, aside:
+// they hold no per-call caches or scratch state, every Map call allocates
+// its own temporaries. Custom implementations must
 // follow the same rule (or lock internally).
 type Mapper interface {
 	// Map returns the external concept the surface form corresponds to.
@@ -62,12 +62,17 @@ func (m *Exact) Map(name string) (eks.ConceptID, bool) {
 // strictly closer than the best so far, so among equally close names the
 // first key in sorted order wins, whatever its concept ID; a key that names
 // several concepts answers with the smallest of their IDs. At τ=2 it is every
-// snapshot's query-term mapper, its key signatures stored in the bundle.
+// snapshot's query-term mapper.
+//
+// The scan reads the key column through the graph, so a matcher made before
+// customization adds its shortcut edges holds no stale view of it. Its key
+// signatures depend only on the key strings, which customization does not
+// change: they are derived once, by the first term that misses the exact key.
 type Edit struct {
 	graph     *eks.Graph
 	threshold int
-	keys      strtab.Column // the graph's sorted normalized lexicon, shared with it
-	sigs      []uint64      // keySignature of every key, parallel to keys
+	once      sync.Once
+	sigs      []uint64 // keySignature of every name key, in key order, once derived
 }
 
 // DefaultEditThreshold is the τ=2 used in the paper's experiments.
@@ -76,30 +81,23 @@ const DefaultEditThreshold = 2
 // NewEdit returns an edit-distance matcher over g with the given threshold
 // (DefaultEditThreshold when <= 0).
 func NewEdit(g *eks.Graph, threshold int) *Edit {
-	return newEdit(g, threshold, keySignatures(g.FlatData().NameKeys))
-}
-
-// OpenEdit adopts key signatures (a flat bundle's column, which may alias a
-// memory mapping and is never mutated) as an edit matcher over g at
-// DefaultEditThreshold. It holds them to one signature per name key, the
-// bound the scan indexes by.
-func OpenEdit(g *eks.Graph, sigs []uint64) (*Edit, error) {
-	if n := g.FlatData().NameKeys.Len(); len(sigs) != n {
-		return nil, fmt.Errorf("match: %d key signatures for %d name keys", len(sigs), n)
-	}
-	return newEdit(g, 0, sigs), nil
-}
-
-func newEdit(g *eks.Graph, threshold int, sigs []uint64) *Edit {
 	if threshold <= 0 {
 		threshold = DefaultEditThreshold
 	}
-	return &Edit{graph: g, threshold: threshold, keys: g.FlatData().NameKeys, sigs: sigs}
+	return &Edit{graph: g, threshold: threshold}
 }
 
-// KeySigs returns every name key's signature, the column a flat bundle
-// stores. The slice aliases the matcher and must not be modified.
-func (m *Edit) KeySigs() []uint64 { return m.sigs }
+// keySigs returns every name key's signature, deriving them on first use.
+func (m *Edit) keySigs() []uint64 {
+	m.once.Do(func() {
+		keys := m.graph.FlatData().NameKeys
+		m.sigs = make([]uint64, keys.Len())
+		for i := range m.sigs {
+			m.sigs[i] = keySignature(keys.At(i))
+		}
+	})
+	return m.sigs
+}
 
 // keySignature is a string's letter set folded into 64 bits, bit c&63 per
 // byte. One edit adds at most one letter to the set and removes at most one,
@@ -110,14 +108,6 @@ func keySignature(s string) uint64 {
 		sig |= 1 << (s[i] & 63)
 	}
 	return sig
-}
-
-func keySignatures(keys strtab.Column) []uint64 {
-	sigs := make([]uint64, keys.Len())
-	for i := range sigs {
-		sigs[i] = keySignature(keys.At(i))
-	}
-	return sigs
 }
 
 // Name implements Mapper.
@@ -138,14 +128,15 @@ func (m *Edit) Map(name string) (eks.ConceptID, bool) {
 	var band stringutil.EditBand // one per call: Map is concurrent
 	band.Reset(norm)
 	qsig := keySignature(norm)
-	for i, sig := range m.sigs {
+	keys := m.graph.FlatData().NameKeys
+	for i, sig := range m.keySigs() {
 		// Cheap letter-set and length filters before the banded DP: the
 		// signatures are a sequential column, a key's length a read of the
 		// string table, so the signature goes first.
 		if bits.OnesCount64(sig^qsig) > 2*(bestDist-1) {
 			continue
 		}
-		key := m.keys.At(i)
+		key := keys.At(i)
 		if abs(len(key)-len(norm)) > m.threshold || !band.Within(key, bestDist-1) {
 			continue
 		}
@@ -165,7 +156,9 @@ func (m *Edit) Map(name string) (eks.ConceptID, bool) {
 
 // Embedding matches by cosine similarity of SIF phrase vectors: exact match
 // first, then nearest neighbour over the embedded lexicon, accepted when
-// the cosine reaches the threshold.
+// the cosine reaches the threshold. The index holds a vector per name key at
+// the key's position in the graph's sorted column, so a tie goes to the first
+// key in sorted order.
 type Embedding struct {
 	graph     *eks.Graph
 	encoder   *embedding.SIFEncoder
@@ -196,8 +189,8 @@ func NewEmbedding(g *eks.Graph, enc *embedding.SIFEncoder, threshold float64) *E
 		}
 	}
 	m.index = embedding.NewIndex(dim)
-	for i, v := range encoded {
-		m.index.Add(keys.At(i), v)
+	for _, v := range encoded {
+		m.index.Add(v)
 	}
 	return m
 }
@@ -215,7 +208,7 @@ func (m *Embedding) Map(name string) (eks.ConceptID, bool) {
 	if !ok || hit.Cosine < m.threshold {
 		return 0, false
 	}
-	return m.graph.MinIDForNameKey(hit.Key)
+	return m.graph.MinIDForNameKey(m.graph.FlatData().NameKeys.At(hit.Pos))
 }
 
 // Combined tries a sequence of mappers in order and returns the first

@@ -157,8 +157,6 @@ func structurallyCorrupt(t testing.TB, ing *core.Ingestion) []flatEdit {
 	last := func(p []byte) []byte { return p[:len(p)-4] }
 	return []flatEdit{
 		{name: "string reference past the table", kind: secGraphNames, edit: func(p []byte) []byte { le32(p, ^uint32(0)); return p }, want: "graphNames"},
-		{name: "lookup key signatures truncated", kind: secLkKeySigs, edit: func(p []byte) []byte { return p[:len(p)-8] }},
-		{name: "lookup key signatures torn mid-value", kind: secLkKeySigs, edit: func(p []byte) []byte { return p[:len(p)-4] }},
 		{name: "candidate scores truncated", kind: secMatCandScores, edit: func(p []byte) []byte { return p[:len(p)-8] }},
 		{name: "candidate slots truncated", kind: secMatCandSlots, edit: func(p []byte) []byte { return p[:len(p)-4] }},
 		{name: "candidate slot past the flagged set", kind: secMatCandSlots, edit: func(p []byte) []byte { le32(p, uint32(flagged)<<8|1); return p }},
@@ -219,9 +217,7 @@ type flatEdit struct {
 // that leaves the family out but keeps that one section. Each must be refused
 // by the section's name.
 func familyEdits(families [][]flatColumn) []flatEdit {
-	// What says a bundle carries an optional family: a meta flag. The
-	// resolver's one section is required; a bundle without it is the retired
-	// form TestRetiredFormsFailByName names.
+	// What says a bundle carries an optional family: a meta flag.
 	optional := map[uint32]uint32{secMatCon: metaHasMaterialized, secCidxCon: metaHasCandidates, secSrcNames: metaHasSources}
 	var edits []flatEdit
 	for _, family := range families {
@@ -244,7 +240,7 @@ func familyEdits(families [][]flatColumn) []flatEdit {
 	return edits
 }
 
-// TestFlatNewSectionCorruptionFailsLoudly: a resolver, candidate-column or
+// TestFlatNewSectionCorruptionFailsLoudly: a candidate-column or
 // candidate-index section that is CRC-valid and structurally wrong is ErrCorruptBundle at
 // open, never a panic and never a bundle that answers differently; so is a
 // bundle missing any column section, or holding one of a family it leaves out.

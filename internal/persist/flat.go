@@ -93,10 +93,8 @@ const (
 	secGraphKeyOff   uint32 = 23 // []int32 CSR into graphKeyIDs
 	secGraphKeyIDs   uint32 = 24 // []eks.ConceptID
 
-	// The term resolver over the graph's name keys (match.Edit's key
-	// signatures). Every source carries it; a bundle without it, or with the
-	// token index of sections 25–28 beside it, is a retired form.
-	secLkKeySigs uint32 = 29 // []uint64 letter-set signatures, parallel to graphNameKeys
+	// 25–29 held a term resolver's token index and key signatures; see
+	// retired.go.
 
 	secOntoConcepts uint32 = 30 // []uint32 string refs, (name, parent) pairs
 	secOntoRels     uint32 = 31 // []uint32 string refs, (name, domain, range) triples
@@ -151,7 +149,7 @@ const (
 
 	// The sources table: a row per secondary source of a federated bundle, in
 	// mount order, with the scalars META holds for the primary. Source i's own
-	// families — graph, resolver, mappings, frequencies — are the primary's
+	// families — graph, mappings, frequencies — are the primary's
 	// sections at kind sourceBase(i) + the primary's kind.
 	secSrcNames     uint32 = 101 // []uint32 string refs, one per source
 	secSrcRoots     uint32 = 102 // []eks.ConceptID, the graph's root

@@ -10,15 +10,15 @@ import (
 )
 
 // The column families of a flat (v4) bundle. Each component that rides in a
-// bundle as columns — the graph, the term resolver, the store, the mappings,
-// the frequency table, the materialized store, the candidate index and the
-// sources table — has one table here, a row per section: its kind, its name,
+// bundle as columns — the graph, the store, the mappings, the frequency
+// table, the materialized store, the candidate index and the sources table —
+// has one table here, a row per section: its kind, its name,
 // and the field of the component's Flat*Data that is its column. The writer
 // encodes a table (addColumns), the reader decodes one (columns), and -inspect
 // and every decode error name a section by its row, so a column is declared
 // once. Rows are in kind order, the order the writer meets their strings in.
-// A secondary source's graph, resolver, mappings and frequencies are the
-// primary's tables shifted to its kind base (atSource).
+// A secondary source's graph, mappings and frequencies are the primary's
+// tables shifted to its kind base (atSource).
 //
 // The meta scalars, the string table and the ontology are not columns of a
 // component and are written and read by hand.
@@ -48,12 +48,6 @@ func graphColumns(d *eks.FlatGraphData) []flatColumn {
 		{secGraphNameKeys, "graphNameKeys", &d.NameKeys},
 		{secGraphKeyOff, "graphKeyOffsets", &d.KeyOff},
 		{secGraphKeyIDs, "graphKeyIDs", &d.KeyIDs},
-	}
-}
-
-func resolverColumns(sigs *[]uint64) []flatColumn {
-	return []flatColumn{
-		{secLkKeySigs, "lookupKeySignatures", sigs},
 	}
 }
 
@@ -160,7 +154,6 @@ func atSource(base uint32, family []flatColumn) []flatColumn {
 func flatFamilies() [][]flatColumn {
 	return [][]flatColumn{
 		graphColumns(new(eks.FlatGraphData)),
-		resolverColumns(new([]uint64)),
 		storeColumns(new(kb.FlatStoreData)),
 		mappingsColumns(new(core.FlatMappingsData)),
 		frequencyColumns(new(core.FlatFrequencyData)),
@@ -209,8 +202,6 @@ func (w *flatWriter) addColumns(family []flatColumn) {
 			payload = leColumn(*col)
 		case *[]uint32:
 			payload = leColumn(*col)
-		case *[]uint64:
-			payload = leColumn(*col)
 		case *[]int64:
 			payload = leColumn(*col)
 		case *[]float64:
@@ -238,8 +229,6 @@ func (d *flatDecoder) columns(family []flatColumn) error {
 			*col, err = column[int32](d, c.kind)
 		case *[]uint32:
 			*col, err = column[uint32](d, c.kind)
-		case *[]uint64:
-			*col, err = column[uint64](d, c.kind)
 		case *[]int64:
 			*col, err = column[int64](d, c.kind)
 		case *[]float64:

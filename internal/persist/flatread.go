@@ -13,7 +13,6 @@ import (
 	"medrelax/internal/core"
 	"medrelax/internal/eks"
 	"medrelax/internal/kb"
-	"medrelax/internal/match"
 	"medrelax/internal/ontology"
 	"medrelax/internal/strtab"
 )
@@ -283,33 +282,26 @@ func (d *flatDecoder) restoreFlat(backing core.SnapshotBacking) (*core.Ingestion
 	return ing, nil
 }
 
-// openSource opens the graph, resolver, mapping and frequency families of the
-// source at a kind base over a store and ontology: the primary at base 0, and
-// each secondary at its own base over the primary's store and ontology. gd and
-// fd come with the scalars META or the sources table holds for the source, and
-// the columns complete them. Every source carries its term resolver, the edit
-// matcher's key signatures alone; one without them, or with the token index
-// beside them, is a retired form.
+// openSource opens the graph, mapping and frequency families of the source at
+// a kind base over a store and ontology: the primary at base 0, and each
+// secondary at its own base over the primary's store and ontology. gd and fd
+// come with the scalars META or the sources table holds for the source, and
+// the columns complete them. A source that stores a term resolver is a
+// retired form: its resolver is built over its graph (core.NewFlatIngestion).
 func (d *flatDecoder) openSource(base uint32, gd eks.FlatGraphData, fd core.FlatFrequencyData, shortcuts int64,
 	store *kb.Store, onto *ontology.Ontology) (*core.Ingestion, error) {
 	if err := retiredResolver(base, d.secs); err != nil {
 		return nil, err
 	}
-	var sigs []uint64
 	var maps core.FlatMappingsData
 	for _, family := range [][]flatColumn{
-		atSource(base, graphColumns(&gd)), atSource(base, resolverColumns(&sigs)),
-		atSource(base, mappingsColumns(&maps)), atSource(base, frequencyColumns(&fd)),
+		atSource(base, graphColumns(&gd)), atSource(base, mappingsColumns(&maps)), atSource(base, frequencyColumns(&fd)),
 	} {
 		if err := d.columns(family); err != nil {
 			return nil, err
 		}
 	}
 	g, err := eks.NewFlatGraph(gd)
-	if err != nil {
-		return nil, restoreFailed(err)
-	}
-	resolver, err := match.OpenEdit(g, sigs)
 	if err != nil {
 		return nil, restoreFailed(err)
 	}
@@ -321,7 +313,6 @@ func (d *flatDecoder) openSource(base uint32, gd eks.FlatGraphData, fd core.Flat
 	if err != nil {
 		return nil, restoreFailed(err)
 	}
-	ing.Resolver = resolver
 	return ing, nil
 }
 

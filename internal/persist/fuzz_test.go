@@ -24,7 +24,7 @@ func FuzzLoadBundle(f *testing.F) {
 	f.Add([]byte{})
 
 	// Retired forms, whole and torn.
-	for _, name := range []string{"retired-v2.mrxb", "retired-v3.mrxb", "retired-v1-accel.json", "retired-postings.flat", "retired-sources-json.flat", "retired-no-resolver.flat", "retired-token-index.flat"} {
+	for _, name := range []string{"retired-v2.mrxb", "retired-v3.mrxb", "retired-v1-accel.json", "retired-postings.flat", "retired-sources-json.flat", "retired-key-signatures.flat", "retired-token-index.flat"} {
 		data := readFixture(f, name)
 		f.Add(data)
 		f.Add(data[:len(data)*3/4])
@@ -112,9 +112,13 @@ func FuzzOpenFlat(f *testing.F) {
 	misdir[16] ^= 0x04 // nudge dirOff off alignment
 	f.Add(misdir)
 
-	// The parent's layout (record candidates, no resolver), and new-section
-	// edits a checksum cannot see: the validators' side of the format.
+	// The parent's layout (record candidates), bundles that store a term
+	// resolver's key signatures at the primary's base and a secondary's, and
+	// new-section edits a checksum cannot see: the validators' side of the
+	// format.
 	f.Add(flatBytes(f, parentFlatSections(f, accel)))
+	f.Add(readFixture(f, "retired-key-signatures.flat"))
+	f.Add(secondaryKeySigs(f))
 	sections, err := encodeFlat(accel)
 	if err != nil {
 		f.Fatal(err)

@@ -159,8 +159,8 @@ func inspectBytes(data []byte) (*BundleInfo, error) {
 	if d.initStrings() == nil && d.columns(sourcesColumns(&st)) == nil {
 		info.Sources = st.Names.Strings()
 	}
-	// A source's resolver is looked for only where the directory can be
-	// trusted to list every section.
+	// A source's stored resolver is named only where every checksum holds, as
+	// LoadFile reports a mismatch first.
 	for i := 0; info.CRCOK && retired == nil && i <= len(info.Sources); i++ {
 		retired = retiredResolver(uint32(i)*sourceKindStride, checked)
 	}

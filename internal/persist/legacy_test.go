@@ -9,14 +9,13 @@ import (
 	"testing"
 
 	"medrelax/internal/core"
-	"medrelax/internal/match"
 )
 
 // parentFlatSections is an ingestion's sections as the writer before the
-// resolver and candidate columns emitted them: no resolver sections, and the
-// candidate pool as one section of 24-byte (concept int64, score float64,
-// hops int32, pad) records under kind 86 — that writer's matCandRecords,
-// reading today's columns. With a store it is the retired section-86 form.
+// candidate columns emitted them: the candidate pool as one section of
+// 24-byte (concept int64, score float64, hops int32, pad) records under kind
+// 86 — that writer's matCandRecords, reading today's columns. With a store it
+// is the retired section-86 form.
 func parentFlatSections(t testing.TB, ing *core.Ingestion) []flatSection {
 	t.Helper()
 	sections, err := encodeFlat(ing)
@@ -24,7 +23,7 @@ func parentFlatSections(t testing.TB, ing *core.Ingestion) []flatSection {
 		t.Fatal(err)
 	}
 	sections = slices.DeleteFunc(sections, func(s flatSection) bool {
-		return s.kind == secLkKeySigs || s.kind == secMatCandScores || s.kind == secMatCandSlots
+		return s.kind == secMatCandScores || s.kind == secMatCandSlots
 	})
 	if ing.Materialized != nil {
 		d, flagged := ing.Materialized.FlatData(), ing.FlatMappings().Flagged
@@ -63,34 +62,29 @@ func sectionKinds(sections []flatSection) []uint32 {
 	return kinds
 }
 
-// TestFlatParentBundleRefused: a v4 bundle written the parent's way that
-// carries no materialized store has no resolver sections, and is refused by
-// name as the retired form it is (with a store it holds section 86 and is
-// refused for that: TestRetiredFormsFailByName); the new writer's bundle of
-// the same ingestion opens with its resolver and answers alike.
+// TestFlatParentBundleRefused: a v4 bundle written the parent's way with a
+// materialized store holds its candidates in section 86 and is refused by
+// name; one without a store holds what today's writer emits, and opens and
+// answers alike. The writer never emits the record section, nor a stored
+// term resolver (the token index or the key signatures, kinds 25–29).
 func TestFlatParentBundleRefused(t *testing.T) {
+	accel := buildSmallAccelIngestion(t)
+	_, err := loadBytes(flatBytes(t, parentFlatSections(t, accel)))
+	assertRetired(t, "a parent-written bundle with a store", err, "section 86")
 	ing := buildIngestion(t)
-	_, err := loadBytes(flatBytes(t, parentFlatSections(t, ing)))
-	assertRetired(t, "a parent-written bundle", err, "term resolver", "lookupKeySignatures")
-	now, err := loadBytes(saveFlatBytes(t, ing))
+	old, err := loadBytes(flatBytes(t, parentFlatSections(t, ing)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if now.Resolver == nil {
-		t.Fatal("a bundle with resolver sections opened without a resolver")
-	}
-	assertSameRelaxations(t, ing, now)
+	assertSameRelaxations(t, ing, old)
 
-	// The new writer never emits the record section or the token index, and
-	// always the resolver's key signatures.
-	for _, ing := range []*core.Ingestion{ing, buildAccelIngestion(t)} {
+	for _, ing := range []*core.Ingestion{ing, accel} {
 		sections, err := encodeFlat(ing)
 		if err != nil {
 			t.Fatal(err)
 		}
 		kinds := sectionKinds(sections)
-		if slices.Contains(kinds, secMatCands) || slices.ContainsFunc(kinds, func(k uint32) bool { return k >= retiredTokenIndexFirst && k <= retiredTokenIndexLast }) ||
-			!slices.Contains(kinds, secLkKeySigs) {
+		if slices.Contains(kinds, secMatCands) || slices.ContainsFunc(kinds, func(k uint32) bool { return k >= retiredTokenIndexFirst && k <= retiredKeySigs }) {
 			t.Errorf("the writer emitted sections %v", kinds)
 		}
 	}
@@ -121,10 +115,9 @@ func TestFlatParentReaderRefusesNewBundle(t *testing.T) {
 	}
 }
 
-// TestFlatLookupAdopted takes the resolver through a saved bundle: LoadFile
-// adopts key signatures equal to the ones the loaded graph and the saved one
-// derive, and the adopted edit matcher answers names, typos, cut names and
-// unknowns as one built over the loaded graph does.
+// TestFlatLookupAdopted takes the resolver through a saved bundle: the
+// loaded ingestion's, built over the mapped graph, answers names, typos, cut
+// names and unknowns as the saved ingestion's does.
 func TestFlatLookupAdopted(t *testing.T) {
 	ing := buildIngestion(t)
 	loaded, err := LoadFile(writeFlatFile(t, ing))
@@ -135,15 +128,8 @@ func TestFlatLookupAdopted(t *testing.T) {
 	if loaded.Resolver == nil {
 		t.Fatal("the bundle opened without a resolver")
 	}
-	built := match.NewEdit(loaded.Graph, 0)
-	if !slices.Equal(built.KeySigs(), loaded.Resolver.KeySigs()) {
-		t.Fatal("adopted key signatures differ from the loaded graph's")
-	}
-	if !slices.Equal(ing.Resolver.KeySigs(), loaded.Resolver.KeySigs()) {
-		t.Fatal("adopted key signatures differ from the saved graph's")
-	}
 	queries := []string{"", "zzqx", "qzxj123456wvkq"}
-	for i, key := range loaded.Graph.FlatData().NameKeys.Strings() {
+	for i, key := range ing.Graph.FlatData().NameKeys.Strings() {
 		if i%29 != 0 || len(key) < 4 {
 			continue
 		}
@@ -151,9 +137,9 @@ func TestFlatLookupAdopted(t *testing.T) {
 	}
 	for _, q := range queries {
 		gid, gok := loaded.Resolver.Map(q)
-		wid, wok := built.Map(q)
+		wid, wok := ing.Resolver.Map(q)
 		if gid != wid || gok != wok {
-			t.Fatalf("Map(%q) = %d, %v adopted; %d, %v built", q, gid, gok, wid, wok)
+			t.Fatalf("Map(%q) = %d, %v loaded; %d, %v built", q, gid, gok, wid, wok)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package persist serializes the output of the offline phase — the domain
 // ontology, the instance store, the customized external knowledge source,
 // the instance-to-concept mappings, the per-context frequency table, and
-// what is derived from them (the materialized store, the candidate index,
-// the term resolver's columns) — so that Algorithm 1, "an offline process
+// what is derived from them (the materialized store, the candidate index)
+// — so that Algorithm 1, "an offline process
 // that is executed only once" (Section 5.1), really does run only once:
 // production deployments save the ingestion after building it and load it at
 // startup.

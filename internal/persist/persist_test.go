@@ -220,7 +220,6 @@ func TestDenseFrequencyBundleStillOpens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old.Resolver = ing.Resolver
 	data := saveFlatBytes(t, old)
 	restored, err := loadBytes(data)
 	if err != nil {

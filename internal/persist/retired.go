@@ -44,10 +44,15 @@ const secSourcesJSON uint32 = 100
 // key signatures, before every snapshot mapped query terms with EDIT alone.
 const retiredTokenIndexFirst, retiredTokenIndexLast uint32 = 25, 28
 
-// retiredResolver refuses the source at a kind base whose resolver carries
-// the token index, or is missing (written before the resolver became
-// columns). Both are met after the checksums: a current source holds the
-// same kinds, and an absence is no section to checksum.
+// retiredKeySigs held a source's term resolver as the edit matcher's key
+// signatures, one letter set per name key, before the matcher derived them
+// from the name-key column at its first typo.
+const retiredKeySigs uint32 = 29
+
+// retiredResolver refuses the source at a kind base that stores its term
+// resolver: the token index, or the key signatures alone. It is asked after
+// the checksums and after retiredFlatSection, so a bundle that also holds a
+// form that function names fails with that form's name.
 func retiredResolver(base uint32, secs map[uint32][]byte) error {
 	for kind := base + retiredTokenIndexFirst; kind <= base+retiredTokenIndexLast; kind++ {
 		if _, ok := secs[kind]; ok {
@@ -55,8 +60,8 @@ func retiredResolver(base uint32, secs map[uint32][]byte) error {
 				base+retiredTokenIndexFirst, base+retiredTokenIndexLast)
 		}
 	}
-	if _, ok := secs[base+secLkKeySigs]; !ok {
-		return retiredf("flat v4", "a source without its term resolver (no %s section)", flatSectionName(base+secLkKeySigs))
+	if _, ok := secs[base+retiredKeySigs]; ok {
+		return retiredf("flat v4", "a term resolver stored as key signatures (section %d)", base+retiredKeySigs)
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -18,10 +19,9 @@ import (
 // buildFederatedIngestion for retired-sources-json.flat (section 100); and
 // SaveFlat of buildSmallAccelIngestion for retired-entry-spans.flat (a
 // materialized store with its flags and spans per entry, sections 82, 83 and
-// 85); parentFlatSections of buildIngestion, the writer's sections without
-// the resolver family, for retired-no-resolver.flat; and SaveFlat of
-// buildIngestion, whose resolver carried its token index (sections 25–28), for
-// retired-token-index.flat.
+// 85); and SaveFlat of buildIngestion, whose resolver carried its token index
+// (sections 25–28), for retired-token-index.flat, and whose resolver was its
+// key signatures alone (section 29), for retired-key-signatures.flat.
 func readFixture(t testing.TB, name string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", name))
@@ -73,8 +73,9 @@ func TestRetiredFormsFailByName(t *testing.T) {
 		{"flat section 86", flatBytes(t, parentFlatSections(t, buildSmallAccelIngestion(t))), []string{"section 86"}, "flat v4", 4},
 		{"flat posting sections", readFixture(t, "retired-postings.flat"), []string{"candidate-index postings (sections 90–93)", "-index"}, "flat v4", 4},
 		{"materialized spans per entry", readFixture(t, "retired-entry-spans.flat"), []string{"candidate span per entry", "sections 82, 83 and 85"}, "flat v4", 4},
-		{"no term resolver", readFixture(t, "retired-no-resolver.flat"), []string{"term resolver", "lookupKeySignatures"}, "flat v4", 4},
 		{"resolver token index", readFixture(t, "retired-token-index.flat"), []string{"term resolver with its token index", "sections 25–28"}, "flat v4", 4},
+		{"resolver key signatures", readFixture(t, "retired-key-signatures.flat"), []string{"key signatures", "section 29"}, "flat v4", 4},
+		{"secondary resolver key signatures", secondaryKeySigs(t), []string{"key signatures", "section 1029"}, "flat v4", 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -93,6 +94,20 @@ func TestRetiredFormsFailByName(t *testing.T) {
 			}
 		})
 	}
+}
+
+// secondaryKeySigs is a federated bundle whose secondary source stores key
+// signatures at its kind base, one per name key.
+func secondaryKeySigs(t testing.TB) []byte {
+	fed := buildFederatedIngestion(t)
+	sections, err := encodeFlat(fed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kind := sourceBase(0) + retiredKeySigs
+	at := slices.IndexFunc(sections, func(s flatSection) bool { return s.kind > kind })
+	payload := make([]byte, 8*fed.Sources[0].Ing.Graph.FlatData().NameKeys.Len())
+	return flatBytes(t, slices.Insert(sections, at, flatSection{kind: kind, payload: payload}))
 }
 
 // TestBinaryCorruptionFailsLoudly: a damaged binary stream is still a binary
