@@ -32,6 +32,7 @@ var keptWithoutCaller = map[string]string{
 	"core.takeForKInstances":       "the exhaustive oracle's k consumption",
 	"core.Relaxer.WalkedNodes":     "the relax kernel's work counter (ROADMAP item 5)",
 	"eks.Graph.DescendantCount":    "the reference for Graph.DescendantCounts",
+	"stringutil.Levenshtein":       "the full distance the EDIT oracle (legacyEditMap) scores Edit.Map against",
 	"stringutil.LevenshteinWithin": "the reference of the CI fuzz differential that guards EditBand",
 }
 

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"log"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -28,6 +29,11 @@ import (
 // RelaxResult is one JSON-ready relaxed answer, with concepts and
 // instances resolved to surface names. The HTTP layer re-exports it as
 // server.RelaxResult.
+//
+// An answer owns its strings: every name it carries, provenance included, is
+// a heap copy and never a view into a mapped bundle, so it stays readable
+// after its snapshot is closed or collected. Instances is shared by every
+// answer that lists the concept; callers must not mutate it.
 //
 // Provenance holds the attribution extensions, nil on a plain answer, so a
 // cached single-source result carries no header for them. JSON promotes its
@@ -136,11 +142,11 @@ type Snapshot struct {
 	// terms is the precomputed term index: flagged-concept names in
 	// deterministic (ID) order, the realistic query mix GET /terms serves.
 	terms []string
-	// names holds, per flagged concept of the ingestion, the surface names
-	// of its instances in InstancesForConcept order. Every answer that lists
-	// the concept shares the one slice, so a cached answer costs its result
-	// headers and nothing per instance.
-	names map[eks.ConceptID][]string
+	// names holds, per flagged concept of the ingestion, its name and the
+	// surface names of its instances, copied once per generation. Every
+	// answer that lists the concept shares them, so a cached answer costs its
+	// result headers and nothing per instance.
+	names map[eks.ConceptID]conceptNames
 	// sources are the mounted sources in mount order when the ingestion
 	// carries secondaries: sources[0] is the snapshot itself, then one
 	// Snapshot per secondary, assembled by New over its own ingestion. A
@@ -211,7 +217,7 @@ func New(ing *core.Ingestion, cfg Config) *Snapshot {
 		}
 		for _, src := range ing.Sources {
 			sub := New(src.Ing, Config{Relax: cfg.Relax})
-			sub.name = src.Name
+			sub.name = strings.Clone(src.Name)
 			s.sources = append(s.sources, sub)
 			for _, t := range sub.terms {
 				if !seen[t] {
@@ -257,25 +263,31 @@ func (s *Snapshot) residency() string {
 	return "heap"
 }
 
-// flaggedNames resolves the flagged concepts once, in ID order (FlaggedIDs is
-// ascending): their names, the deterministic term index Terms slices from, and
-// per concept its instances' surface names, which resolve hands out.
-func flaggedNames(ing *core.Ingestion) ([]string, map[eks.ConceptID][]string) {
+// conceptNames is a flagged concept's name and its instances' surface names
+// in InstancesForConcept order, heap copies of the ingestion's strings.
+type conceptNames struct {
+	name      string
+	instances []string
+}
+
+// flaggedNames copies the flagged concepts' names once, in ID order
+// (FlaggedIDs is ascending): the deterministic term index Terms slices from,
+// and per concept what resolve hands out. NewFlatIngestion checked that every
+// flagged concept is in the graph and every mapped instance in the store.
+func flaggedNames(ing *core.Ingestion) ([]string, map[eks.ConceptID]conceptNames) {
 	ids := ing.FlaggedIDs()
 	terms := make([]string, 0, len(ids))
-	names := make(map[eks.ConceptID][]string, len(ids))
+	names := make(map[eks.ConceptID]conceptNames, len(ids))
 	for _, id := range ids {
-		if name, ok := ing.Graph.Name(id); ok {
-			terms = append(terms, name)
-		}
+		name, _ := ing.Graph.Name(id)
 		instances := ing.InstancesForConcept(id)
-		out := make([]string, 0, len(instances))
-		for _, iid := range instances {
-			if inst, ok := ing.Store.Instance(iid); ok {
-				out = append(out, inst.Name)
-			}
+		cn := conceptNames{name: strings.Clone(name), instances: make([]string, len(instances))}
+		for j, iid := range instances {
+			inst, _ := ing.Store.Instance(iid)
+			cn.instances[j] = strings.Clone(inst.Name)
 		}
-		names[id] = out
+		terms = append(terms, cn.name)
+		names[id] = cn
 	}
 	return terms, names
 }
@@ -379,14 +391,14 @@ func (s *Snapshot) RelaxBatch(ctx context.Context, reqs []Request) []Response {
 	return out
 }
 
-// resolve maps core results to surface names. A result carries all of its
-// concept's instances, so their names are the snapshot's shared slice;
-// callers must not mutate it.
+// resolve maps core results, every one a flagged concept, to the snapshot's
+// copies of their names. A result carries all of its concept's instances, so
+// their names are the snapshot's shared slice; callers must not mutate it.
 func (s *Snapshot) resolve(results []core.Result) []RelaxResult {
 	out := make([]RelaxResult, 0, len(results))
 	for _, r := range results {
-		name, _ := s.ing.Graph.Name(r.Concept)
-		out = append(out, RelaxResult{Concept: name, Score: r.Score, Hops: r.Hops, Instances: s.names[r.Concept]})
+		cn := s.names[r.Concept]
+		out = append(out, RelaxResult{Concept: cn.name, Score: r.Score, Hops: r.Hops, Instances: cn.instances})
 	}
 	return out
 }

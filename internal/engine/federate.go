@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"medrelax/internal/core"
 	"medrelax/internal/eks"
@@ -18,13 +19,14 @@ import (
 )
 
 // fusedEntry accumulates one concept name's evidence across sources while
-// fusing. The winner fields record the source whose score the entry keeps —
-// the source the explanation path runs in.
+// fusing: instances maps each instance it holds to its name. The winner
+// fields record the source whose score the entry keeps — the source the
+// explanation path runs in.
 type fusedEntry struct {
 	name          string
 	score         float64
 	hops          int
-	instSet       map[kb.InstanceID]bool
+	instances     map[kb.InstanceID]string
 	sources       []string
 	winner        *Snapshot
 	winnerQuery   eks.ConceptID
@@ -69,22 +71,21 @@ func (s *Snapshot) relaxFused(ctx context.Context, req core.Request, explain boo
 			return Response{Err: resp.Err}
 		}
 		for _, r := range resp.Results {
-			name, ok := src.ing.Graph.Name(r.Concept)
-			if !ok {
-				continue
-			}
-			e := entries[name]
+			// Names come from the source's copies: r is a flagged concept of
+			// src, its instances in the order src copied their names.
+			cn := src.names[r.Concept]
+			e := entries[cn.name]
 			if e == nil {
 				e = &fusedEntry{
-					name:          name,
+					name:          cn.name,
 					score:         r.Score,
 					hops:          r.Hops,
-					instSet:       make(map[kb.InstanceID]bool),
+					instances:     make(map[kb.InstanceID]string),
 					winner:        src,
 					winnerQuery:   q,
 					winnerConcept: r.Concept,
 				}
-				entries[name] = e
+				entries[cn.name] = e
 			} else if r.Score > e.score {
 				// Strictly greater only: score ties keep the earlier mount.
 				e.score, e.hops = r.Score, r.Hops
@@ -94,8 +95,8 @@ func (s *Snapshot) relaxFused(ctx context.Context, req core.Request, explain boo
 			// ranked list is concept-unique), so appending here cannot
 			// duplicate an attribution.
 			e.sources = append(e.sources, src.name)
-			for _, iid := range r.Instances {
-				e.instSet[iid] = true
+			for j, iid := range r.Instances {
+				e.instances[iid] = cn.instances[j]
 			}
 		}
 	}
@@ -121,17 +122,15 @@ func (s *Snapshot) relaxFused(ctx context.Context, req core.Request, explain boo
 		if k > 0 && len(seen) >= k {
 			break
 		}
-		ids := make([]kb.InstanceID, 0, len(e.instSet))
-		for iid := range e.instSet {
+		ids := make([]kb.InstanceID, 0, len(e.instances))
+		for iid := range e.instances {
 			ids = append(ids, iid)
 		}
 		slices.Sort(ids)
 		rr := RelaxResult{Concept: e.name, Score: e.score, Hops: e.hops, Provenance: &Provenance{Sources: e.sources}}
 		for _, iid := range ids {
 			seen[iid] = true
-			if inst, ok := s.ing.Store.Instance(iid); ok {
-				rr.Instances = append(rr.Instances, inst.Name)
-			}
+			rr.Instances = append(rr.Instances, e.instances[iid])
 		}
 		if explain {
 			rr.Explain = e.winner.explainFor(e.winnerQuery, e.winnerConcept)
@@ -165,9 +164,9 @@ func (s *Snapshot) attachExplain(term string, ids []core.Result, out []RelaxResu
 // subsumer or a path leg cannot be reconstructed — the result then carries
 // attribution but no path, rather than a fabricated one.
 func (s *Snapshot) explainFor(q, c eks.ConceptID) *Explain {
-	name := func(id eks.ConceptID) string {
+	name := func(id eks.ConceptID) string { // a copy: the answer owns it
 		n, _ := s.ing.Graph.Name(id)
-		return n
+		return strings.Clone(n)
 	}
 	if q == c {
 		// IncludeSelf answers: the query concept itself, an empty path.

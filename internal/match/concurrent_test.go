@@ -17,10 +17,10 @@ import (
 func TestCombinedConcurrentMap(t *testing.T) {
 	g := lexGraph(t)
 	enc := trainEncoder(t, g)
-	m := NewCombined(NewEdit(g, 0), NewEmbedding(g, enc, 0), NewLookupService(g))
+	m := NewCombined(NewEdit(g, 0), NewEmbedding(g, enc, 0))
 
 	// Query mix: exact hits, synonym hits, typos (edit path), phrases
-	// (embedding/lookup path), and misses.
+	// (embedding path), and misses.
 	queries := []string{
 		"fever", "pyrexia", "feverr", "headache", "cephalalgia",
 		"kidney disease", "nephropath", "whooping cough", "bronchitis",

@@ -57,12 +57,12 @@ func (m *Exact) Map(name string) (eks.ConceptID, bool) {
 }
 
 // Edit matches under a Levenshtein threshold: it first tries an exact
-// match, then scans the lexicon for the closest name within the threshold.
-// The scan runs over the name keys in sorted order and only probes a key
-// strictly closer than the best so far, so among equally close names the
-// first key in sorted order wins, whatever its concept ID; a key that names
-// several concepts answers with the smallest of their IDs. At τ=2 it is every
-// snapshot's query-term mapper.
+// match, then scans the lexicon once for each distance from 1 up to the
+// threshold and answers the first key within it. The keys are in sorted order
+// and a pass only begins when no key lay within the distance before it, so
+// the answer is the first key in sorted order at the least distance, whatever
+// its concept ID; a key that names several concepts answers with the smallest
+// of their IDs. At τ=2 it is every snapshot's query-term mapper.
 //
 // The scan reads the key column through the graph, so a matcher made before
 // customization adds its shortcut edges holds no stale view of it. Its key
@@ -99,13 +99,14 @@ func (m *Edit) keySigs() []uint64 {
 	return m.sigs
 }
 
-// keySignature is a string's letter set folded into 64 bits, bit c&63 per
-// byte. One edit adds at most one letter to the set and removes at most one,
-// so two strings within Levenshtein distance d differ in at most 2d bits.
+// keySignature is a string's letter set folded into 64 bits, bit r&63 per
+// rune. One edit adds at most one rune to the set and removes at most one, so
+// two strings within Levenshtein distance d — counted in runes, as EditBand
+// counts it — differ in at most 2d bits.
 func keySignature(s string) uint64 {
 	var sig uint64
-	for i := 0; i < len(s); i++ {
-		sig |= 1 << (s[i] & 63)
+	for _, r := range s {
+		sig |= 1 << (r & 63)
 	}
 	return sig
 }
@@ -122,36 +123,28 @@ func (m *Edit) Map(name string) (eks.ConceptID, bool) {
 	if norm == "" {
 		return 0, false
 	}
-	bestDist := m.threshold + 1
-	var bestID eks.ConceptID
-	found := false
 	var band stringutil.EditBand // one per call: Map is concurrent
 	band.Reset(norm)
 	qsig := keySignature(norm)
-	keys := m.graph.FlatData().NameKeys
-	for i, sig := range m.keySigs() {
-		// Cheap letter-set and length filters before the banded DP: the
-		// signatures are a sequential column, a key's length a read of the
-		// string table, so the signature goes first.
-		if bits.OnesCount64(sig^qsig) > 2*(bestDist-1) {
-			continue
-		}
-		key := keys.At(i)
-		if abs(len(key)-len(norm)) > m.threshold || !band.Within(key, bestDist-1) {
-			continue
-		}
-		d := stringutil.Levenshtein(norm, key)
-		id, ok := m.graph.MinIDForNameKey(key)
-		if !ok {
-			continue
-		}
-		if d < bestDist {
-			bestDist = d
-			bestID = id
-			found = true
+	keys, sigs := m.graph.FlatData().NameKeys, m.keySigs()
+	for d := 1; d <= m.threshold; d++ {
+		for i, sig := range sigs {
+			// Cheap letter-set and length filters before the banded DP: the
+			// signatures are a sequential column, a key's length a read of
+			// the string table, so the signature goes first.
+			if bits.OnesCount64(sig^qsig) > 2*d {
+				continue
+			}
+			key := keys.At(i)
+			if abs(len(key)-len(norm)) > m.threshold || !band.Within(key, d) {
+				continue
+			}
+			if id, ok := m.graph.MinIDForNameKey(key); ok {
+				return id, true
+			}
 		}
 	}
-	return bestID, found
+	return 0, false
 }
 
 // Embedding matches by cosine similarity of SIF phrase vectors: exact match
@@ -238,6 +231,10 @@ func (m *Combined) Map(name string) (eks.ConceptID, bool) {
 	}
 	return 0, false
 }
+
+// NewLookupService is the term resolver bench/traced.go chains after EXACT
+// and EDIT. EDIT is the one served resolver, so this stage adds nothing.
+func NewLookupService(g *eks.Graph) *Exact { return NewExact(g) } // bench contract
 
 func abs(x int) int {
 	if x < 0 {

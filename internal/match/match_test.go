@@ -6,6 +6,7 @@ import (
 	"medrelax/internal/eks"
 	"medrelax/internal/embedding"
 	"medrelax/internal/stringutil"
+	"medrelax/internal/synthkb"
 )
 
 // lexGraph builds a small EKS with names that exercise all three matchers.
@@ -85,6 +86,109 @@ func TestEdit(t *testing.T) {
 			t.Errorf("Map(%q) = %d,%v want %d,%v", c.in, id, ok, c.want, c.ok)
 		}
 	}
+	// "éü" is two rune substitutions from "ab", though its four UTF-8 bytes
+	// share no bit of a byte-wise letter set with it.
+	if id, ok := NewEdit(keyGraph(t, "ab", "fever"), 0).Map("éü"); !ok || id != 2 {
+		t.Errorf(`Map("éü") = %d,%v want 2,true (the key "ab")`, id, ok)
+	}
+}
+
+// keyGraph builds a graph whose root is "root" and whose other concepts,
+// IDs 2 onward, are names under it.
+func keyGraph(tb testing.TB, names ...string) *eks.Graph {
+	tb.Helper()
+	g := eks.New()
+	if err := g.AddConcept(eks.Concept{ID: 1, Name: "root"}); err != nil {
+		tb.Fatal(err)
+	}
+	for i, name := range names {
+		id := eks.ConceptID(i + 2)
+		if err := g.AddConcept(eks.Concept{ID: id, Name: name}); err != nil {
+			tb.Fatal(err)
+		}
+		if err := g.AddSubsumption(id, 1); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := g.SetRoot(1); err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
+// misspellings misspells every seventeenth key of g's lexicon at least four
+// bytes long — a letter dropped, doubled, replaced by one the name does not
+// hold, two swapped, and two edits at once — and adds the empty term, an
+// unknown one and a one-letter one.
+func misspellings(g *eks.Graph) []string {
+	var queries []string
+	for i, key := range g.FlatData().NameKeys.Strings() {
+		if i%17 != 0 || len(key) < 4 {
+			continue
+		}
+		mid := len(key) / 2
+		queries = append(queries,
+			key[:mid]+key[mid+1:],
+			key[:mid]+key[mid:mid+1]+key[mid:],
+			key[:mid]+"q"+key[mid+1:],
+			key[:mid-1]+key[mid:mid+1]+key[mid-1:mid]+key[mid+1:],
+			"z"+key[:mid]+key[mid+1:],
+			key+"zzzz")
+	}
+	return append(queries, "", "qzxj123456wvkq", "a")
+}
+
+// TestEditSignaturesKeepAnswers misspells the lexicon of a generated world
+// and wants from the deepening, signature-filtered scan, under thresholds 1
+// to 3, exactly what the unfiltered single scan answers.
+func TestEditSignaturesKeepAnswers(t *testing.T) {
+	w, err := synthkb.Generate(synthkb.Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := misspellings(w.Graph)
+	for threshold := 1; threshold <= 3; threshold++ {
+		m := NewEdit(w.Graph, threshold)
+		resolved := 0
+		for _, q := range queries {
+			id, ok := m.Map(q)
+			wid, wok := legacyEditMap(m, q)
+			if id != wid || ok != wok {
+				t.Fatalf("threshold %d: Map(%q) = %d, %v; the unfiltered scan says %d, %v", threshold, q, id, ok, wid, wok)
+			}
+			if ok {
+				resolved++
+			}
+		}
+		if resolved < len(queries)/3 {
+			t.Errorf("threshold %d: only %d of %d misspellings resolved", threshold, resolved, len(queries))
+		}
+	}
+}
+
+// FuzzEditMap wants from Edit.Map, under thresholds 1 to 3, what the
+// unfiltered single scan answers, over a lexicon of ASCII, accented and digit
+// keys plus one key the fuzzer picks.
+func FuzzEditMap(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"éü", "ab"}, {"", ""}, {"2019", "2018"}, {"b12", "b 12"}, {"feverr", "fever"},
+		{"naive", "naïve"}, {"ünïcödé", "unicode"}, {"qzxj123456wvkq", "qzxj12345wvkq"},
+	} {
+		for tau := uint8(1); tau <= 3; tau++ {
+			f.Add(seed[0], seed[1], tau)
+		}
+	}
+	f.Fuzz(func(t *testing.T, query, key string, tau uint8) {
+		names := []string{"ab", "fever", "pyrexia", "café au lait", "naïve b12", "2019 covid", "ärztin"}
+		if key != "" {
+			names = append(names, key)
+		}
+		m := NewEdit(keyGraph(t, names...), 1+int(tau%3))
+		id, ok := m.Map(query)
+		if wid, wok := legacyEditMap(m, query); id != wid || ok != wok {
+			t.Fatalf("threshold %d: Map(%q) = %d, %v; the unfiltered scan says %d, %v", m.threshold, query, id, ok, wid, wok)
+		}
+	})
 }
 
 func TestEditPrefersCloserMatch(t *testing.T) {
@@ -259,5 +363,34 @@ func TestCombined(t *testing.T) {
 	short := NewCombined(NewExact(g))
 	if _, ok := short.Map("pertusis"); ok {
 		t.Error("exact-only chain must miss typos")
+	}
+}
+
+// TestLookupServiceAsMapper: NewLookupService, chained after EDIT as the
+// benchmark's traced resolve chain chains it, places nothing EDIT leaves, so
+// the chain maps every term — known names, misspellings and unknown terms —
+// where the served EDIT does. (The chain's leading EXACT stage repeats the
+// exact key EDIT tries first.)
+func TestLookupServiceAsMapper(t *testing.T) {
+	w, err := synthkb.Generate(synthkb.Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := w.Graph
+	edit := NewEdit(g, 0)
+	chain := NewCombined(NewEdit(g, 0), NewLookupService(g))
+	placed := 0
+	queries := append(misspellings(g), g.FlatData().NameKeys.At(0), "qzxj123456wvkq")
+	for _, q := range queries {
+		id, ok := chain.Map(q)
+		if wid, wok := edit.Map(q); id != wid || ok != wok {
+			t.Errorf("the traced chain maps %q to %d, %v; EDIT to %d, %v", q, id, ok, wid, wok)
+		}
+		if ok {
+			placed++
+		}
+	}
+	if placed == 0 || placed == len(queries) {
+		t.Fatalf("%d of %d terms placed; the comparison shows nothing", placed, len(queries))
 	}
 }

@@ -143,7 +143,7 @@ func Levenshtein(a, b string) int {
 			if ra[i-1] == rb[j-1] {
 				cost = 0
 			}
-			curr[j] = min3(prev[j]+1, curr[j-1]+1, prev[j-1]+cost)
+			curr[j] = min(prev[j]+1, curr[j-1]+1, prev[j-1]+cost)
 		}
 		prev, curr = curr, prev
 	}
@@ -270,40 +270,6 @@ func (e *EditBand) Within(b string, maxDist int) bool {
 		prev, curr = curr, prev
 	}
 	return prev[len(rb)] <= maxDist
-}
-
-// TokenJaccard returns the Jaccard similarity of the token sets of a and b,
-// in [0,1]. Two empty strings have similarity 1.
-func TokenJaccard(a, b string) float64 {
-	ta, tb := Tokenize(a), Tokenize(b)
-	if len(ta) == 0 && len(tb) == 0 {
-		return 1
-	}
-	set := make(map[string]uint8, len(ta)+len(tb))
-	for _, t := range ta {
-		set[t] |= 1
-	}
-	for _, t := range tb {
-		set[t] |= 2
-	}
-	inter, union := 0, 0
-	for _, m := range set {
-		union++
-		if m == 3 {
-			inter++
-		}
-	}
-	return float64(inter) / float64(union)
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
 }
 
 func abs(x int) int {

@@ -169,34 +169,6 @@ func TestLevenshteinWithinNegativeThreshold(t *testing.T) {
 	}
 }
 
-func TestTokenJaccard(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want float64
-	}{
-		{"", "", 1},
-		{"fever", "fever", 1},
-		{"kidney disease", "disease kidney", 1},
-		{"kidney disease", "kidney failure", 1.0 / 3.0},
-		{"a b", "c d", 0},
-	}
-	for _, c := range cases {
-		if got := TokenJaccard(c.a, c.b); got != c.want {
-			t.Errorf("TokenJaccard(%q,%q) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestTokenJaccardRange(t *testing.T) {
-	f := func(a, b string) bool {
-		j := TokenJaccard(a, b)
-		return j >= 0 && j <= 1 && TokenJaccard(b, a) == j
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func absInt(x int) int {
 	if x < 0 {
 		return -x

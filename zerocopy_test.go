@@ -1,11 +1,15 @@
 package medrelax
 
 import (
+	"context"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"medrelax/internal/core"
+	"medrelax/internal/engine"
 	"medrelax/internal/persist"
 	"medrelax/internal/stringutil"
 	"medrelax/internal/strtab"
@@ -78,4 +82,60 @@ func TestServedMapperResolvesKnownTermsWithoutAllocating(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { snap.Mapper().Map(term) }); allocs != 0 {
 		t.Errorf("resolving %q allocated %v times a call, want 0", term, allocs)
 	}
+}
+
+// TestAnswersOutliveTheirSnapshot: an answer owns its strings. A loaded
+// snapshot answers plain and explained requests and its term sample, then is
+// dropped unclosed and collected, which unmaps its bundle; every name the
+// answers carry still reads as the built world's answer. On one source the
+// requests are "fever" at k=5 and the probe terms; on two, where names are
+// fused across sources, the probe terms.
+func TestAnswersOutliveTheirSnapshot(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(testing.TB) *System
+	}{{"single", sharedSystem}, {"two-source", twoSourceSystem}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := tc.build(t)
+			path := filepath.Join(t.TempDir(), "own.flat")
+			if err := persist.SaveFileAtomic(path, sys.Ingestion, persist.FormatFlat); err != nil {
+				t.Fatal(err)
+			}
+			reqs := []engine.Request{{Term: "fever", K: 5}, {Term: "fever", K: 5, Explain: true}}
+			for _, term := range probeTerms(sys) {
+				reqs = append(reqs, engine.Request{Term: term, Context: ContextIndication, K: 5, Explain: len(reqs)%2 == 0})
+			}
+			got, terms := answerAndDrop(t, path, reqs)
+			for range 5 {
+				runtime.GC()
+			}
+			want := sys.Engine.RelaxBatch(context.Background(), reqs)
+			answered := 0
+			for i, req := range reqs {
+				if len(want[i].Results) > 0 {
+					answered++
+				}
+				if !reflect.DeepEqual(got[i].Results, want[i].Results) {
+					t.Errorf("term %q (explain %v): the dropped snapshot's answer reads %+v, the built world's %+v", req.Term, req.Explain, got[i].Results, want[i].Results)
+				}
+			}
+			if answered == 0 {
+				t.Fatal("no request was answered; the comparison shows nothing")
+			}
+			if wantTerms := sys.Engine.Terms(len(terms)); !slices.Equal(terms, wantTerms) {
+				t.Errorf("the dropped snapshot's terms read %q, the built world's %q", terms, wantTerms)
+			}
+		})
+	}
+}
+
+// answerAndDrop loads the bundle at path, answers reqs and samples its terms,
+// and returns without closing the snapshot.
+func answerAndDrop(t *testing.T, path string, reqs []engine.Request) ([]engine.Response, []string) {
+	t.Helper()
+	snap, err := engine.LoadSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap.RelaxBatch(context.Background(), reqs), snap.Terms(20)
 }
